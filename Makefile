@@ -137,7 +137,8 @@ bench-campaign:
 
 # Forwarded-write hot path after the zero-allocation rewrite: end-to-end
 # ns/op vs the committed seed baseline, plus the rpc wire path's
-# allocs/op budget (the target FAILS if the budget is exceeded); writes
-# BENCH_hotpath.json. Tunables: PAIRS, BENCHTIME, ALLOC_BUDGET.
+# allocs/op budget at 512 KiB and B/op budget at 4 MiB (the target FAILS
+# if either is exceeded); writes BENCH_hotpath.json. Tunables: PAIRS,
+# BENCHTIME, ALLOC_BUDGET, BYTES_BUDGET_4M.
 bench-hotpath:
 	sh scripts/bench_hotpath.sh

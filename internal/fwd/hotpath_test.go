@@ -8,12 +8,16 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/agios"
 	"repro/internal/ion"
 	"repro/internal/mapping"
 	"repro/internal/pfs"
+	"repro/internal/qos"
+	"repro/internal/rpc"
+	"repro/internal/testkit"
 )
 
 // TestRouteHashMatchesFNV pins the inlined incremental FNV-1a routing to
@@ -271,5 +275,114 @@ func TestReadHoleContiguousPrefix(t *testing.T) {
 	}
 	if n != 4 {
 		t.Fatalf("count %d covers the hole at [4,8); want the contiguous prefix 4", n)
+	}
+}
+
+// spanServer acks writes and records the largest payload it saw and
+// whether every request carried the full set of trailers.
+func spanServer(t *testing.T) (addr string, maxData *atomic.Int64, bare *atomic.Bool) {
+	t.Helper()
+	maxData, bare = &atomic.Int64{}, &atomic.Bool{}
+	srv := rpc.NewServer(func(req *rpc.Message) *rpc.Message {
+		if n := int64(len(req.Data)); n > maxData.Load() {
+			maxData.Store(n)
+		}
+		if req.ClientID == "" || req.Seq == 0 || req.Priority == 0 || req.Epoch == 0 {
+			bare.Store(true)
+		}
+		req.Size = int64(len(req.Data))
+		req.Data = nil
+		return req
+	})
+	addr, err := srv.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return addr, maxData, bare
+}
+
+// TestLargestDefaultSpanIsPooled ties fwd.DefaultCoalesceLimit to the rpc
+// body classes, which live in another package: the largest frame a
+// default client builds — a full coalesced span under a 256-byte path
+// with the dedup, priority and epoch trailers and the checksum on — must
+// be served from a pool class on the receiving side. Raising the default
+// without a class that holds it makes every such call allocate the whole
+// frame again, and this test fail, instead of silently costing a third
+// of single-node streaming throughput.
+func TestLargestDefaultSpanIsPooled(t *testing.T) {
+	addr, maxData, bare := spanServer(t)
+	c, err := NewClient(Config{
+		AppID: "app", Direct: pfs.NewStore(pfs.Config{}),
+		Dedup: true, EpochFencing: true,
+		QoS: &qos.Class{Name: "gold", Tier: qos.TierGuaranteed},
+		RPC: rpc.Options{WireChecksum: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.ApplyMap(mapping.Map{Version: 7, IONs: map[string][]string{"app": {addr}}})
+
+	path := "/" + strings.Repeat("p", 255)
+	data := make([]byte, DefaultCoalesceLimit)
+	write := func() {
+		if n, err := c.Write(path, 0, data); err != nil || n != len(data) {
+			t.Fatalf("write: n=%d err=%v", n, err)
+		}
+	}
+	write()
+	if st := c.Stats(); st.ForwardedOps != 1 || maxData.Load() != DefaultCoalesceLimit || bare.Load() {
+		t.Fatalf("want one fully stamped %d-byte span, got %d wire requests, largest %d bytes, missing trailers: %v",
+			DefaultCoalesceLimit, st.ForwardedOps, maxData.Load(), bare.Load())
+	}
+	if testkit.RaceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	const budget = 64 << 10
+	best := testkit.SteadyStateBytesPerCall(10, budget, write)
+	if best >= budget {
+		t.Fatalf("a default-limit span allocates %d bytes per write: its frame is not served from an rpc pool class", best)
+	}
+}
+
+// TestSpanAboveTopClassWorksUnpooled: a user-raised CoalesceLimit builds
+// frames no class holds. They must still round-trip, and their buffers
+// must be dropped on release — not filed under a smaller class, where a
+// chunk-sized request would be handed a span-sized buffer and the pool
+// would pin it.
+func TestSpanAboveTopClassWorksUnpooled(t *testing.T) {
+	store, addrs, daemons := testStack(t, 1)
+	const big = int(2 * DefaultCoalesceLimit)
+	c, err := NewClient(Config{AppID: "app", Direct: store, CoalesceLimit: int64(big)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetIONs(addrs)
+
+	data := make([]byte, big)
+	rand.New(rand.NewSource(9)).Read(data)
+	got := make([]byte, big)
+	for i := 0; i < 4; i++ {
+		if n, err := c.Write("/big", 0, data); err != nil || n != big {
+			t.Fatalf("write: n=%d err=%v", n, err)
+		}
+		if n, err := c.Read("/big", 0, got); err != nil || n != big {
+			t.Fatalf("read: n=%d err=%v", n, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("oversize span round trip corrupted")
+		}
+	}
+	if ds := daemons[0].Stats(); ds.Writes != 4 || ds.Reads != 4 {
+		t.Fatalf("daemon saw %d writes / %d reads, want 4 / 4 single-span requests", ds.Writes, ds.Reads)
+	}
+	// Drain the chunk-sized class without returning anything: a retained
+	// giant cannot hide behind the pool's other entries.
+	for i := 0; i < 32; i++ {
+		if b := rpc.GetBuffer(int(DefaultChunkSize)); cap(b) >= int(DefaultCoalesceLimit) {
+			t.Fatalf("a %d-byte request was handed a %d-byte buffer: an oversize frame was retained", int64(DefaultChunkSize), cap(b))
+		}
 	}
 }

@@ -469,6 +469,12 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 		}
 
 	case rpc.OpRead:
+		// Size comes straight off the wire: bound it before it sizes a
+		// buffer, or one hostile frame takes the whole daemon down.
+		if m.Size < 0 || m.Size > rpc.MaxData {
+			resp.Err = fmt.Sprintf("ion: read size %d out of range [0, %d]", m.Size, int64(rpc.MaxData))
+			return resp
+		}
 		done := make(chan error, 1)
 		req := &agios.Request{
 			Path:     m.Path,

@@ -3,6 +3,7 @@ package ion
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +81,45 @@ func TestShortReadPropagates(t *testing.T) {
 	}
 	if string(resp.Data) != "abc" {
 		t.Fatalf("partial data should still arrive, got %q", resp.Data)
+	}
+}
+
+// TestReadSizeOutOfRangeRejected sends raw frames whose read size no
+// buffer could back. An unchecked size panics in the allocator on the
+// connection goroutine, which takes the whole daemon process down; each
+// frame must get an error response instead, and the daemon keep serving.
+func TestReadSizeOutOfRangeRejected(t *testing.T) {
+	store := pfs.NewStore(pfs.Config{})
+	d, cli := startDaemon(t, Config{ID: "ion0"}, store)
+	store.Write("/f", 0, []byte("still here"))
+
+	for _, size := range []int64{1 << 50, rpc.MaxData + 1, -1} {
+		conn, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rpc.WriteMessage(conn, &rpc.Message{Op: rpc.OpRead, Path: "/f", Size: size}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rpc.ReadMessage(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("size %d: no response: %v", size, err)
+		}
+		if !strings.Contains(resp.Err, "out of range") || len(resp.Data) != 0 {
+			t.Fatalf("size %d: want an out-of-range error, got Err=%q with %d data bytes", size, resp.Err, len(resp.Data))
+		}
+	}
+	if st := d.Stats(); st.Reads != 0 {
+		t.Fatalf("rejected reads were counted as served: %+v", st)
+	}
+
+	resp, err := cli.Call(&rpc.Message{Op: rpc.OpRead, Path: "/f", Size: 10})
+	if err != nil {
+		t.Fatalf("daemon stopped serving after the rejected frames: %v", err)
+	}
+	if string(resp.Data) != "still here" {
+		t.Fatalf("read back %q", resp.Data)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fwd"
 	"repro/internal/ion"
 	"repro/internal/pfs"
+	"repro/internal/testkit"
 	"repro/internal/units"
 )
 
@@ -160,7 +161,7 @@ func TestLiveFigure5Sweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sweep with throttled PFS")
 	}
-	if raceEnabled {
+	if testkit.RaceEnabled {
 		t.Skip("bandwidth ratios are unreliable under race-detector overhead")
 	}
 	// Each I/O node dispatches serially (one dispatcher) against a

@@ -4,8 +4,11 @@
 // stripes, striping across all OSTs).
 //
 // The store keeps file data in memory (or discards payloads in accounting
-// mode) and models the performance characteristics that matter to the
-// arbitration problem:
+// mode). A file's payload lives in fixed-size blocks allocated on first
+// touch, so extending a file — the sequential-append pattern every IOR-like
+// kernel produces — never copies what is already stored, and regions never
+// written (holes) cost nothing and read as zeros. The store models the
+// performance characteristics that matter to the arbitration problem:
 //
 //   - striping: writes and reads are split at stripe boundaries and each
 //     stripe extent is serviced by its OST;
@@ -118,10 +121,16 @@ type ost struct {
 	seeks   int64
 }
 
+// blockSize is the unit file payload is stored in: the default stripe, so
+// a stripe-aligned stream touches one block per extent.
+const blockSize = 1 << 20
+
 type file struct {
-	mu   sync.Mutex
-	data []byte
-	size int64
+	mu sync.Mutex
+	// blocks holds the payload, blockSize bytes per entry; a nil entry is
+	// a hole that reads as zeros. Always empty in Discard mode.
+	blocks []*[blockSize]byte
+	size   int64
 	// lastWriter detects writer interleaving for the lock penalty.
 	lastWriter string
 	// stripeSize overrides the store default when positive (the Lustre
@@ -243,6 +252,39 @@ func (s *Store) lookupOrCreate(path string) *file {
 	return f
 }
 
+// writeAt stores p at off, allocating the blocks it touches for the first
+// time. The caller holds f.mu.
+func (f *file) writeAt(off int64, p []byte) {
+	if last := int((off + int64(len(p)) - 1) / blockSize); last >= len(f.blocks) {
+		f.blocks = append(f.blocks, make([]*[blockSize]byte, last+1-len(f.blocks))...)
+	}
+	for len(p) > 0 {
+		i := off / blockSize
+		if f.blocks[i] == nil {
+			f.blocks[i] = new([blockSize]byte)
+		}
+		n := copy(f.blocks[i][off%blockSize:], p)
+		p = p[n:]
+		off += int64(n)
+	}
+}
+
+// readAt fills p from off; the caller holds f.mu and has clipped p to the
+// file size. Holes, and blocks past the last one written, read as zeros.
+func (f *file) readAt(off int64, p []byte) {
+	for len(p) > 0 {
+		i, within := off/blockSize, off%blockSize
+		n := min(len(p), int(blockSize-within))
+		if i < int64(len(f.blocks)) && f.blocks[i] != nil {
+			copy(p[:n], f.blocks[i][within:])
+		} else {
+			clear(p[:n])
+		}
+		p = p[n:]
+		off += int64(n)
+	}
+}
+
 // Write implements FileSystem. The caller identity for lock accounting is
 // anonymous; use WriteAs to attribute writers.
 func (s *Store) Write(path string, off int64, p []byte) (int, error) {
@@ -275,12 +317,7 @@ func (s *Store) WriteAs(writer, path string, off int64, p []byte) (int, error) {
 
 	end := off + int64(len(p))
 	if !s.cfg.Discard {
-		if int64(len(f.data)) < end {
-			grown := make([]byte, end)
-			copy(grown, f.data)
-			f.data = grown
-		}
-		copy(f.data[off:end], p)
+		f.writeAt(off, p)
 	}
 	if end > f.size {
 		f.size = end
@@ -317,7 +354,7 @@ func (s *Store) Read(path string, off int64, p []byte) (int, error) {
 			n = len(p)
 		}
 		if !s.cfg.Discard {
-			copy(p[:n], f.data[off:off+int64(n)])
+			f.readAt(off, p[:n])
 		}
 	}
 	f.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/testkit"
 	"repro/internal/units"
 )
 
@@ -377,34 +378,220 @@ func TestConcurrentRemoveVsWriteRead(t *testing.T) {
 	}
 }
 
-func TestRandomWritesMatchReference(t *testing.T) {
-	s := NewStore(Config{StripeSize: 16, OSTs: 3})
-	rng := rand.New(rand.NewSource(11))
-	ref := make([]byte, 4096)
-	maxEnd := int64(0)
-	for i := 0; i < 200; i++ {
-		off := int64(rng.Intn(3500))
-		n := rng.Intn(500) + 1
-		payload := make([]byte, n)
-		rng.Read(payload)
-		if _, err := s.Write("/r", off, payload); err != nil {
-			t.Fatal(err)
+// TestBlockStoreMatchesFlatModel drives a seeded random sequence of
+// WriteAs/Read/Stat/Create/Remove over a few paths and compares the store
+// byte for byte against the obvious model, one flat []byte per file.
+// Offsets are unaligned, cluster around block boundaries, and jump far
+// past EOF, so multi-block writes, holes (whole blocks and partial),
+// short reads and truncation are all exercised.
+func TestBlockStoreMatchesFlatModel(t *testing.T) {
+	const maxSize = 12 * blockSize
+	rng := rand.New(rand.NewSource(14))
+	s := NewStore(Config{StripeSize: 4096, OSTs: 3})
+	model := map[string][]byte{}
+	paths := []string{"/m0", "/m1", "/m2"}
+	noise := make([]byte, 4*blockSize) // payloads are random windows of this
+	rng.Read(noise)
+
+	offset := func(size int64) int64 {
+		var off int64
+		switch rng.Intn(4) {
+		case 0: // hugging a block boundary, from either side
+			off = int64(1+rng.Intn(maxSize/blockSize-1))*blockSize + int64(rng.Intn(200)) - 100
+		case 1: // inside what is already there
+			off = rng.Int63n(size + 1)
+		case 2: // sparse: well past EOF
+			off = size + rng.Int63n(5*blockSize)
+		default:
+			off = rng.Int63n(maxSize)
 		}
-		copy(ref[off:off+int64(n)], payload)
-		if end := off + int64(n); end > maxEnd {
-			maxEnd = end
+		return min(off, maxSize-1)
+	}
+	length := func(off int64) int {
+		n := 1 + rng.Intn(64<<10)
+		if rng.Intn(8) == 0 {
+			n = 1 + rng.Intn(5*blockSize/2) // spans two or three blocks
+		}
+		return int(min(int64(n), maxSize-off))
+	}
+
+	var wrote, read int64
+	for i := 0; i < 500; i++ {
+		path := paths[rng.Intn(len(paths))]
+		ref, exists := model[path]
+		switch op := rng.Intn(20); {
+		case op < 9:
+			off := offset(int64(len(ref)))
+			p := noise[rng.Intn(blockSize):][:length(off)]
+			n, err := s.WriteAs(fmt.Sprintf("w%d", i%3), path, off, p)
+			if n != len(p) || err != nil {
+				t.Fatalf("op %d: write %s [%d,+%d): n=%d err=%v", i, path, off, len(p), n, err)
+			}
+			if end := off + int64(len(p)); end > int64(len(ref)) {
+				ref = append(ref, make([]byte, end-int64(len(ref)))...)
+			}
+			copy(ref[off:], p)
+			model[path] = ref
+			wrote += int64(len(p))
+		case op < 16:
+			off := offset(int64(len(ref)))
+			got := bytes.Repeat([]byte{0xAA}, length(off)) // garbage a hole must overwrite
+			n, err := s.Read(path, off, got)
+			if !exists {
+				if !errors.Is(err, ErrNotExist) {
+					t.Fatalf("op %d: read of missing %s: %v", i, path, err)
+				}
+				continue
+			}
+			want := ref[min(off, int64(len(ref))):min(off+int64(len(got)), int64(len(ref)))]
+			if n != len(want) || (err != nil) != (n < len(got)) || (err != nil && !errors.Is(err, ErrShortRead)) {
+				t.Fatalf("op %d: read %s [%d,+%d) of %d: n=%d err=%v, want n=%d", i, path, off, len(got), len(ref), n, err, len(want))
+			}
+			if !bytes.Equal(got[:n], want) {
+				t.Fatalf("op %d: read %s [%d,+%d): content diverged from the flat model", i, path, off, n)
+			}
+			read += int64(n)
+		case op < 18:
+			info, err := s.Stat(path)
+			if !exists {
+				if !errors.Is(err, ErrNotExist) {
+					t.Fatalf("op %d: stat of missing %s: %v", i, path, err)
+				}
+				continue
+			}
+			if err != nil || info.Size != int64(len(ref)) {
+				t.Fatalf("op %d: stat %s: %+v %v, want size %d", i, path, info, err, len(ref))
+			}
+		case op < 19:
+			if err := s.Create(path); err != nil {
+				t.Fatal(err)
+			}
+			model[path] = []byte{}
+		default:
+			if err := s.Remove(path); exists != (err == nil) || (err != nil && !errors.Is(err, ErrNotExist)) {
+				t.Fatalf("op %d: remove %s (exists=%v): %v", i, path, exists, err)
+			}
+			delete(model, path)
 		}
 	}
-	got := make([]byte, maxEnd)
-	if _, err := s.Read("/r", 0, got); err != nil {
+	for path, ref := range model {
+		got := make([]byte, len(ref))
+		if n, err := s.Read(path, 0, got); n != len(ref) || (err != nil && len(ref) > 0) {
+			t.Fatalf("final read %s: n=%d err=%v", path, n, err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("final state of %s diverged from the flat model", path)
+		}
+		read += int64(len(ref))
+	}
+	if m := s.Metrics(); m.BytesWritten != wrote || m.BytesRead != read {
+		t.Fatalf("metrics %d written / %d read, model %d / %d", m.BytesWritten, m.BytesRead, wrote, read)
+	}
+}
+
+// TestAppendGrowthCostIsLinear: laying a 64 MiB file down in 512 KiB
+// appends — the IOR pattern — allocates little more than the file
+// (re-allocating to the new size on each extending write would come to
+// ~4 GiB for the same stream).
+func TestAppendGrowthCostIsLinear(t *testing.T) {
+	const total, step = 64 << 20, 512 << 10
+	s := newTestStore()
+	p := bytes.Repeat([]byte{7}, step)
+	got := testkit.AllocatedBy(func() {
+		for off := int64(0); off < total; off += step {
+			if _, err := s.Write("/ior", off, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if limit := uint64(total + total/4); got >= limit {
+		t.Fatalf("64 MiB in 512 KiB appends allocated %d bytes, want < %d", got, limit)
+	}
+	tail := make([]byte, step)
+	if _, err := s.Read("/ior", total-step, tail); err != nil || !bytes.Equal(tail, p) {
+		t.Fatalf("tail of the appended file: err=%v", err)
+	}
+}
+
+// TestDiscardModeStoresNoPayload: accounting mode must stay usable for
+// volumes far larger than memory, sparse offsets included.
+func TestDiscardModeStoresNoPayload(t *testing.T) {
+	s := NewStore(Config{Discard: true})
+	p := make([]byte, 1<<20)
+	got := testkit.AllocatedBy(func() {
+		for i := int64(0); i < 64; i++ {
+			if _, err := s.Write("/d", i<<30, p); err != nil { // 1 GiB strides
+				t.Fatal(err)
+			}
+		}
+	})
+	if got >= 64<<10 {
+		t.Fatalf("discard-mode writes allocated %d bytes", got)
+	}
+	f, err := s.lookup("/d")
+	if err != nil || len(f.blocks) != 0 || f.size != 63<<30+1<<20 {
+		t.Fatalf("discard-mode file: %d blocks, size %d, err %v", len(f.blocks), f.size, err)
+	}
+}
+
+// TestConcurrentSharedFileAcrossBlocks: writers own disjoint regions that
+// straddle block boundaries and rewrite them generation by generation
+// while readers sweep the same file. Every write is atomic under the file
+// lock, so whatever prefix of a region a reader gets is uniform: one
+// generation of its writer, or zeros while it is still a hole. Run under
+// -race: first-touch block allocation and block-list growth happen while
+// readers walk the list.
+func TestConcurrentSharedFileAcrossBlocks(t *testing.T) {
+	const (
+		writers = 4
+		region  = 3*blockSize/2 + 7
+		gens    = 8
+	)
+	s := newTestStore()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for g := 1; g <= gens; g++ {
+				p := bytes.Repeat([]byte{byte(w*gens + g)}, region)
+				if _, err := s.WriteAs(fmt.Sprintf("w%d", w), "/shared", int64(w)*region, p); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, region)
+			for i := 0; i < 2*gens; i++ {
+				n, err := s.Read("/shared", int64(w)*region, buf)
+				if err != nil && !errors.Is(err, ErrNotExist) && !errors.Is(err, ErrShortRead) {
+					t.Error(err)
+					return
+				}
+				for j := 1; j < n; j++ {
+					if buf[j] != buf[0] {
+						t.Errorf("region %d: torn read at byte %d: %d vs %d", w, j, buf[j], buf[0])
+						return
+					}
+				}
+				if n > 0 && buf[0] != 0 && (int(buf[0]) <= w*gens || int(buf[0]) > (w+1)*gens) {
+					t.Errorf("region %d holds byte %d, which its writer never wrote", w, buf[0])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	buf := make([]byte, writers*region)
+	if _, err := s.Read("/shared", 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, ref[:maxEnd]) {
-		t.Fatal("random write/read state diverged from reference")
-	}
-	info, _ := s.Stat("/r")
-	if info.Size != maxEnd {
-		t.Fatalf("size %d, want %d", info.Size, maxEnd)
+	for w := 0; w < writers; w++ {
+		if want := bytes.Repeat([]byte{byte((w + 1) * gens)}, region); !bytes.Equal(buf[w*region:(w+1)*region], want) {
+			t.Fatalf("region %d does not hold its writer's last generation", w)
+		}
 	}
 }
 

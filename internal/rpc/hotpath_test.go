@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testkit"
 )
 
 // referenceEncode is the straight-line single-buffer encoder the frame
@@ -69,7 +72,7 @@ func referenceEncode(m *Message, sum bool) []byte {
 }
 
 func TestWriteFrameMatchesReferenceEncoder(t *testing.T) {
-	payloadSizes := []int{0, 1, 100, vectoredMin - 1, vectoredMin, vectoredMin + 1, 64 << 10, 512 << 10}
+	payloadSizes := []int{0, 1, 100, vectoredMin - 1, vectoredMin, vectoredMin + 1, 64 << 10, 512 << 10, 1 << 20, 4 << 20}
 	msgs := func(data []byte) []*Message {
 		return []*Message{
 			{Op: OpWrite, Path: "/a/b", Offset: 1 << 30, Size: int64(len(data)), Data: data, Trace: 42},
@@ -130,24 +133,151 @@ func TestReleaseIdempotentAndSafe(t *testing.T) {
 // TestPooledBufferReuse drives frames of one size class through the
 // transport back to back and checks decoded payload integrity — the
 // classic aliasing bug (a recycled buffer overwriting a still-referenced
-// payload before the consumer copies it) shows up here.
+// payload before the consumer copies it) shows up here. One size per
+// class that data frames use, the span-sized ones included.
 func TestPooledBufferReuse(t *testing.T) {
-	var wire bytes.Buffer
-	for round := 0; round < 32; round++ {
-		data := bytes.Repeat([]byte{byte(round + 1)}, 2048)
-		if err := WriteMessage(&wire, &Message{Op: OpWrite, Path: "/f", Data: data}); err != nil {
+	for _, size := range []int{2048, 1 << 20, 4 << 20} {
+		var wire bytes.Buffer
+		for round := 0; round < 32; round++ {
+			data := bytes.Repeat([]byte{byte(round + 1)}, size)
+			if err := WriteMessage(&wire, &Message{Op: OpWrite, Path: "/f", Data: data}); err != nil {
+				t.Fatal(err)
+			}
+			m, err := ReadMessage(&wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Data) != size {
+				t.Fatalf("size %d round %d: decoded %d payload bytes", size, round, len(m.Data))
+			}
+			for i, b := range m.Data {
+				if b != byte(round+1) {
+					t.Fatalf("size %d round %d: payload byte %d corrupted: %d", size, round, i, b)
+				}
+			}
+			m.Release()
+		}
+	}
+}
+
+// TestBodyClassesFitPowerOfTwoPayloads pins the payload + allowance rule:
+// a frame carrying a payload of exactly a class's nominal size, a
+// 256-byte path and every trailer still lands in that class, and every
+// buffer a class hands out has exactly the class's capacity.
+func TestBodyClassesFitPowerOfTwoPayloads(t *testing.T) {
+	for i, payload := range []int{4 << 10, 64 << 10, 1 << 20, 4 << 20} {
+		m := &Message{
+			Op: OpWrite, Path: "/" + strings.Repeat("p", 255), Data: make([]byte, payload),
+			ClientID: "application#12", Seq: 9, Priority: 3, Epoch: 7, Trace: 1,
+		}
+		var wire bytes.Buffer
+		if err := WriteMessageChecksum(&wire, m); err != nil {
+			t.Fatal(err)
+		}
+		frame := wire.Len() - 4
+		if frame > bodyClasses[i] || (i > 0 && frame <= bodyClasses[i-1]) {
+			t.Fatalf("%d-byte payload: %d-byte frame does not land in class %d (%d bytes)", payload, frame, i, bodyClasses[i])
+		}
+		b := getBody(frame)
+		if cap(*b) != bodyClasses[i] {
+			t.Fatalf("%d-byte frame served with cap %d, want class size %d", frame, cap(*b), bodyClasses[i])
+		}
+		putBody(b)
+	}
+}
+
+// TestOversizeBuffersAreNotRetained: frames above the top class work but
+// are dropped on release, and no class ever hands out a buffer that is
+// not exactly its size — a giant filed under the largest class it covers
+// would come back to 512 KiB requests and stay pinned by the pool.
+func TestOversizeBuffersAreNotRetained(t *testing.T) {
+	top := bodyClasses[len(bodyClasses)-1]
+	for i := 0; i < 8; i++ {
+		var wire bytes.Buffer
+		if err := WriteMessage(&wire, &Message{Op: OpWrite, Path: "/big", Data: make([]byte, 2*top)}); err != nil {
 			t.Fatal(err)
 		}
 		m, err := ReadMessage(&wire)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, b := range m.Data {
-			if b != byte(round+1) {
-				t.Fatalf("round %d: payload byte %d corrupted: %d", round, i, b)
-			}
+		if len(m.Data) != 2*top {
+			t.Fatalf("oversize frame decoded %d payload bytes", len(m.Data))
 		}
 		m.Release()
+		// Foreign and resliced buffers take the same exit.
+		PutBuffer(make([]byte, top+1+i))
+		PutBuffer(GetBuffer(512 << 10)[1:])
+	}
+	// Drain more buffers than the loop could have filed, without returning
+	// any, so a misfiled one cannot hide behind the pool's other entries.
+	for _, n := range []int{1, 4 << 10, 512 << 10, 1 << 20, 4 << 20} {
+		for i := 0; i < 32; i++ {
+			b := getBody(n)
+			if c := cap(*b); c != classFor(n) {
+				t.Fatalf("getBody(%d) returned cap %d, want its class size %d", n, c, classFor(n))
+			}
+		}
+	}
+}
+
+func classFor(n int) int {
+	for _, size := range bodyClasses {
+		if n <= size {
+			return size
+		}
+	}
+	return n
+}
+
+// TestSpanSizedCallsAllocateNothingFrameSized is the allocation budget of
+// the wire path at span sizes: a write request with its ack, and a read
+// request with a GetBuffer/SetPooledData reply, cost under 4 KiB of
+// allocation per call from one chunk up to the default coalesce limit,
+// with and without checksums; a frame that misses the pools costs its
+// whole size on that side of the wire.
+func TestSpanSizedCallsAllocateNothingFrameSized(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	for _, sum := range []bool{false, true} {
+		srv := NewServer(func(req *Message) *Message {
+			if req.Op == OpRead {
+				resp := &Message{Op: OpRead, Path: req.Path}
+				resp.SetPooledData(GetBuffer(int(req.Size)))
+				return resp
+			}
+			req.Size = int64(len(req.Data))
+			req.Data = nil
+			return req
+		}).WithChecksum(sum)
+		addr, err := srv.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := Dial(addr, 1).WithOptions(Options{WireChecksum: sum})
+		for _, size := range []int{512 << 10, 1 << 20, 2 << 20, 4 << 20} {
+			payload := make([]byte, size)
+			write := &Message{Op: OpWrite, Path: "/alloc/w", Data: payload}
+			read := &Message{Op: OpRead, Path: "/alloc/r", Size: int64(size)}
+			for _, req := range []*Message{write, read} {
+				per := testkit.SteadyStateBytesPerCall(20, 4<<10, func() {
+					resp, err := cli.Call(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if req.Op == OpRead && len(resp.Data) != size || req.Op == OpWrite && resp.Size != int64(size) {
+						t.Fatalf("%v %d: short exchange", req.Op, size)
+					}
+					resp.Release()
+				})
+				if per >= 4<<10 {
+					t.Errorf("checksum=%v %v of %d bytes: %d bytes allocated per call, want < 4096", sum, req.Op, size, per)
+				}
+			}
+		}
+		cli.Close()
+		srv.Close()
 	}
 }
 
@@ -206,7 +336,15 @@ func TestHandlerShallowCopyResponse(t *testing.T) {
 // allocs/op budget enforced by make bench-hotpath (the end-to-end figure
 // in livestack.BenchmarkHotPathWrite includes scheduler and dispatcher
 // costs that are out of the wire path's hands).
-func BenchmarkWirePathWrite512K(b *testing.B) {
+func BenchmarkWirePathWrite512K(b *testing.B) { benchWirePathWrite(b, 512<<10) }
+
+// BenchmarkWirePathWrite4M is the same round trip at the default coalesce
+// limit, the frame the top body class exists for. It carries the B/op
+// budget enforced by make bench-hotpath: an unpooled 4 MiB frame shows up
+// as ~4 MB/op here.
+func BenchmarkWirePathWrite4M(b *testing.B) { benchWirePathWrite(b, 4<<20) }
+
+func benchWirePathWrite(b *testing.B, size int) {
 	srv := NewServer(func(req *Message) *Message {
 		req.Size = int64(len(req.Data))
 		req.Data = nil // ack only; the pooled frame is released by the server
@@ -220,7 +358,7 @@ func BenchmarkWirePathWrite512K(b *testing.B) {
 	cli := Dial(addr, 1)
 	defer cli.Close()
 
-	payload := make([]byte, 512<<10)
+	payload := make([]byte, size)
 	req := &Message{Op: OpWrite, Path: "/bench/wire", Data: payload}
 	if _, err := cli.Call(req); err != nil {
 		b.Fatal(err)

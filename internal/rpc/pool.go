@@ -6,15 +6,16 @@ import (
 )
 
 // Frame-buffer and message pooling for the data plane. The forwarding hot
-// path moves one chunk (512 KiB by default) per frame; without pooling,
-// every frame costs a frame-sized allocation on each side of the wire plus
-// a payload copy, and GC mark work becomes visible at high op rates (see
-// BENCH_hotpath.json). The pools below make the steady-state path
-// allocation-free:
+// path moves one span per frame — a chunk (512 KiB by default) up to a
+// coalesced run of chunks (4 MiB by default); without pooling, every frame
+// costs a frame-sized allocation on each side of the wire plus a payload
+// copy, and at span sizes the clearing of those allocations and the GC
+// work they trigger dominate the round trip (see BENCH_hotpath.json). The
+// pools below make the steady-state path allocation-free:
 //
 //   - bodies: the raw frame buffers ReadMessage decodes from and handlers
-//     borrow for response payloads (GetBuffer), in three size classes so a
-//     ping response never pins a chunk-sized buffer;
+//     borrow for response payloads (GetBuffer), in the size classes
+//     below;
 //   - messages: the *Message envelopes ReadMessage returns;
 //   - scratch: the per-writeFrame encode state (header/trailer bytes and
 //     the net.Buffers vector).
@@ -26,10 +27,34 @@ import (
 // correctness never depends on releasing. Never touch Data (or the
 // Message) after Release.
 
-// Body size classes. A getBody(n) request is served from the smallest
-// class that fits; buffers above the largest class are allocated directly
-// and never pooled, so one giant frame cannot pin memory.
-var bodyClasses = [...]int{4 << 10, 64 << 10, 1 << 20}
+// frameAllowance is the room every body class leaves, on top of its
+// payload size, for the rest of the frame: the 38 fixed header bytes, the
+// path, an error string, and the dedup / priority / epoch / checksum
+// trailers. Payloads arrive in powers of two (chunks and runs of chunks),
+// so a class sized to the payload alone would push every such frame into
+// the next class up — or, at the top, out of the pools altogether.
+const frameAllowance = 1 << 10
+
+// Body size classes: one rule, payload + frameAllowance, for a metadata /
+// small-request class, a mid class, a class holding a two-chunk span, and
+// a top class holding the largest frame the forwarding client builds by
+// default (fwd.DefaultCoalesceLimit; internal/fwd pins the pairing with a
+// test). A getBody(n) request is served from the smallest class that
+// fits, so a ping response never pins a span-sized buffer.
+//
+// Retention: every pooled buffer's capacity is exactly its class size.
+// A frame above the top class (a user-raised coalesce limit) is allocated
+// directly and dropped on release, so one giant frame cannot pin memory
+// and no class ever hands out more than it promises. What the classes do
+// retain needs no budget of its own: sync.Pool releases a buffer that sat
+// idle through two GC cycles, so the pools hold at most what recent
+// traffic used.
+var bodyClasses = [...]int{
+	4<<10 + frameAllowance,
+	64<<10 + frameAllowance,
+	1<<20 + frameAllowance,
+	4<<20 + frameAllowance,
+}
 
 var bodyPools = func() [len(bodyClasses)]*sync.Pool {
 	var pools [len(bodyClasses)]*sync.Pool
@@ -43,8 +68,8 @@ var bodyPools = func() [len(bodyClasses)]*sync.Pool {
 	return pools
 }()
 
-// getBody returns a pooled buffer with capacity ≥ n (or a fresh unpooled
-// allocation when n exceeds the largest class).
+// getBody returns a buffer with capacity ≥ n: pooled, from the smallest
+// class that fits, or a fresh allocation when n exceeds the top class.
 func getBody(n int) *[]byte {
 	for i, size := range bodyClasses {
 		if n <= size {
@@ -55,11 +80,13 @@ func getBody(n int) *[]byte {
 	return &b
 }
 
-// putBody returns a buffer to the largest class it can serve.
+// putBody returns a buffer to the class it was drawn from. Anything else
+// — an over-the-top-class frame, a foreign or resliced buffer — is left
+// to the GC rather than filed under a class it does not match.
 func putBody(b *[]byte) {
 	c := cap(*b)
-	for i := len(bodyClasses) - 1; i >= 0; i-- {
-		if c >= bodyClasses[i] {
+	for i, size := range bodyClasses {
+		if c == size {
 			*b = (*b)[:c]
 			bodyPools[i].Put(b)
 			return
@@ -95,8 +122,8 @@ func PutBuffer(b []byte) {
 
 // SetPooledData sets b as m's payload and marks it for release: after the
 // frame carrying m is written, the transport returns the buffer to the
-// pool. b should come from GetBuffer (any buffer is accepted — it joins
-// the pool on release).
+// pool. b should come from GetBuffer; any other buffer is accepted and is
+// simply garbage-collected after the write.
 func (m *Message) SetPooledData(b []byte) {
 	m.Data = b
 	full := b[:cap(b)]

@@ -16,6 +16,10 @@
 #     frame pools own every allocation here, so the number is
 #     deterministic and CI-enforceable. The script FAILS if allocs/op
 #     exceeds ALLOC_BUDGET.
+#   - rpc.BenchmarkWirePathWrite4M: the same round trip at the default
+#     coalesce limit, the largest frame a default client builds. This
+#     carries the B/op budget — an unpooled frame shows up as ~4 MB/op per
+#     side — and the script FAILS if B/op exceeds BYTES_BUDGET_4M.
 #
 # Each PAIRS iteration runs the benchmarks in a fresh `go test` process
 # and the summary takes the MINIMUM ns/op across iterations: on
@@ -39,6 +43,10 @@ SEED_ALLOCS_512K="${SEED_ALLOCS_512K:-21}"
 # the request/response Path string decodes, one per side).
 ALLOC_BUDGET="${ALLOC_BUDGET:-2}"
 
+# B/op ceiling on the 4 MiB wire path: both frames come from the top body
+# class, so what remains is the same two Path strings.
+BYTES_BUDGET_4M="${BYTES_BUDGET_4M:-4096}"
+
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
@@ -47,13 +55,14 @@ i=1
 while [ "$i" -le "$PAIRS" ]; do
     go test -run '^$' -bench 'BenchmarkHotPathWrite' -benchmem -benchtime "$BENCHTIME" \
         ./internal/livestack/ | grep ns/op | tee -a "$RAW"
-    go test -run '^$' -bench 'BenchmarkWirePathWrite512K' -benchmem -benchtime "$BENCHTIME" \
+    go test -run '^$' -bench 'BenchmarkWirePathWrite(512K|4M)$' -benchmem -benchtime "$BENCHTIME" \
         ./internal/rpc/ | grep ns/op | tee -a "$RAW"
     i=$((i + 1))
 done
 
 awk -v out="$OUT" -v seed512="$SEED_512K" -v seed64="$SEED_64K" \
-    -v seedallocs="$SEED_ALLOCS_512K" -v budget="$ALLOC_BUDGET" -v pairs="$PAIRS" '
+    -v seedallocs="$SEED_ALLOCS_512K" -v budget="$ALLOC_BUDGET" -v bbudget="$BYTES_BUDGET_4M" \
+    -v pairs="$PAIRS" '
 /BenchmarkHotPathWrite\/512K/ {
     if (!e512 || $3 < e512) e512 = $3
     if (!ea512 || $9 < ea512) ea512 = $9
@@ -63,11 +72,17 @@ awk -v out="$OUT" -v seed512="$SEED_512K" -v seed64="$SEED_64K" \
     if (!w512 || $3 < w512) w512 = $3
     if (!wa512 || $9 < wa512) wa512 = $9
 }
+/BenchmarkWirePathWrite4M/ {
+    if (!w4m || $3 < w4m) w4m = $3
+    if (!n4m++ || $7 < wb4m) wb4m = $7
+    if (!wa4m || $9 < wa4m) wa4m = $9
+}
 END {
-    if (!e512 || !e64 || !w512) { print "bench_hotpath: no samples parsed" > "/dev/stderr"; exit 1 }
+    if (!e512 || !e64 || !w512 || !w4m) { print "bench_hotpath: no samples parsed" > "/dev/stderr"; exit 1 }
     r512 = (seed512 - e512) * 100.0 / seed512
     r64  = (seed64 - e64) * 100.0 / seed64
     ok = (wa512 <= budget)
+    bok = (wb4m <= bbudget)
     printf "{\n"                                                        >  out
     printf "  \"estimator\": \"min over %d paired runs\",\n", pairs    >> out
     printf "  \"end_to_end\": {\n"                                      >> out
@@ -87,12 +102,22 @@ END {
     printf "    \"allocs_per_op\": %d,\n", wa512                        >> out
     printf "    \"allocs_budget\": %d,\n", budget                       >> out
     printf "    \"within_budget\": %s\n", (ok ? "true" : "false")       >> out
+    printf "  },\n"                                                     >> out
+    printf "  \"wire_path_4m\": {\n"                                    >> out
+    printf "    \"benchmark\": \"BenchmarkWirePathWrite4M\",\n"         >> out
+    printf "    \"ns_per_op\": %d,\n", w4m                             >> out
+    printf "    \"allocs_per_op\": %d,\n", wa4m                        >> out
+    printf "    \"bytes_per_op\": %d,\n", wb4m                         >> out
+    printf "    \"bytes_budget\": %d,\n", bbudget                      >> out
+    printf "    \"within_budget\": %s\n", (bok ? "true" : "false")      >> out
     printf "  }\n"                                                      >> out
     printf "}\n"                                                        >> out
     printf "end-to-end 512K: seed=%dns now=%dns (-%.2f%%), 64K: seed=%dns now=%dns (-%.2f%%)\n", \
         seed512, e512, r512, seed64, e64, r64
     printf "wire path 512K: %dns %d allocs/op (budget %d)\n", w512, wa512, budget
+    printf "wire path 4M: %dns %d allocs/op %d B/op (budget %d B/op)\n", w4m, wa4m, wb4m, bbudget
     if (!ok) { print "bench_hotpath: allocs/op over budget" > "/dev/stderr"; exit 1 }
+    if (!bok) { print "bench_hotpath: 4M wire path B/op over budget" > "/dev/stderr"; exit 1 }
 }' "$RAW"
 
 echo "wrote $OUT"
