@@ -1,11 +1,21 @@
 # Tier-1 verification: everything a PR must keep green.
-# `make verify` = vet + build + race-enabled tests (see also scripts/verify.sh).
+# `make verify` = gofmt + vet + build + race-enabled tests (see also
+# scripts/verify.sh).
 
 GO ?= go
 
-.PHONY: verify build test test-race vet lint chaos storm torture qos elastic blackout grayfail fuzz bench bench-campaign bench-hotpath
+.PHONY: verify fmt-check build test test-race vet lint chaos storm torture qos elastic blackout grayfail fuzz bench bench-campaign bench-hotpath
 
-verify: vet build test-race
+verify: fmt-check vet build test-race
+
+# Fails when any tracked Go source is not gofmt-clean.
+fmt-check:
+	@unformatted="$$(gofmt -l cmd internal examples bench_test.go doc.go)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:" >&2; \
+		echo "$$unformatted" >&2; \
+		exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

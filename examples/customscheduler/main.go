@@ -67,7 +67,7 @@ func main() {
 	daemon := ion.New(ion.Config{
 		ID:          "custom0",
 		Scheduler:   &DeadlineSJF{MaxWait: 50 * time.Millisecond},
-		Dispatchers: 1, // single dispatcher so ordering is observable
+		Dispatchers: 1, // one dispatch slot, so ordering is observable
 	}, store)
 	addr, err := daemon.Start("")
 	if err != nil {

@@ -15,7 +15,7 @@
 //     to data servers to avoid contention (Bez et al., PDP 2017).
 //
 // Schedulers are deliberately not safe for concurrent use; wrap them in a
-// Queue for the daemon's producer/consumer pattern.
+// Queue, which serializes them and hands out the daemon's dispatch slots.
 package agios
 
 import (
@@ -57,8 +57,8 @@ type Request struct {
 	// Seq is a monotonically increasing tie-breaker set by the queue.
 	Seq uint64
 	// Trace is the originating request's telemetry trace ID (0 =
-	// untraced); the dispatcher uses it to attribute scheduling and PFS
-	// hops to the right trace record.
+	// untraced); the daemon uses it to attribute scheduling and PFS hops
+	// to the right trace record.
 	Trace uint64
 	// Priority is the request's QoS scheduling tier as carried on the
 	// wire (see internal/qos: 3 guaranteed, 2 standard, 1 scavenger,
@@ -68,24 +68,51 @@ type Request struct {
 	// Children holds the original requests when this request is an
 	// aggregate produced by a merging scheduler.
 	Children []*Request
-	// OnComplete, if set, is invoked by the dispatcher with the
-	// execution outcome. Aggregates fan completion out to children.
+	// OnComplete, if set, is invoked by whoever executed the request with
+	// the execution outcome. Aggregates fan completion out to children.
 	OnComplete func(error)
+
+	// parked is the wake-up of a submitter that Queue.Submit could not
+	// give a dispatch slot (nil otherwise). It receives exactly one turn.
+	parked chan turn
+}
+
+// turn is what a parked submitter wakes up to. A non-nil pick means it
+// now holds a dispatch slot and must execute pick (its own request, or an
+// aggregate headed by it); a nil pick means its request already ran as
+// part of another submitter's aggregate, with outcome err.
+type turn struct {
+	pick *Request
+	err  error
 }
 
 // End returns the request's exclusive end offset.
 func (r *Request) End() int64 { return r.Offset + r.Size }
 
-// Complete invokes OnComplete on the request, or on every child of an
-// aggregate that has no own handler.
+// Complete reports the execution outcome to whoever waits for it: the
+// request's OnComplete (or, for an aggregate that has no own handler,
+// every child's Complete), and the request's parked submitter if it has
+// one.
 func (r *Request) Complete(err error) {
 	if r.OnComplete != nil {
 		r.OnComplete(err)
-		return
+	} else {
+		for _, c := range r.Children {
+			c.Complete(err)
+		}
 	}
-	for _, c := range r.Children {
-		c.Complete(err)
+	if r.parked != nil {
+		r.parked <- turn{err: err}
 	}
+}
+
+// head returns the request whose submitter executes r: r itself, or the
+// first (lowest-offset) child of an aggregate.
+func (r *Request) head() *Request {
+	for len(r.Children) > 0 {
+		r = r.Children[0]
+	}
+	return r
 }
 
 // Scheduler orders requests. Implementations are single-goroutine; use
@@ -97,7 +124,7 @@ type Scheduler interface {
 	Push(r *Request)
 	// Pop removes and returns the next request to dispatch. ok is false
 	// when the scheduler is empty. The returned request may be an
-	// aggregate with Children.
+	// aggregate with Children; the submitter of Children[0] executes it.
 	Pop() (r *Request, ok bool)
 	// Len reports the number of pending (non-aggregated) requests.
 	Len() int
@@ -193,15 +220,55 @@ type AIOLI struct {
 	// quantum.
 	MaxAggregate int64
 
-	files map[string]*fileQueue
-	order []string // round-robin order of files with pending work
-	cur   int      // index into order
-	spent int64    // bytes served from the current file
+	fileRing
+	spent int64 // bytes served from the current file
 	count int
+}
+
+// fileRing is the round-robin set of files with pending requests that
+// AIOLI and HBRR serve from. A file enters at the end of order with its
+// first request and leaves the moment its queue drains, so order and files
+// hold only files with work: their size follows the pending requests, not
+// the files ever seen, and no turn is spent walking past empty entries.
+type fileRing struct {
+	files map[string]*fileQueue
+	order []string // round-robin order; every entry has pending work
+	cur   int      // index into order
 }
 
 type fileQueue struct {
 	reqs []*Request // kept offset-sorted
+}
+
+// insert queues r on its file, admitting the file to the ring if needed.
+func (fr *fileRing) insert(r *Request) {
+	fq, ok := fr.files[r.Path]
+	if !ok {
+		fq = &fileQueue{}
+		fr.files[r.Path] = fq
+		fr.order = append(fr.order, r.Path)
+	}
+	fq.insert(r) // keeps offset order, stable for equal offsets
+}
+
+// current returns the queue of the file whose turn it is.
+func (fr *fileRing) current() *fileQueue { return fr.files[fr.order[fr.cur]] }
+
+// next passes the turn to the following file.
+func (fr *fileRing) next() {
+	if fr.cur++; fr.cur >= len(fr.order) {
+		fr.cur = 0
+	}
+}
+
+// drop removes the current file, whose queue has drained; the turn passes
+// to the file that followed it.
+func (fr *fileRing) drop() {
+	delete(fr.files, fr.order[fr.cur])
+	fr.order = append(fr.order[:fr.cur], fr.order[fr.cur+1:]...)
+	if fr.cur >= len(fr.order) {
+		fr.cur = 0
+	}
 }
 
 // NewAIOLI returns an aIOLi-style scheduler with the given quantum.
@@ -209,7 +276,7 @@ func NewAIOLI(quantum int64) *AIOLI {
 	if quantum <= 0 {
 		quantum = 8 << 20
 	}
-	return &AIOLI{Quantum: quantum, files: make(map[string]*fileQueue)}
+	return &AIOLI{Quantum: quantum, fileRing: fileRing{files: make(map[string]*fileQueue)}}
 }
 
 // Name implements Scheduler.
@@ -217,63 +284,36 @@ func (a *AIOLI) Name() string { return "AIOLI" }
 
 // Push implements Scheduler.
 func (a *AIOLI) Push(r *Request) {
-	fq, ok := a.files[r.Path]
-	if !ok {
-		fq = &fileQueue{}
-		a.files[r.Path] = fq
-		a.order = append(a.order, r.Path)
-	}
-	fq.insert(r) // keeps offset order, stable for equal offsets
+	a.insert(r)
 	a.count++
 }
 
 // Pop implements Scheduler: it returns the lowest-offset pending request of
 // the current file, merged with every contiguous successor of the same
-// operation up to MaxAggregate.
+// operation up to MaxAggregate. The turn passes on when the file has used
+// up its quantum or drained.
 func (a *AIOLI) Pop() (*Request, bool) {
 	if a.count == 0 {
 		return nil, false
 	}
-	// Advance to a file with pending work, honoring the quantum.
-	for n := 0; n < len(a.order); n++ {
-		path := a.order[a.cur]
-		fq := a.files[path]
-		if len(fq.reqs) == 0 || a.spent >= a.Quantum {
-			a.advance()
-			continue
-		}
-		maxAgg := a.MaxAggregate
-		if maxAgg <= 0 {
-			maxAgg = a.Quantum
-		}
-		merged, taken := mergeHead(fq.reqs, maxAgg)
-		fq.reqs = fq.reqs[taken:]
-		a.count -= len(merged.Children)
-		if len(merged.Children) == 0 {
-			a.count--
-		}
-		a.spent += merged.Size
-		if len(fq.reqs) == 0 {
-			a.advance()
-		}
-		return merged, true
+	if a.spent >= a.Quantum {
+		a.spent = 0
+		a.next()
 	}
-	// All quanta exhausted: reset and retry once.
-	a.spent = 0
-	for n := 0; n < len(a.order); n++ {
-		if len(a.files[a.order[a.cur]].reqs) > 0 {
-			return a.Pop()
-		}
-		a.cur = (a.cur + 1) % len(a.order)
+	maxAgg := a.MaxAggregate
+	if maxAgg <= 0 {
+		maxAgg = a.Quantum
 	}
-	return nil, false
-}
-
-func (a *AIOLI) advance() {
-	a.spent = 0
-	if len(a.order) > 0 {
-		a.cur = (a.cur + 1) % len(a.order)
+	fq := a.current()
+	merged, taken := mergeHead(fq.reqs, maxAgg)
+	fq.reqs = fq.reqs[taken:]
+	a.count -= taken
+	a.spent += merged.Size
+	if len(fq.reqs) == 0 {
+		a.spent = 0
+		a.drop()
 	}
+	return merged, true
 }
 
 // Len implements Scheduler.
@@ -283,7 +323,7 @@ func (a *AIOLI) Len() int { return a.count }
 // directly contiguous successor, up to maxBytes total, returning the merged
 // request and how many inputs were consumed. Only writes are merged — a
 // merged read would need its result scattered back to the children, which
-// the dispatcher does not do. A single request is returned unwrapped.
+// the daemon does not do. A single request is returned unwrapped.
 func mergeHead(reqs []*Request, maxBytes int64) (*Request, int) {
 	head := reqs[0]
 	if head.Op != OpWrite {
@@ -433,8 +473,20 @@ var (
 	ErrQueueFull = errors.New("agios: queue full")
 )
 
-// Queue makes a Scheduler safe for the daemon's producer/consumer use:
-// producers Push, dispatcher goroutines PopWait. Closing wakes all waiters.
+// Queue makes a Scheduler safe for concurrent use and owns the daemon's
+// dispatch slots: the scheduler decides when a request runs, the goroutine
+// that submitted it does the running. A submitter calls Submit; if a slot
+// is free it leaves with the scheduler's pick (on an idle queue, its own
+// request) and executes it inline, otherwise it parks in Wait. Finish
+// pops the scheduler's next pick and hands the finished slot to that
+// pick's submitter, so a slot is only ever freed when the queue is empty:
+// "slot free ⇒ queue empty" holds under the lock and no wake-up can be
+// lost. SetSlots sets the number of slots (default 1).
+//
+// Push/PopWait/TryPop drive the scheduler directly, for consumers that
+// bring their own goroutines (benchmarks, tests); Closing wakes all
+// PopWait waiters. Drive one queue one way or the other, not both: a
+// request taken with PopWait has no submitter to hand a slot to.
 //
 // A queue may be bounded with SetCapacity: admission then follows a
 // high/low-watermark hysteresis — once depth reaches the capacity, Push
@@ -447,6 +499,7 @@ type Queue struct {
 	sched  Scheduler
 	seq    uint64
 	closed bool
+	free   int // dispatch slots nobody holds; > 0 only while the scheduler is empty
 
 	capacity  int  // 0 = unbounded (the historical default)
 	lowWater  int  // resume-admission threshold (< capacity)
@@ -461,9 +514,21 @@ type Queue struct {
 
 // NewQueue wraps sched.
 func NewQueue(sched Scheduler) *Queue {
-	q := &Queue{sched: sched}
+	q := &Queue{sched: sched, free: 1}
 	q.cond = sync.NewCond(&q.mu)
 	return q
+}
+
+// SetSlots sets the number of dispatch slots: at most n picks handed out
+// by Submit/Wait are unfinished at any time (n ≤ 0 selects 1). Call
+// before the queue is shared.
+func (q *Queue) SetSlots(n int) {
+	if n <= 0 {
+		n = 1
+	}
+	q.mu.Lock()
+	q.free = n
+	q.mu.Unlock()
 }
 
 // SetCapacity bounds the queue at capacity pending requests with a
@@ -514,19 +579,22 @@ func (q *Queue) Instrument(reg *telemetry.Registry, label string) {
 	q.telWait = reg.Histogram("agios_queue_wait_seconds"+label, telemetry.LatencyBuckets())
 }
 
-// SchedulerName reports the wrapped scheduler's name.
-func (q *Queue) SchedulerName() string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.sched.Name()
-}
-
 // Push enqueues r, stamping arrival time and sequence. It fails with
 // ErrQueueClosed after Close, and with ErrQueueFull while a bounded queue
 // is saturated (see SetCapacity).
 func (q *Queue) Push(r *Request) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if err := q.admit(r); err != nil {
+		return err
+	}
+	q.cond.Signal()
+	return nil
+}
+
+// admit runs admission on r and, if it passes, stamps r and gives it to
+// the scheduler. Caller holds the lock.
+func (q *Queue) admit(r *Request) error {
 	if q.closed {
 		return ErrQueueClosed
 	}
@@ -546,8 +614,76 @@ func (q *Queue) Push(r *Request) error {
 	}
 	q.sched.Push(r)
 	q.telDepth.Add(1)
-	q.cond.Signal()
 	return nil
+}
+
+// Submit enqueues r exactly like Push and, in the same critical section,
+// takes a free dispatch slot if there is one and pops the scheduler's
+// pick. A non-nil pick means the caller holds a slot: it must execute
+// pick — r itself, since a free slot implies the queue was empty — and
+// then call Finish. A nil pick with a nil error means every slot is busy
+// (or the pick was somebody else's): the caller must park in Wait(r).
+func (q *Queue) Submit(r *Request) (pick *Request, err error) {
+	q.mu.Lock()
+	if err := q.admit(r); err != nil {
+		q.mu.Unlock()
+		return nil, err
+	}
+	if q.free > 0 {
+		if p, ok := q.sched.Pop(); ok {
+			q.free--
+			q.recordPop(p)
+			pick = p
+		}
+	}
+	mine := pick != nil && pick.head() == r
+	if !mine {
+		r.parked = make(chan turn, 1)
+	}
+	q.mu.Unlock()
+	if mine {
+		return pick, nil
+	}
+	if pick != nil {
+		// Only a scheduler that withheld a pending request while a slot
+		// was freed gets here; the slot goes to the pick's submitter.
+		pick.head().parked <- turn{pick: pick}
+	}
+	return nil, nil
+}
+
+// Wait parks the submitter of r, which Submit gave no slot, until its
+// turn. A non-nil pick means the caller now holds a slot and must execute
+// pick (r, or an aggregate headed by r) and then call Finish; a nil pick
+// means r ran as part of another submitter's aggregate with outcome err.
+func (q *Queue) Wait(r *Request) (pick *Request, err error) {
+	t := <-r.parked
+	if t.pick != nil {
+		// From here on the caller is r's executor, not a waiter: its own
+		// Finish must not send it a second turn.
+		r.parked = nil
+	}
+	return t.pick, t.err
+}
+
+// Finish ends the dispatch of pick with outcome err: it completes pick
+// (waking the parked submitters of an aggregate's other children), then
+// pops the scheduler's next pick and hands the slot to that pick's
+// submitter — or frees the slot if the queue is empty. The caller never
+// executes anybody else's request after its own.
+func (q *Queue) Finish(pick *Request, err error) {
+	pick.Complete(err)
+	q.mu.Lock()
+	next, ok := q.sched.Pop()
+	if ok {
+		q.recordPop(next)
+	} else {
+		q.free++
+	}
+	q.mu.Unlock()
+	if ok {
+		next.head().parked <- turn{pick: next}
+	}
 }
 
 // recordPop maintains queue metrics and admission state for one popped
@@ -603,8 +739,9 @@ func (q *Queue) Len() int {
 	return q.sched.Len()
 }
 
-// Close marks the queue closed and wakes all waiters. Pending requests can
-// still be drained with PopWait/TryPop.
+// Close marks the queue closed and wakes all PopWait waiters. Pending
+// requests still run: parked submitters keep being handed slots, and
+// PopWait/TryPop can still drain.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true

@@ -13,9 +13,7 @@ type HBRR struct {
 	// MaxAggregate bounds a merged dispatch in bytes; ≤0 selects 8 MiB.
 	MaxAggregate int64
 
-	files map[string]*fileQueue
-	order []string
-	cur   int
+	fileRing
 	spent int // requests served from the current handle this turn
 	count int
 }
@@ -25,7 +23,7 @@ func NewHBRR(quantum int) *HBRR {
 	if quantum <= 0 {
 		quantum = 8
 	}
-	return &HBRR{Quantum: quantum, files: make(map[string]*fileQueue)}
+	return &HBRR{Quantum: quantum, fileRing: fileRing{files: make(map[string]*fileQueue)}}
 }
 
 // Name implements Scheduler.
@@ -34,54 +32,34 @@ func (h *HBRR) Name() string { return "HBRR" }
 // Push implements Scheduler. Requests are kept offset-sorted per handle so
 // each turn dispatches contiguously.
 func (h *HBRR) Push(r *Request) {
-	fq, ok := h.files[r.Path]
-	if !ok {
-		fq = &fileQueue{}
-		h.files[r.Path] = fq
-		h.order = append(h.order, r.Path)
-	}
-	fq.insert(r)
+	h.insert(r)
 	h.count++
 }
 
-// Pop implements Scheduler.
+// Pop implements Scheduler. The turn passes on when the handle has used up
+// its quantum or drained.
 func (h *HBRR) Pop() (*Request, bool) {
 	if h.count == 0 {
 		return nil, false
 	}
-	for n := 0; n < len(h.order)+1; n++ {
-		path := h.order[h.cur]
-		fq := h.files[path]
-		if len(fq.reqs) == 0 || h.spent >= h.Quantum {
-			h.advance()
-			continue
-		}
-		maxAgg := h.MaxAggregate
-		if maxAgg <= 0 {
-			maxAgg = 8 << 20
-		}
-		merged, taken := mergeHead(fq.reqs, maxAgg)
-		fq.reqs = fq.reqs[taken:]
-		if k := len(merged.Children); k > 0 {
-			h.count -= k
-			h.spent += k
-		} else {
-			h.count--
-			h.spent++
-		}
-		if len(fq.reqs) == 0 {
-			h.advance()
-		}
-		return merged, true
+	if h.spent >= h.Quantum {
+		h.spent = 0
+		h.next()
 	}
-	return nil, false
-}
-
-func (h *HBRR) advance() {
-	h.spent = 0
-	if len(h.order) > 0 {
-		h.cur = (h.cur + 1) % len(h.order)
+	maxAgg := h.MaxAggregate
+	if maxAgg <= 0 {
+		maxAgg = 8 << 20
 	}
+	fq := h.current()
+	merged, taken := mergeHead(fq.reqs, maxAgg)
+	fq.reqs = fq.reqs[taken:]
+	h.count -= taken
+	h.spent += taken
+	if len(fq.reqs) == 0 {
+		h.spent = 0
+		h.drop()
+	}
+	return merged, true
 }
 
 // Len implements Scheduler.

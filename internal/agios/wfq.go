@@ -11,7 +11,7 @@ package agios
 //     already-queued scavenger requests is served after at most one
 //     lower-tier dispatch (the one escape Pop may owe), never after the
 //     whole burst. This is deliberately NOT strict preemption of work
-//     already handed to the dispatcher — only queue order is decided
+//     already handed a dispatch slot — only queue order is decided
 //     here.
 //   - No starvation: while higher tiers stay busy, every EscapeEvery
 //     consecutive higher-tier dispatches the scheduler serves one

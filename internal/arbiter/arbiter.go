@@ -58,9 +58,9 @@ type Arbiter struct {
 	// allocation only while at least quarFloor allocatable nodes remain,
 	// so correlated slowness deprioritizes the tail instead of emptying
 	// the pool. Always ≥ 1; WithQuarantine raises it.
-	quarFloor  int
-	running    map[string]policy.Application
-	assign     map[string][]string // app → addresses
+	quarFloor int
+	running   map[string]policy.Application
+	assign    map[string][]string // app → addresses
 	// SolveTime records the duration of the last policy invocation (the
 	// paper reports 399 µs for its live case).
 	lastSolve time.Duration

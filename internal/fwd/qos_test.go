@@ -100,7 +100,10 @@ func TestQoSScavengerDegradesToDirect(t *testing.T) {
 func TestQoSStandardPacesInsteadOfRefusing(t *testing.T) {
 	store, addrs, _ := testStack(t, 2)
 	reg := telemetry.New()
-	class := &qos.Class{Name: "std", Tier: qos.TierStandard, Rate: 1 << 20, Burst: 4096}
+	// The refill rate is slow enough that the first write's wall time
+	// (milliseconds on a loaded box) cannot repay the burst before the
+	// second; pacing costs nothing here, the sleep seam is stubbed below.
+	class := &qos.Class{Name: "std", Tier: qos.TierStandard, Rate: 1 << 10, Burst: 4096}
 	c := qosClient(t, store, class, reg)
 	c.SetIONs(addrs)
 	var paced atomic.Int64

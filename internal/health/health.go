@@ -182,11 +182,11 @@ type nodeState struct {
 	rises int // consecutive successes while down
 
 	overloaded  bool
-	hotSweeps   int   // consecutive overloaded sweeps while healthy
-	coolSweeps  int   // consecutive healthy sweeps while overloaded
-	lastRejects int64 // cumulative reject counter from the last sweep
-	sawRejects  bool  // lastRejects holds a real sample (not the zero value)
-	lastDepth   int64 // queue depth from the last loaded sweep
+	hotSweeps   int       // consecutive overloaded sweeps while healthy
+	coolSweeps  int       // consecutive healthy sweeps while overloaded
+	lastRejects int64     // cumulative reject counter from the last sweep
+	sawRejects  bool      // lastRejects holds a real sample (not the zero value)
+	lastDepth   int64     // queue depth from the last loaded sweep
 	sampleAt    time.Time // when lastDepth was sampled; zero = never
 
 	degraded    bool
@@ -216,7 +216,7 @@ type Prober struct {
 		degrades, restores   *telemetry.Counter // registered only when slowActive
 		nodesUp              *telemetry.Gauge
 		nodesOverloaded      *telemetry.Gauge
-		nodesDegraded        *telemetry.Gauge // registered only when slowActive
+		nodesDegraded        *telemetry.Gauge            // registered only when slowActive
 		queueDepth, shedRate map[string]*telemetry.Gauge // per ION
 	}
 }

@@ -1,9 +1,10 @@
 // Package ion implements the I/O-node daemon: the GekkoFWD server role.
-// A daemon accepts forwarded requests over the rpc transport, feeds data
-// operations through an AGIOS scheduler queue, and dispatches them to the
-// parallel file system with a fixed-width worker pool. Metadata operations
-// bypass the scheduler (as in GekkoFS, where they go straight to the
-// daemon's metadata backend).
+// A daemon accepts forwarded requests over the rpc transport and feeds data
+// operations through an AGIOS scheduler queue, which decides when each one
+// runs; the connection goroutine that submitted a request then executes it
+// against the parallel file system itself, holding one of a fixed number
+// of dispatch slots. Metadata operations bypass the scheduler (as in
+// GekkoFS, where they go straight to the daemon's metadata backend).
 package ion
 
 import (
@@ -37,6 +38,7 @@ type Stats struct {
 	BytesIn      int64
 	BytesOut     int64
 	Dispatches   int64 // PFS dispatches (aggregates count once)
+	Handoffs     int64 // dispatches whose submitter had to park for a slot
 	Aggregated   int64 // client requests that were merged into aggregates
 	QueueRejects int64
 	DedupReplays int64 // write retries answered from the dedup window
@@ -51,8 +53,10 @@ type Config struct {
 	ID string
 	// Scheduler orders requests; nil selects FIFO.
 	Scheduler agios.Scheduler
-	// Dispatchers is the PFS worker-pool width; ≤0 selects 2 (matching
-	// the performance model's DispatchWidth).
+	// Dispatchers is the number of dispatch slots: at most that many
+	// backend calls run concurrently, each on the goroutine of the
+	// connection that submitted the request. ≤0 selects 2 (matching the
+	// performance model's DispatchWidth).
 	Dispatchers int
 	// QueueCap bounds the AGIOS queue: at QueueCap pending requests the
 	// daemon sheds new data requests with a busy response (retry-after
@@ -101,9 +105,10 @@ type Config struct {
 
 // Daemon is one I/O node.
 type Daemon struct {
-	cfg     Config
-	backend Backend
-	label   string
+	cfg       Config
+	backend   Backend
+	label     string
+	schedName string // cfg.Scheduler.Name(), for trace notes
 
 	// mu guards the per-generation state a warm restart replaces (queue,
 	// server, addr). Request handlers read queue without the lock: they
@@ -125,7 +130,6 @@ type Daemon struct {
 	// blackout strands.
 	fence atomic.Uint64
 
-	wg     sync.WaitGroup
 	closed atomic.Bool
 
 	// All counters live on reg; logically-coupled counters are updated in
@@ -137,6 +141,7 @@ type Daemon struct {
 	tel    struct {
 		writes, reads, meta, bytesIn, bytesOut *telemetry.Counter
 		dispatches, aggregated, rejects        *telemetry.Counter
+		handoffs                               *telemetry.Counter
 		dedupReplays, restarts                 *telemetry.Counter
 		fenceRejects                           *telemetry.Counter
 		dispatchLatency                        *telemetry.Histogram
@@ -156,9 +161,10 @@ func New(cfg Config, backend Backend) *Daemon {
 		cfg.RetryAfterHint = 2 * time.Millisecond
 	}
 	d := &Daemon{
-		cfg:     cfg,
-		backend: backend,
-		tracer:  cfg.Tracer,
+		cfg:       cfg,
+		backend:   backend,
+		tracer:    cfg.Tracer,
+		schedName: cfg.Scheduler.Name(),
 	}
 	d.reg = cfg.Telemetry
 	if d.reg == nil {
@@ -172,6 +178,7 @@ func New(cfg Config, backend Backend) *Daemon {
 	d.tel.bytesIn = d.reg.Counter("ion_bytes_in_total" + label)
 	d.tel.bytesOut = d.reg.Counter("ion_bytes_out_total" + label)
 	d.tel.dispatches = d.reg.Counter("ion_dispatches_total" + label)
+	d.tel.handoffs = d.reg.Counter("ion_dispatch_handoffs_total" + label)
 	d.tel.aggregated = d.reg.Counter("ion_aggregated_total" + label)
 	d.tel.rejects = d.reg.Counter("ion_queue_rejects_total" + label)
 	d.tel.dedupReplays = d.reg.Counter("ion_dedup_replays_total" + label)
@@ -200,6 +207,7 @@ func (d *Daemon) build() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.queue = agios.NewQueue(d.cfg.Scheduler)
+	d.queue.SetSlots(d.cfg.Dispatchers)
 	if d.cfg.QueueCap > 0 {
 		d.queue.SetCapacity(d.cfg.QueueCap, d.cfg.QueueLowWater)
 	}
@@ -214,8 +222,8 @@ func (d *Daemon) build() {
 		Instrument(d.reg, d.label)
 }
 
-// Start binds the daemon to addr (empty for an ephemeral localhost port),
-// launches the dispatcher pool, and returns the bound address.
+// Start binds the daemon to addr (empty for an ephemeral localhost port)
+// and returns the bound address.
 func (d *Daemon) Start(addr string) (string, error) {
 	d.mu.Lock()
 	server := d.server
@@ -224,7 +232,7 @@ func (d *Daemon) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d.launch(bound)
+	d.setAddr(bound)
 	return bound, nil
 }
 
@@ -239,19 +247,14 @@ func (d *Daemon) StartOn(ln net.Listener) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d.launch(bound)
+	d.setAddr(bound)
 	return bound, nil
 }
 
-func (d *Daemon) launch(bound string) {
+func (d *Daemon) setAddr(bound string) {
 	d.mu.Lock()
 	d.addr = bound
-	queue := d.queue
 	d.mu.Unlock()
-	for i := 0; i < d.cfg.Dispatchers; i++ {
-		d.wg.Add(1)
-		go d.dispatchLoop(queue)
-	}
 }
 
 // Restart warm-starts a previously Closed daemon on the address it last
@@ -312,7 +315,7 @@ func (d *Daemon) Addr() string {
 func (d *Daemon) ID() string { return d.cfg.ID }
 
 // SchedulerName reports which AGIOS scheduler the daemon runs.
-func (d *Daemon) SchedulerName() string { return d.q().SchedulerName() }
+func (d *Daemon) SchedulerName() string { return d.schedName }
 
 // QueueDepth reports the pending requests in the scheduler queue.
 func (d *Daemon) QueueDepth() int { return d.q().Len() }
@@ -329,8 +332,10 @@ func (d *Daemon) q() *agios.Queue {
 	return d.queue
 }
 
-// Close stops the RPC server, drains the queue, and waits for dispatchers.
-// A Closed daemon can come back with Restart.
+// Close stops the RPC server and waits for its connection goroutines.
+// That drains the scheduler queue too: every pending request has a live
+// submitter among them, and each is handed a slot as earlier dispatches
+// finish. A Closed daemon can come back with Restart.
 func (d *Daemon) Close() error {
 	if d.closed.Swap(true) {
 		return nil
@@ -340,7 +345,6 @@ func (d *Daemon) Close() error {
 	d.mu.Unlock()
 	err := server.Close()
 	queue.Close()
-	d.wg.Wait()
 	return err
 }
 
@@ -359,6 +363,7 @@ func (d *Daemon) Stats() Stats {
 			BytesIn:      d.tel.bytesIn.Value(),
 			BytesOut:     d.tel.bytesOut.Value(),
 			Dispatches:   d.tel.dispatches.Value(),
+			Handoffs:     d.tel.handoffs.Value(),
 			Aggregated:   d.tel.aggregated.Value(),
 			QueueRejects: d.tel.rejects.Value(),
 			DedupReplays: d.tel.dedupReplays.Value(),
@@ -475,7 +480,6 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 			resp.Err = fmt.Sprintf("ion: read size %d out of range [0, %d]", m.Size, int64(rpc.MaxData))
 			return resp
 		}
-		done := make(chan error, 1)
 		req := &agios.Request{
 			Path:     m.Path,
 			Offset:   m.Offset,
@@ -483,18 +487,16 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 			Op:       agios.OpRead,
 			Trace:    m.Trace,
 			Priority: m.Priority,
-			OnComplete: func(err error) {
-				done <- err
-			},
 		}
 		if m.Size > 0 {
-			// Pre-attach a pooled frame buffer as the read destination: the
-			// dispatcher fills it in place, and the response frame hands it
+			// Pre-attach a pooled frame buffer as the read destination:
+			// execute fills it in place, and the response frame hands it
 			// back to the rpc pool once written, so a read reply costs no
 			// allocation and no extra copy.
 			req.Data = rpc.GetBuffer(int(m.Size))[:0]
 		}
-		if err := d.queue.Push(req); err != nil {
+		pick, err := d.queue.Submit(req)
+		if err != nil {
 			if cap(req.Data) > 0 {
 				rpc.PutBuffer(req.Data)
 			}
@@ -502,10 +504,10 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 		}
 		d.tel.reads.Inc()
 		d.tel.requestBytes.Observe(float64(m.Size))
-		err := <-done
-		// The dispatcher stored the bytes read in req.Data (reusing the
-		// pooled capacity attached above). The transport releases the
-		// buffer after the response frame goes out.
+		err = d.dispatch(req, pick)
+		// execute stored the bytes read in req.Data (reusing the pooled
+		// capacity attached above). The transport releases the buffer
+		// after the response frame goes out.
 		if cap(req.Data) > 0 {
 			resp.SetPooledData(req.Data)
 		} else {
@@ -550,13 +552,12 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 	return resp
 }
 
-// applyWrite pushes one write through the scheduler queue and waits for
+// applyWrite submits one write to the scheduler queue and sees it through
 // its dispatch. applied reports whether the operation reached execution:
 // false for queue-admission failures (busy sheds and closed-queue
 // rejects), which must stay replayable-by-execution in the dedup window;
-// true once the dispatcher ran it, whatever the outcome.
+// true once it ran, whatever the outcome.
 func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (_ *rpc.Message, applied bool) {
-	done := make(chan error, 1)
 	req := &agios.Request{
 		Path:     m.Path,
 		Offset:   m.Offset,
@@ -565,11 +566,9 @@ func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (_ *rpc.Message, 
 		Data:     m.Data,
 		Trace:    m.Trace,
 		Priority: m.Priority,
-		OnComplete: func(err error) {
-			done <- err
-		},
 	}
-	if err := d.queue.Push(req); err != nil {
+	pick, err := d.queue.Submit(req)
+	if err != nil {
 		return d.pushFailed(resp, err), false
 	}
 	// Admission succeeded: only now does the request count as
@@ -580,7 +579,7 @@ func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (_ *rpc.Message, 
 		d.tel.bytesIn.Add(int64(len(m.Data)))
 	})
 	d.tel.requestBytes.Observe(float64(len(m.Data)))
-	if err := <-done; err != nil {
+	if err := d.dispatch(req, pick); err != nil {
 		resp.Err = err.Error()
 		return resp, true
 	}
@@ -619,51 +618,60 @@ func (d *Daemon) hopEach(req *agios.Request, layer string, start time.Time, note
 	}
 }
 
-// dispatchLoop pops scheduled requests and executes them against the PFS.
-// It holds its generation's queue by value: a warm restart swaps d.queue,
-// but this loop must drain the queue it was launched for.
-func (d *Daemon) dispatchLoop(queue *agios.Queue) {
-	defer d.wg.Done()
-	for {
-		req, ok := queue.PopWait()
-		if !ok {
-			return
+// dispatch sees the admitted request req through to its outcome on the
+// calling (connection) goroutine. pick is what Submit returned: non-nil
+// when a dispatch slot was free and the scheduler's pick — req itself —
+// runs right here; nil when every slot was busy, and the goroutine parks
+// until the scheduler picks req. Then it either holds a slot and executes
+// the pick (req, or an aggregate headed by req), or req already ran inside
+// an aggregate another submitter executed.
+func (d *Daemon) dispatch(req, pick *agios.Request) error {
+	if pick == nil {
+		var err error
+		if pick, err = d.queue.Wait(req); pick == nil {
+			return err
 		}
-		n := len(req.Children)
-		d.reg.Update(func() {
-			d.tel.dispatches.Inc()
-			if n > 0 {
-				d.tel.aggregated.Add(int64(n))
-			}
-		})
-		note := queue.SchedulerName()
+		d.tel.handoffs.Inc()
+	}
+	err := d.execute(pick)
+	d.queue.Finish(pick, err)
+	return err
+}
+
+// execute runs one scheduled request (possibly an aggregate) against the
+// PFS and returns the backend's outcome. A read's bytes land in req.Data.
+func (d *Daemon) execute(req *agios.Request) error {
+	n := len(req.Children)
+	d.reg.Update(func() {
+		d.tel.dispatches.Inc()
+		if n > 0 {
+			d.tel.aggregated.Add(int64(n))
+		}
+	})
+	if d.tracer != nil {
+		note := d.schedName
 		if n > 0 {
 			note = fmt.Sprintf("%s merged=%d", note, n)
 		}
 		d.hopEach(req, "agios", req.Arrival, note)
-		start := time.Now()
-		switch req.Op {
-		case agios.OpWrite:
-			_, err := d.backend.WriteAs(d.cfg.ID, req.Path, req.Offset, req.Data)
-			d.tel.dispatchLatency.ObserveDuration(time.Since(start))
-			d.hopEach(req, "pfs", start, "write")
-			req.Complete(err)
-		case agios.OpRead:
-			// Reuse the capacity the request arrived with (the RPC handler
-			// pre-attaches a pooled destination buffer); allocate only for
-			// requests that came in bare (tests, direct queue users).
-			buf := req.Data
-			if int64(cap(buf)) < req.Size {
-				buf = make([]byte, req.Size)
-			}
-			buf = buf[:req.Size]
-			n, err := d.backend.Read(req.Path, req.Offset, buf)
-			req.Data = buf[:n]
-			d.tel.dispatchLatency.ObserveDuration(time.Since(start))
-			d.hopEach(req, "pfs", start, "read")
-			req.Complete(err)
-		default:
-			req.Complete(fmt.Errorf("ion: unknown scheduled op %v", req.Op))
-		}
+	}
+	start := time.Now()
+	switch req.Op {
+	case agios.OpWrite:
+		_, err := d.backend.WriteAs(d.cfg.ID, req.Path, req.Offset, req.Data)
+		d.tel.dispatchLatency.ObserveDuration(time.Since(start))
+		d.hopEach(req, "pfs", start, "write")
+		return err
+	case agios.OpRead:
+		// The RPC handler attached a pooled destination buffer with
+		// capacity for the whole read.
+		buf := req.Data[:req.Size]
+		n, err := d.backend.Read(req.Path, req.Offset, buf)
+		req.Data = buf[:n]
+		d.tel.dispatchLatency.ObserveDuration(time.Since(start))
+		d.hopEach(req, "pfs", start, "read")
+		return err
+	default:
+		return fmt.Errorf("ion: unknown scheduled op %v", req.Op)
 	}
 }

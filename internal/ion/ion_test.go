@@ -15,13 +15,20 @@ import (
 
 func startDaemon(t *testing.T, cfg Config, store *pfs.Store) (*Daemon, *rpc.Client) {
 	t.Helper()
-	d := New(cfg, store)
+	return startOn(t, cfg, store, 2)
+}
+
+// startOn starts a daemon over backend and dials it with a pool of conns
+// connections; both are torn down with the test.
+func startOn(t *testing.T, cfg Config, backend Backend, conns int) (*Daemon, *rpc.Client) {
+	t.Helper()
+	d := New(cfg, backend)
 	addr, err := d.Start("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	cli := rpc.Dial(addr, 2)
+	cli := rpc.Dial(addr, conns)
 	t.Cleanup(func() { cli.Close() })
 	return d, cli
 }

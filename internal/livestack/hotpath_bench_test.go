@@ -11,10 +11,12 @@ import (
 // BenchmarkHotPathWrite is the forwarding data-plane benchmark behind
 // BENCH_hotpath.json (make bench-hotpath): one client forwarding
 // 512 KiB writes — exactly one chunk at the default chunk size — through
-// one live I/O node over loopback TCP into the in-memory PFS. Allocations
-// are reported process-wide, so the figure covers the client encode path,
-// the server decode path, the AGIOS queue, and the dispatcher together;
-// the per-layer wire budget is enforced separately by
+// one live I/O node over loopback TCP into the in-memory PFS, plus a
+// 64 KiB and a 4 KiB request, where per-message cost (framing, syscalls,
+// the daemon's handler and dispatch) is all there is. Allocations are
+// reported process-wide, so the figure covers the client encode path, the
+// server decode path, the AGIOS queue, and the dispatch together; the
+// per-layer wire budget is enforced separately by
 // rpc.BenchmarkWirePathWrite512K.
 func BenchmarkHotPathWrite(b *testing.B) {
 	for _, sz := range []struct {
@@ -23,6 +25,7 @@ func BenchmarkHotPathWrite(b *testing.B) {
 	}{
 		{"512K", 512 * units.KiB},
 		{"64K", 64 * units.KiB},
+		{"4K", 4 * units.KiB},
 	} {
 		b.Run(sz.name, func(b *testing.B) {
 			benchmarkHotPathWrite(b, sz.n)

@@ -40,7 +40,9 @@ type Config struct {
 	Scheduler string
 	// PFS configures the backing store; zero value = functional store.
 	PFS pfs.Config
-	// Dispatchers per I/O node; ≤0 selects the daemon default.
+	// Dispatchers is the number of dispatch slots per I/O node (concurrent
+	// backend calls; see ion.Config.Dispatchers); ≤0 selects the daemon
+	// default.
 	Dispatchers int
 	// Telemetry is the stack-wide metrics registry shared by every layer
 	// (fwd clients, rpc, daemons, PFS, arbiter); nil creates one.

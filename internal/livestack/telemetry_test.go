@@ -240,6 +240,7 @@ func TestCounterAuditRoundTrip(t *testing.T) {
 		`rpc_checksum_errors_total{node="ion00"}`:    false, // clean wire: present, zero
 		`ion_dedup_replays_total{node="ion00"}`:      true,
 		`ion_restarts_total{node="ion01"}`:           true,
+		`ion_dispatch_handoffs_total{node="ion00"}`:  false, // may legitimately move; presence is the contract
 		`fwd_replayed_writes_total{app="audit"}`:     false, // no transport retry happened
 		"journal_appends_total":                      true,  // every JobStarted/publish is journaled
 		"journal_fsyncs_total":                       true,
@@ -261,6 +262,20 @@ func TestCounterAuditRoundTrip(t *testing.T) {
 		if wantNonZero && v == 0 {
 			t.Errorf("%s = 0, the test exercised it", counter)
 		}
+	}
+
+	// The hand-off counter is a per-node family like the rest of ion_*:
+	// one series per daemon, no more.
+	perNode := func(family string) (n int) {
+		for name := range snap.Counters {
+			if strings.HasPrefix(name, family+"{node=") {
+				n++
+			}
+		}
+		return n
+	}
+	if got, want := perNode("ion_dispatch_handoffs_total"), perNode("ion_dispatches_total"); got != want || got != 2 {
+		t.Errorf("ion_dispatch_handoffs_total has %d series, ion_dispatches_total %d, want 2 each", got, want)
 	}
 
 	srv := httptest.NewServer(telemetry.Handler(st.Telemetry, st.Tracer))

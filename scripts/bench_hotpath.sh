@@ -5,12 +5,14 @@
 #
 # Two benchmarks feed the report:
 #
-#   - livestack.BenchmarkHotPathWrite/{512K,64K}: end to end — a live
+#   - livestack.BenchmarkHotPathWrite/{512K,64K,4K}: end to end — a live
 #     I/O-node stack, one forwarding client, repeated writes of one chunk
 #     (512 KiB) and a small request (64 KiB). Compared against the seed
 #     baseline committed below (min ns/op over paired runs on the same
 #     machine, measured immediately before the rewrite) to report the
-#     ns/op reduction the rewrite bought.
+#     ns/op reduction the rewrite bought. The 4 KiB row (ns/op and
+#     allocs/op, no seed baseline) is the per-message cost: framing,
+#     syscalls, the daemon's handler and its dispatch.
 #   - rpc.BenchmarkWirePathWrite512K: the rpc layer alone (TCP round trip
 #     to an acking echo server). This carries the allocs/op budget — the
 #     frame pools own every allocation here, so the number is
@@ -68,6 +70,10 @@ awk -v out="$OUT" -v seed512="$SEED_512K" -v seed64="$SEED_64K" \
     if (!ea512 || $9 < ea512) ea512 = $9
 }
 /BenchmarkHotPathWrite\/64K/  { if (!e64 || $3 < e64) e64 = $3 }
+/BenchmarkHotPathWrite\/4K/ {
+    if (!e4 || $3 < e4) e4 = $3
+    if (!n4++ || $9 < ea4) ea4 = $9
+}
 /BenchmarkWirePathWrite512K/ {
     if (!w512 || $3 < w512) w512 = $3
     if (!wa512 || $9 < wa512) wa512 = $9
@@ -78,7 +84,7 @@ awk -v out="$OUT" -v seed512="$SEED_512K" -v seed64="$SEED_64K" \
     if (!wa4m || $9 < wa4m) wa4m = $9
 }
 END {
-    if (!e512 || !e64 || !w512 || !w4m) { print "bench_hotpath: no samples parsed" > "/dev/stderr"; exit 1 }
+    if (!e512 || !e64 || !e4 || !w512 || !w4m) { print "bench_hotpath: no samples parsed" > "/dev/stderr"; exit 1 }
     r512 = (seed512 - e512) * 100.0 / seed512
     r64  = (seed64 - e64) * 100.0 / seed64
     ok = (wa512 <= budget)
@@ -94,7 +100,9 @@ END {
     printf "    \"now_64k_ns_per_op\": %d,\n", e64                      >> out
     printf "    \"reduction_64k_pct\": %.2f,\n", r64                    >> out
     printf "    \"seed_512k_allocs_per_op\": %d,\n", seedallocs         >> out
-    printf "    \"now_512k_allocs_per_op\": %d\n", ea512                >> out
+    printf "    \"now_512k_allocs_per_op\": %d,\n", ea512               >> out
+    printf "    \"now_4k_ns_per_op\": %d,\n", e4                        >> out
+    printf "    \"now_4k_allocs_per_op\": %d\n", ea4                    >> out
     printf "  },\n"                                                     >> out
     printf "  \"wire_path\": {\n"                                       >> out
     printf "    \"benchmark\": \"BenchmarkWirePathWrite512K\",\n"       >> out
@@ -114,6 +122,7 @@ END {
     printf "}\n"                                                        >> out
     printf "end-to-end 512K: seed=%dns now=%dns (-%.2f%%), 64K: seed=%dns now=%dns (-%.2f%%)\n", \
         seed512, e512, r512, seed64, e64, r64
+    printf "end-to-end 4K: %dns %d allocs/op\n", e4, ea4
     printf "wire path 512K: %dns %d allocs/op (budget %d)\n", w512, wa512, budget
     printf "wire path 4M: %dns %d allocs/op %d B/op (budget %d B/op)\n", w4m, wa4m, wb4m, bbudget
     if (!ok) { print "bench_hotpath: allocs/op over budget" > "/dev/stderr"; exit 1 }

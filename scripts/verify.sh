@@ -1,9 +1,18 @@
 #!/bin/sh
-# Tier-1 verification for this repository: vet + build + race-enabled tests.
+# Tier-1 verification for this repository: gofmt + vet + build + race-enabled
+# tests.
 # Equivalent to `make verify`; kept as a script for environments without make.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo ">> gofmt -l"
+unformatted="$(gofmt -l cmd internal examples bench_test.go doc.go)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo ">> go vet ./..."
 go vet ./...
