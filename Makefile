@@ -1,12 +1,18 @@
 # Tier-1 verification: everything a PR must keep green.
-# `make verify` = gofmt + vet + build + race-enabled tests (see also
-# scripts/verify.sh).
+# `make verify` = gofmt + vet + build + race-enabled tests + suite census
+# (see also scripts/verify.sh).
 
 GO ?= go
 
-.PHONY: verify fmt-check build test test-race vet lint chaos storm torture qos elastic blackout grayfail fuzz bench bench-campaign bench-hotpath
+.PHONY: verify fmt-check build test test-race vet lint suite-census chaos storm torture qos elastic blackout grayfail fuzz bench bench-campaign bench-hotpath
 
-verify: fmt-check vet build test-race
+verify: fmt-check vet build test-race suite-census
+
+# The seeded suites below select tests by name; fails when any of them
+# matches fewer tests than scripts/suite_floor.txt records, so a renamed
+# test cannot silently drop out of its suite.
+suite-census:
+	sh scripts/suite_census.sh
 
 # Fails when any tracked Go source is not gofmt-clean.
 fmt-check:

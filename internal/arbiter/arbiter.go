@@ -13,12 +13,14 @@ package arbiter
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/journal"
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -28,12 +30,13 @@ import (
 var (
 	// ErrUnknownJob reports an operation on a job id that is not running.
 	ErrUnknownJob = errors.New("arbiter: unknown job")
-	// ErrUnknownION reports a mark on an address outside the pool.
+	// ErrUnknownION reports an event for an address outside the pool.
 	ErrUnknownION = errors.New("arbiter: unknown I/O node")
 	// ErrNoLiveIONs reports arbitration over an empty or fully-down pool.
 	ErrNoLiveIONs = errors.New("arbiter: no live I/O nodes")
-	// ErrIONDown reports a drain request for a node that is already down —
-	// there is nothing graceful left to do; the caller wanted MarkDown.
+	// ErrIONDown reports a DrainStart for a node that is already down —
+	// there is nothing graceful left to do (nodestate.ErrDown, as the
+	// arbiter's callers see it).
 	ErrIONDown = errors.New("arbiter: I/O node is down")
 	// ErrIONAssigned reports a removal of a node still routed to some job.
 	ErrIONAssigned = errors.New("arbiter: I/O node still assigned")
@@ -49,11 +52,10 @@ type Arbiter struct {
 	// at solve time (see WithWeights); nil means unweighted arbitration.
 	weightOf func(id string) float64
 
-	mu         sync.Mutex
-	down       map[string]bool // addresses marked down (health transitions)
-	overloaded map[string]bool // addresses shedding load (overload transitions)
-	draining   map[string]bool // addresses leaving gracefully (scaler drains)
-	degraded   map[string]bool // addresses marked fail-slow (gray-failure plane)
+	mu sync.Mutex
+	// nodes holds every pool member's condition (the zero State is a
+	// healthy node); its keys are the pool, whose stable order pool keeps.
+	nodes map[string]nodestate.State
 	// quarFloor bounds the quarantine: degraded nodes are excluded from
 	// allocation only while at least quarFloor allocatable nodes remain,
 	// so correlated slowness deprioritizes the tail instead of emptying
@@ -78,13 +80,12 @@ type Arbiter struct {
 
 	// Telemetry handles (nil until Instrument; all no-ops then).
 	tel struct {
-		solves, solveErrors, published   *telemetry.Counter
-		keptMappings                     *telemetry.Counter
-		marksDown, marksUp               *telemetry.Counter
-		marksOverloaded, marksRecovered  *telemetry.Counter
-		drains, drainsAborted            *telemetry.Counter
+		solves, solveErrors, published *telemetry.Counter
+		keptMappings                   *telemetry.Counter
+		// marks[ev] counts the state changes event ev caused; Slow and
+		// Restore stay nil until WithQuarantine.
+		marks                            [nodestate.NumEvents]*telemetry.Counter
 		ionsAdded, ionsRemoved           *telemetry.Counter
-		quarMarks, quarRestores          *telemetry.Counter // nil until WithQuarantine
 		jobsRunning                      *telemetry.Gauge
 		ionsDown, ionsLive, ionsOverload *telemetry.Gauge
 		ionsDraining                     *telemetry.Gauge
@@ -102,24 +103,21 @@ func New(pol policy.Policy, ionAddrs []string, bus *mapping.Bus) (*Arbiter, erro
 	if bus == nil {
 		return nil, errors.New("arbiter: mapping bus is required")
 	}
-	uniq := map[string]bool{}
+	nodes := make(map[string]nodestate.State, len(ionAddrs))
 	for _, a := range ionAddrs {
-		if uniq[a] {
+		if _, dup := nodes[a]; dup {
 			return nil, fmt.Errorf("arbiter: duplicate I/O node %s", a)
 		}
-		uniq[a] = true
+		nodes[a] = 0
 	}
 	return &Arbiter{
-		pol:        pol,
-		bus:        bus,
-		pool:       append([]string(nil), ionAddrs...),
-		down:       map[string]bool{},
-		overloaded: map[string]bool{},
-		draining:   map[string]bool{},
-		degraded:   map[string]bool{},
-		quarFloor:  1,
-		running:    map[string]policy.Application{},
-		assign:     map[string][]string{},
+		pol:       pol,
+		bus:       bus,
+		pool:      append([]string(nil), ionAddrs...),
+		nodes:     nodes,
+		quarFloor: 1,
+		running:   map[string]policy.Application{},
+		assign:    map[string][]string{},
 	}, nil
 }
 
@@ -138,12 +136,12 @@ func (a *Arbiter) Instrument(reg *telemetry.Registry) *Arbiter {
 	a.tel.solveErrors = reg.Counter("arbiter_solve_errors_total")
 	a.tel.published = reg.Counter("arbiter_mappings_published_total")
 	a.tel.keptMappings = reg.Counter("arbiter_kept_previous_mapping_total")
-	a.tel.marksDown = reg.Counter("arbiter_marked_down_total")
-	a.tel.marksUp = reg.Counter("arbiter_marked_up_total")
-	a.tel.marksOverloaded = reg.Counter("arbiter_marked_overloaded_total")
-	a.tel.marksRecovered = reg.Counter("arbiter_overload_recovered_total")
-	a.tel.drains = reg.Counter("arbiter_drains_started_total")
-	a.tel.drainsAborted = reg.Counter("arbiter_drains_aborted_total")
+	a.tel.marks[nodestate.Fail] = reg.Counter("arbiter_marked_down_total")
+	a.tel.marks[nodestate.Rise] = reg.Counter("arbiter_marked_up_total")
+	a.tel.marks[nodestate.Hot] = reg.Counter("arbiter_marked_overloaded_total")
+	a.tel.marks[nodestate.Cool] = reg.Counter("arbiter_overload_recovered_total")
+	a.tel.marks[nodestate.DrainStart] = reg.Counter("arbiter_drains_started_total")
+	a.tel.marks[nodestate.DrainAbort] = reg.Counter("arbiter_drains_aborted_total")
 	a.tel.ionsAdded = reg.Counter("arbiter_ions_added_total")
 	a.tel.ionsRemoved = reg.Counter("arbiter_ions_removed_total")
 	a.tel.jobsRunning = reg.Gauge("arbiter_jobs_running")
@@ -171,7 +169,7 @@ func (a *Arbiter) WithWeights(w func(id string) float64) *Arbiter {
 }
 
 // WithQuarantine sets the live-capacity floor for gray-failure
-// quarantine: MarkDegraded excludes a node from new allocations only
+// quarantine: a Slow event excludes a node from new allocations only
 // while at least floor allocatable nodes remain, so correlated
 // slowness (a sick rack, a shared-switch brownout) degrades to
 // deprioritization instead of an empty pool. floor values below 1 are
@@ -188,8 +186,8 @@ func (a *Arbiter) WithQuarantine(floor int) *Arbiter {
 	}
 	a.quarFloor = floor
 	reg := a.reg
-	a.tel.quarMarks = reg.Counter("arbiter_quarantine_marked_total")
-	a.tel.quarRestores = reg.Counter("arbiter_quarantine_restored_total")
+	a.tel.marks[nodestate.Slow] = reg.Counter("arbiter_quarantine_marked_total")
+	a.tel.marks[nodestate.Restore] = reg.Counter("arbiter_quarantine_restored_total")
 	a.tel.ionsQuarantined = reg.Gauge("arbiter_quarantine_ions")
 	a.tel.quarFloorHeld = reg.Gauge("arbiter_quarantine_floor_held")
 	return a
@@ -211,9 +209,9 @@ func (a *Arbiter) JobStarted(app policy.Application) ([]string, error) {
 	if _, dup := a.running[app.ID]; dup {
 		return nil, fmt.Errorf("arbiter: job %s already running", app.ID)
 	}
-	if len(a.availablePool()) == 0 {
+	if a.visible() == 0 {
 		return nil, fmt.Errorf("%w: cannot start %s (pool %d, down %d, draining %d)",
-			ErrNoLiveIONs, app.ID, len(a.pool), len(a.down), len(a.draining))
+			ErrNoLiveIONs, app.ID, len(a.pool), len(a.nodesIn(nodestate.Down)), len(a.nodesIn(nodestate.Draining)))
 	}
 	a.running[app.ID] = app
 	// Intent first: if the crash lands between this append and the solve,
@@ -272,103 +270,104 @@ func (a *Arbiter) Current() map[string][]string {
 	return out
 }
 
-// availablePool returns the pool minus down, draining, and quarantined
-// nodes — the addresses arbitration may hand out — in stable pool
-// order. Caller holds the lock.
-func (a *Arbiter) availablePool() []string {
-	quar := a.quarantinedLocked()
-	avail := make([]string, 0, len(a.pool))
+// visible counts the pool members that are neither down nor draining.
+// Caller holds the lock.
+func (a *Arbiter) visible() int {
+	n := 0
+	for _, st := range a.nodes {
+		if !st.Hidden() {
+			n++
+		}
+	}
+	return n
+}
+
+// allocatable splits the visible pool into the addresses arbitration may
+// hand out and the quarantined ones it may not. The quarantine is the
+// degraded nodes, taken in stable pool order, excluded only while the
+// remaining allocatable capacity stays at or above the floor. avail is
+// in hand-out order: healthy nodes in stable pool order, then the
+// deprioritized ones — overloaded nodes, and degraded ones the floor held
+// back — so they absorb load only when the healthy pool cannot cover the
+// allocation (capacity is deprioritized, never destroyed). Caller holds
+// the lock.
+func (a *Arbiter) allocatable() (avail, quar []string) {
+	room := a.visible() - a.quarFloor // how many nodes the floor lets the quarantine take
+	avail = make([]string, 0, len(a.pool))
+	var last []string
 	for _, addr := range a.pool {
-		if !a.down[addr] && !a.draining[addr] && !quar[addr] {
+		switch st := a.nodes[addr]; {
+		case st.Hidden():
+		case st.Has(nodestate.Degraded) && len(quar) < room:
+			quar = append(quar, addr)
+		case st.Has(nodestate.Degraded | nodestate.Overloaded):
+			last = append(last, addr)
+		default:
 			avail = append(avail, addr)
 		}
 	}
-	return avail
+	return append(avail, last...), quar
 }
 
-// quarantinedLocked computes the effective quarantine set: degraded
-// nodes, taken in stable pool order, excluded from allocation only
-// while the remaining allocatable capacity stays at or above the
-// floor. Degraded nodes past the floor stay allocatable — rearbitrate
-// deprioritizes them like overloaded ones instead. Down and draining
-// nodes are never in the set: stronger states already exclude them,
-// and counting them would double-charge the floor. Caller holds the
-// lock.
-func (a *Arbiter) quarantinedLocked() map[string]bool {
-	if len(a.degraded) == 0 {
-		return nil
-	}
-	live := 0
+// nodesIn lists the pool members in any condition of mask, in stable pool
+// order. Caller holds the lock.
+func (a *Arbiter) nodesIn(mask nodestate.State) []string {
+	var out []string
 	for _, addr := range a.pool {
-		if !a.down[addr] && !a.draining[addr] {
-			live++
+		if a.nodes[addr].Has(mask) {
+			out = append(out, addr)
 		}
 	}
-	quar := make(map[string]bool, len(a.degraded))
-	for _, addr := range a.pool {
-		if !a.degraded[addr] || a.down[addr] || a.draining[addr] {
-			continue
-		}
-		if live-len(quar)-1 < a.quarFloor {
-			break // floor reached: the rest stay allocatable, deprioritized
-		}
-		quar[addr] = true
-	}
+	return out
+}
+
+// NodesIn returns the pool members that are in any condition of mask, in
+// stable pool order — NodesIn(nodestate.Down) is the down set. The
+// degraded set is the marks, not the effective quarantine (a mark held
+// back by the capacity floor is still listed; see Quarantined).
+func (a *Arbiter) NodesIn(mask nodestate.State) []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.nodesIn(mask)
+}
+
+// StateOf reports the condition of the pool member at addr; ok is false
+// for an address outside the pool.
+func (a *Arbiter) StateOf(addr string) (st nodestate.State, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	st, ok = a.nodes[addr]
+	return st, ok
+}
+
+// Quarantined returns the addresses currently excluded from allocation
+// by the gray-failure plane, in stable pool order: the degraded marks
+// minus whatever the capacity floor held back. The floor makes it a fact
+// about the pool, not about one node, so it is not a State bit.
+func (a *Arbiter) Quarantined() []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	_, quar := a.allocatable()
 	return quar
-}
-
-func (a *Arbiter) inPool(addr string) bool {
-	for _, p := range a.pool {
-		if p == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// Down returns the addresses currently marked down.
-func (a *Arbiter) Down() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.down))
-	for _, addr := range a.pool {
-		if a.down[addr] {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// Overloaded returns the addresses currently marked overloaded, in stable
-// pool order.
-func (a *Arbiter) Overloaded() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.overloaded))
-	for _, addr := range a.pool {
-		if a.overloaded[addr] {
-			out = append(out, addr)
-		}
-	}
-	return out
 }
 
 // updatePoolGauges refreshes the live/down/overloaded/draining gauges.
 // Caller holds the lock.
 func (a *Arbiter) updatePoolGauges() {
-	a.tel.ionsDown.Set(int64(len(a.down)))
-	a.tel.ionsLive.Set(int64(len(a.pool) - len(a.down)))
-	a.tel.ionsOverload.Set(int64(len(a.overloaded)))
-	a.tel.ionsDraining.Set(int64(len(a.draining)))
+	down := len(a.nodesIn(nodestate.Down))
+	a.tel.ionsDown.Set(int64(down))
+	a.tel.ionsLive.Set(int64(len(a.pool) - down))
+	a.tel.ionsOverload.Set(int64(len(a.nodesIn(nodestate.Overloaded))))
+	a.tel.ionsDraining.Set(int64(len(a.nodesIn(nodestate.Draining))))
 	if a.tel.ionsQuarantined != nil {
-		quar := a.quarantinedLocked()
-		a.tel.ionsQuarantined.Set(int64(len(quar)))
-		held := 0
-		for addr := range a.degraded {
-			if !quar[addr] && !a.down[addr] && !a.draining[addr] {
+		avail, quar := a.allocatable()
+		held := 0 // degraded, yet allocatable: the floor held them back
+		for _, addr := range avail {
+			if a.nodes[addr].Has(nodestate.Degraded) {
 				held++
 			}
 		}
+		a.tel.ionsQuarantined.Set(int64(len(quar)))
 		a.tel.quarFloorHeld.Set(int64(held))
 	}
 }
@@ -376,341 +375,120 @@ func (a *Arbiter) updatePoolGauges() {
 // without returns addrs with every occurrence of addr removed (the slice
 // is only copied when something is actually removed).
 func without(addrs []string, addr string) []string {
-	hit := false
-	for _, x := range addrs {
-		if x == addr {
-			hit = true
-			break
-		}
-	}
-	if !hit {
+	if !slices.Contains(addrs, addr) {
 		return addrs
 	}
-	out := make([]string, 0, len(addrs)-1)
-	for _, x := range addrs {
-		if x != addr {
-			out = append(out, x)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(addrs), func(x string) bool { return x == addr })
 }
 
-// MarkDown removes addr from the live pool (a health prober observed it
-// unreachable) and re-arbitrates the surviving jobs. The allocation
-// invariant — no job is ever mapped to a down I/O node — holds on every
-// published mapping even when the policy solve fails: the down node is
-// stripped from the previous assignment first, and that degraded (but
-// safe) mapping is what gets published on the failure path. Marking an
-// already-down node is a no-op.
-func (a *Arbiter) MarkDown(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if a.down[addr] {
-		return nil
-	}
-	if a.draining[addr] {
-		// The node died mid-drain: the graceful exit aborts into the hard
-		// one. Whoever was waiting for quiescence observes the node down
-		// and gives up; re-arbitration below routes around it either way.
-		delete(a.draining, addr)
-		a.tel.drainsAborted.Inc()
-	}
-	a.down[addr] = true
-	a.record(journal.Record{Kind: journal.KindMarkDown, Addr: addr})
-	a.tel.marksDown.Inc()
-	a.updatePoolGauges()
-
-	// Invariant first, policy second: strip the dead node from the
-	// current assignment before any solve runs.
-	touched := false
-	for app, addrs := range a.assign {
-		filtered := without(addrs, addr)
-		if len(filtered) != len(addrs) {
-			a.assign[app] = filtered
-			touched = true
-		}
-	}
-	if len(a.running) == 0 {
-		if touched {
-			a.publish()
-		}
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		// The pruned previous assignment is still safe (nothing routes to
-		// the dead node); publish it so clients stop using the node now.
-		a.tel.keptMappings.Inc()
-		a.publish()
-		return fmt.Errorf("arbiter: %s marked down, degraded mapping kept: %w", addr, err)
-	}
-	return nil
+// effects is the arbiter's half of the state × event table (DESIGN §12):
+// what Transition does once the node's bit has moved. By default an event
+// re-solves when jobs are running and, if the solve fails, keeps the
+// previous mapping — still valid, the node changed preference, not
+// existence. The fields are the exceptions.
+var effects = [nodestate.NumEvents]struct {
+	// held: on a hidden (down or draining) node the event is only
+	// recorded — the node is outside allocatable() either way, so the
+	// solve's inputs are unchanged; Rise or DrainAbort picks the mark up.
+	held bool
+	// prune: the node is stripped from every assignment before any solve,
+	// and a failed solve publishes that pruned mapping: "no job maps to a
+	// down node" is enforced before the policy, not by it.
+	prune bool
+	// rollback: a failed solve undoes the event (journaling DrainAbort)
+	// and refuses it — the caller must not decommission a node whose
+	// traffic could not be moved. Such an event is counted only once it
+	// has stuck.
+	rollback bool
+}{
+	nodestate.Fail:       {prune: true},
+	nodestate.DrainStart: {rollback: true},
+	nodestate.Slow:       {held: true},
+	nodestate.Restore:    {held: true},
+	nodestate.Hot:        {held: true},
+	nodestate.Cool:       {held: true},
 }
 
-// MarkUp returns addr to the live pool and re-arbitrates so jobs can grow
-// back onto it. Marking a node that is not down is a no-op. If the solve
-// fails the previous mapping stays (it is still valid — the recovered
-// node simply idles until the next successful solve).
-func (a *Arbiter) MarkUp(addr string) error {
+// Transition feeds one node event — a debounced health edge from the
+// prober, a drain decision from the scaler — into the pool and
+// re-arbitrates. nodestate.Apply decides the next state; a repeated event
+// changes nothing and returns nil without journaling, counting or
+// solving; an address outside the pool is ErrUnknownION.
+//
+// Fail and DrainStart hide the node from every allocation — DrainStart a
+// healthy one, which keeps serving what is in flight while its traffic
+// migrates under the no-shrink invariant (refused with ErrIONDown on a
+// down node); Rise and DrainAbort bring it back. Hot deprioritizes the
+// node without removing it — a saturated node still completes work, and
+// removing capacity under peak load feeds the overload. Slow quarantines
+// it, down to the capacity floor (WithQuarantine), past which it is only
+// deprioritized. What each event does beyond moving its bit is the
+// effects table above (DESIGN §12 has it as one table).
+//
+// Apart from the two refusals an error is advisory: the event is recorded
+// and a mapping that honours the invariants stands.
+func (a *Arbiter) Transition(addr string, ev nodestate.Event) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
+	prev, changed, err := a.apply(addr, ev)
+	if err != nil || !changed {
+		return err
 	}
-	if !a.down[addr] {
-		return nil
-	}
-	delete(a.down, addr)
-	a.record(journal.Record{Kind: journal.KindMarkUp, Addr: addr})
-	a.tel.marksUp.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s marked up, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// MarkOverloaded records that addr is shedding load (a health prober saw
-// sustained queue depth or busy responses) and re-arbitrates so jobs drift
-// off it. Overload is softer than down: the node stays in the live pool —
-// the arbitration invariant "no job maps to a down node" does NOT extend
-// to overloaded ones, because a saturated node still completes work and
-// removing its capacity under peak load would make the overload worse.
-// The solver merely prefers every other live node first, so an overloaded
-// node keeps serving only when the pool is too small to avoid it. Marking
-// an already-overloaded node is a no-op; marks on down nodes are recorded
-// (they take effect when the node comes back up).
-func (a *Arbiter) MarkOverloaded(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if a.overloaded[addr] {
-		return nil
-	}
-	if a.draining[addr] {
-		// Drain wins: the node is already excluded from every allocation,
-		// which is a strictly stronger steer than the overload preference,
-		// and it is about to leave the pool anyway.
-		return nil
-	}
-	a.overloaded[addr] = true
-	a.record(journal.Record{Kind: journal.KindMarkOverloaded, Addr: addr})
-	a.tel.marksOverloaded.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		// The previous mapping is still valid — overloaded nodes are
-		// degraded, not gone — so keep it rather than publish nothing.
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s marked overloaded, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// MarkRecovered clears addr's overload mark and re-arbitrates so jobs can
-// spread back onto it. Marking a node that is not overloaded is a no-op.
-func (a *Arbiter) MarkRecovered(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if !a.overloaded[addr] {
-		return nil
-	}
-	delete(a.overloaded, addr)
-	a.record(journal.Record{Kind: journal.KindMarkRecovered, Addr: addr})
-	a.tel.marksRecovered.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s recovered from overload, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// MarkDegraded quarantines addr as fail-slow (the health scorer saw its
-// latency sustained far above its peers'): like a drain, the node keeps
-// serving whatever already routes to it but re-arbitration stops
-// handing it out, so traffic migrates off under the no-shrink invariant
-// — and unlike a drain it is bounded by the quarantine floor (see
-// WithQuarantine): when excluding the node would leave fewer than
-// floor allocatable nodes, it stays allocatable and is merely
-// deprioritized like an overloaded one, so correlated slowness cannot
-// empty the pool. Marking an already-degraded node is a no-op; marks
-// on down nodes are recorded (they take effect when the node rises);
-// marks on draining nodes are dropped — the drain is a strictly
-// stronger exclusion and the node is leaving anyway.
-func (a *Arbiter) MarkDegraded(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if a.degraded[addr] {
-		return nil
-	}
-	if a.draining[addr] {
-		return nil // drain wins, as with MarkOverloaded
-	}
-	a.degraded[addr] = true
-	a.record(journal.Record{Kind: journal.KindMarkDegraded, Addr: addr})
-	a.tel.quarMarks.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		// The previous mapping is still valid — a slow node is slow, not
-		// gone — so keep it rather than publish nothing.
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s quarantined, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// MarkRestored clears addr's fail-slow mark and re-arbitrates so jobs
-// can spread back onto it. Marking a node that is not degraded is a
-// no-op.
-func (a *Arbiter) MarkRestored(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if !a.degraded[addr] {
-		return nil
-	}
-	delete(a.degraded, addr)
-	a.record(journal.Record{Kind: journal.KindMarkRestored, Addr: addr})
-	a.tel.quarRestores.Inc()
-	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s restored from quarantine, previous mapping kept: %w", addr, err)
-	}
-	return nil
-}
-
-// Degraded returns the addresses currently marked fail-slow, in stable
-// pool order — the marks, not the effective quarantine (a mark held
-// back by the capacity floor is still listed; see Quarantined).
-func (a *Arbiter) Degraded() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.degraded))
-	for _, addr := range a.pool {
-		if a.degraded[addr] {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// IsDegraded reports whether addr carries a fail-slow mark.
-func (a *Arbiter) IsDegraded(addr string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.degraded[addr]
-}
-
-// Quarantined returns the addresses currently excluded from allocation
-// by the gray-failure plane, in stable pool order: the degraded marks
-// minus whatever the capacity floor held back.
-func (a *Arbiter) Quarantined() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	quar := a.quarantinedLocked()
-	out := make([]string, 0, len(quar))
-	for _, addr := range a.pool {
-		if quar[addr] {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// Drain marks addr as leaving the pool gracefully: it stays alive and
-// keeps serving whatever is already in flight, but re-arbitration stops
-// handing it out, so traffic migrates off under the no-shrink invariant
-// (every job keeps its allocated count — on other nodes). Distinct from
-// down (the node is healthy) and from overloaded (the node is never
-// preferred, not merely deprioritized). Draining an already-draining node
-// is a no-op; draining a down node is refused with ErrIONDown. If moving
-// the assignments off addr is infeasible (the solve fails or the rest of
-// the pool cannot absorb them), the drain is rolled back and refused —
-// the caller must not decommission.
-func (a *Arbiter) Drain(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
-	}
-	if a.draining[addr] {
-		return nil
-	}
-	if a.down[addr] {
-		return fmt.Errorf("%w: cannot drain %s", ErrIONDown, addr)
-	}
-	a.draining[addr] = true
-	// Intent first, like JobStarted: a crash mid-migration must leave a
-	// DrainStart in the journal so recovery knows to abort it.
-	a.record(journal.Record{Kind: journal.KindDrainStart, Addr: addr})
-	if len(a.running) > 0 {
+	fx := effects[ev]
+	if len(a.running) > 0 && !(fx.held && prev.Hidden()) {
 		if err := a.rearbitrate(); err != nil {
-			delete(a.draining, addr)
-			a.record(journal.Record{Kind: journal.KindDrainAbort, Addr: addr})
-			a.updatePoolGauges()
-			return fmt.Errorf("arbiter: drain of %s refused, mapping unchanged: %w", addr, err)
+			if fx.rollback {
+				a.nodes[addr] = prev
+				a.record(journal.NodeEvent(addr, nodestate.DrainAbort))
+				a.updatePoolGauges()
+				return fmt.Errorf("arbiter: %s of %s refused, mapping unchanged: %w", ev, addr, err)
+			}
+			if fx.prune {
+				a.publish()
+			}
+			a.tel.keptMappings.Inc()
+			return fmt.Errorf("arbiter: %s on %s recorded, previous mapping kept: %w", ev, addr, err)
 		}
 	}
-	a.tel.drains.Inc()
-	a.updatePoolGauges()
+	if fx.rollback {
+		a.tel.marks[ev].Inc() // past the point of rollback: now it counts
+	}
 	return nil
 }
 
-// AbortDrain cancels a drain in progress and returns addr to the
-// allocatable pool. Aborting a node that is not draining is a no-op (the
-// drain may already have aborted into MarkDown). If the follow-up solve
-// fails the previous mapping stays — it is still valid, the node simply
-// idles until the next successful solve.
-func (a *Arbiter) AbortDrain(addr string) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.inPool(addr) {
-		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
+// apply is Transition without the solve — guard, next state, journal
+// record, counter, gauges, and a Fail's assignment prune — shared with
+// Recover, which applies several events and then solves once. Caller
+// holds the lock.
+func (a *Arbiter) apply(addr string, ev nodestate.Event) (prev nodestate.State, changed bool, err error) {
+	prev, ok := a.nodes[addr]
+	if !ok {
+		return 0, false, fmt.Errorf("%w: %s", ErrUnknownION, addr)
 	}
-	if !a.draining[addr] {
-		return nil
+	next, changed, err := prev.Apply(ev)
+	if err != nil {
+		return prev, false, fmt.Errorf("%w: %s of %s refused", ErrIONDown, ev, addr)
 	}
-	delete(a.draining, addr)
-	a.record(journal.Record{Kind: journal.KindDrainAbort, Addr: addr})
-	a.tel.drainsAborted.Inc()
+	if !changed {
+		return prev, false, nil
+	}
+	a.nodes[addr] = next
+	// Intent first, like JobStarted: a crash before the solve must leave
+	// the event in the journal for recovery to act on.
+	a.record(journal.NodeEvent(addr, ev))
+	if !effects[ev].rollback {
+		a.tel.marks[ev].Inc()
+	}
+	if ev == nodestate.Fail && prev.Has(nodestate.Draining) {
+		a.tel.marks[nodestate.DrainAbort].Inc() // the node died mid-drain
+	}
 	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
+	if effects[ev].prune {
+		for app, addrs := range a.assign {
+			a.assign[app] = without(addrs, addr)
+		}
 	}
-	if err := a.rearbitrate(); err != nil {
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: drain of %s aborted, previous mapping kept: %w", addr, err)
-	}
-	return nil
+	return prev, true, nil
 }
 
 // AddION grows the pool with a freshly provisioned node and re-arbitrates
@@ -724,10 +502,11 @@ func (a *Arbiter) AddION(addr string) error {
 	if addr == "" {
 		return errors.New("arbiter: empty I/O node address")
 	}
-	if a.inPool(addr) {
+	if _, dup := a.nodes[addr]; dup {
 		return fmt.Errorf("arbiter: duplicate I/O node %s", addr)
 	}
 	a.pool = append(a.pool, addr)
+	a.nodes[addr] = 0
 	a.record(journal.Record{Kind: journal.KindAddION, Addr: addr})
 	a.tel.ionsAdded.Inc()
 	a.updatePoolGauges()
@@ -741,8 +520,8 @@ func (a *Arbiter) AddION(addr string) error {
 	return nil
 }
 
-// RemoveION forgets addr entirely — pool membership, down/overloaded/
-// draining marks, everything. It is the terminal step of a drain (or the
+// RemoveION forgets addr entirely — pool membership and every condition
+// it was in. It is the terminal step of a drain (or the
 // disposal of a node that never rose) and is refused with ErrIONAssigned
 // while any job still routes to addr: remove only what arbitration can no
 // longer hand out. No re-arbitration runs — by construction nothing was
@@ -750,45 +529,20 @@ func (a *Arbiter) AddION(addr string) error {
 func (a *Arbiter) RemoveION(addr string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.inPool(addr) {
+	if _, ok := a.nodes[addr]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
 	}
 	for app, addrs := range a.assign {
-		for _, x := range addrs {
-			if x == addr {
-				return fmt.Errorf("%w: %s still routes %s", ErrIONAssigned, addr, app)
-			}
+		if slices.Contains(addrs, addr) {
+			return fmt.Errorf("%w: %s still routes %s", ErrIONAssigned, addr, app)
 		}
 	}
 	a.pool = without(a.pool, addr)
-	delete(a.down, addr)
-	delete(a.overloaded, addr)
-	delete(a.draining, addr)
-	delete(a.degraded, addr)
+	delete(a.nodes, addr)
 	a.record(journal.Record{Kind: journal.KindRemoveION, Addr: addr})
 	a.tel.ionsRemoved.Inc()
 	a.updatePoolGauges()
 	return nil
-}
-
-// Draining returns the addresses currently draining, in stable pool order.
-func (a *Arbiter) Draining() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.draining))
-	for _, addr := range a.pool {
-		if a.draining[addr] {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// IsDraining reports whether addr is draining.
-func (a *Arbiter) IsDraining(addr string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.draining[addr]
 }
 
 // Pool returns the current pool addresses (including down and draining
@@ -811,12 +565,11 @@ func (a *Arbiter) rearbitrate() error {
 	}
 	sort.Slice(apps, func(i, j int) bool { return apps[i].ID < apps[j].ID })
 
-	quar := a.quarantinedLocked()
-	avail := a.availablePool()
+	avail, quar := a.allocatable()
 	if len(avail) == 0 {
 		a.tel.solveErrors.Inc()
 		return fmt.Errorf("%w: %d of %d marked down, %d draining",
-			ErrNoLiveIONs, len(a.down), len(a.pool), len(a.draining))
+			ErrNoLiveIONs, len(a.nodesIn(nodestate.Down)), len(a.pool), len(a.nodesIn(nodestate.Draining)))
 	}
 	start := time.Now()
 	alloc, err := a.pol.Allocate(apps, len(avail))
@@ -837,7 +590,7 @@ func (a *Arbiter) rearbitrate() error {
 	// away from a fail-slow node. The app re-grows in phase 2, which
 	// hands out healthy capacity first.
 	next := make(map[string][]string, len(alloc))
-	used := map[string]bool{}
+	used := make(map[string]struct{})
 	for _, app := range apps {
 		want := alloc[app.ID]
 		cur := a.assign[app.ID]
@@ -846,29 +599,21 @@ func (a *Arbiter) rearbitrate() error {
 			if len(keep) == want {
 				break
 			}
-			if !a.down[addr] && !a.overloaded[addr] && !a.draining[addr] && !quar[addr] {
+			if st := a.nodes[addr]; !st.Hidden() && !st.Has(nodestate.Overloaded) && !slices.Contains(quar, addr) {
 				keep = append(keep, addr)
 			}
 		}
 		next[app.ID] = keep
 		for _, addr := range keep {
-			used[addr] = true
+			used[addr] = struct{}{}
 		}
 	}
-	// Phase 2: grow from the free available pool in stable pool order,
-	// healthy nodes first — overloaded ones, and degraded ones the
-	// quarantine floor held back, are appended last so they absorb load
-	// only when the healthy pool cannot cover the allocation (capacity
-	// is deprioritized, never destroyed). Draining and quarantined
-	// nodes are not in the available pool at all.
+	// Phase 2: grow from the free available pool in hand-out order —
+	// healthy nodes first, deprioritized ones last (see allocatable).
+	// Draining and quarantined nodes are not in the available pool at all.
 	free := make([]string, 0, len(avail))
 	for _, addr := range avail {
-		if !used[addr] && !a.overloaded[addr] && !a.degraded[addr] {
-			free = append(free, addr)
-		}
-	}
-	for _, addr := range avail {
-		if !used[addr] && (a.overloaded[addr] || a.degraded[addr]) {
+		if _, kept := used[addr]; !kept {
 			free = append(free, addr)
 		}
 	}

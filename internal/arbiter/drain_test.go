@@ -1,15 +1,17 @@
 package arbiter
 
-// Elasticity tests: the graceful drain state (exclusion under the
-// no-shrink invariant, rollback on infeasibility, interleavings with the
-// down and overloaded marks) and dynamic pool membership (AddION /
-// RemoveION), plus the idempotency table for every mark transition.
+// Elasticity tests: the graceful drain (exclusion under the no-shrink
+// invariant, rollback on infeasibility) and dynamic pool membership
+// (AddION / RemoveION). What a drain does to and with the other
+// conditions, and every idempotent repeat, is the state × event table's
+// business (transition_test.go).
 
 import (
 	"errors"
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -32,7 +34,7 @@ func TestDrainExcludesNodeKeepsAllocationCount(t *testing.T) {
 	victim := got[0]
 	want := len(got)
 
-	if err := arb.Drain(victim); err != nil {
+	if err := arb.Transition(victim, nodestate.DrainStart); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	cur := arb.Current()["ior1"]
@@ -47,10 +49,10 @@ func TestDrainExcludesNodeKeepsAllocationCount(t *testing.T) {
 			t.Fatalf("published mapping routes to the draining node: %v", bus.Current().For("ior1"))
 		}
 	}
-	if d := arb.Draining(); len(d) != 1 || d[0] != victim {
+	if d := arb.NodesIn(nodestate.Draining); len(d) != 1 || d[0] != victim {
 		t.Fatalf("Draining() = %v, want [%s]", d, victim)
 	}
-	if !arb.IsDraining(victim) {
+	if !nodeIn(arb, victim, nodestate.Draining) {
 		t.Fatal("IsDraining(victim) = false")
 	}
 	if got := reg.Counter("arbiter_drains_started_total").Value(); got != 1 {
@@ -84,134 +86,17 @@ func TestDrainRefusedWhenInfeasible(t *testing.T) {
 	}
 	only := arb.Pool()[0]
 	before := arb.Current()
-	if err := arb.Drain(only); err == nil {
+	if err := arb.Transition(only, nodestate.DrainStart); err == nil {
 		t.Fatal("draining the only node with a running job must be refused")
 	} else if !errors.Is(err, ErrNoLiveIONs) {
 		t.Fatalf("want ErrNoLiveIONs, got %v", err)
 	}
-	if arb.IsDraining(only) {
+	if nodeIn(arb, only, nodestate.Draining) {
 		t.Fatal("refused drain left the draining mark set")
 	}
 	after := arb.Current()
 	if len(after["ior1"]) != len(before["ior1"]) {
 		t.Fatalf("refused drain changed the mapping: %v → %v", before, after)
-	}
-}
-
-func TestDrainOfDownNodeRefused(t *testing.T) {
-	arb, err := New(policy.MCKP{}, addrs(3), mapping.NewBus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := arb.MarkDown(arb.Pool()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := arb.Drain(arb.Pool()[0]); !errors.Is(err, ErrIONDown) {
-		t.Fatalf("want ErrIONDown, got %v", err)
-	}
-	if err := arb.Drain("nobody:1"); !errors.Is(err, ErrUnknownION) {
-		t.Fatalf("want ErrUnknownION, got %v", err)
-	}
-}
-
-func TestMarkDownAbortsDrain(t *testing.T) {
-	// The ION dies mid-drain: the graceful exit must collapse cleanly
-	// into the hard one — draining mark cleared, down mark set, one
-	// aborted-drain count, mapping still avoiding the node.
-	reg := telemetry.New()
-	arb, err := New(policy.MCKP{}, addrs(4), mapping.NewBus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	arb.Instrument(reg)
-	if _, err := arb.JobStarted(app(t, "IOR-MPI", "ior1")); err != nil {
-		t.Fatal(err)
-	}
-	victim := arb.Pool()[0]
-	if err := arb.Drain(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := arb.MarkDown(victim); err != nil {
-		t.Fatalf("MarkDown mid-drain: %v", err)
-	}
-	if arb.IsDraining(victim) {
-		t.Fatal("down node still marked draining")
-	}
-	if down := arb.Down(); len(down) != 1 || down[0] != victim {
-		t.Fatalf("Down() = %v, want [%s]", down, victim)
-	}
-	if got := reg.Counter("arbiter_drains_aborted_total").Value(); got != 1 {
-		t.Fatalf("arbiter_drains_aborted_total = %d, want 1", got)
-	}
-	if got := reg.Gauge("arbiter_ions_draining").Value(); got != 0 {
-		t.Fatalf("arbiter_ions_draining = %d, want 0", got)
-	}
-	// The node can come back as a normal member afterwards.
-	if err := arb.MarkUp(victim); err != nil {
-		t.Fatalf("MarkUp after aborted drain: %v", err)
-	}
-}
-
-func TestMarkOverloadedOnDrainingNodeIsNoOp(t *testing.T) {
-	// Drain wins: an overload signal for a node already excluded from
-	// every allocation must not flip state or re-arbitrate.
-	reg := telemetry.New()
-	arb, err := New(policy.MCKP{}, addrs(4), mapping.NewBus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	arb.Instrument(reg)
-	if _, err := arb.JobStarted(app(t, "IOR-MPI", "ior1")); err != nil {
-		t.Fatal(err)
-	}
-	victim := arb.Pool()[0]
-	if err := arb.Drain(victim); err != nil {
-		t.Fatal(err)
-	}
-	solves := reg.Counter("arbiter_solves_total").Value()
-	if err := arb.MarkOverloaded(victim); err != nil {
-		t.Fatalf("MarkOverloaded on draining node: %v", err)
-	}
-	if got := len(arb.Overloaded()); got != 0 {
-		t.Fatalf("draining node became overloaded: %v", arb.Overloaded())
-	}
-	if got := reg.Counter("arbiter_marked_overloaded_total").Value(); got != 0 {
-		t.Fatalf("arbiter_marked_overloaded_total = %d, want 0", got)
-	}
-	if got := reg.Counter("arbiter_solves_total").Value(); got != solves {
-		t.Fatalf("MarkOverloaded on draining node re-arbitrated: %d solves, want %d", got, solves)
-	}
-}
-
-func TestAbortDrainReturnsNodeToPool(t *testing.T) {
-	reg := telemetry.New()
-	arb, err := New(policy.MCKP{}, addrs(2), mapping.NewBus())
-	if err != nil {
-		t.Fatal(err)
-	}
-	arb.Instrument(reg)
-	if _, err := arb.JobStarted(app(t, "IOR-MPI", "ior1")); err != nil {
-		t.Fatal(err)
-	}
-	victim := arb.Pool()[0]
-	if err := arb.Drain(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := arb.AbortDrain(victim); err != nil {
-		t.Fatalf("AbortDrain: %v", err)
-	}
-	if arb.IsDraining(victim) {
-		t.Fatal("node still draining after abort")
-	}
-	if got := reg.Counter("arbiter_drains_aborted_total").Value(); got != 1 {
-		t.Fatalf("arbiter_drains_aborted_total = %d, want 1", got)
-	}
-	// Aborting a non-draining node is a no-op, not an error.
-	if err := arb.AbortDrain(victim); err != nil {
-		t.Fatalf("second AbortDrain: %v", err)
-	}
-	if got := reg.Counter("arbiter_drains_aborted_total").Value(); got != 1 {
-		t.Fatalf("no-op abort counted: %d", got)
 	}
 }
 
@@ -265,7 +150,7 @@ func TestRemoveIONRefusedWhileAssigned(t *testing.T) {
 		t.Fatalf("want ErrIONAssigned, got %v", err)
 	}
 	// After a drain the node routes nothing and removal succeeds.
-	if err := arb.Drain(busy); err != nil {
+	if err := arb.Transition(busy, nodestate.DrainStart); err != nil {
 		t.Fatal(err)
 	}
 	if err := arb.RemoveION(busy); err != nil {
@@ -274,81 +159,10 @@ func TestRemoveIONRefusedWhileAssigned(t *testing.T) {
 	if got := len(arb.Pool()); got != 1 {
 		t.Fatalf("pool = %d, want 1", got)
 	}
-	if arb.IsDraining(busy) {
+	if nodeIn(arb, busy, nodestate.Draining) {
 		t.Fatal("removed node still tracked as draining")
 	}
 	if err := arb.RemoveION(busy); !errors.Is(err, ErrUnknownION) {
 		t.Fatalf("second RemoveION: want ErrUnknownION, got %v", err)
-	}
-}
-
-// TestMarkIdempotencyTable pins that every state transition is idempotent
-// on repeated calls for the same address: no second re-arbitration, no
-// counter double-count, no gauge drift.
-func TestMarkIdempotencyTable(t *testing.T) {
-	cases := []struct {
-		name    string
-		prep    func(a *Arbiter, addr string) error // reach the state once
-		again   func(a *Arbiter, addr string) error // repeat the call
-		counter string
-	}{
-		{"MarkDown", (*Arbiter).MarkDown, (*Arbiter).MarkDown, "arbiter_marked_down_total"},
-		{"MarkUp", func(a *Arbiter, addr string) error {
-			if err := a.MarkDown(addr); err != nil {
-				return err
-			}
-			return a.MarkUp(addr)
-		}, (*Arbiter).MarkUp, "arbiter_marked_up_total"},
-		{"MarkOverloaded", (*Arbiter).MarkOverloaded, (*Arbiter).MarkOverloaded, "arbiter_marked_overloaded_total"},
-		{"MarkRecovered", func(a *Arbiter, addr string) error {
-			if err := a.MarkOverloaded(addr); err != nil {
-				return err
-			}
-			return a.MarkRecovered(addr)
-		}, (*Arbiter).MarkRecovered, "arbiter_overload_recovered_total"},
-		{"Drain", (*Arbiter).Drain, (*Arbiter).Drain, "arbiter_drains_started_total"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := telemetry.New()
-			bus := mapping.NewBus()
-			arb, err := New(policy.MCKP{}, addrs(6), bus)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arb.Instrument(reg)
-			if _, err := arb.JobStarted(app(t, "IOR-MPI", "ior1")); err != nil {
-				t.Fatal(err)
-			}
-			addr := arb.Pool()[0]
-			if err := tc.prep(arb, addr); err != nil {
-				t.Fatalf("prep: %v", err)
-			}
-			count := reg.Counter(tc.counter).Value()
-			solves := reg.Counter("arbiter_solves_total").Value()
-			version := bus.Current().Version
-			gauges := map[string]int64{}
-			for _, g := range []string{"arbiter_ions_down", "arbiter_ions_live", "arbiter_ions_overloaded", "arbiter_ions_draining"} {
-				gauges[g] = reg.Gauge(g).Value()
-			}
-
-			if err := tc.again(arb, addr); err != nil {
-				t.Fatalf("repeat: %v", err)
-			}
-			if got := reg.Counter(tc.counter).Value(); got != count {
-				t.Fatalf("%s drifted on repeat: %d → %d", tc.counter, count, got)
-			}
-			if got := reg.Counter("arbiter_solves_total").Value(); got != solves {
-				t.Fatalf("repeated call re-arbitrated: %d solves, want %d", got, solves)
-			}
-			if got := bus.Current().Version; got != version {
-				t.Fatalf("repeated call published: version %d → %d", version, got)
-			}
-			for g, want := range gauges {
-				if got := reg.Gauge(g).Value(); got != want {
-					t.Fatalf("gauge %s drifted on repeat: %d → %d", g, want, got)
-				}
-			}
-		})
 	}
 }

@@ -3,10 +3,12 @@ package arbiter
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/journal"
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
@@ -47,27 +49,16 @@ func (a *Arbiter) record(r journal.Record) {
 }
 
 // stateLocked captures the arbiter's full control-plane state as a
-// journal snapshot. Membership sets are sorted (journal.State's
-// convention); the arbiter re-sorts its pool on recovery anyway, so the
-// stable pool order survives round trips. Caller holds a.mu.
+// journal snapshot. The pool is sorted (journal.State's convention); the
+// arbiter re-sorts its pool on recovery anyway, so the stable pool order
+// survives round trips. Healthy nodes are left out of Nodes, exactly as
+// the journal's own fold leaves them out. Caller holds a.mu.
 func (a *Arbiter) stateLocked() journal.State {
 	st := journal.State{Epoch: a.epoch}
 	st.Pool = append([]string(nil), a.pool...)
 	sort.Strings(st.Pool)
-	for _, addr := range st.Pool {
-		if a.down[addr] {
-			st.Down = append(st.Down, addr)
-		}
-		if a.overloaded[addr] {
-			st.Overloaded = append(st.Overloaded, addr)
-		}
-		if a.draining[addr] {
-			st.Draining = append(st.Draining, addr)
-		}
-		if a.degraded[addr] {
-			st.Degraded = append(st.Degraded, addr)
-		}
-	}
+	st.Nodes = maps.Clone(a.nodes)
+	maps.DeleteFunc(st.Nodes, func(_ string, ns nodestate.State) bool { return ns == 0 })
 	ids := make([]string, 0, len(a.running))
 	for id := range a.running {
 		ids = append(ids, id)
@@ -159,7 +150,7 @@ type RecoverConfig struct {
 
 // Recover rebuilds an arbiter from a replayed journal and reconciles it
 // against reality: journaled pool members that no longer answer probes
-// are marked down (their allocations pruned), half-finished drains are
+// take a Fail (their allocations pruned), half-finished drains are
 // aborted (the scaler re-decides with live information), and the
 // surviving assignment is republished under the no-shrink invariant —
 // every recovered job keeps its allocated node count, preferentially on
@@ -168,8 +159,8 @@ type RecoverConfig struct {
 // guarantee that a client still routing on a pre-crash mapping can never
 // land a write on a reassigned I/O node.
 //
-// A solve failure during the republish is advisory, exactly as on the
-// MarkDown path: the pruned pre-crash mapping is published (it is safe —
+// A solve failure during the republish is advisory, exactly as for a live
+// Fail: the pruned pre-crash mapping is published (it is safe —
 // nothing routes to a dead node) and the error reports the degradation.
 func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	if cfg.Journal == nil {
@@ -192,17 +183,10 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	defer a.mu.Unlock()
 	a.jn = cfg.Journal
 	a.epoch = st.Epoch
-	for _, addr := range st.Down {
-		a.down[addr] = true
-	}
-	for _, addr := range st.Overloaded {
-		a.overloaded[addr] = true
-	}
-	for _, addr := range st.Draining {
-		a.draining[addr] = true
-	}
-	for _, addr := range st.Degraded {
-		a.degraded[addr] = true
+	for addr, ns := range st.Nodes {
+		if _, member := a.nodes[addr]; member {
+			a.nodes[addr] = ns
+		}
 	}
 	for _, ja := range st.Running {
 		app := appFromRecord(ja)
@@ -214,40 +198,26 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 		}
 	}
 
-	// Reconcile membership against reality: nodes that died during the
-	// blackout are marked down and pruned from every allocation before
-	// the first solve, so the invariant "no job maps to a dead node"
-	// holds on the very first recovery publish.
+	// Reconcile membership against reality with the transitions a live
+	// arbiter would run — apply is Transition without the solve, which
+	// happens once, below (and cannot fail here: the addresses are pool
+	// members and neither event is ever refused). Nodes that died during
+	// the blackout take a Fail, which prunes them from every allocation,
+	// so "no job maps to a dead node" holds on the first recovery publish.
 	if cfg.Probe != nil {
 		for _, addr := range a.pool {
-			if a.down[addr] || cfg.Probe(addr) {
-				continue
+			if !a.nodes[addr].Has(nodestate.Down) && !cfg.Probe(addr) {
+				a.apply(addr, nodestate.Fail)
 			}
-			if a.draining[addr] {
-				delete(a.draining, addr)
-				a.tel.drainsAborted.Inc()
-			}
-			a.down[addr] = true
-			for app, addrs := range a.assign {
-				a.assign[app] = without(addrs, addr)
-			}
-			a.tel.marksDown.Inc()
-			a.record(journal.Record{Kind: journal.KindMarkDown, Addr: addr})
 		}
 	}
 	// Abort half-finished drains: the pre-crash arbiter was migrating
 	// traffic off these nodes, but whoever was waiting for quiescence is
 	// gone. Returning them to the allocatable pool is always safe; the
-	// scaler re-decides with live information.
-	draining := make([]string, 0, len(a.draining))
-	for addr := range a.draining {
-		draining = append(draining, addr)
-	}
-	sort.Strings(draining)
-	for _, addr := range draining {
-		delete(a.draining, addr)
-		a.tel.drainsAborted.Inc()
-		a.record(journal.Record{Kind: journal.KindDrainAbort, Addr: addr})
+	// scaler re-decides with live information. (A no-op, as ever, on a
+	// node that is not draining.)
+	for _, addr := range a.pool {
+		a.apply(addr, nodestate.DrainAbort)
 	}
 	a.updatePoolGauges()
 	a.tel.jobsRunning.Set(int64(len(a.running)))

@@ -1,6 +1,6 @@
 package arbiter
 
-// Gray-failure quarantine tests: MarkDegraded excludes a fail-slow node
+// Gray-failure quarantine tests: a Slow event excludes a fail-slow node
 // from new allocations like a drain (serving but not allocatable),
 // bounded by the capacity floor so correlated slowness degrades to
 // deprioritization instead of an empty pool.
@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 )
@@ -32,7 +33,7 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 	slow := got[0]
 	versionBefore := bus.Current().Version
 
-	if err := arb.MarkDegraded(slow); err != nil {
+	if err := arb.Transition(slow, nodestate.Slow); err != nil {
 		t.Fatalf("MarkDegraded: %v", err)
 	}
 	// The job moved off the slow node but kept its full allocation width
@@ -47,16 +48,16 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 		t.Fatal("MarkDegraded must publish the re-arbitrated mapping")
 	}
 	// Quarantine is not down, not overloaded, not draining.
-	if down := arb.Down(); len(down) != 0 {
+	if down := arb.NodesIn(nodestate.Down); len(down) != 0 {
 		t.Fatalf("quarantine leaked into the down set: %v", down)
 	}
-	if ovl := arb.Overloaded(); len(ovl) != 0 {
+	if ovl := arb.NodesIn(nodestate.Overloaded); len(ovl) != 0 {
 		t.Fatalf("quarantine leaked into the overloaded set: %v", ovl)
 	}
-	if dr := arb.Draining(); len(dr) != 0 {
+	if dr := arb.NodesIn(nodestate.Draining); len(dr) != 0 {
 		t.Fatalf("quarantine leaked into the draining set: %v", dr)
 	}
-	if dg := arb.Degraded(); len(dg) != 1 || dg[0] != slow {
+	if dg := arb.NodesIn(nodestate.Degraded); len(dg) != 1 || dg[0] != slow {
 		t.Fatalf("Degraded() = %v, want [%s]", dg, slow)
 	}
 	if q := arb.Quarantined(); len(q) != 1 || q[0] != slow {
@@ -73,7 +74,7 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 	}
 
 	// Idempotent re-mark.
-	if err := arb.MarkDegraded(slow); err != nil {
+	if err := arb.Transition(slow, nodestate.Slow); err != nil {
 		t.Fatalf("second MarkDegraded: %v", err)
 	}
 	if got := reg.Counter("arbiter_quarantine_marked_total").Value(); got != 1 {
@@ -81,7 +82,7 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 	}
 
 	// Restore re-admits the node to the allocatable pool.
-	if err := arb.MarkRestored(slow); err != nil {
+	if err := arb.Transition(slow, nodestate.Restore); err != nil {
 		t.Fatalf("MarkRestored: %v", err)
 	}
 	if got := reg.Counter("arbiter_quarantine_restored_total").Value(); got != 1 {
@@ -90,7 +91,7 @@ func TestMarkDegradedQuarantinesAndRestores(t *testing.T) {
 	if q := arb.Quarantined(); len(q) != 0 {
 		t.Fatalf("Quarantined() after restore = %v", q)
 	}
-	if err := arb.MarkRestored(slow); err != nil { // idempotent
+	if err := arb.Transition(slow, nodestate.Restore); err != nil { // idempotent
 		t.Fatalf("second MarkRestored: %v", err)
 	}
 	if got := reg.Counter("arbiter_quarantine_restored_total").Value(); got != 1 {
@@ -116,11 +117,11 @@ func TestQuarantineFloorHoldsCapacity(t *testing.T) {
 	}
 	width := len(arb.Current()["ior1"])
 	for _, addr := range pool {
-		if err := arb.MarkDegraded(addr); err != nil {
+		if err := arb.Transition(addr, nodestate.Slow); err != nil {
 			t.Fatalf("MarkDegraded(%s): %v", addr, err)
 		}
 	}
-	if dg := arb.Degraded(); len(dg) != 3 {
+	if dg := arb.NodesIn(nodestate.Degraded); len(dg) != 3 {
 		t.Fatalf("Degraded() = %v, want all 3 marks recorded", dg)
 	}
 	// Only the first node (stable pool order) is effectively quarantined.
@@ -146,74 +147,31 @@ func TestQuarantineFloorHoldsCapacity(t *testing.T) {
 	}
 }
 
-// TestQuarantineInterplay pins the state lattice against the stronger
-// planes: down holds the degraded mark without double-excluding, drain
-// wins over a later mark, and a mark on a down node takes effect when
-// the node rises.
-func TestQuarantineInterplay(t *testing.T) {
-	bus := mapping.NewBus()
-	arb, err := New(policy.MCKP{}, addrs(4), bus)
+// TestQuarantineMarkForgottenOnRemoveION: RemoveION forgets the node's
+// conditions with its membership, so an address that is removed and
+// added back starts healthy. (How the degraded mark interleaves with
+// down and draining is in the state × event table, transition_test.go.)
+func TestQuarantineMarkForgottenOnRemoveION(t *testing.T) {
+	arb, err := New(policy.MCKP{}, addrs(4), mapping.NewBus())
 	if err != nil {
 		t.Fatal(err)
 	}
 	arb.Instrument(telemetry.New()).WithQuarantine(1)
-	pool := arb.Pool()
-
-	// Degrade then down: the mark persists, the down exclusion rules.
-	if err := arb.MarkDegraded(pool[0]); err != nil {
+	node := arb.Pool()[2]
+	if err := arb.Transition(node, nodestate.Slow); err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.MarkDown(pool[0]); err != nil {
+	if err := arb.RemoveION(node); err != nil {
 		t.Fatal(err)
 	}
-	if !arb.IsDegraded(pool[0]) {
-		t.Fatal("down cleared the degraded mark; it must persist")
+	if _, ok := arb.StateOf(node); ok {
+		t.Fatal("removed node still has a state")
 	}
-	if q := arb.Quarantined(); len(q) != 0 {
-		t.Fatalf("down node counted as quarantined: %v", q)
-	}
-	// It rises still degraded: quarantine resumes.
-	if err := arb.MarkUp(pool[0]); err != nil {
+	if err := arb.AddION(node); err != nil {
 		t.Fatal(err)
 	}
-	if q := arb.Quarantined(); len(q) != 1 || q[0] != pool[0] {
-		t.Fatalf("Quarantined() after rise = %v, want [%s]", q, pool[0])
-	}
-	if err := arb.MarkRestored(pool[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drain wins: a mark on a draining node is dropped.
-	if err := arb.Drain(pool[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := arb.MarkDegraded(pool[1]); err != nil {
-		t.Fatal(err)
-	}
-	if arb.IsDegraded(pool[1]) {
-		t.Fatal("degraded mark stuck to a draining node; drain is stronger")
-	}
-
-	// Unknown address is refused.
-	if err := arb.MarkDegraded("nope:1"); err == nil {
-		t.Fatal("MarkDegraded on an unknown node must fail")
-	}
-	if err := arb.MarkRestored("nope:1"); err == nil {
-		t.Fatal("MarkRestored on an unknown node must fail")
-	}
-
-	// RemoveION forgets the mark entirely.
-	if err := arb.MarkDegraded(pool[2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := arb.RemoveION(pool[2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := arb.AddION(pool[2]); err != nil {
-		t.Fatal(err)
-	}
-	if arb.IsDegraded(pool[2]) {
-		t.Fatal("degraded mark survived RemoveION + AddION")
+	if st, ok := arb.StateOf(node); !ok || st != 0 {
+		t.Fatalf("degraded mark survived RemoveION + AddION: %v (member %v)", st, ok)
 	}
 }
 
@@ -230,9 +188,9 @@ func TestQuarantineSeriesAbsentWithoutOptIn(t *testing.T) {
 	if _, err := arb.JobStarted(app(t, "IOR-MPI", "ior1")); err != nil {
 		t.Fatal(err)
 	}
-	// MarkDegraded still works without the opt-in chain (default floor
+	// A Slow event still works without the opt-in chain (default floor
 	// 1); it just stays un-instrumented.
-	if err := arb.MarkDegraded(arb.Pool()[0]); err != nil {
+	if err := arb.Transition(arb.Pool()[0], nodestate.Slow); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

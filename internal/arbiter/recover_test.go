@@ -2,11 +2,13 @@ package arbiter
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/journal"
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
 	"repro/internal/units"
@@ -61,10 +63,10 @@ func TestRecoverReplaysJournaledState(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := arb.Pool()
-	if err := arb.MarkDown(pool[11]); err != nil {
+	if err := arb.Transition(pool[11], nodestate.Fail); err != nil {
 		t.Fatal(err)
 	}
-	if err := arb.MarkOverloaded(pool[10]); err != nil {
+	if err := arb.Transition(pool[10], nodestate.Hot); err != nil {
 		t.Fatal(err)
 	}
 	before := arb.Current()
@@ -81,10 +83,10 @@ func TestRecoverReplaysJournaledState(t *testing.T) {
 	if !reflect.DeepEqual(gotPool, wantPool) {
 		t.Fatalf("pool lost in recovery:\n  got  %v\n  want %v", gotPool, wantPool)
 	}
-	if got := rec.Down(); len(got) != 1 || got[0] != pool[11] {
+	if got := rec.NodesIn(nodestate.Down); len(got) != 1 || got[0] != pool[11] {
 		t.Fatalf("down marks lost: %v", got)
 	}
-	if got := rec.Overloaded(); len(got) != 1 || got[0] != pool[10] {
+	if got := rec.NodesIn(nodestate.Overloaded); len(got) != 1 || got[0] != pool[10] {
 		t.Fatalf("overload marks lost: %v", got)
 	}
 	after := rec.Current()
@@ -123,7 +125,7 @@ func TestRecoverPrunesDeadIONs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if got := rec.Down(); len(got) != 1 || got[0] != victim {
+	if got := rec.NodesIn(nodestate.Down); len(got) != 1 || got[0] != victim {
 		t.Fatalf("dead node not marked down: %v", got)
 	}
 	for job, list := range rec.Current() {
@@ -152,7 +154,7 @@ func TestRecoverAbortsDrains(t *testing.T) {
 	}
 	var victim string
 	for _, addr := range arb.Pool() {
-		if !journal.Has(arb.Current()["ior1"], addr) {
+		if !slices.Contains(arb.Current()["ior1"], addr) {
 			victim = addr
 			break
 		}
@@ -160,7 +162,7 @@ func TestRecoverAbortsDrains(t *testing.T) {
 	if victim == "" {
 		victim = arb.Pool()[0]
 	}
-	if err := arb.Drain(victim); err != nil {
+	if err := arb.Transition(victim, nodestate.DrainStart); err != nil {
 		t.Fatal(err)
 	}
 	jn.Close() // crash mid-drain
@@ -169,7 +171,7 @@ func TestRecoverAbortsDrains(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if rec.IsDraining(victim) {
+	if nodeIn(rec, victim, nodestate.Draining) {
 		t.Fatal("drain survived the crash; recovery must abort it")
 	}
 	// Ledger balance, read straight from the on-disk journal.

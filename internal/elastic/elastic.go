@@ -9,7 +9,7 @@
 //	                  │
 //	                  └─(rise deadline passes)─→ rolled back, disposed
 //
-//	member ─(Drain)─→ draining ─(quiesced N sweeps, or deadline)─→ gone
+//	member ─(DrainStart)─→ draining ─(quiesced N sweeps, or deadline)─→ gone
 //	                  │
 //	                  └─(node dies, or still assigned)─→ drain aborted
 //
@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/telemetry"
 )
 
@@ -48,24 +49,25 @@ type Provisioner interface {
 }
 
 // Pool is the arbiter surface the scaler drives (implemented by
-// *arbiter.Arbiter).
+// *arbiter.Arbiter): membership, and the two drain events through
+// Transition.
 type Pool interface {
 	AddION(addr string) error
-	Drain(addr string) error
-	AbortDrain(addr string) error
 	RemoveION(addr string) error
-	IsDraining(addr string) bool
+	Transition(addr string, ev nodestate.Event) error
 }
 
 // Health is the liveness surface the scaler reads and grows (implemented
-// by *health.Prober). Load reports the last sampled queue depth per node
-// that is currently up; LoadAges reports how old each of those samples is
-// (nodes never sampled are absent), so the scaler can refuse to act on
-// evidence from before a probe blackout.
+// by *health.Prober). Add's second argument seeds the node's debounced
+// state (nodestate.Down: not trusted until it rises). Load reports the
+// last sampled queue depth per node that is currently up; LoadAges
+// reports how old each of those samples is (nodes never sampled are
+// absent), so the scaler can refuse to act on evidence from before a
+// probe blackout.
 type Health interface {
-	Add(addr string, up bool) error
+	Add(addr string, initial nodestate.State) error
 	Remove(addr string)
-	IsUp(addr string) bool
+	StateOf(addr string) (nodestate.State, bool)
 	Load() map[string]int64
 	LoadAges() map[string]time.Duration
 }
@@ -377,12 +379,18 @@ func (s *Scaler) Members() []string {
 	return out
 }
 
+// isUp reports whether the health plane knows addr and sees it answering.
+func (s *Scaler) isUp(addr string) bool {
+	st, ok := s.health.StateOf(addr)
+	return ok && !st.Has(nodestate.Down)
+}
+
 // advanceProvisioning promotes provisioned nodes that passed their first
 // health rise and rolls back the ones that did not make the deadline.
 // Caller holds the lock.
 func (s *Scaler) advanceProvisioning(now time.Time) {
 	for addr, ps := range s.provisioning {
-		if s.health.IsUp(addr) {
+		if s.isUp(addr) {
 			// First rise achieved: the node is trusted, hand it to the
 			// arbiter. AddION's only failure modes are a duplicate (we
 			// never add twice) and an advisory solve failure that still
@@ -413,14 +421,14 @@ func (s *Scaler) advanceProvisioning(now time.Time) {
 // lock.
 func (s *Scaler) advanceDraining(now time.Time) {
 	for addr, ds := range s.draining {
-		if !s.health.IsUp(addr) {
-			// Died mid-drain. The prober's MarkDown already aborted the
-			// arbiter-side drain (AbortDrain below is a no-op then, and a
+		if !s.isUp(addr) {
+			// Died mid-drain. The prober's Fail already ended the
+			// arbiter-side drain (DrainAbort below is a no-op then, and a
 			// consistency repair if the arbiter callback has not fired
 			// yet). The node stays a member, down — warm restart may
 			// revive it; decommissioning a corpse we still count would
 			// strand its comeback.
-			_ = s.pool.AbortDrain(addr)
+			_ = s.pool.Transition(addr, nodestate.DrainAbort)
 			delete(s.draining, addr)
 			s.tel.drainsAborted.Inc()
 			continue
@@ -449,7 +457,7 @@ func (s *Scaler) completeDrain(addr string) {
 	if err := s.pool.RemoveION(addr); err != nil {
 		// Still assigned — a solve raced the drain. Never yank a routed
 		// node: put it back and let a later decision try again.
-		_ = s.pool.AbortDrain(addr)
+		_ = s.pool.Transition(addr, nodestate.DrainAbort)
 		delete(s.draining, addr)
 		s.tel.drainsAborted.Inc()
 		return
@@ -549,7 +557,7 @@ func (s *Scaler) decide(now time.Time) {
 		}
 		drained := 0
 		for _, addr := range s.victims(depths, step) {
-			if err := s.pool.Drain(addr); err != nil {
+			if err := s.pool.Transition(addr, nodestate.DrainStart); err != nil {
 				// The arbiter refused (infeasible move, node just died,
 				// …): respect it and stop — conditions that block one
 				// drain block them all this tick.
@@ -611,7 +619,7 @@ func (s *Scaler) provision(now time.Time) bool {
 	}
 	// Probe the newcomer pessimistically: it must rise on its own merits
 	// before the arbiter may route to it.
-	if err := s.health.Add(addr, false); err != nil {
+	if err := s.health.Add(addr, nodestate.Down); err != nil {
 		_ = s.prov.Decommission(addr)
 		s.tel.provFailures.Inc()
 		s.provisionFailed(now)

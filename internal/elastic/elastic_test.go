@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/telemetry"
 )
 
@@ -36,16 +37,19 @@ func (p *fakePool) AddION(addr string) error {
 	p.adds = append(p.adds, addr)
 	return nil
 }
-func (p *fakePool) Drain(addr string) error {
-	if p.drainErr != nil {
-		return p.drainErr
+func (p *fakePool) Transition(addr string, ev nodestate.Event) error {
+	switch ev {
+	case nodestate.DrainStart:
+		if p.drainErr != nil {
+			return p.drainErr
+		}
+		p.draining[addr] = true
+	case nodestate.DrainAbort:
+		delete(p.draining, addr)
+		p.aborts = append(p.aborts, addr)
+	default:
+		return fmt.Errorf("the scaler sent %v: only the drain events are its to send", ev)
 	}
-	p.draining[addr] = true
-	return nil
-}
-func (p *fakePool) AbortDrain(addr string) error {
-	delete(p.draining, addr)
-	p.aborts = append(p.aborts, addr)
 	return nil
 }
 func (p *fakePool) RemoveION(addr string) error {
@@ -56,7 +60,6 @@ func (p *fakePool) RemoveION(addr string) error {
 	p.removes = append(p.removes, addr)
 	return nil
 }
-func (p *fakePool) IsDraining(addr string) bool { return p.draining[addr] }
 
 // fakeHealth is a hand-set liveness/load plane.
 type fakeHealth struct {
@@ -73,10 +76,11 @@ func newFakeHealth() *fakeHealth {
 		age: map[string]time.Duration{}, added: map[string]bool{},
 	}
 }
-func (h *fakeHealth) Add(addr string, up bool) error {
+func (h *fakeHealth) Add(addr string, initial nodestate.State) error {
 	if _, dup := h.up[addr]; dup {
 		return errors.New("duplicate")
 	}
+	up := !initial.Has(nodestate.Down)
 	h.up[addr] = up
 	h.added[addr] = up
 	return nil
@@ -86,7 +90,13 @@ func (h *fakeHealth) Remove(addr string) {
 	delete(h.depth, addr)
 	h.removed = append(h.removed, addr)
 }
-func (h *fakeHealth) IsUp(addr string) bool { return h.up[addr] }
+func (h *fakeHealth) StateOf(addr string) (nodestate.State, bool) {
+	up, ok := h.up[addr]
+	if ok && !up {
+		return nodestate.Down, true
+	}
+	return 0, ok
+}
 func (h *fakeHealth) Load() map[string]int64 {
 	out := map[string]int64{}
 	for addr, up := range h.up {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
@@ -26,7 +27,7 @@ func TestAddStartsPessimisticAndRises(t *testing.T) {
 		Timeout:       100 * time.Millisecond,
 		FailThreshold: 2,
 		RiseThreshold: 2,
-		OnTransition:  col.add,
+		OnEvent:       col.add,
 		Telemetry:     reg,
 	})
 	if err != nil {
@@ -34,10 +35,10 @@ func TestAddStartsPessimisticAndRises(t *testing.T) {
 	}
 	defer p.Stop()
 
-	if err := p.Add(addrB, false); err != nil {
+	if err := p.Add(addrB, nodestate.Down); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	if p.IsUp(addrB) {
+	if isUp(p, addrB) {
 		t.Fatal("pessimistically added node reported up before any ping")
 	}
 	if got := reg.Gauge("health_ions_up").Value(); got != 1 {
@@ -45,22 +46,22 @@ func TestAddStartsPessimisticAndRises(t *testing.T) {
 	}
 
 	p.ProbeOnce() // rise 1 of 2
-	if p.IsUp(addrB) {
+	if isUp(p, addrB) {
 		t.Fatal("node rose before RiseThreshold")
 	}
 	p.ProbeOnce() // rise 2 of 2
-	if !p.IsUp(addrB) {
+	if !isUp(p, addrB) {
 		t.Fatal("node did not rise after RiseThreshold successful pings")
 	}
 	trs := col.all()
-	if len(trs) != 1 || trs[0].Addr != addrB || !trs[0].Up {
-		t.Fatalf("transitions = %v, want one up for %s", trs, addrB)
+	if len(trs) != 1 || trs[0] != (Event{addrB, nodestate.Rise}) {
+		t.Fatalf("events = %v, want one Rise for %s", trs, addrB)
 	}
 	if got := reg.Gauge("health_ions_up").Value(); got != 2 {
 		t.Fatalf("health_ions_up = %d, want 2", got)
 	}
 
-	if err := p.Add(addrB, false); err == nil {
+	if err := p.Add(addrB, nodestate.Down); err == nil {
 		t.Fatal("duplicate Add must fail")
 	}
 }
@@ -84,7 +85,7 @@ func TestRemoveStopsProbingAndSettlesGauges(t *testing.T) {
 
 	p.Remove(addrB)
 	srvB.Close() // a dead removed node must not produce transitions
-	if p.IsUp(addrB) {
+	if isUp(p, addrB) {
 		t.Fatal("removed node still reported up")
 	}
 	if got := reg.Gauge("health_ions_up").Value(); got != 1 {

@@ -11,26 +11,9 @@ import (
 	"time"
 
 	"repro/internal/latency"
+	"repro/internal/nodestate"
 	"repro/internal/telemetry"
 )
-
-// degradeCollector records degradation transitions thread-safely.
-type degradeCollector struct {
-	mu  sync.Mutex
-	dgs []Degradation
-}
-
-func (c *degradeCollector) add(d Degradation) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.dgs = append(c.dgs, d)
-}
-
-func (c *degradeCollector) all() []Degradation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Degradation(nil), c.dgs...)
-}
 
 // seedSketch loads n synthetic samples for addr. Real probe RTTs keep
 // trickling into the same rings during the test (microseconds against a
@@ -50,7 +33,7 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 		addrs = append(addrs, addr)
 	}
 	sk := latency.NewSketch(0)
-	col := &degradeCollector{}
+	col := &collector{}
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:        addrs,
@@ -60,7 +43,7 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 		SlowWindow:   2,
 		SlowRecovery: 3,
 		Latency:      sk,
-		OnDegraded:   col.add,
+		OnEvent:      col.add,
 		Telemetry:    reg,
 	})
 	if err != nil {
@@ -75,18 +58,18 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	seedSketch(sk, addrs[2], 200*time.Millisecond, 60)
 
 	p.ProbeOnce()
-	if p.IsDegraded(addrs[2]) {
+	if in(p, addrs[2], nodestate.Degraded) {
 		t.Fatal("one slow sweep must not mark degraded (SlowWindow=2)")
 	}
 	p.ProbeOnce()
-	if !p.IsDegraded(addrs[2]) {
+	if !in(p, addrs[2], nodestate.Degraded) {
 		t.Fatal("two slow sweeps should mark degraded")
 	}
-	if p.IsDegraded(addrs[0]) || p.IsDegraded(addrs[1]) {
+	if in(p, addrs[0], nodestate.Degraded) || in(p, addrs[1], nodestate.Degraded) {
 		t.Fatal("healthy peers misread as degraded")
 	}
-	if dgs := col.all(); len(dgs) != 1 || !dgs[0].Degraded || dgs[0].Addr != addrs[2] {
-		t.Fatalf("unexpected degradation transitions: %+v", dgs)
+	if dgs := col.all(); len(dgs) != 1 || dgs[0] != (Event{addrs[2], nodestate.Slow}) {
+		t.Fatalf("unexpected degradation events: %+v", dgs)
 	}
 	if got := reg.Counter("health_degraded_transitions_total").Value(); got != 1 {
 		t.Fatalf("health_degraded_transitions_total = %d, want 1", got)
@@ -94,15 +77,12 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	if got := reg.Gauge("health_degraded_ions").Value(); got != 1 {
 		t.Fatalf("health_degraded_ions = %d, want 1", got)
 	}
-	if dl := p.Degraded(); len(dl) != 1 || dl[0] != addrs[2] {
-		t.Fatalf("Degraded() = %v", dl)
-	}
 	// Degraded is not down and not overloaded: the other planes are
 	// untouched — the node answers pings and reports an empty queue.
-	if !p.IsUp(addrs[2]) {
+	if !isUp(p, addrs[2]) {
 		t.Fatal("degraded node must remain up")
 	}
-	if p.IsOverloaded(addrs[2]) {
+	if in(p, addrs[2], nodestate.Overloaded) {
 		t.Fatal("degraded node misread as overloaded")
 	}
 
@@ -112,15 +92,15 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	seedSketch(sk, addrs[2], 10*time.Millisecond, 60)
 	p.ProbeOnce()
 	p.ProbeOnce()
-	if !p.IsDegraded(addrs[2]) {
+	if !in(p, addrs[2], nodestate.Degraded) {
 		t.Fatal("two clean sweeps must not restore (SlowRecovery=3)")
 	}
 	p.ProbeOnce()
-	if p.IsDegraded(addrs[2]) {
+	if in(p, addrs[2], nodestate.Degraded) {
 		t.Fatal("three clean sweeps should restore")
 	}
-	if dgs := col.all(); len(dgs) != 2 || dgs[1].Degraded {
-		t.Fatalf("restore transition missing: %+v", dgs)
+	if dgs := col.all(); len(dgs) != 2 || dgs[1] != (Event{addrs[2], nodestate.Restore}) {
+		t.Fatalf("Restore event missing: %+v", dgs)
 	}
 	if got := reg.Counter("health_degraded_recovered_total").Value(); got != 1 {
 		t.Fatalf("health_degraded_recovered_total = %d, want 1", got)
@@ -159,7 +139,7 @@ func TestDegradedNeedsPeerQuorum(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.ProbeOnce()
 	}
-	if p.IsDegraded(addrs[0]) || p.IsDegraded(addrs[1]) {
+	if in(p, addrs[0], nodestate.Degraded) || in(p, addrs[1], nodestate.Degraded) {
 		t.Fatal("scorer judged without a peer quorum")
 	}
 }
@@ -195,7 +175,7 @@ func TestSlowMinLatencyFloor(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.ProbeOnce()
 	}
-	if p.IsDegraded(addrs[2]) {
+	if in(p, addrs[2], nodestate.Degraded) {
 		t.Fatal("sub-floor median must never degrade")
 	}
 }
@@ -215,15 +195,15 @@ func TestSlowScorerInactiveWithoutFactor(t *testing.T) {
 	seedSketch(sk, addrs[2], time.Minute, 60) // absurdly slow — must be ignored
 	seedSketch(sk, addrs[0], time.Millisecond, 60)
 	seedSketch(sk, addrs[1], time.Millisecond, 60)
-	col := &degradeCollector{}
+	col := &collector{}
 	reg := telemetry.New()
 	p, err := New(Config{
-		Addrs:      addrs,
-		Interval:   time.Second,
-		Timeout:    100 * time.Millisecond,
-		Latency:    sk, // sketch without factor: plane stays off
-		OnDegraded: col.add,
-		Telemetry:  reg,
+		Addrs:     addrs,
+		Interval:  time.Second,
+		Timeout:   100 * time.Millisecond,
+		Latency:   sk, // sketch without factor: plane stays off
+		OnEvent:   col.add,
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +212,7 @@ func TestSlowScorerInactiveWithoutFactor(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.ProbeOnce()
 	}
-	if p.IsDegraded(addrs[2]) || len(col.all()) != 0 {
+	if in(p, addrs[2], nodestate.Degraded) || len(col.all()) != 0 {
 		t.Fatal("scorer ran without a SlowFactor")
 	}
 	snap := reg.Snapshot()

@@ -1,13 +1,14 @@
-// Package health is the liveness plane of the forwarding stack: a
+// Package health is the monitoring plane of the forwarding stack: a
 // heartbeat prober that pings every I/O-node daemon over the existing rpc
-// protocol (OpPing) and publishes up/down transitions.
+// protocol (OpPing), debounces what it sees into nodestate events, and
+// feeds the control plane that one stream (Config.OnEvent).
 //
 // The paper's premise is that forwarding is on-demand and optional — an
 // application with an empty allocation accesses the PFS directly — so an
 // I/O node that stops answering must be *detected* and *removed from the
 // arbitration pool*, not waited on. The prober is the detector half of
-// that loop: the arbiter (MarkDown/MarkUp) is the reactor, and livestack
-// wires the two together through the OnTransition callback.
+// that loop: the arbiter (Transition) is the reactor, and livestack wires
+// the two together through the OnEvent callback.
 //
 // Detection is threshold-debounced in both directions: FailThreshold
 // consecutive failed pings mark a node down (one lost packet is not an
@@ -36,38 +37,20 @@ import (
 	"time"
 
 	"repro/internal/latency"
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
 
-// Transition is one up/down state change of a probed node.
-type Transition struct {
-	// Addr is the I/O-node address whose state changed.
+// Event is one debounced change of a probed node's condition: Fail/Rise
+// from the liveness plane, Hot/Cool from the overload plane (an overloaded
+// node still answers pings: deprioritize it, do not remove it), Slow/
+// Restore from the latency plane (alive, maybe idle, slow next to its peers).
+type Event struct {
+	// Addr is the I/O-node address whose condition changed.
 	Addr string
-	// Up is the new state.
-	Up bool
-}
-
-// Overload is one overloaded/recovered state change of a probed node.
-// Overload is orthogonal to liveness: an overloaded node still answers
-// pings (possibly with a busy response) and keeps serving its current
-// load — it must be *deprioritized* by the arbiter, not removed.
-type Overload struct {
-	// Addr is the I/O-node address whose state changed.
-	Addr string
-	// Overloaded is the new state.
-	Overloaded bool
-}
-
-// Degradation is one degraded/restored state change of a probed node —
-// the gray-failure signal. A degraded node is alive and may be idle;
-// it is just slow relative to its peers, so the arbiter quarantines it
-// from new allocations rather than removing or deprioritizing it.
-type Degradation struct {
-	// Addr is the I/O-node address whose state changed.
-	Addr string
-	// Degraded is the new state.
-	Degraded bool
+	// Kind is what changed, in the vocabulary the arbiter consumes.
+	Kind nodestate.Event
 }
 
 // Config parameterizes a prober.
@@ -90,9 +73,13 @@ type Config struct {
 	// RiseThreshold consecutive successful pings mark a down node back
 	// up; ≤0 selects 1.
 	RiseThreshold int
-	// OnTransition, when non-nil, is invoked synchronously from the probe
-	// goroutine for every up/down transition (e.g. arbiter.MarkDown).
-	OnTransition func(Transition)
+	// OnEvent, when non-nil, is invoked synchronously from the probe
+	// goroutine (outside the prober's lock) for every debounced change —
+	// typically arbiter.Transition(e.Addr, e.Kind). One sweep's events
+	// arrive in a fixed order — liveness first, then overload, then
+	// slowness, ascending address within each — so the same probes always
+	// produce the same sequence of arbitrations.
+	OnEvent func(Event)
 
 	// OverloadQueueDepth marks a sweep as overloaded when the daemon's
 	// reported queue depth is at least this value; ≤0 disables the
@@ -113,10 +100,6 @@ type Config struct {
 	// OverloadRecovery consecutive healthy sweeps clear the mark; ≤0
 	// selects 2.
 	OverloadRecovery int
-	// OnOverload, when non-nil, is invoked synchronously from the probe
-	// goroutine for every overloaded/recovered transition (e.g.
-	// arbiter.MarkOverloaded).
-	OnOverload func(Overload)
 
 	// SlowFactor enables the fail-slow scorer: a node whose median
 	// latency exceeds the median of its peers' medians by this factor
@@ -140,10 +123,6 @@ type Config struct {
 	// forwarding clients can feed client-observed call latencies into
 	// the same rings (livestack does). Ignored when SlowFactor ≤ 0.
 	Latency *latency.Sketch
-	// OnDegraded, when non-nil, is invoked synchronously from the probe
-	// goroutine for every degraded/restored transition (e.g.
-	// arbiter.MarkDegraded).
-	OnDegraded func(Degradation)
 
 	// WireChecksum makes probe pings carry a CRC32C trailer, matching a
 	// stack that runs with wire checksums on (daemons verify whatever
@@ -175,34 +154,73 @@ func (c Config) slowActive() bool {
 // or two pings would make the first sweep after a restart decisive.
 const slowMinSamples = 4
 
-// nodeState tracks one address's debounced liveness and overload.
-type nodeState struct {
-	up    bool
-	fails int // consecutive failures while up
-	rises int // consecutive successes while down
+// The three debounced planes, in the order one sweep's events are
+// delivered.
+const (
+	liveness = iota
+	overload
+	slowness
+	numPlanes
+)
 
-	overloaded  bool
-	hotSweeps   int       // consecutive overloaded sweeps while healthy
-	coolSweeps  int       // consecutive healthy sweeps while overloaded
+// plane is one debounced condition: the bit it owns, the events its two
+// edges fire, and how many consecutive contrary sweeps set and clear it.
+type plane struct {
+	bit              nodestate.State
+	set, clear       nodestate.Event
+	setAt, clearedAt int
+}
+
+// streak debounces one boolean signal against one condition bit by
+// counting the consecutive sweeps that contradict the bit. Counting sweeps
+// (not wall time) keeps every plane deterministic under ProbeOnce.
+type streak struct{ run int }
+
+// observe feeds one sweep: on is the bit's current value, signal what the
+// sweep saw. It reports that the bit should flip — after set consecutive
+// signals while off, clear consecutive non-signals while on; a sweep that
+// agrees with the bit resets the count.
+func (k *streak) observe(on, signal bool, set, clear int) (flipped bool) {
+	if signal == on {
+		k.run = 0
+		return false
+	}
+	k.run++
+	need := set
+	if on {
+		need = clear
+	}
+	if k.run < need {
+		return false
+	}
+	k.run = 0
+	return true
+}
+
+// nodeState tracks one address: its probe connection, its debounced
+// conditions, one debouncer per plane, and the last load sample.
+type nodeState struct {
+	cli     *rpc.Client
+	state   nodestate.State // probed bits only
+	streaks [numPlanes]streak
+
 	lastRejects int64     // cumulative reject counter from the last sweep
 	sawRejects  bool      // lastRejects holds a real sample (not the zero value)
 	lastDepth   int64     // queue depth from the last loaded sweep
 	sampleAt    time.Time // when lastDepth was sampled; zero = never
 
-	degraded    bool
-	slowSweeps  int // consecutive slow sweeps while clean
-	cleanSweeps int // consecutive clean sweeps while degraded
+	queueDepth, shedDelta *telemetry.Gauge // the node's health_ion_* series
 }
 
 // Prober pings a dynamic set of I/O nodes and reports transitions. The
 // set starts as Config.Addrs and breathes through Add/Remove (the
 // autoscaler's hooks).
 type Prober struct {
-	cfg Config
+	cfg    Config
+	planes [numPlanes]plane
 
-	mu      sync.Mutex
-	clients map[string]*rpc.Client
-	state   map[string]*nodeState
+	mu    sync.Mutex
+	state map[string]*nodeState
 
 	startOnce sync.Once
 	stopOnce  sync.Once
@@ -210,14 +228,13 @@ type Prober struct {
 	done      chan struct{}
 
 	tel struct {
-		probes, failures     *telemetry.Counter
-		downs, ups           *telemetry.Counter
-		overloads, recovers  *telemetry.Counter
-		degrades, restores   *telemetry.Counter // registered only when slowActive
-		nodesUp              *telemetry.Gauge
-		nodesOverloaded      *telemetry.Gauge
-		nodesDegraded        *telemetry.Gauge            // registered only when slowActive
-		queueDepth, shedRate map[string]*telemetry.Gauge // per ION
+		probes, failures *telemetry.Counter
+		// edges[kind] counts the events fired; the Slow/Restore pair and
+		// nodesDegraded are registered only when slowActive.
+		edges           [nodestate.NumEvents]*telemetry.Counter
+		nodesUp         *telemetry.Gauge
+		nodesOverloaded *telemetry.Gauge
+		nodesDegraded   *telemetry.Gauge
 	}
 }
 
@@ -266,65 +283,81 @@ func New(cfg Config) (*Prober, error) {
 		cfg.Now = time.Now
 	}
 	p := &Prober{
-		cfg:     cfg,
-		clients: make(map[string]*rpc.Client, len(cfg.Addrs)),
-		state:   make(map[string]*nodeState, len(cfg.Addrs)),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg: cfg,
+		planes: [numPlanes]plane{
+			liveness: {nodestate.Down, nodestate.Fail, nodestate.Rise, cfg.FailThreshold, cfg.RiseThreshold},
+			overload: {nodestate.Overloaded, nodestate.Hot, nodestate.Cool, cfg.OverloadThreshold, cfg.OverloadRecovery},
+			slowness: {nodestate.Degraded, nodestate.Slow, nodestate.Restore, cfg.SlowWindow, cfg.SlowRecovery},
+		},
+		state: make(map[string]*nodeState, len(cfg.Addrs)),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	reg := cfg.Telemetry
 	p.tel.probes = reg.Counter("health_probes_total")
 	p.tel.failures = reg.Counter("health_probe_failures_total")
-	p.tel.downs = reg.Counter("health_transitions_down_total")
-	p.tel.ups = reg.Counter("health_transitions_up_total")
-	p.tel.overloads = reg.Counter("health_transitions_overloaded_total")
-	p.tel.recovers = reg.Counter("health_transitions_recovered_total")
+	p.tel.edges[nodestate.Fail] = reg.Counter("health_transitions_down_total")
+	p.tel.edges[nodestate.Rise] = reg.Counter("health_transitions_up_total")
+	p.tel.edges[nodestate.Hot] = reg.Counter("health_transitions_overloaded_total")
+	p.tel.edges[nodestate.Cool] = reg.Counter("health_transitions_recovered_total")
 	p.tel.nodesUp = reg.Gauge("health_ions_up")
 	p.tel.nodesOverloaded = reg.Gauge("health_ions_overloaded")
 	if cfg.slowActive() {
 		// Lazily registered: a stack without a slowness factor must not
 		// expose any health_degraded_* series (the absence test pins it).
-		p.tel.degrades = reg.Counter("health_degraded_transitions_total")
-		p.tel.restores = reg.Counter("health_degraded_recovered_total")
+		p.tel.edges[nodestate.Slow] = reg.Counter("health_degraded_transitions_total")
+		p.tel.edges[nodestate.Restore] = reg.Counter("health_degraded_recovered_total")
 		p.tel.nodesDegraded = reg.Gauge("health_degraded_ions")
 	}
-	p.tel.queueDepth = make(map[string]*telemetry.Gauge, len(cfg.Addrs))
-	p.tel.shedRate = make(map[string]*telemetry.Gauge, len(cfg.Addrs))
 	for _, addr := range cfg.Addrs {
 		// The initial pool is trusted immediately, New's historical
 		// behaviour; nodes added later choose their own posture.
-		if err := p.Add(addr, true); err != nil {
+		if err := p.Add(addr, 0); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// Add starts probing addr. up seeds the debounced state: true trusts the
-// node immediately (the posture New gives the initial pool), false makes
-// the node start down, so RiseThreshold successful pings must land before
-// the first up transition fires — what a freshly provisioned node
-// deserves, and the signal the autoscaler's rollback deadline watches.
-// Duplicate addresses are refused.
-func (p *Prober) Add(addr string, up bool) error {
+// Add starts probing addr. initial seeds the debounced conditions
+// (Draining, which no probe can see, is dropped): the zero State trusts
+// the node immediately, the posture New gives the initial pool;
+// nodestate.Down makes it start down, so RiseThreshold successful pings
+// must land before its Rise fires — what a freshly provisioned node
+// deserves, and the signal the autoscaler's rollback deadline watches. A
+// control plane restarted from its journal seeds each member with the
+// arbiter's recorded conditions: the prober reports edges only, so a node
+// seeded healthy would never fire the Rise/Cool/Restore that clears its
+// mark. Duplicate addresses are refused.
+func (p *Prober) Add(addr string, initial nodestate.State) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.clients[addr]; dup {
+	if _, dup := p.state[addr]; dup {
 		return errors.New("health: duplicate address " + addr)
 	}
-	p.clients[addr] = rpc.Dial(addr, 1).
+	st := &nodeState{state: initial &^ nodestate.Draining}
+	st.cli = rpc.Dial(addr, 1).
 		WithOptions(rpc.Options{CallTimeout: p.cfg.Timeout, WireChecksum: p.cfg.WireChecksum}).
 		Instrument(p.cfg.Telemetry, nil)
-	p.state[addr] = &nodeState{up: up}
-	if up {
-		p.tel.nodesUp.Add(1)
-	}
-	if _, ok := p.tel.queueDepth[addr]; !ok {
-		reg := p.cfg.Telemetry
-		p.tel.queueDepth[addr] = reg.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", addr))
-		p.tel.shedRate[addr] = reg.Gauge(fmt.Sprintf("health_ion_shed_delta{ion=%q}", addr))
-	}
+	st.queueDepth = p.cfg.Telemetry.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", addr))
+	st.shedDelta = p.cfg.Telemetry.Gauge(fmt.Sprintf("health_ion_shed_delta{ion=%q}", addr))
+	p.state[addr] = st
+	p.gauge(st.state, +1)
 	return nil
+}
+
+// gauge adds (d = +1) or withdraws (d = -1) one node in state st from the
+// three node gauges. Caller holds p.mu.
+func (p *Prober) gauge(st nodestate.State, d int64) {
+	if !st.Has(nodestate.Down) {
+		p.tel.nodesUp.Add(d)
+	}
+	if st.Has(nodestate.Overloaded) {
+		p.tel.nodesOverloaded.Add(d)
+	}
+	if st.Has(nodestate.Degraded) {
+		p.tel.nodesDegraded.Add(d)
+	}
 }
 
 // Remove stops probing addr and releases its probe connection. A sweep in
@@ -332,24 +365,27 @@ func (p *Prober) Add(addr string, up bool) error {
 // Removing an unknown address is a no-op.
 func (p *Prober) Remove(addr string) {
 	p.mu.Lock()
-	cli := p.clients[addr]
 	st := p.state[addr]
-	delete(p.clients, addr)
 	delete(p.state, addr)
-	if st != nil && st.up {
-		p.tel.nodesUp.Add(-1)
-	}
-	if st != nil && st.overloaded {
-		p.tel.nodesOverloaded.Add(-1)
-	}
-	if st != nil && st.degraded {
-		p.tel.nodesDegraded.Add(-1)
+	if st != nil {
+		p.gauge(st.state, -1)
 	}
 	p.mu.Unlock()
 	p.cfg.Latency.Forget(addr) // stale samples must not haunt a reused address
-	if cli != nil {
-		cli.Close()
+	if st != nil {
+		st.cli.Close()
 	}
+}
+
+// StateOf reports addr's debounced conditions (the Down, Overloaded and
+// Degraded bits); ok is false for an address that is not being probed.
+func (p *Prober) StateOf(addr string) (st nodestate.State, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ns := p.state[addr]; ns != nil {
+		return ns.state, true
+	}
+	return 0, false
 }
 
 // Load reports the last sampled queue depth of every probed node that is
@@ -361,7 +397,7 @@ func (p *Prober) Load() map[string]int64 {
 	defer p.mu.Unlock()
 	out := make(map[string]int64, len(p.state))
 	for addr, st := range p.state {
-		if st.up {
+		if !st.state.Has(nodestate.Down) {
 			out[addr] = st.lastDepth
 		}
 	}
@@ -379,7 +415,7 @@ func (p *Prober) LoadAges() map[string]time.Duration {
 	defer p.mu.Unlock()
 	out := make(map[string]time.Duration, len(p.state))
 	for addr, st := range p.state {
-		if st.up && !st.sampleAt.IsZero() {
+		if !st.state.Has(nodestate.Down) && !st.sampleAt.IsZero() {
 			out[addr] = now.Sub(st.sampleAt)
 		}
 	}
@@ -414,9 +450,9 @@ func (p *Prober) Stop() {
 	p.startOnce.Do(func() { close(p.done) }) // never started: nothing to wait for
 	<-p.done
 	p.mu.Lock()
-	clients := make([]*rpc.Client, 0, len(p.clients))
-	for _, c := range p.clients {
-		clients = append(clients, c)
+	clients := make([]*rpc.Client, 0, len(p.state))
+	for _, st := range p.state {
+		clients = append(clients, st.cli)
 	}
 	p.mu.Unlock()
 	for _, c := range clients {
@@ -425,9 +461,9 @@ func (p *Prober) Stop() {
 }
 
 // ProbeOnce performs one synchronous sweep over every address, applying
-// thresholds and firing OnTransition for each state change. Exported so
-// tests (and callers that want probe timing under their own control) can
-// drive the prober deterministically.
+// thresholds and firing OnEvent for each change. Exported so tests (and
+// callers that want probe timing under their own control) can drive the
+// prober deterministically.
 func (p *Prober) ProbeOnce() {
 	// probeResult is one ping's outcome. A busy (shed) ping proves the
 	// node alive — only transport errors count as probe failures — but it
@@ -442,50 +478,48 @@ func (p *Prober) ProbeOnce() {
 	}
 	// Snapshot the member set first: Add/Remove may run concurrently (the
 	// autoscaler breathes the pool), and pings must not hold the lock.
+	// Ascending address order, kept through judging: event order reaches
+	// the arbiter's mapping, so it must not depend on map iteration.
 	p.mu.Lock()
-	clients := make(map[string]*rpc.Client, len(p.clients))
-	for addr, cli := range p.clients {
-		clients[addr] = cli
+	addrs := make([]string, 0, len(p.state))
+	for addr := range p.state {
+		addrs = append(addrs, addr)
+	}
+	sort.Strings(addrs)
+	clients := make([]*rpc.Client, len(addrs))
+	for i, addr := range addrs {
+		clients[i] = p.state[addr].cli
 	}
 	p.mu.Unlock()
 
-	results := make(map[string]probeResult, len(clients))
-	var (
-		rmu sync.Mutex
-		wg  sync.WaitGroup
-	)
-	for addr, cli := range clients {
+	results := make([]probeResult, len(addrs))
+	var wg sync.WaitGroup
+	for i := range addrs {
 		wg.Add(1)
-		go func(addr string, cli *rpc.Client) {
+		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			resp, err := cli.Call(&rpc.Message{Op: rpc.OpPing})
+			resp, err := clients[i].Call(&rpc.Message{Op: rpc.OpPing})
 			rtt := time.Since(start)
-			var r probeResult
 			switch {
 			case err == nil:
-				r = probeResult{ok: true, loaded: true, depth: resp.Size, rejects: resp.Offset}
+				results[i] = probeResult{ok: true, loaded: true, depth: resp.Size, rejects: resp.Offset}
 				// Only clean pings feed the latency sketch: a busy
 				// response is shed before queueing and a failed one
 				// measures the timeout, not the node.
-				p.cfg.Latency.Observe(addr, rtt)
+				p.cfg.Latency.Observe(addrs[i], rtt)
 			case errors.Is(err, rpc.ErrBusy):
-				r = probeResult{ok: true, busy: true}
+				results[i] = probeResult{ok: true, busy: true}
 			}
-			rmu.Lock()
-			results[addr] = r
-			rmu.Unlock()
-		}(addr, cli)
+		}(i)
 	}
 	wg.Wait()
 
-	var (
-		fired     []Transition
-		hotFired  []Overload
-		detecting = p.cfg.overloadActive()
-	)
+	var fired [numPlanes][]Event
+	detecting := p.cfg.overloadActive()
 	p.mu.Lock()
-	for addr, r := range results {
+	for i, addr := range addrs {
+		r := results[i]
 		st := p.state[addr]
 		if st == nil {
 			continue // removed while the sweep was in flight
@@ -494,110 +528,69 @@ func (p *Prober) ProbeOnce() {
 		if !r.ok {
 			p.tel.failures.Inc()
 		}
-		switch {
-		case st.up && !r.ok:
-			st.fails++
-			if st.fails >= p.cfg.FailThreshold {
-				st.up = false
-				st.fails = 0
-				st.rises = 0
-				p.tel.downs.Inc()
-				p.tel.nodesUp.Add(-1)
-				fired = append(fired, Transition{Addr: addr, Up: false})
-			}
-		case st.up && r.ok:
-			st.fails = 0
-		case !st.up && r.ok:
-			st.rises++
-			if st.rises >= p.cfg.RiseThreshold {
-				st.up = true
-				st.fails = 0
-				st.rises = 0
-				p.tel.ups.Inc()
-				p.tel.nodesUp.Add(1)
-				fired = append(fired, Transition{Addr: addr, Up: true})
-			}
-		default: // down and still failing
-			st.rises = 0
-		}
+		p.observe(addr, st, liveness, !r.ok, &fired)
 
 		// Load bookkeeping and overload debouncing: export the sampled
-		// depth and per-sweep shed delta unconditionally, transition
-		// state only while a signal is configured.
+		// depth and per-sweep shed delta unconditionally, move the
+		// condition only while a signal is configured.
 		var shedDelta int64
 		if r.loaded {
 			st.lastDepth = r.depth
 			st.sampleAt = p.cfg.Now()
-			p.tel.queueDepth[addr].Set(r.depth)
+			st.queueDepth.Set(r.depth)
 			if st.sawRejects && r.rejects >= st.lastRejects {
 				shedDelta = r.rejects - st.lastRejects
 			}
 			st.lastRejects = r.rejects
 			st.sawRejects = true
-			p.tel.shedRate[addr].Set(shedDelta)
+			st.shedDelta.Set(shedDelta)
 		}
-		if !detecting {
-			continue
-		}
-		hot := r.busy ||
-			(r.loaded && p.cfg.OverloadQueueDepth > 0 && r.depth >= int64(p.cfg.OverloadQueueDepth)) ||
-			(r.loaded && p.cfg.OverloadShedDelta > 0 && shedDelta >= int64(p.cfg.OverloadShedDelta))
-		switch {
-		case !r.ok:
-			// Dead-looking sweeps feed the liveness thresholds, not the
-			// overload ones; hold the overload state as-is.
-		case !st.overloaded && hot:
-			st.coolSweeps = 0
-			st.hotSweeps++
-			if st.hotSweeps >= p.cfg.OverloadThreshold {
-				st.overloaded = true
-				st.hotSweeps = 0
-				p.tel.overloads.Inc()
-				p.tel.nodesOverloaded.Add(1)
-				hotFired = append(hotFired, Overload{Addr: addr, Overloaded: true})
-			}
-		case !st.overloaded:
-			st.hotSweeps = 0
-		case st.overloaded && !hot:
-			st.coolSweeps++
-			if st.coolSweeps >= p.cfg.OverloadRecovery {
-				st.overloaded = false
-				st.coolSweeps = 0
-				p.tel.recovers.Inc()
-				p.tel.nodesOverloaded.Add(-1)
-				hotFired = append(hotFired, Overload{Addr: addr, Overloaded: false})
-			}
-		default: // overloaded and still hot
-			st.coolSweeps = 0
+		// Dead-looking sweeps feed the liveness thresholds, not the
+		// overload ones; the overload condition holds as it is.
+		if detecting && r.ok {
+			hot := r.busy ||
+				(r.loaded && p.cfg.OverloadQueueDepth > 0 && r.depth >= int64(p.cfg.OverloadQueueDepth)) ||
+				(r.loaded && p.cfg.OverloadShedDelta > 0 && shedDelta >= int64(p.cfg.OverloadShedDelta))
+			p.observe(addr, st, overload, hot, &fired)
 		}
 	}
-	var slowFired []Degradation
 	if p.cfg.slowActive() {
-		slowFired = p.scoreSlowLocked()
+		p.scoreSlowLocked(&fired)
 	}
 	p.mu.Unlock()
 
-	// Callbacks run outside the prober lock so they may query the prober
-	// (and take arbitrary downstream locks) freely.
-	if p.cfg.OnTransition != nil {
-		for _, tr := range fired {
-			p.cfg.OnTransition(tr)
-		}
-	}
-	if p.cfg.OnOverload != nil {
-		for _, ov := range hotFired {
-			p.cfg.OnOverload(ov)
-		}
-	}
-	if p.cfg.OnDegraded != nil {
-		for _, dg := range slowFired {
-			p.cfg.OnDegraded(dg)
+	// The callback runs outside the prober lock so it may query the
+	// prober (and take arbitrary downstream locks) freely.
+	if p.cfg.OnEvent != nil {
+		for _, events := range fired {
+			for _, e := range events {
+				p.cfg.OnEvent(e)
+			}
 		}
 	}
 }
 
-// scoreSlowLocked runs one sweep of the peer-relative fail-slow scorer
-// and returns the transitions it fired. Caller holds p.mu.
+// observe feeds one sweep's signal for one plane of one node through the
+// node's debouncer; on a flip it moves the condition bit, counts the edge,
+// settles the gauges, and queues the event. Caller holds p.mu.
+func (p *Prober) observe(addr string, st *nodeState, plane int, signal bool, fired *[numPlanes][]Event) {
+	pl := p.planes[plane]
+	if !st.streaks[plane].observe(st.state.Has(pl.bit), signal, pl.setAt, pl.clearedAt) {
+		return
+	}
+	kind := pl.clear
+	if signal {
+		kind = pl.set
+	}
+	p.gauge(st.state, -1)
+	st.state, _, _ = st.state.Apply(kind) // never refused: the prober sends no DrainStart
+	p.gauge(st.state, +1)
+	p.tel.edges[kind].Inc()
+	fired[plane] = append(fired[plane], Event{Addr: addr, Kind: kind})
+}
+
+// scoreSlowLocked runs one sweep of the peer-relative fail-slow scorer,
+// queueing the events it fires. Caller holds p.mu.
 //
 // A node is slow on a sweep when its median sketch latency exceeds the
 // median of its peers' medians × SlowFactor (and the SlowMinLatency
@@ -605,27 +598,24 @@ func (p *Prober) ProbeOnce() {
 // the scorer self-calibrating: a cluster that is uniformly slow — cold
 // caches, shared-disk contention — degrades nobody, while one node 50×
 // off its peers stands out within a window regardless of the absolute
-// numbers. Sweep-count debouncing (not wall time) keeps the state
-// machine deterministic under test-driven ProbeOnce calls.
-func (p *Prober) scoreSlowLocked() []Degradation {
-	// Median latency of every up node with enough samples to judge.
+// numbers.
+func (p *Prober) scoreSlowLocked(fired *[numPlanes][]Event) {
+	// Median latency of every up node with enough samples to judge. Down
+	// or unsampled nodes are absent and hold their degraded condition as
+	// it is; the liveness plane owns them until they answer again.
 	meds := make(map[string]time.Duration, len(p.state))
+	addrs := make([]string, 0, len(p.state))
 	for addr, st := range p.state {
-		if !st.up || p.cfg.Latency.Samples(addr) < slowMinSamples {
+		if st.state.Has(nodestate.Down) || p.cfg.Latency.Samples(addr) < slowMinSamples {
 			continue
 		}
 		if m, ok := p.cfg.Latency.Median(addr); ok {
 			meds[addr] = m
+			addrs = append(addrs, addr)
 		}
 	}
-	var fired []Degradation
-	for addr, st := range p.state {
-		med, scored := meds[addr]
-		if !st.up || !scored {
-			// Down or unsampled nodes hold their degraded state as-is;
-			// the liveness plane owns them until they answer again.
-			continue
-		}
+	sort.Strings(addrs)
+	for _, addr := range addrs {
 		// Median of the peers' medians, the node under judgment
 		// excluded so a very slow node cannot raise its own bar.
 		peers := make([]time.Duration, 0, len(meds)-1)
@@ -639,98 +629,9 @@ func (p *Prober) scoreSlowLocked() []Degradation {
 		}
 		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 		peerMed := peers[len(peers)/2]
+		med := meds[addr]
 		slow := med >= p.cfg.SlowMinLatency &&
 			float64(med) > float64(peerMed)*p.cfg.SlowFactor
-		switch {
-		case !st.degraded && slow:
-			st.cleanSweeps = 0
-			st.slowSweeps++
-			if st.slowSweeps >= p.cfg.SlowWindow {
-				st.degraded = true
-				st.slowSweeps = 0
-				p.tel.degrades.Inc()
-				p.tel.nodesDegraded.Add(1)
-				fired = append(fired, Degradation{Addr: addr, Degraded: true})
-			}
-		case !st.degraded:
-			st.slowSweeps = 0
-		case st.degraded && !slow:
-			st.cleanSweeps++
-			if st.cleanSweeps >= p.cfg.SlowRecovery {
-				st.degraded = false
-				st.cleanSweeps = 0
-				p.tel.restores.Inc()
-				p.tel.nodesDegraded.Add(-1)
-				fired = append(fired, Degradation{Addr: addr, Degraded: false})
-			}
-		default: // degraded and still slow
-			st.cleanSweeps = 0
-		}
+		p.observe(addr, p.state[addr], slowness, slow, fired)
 	}
-	return fired
-}
-
-// IsUp reports the debounced state of addr (false for unknown addresses).
-func (p *Prober) IsUp(addr string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.state[addr]
-	return ok && st.up
-}
-
-// IsOverloaded reports the debounced overload state of addr (false for
-// unknown addresses).
-func (p *Prober) IsOverloaded(addr string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.state[addr]
-	return ok && st.overloaded
-}
-
-// Overloaded returns the addresses currently marked overloaded.
-func (p *Prober) Overloaded() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for addr, st := range p.state {
-		if st.overloaded {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// IsDegraded reports the debounced fail-slow state of addr (false for
-// unknown addresses, and always false when no SlowFactor is set).
-func (p *Prober) IsDegraded(addr string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.state[addr]
-	return ok && st.degraded
-}
-
-// Degraded returns the addresses currently marked degraded.
-func (p *Prober) Degraded() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for addr, st := range p.state {
-		if st.degraded {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
-// Down returns the addresses currently marked down.
-func (p *Prober) Down() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for addr, st := range p.state {
-		if !st.up {
-			out = append(out, addr)
-		}
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
@@ -21,22 +22,34 @@ func pingServer(t *testing.T) (*rpc.Server, string) {
 	return srv, addr
 }
 
-// collector records transitions thread-safely.
+// collector records events thread-safely.
 type collector struct {
 	mu  sync.Mutex
-	trs []Transition
+	evs []Event
 }
 
-func (c *collector) add(tr Transition) {
+func (c *collector) add(e Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.trs = append(c.trs, tr)
+	c.evs = append(c.evs, e)
 }
 
-func (c *collector) all() []Transition {
+func (c *collector) all() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Transition(nil), c.trs...)
+	return append([]Event(nil), c.evs...)
+}
+
+// in reports whether the prober has addr in any condition of mask.
+func in(p *Prober, addr string, mask nodestate.State) bool {
+	st, _ := p.StateOf(addr)
+	return st.Has(mask)
+}
+
+// isUp reports whether addr is probed and not down.
+func isUp(p *Prober, addr string) bool {
+	st, ok := p.StateOf(addr)
+	return ok && !st.Has(nodestate.Down)
 }
 
 func TestProbeDetectsDownAndRecovery(t *testing.T) {
@@ -52,7 +65,7 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 		Timeout:       100 * time.Millisecond,
 		FailThreshold: 2,
 		RiseThreshold: 2,
-		OnTransition:  col.add,
+		OnEvent:       col.add,
 		Telemetry:     reg,
 	})
 	if err != nil {
@@ -61,7 +74,7 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	defer p.Stop()
 
 	p.ProbeOnce()
-	if !p.IsUp(addrA) || !p.IsUp(addrB) {
+	if !isUp(p, addrA) || !isUp(p, addrB) {
 		t.Fatal("both nodes should be up")
 	}
 	if len(col.all()) != 0 {
@@ -70,16 +83,16 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 
 	srvA.Close()
 	p.ProbeOnce() // failure 1 of 2: debounced, still up
-	if !p.IsUp(addrA) {
+	if !isUp(p, addrA) {
 		t.Fatal("one failed ping must not mark a node down (FailThreshold=2)")
 	}
 	p.ProbeOnce() // failure 2 of 2: down
-	if p.IsUp(addrA) {
+	if isUp(p, addrA) {
 		t.Fatal("node should be down after FailThreshold failures")
 	}
 	trs := col.all()
-	if len(trs) != 1 || trs[0].Up || trs[0].Addr != addrA {
-		t.Fatalf("want one down transition for %s, got %v", addrA, trs)
+	if len(trs) != 1 || trs[0] != (Event{addrA, nodestate.Fail}) {
+		t.Fatalf("want one Fail for %s, got %v", addrA, trs)
 	}
 	if got := reg.Counter("health_transitions_down_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_down_total = %d, want 1", got)
@@ -87,8 +100,8 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	if got := reg.Gauge("health_ions_up").Value(); got != 1 {
 		t.Fatalf("health_ions_up = %d, want 1", got)
 	}
-	if down := p.Down(); len(down) != 1 || down[0] != addrA {
-		t.Fatalf("Down() = %v", down)
+	if in(p, addrB, nodestate.Down) {
+		t.Fatal("healthy node B reported down")
 	}
 
 	// Restart on the same address; RiseThreshold=2 debounces recovery.
@@ -100,16 +113,16 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	}
 	defer srvA2.Close()
 	p.ProbeOnce()
-	if p.IsUp(addrA) {
+	if isUp(p, addrA) {
 		t.Fatal("one good ping must not mark a node up (RiseThreshold=2)")
 	}
 	p.ProbeOnce()
-	if !p.IsUp(addrA) {
+	if !isUp(p, addrA) {
 		t.Fatal("node should be back up after RiseThreshold successes")
 	}
 	trs = col.all()
-	if len(trs) != 2 || !trs[1].Up {
-		t.Fatalf("want a final up transition, got %v", trs)
+	if len(trs) != 2 || trs[1] != (Event{addrA, nodestate.Rise}) {
+		t.Fatalf("want a final Rise, got %v", trs)
 	}
 	if got := reg.Counter("health_transitions_up_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_up_total = %d, want 1", got)

@@ -24,6 +24,15 @@
 // the bad frame is kept, which is exactly the contract a crashed append
 // needs. Appends after recovery go to a fresh segment, so a torn tail is
 // superseded rather than overwritten.
+//
+// What is on disk: a node-condition change is one (kind, addr) record —
+// the eight mark/drain kinds below, one per nodestate.Event, numbered as
+// they always were — and State.Apply folds it through nodestate.Apply,
+// the same function the live arbiter uses, so replay cannot drift from
+// the arbiter. A snapshot carries the per-node conditions as one "nodes"
+// object (address → nodestate.State bits, healthy nodes omitted).
+// Snapshots written before that — four sorted arrays "down",
+// "overloaded", "draining", "degraded" — are still read, never written.
 package journal
 
 import (
@@ -32,12 +41,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/nodestate"
 	"repro/internal/telemetry"
 )
 
@@ -92,6 +104,24 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// nodeKinds is the record kind that carries each node event; the kinds
+// keep the numbers they were given when each plane landed.
+var nodeKinds = [nodestate.NumEvents]Kind{
+	nodestate.Fail:       KindMarkDown,
+	nodestate.Rise:       KindMarkUp,
+	nodestate.DrainStart: KindDrainStart,
+	nodestate.DrainAbort: KindDrainAbort,
+	nodestate.Slow:       KindMarkDegraded,
+	nodestate.Restore:    KindMarkRestored,
+	nodestate.Hot:        KindMarkOverloaded,
+	nodestate.Cool:       KindMarkRecovered,
+}
+
+// NodeEvent builds the record that journals event ev on the node at addr.
+func NodeEvent(addr string, ev nodestate.Event) Record {
+	return Record{Kind: nodeKinds[ev], Addr: addr}
+}
+
 // CurvePoint is one sampled point of an application's performance curve,
 // flattened for the journal (perfmodel keeps its points behind an opaque
 // type; the arbiter converts on the way in and out).
@@ -129,17 +159,53 @@ type Record struct {
 }
 
 // State is the reconstructed control-plane state: the fold of a snapshot
-// plus every record after it. Membership sets are sorted slices so the
-// JSON is stable and diffable.
+// plus every record after it. Pool is a sorted slice so the JSON is
+// stable and diffable; Nodes holds only the nodes that are not healthy.
 type State struct {
-	Pool       []string            `json:"pool,omitempty"`
-	Down       []string            `json:"down,omitempty"`
-	Overloaded []string            `json:"overloaded,omitempty"`
-	Draining   []string            `json:"draining,omitempty"`
-	Degraded   []string            `json:"degraded,omitempty"`
-	Running    []App               `json:"running,omitempty"`
-	Assign     map[string][]string `json:"assign,omitempty"`
-	Epoch      uint64              `json:"epoch,omitempty"`
+	Pool    []string                   `json:"pool,omitempty"`
+	Nodes   map[string]nodestate.State `json:"nodes,omitempty"`
+	Running []App                      `json:"running,omitempty"`
+	Assign  map[string][]string        `json:"assign,omitempty"`
+	Epoch   uint64                     `json:"epoch,omitempty"`
+}
+
+// UnmarshalJSON also accepts the snapshot layout from before Nodes
+// existed — one sorted address array per condition — and folds it into
+// Nodes. Decode only: State is always written in the current layout.
+func (s *State) UnmarshalJSON(b []byte) error {
+	type current State // same fields, no methods: no recursion
+	var in struct {
+		current
+		Down       []string `json:"down"`
+		Draining   []string `json:"draining"`
+		Degraded   []string `json:"degraded"`
+		Overloaded []string `json:"overloaded"`
+	}
+	if err := json.Unmarshal(b, &in); err != nil {
+		return err
+	}
+	*s = State(in.current)
+	for bit, addrs := range map[nodestate.State][]string{
+		nodestate.Down: in.Down, nodestate.Draining: in.Draining,
+		nodestate.Degraded: in.Degraded, nodestate.Overloaded: in.Overloaded,
+	} {
+		for _, addr := range addrs {
+			s.setNode(addr, s.Nodes[addr]|bit)
+		}
+	}
+	return nil
+}
+
+// setNode stores addr's condition bits; a healthy node is not stored.
+func (s *State) setNode(addr string, st nodestate.State) {
+	if st == 0 {
+		delete(s.Nodes, addr)
+		return
+	}
+	if s.Nodes == nil {
+		s.Nodes = map[string]nodestate.State{}
+	}
+	s.Nodes[addr] = st
 }
 
 // Clone returns a deep copy.
@@ -148,13 +214,10 @@ func (s *State) Clone() *State {
 		return nil
 	}
 	c := &State{
-		Pool:       append([]string(nil), s.Pool...),
-		Down:       append([]string(nil), s.Down...),
-		Overloaded: append([]string(nil), s.Overloaded...),
-		Draining:   append([]string(nil), s.Draining...),
-		Degraded:   append([]string(nil), s.Degraded...),
-		Running:    make([]App, len(s.Running)),
-		Epoch:      s.Epoch,
+		Pool:    append([]string(nil), s.Pool...),
+		Nodes:   maps.Clone(s.Nodes),
+		Running: make([]App, len(s.Running)),
+		Epoch:   s.Epoch,
 	}
 	for i, a := range s.Running {
 		a.Curve = append([]CurvePoint(nil), a.Curve...)
@@ -169,41 +232,15 @@ func (s *State) Clone() *State {
 	return c
 }
 
-func addAddr(set []string, addr string) []string {
-	for _, a := range set {
-		if a == addr {
-			return set
-		}
-	}
-	set = append(set, addr)
-	sort.Strings(set)
-	return set
-}
-
+// dropAddr removes addr from set in place.
 func dropAddr(set []string, addr string) []string {
-	out := set[:0]
-	for _, a := range set {
-		if a != addr {
-			out = append(out, a)
-		}
-	}
-	return out
+	return slices.DeleteFunc(set, func(a string) bool { return a == addr })
 }
 
-// Has reports membership of addr in a sorted-or-not set slice.
-func Has(set []string, addr string) bool {
-	for _, a := range set {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// Apply folds one record into the state. The fold mirrors the arbiter's
-// own transitions closely enough that replaying a journal reproduces the
-// arbiter's pre-crash view; reconciliation against live reality is the
-// caller's job, not Apply's.
+// Apply folds one record into the state. Node-condition records go
+// through nodestate.Apply — the function the live arbiter itself uses —
+// so replaying a journal reproduces the arbiter's pre-crash view;
+// reconciliation against live reality is the caller's job, not Apply's.
 func (s *State) Apply(r Record) {
 	switch r.Kind {
 	case KindSnapshot:
@@ -235,34 +272,29 @@ func (s *State) Apply(r Record) {
 		for k, v := range r.Assign {
 			s.Assign[k] = append([]string(nil), v...)
 		}
-	case KindMarkDown:
-		s.Down = addAddr(s.Down, r.Addr)
-		s.Draining = dropAddr(s.Draining, r.Addr) // a dying drain is an aborted drain
-		for job, addrs := range s.Assign {
-			s.Assign[job] = dropAddr(addrs, r.Addr)
-		}
-	case KindMarkUp:
-		s.Down = dropAddr(s.Down, r.Addr)
-	case KindMarkOverloaded:
-		s.Overloaded = addAddr(s.Overloaded, r.Addr)
-	case KindMarkRecovered:
-		s.Overloaded = dropAddr(s.Overloaded, r.Addr)
-	case KindDrainStart:
-		s.Draining = addAddr(s.Draining, r.Addr)
-	case KindDrainAbort:
-		s.Draining = dropAddr(s.Draining, r.Addr)
 	case KindAddION:
-		s.Pool = addAddr(s.Pool, r.Addr)
+		if !slices.Contains(s.Pool, r.Addr) {
+			s.Pool = append(s.Pool, r.Addr)
+			sort.Strings(s.Pool)
+		}
 	case KindRemoveION:
 		s.Pool = dropAddr(s.Pool, r.Addr)
-		s.Down = dropAddr(s.Down, r.Addr)
-		s.Overloaded = dropAddr(s.Overloaded, r.Addr)
-		s.Draining = dropAddr(s.Draining, r.Addr)
-		s.Degraded = dropAddr(s.Degraded, r.Addr)
-	case KindMarkDegraded:
-		s.Degraded = addAddr(s.Degraded, r.Addr)
-	case KindMarkRestored:
-		s.Degraded = dropAddr(s.Degraded, r.Addr)
+		delete(s.Nodes, r.Addr)
+	default:
+		i := slices.Index(nodeKinds[:], r.Kind)
+		if i < 0 {
+			return // not a node event: a kind this version does not know
+		}
+		ev := nodestate.Event(i)
+		// A refused event (DrainStart on a down node) is never journaled;
+		// should one turn up, the state it returns is the state unchanged.
+		next, _, _ := s.Nodes[r.Addr].Apply(ev)
+		s.setNode(r.Addr, next)
+		if ev == nodestate.Fail {
+			for job, addrs := range s.Assign {
+				s.Assign[job] = dropAddr(addrs, r.Addr)
+			}
+		}
 	}
 }
 

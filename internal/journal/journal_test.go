@@ -1,13 +1,18 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/nodestate"
 	"repro/internal/telemetry"
 )
 
@@ -41,9 +46,8 @@ func workload(t *testing.T, j *Journal) *State {
 	}})
 	mustAppend(t, j, Record{Kind: KindDrainStart, Addr: "ion-0"})
 	return &State{
-		Pool:     []string{"ion-0", "ion-1", "ion-2"},
-		Down:     []string{"ion-2"},
-		Draining: []string{"ion-0"},
+		Pool:  []string{"ion-0", "ion-1", "ion-2"},
+		Nodes: map[string]nodestate.State{"ion-2": nodestate.Down, "ion-0": nodestate.Draining},
 		Running: []App{
 			{ID: "app1", Nodes: 4, Processes: 16, WriteBytes: 1 << 20,
 				Curve: []CurvePoint{{IONs: 1, MBps: 100}, {IONs: 2, MBps: 180}}},
@@ -63,8 +67,10 @@ func normalize(s *State) {
 		}
 		return v
 	}
-	s.Pool, s.Down = fix(s.Pool), fix(s.Down)
-	s.Overloaded, s.Draining = fix(s.Overloaded), fix(s.Draining)
+	s.Pool = fix(s.Pool)
+	if len(s.Nodes) == 0 {
+		s.Nodes = nil
+	}
 	if len(s.Assign) == 0 {
 		s.Assign = nil
 	}
@@ -176,9 +182,7 @@ func TestJournalSnapshotCompacts(t *testing.T) {
 // and MarkUp(ion-2).
 func workload2Expected() *State {
 	return &State{
-		Pool:     []string{"ion-0", "ion-1", "ion-2"},
-		Down:     []string{},
-		Draining: []string{},
+		Pool: []string{"ion-0", "ion-1", "ion-2"},
 		Running: []App{
 			{ID: "app1", Nodes: 4, Processes: 16, WriteBytes: 1 << 20,
 				Curve: []CurvePoint{{IONs: 1, MBps: 100}, {IONs: 2, MBps: 180}}},
@@ -227,8 +231,8 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Has(st.Draining, "ion-1") {
-		t.Fatalf("post-recovery append lost: draining = %v", st.Draining)
+	if !st.Nodes["ion-1"].Has(nodestate.Draining) {
+		t.Fatalf("post-recovery append lost: nodes = %v", st.Nodes)
 	}
 }
 
@@ -382,7 +386,7 @@ func TestReplayConcurrentWithOpenJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Has(st.Pool, "live") {
+	if !slices.Contains(st.Pool, "live") {
 		t.Fatalf("concurrent replay missed the appended record: %v", st.Pool)
 	}
 }
@@ -390,14 +394,151 @@ func TestReplayConcurrentWithOpenJournal(t *testing.T) {
 func TestStateCloneIsDeep(t *testing.T) {
 	s := &State{
 		Pool:    []string{"a"},
+		Nodes:   map[string]nodestate.State{"a": nodestate.Overloaded},
 		Assign:  map[string][]string{"j": {"a"}},
 		Running: []App{{ID: "j", Curve: []CurvePoint{{IONs: 1, MBps: 5}}}},
 	}
 	c := s.Clone()
 	c.Pool[0] = "mutated"
+	c.Nodes["a"] = nodestate.Down
 	c.Assign["j"][0] = "mutated"
 	c.Running[0].Curve[0].MBps = 99
-	if s.Pool[0] != "a" || s.Assign["j"][0] != "a" || s.Running[0].Curve[0].MBps != 5 {
+	if s.Pool[0] != "a" || s.Nodes["a"] != nodestate.Overloaded || s.Assign["j"][0] != "a" || s.Running[0].Curve[0].MBps != 5 {
 		t.Fatal("Clone shares memory with the original")
+	}
+}
+
+// frame wraps a literal JSON payload in the journal's record framing.
+func frame(payload string) []byte {
+	out := make([]byte, headerLen, headerLen+len(payload))
+	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum([]byte(payload), castagnoli))
+	return append(out, payload...)
+}
+
+// TestReplayParentFormatJournal replays a journal exactly as the commit
+// before internal/nodestate wrote it — a snapshot with one sorted address
+// array per condition, followed by one record of each of the eight
+// mark/drain kinds (payloads copied byte for byte from that commit's
+// output) — and pins three things: the legacy snapshot still decodes to
+// the identical state, the eight kinds keep their on-disk numbers and
+// (kind, addr) shape (today's encoder produces the very same record
+// bytes), and a snapshot written today uses "nodes", never the arrays.
+func TestReplayParentFormatJournal(t *testing.T) {
+	const snapshot = `{"lsn":1,"kind":1,"state":{"pool":["ion-0","ion-1","ion-2","ion-3","ion-4"],"down":["ion-1","ion-4"],"overloaded":["ion-2","ion-4"],"draining":["ion-3"],"degraded":["ion-1","ion-2"],"running":[{"id":"app1","nodes":4,"procs":16,"curve":[{"ions":1,"mbps":100}]}],"assign":{"app1":["ion-0","ion-2"]},"epoch":7}}`
+	tail := []struct {
+		payload string
+		rec     Record
+	}{
+		{`{"lsn":2,"kind":6,"addr":"ion-1"}`, NodeEvent("ion-1", nodestate.Rise)},
+		{`{"lsn":3,"kind":5,"addr":"ion-3"}`, NodeEvent("ion-3", nodestate.Fail)},
+		{`{"lsn":4,"kind":8,"addr":"ion-2"}`, NodeEvent("ion-2", nodestate.Cool)},
+		{`{"lsn":5,"kind":13,"addr":"ion-0"}`, NodeEvent("ion-0", nodestate.Slow)},
+		{`{"lsn":6,"kind":9,"addr":"ion-2"}`, NodeEvent("ion-2", nodestate.DrainStart)},
+		{`{"lsn":7,"kind":7,"addr":"ion-0"}`, NodeEvent("ion-0", nodestate.Hot)},
+		{`{"lsn":8,"kind":14,"addr":"ion-1"}`, NodeEvent("ion-1", nodestate.Restore)},
+		{`{"lsn":9,"kind":10,"addr":"ion-2"}`, NodeEvent("ion-2", nodestate.DrainAbort)},
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000001.snap"), frame(snapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	for i, tr := range tail {
+		seg = append(seg, frame(tr.payload)...)
+		rec := tr.rec
+		rec.LSN = uint64(i + 2)
+		now, err := encodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(now, frame(tr.payload)) {
+			t.Errorf("record bytes changed on disk:\n parent %s\n now    %s", tr.payload, now[headerLen:])
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000002.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, recs, last, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(tail) || last != 9 {
+		t.Fatalf("replayed %d records up to LSN %d, want %d up to 9", len(recs), last, len(tail))
+	}
+	// What the parent commit's own Replay printed for these files: down
+	// [ion-3 ion-4], overloaded [ion-0 ion-4], draining [], degraded
+	// [ion-0 ion-2].
+	want := &State{
+		Pool: []string{"ion-0", "ion-1", "ion-2", "ion-3", "ion-4"},
+		Nodes: map[string]nodestate.State{
+			"ion-0": nodestate.Degraded | nodestate.Overloaded,
+			"ion-2": nodestate.Degraded,
+			"ion-3": nodestate.Down,
+			"ion-4": nodestate.Down | nodestate.Overloaded,
+		},
+		Running: []App{{ID: "app1", Nodes: 4, Processes: 16, Curve: []CurvePoint{{IONs: 1, MBps: 100}}}},
+		Assign:  map[string][]string{"app1": {"ion-0", "ion-2"}},
+		Epoch:   7,
+	}
+	stateEqual(t, got, want)
+
+	// Written back, the state uses the current layout only.
+	out, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, legacy := range []string{`"down"`, `"overloaded"`, `"draining"`, `"degraded"`} {
+		if bytes.Contains(out, []byte(legacy)) {
+			t.Errorf("snapshot still writes legacy array %s: %s", legacy, out)
+		}
+	}
+	if !bytes.Contains(out, []byte(`"nodes":{"ion-0":12,"ion-2":4,"ion-3":1,"ion-4":9}`)) {
+		t.Errorf("snapshot nodes object missing or renumbered: %s", out)
+	}
+	var back State
+	if err := json.Unmarshal(out, &back); err != nil {
+		t.Fatal(err)
+	}
+	stateEqual(t, &back, want)
+}
+
+// TestNodeEventKinds pins the kind ↔ event pairing: each event is
+// journaled under its own kind and folds back as that event — and a kind
+// that is no node event folds as nothing.
+func TestNodeEventKinds(t *testing.T) {
+	want := map[Kind]nodestate.Event{
+		KindMarkDown: nodestate.Fail, KindMarkUp: nodestate.Rise,
+		KindDrainStart: nodestate.DrainStart, KindDrainAbort: nodestate.DrainAbort,
+		KindMarkDegraded: nodestate.Slow, KindMarkRestored: nodestate.Restore,
+		KindMarkOverloaded: nodestate.Hot, KindMarkRecovered: nodestate.Cool,
+	}
+	if len(want) != int(nodestate.NumEvents) {
+		t.Fatalf("pairing covers %d events, want %d", len(want), nodestate.NumEvents)
+	}
+	// Three starting states, so every event's fold shows as a change in
+	// at least one of them.
+	const all = nodestate.Draining | nodestate.Degraded | nodestate.Overloaded
+	for k := Kind(0); k < 32; k++ {
+		ev, isNode := want[k]
+		if isNode && NodeEvent("x", ev).Kind != k {
+			t.Errorf("NodeEvent(%v).Kind = %v, want %v", ev, NodeEvent("x", ev).Kind, k)
+		}
+		for _, base := range []nodestate.State{0, all, nodestate.Down} {
+			st := State{}
+			st.setNode("x", base)
+			st.Apply(Record{Kind: k, Addr: "x"})
+			wantNext := base
+			switch {
+			case isNode:
+				wantNext, _, _ = base.Apply(ev)
+			case k == KindRemoveION:
+				wantNext = 0
+			}
+			if got := st.Nodes["x"]; got != wantNext {
+				t.Errorf("folding a %v record into %v: node is %v, want %v", k, base, got, wantNext)
+			}
+		}
 	}
 }

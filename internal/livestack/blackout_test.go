@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/fwd"
 	"repro/internal/journal"
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
@@ -223,8 +224,8 @@ func TestBlackoutWritesSurviveControlPlaneCrash(t *testing.T) {
 		}
 	}
 	if killedDuringBlackout != "" {
-		if !contains(st.Arbiter.Down(), killedDuringBlackout) {
-			t.Fatalf("node killed during the blackout not marked down on recovery: down=%v", st.Arbiter.Down())
+		if !contains(st.Arbiter.NodesIn(nodestate.Down), killedDuringBlackout) {
+			t.Fatalf("node killed during the blackout not marked down on recovery: down=%v", st.Arbiter.NodesIn(nodestate.Down))
 		}
 		if contains(st.Arbiter.Current()["bo0"], killedDuringBlackout) {
 			t.Fatal("recovered mapping still routes to the node that died during the blackout")
@@ -367,7 +368,7 @@ func TestBlackoutMidDrainMidScaleRecovery(t *testing.T) {
 	if victim == "" {
 		victim = st.Arbiter.Pool()[0]
 	}
-	if err := st.Arbiter.Drain(victim); err != nil {
+	if err := st.Arbiter.Transition(victim, nodestate.DrainStart); err != nil {
 		t.Fatal(err)
 	}
 	// The half-up node: provisioned into the stack, never admitted to the
@@ -385,7 +386,7 @@ func TestBlackoutMidDrainMidScaleRecovery(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 
-	if st.Arbiter.IsDraining(victim) {
+	if nodeIn(st.Arbiter, victim, nodestate.Draining) {
 		t.Fatal("drain survived the blackout; recovery must abort it")
 	}
 	if !contains(st.Arbiter.Pool(), victim) {
@@ -418,6 +419,80 @@ func TestBlackoutMidDrainMidScaleRecovery(t *testing.T) {
 	}
 	if starts != 1 || ends != 1 {
 		t.Fatalf("drain ledger unbalanced after blackout: %d starts, %d ends", starts, ends)
+	}
+}
+
+// TestBlackoutRecoveredMarksClearWhenNodesHeal: the journal brings the
+// arbiter's down and overloaded marks back after a control-plane restart,
+// but the prober that once reported them died with the control plane. The
+// new prober only reports edges, so it must start each marked node in the
+// condition the arbiter holds it in — otherwise a node that healed during
+// the blackout never produces the Rise or Cool that clears its mark, and
+// its capacity is lost until it happens to fail and rise again.
+func TestBlackoutRecoveredMarksClearWhenNodesHeal(t *testing.T) {
+	st, err := Start(Config{
+		IONs:       4,
+		Scheduler:  "FIFO",
+		JournalDir: t.TempDir(),
+
+		HealthInterval:      10 * time.Millisecond,
+		HealthTimeout:       250 * time.Millisecond,
+		HealthFailThreshold: 2,
+		HealthRiseThreshold: 2,
+		OverloadQueueDepth:  1 << 20, // detection armed; an idle node never trips it
+		OverloadRecovery:    2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const dead, hot = 1, 2
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s (arbiter down=%v overloaded=%v)", what,
+					st.Arbiter.NodesIn(nodestate.Down), st.Arbiter.NodesIn(nodestate.Overloaded))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// One node dies and is marked down; another is journaled overloaded.
+	st.Daemons[dead].Close()
+	waitFor("the killed node is marked down", func() bool { return nodeIn(st.Arbiter, st.Addrs[dead], nodestate.Down) })
+	if err := st.Arbiter.Transition(st.Addrs[hot], nodestate.Hot); err != nil {
+		t.Fatal(err)
+	}
+
+	// Blackout. Both nodes heal while nobody is watching: the dead one
+	// restarts, the hot one was idle all along.
+	if err := st.CrashControlPlane(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RestartION(dead); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RecoverControlPlane(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if !nodeIn(st.Arbiter, st.Addrs[dead], nodestate.Down) || !nodeIn(st.Arbiter, st.Addrs[hot], nodestate.Overloaded) {
+		t.Fatalf("journaled marks lost in recovery: down=%v overloaded=%v",
+			st.Arbiter.NodesIn(nodestate.Down), st.Arbiter.NodesIn(nodestate.Overloaded))
+	}
+
+	// The recovered prober earns the clearing edges the ordinary way.
+	waitFor("the restarted node rises and the idle node cools", func() bool {
+		return len(st.Arbiter.NodesIn(nodestate.Down|nodestate.Overloaded)) == 0
+	})
+	for _, i := range []int{dead, hot} {
+		if hs, ok := st.Health.StateOf(st.Addrs[i]); !ok || hs != 0 {
+			t.Errorf("prober has %s in %v (probed %v), want healthy", st.Addrs[i], hs, ok)
+		}
+	}
+	if got := st.Telemetry.Gauge("arbiter_ions_live").Value(); got != 4 {
+		t.Errorf("arbiter_ions_live = %d, want 4: capacity must come back", got)
 	}
 }
 

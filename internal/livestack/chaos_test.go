@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arbiter"
 	"repro/internal/faultnet"
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 )
 
@@ -37,6 +39,12 @@ func fill(off int64, p []byte) {
 	for i := range p {
 		p[i] = pat(off + int64(i))
 	}
+}
+
+// nodeIn reports whether the arbiter has addr in any condition of mask.
+func nodeIn(arb *arbiter.Arbiter, addr string, mask nodestate.State) bool {
+	st, _ := arb.StateOf(addr)
+	return st.Has(mask)
 }
 
 func contains(list []string, x string) bool {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/latency"
 	"repro/internal/mapping"
+	"repro/internal/nodestate"
 	"repro/internal/pfs"
 	"repro/internal/policy"
 	"repro/internal/qos"
@@ -71,8 +72,8 @@ type Config struct {
 	RPC rpc.Options
 
 	// HealthInterval, when >0, runs a heartbeat prober over the daemons
-	// and feeds up/down transitions into the arbiter (MarkDown/MarkUp),
-	// closing the detect→re-arbitrate loop.
+	// and feeds its events into the arbiter (Transition), closing the
+	// detect→re-arbitrate loop.
 	HealthInterval time.Duration
 	// HealthTimeout is the per-ping deadline; ≤0 lets the prober derive
 	// it from the interval.
@@ -85,9 +86,9 @@ type Config struct {
 	// SlowFactor enables fail-slow (gray failure) detection on the
 	// health prober: a node whose probe-RTT median exceeds the median of
 	// its peers' medians × SlowFactor for SlowWindow consecutive sweeps
-	// is marked degraded, and the arbiter quarantines it — excluded from
-	// new allocations while it stays in the pool (MarkDegraded), restored
-	// after SlowRecovery clean sweeps (MarkRestored). Requires
+	// is marked degraded (a Slow event), and the arbiter quarantines it —
+	// excluded from new allocations while it stays in the pool — until
+	// SlowRecovery clean sweeps restore it (a Restore event). Requires
 	// HealthInterval > 0. ≤0 keeps detection off, behavior byte for byte.
 	SlowFactor float64
 	// SlowWindow / SlowRecovery debounce degraded transitions; ≤0 selects
@@ -142,8 +143,8 @@ type Config struct {
 
 	// OverloadQueueDepth / OverloadShedDelta / OverloadThreshold /
 	// OverloadRecovery configure the prober's overload detection (see
-	// health.Config); detected transitions feed the arbiter
-	// (MarkOverloaded/MarkRecovered) so load is steered away from
+	// health.Config); the Hot/Cool events it detects feed the arbiter
+	// (Transition) so load is steered away from
 	// saturated I/O nodes without removing them from the pool. Overload
 	// detection requires HealthInterval > 0 and at least one of the two
 	// signal thresholds.
@@ -211,7 +212,7 @@ type Stack struct {
 	Addrs   []string
 
 	// Health is the heartbeat prober (nil unless Config.HealthInterval
-	// was set). Its transitions drive Arbiter.MarkDown/MarkUp.
+	// was set). Its events drive Arbiter.Transition.
 	Health *health.Prober
 
 	// Scaler is the pool autoscaler (nil unless Config.Elastic was set).
@@ -355,7 +356,7 @@ func Start(cfg Config) (*Stack, error) {
 }
 
 // startHealth builds and starts the heartbeat prober over addrs, feeding
-// transitions into arb. Used at Start and again by RecoverControlPlane
+// its events into arb. Used at Start and again by RecoverControlPlane
 // (the old prober died with the control plane).
 func (s *Stack) startHealth(arb *arbiter.Arbiter, addrs []string) error {
 	prober, err := health.New(health.Config{
@@ -374,38 +375,29 @@ func (s *Stack) startHealth(arb *arbiter.Arbiter, addrs []string) error {
 		Latency:            s.latSketch,
 		WireChecksum:       s.cfg.WireChecksum,
 		Telemetry:          s.Telemetry,
-		OnTransition: func(tr health.Transition) {
-			// MarkDown/MarkUp errors are advisory here: even when a
-			// re-solve fails, the arbiter has already published a
-			// mapping that excludes down nodes.
-			if tr.Up {
-				arb.MarkUp(tr.Addr)
-			} else {
-				arb.MarkDown(tr.Addr)
-			}
-		},
-		OnOverload: func(ov health.Overload) {
-			// Errors are advisory for the same reason: an overloaded
-			// node is still valid to route to, just undesirable.
-			if ov.Overloaded {
-				arb.MarkOverloaded(ov.Addr)
-			} else {
-				arb.MarkRecovered(ov.Addr)
-			}
-		},
-		OnDegraded: func(dg health.Degradation) {
-			// Advisory too: a fail-slow node still answers, just slowly.
-			// The floor inside MarkDegraded may refuse the quarantine —
-			// hedging then carries the tail until capacity returns.
-			if dg.Degraded {
-				arb.MarkDegraded(dg.Addr)
-			} else {
-				arb.MarkRestored(dg.Addr)
-			}
+		OnEvent: func(e health.Event) {
+			// Errors are advisory: even when a re-solve fails the arbiter
+			// has recorded the event and published a mapping that excludes
+			// down nodes; hot and slow nodes stay valid to route to (the
+			// floor may hold a quarantine back — hedging carries the tail).
+			arb.Transition(e.Addr, e.Kind)
 		},
 	})
 	if err != nil {
 		return err
+	}
+	// A recovered arbiter already holds journaled conditions, and the
+	// prober only reports edges: start each marked member in the state the
+	// arbiter has it in, so the ordinary debounce fires the Rise/Cool/
+	// Restore that clears the mark once the node earns it.
+	for _, addr := range addrs {
+		if st, _ := arb.StateOf(addr); st&^nodestate.Draining != 0 { // Draining is not the prober's to see
+			prober.Remove(addr)
+			if err := prober.Add(addr, st); err != nil {
+				prober.Stop()
+				return err
+			}
+		}
 	}
 	s.Health = prober
 	prober.Start()
@@ -752,7 +744,7 @@ func startDaemon(d *ion.Daemon, idx int, wrap func(int, net.Listener) net.Listen
 // RestartION warm-restarts the i-th daemon on its original address,
 // re-applying the stack's fault-injection listener wrapper when one is
 // configured. The daemon must have been Closed first (a "kill"); once it
-// serves again, the health prober observes it and MarkUp re-admits it to
+// serves again, the health prober observes it and its Rise re-admits it to
 // arbitration — the full crash→rejoin loop. The address is unchanged, so
 // existing mappings, client pools, and breaker state converge on their
 // own.
@@ -769,8 +761,10 @@ func (s *Stack) RestartION(i int) error {
 		return fmt.Errorf("livestack: %s was decommissioned, spawn a new I/O node instead", addr)
 	}
 	s.mu.Unlock()
-	if s.Arbiter != nil && s.Arbiter.IsDraining(addr) {
-		return fmt.Errorf("livestack: %s is draining, restart refused (let the drain finish or abort it first)", addr)
+	if s.Arbiter != nil {
+		if st, _ := s.Arbiter.StateOf(addr); st.Has(nodestate.Draining) {
+			return fmt.Errorf("livestack: %s is draining, restart refused (let the drain finish or abort it first)", addr)
+		}
 	}
 	if s.cfg.WrapListener == nil {
 		_, err := d.Restart()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nodestate"
 	"repro/internal/rpc"
 )
 
@@ -85,7 +86,7 @@ func TestRestartRejoin(t *testing.T) {
 	}
 
 	// Rejoin: warm restart on the same address; the prober must observe
-	// the rise and MarkUp must restore the pool.
+	// the rise and its Rise event must restore the pool.
 	if err := st.RestartION(victim); err != nil {
 		t.Fatalf("RestartION: %v", err)
 	}
@@ -96,7 +97,7 @@ func TestRestartRejoin(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !st.Health.IsUp(st.Addrs[victim]) {
+	if hs, _ := st.Health.StateOf(st.Addrs[victim]); hs.Has(nodestate.Down) {
 		t.Fatal("prober still reports the restarted ION down")
 	}
 	if v := reg.Counter("health_transitions_up_total").Value(); v != 1 {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 verification for this repository: gofmt + vet + build + race-enabled
-# tests.
+# tests + the suite census (no name-selected suite lost a test).
 # Equivalent to `make verify`; kept as a script for environments without make.
 set -eu
 
@@ -22,5 +22,8 @@ go build ./...
 
 echo ">> go test -race ./..."
 go test -race ./...
+
+echo ">> suite census"
+sh scripts/suite_census.sh
 
 echo "verify: OK"
