@@ -122,14 +122,15 @@ blackout:
 # before the SLO breach, quarantine + re-steer, hedge wins with a
 # per-byte exactly-once oracle, bounded p99, full recovery) plus the
 # latency-sketch, fail-slow scorer, quarantine arbitration, hedged
-# request, slow/asymmetric fault-plan, and stale-sample tests across
-# every layer the gray-failure defense touches. Reproduce a failing run
+# request, call-interrupt (how a winning hedge abandons its primary),
+# slow/asymmetric fault-plan, and stale-sample tests across every layer
+# the gray-failure defense touches. Reproduce a failing run
 # with GRAYFAIL_SEED=<n> make grayfail.
 grayfail:
 	$(GO) test -race -count=2 -timeout 300s \
-		-run 'GrayFailure|Sketch|Degrad|Quarantine|Hedge|Slow|LoadAges|Stale|IdleRecovery' \
+		-run 'GrayFailure|Sketch|Degrad|Quarantine|Hedge|Interrupt|Slow|LoadAges|Stale|IdleRecovery' \
 		./internal/livestack ./internal/latency ./internal/health \
-		./internal/arbiter ./internal/fwd ./internal/faultnet \
+		./internal/arbiter ./internal/fwd ./internal/rpc ./internal/faultnet \
 		./internal/elastic ./cmd/gkfwd
 
 # Wire-protocol fuzzers (frame decoder and encode/decode round-trip).

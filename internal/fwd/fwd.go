@@ -688,11 +688,14 @@ func (c *Client) gateFor(addr string) *ionGate {
 // the I/O node and the caller must satisfy it directly; resp and err are
 // then meaningless. Transport and application errors pass through
 // untouched so the existing failover and error semantics are unchanged.
+// A non-nil it lets a hedge that won abandon this call (see hedge.go): it
+// then returns rpc.ErrInterrupted, having released its gate slot the way
+// an error does — the window learns nothing from an answer nobody took.
 //
 // The returned response owns pooled transport buffers: the caller must
 // copy what it needs out of resp and call resp.Release (busy responses
 // are consumed and released here).
-func (c *Client) callION(t *rpc.Client, g *ionGate, req *rpc.Message) (resp *rpc.Message, err error, degraded bool) {
+func (c *Client) callION(t *rpc.Client, g *ionGate, req *rpc.Message, it *rpc.Interrupt) (resp *rpc.Message, err error, degraded bool) {
 	retries := c.cfg.Throttle.BusyRetries
 	if retries <= 0 {
 		retries = 2 // throttle disabled: still honour hints before degrading
@@ -702,7 +705,7 @@ func (c *Client) callION(t *rpc.Client, g *ionGate, req *rpc.Message) (resp *rpc
 			c.stats.degraded.Inc()
 			return nil, nil, true
 		}
-		resp, err = t.Call(req)
+		resp, err = t.CallInterruptible(req, it)
 		if err != nil && errors.Is(err, rpc.ErrClosed) {
 			// The per-node client was released by a decommission that
 			// raced this op's route view: the node is gone for good,
@@ -733,7 +736,7 @@ func (c *Client) callION(t *rpc.Client, g *ionGate, req *rpc.Message) (resp *rpc
 			continue
 		}
 		if g != nil {
-			if err != nil && errors.Is(err, rpc.ErrUnavailable) {
+			if err != nil && (errors.Is(err, rpc.ErrUnavailable) || errors.Is(err, rpc.ErrInterrupted)) {
 				g.onError()
 			} else {
 				// Success or application error: either way the server took
@@ -762,7 +765,7 @@ func (c *Client) Create(path string) error {
 	tr := c.trace("create", path)
 	if t, g := c.metaTarget(path); t != nil {
 		c.stats.forwarded.Inc()
-		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpCreate, Path: path, Trace: tr.id(), Priority: c.wirePrio})
+		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpCreate, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
 		resp.Release()
 		if degraded {
 			err = c.cfg.Direct.Create(path)
@@ -1110,11 +1113,10 @@ func (c *Client) readSpan(v *routeView, path string, off int64, p []byte, s span
 	dst := p[rel : rel+s.n]
 	c.stats.forwarded.Inc()
 	req := &rpc.Message{Op: rpc.OpRead, Path: path, Offset: s.off, Size: s.n, Trace: tr.id(), Priority: c.wirePrio}
-	resp, err, degraded, hk, won := c.callRead(v, path, s, req, dst)
+	resp, err, degraded, hk, won := c.callRead(v, s, req, dst)
 	if won {
 		// The hedge satisfied this span from the PFS directly; its bytes
-		// are already in dst and counted, and the primary is being drained
-		// in the background.
+		// are already in dst and counted, and the primary was interrupted.
 		return hk, nil
 	}
 	if degraded {
@@ -1167,7 +1169,7 @@ func (c *Client) Stat(path string) (pfs.FileInfo, error) {
 	defer tr.done(0, "")
 	if t, g := c.metaTarget(path); t != nil {
 		c.stats.forwarded.Inc()
-		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpStat, Path: path, Trace: tr.id(), Priority: c.wirePrio})
+		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpStat, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
 		if degraded {
 			return c.cfg.Direct.Stat(path)
 		}
@@ -1196,7 +1198,7 @@ func (c *Client) Remove(path string) error {
 	defer tr.done(0, "")
 	if t, g := c.metaTarget(path); t != nil {
 		c.stats.forwarded.Inc()
-		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpRemove, Path: path, Trace: tr.id(), Priority: c.wirePrio})
+		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpRemove, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
 		resp.Release()
 		if degraded {
 			return c.cfg.Direct.Remove(path)
@@ -1220,7 +1222,7 @@ func (c *Client) Fsync(path string) error {
 	defer tr.done(0, "")
 	if t, g := c.metaTarget(path); t != nil {
 		c.stats.forwarded.Inc()
-		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpFsync, Path: path, Trace: tr.id(), Priority: c.wirePrio})
+		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpFsync, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
 		resp.Release()
 		if degraded {
 			return c.cfg.Direct.Fsync(path)

@@ -8,17 +8,28 @@
 //     by the daemon's dedup window (see internal/ion) and the bytes land
 //     exactly once. That is why hedging requires Dedup: without the
 //     window a duplicate write would be a second apply.
-//   - reads hedge to the direct PFS path into a private buffer that is
-//     only copied into the caller's slice if the hedge wins, so a late
-//     primary can never race the copy.
+//   - reads hedge to the direct PFS path into a private buffer; the bytes
+//     reach the caller's slice on the caller's own goroutine, after the
+//     primary has returned, so nothing else ever writes that slice.
 //
-// First usable response wins; the loser is drained in the background and
-// its pooled buffers released. Hedges are capped by a Finagle-style token
-// budget (each issued span earns a fraction of a token, each hedge spends
-// one) so a cluster-wide slowdown degrades into at most Budget extra
-// load, never a retry storm. Everything here is opt-in: with Hedge.Enabled
-// false the client never constructs hedge state and the data path pays a
-// single nil check.
+// A hedge does nothing until its deadline passes. The primary runs inline
+// on the caller's goroutine under one pooled, re-armed time.AfterFunc
+// timer: the common case is Reset → call → Stop → return, with no
+// goroutine, channel, timer allocation or payload copy. Only when the
+// timer fires does its callback (hedgeCall.launch, on the timer's own
+// goroutine) spend a budget token, copy the request while the caller is
+// still blocked in the primary, and run the backup. First usable response
+// wins: a backup that finishes first interrupts the primary
+// (rpc.Interrupt), whose conn is dropped rather than drained and whose
+// elapsed time enters the latency sketch as a censored sample, so the
+// fail-slow scorer keeps seeing the slow node; a primary that finishes
+// first simply returns, and the backup releases its own response when it
+// lands. Hedges are capped by a Finagle-style token budget (each issued
+// span earns a fraction of a token, each hedge spends one) so a
+// cluster-wide slowdown degrades into at most Budget extra load, never a
+// retry storm. Everything here is opt-in: with Hedge.Enabled false the
+// client never constructs hedge state and the data path pays a single nil
+// check.
 package fwd
 
 import (
@@ -76,10 +87,12 @@ func (h HedgeConfig) withDefaults() HedgeConfig {
 }
 
 // hedgeState is a hedging client's machinery: the resolved config, the
-// token budget, and the observability series. nil on non-hedging clients.
+// token budget, the pool of idle per-span states, and the observability
+// series. nil on non-hedging clients.
 type hedgeState struct {
 	cfg    HedgeConfig
 	bucket hedgeBucket
+	calls  sync.Pool // *hedgeCall whose timer never fired
 
 	launched *telemetry.Counter
 	wins     *telemetry.Counter
@@ -113,58 +126,205 @@ func (b *hedgeBucket) trySpend() bool {
 	return true
 }
 
-// ionResult carries one attempt's raw outcome between goroutines.
-type ionResult struct {
+// hedgeOutcome is what a backup attempt produced: callION's triple for a
+// duplicated write, the bytes of a direct read (a short read is a usable
+// answer, so its sentinel is dropped before the outcome is stored).
+type hedgeOutcome struct {
 	resp     *rpc.Message
 	err      error
 	degraded bool
+	data     []byte
 }
 
 // usable reports whether the attempt produced a response the span logic
 // can consume as a win: any direct-path fallback (degraded, unavailable)
 // must not win a write hedge, because the other attempt may still apply
 // on the I/O node.
-func (r ionResult) usable() bool { return r.err == nil && !r.degraded }
+func (o hedgeOutcome) usable() bool { return o.err == nil && !o.degraded }
 
-// drainION consumes the losing attempt's result and returns its pooled
-// buffers to the transport.
-func drainION(ch <-chan ionResult) {
-	r := <-ch
-	r.resp.Release()
+// hedgeCall is one span's hedge: the timer that decides whether a backup
+// launches, the handle that interrupts the primary when the backup wins,
+// and the rendezvous between the caller (running the primary) and the
+// timer callback (running the backup). While the timer has not fired only
+// the caller touches it, and it goes back to the pool; once it fired it is
+// shared with launch, serves this span only and is left to the collector.
+type hedgeCall struct {
+	c     *Client
+	timer *time.Timer // AfterFunc(launch), re-armed for every span
+	it    rpc.Interrupt
+
+	// Set by armHedge before the timer runs. The request is held by value — the
+	// primary sends this copy — so the caller's Message literal never
+	// escapes, hedging client or not.
+	req rpc.Message
+	t   *rpc.Client
+	g   *ionGate
+
+	mu          sync.Mutex
+	primaryDone bool          // the caller is past the primary
+	abandoned   bool          // the caller kept the primary's outcome: launch releases the backup's
+	won         bool          // the backup finished first and usable, and interrupted the primary
+	finished    bool          // out is set
+	done        chan struct{} // made when the backup launches, closed when it finished
+	out         hedgeOutcome
 }
 
 // timedCall is callION plus the latency observation that feeds the shared
 // sketch (and through it the health prober's fail-slow scorer and this
 // client's own hedge deadlines). Sketch-less clients fall straight
 // through — one nil check, no clock read.
-func (c *Client) timedCall(addr string, t *rpc.Client, g *ionGate, req *rpc.Message) (*rpc.Message, error, bool) {
+func (c *Client) timedCall(addr string, t *rpc.Client, g *ionGate, req *rpc.Message, it *rpc.Interrupt) (*rpc.Message, error, bool) {
 	if c.cfg.Latency == nil {
-		return c.callION(t, g, req)
+		return c.callION(t, g, req, it)
 	}
 	start := time.Now()
-	resp, err, degraded := c.callION(t, g, req)
-	if err == nil && !degraded {
+	resp, err, degraded := c.callION(t, g, req, it)
+	if (err == nil && !degraded) || errors.Is(err, rpc.ErrInterrupted) {
 		// Only accepted-and-answered calls are evidence of the node's
 		// service latency; sheds and transport failures have their own
-		// planes (overload detection, the breaker).
+		// planes (overload detection, the breaker). A primary abandoned
+		// to its hedge was accepted too: the time it had taken when it was
+		// cut off is a lower bound on its latency, and leaving it out
+		// would hide exactly the node the scorer is looking for.
 		c.cfg.Latency.Observe(addr, time.Since(start))
 	}
 	return resp, err, degraded
 }
 
-// hedgeDelay resolves the hedge deadline for addr: the configured
-// quantile of its recent latencies, floored at MinDelay. ok=false (not
-// enough samples yet) means do not hedge — the sketch cannot distinguish
-// slow from unknown.
-func (c *Client) hedgeDelay(addr string) (time.Duration, bool) {
-	d, ok := c.cfg.Latency.Quantile(addr, c.hedge.cfg.Pct)
+// armHedge starts the hedge clock for one span about to be sent to addr,
+// or returns nil when this span must go unhedged: a non-hedging client,
+// or a node without enough samples yet — the sketch cannot distinguish
+// slow from unknown. The caller sends &st.req with &st.it and then calls
+// disarm.
+func (c *Client) armHedge(addr string, t *rpc.Client, g *ionGate, req *rpc.Message) *hedgeCall {
+	h := c.hedge
+	if h == nil {
+		return nil
+	}
+	h.bucket.earn(h.cfg.Budget)
+	delay, ok := c.cfg.Latency.Quantile(addr, h.cfg.Pct)
 	if !ok {
-		return 0, false
+		return nil
 	}
-	if d < c.hedge.cfg.MinDelay {
-		d = c.hedge.cfg.MinDelay
+	if delay < h.cfg.MinDelay {
+		delay = h.cfg.MinDelay
 	}
-	return d, true
+	st, _ := h.calls.Get().(*hedgeCall)
+	if st == nil {
+		st = &hedgeCall{c: c}
+	}
+	st.req, st.t, st.g = *req, t, g
+	if st.timer == nil {
+		st.timer = time.AfterFunc(delay, st.launch)
+	} else {
+		st.timer.Reset(delay)
+	}
+	return st
+}
+
+// disarm stops the hedge clock after the primary returned. true is the
+// common case: the timer had not fired, nothing else ever saw st, and it
+// is recycled. false means launch is running or about to — the caller
+// must settle with it.
+func (h *hedgeState) disarm(st *hedgeCall) bool {
+	if !st.timer.Stop() {
+		return false
+	}
+	st.req = rpc.Message{} // do not pin the caller's payload in the pool
+	h.calls.Put(st)
+	return true
+}
+
+// launch is the timer callback: the primary has been out longer than the
+// hedge deadline. It spends a token, copies the request and runs the
+// backup, then either wins (interrupting the primary) or leaves its
+// outcome for the caller to settle.
+func (st *hedgeCall) launch() {
+	c, h := st.c, st.c.hedge
+	st.mu.Lock()
+	if st.primaryDone {
+		// The primary returned while the timer was firing.
+		st.mu.Unlock()
+		return
+	}
+	if !h.bucket.trySpend() {
+		h.denied.Inc()
+		st.mu.Unlock()
+		return
+	}
+	h.launched.Inc()
+	st.done = make(chan struct{})
+	// The copy happens under mu, which the caller takes before it returns:
+	// it is still inside (or just past) the primary, so its buffer is
+	// intact, and it is free to reuse it the moment Write returns. A write
+	// duplicate keeps the (ClientID, Seq) stamp, so the daemon's dedup
+	// window coalesces the in-flight pair or replays the committed
+	// outcome: one apply, two answers.
+	dup := st.req
+	dup.Data = append([]byte(nil), st.req.Data...)
+	st.mu.Unlock()
+
+	var out hedgeOutcome
+	if dup.Op == rpc.OpRead {
+		buf := make([]byte, dup.Size)
+		n, err := c.cfg.Direct.Read(dup.Path, dup.Offset, buf)
+		if errors.Is(err, pfs.ErrShortRead) {
+			err = nil
+		}
+		out = hedgeOutcome{data: buf[:n], err: err}
+	} else {
+		out.resp, out.err, out.degraded = c.callION(st.t, st.g, &dup, nil)
+	}
+
+	st.mu.Lock()
+	st.out, st.finished = out, true
+	switch {
+	case st.abandoned:
+		out.resp.Release()
+	case !st.primaryDone && out.usable():
+		st.won = true
+		st.it.Fire()
+	}
+	st.mu.Unlock()
+	close(st.done)
+}
+
+// settle is the caller's half of the decision, taken after the primary
+// returned with the timer already fired. It returns the backup's outcome
+// when that replaces the primary's: the backup finished first and usable,
+// or the primary's outcome does not stand on its own (an error or a
+// direct-path fallback of a write — racing a direct write against an I/O
+// node apply that may still be in flight is not safe) and the backup,
+// waited for, turned out usable. Otherwise the primary's outcome is the
+// span's, exactly as on the unhedged path, and the backup's is released.
+func (st *hedgeCall) settle(primaryStands bool) (hedgeOutcome, bool) {
+	st.mu.Lock()
+	st.primaryDone = true
+	done, won, finished := st.done, st.won, st.finished
+	if primaryStands && !won {
+		st.abandoned = true
+	}
+	st.mu.Unlock()
+	switch {
+	case done == nil:
+		// No backup: the budget denied it, or launch lost the race for mu
+		// and will see primaryDone.
+		return hedgeOutcome{}, false
+	case won:
+	case primaryStands:
+		if finished {
+			st.out.resp.Release() // an unusable backup that finished first
+		}
+		return hedgeOutcome{}, false
+	default:
+		<-done
+		if !st.out.usable() {
+			st.out.resp.Release()
+			return hedgeOutcome{}, false
+		}
+	}
+	st.c.hedge.wins.Inc()
+	return st.out, true
 }
 
 // callWrite issues one span's write RPC, hedged when the client is
@@ -175,172 +335,44 @@ func (c *Client) hedgeDelay(addr string) (time.Duration, bool) {
 func (c *Client) callWrite(v *routeView, s span, req *rpc.Message) (*rpc.Message, error, bool) {
 	addr := v.addrs[s.target]
 	t, g := v.conns[s.target], v.gates[s.target]
-	h := c.hedge
-	if h == nil {
-		return c.timedCall(addr, t, g, req)
+	st := c.armHedge(addr, t, g, req)
+	if st == nil {
+		return c.timedCall(addr, t, g, req, nil)
 	}
-	h.bucket.earn(h.cfg.Budget)
-	delay, ok := c.hedgeDelay(addr)
-	if !ok {
-		return c.timedCall(addr, t, g, req)
+	resp, err, degraded := c.timedCall(addr, t, g, &st.req, &st.it)
+	if c.hedge.disarm(st) {
+		return resp, err, degraded
 	}
-
-	// Both attempts work from a private heap copy of the message. Copying
-	// the payload decouples the hedge from the caller's buffer: a losing
-	// attempt keeps encoding after callWrite returns — and the moment
-	// Write returns, the caller is free to reuse its slice. Copying the
-	// Message keeps req itself out of the goroutines below, so the
-	// caller's literal stays off the heap on the unhedged path (escape
-	// analysis is path-insensitive).
-	hreq := new(rpc.Message)
-	*hreq = *req
-	hreq.Data = append([]byte(nil), req.Data...)
-
-	prim := make(chan ionResult, 1)
-	go func() {
-		resp, err, degraded := c.timedCall(addr, t, g, hreq)
-		prim <- ionResult{resp, err, degraded}
-	}()
-	timer := time.NewTimer(delay)
-	select {
-	case r := <-prim:
-		timer.Stop()
-		return r.resp, r.err, r.degraded
-	case <-timer.C:
+	if out, ok := st.settle(err == nil && !degraded); ok {
+		resp.Release()
+		return out.resp, out.err, out.degraded
 	}
-	if !h.bucket.trySpend() {
-		h.denied.Inc()
-		r := <-prim
-		return r.resp, r.err, r.degraded
-	}
-	h.launched.Inc()
-
-	// The duplicate shares the payload and — critically — the (ClientID,
-	// Seq) stamp, so the daemon's dedup window coalesces the in-flight
-	// pair or replays the committed outcome: one apply, two answers. A
-	// fresh Message value is used because two concurrent Calls must not
-	// share one encode source.
-	dup := *hreq
-	hch := make(chan ionResult, 1)
-	go func() {
-		resp, err, degraded := c.callION(t, g, &dup)
-		hch <- ionResult{resp, err, degraded}
-	}()
-
-	var first ionResult
-	firstIsHedge := false
-	select {
-	case first = <-prim:
-	case first = <-hch:
-		firstIsHedge = true
-	}
-	if first.usable() {
-		if firstIsHedge {
-			h.wins.Inc()
-			go drainION(prim)
-		} else {
-			go drainION(hch)
-		}
-		return first.resp, first.err, first.degraded
-	}
-	// The first arrival cannot win (error or direct-path fallback): wait
-	// for the other attempt rather than racing a direct write against an
-	// ION apply that may still be in flight.
-	var second ionResult
-	if firstIsHedge {
-		second = <-prim
-	} else {
-		second = <-hch
-	}
-	if second.usable() {
-		if !firstIsHedge {
-			h.wins.Inc() // the second arrival was the hedge
-		}
-		first.resp.Release()
-		return second.resp, second.err, second.degraded
-	}
-	// Both attempts failed: surface the primary's outcome so the error
-	// semantics match the unhedged path exactly.
-	primary, hedge := first, second
-	if firstIsHedge {
-		primary, hedge = second, first
-	}
-	hedge.resp.Release()
-	return primary.resp, primary.err, primary.degraded
+	return resp, err, degraded
 }
 
 // callRead issues one span's read RPC, hedged to the direct PFS path when
-// configured. won=true means the hedge completed first: k bytes are
-// already copied into dst and counted, and the caller returns them
-// without touching the (possibly still in-flight) primary. Otherwise the
-// returned triple is the primary's outcome with callION's contract.
-func (c *Client) callRead(v *routeView, path string, s span, req *rpc.Message, dst []byte) (resp *rpc.Message, err error, degraded bool, k int, won bool) {
+// configured. won=true means the hedge finished first: k bytes are copied
+// into dst and counted, and the primary was interrupted. Otherwise the
+// returned triple is the primary's outcome with callION's contract —
+// whatever it is, since readSpan's own fallbacks already end at the path
+// the hedge would take.
+func (c *Client) callRead(v *routeView, s span, req *rpc.Message, dst []byte) (resp *rpc.Message, err error, degraded bool, k int, won bool) {
 	addr := v.addrs[s.target]
 	t, g := v.conns[s.target], v.gates[s.target]
-	h := c.hedge
-	if h == nil {
-		resp, err, degraded = c.timedCall(addr, t, g, req)
+	st := c.armHedge(addr, t, g, req)
+	if st == nil {
+		resp, err, degraded = c.timedCall(addr, t, g, req, nil)
 		return resp, err, degraded, 0, false
 	}
-	h.bucket.earn(h.cfg.Budget)
-	delay, ok := c.hedgeDelay(addr)
-	if !ok {
-		resp, err, degraded = c.timedCall(addr, t, g, req)
+	resp, err, degraded = c.timedCall(addr, t, g, &st.req, &st.it)
+	if c.hedge.disarm(st) {
 		return resp, err, degraded, 0, false
 	}
-
-	// A private heap copy keeps req out of the goroutine below, so the
-	// caller's Message literal stays off the heap on the unhedged path.
-	hreq := new(rpc.Message)
-	*hreq = *req
-
-	prim := make(chan ionResult, 1)
-	go func() {
-		r, e, d := c.timedCall(addr, t, g, hreq)
-		prim <- ionResult{r, e, d}
-	}()
-	timer := time.NewTimer(delay)
-	select {
-	case r := <-prim:
-		timer.Stop()
-		return r.resp, r.err, r.degraded, 0, false
-	case <-timer.C:
+	if out, ok := st.settle(true); ok {
+		resp.Release()
+		k = copy(dst, out.data)
+		c.stats.bytesIn.Add(int64(k))
+		return nil, nil, false, k, true
 	}
-	if !h.bucket.trySpend() {
-		h.denied.Inc()
-		r := <-prim
-		return r.resp, r.err, r.degraded, 0, false
-	}
-	h.launched.Inc()
-
-	// The hedge reads into a private buffer: the primary owns dst until
-	// the hedge is declared the winner, so a late primary copy can never
-	// race the application's view of its own slice.
-	type directRead struct {
-		buf []byte
-		n   int
-		err error
-	}
-	hch := make(chan directRead, 1)
-	go func() {
-		buf := make([]byte, s.n)
-		n, derr := c.cfg.Direct.Read(path, s.off, buf)
-		hch <- directRead{buf, n, derr}
-	}()
-	select {
-	case r := <-prim:
-		go func() { <-hch }() // discard the direct read; it holds no pooled buffers
-		return r.resp, r.err, r.degraded, 0, false
-	case hr := <-hch:
-		if hr.err == nil || errors.Is(hr.err, pfs.ErrShortRead) {
-			h.wins.Inc()
-			k = copy(dst, hr.buf[:hr.n])
-			c.stats.bytesIn.Add(int64(k))
-			go drainION(prim)
-			return nil, nil, false, k, true
-		}
-		// The direct path itself failed: the primary is the only hope.
-		r := <-prim
-		return r.resp, r.err, r.degraded, 0, false
-	}
+	return resp, err, degraded, 0, false
 }

@@ -7,7 +7,10 @@ package fwd
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +22,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
+	"repro/internal/testkit"
 )
 
 // slowDaemon starts one real I/O-node daemon behind a faultnet injector,
@@ -292,5 +296,365 @@ func TestHedgeEpochFenceInterplay(t *testing.T) {
 	}
 	if s := c.Stats(); s.BytesOut != int64(len(payload)) {
 		t.Fatalf("BytesOut = %d, want %d", s.BytesOut, len(payload))
+	}
+}
+
+// inflightProbe is a fake I/O node that answers every request at once and
+// records how many goroutines the process runs while a request is in
+// flight — the instant a hand-off per primary would show.
+func inflightProbe(t *testing.T, content []byte) (addr string, maxGoroutines *atomic.Int64) {
+	t.Helper()
+	maxGoroutines = new(atomic.Int64)
+	srv := rpc.NewServer(func(req *rpc.Message) *rpc.Message {
+		if n := int64(runtime.NumGoroutine()); n > maxGoroutines.Load() {
+			maxGoroutines.Store(n) // one conn, one request at a time: no lost update
+		}
+		resp := &rpc.Message{Op: req.Op, Path: req.Path, Trace: req.Trace}
+		switch req.Op {
+		case rpc.OpWrite:
+			resp.Size = int64(len(req.Data))
+		case rpc.OpRead:
+			resp.Data = content[:req.Size]
+		}
+		return resp
+	})
+	addr, err := srv.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return addr, maxGoroutines
+}
+
+// TestArmedIdleHedgeCostsNothing: a hedging client whose deadline never
+// passes allocates exactly what a hedge-less client does per Write and per
+// Read, and runs the primary on the caller's own goroutine — no goroutine
+// more than a hedge-less client has while a request is in flight, over
+// 1 000 ops.
+func TestArmedIdleHedgeCostsNothing(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 4096)
+	type cost struct {
+		writeAllocs, readAllocs float64
+		extraGoroutines         int64
+	}
+	measure := func(t *testing.T, hedge HedgeConfig) cost {
+		addr, maxGoroutines := inflightProbe(t, payload)
+		sk := latency.NewSketch(0)
+		reg := telemetry.New()
+		c, err := NewClient(Config{
+			AppID: "app", Direct: pfs.NewStore(pfs.Config{}), ChunkSize: 8192,
+			Dedup: true, Hedge: hedge, Latency: sk, Telemetry: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetIONs([]string{addr})
+		buf := make([]byte, len(payload))
+		write := func() {
+			if n, err := c.Write("/idle", 0, payload); err != nil || n != len(payload) {
+				t.Fatalf("write: n=%d err=%v", n, err)
+			}
+		}
+		read := func() {
+			if n, err := c.Read("/idle", 0, buf); err != nil || n != len(payload) {
+				t.Fatalf("read: n=%d err=%v", n, err)
+			}
+		}
+		// Warm up: the conn is dialed, the sketch has samples (so a hedging
+		// client really arms its timer from here on), the pools are primed.
+		for i := 0; i < 8; i++ {
+			write()
+			read()
+		}
+		var got cost
+		baseline := int64(runtime.NumGoroutine())
+		maxGoroutines.Store(0)
+		for i := 0; i < 500; i++ {
+			write()
+			read()
+		}
+		got.extraGoroutines = maxGoroutines.Load() - baseline
+		if !testkit.RaceEnabled { // sync.Pool drops a share of Puts under the race detector
+			got.writeAllocs = testing.AllocsPerRun(200, write)
+			got.readAllocs = testing.AllocsPerRun(200, read)
+		}
+		for _, name := range []string{"launched", "wins", "denied"} {
+			if v := reg.Counter("fwd_hedge_" + name + "_total{app=\"app\"}").Value(); v != 0 {
+				t.Fatalf("fwd_hedge_%s_total = %d on an idle hedge, want 0", name, v)
+			}
+		}
+		return got
+	}
+	var bare, armed cost
+	t.Run("hedgeless", func(t *testing.T) { bare = measure(t, HedgeConfig{}) })
+	t.Run("armed", func(t *testing.T) { armed = measure(t, HedgeConfig{Enabled: true, MinDelay: time.Minute}) })
+	if armed != bare {
+		t.Fatalf("an armed-but-idle hedge is not free:\n  hedge-less %+v\n  armed      %+v", bare, armed)
+	}
+	if bare.extraGoroutines != 0 {
+		t.Fatalf("%d goroutines appear while a request is in flight, want 0: the request's own goroutine does the call", bare.extraGoroutines)
+	}
+}
+
+// scriptedION is a fake I/O node for the outcome table: write and read
+// attempts are numbered in arrival order (0 = the primary, 1 = the hedged
+// duplicate), announce themselves on arrived, and are answered only when
+// the test sends their reply — "" for success, else the application error
+// the response carries.
+type scriptedION struct {
+	arrived chan int
+	reply   [2]chan string
+	n       atomic.Int32
+}
+
+func startScriptedION(t *testing.T, content []byte) (*scriptedION, string) {
+	t.Helper()
+	s := &scriptedION{arrived: make(chan int, 2)}
+	for i := range s.reply {
+		s.reply[i] = make(chan string, 1)
+	}
+	srv := rpc.NewServer(func(req *rpc.Message) *rpc.Message {
+		i := int(s.n.Add(1)) - 1
+		resp := &rpc.Message{Op: req.Op, Path: req.Path, Trace: req.Trace}
+		if i >= len(s.reply) {
+			resp.Err = "scriptedION: unexpected third attempt"
+			return resp
+		}
+		s.arrived <- i
+		if resp.Err = <-s.reply[i]; resp.Err != "" {
+			return resp
+		}
+		if req.Op == rpc.OpWrite {
+			resp.Size = int64(len(req.Data))
+		} else {
+			resp.Data = content[:req.Size]
+		}
+		return resp
+	})
+	addr, err := srv.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return s, addr
+}
+
+// gatedFS is the direct path of the outcome table: it counts what reaches
+// it, and a Read (the hedged read) announces itself and waits for the
+// test's verdict, like a scriptedION attempt.
+type gatedFS struct {
+	pfs.FileSystem
+	arrived       chan int
+	verdict       chan string
+	reads, writes atomic.Int64
+}
+
+func (f *gatedFS) Read(path string, off int64, p []byte) (int, error) {
+	f.reads.Add(1)
+	f.arrived <- 1
+	if msg := <-f.verdict; msg != "" {
+		return 0, errors.New(msg)
+	}
+	return f.FileSystem.Read(path, off, p)
+}
+
+func (f *gatedFS) Write(path string, off int64, p []byte) (int, error) {
+	f.writes.Add(1)
+	return f.FileSystem.Write(path, off, p)
+}
+
+// TestHedgeOutcomeTable pins the decision table on both ops: first usable
+// wins, an unusable first arrival waits for the other (writes), both
+// failed surfaces the primary's outcome — with the three hedge counters,
+// bytes counted once, the abandoned primary's censored latency sample, the
+// throttle gate drained, and no trace of rpc.ErrInterrupted in what
+// sendSpan/readSpan saw (no failover, no degrade, no direct-path call
+// beyond the hedged read itself).
+func TestHedgeOutcomeTable(t *testing.T) {
+	// The hedge deadline: long enough that the primary has certainly parked
+	// in the fake node before the backup launches, even on a loaded machine
+	// (the fake numbers write attempts by arrival).
+	const seedDelay = 50 * time.Millisecond
+	content := bytes.Repeat([]byte{4}, 512)
+	cases := []struct {
+		name                 string
+		read                 bool
+		first                int    // which attempt is answered first: 0 primary, 1 hedge
+		primary, hedge       string // replies: "" = usable
+		wantErr              string
+		wantWins, wantSample int64 // hedge wins; latency samples the span adds
+	}{
+		{name: "write/primary usable first", first: 0, wantSample: 1},
+		{name: "write/hedge usable first", first: 1, wantWins: 1, wantSample: 1},
+		{name: "write/primary unusable first, hedge usable", first: 0, primary: "primary boom", wantWins: 1},
+		{name: "write/primary unusable first, hedge unusable", first: 0, primary: "primary boom", hedge: "hedge boom", wantErr: "primary boom"},
+		{name: "write/hedge unusable first, primary usable", first: 1, hedge: "hedge boom", wantSample: 1},
+		{name: "write/hedge unusable first, primary unusable", first: 1, primary: "primary boom", hedge: "hedge boom", wantErr: "primary boom"},
+		{name: "read/primary usable first", read: true, first: 0, wantSample: 1},
+		{name: "read/hedge usable first", read: true, first: 1, wantWins: 1, wantSample: 1},
+		{name: "read/primary unusable first", read: true, first: 0, primary: "primary boom", wantErr: "primary boom"},
+		{name: "read/hedge unusable first, primary usable", read: true, first: 1, hedge: "hedge boom", wantSample: 1},
+		{name: "read/hedge unusable first, primary unusable", read: true, first: 1, primary: "primary boom", hedge: "hedge boom", wantErr: "primary boom"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := pfs.NewStore(pfs.Config{})
+			if err := store.Create("/t"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := store.Write("/t", 0, content); err != nil {
+				t.Fatal(err)
+			}
+			s, addr := startScriptedION(t, content)
+			direct := &gatedFS{FileSystem: store, arrived: s.arrived, verdict: make(chan string, 1)}
+			sk := latency.NewSketch(0)
+			reg := telemetry.New()
+			c, err := NewClient(Config{
+				AppID: "app", Direct: direct, ChunkSize: 1024,
+				Dedup:     true,
+				RPC:       rpc.Options{CallTimeout: 10 * time.Second},
+				Throttle:  ThrottleConfig{Enabled: true},
+				Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, MinDelay: seedDelay, Budget: 1, MaxTokens: 8},
+				Latency:   sk,
+				Telemetry: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			// Runs first, whatever happened: no attempt stays parked, so the
+			// client and the fake node can shut down after a failed case too.
+			t.Cleanup(func() {
+				close(s.reply[0])
+				close(s.reply[1])
+				close(direct.verdict)
+			})
+			c.SetIONs([]string{addr})
+			seedLatency(sk, addr, seedDelay)
+			gate := c.gateFor(addr)
+			inflight := func() int {
+				gate.mu.Lock()
+				defer gate.mu.Unlock()
+				return gate.inflight
+			}
+			waitInflight := func(want int) {
+				t.Helper()
+				for deadline := time.Now().Add(5 * time.Second); inflight() != want; time.Sleep(200 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("throttle gate holds %d slots, want %d", inflight(), want)
+					}
+				}
+			}
+
+			type result struct {
+				n   int
+				err error
+			}
+			done := make(chan result, 1)
+			buf := make([]byte, len(content))
+			go func() {
+				var r result
+				if tc.read {
+					r.n, r.err = c.Read("/t", 0, buf)
+				} else {
+					r.n, r.err = c.Write("/t", 0, content)
+				}
+				done <- r
+			}()
+			// The primary parks in the fake node, the hedge deadline passes,
+			// the backup launches and parks too.
+			for want := 0; want < 2; want++ {
+				select {
+				case got := <-s.arrived:
+					if got != want {
+						t.Fatalf("attempt %d arrived, want %d", got, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("attempt %d never launched", want)
+				}
+			}
+			answer := func(attempt int) {
+				switch {
+				case attempt == 0:
+					s.reply[0] <- tc.primary
+				case tc.read:
+					direct.verdict <- tc.hedge
+				default:
+					s.reply[1] <- tc.hedge
+				}
+			}
+			answer(tc.first)
+			firstReply := tc.primary
+			if tc.first == 1 {
+				firstReply = tc.hedge
+			}
+			waitDone := func(why string) result {
+				t.Helper()
+				select {
+				case r := <-done:
+					return r
+				case <-time.After(5 * time.Second):
+					t.Fatal(why)
+					return result{}
+				}
+			}
+			var r result
+			if firstReply == "" || (tc.read && tc.first == 0) {
+				// The first answer decides: the op returns with the other
+				// attempt still parked.
+				r = waitDone("the op did not return on the first answer, which decides it")
+				answer(1 - tc.first)
+			} else {
+				if !tc.read {
+					waitInflight(1) // the first answer has been taken in
+				}
+				answer(1 - tc.first)
+				r = waitDone("the op did not return with both attempts answered")
+			}
+			waitInflight(0) // the loser finished too; an interrupted primary freed its slot
+
+			switch {
+			case errors.Is(r.err, rpc.ErrInterrupted):
+				t.Fatalf("rpc.ErrInterrupted reached the application: %v", r.err)
+			case tc.wantErr == "" && (r.err != nil || r.n != len(content)):
+				t.Fatalf("n=%d err=%v, want %d bytes", r.n, r.err, len(content))
+			case tc.wantErr != "" && (r.err == nil || r.err.Error() != tc.wantErr):
+				t.Fatalf("err = %v, want %q (the primary's outcome)", r.err, tc.wantErr)
+			}
+			if tc.read && tc.wantErr == "" && !bytes.Equal(buf, content) {
+				t.Fatal("read returned wrong bytes")
+			}
+			counter := func(name string) int64 {
+				return reg.Counter("fwd_hedge_" + name + "_total{app=\"app\"}").Value()
+			}
+			if l, w, d := counter("launched"), counter("wins"), counter("denied"); l != 1 || w != tc.wantWins || d != 0 {
+				t.Fatalf("launched/wins/denied = %d/%d/%d, want 1/%d/0", l, w, d, tc.wantWins)
+			}
+			st := c.Stats()
+			wantOut, wantIn, wantDirectReads := int64(len(content)), int64(0), int64(0)
+			if tc.read {
+				wantOut, wantDirectReads = 0, 1
+				if tc.wantErr == "" {
+					wantIn = int64(len(content))
+				}
+			}
+			if st.BytesOut != wantOut || st.BytesIn != wantIn {
+				t.Fatalf("BytesOut/BytesIn = %d/%d, want %d/%d (counted once, whoever won)", st.BytesOut, st.BytesIn, wantOut, wantIn)
+			}
+			if st.FailoverOps != 0 || st.DegradedOps != 0 || direct.writes.Load() != 0 || direct.reads.Load() != wantDirectReads {
+				t.Fatalf("the fallback chain ran: failover=%d degraded=%d direct writes=%d reads=%d (want 0/0/0/%d)",
+					st.FailoverOps, st.DegradedOps, direct.writes.Load(), direct.reads.Load(), wantDirectReads)
+			}
+			// An answered primary is a latency sample; so is one abandoned to
+			// a winning hedge — censored at the moment it was cut off, which
+			// is past the hedge deadline by construction.
+			if got := int64(sk.Total(addr)) - latency.DefaultWindow; got != tc.wantSample {
+				t.Fatalf("the span added %d latency samples, want %d", got, tc.wantSample)
+			}
+			if slowest, _ := sk.Quantile(addr, 1); tc.wantSample == 1 && slowest <= seedDelay {
+				t.Fatalf("slowest sample %v: the slow primary's time is missing from the sketch", slowest)
+			}
+		})
 	}
 }

@@ -7,16 +7,17 @@
 // per-node tail quantiles to set adaptive hedge deadlines.
 //
 // A sketch is deliberately tiny: a ring of the last Window samples per
-// key, quantiles by sorting a scratch copy. With the default window of
-// 64 samples a quantile query is an insertion sort of at most 64
-// elements and zero heap allocations after the ring is warm, which
-// keeps it acceptable on the forwarding path when hedging is enabled.
+// key, beside a sorted shadow of the same samples that Observe keeps in
+// order with one remove and one insert. A quantile query is therefore an
+// index into the shadow — no sort, no copy, no heap allocation — which is
+// what the forwarding path needs when hedging asks for one per span.
 // All methods are safe for concurrent use and safe on a nil *Sketch
 // (observations are dropped, queries report no data), so layers can
 // thread an optional sketch without guarding every call site.
 package latency
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -34,10 +35,10 @@ type Sketch struct {
 }
 
 type ring struct {
-	buf  []time.Duration
-	next int // index of the slot the next sample overwrites
-	full bool
-	n    uint64 // total samples ever observed
+	buf    []time.Duration
+	sorted []time.Duration // the occupied window of buf, ascending
+	next   int             // index of the slot the next sample overwrites
+	n      uint64          // total samples ever observed
 }
 
 // NewSketch returns a sketch holding the last window samples per key.
@@ -59,14 +60,21 @@ func (s *Sketch) Observe(key string, d time.Duration) {
 	s.mu.Lock()
 	r := s.rings[key]
 	if r == nil {
-		r = &ring{buf: make([]time.Duration, s.window)}
+		r = &ring{buf: make([]time.Duration, s.window), sorted: make([]time.Duration, 0, s.window)}
 		s.rings[key] = r
 	}
+	if len(r.sorted) == len(r.buf) {
+		// The sample being overwritten leaves the shadow too.
+		i, _ := slices.BinarySearch(r.sorted, r.buf[r.next])
+		r.sorted = slices.Delete(r.sorted, i, i+1)
+	}
+	i, _ := slices.BinarySearch(r.sorted, d)
+	r.sorted = slices.Insert(r.sorted, i, d)
 	r.buf[r.next] = d
 	r.next++
 	r.n++
 	if r.next == len(r.buf) {
-		r.next, r.full = 0, true
+		r.next = 0
 	}
 	s.mu.Unlock()
 }
@@ -82,7 +90,7 @@ func (s *Sketch) Samples(key string) int {
 	if r == nil {
 		return 0
 	}
-	return r.len()
+	return len(r.sorted)
 }
 
 // Total reports how many samples were ever observed for key, including
@@ -112,17 +120,13 @@ func (s *Sketch) Quantile(key string, q float64) (time.Duration, bool) {
 	if q > 1 {
 		q = 1
 	}
-	var scratch [DefaultWindow]time.Duration
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	r := s.rings[key]
-	if r == nil || r.len() == 0 {
-		s.mu.Unlock()
+	if r == nil || len(r.sorted) == 0 {
 		return 0, false
 	}
-	sorted := r.sortedInto(scratch[:0])
-	s.mu.Unlock()
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx], true
+	return r.sorted[int(q*float64(len(r.sorted)-1))], true
 }
 
 // Median is Quantile(key, 0.5).
@@ -138,24 +142,4 @@ func (s *Sketch) Forget(key string) {
 	s.mu.Lock()
 	delete(s.rings, key)
 	s.mu.Unlock()
-}
-
-func (r *ring) len() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-// sortedInto appends the occupied window to dst and insertion-sorts it.
-// With dst backed by a stack array of DefaultWindow entries and the
-// default window size, the append never allocates.
-func (r *ring) sortedInto(dst []time.Duration) []time.Duration {
-	dst = append(dst, r.buf[:r.len()]...)
-	for i := 1; i < len(dst); i++ {
-		for j := i; j > 0 && dst[j] < dst[j-1]; j-- {
-			dst[j], dst[j-1] = dst[j-1], dst[j]
-		}
-	}
-	return dst
 }

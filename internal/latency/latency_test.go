@@ -2,6 +2,8 @@ package latency
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -99,5 +101,93 @@ func TestSketchConcurrent(t *testing.T) {
 		if _, ok := s.Median(fmt.Sprintf("ion%02d", g)); !ok {
 			t.Fatalf("key ion%02d lost its samples", g)
 		}
+	}
+}
+
+// refSketch is the sort-a-copy sketch the sorted shadow replaced, kept as
+// the reference the property test compares against.
+type refSketch struct {
+	window int
+	rings  map[string][]time.Duration // oldest first, at most window long
+}
+
+func (r *refSketch) observe(key string, d time.Duration) {
+	w := append(r.rings[key], max(d, 0))
+	if len(w) > r.window {
+		w = w[1:]
+	}
+	r.rings[key] = w
+}
+
+func (r *refSketch) quantile(key string, q float64) (time.Duration, bool) {
+	w := slices.Clone(r.rings[key])
+	if len(w) == 0 {
+		return 0, false
+	}
+	slices.Sort(w)
+	return w[int(min(max(q, 0), 1)*float64(len(w)-1))], true
+}
+
+// TestSketchMatchesSortACopyReference: on random streams over every
+// window size, every answer the sketch gives — Quantile at random and
+// edge q, Median, Samples, Total, and all of them again after Forget —
+// equals the reference that sorts a copy of the window per query.
+func TestSketchMatchesSortACopyReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	keys := []string{"a", "b", "c"}
+	for window := 1; window <= DefaultWindow; window++ {
+		s := NewSketch(window)
+		ref := &refSketch{window: window, rings: map[string][]time.Duration{}}
+		total := map[string]uint64{}
+		for step := 0; step < 400; step++ {
+			key := keys[rng.Intn(len(keys))]
+			switch op := rng.Intn(20); {
+			case op == 0:
+				s.Forget(key)
+				delete(ref.rings, key)
+				delete(total, key)
+			default:
+				// A narrow value range makes duplicates common; negatives
+				// exercise the clamp.
+				d := time.Duration(rng.Intn(40)-2) * time.Microsecond
+				s.Observe(key, d)
+				ref.observe(key, d)
+				total[key]++
+			}
+			for _, k := range keys {
+				if got, want := s.Samples(k), len(ref.rings[k]); got != want {
+					t.Fatalf("window %d step %d: Samples(%s) = %d, want %d", window, step, k, got, want)
+				}
+				if got := s.Total(k); got != total[k] {
+					t.Fatalf("window %d step %d: Total(%s) = %d, want %d", window, step, k, got, total[k])
+				}
+				for _, q := range []float64{-0.5, 0, 0.5, 0.95, 1, 1.5, rng.Float64()} {
+					got, gotOK := s.Quantile(k, q)
+					want, wantOK := ref.quantile(k, q)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("window %d step %d: Quantile(%s, %v) = %v,%v, want %v,%v", window, step, k, q, got, gotOK, want, wantOK)
+					}
+				}
+				got, gotOK := s.Median(k)
+				want, wantOK := ref.quantile(k, 0.5)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("window %d step %d: Median(%s) = %v,%v, want %v,%v", window, step, k, got, gotOK, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSketchObserveQuantile is the pair every hedged span pays.
+func BenchmarkSketchObserveQuantile(b *testing.B) {
+	s := NewSketch(0)
+	for i := 0; i < DefaultWindow; i++ {
+		s.Observe("ion00", time.Duration(i)*time.Microsecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Observe("ion00", time.Duration(i%97)*time.Microsecond)
+		s.Quantile("ion00", 0.95)
 	}
 }

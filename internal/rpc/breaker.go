@@ -201,6 +201,15 @@ func (b *breaker) onFailure(now time.Time) (opened bool) {
 	return false
 }
 
+// abandonProbe withdraws a half-open probe that ended without a verdict
+// (the call never reached the wire, or its caller interrupted it): the
+// breaker stays half-open and the next call is the probe.
+func (b *breaker) abandonProbe() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // current returns the state for observation (half-open is reported even if
 // the probe has not been issued yet, i.e. cooldown elapsed counts as open).
 func (b *breaker) current() BreakerState {

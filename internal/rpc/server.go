@@ -433,24 +433,33 @@ func (c *Client) noteTimeout(err error) {
 // roundTrip performs one request/response exchange on conn and returns the
 // connection to the pool (or discards it on failure).
 //
-// Pool-hygiene invariants (see the regression tests in failure_test.go):
-// a conn that failed partway through an exchange — bytes possibly on the
-// wire, a response possibly half-read — is always discarded, never pooled;
-// and a conn that completed an exchange under a deadline has the deadline
-// cleared before pooling, so it cannot fail spuriously on reuse.
-func (c *Client) roundTrip(conn net.Conn, req *Message) (*Message, error) {
+// Pool-hygiene invariants (see the regression tests in failure_test.go and
+// interrupt_test.go): a conn that failed partway through an exchange —
+// bytes possibly on the wire, a response possibly half-read — is always
+// discarded, never pooled; a conn that completed an exchange under a
+// deadline has the deadline cleared before pooling, so it cannot fail
+// spuriously on reuse; and a conn whose Interrupt fired while it was bound
+// is discarded even if the exchange completed first, because Fire's
+// expired deadline may be the last one written to it.
+func (c *Client) roundTrip(conn net.Conn, req *Message, it *Interrupt) (*Message, error) {
 	if c.opts.CallTimeout > 0 {
 		if err := conn.SetDeadline(time.Now().Add(c.opts.CallTimeout)); err != nil {
 			c.putConn(conn, true)
 			return nil, err
 		}
 	}
-	if err := writeFrame(conn, req, c.opts.WireChecksum); err != nil {
-		c.noteTimeout(err)
+	// Bind after the deadline is set: from here a Fire is always the last
+	// deadline this conn sees.
+	if !it.bind(conn) {
 		c.putConn(conn, true)
-		return nil, err
+		return nil, ErrInterrupted
 	}
-	resp, err := ReadMessage(conn)
+	resp, err := exchange(conn, req, c.opts.WireChecksum)
+	if it.unbind() {
+		resp.Release()
+		c.putConn(conn, true)
+		return nil, ErrInterrupted
+	}
 	if err != nil {
 		// A corrupted response is a transport failure like any other: the
 		// conn is discarded here and the retry/breaker loop takes over.
@@ -472,6 +481,14 @@ func (c *Client) roundTrip(conn net.Conn, req *Message) (*Message, error) {
 	return resp, nil
 }
 
+// exchange writes req and reads the response it provokes.
+func exchange(conn net.Conn, req *Message, checksum bool) (*Message, error) {
+	if err := writeFrame(conn, req, checksum); err != nil {
+		return nil, err
+	}
+	return ReadMessage(conn)
+}
+
 // Call sends req and waits for the response. Safe for concurrent use.
 //
 // Transport-level failures (dial errors, broken or timed-out exchanges)
@@ -480,8 +497,18 @@ func (c *Client) roundTrip(conn net.Conn, req *Message) (*Message, error) {
 // Application errors (the server responded with resp.Err) surface
 // immediately and count as successes for the breaker.
 func (c *Client) Call(req *Message) (*Message, error) {
+	return c.CallInterruptible(req, nil)
+}
+
+// CallInterruptible is Call with an abandon handle: once it.Fire has run,
+// the call returns ErrInterrupted — immediately if it is inside an
+// exchange, before touching the wire if it has not started one yet. An
+// interruption is the caller's own decision, not evidence about the
+// server: it is not retried, does not feed the breaker and is not wrapped
+// in ErrUnavailable. A nil it never interrupts.
+func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error) {
 	start := time.Now()
-	resp, err := c.call(req)
+	resp, err := c.call(req, it)
 	c.tel.calls.Inc()
 	c.tel.latency.ObserveDuration(time.Since(start))
 	if err != nil {
@@ -504,16 +531,18 @@ const (
 	classOK        errClass = iota
 	classApp                // server responded with an application error
 	classBusy               // server shed the request: alive, not retried here
-	classLocal              // client-side condition (closed, bad message): permanent
+	classLocal              // client-side condition (closed, bad message, interrupted): permanent
 	classTransport          // dial/exchange failure: retryable, trips the breaker
 )
 
-func (c *Client) call(req *Message) (*Message, error) {
+func (c *Client) call(req *Message, it *Interrupt) (*Message, error) {
 	attempts := 1 + c.opts.MaxRetries
 	var lastErr error
 	for i := 0; i < attempts; i++ {
+		probe := false
 		if c.brk != nil {
-			ok, probe := c.brk.allow(time.Now())
+			var ok bool
+			ok, probe = c.brk.allow(time.Now())
 			if !ok {
 				c.tel.breakerRejects.Inc()
 				return nil, fmt.Errorf("%w: %w: %s", ErrUnavailable, ErrCircuitOpen, c.addr)
@@ -522,7 +551,7 @@ func (c *Client) call(req *Message) (*Message, error) {
 				c.tel.breakerProbes.Inc()
 			}
 		}
-		resp, err, class := c.attempt(req)
+		resp, err, class := c.attempt(req, it)
 		switch class {
 		case classOK, classApp:
 			if c.brk != nil && c.brk.onSuccess() {
@@ -539,6 +568,12 @@ func (c *Client) call(req *Message) (*Message, error) {
 			c.tel.busyResponses.Inc()
 			return resp, err
 		case classLocal:
+			if probe {
+				// No verdict on the server either way: hand the half-open
+				// slot back so the next call probes instead of being
+				// rejected forever.
+				c.brk.abandonProbe()
+			}
 			return resp, err
 		}
 		// classTransport: feed the breaker, maybe retry.
@@ -557,7 +592,7 @@ func (c *Client) call(req *Message) (*Message, error) {
 // attempt performs one logical call: take a connection, exchange, and —
 // preserving the original stale-conn semantics — retry exactly once on a
 // freshly dialed connection when a pooled conn turns out stale.
-func (c *Client) attempt(req *Message) (*Message, error, errClass) {
+func (c *Client) attempt(req *Message, it *Interrupt) (*Message, error, errClass) {
 	if err := validateMessage(req); err != nil {
 		// Nothing touched the wire: the request itself is unsendable.
 		return nil, err, classLocal
@@ -569,8 +604,8 @@ func (c *Client) attempt(req *Message) (*Message, error, errClass) {
 		}
 		return nil, err, classTransport
 	}
-	resp, rtErr := c.roundTrip(conn, req)
-	if rtErr != nil && pooled {
+	resp, rtErr := c.roundTrip(conn, req, it)
+	if rtErr != nil && pooled && !errors.Is(rtErr, ErrInterrupted) {
 		c.tel.staleRetries.Inc()
 		fresh, dialErr := c.dialFresh()
 		if dialErr != nil {
@@ -582,7 +617,12 @@ func (c *Client) attempt(req *Message) (*Message, error, errClass) {
 			}
 			return nil, rtErr, classTransport
 		}
-		resp, rtErr = c.roundTrip(fresh, req)
+		resp, rtErr = c.roundTrip(fresh, req, it)
+	}
+	if errors.Is(rtErr, ErrInterrupted) {
+		// The caller's decision, not a transport failure: no fresh-dial
+		// retry above, no backoff or breaker feed in call.
+		return nil, rtErr, classLocal
 	}
 	if rtErr != nil {
 		return nil, rtErr, classTransport

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,7 +106,11 @@ func (t *Trace) snapshot() TraceSnapshot {
 	if !s.End.IsZero() {
 		s.Total = s.End.Sub(s.Begin)
 	}
-	sort.SliceStable(s.Hops, func(i, j int) bool { return s.Hops[i].Start.Before(s.Hops[j].Start) })
+	// This runs at every Finish on a handful of hops: the generic stable
+	// sort is an in-place insertion sort at this size and, unlike
+	// sort.SliceStable, allocates no closure and no reflection-built
+	// swapper.
+	slices.SortStableFunc(s.Hops, func(a, b Hop) int { return a.Start.Compare(b.Start) })
 	return s
 }
 

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -162,5 +164,36 @@ func TestTestSinkHelpers(t *testing.T) {
 	layers := HopLayers(got)
 	if len(layers) != 3 || layers[0] != "fwd" || layers[1] != "rpc" || layers[2] != "pfs" {
 		t.Fatalf("HopLayers = %v", layers)
+	}
+}
+
+// TestSnapshotHopOrderMatchesStableSort: the in-place sort in snapshot
+// must give exactly sort.SliceStable's order — by start, reporting order
+// kept among equal starts — for hops reported in any order.
+func TestSnapshotHopOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := time.Now()
+	for round := 0; round < 200; round++ {
+		tc := NewTracer(1)
+		tr := tc.Start("app", "write", "/f")
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			// Few distinct starts, so ties are common.
+			start := base.Add(time.Duration(rng.Intn(4)) * time.Millisecond)
+			tr.Hop(fmt.Sprintf("layer%d", i), start, int64(i), "")
+		}
+		tr.mu.Lock()
+		want := append([]Hop(nil), tr.hops...)
+		tr.mu.Unlock()
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Start.Before(want[j].Start) })
+		tr.Finish()
+		got := tc.Recent()[0].Hops
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d hops, want %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Layer != want[i].Layer {
+				t.Fatalf("round %d: hop %d is %s, want %s", round, i, got[i].Layer, want[i].Layer)
+			}
+		}
 	}
 }
