@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt-check build test test-race vet lint suite-census chaos storm torture qos elastic blackout grayfail fuzz bench bench-campaign bench-hotpath
+.PHONY: verify fmt-check build test test-race vet lint suite-census chaos storm torture qos elastic blackout grayfail fuzz bench-campaign
 
 verify: fmt-check vet build test-race suite-census
 
@@ -142,20 +142,7 @@ fuzz:
 	$(GO) test -run - -fuzz FuzzMessageRoundTrip -fuzztime $(FUZZTIME) ./internal/rpc
 	$(GO) test -run - -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal
 
-# Telemetry overhead on the forwarding hot path (instrumented vs tracing
-# off); writes BENCH_telemetry.json. Tunables: PAIRS, BENCHTIME.
-bench:
-	sh scripts/bench_telemetry.sh
-
 # The parallel campaign engine's scaling record (serial baseline vs worker
 # pool); results are byte-identical at every worker count.
 bench-campaign:
 	$(GO) test -run - -bench BenchmarkCampaignWorkers -benchtime 1x .
-
-# Forwarded-write hot path after the zero-allocation rewrite: end-to-end
-# ns/op vs the committed seed baseline, plus the rpc wire path's
-# allocs/op budget at 512 KiB and B/op budget at 4 MiB (the target FAILS
-# if either is exceeded); writes BENCH_hotpath.json. Tunables: PAIRS,
-# BENCHTIME, ALLOC_BUDGET, BYTES_BUDGET_4M.
-bench-hotpath:
-	sh scripts/bench_hotpath.sh

@@ -19,10 +19,13 @@
 //     application: a background watcher applies mapping updates, and
 //     in-flight requests complete on the old routes;
 //   - an empty allocation means direct PFS access;
-//   - an unreachable I/O node (rpc.ErrUnavailable: deadlines and retries
-//     exhausted, or its circuit breaker open) degrades that node's chunks
-//     to direct PFS access — counted as fwd_failover_ops_total — until a
-//     fresh mapping re-routes them.
+//   - when an I/O node cannot take a request, the PFS does, and the bytes
+//     are counted once. That is the one fallback rule (see outcome and
+//     classify; DESIGN.md §8 has the table): a request is served, shed
+//     (overload), unreachable (rpc.ErrUnavailable — counted as
+//     fwd_failover_ops_total) or fenced (a write under a revoked epoch),
+//     and the four metadata ops (meta), every write span (sendSpan) and
+//     every read span (readSpan) act on that outcome and on nothing else.
 //
 // The data path is built to stay allocation-free per operation: the path
 // is FNV-hashed once per op and extended per chunk index without
@@ -209,8 +212,7 @@ type Client struct {
 	qos      *qosState
 	wirePrio uint8
 
-	watchStop func()
-	closed    atomic.Bool
+	closed atomic.Bool
 }
 
 // qosState is a classed client's admission machinery: the class, its
@@ -573,15 +575,6 @@ func (c *Client) loadView() *routeView {
 	return v
 }
 
-// route returns the connection for a chunk, or nil for direct mode.
-func (c *Client) route(path string, chunkIdx int64) *rpc.Client {
-	v := c.loadView()
-	if v == nil {
-		return nil
-	}
-	return v.conns[fnvChunk(fnvString(fnvOffset64, path), chunkIdx)%uint64(len(v.addrs))]
-}
-
 // metaTarget returns the connection and gate for metadata ops on path
 // (nil for direct mode). Metadata always routes by path hash alone, like
 // GekkoFS.
@@ -594,24 +587,6 @@ func (c *Client) metaTarget(path string) (*rpc.Client, *ionGate) {
 	return v.conns[i], v.gates[i]
 }
 
-// chunkSpan iterates the chunk-aligned extents of [off, off+n).
-func (c *Client) chunkSpan(off, n int64, fn func(chunkIdx, off, n int64) error) error {
-	cs := c.cfg.ChunkSize
-	for n > 0 {
-		idx := off / cs
-		ext := cs - off%cs
-		if ext > n {
-			ext = n
-		}
-		if err := fn(idx, off, ext); err != nil {
-			return err
-		}
-		off += ext
-		n -= ext
-	}
-	return nil
-}
-
 // chunkCount returns how many chunks [off, off+n) touches.
 func (c *Client) chunkCount(off, n int64) int {
 	if n <= 0 {
@@ -621,7 +596,7 @@ func (c *Client) chunkCount(off, n int64) int {
 	return int((off+n-1)/cs - off/cs + 1)
 }
 
-// / span is one coalesced wire request: a contiguous byte range whose chunks
+// span is one coalesced wire request: a contiguous byte range whose chunks
 // all route to the same I/O node, capped at cfg.CoalesceLimit.
 type span struct {
 	off, n int64
@@ -667,17 +642,6 @@ func (c *Client) buildSpans(v *routeView, path string, off, n int64, out []span)
 		out = append(out, cur)
 	}
 	return out
-}
-
-// gateFor returns the throttle gate for addr (nil when throttling is off
-// or the address is unknown — both mean "send unthrottled").
-func (c *Client) gateFor(addr string) *ionGate {
-	if !c.cfg.Throttle.Enabled {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gates[addr]
 }
 
 // callION issues one RPC through the overload-protection path: the per-ION
@@ -757,39 +721,201 @@ func (c *Client) errIfClosed() error {
 	return nil
 }
 
-// Create implements pfs.FileSystem.
-func (c *Client) Create(path string) error {
-	if err := c.errIfClosed(); err != nil {
-		return err
+// outcome is what became of one request offered to an I/O node. It is the
+// client's one fallback rule (DESIGN.md §8): when the I/O node cannot take
+// a request the PFS does, and the bytes are counted once.
+type outcome uint8
+
+const (
+	// served: the node answered. Its response — or its application error,
+	// mapped by wireError — is the result.
+	served outcome = iota
+	// shed: the node never accepted the request (busy past BusyRetries, or
+	// its gate is saturated). The PFS takes it; callION counted the degrade.
+	shed
+	// unreachable: deadlines and retries ran out, the breaker is open, or
+	// the conn was released under the op. The PFS takes it, as a failover.
+	unreachable
+	// fenced: a write stamped with a revoked epoch, refused before it
+	// touched the backend. It is sent again over a fresher view, or — none
+	// in reach — taken by the PFS. Only writes are fenced; for every other
+	// op the rejection is the answer, as with served.
+	fenced
+)
+
+// hopNotes names an outcome in a metadata op's fwd hop.
+var hopNotes = [...]string{served: "forwarded", shed: "degraded", unreachable: "failover", fenced: "forwarded"}
+
+// direct reports whether the PFS must take the request over as it stands.
+func (o outcome) direct() bool { return o == shed || o == unreachable }
+
+// classify turns the triple callION (or hedged, once the hedge has chosen)
+// returned into the outcome. It is the only place that decides a fallback
+// and the only failover count. rpc.ErrInterrupted never gets here: hedged
+// replaces an interrupted primary's triple with the winning backup's.
+func (c *Client) classify(err error, degraded bool) outcome {
+	switch {
+	case degraded:
+		return shed
+	case err == nil:
+		return served
+	case errors.Is(err, rpc.ErrUnavailable):
+		c.stats.failover.Inc()
+		return unreachable
+	case c.cfg.EpochFencing && errors.Is(err, rpc.ErrStaleEpoch):
+		return fenced
 	}
-	tr := c.trace("create", path)
-	if t, g := c.metaTarget(path); t != nil {
-		c.stats.forwarded.Inc()
-		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpCreate, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
-		resp.Release()
-		if degraded {
-			err = c.cfg.Direct.Create(path)
-			tr.done(0, "degraded")
-			return err
-		}
-		if errors.Is(err, rpc.ErrUnavailable) {
-			c.stats.failover.Inc()
-			err = c.cfg.Direct.Create(path)
-			tr.done(0, "failover")
-			return err
-		}
-		tr.done(0, "forwarded")
-		return err
+	return served
+}
+
+// wireError gives an application error that crossed the wire as text its
+// sentinel back, so errors.Is holds on the forwarded path exactly as it
+// does in direct mode.
+func wireError(err error, path string) error {
+	switch {
+	case err == nil:
+		return nil
+	case strings.Contains(err.Error(), pfs.ErrNotExist.Error()):
+		return fmt.Errorf("%w: %s", pfs.ErrNotExist, path)
+	case strings.Contains(err.Error(), pfs.ErrShortRead.Error()):
+		return pfs.ErrShortRead
 	}
-	c.stats.direct.Inc()
-	err := c.cfg.Direct.Create(path)
-	tr.done(0, "direct")
 	return err
 }
+
+// meta is the one metadata-op path: route by path hash, offer the request
+// to that I/O node, and let the outcome decide whether its answer or the
+// PFS's is the result. The fwd hop names which it was.
+func (c *Client) meta(op rpc.Op, path string) (fi pfs.FileInfo, err error) {
+	if err := c.errIfClosed(); err != nil {
+		return fi, err
+	}
+	tr := c.trace(op.String(), path)
+	note := "direct"
+	if t, g := c.metaTarget(path); t == nil {
+		c.stats.direct.Inc()
+		fi, err = c.directMeta(op, path)
+	} else {
+		c.stats.forwarded.Inc()
+		resp, rerr, degraded := c.callION(t, g, &rpc.Message{Op: op, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
+		out := c.classify(rerr, degraded)
+		note = hopNotes[out]
+		if out.direct() {
+			fi, err = c.directMeta(op, path)
+		} else if err = wireError(rerr, path); err == nil {
+			fi = pfs.FileInfo{Path: path, Size: resp.Size}
+		}
+		resp.Release()
+	}
+	tr.done(0, note)
+	return fi, err
+}
+
+// directMeta runs a metadata op on the direct PFS path.
+func (c *Client) directMeta(op rpc.Op, path string) (fi pfs.FileInfo, err error) {
+	switch op {
+	case rpc.OpCreate:
+		err = c.cfg.Direct.Create(path)
+	case rpc.OpStat:
+		fi, err = c.cfg.Direct.Stat(path)
+	case rpc.OpRemove:
+		err = c.cfg.Direct.Remove(path)
+	case rpc.OpFsync:
+		err = c.cfg.Direct.Fsync(path)
+	}
+	return fi, err
+}
+
+// Create implements pfs.FileSystem.
+func (c *Client) Create(path string) error {
+	_, err := c.meta(rpc.OpCreate, path)
+	return err
+}
+
+// Stat implements pfs.FileSystem.
+func (c *Client) Stat(path string) (pfs.FileInfo, error) {
+	return c.meta(rpc.OpStat, path)
+}
+
+// Remove implements pfs.FileSystem.
+func (c *Client) Remove(path string) error {
+	_, err := c.meta(rpc.OpRemove, path)
+	return err
+}
+
+// Fsync implements pfs.FileSystem.
+func (c *Client) Fsync(path string) error {
+	_, err := c.meta(rpc.OpFsync, path)
+	return err
+}
+
+// admit is the admission step Write and Read share. It sits ahead of span
+// building, so an op that goes direct never touches the wire. It returns
+// the view to fan the op out over, or nil when the whole op belongs on the
+// direct PFS path: the application holds no I/O nodes, or its QoS class is
+// scavenger and the bucket is empty (the hop note then says "degraded").
+// A whole-op direct route is counted here, in one group so no Stats()
+// snapshot sees it torn; out is the bytes a write moves (a read counts its
+// bytes as they arrive). t0 is set for a classed client's op in forwarding
+// mode — the caller defers observeSince(t0); an unclassed client pays one
+// nil check.
+func (c *Client) admit(off, n, out int64) (v *routeView, note string, t0 time.Time) {
+	v = c.loadView()
+	degraded := false
+	if q := c.qos; q != nil && v != nil {
+		t0 = time.Now()
+		degraded = q.degradeOrPace(n)
+	}
+	note = chunkNote(c.chunkCount(off, n))
+	if v != nil && !degraded {
+		return v, note, t0
+	}
+	if degraded {
+		note = "degraded"
+	}
+	c.reg.Update(func() {
+		if degraded {
+			c.stats.degraded.Inc()
+		}
+		c.stats.direct.Inc()
+		c.stats.bytesOut.Add(out)
+	})
+	return nil, note, t0
+}
+
+// observeSince records a classed op's latency, admission pacing included.
+func (q *qosState) observeSince(t0 time.Time) { q.latency.ObserveDuration(time.Since(t0)) }
 
 // maxParallelSpans bounds the per-request fan-out of span RPCs, like
 // GekkoFS's bounded in-flight chunk operations.
 const maxParallelSpans = 8
+
+// fanOut runs fn over several spans concurrently and returns each span's
+// byte count and the first error in span order. Only multi-span ops come
+// here: a lone span is a plain method call in its caller, so the common
+// case builds no closure and no counts slice.
+func fanOut(spans []span, fn func(s span) (int, error)) ([]int, error) {
+	counts := make([]int, len(spans))
+	errs := make([]error, len(spans))
+	sem := make(chan struct{}, maxParallelSpans)
+	var wg sync.WaitGroup
+	for i, s := range spans {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			counts[i], errs[i] = fn(s)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return counts, err
+		}
+	}
+	return counts, nil
+}
 
 // Write implements pfs.FileSystem: the request is split into chunks, each
 // routed to its responsible I/O node; contiguous same-target chunks are
@@ -803,74 +929,49 @@ func (c *Client) Write(path string, off int64, p []byte) (int, error) {
 		return 0, nil
 	}
 	tr := c.trace("write", path)
-	v := c.loadView()
+	v, note, t0 := c.admit(off, int64(len(p)), int64(len(p)))
+	if !t0.IsZero() {
+		defer c.qos.observeSince(t0)
+	}
+	var k int
+	var err error
 	if v == nil {
-		// Direct mode: no routing decision depends on chunk boundaries, so
-		// the write reaches the PFS in one call.
-		c.reg.Update(func() {
-			c.stats.direct.Inc()
-			c.stats.bytesOut.Add(int64(len(p)))
-		})
-		k, err := c.cfg.Direct.Write(path, off, p)
-		tr.done(int64(k), chunkNote(c.chunkCount(off, int64(len(p)))))
-		return k, err
+		// No routing decision depends on chunk boundaries, so the write
+		// reaches the PFS in one call.
+		k, err = c.cfg.Direct.Write(path, off, p)
+	} else {
+		k, err = c.writeSpans(v, path, off, p, tr, 0)
 	}
-	if q := c.qos; q != nil {
-		// QoS admission sits ahead of span building so a degraded op never
-		// touches the wire. Unclassed clients pay exactly the nil check.
-		start := time.Now()
-		defer func() { q.latency.ObserveDuration(time.Since(start)) }()
-		if q.degradeOrPace(int64(len(p))) {
-			// Scavenger with an empty bucket: the whole op goes to the
-			// direct PFS path, same as a degrade under overload.
-			c.reg.Update(func() {
-				c.stats.degraded.Inc()
-				c.stats.direct.Inc()
-				c.stats.bytesOut.Add(int64(len(p)))
-			})
-			k, err := c.cfg.Direct.Write(path, off, p)
-			tr.done(int64(k), "degraded")
-			return k, err
-		}
-	}
-	var sbuf [spanBufSize]span
-	spans := c.buildSpans(v, path, off, int64(len(p)), sbuf[:0])
-	nchunks := 0
-	for _, s := range spans {
-		nchunks += s.chunks
-	}
-	if len(spans) == 1 {
-		k, err := c.writeSpan(v, path, off, p, spans[0], tr)
-		tr.done(int64(k), chunkNote(nchunks))
-		return k, err
-	}
-	written := make([]int, len(spans))
-	err := c.forEachSpan(spans, func(i int, s span) error {
-		k, werr := c.writeSpan(v, path, off, p, s, tr)
-		written[i] = k
-		return werr
-	})
-	total := 0
-	for _, w := range written {
-		total += w
-	}
-	tr.done(int64(total), chunkNote(nchunks))
-	return total, err
+	tr.done(int64(k), note)
+	return k, err
 }
 
-// writeSpan forwards one coalesced span to its I/O node, falling back to
-// the direct path on shed-past-budget (degraded) and unreachable-node
-// (failover) conditions, exactly as the per-chunk path used to. It counts
-// the span's bytes exactly once; the send itself (which may remap and
-// retry under epoch fencing) lives in sendSpan.
-func (c *Client) writeSpan(v *routeView, path string, off int64, p []byte, s span, tr opTrace) (int, error) {
-	rel := s.off - off
-	payload := p[rel : rel+s.n]
-	c.reg.Update(func() {
-		c.stats.forwarded.Inc()
-		c.stats.bytesOut.Add(s.n)
+// writeSpans is the span writer: it routes p, the bytes at off, over v and
+// sends every span to its I/O node. depth 0 is the op itself — the only
+// place a forwarded write is counted, once, before the first attempt.
+// Every path a span can take after that (shed or unreachable → PFS, fenced
+// → here again at depth+1, or PFS) moves bytes without counting them.
+func (c *Client) writeSpans(v *routeView, path string, off int64, p []byte, tr opTrace, depth int) (int, error) {
+	var sbuf [spanBufSize]span
+	spans := c.buildSpans(v, path, off, int64(len(p)), sbuf[:0])
+	if depth == 0 {
+		n := int64(len(spans))
+		c.reg.Update(func() {
+			c.stats.forwarded.Add(n)
+			c.stats.bytesOut.Add(int64(len(p)))
+		})
+	}
+	if len(spans) == 1 {
+		return c.sendSpan(v, path, off, p, spans[0], tr, depth)
+	}
+	counts, err := fanOut(spans, func(s span) (int, error) {
+		return c.sendSpan(v, path, off, p, s, tr, depth)
 	})
-	return c.sendSpan(v, path, s, payload, tr, 0)
+	total := 0
+	for _, k := range counts {
+		total += k
+	}
+	return total, err
 }
 
 // maxEpochRemaps bounds how many successive stale-epoch rejections one
@@ -878,10 +979,10 @@ func (c *Client) writeSpan(v *routeView, path string, off int64, p []byte, s spa
 // path (each hop means the arbiter fenced again while we were in flight).
 const maxEpochRemaps = 3
 
-// sendSpan issues one span's wire request. The caller has already counted
-// bytesOut/forwarded for the payload, so every fallback and retry below
-// lands the bytes exactly once.
-func (c *Client) sendSpan(v *routeView, path string, s span, payload []byte, tr opTrace, depth int) (int, error) {
+// sendSpan issues the wire request for span s of p (the bytes at off) and
+// applies the fallback rule to its outcome.
+func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span, tr opTrace, depth int) (int, error) {
+	payload := p[s.off-off:][:s.n]
 	req := &rpc.Message{Op: rpc.OpWrite, Path: path, Offset: s.off, Data: payload, Trace: tr.id(), Priority: c.wirePrio}
 	if c.cfg.EpochFencing {
 		req.Epoch = v.epoch
@@ -889,78 +990,41 @@ func (c *Client) sendSpan(v *routeView, path string, s span, payload []byte, tr 
 	if c.cfg.Dedup {
 		// Stamp once per wire request: the transport retry (inside
 		// rpc.Client.Call), the busy retry (inside callION), and a hedge
-		// (inside callWrite) all resend this exact identity, so every
+		// (inside hedged) all resend this exact identity, so every
 		// re-attempt carries the seq of the attempt it duplicates.
 		req.ClientID = c.clientID
 		req.Seq = c.seq.Add(1)
 	}
-	resp, err, degraded := c.callWrite(v, s, req)
-	if degraded {
-		// The I/O node shed this span past the retry budget (or is marked
-		// saturated): write it directly. bytesOut was already counted for
-		// this span, and the shed request was never enqueued, so the byte
-		// lands exactly once.
-		return c.cfg.Direct.Write(path, s.off, payload)
-	}
-	if err == nil {
-		k := int(resp.Size)
-		if resp.Replayed {
-			c.stats.replayed.Inc()
+	resp, err, degraded := c.hedged(v, s, req)
+	out := c.classify(err, degraded)
+	if out == served {
+		k := 0
+		if err == nil {
+			k = int(resp.Size)
+			if resp.Replayed {
+				c.stats.replayed.Inc()
+			}
 		}
 		resp.Release()
-		return k, nil
+		return k, wireError(err, path)
 	}
 	resp.Release()
-	if c.cfg.EpochFencing && errors.Is(err, rpc.ErrStaleEpoch) {
-		// The daemon fenced this epoch: the arbiter recovered and revoked
-		// every mapping we could have built this span from. Not a failure —
-		// a remap signal. The write was NOT applied, so retrying it against
-		// a fresher view (or directly) is byte-safe.
-		return c.remapAndRetry(path, s.off, payload, req.Epoch, tr, depth)
+	if out == fenced {
+		// Not a failure — a remap signal: the arbiter recovered and revoked
+		// every mapping this span could have been built from. Wait (bounded
+		// by EpochWait) for a view above the rejected epoch and route these
+		// bytes again over it.
+		c.stats.epochRetries.Inc()
+		if depth < maxEpochRemaps {
+			if fresh := c.awaitEpochAbove(req.Epoch); fresh != nil {
+				return c.writeSpans(fresh, path, s.off, payload, tr, depth+1)
+			}
+		}
 	}
-	if !errors.Is(err, rpc.ErrUnavailable) {
-		return 0, err
-	}
-	// The responsible I/O node is unreachable (deadlines/retries exhausted
-	// or its breaker is open): degrade this span to the direct PFS path
-	// rather than failing the application's write. bytesOut was already
-	// counted for this span.
-	c.stats.failover.Inc()
+	// Shed, unreachable, or fenced with no fresher view in reach: the I/O
+	// node never applied this request, so the bytes — counted already —
+	// land exactly once through the PFS.
 	return c.cfg.Direct.Write(path, s.off, payload)
-}
-
-// remapAndRetry handles a fenced write: wait (bounded by EpochWait) for a
-// route view whose epoch exceeds the one the daemon rejected, rebuild the
-// span routing for this byte range against it, and resend. If no fresher
-// view arrives in time, or the fencing has chased us maxEpochRemaps deep,
-// the bytes go to the direct PFS path — safe, because a fenced write never
-// reached the backend.
-func (c *Client) remapAndRetry(path string, off int64, payload []byte, stale uint64, tr opTrace, depth int) (int, error) {
-	c.stats.epochRetries.Inc()
-	if depth >= maxEpochRemaps {
-		return c.cfg.Direct.Write(path, off, payload)
-	}
-	v := c.awaitEpochAbove(stale)
-	if v == nil {
-		return c.cfg.Direct.Write(path, off, payload)
-	}
-	var sbuf [spanBufSize]span
-	spans := c.buildSpans(v, path, off, int64(len(payload)), sbuf[:0])
-	if len(spans) == 1 {
-		return c.sendSpan(v, path, spans[0], payload, tr, depth+1)
-	}
-	written := make([]int, len(spans))
-	err := c.forEachSpan(spans, func(i int, s span) error {
-		rel := s.off - off
-		k, werr := c.sendSpan(v, path, s, payload[rel:rel+s.n], tr, depth+1)
-		written[i] = k
-		return werr
-	})
-	total := 0
-	for _, w := range written {
-		total += w
-	}
-	return total, err
 }
 
 // awaitEpochAbove polls for a routing snapshot with epoch > stale, backing
@@ -987,39 +1051,6 @@ func (c *Client) awaitEpochAbove(stale uint64) *routeView {
 	}
 }
 
-// forEachSpan runs fn over the spans, concurrently when there are
-// several, and returns the first error.
-func (c *Client) forEachSpan(spans []span, fn func(i int, s span) error) error {
-	if len(spans) <= 1 {
-		for i, s := range spans {
-			if err := fn(i, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sem := make(chan struct{}, maxParallelSpans)
-	errs := make(chan error, len(spans))
-	var wg sync.WaitGroup
-	for i, s := range spans {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, s span) {
-			defer wg.Done()
-			errs <- fn(i, s)
-			<-sem
-		}(i, s)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Read implements pfs.FileSystem. Span RPCs are issued concurrently, like
 // writes. Reads past the end of the file return pfs.ErrShortRead with the
 // bytes that were available, like the store. The returned count is the
@@ -1034,217 +1065,83 @@ func (c *Client) Read(path string, off int64, p []byte) (int, error) {
 		return 0, nil
 	}
 	tr := c.trace("read", path)
-	v := c.loadView()
-	if v == nil {
-		c.stats.direct.Inc()
-		k, err := c.cfg.Direct.Read(path, off, p)
-		c.stats.bytesIn.Add(int64(k))
-		tr.done(int64(k), chunkNote(c.chunkCount(off, int64(len(p)))))
-		if err != nil && !errors.Is(err, pfs.ErrShortRead) {
-			return k, err
-		}
-		if k < len(p) {
-			return k, pfs.ErrShortRead
-		}
-		return k, nil
-	}
-	if q := c.qos; q != nil {
-		start := time.Now()
-		defer func() { q.latency.ObserveDuration(time.Since(start)) }()
-		if q.degradeOrPace(int64(len(p))) {
-			c.reg.Update(func() {
-				c.stats.degraded.Inc()
-				c.stats.direct.Inc()
-			})
-			k, err := c.cfg.Direct.Read(path, off, p)
-			c.stats.bytesIn.Add(int64(k))
-			tr.done(int64(k), "degraded")
-			if err != nil && !errors.Is(err, pfs.ErrShortRead) {
-				return k, err
-			}
-			if k < len(p) {
-				return k, pfs.ErrShortRead
-			}
-			return k, nil
-		}
-	}
-	var sbuf [spanBufSize]span
-	spans := c.buildSpans(v, path, off, int64(len(p)), sbuf[:0])
-	nchunks := 0
-	for _, s := range spans {
-		nchunks += s.chunks
+	v, note, t0 := c.admit(off, int64(len(p)), 0)
+	if !t0.IsZero() {
+		defer c.qos.observeSince(t0)
 	}
 	var total int
 	var err error
-	if len(spans) == 1 {
-		total, err = c.readSpan(v, path, off, p, spans[0], tr)
+	if v == nil {
+		total, err = c.directRead(path, off, p)
 	} else {
-		counts := make([]int, len(spans))
-		err = c.forEachSpan(spans, func(i int, s span) error {
-			k, rerr := c.readSpan(v, path, off, p, s, tr)
-			counts[i] = k
-			return rerr
-		})
-		// Contiguous-prefix contract: sum span counts in order and stop at
-		// the first short span — bytes read beyond a hole must not inflate
-		// the count the application sees.
-		for i, s := range spans {
-			total += counts[i]
-			if int64(counts[i]) < s.n {
-				break
-			}
-		}
+		total, err = c.readSpans(v, path, off, p, tr)
 	}
-	tr.done(int64(total), chunkNote(nchunks))
-	if err != nil {
-		return total, err
+	tr.done(int64(total), note)
+	if err == nil && total < len(p) {
+		err = pfs.ErrShortRead
 	}
-	if total < len(p) {
-		return total, pfs.ErrShortRead
-	}
-	return total, nil
+	return total, err
 }
 
-// readSpan reads one coalesced span from its I/O node into the right
-// window of p, with the same degraded/failover fallbacks as writes and
-// the store's short-read semantics.
+// readSpans routes [off, off+len(p)) over v and reads every span from its
+// I/O node into its window of p.
+func (c *Client) readSpans(v *routeView, path string, off int64, p []byte, tr opTrace) (int, error) {
+	var sbuf [spanBufSize]span
+	spans := c.buildSpans(v, path, off, int64(len(p)), sbuf[:0])
+	if len(spans) == 1 {
+		return c.readSpan(v, path, off, p, spans[0], tr)
+	}
+	counts, err := fanOut(spans, func(s span) (int, error) {
+		return c.readSpan(v, path, off, p, s, tr)
+	})
+	// Contiguous-prefix contract: sum span counts in order and stop at the
+	// first short span — bytes read beyond a hole must not inflate the
+	// count the application sees.
+	total := 0
+	for i, s := range spans {
+		total += counts[i]
+		if int64(counts[i]) < s.n {
+			break
+		}
+	}
+	return total, err
+}
+
+// readSpan reads span s from its I/O node into its window of p (the
+// buffer for off), under the same fallback rule as writes.
 func (c *Client) readSpan(v *routeView, path string, off int64, p []byte, s span, tr opTrace) (int, error) {
-	rel := s.off - off
-	dst := p[rel : rel+s.n]
+	dst := p[s.off-off:][:s.n]
 	c.stats.forwarded.Inc()
 	req := &rpc.Message{Op: rpc.OpRead, Path: path, Offset: s.off, Size: s.n, Trace: tr.id(), Priority: c.wirePrio}
-	resp, err, degraded, hk, won := c.callRead(v, s, req, dst)
-	if won {
-		// The hedge satisfied this span from the PFS directly; its bytes
-		// are already in dst and counted, and the primary was interrupted.
-		return hk, nil
-	}
-	if degraded {
-		// Shed past the retry budget: satisfy this span from the PFS
-		// directly with the usual short-read semantics.
-		k, derr := c.cfg.Direct.Read(path, s.off, dst)
-		c.stats.bytesIn.Add(int64(k))
-		if derr != nil && !errors.Is(derr, pfs.ErrShortRead) {
-			return k, derr
-		}
-		return k, nil
+	resp, err, degraded := c.hedged(v, s, req)
+	if c.classify(err, degraded).direct() {
+		resp.Release()
+		return c.directRead(path, s.off, dst)
 	}
 	k := 0
 	if resp != nil {
-		// Copy out of the pooled response buffer, then hand it back to the
-		// transport (the release seam — see internal/rpc).
+		// Copy out of the pooled response buffer (or a winning hedge's
+		// private one), then hand it back to the transport.
 		k = copy(dst, resp.Data)
 		c.stats.bytesIn.Add(int64(k))
 		resp.Release()
 	}
-	if err == nil || isShortRead(err) {
-		return k, nil
-	}
-	if !errors.Is(err, rpc.ErrUnavailable) {
-		return k, err
-	}
-	// Unreachable I/O node: satisfy this span from the PFS directly,
-	// honouring the same short-read semantics as the direct path.
-	c.stats.failover.Inc()
-	k, derr := c.cfg.Direct.Read(path, s.off, dst)
+	return k, shortOK(wireError(err, path))
+}
+
+// directRead reads from the PFS into dst and counts the bytes that came.
+func (c *Client) directRead(path string, off int64, dst []byte) (int, error) {
+	k, err := c.cfg.Direct.Read(path, off, dst)
 	c.stats.bytesIn.Add(int64(k))
-	if derr != nil && !errors.Is(derr, pfs.ErrShortRead) {
-		return k, derr
-	}
-	return k, nil
+	return k, shortOK(err)
 }
 
-// isShortRead recognizes the store's EOF condition after it crossed the
-// wire as an error string.
-func isShortRead(err error) bool {
-	return err != nil && strings.Contains(err.Error(), pfs.ErrShortRead.Error())
-}
-
-// Stat implements pfs.FileSystem.
-func (c *Client) Stat(path string) (pfs.FileInfo, error) {
-	if err := c.errIfClosed(); err != nil {
-		return pfs.FileInfo{}, err
-	}
-	tr := c.trace("stat", path)
-	defer tr.done(0, "")
-	if t, g := c.metaTarget(path); t != nil {
-		c.stats.forwarded.Inc()
-		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpStat, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
-		if degraded {
-			return c.cfg.Direct.Stat(path)
-		}
-		if err != nil {
-			resp.Release()
-			if errors.Is(err, rpc.ErrUnavailable) {
-				c.stats.failover.Inc()
-				return c.cfg.Direct.Stat(path)
-			}
-			return pfs.FileInfo{}, remapError(err, path)
-		}
-		size := resp.Size
-		resp.Release()
-		return pfs.FileInfo{Path: path, Size: size}, nil
-	}
-	c.stats.direct.Inc()
-	return c.cfg.Direct.Stat(path)
-}
-
-// Remove implements pfs.FileSystem.
-func (c *Client) Remove(path string) error {
-	if err := c.errIfClosed(); err != nil {
-		return err
-	}
-	tr := c.trace("remove", path)
-	defer tr.done(0, "")
-	if t, g := c.metaTarget(path); t != nil {
-		c.stats.forwarded.Inc()
-		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpRemove, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
-		resp.Release()
-		if degraded {
-			return c.cfg.Direct.Remove(path)
-		}
-		if errors.Is(err, rpc.ErrUnavailable) {
-			c.stats.failover.Inc()
-			return c.cfg.Direct.Remove(path)
-		}
-		return remapError(err, path)
-	}
-	c.stats.direct.Inc()
-	return c.cfg.Direct.Remove(path)
-}
-
-// Fsync implements pfs.FileSystem.
-func (c *Client) Fsync(path string) error {
-	if err := c.errIfClosed(); err != nil {
-		return err
-	}
-	tr := c.trace("fsync", path)
-	defer tr.done(0, "")
-	if t, g := c.metaTarget(path); t != nil {
-		c.stats.forwarded.Inc()
-		resp, err, degraded := c.callION(t, g, &rpc.Message{Op: rpc.OpFsync, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
-		resp.Release()
-		if degraded {
-			return c.cfg.Direct.Fsync(path)
-		}
-		if errors.Is(err, rpc.ErrUnavailable) {
-			c.stats.failover.Inc()
-			return c.cfg.Direct.Fsync(path)
-		}
-		return remapError(err, path)
-	}
-	c.stats.direct.Inc()
-	return c.cfg.Direct.Fsync(path)
-}
-
-// remapError converts the wire form of ErrNotExist back into the sentinel
-// so callers can errors.Is it.
-func remapError(err error, path string) error {
-	if err == nil {
+// shortOK drops the store's EOF sentinel from one extent's read: an extent
+// that ends at EOF is an answer, and Read's total says whether the op as a
+// whole came up short.
+func shortOK(err error) error {
+	if errors.Is(err, pfs.ErrShortRead) {
 		return nil
-	}
-	if strings.Contains(err.Error(), pfs.ErrNotExist.Error()) {
-		return fmt.Errorf("%w: %s", pfs.ErrNotExist, path)
 	}
 	return err
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/ion"
 	"repro/internal/mapping"
 	"repro/internal/pfs"
+	"repro/internal/rpc"
 )
 
 // testStack spins up a PFS store and n I/O-node daemons, returning the
@@ -44,6 +45,24 @@ func newTestClient(t *testing.T, direct pfs.FileSystem, chunk int64) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// route returns the connection chunk chunkIdx of path is routed to, or nil
+// in direct mode.
+func (c *Client) route(path string, chunkIdx int64) *rpc.Client {
+	v := c.loadView()
+	if v == nil {
+		return nil
+	}
+	return v.conns[fnvChunk(fnvString(fnvOffset64, path), chunkIdx)%uint64(len(v.addrs))]
+}
+
+// gateFor returns the throttle gate for addr (nil when throttling is off
+// or the address is unknown).
+func (c *Client) gateFor(addr string) *ionGate {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gates[addr]
 }
 
 func TestNewClientValidation(t *testing.T) {
@@ -355,5 +374,43 @@ func TestChunkSpanCoversExactly(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoreSentinelsSurviveForwarding: an application never notices where
+// its I/O went, and that includes its errors. Every op that can fail with
+// one of the store's sentinels matches it with errors.Is whether the op
+// ran on the PFS directly or crossed the wire as text.
+func TestStoreSentinelsSurviveForwarding(t *testing.T) {
+	for _, mode := range []string{"direct", "forwarded"} {
+		store, addrs, _ := testStack(t, 2)
+		c := newTestClient(t, store, 64)
+		if mode == "forwarded" {
+			c.SetIONs(addrs)
+		}
+		if _, err := store.Write("/short", 0, make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			op   string
+			want error
+			run  func() error
+		}{
+			{"read", pfs.ErrNotExist, func() error { _, err := c.Read("/missing", 0, make([]byte, 8)); return err }},
+			{"read, many spans", pfs.ErrNotExist, func() error { _, err := c.Read("/missing", 0, make([]byte, 512)); return err }},
+			{"stat", pfs.ErrNotExist, func() error { _, err := c.Stat("/missing"); return err }},
+			{"remove", pfs.ErrNotExist, func() error { return c.Remove("/missing") }},
+			{"fsync", pfs.ErrNotExist, func() error { return c.Fsync("/missing") }},
+			{"read past EOF", pfs.ErrShortRead, func() error { _, err := c.Read("/short", 90, make([]byte, 20)); return err }},
+			{"read past EOF, many spans", pfs.ErrShortRead, func() error { _, err := c.Read("/short", 0, make([]byte, 512)); return err }},
+		}
+		for _, tc := range cases {
+			if err := tc.run(); !errors.Is(err, tc.want) {
+				t.Errorf("%s %s: err = %v, want errors.Is(%v)", mode, tc.op, err, tc.want)
+			}
+		}
+		if st := c.Stats(); st.FailoverOps != 0 || st.DegradedOps != 0 || (mode == "forwarded" && st.DirectOps != 0) {
+			t.Errorf("%s: an application error took a fallback: %+v", mode, st)
+		}
 	}
 }

@@ -27,9 +27,11 @@
 // lands. Hedges are capped by a Finagle-style token budget (each issued
 // span earns a fraction of a token, each hedge spends one) so a
 // cluster-wide slowdown degrades into at most Budget extra load, never a
-// retry storm. Everything here is opt-in: with Hedge.Enabled false the
-// client never constructs hedge state and the data path pays a single nil
-// check.
+// retry storm. Write and read spans enter through one function, hedged,
+// which returns callION's triple from whichever attempt the table chose —
+// the fallback rule in fwd.go never learns there were two. Everything here
+// is opt-in: with Hedge.Enabled false the client never constructs hedge
+// state and the data path pays a single nil check.
 package fwd
 
 import (
@@ -37,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/pfs"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
@@ -126,14 +127,14 @@ func (b *hedgeBucket) trySpend() bool {
 	return true
 }
 
-// hedgeOutcome is what a backup attempt produced: callION's triple for a
-// duplicated write, the bytes of a direct read (a short read is a usable
-// answer, so its sentinel is dropped before the outcome is stored).
+// hedgeOutcome is what a backup attempt produced, in callION's shape: its
+// own triple for a duplicated write; for a direct read an unpooled response
+// holding the bytes (a short read is a usable answer, so its sentinel is
+// dropped before the outcome is stored).
 type hedgeOutcome struct {
 	resp     *rpc.Message
 	err      error
 	degraded bool
-	data     []byte
 }
 
 // usable reports whether the attempt produced a response the span logic
@@ -268,10 +269,7 @@ func (st *hedgeCall) launch() {
 	if dup.Op == rpc.OpRead {
 		buf := make([]byte, dup.Size)
 		n, err := c.cfg.Direct.Read(dup.Path, dup.Offset, buf)
-		if errors.Is(err, pfs.ErrShortRead) {
-			err = nil
-		}
-		out = hedgeOutcome{data: buf[:n], err: err}
+		out = hedgeOutcome{resp: &rpc.Message{Data: buf[:n]}, err: shortOK(err)}
 	} else {
 		out.resp, out.err, out.degraded = c.callION(st.t, st.g, &dup, nil)
 	}
@@ -327,12 +325,15 @@ func (st *hedgeCall) settle(primaryStands bool) (hedgeOutcome, bool) {
 	return st.out, true
 }
 
-// callWrite issues one span's write RPC, hedged when the client is
-// configured for it. The returned triple has exactly callION's contract,
-// so sendSpan's fallback chain (degraded → direct, stale-epoch → remap,
-// unavailable → failover) is untouched — hedging only changes which
-// attempt's outcome feeds it.
-func (c *Client) callWrite(v *routeView, s span, req *rpc.Message) (*rpc.Message, error, bool) {
+// hedged issues one span's RPC, hedged when the client is configured for
+// it, and returns the triple of whichever attempt the decision table
+// chose. It has exactly callION's contract, so the fallback rule
+// (classify) sees one outcome per span and never learns there were two
+// attempts: a losing or unusable backup counts nothing. A read's own
+// fallbacks already end at the path its hedge takes, so its primary's
+// outcome always stands unless the backup won; a write's stands only when
+// it is usable.
+func (c *Client) hedged(v *routeView, s span, req *rpc.Message) (*rpc.Message, error, bool) {
 	addr := v.addrs[s.target]
 	t, g := v.conns[s.target], v.gates[s.target]
 	st := c.armHedge(addr, t, g, req)
@@ -343,36 +344,9 @@ func (c *Client) callWrite(v *routeView, s span, req *rpc.Message) (*rpc.Message
 	if c.hedge.disarm(st) {
 		return resp, err, degraded
 	}
-	if out, ok := st.settle(err == nil && !degraded); ok {
+	if out, ok := st.settle(req.Op == rpc.OpRead || (err == nil && !degraded)); ok {
 		resp.Release()
 		return out.resp, out.err, out.degraded
 	}
 	return resp, err, degraded
-}
-
-// callRead issues one span's read RPC, hedged to the direct PFS path when
-// configured. won=true means the hedge finished first: k bytes are copied
-// into dst and counted, and the primary was interrupted. Otherwise the
-// returned triple is the primary's outcome with callION's contract —
-// whatever it is, since readSpan's own fallbacks already end at the path
-// the hedge would take.
-func (c *Client) callRead(v *routeView, s span, req *rpc.Message, dst []byte) (resp *rpc.Message, err error, degraded bool, k int, won bool) {
-	addr := v.addrs[s.target]
-	t, g := v.conns[s.target], v.gates[s.target]
-	st := c.armHedge(addr, t, g, req)
-	if st == nil {
-		resp, err, degraded = c.timedCall(addr, t, g, req, nil)
-		return resp, err, degraded, 0, false
-	}
-	resp, err, degraded = c.timedCall(addr, t, g, &st.req, &st.it)
-	if c.hedge.disarm(st) {
-		return resp, err, degraded, 0, false
-	}
-	if out, ok := st.settle(true); ok {
-		resp.Release()
-		k = copy(dst, out.data)
-		c.stats.bytesIn.Add(int64(k))
-		return nil, nil, false, k, true
-	}
-	return resp, err, degraded, 0, false
 }

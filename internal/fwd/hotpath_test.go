@@ -43,6 +43,25 @@ func TestRouteHashMatchesFNV(t *testing.T) {
 	}
 }
 
+// chunkSpan iterates the chunk-aligned extents of [off, off+n): the
+// reference splitter buildSpans is checked against.
+func (c *Client) chunkSpan(off, n int64, fn func(chunkIdx, off, n int64) error) error {
+	cs := c.cfg.ChunkSize
+	for n > 0 {
+		idx := off / cs
+		ext := cs - off%cs
+		if ext > n {
+			ext = n
+		}
+		if err := fn(idx, off, ext); err != nil {
+			return err
+		}
+		off += ext
+		n -= ext
+	}
+	return nil
+}
+
 // TestBuildSpansProperties checks the span invariants over many request
 // shapes: spans tile [off, off+n) exactly, every chunk inside a span
 // routes to the span's target, no span exceeds the coalesce limit, and
@@ -383,6 +402,64 @@ func TestSpanAboveTopClassWorksUnpooled(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		if b := rpc.GetBuffer(int(DefaultChunkSize)); cap(b) >= int(DefaultCoalesceLimit) {
 			t.Fatalf("a %d-byte request was handed a %d-byte buffer: an oversize frame was retained", int64(DefaultChunkSize), cap(b))
+		}
+	}
+}
+
+// TestLoneSpanAllocationPin pins what the forwarded path allocates per op
+// on a bare client — one span, the common case, runs inline and builds no
+// closure; only a multi-span op pays for the fan-out. A shared helper that
+// takes a func literal or a counts buffer on the lone-span path moves both
+// to the heap on every op (escape analysis is per function), which an
+// end-to-end bench only shows after a ten-pair run; this shows it at once.
+func TestLoneSpanAllocationPin(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	payload := bytes.Repeat([]byte{7}, 8192)
+	addr, _ := inflightProbe(t, payload)
+	c, err := NewClient(Config{
+		AppID: "app", Direct: pfs.NewStore(pfs.Config{}),
+		ChunkSize: 4096, CoalesceLimit: 4096,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetIONs([]string{addr})
+	buf := make([]byte, 4096)
+	ops := []struct {
+		name string
+		want float64 // may only go down
+		run  func()
+	}{
+		{"write 4 KiB", 3, func() {
+			if n, err := c.Write("/pin", 0, payload[:4096]); err != nil || n != 4096 {
+				t.Fatalf("write: n=%d err=%v", n, err)
+			}
+		}},
+		{"read 4 KiB", 3, func() {
+			if n, err := c.Read("/pin", 0, buf); err != nil || n != 4096 {
+				t.Fatalf("read: n=%d err=%v", n, err)
+			}
+		}},
+		{"stat", 3, func() {
+			if _, err := c.Stat("/pin"); err != nil {
+				t.Fatalf("stat: %v", err)
+			}
+		}},
+		{"write 2 spans", 13, func() { // the fan-out: counts, errors, semaphore, one closure and goroutine per span
+			if n, err := c.Write("/pin", 0, payload); err != nil || n != 8192 {
+				t.Fatalf("write: n=%d err=%v", n, err)
+			}
+		}},
+	}
+	for _, op := range ops {
+		for i := 0; i < 8; i++ {
+			op.run() // dial, prime the pools
+		}
+		if got := testing.AllocsPerRun(200, op.run); got > op.want {
+			t.Errorf("%s: %.1f allocs/op, want ≤ %.0f", op.name, got, op.want)
 		}
 	}
 }

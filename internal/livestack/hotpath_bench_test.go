@@ -5,19 +5,20 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/testkit"
 	"repro/internal/units"
 )
 
-// BenchmarkHotPathWrite is the forwarding data-plane benchmark behind
-// BENCH_hotpath.json (make bench-hotpath): one client forwarding
+// BenchmarkHotPathWrite is the forwarding data-plane benchmark, kept for
+// ad-hoc use (bench/ owns every time-valued number): one client forwarding
 // 512 KiB writes — exactly one chunk at the default chunk size — through
 // one live I/O node over loopback TCP into the in-memory PFS, plus a
 // 64 KiB and a 4 KiB request, where per-message cost (framing, syscalls,
 // the daemon's handler and dispatch) is all there is. Allocations are
 // reported process-wide, so the figure covers the client encode path, the
 // server decode path, the AGIOS queue, and the dispatch together; the
-// per-layer wire budget is enforced separately by
-// rpc.BenchmarkWirePathWrite512K.
+// per-layer wire budget is enforced separately by rpc.TestWirePathBudgets,
+// and TestHotPathWriteAllocs gates the count reported here.
 func BenchmarkHotPathWrite(b *testing.B) {
 	for _, sz := range []struct {
 		name string
@@ -34,31 +35,59 @@ func BenchmarkHotPathWrite(b *testing.B) {
 }
 
 func benchmarkHotPathWrite(b *testing.B, size int64) {
-	st, err := Start(Config{IONs: 1, Scheduler: "FIFO"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.Arbiter.JobStarted(policy.Application{ID: "bench", Nodes: 1, Processes: 1}); err != nil {
-		b.Fatal(err)
-	}
-	client, err := st.NewClient("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := waitForSomeAllocation(client, 2*time.Second); err != nil {
-		b.Fatal(err)
-	}
-	if err := client.Create("/bench/hot"); err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, size)
+	write := hotPathWriter(b, size)
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		write()
+	}
+}
+
+// hotPathWriter starts a one-node stack with one forwarding client and
+// returns a func that forwards one write of size bytes.
+func hotPathWriter(tb testing.TB, size int64) (write func()) {
+	st, err := Start(Config{IONs: 1, Scheduler: "FIFO"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	if _, err := st.Arbiter.JobStarted(policy.Application{ID: "bench", Nodes: 1, Processes: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	client, err := st.NewClient("bench")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := waitForSomeAllocation(client, 2*time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	if err := client.Create("/bench/hot"); err != nil {
+		tb.Fatal(err)
+	}
+	payload := make([]byte, size)
+	return func() {
 		if _, err := client.Write("/bench/hot", 0, payload); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestHotPathWriteAllocs gates the end-to-end allocation count of one
+// forwarded write, process-wide: client encode, server decode, the AGIOS
+// queue and the dispatch together allocate at most five objects, at one
+// chunk and at 4 KiB alike.
+func TestHotPathWriteAllocs(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	for _, size := range []int64{512 * units.KiB, 4 * units.KiB} {
+		write := hotPathWriter(t, size)
+		for i := 0; i < 16; i++ {
+			write() // prime the pools
+		}
+		if got := testing.AllocsPerRun(500, write); got > 5 {
+			t.Errorf("forwarded %d-byte write: %.0f allocs/op end to end, budget 5", size, got)
 		}
 	}
 }

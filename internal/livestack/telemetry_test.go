@@ -431,7 +431,8 @@ func benchmarkForward(b *testing.B, cfg Config) {
 // BenchmarkForwardHotPath compares the forwarding write path with tracing
 // off (bare: metrics only, nil tracer short-circuits all hop recording)
 // against the fully instrumented stack (shared registry + request traces).
-// scripts/bench_telemetry.sh turns the pair into BENCH_telemetry.json.
+// For ad-hoc use: the tracing cost per op that is tracked over time is the
+// tax.tracer_us row of the bench/ ledger.
 func BenchmarkForwardHotPath(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		benchmarkForward(b, Config{IONs: 1, Scheduler: "FIFO"})

@@ -10,8 +10,8 @@ import (
 // coalesced run of chunks (4 MiB by default); without pooling, every frame
 // costs a frame-sized allocation on each side of the wire plus a payload
 // copy, and at span sizes the clearing of those allocations and the GC
-// work they trigger dominate the round trip (see BENCH_hotpath.json). The
-// pools below make the steady-state path allocation-free:
+// work they trigger dominate the round trip. The pools below make the
+// steady-state path allocation-free (TestWirePathBudgets holds it there):
 //
 //   - bodies: the raw frame buffers ReadMessage decodes from and handlers
 //     borrow for response payloads (GetBuffer), in the size classes
