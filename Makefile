@@ -1,12 +1,20 @@
 # Tier-1 verification: everything a PR must keep green.
-# `make verify` = gofmt + vet + build + race-enabled tests + suite census
-# (see also scripts/verify.sh).
+# `make verify` = gofmt + vet + build + race-enabled tests + suite census +
+# vet/test of the bench/ module (see also scripts/verify.sh).
 
 GO ?= go
 
-.PHONY: verify fmt-check build test test-race vet lint suite-census chaos storm torture qos elastic blackout grayfail fuzz bench-campaign
+.PHONY: verify fmt-check build test test-race vet lint suite-census bench-module chaos storm torture qos elastic blackout grayfail fuzz bench-campaign
 
-verify: fmt-check vet build test-race suite-census
+verify: fmt-check vet build test-race suite-census bench-module
+
+# bench/ is a module of its own (the benchmark the pipeline builds and
+# runs), so `./...` above never enters it: without this step, renaming
+# something it compiles against — a livestack.Config field, say — passes
+# everything here and fails only there. Offline via its `replace`.
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # The seeded suites below select tests by name; fails when any of them
 # matches fewer tests than scripts/suite_floor.txt records, so a renamed

@@ -5,26 +5,17 @@
 // is past its peak), growth is vetoed no matter how hot the queues look.
 package main
 
-import (
-	"strings"
+import "repro/internal/perfmodel"
 
-	"repro/internal/perfmodel"
-)
-
-// marginalValueFor builds the forecast for a comma-separated -apps list.
-// The pool is modeled as divided evenly among the apps (the arbiter's
+// marginalValueFor builds the forecast for the resolved -apps list. The
+// pool is modeled as divided evenly among the apps (the arbiter's
 // exclusive assignment makes shares disjoint), each app's bandwidth read
 // off its curve at its share, and the forecast for growing from k to k+1
-// nodes is the change in the summed bandwidth. Unknown labels are
-// skipped — the kernel lookup reports them properly at run time.
-func marginalValueFor(appList string) func(k int) float64 {
-	var curves []perfmodel.Curve
-	for _, label := range strings.Split(appList, ",") {
-		spec, err := perfmodel.AppByLabel(strings.TrimSpace(label))
-		if err != nil {
-			continue
-		}
-		curves = append(curves, spec.Curve)
+// nodes is the change in the summed bandwidth.
+func marginalValueFor(running []app) func(k int) float64 {
+	curves := make([]perfmodel.Curve, len(running))
+	for i, a := range running {
+		curves[i] = a.spec.Curve
 	}
 	value := func(k int) float64 {
 		if len(curves) == 0 {

@@ -1,409 +1,178 @@
-// Flag plumbing for gkfwd: every tunable is collected into one options
-// struct and validated up front, so a typo'd -call-timeout=-1s dies with a
-// clear message at startup instead of silently degrading mid-run (a
-// negative timeout used to behave like "no timeout", a negative chunk size
-// like the default — both lies about what the operator asked for).
+// Flag plumbing for gkfwd: a thin binding. Every flag that configures the
+// stack is registered with its destination inside a livestack.Config (the
+// help text names the field), so there is no second struct to copy from
+// and no second set of rules: Config.Validate — which livestack.Start runs
+// before it builds anything — rejects what is negative, dead or
+// inconsistent, and gkfwd reports that error as returned. What stays here
+// is what is not stack configuration (what to run, where to serve
+// telemetry), the five inputs a Config field is derived from, and the
+// rules about flags that are not Config fields.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"time"
+	"strings"
 
+	"repro/internal/apps"
 	"repro/internal/elastic"
-	"repro/internal/fwd"
 	"repro/internal/livestack"
-	"repro/internal/policy"
+	"repro/internal/perfmodel"
 	"repro/internal/qos"
-	"repro/internal/rpc"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
-// options is the parsed flag set, kept as a plain struct so validation and
-// config assembly are unit-testable without touching the flag package.
-type options struct {
-	ions      int
-	appList   string
-	scheduler string
-	sweep     string
-	queue     bool
-	rate      float64
+// runPlan is what the command line says beyond the stack's configuration.
+type runPlan struct {
+	apps        []app // -apps, resolved
+	sweep       *app  // -sweep, resolved; nil = not a sweep
+	queue       bool
+	metricsAddr string
 
-	metricsAddr   string
-	chunkSize     int64
-	coalesceLimit int64
-
-	callTimeout      time.Duration
-	rpcRetries       int
-	breakerThreshold int
-	breakerCooldown  time.Duration
-
-	healthInterval time.Duration
-	healthTimeout  time.Duration
-
-	queueCap    int
-	maxInflight int
-	maxConns    int
-	retryAfter  time.Duration
-
-	throttle    bool
-	throttleMin int
-	throttleMax int
-
-	overloadDepth int
-	overloadShed  int
-
-	wireChecksum bool
-	dedupWindow  int
-
-	scaleMin      int
-	scaleMax      int
-	scaleUp       float64
-	scaleDown     float64
-	scaleCooldown time.Duration
-
-	journalDir           string
-	journalSnapshotEvery int
-
-	slowFactor      float64
-	slowWindow      int
-	hedgePct        float64
-	hedgeBudget     float64
-	quarantineFloor int
-
-	qosConfig string
-	qosInline string
-	// qosReg is the tenant policy parsed from -qos-config/-qos during
-	// validate, so a syntax error dies at startup and Start never sees an
-	// unvetted registry. nil when neither flag is set.
-	qosReg *qos.Registry
+	// Inputs a Config field is derived from (see parseFlags).
+	appList, sweepLabel  string
+	ostMBps              float64
+	scale                elastic.Config // -scale-*; Config.Elastic only when Max is set
+	qosConfig, qosInline string
 }
 
-// parseFlags registers every flag on the default FlagSet and parses the
-// command line.
-func parseFlags() *options {
-	var o options
-	flag.IntVar(&o.ions, "ions", 4, "I/O-node daemons to start")
-	flag.StringVar(&o.appList, "apps", "IOR-MPI,HACC", "comma-separated Table 3 labels to run concurrently")
-	flag.StringVar(&o.scheduler, "scheduler", "", "AGIOS scheduler: FIFO|SJF|AIOLI|TWINS|WFQ (default AIOLI; WFQ when QoS is configured)")
-	flag.StringVar(&o.sweep, "sweep", "", "run one kernel at every feasible ION count instead")
-	flag.BoolVar(&o.queue, "queue", false, "run the paper's §5.3 queue live (14 tiny-scale jobs)")
-	flag.Float64Var(&o.rate, "ost-mbps", 0, "throttle each OST to this MB/s (0 = unthrottled)")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /trace/recent on this address (e.g. :9090; empty = off)")
-	flag.Int64Var(&o.chunkSize, "chunk-size", 0, "forwarding request-splitting unit in bytes (0 = default)")
-	flag.Int64Var(&o.coalesceLimit, "coalesce-limit", 0, "max contiguous same-node bytes merged into one wire request (0 = default)")
-	flag.DurationVar(&o.callTimeout, "call-timeout", 0, "per-RPC deadline (0 = block forever, the legacy behaviour)")
-	flag.IntVar(&o.rpcRetries, "rpc-retries", 0, "transport-failure retries per RPC")
-	flag.IntVar(&o.breakerThreshold, "breaker-threshold", 0, "consecutive transport failures that open a circuit breaker (0 = breaker off)")
-	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default)")
-	flag.DurationVar(&o.healthInterval, "health-interval", 0, "heartbeat probe interval; >0 enables health-driven re-arbitration")
-	flag.DurationVar(&o.healthTimeout, "health-timeout", 0, "per-ping deadline (0 = derived from the interval)")
-	flag.IntVar(&o.queueCap, "queue-cap", 0, "bound each daemon's request queue; above it requests get a busy response (0 = unbounded)")
-	flag.IntVar(&o.maxInflight, "max-inflight", 0, "bound concurrently-handled requests per daemon (0 = unlimited)")
-	flag.IntVar(&o.maxConns, "max-conns", 0, "bound accepted client connections per daemon (0 = unlimited)")
-	flag.DurationVar(&o.retryAfter, "retry-after", 0, "retry-after hint carried on busy responses (0 = daemon default)")
-	flag.BoolVar(&o.throttle, "throttle", false, "enable adaptive per-ION client throttling (AIMD window)")
-	flag.IntVar(&o.throttleMin, "throttle-min", 0, "throttle window floor (0 = default)")
-	flag.IntVar(&o.throttleMax, "throttle-max", 0, "throttle window ceiling (0 = default)")
-	flag.IntVar(&o.overloadDepth, "overload-depth", 0, "queue depth at which the prober calls an I/O node overloaded (0 = off)")
-	flag.IntVar(&o.overloadShed, "overload-shed", 0, "sheds per probe sweep at which the prober calls an I/O node overloaded (0 = off)")
-	flag.BoolVar(&o.wireChecksum, "wire-checksum", false, "CRC32C trailers on every RPC frame, verified end to end")
-	flag.IntVar(&o.dedupWindow, "dedup-window", 0, "exactly-once writes: per-client outcomes each daemon retains for replay on transport retries (0 = off)")
-	flag.IntVar(&o.scaleMax, "scale-max", 0, "pool ceiling for the elastic scaler; >0 enables autoscaling (0 = static pool)")
-	flag.IntVar(&o.scaleMin, "scale-min", 0, "pool floor for the elastic scaler (0 = -ions)")
-	flag.Float64Var(&o.scaleUp, "scale-up", 0, "average queue depth at or above which the pool grows (sustained)")
-	flag.Float64Var(&o.scaleDown, "scale-down", 0, "average queue depth at or below which the pool shrinks (sustained)")
-	flag.DurationVar(&o.scaleCooldown, "scale-cooldown", 0, "minimum gap between same-direction scale events (0 = scaler defaults)")
-	flag.Float64Var(&o.slowFactor, "slow-factor", 0, "fail-slow detection: quarantine an I/O node whose probe-RTT median exceeds its peers' × this factor, sustained (0 = off)")
-	flag.IntVar(&o.slowWindow, "slow-window", 0, "consecutive slow probe sweeps before a node is marked degraded (0 = detector default)")
-	flag.Float64Var(&o.hedgePct, "hedge-pct", 0, "hedged requests: per-ION latency quantile in (0,1) used as the hedge deadline; setting this or -hedge-budget enables hedging (requires -dedup-window)")
-	flag.Float64Var(&o.hedgeBudget, "hedge-budget", 0, "fraction of a hedge token each request earns, capping the steady-state hedge rate (0 = default 0.1 when hedging is on)")
-	flag.IntVar(&o.quarantineFloor, "quarantine-floor", 0, "allocatable I/O nodes the fail-slow quarantine may never dig below (0 = 1)")
-	flag.StringVar(&o.journalDir, "journal-dir", "", "control-plane write-ahead journal directory; non-empty enables crash recovery and epoch fencing (empty = off)")
-	flag.IntVar(&o.journalSnapshotEvery, "journal-snapshot-every", 0, "journal appends between compacting snapshots (0 = journal default)")
-	flag.StringVar(&o.qosConfig, "qos-config", "", "tenant QoS policy file (class/app statements, see internal/qos)")
-	flag.StringVar(&o.qosInline, "qos", "", "inline QoS statements (';'-separated) applied after -qos-config")
-	flag.Parse()
-	return &o
+// app is one resolved Table 3 label: the kernel that issues its I/O and
+// the perfmodel entry the arbiter and the scaler's advisor read.
+type app struct {
+	label  string
+	kernel apps.Kernel
+	spec   perfmodel.AppSpec
 }
 
-// validate rejects flag values that would otherwise misbehave silently at
-// runtime. Zero means "feature off" for most knobs, so the rule is:
-// negative never, and cross-flag requirements stated explicitly.
-func (o *options) validate() error {
-	if o.ions <= 0 {
-		return fmt.Errorf("-ions must be at least 1, got %d", o.ions)
+// bindFlags registers every gkfwd flag on fs.
+func bindFlags(fs *flag.FlagSet, cfg *livestack.Config, r *runPlan) {
+	fs.StringVar(&r.appList, "apps", "IOR-MPI,HACC", "comma-separated Table 3 labels to run concurrently")
+	fs.StringVar(&r.sweepLabel, "sweep", "", "run one kernel at every feasible ION count instead")
+	fs.BoolVar(&r.queue, "queue", false, "run the paper's §5.3 queue live (14 tiny-scale jobs)")
+	fs.StringVar(&r.metricsAddr, "metrics-addr", "", "serve /metrics and /trace/recent on this address (e.g. :9090; empty = off); also sets Tracer")
+	fs.Float64Var(&r.ostMBps, "ost-mbps", 0, "PFS.OSTRate: throttle each OST to this MB/s (0 = unthrottled)")
+
+	fs.IntVar(&cfg.IONs, "ions", 4, "IONs: I/O-node daemons to start")
+	fs.StringVar(&cfg.Scheduler, "scheduler", "", "Scheduler: FIFO|SJF|AIOLI|TWINS|HBRR|WFQ (default AIOLI; WFQ when QoS is configured)")
+	fs.Int64Var(&cfg.ChunkSize, "chunk-size", 0, "ChunkSize: forwarding request-splitting unit in bytes (0 = default)")
+	fs.DurationVar(&cfg.RPC.CallTimeout, "call-timeout", 0, "RPC.CallTimeout: per-RPC deadline (0 = block forever, the legacy behaviour)")
+	fs.IntVar(&cfg.RPC.MaxRetries, "rpc-retries", 0, "RPC.MaxRetries: transport-failure retries per RPC")
+	fs.IntVar(&cfg.RPC.BreakerThreshold, "breaker-threshold", 0, "RPC.BreakerThreshold: consecutive transport failures that open a circuit breaker (0 = breaker off)")
+	fs.DurationVar(&cfg.RPC.BreakerCooldown, "breaker-cooldown", 0, "RPC.BreakerCooldown: open-breaker cooldown before a half-open probe (0 = default)")
+	fs.DurationVar(&cfg.HealthInterval, "health-interval", 0, "HealthInterval: heartbeat probe interval; >0 enables health-driven re-arbitration")
+	fs.DurationVar(&cfg.HealthTimeout, "health-timeout", 0, "HealthTimeout: per-ping deadline (0 = derived from the interval)")
+	fs.IntVar(&cfg.QueueCap, "queue-cap", 0, "QueueCap: bound each daemon's request queue; above it requests get a busy response (0 = unbounded)")
+	fs.IntVar(&cfg.MaxInflight, "max-inflight", 0, "MaxInflight: bound concurrently-handled requests per daemon (0 = unlimited)")
+	fs.DurationVar(&cfg.RetryAfterHint, "retry-after", 0, "RetryAfterHint: retry-after hint carried on busy responses (0 = daemon default)")
+	fs.BoolVar(&cfg.Throttle.Enabled, "throttle", false, "Throttle.Enabled: adaptive per-ION client throttling (AIMD window)")
+	fs.IntVar(&cfg.Throttle.MinWindow, "throttle-min", 0, "Throttle.MinWindow: throttle window floor (0 = default)")
+	fs.IntVar(&cfg.Throttle.MaxWindow, "throttle-max", 0, "Throttle.MaxWindow: throttle window ceiling (0 = default)")
+	fs.IntVar(&cfg.OverloadQueueDepth, "overload-depth", 0, "OverloadQueueDepth: queue depth at which the prober calls an I/O node overloaded (0 = off)")
+	fs.IntVar(&cfg.OverloadShedDelta, "overload-shed", 0, "OverloadShedDelta: sheds per probe sweep at which the prober calls an I/O node overloaded (0 = off)")
+	fs.BoolVar(&cfg.WireChecksum, "wire-checksum", false, "WireChecksum: CRC32C trailers on every RPC frame, verified end to end")
+	fs.IntVar(&cfg.DedupWindow, "dedup-window", 0, "DedupWindow: exactly-once writes; per-client outcomes each daemon retains for replay on transport retries (0 = off)")
+	fs.Float64Var(&cfg.SlowFactor, "slow-factor", 0, "SlowFactor: quarantine an I/O node whose probe-RTT median exceeds its peers' × this factor, sustained (0 = off)")
+	fs.IntVar(&cfg.SlowWindow, "slow-window", 0, "SlowWindow: consecutive slow probe sweeps before a node is marked degraded (0 = detector default)")
+	fs.IntVar(&cfg.QuarantineFloor, "quarantine-floor", 0, "QuarantineFloor: allocatable I/O nodes the fail-slow quarantine may never dig below (0 = 1)")
+	fs.Float64Var(&cfg.Hedge.Pct, "hedge-pct", 0, "Hedge.Pct: per-ION latency quantile in (0,1) used as the hedge deadline; this or -hedge-budget sets Hedge.Enabled")
+	fs.Float64Var(&cfg.Hedge.Budget, "hedge-budget", 0, "Hedge.Budget: fraction of a hedge token each request earns, capping the steady-state hedge rate (0 = default 0.1 when hedging is on)")
+	fs.StringVar(&cfg.JournalDir, "journal-dir", "", "JournalDir: control-plane write-ahead journal directory; enables crash recovery and epoch fencing (empty = off)")
+
+	fs.IntVar(&r.scale.Max, "scale-max", 0, "Elastic.Max: pool ceiling; non-zero sets Elastic, i.e. enables autoscaling (0 = static pool)")
+	fs.IntVar(&r.scale.Min, "scale-min", 0, "Elastic.Min: pool floor (0 = -ions)")
+	fs.Float64Var(&r.scale.UpWatermark, "scale-up", 0, "Elastic.UpWatermark: average queue depth at or above which the pool grows (sustained)")
+	fs.Float64Var(&r.scale.DownWatermark, "scale-down", 0, "Elastic.DownWatermark: average queue depth at or below which the pool shrinks (sustained)")
+	fs.DurationVar(&r.scale.UpCooldown, "scale-cooldown", 0, "Elastic.UpCooldown and DownCooldown: minimum gap between same-direction scale events (0 = scaler defaults)")
+	fs.StringVar(&r.qosConfig, "qos-config", "", "QoS: tenant policy file (class/app statements, see internal/qos)")
+	fs.StringVar(&r.qosInline, "qos", "", "QoS: inline statements (';'-separated) applied after -qos-config")
+}
+
+// parseFlags turns a command line into the stack configuration and the
+// run plan. It applies only the rules about flags that are not Config
+// fields; the rest is cfg.Validate, which livestack.Start runs first.
+func parseFlags(args []string) (livestack.Config, *runPlan, error) {
+	var (
+		cfg livestack.Config
+		r   runPlan
+		err error
+	)
+	fs := flag.NewFlagSet("gkfwd", flag.ContinueOnError)
+	bindFlags(fs, &cfg, &r)
+	if err = fs.Parse(args); err != nil {
+		return cfg, nil, err // the flag set already printed it, with the usage
 	}
-	if o.rate < 0 {
-		return fmt.Errorf("-ost-mbps must not be negative, got %g", o.rate)
+	if r.queue && r.sweepLabel != "" {
+		return cfg, nil, errors.New("-queue and -sweep are mutually exclusive")
 	}
-	if o.chunkSize < 0 {
-		return fmt.Errorf("-chunk-size must not be negative, got %d", o.chunkSize)
+	// Labels are resolved before anything starts: a typo must not cost a
+	// stack, nor leave the scaler's advisor built from the wrong app set.
+	if r.apps, err = resolveApps(strings.Split(r.appList, ",")); err != nil {
+		return cfg, nil, fmt.Errorf("-apps: %w", err)
 	}
-	if o.coalesceLimit < 0 {
-		return fmt.Errorf("-coalesce-limit must not be negative, got %d", o.coalesceLimit)
-	}
-	if o.coalesceLimit > 0 && o.chunkSize > 0 && o.coalesceLimit < o.chunkSize {
-		return fmt.Errorf("-coalesce-limit (%d) must not be below -chunk-size (%d)", o.coalesceLimit, o.chunkSize)
-	}
-	for _, d := range []struct {
-		name string
-		val  time.Duration
-	}{
-		{"-call-timeout", o.callTimeout},
-		{"-breaker-cooldown", o.breakerCooldown},
-		{"-health-interval", o.healthInterval},
-		{"-health-timeout", o.healthTimeout},
-		{"-retry-after", o.retryAfter},
-	} {
-		if d.val < 0 {
-			return fmt.Errorf("%s must not be negative, got %v", d.name, d.val)
-		}
-	}
-	for _, n := range []struct {
-		name string
-		val  int
-	}{
-		{"-rpc-retries", o.rpcRetries},
-		{"-breaker-threshold", o.breakerThreshold},
-		{"-queue-cap", o.queueCap},
-		{"-max-inflight", o.maxInflight},
-		{"-max-conns", o.maxConns},
-		{"-throttle-min", o.throttleMin},
-		{"-throttle-max", o.throttleMax},
-		{"-overload-depth", o.overloadDepth},
-		{"-overload-shed", o.overloadShed},
-		{"-dedup-window", o.dedupWindow},
-	} {
-		if n.val < 0 {
-			return fmt.Errorf("%s must not be negative, got %d", n.name, n.val)
-		}
-	}
-	if o.throttleMin > 0 && o.throttleMax > 0 && o.throttleMin > o.throttleMax {
-		return fmt.Errorf("-throttle-min (%d) must not exceed -throttle-max (%d)", o.throttleMin, o.throttleMax)
-	}
-	if !o.throttle && (o.throttleMin > 0 || o.throttleMax > 0) {
-		return fmt.Errorf("-throttle-min/-throttle-max require -throttle")
-	}
-	if o.healthInterval == 0 && (o.overloadDepth > 0 || o.overloadShed > 0) {
-		return fmt.Errorf("-overload-depth/-overload-shed require -health-interval")
-	}
-	if o.queue && o.sweep != "" {
-		return fmt.Errorf("-queue and -sweep are mutually exclusive")
-	}
-	// Cross-flag requirements: each of these knobs tunes a feature some
-	// other flag switches on. Alone it is dead configuration — accepting
-	// it silently would tell the operator a protection is active when it
-	// is not.
-	if o.breakerCooldown > 0 && o.breakerThreshold == 0 {
-		return fmt.Errorf("-breaker-cooldown requires -breaker-threshold: without a threshold no breaker ever opens, so the cooldown never applies")
-	}
-	if o.healthTimeout > 0 && o.healthInterval == 0 {
-		return fmt.Errorf("-health-timeout requires -health-interval: without an interval no probe runs, so the ping deadline never applies")
-	}
-	if o.retryAfter > 0 && o.queueCap == 0 && o.maxInflight == 0 {
-		return fmt.Errorf("-retry-after requires -queue-cap or -max-inflight: without bounded admission no busy response carries the hint")
-	}
-	if o.overloadDepth > 0 && o.queueCap > 0 && o.overloadDepth > o.queueCap {
-		return fmt.Errorf("-overload-depth (%d) exceeds -queue-cap (%d): the queue sheds before it ever reaches that depth, so overload would never trigger", o.overloadDepth, o.queueCap)
-	}
-	if o.overloadShed > 0 && o.queueCap == 0 && o.maxInflight == 0 && o.maxConns == 0 {
-		return fmt.Errorf("-overload-shed requires a shed source (-queue-cap, -max-inflight, or -max-conns): an unbounded daemon never sheds, so the threshold would never trigger")
-	}
-	if o.scaleMin < 0 {
-		return fmt.Errorf("-scale-min must not be negative, got %d", o.scaleMin)
-	}
-	if o.scaleMax < 0 {
-		return fmt.Errorf("-scale-max must not be negative, got %d", o.scaleMax)
-	}
-	if o.scaleUp < 0 {
-		return fmt.Errorf("-scale-up must not be negative, got %g", o.scaleUp)
-	}
-	if o.scaleDown < 0 {
-		return fmt.Errorf("-scale-down must not be negative, got %g", o.scaleDown)
-	}
-	if o.scaleCooldown < 0 {
-		return fmt.Errorf("-scale-cooldown must not be negative, got %v", o.scaleCooldown)
-	}
-	if o.scaleMax == 0 {
-		// -scale-max is the feature switch; every other scaler knob tunes a
-		// scaler that would not exist.
-		switch {
-		case o.scaleMin > 0:
-			return fmt.Errorf("-scale-min requires -scale-max: without a ceiling no scaler runs, so the floor never applies")
-		case o.scaleUp > 0 || o.scaleDown > 0:
-			return fmt.Errorf("-scale-up/-scale-down require -scale-max: without a ceiling no scaler reads the watermarks")
-		case o.scaleCooldown > 0:
-			return fmt.Errorf("-scale-cooldown requires -scale-max: without a ceiling no scale event ever fires, so the cooldown never applies")
-		}
-	} else {
-		if o.healthInterval == 0 {
-			return fmt.Errorf("-scale-max requires -health-interval: the scaler feeds on the prober's queue-depth samples, so without probes it is blind")
-		}
-		if o.scaleUp == 0 {
-			return fmt.Errorf("-scale-max requires the watermark pair -scale-up/-scale-down: without thresholds the scaler has no demand signal")
-		}
-		if o.scaleUp <= o.scaleDown {
-			return fmt.Errorf("-scale-up (%g) must exceed -scale-down (%g): the gap between them is the hysteresis band that prevents flapping", o.scaleUp, o.scaleDown)
-		}
-		if o.scaleMin > o.scaleMax {
-			return fmt.Errorf("-scale-min (%d) must not exceed -scale-max (%d)", o.scaleMin, o.scaleMax)
-		}
-		if o.ions > o.scaleMax {
-			return fmt.Errorf("-ions (%d) must not start above -scale-max (%d): the scaler would have to shrink a pool the operator explicitly sized", o.ions, o.scaleMax)
-		}
-		min := o.scaleMin
-		if min == 0 {
-			min = o.ions
-		}
-		if o.ions < min {
-			return fmt.Errorf("-ions (%d) must not start below -scale-min (%d): the scaler only grows on demand, so the pool would sit under its own floor", o.ions, min)
-		}
-	}
-	if o.slowFactor < 0 {
-		return fmt.Errorf("-slow-factor must not be negative, got %g", o.slowFactor)
-	}
-	if o.slowWindow < 0 {
-		return fmt.Errorf("-slow-window must not be negative, got %d", o.slowWindow)
-	}
-	if o.quarantineFloor < 0 {
-		return fmt.Errorf("-quarantine-floor must not be negative, got %d", o.quarantineFloor)
-	}
-	if o.hedgePct < 0 || o.hedgePct >= 1 {
-		return fmt.Errorf("-hedge-pct must be a quantile in [0,1), got %g", o.hedgePct)
-	}
-	if o.hedgeBudget < 0 || o.hedgeBudget > 1 {
-		return fmt.Errorf("-hedge-budget must be a per-request token fraction in [0,1], got %g", o.hedgeBudget)
-	}
-	if o.slowFactor > 0 && o.healthInterval == 0 {
-		return fmt.Errorf("-slow-factor requires -health-interval: the fail-slow scorer feeds on probe round-trips, so without probes it is blind")
-	}
-	if o.slowWindow > 0 && o.slowFactor == 0 {
-		return fmt.Errorf("-slow-window requires -slow-factor: without a slowness factor no scorer runs, so the debounce window never applies")
-	}
-	if o.quarantineFloor > 0 {
-		if o.slowFactor == 0 {
-			return fmt.Errorf("-quarantine-floor requires -slow-factor: without detection nothing is ever quarantined, so the floor never applies")
-		}
-		// The floor must sit strictly below the smallest pool this run can
-		// have, or the quarantine could never engage once the pool is there.
-		poolMin := o.ions
-		if o.scaleMax > 0 && o.scaleMin > 0 && o.scaleMin < poolMin {
-			poolMin = o.scaleMin
-		}
-		if o.quarantineFloor >= poolMin {
-			return fmt.Errorf("-quarantine-floor (%d) must be below the pool minimum (%d): a floor the pool cannot dig below disables quarantine entirely", o.quarantineFloor, poolMin)
-		}
-	}
-	if (o.hedgePct > 0 || o.hedgeBudget > 0) && o.dedupWindow == 0 {
-		return fmt.Errorf("-hedge-pct/-hedge-budget require -dedup-window: only the dedup window makes a duplicated write exactly-once, so hedging without it could double-apply")
-	}
-	if o.journalSnapshotEvery < 0 {
-		return fmt.Errorf("-journal-snapshot-every must not be negative, got %d", o.journalSnapshotEvery)
-	}
-	if o.journalSnapshotEvery > 0 && o.journalDir == "" {
-		return fmt.Errorf("-journal-snapshot-every requires -journal-dir: without a journal no snapshot is ever taken, so the cadence never applies")
-	}
-	if o.qosConfig != "" || o.qosInline != "" {
-		var (
-			reg *qos.Registry
-			err error
-		)
-		if o.qosConfig != "" {
-			reg, err = qos.ParseFile(o.qosConfig, o.qosInline)
-		} else {
-			reg, err = qos.Parse(o.qosInline)
-		}
+	if r.sweepLabel != "" {
+		swept, err := resolveApps([]string{r.sweepLabel})
 		if err != nil {
-			return fmt.Errorf("-qos-config/-qos: %w", err)
+			return cfg, nil, fmt.Errorf("-sweep: %w", err)
 		}
-		o.qosReg = reg
+		r.sweep = &swept[0]
 	}
-	return nil
-}
 
-// schedulerName reports the scheduler the stack will actually run, for
-// startup output: an explicit -scheduler wins, otherwise the livestack
-// default (WFQ under a QoS policy, AIOLI without one).
-func (o *options) schedulerName() string {
-	if o.scheduler != "" {
-		return o.scheduler
-	}
-	if o.qosReg != nil && !o.qosReg.Empty() {
-		return "WFQ"
-	}
-	return "AIOLI"
-}
-
-// stackConfig assembles the livestack configuration from validated options.
-func (o *options) stackConfig() livestack.Config {
-	cfg := livestack.Config{
-		IONs:          o.ions,
-		Scheduler:     o.scheduler,
-		Policy:        policy.MCKP{},
-		ChunkSize:     o.chunkSize,
-		CoalesceLimit: o.coalesceLimit,
-		RPC: rpc.Options{
-			CallTimeout:      o.callTimeout,
-			MaxRetries:       o.rpcRetries,
-			BreakerThreshold: o.breakerThreshold,
-			BreakerCooldown:  o.breakerCooldown,
-		},
-		HealthInterval:       o.healthInterval,
-		HealthTimeout:        o.healthTimeout,
-		QueueCap:             o.queueCap,
-		MaxInflight:          o.maxInflight,
-		MaxConns:             o.maxConns,
-		RetryAfterHint:       o.retryAfter,
-		OverloadQueueDepth:   o.overloadDepth,
-		OverloadShedDelta:    o.overloadShed,
-		WireChecksum:         o.wireChecksum,
-		DedupWindow:          o.dedupWindow,
-		JournalDir:           o.journalDir,
-		JournalSnapshotEvery: o.journalSnapshotEvery,
-		SlowFactor:           o.slowFactor,
-		SlowWindow:           o.slowWindow,
-		QuarantineFloor:      o.quarantineFloor,
-		QoS:                  o.qosReg,
-		Throttle: fwd.ThrottleConfig{
-			Enabled:   o.throttle,
-			MinWindow: o.throttleMin,
-			MaxWindow: o.throttleMax,
-		},
-	}
-	if o.scaleMax > 0 {
-		min := o.scaleMin
-		if min == 0 {
-			min = o.ions
-		}
-		cfg.Elastic = &elastic.Config{
-			Min:           min,
-			Max:           o.scaleMax,
-			UpWatermark:   o.scaleUp,
-			DownWatermark: o.scaleDown,
-			UpCooldown:    o.scaleCooldown,
-			DownCooldown:  o.scaleCooldown,
-			// The forecast seam: a scale-up whose predicted aggregate
-			// bandwidth gain is zero is vetoed — capacity the running
-			// apps' curves say nobody can use is not worth provisioning.
-			MarginalValue: marginalValueFor(o.appList),
-		}
-	}
-	if o.hedgePct > 0 || o.hedgeBudget > 0 {
-		cfg.Hedge = fwd.HedgeConfig{
-			Enabled: true,
-			Pct:     o.hedgePct,
-			Budget:  o.hedgeBudget,
-		}
-	}
-	if o.rate > 0 {
-		cfg.PFS.OSTRate = units.BandwidthFromMBps(o.rate)
-	}
-	if o.metricsAddr != "" {
+	cfg.PFS.OSTRate = units.BandwidthFromMBps(r.ostMBps)
+	cfg.Hedge.Enabled = cfg.Hedge.Pct != 0 || cfg.Hedge.Budget != 0
+	if r.metricsAddr != "" {
 		// Tracing is only worth its (small) cost when someone can look at
 		// the traces, so it rides the metrics endpoint flag.
 		cfg.Tracer = telemetry.NewTracer(0)
 	}
-	return cfg
+	if r.qosConfig != "" {
+		cfg.QoS, err = qos.ParseFile(r.qosConfig, r.qosInline)
+	} else if r.qosInline != "" {
+		cfg.QoS, err = qos.Parse(r.qosInline)
+	}
+	if err != nil {
+		return cfg, nil, fmt.Errorf("-qos-config/-qos: %w", err)
+	}
+	if el := r.scale; el.Max != 0 {
+		if el.Min == 0 {
+			el.Min = cfg.IONs
+		}
+		el.DownCooldown = el.UpCooldown
+		// The forecast seam: a scale-up whose predicted aggregate bandwidth
+		// gain is zero is vetoed — capacity the running apps' curves say
+		// nobody can use is not worth provisioning.
+		el.MarginalValue = marginalValueFor(r.apps)
+		cfg.Elastic = &el
+	} else if el.Min != 0 || el.UpWatermark != 0 || el.DownWatermark != 0 || el.UpCooldown != 0 {
+		return cfg, nil, errors.New("-scale-min/-scale-up/-scale-down/-scale-cooldown require -scale-max: without a ceiling no scaler runs")
+	}
+	return cfg, &r, nil
+}
+
+// resolveApps looks every label up in the kernel registry and the
+// performance model.
+func resolveApps(labels []string) ([]app, error) {
+	out := make([]app, len(labels))
+	for i, label := range labels {
+		label = strings.TrimSpace(label)
+		kernel, err := kernelFor(label)
+		if err != nil {
+			return nil, err
+		}
+		spec, err := perfmodel.AppByLabel(label)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = app{label, kernel, spec}
+	}
+	return out, nil
+}
+
+func kernelFor(label string) (apps.Kernel, error) {
+	k, ok := apps.Registry()[strings.TrimSpace(label)]
+	if !ok {
+		return nil, fmt.Errorf("unknown application %q", label)
+	}
+	return k, nil
 }

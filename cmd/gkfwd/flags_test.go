@@ -1,241 +1,283 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fwd"
+	"repro/internal/livestack"
+	"repro/internal/rpc"
+	"repro/internal/telemetry"
+	"repro/internal/units"
 )
 
-// validOptions mirrors the flag defaults.
-func validOptions() options {
-	return options{ions: 4, appList: "IOR-MPI,HACC"}
+// argvCase is one command line through parseFlags. Rows either must be
+// refused (wantErr, a substring) or must parse; a parsed row may pin the
+// whole Config it yields (want) and anything else about the result (check).
+type argvCase struct {
+	name    string
+	argv    []string
+	wantErr string
+	want    *livestack.Config
+	check   func(*testing.T, livestack.Config, *runPlan)
 }
 
-func TestValidateAcceptsDefaults(t *testing.T) {
-	o := validOptions()
-	if err := o.validate(); err != nil {
-		t.Fatalf("defaults should validate: %v", err)
-	}
-}
+// args splits a command line that needs no quoting.
+func args(line string) []string { return strings.Fields(line) }
 
-func TestValidateRejectsBadValues(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*options)
-		want string // substring of the error
-	}{
-		{"zero ions", func(o *options) { o.ions = 0 }, "-ions"},
-		{"negative ions", func(o *options) { o.ions = -3 }, "-ions"},
-		{"negative ost rate", func(o *options) { o.rate = -1 }, "-ost-mbps"},
-		{"negative chunk size", func(o *options) { o.chunkSize = -4096 }, "-chunk-size"},
-		{"negative coalesce limit", func(o *options) { o.coalesceLimit = -1 }, "-coalesce-limit"},
-		{"coalesce limit below chunk size", func(o *options) { o.chunkSize = 4096; o.coalesceLimit = 1024 }, "-coalesce-limit"},
-		{"negative call timeout", func(o *options) { o.callTimeout = -time.Second }, "-call-timeout"},
-		{"negative breaker cooldown", func(o *options) { o.breakerCooldown = -1 }, "-breaker-cooldown"},
-		{"negative health interval", func(o *options) { o.healthInterval = -time.Millisecond }, "-health-interval"},
-		{"negative health timeout", func(o *options) { o.healthTimeout = -time.Millisecond }, "-health-timeout"},
-		{"negative retry after", func(o *options) { o.retryAfter = -time.Millisecond }, "-retry-after"},
-		{"negative rpc retries", func(o *options) { o.rpcRetries = -1 }, "-rpc-retries"},
-		{"negative breaker threshold", func(o *options) { o.breakerThreshold = -1 }, "-breaker-threshold"},
-		{"negative queue cap", func(o *options) { o.queueCap = -1 }, "-queue-cap"},
-		{"negative max inflight", func(o *options) { o.maxInflight = -1 }, "-max-inflight"},
-		{"negative max conns", func(o *options) { o.maxConns = -1 }, "-max-conns"},
-		{"negative throttle min", func(o *options) { o.throttle = true; o.throttleMin = -1 }, "-throttle-min"},
-		{"negative overload depth", func(o *options) { o.overloadDepth = -1 }, "-overload-depth"},
-		{"negative dedup window", func(o *options) { o.dedupWindow = -1 }, "-dedup-window"},
-		{"min above max", func(o *options) { o.throttle = true; o.throttleMin = 8; o.throttleMax = 4 }, "-throttle-min"},
-		{"throttle knobs without throttle", func(o *options) { o.throttleMax = 16 }, "-throttle"},
-		{"overload without health", func(o *options) { o.overloadDepth = 10 }, "-health-interval"},
-		{"queue and sweep", func(o *options) { o.queue = true; o.sweep = "HACC" }, "mutually exclusive"},
-		{"breaker cooldown without threshold", func(o *options) { o.breakerCooldown = time.Second }, "-breaker-threshold"},
-		{"health timeout without interval", func(o *options) { o.healthTimeout = time.Second }, "-health-interval"},
-		{"retry after without admission bound", func(o *options) { o.retryAfter = time.Millisecond }, "-queue-cap or -max-inflight"},
-		{"overload depth beyond queue cap", func(o *options) { o.healthInterval = time.Second; o.queueCap = 8; o.overloadDepth = 32 }, "exceeds -queue-cap"},
-		{"overload shed without shed source", func(o *options) { o.healthInterval = time.Second; o.overloadShed = 4 }, "shed source"},
-		{"negative scale min", func(o *options) { o.scaleMin = -1 }, "-scale-min"},
-		{"negative scale max", func(o *options) { o.scaleMax = -1 }, "-scale-max"},
-		{"negative scale up", func(o *options) { o.scaleUp = -1 }, "-scale-up"},
-		{"negative scale down", func(o *options) { o.scaleDown = -0.5 }, "-scale-down"},
-		{"negative scale cooldown", func(o *options) { o.scaleCooldown = -time.Second }, "-scale-cooldown"},
-		{"scale min without max", func(o *options) { o.scaleMin = 2 }, "-scale-min requires -scale-max"},
-		{"watermarks without max", func(o *options) { o.scaleUp = 8 }, "require -scale-max"},
-		{"scale cooldown without max", func(o *options) { o.scaleCooldown = time.Second }, "-scale-cooldown requires -scale-max"},
-		{"scaler without health", func(o *options) { o.scaleMax = 8; o.scaleUp = 8; o.scaleDown = 1 }, "-scale-max requires -health-interval"},
-		{"scaler without watermarks", func(o *options) {
-			o.healthInterval = time.Second
-			o.scaleMax = 8
-		}, "watermark pair"},
-		{"inverted watermarks", func(o *options) {
-			o.healthInterval = time.Second
-			o.scaleMax = 8
-			o.scaleUp = 1
-			o.scaleDown = 4
-		}, "hysteresis band"},
-		{"scale min above scale max", func(o *options) {
-			o.healthInterval = time.Second
-			o.scaleMax = 4
-			o.scaleUp = 8
-			o.scaleDown = 1
-			o.scaleMin = 6
-		}, "-scale-min (6) must not exceed -scale-max (4)"},
-		{"ions below scale min", func(o *options) {
-			o.healthInterval = time.Second
-			o.ions = 2
-			o.scaleMin = 3
-			o.scaleMax = 8
-			o.scaleUp = 8
-			o.scaleDown = 1
-		}, "below -scale-min"},
-		{"ions above scale max", func(o *options) {
-			o.healthInterval = time.Second
-			o.ions = 10
-			o.scaleMax = 8
-			o.scaleUp = 8
-			o.scaleDown = 1
-		}, "above -scale-max"},
-		{"negative journal snapshot cadence", func(o *options) { o.journalSnapshotEvery = -1 }, "-journal-snapshot-every"},
-		{"journal snapshot cadence without journal", func(o *options) { o.journalSnapshotEvery = 64 }, "-journal-snapshot-every requires -journal-dir"},
-		{"negative slow factor", func(o *options) { o.slowFactor = -2 }, "-slow-factor"},
-		{"negative slow window", func(o *options) { o.slowWindow = -1 }, "-slow-window"},
-		{"negative quarantine floor", func(o *options) { o.quarantineFloor = -1 }, "-quarantine-floor"},
-		{"hedge pct not a quantile", func(o *options) { o.dedupWindow = 16; o.hedgePct = 1.5 }, "-hedge-pct"},
-		{"negative hedge budget", func(o *options) { o.dedupWindow = 16; o.hedgeBudget = -0.1 }, "-hedge-budget"},
-		{"hedge budget above one", func(o *options) { o.dedupWindow = 16; o.hedgeBudget = 2 }, "-hedge-budget"},
-		{"slow factor without health", func(o *options) { o.slowFactor = 4 }, "-slow-factor requires -health-interval"},
-		{"slow window without factor", func(o *options) { o.slowWindow = 3 }, "-slow-window requires -slow-factor"},
-		{"quarantine floor without factor", func(o *options) {
-			o.quarantineFloor = 1
-			o.ions = 4
-		}, "-quarantine-floor requires -slow-factor"},
-		{"quarantine floor at pool minimum", func(o *options) {
-			o.healthInterval = time.Second
-			o.slowFactor = 4
-			o.quarantineFloor = 4 // == -ions: nothing could ever be quarantined
-		}, "below the pool minimum"},
-		{"quarantine floor at elastic pool minimum", func(o *options) {
-			o.healthInterval = time.Second
-			o.slowFactor = 4
-			o.scaleMax = 8
-			o.scaleMin = 2
-			o.scaleUp = 8
-			o.scaleDown = 1
-			o.quarantineFloor = 2 // == -scale-min, the smallest pool this run can have
-		}, "below the pool minimum"},
-		{"hedge pct without dedup", func(o *options) { o.hedgePct = 0.95 }, "require -dedup-window"},
-		{"hedge budget without dedup", func(o *options) { o.hedgeBudget = 0.2 }, "require -dedup-window"},
-		{"qos inline syntax error", func(o *options) { o.qosInline = "class gold tier=bogus" }, "-qos-config/-qos"},
-		{"qos unknown class reference", func(o *options) { o.qosInline = "app a missing" }, "-qos-config/-qos"},
-		{"qos missing file", func(o *options) { o.qosConfig = "/nonexistent/qos.conf" }, "-qos-config/-qos"},
-	}
+// nonNilTracer stands for "-metrics-addr armed tracing" in want literals.
+var nonNilTracer = telemetry.NewTracer(0)
+
+func runArgv(t *testing.T, cases []argvCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := validOptions()
-			tc.mut(&o)
-			err := o.validate()
-			if err == nil {
-				t.Fatalf("expected an error mentioning %q, got nil", tc.want)
+			cfg, plan, err := parseFlags(tc.argv)
+			if tc.wantErr != "" {
+				if err == nil {
+					// Not a flag-only rule: the stack's own rules get their say.
+					err = cfg.Validate()
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("gkfwd %q: error %v, want one mentioning %q", tc.argv, err, tc.wantErr)
+				}
+				return
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+			if err != nil {
+				t.Fatalf("gkfwd %q: %v", tc.argv, err)
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("gkfwd %q parsed into a Config the stack refuses: %v", tc.argv, err)
+			}
+			if tc.want != nil {
+				sameConfig(t, cfg, *tc.want)
+			}
+			if tc.check != nil {
+				tc.check(t, cfg, plan)
 			}
 		})
 	}
 }
 
-func TestValidateAcceptsOverloadKnobs(t *testing.T) {
-	o := validOptions()
-	o.healthInterval = 100 * time.Millisecond
-	o.overloadDepth = 32
-	o.overloadShed = 4
-	o.queueCap = 64
-	o.maxInflight = 16
-	o.maxConns = 8
-	o.throttle = true
-	o.throttleMin = 1
-	o.throttleMax = 16
-	if err := o.validate(); err != nil {
-		t.Fatalf("overload/backpressure knobs should validate: %v", err)
+// sameConfig compares two stack configurations field by field; function
+// and pointer fields (hooks, registries, the tracer, the scaler config)
+// by nil-ness.
+func sameConfig(t *testing.T, got, want livestack.Config) {
+	t.Helper()
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		name, gf, wf := g.Type().Field(i).Name, g.Field(i), w.Field(i)
+		switch gf.Kind() {
+		case reflect.Func, reflect.Pointer:
+			if gf.IsNil() != wf.IsNil() {
+				t.Errorf("%s: nil = %v, want nil = %v", name, gf.IsNil(), wf.IsNil())
+			}
+		default:
+			if !reflect.DeepEqual(gf.Interface(), wf.Interface()) {
+				t.Errorf("%s = %+v, want %+v", name, gf.Interface(), wf.Interface())
+			}
+		}
 	}
 }
 
-// TestJournalFlagsCarryIntoStackConfig pins the recovery flag pair: the
-// directory and snapshot cadence reach the stack verbatim, and the
-// default (no -journal-dir) keeps the journal fully off.
-func TestJournalFlagsCarryIntoStackConfig(t *testing.T) {
-	o := validOptions()
-	o.journalDir = filepath.Join(t.TempDir(), "wal")
-	o.journalSnapshotEvery = 128
-	if err := o.validate(); err != nil {
-		t.Fatalf("journal flags should validate: %v", err)
-	}
-	cfg := o.stackConfig()
-	if cfg.JournalDir != o.journalDir {
-		t.Errorf("JournalDir = %q, want %q", cfg.JournalDir, o.journalDir)
-	}
-	if cfg.JournalSnapshotEvery != 128 {
-		t.Errorf("JournalSnapshotEvery = %d, want 128", cfg.JournalSnapshotEvery)
-	}
+// TestArgvRejected: the rules gkfwd keeps are about flags that are not
+// Config fields; everything else is refused by Config.Validate in its own
+// words (two rows show the hand-over, livestack's config_test has the
+// rule table).
+func TestArgvRejected(t *testing.T) {
+	runArgv(t, []argvCase{
+		{name: "queue and sweep", argv: args("-queue -sweep HACC"), wantErr: "mutually exclusive"},
+		{name: "scale min without max", argv: args("-scale-min 2"), wantErr: "require -scale-max"},
+		{name: "watermarks without max", argv: args("-scale-up 8"), wantErr: "require -scale-max"},
+		{name: "scale cooldown without max", argv: args("-scale-cooldown 1s"), wantErr: "require -scale-max"},
+		{name: "negative scale knob without max", argv: args("-scale-down -0.5"), wantErr: "require -scale-max"},
+		{name: "qos inline syntax error", argv: []string{"-qos", "class gold tier=bogus"}, wantErr: "-qos-config/-qos"},
+		{name: "qos unknown class reference", argv: []string{"-qos", "app a missing"}, wantErr: "-qos-config/-qos"},
+		{name: "qos missing file", argv: args("-qos-config /nonexistent/qos.conf"), wantErr: "-qos-config/-qos"},
+		{name: "unknown app label", argv: args("-apps IOR-MPI,HAC"), wantErr: `-apps: unknown application "HAC"`},
+		{name: "unknown sweep label", argv: args("-sweep HAC"), wantErr: `-sweep: unknown application "HAC"`},
+		{name: "unknown flag", argv: args("-no-such-flag"), wantErr: "flag provided but not defined"},
+		{name: "removed flag -max-conns", argv: args("-max-conns 8"), wantErr: "flag provided but not defined"},
+		{name: "removed flag -coalesce-limit", argv: args("-coalesce-limit 1024"), wantErr: "flag provided but not defined"},
+		{name: "removed flag -journal-snapshot-every", argv: args("-journal-snapshot-every 64"), wantErr: "flag provided but not defined"},
 
-	off := validOptions()
-	if err := off.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg := off.stackConfig(); cfg.JournalDir != "" || cfg.JournalSnapshotEvery != 0 {
-		t.Errorf("journal on by default: dir=%q every=%d", cfg.JournalDir, cfg.JournalSnapshotEvery)
+		{name: "Validate: dead knob", argv: args("-overload-depth 32"), wantErr: "OverloadQueueDepth/OverloadShedDelta requires HealthInterval"},
+		{name: "Validate: negative", argv: args("-call-timeout=-1s"), wantErr: "RPC.CallTimeout must not be negative"},
+		{name: "Validate: unknown scheduler", argv: args("-scheduler bogus"), wantErr: "Scheduler"},
+		{name: "Validate: negative ost rate", argv: args("-ost-mbps -1"), wantErr: "PFS.OSTRate must not be negative"},
+		{name: "Validate: negative hedge pct still arms the hedge", argv: args("-dedup-window 16 -hedge-pct -0.5"), wantErr: "Hedge.Pct"},
+		{name: "Validate: scaler bounds are elastic's", argv: args("-health-interval 1s -scale-max 2 -scale-up 8 -scale-down 1"), wantErr: "Max (2) must be at least Min (4)"},
+		{name: "Validate: pool sized outside the scaler's range", argv: args("-health-interval 1s -scale-min 1 -scale-max 2 -scale-up 8 -scale-down 1"), wantErr: "IONs (4) must start inside Elastic.Min..Max (1..2)"},
+	})
+}
+
+// TestArgvDefaults: no flags is Config{IONs: 4} — every opt-in at its zero
+// value — running IOR-MPI and HACC; the three removed knobs took the flag
+// count from 40 to 37.
+func TestArgvDefaults(t *testing.T) {
+	runArgv(t, []argvCase{
+		{name: "no flags", argv: nil, want: &livestack.Config{IONs: 4},
+			check: func(t *testing.T, _ livestack.Config, plan *runPlan) {
+				if len(plan.apps) != 2 || plan.apps[0].label != "IOR-MPI" || plan.apps[1].label != "HACC" || plan.sweep != nil || plan.queue {
+					t.Errorf("default plan = %+v, want IOR-MPI and HACC run concurrently", plan)
+				}
+			}},
+		{name: "-queue", argv: args("-ions 12 -queue"), want: &livestack.Config{IONs: 12},
+			check: func(t *testing.T, _ livestack.Config, plan *runPlan) {
+				if !plan.queue {
+					t.Error("-queue not carried into the plan")
+				}
+			}},
+		{name: "-sweep", argv: args("-sweep HACC"), want: &livestack.Config{IONs: 4},
+			check: func(t *testing.T, _ livestack.Config, plan *runPlan) {
+				if plan.sweep == nil || plan.sweep.kernel.Name() != "HACC" {
+					t.Errorf("sweep = %+v, want the HACC kernel", plan.sweep)
+				}
+			}},
+		{name: "-ost-mbps", argv: args("-ost-mbps 100"), check: func(t *testing.T, cfg livestack.Config, _ *runPlan) {
+			if cfg.PFS.OSTRate != units.BandwidthFromMBps(100) {
+				t.Errorf("PFS.OSTRate = %v, want 100 MB/s", cfg.PFS.OSTRate)
+			}
+		}},
+		{name: "-metrics-addr", argv: args("-metrics-addr :0"), check: func(t *testing.T, cfg livestack.Config, plan *runPlan) {
+			if cfg.Tracer == nil || plan.metricsAddr != ":0" {
+				t.Errorf("Tracer = %v, metricsAddr = %q: the endpoint flag must arm tracing", cfg.Tracer, plan.metricsAddr)
+			}
+		}},
+	})
+	var (
+		cfg livestack.Config
+		r   runPlan
+		n   int
+	)
+	fs := flag.NewFlagSet("gkfwd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	bindFlags(fs, &cfg, &r)
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 37 {
+		t.Errorf("gkfwd registers %d flags, want 37", n)
 	}
 }
 
-func TestStackConfigCarriesOverloadKnobs(t *testing.T) {
-	o := validOptions()
-	o.healthInterval = 100 * time.Millisecond
-	o.queueCap = 64
-	o.maxInflight = 16
-	o.maxConns = 8
-	o.retryAfter = 5 * time.Millisecond
-	o.overloadDepth = 32
-	o.overloadShed = 4
-	o.throttle = true
-	o.throttleMin = 2
-	o.throttleMax = 16
-	o.chunkSize = 1 << 16
-	o.coalesceLimit = 1 << 20
-	cfg := o.stackConfig()
-	if cfg.QueueCap != 64 || cfg.MaxInflight != 16 || cfg.MaxConns != 8 {
-		t.Fatalf("admission knobs not carried: %+v", cfg)
-	}
-	if cfg.RetryAfterHint != 5*time.Millisecond {
-		t.Fatalf("retry-after hint not carried: %v", cfg.RetryAfterHint)
-	}
-	if cfg.OverloadQueueDepth != 32 || cfg.OverloadShedDelta != 4 {
-		t.Fatalf("overload knobs not carried: %+v", cfg)
-	}
-	if !cfg.Throttle.Enabled || cfg.Throttle.MinWindow != 2 || cfg.Throttle.MaxWindow != 16 {
-		t.Fatalf("throttle knobs not carried: %+v", cfg.Throttle)
-	}
-	if cfg.ChunkSize != 1<<16 {
-		t.Fatalf("chunk size not carried: %d", cfg.ChunkSize)
-	}
-	if cfg.CoalesceLimit != 1<<20 {
-		t.Fatalf("coalesce limit not carried: %d", cfg.CoalesceLimit)
-	}
+// The recipe tests below hold each argv the verify skill and the README
+// drive to the Config the pre-binding gkfwd assembled for it (its
+// stackConfig copied flag by flag; Policy was spelled MCKP{} there and is
+// left nil — the same default — here).
+
+func TestArgvFailureToleranceRecipe(t *testing.T) {
+	runArgv(t, []argvCase{{
+		name: "breaker + deadlines + prober",
+		argv: args("-call-timeout 2s -rpc-retries 1 -breaker-threshold 2 -breaker-cooldown 1s -health-interval 50ms -health-timeout 1s -metrics-addr :9090"),
+		want: &livestack.Config{
+			IONs:           4,
+			RPC:            rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 1, BreakerThreshold: 2, BreakerCooldown: time.Second},
+			HealthInterval: 50 * time.Millisecond, HealthTimeout: time.Second,
+			Tracer: nonNilTracer,
+		},
+	}})
 }
 
-func TestQoSFlagsParseIntoStackConfig(t *testing.T) {
+func TestArgvOverloadThrottleRecipe(t *testing.T) {
+	runArgv(t, []argvCase{{
+		name: "storm recipe plus -overload-depth and -chunk-size",
+		argv: args("-ions 4 -apps IOR-MPI,BT-C -queue-cap 8 -max-inflight 16 -retry-after 1ms -throttle -throttle-min 1 -throttle-max 8 -health-interval 50ms -health-timeout 1s -overload-shed 1 -overload-depth 8 -chunk-size 65536 -metrics-addr :9090"),
+		want: &livestack.Config{
+			IONs: 4, ChunkSize: 1 << 16,
+			QueueCap: 8, MaxInflight: 16, RetryAfterHint: time.Millisecond,
+			Throttle:       fwd.ThrottleConfig{Enabled: true, MinWindow: 1, MaxWindow: 8},
+			HealthInterval: 50 * time.Millisecond, HealthTimeout: time.Second,
+			OverloadShedDelta: 1, OverloadQueueDepth: 8,
+			Tracer: nonNilTracer,
+		},
+	}})
+}
+
+func TestArgvGrayFailureHedgeRecipe(t *testing.T) {
+	runArgv(t, []argvCase{
+		{
+			name: "gray-failure recipe plus -wire-checksum",
+			argv: args("-ions 4 -apps IOR-MPI,BT-C -slow-factor 8 -slow-window 3 -health-interval 100ms -health-timeout 1s -quarantine-floor 2 -dedup-window 256 -hedge-pct 0.95 -hedge-budget 0.5 -wire-checksum -metrics-addr :9090"),
+			want: &livestack.Config{
+				IONs:           4,
+				HealthInterval: 100 * time.Millisecond, HealthTimeout: time.Second,
+				SlowFactor: 8, SlowWindow: 3, QuarantineFloor: 2,
+				WireChecksum: true, DedupWindow: 256,
+				Hedge:  fwd.HedgeConfig{Enabled: true, Pct: 0.95, Budget: 0.5},
+				Tracer: nonNilTracer,
+			},
+		},
+		{
+			// The quantile takes its default inside fwd.
+			name: "budget-only hedge",
+			argv: args("-dedup-window 64 -hedge-budget 0.5"),
+			want: &livestack.Config{IONs: 4, DedupWindow: 64, Hedge: fwd.HedgeConfig{Enabled: true, Budget: 0.5}},
+		},
+	})
+}
+
+func TestArgvJournalRecipe(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	runArgv(t, []argvCase{{
+		name: "journal",
+		argv: []string{"-journal-dir", dir, "-health-interval", "50ms"},
+		want: &livestack.Config{IONs: 4, JournalDir: dir, HealthInterval: 50 * time.Millisecond},
+	}})
+}
+
+func TestArgvScalerDerivesElastic(t *testing.T) {
+	runArgv(t, []argvCase{
+		{
+			name: "floor defaults to -ions",
+			argv: args("-health-interval 100ms -scale-max 12 -scale-up 8 -scale-down 1 -scale-cooldown 30s"),
+			check: func(t *testing.T, cfg livestack.Config, _ *runPlan) {
+				el := cfg.Elastic
+				if el == nil {
+					t.Fatal("-scale-max did not enable the elastic scaler")
+				}
+				if el.Min != 4 || el.Max != 12 || el.UpWatermark != 8 || el.DownWatermark != 1 {
+					t.Errorf("Elastic = %+v, want Min 4 (the -ions default) Max 12 watermarks 8/1", el)
+				}
+				if el.UpCooldown != 30*time.Second || el.DownCooldown != 30*time.Second {
+					t.Errorf("-scale-cooldown not carried to both directions: %v / %v", el.UpCooldown, el.DownCooldown)
+				}
+				if el.MarginalValue == nil {
+					t.Fatal("scaler config has no perfmodel forecast")
+				}
+				if v := el.MarginalValue(2); v <= 0 {
+					t.Errorf("forecast at k=2 = %g, want > 0 (IOR-MPI and HACC still climb)", v)
+				}
+				if cfg.WrapProvisioner != nil {
+					t.Error("gkfwd must not interpose on the provisioner")
+				}
+			},
+		},
+		{
+			name: "an explicit floor wins",
+			argv: args("-health-interval 100ms -scale-max 12 -scale-min 2 -scale-up 8 -scale-down 1"),
+			check: func(t *testing.T, cfg livestack.Config, _ *runPlan) {
+				if cfg.Elastic == nil || cfg.Elastic.Min != 2 {
+					t.Errorf("Elastic = %+v, want Min 2", cfg.Elastic)
+				}
+			},
+		},
+	})
+}
+
+func TestArgvQoSBuildsTheRegistry(t *testing.T) {
 	conf := filepath.Join(t.TempDir(), "qos.conf")
 	if err := os.WriteFile(conf, []byte("class gold tier=guaranteed rate=64MiB weight=4\napp ior gold\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := validOptions()
-	o.qosConfig = conf
-	o.qosInline = "class scav tier=scavenger rate=1MiB; app bg scav"
-	if err := o.validate(); err != nil {
-		t.Fatalf("qos flags should validate: %v", err)
-	}
-	cfg := o.stackConfig()
-	if cfg.QoS == nil {
-		t.Fatal("validated QoS registry not carried into the stack config")
+	inline := "class scav tier=scavenger rate=1MiB; app bg scav"
+	cfg, _, err := parseFlags([]string{"-ions", "1", "-qos-config", conf, "-qos", inline})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if c := cfg.QoS.ClassFor("ior"); c == nil || c.Name != "gold" {
 		t.Fatalf("file-declared class not resolvable: %+v", c)
@@ -243,70 +285,20 @@ func TestQoSFlagsParseIntoStackConfig(t *testing.T) {
 	if c := cfg.QoS.ClassFor("bg"); c == nil || c.Name != "scav" {
 		t.Fatalf("inline override class not resolvable: %+v", c)
 	}
-	if got := o.schedulerName(); got != "WFQ" {
-		t.Fatalf("schedulerName with QoS = %q, want WFQ", got)
-	}
-	o.scheduler = "FIFO"
-	if got := o.schedulerName(); got != "FIFO" {
-		t.Fatalf("explicit -scheduler must win: %q", got)
-	}
-	// And the default remains fully off.
-	def := validOptions()
-	if err := def.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d := def.stackConfig(); d.QoS != nil || d.Scheduler != "" {
-		t.Fatalf("QoS must default off: %+v", d)
-	}
-	if got := def.schedulerName(); got != "AIOLI" {
-		t.Fatalf("default scheduler name = %q, want AIOLI", got)
-	}
-}
-
-func TestScalerFlagsCarryIntoStackConfig(t *testing.T) {
-	o := validOptions()
-	o.healthInterval = 100 * time.Millisecond
-	o.scaleMax = 12
-	o.scaleUp = 8
-	o.scaleDown = 1
-	o.scaleCooldown = 30 * time.Second
-	if err := o.validate(); err != nil {
-		t.Fatalf("scaler knobs should validate: %v", err)
-	}
-	cfg := o.stackConfig()
-	if cfg.Elastic == nil {
-		t.Fatal("-scale-max did not enable the elastic scaler")
-	}
-	if cfg.Elastic.Min != o.ions {
-		t.Fatalf("Elastic.Min = %d, want the -ions default %d", cfg.Elastic.Min, o.ions)
-	}
-	if cfg.Elastic.Max != 12 || cfg.Elastic.UpWatermark != 8 || cfg.Elastic.DownWatermark != 1 {
-		t.Fatalf("scaler knobs not carried: %+v", cfg.Elastic)
-	}
-	if cfg.Elastic.UpCooldown != 30*time.Second || cfg.Elastic.DownCooldown != 30*time.Second {
-		t.Fatalf("-scale-cooldown not carried to both directions: %+v", cfg.Elastic)
-	}
-	if cfg.Elastic.MarginalValue == nil {
-		t.Fatal("scaler config has no perfmodel forecast")
-	}
-	// An explicit floor wins over the -ions default.
-	o.scaleMin = 2
-	o.ions = 4
-	if err := o.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.stackConfig().Elastic.Min; got != 2 {
-		t.Fatalf("explicit -scale-min not carried: %d", got)
-	}
-
-	// Default off: with every scaler flag at zero the stack config is the
-	// static pool, byte for byte.
-	def := validOptions()
-	if err := def.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d := def.stackConfig(); d.Elastic != nil || d.WrapProvisioner != nil {
-		t.Fatalf("scaler must default off: %+v", d.Elastic)
+	// The banner prints what the stack resolved, not a copy of the rule.
+	for argvSched, want := range map[string]string{"": "WFQ", "FIFO": "FIFO"} {
+		cfg, _, err := parseFlags([]string{"-ions", "1", "-qos", inline, "-scheduler", argvSched})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := livestack.Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Scheduler(); got != want {
+			t.Errorf("-scheduler %q under a QoS policy runs %q, want %q", argvSched, got, want)
+		}
+		st.Close()
 	}
 }
 
@@ -314,80 +306,18 @@ func TestScalerFlagsCarryIntoStackConfig(t *testing.T) {
 // while the apps' curves still climb, zero past every measured peak (the
 // scaler reads that as "growth not worth provisioning").
 func TestMarginalAdvisor(t *testing.T) {
-	mv := marginalValueFor("IOR-MPI,HACC")
+	running, err := resolveApps([]string{"IOR-MPI", " HACC "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := marginalValueFor(running)
 	if v := mv(2); v <= 0 {
 		t.Fatalf("marginal value at k=2 = %g, want > 0 (both curves still climb)", v)
 	}
 	if v := mv(16); v != 0 {
 		t.Fatalf("marginal value at k=16 = %g, want 0 (past every measured point)", v)
 	}
-	if mv := marginalValueFor("NOSUCHAPP"); mv(2) != 0 {
-		t.Fatal("unknown labels must forecast zero, not panic")
-	}
-}
-
-// TestGrayFailureFlagsCarryIntoStackConfig pins the gray-failure flag
-// set: detection, quarantine, and hedging knobs reach the stack
-// verbatim, and the default keeps every plane fully off.
-func TestGrayFailureFlagsCarryIntoStackConfig(t *testing.T) {
-	o := validOptions()
-	o.healthInterval = 100 * time.Millisecond
-	o.dedupWindow = 64
-	o.slowFactor = 4
-	o.slowWindow = 5
-	o.quarantineFloor = 2
-	o.hedgePct = 0.9
-	o.hedgeBudget = 0.25
-	if err := o.validate(); err != nil {
-		t.Fatalf("gray-failure knobs should validate: %v", err)
-	}
-	cfg := o.stackConfig()
-	if cfg.SlowFactor != 4 || cfg.SlowWindow != 5 {
-		t.Fatalf("slow knobs not carried: factor=%g window=%d", cfg.SlowFactor, cfg.SlowWindow)
-	}
-	if cfg.QuarantineFloor != 2 {
-		t.Fatalf("-quarantine-floor not carried: %d", cfg.QuarantineFloor)
-	}
-	if !cfg.Hedge.Enabled || cfg.Hedge.Pct != 0.9 || cfg.Hedge.Budget != 0.25 {
-		t.Fatalf("hedge knobs not carried: %+v", cfg.Hedge)
-	}
-	// Setting only the budget still enables hedging (the quantile takes
-	// its default inside fwd).
-	o2 := validOptions()
-	o2.dedupWindow = 64
-	o2.hedgeBudget = 0.5
-	if err := o2.validate(); err != nil {
-		t.Fatalf("budget-only hedge should validate: %v", err)
-	}
-	if cfg2 := o2.stackConfig(); !cfg2.Hedge.Enabled || cfg2.Hedge.Budget != 0.5 {
-		t.Fatalf("budget-only hedge not carried: %+v", cfg2.Hedge)
-	}
-	// And the default remains fully off: zero-value behavior.
-	def := validOptions()
-	d := def.stackConfig()
-	if d.SlowFactor != 0 || d.QuarantineFloor != 0 || d.Hedge.Enabled {
-		t.Fatalf("gray-failure planes must default off: %+v", d)
-	}
-}
-
-func TestStackConfigCarriesIntegrityKnobs(t *testing.T) {
-	o := validOptions()
-	o.wireChecksum = true
-	o.dedupWindow = 128
-	if err := o.validate(); err != nil {
-		t.Fatalf("integrity knobs should validate: %v", err)
-	}
-	cfg := o.stackConfig()
-	if !cfg.WireChecksum {
-		t.Fatal("-wire-checksum not carried into the stack config")
-	}
-	if cfg.DedupWindow != 128 {
-		t.Fatalf("-dedup-window not carried: %d", cfg.DedupWindow)
-	}
-	// And the default remains fully off: zero-value wire compatibility.
-	def := validOptions()
-	d := def.stackConfig()
-	if d.WireChecksum || d.DedupWindow != 0 {
-		t.Fatalf("integrity features must default off: %+v", d)
+	if mv := marginalValueFor(nil); mv(2) != 0 {
+		t.Fatal("no apps must forecast zero, not panic")
 	}
 }

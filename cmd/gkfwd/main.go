@@ -10,37 +10,39 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 
-	"repro/internal/apps"
 	"repro/internal/livestack"
-	"repro/internal/perfmodel"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
 func main() {
-	opts := parseFlags()
-	if err := opts.validate(); err != nil {
+	cfg, plan, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fail(err)
 	}
-	st, err := livestack.Start(opts.stackConfig())
+	st, err := livestack.Start(cfg)
 	if err != nil {
 		fail(err)
 	}
 	defer st.Close()
 	fmt.Printf("started %d I/O nodes (%s scheduling) and the %s arbiter\n",
-		opts.ions, opts.schedulerName(), st.Arbiter.PolicyName())
+		cfg.IONs, st.Scheduler(), st.Arbiter.PolicyName())
 
-	if opts.metricsAddr != "" {
-		ln, err := net.Listen("tcp", opts.metricsAddr)
+	if plan.metricsAddr != "" {
+		ln, err := net.Listen("tcp", plan.metricsAddr)
 		if err != nil {
 			fail(err)
 		}
@@ -51,43 +53,25 @@ func main() {
 		fmt.Printf("telemetry on http://%s/metrics and /trace/recent\n", ln.Addr())
 	}
 
-	if opts.queue {
+	switch {
+	case plan.queue:
 		runLiveQueue(st)
-		return
+	case plan.sweep != nil:
+		runSweep(st, *plan.sweep, cfg.IONs)
+	default:
+		runConcurrent(st, plan.apps)
 	}
-	if opts.sweep != "" {
-		runSweep(st, opts.sweep, opts.ions)
-		return
-	}
-	runConcurrent(st, strings.Split(opts.appList, ","))
 }
 
-func kernelFor(label string) (apps.Kernel, error) {
-	k, ok := apps.Registry()[strings.TrimSpace(label)]
-	if !ok {
-		return nil, fmt.Errorf("unknown application %q", label)
-	}
-	return k, nil
-}
-
-func runConcurrent(st *livestack.Stack, labels []string) {
+func runConcurrent(st *livestack.Stack, running []app) {
 	var wg sync.WaitGroup
-	for i, label := range labels {
-		label = strings.TrimSpace(label)
-		kernel, err := kernelFor(label)
-		if err != nil {
-			fail(err)
-		}
-		spec, err := perfmodel.AppByLabel(label)
-		if err != nil {
-			fail(err)
-		}
-		id := fmt.Sprintf("%s#%d", label, i+1)
+	for i, a := range running {
+		id := fmt.Sprintf("%s#%d", a.label, i+1)
 		client, err := st.NewClient(id)
 		if err != nil {
 			fail(err)
 		}
-		got, err := st.Arbiter.JobStarted(policy.FromAppSpec(id, spec))
+		got, err := st.Arbiter.JobStarted(policy.FromAppSpec(id, a.spec))
 		if err != nil {
 			fail(err)
 		}
@@ -95,7 +79,7 @@ func runConcurrent(st *livestack.Stack, labels []string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, err := kernel.Run(client, "/"+id)
+			rep, err := a.kernel.Run(client, "/"+id)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "  %-12s FAILED: %v\n", id, err)
 				return
@@ -123,11 +107,8 @@ func runConcurrent(st *livestack.Stack, labels []string) {
 
 // runSweep measures one kernel's live bandwidth at every ION count — the
 // live analogue of a Figure 5 column.
-func runSweep(st *livestack.Stack, label string, maxIONs int) {
-	kernel, err := kernelFor(label)
-	if err != nil {
-		fail(err)
-	}
+func runSweep(st *livestack.Stack, swept app, maxIONs int) {
+	label, kernel := swept.label, swept.kernel
 	fmt.Printf("live bandwidth sweep for %s:\n", label)
 	for k := 0; k <= maxIONs; k++ {
 		if k != 0 && k != 1 && k%2 != 0 {

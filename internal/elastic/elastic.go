@@ -156,17 +156,28 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// withDefaults validates cfg and fills the documented defaults.
-func (cfg Config) withDefaults() (Config, error) {
+// Validate reports the first bounds rule cfg breaks. New applies it;
+// whoever assembles a Config ahead of New (livestack.Config.Validate)
+// calls it to fail before anything is started. The seams New's caller
+// fills in (Quiesced) are checked by New.
+func (cfg *Config) Validate() error {
 	if cfg.Min < 1 {
-		return cfg, fmt.Errorf("elastic: Min must be at least 1, got %d", cfg.Min)
+		return fmt.Errorf("elastic: Min must be at least 1, got %d", cfg.Min)
 	}
 	if cfg.Max < cfg.Min {
-		return cfg, fmt.Errorf("elastic: Max (%d) must be at least Min (%d)", cfg.Max, cfg.Min)
+		return fmt.Errorf("elastic: Max (%d) must be at least Min (%d)", cfg.Max, cfg.Min)
 	}
 	if cfg.UpWatermark <= cfg.DownWatermark {
-		return cfg, fmt.Errorf("elastic: UpWatermark (%g) must exceed DownWatermark (%g) — the gap is the hysteresis band",
+		return fmt.Errorf("elastic: UpWatermark (%g) must exceed DownWatermark (%g) — the gap is the hysteresis band that prevents flapping",
 			cfg.UpWatermark, cfg.DownWatermark)
+	}
+	return nil
+}
+
+// withDefaults validates cfg and fills the documented defaults.
+func (cfg Config) withDefaults() (Config, error) {
+	if err := cfg.Validate(); err != nil {
+		return cfg, err
 	}
 	if cfg.Min < cfg.Max && cfg.Quiesced == nil {
 		return cfg, errors.New("elastic: Quiesced is required when the pool may shrink")

@@ -72,9 +72,6 @@ type Config struct {
 	// MaxInflight caps requests concurrently inside the RPC handler
 	// (shed with a busy response above it); ≤0 means unlimited.
 	MaxInflight int
-	// MaxConns caps concurrently served RPC connections (closed at accept
-	// above it); ≤0 means unlimited.
-	MaxConns int
 	// WireChecksum makes the daemon's RPC server append a CRC32C trailer
 	// to every response. Inbound frames are verified whenever they carry a
 	// trailer regardless of this setting. Off by default.
@@ -214,7 +211,6 @@ func (d *Daemon) build() {
 	d.queue.Instrument(d.reg, d.label)
 	d.server = rpc.NewServer(d.handle).
 		WithLimits(rpc.ServerLimits{
-			MaxConns:    d.cfg.MaxConns,
 			MaxInflight: d.cfg.MaxInflight,
 			RetryAfter:  d.cfg.RetryAfterHint,
 		}).

@@ -3,6 +3,11 @@
 // harness, used by the examples, the gkfwd command, and the end-to-end
 // integration tests. It is the "mini cluster in a box" counterpart of the
 // paper's Grid'5000 deployment.
+//
+// A stack is described by one Config (config.go). Start runs
+// Config.Validate — the single owner of the rules between its fields —
+// before building anything, so every entry point (a gkfwd command line, a
+// test literal, the bench/ module) is held to the same rules.
 package livestack
 
 import (
@@ -24,184 +29,8 @@ import (
 	"repro/internal/nodestate"
 	"repro/internal/pfs"
 	"repro/internal/policy"
-	"repro/internal/qos"
-	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
-
-// Config parameterizes a stack.
-type Config struct {
-	// IONs is the number of I/O-node daemons (paper §5.3: 12).
-	IONs int
-	// Policy arbitrates; nil selects MCKP.
-	Policy policy.Policy
-	// Scheduler names the AGIOS scheduler for the daemons ("FIFO",
-	// "SJF", "AIOLI", "TWINS"); empty selects AIOLI, GekkoFWD's
-	// aggregating default in this reproduction.
-	Scheduler string
-	// PFS configures the backing store; zero value = functional store.
-	PFS pfs.Config
-	// Dispatchers is the number of dispatch slots per I/O node (concurrent
-	// backend calls; see ion.Config.Dispatchers); ≤0 selects the daemon
-	// default.
-	Dispatchers int
-	// Telemetry is the stack-wide metrics registry shared by every layer
-	// (fwd clients, rpc, daemons, PFS, arbiter); nil creates one.
-	Telemetry *telemetry.Registry
-	// Tracer joins per-request hops across layers. Nil disables tracing
-	// (metrics stay on); pass telemetry.NewTracer to record traces.
-	Tracer *telemetry.Tracer
-
-	// ChunkSize is the forwarding clients' request-splitting unit; ≤0
-	// selects fwd.DefaultChunkSize.
-	ChunkSize int64
-	// PoolSize is each client's RPC connection pool per I/O node; ≤0
-	// selects rpc.DefaultPoolSize. One request is in flight per
-	// connection, so this caps a client's concurrency against one node —
-	// size it to the application's writer parallelism when queue-depth
-	// signals (overload detection, elastic scaling) must see the demand.
-	PoolSize int
-	// CoalesceLimit caps how many contiguous same-target bytes a client
-	// merges into one wire request; ≤0 selects fwd.DefaultCoalesceLimit
-	// (values above the frame ceiling are clamped by the client).
-	CoalesceLimit int64
-	// RPC is the failure-tolerance configuration (per-call deadlines,
-	// retries, circuit breaker) applied to every forwarding client this
-	// stack creates. The zero value keeps the legacy block-forever
-	// transport behaviour.
-	RPC rpc.Options
-
-	// HealthInterval, when >0, runs a heartbeat prober over the daemons
-	// and feeds its events into the arbiter (Transition), closing the
-	// detect→re-arbitrate loop.
-	HealthInterval time.Duration
-	// HealthTimeout is the per-ping deadline; ≤0 lets the prober derive
-	// it from the interval.
-	HealthTimeout time.Duration
-	// HealthFailThreshold / HealthRiseThreshold debounce transitions;
-	// ≤0 selects the prober defaults.
-	HealthFailThreshold int
-	HealthRiseThreshold int
-
-	// SlowFactor enables fail-slow (gray failure) detection on the
-	// health prober: a node whose probe-RTT median exceeds the median of
-	// its peers' medians × SlowFactor for SlowWindow consecutive sweeps
-	// is marked degraded (a Slow event), and the arbiter quarantines it —
-	// excluded from new allocations while it stays in the pool — until
-	// SlowRecovery clean sweeps restore it (a Restore event). Requires
-	// HealthInterval > 0. ≤0 keeps detection off, behavior byte for byte.
-	SlowFactor float64
-	// SlowWindow / SlowRecovery debounce degraded transitions; ≤0 selects
-	// the prober defaults (3 slow sweeps in, 5 clean sweeps out).
-	SlowWindow   int
-	SlowRecovery int
-	// QuarantineFloor is the live-capacity floor the quarantine may not
-	// dig below (see arbiter.WithQuarantine); ≤0 selects 1. Only
-	// meaningful with SlowFactor > 0.
-	QuarantineFloor int
-	// Hedge configures tail-tolerant hedged requests on every forwarding
-	// client this stack creates (see fwd.HedgeConfig). Requires
-	// DedupWindow > 0: the hedged write is a same-stamp duplicate that
-	// only the daemon's dedup window makes exactly-once. When SlowFactor
-	// is also set, clients and the prober share one latency sketch, so
-	// probe RTTs and data-path RTTs pool into the same per-node
-	// distribution the hedge deadline is drawn from.
-	Hedge fwd.HedgeConfig
-
-	// QueueCap bounds each daemon's AGIOS queue (requests); >0 enables
-	// bounded admission — past the cap, requests are answered with a busy
-	// response instead of queued. 0 keeps the legacy unbounded queue.
-	QueueCap int
-	// QueueLowWater is the drain level at which a saturated queue resumes
-	// admitting; ≤0 selects half of QueueCap.
-	QueueLowWater int
-	// MaxInflight bounds concurrently-handled requests per daemon (shed
-	// above it); 0 = unlimited.
-	MaxInflight int
-	// MaxConns bounds accepted client connections per daemon; 0 =
-	// unlimited.
-	MaxConns int
-	// RetryAfterHint is carried on busy responses; ≤0 selects the daemon
-	// default.
-	RetryAfterHint time.Duration
-	// Throttle configures adaptive per-ION client throttling (AIMD
-	// window) on every forwarding client this stack creates. The zero
-	// value disables throttling.
-	Throttle fwd.ThrottleConfig
-
-	// WireChecksum turns on CRC32C frame trailers end to end: daemons
-	// checksum their responses, forwarding clients and the health prober
-	// checksum their requests, and every reader verifies trailers it
-	// sees. Off by default (zero-value wire compatibility).
-	WireChecksum bool
-	// DedupWindow enables exactly-once writes: forwarding clients stamp
-	// each write with a (clientID, seq) identity and every daemon keeps a
-	// window of that many committed outcomes per client, replaying them
-	// on transport retries instead of re-applying. 0 disables (the
-	// pre-integrity at-least-once behavior).
-	DedupWindow int
-
-	// OverloadQueueDepth / OverloadShedDelta / OverloadThreshold /
-	// OverloadRecovery configure the prober's overload detection (see
-	// health.Config); the Hot/Cool events it detects feed the arbiter
-	// (Transition) so load is steered away from
-	// saturated I/O nodes without removing them from the pool. Overload
-	// detection requires HealthInterval > 0 and at least one of the two
-	// signal thresholds.
-	OverloadQueueDepth int
-	OverloadShedDelta  int
-	OverloadThreshold  int
-	OverloadRecovery   int
-
-	// JournalDir, when non-empty, makes the control plane crash-safe: the
-	// arbiter appends every transition to a write-ahead journal in this
-	// directory, and epoch fencing turns on end to end — forwarding
-	// clients stamp writes with the mapping epoch, daemons reject writes
-	// from revoked epochs, and CrashControlPlane/RecoverControlPlane
-	// exercise the warm-restart path. Empty (the default) keeps the
-	// pre-journal stack, behavior and wire format byte for byte.
-	JournalDir string
-	// JournalSnapshotEvery is the append count between compacting journal
-	// snapshots; ≤0 selects the journal default (256). Only meaningful
-	// with JournalDir.
-	JournalSnapshotEvery int
-
-	// QoS, when non-nil, is the stack's tenant policy (internal/qos):
-	// clients created by NewClient get their app's class (token-bucket
-	// admission + wire priority), the arbiter weights contended
-	// allocations by class weight, and — unless Scheduler is set
-	// explicitly — daemons run the WFQ scheduler so priorities take
-	// effect. nil keeps the pre-QoS stack byte for byte.
-	QoS *qos.Registry
-
-	// Elastic, when non-nil, runs the pool autoscaler (internal/elastic):
-	// the static pool becomes the floor state of a pool that breathes
-	// with demand — SpawnION provisions new daemons, graceful drains
-	// decommission idle ones. Requires HealthInterval > 0 (the scaler
-	// feeds on the prober's load samples). The scaler's Quiesced and
-	// Telemetry seams are filled in by the stack when unset. nil keeps
-	// today's static pool byte for byte.
-	Elastic *elastic.Config
-	// WrapProvisioner, when non-nil, interposes on the scaler's
-	// provisioner — the hook chaos tests use to inject provisioning
-	// failures. Only meaningful with Elastic set.
-	WrapProvisioner func(elastic.Provisioner) elastic.Provisioner
-
-	// WrapListener, when non-nil, interposes on each daemon's listener
-	// before it starts serving — the hook chaos tests use to inject
-	// network faults (faultnet.WrapListener) on a chosen I/O node.
-	WrapListener func(ionIndex int, ln net.Listener) net.Listener
-	// WrapBackend, when non-nil, interposes on each daemon's storage
-	// backend — the hook chaos tests use to slow one I/O node down
-	// (faultfs) and force it into overload.
-	WrapBackend func(ionIndex int, b ion.Backend) ion.Backend
-	// WrapDirect, when non-nil, interposes on the file system clients use
-	// for direct-to-PFS forwarding (no allocation, or failover). Without
-	// it the direct path hits the in-memory store at line rate, which no
-	// real PFS offers — chaos tests wrap it with the same injected
-	// latency as the I/O-node backends.
-	WrapDirect func(fs pfs.FileSystem) pfs.FileSystem
-}
 
 // Stack is a running live system.
 type Stack struct {
@@ -228,8 +57,7 @@ type Stack struct {
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
 
-	cfg       Config
-	schedName string
+	cfg Config
 
 	// latSketch is the per-ION latency distribution shared by the health
 	// prober's fail-slow scorer and the clients' hedge deadlines (nil
@@ -254,52 +82,32 @@ type ionActivity struct {
 	ops   int64
 }
 
-// Start builds and starts the stack.
+// Start validates cfg, then builds and starts the stack.
 func Start(cfg Config) (*Stack, error) {
-	if cfg.IONs <= 0 {
-		return nil, fmt.Errorf("livestack: need at least one I/O node, got %d", cfg.IONs)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	pol := cfg.Policy
-	if pol == nil {
-		pol = policy.MCKP{}
+	// Defaults are resolved once, here: everything below — and
+	// RecoverControlPlane, later — reads them from s.cfg.
+	if cfg.Policy == nil {
+		cfg.Policy = policy.MCKP{}
 	}
-	schedName := cfg.Scheduler
-	if schedName == "" {
-		if cfg.QoS != nil && !cfg.QoS.Empty() {
-			schedName = "WFQ" // priorities are inert under a FIFO default
-		} else {
-			schedName = "AIOLI"
-		}
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.New()
 	}
-
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.New()
+	if cfg.SlowFactor > 0 && cfg.QuarantineFloor == 0 {
+		cfg.QuarantineFloor = 1 // detection on ⇔ quarantine armed
 	}
-	tracer := cfg.Tracer // nil keeps tracing off
 
 	st := &Stack{
-		Store:          pfs.NewStore(cfg.PFS).Instrument(reg),
+		Store:          pfs.NewStore(cfg.PFS).Instrument(cfg.Telemetry),
 		Bus:            mapping.NewBus(),
-		Telemetry:      reg,
-		Tracer:         tracer,
+		Telemetry:      cfg.Telemetry,
+		Tracer:         cfg.Tracer, // nil keeps tracing off
 		cfg:            cfg,
-		schedName:      schedName,
 		nextION:        cfg.IONs,
 		decommissioned: map[string]bool{},
 		lastAct:        map[string]ionActivity{},
-	}
-	if cfg.Elastic != nil && cfg.HealthInterval <= 0 {
-		return nil, errors.New("livestack: Elastic requires HealthInterval > 0 (the scaler feeds on prober load samples)")
-	}
-	if cfg.SlowFactor > 0 && cfg.HealthInterval <= 0 {
-		return nil, errors.New("livestack: SlowFactor requires HealthInterval > 0 (the fail-slow scorer feeds on probe RTTs)")
-	}
-	if cfg.QuarantineFloor > 0 && cfg.SlowFactor <= 0 {
-		return nil, errors.New("livestack: QuarantineFloor requires SlowFactor > 0 (nothing quarantines without detection)")
-	}
-	if cfg.Hedge.Enabled && cfg.DedupWindow <= 0 {
-		return nil, errors.New("livestack: Hedge requires DedupWindow > 0 (dedup is what makes a duplicated write exactly-once)")
 	}
 	if cfg.SlowFactor > 0 || cfg.Hedge.Enabled {
 		st.latSketch = latency.NewSketch(0)
@@ -313,51 +121,68 @@ func Start(cfg Config) (*Stack, error) {
 		st.Daemons = append(st.Daemons, d)
 		st.Addrs = append(st.Addrs, addr)
 	}
-	arb, err := arbiter.New(pol, st.Addrs, st.Bus)
+	arb, err := arbiter.New(cfg.Policy, st.Addrs, st.Bus)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	st.Arbiter = arb.Instrument(reg)
-	if cfg.QoS != nil && !cfg.QoS.Empty() {
-		st.Arbiter.WithWeights(cfg.QoS.Weight)
-	}
-	if cfg.SlowFactor > 0 {
+	st.Arbiter = arb.Instrument(cfg.Telemetry).WithWeights(st.qosWeights())
+	if cfg.QuarantineFloor > 0 {
 		st.Arbiter.WithQuarantine(cfg.QuarantineFloor)
 	}
-
 	if cfg.JournalDir != "" {
-		jn, err := journal.Open(cfg.JournalDir, journal.Options{
-			SnapshotEvery: cfg.JournalSnapshotEvery,
-			Telemetry:     reg,
-		})
-		if err != nil {
+		if st.Journal, err = st.openJournal(); err != nil {
 			st.Close()
 			return nil, err
 		}
-		st.Journal = jn
-		st.Arbiter.WithJournal(jn)
-		st.startFenceFanout()
+		st.Arbiter.WithJournal(st.Journal)
 	}
-
-	if cfg.HealthInterval > 0 {
-		if err := st.startHealth(st.Arbiter, st.Addrs); err != nil {
-			st.Close()
-			return nil, err
-		}
-	}
-	if cfg.Elastic != nil {
-		if err := st.startScaler(st.Arbiter, st.Addrs); err != nil {
-			st.Close()
-			return nil, err
-		}
+	if err := st.startControlPlane(st.Arbiter, st.Addrs); err != nil {
+		st.Close()
+		return nil, err
 	}
 	return st, nil
 }
 
+// Scheduler reports the AGIOS scheduler the daemons run: Config.Scheduler,
+// or the default that stands in for an empty one.
+func (s *Stack) Scheduler() string { return s.cfg.schedulerName() }
+
+// qosWeights is the arbiter's weight source: the tenant policy's class
+// weights, nil without one.
+func (s *Stack) qosWeights() func(id string) float64 {
+	if s.cfg.QoS.Empty() {
+		return nil
+	}
+	return s.cfg.QoS.Weight
+}
+
+// openJournal opens (replaying what is there) the control-plane journal.
+func (s *Stack) openJournal() (*journal.Journal, error) {
+	return journal.Open(s.cfg.JournalDir, journal.Options{Telemetry: s.Telemetry})
+}
+
+// startControlPlane starts what runs around an arbiter — the fence
+// fan-out (journaling only), the prober feeding it, the scaler feeding on
+// the prober — over addrs. Used at Start and again by
+// RecoverControlPlane: the old ones died with the control plane.
+func (s *Stack) startControlPlane(arb *arbiter.Arbiter, addrs []string) error {
+	if s.Journal != nil {
+		s.startFenceFanout()
+	}
+	if s.cfg.HealthInterval > 0 {
+		if err := s.startHealth(arb, addrs); err != nil {
+			return err
+		}
+	}
+	if s.cfg.Elastic != nil {
+		return s.startScaler(arb, addrs)
+	}
+	return nil
+}
+
 // startHealth builds and starts the heartbeat prober over addrs, feeding
-// its events into arb. Used at Start and again by RecoverControlPlane
-// (the old prober died with the control plane).
+// its events into arb.
 func (s *Stack) startHealth(arb *arbiter.Arbiter, addrs []string) error {
 	prober, err := health.New(health.Config{
 		Addrs:              addrs,
@@ -405,7 +230,6 @@ func (s *Stack) startHealth(arb *arbiter.Arbiter, addrs []string) error {
 }
 
 // startScaler builds and starts the pool autoscaler over arb and addrs.
-// Used at Start and again by RecoverControlPlane.
 func (s *Stack) startScaler(arb *arbiter.Arbiter, addrs []string) error {
 	ecfg := *s.cfg.Elastic
 	if ecfg.Telemetry == nil {
@@ -502,32 +326,13 @@ func (s *Stack) RecoverControlPlane() error {
 	if s.cfg.JournalDir == "" {
 		return errors.New("livestack: RecoverControlPlane requires JournalDir")
 	}
-	jn, err := journal.Open(s.cfg.JournalDir, journal.Options{
-		SnapshotEvery: s.cfg.JournalSnapshotEvery,
-		Telemetry:     s.Telemetry,
-	})
+	jn, err := s.openJournal()
 	if err != nil {
 		return err
 	}
-	pol := s.cfg.Policy
-	if pol == nil {
-		pol = policy.MCKP{}
-	}
-	var weights func(string) float64
-	if s.cfg.QoS != nil && !s.cfg.QoS.Empty() {
-		weights = s.cfg.QoS.Weight
-	}
-	quarFloor := 0
-	if s.cfg.SlowFactor > 0 {
-		// Re-arm the quarantine on the recovered arbiter: journaled
-		// degraded marks replay as quarantines again, under the same floor.
-		if quarFloor = s.cfg.QuarantineFloor; quarFloor < 1 {
-			quarFloor = 1
-		}
-	}
 	arb, rerr := arbiter.Recover(arbiter.RecoverConfig{
 		Journal: jn,
-		Policy:  pol,
+		Policy:  s.cfg.Policy,
 		Bus:     s.Bus,
 		Probe: func(addr string) bool {
 			return health.Check(addr, s.cfg.HealthTimeout)
@@ -540,8 +345,10 @@ func (s *Stack) RecoverControlPlane() error {
 				d.SetFence(fence)
 			}
 		},
-		Weights:         weights,
-		QuarantineFloor: quarFloor,
+		Weights: s.qosWeights(),
+		// Journaled degraded marks replay as quarantines again, under the
+		// same floor (Start resolved it: > 0 exactly when detection is on).
+		QuarantineFloor: s.cfg.QuarantineFloor,
 		Telemetry:       s.Telemetry,
 	})
 	if arb == nil {
@@ -571,16 +378,8 @@ func (s *Stack) RecoverControlPlane() error {
 		s.DecommissionION(a)
 	}
 
-	s.startFenceFanout()
-	if s.cfg.HealthInterval > 0 {
-		if err := s.startHealth(arb, arb.Pool()); err != nil {
-			return errors.Join(rerr, err)
-		}
-	}
-	if s.cfg.Elastic != nil {
-		if err := s.startScaler(arb, arb.Pool()); err != nil {
-			return errors.Join(rerr, err)
-		}
+	if err := s.startControlPlane(arb, arb.Pool()); err != nil {
+		return errors.Join(rerr, err)
 	}
 	return rerr
 }
@@ -588,7 +387,7 @@ func (s *Stack) RecoverControlPlane() error {
 // newDaemon builds and starts one I/O-node daemon at pool index i,
 // threading the backend and listener wrap hooks.
 func (s *Stack) newDaemon(i int) (*ion.Daemon, string, error) {
-	sched, err := agios.NewByName(s.schedName)
+	sched, err := agios.NewByName(s.Scheduler())
 	if err != nil {
 		return nil, "", err
 	}
@@ -605,7 +404,6 @@ func (s *Stack) newDaemon(i int) (*ion.Daemon, string, error) {
 		QueueCap:       s.cfg.QueueCap,
 		QueueLowWater:  s.cfg.QueueLowWater,
 		MaxInflight:    s.cfg.MaxInflight,
-		MaxConns:       s.cfg.MaxConns,
 		RetryAfterHint: s.cfg.RetryAfterHint,
 		WireChecksum:   s.cfg.WireChecksum,
 		DedupWindow:    s.cfg.DedupWindow,
@@ -798,20 +596,19 @@ func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 		direct = s.cfg.WrapDirect(direct)
 	}
 	c, err := fwd.NewClient(fwd.Config{
-		AppID:         appID,
-		Direct:        direct,
-		ChunkSize:     s.cfg.ChunkSize,
-		PoolSize:      s.cfg.PoolSize,
-		CoalesceLimit: s.cfg.CoalesceLimit,
-		RPC:           rpcOpts,
-		Throttle:      s.cfg.Throttle,
-		Hedge:         s.cfg.Hedge,
-		Latency:       s.latSketch,
-		Dedup:         s.cfg.DedupWindow > 0,
-		EpochFencing:  s.cfg.JournalDir != "",
-		QoS:           s.cfg.QoS.ClassFor(appID),
-		Telemetry:     s.Telemetry,
-		Tracer:        s.Tracer,
+		AppID:        appID,
+		Direct:       direct,
+		ChunkSize:    s.cfg.ChunkSize,
+		PoolSize:     s.cfg.PoolSize,
+		RPC:          rpcOpts,
+		Throttle:     s.cfg.Throttle,
+		Hedge:        s.cfg.Hedge,
+		Latency:      s.latSketch,
+		Dedup:        s.cfg.DedupWindow > 0,
+		EpochFencing: s.cfg.JournalDir != "",
+		QoS:          s.cfg.QoS.ClassFor(appID),
+		Telemetry:    s.Telemetry,
+		Tracer:       s.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -828,48 +625,35 @@ func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 	return c, nil
 }
 
-// WaitForAllocation blocks until the client observes the given mapping
-// version or the timeout elapses (mapping propagation is asynchronous,
-// like GekkoFWD's periodic check). Polling backs off geometrically but
-// never sleeps past the deadline, so short timeouts stay sharp and long
-// ones don't spin; on timeout the error carries the mapping the client
-// last observed.
+// WaitForAllocation blocks until the client observes a mapping of exactly
+// ions I/O nodes or the timeout elapses (mapping propagation is
+// asynchronous, like GekkoFWD's periodic check).
 func WaitForAllocation(c *fwd.Client, ions int, timeout time.Duration) error {
+	return waitForMapping(c, timeout, fmt.Sprintf("%d I/O nodes", ions), func(n int) bool { return n == ions })
+}
+
+// waitForSomeAllocation blocks until the client observes any nonzero
+// allocation, or the timeout elapses.
+func waitForSomeAllocation(c *fwd.Client, timeout time.Duration) error {
+	return waitForMapping(c, timeout, "an allocation", func(n int) bool { return n > 0 })
+}
+
+// waitForMapping polls the client's mapping until ok accepts its size.
+// Polling backs off geometrically but never sleeps past the deadline, so
+// short timeouts stay sharp and long ones don't spin; on timeout the error
+// carries the mapping the client last observed.
+func waitForMapping(c *fwd.Client, timeout time.Duration, want string, ok func(ions int) bool) error {
 	deadline := time.Now().Add(timeout)
 	step := time.Millisecond
 	for {
 		have := c.IONs()
-		if len(have) == ions {
+		if ok(len(have)) {
 			return nil
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return fmt.Errorf("livestack: client never observed %d I/O nodes within %v (last mapping: %d nodes %v)",
-				ions, timeout, len(have), have)
-		}
-		if step > remaining {
-			step = remaining
-		}
-		time.Sleep(step)
-		if step < 16*time.Millisecond {
-			step *= 2
-		}
-	}
-}
-
-// waitForSomeAllocation blocks until the client observes any nonzero
-// allocation, or the timeout elapses. Same deadline-aware backoff and
-// last-observation diagnostics as WaitForAllocation.
-func waitForSomeAllocation(c *fwd.Client, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	step := time.Millisecond
-	for {
-		if len(c.IONs()) > 0 {
-			return nil
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return fmt.Errorf("livestack: client never observed an allocation within %v (last mapping: empty)", timeout)
+			return fmt.Errorf("livestack: client never observed %s within %v (last mapping: %d nodes %v)",
+				want, timeout, len(have), have)
 		}
 		if step > remaining {
 			step = remaining

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verification for this repository: gofmt + vet + build + race-enabled
-# tests + the suite census (no name-selected suite lost a test).
+# tests + the suite census (no name-selected suite lost a test) + vet/test of
+# the bench/ module, which `./...` does not enter.
 # Equivalent to `make verify`; kept as a script for environments without make.
 set -eu
 
@@ -25,5 +26,9 @@ go test -race ./...
 
 echo ">> suite census"
 sh scripts/suite_census.sh
+
+echo ">> bench/ module: go vet + go test"
+go vet -C bench ./...
+go test -C bench ./...
 
 echo "verify: OK"
