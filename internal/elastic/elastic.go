@@ -239,15 +239,22 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// drainState tracks one draining member.
-type drainState struct {
-	deadline time.Time
-	quiet    int // consecutive quiesced ticks
-}
+// phase is where a node stands in the lifecycle drawn in the package
+// comment. A node the scaler knows is in exactly one.
+type phase uint8
 
-// provState tracks one node between Provision and its first health rise.
-type provState struct {
-	deadline time.Time
+const (
+	provisioning phase = iota // between Provision and the first health rise
+	member                    // in the arbiter pool, settled
+	draining                  // in the arbiter pool, leaving
+	numPhases
+)
+
+// node is the scaler's record of one node.
+type node struct {
+	phase    phase
+	deadline time.Time // provisioning: rise deadline; draining: drain deadline
+	quiet    int       // draining: consecutive quiesced ticks
 }
 
 // Scaler drives the pool lifecycle. All decisions happen inside Tick;
@@ -259,9 +266,7 @@ type Scaler struct {
 	health Health
 
 	mu           sync.Mutex
-	members      map[string]bool
-	draining     map[string]*drainState
-	provisioning map[string]*provState
+	nodes        map[string]*node // every node the scaler knows, by address
 	upStreak     int
 	downStreak   int
 	upNotBefore  time.Time
@@ -302,19 +307,17 @@ func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []strin
 		return nil, errors.New("elastic: pool, provisioner, and health are all required")
 	}
 	s := &Scaler{
-		cfg:          cfg,
-		pool:         pool,
-		prov:         prov,
-		health:       health,
-		members:      make(map[string]bool, len(initial)),
-		draining:     map[string]*drainState{},
-		provisioning: map[string]*provState{},
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		stopCh:       make(chan struct{}),
-		done:         make(chan struct{}),
+		cfg:    cfg,
+		pool:   pool,
+		prov:   prov,
+		health: health,
+		nodes:  make(map[string]*node, len(initial)),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		stopCh: make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	for _, addr := range initial {
-		s.members[addr] = true
+		s.nodes[addr] = &node{phase: member}
 	}
 	reg := cfg.Telemetry
 	s.tel.scaleUps = reg.Counter("elastic_scale_ups_total")
@@ -382,12 +385,22 @@ func (s *Scaler) Tick() {
 func (s *Scaler) Members() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.members))
-	for addr := range s.members {
-		out = append(out, addr)
+	out := make([]string, 0, len(s.nodes))
+	for addr, n := range s.nodes {
+		if n.phase != provisioning {
+			out = append(out, addr)
+		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// census counts the nodes in each phase. Caller holds the lock.
+func (s *Scaler) census() (c [numPhases]int) {
+	for _, n := range s.nodes {
+		c[n.phase]++
+	}
+	return c
 }
 
 // isUp reports whether the health plane knows addr and sees it answering.
@@ -400,25 +413,27 @@ func (s *Scaler) isUp(addr string) bool {
 // health rise and rolls back the ones that did not make the deadline.
 // Caller holds the lock.
 func (s *Scaler) advanceProvisioning(now time.Time) {
-	for addr, ps := range s.provisioning {
+	for addr, n := range s.nodes {
+		if n.phase != provisioning {
+			continue
+		}
 		if s.isUp(addr) {
 			// First rise achieved: the node is trusted, hand it to the
 			// arbiter. AddION's only failure modes are a duplicate (we
 			// never add twice) and an advisory solve failure that still
 			// keeps the node pooled, so the promotion stands either way.
 			_ = s.pool.AddION(addr)
-			delete(s.provisioning, addr)
-			s.members[addr] = true
+			*n = node{phase: member}
 			s.tel.scaleUps.Inc()
 			s.provFails = 0
 			continue
 		}
-		if now.After(ps.deadline) {
+		if now.After(n.deadline) {
 			// The daemon never rose: roll it back before the arbiter ever
 			// hears of it. A rollback is a provisioning failure as far as
 			// backoff and the breaker are concerned — the provisioner is
 			// handing out duds.
-			delete(s.provisioning, addr)
+			delete(s.nodes, addr)
 			s.health.Remove(addr)
 			_ = s.prov.Decommission(addr)
 			s.tel.provRollbacks.Inc()
@@ -431,7 +446,10 @@ func (s *Scaler) advanceProvisioning(now time.Time) {
 // and abandons drains whose node died underneath them. Caller holds the
 // lock.
 func (s *Scaler) advanceDraining(now time.Time) {
-	for addr, ds := range s.draining {
+	for addr, n := range s.nodes {
+		if n.phase != draining {
+			continue
+		}
 		if !s.isUp(addr) {
 			// Died mid-drain. The prober's Fail already ended the
 			// arbiter-side drain (DrainAbort below is a no-op then, and a
@@ -440,18 +458,18 @@ func (s *Scaler) advanceDraining(now time.Time) {
 			// revive it; decommissioning a corpse we still count would
 			// strand its comeback.
 			_ = s.pool.Transition(addr, nodestate.DrainAbort)
-			delete(s.draining, addr)
+			*n = node{phase: member}
 			s.tel.drainsAborted.Inc()
 			continue
 		}
 		if s.cfg.Quiesced(addr) {
-			ds.quiet++
+			n.quiet++
 		} else {
-			ds.quiet = 0
+			n.quiet = 0
 		}
-		if ds.quiet >= s.cfg.QuiesceSweeps {
+		if n.quiet >= s.cfg.QuiesceSweeps {
 			s.completeDrain(addr)
-		} else if now.After(ds.deadline) {
+		} else if now.After(n.deadline) {
 			// Quiescence never came (a wedged op, a chatty client). The
 			// deadline bounds how long capacity stays reserved: complete
 			// anyway — clients retry through the rpc layer and fail over
@@ -469,14 +487,13 @@ func (s *Scaler) completeDrain(addr string) {
 		// Still assigned — a solve raced the drain. Never yank a routed
 		// node: put it back and let a later decision try again.
 		_ = s.pool.Transition(addr, nodestate.DrainAbort)
-		delete(s.draining, addr)
+		*s.nodes[addr] = node{phase: member}
 		s.tel.drainsAborted.Inc()
 		return
 	}
 	s.health.Remove(addr)
 	_ = s.prov.Decommission(addr)
-	delete(s.draining, addr)
-	delete(s.members, addr)
+	delete(s.nodes, addr)
 	s.tel.scaleDowns.Inc()
 }
 
@@ -497,8 +514,8 @@ func (s *Scaler) decide(now time.Time) {
 	}
 	live := 0
 	var sum int64
-	for addr := range s.members {
-		if s.draining[addr] != nil {
+	for addr, n := range s.nodes {
+		if n.phase != member {
 			continue
 		}
 		d, ok := depths[addr] // present only for up nodes
@@ -528,7 +545,8 @@ func (s *Scaler) decide(now time.Time) {
 
 	// Size counts where the pool is heading: draining nodes are leaving,
 	// provisioning ones arriving.
-	size := len(s.members) - len(s.draining) + len(s.provisioning)
+	count := s.census()
+	size := count[member] + count[provisioning]
 
 	if s.upStreak >= s.cfg.UpSustain && size < s.cfg.Max && !now.Before(s.upNotBefore) {
 		step := s.cfg.MaxStep
@@ -560,7 +578,7 @@ func (s *Scaler) decide(now time.Time) {
 	// provision may still fail its rise and roll back, so it can never
 	// cover for a member being drained away — otherwise the drains it
 	// "covered" complete and the settled pool undershoots Min.
-	settled := len(s.members) - len(s.draining)
+	settled := count[member]
 	if s.downStreak >= s.cfg.DownSustain && settled > s.cfg.Min && !now.Before(s.dnNotBefore) {
 		step := s.cfg.MaxStep
 		if settled-step < s.cfg.Min {
@@ -575,7 +593,7 @@ func (s *Scaler) decide(now time.Time) {
 				s.tel.drainsRefused.Inc()
 				break
 			}
-			s.draining[addr] = &drainState{deadline: now.Add(s.cfg.DrainDeadline)}
+			*s.nodes[addr] = node{phase: draining, deadline: now.Add(s.cfg.DrainDeadline)}
 			s.tel.drainsStarted.Inc()
 			drained++
 		}
@@ -593,15 +611,11 @@ func (s *Scaler) decide(now time.Time) {
 // draining, least queue depth first (address as tiebreak, so the choice
 // is deterministic). Caller holds the lock.
 func (s *Scaler) victims(depths map[string]int64, n int) []string {
-	cand := make([]string, 0, len(s.members))
-	for addr := range s.members {
-		if s.draining[addr] != nil {
-			continue
+	cand := make([]string, 0, len(s.nodes))
+	for addr, nd := range s.nodes {
+		if _, up := depths[addr]; up && nd.phase == member {
+			cand = append(cand, addr)
 		}
-		if _, up := depths[addr]; !up {
-			continue
-		}
-		cand = append(cand, addr)
 	}
 	sort.Slice(cand, func(i, j int) bool {
 		if depths[cand[i]] != depths[cand[j]] {
@@ -636,7 +650,7 @@ func (s *Scaler) provision(now time.Time) bool {
 		s.provisionFailed(now)
 		return false
 	}
-	s.provisioning[addr] = &provState{deadline: now.Add(s.cfg.RiseTimeout)}
+	s.nodes[addr] = &node{phase: provisioning, deadline: now.Add(s.cfg.RiseTimeout)}
 	s.tel.provsStarted.Inc()
 	return true
 }
@@ -663,7 +677,8 @@ func (s *Scaler) provisionFailed(now time.Time) {
 
 // updateGauges refreshes the pool gauges. Caller holds the lock.
 func (s *Scaler) updateGauges() {
-	s.tel.poolSize.Set(int64(len(s.members)))
-	s.tel.provisioning.Set(int64(len(s.provisioning)))
-	s.tel.draining.Set(int64(len(s.draining)))
+	count := s.census()
+	s.tel.poolSize.Set(int64(count[member] + count[draining]))
+	s.tel.provisioning.Set(int64(count[provisioning]))
+	s.tel.draining.Set(int64(count[draining]))
 }

@@ -32,11 +32,15 @@
 // constructing a hasher (see fnvString/fnvChunk), the route table is an
 // immutable snapshot loaded with one atomic read (no lock, no map lookup
 // per chunk), and span building works in a caller-provided stack buffer.
+// The snapshot is a slice of target records — address, pooled connection,
+// throttle gate — and a target is what every call below the span logic
+// (callION, timedCall, the hedge) is handed.
 package fwd
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -155,16 +159,24 @@ type Stats struct {
 	RemapsApplied  int64
 }
 
-// routeView is an immutable snapshot of the routing state: the allocation
-// and, position-aligned with it, the connections and throttle gates. The
-// data path loads it with one atomic read per operation and never touches
-// a lock or a map; SetIONs/ApplyMap publish a fresh snapshot on every
-// remap.
+// target is everything the client keeps per I/O node: its address, the
+// pooled connection and the AIMD throttle gate. One is made the first time
+// an address is allocated and reused by every later view that names the
+// address, so breaker state and the throttle window survive a remap away
+// and back; only ReleaseConn and Close drop one.
+type target struct {
+	addr string
+	conn *rpc.Client
+	gate *ionGate // nil when throttling is disabled
+}
+
+// routeView is an immutable snapshot of the routing state: the allocation,
+// one target per allocated I/O node in allocation order. The data path
+// loads it with one atomic read per operation and never touches a lock or
+// a map; SetIONs/ApplyMap publish a fresh snapshot on every remap.
 type routeView struct {
-	addrs []string
-	conns []*rpc.Client
-	gates []*ionGate // nil entries when throttling is disabled
-	epoch uint64     // mapping version this view was built from (0 = manual SetIONs)
+	targets []*target
+	epoch   uint64 // mapping version this view was built from (0 = manual SetIONs)
 }
 
 // Client is the forwarding client. It implements pfs.FileSystem.
@@ -181,15 +193,14 @@ type Client struct {
 
 	// view is the lock-free routing snapshot the data path reads; mu
 	// guards the slow-path state it is built from (the allocation, the
-	// pooled connection and gate maps, and the mapping version).
+	// per-node targets, and the mapping version).
 	view atomic.Pointer[routeView]
 
-	mu    sync.Mutex
-	addrs []string               // current allocation (empty = direct)
-	conns map[string]*rpc.Client // address → pooled connection, kept across remaps
-	gates map[string]*ionGate    // address → AIMD throttle gate, kept across remaps
-	ver   uint64
-	fence uint64 // highest revocation floor seen in a mapping update
+	mu      sync.Mutex
+	addrs   []string           // current allocation (empty = direct)
+	targets map[string]*target // address → per-node record, kept across remaps
+	ver     uint64
+	fence   uint64 // highest revocation floor seen in a mapping update
 
 	// Counters live on reg (app-labeled); coupled counters are updated in
 	// one reg.Update group and Stats() reads under reg.View, so snapshots
@@ -281,7 +292,7 @@ func NewClient(cfg Config) (*Client, error) {
 			cfg.Latency = latency.NewSketch(0)
 		}
 	}
-	c := &Client{cfg: cfg, conns: make(map[string]*rpc.Client), gates: make(map[string]*ionGate)}
+	c := &Client{cfg: cfg, targets: make(map[string]*target)}
 	c.reg = cfg.Telemetry
 	if c.reg == nil {
 		c.reg = telemetry.New()
@@ -349,26 +360,20 @@ func (c *Client) SetIONs(addrs []string) {
 // Callers hold c.mu.
 func (c *Client) setIONsLocked(addrs []string) {
 	c.addrs = append([]string(nil), addrs...)
-	v := &routeView{
-		addrs: c.addrs,
-		conns: make([]*rpc.Client, len(addrs)),
-		gates: make([]*ionGate, len(addrs)),
-		epoch: c.ver,
-	}
+	v := &routeView{targets: make([]*target, len(addrs)), epoch: c.ver}
 	for i, a := range addrs {
-		if _, ok := c.conns[a]; !ok {
-			c.conns[a] = rpc.Dial(a, c.cfg.PoolSize).
+		t := c.targets[a]
+		if t == nil {
+			t = &target{addr: a, conn: rpc.Dial(a, c.cfg.PoolSize).
 				WithOptions(c.cfg.RPC).
-				Instrument(c.reg, c.cfg.Tracer)
-		}
-		v.conns[i] = c.conns[a]
-		if c.cfg.Throttle.Enabled {
-			if _, ok := c.gates[a]; !ok {
-				c.gates[a] = newIonGate(c.cfg.Throttle,
+				Instrument(c.reg, c.cfg.Tracer)}
+			if c.cfg.Throttle.Enabled {
+				t.gate = newIonGate(c.cfg.Throttle,
 					c.reg.Gauge(fmt.Sprintf("fwd_throttle_window_x1000{app=%q,ion=%q}", c.cfg.AppID, a)))
 			}
-			v.gates[i] = c.gates[a]
+			c.targets[a] = t
 		}
+		v.targets[i] = t
 	}
 	c.view.Store(v)
 	c.stats.remaps.Add(1)
@@ -432,28 +437,22 @@ func (c *Client) Watch(ch <-chan mapping.Map) (cancel func()) {
 	}
 }
 
-// ReleaseConn closes and forgets the pooled connection (and throttle
-// gate) for addr, provided addr is not in the current allocation. Remaps
-// deliberately keep connections to former nodes pooled so a map-back is
+// ReleaseConn closes and forgets the target (pooled connection and
+// throttle gate) for addr, provided addr is not in the current allocation.
+// Remaps deliberately keep targets of former nodes so a map-back is
 // cheap; a decommissioned I/O node never comes back on its address, so
 // the stack calls this when one leaves for good — otherwise an elastic
-// pool would grow the conn table with every scale event. Releasing an
+// pool would grow the target table with every scale event. Releasing an
 // unknown or still-allocated address is a no-op. Ops in flight on an old
 // route view may see their calls fail on the closed connection; they
 // take the same failover path as any other unreachable node.
 func (c *Client) ReleaseConn(addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, a := range c.addrs {
-		if a == addr {
-			return
-		}
+	if t := c.targets[addr]; t != nil && !slices.Contains(c.addrs, addr) {
+		t.conn.Close()
+		delete(c.targets, addr)
 	}
-	if conn, ok := c.conns[addr]; ok {
-		conn.Close()
-		delete(c.conns, addr)
-	}
-	delete(c.gates, addr)
 }
 
 // Close releases all pooled connections.
@@ -464,10 +463,10 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.view.Store(nil)
-	for _, conn := range c.conns {
-		conn.Close()
+	for _, t := range c.targets {
+		t.conn.Close()
 	}
-	c.conns = map[string]*rpc.Client{}
+	clear(c.targets)
 	c.addrs = nil
 	return nil
 }
@@ -569,22 +568,20 @@ func fnvChunk(h uint64, chunkIdx int64) uint64 {
 // loadView returns the current routing snapshot (nil means direct mode).
 func (c *Client) loadView() *routeView {
 	v := c.view.Load()
-	if v == nil || len(v.addrs) == 0 {
+	if v == nil || len(v.targets) == 0 {
 		return nil
 	}
 	return v
 }
 
-// metaTarget returns the connection and gate for metadata ops on path
-// (nil for direct mode). Metadata always routes by path hash alone, like
-// GekkoFS.
-func (c *Client) metaTarget(path string) (*rpc.Client, *ionGate) {
+// metaTarget returns the I/O node for metadata ops on path (nil for direct
+// mode). Metadata always routes by path hash alone, like GekkoFS.
+func (c *Client) metaTarget(path string) *target {
 	v := c.loadView()
 	if v == nil {
-		return nil, nil
+		return nil
 	}
-	i := fnvChunk(fnvString(fnvOffset64, path), 0) % uint64(len(v.addrs))
-	return v.conns[i], v.gates[i]
+	return v.targets[fnvChunk(fnvString(fnvOffset64, path), 0)%uint64(len(v.targets))]
 }
 
 // chunkCount returns how many chunks [off, off+n) touches.
@@ -601,7 +598,7 @@ func (c *Client) chunkCount(off, n int64) int {
 type span struct {
 	off, n int64
 	chunks int
-	target int // index into the routeView arrays
+	target int // index into routeView.targets
 }
 
 // spanBufSize is the stack-buffer capacity callers pre-size for
@@ -617,7 +614,7 @@ func (c *Client) buildSpans(v *routeView, path string, off, n int64, out []span)
 	cs := c.cfg.ChunkSize
 	limit := c.cfg.CoalesceLimit
 	ph := fnvString(fnvOffset64, path)
-	nAddrs := uint64(len(v.addrs))
+	nAddrs := uint64(len(v.targets))
 	var cur span
 	for n > 0 {
 		idx := off / cs
@@ -659,7 +656,8 @@ func (c *Client) buildSpans(v *routeView, path string, off, n int64, out []span)
 // The returned response owns pooled transport buffers: the caller must
 // copy what it needs out of resp and call resp.Release (busy responses
 // are consumed and released here).
-func (c *Client) callION(t *rpc.Client, g *ionGate, req *rpc.Message, it *rpc.Interrupt) (resp *rpc.Message, err error, degraded bool) {
+func (c *Client) callION(t *target, req *rpc.Message, it *rpc.Interrupt) (resp *rpc.Message, err error, degraded bool) {
+	g := t.gate
 	retries := c.cfg.Throttle.BusyRetries
 	if retries <= 0 {
 		retries = 2 // throttle disabled: still honour hints before degrading
@@ -669,7 +667,7 @@ func (c *Client) callION(t *rpc.Client, g *ionGate, req *rpc.Message, it *rpc.In
 			c.stats.degraded.Inc()
 			return nil, nil, true
 		}
-		resp, err = t.CallInterruptible(req, it)
+		resp, err = t.conn.CallInterruptible(req, it)
 		if err != nil && errors.Is(err, rpc.ErrClosed) {
 			// The per-node client was released by a decommission that
 			// raced this op's route view: the node is gone for good,
@@ -792,12 +790,12 @@ func (c *Client) meta(op rpc.Op, path string) (fi pfs.FileInfo, err error) {
 	}
 	tr := c.trace(op.String(), path)
 	note := "direct"
-	if t, g := c.metaTarget(path); t == nil {
+	if t := c.metaTarget(path); t == nil {
 		c.stats.direct.Inc()
 		fi, err = c.directMeta(op, path)
 	} else {
 		c.stats.forwarded.Inc()
-		resp, rerr, degraded := c.callION(t, g, &rpc.Message{Op: op, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
+		resp, rerr, degraded := c.callION(t, &rpc.Message{Op: op, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
 		out := c.classify(rerr, degraded)
 		note = hopNotes[out]
 		if out.direct() {
@@ -995,7 +993,7 @@ func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span
 		req.ClientID = c.clientID
 		req.Seq = c.seq.Add(1)
 	}
-	resp, err, degraded := c.hedged(v, s, req)
+	resp, err, degraded := c.hedged(v.targets[s.target], req)
 	out := c.classify(err, degraded)
 	if out == served {
 		k := 0
@@ -1113,7 +1111,7 @@ func (c *Client) readSpan(v *routeView, path string, off int64, p []byte, s span
 	dst := p[s.off-off:][:s.n]
 	c.stats.forwarded.Inc()
 	req := &rpc.Message{Op: rpc.OpRead, Path: path, Offset: s.off, Size: s.n, Trace: tr.id(), Priority: c.wirePrio}
-	resp, err, degraded := c.hedged(v, s, req)
+	resp, err, degraded := c.hedged(v.targets[s.target], req)
 	if c.classify(err, degraded).direct() {
 		resp.Release()
 		return c.directRead(path, s.off, dst)

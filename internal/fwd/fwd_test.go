@@ -54,15 +54,24 @@ func (c *Client) route(path string, chunkIdx int64) *rpc.Client {
 	if v == nil {
 		return nil
 	}
-	return v.conns[fnvChunk(fnvString(fnvOffset64, path), chunkIdx)%uint64(len(v.addrs))]
+	return v.targets[fnvChunk(fnvString(fnvOffset64, path), chunkIdx)%uint64(len(v.targets))].conn
+}
+
+// targetFor returns the per-node record the client holds for addr (nil
+// when it holds none).
+func (c *Client) targetFor(addr string) *target {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.targets[addr]
 }
 
 // gateFor returns the throttle gate for addr (nil when throttling is off
 // or the address is unknown).
 func (c *Client) gateFor(addr string) *ionGate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gates[addr]
+	if t := c.targetFor(addr); t != nil {
+		return t.gate
+	}
+	return nil
 }
 
 func TestNewClientValidation(t *testing.T) {

@@ -158,8 +158,7 @@ type hedgeCall struct {
 	// primary sends this copy — so the caller's Message literal never
 	// escapes, hedging client or not.
 	req rpc.Message
-	t   *rpc.Client
-	g   *ionGate
+	t   *target
 
 	mu          sync.Mutex
 	primaryDone bool          // the caller is past the primary
@@ -174,12 +173,12 @@ type hedgeCall struct {
 // sketch (and through it the health prober's fail-slow scorer and this
 // client's own hedge deadlines). Sketch-less clients fall straight
 // through — one nil check, no clock read.
-func (c *Client) timedCall(addr string, t *rpc.Client, g *ionGate, req *rpc.Message, it *rpc.Interrupt) (*rpc.Message, error, bool) {
+func (c *Client) timedCall(t *target, req *rpc.Message, it *rpc.Interrupt) (*rpc.Message, error, bool) {
 	if c.cfg.Latency == nil {
-		return c.callION(t, g, req, it)
+		return c.callION(t, req, it)
 	}
 	start := time.Now()
-	resp, err, degraded := c.callION(t, g, req, it)
+	resp, err, degraded := c.callION(t, req, it)
 	if (err == nil && !degraded) || errors.Is(err, rpc.ErrInterrupted) {
 		// Only accepted-and-answered calls are evidence of the node's
 		// service latency; sheds and transport failures have their own
@@ -187,23 +186,23 @@ func (c *Client) timedCall(addr string, t *rpc.Client, g *ionGate, req *rpc.Mess
 		// to its hedge was accepted too: the time it had taken when it was
 		// cut off is a lower bound on its latency, and leaving it out
 		// would hide exactly the node the scorer is looking for.
-		c.cfg.Latency.Observe(addr, time.Since(start))
+		c.cfg.Latency.Observe(t.addr, time.Since(start))
 	}
 	return resp, err, degraded
 }
 
-// armHedge starts the hedge clock for one span about to be sent to addr,
+// armHedge starts the hedge clock for one span about to be sent to t,
 // or returns nil when this span must go unhedged: a non-hedging client,
 // or a node without enough samples yet — the sketch cannot distinguish
 // slow from unknown. The caller sends &st.req with &st.it and then calls
 // disarm.
-func (c *Client) armHedge(addr string, t *rpc.Client, g *ionGate, req *rpc.Message) *hedgeCall {
+func (c *Client) armHedge(t *target, req *rpc.Message) *hedgeCall {
 	h := c.hedge
 	if h == nil {
 		return nil
 	}
 	h.bucket.earn(h.cfg.Budget)
-	delay, ok := c.cfg.Latency.Quantile(addr, h.cfg.Pct)
+	delay, ok := c.cfg.Latency.Quantile(t.addr, h.cfg.Pct)
 	if !ok {
 		return nil
 	}
@@ -214,7 +213,7 @@ func (c *Client) armHedge(addr string, t *rpc.Client, g *ionGate, req *rpc.Messa
 	if st == nil {
 		st = &hedgeCall{c: c}
 	}
-	st.req, st.t, st.g = *req, t, g
+	st.req, st.t = *req, t
 	if st.timer == nil {
 		st.timer = time.AfterFunc(delay, st.launch)
 	} else {
@@ -271,7 +270,7 @@ func (st *hedgeCall) launch() {
 		n, err := c.cfg.Direct.Read(dup.Path, dup.Offset, buf)
 		out = hedgeOutcome{resp: &rpc.Message{Data: buf[:n]}, err: shortOK(err)}
 	} else {
-		out.resp, out.err, out.degraded = c.callION(st.t, st.g, &dup, nil)
+		out.resp, out.err, out.degraded = c.callION(st.t, &dup, nil)
 	}
 
 	st.mu.Lock()
@@ -333,14 +332,12 @@ func (st *hedgeCall) settle(primaryStands bool) (hedgeOutcome, bool) {
 // fallbacks already end at the path its hedge takes, so its primary's
 // outcome always stands unless the backup won; a write's stands only when
 // it is usable.
-func (c *Client) hedged(v *routeView, s span, req *rpc.Message) (*rpc.Message, error, bool) {
-	addr := v.addrs[s.target]
-	t, g := v.conns[s.target], v.gates[s.target]
-	st := c.armHedge(addr, t, g, req)
+func (c *Client) hedged(t *target, req *rpc.Message) (*rpc.Message, error, bool) {
+	st := c.armHedge(t, req)
 	if st == nil {
-		return c.timedCall(addr, t, g, req, nil)
+		return c.timedCall(t, req, nil)
 	}
-	resp, err, degraded := c.timedCall(addr, t, g, &st.req, &st.it)
+	resp, err, degraded := c.timedCall(t, &st.req, &st.it)
 	if c.hedge.disarm(st) {
 		return resp, err, degraded
 	}

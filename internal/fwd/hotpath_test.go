@@ -75,7 +75,7 @@ func TestBuildSpansProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	v := &routeView{addrs: []string{"a", "b"}} // conns untouched by buildSpans
+	v := &routeView{targets: make([]*target, 2)} // only the count matters to buildSpans
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 500; trial++ {
 		off := rng.Int63n(100)

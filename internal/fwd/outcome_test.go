@@ -294,14 +294,12 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				}
 				switch route {
 				case "saturated gate":
-					g := c.view.Load().gates[0]
+					g := c.view.Load().targets[0].gate
 					g.mu.Lock()
 					g.consecBusy, g.retryUntil = g.cfg.DegradeAfter, time.Now().Add(time.Hour)
 					g.mu.Unlock()
 				case "released conn":
-					c.mu.Lock()
-					c.conns[addr].Close()
-					c.mu.Unlock()
+					c.targetFor(addr).conn.Close()
 				case "closed client":
 					c.Close()
 				}

@@ -13,27 +13,18 @@ func TestReleaseConnPrunesOnlyFormerNodes(t *testing.T) {
 	// Releasing a node still in the allocation must be refused silently:
 	// the route view depends on that connection.
 	c.ReleaseConn(addrs[0])
-	c.mu.Lock()
-	_, kept := c.conns[addrs[0]]
-	c.mu.Unlock()
-	if !kept {
+	if c.targetFor(addrs[0]) == nil {
 		t.Fatal("ReleaseConn closed a connection still in the allocation")
 	}
 
 	// Remap away from addrs[2]; its connection stays pooled (map-back is
 	// cheap) until the release says the node is gone for good.
 	c.SetIONs(addrs[:2])
-	c.mu.Lock()
-	_, pooled := c.conns[addrs[2]]
-	c.mu.Unlock()
-	if !pooled {
+	if c.targetFor(addrs[2]) == nil {
 		t.Fatal("remap dropped the pooled connection (pooling across remaps is deliberate)")
 	}
 	c.ReleaseConn(addrs[2])
-	c.mu.Lock()
-	_, pooled = c.conns[addrs[2]]
-	c.mu.Unlock()
-	if pooled {
+	if c.targetFor(addrs[2]) != nil {
 		t.Fatal("ReleaseConn left the decommissioned node's connection pooled")
 	}
 
@@ -73,9 +64,7 @@ func TestReleaseConnRaceFailsOverClosedClient(t *testing.T) {
 	// Close the node's rpc client out from under the live route view —
 	// the observable state an in-flight op sees when the remap and the
 	// release land between its route pick and its call.
-	c.mu.Lock()
-	c.conns[addrs[0]].Close()
-	c.mu.Unlock()
+	c.targetFor(addrs[0]).conn.Close()
 
 	data := []byte(pattern(256))
 	n, err := c.Write("/race", 0, data)
@@ -88,6 +77,64 @@ func TestReleaseConnRaceFailsOverClosedClient(t *testing.T) {
 	got := make([]byte, len(data))
 	if n, err := store.Read("/race", 0, got); err != nil || n != len(data) || string(got) != string(data) {
 		t.Fatalf("bytes not on the PFS via the direct path: n=%d err=%v", n, err)
+	}
+}
+
+// A remap away from a node and back hands out the very same target: the
+// pooled connection (breaker state with it) and the AIMD window the gate
+// had learned. Only ReleaseConn and Close drop one.
+func TestReleaseConnOnlyDropsTargetRemapKeepsIt(t *testing.T) {
+	store, addrs, _ := testStack(t, 2)
+	c, err := NewClient(Config{AppID: "app", Direct: store, ChunkSize: 64,
+		Throttle: ThrottleConfig{Enabled: true, InitialWindow: 6, MaxWindow: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetIONs(addrs)
+	before := c.targetFor(addrs[1])
+	conn, gate := before.conn, before.gate
+	gate.mu.Lock()
+	gate.window = 2.5 // what a run of sheds would have left behind
+	gate.mu.Unlock()
+
+	c.SetIONs(addrs[:1])
+	c.SetIONs(addrs)
+	after := c.view.Load().targets[1]
+	if after != before || after != c.targetFor(addrs[1]) {
+		t.Fatal("remap away and back built a new target")
+	}
+	gate.mu.Lock()
+	window := gate.window
+	gate.mu.Unlock()
+	if after.addr != addrs[1] || after.conn != conn || after.gate != gate || window != 2.5 {
+		t.Fatalf("target changed across the remap: addr=%q conn kept=%v gate kept=%v window=%v",
+			after.addr, after.conn == conn, after.gate == gate, window)
+	}
+}
+
+// A non-throttling client's views carry no gate and a remap builds nothing
+// per node for one; Close retains no target at all.
+func TestCloseRetainsNoTarget(t *testing.T) {
+	store, addrs, _ := testStack(t, 3)
+	c := newTestClient(t, store, 64)
+	c.SetIONs(addrs)
+	c.SetIONs(addrs[:1]) // two former nodes stay pooled
+	for _, tg := range c.view.Load().targets {
+		if tg.gate != nil {
+			t.Fatalf("non-throttling client built a gate for %s", tg.addr)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { c.SetIONs(addrs[:1]) }); n > 3 {
+		// the addrs copy, the view and its one-entry targets slice
+		t.Fatalf("remap of a known address allocates %v objects, want ≤ 3", n)
+	}
+	c.Close()
+	c.mu.Lock()
+	left, alloc := len(c.targets), len(c.addrs)
+	c.mu.Unlock()
+	if left != 0 || alloc != 0 || c.view.Load() != nil {
+		t.Fatalf("after Close: %d targets, %d allocated addrs, view=%v; want none", left, alloc, c.view.Load())
 	}
 }
 

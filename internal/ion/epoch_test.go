@@ -136,7 +136,7 @@ func TestFenceSurvivesWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli.Close()
-	addr, err := d.Restart()
+	addr, err := d.Restart(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

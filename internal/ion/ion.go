@@ -5,6 +5,10 @@
 // against the parallel file system itself, holding one of a fixed number
 // of dispatch slots. Metadata operations bypass the scheduler (as in
 // GekkoFS, where they go straight to the daemon's metadata backend).
+//
+// A daemon is brought up by Start (bind an address), StartOn (serve a
+// listener the caller bound, and possibly wrapped) or, after a Close,
+// Restart (rebind the address it last served).
 package ion
 
 import (
@@ -256,14 +260,20 @@ func (d *Daemon) setAddr(bound string) {
 // Restart warm-starts a previously Closed daemon on the address it last
 // served: same identity, same backend, same dedup window (so retries
 // stranded by the crash still deduplicate), fresh scheduler queue and RPC
-// server. It returns the bound address. Restarting a running daemon is an
-// error; Close it first.
-func (d *Daemon) Restart() (string, error) {
+// server. A non-nil wrap is given the rebound listener and the daemon
+// serves on what it returns — the seam livestack uses to put its
+// fault-injection wrapper back on the restarted daemon's network path.
+// It returns the bound address. Restarting a running daemon is an error;
+// Close it first.
+func (d *Daemon) Restart(wrap func(net.Listener) net.Listener) (string, error) {
 	d.mu.Lock()
 	addr := d.addr
 	d.mu.Unlock()
 	if addr == "" {
 		return "", errors.New("ion: restart before first Start")
+	}
+	if !d.closed.Load() {
+		return "", errors.New("ion: restart of a running daemon")
 	}
 	// The previous listener's port can linger briefly after Close on some
 	// platforms; retry the bind rather than failing the whole rejoin.
@@ -278,16 +288,8 @@ func (d *Daemon) Restart() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("ion: restart rebind %s: %w", addr, err)
 	}
-	return d.RestartOn(ln)
-}
-
-// RestartOn is Restart on a caller-provided listener — the seam livestack
-// uses to re-apply its fault-injection wrapper on the restarted daemon's
-// network path.
-func (d *Daemon) RestartOn(ln net.Listener) (string, error) {
-	if !d.closed.Load() {
-		ln.Close()
-		return "", errors.New("ion: restart of a running daemon")
+	if wrap != nil {
+		ln = wrap(ln)
 	}
 	d.build()
 	d.closed.Store(false)

@@ -2,6 +2,8 @@ package ion
 
 import (
 	"bytes"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pfs"
@@ -26,7 +28,7 @@ func TestRestartSameAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bound, err := d.Restart()
+	bound, err := d.Restart(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestRestartPreservesDedupWindow(t *testing.T) {
 	if err := d.Close(); err != nil { // crash: the response may never have reached the app
 		t.Fatal(err)
 	}
-	if _, err := d.Restart(); err != nil {
+	if _, err := d.Restart(nil); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
@@ -99,14 +101,14 @@ func TestRestartPreservesDedupWindow(t *testing.T) {
 // before the first Start is refused.
 func TestRestartGuards(t *testing.T) {
 	d := New(Config{ID: "ion0"}, pfs.NewStore(pfs.Config{}))
-	if _, err := d.Restart(); err == nil {
+	if _, err := d.Restart(nil); err == nil {
 		t.Fatal("restart before Start should fail")
 	}
 	if _, err := d.Start(""); err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Restart(); err == nil {
+	if _, err := d.Restart(nil); err == nil {
 		t.Fatal("restart of a running daemon should fail")
 	}
 }
@@ -124,7 +126,7 @@ func TestRestartCycleRepeats(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatalf("cycle %d close: %v", i, err)
 		}
-		bound, err := d.Restart()
+		bound, err := d.Restart(nil)
 		if err != nil {
 			t.Fatalf("cycle %d restart: %v", i, err)
 		}
@@ -140,5 +142,65 @@ func TestRestartCycleRepeats(t *testing.T) {
 	d.Close()
 	if got := d.Stats().Restarts; got != 3 {
 		t.Fatalf("Restarts = %d, want 3", got)
+	}
+}
+
+// countingListener counts the connections accepted through it.
+type countingListener struct {
+	net.Listener
+	accepts *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// TestRestartWrapsTheReboundListener: Restart hands the listener it rebound
+// to wrap exactly once per successful bind — never for a refused restart —
+// serves through what wrap returned, on the original address, and counts
+// the restart like an unwrapped one.
+func TestRestartWrapsTheReboundListener(t *testing.T) {
+	d := New(Config{ID: "ion0"}, pfs.NewStore(pfs.Config{}))
+	var wraps int
+	var accepts atomic.Int64
+	wrap := func(ln net.Listener) net.Listener {
+		wraps++
+		return countingListener{ln, &accepts}
+	}
+	if _, err := d.Restart(wrap); err == nil || wraps != 0 {
+		t.Fatalf("restart before Start: err=%v wraps=%d, want a refusal and no wrap", err, wraps)
+	}
+	addr, err := d.Start("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Restart(wrap); err == nil || wraps != 0 {
+		t.Fatalf("restart of a running daemon: err=%v wraps=%d, want a refusal and no wrap", err, wraps)
+	}
+	for cycle := 1; cycle <= 2; cycle++ {
+		d.Close()
+		bound, err := d.Restart(wrap)
+		if err != nil || bound != addr {
+			t.Fatalf("cycle %d: Restart(wrap) = %q, %v; want %q", cycle, bound, err, addr)
+		}
+		if wraps != cycle {
+			t.Fatalf("cycle %d: wrap called %d times", cycle, wraps)
+		}
+		cli := rpc.Dial(addr, 1)
+		if _, err := cli.Call(&rpc.Message{Op: rpc.OpPing}); err != nil {
+			t.Fatalf("cycle %d ping: %v", cycle, err)
+		}
+		cli.Close()
+		if got := accepts.Load(); got != int64(cycle) {
+			t.Fatalf("cycle %d: %d conns came through the wrapper, want %d", cycle, got, cycle)
+		}
+	}
+	d.Close()
+	if got := d.Stats().Restarts; got != 2 {
+		t.Fatalf("ion_restarts_total = %d, want 2", got)
 	}
 }

@@ -394,7 +394,7 @@ func TestSlotCloseDrainsParkedSubmitters(t *testing.T) {
 		t.Fatalf("write on the closed generation: %+v, want the closed-queue error", late)
 	}
 
-	addr, err := d.Restart()
+	addr, err := d.Restart(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

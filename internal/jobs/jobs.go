@@ -258,39 +258,21 @@ func (s *sim) admit() bool {
 		j := s.queue[0]
 		s.queue = s.queue[1:]
 		s.free -= j.Spec.Nodes
-		curve := j.Spec.Curve
-		if !s.cfg.AllowDirect {
-			curve = dropDirect(curve)
-		}
 		r := &runningJob{
 			job:          j,
 			start:        s.t,
 			remaining:    float64(j.Spec.TotalBytes()),
 			alloc:        -1, // not yet arbitrated
 			pendingAlloc: -1,
-			app: policy.Application{
-				ID:         j.ID,
-				Nodes:      j.Spec.Nodes,
-				Processes:  j.Spec.Processes,
-				Curve:      curve,
-				WriteBytes: j.Spec.WriteBytes,
-				ReadBytes:  j.Spec.ReadBytes,
-			},
+			app:          policy.FromAppSpec(j.ID, j.Spec),
+		}
+		if !s.cfg.AllowDirect {
+			r.app.Curve = r.app.Curve.Forwarded()
 		}
 		s.running = append(s.running, r)
 		started = true
 	}
 	return started
-}
-
-func dropDirect(c perfmodel.Curve) perfmodel.Curve {
-	var pts []perfmodel.Point
-	for _, p := range c.Points() {
-		if p.IONs > 0 {
-			pts = append(pts, p)
-		}
-	}
-	return perfmodel.NewCurve(pts...)
 }
 
 // arbitrate re-runs the policy over the running jobs and applies the new

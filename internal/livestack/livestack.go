@@ -8,6 +8,12 @@
 // Config.Validate — the single owner of the rules between its fields —
 // before building anything, so every entry point (a gkfwd command line, a
 // test literal, the bench/ module) is held to the same rules.
+//
+// Every daemon the stack starts — at Start or from SpawnION — enters
+// through addNode and is kept as one node record under its address:
+// DecommissionION, RestartION, DaemonAt and the scaler's quiescence check
+// all start from that record. Stack.Daemons and Stack.Addrs are the same
+// daemons by position, append-only, for callers that index them.
 package livestack
 
 import (
@@ -66,17 +72,28 @@ type Stack struct {
 
 	// mu guards the mutable pool state below plus the Daemons/Addrs
 	// slices, which the scaler's spawn path appends to concurrently with
-	// test readers. Static stacks never mutate them after Start.
-	mu             sync.Mutex
-	clients        []*fwd.Client
-	cancels        []func()
-	nextION        int             // daemon index source for spawned IONs
-	decommissioned map[string]bool // addrs of daemons gone for good
-	lastAct        map[string]ionActivity
-	fenceCancel    func() // stops the fence fan-out subscriber (journaling only)
+	// test readers. Static stacks never mutate them after Start. Daemons
+	// and Addrs are position-aligned and append-only, and addNode is their
+	// only writer; everything that starts from an address goes through
+	// nodes instead.
+	mu          sync.Mutex
+	clients     []*fwd.Client
+	cancels     []func()
+	nextION     int              // daemon index source (addNode)
+	nodes       map[string]*node // address → the daemon the stack started there
+	fenceCancel func()           // stops the fence fan-out subscriber (journaling only)
 }
 
-// ionActivity is one quiescence sample of a daemon (see ionQuiesced).
+// node is everything the stack keeps per I/O-node daemon it started.
+type node struct {
+	idx  int // daemon index ("ionNN", and what the Wrap* hooks are given)
+	d    *ion.Daemon
+	addr string
+	gone bool         // decommissioned: closed for good, never restarted
+	last *ionActivity // previous quiescence sample (see ionQuiesced)
+}
+
+// ionActivity is one quiescence sample of a daemon.
 type ionActivity struct {
 	depth int
 	ops   int64
@@ -100,26 +117,21 @@ func Start(cfg Config) (*Stack, error) {
 	}
 
 	st := &Stack{
-		Store:          pfs.NewStore(cfg.PFS).Instrument(cfg.Telemetry),
-		Bus:            mapping.NewBus(),
-		Telemetry:      cfg.Telemetry,
-		Tracer:         cfg.Tracer, // nil keeps tracing off
-		cfg:            cfg,
-		nextION:        cfg.IONs,
-		decommissioned: map[string]bool{},
-		lastAct:        map[string]ionActivity{},
+		Store:     pfs.NewStore(cfg.PFS).Instrument(cfg.Telemetry),
+		Bus:       mapping.NewBus(),
+		Telemetry: cfg.Telemetry,
+		Tracer:    cfg.Tracer, // nil keeps tracing off
+		cfg:       cfg,
+		nodes:     map[string]*node{},
 	}
 	if cfg.SlowFactor > 0 || cfg.Hedge.Enabled {
 		st.latSketch = latency.NewSketch(0)
 	}
 	for i := 0; i < cfg.IONs; i++ {
-		d, addr, err := st.newDaemon(i)
-		if err != nil {
+		if _, err := st.addNode(); err != nil {
 			st.Close()
 			return nil, err
 		}
-		st.Daemons = append(st.Daemons, d)
-		st.Addrs = append(st.Addrs, addr)
 	}
 	arb, err := arbiter.New(cfg.Policy, st.Addrs, st.Bus)
 	if err != nil {
@@ -263,14 +275,8 @@ func (s *Stack) startFenceFanout() {
 	go func() {
 		defer close(done)
 		for m := range ch {
-			if m.Fence == 0 {
-				continue
-			}
-			s.mu.Lock()
-			daemons := append([]*ion.Daemon(nil), s.Daemons...)
-			s.mu.Unlock()
-			for _, d := range daemons {
-				d.SetFence(m.Fence)
+			if m.Fence > 0 {
+				s.fenceAll(m.Fence)
 			}
 		}
 	}()
@@ -278,6 +284,21 @@ func (s *Stack) startFenceFanout() {
 		cancelSub()
 		<-done
 	}
+}
+
+// fenceAll raises the revocation floor of every daemon the stack started.
+func (s *Stack) fenceAll(fence uint64) {
+	for _, d := range s.daemons() {
+		d.SetFence(fence)
+	}
+}
+
+// daemons returns a snapshot of Daemons, safe while the scaler is growing
+// the pool.
+func (s *Stack) daemons() []*ion.Daemon {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]*ion.Daemon(nil), s.Daemons...)
 }
 
 // CrashControlPlane simulates a SIGKILL of the control plane while the
@@ -291,13 +312,25 @@ func (s *Stack) CrashControlPlane() error {
 	if s.cfg.JournalDir == "" {
 		return errors.New("livestack: CrashControlPlane requires JournalDir (nothing would survive)")
 	}
+	s.stopControlPlane()
+	s.Scaler, s.Health = nil, nil
+	if s.Journal != nil {
+		s.Journal.Close()
+		s.Journal = nil
+	}
+	s.Arbiter = nil
+	return nil
+}
+
+// stopControlPlane stops what startControlPlane started: the scaler first
+// (no spawns or drains while things go away), then the prober (so what
+// follows is not misread as an outage), then the fence fan-out.
+func (s *Stack) stopControlPlane() {
 	if s.Scaler != nil {
 		s.Scaler.Stop()
-		s.Scaler = nil
 	}
 	if s.Health != nil {
 		s.Health.Stop()
-		s.Health = nil
 	}
 	s.mu.Lock()
 	cancel := s.fenceCancel
@@ -306,12 +339,6 @@ func (s *Stack) CrashControlPlane() error {
 	if cancel != nil {
 		cancel()
 	}
-	if s.Journal != nil {
-		s.Journal.Close()
-		s.Journal = nil
-	}
-	s.Arbiter = nil
-	return nil
 }
 
 // RecoverControlPlane warm-restarts a crashed control plane from the
@@ -337,15 +364,8 @@ func (s *Stack) RecoverControlPlane() error {
 		Probe: func(addr string) bool {
 			return health.Check(addr, s.cfg.HealthTimeout)
 		},
-		PreFence: func(fence uint64) {
-			s.mu.Lock()
-			daemons := append([]*ion.Daemon(nil), s.Daemons...)
-			s.mu.Unlock()
-			for _, d := range daemons {
-				d.SetFence(fence)
-			}
-		},
-		Weights: s.qosWeights(),
+		PreFence: s.fenceAll,
+		Weights:  s.qosWeights(),
 		// Journaled degraded marks replay as quarantines again, under the
 		// same floor (Start resolved it: > 0 exactly when detection is on).
 		QuarantineFloor: s.cfg.QuarantineFloor,
@@ -369,7 +389,7 @@ func (s *Stack) RecoverControlPlane() error {
 	s.mu.Lock()
 	var orphans []string
 	for _, a := range s.Addrs {
-		if !inPool[a] && !s.decommissioned[a] {
+		if !inPool[a] && !s.nodes[a].gone {
 			orphans = append(orphans, a)
 		}
 	}
@@ -384,12 +404,17 @@ func (s *Stack) RecoverControlPlane() error {
 	return rerr
 }
 
-// newDaemon builds and starts one I/O-node daemon at pool index i,
-// threading the backend and listener wrap hooks.
-func (s *Stack) newDaemon(i int) (*ion.Daemon, string, error) {
+// addNode builds the next I/O-node daemon, starts it on an ephemeral port
+// behind the backend and listener wrap hooks, and records it: the one way
+// a daemon enters the stack, at Start and from SpawnION alike.
+func (s *Stack) addNode() (*node, error) {
+	s.mu.Lock()
+	i := s.nextION
+	s.nextION++
+	s.mu.Unlock()
 	sched, err := agios.NewByName(s.Scheduler())
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	var backend ion.Backend = s.Store
 	if s.cfg.WrapBackend != nil {
@@ -409,9 +434,16 @@ func (s *Stack) newDaemon(i int) (*ion.Daemon, string, error) {
 		DedupWindow:    s.cfg.DedupWindow,
 		EpochFencing:   s.cfg.JournalDir != "",
 	}, backend)
-	addr, err := startDaemon(d, i, s.cfg.WrapListener)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, "", err
+		return nil, err
+	}
+	if wrap := s.wrapListener(i); wrap != nil {
+		ln = wrap(ln)
+	}
+	addr, err := d.StartOn(ln)
+	if err != nil {
+		return nil, err
 	}
 	// A node spawned after a recovery must start at the current revocation
 	// floor, not at zero — otherwise a stale pre-crash client could land a
@@ -419,7 +451,22 @@ func (s *Stack) newDaemon(i int) (*ion.Daemon, string, error) {
 	if f := s.Bus.Current().Fence; f > 0 {
 		d.SetFence(f)
 	}
-	return d, addr, nil
+	n := &node{idx: i, d: d, addr: addr}
+	s.mu.Lock()
+	s.Daemons = append(s.Daemons, d)
+	s.Addrs = append(s.Addrs, addr)
+	s.nodes[addr] = n
+	s.mu.Unlock()
+	return n, nil
+}
+
+// wrapListener binds daemon index i into Config.WrapListener, the stack's
+// one listener hook (nil without one: the listener is used as it is).
+func (s *Stack) wrapListener(i int) func(net.Listener) net.Listener {
+	if s.cfg.WrapListener == nil {
+		return nil
+	}
+	return func(ln net.Listener) net.Listener { return s.cfg.WrapListener(i, ln) }
 }
 
 // SpawnION provisions one new I/O-node daemon on an ephemeral port and
@@ -427,19 +474,11 @@ func (s *Stack) newDaemon(i int) (*ion.Daemon, string, error) {
 // scaler does that only after the node's first health rise). Returns the
 // new daemon's address.
 func (s *Stack) SpawnION() (string, error) {
-	s.mu.Lock()
-	i := s.nextION
-	s.nextION++
-	s.mu.Unlock()
-	d, addr, err := s.newDaemon(i)
+	n, err := s.addNode()
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	s.Daemons = append(s.Daemons, d)
-	s.Addrs = append(s.Addrs, addr)
-	s.mu.Unlock()
-	return addr, nil
+	return n.addr, nil
 }
 
 // DecommissionION permanently retires the daemon at addr: the daemon is
@@ -448,27 +487,20 @@ func (s *Stack) SpawnION() (string, error) {
 // one). Idempotent; unknown addresses error.
 func (s *Stack) DecommissionION(addr string) error {
 	s.mu.Lock()
-	idx := -1
-	for i, a := range s.Addrs {
-		if a == addr {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	n := s.nodes[addr]
+	if n == nil {
 		s.mu.Unlock()
 		return fmt.Errorf("livestack: no I/O node at %s", addr)
 	}
-	if s.decommissioned[addr] {
+	if n.gone {
 		s.mu.Unlock()
 		return nil
 	}
-	s.decommissioned[addr] = true
-	d := s.Daemons[idx]
+	n.gone, n.last = true, nil
 	clients := append([]*fwd.Client(nil), s.clients...)
 	s.mu.Unlock()
 
-	err := d.Close()
+	err := n.d.Close()
 	for _, c := range clients {
 		c.ReleaseConn(addr)
 	}
@@ -489,20 +521,14 @@ func (p *stackProvisioner) Decommission(addr string) error { return (*Stack)(p).
 func (s *Stack) ionQuiesced(addr string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var d *ion.Daemon
-	for i, a := range s.Addrs {
-		if a == addr {
-			d = s.Daemons[i]
-			break
-		}
-	}
-	if d == nil || s.decommissioned[addr] {
+	n := s.nodes[addr]
+	if n == nil || n.gone {
 		return true // gone is as quiet as it gets
 	}
-	depth, ops := d.Activity()
-	last, seen := s.lastAct[addr]
-	s.lastAct[addr] = ionActivity{depth: depth, ops: ops}
-	return seen && depth == 0 && last.depth == 0 && ops == last.ops
+	depth, ops := n.d.Activity()
+	last := n.last
+	n.last = &ionActivity{depth: depth, ops: ops}
+	return last != nil && depth == 0 && last.depth == 0 && ops == last.ops
 }
 
 // IONAddrs returns a snapshot of the daemon addresses, safe to call
@@ -518,25 +544,10 @@ func (s *Stack) IONAddrs() []string {
 func (s *Stack) DaemonAt(addr string) *ion.Daemon {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, a := range s.Addrs {
-		if a == addr {
-			return s.Daemons[i]
-		}
+	if n := s.nodes[addr]; n != nil {
+		return n.d
 	}
 	return nil
-}
-
-// startDaemon starts d on an ephemeral port, threading the listener
-// through the fault-injection hook when one is configured.
-func startDaemon(d *ion.Daemon, idx int, wrap func(int, net.Listener) net.Listener) (string, error) {
-	if wrap == nil {
-		return d.Start("")
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	return d.StartOn(wrap(idx, ln))
 }
 
 // RestartION warm-restarts the i-th daemon on its original address,
@@ -548,40 +559,22 @@ func startDaemon(d *ion.Daemon, idx int, wrap func(int, net.Listener) net.Listen
 // own.
 func (s *Stack) RestartION(i int) error {
 	s.mu.Lock()
-	if i < 0 || i >= len(s.Daemons) {
+	if i < 0 || i >= len(s.Addrs) {
 		s.mu.Unlock()
 		return fmt.Errorf("livestack: no I/O node %d", i)
 	}
-	d := s.Daemons[i]
-	addr := s.Addrs[i]
-	if s.decommissioned[addr] {
-		s.mu.Unlock()
-		return fmt.Errorf("livestack: %s was decommissioned, spawn a new I/O node instead", addr)
-	}
+	n := s.nodes[s.Addrs[i]]
+	gone := n.gone
 	s.mu.Unlock()
+	if gone {
+		return fmt.Errorf("livestack: %s was decommissioned, spawn a new I/O node instead", n.addr)
+	}
 	if s.Arbiter != nil {
-		if st, _ := s.Arbiter.StateOf(addr); st.Has(nodestate.Draining) {
-			return fmt.Errorf("livestack: %s is draining, restart refused (let the drain finish or abort it first)", addr)
+		if st, _ := s.Arbiter.StateOf(n.addr); st.Has(nodestate.Draining) {
+			return fmt.Errorf("livestack: %s is draining, restart refused (let the drain finish or abort it first)", n.addr)
 		}
 	}
-	if s.cfg.WrapListener == nil {
-		_, err := d.Restart()
-		return err
-	}
-	// Rebind the original address ourselves so the wrapper can interpose,
-	// with the same lingering-port retry Restart applies.
-	var ln net.Listener
-	var err error
-	for attempt := 0; attempt < 100; attempt++ {
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		return fmt.Errorf("livestack: restart rebind %s: %w", addr, err)
-	}
-	_, err = d.RestartOn(s.cfg.WrapListener(i, ln))
+	_, err := n.d.Restart(s.wrapListener(n.idx))
 	return err
 }
 
@@ -665,27 +658,12 @@ func waitForMapping(c *fwd.Client, timeout time.Duration, want string, ok func(i
 	}
 }
 
-// Close stops the scaler, health prober, watchers, clients, and daemons.
-// The scaler goes first (no spawns/drains during teardown), then the
-// prober so daemon shutdown is not misread as an outage.
+// Close stops the control plane, then the watchers, clients, and daemons.
 func (s *Stack) Close() {
-	if s.Scaler != nil {
-		s.Scaler.Stop()
-	}
-	if s.Health != nil {
-		s.Health.Stop()
-	}
+	s.stopControlPlane()
 	s.mu.Lock()
-	if s.fenceCancel != nil {
-		cancel := s.fenceCancel
-		s.fenceCancel = nil
-		s.mu.Unlock()
-		cancel()
-		s.mu.Lock()
-	}
 	cancels := append([]func(){}, s.cancels...)
 	clients := append([]*fwd.Client(nil), s.clients...)
-	daemons := append([]*ion.Daemon(nil), s.Daemons...)
 	s.mu.Unlock()
 	for _, cancel := range cancels {
 		cancel()
@@ -693,7 +671,7 @@ func (s *Stack) Close() {
 	for _, c := range clients {
 		c.Close()
 	}
-	for _, d := range daemons {
+	for _, d := range s.daemons() {
 		d.Close()
 	}
 	if s.Journal != nil {

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/perfmodel"
+	"repro/internal/jobs"
 	"repro/internal/policy"
 )
 
@@ -118,58 +118,29 @@ func RunQueue(st *Stack, queue []LiveJob, computeNodes int) (*LiveQueueResult, e
 	return result, nil
 }
 
-// appSpecFor converts a Table 3 label into an arbitration application
-// with the paper's geometry and curve. The §5.3 setup disallows direct
-// access, so the curve's 0-ION point is dropped.
-func appSpecFor(label string) (policy.Application, error) {
-	spec, err := perfmodel.AppByLabel(label)
-	if err != nil {
-		return policy.Application{}, err
-	}
-	app := policy.FromAppSpec(label, spec)
-	var pts []perfmodel.Point
-	for _, pt := range app.Curve.Points() {
-		if pt.IONs > 0 {
-			pts = append(pts, pt)
-		}
-	}
-	app.Curve = perfmodel.NewCurve(pts...)
-	return app, nil
-}
-
-// PaperLiveQueue builds the §5.3 queue with tiny-scale kernels: the same
-// FIFO order and job geometries, with kilobyte-scale volumes so a live run
-// completes in seconds.
+// PaperLiveQueue builds the §5.3 queue with tiny-scale kernels: the FIFO
+// order, job IDs and job geometries of jobs.PaperQueue, with kilobyte-scale
+// volumes so a live run completes in seconds. The §5.3 setup disallows
+// direct access, so each curve's 0-ION point is dropped.
 func PaperLiveQueue() ([]LiveJob, error) {
-	order := []string{"HACC", "IOR-MPI", "SIM", "IOR-MPI", "IOR-MPI",
-		"POSIX-S", "POSIX-L", "BT-C", "MAD", "MAD", "S3D", "HACC", "HACC", "BT-D"}
+	queue, err := jobs.PaperQueue()
+	if err != nil {
+		return nil, err
+	}
 	tiny := apps.TinyRegistry()
-	specs := map[string]policy.Application{}
-	count := map[string]int{}
 	var out []LiveJob
-	for _, label := range order {
-		kernelLabel := label
-		if label == "BT-D" {
+	for _, q := range queue {
+		kernelLabel := q.Spec.Label
+		if kernelLabel == "BT-D" {
 			kernelLabel = "BT-C" // tiny registry has one BT-IO variant
 		}
 		k, ok := tiny[kernelLabel]
 		if !ok {
-			return nil, fmt.Errorf("livestack: no tiny kernel for %s", label)
+			return nil, fmt.Errorf("livestack: no tiny kernel for %s", q.Spec.Label)
 		}
-		spec, ok := specs[label]
-		if !ok {
-			s, err := appSpecFor(label)
-			if err != nil {
-				return nil, err
-			}
-			spec = s
-			specs[label] = spec
-		}
-		count[label]++
-		id := fmt.Sprintf("%s#%d", label, count[label])
-		app := spec
-		app.ID = id
-		out = append(out, LiveJob{ID: id, App: app, Kernel: k})
+		app := policy.FromAppSpec(q.ID, q.Spec)
+		app.Curve = app.Curve.Forwarded()
+		out = append(out, LiveJob{ID: q.ID, App: app, Kernel: k})
 	}
 	return out, nil
 }

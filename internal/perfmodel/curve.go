@@ -78,6 +78,19 @@ func (c Curve) Restrict(maxIONs int) Curve {
 	return Curve{points: out}
 }
 
+// Forwarded returns a copy of the curve without its 0-ION point: the
+// options of an application that may not access the PFS directly, as in
+// the paper's §5.3 queue.
+func (c Curve) Forwarded() Curve {
+	out := make([]Point, 0, len(c.points))
+	for _, pt := range c.points {
+		if pt.IONs > 0 {
+			out = append(out, pt)
+		}
+	}
+	return Curve{points: out}
+}
+
 // String renders the curve as "0:241.3 1:60.0 ..." in MB/s.
 func (c Curve) String() string {
 	var b strings.Builder

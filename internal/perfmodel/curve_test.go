@@ -74,6 +74,21 @@ func TestCurveRestrict(t *testing.T) {
 	}
 }
 
+func TestCurveForwardedDropsOnlyTheDirectPoint(t *testing.T) {
+	c := NewCurve(
+		Point{IONs: 0, Bandwidth: 9},
+		Point{IONs: 1, Bandwidth: 1},
+		Point{IONs: 2, Bandwidth: 2},
+	)
+	f := c.Forwarded()
+	if _, ok := f.At(0); ok || f.Len() != 2 {
+		t.Fatalf("Forwarded() = %v, want the 1- and 2-ION points", f)
+	}
+	if c.Len() != 3 || f.Forwarded().Len() != 2 {
+		t.Fatal("Forwarded mutated the receiver or is not idempotent")
+	}
+}
+
 func TestCurveForUsesPatternOptions(t *testing.T) {
 	m := Default()
 	p := pattern.Pattern{Nodes: 12, ProcsPerNod: 12, Layout: pattern.SharedFile,

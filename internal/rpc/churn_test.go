@@ -132,7 +132,7 @@ func TestServerRestartMidPool(t *testing.T) {
 		t.Error(err)
 	}
 	// Every stale conn took the retry path exactly once. (Evictions are
-	// not bounded: dialFresh cannot tell a stale idle conn from a healthy
+	// not bounded: acquire(fresh) cannot tell a stale idle conn from a healthy
 	// one another call just returned.)
 	if retries := reg.Counter("rpc_stale_retries_total").Value(); retries != pool {
 		t.Fatalf("rpc_stale_retries_total = %d, want exactly %d (one per stale conn)", retries, pool)

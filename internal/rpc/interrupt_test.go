@@ -171,7 +171,7 @@ func TestInterruptAfterExchangeCompleted(t *testing.T) {
 	if err := WriteMessage(&frame, reply); err != nil {
 		t.Fatal(err)
 	}
-	conn, _, err := cli.getConn()
+	conn, _, err := cli.acquire(false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,78 +326,51 @@ func (c *Client) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) *
 	return c
 }
 
-// getConn returns a connection and whether it came from the idle pool (a
+// acquire returns a connection and whether it came from the idle pool (a
 // pooled connection may have been closed by the server while idle; a
-// freshly dialed one cannot have been).
-func (c *Client) getConn() (conn net.Conn, pooled bool, err error) {
+// freshly dialed one cannot have been). It takes an idle connection when
+// there is one, dials while the pool has room, and otherwise waits for a
+// slot. With fresh set it never hands out an idle connection: it is the
+// retry after a pooled connection turned out stale (e.g. a server
+// restart), which makes its idle siblings suspect too, so when the pool is
+// at capacity it evicts them to make room for the dial.
+func (c *Client) acquire(fresh bool) (conn net.Conn, pooled bool, err error) {
 	c.mu.Lock()
 	for {
 		if c.closed {
 			c.mu.Unlock()
 			return nil, false, ErrClosed
 		}
-		if n := len(c.idle); n > 0 {
-			conn := c.idle[n-1]
+		if n := len(c.idle); n > 0 && (!fresh || c.total >= c.max) {
+			idle := c.idle[n-1]
 			c.idle = c.idle[:n-1]
-			c.mu.Unlock()
-			return conn, true, nil
-		}
-		if c.total < c.max {
-			c.total++
-			c.mu.Unlock()
-			c.tel.dials.Inc()
-			conn, err := c.netDial()
-			if err != nil {
-				c.tel.dialErrors.Inc()
-				c.mu.Lock()
-				c.total--
-				c.cond.Signal()
+			if !fresh {
 				c.mu.Unlock()
-				return nil, false, err
+				return idle, true, nil
 			}
-			return conn, false, nil
-		}
-		c.cond.Wait()
-	}
-}
-
-// dialFresh always establishes a new connection, evicting idle pooled
-// connections if the pool is at capacity: it is only called after a pooled
-// connection turned out stale (e.g. a server restart), which makes its
-// idle siblings suspect too.
-func (c *Client) dialFresh() (net.Conn, error) {
-	c.mu.Lock()
-	for {
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClosed
+			c.total--
+			idle.Close()
+			c.tel.staleEvictions.Inc()
+			continue
 		}
 		if c.total < c.max {
 			c.total++
 			break
 		}
-		if n := len(c.idle); n > 0 {
-			stale := c.idle[n-1]
-			c.idle = c.idle[:n-1]
-			c.total--
-			stale.Close()
-			c.tel.staleEvictions.Inc()
-			continue
-		}
 		c.cond.Wait()
 	}
 	c.mu.Unlock()
 	c.tel.dials.Inc()
-	conn, err := c.netDial()
+	conn, err = c.netDial()
 	if err != nil {
 		c.tel.dialErrors.Inc()
 		c.mu.Lock()
 		c.total--
 		c.cond.Signal()
 		c.mu.Unlock()
-		return nil, err
+		return nil, false, err
 	}
-	return conn, nil
+	return conn, false, nil
 }
 
 func (c *Client) putConn(conn net.Conn, broken bool) {
@@ -597,7 +570,7 @@ func (c *Client) attempt(req *Message, it *Interrupt) (*Message, error, errClass
 		// Nothing touched the wire: the request itself is unsendable.
 		return nil, err, classLocal
 	}
-	conn, pooled, err := c.getConn()
+	conn, pooled, err := c.acquire(false)
 	if err != nil {
 		if errors.Is(err, ErrClosed) {
 			return nil, err, classLocal
@@ -607,7 +580,7 @@ func (c *Client) attempt(req *Message, it *Interrupt) (*Message, error, errClass
 	resp, rtErr := c.roundTrip(conn, req, it)
 	if rtErr != nil && pooled && !errors.Is(rtErr, ErrInterrupted) {
 		c.tel.staleRetries.Inc()
-		fresh, dialErr := c.dialFresh()
+		fresh, _, dialErr := c.acquire(true)
 		if dialErr != nil {
 			if errors.Is(dialErr, ErrClosed) {
 				// The client was closed under this in-flight call; keep

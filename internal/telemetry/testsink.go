@@ -20,16 +20,6 @@ func NewTestSink() *TestSink {
 	return &TestSink{Registry: New(), Tracer: NewTracer(0)}
 }
 
-// CounterValue returns the named counter's value (0 if never created).
-func (s *TestSink) CounterValue(name string) int64 {
-	return s.Registry.Counter(name).Value()
-}
-
-// GaugeValue returns the named gauge's level (0 if never created).
-func (s *TestSink) GaugeValue(name string) int64 {
-	return s.Registry.Gauge(name).Value()
-}
-
 // CounterSum sums every series of a base counter name across label sets —
 // e.g. CounterSum("ion_writes_total") adds ion_writes_total{node="ion00"},
 // {node="ion01"}, …
