@@ -1,12 +1,13 @@
 # Tier-1 verification: everything a PR must keep green.
-# `make verify` = gofmt + vet + build + race-enabled tests + suite census +
-# vet/test of the bench/ module (see also scripts/verify.sh).
+# `make verify` = gofmt + vet + build + race-enabled tests + allocation
+# budgets (no race detector) + suite census + vet/test of the bench/ module
+# (see also scripts/verify.sh).
 
 GO ?= go
 
-.PHONY: verify fmt-check build test test-race vet lint suite-census bench-module chaos storm torture qos elastic blackout grayfail fuzz bench-campaign
+.PHONY: verify fmt-check build test test-race budgets vet lint suite-census bench-module chaos storm torture qos elastic blackout grayfail fuzz bench-campaign
 
-verify: fmt-check vet build test-race suite-census bench-module
+verify: fmt-check vet build test-race budgets suite-census bench-module
 
 # bench/ is a module of its own (the benchmark the pipeline builds and
 # runs), so `./...` above never enters it: without this step, renaming
@@ -42,6 +43,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The allocation and pool-residency gates of the forwarding path. Every one
+# of them skips under the race detector (sync.Pool drops a share of Puts
+# there), so test-race runs none: this is where they run.
+budgets:
+	$(GO) test -count=1 -run 'Alloc|Budget|Pin|Pooled|CostsNothing' \
+		./internal/rpc ./internal/fwd ./internal/ion ./internal/agios ./internal/livestack
 
 # Static analysis beyond go vet. staticcheck is not vendored; CI installs a
 # pinned version (see .github/workflows/ci.yml). Locally the target runs it

@@ -151,10 +151,22 @@ func (f *FIFO) Pop() (*Request, bool) {
 	if len(f.q) == 0 {
 		return nil, false
 	}
-	r := f.q[0]
-	f.q[0] = nil
-	f.q = f.q[1:]
-	return r, true
+	return popFront(&f.q), true
+}
+
+// popFront removes and returns the first request of a non-empty queue. A
+// queue that drains starts over at the front of its backing array, so a
+// closed loop of push, pop, push never grows it.
+func popFront(q *[]*Request) *Request {
+	s := *q
+	r := s[0]
+	s[0] = nil
+	if len(s) == 1 {
+		*q = s[:0]
+	} else {
+		*q = s[1:]
+	}
+	return r
 }
 
 // Len implements Scheduler.
@@ -230,10 +242,14 @@ type AIOLI struct {
 // first request and leaves the moment its queue drains, so order and files
 // hold only files with work: their size follows the pending requests, not
 // the files ever seen, and no turn is spent walking past empty entries.
+// The queue of a file that left waits on a free list, backing array and
+// all, for the next file to enter — in a closed loop, the same file with
+// its next request.
 type fileRing struct {
 	files map[string]*fileQueue
-	order []string // round-robin order; every entry has pending work
-	cur   int      // index into order
+	order []string     // round-robin order; every entry has pending work
+	cur   int          // index into order
+	free  []*fileQueue // drained queues, for reuse
 }
 
 type fileQueue struct {
@@ -244,15 +260,16 @@ type fileQueue struct {
 func (fr *fileRing) insert(r *Request) {
 	fq, ok := fr.files[r.Path]
 	if !ok {
-		fq = &fileQueue{}
+		if n := len(fr.free); n > 0 {
+			fq, fr.free = fr.free[n-1], fr.free[:n-1]
+		} else {
+			fq = &fileQueue{}
+		}
 		fr.files[r.Path] = fq
 		fr.order = append(fr.order, r.Path)
 	}
 	fq.insert(r) // keeps offset order, stable for equal offsets
 }
-
-// current returns the queue of the file whose turn it is.
-func (fr *fileRing) current() *fileQueue { return fr.files[fr.order[fr.cur]] }
 
 // next passes the turn to the following file.
 func (fr *fileRing) next() {
@@ -261,14 +278,26 @@ func (fr *fileRing) next() {
 	}
 }
 
-// drop removes the current file, whose queue has drained; the turn passes
-// to the file that followed it.
-func (fr *fileRing) drop() {
+// take removes the head request of the file whose turn it is, merged with
+// its contiguous successors up to maxBytes, and reports how many requests
+// that took and whether it drained the file — which then leaves the ring,
+// the turn passing to the file that followed it.
+func (fr *fileRing) take(maxBytes int64) (merged *Request, taken int, drained bool) {
+	fq := fr.files[fr.order[fr.cur]]
+	merged, taken = mergeHead(fq.reqs, maxBytes)
+	if taken < len(fq.reqs) {
+		fq.reqs = fq.reqs[taken:]
+		return merged, taken, false
+	}
+	clear(fq.reqs)
+	fq.reqs = fq.reqs[:0]
+	fr.free = append(fr.free, fq)
 	delete(fr.files, fr.order[fr.cur])
 	fr.order = append(fr.order[:fr.cur], fr.order[fr.cur+1:]...)
 	if fr.cur >= len(fr.order) {
 		fr.cur = 0
 	}
+	return merged, taken, true
 }
 
 // NewAIOLI returns an aIOLi-style scheduler with the given quantum.
@@ -304,14 +333,11 @@ func (a *AIOLI) Pop() (*Request, bool) {
 	if maxAgg <= 0 {
 		maxAgg = a.Quantum
 	}
-	fq := a.current()
-	merged, taken := mergeHead(fq.reqs, maxAgg)
-	fq.reqs = fq.reqs[taken:]
+	merged, taken, drained := a.take(maxAgg)
 	a.count -= taken
 	a.spent += merged.Size
-	if len(fq.reqs) == 0 {
+	if drained {
 		a.spent = 0
-		a.drop()
 	}
 	return merged, true
 }
@@ -437,15 +463,11 @@ func (t *TWINS) Pop() (*Request, bool) {
 	for n := 0; n < t.Targets && len(t.queues[t.cur]) == 0; n++ {
 		t.rotate(now)
 	}
-	q := t.queues[t.cur]
-	if len(q) == 0 {
+	if len(t.queues[t.cur]) == 0 {
 		return nil, false
 	}
-	r := q[0]
-	q[0] = nil
-	t.queues[t.cur] = q[1:]
 	t.count--
-	return r, true
+	return popFront(&t.queues[t.cur]), true
 }
 
 func (t *TWINS) rotate(now time.Time) {

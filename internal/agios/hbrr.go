@@ -50,14 +50,11 @@ func (h *HBRR) Pop() (*Request, bool) {
 	if maxAgg <= 0 {
 		maxAgg = 8 << 20
 	}
-	fq := h.current()
-	merged, taken := mergeHead(fq.reqs, maxAgg)
-	fq.reqs = fq.reqs[taken:]
+	merged, taken, drained := h.take(maxAgg)
 	h.count -= taken
 	h.spent += taken
-	if len(fq.reqs) == 0 {
+	if drained {
 		h.spent = 0
-		h.drop()
 	}
 	return merged, true
 }

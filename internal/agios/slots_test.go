@@ -321,3 +321,34 @@ func TestDrainedFilesLeaveTheRing(t *testing.T) {
 		})
 	}
 }
+
+// TestSubmitFinishAllocationPin: a closed loop of Submit → (execute) →
+// Finish on one recycled request allocates nothing under any scheduler —
+// the per-file schedulers reuse the drained file's queue, the FIFO-shaped
+// ones their backing arrays.
+func TestSubmitFinishAllocationPin(t *testing.T) {
+	for _, name := range []string{"FIFO", "SJF", "AIOLI", "HBRR", "TWINS", "WFQ"} {
+		s, err := NewByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := NewQueue(s)
+		r := new(Request)
+		var off int64
+		loop := func() {
+			off += 4096
+			*r = Request{Path: "/pin", Offset: off, Size: 4096, Op: OpWrite, Priority: 3}
+			pick, err := q.Submit(r)
+			if err != nil || pick != r {
+				t.Fatalf("%s: Submit on an idle queue = %v, %v; want the request itself", name, pick, err)
+			}
+			q.Finish(pick, nil)
+		}
+		for i := 0; i < 8; i++ {
+			loop()
+		}
+		if got := testing.AllocsPerRun(200, loop); got > 0 {
+			t.Errorf("%s: %.1f allocs per Submit→Finish, want 0", name, got)
+		}
+	}
+}

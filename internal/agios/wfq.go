@@ -95,12 +95,8 @@ func (w *WFQ) Pop() (*Request, bool) {
 	} else {
 		w.run++
 	}
-	q := w.tiers[pick]
-	r := q[0]
-	q[0] = nil
-	w.tiers[pick] = q[1:]
 	w.count--
-	return r, true
+	return popFront(&w.tiers[pick]), true
 }
 
 // Len implements Scheduler.

@@ -27,14 +27,17 @@
 //     and the four metadata ops (meta), every write span (sendSpan) and
 //     every read span (readSpan) act on that outcome and on nothing else.
 //
-// The data path is built to stay allocation-free per operation: the path
-// is FNV-hashed once per op and extended per chunk index without
-// constructing a hasher (see fnvString/fnvChunk), the route table is an
-// immutable snapshot loaded with one atomic read (no lock, no map lookup
-// per chunk), and span building works in a caller-provided stack buffer.
-// The snapshot is a slice of target records — address, pooled connection,
-// throttle gate — and a target is what every call below the span logic
-// (callION, timedCall, the hedge) is handed.
+// The data path allocates nothing per operation: the path is FNV-hashed
+// once per op and extended per chunk index without constructing a hasher
+// (see fnvString/fnvChunk), the route table is an immutable snapshot
+// loaded with one atomic read (no lock, no map lookup per chunk), span
+// building works in a caller-provided stack buffer, a lone span is a plain
+// method call and several fan out on a pooled record (fanOp) whose workers
+// claim spans by atomic index, and a read span hands the transport its
+// window of the caller's buffer (rpc.Message.Dst) so the reply's payload is
+// decoded in place. The snapshot is a slice of target records — address,
+// pooled connection, throttle gate — and a target is what every call below
+// the span logic (callION, timedCall, the hedge) is handed.
 package fwd
 
 import (
@@ -58,11 +61,13 @@ import (
 // DefaultChunkSize is the GekkoFS chunking unit (512 KiB).
 const DefaultChunkSize = 512 * units.KiB
 
-// DefaultCoalesceLimit caps a coalesced span (one wire request) at 4 MiB:
-// large enough to amortize per-RPC overhead over eight default chunks,
+// DefaultCoalesceLimit caps a coalesced span (one wire request) at 2 MiB:
+// large enough to amortize per-RPC overhead over four default chunks,
 // small enough that one span cannot monopolize an I/O node's queue or
-// defeat the chunk-level fan-out across nodes.
-const DefaultCoalesceLimit = 4 * units.MiB
+// defeat the chunk-level fan-out across nodes — and that a large stream to
+// a single I/O node still travels as several spans on several pooled
+// conns, one span's transfer overlapping another's PFS copy.
+const DefaultCoalesceLimit = 2 * units.MiB
 
 // Config parameterizes a client.
 type Config struct {
@@ -601,10 +606,6 @@ type span struct {
 	target int // index into routeView.targets
 }
 
-// spanBufSize is the stack-buffer capacity callers pre-size for
-// buildSpans; requests that coalesce into more spans spill to the heap.
-const spanBufSize = 8
-
 // buildSpans splits [off, off+n) into chunk-aligned extents, routes each
 // chunk by the incremental FNV hash, and merges contiguous extents that
 // share a target into spans. The caller passes a (typically
@@ -888,31 +889,104 @@ func (q *qosState) observeSince(t0 time.Time) { q.latency.ObserveDuration(time.S
 // GekkoFS's bounded in-flight chunk operations.
 const maxParallelSpans = 8
 
-// fanOut runs fn over several spans concurrently and returns each span's
-// byte count and the first error in span order. Only multi-span ops come
-// here: a lone span is a plain method call in its caller, so the common
-// case builds no closure and no counts slice.
-func fanOut(spans []span, fn func(s span) (int, error)) ([]int, error) {
-	counts := make([]int, len(spans))
-	errs := make([]error, len(spans))
-	sem := make(chan struct{}, maxParallelSpans)
-	var wg sync.WaitGroup
-	for i, s := range spans {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			counts[i], errs[i] = fn(s)
-			<-sem
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return counts, err
+// fanOp is one multi-span op in flight: the arguments every span call
+// shares, the spans, and a result slot per span. Records are pooled, and
+// work is the bound method value built once with the record, so running an
+// op allocates nothing: `go f.work()` starts a worker without a closure, and
+// each worker claims spans by atomic index.
+type fanOp struct {
+	c     *Client
+	v     *routeView
+	path  string
+	off   int64
+	p     []byte
+	tr    opTrace
+	depth int
+	read  bool
+
+	spans []span
+	done  []spanResult
+	// The fixed buffers hold every op of up to maxParallelSpans spans; a
+	// longer one spills to slices that go with the op.
+	spanBuf [maxParallelSpans]span
+	doneBuf [maxParallelSpans]spanResult
+
+	next atomic.Int32
+	wg   sync.WaitGroup
+	work func()
+}
+
+type spanResult struct {
+	n   int
+	err error
+}
+
+var fanOps sync.Pool // *fanOp
+
+func (f *fanOp) worker() {
+	f.run()
+	f.wg.Done()
+}
+
+// run serves spans until none is left to claim.
+func (f *fanOp) run() {
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= len(f.spans) {
+			return
+		}
+		r := &f.done[i]
+		if f.read {
+			r.n, r.err = f.c.readSpan(f.v, f.path, f.off, f.p, f.spans[i], f.tr)
+		} else {
+			r.n, r.err = f.c.sendSpan(f.v, f.path, f.off, f.p, f.spans[i], f.tr, f.depth)
 		}
 	}
-	return counts, nil
+}
+
+// fanOut runs an op's spans concurrently — at most maxParallelSpans at a
+// time, the calling goroutine serving spans alongside the workers it
+// starts, none of which outlives the call — and returns the op's byte
+// count and the first error in span order. A write counts every span's
+// bytes. A read counts the contiguous prefix: it stops at the first short
+// span, so bytes read beyond a hole never inflate the count the
+// application sees. Only multi-span ops come here: a lone span is a plain
+// method call in its caller.
+func (c *Client) fanOut(v *routeView, path string, off int64, p []byte, spans []span, tr opTrace, depth int, read bool) (total int, err error) {
+	f, _ := fanOps.Get().(*fanOp)
+	if f == nil {
+		f = new(fanOp)
+		f.work = f.worker
+	}
+	f.c, f.v, f.path, f.off, f.p, f.tr, f.depth, f.read = c, v, path, off, p, tr, depth, read
+	f.spans = append(f.spanBuf[:0], spans...)
+	f.done = append(f.doneBuf[:0], make([]spanResult, len(spans))...)
+	f.next.Store(0)
+	workers := min(len(spans), maxParallelSpans) - 1
+	f.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go f.work()
+	}
+	f.run()
+	f.wg.Wait()
+
+	for i, r := range f.done {
+		total += r.n
+		if read && int64(r.n) < spans[i].n {
+			break
+		}
+	}
+	for _, r := range f.done {
+		if r.err != nil {
+			err = r.err
+			break
+		}
+	}
+	// Nothing the op referenced stays reachable from the pool.
+	f.doneBuf = [maxParallelSpans]spanResult{}
+	f.c, f.v, f.path, f.p, f.tr, f.spans, f.done = nil, nil, "", nil, opTrace{}, nil, nil
+	fanOps.Put(f)
+	return total, err
 }
 
 // Write implements pfs.FileSystem: the request is split into chunks, each
@@ -950,7 +1024,7 @@ func (c *Client) Write(path string, off int64, p []byte) (int, error) {
 // Every path a span can take after that (shed or unreachable → PFS, fenced
 // → here again at depth+1, or PFS) moves bytes without counting them.
 func (c *Client) writeSpans(v *routeView, path string, off int64, p []byte, tr opTrace, depth int) (int, error) {
-	var sbuf [spanBufSize]span
+	var sbuf [maxParallelSpans]span
 	spans := c.buildSpans(v, path, off, int64(len(p)), sbuf[:0])
 	if depth == 0 {
 		n := int64(len(spans))
@@ -962,14 +1036,7 @@ func (c *Client) writeSpans(v *routeView, path string, off int64, p []byte, tr o
 	if len(spans) == 1 {
 		return c.sendSpan(v, path, off, p, spans[0], tr, depth)
 	}
-	counts, err := fanOut(spans, func(s span) (int, error) {
-		return c.sendSpan(v, path, off, p, s, tr, depth)
-	})
-	total := 0
-	for _, k := range counts {
-		total += k
-	}
-	return total, err
+	return c.fanOut(v, path, off, p, spans, tr, depth, false)
 }
 
 // maxEpochRemaps bounds how many successive stale-epoch rejections one
@@ -1084,33 +1151,23 @@ func (c *Client) Read(path string, off int64, p []byte) (int, error) {
 // readSpans routes [off, off+len(p)) over v and reads every span from its
 // I/O node into its window of p.
 func (c *Client) readSpans(v *routeView, path string, off int64, p []byte, tr opTrace) (int, error) {
-	var sbuf [spanBufSize]span
+	var sbuf [maxParallelSpans]span
 	spans := c.buildSpans(v, path, off, int64(len(p)), sbuf[:0])
 	if len(spans) == 1 {
 		return c.readSpan(v, path, off, p, spans[0], tr)
 	}
-	counts, err := fanOut(spans, func(s span) (int, error) {
-		return c.readSpan(v, path, off, p, s, tr)
-	})
-	// Contiguous-prefix contract: sum span counts in order and stop at the
-	// first short span — bytes read beyond a hole must not inflate the
-	// count the application sees.
-	total := 0
-	for i, s := range spans {
-		total += counts[i]
-		if int64(counts[i]) < s.n {
-			break
-		}
-	}
-	return total, err
+	return c.fanOut(v, path, off, p, spans, tr, 0, true)
 }
 
 // readSpan reads span s from its I/O node into its window of p (the
-// buffer for off), under the same fallback rule as writes.
+// buffer for off), under the same fallback rule as writes. The window is
+// the request's Dst: the transport decodes the reply's payload straight
+// into it, and whatever an exchange that failed left there is overwritten
+// by the retry, or by the PFS when the fallback rule takes the span.
 func (c *Client) readSpan(v *routeView, path string, off int64, p []byte, s span, tr opTrace) (int, error) {
 	dst := p[s.off-off:][:s.n]
 	c.stats.forwarded.Inc()
-	req := &rpc.Message{Op: rpc.OpRead, Path: path, Offset: s.off, Size: s.n, Trace: tr.id(), Priority: c.wirePrio}
+	req := &rpc.Message{Op: rpc.OpRead, Path: path, Offset: s.off, Size: s.n, Dst: dst, Trace: tr.id(), Priority: c.wirePrio}
 	resp, err, degraded := c.hedged(v.targets[s.target], req)
 	if c.classify(err, degraded).direct() {
 		resp.Release()
@@ -1118,9 +1175,11 @@ func (c *Client) readSpan(v *routeView, path string, off int64, p []byte, s span
 	}
 	k := 0
 	if resp != nil {
-		// Copy out of the pooled response buffer (or a winning hedge's
-		// private one), then hand it back to the transport.
-		k = copy(dst, resp.Data)
+		// The bytes are in the window already, unless they are a winning
+		// hedge's (its private buffer) or more than the span asked for.
+		if k = len(resp.Data); k > 0 && &resp.Data[0] != &dst[0] {
+			k = copy(dst, resp.Data)
+		}
 		c.stats.bytesIn.Add(int64(k))
 		resp.Release()
 	}

@@ -171,13 +171,14 @@ type hedgeCall struct {
 
 // timedCall is callION plus the latency observation that feeds the shared
 // sketch (and through it the health prober's fail-slow scorer and this
-// client's own hedge deadlines). Sketch-less clients fall straight
-// through — one nil check, no clock read.
-func (c *Client) timedCall(t *target, req *rpc.Message, it *rpc.Interrupt) (*rpc.Message, error, bool) {
+// client's own hedge deadlines). start is the span's clock, read by hedged
+// before the hedge timer was armed — a primary cut off by its hedge must
+// never measure shorter than the hedge delay. Sketch-less clients fall
+// straight through — one nil check, no clock read.
+func (c *Client) timedCall(t *target, req *rpc.Message, it *rpc.Interrupt, start time.Time) (*rpc.Message, error, bool) {
 	if c.cfg.Latency == nil {
 		return c.callION(t, req, it)
 	}
-	start := time.Now()
 	resp, err, degraded := c.callION(t, req, it)
 	if (err == nil && !degraded) || errors.Is(err, rpc.ErrInterrupted) {
 		// Only accepted-and-answered calls are evidence of the node's
@@ -333,11 +334,15 @@ func (st *hedgeCall) settle(primaryStands bool) (hedgeOutcome, bool) {
 // outcome always stands unless the backup won; a write's stands only when
 // it is usable.
 func (c *Client) hedged(t *target, req *rpc.Message) (*rpc.Message, error, bool) {
+	var start time.Time
+	if c.cfg.Latency != nil {
+		start = time.Now()
+	}
 	st := c.armHedge(t, req)
 	if st == nil {
-		return c.timedCall(t, req, nil)
+		return c.timedCall(t, req, nil, start)
 	}
-	resp, err, degraded := c.timedCall(t, &st.req, &st.it)
+	resp, err, degraded := c.timedCall(t, &st.req, &st.it, start)
 	if c.hedge.disarm(st) {
 		return resp, err, degraded
 	}

@@ -309,7 +309,8 @@ func inflightProbe(t *testing.T, content []byte) (addr string, maxGoroutines *at
 		if n := int64(runtime.NumGoroutine()); n > maxGoroutines.Load() {
 			maxGoroutines.Store(n) // one conn, one request at a time: no lost update
 		}
-		resp := &rpc.Message{Op: req.Op, Path: req.Path, Trace: req.Trace}
+		resp := rpc.GetMessage() // the server's Release returns it: the probe adds no allocation of its own
+		resp.Op, resp.Path, resp.Trace = req.Op, req.Path, req.Trace
 		switch req.Op {
 		case rpc.OpWrite:
 			resp.Size = int64(len(req.Data))

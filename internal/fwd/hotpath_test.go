@@ -407,16 +407,16 @@ func TestSpanAboveTopClassWorksUnpooled(t *testing.T) {
 }
 
 // TestLoneSpanAllocationPin pins what the forwarded path allocates per op
-// on a bare client — one span, the common case, runs inline and builds no
-// closure; only a multi-span op pays for the fan-out. A shared helper that
-// takes a func literal or a counts buffer on the lone-span path moves both
-// to the heap on every op (escape analysis is per function), which an
-// end-to-end bench only shows after a ten-pair run; this shows it at once.
+// on a bare client: nothing — one span, the common case, runs inline, and
+// a multi-span op fans out on a pooled record. A shared helper that takes
+// a func literal or a counts buffer moves both to the heap on every op
+// (escape analysis is per function), which an end-to-end bench only shows
+// after a ten-pair run; this shows it at once.
 func TestLoneSpanAllocationPin(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("sync.Pool drops a share of Puts under the race detector")
 	}
-	payload := bytes.Repeat([]byte{7}, 8192)
+	payload := bytes.Repeat([]byte{7}, 8*4096)
 	addr, _ := inflightProbe(t, payload)
 	c, err := NewClient(Config{
 		AppID: "app", Direct: pfs.NewStore(pfs.Config{}),
@@ -427,30 +427,40 @@ func TestLoneSpanAllocationPin(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetIONs([]string{addr})
-	buf := make([]byte, 4096)
+	buf := make([]byte, len(payload))
 	ops := []struct {
 		name string
 		want float64 // may only go down
 		run  func()
 	}{
-		{"write 4 KiB", 3, func() {
+		{"write 4 KiB", 0, func() {
 			if n, err := c.Write("/pin", 0, payload[:4096]); err != nil || n != 4096 {
 				t.Fatalf("write: n=%d err=%v", n, err)
 			}
 		}},
-		{"read 4 KiB", 3, func() {
-			if n, err := c.Read("/pin", 0, buf); err != nil || n != 4096 {
+		{"read 4 KiB", 0, func() {
+			if n, err := c.Read("/pin", 0, buf[:4096]); err != nil || n != 4096 {
 				t.Fatalf("read: n=%d err=%v", n, err)
 			}
 		}},
-		{"stat", 3, func() {
+		{"stat", 0, func() {
 			if _, err := c.Stat("/pin"); err != nil {
 				t.Fatalf("stat: %v", err)
 			}
 		}},
-		{"write 2 spans", 13, func() { // the fan-out: counts, errors, semaphore, one closure and goroutine per span
-			if n, err := c.Write("/pin", 0, payload); err != nil || n != 8192 {
+		{"write 2 spans", 0, func() { // the fan-out runs on a pooled record
+			if n, err := c.Write("/pin", 0, payload[:8192]); err != nil || n != 8192 {
 				t.Fatalf("write: n=%d err=%v", n, err)
+			}
+		}},
+		{"write 8 spans", 0, func() { // maxParallelSpans: the record's fixed buffers, full
+			if n, err := c.Write("/pin", 0, payload); err != nil || n != len(payload) {
+				t.Fatalf("write: n=%d err=%v", n, err)
+			}
+		}},
+		{"read 8 spans", 0, func() {
+			if n, err := c.Read("/pin", 0, buf); err != nil || n != len(buf) {
+				t.Fatalf("read: n=%d err=%v", n, err)
 			}
 		}},
 	}

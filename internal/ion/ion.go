@@ -419,11 +419,25 @@ func (d *Daemon) SetFence(minEpoch uint64) {
 // Fence reports the current fence floor (0 = nothing fenced).
 func (d *Daemon) Fence() uint64 { return d.fence.Load() }
 
+// requests recycles the scheduler records of forwarded data requests. The
+// goroutine that submitted one hands it back once Wait/Finish has delivered
+// its outcome — its own, also when it ran inside an aggregate somebody else
+// executed: the aggregate's holder never releases a child.
+var requests = sync.Pool{New: func() any { return new(agios.Request) }}
+
+// putRequest recycles r, cleared so the pool pins no payload.
+func putRequest(r *agios.Request) {
+	*r = agios.Request{}
+	requests.Put(r)
+}
+
 func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 	// Responses echo the request's identity fields (path, trace, dedup
 	// stamp) and nothing else: flags and payload are set per-outcome, so
-	// no response path can leak stale request state onto the wire.
-	resp := &rpc.Message{Op: m.Op, Path: m.Path, Trace: m.Trace, ClientID: m.ClientID, Seq: m.Seq}
+	// no response path can leak stale request state onto the wire. The
+	// envelope is the transport's, returned by its Release after the write.
+	resp := rpc.GetMessage()
+	resp.Op, resp.Path, resp.Trace, resp.ClientID, resp.Seq = m.Op, m.Path, m.Trace, m.ClientID, m.Seq
 	switch m.Op {
 	case rpc.OpPing:
 		// Pings double as load reports: Size carries the scheduler queue
@@ -446,18 +460,18 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 			}
 		}
 		if d.dedup == nil || m.Seq == 0 {
-			resp, _ = d.applyWrite(m, resp)
+			d.applyWrite(m, resp)
 			return resp
 		}
 		for {
-			cached, inflight, commit := d.dedup.claim(m.ClientID, m.Seq)
+			cw, out, replay, inflight := d.dedup.claim(m.ClientID, m.Seq)
 			switch {
-			case cached != nil:
+			case replay:
 				// Already applied: repeat the outcome, do not re-execute.
-				cached.Trace = m.Trace
-				cached.Replayed = true
+				resp.Size, resp.Err = out.size, out.err
+				resp.Replayed = true
 				d.tel.dedupReplays.Inc()
-				return cached
+				return resp
 			case inflight != nil:
 				// Another attempt at this seq is mid-execution (a retry
 				// racing its original). Wait for its commit and re-claim:
@@ -465,9 +479,11 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 				// never applied) the seq is claimable again.
 				<-inflight
 			default:
-				result, applied := d.applyWrite(m, resp)
-				commit(result, applied)
-				return result
+				applied := d.applyWrite(m, resp)
+				// The window keeps the outcome by value: resp goes back to
+				// the transport's pool with the exchange.
+				d.dedup.commit(cw, m.Seq, outcome{size: resp.Size, err: resp.Err}, applied)
+				return resp
 			}
 		}
 
@@ -478,7 +494,8 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 			resp.Err = fmt.Sprintf("ion: read size %d out of range [0, %d]", m.Size, int64(rpc.MaxData))
 			return resp
 		}
-		req := &agios.Request{
+		req := requests.Get().(*agios.Request)
+		*req = agios.Request{
 			Path:     m.Path,
 			Offset:   m.Offset,
 			Size:     m.Size,
@@ -495,9 +512,8 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 		}
 		pick, err := d.queue.Submit(req)
 		if err != nil {
-			if cap(req.Data) > 0 {
-				rpc.PutBuffer(req.Data)
-			}
+			rpc.PutBuffer(req.Data)
+			putRequest(req)
 			return d.pushFailed(resp, err)
 		}
 		d.tel.reads.Inc()
@@ -506,16 +522,13 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 		// execute stored the bytes read in req.Data (reusing the pooled
 		// capacity attached above). The transport releases the buffer
 		// after the response frame goes out.
-		if cap(req.Data) > 0 {
-			resp.SetPooledData(req.Data)
-		} else {
-			resp.Data = req.Data
-		}
+		resp.SetPooledData(req.Data)
 		resp.Size = int64(len(req.Data))
 		d.tel.bytesOut.Add(int64(len(req.Data)))
 		if err != nil {
 			resp.Err = err.Error()
 		}
+		putRequest(req)
 
 	case rpc.OpCreate:
 		d.tel.meta.Inc()
@@ -550,13 +563,14 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 	return resp
 }
 
-// applyWrite submits one write to the scheduler queue and sees it through
-// its dispatch. applied reports whether the operation reached execution:
-// false for queue-admission failures (busy sheds and closed-queue
-// rejects), which must stay replayable-by-execution in the dedup window;
-// true once it ran, whatever the outcome.
-func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (_ *rpc.Message, applied bool) {
-	req := &agios.Request{
+// applyWrite submits one write to the scheduler queue, sees it through its
+// dispatch and sets the outcome on resp. applied reports whether the
+// operation reached execution: false for queue-admission failures (busy
+// sheds and closed-queue rejects), which must stay replayable-by-execution
+// in the dedup window; true once it ran, whatever the outcome.
+func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (applied bool) {
+	req := requests.Get().(*agios.Request)
+	*req = agios.Request{
 		Path:     m.Path,
 		Offset:   m.Offset,
 		Size:     int64(len(m.Data)),
@@ -567,7 +581,9 @@ func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (_ *rpc.Message, 
 	}
 	pick, err := d.queue.Submit(req)
 	if err != nil {
-		return d.pushFailed(resp, err), false
+		putRequest(req)
+		d.pushFailed(resp, err)
+		return false
 	}
 	// Admission succeeded: only now does the request count as
 	// ingested (a shed write was never taken on, so its bytes must
@@ -577,12 +593,14 @@ func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (_ *rpc.Message, 
 		d.tel.bytesIn.Add(int64(len(m.Data)))
 	})
 	d.tel.requestBytes.Observe(float64(len(m.Data)))
-	if err := d.dispatch(req, pick); err != nil {
+	err = d.dispatch(req, pick)
+	putRequest(req)
+	if err != nil {
 		resp.Err = err.Error()
-		return resp, true
+	} else {
+		resp.Size = int64(len(m.Data))
 	}
-	resp.Size = int64(len(m.Data))
-	return resp, true
+	return true
 }
 
 // pushFailed turns a queue-admission failure into the right wire response:

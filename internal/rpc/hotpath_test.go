@@ -137,7 +137,7 @@ func TestReleaseIdempotentAndSafe(t *testing.T) {
 // payload before the consumer copies it) shows up here. One size per
 // class that data frames use, the span-sized ones included.
 func TestPooledBufferReuse(t *testing.T) {
-	for _, size := range []int{2048, 1 << 20, 4 << 20} {
+	for _, size := range []int{2048, 512 << 10, 2 << 20, 4 << 20} {
 		var wire bytes.Buffer
 		for round := 0; round < 32; round++ {
 			data := bytes.Repeat([]byte{byte(round + 1)}, size)
@@ -161,12 +161,13 @@ func TestPooledBufferReuse(t *testing.T) {
 	}
 }
 
-// TestBodyClassesFitPowerOfTwoPayloads pins the payload + allowance rule:
-// a frame carrying a payload of exactly a class's nominal size, a
-// 256-byte path and every trailer still lands in that class, and every
-// buffer a class hands out has exactly the class's capacity.
+// TestBodyClassesFitPowerOfTwoPayloads pins the payload-only rule: a
+// frame carrying a payload of exactly a class's size, a 256-byte path and
+// every trailer decodes into a buffer of that class — header and trailers
+// never share the payload's buffer — and every buffer a class hands out
+// has exactly the class's capacity.
 func TestBodyClassesFitPowerOfTwoPayloads(t *testing.T) {
-	for i, payload := range []int{4 << 10, 64 << 10, 1 << 20, 4 << 20} {
+	for _, payload := range bodyClasses {
 		m := &Message{
 			Op: OpWrite, Path: "/" + strings.Repeat("p", 255), Data: make([]byte, payload),
 			ClientID: "application#12", Seq: 9, Priority: 3, Epoch: 7, Trace: 1,
@@ -175,15 +176,17 @@ func TestBodyClassesFitPowerOfTwoPayloads(t *testing.T) {
 		if err := WriteMessageChecksum(&wire, m); err != nil {
 			t.Fatal(err)
 		}
-		frame := wire.Len() - 4
-		if frame > bodyClasses[i] || (i > 0 && frame <= bodyClasses[i-1]) {
-			t.Fatalf("%d-byte payload: %d-byte frame does not land in class %d (%d bytes)", payload, frame, i, bodyClasses[i])
+		got, err := ReadMessage(&wire)
+		if err != nil {
+			t.Fatal(err)
 		}
-		b := getBody(frame)
-		if cap(*b) != bodyClasses[i] {
-			t.Fatalf("%d-byte frame served with cap %d, want class size %d", frame, cap(*b), bodyClasses[i])
+		if len(got.Data) != payload || cap(got.Data) != payload {
+			t.Fatalf("%d-byte payload decoded into len %d cap %d, want its own class", payload, len(got.Data), cap(got.Data))
 		}
-		putBody(b)
+		got.Release()
+		if b := GetBuffer(payload); cap(b) != payload {
+			t.Fatalf("GetBuffer(%d) served with cap %d", payload, cap(b))
+		}
 	}
 }
 
@@ -214,9 +217,8 @@ func TestOversizeBuffersAreNotRetained(t *testing.T) {
 	// any, so a misfiled one cannot hide behind the pool's other entries.
 	for _, n := range []int{1, 4 << 10, 512 << 10, 1 << 20, 4 << 20} {
 		for i := 0; i < 32; i++ {
-			b := getBody(n)
-			if c := cap(*b); c != classFor(n) {
-				t.Fatalf("getBody(%d) returned cap %d, want its class size %d", n, c, classFor(n))
+			if c := cap(GetBuffer(n)); c != classFor(n) {
+				t.Fatalf("GetBuffer(%d) returned cap %d, want its class size %d", n, c, classFor(n))
 			}
 		}
 	}
@@ -379,15 +381,15 @@ func benchWirePathWrite(b *testing.B, size int) {
 }
 
 // TestWirePathBudgets gates the two deterministic numbers of the wire
-// path: at 512 KiB a round trip allocates at most the two Path strings
-// (one decode per side), and at 4 MiB — both frames from the top body
-// class — at most 4096 B/op. Time-valued numbers belong to bench/.
+// path: at 512 KiB a round trip allocates nothing (each side's decoder
+// reuses the Path string it saw last), and at 4 MiB — the payload from the
+// top body class — at most 4096 B/op. Time-valued numbers belong to bench/.
 func TestWirePathBudgets(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("sync.Pool drops a share of Puts under the race detector")
 	}
-	if got := testing.Benchmark(BenchmarkWirePathWrite512K).AllocsPerOp(); got > 2 {
-		t.Errorf("512 KiB wire round trip: %d allocs/op, budget 2", got)
+	if got := testing.Benchmark(BenchmarkWirePathWrite512K).AllocsPerOp(); got > 0 {
+		t.Errorf("512 KiB wire round trip: %d allocs/op, budget 0", got)
 	}
 	// The other side may still hold the pooled frame when the next call
 	// starts, and one cold 4 MiB frame in a run of a few hundred calls is

@@ -171,12 +171,12 @@ func TestInterruptAfterExchangeCompleted(t *testing.T) {
 	if err := WriteMessage(&frame, reply); err != nil {
 		t.Fatal(err)
 	}
-	conn, _, err := cli.acquire(false)
+	w, _, err := cli.acquire(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var it Interrupt
-	resp, err := cli.roundTrip(&fireAfterConn{Conn: conn, it: &it, after: frame.Len()}, &Message{Op: OpPing, Path: "/done"}, &it)
+	resp, err := cli.roundTrip(newWire(&fireAfterConn{Conn: w.conn, it: &it, after: frame.Len()}), &Message{Op: OpPing, Path: "/done"}, &it)
 	if !errors.Is(err, ErrInterrupted) || resp != nil {
 		t.Fatalf("roundTrip = %v, %v; want nil, ErrInterrupted: Fire ran while the conn was bound, so the outcome is void", resp, err)
 	}

@@ -39,9 +39,13 @@
 // writer with checksums off) encodes byte-identically to protocol
 // version 1; version 2 readers accept every form, which is the whole
 // negotiation.
+//
+// One encoder (writeFrame) and one streaming decoder (wire.readFrame, behind
+// every conn and behind ReadMessage) own that layout.
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,6 +53,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
 	"time"
 )
 
@@ -142,11 +147,18 @@ type Message struct {
 	// never fence an unstamped write.
 	Epoch uint64
 
-	// body is the pooled frame buffer Data aliases (nil when the payload
-	// is caller-owned), and envelope marks a Message drawn from the
-	// message pool. Both are returned by Release; see pool.go for the
-	// ownership rules.
-	body     *[]byte
+	// Dst, on a request handed to a Client, is where the reply's payload
+	// belongs: when it fits, the transport decodes it straight into Dst and
+	// the reply's Data aliases it. Never encoded. Its bytes mean something
+	// only under a reply the call returned: a failed exchange (broken conn,
+	// checksum mismatch, Interrupt) may leave some there to be overwritten.
+	Dst []byte
+
+	// body is the pooled payload buffer Data aliases, at its full capacity
+	// (nil when the payload is caller-owned), and envelope marks a Message
+	// drawn from the message pool. Both are returned by Release; see
+	// pool.go for the ownership rules.
+	body     []byte
 	envelope bool
 }
 
@@ -341,147 +353,278 @@ func writeFrame(w io.Writer, m *Message, sum bool) error {
 	return err
 }
 
-// ReadMessage decodes one frame from r. When the frame carries a CRC32C
-// trailer (flag bit 1), the trailer is verified before any field is
-// parsed; a mismatch returns ErrChecksum. Every truncation — a stream
-// that ends mid-frame as well as a frame whose declared length is too
-// short for its fields — surfaces as io.ErrUnexpectedEOF (possibly
-// wrapped); plain io.EOF means the stream ended cleanly between frames.
-//
-// The returned message and its Data come from the package's frame pools:
-// a consumer that is done with the message may call Release to recycle
-// them (the transport's own call sites do); a message that is never
-// released is garbage-collected like any other value. Data aliases the
-// frame buffer — copy it out before Release.
-func ReadMessage(r io.Reader) (*Message, error) {
-	// The length prefix is read through a pooled array: a stack [4]byte
-	// would escape through the io.Reader interface and cost an allocation
-	// per frame on both sides of the wire.
-	lb := lenBufPool.Get().(*[4]byte)
-	_, err := io.ReadFull(r, lb[:])
-	n := binary.BigEndian.Uint32(lb[:])
-	lenBufPool.Put(lb)
+// readBufSize is a connection's read buffer: a small frame — a metadata op,
+// a 4 KiB request with every trailer — arrives in one read. A larger
+// payload goes around it (bufio reads straight into the destination once
+// the buffer is empty).
+const readBufSize = 8 << 10
+
+// wire is the per-connection wire record, the same on both ends of a conn.
+// Frames are written straight to conn — net.Buffers.WriteTo only reaches
+// writev on the *net.TCPConn itself — and read through br by readFrame.
+type wire struct {
+	conn    net.Conn
+	br      *bufio.Reader
+	held    int    // bytes of br's buffer the last take handed out, given back by the next read
+	scratch []byte // a header or trailer segment longer than br's buffer
+	// path and id are the last decoded Path and ClientID: a frame whose
+	// bytes equal them reuses the strings. A serving conn remembers its
+	// previous request's; a client conn is primed with the request's own.
+	path, id string
+	// lim is nil on a conn. ReadMessage's reader must not be read past the
+	// frame: it admits the length prefix, then exactly the body.
+	lim *io.LimitedReader
+}
+
+func newWire(conn net.Conn) *wire {
+	return &wire{conn: conn, br: bufio.NewReaderSize(conn, readBufSize)}
+}
+
+func (w *wire) release() {
+	w.br.Discard(w.held)
+	w.held = 0
+}
+
+// take returns the next k bytes of the stream, valid until the next take or
+// read. On error it returns what there was.
+func (w *wire) take(k int) ([]byte, error) {
+	w.release()
+	if k > w.br.Size() {
+		if cap(w.scratch) < k {
+			w.scratch = make([]byte, k)
+		}
+		n, err := io.ReadFull(w.br, w.scratch[:k])
+		return w.scratch[:n], err
+	}
+	b, err := w.br.Peek(k)
+	if err == nil {
+		w.held = k
+	}
+	return b, err
+}
+
+// finish consumes the rem bytes a frame has left — bytes the decoder has no
+// field for, then the crcLen-byte CRC trailer — and checks the trailer
+// against crc extended over the rest.
+func (w *wire) finish(rem, crcLen int, crc uint32) error {
+	for rem > crcLen {
+		b, err := w.take(min(rem-crcLen, w.br.Size()))
+		if err != nil {
+			return err
+		}
+		crc = crc32.Update(crc, castagnoli, b)
+		rem -= len(b)
+	}
+	if crcLen > 0 {
+		if b, err := w.take(crcLen); err != nil {
+			return err
+		} else if binary.BigEndian.Uint32(b) != crc {
+			return ErrChecksum
+		}
+	}
+	w.release()
+	return nil
+}
+
+// midFrame types a read error inside a frame: the stream ending there is a
+// truncation, never the clean io.EOF between frames.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+func truncated(need, have, n int) error {
+	return fmt.Errorf("rpc: truncated frame (need %d of the %d left in %d): %w", need, have, n, io.ErrUnexpectedEOF)
+}
+
+// reuse returns b as a string, through *last when the bytes equal it.
+func reuse(last *string, b []byte) string {
+	if string(b) != *last {
+		*last = string(b)
+	}
+	return *last
+}
+
+// Fixed-size runs of the layout, and the most the known fields after the
+// payload can occupy.
+const (
+	headLen   = 1 + 1 + 4 + 8 + 2 // opcode, flags, retry-after, trace id, path length
+	midLen    = 8 + 8 + 4         // offset, size, data length
+	maxFields = 2 + maxErr + 2 + maxPath + 8 + 1 + 8
+)
+
+// readFrame streams the next frame off the wire (contract: ReadMessage):
+// header and trailers are parsed out of the read buffer, the payload lands
+// where it is going — dst when it fits (Message.Dst), else a pooled buffer
+// of its size — and the CRC is fed segment by segment, as writeFrame
+// produced it. Every length is checked against what the frame has left
+// before it sizes anything, and the message is handed out only once the CRC
+// (when there is one) verified.
+func (w *wire) readFrame(dst []byte) (*Message, error) {
+	b, err := w.take(4)
 	if err != nil {
+		if len(b) > 0 { // else the stream ended cleanly, between frames
+			err = midFrame(err)
+		}
 		return nil, err
 	}
+	n := int(binary.BigEndian.Uint32(b))
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	body := getBody(int(n))
-	buf := (*body)[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		putBody(body)
-		if errors.Is(err, io.EOF) {
-			// The body never arrived at all: still a truncated frame, not
-			// a clean end of stream.
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
+	if w.lim != nil {
+		w.lim.N = int64(n)
 	}
-	m := messagePool.Get().(*Message)
-	*m = Message{body: body, envelope: true}
-	p := 0
-	fail := func(k int) (*Message, error) {
-		err := fmt.Errorf("rpc: truncated frame (need %d at %d of %d): %w", k, p, len(buf), io.ErrUnexpectedEOF)
-		m.Release()
-		return nil, err
+	if n < headLen {
+		return nil, truncated(headLen, n, n)
 	}
-	var flags byte
-	if len(buf) >= 2 {
-		flags = buf[1]
+	if b, err = w.take(headLen); err != nil {
+		return nil, midFrame(err)
 	}
+	rem := n - headLen // body bytes still in the stream, CRC trailer included
+	flags := b[1]
+	var crc uint32
+	crcLen := 0
 	if flags&flagChecksum != 0 {
-		if len(buf) < 4 {
-			err := fmt.Errorf("rpc: truncated frame (no room for checksum in %d bytes): %w", len(buf), io.ErrUnexpectedEOF)
-			m.Release()
-			return nil, err
+		crc, crcLen = crc32.Update(0, castagnoli, b), 4
+	}
+	m := GetMessage()
+	m.Op = Op(b[0])
+	m.Busy = flags&flagBusy != 0
+	m.Replayed = flags&flagReplay != 0
+	m.RetryAfter = time.Duration(binary.BigEndian.Uint32(b[2:])) * time.Microsecond
+	m.Trace = binary.BigEndian.Uint64(b[6:])
+	pathLen := int(binary.BigEndian.Uint16(b[14:]))
+
+	// fail ends a decode: on a read error, with it; on a length the frame
+	// has no room for, as a truncation — unless the rest of a checksummed
+	// frame, put through the CRC, says the length was a flipped bit.
+	fail := func(need int, err error) (*Message, error) {
+		m.Release()
+		if err == nil {
+			err = truncated(need, rem-crcLen, n)
+			if crcLen > 0 && rem >= crcLen {
+				if ferr := w.finish(rem, crcLen, crc); ferr != nil {
+					err = ferr
+				}
+			}
 		}
-		payload, want := buf[:len(buf)-4], binary.BigEndian.Uint32(buf[len(buf)-4:])
-		if crc32.Checksum(payload, castagnoli) != want {
-			m.Release()
-			return nil, ErrChecksum
+		return nil, midFrame(err)
+	}
+	// seg takes the next k bytes of the body into the CRC.
+	seg := func(k int) bool {
+		if b, err = w.take(k); err != nil {
+			return false
 		}
-		buf = payload
+		rem -= k
+		if crcLen > 0 {
+			crc = crc32.Update(crc, castagnoli, b)
+		}
+		return true
 	}
-	if p+16 > len(buf) {
-		return fail(16)
+
+	if k := pathLen + midLen; k > rem-crcLen {
+		return fail(k, nil)
+	} else if !seg(k) {
+		return fail(0, err)
 	}
-	m.Op = Op(buf[p])
-	p++
-	m.Busy = buf[p]&flagBusy != 0
-	m.Replayed = buf[p]&flagReplay != 0
-	p++
-	m.RetryAfter = time.Duration(binary.BigEndian.Uint32(buf[p:])) * time.Microsecond
-	p += 4
-	m.Trace = binary.BigEndian.Uint64(buf[p:])
-	p += 8
-	pathLen := int(binary.BigEndian.Uint16(buf[p:]))
-	p += 2
-	if p+pathLen+20 > len(buf) {
-		return fail(pathLen + 20)
-	}
-	m.Path = string(buf[p : p+pathLen])
-	p += pathLen
-	m.Offset = int64(binary.BigEndian.Uint64(buf[p:]))
-	p += 8
-	m.Size = int64(binary.BigEndian.Uint64(buf[p:]))
-	p += 8
-	dataLen := int(binary.BigEndian.Uint32(buf[p:]))
-	p += 4
-	if p+dataLen+2 > len(buf) {
-		return fail(dataLen + 2)
+	m.Path = reuse(&w.path, b[:pathLen])
+	b = b[pathLen:]
+	m.Offset = int64(binary.BigEndian.Uint64(b))
+	m.Size = int64(binary.BigEndian.Uint64(b[8:]))
+	dataLen := int(binary.BigEndian.Uint32(b[16:]))
+	if dataLen+2 > rem-crcLen {
+		return fail(dataLen+2, nil)
 	}
 	if dataLen > 0 {
-		// No copy: the payload aliases the pooled frame buffer, released
-		// by the consumer (the Release seam).
-		m.Data = buf[p : p+dataLen]
+		if dataLen <= len(dst) {
+			m.Data = dst[:dataLen]
+		} else {
+			m.SetPooledData(GetBuffer(dataLen))
+		}
+		w.release()
+		if _, err := io.ReadFull(w.br, m.Data); err != nil {
+			return fail(0, err)
+		}
+		rem -= dataLen
+		if crcLen > 0 {
+			crc = crc32.Update(crc, castagnoli, m.Data)
+		}
 	}
-	p += dataLen
-	errLen := int(binary.BigEndian.Uint16(buf[p:]))
-	p += 2
-	if p+errLen > len(buf) {
-		return fail(errLen)
+
+	// After the payload: the error text and the flag-gated trailers. A
+	// trailer this version does not know is left for finish to skip.
+	if !seg(min(rem-crcLen, maxFields)) {
+		return fail(0, err)
 	}
-	if errLen > 0 {
-		m.Err = string(buf[p : p+errLen])
+	errLen := int(binary.BigEndian.Uint16(b)) // seg took at least these two bytes
+	if b = b[2:]; errLen > len(b) {
+		return fail(errLen, nil)
+	} else if errLen > 0 {
+		m.Err = string(b[:errLen])
 	}
-	p += errLen
+	b = b[errLen:]
 	if flags&flagDedup != 0 {
-		if p+2 > len(buf) {
-			return fail(2)
+		if len(b) < 2 {
+			return fail(2, nil)
 		}
-		idLen := int(binary.BigEndian.Uint16(buf[p:]))
-		p += 2
-		if p+idLen+8 > len(buf) {
-			return fail(idLen + 8)
+		idLen := int(binary.BigEndian.Uint16(b))
+		if b = b[2:]; idLen+8 > len(b) {
+			return fail(idLen+8, nil)
 		}
-		m.ClientID = string(buf[p : p+idLen])
-		p += idLen
-		m.Seq = binary.BigEndian.Uint64(buf[p:])
-		p += 8
+		m.ClientID = reuse(&w.id, b[:idLen])
+		m.Seq = binary.BigEndian.Uint64(b[idLen:])
+		b = b[idLen+8:]
 	}
 	if flags&flagPriority != 0 {
-		if p+1 > len(buf) {
-			return fail(1)
+		if len(b) < 1 {
+			return fail(1, nil)
 		}
-		m.Priority = buf[p]
-		p++
+		m.Priority, b = b[0], b[1:]
 	}
 	if flags&flagEpoch != 0 {
-		if p+8 > len(buf) {
-			return fail(8)
+		if len(b) < 8 {
+			return fail(8, nil)
 		}
-		m.Epoch = binary.BigEndian.Uint64(buf[p:])
-		p += 8
+		m.Epoch = binary.BigEndian.Uint64(b)
 	}
-	if m.Data == nil {
-		// Dataless frames (metadata ops, write acks, busy sheds) have
-		// already copied every field out of the buffer; recycle it now so
-		// consumers that never release small messages cost nothing.
-		m.body = nil
-		putBody(body)
+	if err := w.finish(rem, crcLen, crc); err != nil {
+		return fail(0, err)
 	}
 	return m, nil
+}
+
+// frameReaders are the wire records ReadMessage decodes through.
+var frameReaders = sync.Pool{New: func() any {
+	lim := new(io.LimitedReader)
+	return &wire{br: bufio.NewReaderSize(lim, readBufSize), lim: lim}
+}}
+
+// ReadMessage decodes one frame from r, reading no byte past it. When the
+// frame carries a CRC32C trailer (flag bit 1), nothing of it is handed out
+// before the trailer verified; a mismatch returns ErrChecksum. Every
+// truncation — a stream that ends mid-frame as well as a frame whose
+// declared length is too short for its fields — surfaces as
+// io.ErrUnexpectedEOF (possibly wrapped); plain io.EOF means the stream
+// ended cleanly between frames. After an error the stream's position is
+// undefined.
+//
+// The returned message and its Data come from the package's pools: a
+// consumer that is done with the message may call Release to recycle them
+// (the transport's own call sites do); a message that is never released is
+// garbage-collected like any other value. Data aliases the pooled payload
+// buffer — copy it out before Release.
+func ReadMessage(r io.Reader) (*Message, error) {
+	w := frameReaders.Get().(*wire)
+	*w.lim = io.LimitedReader{R: r, N: 4}
+	w.br.Reset(w.lim)
+	w.held = 0
+	m, err := w.readFrame(nil)
+	w.lim.R = nil
+	frameReaders.Put(w)
+	return m, err
 }
 
 // retryAfterMicros converts a retry-after hint to its wire encoding:

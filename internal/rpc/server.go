@@ -15,11 +15,11 @@ import (
 // safe for concurrent use; the server runs one goroutine per connection.
 //
 // Ownership: the request (including its Data, which aliases a pooled
-// frame buffer) is valid only until the handler returns — a handler that
+// payload buffer) is valid only until the handler returns — a handler that
 // needs request bytes longer must copy them. The server releases the
-// request, and the response, back to the frame pools once the response
-// frame has been written; returning the request itself as the response is
-// allowed.
+// request, and the response, back to the pools once the response frame has
+// been written, so a response built in GetMessage costs no allocation;
+// returning the request itself as the response is allowed.
 type Handler func(*Message) *Message
 
 // Server accepts framed-RPC connections and dispatches requests to a
@@ -155,8 +155,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	w := newWire(conn)
 	for {
-		req, err := ReadMessage(conn)
+		req, err := w.readFrame(nil)
 		if err != nil {
 			// A checksum mismatch means the frame reached us but its bytes
 			// are untrustworthy — including the opcode and offset, so no
@@ -172,7 +173,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		if resp == nil {
 			// Echo only identity fields; never stale flags or payload from
 			// the request (see the response-hygiene audit in ion).
-			resp = &Message{Op: req.Op, Path: req.Path, Trace: req.Trace}
+			resp = GetMessage()
+			resp.Op, resp.Path, resp.Trace = req.Op, req.Path, req.Trace
 		}
 		err = writeFrame(conn, resp, s.checksum)
 		// The exchange is over: recycle both frames (the handler contract
@@ -180,8 +182,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		// the request itself or a shallow copy of it — either way the
 		// shared frame buffer must go back to the pool exactly once.
 		if resp != req {
-			if resp.SharesBuffer(req) {
-				resp.DisownBuffer()
+			if len(req.body) > 0 && len(resp.body) > 0 && &resp.body[0] == &req.body[0] {
+				resp.body = nil // one buffer, released once: with the request
 			}
 			resp.Release()
 		}
@@ -242,7 +244,7 @@ type Client struct {
 	brk  *breaker // nil when the breaker is disabled
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []*wire
 	total  int
 	max    int
 	closed bool
@@ -334,7 +336,7 @@ func (c *Client) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) *
 // retry after a pooled connection turned out stale (e.g. a server
 // restart), which makes its idle siblings suspect too, so when the pool is
 // at capacity it evicts them to make room for the dial.
-func (c *Client) acquire(fresh bool) (conn net.Conn, pooled bool, err error) {
+func (c *Client) acquire(fresh bool) (w *wire, pooled bool, err error) {
 	c.mu.Lock()
 	for {
 		if c.closed {
@@ -349,7 +351,7 @@ func (c *Client) acquire(fresh bool) (conn net.Conn, pooled bool, err error) {
 				return idle, true, nil
 			}
 			c.total--
-			idle.Close()
+			idle.conn.Close()
 			c.tel.staleEvictions.Inc()
 			continue
 		}
@@ -361,7 +363,7 @@ func (c *Client) acquire(fresh bool) (conn net.Conn, pooled bool, err error) {
 	}
 	c.mu.Unlock()
 	c.tel.dials.Inc()
-	conn, err = c.netDial()
+	conn, err := c.netDial()
 	if err != nil {
 		c.tel.dialErrors.Inc()
 		c.mu.Lock()
@@ -370,17 +372,20 @@ func (c *Client) acquire(fresh bool) (conn net.Conn, pooled bool, err error) {
 		c.mu.Unlock()
 		return nil, false, err
 	}
-	return conn, false, nil
+	return newWire(conn), false, nil
 }
 
-func (c *Client) putConn(conn net.Conn, broken bool) {
+// putConn ends w's exchange: back to the idle pool, or closed when the
+// exchange broke it — or left reply bytes unread in its buffer, which the
+// next exchange would take for its own reply.
+func (c *Client) putConn(w *wire, broken bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if broken || c.closed {
-		conn.Close()
+	if broken || c.closed || w.br.Buffered() > 0 {
+		w.conn.Close()
 		c.total--
 	} else {
-		c.idle = append(c.idle, conn)
+		c.idle = append(c.idle, w)
 	}
 	c.cond.Signal()
 }
@@ -409,28 +414,30 @@ func (c *Client) noteTimeout(err error) {
 // Pool-hygiene invariants (see the regression tests in failure_test.go and
 // interrupt_test.go): a conn that failed partway through an exchange —
 // bytes possibly on the wire, a response possibly half-read — is always
-// discarded, never pooled; a conn that completed an exchange under a
+// discarded, never pooled, and so is one whose read buffer still holds
+// bytes after the reply (putConn); a conn that completed an exchange under a
 // deadline has the deadline cleared before pooling, so it cannot fail
 // spuriously on reuse; and a conn whose Interrupt fired while it was bound
 // is discarded even if the exchange completed first, because Fire's
 // expired deadline may be the last one written to it.
-func (c *Client) roundTrip(conn net.Conn, req *Message, it *Interrupt) (*Message, error) {
+func (c *Client) roundTrip(w *wire, req *Message, it *Interrupt) (*Message, error) {
+	conn := w.conn
 	if c.opts.CallTimeout > 0 {
 		if err := conn.SetDeadline(time.Now().Add(c.opts.CallTimeout)); err != nil {
-			c.putConn(conn, true)
+			c.putConn(w, true)
 			return nil, err
 		}
 	}
 	// Bind after the deadline is set: from here a Fire is always the last
 	// deadline this conn sees.
 	if !it.bind(conn) {
-		c.putConn(conn, true)
+		c.putConn(w, true)
 		return nil, ErrInterrupted
 	}
-	resp, err := exchange(conn, req, c.opts.WireChecksum)
+	resp, err := exchange(w, req, c.opts.WireChecksum)
 	if it.unbind() {
 		resp.Release()
-		c.putConn(conn, true)
+		c.putConn(w, true)
 		return nil, ErrInterrupted
 	}
 	if err != nil {
@@ -440,26 +447,29 @@ func (c *Client) roundTrip(conn net.Conn, req *Message, it *Interrupt) (*Message
 			c.tel.checksumErrors.Inc()
 		}
 		c.noteTimeout(err)
-		c.putConn(conn, true)
+		c.putConn(w, true)
 		return nil, err
 	}
 	if c.opts.CallTimeout > 0 {
 		if err := conn.SetDeadline(time.Time{}); err != nil {
 			// The exchange completed; only the conn's future is suspect.
-			c.putConn(conn, true)
+			c.putConn(w, true)
 			return resp, nil
 		}
 	}
-	c.putConn(conn, false)
+	c.putConn(w, false)
 	return resp, nil
 }
 
-// exchange writes req and reads the response it provokes.
-func exchange(conn net.Conn, req *Message, checksum bool) (*Message, error) {
-	if err := writeFrame(conn, req, checksum); err != nil {
+// exchange writes req and reads the response it provokes: into req.Dst when
+// the payload fits, and with the request's own Path and ClientID on hand
+// for the reply that echoes them.
+func exchange(w *wire, req *Message, checksum bool) (*Message, error) {
+	if err := writeFrame(w.conn, req, checksum); err != nil {
 		return nil, err
 	}
-	return ReadMessage(conn)
+	w.path, w.id = req.Path, req.ClientID
+	return w.readFrame(req.Dst)
 }
 
 // Call sends req and waits for the response. Safe for concurrent use.
@@ -624,8 +634,8 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	for _, conn := range c.idle {
-		conn.Close()
+	for _, w := range c.idle {
+		w.conn.Close()
 	}
 	c.idle = nil
 	c.cond.Broadcast()

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification for this repository: gofmt + vet + build + race-enabled
-# tests + the suite census (no name-selected suite lost a test) + vet/test of
-# the bench/ module, which `./...` does not enter.
+# tests + the allocation budgets (which skip under the race detector, so
+# they get a run without it) + the suite census (no name-selected suite lost
+# a test) + vet/test of the bench/ module, which `./...` does not enter.
 # Equivalent to `make verify`; kept as a script for environments without make.
 set -eu
 
@@ -23,6 +24,10 @@ go build ./...
 
 echo ">> go test -race ./..."
 go test -race ./...
+
+echo ">> allocation budgets (no race detector)"
+go test -count=1 -run 'Alloc|Budget|Pin|Pooled|CostsNothing' \
+    ./internal/rpc ./internal/fwd ./internal/ion ./internal/agios ./internal/livestack
 
 echo ">> suite census"
 sh scripts/suite_census.sh
