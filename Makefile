@@ -19,7 +19,10 @@ bench-module:
 
 # The seeded suites below select tests by name; fails when any of them
 # matches fewer tests than scripts/suite_floor.txt records, so a renamed
-# test cannot silently drop out of its suite.
+# test cannot silently drop out of its suite. Each suite's acceptance
+# scenarios live in ./internal/scenario, the one kit they share; a failing
+# seeded scenario prints the line that replays it, SCENARIO_SEED=<n> make
+# <suite>.
 suite-census:
 	sh scripts/suite_census.sh
 
@@ -70,7 +73,7 @@ lint:
 storm:
 	$(GO) test -race -count=2 -timeout 300s \
 		-run 'Storm|Shed|Busy|Overload|Throttle|Gate|Saturat|QueueCap|Watermark|CloseDuring|PushClose|Inflight|ConnCap|HalfOpen' \
-		./internal/livestack ./internal/agios ./internal/ion \
+		./internal/scenario ./internal/livestack ./internal/agios ./internal/ion \
 		./internal/rpc ./internal/fwd ./internal/health ./internal/arbiter \
 		./internal/faultnet
 
@@ -80,17 +83,19 @@ storm:
 chaos:
 	$(GO) test -race -count=2 -timeout 180s \
 		-run 'Chaos|Fault|Fail|Breaker|Deadline|Retr|Hang|Delay|Mark|Probe|Refuse|Reset|Drop' \
-		./internal/livestack ./internal/faultnet ./internal/faultfs \
+		./internal/scenario ./internal/livestack ./internal/faultnet ./internal/faultfs \
 		./internal/rpc ./internal/health ./internal/arbiter ./internal/fwd
 
 # Data-integrity campaign, run twice under the race detector: a seeded
 # nemesis (kills, warm restarts, wire corruption, delays, resets, mid-frame
 # cuts) against a live 12-ION stack with wire checksums and exactly-once
-# write dedup on, checked by a byte-level oracle. Reproduce a failing
-# schedule with TORTURE_SEED=<n> make torture.
+# write dedup on, checked by a byte-level oracle; then every defence on at
+# once under a mixed nemesis that adds fail-slow and control-plane
+# blackouts (TestTortureAllDefences). Reproduce a failing schedule with
+# SCENARIO_SEED=<n> make torture.
 torture:
 	$(GO) test -race -count=2 -timeout 300s -run 'TestTorture' \
-		./internal/torture
+		./internal/scenario
 
 # Multi-tenant QoS suite, run twice under the race detector: the
 # noisy-neighbor scenario (12 IONs, one guaranteed tenant with an SLO vs a
@@ -100,7 +105,7 @@ torture:
 qos:
 	$(GO) test -race -count=2 -timeout 300s \
 		-run 'QoS|Bucket|WFQ|Inversion|Starvation|Weight|Priority|ParseConfig|ParseBytes|ClassValidation|WriteFrameMatchesReferenceEncoder|ReadMessageRejects' \
-		./internal/qos ./internal/livestack ./internal/agios ./internal/fwd \
+		./internal/scenario ./internal/qos ./internal/livestack ./internal/agios ./internal/fwd \
 		./internal/rpc ./internal/policy ./internal/arbiter ./cmd/gkfwd
 
 # Elastic-pool suite, run twice under the race detector: the breathing
@@ -116,7 +121,7 @@ qos:
 elastic:
 	$(GO) test -race -count=2 -timeout 300s -p 1 \
 		-run 'Elastic|Drain|Scale|Provision|Hysteresis|Forecast|MarkIdempotency|AddION|RemoveION|ReleaseConn|WaitForAllocation|AddStartsPessimistic|RemoveStopsProbing|LoadReportsSampled|Scaler|MarginalAdvisor' \
-		./internal/elastic ./internal/livestack ./internal/arbiter \
+		./internal/scenario ./internal/elastic ./internal/livestack ./internal/arbiter \
 		./internal/health ./internal/fwd ./cmd/gkfwd
 
 # Control-plane recovery suite, run twice under the race detector: the
@@ -126,11 +131,11 @@ elastic:
 # replay/compaction, arbiter Recover/reconciliation, epoch-fencing, and
 # stale-epoch remap-and-retry tests across every layer the journal
 # subsystem touches. Reproduce a failing schedule with
-# BLACKOUT_SEED=<n> make blackout.
+# SCENARIO_SEED=<n> make blackout.
 blackout:
 	$(GO) test -race -count=2 -timeout 300s \
 		-run 'Blackout|Journal|Recover|Snapshot|Replay|Fence|Epoch|Stale|WriteAhead|Torn|Segment' \
-		./internal/journal ./internal/arbiter ./internal/ion \
+		./internal/scenario ./internal/journal ./internal/arbiter ./internal/ion \
 		./internal/fwd ./internal/rpc ./internal/livestack ./cmd/gkfwd
 
 # Gray-failure suite, run twice under the race detector: the fail-slow
@@ -141,11 +146,11 @@ blackout:
 # request, call-interrupt (how a winning hedge abandons its primary),
 # slow/asymmetric fault-plan, and stale-sample tests across every layer
 # the gray-failure defense touches. Reproduce a failing run
-# with GRAYFAIL_SEED=<n> make grayfail.
+# with SCENARIO_SEED=<n> make grayfail.
 grayfail:
 	$(GO) test -race -count=2 -timeout 300s \
 		-run 'GrayFailure|Sketch|Degrad|Quarantine|Hedge|Interrupt|Slow|LoadAges|Stale|IdleRecovery' \
-		./internal/livestack ./internal/latency ./internal/health \
+		./internal/scenario ./internal/livestack ./internal/latency ./internal/health \
 		./internal/arbiter ./internal/fwd ./internal/rpc ./internal/faultnet \
 		./internal/elastic ./cmd/gkfwd
 

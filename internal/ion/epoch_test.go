@@ -104,6 +104,37 @@ func TestFenceRunsBeforeDedup(t *testing.T) {
 	}
 }
 
+// TestFencedRetryOfAnAppliedWriteReplays is the regression for a double
+// apply the all-defences stress (scenario.TestTortureAllDefences) found: a
+// write applies, its response is lost, a recovery raises the fence, and the
+// transport retry — same stamp, now-revoked epoch — arrives. Rejected as
+// stale, it tells the client the bytes never landed, so the client re-sends
+// them under a new stamp and this node applies them a second time. The
+// retry must replay what happened instead; a stale write that never
+// applied is still fenced.
+func TestFencedRetryOfAnAppliedWriteReplays(t *testing.T) {
+	store := &countingBackend{Store: pfs.NewStore(pfs.Config{})}
+	d, cli := startOn(t, Config{ID: "ion0", EpochFencing: true, DedupWindow: 16}, store, 2)
+	write := func(seq uint64) (*rpc.Message, error) {
+		return cli.Call(&rpc.Message{Op: rpc.OpWrite, Path: "/a", Data: []byte("once"), ClientID: "c1", Seq: seq, Epoch: 4})
+	}
+	if _, err := write(3); err != nil {
+		t.Fatal(err)
+	}
+	d.SetFence(5)
+	resp, err := write(3)
+	if err != nil || !resp.Replayed {
+		t.Fatalf("fenced retry of an applied write: err=%v, want a replay", err)
+	}
+	resp.Release()
+	if _, err := write(4); !errors.Is(err, rpc.ErrStaleEpoch) {
+		t.Fatalf("stale write that never applied: want ErrStaleEpoch, got %v", err)
+	}
+	if n := store.applies.Load(); n != 1 {
+		t.Fatalf("backend applied the write %d times, want once", n)
+	}
+}
+
 // TestFenceDisabledByDefault pins the opt-in contract: without
 // EpochFencing, SetFence is inert, stamped writes always apply, and no
 // epoch_* series is registered.

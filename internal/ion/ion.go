@@ -448,18 +448,18 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 		resp.Offset = d.tel.rejects.Value()
 
 	case rpc.OpWrite:
-		// The fence gate runs before the dedup claim: a fenced write must
-		// never enter the dedup window, or a later legitimate retry under
-		// a fresh epoch would replay the rejection as if it were applied.
-		if d.cfg.EpochFencing && m.Epoch != 0 {
-			if f := d.fence.Load(); m.Epoch < f {
-				d.tel.fenceRejects.Inc()
-				resp.Err = rpc.StaleEpochErrText(m.Epoch, f)
-				resp.Epoch = f
-				return resp
-			}
-		}
+		// A write stamped with a revoked epoch is fenced, and never enters
+		// the dedup window: a later retry under a fresh epoch must execute,
+		// not replay the rejection. A fenced retry of a write that did apply
+		// (its response lost before the fence rose) replays like any retry,
+		// though: rejected, it would tell the client the bytes never landed,
+		// and the client would re-send them under a new stamp for this node
+		// to apply twice.
+		fenced := d.cfg.EpochFencing && m.Epoch != 0 && m.Epoch < d.fence.Load()
 		if d.dedup == nil || m.Seq == 0 {
+			if fenced {
+				return d.rejectStale(m, resp)
+			}
 			d.applyWrite(m, resp)
 			return resp
 		}
@@ -478,6 +478,9 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 				// either its outcome becomes replayable or (busy/closed,
 				// never applied) the seq is claimable again.
 				<-inflight
+			case fenced:
+				d.dedup.commit(cw, m.Seq, outcome{}, false) // never applied: release the claim
+				return d.rejectStale(m, resp)
 			default:
 				applied := d.applyWrite(m, resp)
 				// The window keeps the outcome by value: resp goes back to
@@ -560,6 +563,14 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 	default:
 		resp.Err = fmt.Sprintf("ion: unsupported op %s", m.Op)
 	}
+	return resp
+}
+
+// rejectStale answers a write stamped below the fence.
+func (d *Daemon) rejectStale(m, resp *rpc.Message) *rpc.Message {
+	f := d.fence.Load()
+	d.tel.fenceRejects.Inc()
+	resp.Err, resp.Epoch = rpc.StaleEpochErrText(m.Epoch, f), f
 	return resp
 }
 

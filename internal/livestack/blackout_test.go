@@ -1,330 +1,20 @@
 package livestack
 
-// Blackout tests: the control plane (arbiter + prober + scaler + fence
-// fan-out) is SIGKILLed while the data plane keeps serving, then warm
-// restarted from the write-ahead journal. Oracles, per the recovery
-// design (DESIGN.md §11):
-//
-//   - byte conservation — every acked write of every app is on the PFS,
-//     bit-exact, across every blackout, daemon kill, and remap;
-//   - zero fenced writes applied — a write stamped with a revoked epoch
-//     is rejected by the daemons and leaves no bytes behind (probed
-//     directly with a hand-built stale request);
-//   - recovered state equals the journaled state modulo no-shrink — jobs
-//     and pool membership survive, minus nodes that died during the
-//     blackout, and no job's allocation shrinks below what the pruning
-//     explains;
-//   - bounded client stall — writes issued during the blackout and the
-//     recovery fence complete within a budget (the direct PFS path and
-//     the remap-and-retry loop keep the data plane live, the control
-//     plane is not on the write path);
-//   - the blackout is observable — journal_* and epoch_* counters move.
-//
-// `make blackout` runs this twice under the race detector. Reproduce a
-// failing schedule with BLACKOUT_SEED=<n> make blackout.
+// Blackout tests at the stack level: recovery in the middle of a drain and
+// a scale-up, journaled marks that must clear once their nodes heal, and
+// the journal's opt-in contract. The blackout acceptance scenario is
+// internal/scenario's TestBlackoutWritesSurviveControlPlaneCrash.
 
 import (
-	"errors"
-	"fmt"
-	"math/rand"
-	"os"
-	"strconv"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/fwd"
 	"repro/internal/journal"
 	"repro/internal/nodestate"
 	"repro/internal/rpc"
-	"repro/internal/telemetry"
 )
-
-// blackoutSeed returns the nemesis schedule seed: BLACKOUT_SEED when
-// set, else 1 so CI runs are deterministic.
-func blackoutSeed(t *testing.T) int64 {
-	t.Helper()
-	if s := os.Getenv("BLACKOUT_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("BLACKOUT_SEED=%q: %v", s, err)
-		}
-		return v
-	}
-	return 1
-}
-
-// TestBlackoutWritesSurviveControlPlaneCrash is the acceptance scenario:
-// a 12-ION journaled stack, two apps writing continuously, and a nemesis
-// that kills the control plane twice — once clean, once compounded by an
-// I/O-node death during the blackout — and restarts it from the journal
-// each time, with a third job submitted between the blackouts to prove
-// the recovered arbiter is live, not a read-only replica.
-func TestBlackoutWritesSurviveControlPlaneCrash(t *testing.T) {
-	seed := blackoutSeed(t)
-	rng := rand.New(rand.NewSource(seed))
-	st, err := Start(Config{
-		IONs:       12,
-		Scheduler:  "FIFO",
-		ChunkSize:  4096,
-		RPC:        chaosRPC(),
-		JournalDir: t.TempDir(),
-
-		HealthInterval:      20 * time.Millisecond,
-		HealthTimeout:       250 * time.Millisecond,
-		HealthFailThreshold: 3,
-		HealthRiseThreshold: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	reg := st.Telemetry
-
-	const (
-		appsN      = 2
-		writersN   = 4
-		segsPer    = 8
-		segSize    = 8192
-		appBytes   = writersN * segsPer * segSize
-		stallLimit = 10 * time.Second
-	)
-	labels := []string{"IOR-MPI", "HACC"}
-	clients := make([]*clientUnderTest, appsN)
-	for a := 0; a < appsN; a++ {
-		id := fmt.Sprintf("bo%d", a)
-		if _, err := st.Arbiter.JobStarted(appFor(t, labels[a], id)); err != nil {
-			t.Fatal(err)
-		}
-		c, err := st.NewClient(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := waitForSomeAllocation(c, 2*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		path := "/blackout/" + id
-		if err := c.Create(path); err != nil {
-			t.Fatal(err)
-		}
-		clients[a] = &clientUnderTest{Client: c, path: path}
-	}
-
-	// Writers rewrite their disjoint regions round-robin until told to
-	// stop, but never stop before one full pass, so the verification
-	// window is always completely acked. Identical bytes per offset make
-	// every remap/retry interleaving idempotent. Each write's latency
-	// feeds the stall oracle.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var wg sync.WaitGroup
-	stopWriters := func() {
-		stopOnce.Do(func() { close(stop) })
-		wg.Wait()
-	}
-	// A writer that fails after the test body has bailed out via Fatalf
-	// must never Errorf into a completed test: drain the writers first.
-	defer stopWriters()
-	var maxStallNs atomic.Int64
-	for a := range clients {
-		for w := 0; w < writersN; w++ {
-			wg.Add(1)
-			go func(c *clientUnderTest, w int) {
-				defer wg.Done()
-				seg := make([]byte, segSize)
-				for iter := 0; ; iter++ {
-					if iter >= segsPer {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-					}
-					off := int64(w*segsPer+iter%segsPer) * segSize
-					fill(off, seg)
-					begin := time.Now()
-					n, err := c.Write(c.path, off, seg)
-					took := time.Since(begin).Nanoseconds()
-					for {
-						cur := maxStallNs.Load()
-						if took <= cur || maxStallNs.CompareAndSwap(cur, took) {
-							break
-						}
-					}
-					if err != nil || n != segSize {
-						t.Errorf("%s writer %d: n=%d err=%v", c.path, w, n, err)
-						return
-					}
-				}
-			}(clients[a], w)
-		}
-	}
-
-	var killedDuringBlackout string
-	for cycle := 0; cycle < 2; cycle++ {
-		time.Sleep(time.Duration(50+rng.Intn(100)) * time.Millisecond)
-		before := st.Arbiter.Current()
-		preCrashVersion := st.Bus.Version()
-		if err := st.CrashControlPlane(); err != nil {
-			t.Fatal(err)
-		}
-		if st.Arbiter != nil || st.Journal != nil || st.Health != nil {
-			t.Fatal("control plane still referenced after the crash")
-		}
-
-		// Second blackout is compounded: an allocated I/O node dies while
-		// nobody is watching. Recovery must find the corpse by probing.
-		if cycle == 1 {
-			alloc := before["bo0"]
-			killedDuringBlackout = alloc[rng.Intn(len(alloc))]
-			if d := st.DaemonAt(killedDuringBlackout); d != nil {
-				d.Close()
-			}
-		}
-		// The blackout window: the data plane runs headless.
-		time.Sleep(time.Duration(100+rng.Intn(150)) * time.Millisecond)
-
-		if err := st.RecoverControlPlane(); err != nil {
-			t.Fatalf("cycle %d recover: %v", cycle, err)
-		}
-		if st.Arbiter == nil || st.Journal == nil {
-			t.Fatal("recovery left no control plane")
-		}
-
-		// Recovered state equals the journaled state modulo no-shrink:
-		// every registered job survives, and on a clean blackout (no
-		// capacity change to explain a re-balance) no job's allocation
-		// shrinks. A death during the blackout changes the solve's input,
-		// so there the oracle is exclusion of the corpse (checked below),
-		// not allocation sizes.
-		after := st.Arbiter.Current()
-		for job, had := range before {
-			if _, ok := after[job]; !ok {
-				t.Fatalf("cycle %d: job %s lost in recovery", cycle, job)
-			}
-			if killedDuringBlackout == "" && len(after[job]) < len(had) {
-				t.Fatalf("cycle %d: no-shrink violated for %s: %d -> %d nodes",
-					cycle, job, len(had), len(after[job]))
-			}
-		}
-		// The fence revokes every pre-crash epoch.
-		if m := st.Bus.Current(); m.Fence <= preCrashVersion {
-			t.Fatalf("cycle %d: fence %d does not revoke pre-crash version %d", cycle, m.Fence, preCrashVersion)
-		}
-
-		// The recovered arbiter is live: a fresh job between blackouts gets
-		// an allocation decision (possibly empty at this pool, never an
-		// error), proving the solver and journal are accepting writes.
-		if cycle == 0 {
-			if _, err := st.Arbiter.JobStarted(appFor(t, "BT-C", "bolate")); err != nil {
-				t.Fatalf("JobStarted on the recovered arbiter: %v", err)
-			}
-		}
-	}
-	if killedDuringBlackout != "" {
-		if !contains(st.Arbiter.NodesIn(nodestate.Down), killedDuringBlackout) {
-			t.Fatalf("node killed during the blackout not marked down on recovery: down=%v", st.Arbiter.NodesIn(nodestate.Down))
-		}
-		if contains(st.Arbiter.Current()["bo0"], killedDuringBlackout) {
-			t.Fatal("recovered mapping still routes to the node that died during the blackout")
-		}
-	}
-
-	stopWriters()
-	if t.Failed() {
-		t.FailNow()
-	}
-
-	// Bounded client stall: the control plane is not on the write path,
-	// so no single write — issued before, during, or after a blackout —
-	// may stall past the budget.
-	if stall := time.Duration(maxStallNs.Load()); stall > stallLimit {
-		t.Fatalf("a write stalled %v across the blackouts (budget %v)", stall, stallLimit)
-	}
-
-	// Zero fenced writes applied, probed directly: a hand-built write
-	// stamped with epoch 1 — revoked by both recoveries — must be
-	// rejected by a live daemon and leave no bytes behind, while the same
-	// write restamped with the current epoch applies.
-	target := st.Arbiter.Pool()[0]
-	if target == killedDuringBlackout {
-		target = st.Arbiter.Pool()[1]
-	}
-	rejectsBefore := fenceRejectionTotal(reg)
-	raw := rpc.Dial(target, 1)
-	defer raw.Close()
-	resp, err := raw.Call(&rpc.Message{Op: rpc.OpWrite, Path: "/blackout/stale", Data: []byte("REVOKED"), Epoch: 1})
-	if !errors.Is(err, rpc.ErrStaleEpoch) {
-		t.Fatalf("stale-epoch probe: want ErrStaleEpoch, got %v", err)
-	}
-	if resp != nil {
-		resp.Release()
-	}
-	if _, err := st.Store.Stat("/blackout/stale"); err == nil {
-		t.Fatal("a fenced write left bytes on the PFS")
-	}
-	fresh := st.Bus.Current().Version
-	if _, err := raw.Call(&rpc.Message{Op: rpc.OpWrite, Path: "/blackout/stale", Data: []byte("CURRENT"), Epoch: fresh}); err != nil {
-		t.Fatalf("current-epoch write after the probe: %v", err)
-	}
-	if got := fenceRejectionTotal(reg); got != rejectsBefore+1 {
-		t.Fatalf("epoch_fence_rejections_total moved %d -> %d for exactly one probe", rejectsBefore, got)
-	}
-
-	// Byte conservation: every region readable bit-exact through the
-	// forwarding clients and straight from the PFS.
-	for _, c := range clients {
-		got := make([]byte, appBytes)
-		if n, err := c.Read(c.path, 0, got); err != nil || n != appBytes {
-			t.Fatalf("read %s through client: n=%d err=%v", c.path, n, err)
-		}
-		for i := range got {
-			if got[i] != pat(int64(i)) {
-				t.Fatalf("%s byte %d corrupted: got %d want %d", c.path, i, got[i], pat(int64(i)))
-			}
-		}
-		direct := make([]byte, appBytes)
-		if n, err := st.Store.Read(c.path, 0, direct); err != nil || n != appBytes {
-			t.Fatalf("read %s from store: n=%d err=%v", c.path, n, err)
-		}
-		for i := range direct {
-			if direct[i] != pat(int64(i)) {
-				t.Fatalf("%s byte %d lost on the PFS: got %d want %d", c.path, i, direct[i], pat(int64(i)))
-			}
-		}
-	}
-
-	// The blackout was observable: the journal recorded the transitions
-	// and replayed them on recovery.
-	if v := reg.Counter("journal_appends_total").Value(); v == 0 {
-		t.Fatal("journal_appends_total = 0 on a journaled stack")
-	}
-	if v := reg.Counter("journal_replay_records_total").Value(); v == 0 {
-		t.Fatal("journal_replay_records_total = 0 after two recoveries")
-	}
-	t.Logf("seed %d: max stall %v, journal appends %d, fence rejections %d",
-		seed, time.Duration(maxStallNs.Load()),
-		reg.Counter("journal_appends_total").Value(), fenceRejectionTotal(reg))
-}
-
-// clientUnderTest pairs a forwarding client with its file.
-type clientUnderTest struct {
-	*fwd.Client
-	path string
-}
-
-// fenceRejectionTotal sums epoch_fence_rejections_total across nodes.
-func fenceRejectionTotal(reg *telemetry.Registry) int64 {
-	var total int64
-	for name, v := range reg.Snapshot().Counters {
-		if strings.HasPrefix(name, "epoch_fence_rejections_total") {
-			total += v
-		}
-	}
-	return total
-}
 
 // TestBlackoutMidDrainMidScaleRecovery is the recovery × drain × elastic
 // interleaving: the control plane dies while an I/O node is draining AND
@@ -339,8 +29,6 @@ func TestBlackoutMidDrainMidScaleRecovery(t *testing.T) {
 	st, err := Start(Config{
 		IONs:       6,
 		Scheduler:  "FIFO",
-		ChunkSize:  4096,
-		RPC:        chaosRPC(),
 		JournalDir: dir,
 
 		HealthInterval:      20 * time.Millisecond,
@@ -360,7 +48,7 @@ func TestBlackoutMidDrainMidScaleRecovery(t *testing.T) {
 	// resolved by whoever started it — who is about to die.
 	victim := ""
 	for _, addr := range st.Arbiter.Pool() {
-		if !contains(st.Arbiter.Current()["d1"], addr) {
+		if !slices.Contains(st.Arbiter.Current()["d1"], addr) {
 			victim = addr
 			break
 		}
@@ -389,10 +77,10 @@ func TestBlackoutMidDrainMidScaleRecovery(t *testing.T) {
 	if nodeIn(st.Arbiter, victim, nodestate.Draining) {
 		t.Fatal("drain survived the blackout; recovery must abort it")
 	}
-	if !contains(st.Arbiter.Pool(), victim) {
+	if !slices.Contains(st.Arbiter.Pool(), victim) {
 		t.Fatalf("aborted drain lost the node: pool %v", st.Arbiter.Pool())
 	}
-	if contains(st.Arbiter.Pool(), orphan) {
+	if slices.Contains(st.Arbiter.Pool(), orphan) {
 		t.Fatalf("half-provisioned node %s admitted to the recovered pool", orphan)
 	}
 	// Rolled back, not leaked: the orphan daemon is decommissioned (no
@@ -511,7 +199,7 @@ func TestBlackoutSeriesAbsentWithoutJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := waitForSomeAllocation(c, 2*time.Second); err != nil {
+	if err := WaitForAllocation(c, 0, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Create("/plain"); err != nil {

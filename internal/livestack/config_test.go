@@ -9,7 +9,6 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/fwd"
 	"repro/internal/ion"
-	"repro/internal/pfs"
 	"repro/internal/qos"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
@@ -163,11 +162,12 @@ func TestValidateRejectsBadValues(t *testing.T) {
 	}
 }
 
-// TestValidateAcceptsTheConfigsInUse holds Validate to the configurations
-// the repository actually runs: the bare stack, every seeded scenario's
-// Config (copied from the named test, hooks stubbed) and the shape
-// bench/'s guarded workload arms. A rule that rejects one of these is
-// wrong, or the scenario is.
+// TestValidateAcceptsTheConfigsInUse holds Validate to configurations the
+// repository runs outside the scenario kit: the bare stack, two stack-level
+// tests' Configs and the shape bench/'s guarded workload arms. (Every
+// scenario's stack is held to Validate where it is defined, by
+// internal/scenario's TestScenarioStacksValidate.) A rule that rejects one
+// of these is wrong, or the configuration is.
 func TestValidateAcceptsTheConfigsInUse(t *testing.T) {
 	listener := func(_ int, ln net.Listener) net.Listener { return ln }
 	backend := func(_ int, b ion.Backend) ion.Backend { return b }
@@ -175,60 +175,8 @@ func TestValidateAcceptsTheConfigsInUse(t *testing.T) {
 	if err := gold.AddClass(qos.Class{Name: "gold", Tier: qos.TierGuaranteed, Rate: 1 << 40, Weight: 1}); err != nil {
 		t.Fatal(err)
 	}
-	probed := func(c Config) Config { // the four-line prober block most scenarios share
-		c.HealthInterval, c.HealthTimeout = 20*time.Millisecond, 250*time.Millisecond
-		c.HealthFailThreshold, c.HealthRiseThreshold = 3, 2
-		return c
-	}
 	for name, cfg := range map[string]Config{
 		"bare": {IONs: 4},
-		"torture.go": probed(Config{
-			IONs: 12, Scheduler: "FIFO", ChunkSize: 4 << 10,
-			WireChecksum: true, DedupWindow: 256,
-			RPC: rpc.Options{CallTimeout: 250 * time.Millisecond, MaxRetries: 3, RetryBackoff: time.Millisecond,
-				RetryBackoffMax: 10 * time.Millisecond, BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
-			QueueCap: 64, RetryAfterHint: 2 * time.Millisecond,
-			Throttle:     fwd.ThrottleConfig{Enabled: true},
-			WrapListener: listener, WrapBackend: backend,
-		}),
-		"storm_test.go": {
-			IONs: 12, Scheduler: "FIFO", ChunkSize: 4096, Dispatchers: 1,
-			RPC:      rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 1, RetryBackoff: time.Millisecond, BreakerThreshold: 2, BreakerCooldown: 30 * time.Second},
-			QueueCap: 2, QueueLowWater: 1, MaxInflight: 24, RetryAfterHint: time.Millisecond,
-			Throttle: fwd.ThrottleConfig{Enabled: true, MinWindow: 1, MaxWindow: 8, BusyRetries: 1, DegradeAfter: 3,
-				RetryAfterFloor: time.Millisecond, RetryAfterCap: 4 * time.Millisecond},
-			HealthInterval: 10 * time.Millisecond, HealthTimeout: 250 * time.Millisecond,
-			OverloadShedDelta: 1, OverloadThreshold: 1, OverloadRecovery: 5,
-			WrapBackend: backend,
-		},
-		"elastic_test.go": {
-			IONs: 2, Scheduler: "FIFO", ChunkSize: 8192, Dispatchers: 1, PoolSize: 24,
-			Telemetry: telemetry.New(),
-			RPC: rpc.Options{CallTimeout: 10 * time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond,
-				RetryBackoffMax: 5 * time.Millisecond, BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
-			HealthInterval: 10 * time.Millisecond, HealthTimeout: 250 * time.Millisecond,
-			HealthFailThreshold: 2, HealthRiseThreshold: 2,
-			WrapBackend: backend,
-			WrapDirect:  func(fs pfs.FileSystem) pfs.FileSystem { return fs },
-			Elastic: &elastic.Config{Min: 2, Max: 12, UpWatermark: 1.0, DownWatermark: 0.2, UpSustain: 2, DownSustain: 5,
-				UpCooldown: 100 * time.Millisecond, DownCooldown: 150 * time.Millisecond, FlipQuiet: 600 * time.Millisecond,
-				MaxStep: 2, Interval: 20 * time.Millisecond, DrainDeadline: 5 * time.Second, QuiesceSweeps: 6,
-				RiseTimeout: 5 * time.Second, ProvisionBackoff: 25 * time.Millisecond, ProvisionBackoffMax: 100 * time.Millisecond,
-				BreakerThreshold: 5, BreakerCooldown: 250 * time.Millisecond, Seed: 42},
-			WrapProvisioner: func(p elastic.Provisioner) elastic.Provisioner { return p },
-		},
-		"grayfail_test.go": probed(Config{
-			IONs: 12, Scheduler: "FIFO", ChunkSize: 4096,
-			RPC: rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond,
-				RetryBackoffMax: 10 * time.Millisecond, BreakerThreshold: 50, BreakerCooldown: 100 * time.Millisecond},
-			DedupWindow: 256,
-			SlowFactor:  8, SlowWindow: 3, SlowRecovery: 3, QuarantineFloor: 4,
-			Hedge:        fwd.HedgeConfig{Enabled: true, Pct: 0.9, Budget: 0.5, MaxTokens: 16},
-			WrapListener: listener, WrapBackend: backend,
-		}),
-		"blackout_test.go": probed(Config{
-			IONs: 12, Scheduler: "FIFO", ChunkSize: 4096, RPC: chaosRPC(), JournalDir: "wal",
-		}),
 		"blackout_test.go (journaled overload marks)": {
 			IONs: 4, Scheduler: "FIFO", JournalDir: "wal",
 			HealthInterval: 10 * time.Millisecond, HealthTimeout: 250 * time.Millisecond,

@@ -65,7 +65,7 @@ func TestFileBasedMappingDistribution(t *testing.T) {
 	if err := st.Arbiter.JobFinished("filejob"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(client, 0, 3*time.Second); err != nil {
+	if err := waitForMapping(client, 3*time.Second, "its release", func(n int) bool { return n == 0 }); err != nil {
 		t.Fatalf("release never reached the client: %v", err)
 	}
 }

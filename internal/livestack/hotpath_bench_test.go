@@ -59,7 +59,7 @@ func hotPathWriter(tb testing.TB, size int64) (write func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := waitForSomeAllocation(client, 2*time.Second); err != nil {
+	if err := WaitForAllocation(client, 0, 2*time.Second); err != nil {
 		tb.Fatal(err)
 	}
 	if err := client.Create("/bench/hot"); err != nil {

@@ -619,16 +619,14 @@ func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 }
 
 // WaitForAllocation blocks until the client observes a mapping of exactly
-// ions I/O nodes or the timeout elapses (mapping propagation is
-// asynchronous, like GekkoFWD's periodic check).
+// ions I/O nodes — any non-empty mapping when ions is 0 — or the timeout
+// elapses (mapping propagation is asynchronous, like GekkoFWD's periodic
+// check).
 func WaitForAllocation(c *fwd.Client, ions int, timeout time.Duration) error {
+	if ions == 0 {
+		return waitForMapping(c, timeout, "an allocation", func(n int) bool { return n > 0 })
+	}
 	return waitForMapping(c, timeout, fmt.Sprintf("%d I/O nodes", ions), func(n int) bool { return n == ions })
-}
-
-// waitForSomeAllocation blocks until the client observes any nonzero
-// allocation, or the timeout elapses.
-func waitForSomeAllocation(c *fwd.Client, timeout time.Duration) error {
-	return waitForMapping(c, timeout, "an allocation", func(n int) bool { return n > 0 })
 }
 
 // waitForMapping polls the client's mapping until ok accepts its size.

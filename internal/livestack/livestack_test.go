@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/arbiter"
+	"repro/internal/nodestate"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
 )
@@ -82,9 +84,15 @@ func TestEndToEndKernelThroughArbitration(t *testing.T) {
 	if err := st.Arbiter.JobFinished("ior1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(client, 0, 2*time.Second); err != nil {
+	if err := waitForMapping(client, 2*time.Second, "its release", func(n int) bool { return n == 0 }); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// nodeIn reports whether the arbiter has addr in any condition of mask.
+func nodeIn(arb *arbiter.Arbiter, addr string, mask nodestate.State) bool {
+	st, _ := arb.StateOf(addr)
+	return st.Has(mask)
 }
 
 // TestDynamicRearbitrationLive reproduces the §5.3 interaction live: HACC

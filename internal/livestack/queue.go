@@ -84,7 +84,7 @@ func RunQueue(st *Stack, queue []LiveJob, computeNodes int) (*LiveQueueResult, e
 		// exact count may already have changed; the job only needs to
 		// observe *a* forwarding allocation before issuing I/O (the
 		// queue's curves have no direct-access option).
-		if err := waitForSomeAllocation(client, 5*time.Second); err != nil {
+		if err := WaitForAllocation(client, 0, 5*time.Second); err != nil {
 			return nil, fmt.Errorf("livestack: %s: %w", job.ID, err)
 		}
 

@@ -184,7 +184,7 @@ func TestCounterAuditRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := waitForSomeAllocation(client, 2*time.Second); err != nil {
+	if err := WaitForAllocation(client, 0, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Create("/audit"); err != nil {
@@ -369,7 +369,7 @@ func TestGrayFailureSeriesAbsentWhenUnconfigured(t *testing.T) {
 	if _, err := st.Arbiter.JobStarted(policy.Application{ID: "plain", Nodes: 2, Processes: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := waitForSomeAllocation(client, 2*time.Second); err != nil {
+	if err := WaitForAllocation(client, 0, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Create("/plain"); err != nil {
@@ -412,7 +412,7 @@ func benchmarkForward(b *testing.B, cfg Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := waitForSomeAllocation(client, 2*time.Second); err != nil {
+	if err := WaitForAllocation(client, 0, 2*time.Second); err != nil {
 		b.Fatal(err)
 	}
 	if err := client.Create("/bench/file"); err != nil {
