@@ -20,12 +20,12 @@
 //     in-flight requests complete on the old routes;
 //   - an empty allocation means direct PFS access;
 //   - when an I/O node cannot take a request, the PFS does, and the bytes
-//     are counted once. That is the one fallback rule (see outcome and
-//     classify; DESIGN.md §8 has the table): a request is served, shed
-//     (overload), unreachable (rpc.ErrUnavailable — counted as
-//     fwd_failover_ops_total) or fenced (a write under a revoked epoch),
-//     and the four metadata ops (meta), every write span (sendSpan) and
-//     every read span (readSpan) act on that outcome and on nothing else.
+//     are counted once. That is the one fallback rule (DESIGN.md §8 has
+//     the table): rpc sorts every call into one rpc.Class, classRules maps
+//     the class to an outcome — served, shed (overload), unreachable or
+//     fenced (a write under a revoked epoch) — and the four metadata ops
+//     (meta), every write span (sendSpan) and every read span (readSpan)
+//     act on that outcome and on nothing else.
 //
 // The data path allocates nothing per operation: the path is FNV-hashed
 // once per op and extended per chunk index without constructing a hasher
@@ -41,6 +41,7 @@
 package fwd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -116,8 +117,8 @@ type Config struct {
 	QoS *qos.Class
 	// EpochFencing stamps every forwarded write with the epoch of the
 	// route view it was built from (the mapping version the arbiter
-	// published). A daemon whose fence floor is above that epoch rejects
-	// the write as rpc.ErrStaleEpoch — a remap signal, not a failure: the
+	// published). A daemon whose fence floor is above that epoch fences
+	// the write (rpc.ClassFenced) — a remap signal, not a failure: the
 	// client waits for a fresher mapping (up to EpochWait), rebuilds the
 	// span routing against it, and retries; if no fresher view arrives it
 	// falls back to the direct PFS path, which is byte-safe because a
@@ -642,72 +643,60 @@ func (c *Client) buildSpans(v *routeView, path string, off, n int64, out []span)
 	return out
 }
 
+// busyRetries is how many times callION re-sends a shed request, paced by
+// the node's retry-after hint, before the PFS takes it. One forwarded span
+// costs at most (1+maxEpochRemaps) × 2 (hedge) × (1+busyRetries) ×
+// (1+RPC.MaxRetries) × 2 (stale re-dial) wire requests — 48 at the
+// defaults (DESIGN.md §8; the outcome table pins it).
+const busyRetries = 2
+
+// errSaturated is callION's shed when the node's gate refuses a request: a
+// busy-class error decided on this side of the wire.
+var errSaturated = &rpc.Error{Class: rpc.ClassBusy, Err: errors.New("fwd: I/O node saturated")}
+
 // callION issues one RPC through the overload-protection path: the per-ION
-// AIMD gate (when throttling is enabled), busy responses paced by the
-// server's retry-after hint with jitter, and — after BusyRetries sheds, or
-// immediately while the node is marked saturated — degradation to the
-// direct PFS path. degraded=true means the request was never accepted by
-// the I/O node and the caller must satisfy it directly; resp and err are
-// then meaningless. Transport and application errors pass through
-// untouched so the existing failover and error semantics are unchanged.
-// A non-nil it lets a hedge that won abandon this call (see hedge.go): it
-// then returns rpc.ErrInterrupted, having released its gate slot the way
-// an error does — the window learns nothing from an answer nobody took.
+// AIMD gate (when throttling is enabled) and up to busyRetries re-sends of
+// a shed request, paced by the server's retry-after hint with jitter. What
+// it returns is Call's: a busy-class error is a request the node never
+// accepted — shed past the last re-send, or refused at once by a gate that
+// finds the node saturated — and the caller's fallback rule sends it to the
+// PFS. Any other class passes through, having released the gate slot the
+// way classRules says: grown when the node took the request on, else left
+// alone. A non-nil it lets a hedge that won abandon this call (see
+// hedge.go): the window learns nothing from an answer nobody took.
 //
 // The returned response owns pooled transport buffers: the caller must
 // copy what it needs out of resp and call resp.Release (busy responses
 // are consumed and released here).
-func (c *Client) callION(t *target, req *rpc.Message, it *rpc.Interrupt) (resp *rpc.Message, err error, degraded bool) {
+func (c *Client) callION(t *target, req *rpc.Message, it *rpc.Interrupt) (*rpc.Message, error) {
 	g := t.gate
-	retries := c.cfg.Throttle.BusyRetries
-	if retries <= 0 {
-		retries = 2 // throttle disabled: still honour hints before degrading
-	}
 	for attempt := 0; ; attempt++ {
 		if g != nil && !g.acquire() {
-			c.stats.degraded.Inc()
-			return nil, nil, true
+			return nil, errSaturated
 		}
-		resp, err = t.conn.CallInterruptible(req, it)
-		if err != nil && errors.Is(err, rpc.ErrClosed) {
-			// The per-node client was released by a decommission that
-			// raced this op's route view: the node is gone for good,
-			// which is the strongest form of unavailable. Fold it into
-			// that class so the caller takes the normal failover path.
-			err = fmt.Errorf("%w: %v", rpc.ErrUnavailable, err)
-		}
-		if err != nil && errors.Is(err, rpc.ErrBusy) {
-			resp.Release()
-			resp = nil
-			c.stats.shed.Inc()
-			hint, _ := rpc.RetryAfterHint(err)
-			if g != nil {
-				g.onBusy(hint)
-			}
-			if attempt >= retries {
-				c.stats.degraded.Inc()
-				return nil, nil, true
-			}
-			if g == nil {
-				// No gate to pace the retry: sleep the jittered hint here.
-				d := hint
-				if d <= 0 {
-					d = time.Millisecond
-				}
-				time.Sleep(equalJitter(d))
-			}
-			continue
-		}
-		if g != nil {
-			if err != nil && (errors.Is(err, rpc.ErrUnavailable) || errors.Is(err, rpc.ErrInterrupted)) {
-				g.onError()
-			} else {
-				// Success or application error: either way the server took
-				// the request on, so the window may grow.
+		resp, err := t.conn.CallInterruptible(req, it)
+		class := rpc.ClassOf(err)
+		if class != rpc.ClassBusy {
+			if g != nil && classRules[class].took {
 				g.onSuccess()
+			} else if g != nil {
+				g.onError()
 			}
+			return resp, err
 		}
-		return resp, err, false
+		resp.Release()
+		c.stats.shed.Inc()
+		hint := err.(*rpc.Error).RetryAfter
+		if g != nil {
+			g.onBusy(hint)
+		}
+		if attempt == busyRetries {
+			return nil, err
+		}
+		if g == nil {
+			// No gate to pace the retry: sleep the jittered hint here.
+			time.Sleep(equalJitter(cmp.Or(hint, time.Millisecond)))
+		}
 	}
 }
 
@@ -726,11 +715,11 @@ func (c *Client) errIfClosed() error {
 type outcome uint8
 
 const (
-	// served: the node answered. Its response — or its application error,
-	// mapped by wireError — is the result.
+	// served: the node answered, or the request could not be sent at all.
+	// The response — or the error, mapped by wireError — is the result.
 	served outcome = iota
-	// shed: the node never accepted the request (busy past BusyRetries, or
-	// its gate is saturated). The PFS takes it; callION counted the degrade.
+	// shed: the node never accepted the request (busy past busyRetries, or
+	// its gate is saturated). The PFS takes it, as a degrade.
 	shed
 	// unreachable: deadlines and retries ran out, the breaker is open, or
 	// the conn was released under the op. The PFS takes it, as a failover.
@@ -748,23 +737,47 @@ var hopNotes = [...]string{served: "forwarded", shed: "degraded", unreachable: "
 // direct reports whether the PFS must take the request over as it stands.
 func (o outcome) direct() bool { return o == shed || o == unreachable }
 
-// classify turns the triple callION (or hedged, once the hedge has chosen)
-// returned into the outcome. It is the only place that decides a fallback
-// and the only failover count. rpc.ErrInterrupted never gets here: hedged
-// replaces an interrupted primary's triple with the winning backup's.
-func (c *Client) classify(err error, degraded bool) outcome {
+// classRules is everything the client makes of the class rpc sorted a call
+// into: the outcome the fallback rule acts on; whether the node took the
+// request on, so its throttle window may grow (callION; a shed has its own
+// path there); and whether the call's duration is a sample of the node's
+// service latency (timedCall) — only an accepted call is: sheds and
+// transport failures have their own planes, overload detection and the
+// breaker. A closed conn is a node released under the op's route view —
+// gone for good, the strongest form of unreachable. An interrupted call is
+// a primary abandoned to its winning hedge; hedged hands over the backup's
+// result instead, so none reaches classify. An error rpc did not produce (a
+// hedged read's PFS error) is of the app class.
+var classRules = [...]struct {
+	out          outcome
+	took, sample bool
+}{
+	rpc.ClassOK:          {served, true, true},
+	rpc.ClassApp:         {served, true, false},
+	rpc.ClassBusy:        {shed, false, false},
+	rpc.ClassFenced:      {fenced, true, false},
+	rpc.ClassLocal:       {served, false, false},
+	rpc.ClassClosed:      {unreachable, false, false},
+	rpc.ClassInterrupted: {served, false, true},
+	rpc.ClassUnavailable: {unreachable, false, false},
+}
+
+// classify turns what callION (or hedged, once the hedge has chosen)
+// returned into the outcome. It is the only place that decides a fallback,
+// and it counts each fallback once: fwd_degraded_ops_total for a shed,
+// fwd_failover_ops_total for an unreachable node. Without EpochFencing the
+// client stamps no epoch, so a fenced answer is an answer like any other.
+func (c *Client) classify(err error) outcome {
+	out := classRules[rpc.ClassOf(err)].out
 	switch {
-	case degraded:
-		return shed
-	case err == nil:
-		return served
-	case errors.Is(err, rpc.ErrUnavailable):
+	case out == shed:
+		c.stats.degraded.Inc()
+	case out == unreachable:
 		c.stats.failover.Inc()
-		return unreachable
-	case c.cfg.EpochFencing && errors.Is(err, rpc.ErrStaleEpoch):
-		return fenced
+	case out == fenced && !c.cfg.EpochFencing:
+		return served
 	}
-	return served
+	return out
 }
 
 // wireError gives an application error that crossed the wire as text its
@@ -796,8 +809,8 @@ func (c *Client) meta(op rpc.Op, path string) (fi pfs.FileInfo, err error) {
 		fi, err = c.directMeta(op, path)
 	} else {
 		c.stats.forwarded.Inc()
-		resp, rerr, degraded := c.callION(t, &rpc.Message{Op: op, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
-		out := c.classify(rerr, degraded)
+		resp, rerr := c.callION(t, &rpc.Message{Op: op, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
+		out := c.classify(rerr)
 		note = hopNotes[out]
 		if out.direct() {
 			fi, err = c.directMeta(op, path)
@@ -1060,8 +1073,8 @@ func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span
 		req.ClientID = c.clientID
 		req.Seq = c.seq.Add(1)
 	}
-	resp, err, degraded := c.hedged(v.targets[s.target], req)
-	out := c.classify(err, degraded)
+	resp, err := c.hedged(v.targets[s.target], req)
+	out := c.classify(err)
 	if out == served {
 		k := 0
 		if err == nil {
@@ -1168,8 +1181,8 @@ func (c *Client) readSpan(v *routeView, path string, off int64, p []byte, s span
 	dst := p[s.off-off:][:s.n]
 	c.stats.forwarded.Inc()
 	req := &rpc.Message{Op: rpc.OpRead, Path: path, Offset: s.off, Size: s.n, Dst: dst, Trace: tr.id(), Priority: c.wirePrio}
-	resp, err, degraded := c.hedged(v.targets[s.target], req)
-	if c.classify(err, degraded).direct() {
+	resp, err := c.hedged(v.targets[s.target], req)
+	if c.classify(err).direct() {
 		resp.Release()
 		return c.directRead(path, s.off, dst)
 	}

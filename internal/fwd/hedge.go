@@ -28,14 +28,13 @@
 // span earns a fraction of a token, each hedge spends one) so a
 // cluster-wide slowdown degrades into at most Budget extra load, never a
 // retry storm. Write and read spans enter through one function, hedged,
-// which returns callION's triple from whichever attempt the table chose —
-// the fallback rule in fwd.go never learns there were two. Everything here
+// which returns callION's (resp, err) from whichever attempt the table
+// chose — the fallback rule in fwd.go never learns there were two. Everything here
 // is opt-in: with Hedge.Enabled false the client never constructs hedge
 // state and the data path pays a single nil check.
 package fwd
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -128,20 +127,16 @@ func (b *hedgeBucket) trySpend() bool {
 }
 
 // hedgeOutcome is what a backup attempt produced, in callION's shape: its
-// own triple for a duplicated write; for a direct read an unpooled response
+// own result for a duplicated write; for a direct read an unpooled response
 // holding the bytes (a short read is a usable answer, so its sentinel is
-// dropped before the outcome is stored).
+// dropped before the outcome is stored). It is usable — it can win — only
+// without an error: a direct-path fallback (a shed, an unreachable node)
+// must not win a write hedge, because the other attempt may still apply on
+// the I/O node.
 type hedgeOutcome struct {
-	resp     *rpc.Message
-	err      error
-	degraded bool
+	resp *rpc.Message
+	err  error
 }
-
-// usable reports whether the attempt produced a response the span logic
-// can consume as a win: any direct-path fallback (degraded, unavailable)
-// must not win a write hedge, because the other attempt may still apply
-// on the I/O node.
-func (o hedgeOutcome) usable() bool { return o.err == nil && !o.degraded }
 
 // hedgeCall is one span's hedge: the timer that decides whether a backup
 // launches, the handle that interrupts the primary when the backup wins,
@@ -175,21 +170,17 @@ type hedgeCall struct {
 // before the hedge timer was armed — a primary cut off by its hedge must
 // never measure shorter than the hedge delay. Sketch-less clients fall
 // straight through — one nil check, no clock read.
-func (c *Client) timedCall(t *target, req *rpc.Message, it *rpc.Interrupt, start time.Time) (*rpc.Message, error, bool) {
-	if c.cfg.Latency == nil {
-		return c.callION(t, req, it)
-	}
-	resp, err, degraded := c.callION(t, req, it)
-	if (err == nil && !degraded) || errors.Is(err, rpc.ErrInterrupted) {
-		// Only accepted-and-answered calls are evidence of the node's
-		// service latency; sheds and transport failures have their own
-		// planes (overload detection, the breaker). A primary abandoned
-		// to its hedge was accepted too: the time it had taken when it was
-		// cut off is a lower bound on its latency, and leaving it out
-		// would hide exactly the node the scorer is looking for.
+//
+// Which calls are samples is classRules' sample column. A primary abandoned
+// to its hedge is one: the time it had taken when it was cut off is a lower
+// bound on its latency, and leaving it out would hide exactly the node the
+// fail-slow scorer is looking for.
+func (c *Client) timedCall(t *target, req *rpc.Message, it *rpc.Interrupt, start time.Time) (*rpc.Message, error) {
+	resp, err := c.callION(t, req, it)
+	if c.cfg.Latency != nil && classRules[rpc.ClassOf(err)].sample {
 		c.cfg.Latency.Observe(t.addr, time.Since(start))
 	}
-	return resp, err, degraded
+	return resp, err
 }
 
 // armHedge starts the hedge clock for one span about to be sent to t,
@@ -271,7 +262,7 @@ func (st *hedgeCall) launch() {
 		n, err := c.cfg.Direct.Read(dup.Path, dup.Offset, buf)
 		out = hedgeOutcome{resp: &rpc.Message{Data: buf[:n]}, err: shortOK(err)}
 	} else {
-		out.resp, out.err, out.degraded = c.callION(st.t, &dup, nil)
+		out.resp, out.err = c.callION(st.t, &dup, nil)
 	}
 
 	st.mu.Lock()
@@ -279,7 +270,7 @@ func (st *hedgeCall) launch() {
 	switch {
 	case st.abandoned:
 		out.resp.Release()
-	case !st.primaryDone && out.usable():
+	case !st.primaryDone && out.err == nil:
 		st.won = true
 		st.it.Fire()
 	}
@@ -316,7 +307,7 @@ func (st *hedgeCall) settle(primaryStands bool) (hedgeOutcome, bool) {
 		return hedgeOutcome{}, false
 	default:
 		<-done
-		if !st.out.usable() {
+		if st.out.err != nil {
 			st.out.resp.Release()
 			return hedgeOutcome{}, false
 		}
@@ -326,14 +317,14 @@ func (st *hedgeCall) settle(primaryStands bool) (hedgeOutcome, bool) {
 }
 
 // hedged issues one span's RPC, hedged when the client is configured for
-// it, and returns the triple of whichever attempt the decision table
+// it, and returns the result of whichever attempt the decision table
 // chose. It has exactly callION's contract, so the fallback rule
 // (classify) sees one outcome per span and never learns there were two
 // attempts: a losing or unusable backup counts nothing. A read's own
 // fallbacks already end at the path its hedge takes, so its primary's
 // outcome always stands unless the backup won; a write's stands only when
 // it is usable.
-func (c *Client) hedged(t *target, req *rpc.Message) (*rpc.Message, error, bool) {
+func (c *Client) hedged(t *target, req *rpc.Message) (*rpc.Message, error) {
 	var start time.Time
 	if c.cfg.Latency != nil {
 		start = time.Now()
@@ -342,13 +333,13 @@ func (c *Client) hedged(t *target, req *rpc.Message) (*rpc.Message, error, bool)
 	if st == nil {
 		return c.timedCall(t, req, nil, start)
 	}
-	resp, err, degraded := c.timedCall(t, &st.req, &st.it, start)
+	resp, err := c.timedCall(t, &st.req, &st.it, start)
 	if c.hedge.disarm(st) {
-		return resp, err, degraded
+		return resp, err
 	}
-	if out, ok := st.settle(req.Op == rpc.OpRead || (err == nil && !degraded)); ok {
+	if out, ok := st.settle(req.Op == rpc.OpRead || err == nil); ok {
 		resp.Release()
-		return out.resp, out.err, out.degraded
+		return out.resp, out.err
 	}
-	return resp, err, degraded
+	return resp, err
 }

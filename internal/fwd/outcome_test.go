@@ -4,15 +4,21 @@ package fwd
 // oracle below is written from the rule (DESIGN.md §8 "Fallback rule"),
 // not from the code: when the I/O node cannot take a request the PFS does,
 // the bytes are counted once, and the trace says which of the two it was.
+// How many wire requests a route costs is written from the retry bound
+// DESIGN.md §8 states (spanBound): a route that drives one retry layer to
+// its cap costs exactly that layer's factor, and no cell costs more than
+// the bound.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/faultnet"
 	"repro/internal/mapping"
 	"repro/internal/pfs"
 	"repro/internal/qos"
@@ -20,50 +26,80 @@ import (
 	"repro/internal/telemetry"
 )
 
+// spanBound is DESIGN.md §8's worst case for the wire requests one span or
+// metadata op can cost: each retry layer at its cap, multiplying the ones
+// below it — (1+maxEpochRemaps) × 2 (hedge) × (1+busyRetries) ×
+// (1+MaxRetries) × 2 (stale re-dial).
+func spanBound(maxRetries int) int64 {
+	return int64((1 + maxEpochRemaps) * 2 * (1 + busyRetries) * (1 + maxRetries) * 2)
+}
+
+// transportRetries is the "transport retries exhausted" route's MaxRetries.
+const transportRetries = 2
+
 // outcomeION is the table's fake I/O node: every request is counted and
 // answered the way mode says. A "stale" answer runs onStale first, so the
 // fresher mapping (if the route has one) is installed before the client
-// sees the rejection.
+// sees the rejection. plan is the network fault on every connection.
 type outcomeION struct {
 	mode    atomic.Value // "ok", "app", "busy", "stale"
 	wire    atomic.Int64
 	onStale func()
 	content []byte
+	plan    faultnet.Plan
+	srv     *rpc.Server
 }
 
-func (f *outcomeION) start(t *testing.T) string {
-	t.Helper()
-	srv := rpc.NewServer(func(req *rpc.Message) *rpc.Message {
-		f.wire.Add(1)
-		resp := &rpc.Message{Op: req.Op, Path: req.Path, Trace: req.Trace}
-		switch f.mode.Load().(string) {
-		case "app":
-			resp.Err = fmt.Sprintf("%v: %s", pfs.ErrNotExist, req.Path)
-		case "busy":
-			resp.Busy, resp.RetryAfter = true, 100*time.Microsecond
-		case "stale":
-			if f.onStale != nil {
-				f.onStale()
-			}
-			resp.Err, resp.Epoch = rpc.StaleEpochErrText(req.Epoch, 1<<40), 1<<40
-		default:
-			switch req.Op {
-			case rpc.OpWrite:
-				resp.Size = int64(len(req.Data))
-			case rpc.OpRead:
-				resp.Data = f.content[req.Offset : req.Offset+req.Size]
-			case rpc.OpStat:
-				resp.Size = int64(len(f.content))
-			}
+func (f *outcomeION) handle(req *rpc.Message) *rpc.Message {
+	f.wire.Add(1)
+	resp := &rpc.Message{Op: req.Op, Path: req.Path, Trace: req.Trace}
+	switch f.mode.Load().(string) {
+	case "app":
+		resp.Err = fmt.Sprintf("%v: %s", pfs.ErrNotExist, req.Path)
+	case "busy":
+		resp.Busy, resp.RetryAfter = true, 100*time.Microsecond
+	case "stale":
+		if f.onStale != nil {
+			f.onStale()
 		}
-		return resp
-	})
-	addr, err := srv.Listen("")
+		resp.Err, resp.Epoch = rpc.StaleEpochErrText(req.Epoch, 1<<40), 1<<40
+	default:
+		switch req.Op {
+		case rpc.OpWrite:
+			resp.Size = int64(len(req.Data))
+		case rpc.OpRead:
+			resp.Data = f.content[req.Offset : req.Offset+req.Size]
+		case rpc.OpStat:
+			resp.Size = int64(len(f.content))
+		}
+	}
+	return resp
+}
+
+// listen serves on addr ("127.0.0.1:0" picks a port) and returns the bound
+// address.
+func (f *outcomeION) listen(t *testing.T, addr string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := rpc.NewServer(f.handle)
+	if addr, err = srv.ListenOn(faultnet.WrapListener(ln, faultnet.NewInjector(f.plan))); err != nil {
+		t.Fatal(err)
+	}
+	f.srv = srv
 	t.Cleanup(func() { srv.Close() })
 	return addr
+}
+
+func (f *outcomeION) start(t *testing.T) string { return f.listen(t, "127.0.0.1:0") }
+
+// restart replaces the server with a fresh one on the same address: every
+// conn a client pooled to the old one is dead.
+func (f *outcomeION) restart(t *testing.T, addr string) {
+	f.srv.Close()
+	f.listen(t, addr)
 }
 
 // deadAddr returns an address nothing listens on any more.
@@ -134,6 +170,8 @@ type outcomeWant struct {
 	epochRetries int64 // epoch_stale_retries_total
 	direct       int64 // how often the op's own Direct method ran (every other: 0)
 	wire         int64 // requests that reached the I/O node
+	retries      int64 // rpc_retries_total: transport re-sends
+	stale        int64 // rpc_stale_retries_total: re-sends of a request that died on a dead pooled conn
 	note         string
 	noTrace      bool // the op was refused before a trace was opened
 }
@@ -179,15 +217,25 @@ func outcomeOracle(op int, route string, L int) outcomeWant {
 		served()
 	case "application error":
 		refused(pfs.ErrNotExist)
-	case "shed past BusyRetries":
+	case "shed past busyRetries":
 		toDirect("degraded")
-		w.wire, w.stats.ShedResponses, w.stats.DegradedOps = 3, 3, 1
+		w.wire, w.stats.ShedResponses, w.stats.DegradedOps = 1+busyRetries, 1+busyRetries, 1
 	case "saturated gate":
 		toDirect("degraded")
 		w.stats.DegradedOps = 1
 	case "unreachable", "released conn":
 		toDirect("failover")
 		w.stats.FailoverOps = 1
+	case "transport retries exhausted":
+		// The node ran every attempt's request; no reply came back in time.
+		toDirect("failover")
+		w.stats.FailoverOps = 1
+		w.wire, w.retries = 1+transportRetries, transportRetries
+	case "stale pooled conn":
+		// The pooled conn died with the old server: the request is sent
+		// again on a fresh dial and reaches the node once.
+		served()
+		w.stale = 1
 	case "fenced, fresher view arrives":
 		// Only writes are remapped; any other op gets the rejection back.
 		if op != opWrite {
@@ -230,12 +278,19 @@ func outcomeOracle(op int, route string, L int) outcomeWant {
 }
 
 func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
+	// The bound as DESIGN.md §8 states it: at the defaults, and under the
+	// torture scenario's MaxRetries 3.
+	if spanBound(0) != 48 || spanBound(3) != 192 {
+		t.Fatalf("one span may cost %d wire requests at the defaults and %d at MaxRetries 3; DESIGN.md §8 states 48 and 192",
+			spanBound(0), spanBound(3))
+	}
 	content := bytes.Repeat([]byte{6}, 512)
 	routes := []string{
 		"no allocation", "forwarded ok", "application error",
-		"shed past BusyRetries", "saturated gate", "unreachable", "released conn",
+		"shed past busyRetries", "saturated gate", "unreachable", "released conn",
 		"fenced, fresher view arrives", "fenced, EpochWait expires", "fenced maxEpochRemaps deep",
 		"QoS scavenger, empty bucket", "closed client",
+		"transport retries exhausted", "stale pooled conn",
 	}
 	for _, route := range routes {
 		for op, opName := range outcomeOps {
@@ -247,6 +302,9 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				direct := &countingFS{FileSystem: store}
 				fake := &outcomeION{content: content}
 				fake.mode.Store("ok")
+				if route == "transport retries exhausted" {
+					fake.plan = faultnet.Plan{Kind: faultnet.Slow, Dir: faultnet.Outbound, Delay: time.Hour}
+				}
 				addr := fake.start(t)
 				if route == "unreachable" {
 					addr = deadAddr(t)
@@ -266,7 +324,7 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				switch route {
 				case "application error":
 					fake.mode.Store("app")
-				case "shed past BusyRetries":
+				case "shed past busyRetries":
 					fake.mode.Store("busy")
 				case "saturated gate":
 					cfg.Throttle = ThrottleConfig{Enabled: true}
@@ -283,6 +341,10 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 					fake.onStale = remap
 				case "QoS scavenger, empty bucket":
 					cfg.QoS = &qos.Class{Name: "scav", Tier: qos.TierScavenger, Rate: 1, Burst: 1}
+				case "transport retries exhausted":
+					// Requests arrive at once, replies never: every attempt
+					// runs the handler and then times out.
+					cfg.RPC = rpc.Options{CallTimeout: 50 * time.Millisecond, MaxRetries: transportRetries, RetryBackoff: time.Millisecond}
 				}
 				var err error
 				if c, err = NewClient(cfg); err != nil {
@@ -302,6 +364,12 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 					c.targetFor(addr).conn.Close()
 				case "closed client":
 					c.Close()
+				case "stale pooled conn":
+					if _, err := c.targetFor(addr).conn.Call(&rpc.Message{Op: rpc.OpPing}); err != nil {
+						t.Fatal(err)
+					}
+					fake.restart(t, addr)
+					fake.wire.Store(0)
 				}
 				var n int
 				var got error
@@ -352,8 +420,20 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 						t.Errorf("Direct.%s ran %d times, want %d", outcomeOps[i], v, wantCalls)
 					}
 				}
+				// A request can reach the handler after its attempt timed out.
+				for deadline := time.Now().Add(2 * time.Second); fake.wire.Load() < want.wire && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
 				if v := fake.wire.Load(); v != want.wire {
 					t.Errorf("%d requests reached the I/O node, want %d", v, want.wire)
+				}
+				counters := reg.Snapshot().Counters
+				retries, stale := counters["rpc_retries_total"], counters["rpc_stale_retries_total"]
+				if retries != want.retries || stale != want.stale {
+					t.Errorf("rpc_retries_total = %d, rpc_stale_retries_total = %d; want %d, %d", retries, stale, want.retries, want.stale)
+				}
+				if sent := fake.wire.Load() + stale; sent > spanBound(cfg.RPC.MaxRetries) {
+					t.Errorf("%d wire requests, above the bound %d", sent, spanBound(cfg.RPC.MaxRetries))
 				}
 				traces := tracer.Recent()
 				if want.noTrace {

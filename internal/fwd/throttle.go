@@ -30,9 +30,6 @@ type ThrottleConfig struct {
 	// InitialWindow is the starting window; ≤0 selects MaxWindow (start
 	// optimistic, shrink on evidence).
 	InitialWindow int
-	// BusyRetries is how many hint-paced retries one chunk gets before it
-	// degrades to the direct PFS path; ≤0 selects 2.
-	BusyRetries int
 	// DegradeAfter is how many consecutive busy responses from one I/O
 	// node mark it saturated — after which chunks degrade immediately
 	// (without waiting out the pacing interval) until a probe succeeds;
@@ -69,9 +66,6 @@ func (t ThrottleConfig) withDefaults() ThrottleConfig {
 	}
 	if t.InitialWindow <= 0 || t.InitialWindow > t.MaxWindow {
 		t.InitialWindow = t.MaxWindow
-	}
-	if t.BusyRetries <= 0 {
-		t.BusyRetries = 2
 	}
 	if t.DegradeAfter <= 0 {
 		t.DegradeAfter = 4

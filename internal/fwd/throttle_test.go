@@ -7,6 +7,7 @@ package fwd
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,7 +172,7 @@ func TestSaturatedIONDegradesToDirectWithoutByteLoss(t *testing.T) {
 		ChunkSize: 64,
 		RPC:       rpc.Options{CallTimeout: time.Second, BreakerThreshold: 2, BreakerCooldown: time.Minute},
 		Throttle: ThrottleConfig{
-			Enabled: true, MaxWindow: 4, BusyRetries: 1, DegradeAfter: 2,
+			Enabled: true, MaxWindow: 4, DegradeAfter: 2,
 			RetryAfterFloor: time.Millisecond, RetryAfterCap: 2 * time.Millisecond,
 		},
 		Telemetry: reg,
@@ -222,6 +223,36 @@ func TestSaturatedIONDegradesToDirectWithoutByteLoss(t *testing.T) {
 	}
 	if !bytes.Equal(rbuf, payload) {
 		t.Fatal("degraded read returned wrong bytes")
+	}
+}
+
+// TestGateLocalErrorKeepsBusyStreak: a request rpc refuses before it
+// reaches the wire — here a path too long to frame — is no answer from the
+// node. It hands its gate slot back without resetting the shed streak or
+// growing the window, which would tell a node one shed short of saturated
+// that it is fine.
+func TestGateLocalErrorKeepsBusyStreak(t *testing.T) {
+	store, addrs, _ := testStack(t, 1)
+	c, err := NewClient(Config{AppID: "app", Direct: store, ChunkSize: 64,
+		Throttle: ThrottleConfig{Enabled: true, MaxWindow: 8, DegradeAfter: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetIONs(addrs)
+	g := c.gateFor(addrs[0])
+	g.mu.Lock()
+	g.consecBusy, g.window = g.cfg.DegradeAfter-1, 2
+	g.mu.Unlock()
+
+	if _, err := c.Write("/"+strings.Repeat("p", 1<<16), 0, []byte("x")); err == nil {
+		t.Fatal("a path too long to frame was written")
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.consecBusy != g.cfg.DegradeAfter-1 || g.window != 2 || g.inflight != 0 {
+		t.Fatalf("gate after a local error: shed streak %d, window %v, in flight %d; want %d, 2, 0",
+			g.consecBusy, g.window, g.inflight, g.cfg.DegradeAfter-1)
 	}
 }
 

@@ -39,8 +39,8 @@ func TestFenceRejectsRevokedEpoch(t *testing.T) {
 	if !errors.Is(err, rpc.ErrStaleEpoch) {
 		t.Fatalf("want ErrStaleEpoch, got %v", err)
 	}
-	if rpc.FenceHint(err) != 5 {
-		t.Fatalf("fence hint = %d, want 5", rpc.FenceHint(err))
+	if fence := err.(*rpc.Error).Fence; fence != 5 {
+		t.Fatalf("fence floor = %d, want 5", fence)
 	}
 	if resp != nil {
 		resp.Release()

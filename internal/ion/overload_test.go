@@ -77,8 +77,8 @@ func TestQueueCapShedsWithRetryAfter(t *testing.T) {
 	if !errors.Is(err, rpc.ErrBusy) {
 		t.Fatalf("write above queue cap: want ErrBusy, got %v", err)
 	}
-	if hint, ok := rpc.RetryAfterHint(err); !ok || hint != 5*time.Millisecond {
-		t.Fatalf("retry-after hint = %v (ok=%v), want 5ms", hint, ok)
+	if hint := err.(*rpc.Error).RetryAfter; hint != 5*time.Millisecond {
+		t.Fatalf("retry-after hint = %v, want 5ms", hint)
 	}
 	if !d.QueueSaturated() {
 		t.Fatal("daemon should report a saturated queue")

@@ -27,15 +27,15 @@ import (
 )
 
 // Errors surfaced by the failure-tolerance layer. Transport-level call
-// failures are wrapped in ErrUnavailable so the forwarding client can
+// failures end as ClassUnavailable so the forwarding client can
 // distinguish "this I/O node is unreachable" (degrade to direct PFS
 // access) from application errors that must surface to the caller.
 var (
-	// ErrUnavailable wraps every transport-level call failure: dial
-	// errors, broken or timed-out exchanges, and breaker rejections.
+	// ErrUnavailable matches every ClassUnavailable error: dial errors,
+	// broken or timed-out exchanges, and breaker rejections.
 	ErrUnavailable = errors.New("rpc: server unavailable")
-	// ErrCircuitOpen is returned (wrapped in ErrUnavailable) when the
-	// circuit breaker rejects a call without touching the network.
+	// ErrCircuitOpen is the cause of the ClassUnavailable error a call gets
+	// when the circuit breaker rejects it without touching the network.
 	ErrCircuitOpen = errors.New("rpc: circuit open")
 )
 

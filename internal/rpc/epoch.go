@@ -4,57 +4,27 @@
 // transport failure — the exchange completed, the connection is healthy,
 // and the breaker records a success. It is also not an ordinary
 // application error: the write was refused before touching the backend,
-// so the forwarding layer's correct move is to wait for the
-// post-recovery mapping and re-route (remap-and-retry), falling back to
-// the direct PFS path if no fresh mapping arrives in time.
+// so the forwarding layer's correct move is to wait for a mapping newer
+// than the one it routed under and re-route (remap-and-retry), falling
+// back to the direct PFS path if none arrives in time. The client
+// surfaces it as an *Error of ClassFenced carrying the node's fence floor.
 package rpc
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
-// ErrStaleEpoch is the sentinel for errors.Is: the server rejected a
-// write stamped with a revoked mapping epoch.
-var ErrStaleEpoch = errors.New("rpc: stale epoch")
+// ErrStaleEpoch matches (errors.Is) a write the server fenced: stamped with
+// a revoked mapping epoch.
+var ErrStaleEpoch = errors.New(staleEpochText)
 
-// staleEpochText is the wire form carried in Message.Err. Responses are
-// matched by prefix so the detail suffix can evolve.
+// staleEpochText opens the Message.Err of every fenced response; the client
+// recognises a fenced response by it, in one place (Client.attempt).
 const staleEpochText = "rpc: stale epoch"
 
-// StaleEpochError reports a write fenced by addr: the request's epoch
-// was below the node's fence floor. It unwraps to ErrStaleEpoch.
-type StaleEpochError struct {
-	Addr  string // the I/O node that fenced the write
-	Epoch uint64 // the revoked epoch the request carried
-	Fence uint64 // the node's fence floor (lowest still-valid epoch)
-}
-
-func (e *StaleEpochError) Error() string {
-	return fmt.Sprintf("%s: write epoch %d below fence %d at %s", staleEpochText, e.Epoch, e.Fence, e.Addr)
-}
-
-// Is makes errors.Is(err, ErrStaleEpoch) work on wrapped instances.
-func (e *StaleEpochError) Is(target error) bool { return target == ErrStaleEpoch }
-
-// FenceHint extracts the rejecting node's fence floor from a stale-epoch
-// error, or 0 if err is not one. The forwarding layer uses it to wait
-// for a mapping at or above the floor instead of polling blindly.
-func FenceHint(err error) uint64 {
-	var se *StaleEpochError
-	if errors.As(err, &se) {
-		return se.Fence
-	}
-	return 0
-}
-
 // StaleEpochErrText renders the Message.Err string a server puts on a
-// fenced response. IsStaleEpochErr recognises it on the client side.
+// fenced response.
 func StaleEpochErrText(epoch, fence uint64) string {
 	return fmt.Sprintf("%s: write epoch %d below fence %d", staleEpochText, epoch, fence)
 }
-
-// IsStaleEpochErr reports whether a response error string marks a fenced
-// write.
-func IsStaleEpochErr(s string) bool { return strings.HasPrefix(s, staleEpochText) }

@@ -43,30 +43,8 @@ func TestEpochTrailerByteIdentity(t *testing.T) {
 	}
 }
 
-// TestStaleEpochErrorIdentity pins the error template: wrapped instances
-// answer errors.Is(ErrStaleEpoch), expose the fence hint, and the wire
-// text round-trips through the recogniser.
-func TestStaleEpochErrorIdentity(t *testing.T) {
-	err := &StaleEpochError{Addr: "1.2.3.4:5", Epoch: 3, Fence: 7}
-	if !errors.Is(err, ErrStaleEpoch) {
-		t.Fatal("StaleEpochError does not unwrap to ErrStaleEpoch")
-	}
-	if got := FenceHint(err); got != 7 {
-		t.Fatalf("FenceHint = %d, want 7", got)
-	}
-	if FenceHint(errors.New("other")) != 0 {
-		t.Fatal("FenceHint on unrelated error should be 0")
-	}
-	if !IsStaleEpochErr(StaleEpochErrText(3, 7)) {
-		t.Fatal("wire text not recognised")
-	}
-	if IsStaleEpochErr("remap: no such file") {
-		t.Fatal("unrelated error text recognised as stale epoch")
-	}
-}
-
 // TestClientStaleEpochClass drives a fenced response through a live
-// client: the error must surface as a typed StaleEpochError carrying the
+// client: the error must surface as a ClassFenced *Error carrying the
 // server's fence floor, count as a breaker success (the breaker must not
 // open), and burn zero transport retries.
 func TestClientStaleEpochClass(t *testing.T) {
@@ -97,8 +75,8 @@ func TestClientStaleEpochClass(t *testing.T) {
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("want ErrStaleEpoch, got %v", err)
 	}
-	if got := FenceHint(err); got != fence {
-		t.Fatalf("fence hint = %d, want %d", got, fence)
+	if e := err.(*Error); e.Class != ClassFenced || e.Fence != fence || e.Addr != addr {
+		t.Fatalf("fenced error = %+v, want ClassFenced with fence %d from %s", e, fence, addr)
 	}
 	if resp == nil || resp.Epoch != fence {
 		t.Fatalf("response should carry the fence floor, got %+v", resp)

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// ErrInterrupted is returned by CallInterruptible once its Interrupt has
-// fired. It is deliberately not wrapped in ErrUnavailable: the server did
-// nothing wrong, the caller stopped waiting.
+// ErrInterrupted matches the ClassInterrupted error CallInterruptible
+// returns once its Interrupt has fired. It is deliberately not
+// ClassUnavailable: the server did nothing wrong, the caller stopped waiting.
 var ErrInterrupted = errors.New("rpc: call interrupted")
 
 // Interrupt lets another goroutine abandon a CallInterruptible that is

@@ -5,12 +5,13 @@
 //     the server answers with a typed *busy* response — a shed — carrying a
 //     retry-after hint, instead of queueing unbounded work behind the
 //     handler;
-//   - client-side classification: a busy response becomes a BusyError. It
-//     is deliberately neither a transport failure (the exchange completed;
-//     the server is provably alive, so it must never feed the circuit
-//     breaker or burn transport retries) nor an application error (the
-//     request was never attempted, so replaying it later is the right
-//     reaction, which the fwd layer's adaptive throttle does).
+//   - client-side classification: a busy response is an *Error of
+//     ClassBusy carrying the hint. It is deliberately neither a transport
+//     failure (the exchange completed; the server is provably alive, so it
+//     must never feed the circuit breaker or burn transport retries) nor an
+//     application error (the request was never attempted, so replaying it
+//     later is the right reaction, which the fwd layer's adaptive throttle
+//     does).
 //
 // Both caps are opt-in: the zero ServerLimits preserves the historical
 // accept-everything behavior exactly.
@@ -18,43 +19,11 @@ package rpc
 
 import (
 	"errors"
-	"fmt"
 	"time"
 )
 
-// ErrBusy is the sentinel every busy (shed) response wraps; match with
-// errors.Is. The concrete error is a *BusyError carrying the server's
-// retry-after hint.
+// ErrBusy matches (errors.Is) a call the server shed.
 var ErrBusy = errors.New("rpc: server busy")
-
-// BusyError is the client-side form of a shed response.
-type BusyError struct {
-	// Addr is the server that shed the request.
-	Addr string
-	// RetryAfter is the server's hint for when to try again (0 = none).
-	RetryAfter time.Duration
-}
-
-// Error implements error.
-func (e *BusyError) Error() string {
-	if e.RetryAfter > 0 {
-		return fmt.Sprintf("rpc: server busy: %s (retry after %v)", e.Addr, e.RetryAfter)
-	}
-	return fmt.Sprintf("rpc: server busy: %s", e.Addr)
-}
-
-// Is makes errors.Is(err, ErrBusy) match a *BusyError.
-func (e *BusyError) Is(target error) bool { return target == ErrBusy }
-
-// RetryAfterHint extracts the server's retry-after hint from a busy error
-// chain (ok=false when err carries no busy response).
-func RetryAfterHint(err error) (d time.Duration, ok bool) {
-	var be *BusyError
-	if errors.As(err, &be) {
-		return be.RetryAfter, true
-	}
-	return 0, false
-}
 
 // ServerLimits bounds a server's concurrent work. The zero value keeps the
 // historical behavior: every connection accepted, every request handled.

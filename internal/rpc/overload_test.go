@@ -1,11 +1,12 @@
 package rpc
 
 // Overload-protection tests: the busy frame on the wire, server-side
-// shedding at the in-flight cap, the connection cap, and the contract that
-// busy responses are breaker-successes — shed is "alive and telling you
-// so", and must never be confused with the transport failures that open
-// circuits and trigger retries. The half-open concurrency test pins the
-// breaker's single-probe admission under racing callers.
+// shedding at the in-flight cap and the connection cap. That a busy
+// response is a breaker success — shed is "alive and telling you so", never
+// one of the transport failures that open circuits and trigger retries — is
+// the busy row of the class table (class_test.go). The half-open
+// concurrency test pins the breaker's single-probe admission under racing
+// callers.
 
 import (
 	"errors"
@@ -101,9 +102,8 @@ func TestServerShedsAboveMaxInflight(t *testing.T) {
 	if errors.Is(err, ErrUnavailable) {
 		t.Fatalf("a shed is not a transport failure, but got ErrUnavailable: %v", err)
 	}
-	hint, ok := RetryAfterHint(err)
-	if !ok || hint != 3*time.Millisecond {
-		t.Fatalf("retry-after hint = %v (ok=%v), want 3ms", hint, ok)
+	if hint := err.(*Error).RetryAfter; hint != 3*time.Millisecond {
+		t.Fatalf("retry-after hint = %v, want 3ms", hint)
 	}
 
 	close(release)
@@ -123,35 +123,6 @@ func TestServerShedsAboveMaxInflight(t *testing.T) {
 	}
 	if got := reg.Counter("rpc_breaker_open_total").Value(); got != 0 {
 		t.Fatalf("rpc_breaker_open_total = %d, want 0 — sheds must not trip breakers", got)
-	}
-}
-
-// TestBusyIsBreakerSuccess: a shed must reset the breaker's consecutive
-// failure count — the server answered, so earlier transport blips are
-// stale evidence.
-func TestBusyIsBreakerSuccess(t *testing.T) {
-	srv := NewServer(func(req *Message) *Message {
-		return busyResponse(req, time.Millisecond) // shed everything
-	})
-	addr, err := srv.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cli := Dial(addr, 1).
-		WithOptions(Options{BreakerThreshold: 2, BreakerCooldown: time.Minute})
-	defer cli.Close()
-
-	// Five consecutive sheds with a threshold of two: if busy were
-	// misclassified as failure the breaker would have opened long ago.
-	for i := 0; i < 5; i++ {
-		if _, err := cli.Call(&Message{Op: OpPing}); !errors.Is(err, ErrBusy) {
-			t.Fatalf("call %d: want ErrBusy, got %v", i, err)
-		}
-	}
-	if st := cli.BreakerState(); st != BreakerClosed {
-		t.Fatalf("breaker = %v after 5 sheds, want closed", st)
 	}
 }
 

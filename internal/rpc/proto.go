@@ -117,8 +117,8 @@ type Message struct {
 	// the request on (queue above its high watermark, in-flight cap hit).
 	// A busy response is NOT a transport failure — the exchange completed
 	// — and NOT an application error: the request was never attempted.
-	// Clients surface it as a BusyError so the forwarding layer can
-	// throttle and retry instead of failing over or tripping breakers.
+	// Clients surface it as an *Error of ClassBusy so the forwarding layer
+	// can throttle and retry instead of failing over or tripping breakers.
 	Busy bool
 	// RetryAfter is the server's hint for when to try again (busy
 	// responses only). Encoded on the wire as whole microseconds.

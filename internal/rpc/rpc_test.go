@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -181,7 +182,7 @@ func TestConcurrentCalls(t *testing.T) {
 func TestClientClosed(t *testing.T) {
 	cli := Dial("127.0.0.1:1", 1)
 	cli.Close()
-	if _, err := cli.Call(&Message{Op: OpPing}); err != ErrClosed {
+	if _, err := cli.Call(&Message{Op: OpPing}); !errors.Is(err, ErrClosed) || ClassOf(err) != ClassClosed {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 	if err := cli.Close(); err != nil {

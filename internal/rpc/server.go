@@ -2,8 +2,8 @@ package rpc
 
 import (
 	"errors"
-	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -473,22 +473,24 @@ func exchange(w *wire, req *Message, checksum bool) (*Message, error) {
 }
 
 // Call sends req and waits for the response. Safe for concurrent use.
+// Every error it returns is an *Error, whose Class says how the call ended
+// (see call for what each class costs).
 //
 // Transport-level failures (dial errors, broken or timed-out exchanges)
 // are retried up to Options.MaxRetries times with exponential backoff and
-// jitter, feed the circuit breaker, and are wrapped in ErrUnavailable.
-// Application errors (the server responded with resp.Err) surface
-// immediately and count as successes for the breaker.
+// jitter, feed the circuit breaker, and end as ClassUnavailable.
+// Answers — application errors, busy and fenced responses — surface
+// immediately with the response and count as successes for the breaker.
 func (c *Client) Call(req *Message) (*Message, error) {
 	return c.CallInterruptible(req, nil)
 }
 
 // CallInterruptible is Call with an abandon handle: once it.Fire has run,
-// the call returns ErrInterrupted — immediately if it is inside an
+// the call returns ClassInterrupted — immediately if it is inside an
 // exchange, before touching the wire if it has not started one yet. An
 // interruption is the caller's own decision, not evidence about the
-// server: it is not retried, does not feed the breaker and is not wrapped
-// in ErrUnavailable. A nil it never interrupts.
+// server: it is not retried and does not feed the breaker. A nil it never
+// interrupts.
 func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error) {
 	start := time.Now()
 	resp, err := c.call(req, it)
@@ -507,123 +509,97 @@ func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error
 	return resp, err
 }
 
-// errClass partitions attempt outcomes for the retry loop and the breaker.
-type errClass int
-
-const (
-	classOK        errClass = iota
-	classApp                // server responded with an application error
-	classBusy               // server shed the request: alive, not retried here
-	classLocal              // client-side condition (closed, bad message, interrupted): permanent
-	classTransport          // dial/exchange failure: retryable, trips the breaker
-)
-
+// call runs the passes of one Call. What each class costs is decided here,
+// once:
+//
+//	ok, app, busy, fenced   an answer: a breaker success, returned with the
+//	                        response (a busy one's replay is the caller's to
+//	                        decide — the fwd throttle, honouring the hint)
+//	local, closed,          no verdict on the server: returned, and a
+//	interrupted             half-open probe handed back
+//	unavailable             a breaker failure, retried up to MaxRetries times
+//	                        with backoff; but when the pass ran on a pooled
+//	                        conn — one that may have gone stale while idle, a
+//	                        server restart — first one more pass on a fresh
+//	                        dial, which spends no attempt and feeds no breaker
+//
+// So one Call costs at most (1+MaxRetries) × 2 exchanges.
 func (c *Client) call(req *Message, it *Interrupt) (*Message, error) {
-	attempts := 1 + c.opts.MaxRetries
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		probe := false
-		if c.brk != nil {
+	probe, fresh := false, false
+	for i := 0; ; {
+		if !fresh && c.brk != nil {
 			var ok bool
-			ok, probe = c.brk.allow(time.Now())
-			if !ok {
+			if ok, probe = c.brk.allow(time.Now()); !ok {
 				c.tel.breakerRejects.Inc()
-				return nil, fmt.Errorf("%w: %w: %s", ErrUnavailable, ErrCircuitOpen, c.addr)
+				return nil, &Error{Class: ClassUnavailable, Addr: c.addr, Err: ErrCircuitOpen}
 			}
 			if probe {
 				c.tel.breakerProbes.Inc()
 			}
 		}
-		resp, err, class := c.attempt(req, it)
-		switch class {
-		case classOK, classApp:
+		resp, pooled, e := c.attempt(req, it, fresh)
+		switch {
+		case e == nil || e.Class <= ClassFenced:
 			if c.brk != nil && c.brk.onSuccess() {
 				c.tel.breakerCloses.Inc()
 			}
-			return resp, err
-		case classBusy:
-			// A shed proves the server alive: a breaker success, never a
-			// transport retry. The caller (the fwd throttle) decides when
-			// — and whether — to replay, honoring the retry-after hint.
-			if c.brk != nil && c.brk.onSuccess() {
-				c.tel.breakerCloses.Inc()
+			if e == nil {
+				return resp, nil
 			}
-			c.tel.busyResponses.Inc()
-			return resp, err
-		case classLocal:
+			if e.Class == ClassBusy {
+				c.tel.busyResponses.Inc()
+			}
+			return resp, e
+		case e.Class != ClassUnavailable:
 			if probe {
-				// No verdict on the server either way: hand the half-open
-				// slot back so the next call probes instead of being
-				// rejected forever.
 				c.brk.abandonProbe()
 			}
-			return resp, err
+			return nil, e
+		case pooled:
+			c.tel.staleRetries.Inc()
+			fresh = true
+			continue
 		}
-		// classTransport: feed the breaker, maybe retry.
 		if c.brk != nil && c.brk.onFailure(time.Now()) {
 			c.tel.breakerOpens.Inc()
 		}
-		lastErr = err
-		if i+1 < attempts {
-			c.tel.retries.Inc()
-			time.Sleep(backoffDelay(c.opts, i))
+		if i++; i > c.opts.MaxRetries {
+			return nil, e
 		}
+		c.tel.retries.Inc()
+		time.Sleep(backoffDelay(c.opts, i-1))
+		fresh = false
 	}
-	return nil, fmt.Errorf("%w: %s: %v", ErrUnavailable, c.addr, lastErr)
 }
 
-// attempt performs one logical call: take a connection, exchange, and —
-// preserving the original stale-conn semantics — retry exactly once on a
-// freshly dialed connection when a pooled conn turns out stale.
-func (c *Client) attempt(req *Message, it *Interrupt) (*Message, error, errClass) {
+// attempt is one pass of call: take a conn — a fresh dial when fresh — and
+// exchange on it, then sort what came back into its class. It is the one
+// place a reply is read for its class. pooled reports that the conn came
+// from the idle pool.
+func (c *Client) attempt(req *Message, it *Interrupt, fresh bool) (resp *Message, pooled bool, e *Error) {
 	if err := validateMessage(req); err != nil {
-		// Nothing touched the wire: the request itself is unsendable.
-		return nil, err, classLocal
+		return nil, false, &Error{Class: ClassLocal, Addr: c.addr, Err: err}
 	}
-	conn, pooled, err := c.acquire(false)
-	if err != nil {
-		if errors.Is(err, ErrClosed) {
-			return nil, err, classLocal
-		}
-		return nil, err, classTransport
+	w, pooled, err := c.acquire(fresh)
+	if err == nil {
+		resp, err = c.roundTrip(w, req, it)
 	}
-	resp, rtErr := c.roundTrip(conn, req, it)
-	if rtErr != nil && pooled && !errors.Is(rtErr, ErrInterrupted) {
-		c.tel.staleRetries.Inc()
-		fresh, _, dialErr := c.acquire(true)
-		if dialErr != nil {
-			if errors.Is(dialErr, ErrClosed) {
-				// The client was closed under this in-flight call; keep
-				// the ErrClosed identity (not the raw transport error) so
-				// callers can recognise released clients via errors.Is.
-				return nil, fmt.Errorf("%w (in-flight call failed: %v)", ErrClosed, rtErr), classLocal
-			}
-			return nil, rtErr, classTransport
-		}
-		resp, rtErr = c.roundTrip(fresh, req, it)
+	switch {
+	case errors.Is(err, ErrClosed):
+		return nil, false, &Error{Class: ClassClosed, Addr: c.addr}
+	case errors.Is(err, ErrInterrupted):
+		return nil, false, &Error{Class: ClassInterrupted, Addr: c.addr}
+	case err != nil:
+		return nil, pooled, &Error{Class: ClassUnavailable, Addr: c.addr, Err: err}
+	case resp.Busy:
+		return resp, pooled, &Error{Class: ClassBusy, Addr: c.addr, RetryAfter: resp.RetryAfter}
+	case strings.HasPrefix(resp.Err, staleEpochText):
+		// The node's fence floor rides the response's epoch trailer.
+		return resp, pooled, &Error{Class: ClassFenced, Addr: c.addr, Fence: resp.Epoch, Err: errors.New(resp.Err)}
+	case resp.Err != "":
+		return resp, pooled, &Error{Class: ClassApp, Addr: c.addr, Err: errors.New(resp.Err)}
 	}
-	if errors.Is(rtErr, ErrInterrupted) {
-		// The caller's decision, not a transport failure: no fresh-dial
-		// retry above, no backoff or breaker feed in call.
-		return nil, rtErr, classLocal
-	}
-	if rtErr != nil {
-		return nil, rtErr, classTransport
-	}
-	if resp.Busy {
-		return resp, &BusyError{Addr: c.addr, RetryAfter: resp.RetryAfter}, classBusy
-	}
-	if resp.Err != "" {
-		if IsStaleEpochErr(resp.Err) {
-			// A fenced write completed the exchange — a breaker success,
-			// never transport-retried. Surface the typed error (with the
-			// node's fence floor from the response's epoch trailer) so the
-			// forwarding layer can remap and retry under a fresh mapping.
-			return resp, &StaleEpochError{Addr: c.addr, Epoch: req.Epoch, Fence: resp.Epoch}, classApp
-		}
-		return resp, errors.New(resp.Err), classApp
-	}
-	return resp, nil, classOK
+	return resp, pooled, nil
 }
 
 // Close releases all pooled connections. In-flight calls fail.

@@ -88,7 +88,7 @@ var stacks = map[string]func(dir string) livestack.Config{
 			// transport failure would open it and fail the scenario.
 			RPC:      rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 1, RetryBackoff: time.Millisecond, BreakerThreshold: 2, BreakerCooldown: 30 * time.Second},
 			QueueCap: 2, QueueLowWater: 1, MaxInflight: 24, RetryAfterHint: time.Millisecond,
-			Throttle: fwd.ThrottleConfig{Enabled: true, MinWindow: 1, MaxWindow: 8, BusyRetries: 1, DegradeAfter: 3,
+			Throttle: fwd.ThrottleConfig{Enabled: true, MinWindow: 1, MaxWindow: 8, DegradeAfter: 3,
 				RetryAfterFloor: time.Millisecond, RetryAfterCap: 4 * time.Millisecond},
 			HealthInterval: 10 * time.Millisecond, HealthTimeout: 250 * time.Millisecond,
 			OverloadShedDelta: 1, OverloadThreshold: 1, OverloadRecovery: 5,

@@ -2,7 +2,8 @@
 # Suite census: the seeded suites (make chaos, storm, …) select their tests
 # by name, so a renamed test drops out of its suite without anything
 # failing. For each suite target this reads the -run regex and the package
-# list straight from the Makefile recipe (one source of truth), asks
+# list straight from the Makefile recipe (one source of truth, read by
+# scripts/recipe.sh), asks
 # `go test -list` how many tests they match, and prints "suite count".
 # With scripts/suite_floor.txt present it exits non-zero when any suite
 # matches fewer tests than its recorded floor — raise a floor when a suite
@@ -18,11 +19,7 @@ floors=scripts/suite_floor.txt
 fail=0
 
 for suite in chaos storm torture qos elastic blackout grayfail; do
-    # The recipe: every tab-indented line after "suite:", continuations joined.
-    recipe="$(awk -v t="$suite:" '
-        $1 == t { on = 1; next }
-        on && /^\t/ { sub(/\\$/, ""); printf "%s ", $0; next }
-        on { exit }' Makefile)"
+    recipe="$(sh scripts/recipe.sh "$suite")"
     run="$(printf '%s\n' "$recipe" | sed -n "s/.*-run '\([^']*\)'.*/\1/p")"
     pkgs="$(printf '%s\n' "$recipe" | tr ' \t' '\n\n' | grep '^\./' | tr '\n' ' ')"
     if [ -z "$run" ] || [ -z "$pkgs" ]; then
