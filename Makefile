@@ -72,7 +72,7 @@ lint:
 # overload-steering tests across every layer.
 storm:
 	$(GO) test -race -count=2 -timeout 300s \
-		-run 'Storm|Shed|Busy|Overload|Throttle|Gate|Saturat|QueueCap|Watermark|CloseDuring|PushClose|Inflight|ConnCap|HalfOpen' \
+		-run 'Storm|Shed|Busy|Overload|Throttle|Gate|Saturat|QueueCap|Watermark|CloseDuring|PushClose|Inflight|HalfOpen' \
 		./internal/scenario ./internal/livestack ./internal/agios ./internal/ion \
 		./internal/rpc ./internal/fwd ./internal/health ./internal/arbiter \
 		./internal/faultnet

@@ -505,10 +505,11 @@ var (
 // "slot free ⇒ queue empty" holds under the lock and no wake-up can be
 // lost. SetSlots sets the number of slots (default 1).
 //
-// Push/PopWait/TryPop drive the scheduler directly, for consumers that
-// bring their own goroutines (benchmarks, tests); Closing wakes all
-// PopWait waiters. Drive one queue one way or the other, not both: a
-// request taken with PopWait has no submitter to hand a slot to.
+// Push/PopWait drive the scheduler directly, for consumers that bring
+// their own goroutines (the bench/ ledger, tests); Close wakes all PopWait
+// waiters. No product code drives a queue this way. Drive one queue one
+// way or the other, not both: a request taken with PopWait has no
+// submitter to hand a slot to.
 //
 // A queue may be bounded with SetCapacity: admission then follows a
 // high/low-watermark hysteresis — once depth reaches the capacity, Push
@@ -743,17 +744,6 @@ func (q *Queue) PopWait() (*Request, bool) {
 	}
 }
 
-// TryPop returns immediately.
-func (q *Queue) TryPop() (*Request, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	r, ok := q.sched.Pop()
-	if ok {
-		q.recordPop(r)
-	}
-	return r, ok
-}
-
 // Len reports pending requests.
 func (q *Queue) Len() int {
 	q.mu.Lock()
@@ -763,7 +753,7 @@ func (q *Queue) Len() int {
 
 // Close marks the queue closed and wakes all PopWait waiters. Pending
 // requests still run: parked submitters keep being handed slots, and
-// PopWait/TryPop can still drain.
+// PopWait can still drain.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true

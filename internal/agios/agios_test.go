@@ -302,7 +302,7 @@ func TestQueueDrainAfterClose(t *testing.T) {
 	if r, ok := q.PopWait(); !ok || r == nil {
 		t.Fatal("pending requests must drain after close")
 	}
-	if _, ok := q.TryPop(); !ok {
+	if _, ok := q.PopWait(); !ok {
 		t.Fatal("second request must drain")
 	}
 	if _, ok := q.PopWait(); ok {

@@ -40,7 +40,7 @@ func TestBoundedQueueWatermarkHysteresis(t *testing.T) {
 	}
 
 	// One pop (depth 4 → 3) is above the low watermark: still rejecting.
-	if _, ok := q.TryPop(); !ok {
+	if _, ok := q.PopWait(); !ok {
 		t.Fatal("pop from a full queue failed")
 	}
 	if err := q.Push(req("/b", 110, 10)); !errors.Is(err, ErrQueueFull) {
@@ -48,7 +48,7 @@ func TestBoundedQueueWatermarkHysteresis(t *testing.T) {
 	}
 
 	// Drain to the low watermark (depth 2): admission resumes.
-	if _, ok := q.TryPop(); !ok {
+	if _, ok := q.PopWait(); !ok {
 		t.Fatal("second pop failed")
 	}
 	if q.Saturated() {
@@ -74,7 +74,7 @@ func TestSetCapacityClampsAndClears(t *testing.T) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
 	// Clamped lowWater = 2: one pop resumes admission.
-	q.TryPop()
+	q.PopWait()
 	if err := q.Push(req("/c", 110, 10)); err != nil {
 		t.Fatalf("clamped low watermark should admit after one pop: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestPushCloseRaceIsDeterministic(t *testing.T) {
 	// queue loses nothing that was admitted.
 	drained := 0
 	for {
-		if _, ok := q.TryPop(); !ok {
+		if _, ok := q.PopWait(); !ok {
 			break
 		}
 		drained++

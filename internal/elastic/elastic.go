@@ -100,15 +100,13 @@ type Config struct {
 	// MaxStep clamps how many nodes one decision may add or drain; ≤0
 	// selects 1.
 	MaxStep int
-	// Interval is the Start loop's tick period; ≤0 selects 1s.
+	// Interval is the Start loop's tick period; ≤0 selects 1s. A node's
+	// load sample older than three Intervals is ignored: a prober that
+	// stopped sampling (a health blackout, a gray-slow probe path) leaves
+	// depths frozen at their last value, and scaling on frozen evidence
+	// drains busy nodes that merely *look* idle. Stale-skipped nodes count
+	// as absent from the demand signal, exactly like down ones.
 	Interval time.Duration
-	// SampleStaleness bounds how old a node's load sample may be before
-	// the scaler ignores it: a prober that stopped sampling (a health
-	// blackout, a gray-slow probe path) leaves depths frozen at their
-	// last value, and scaling on frozen evidence drains busy nodes that
-	// merely *look* idle. Stale-skipped nodes count as absent from the
-	// demand signal, exactly like down ones. ≤0 selects 3× Interval.
-	SampleStaleness time.Duration
 
 	// DrainDeadline bounds how long a drain may wait for quiescence
 	// before the node is decommissioned anyway (in-flight work is
@@ -141,10 +139,9 @@ type Config struct {
 	// MarginalValue, when non-nil, forecasts the value of growing from k
 	// to k+1 nodes (e.g. the summed marginal bandwidth of the running
 	// apps' perfmodel curves). A scale-up step is vetoed when the
-	// forecast is at or below MinMarginal: capacity the curves say nobody
-	// can use is not worth provisioning.
+	// forecast is not positive: capacity the curves say nobody can use is
+	// not worth provisioning.
 	MarginalValue func(k int) float64
-	MinMarginal   float64
 
 	// Seed feeds the backoff jitter; 0 selects 1. Now, when non-nil,
 	// replaces time.Now (the unit tests' clock). Both exist so every
@@ -205,9 +202,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.SampleStaleness <= 0 {
-		cfg.SampleStaleness = 3 * cfg.Interval
 	}
 	if cfg.DrainDeadline <= 0 {
 		cfg.DrainDeadline = 30 * time.Second
@@ -507,7 +501,7 @@ func (s *Scaler) decide(now time.Time) {
 	// the scale-down victim ranking.
 	ages := s.health.LoadAges()
 	for addr := range depths {
-		if age, ok := ages[addr]; !ok || age > s.cfg.SampleStaleness {
+		if age, ok := ages[addr]; !ok || age > 3*s.cfg.Interval {
 			delete(depths, addr)
 			s.tel.staleSkipped.Inc()
 		}
@@ -555,7 +549,7 @@ func (s *Scaler) decide(now time.Time) {
 		}
 		added := 0
 		for i := 0; i < step; i++ {
-			if s.cfg.MarginalValue != nil && s.cfg.MarginalValue(size+added) <= s.cfg.MinMarginal {
+			if s.cfg.MarginalValue != nil && s.cfg.MarginalValue(size+added) <= 0 {
 				s.tel.forecastVetoes.Inc()
 				break
 			}

@@ -40,7 +40,7 @@ func TestDelayedCallIsNotShedOrRetried(t *testing.T) {
 	addr := ln.Addr().String()
 
 	cli := rpc.Dial(addr, 2).
-		WithOptions(rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 3, RetryBackoff: time.Millisecond}).
+		WithOptions(rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 3}).
 		Instrument(reg, nil)
 	defer cli.Close()
 

@@ -207,8 +207,6 @@ func TestCorruptDetectedByChecksum(t *testing.T) {
 	c := rpc.Dial(ln.Addr().String(), 1).WithOptions(rpc.Options{
 		CallTimeout:      80 * time.Millisecond,
 		MaxRetries:       4,
-		RetryBackoff:     time.Millisecond,
-		RetryBackoffMax:  2 * time.Millisecond,
 		BreakerThreshold: 1 << 30,
 		WireChecksum:     true,
 	})

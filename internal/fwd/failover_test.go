@@ -22,7 +22,6 @@ func failoverOptions() rpc.Options {
 	return rpc.Options{
 		CallTimeout:      500 * time.Millisecond,
 		MaxRetries:       1,
-		RetryBackoff:     time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute,
 	}

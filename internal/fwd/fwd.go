@@ -326,7 +326,7 @@ func NewClient(cfg Config) (*Client, error) {
 	if cfg.Hedge.Enabled {
 		c.hedge = &hedgeState{
 			cfg:      cfg.Hedge,
-			bucket:   hedgeBucket{tokens: cfg.Hedge.MaxTokens, max: cfg.Hedge.MaxTokens},
+			bucket:   hedgeBucket{tokens: hedgeMaxTokens},
 			launched: c.reg.Counter("fwd_hedge_launched_total" + label),
 			wins:     c.reg.Counter("fwd_hedge_wins_total" + label),
 			denied:   c.reg.Counter("fwd_hedge_denied_total" + label),

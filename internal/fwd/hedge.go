@@ -61,10 +61,11 @@ type HedgeConfig struct {
 	// (Finagle-style): with 0.1, at most ~10% of spans can hedge in
 	// steady state. ≤0 selects 0.1.
 	Budget float64
-	// MaxTokens caps the token bucket so an idle period cannot bank an
-	// unbounded hedge burst; ≤0 selects 8.
-	MaxTokens float64
 }
+
+// hedgeMaxTokens caps the token bucket, which starts full, so an idle
+// period cannot bank an unbounded hedge burst.
+const hedgeMaxTokens = 8
 
 // withDefaults fills the derived defaults when hedging is enabled.
 func (h HedgeConfig) withDefaults() HedgeConfig {
@@ -79,9 +80,6 @@ func (h HedgeConfig) withDefaults() HedgeConfig {
 	}
 	if h.Budget <= 0 {
 		h.Budget = 0.1
-	}
-	if h.MaxTokens <= 0 {
-		h.MaxTokens = 8
 	}
 	return h
 }
@@ -100,19 +98,15 @@ type hedgeState struct {
 }
 
 // hedgeBucket is the Finagle-style token budget: issued spans earn
-// fractional tokens, a hedge spends a whole one.
+// fractional tokens, up to hedgeMaxTokens, and a hedge spends a whole one.
 type hedgeBucket struct {
 	mu     sync.Mutex
 	tokens float64
-	max    float64
 }
 
 func (b *hedgeBucket) earn(x float64) {
 	b.mu.Lock()
-	b.tokens += x
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
+	b.tokens = min(b.tokens+x, hedgeMaxTokens)
 	b.mu.Unlock()
 }
 

@@ -77,7 +77,7 @@ func TestHedgedWriteDedupInFlight(t *testing.T) {
 		AppID: "app", Direct: store, ChunkSize: 256,
 		Dedup:     true,
 		RPC:       rpc.Options{CallTimeout: 5 * time.Second},
-		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1, MaxTokens: 8},
+		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1},
 		Latency:   sk,
 		Telemetry: reg,
 	})
@@ -150,7 +150,7 @@ func TestHedgedReadWinsFromDirectPath(t *testing.T) {
 		AppID: "app", Direct: store, ChunkSize: 512,
 		Dedup:     true,
 		RPC:       rpc.Options{CallTimeout: 10 * time.Second},
-		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1, MaxTokens: 8},
+		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1},
 		Latency:   sk,
 		Telemetry: reg,
 	})
@@ -207,9 +207,9 @@ func TestHedgeBudgetDenies(t *testing.T) {
 		AppID: "app", Direct: store, ChunkSize: 512,
 		Dedup: true,
 		RPC:   rpc.Options{CallTimeout: 10 * time.Second},
-		// One banked token, near-zero earn rate: the first slow op spends
-		// the bucket, the second is denied.
-		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 0.01, MaxTokens: 1},
+		// Near-zero earn rate: once the bank is down to one token, the first
+		// slow op spends it and the second is denied.
+		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 0.01},
 		Latency:   sk,
 		Telemetry: reg,
 	})
@@ -217,6 +217,7 @@ func TestHedgeBudgetDenies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.hedge.bucket.tokens = 1 // spend the bank down to one token
 	c.SetIONs([]string{addr})
 	seedLatency(sk, addr, 2*time.Millisecond)
 
@@ -254,7 +255,7 @@ func TestHedgeEpochFenceInterplay(t *testing.T) {
 		EpochFencing: true,
 		EpochWait:    50 * time.Millisecond,
 		RPC:          rpc.Options{CallTimeout: 5 * time.Second},
-		Hedge:        HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1, MaxTokens: 8},
+		Hedge:        HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1},
 		Latency:      sk,
 		Telemetry:    reg,
 	})
@@ -516,7 +517,7 @@ func TestHedgeOutcomeTable(t *testing.T) {
 				Dedup:     true,
 				RPC:       rpc.Options{CallTimeout: 10 * time.Second},
 				Throttle:  ThrottleConfig{Enabled: true},
-				Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, MinDelay: seedDelay, Budget: 1, MaxTokens: 8},
+				Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, MinDelay: seedDelay, Budget: 1},
 				Latency:   sk,
 				Telemetry: reg,
 			})

@@ -344,7 +344,7 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				case "transport retries exhausted":
 					// Requests arrive at once, replies never: every attempt
 					// runs the handler and then times out.
-					cfg.RPC = rpc.Options{CallTimeout: 50 * time.Millisecond, MaxRetries: transportRetries, RetryBackoff: time.Millisecond}
+					cfg.RPC = rpc.Options{CallTimeout: 50 * time.Millisecond, MaxRetries: transportRetries}
 				}
 				var err error
 				if c, err = NewClient(cfg); err != nil {
@@ -358,7 +358,7 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				case "saturated gate":
 					g := c.view.Load().targets[0].gate
 					g.mu.Lock()
-					g.consecBusy, g.retryUntil = g.cfg.DegradeAfter, time.Now().Add(time.Hour)
+					g.consecBusy, g.retryUntil = degradeAfter, time.Now().Add(time.Hour)
 					g.mu.Unlock()
 				case "released conn":
 					c.targetFor(addr).conn.Close()

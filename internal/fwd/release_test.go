@@ -86,7 +86,7 @@ func TestReleaseConnRaceFailsOverClosedClient(t *testing.T) {
 func TestReleaseConnOnlyDropsTargetRemapKeepsIt(t *testing.T) {
 	store, addrs, _ := testStack(t, 2)
 	c, err := NewClient(Config{AppID: "app", Direct: store, ChunkSize: 64,
-		Throttle: ThrottleConfig{Enabled: true, InitialWindow: 6, MaxWindow: 8}})
+		Throttle: ThrottleConfig{Enabled: true, MaxWindow: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

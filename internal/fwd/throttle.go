@@ -4,7 +4,7 @@
 // (shed) response — so a bursty application backs off the moment a daemon
 // starts shedding, instead of hammering it with retries. Busy retries are
 // paced by the server's retry-after hint with equal jitter; under
-// *sustained* saturation (DegradeAfter consecutive sheds) chunks degrade
+// *sustained* saturation (degradeAfter consecutive sheds) chunks degrade
 // to the direct PFS path, and a breaker-style probe after the pacing
 // interval lets the window reopen once the daemon drains.
 package fwd
@@ -21,34 +21,33 @@ import (
 // disables throttling entirely: calls pass straight through, preserving
 // the historical client behavior byte for byte.
 type ThrottleConfig struct {
-	// Enabled turns the AIMD window on.
+	// Enabled turns the AIMD window on. A gate starts at MaxWindow
+	// (optimistic, shrinking on evidence).
 	Enabled bool
 	// MinWindow is the floor the window shrinks to; ≤0 selects 1.
 	MinWindow int
 	// MaxWindow is the ceiling the window recovers to; ≤0 selects 32.
 	MaxWindow int
-	// InitialWindow is the starting window; ≤0 selects MaxWindow (start
-	// optimistic, shrink on evidence).
-	InitialWindow int
-	// DegradeAfter is how many consecutive busy responses from one I/O
-	// node mark it saturated — after which chunks degrade immediately
-	// (without waiting out the pacing interval) until a probe succeeds;
-	// ≤0 selects 4.
-	DegradeAfter int
-	// RetryAfterFloor substitutes for a missing or zero server hint;
-	// ≤0 selects 1ms.
-	RetryAfterFloor time.Duration
-	// RetryAfterCap bounds the exponential hint growth under repeated
-	// sheds; ≤0 selects 100ms.
-	RetryAfterCap time.Duration
-	// IdleRecovery restores a shrunken window to InitialWindow when the
-	// gate has been idle (no acquire) for at least this long: the AIMD
-	// growth path only runs on successes, so without it a window halved
-	// during a burst stays pinned small across an idle gap — the
-	// saturation evidence is stale long before the next burst arrives.
-	// ≤0 selects 30s.
-	IdleRecovery time.Duration
 }
+
+// The gate's fixed tuning.
+const (
+	// degradeAfter consecutive busy responses from one I/O node mark it
+	// saturated: chunks then degrade immediately, without waiting out the
+	// pacing interval, until a probe succeeds.
+	degradeAfter = 4
+	// retryAfterFloor stands in for a missing or zero server hint, and
+	// retryAfterCap bounds the hint's exponential growth under repeated
+	// sheds.
+	retryAfterFloor = time.Millisecond
+	retryAfterCap   = 100 * time.Millisecond
+	// idleRecovery restores a shrunken window to MaxWindow when the gate
+	// has been idle (no acquire) for at least this long: the AIMD growth
+	// path only runs on successes, so without it a window halved during a
+	// burst stays pinned small across an idle gap — the saturation
+	// evidence is stale long before the next burst arrives.
+	idleRecovery = 30 * time.Second
+)
 
 // withDefaults fills the derived defaults when throttling is enabled.
 func (t ThrottleConfig) withDefaults() ThrottleConfig {
@@ -63,21 +62,6 @@ func (t ThrottleConfig) withDefaults() ThrottleConfig {
 		if t.MaxWindow < t.MinWindow {
 			t.MaxWindow = t.MinWindow
 		}
-	}
-	if t.InitialWindow <= 0 || t.InitialWindow > t.MaxWindow {
-		t.InitialWindow = t.MaxWindow
-	}
-	if t.DegradeAfter <= 0 {
-		t.DegradeAfter = 4
-	}
-	if t.RetryAfterFloor <= 0 {
-		t.RetryAfterFloor = time.Millisecond
-	}
-	if t.RetryAfterCap <= 0 {
-		t.RetryAfterCap = 100 * time.Millisecond
-	}
-	if t.IdleRecovery <= 0 {
-		t.IdleRecovery = 30 * time.Second
 	}
 	return t
 }
@@ -102,7 +86,7 @@ type ionGate struct {
 }
 
 func newIonGate(cfg ThrottleConfig, telWindow *telemetry.Gauge) *ionGate {
-	g := &ionGate{cfg: cfg, now: time.Now, window: float64(cfg.InitialWindow), telWindow: telWindow}
+	g := &ionGate{cfg: cfg, now: time.Now, window: float64(cfg.MaxWindow), telWindow: telWindow}
 	g.cond = sync.NewCond(&g.mu)
 	g.publishWindow()
 	return g
@@ -126,28 +110,28 @@ func (g *ionGate) admitted() int {
 // acquire takes one in-flight slot, blocking while the window is full and
 // pacing behind the last shed's retry-after hint. It returns false — do
 // not send, degrade to the direct path — when the node is saturated
-// (DegradeAfter consecutive sheds) and the pacing interval has not yet
+// (degradeAfter consecutive sheds) and the pacing interval has not yet
 // passed; once it passes, one caller is admitted as the probe that decides
 // whether the window reopens.
 func (g *ionGate) acquire() bool {
 	g.mu.Lock()
 	now := g.now()
-	if !g.lastUse.IsZero() && now.Sub(g.lastUse) >= g.cfg.IdleRecovery &&
-		g.window < float64(g.cfg.InitialWindow) {
+	if !g.lastUse.IsZero() && now.Sub(g.lastUse) >= idleRecovery &&
+		g.window < float64(g.cfg.MaxWindow) {
 		// Idle recovery: the multiplicative decrease is evidence of
 		// saturation *at the time of the burst*. After a long idle gap
 		// that evidence is stale — and since the window only grows on
 		// successes, a gate left small would start the next burst pinned
 		// at the floor forever. Reopen to the initial posture and let
 		// fresh evidence speak.
-		g.window = float64(g.cfg.InitialWindow)
+		g.window = float64(g.cfg.MaxWindow)
 		g.consecBusy = 0
 		g.retryUntil = time.Time{}
 		g.publishWindow()
 	}
 	g.lastUse = now
 	for {
-		if g.consecBusy >= g.cfg.DegradeAfter && g.now().Before(g.retryUntil) {
+		if g.consecBusy >= degradeAfter && g.now().Before(g.retryUntil) {
 			g.mu.Unlock()
 			return false
 		}
@@ -199,14 +183,12 @@ func (g *ionGate) onBusy(hint time.Duration) {
 	}
 	d := hint
 	if d <= 0 {
-		d = g.cfg.RetryAfterFloor
+		d = retryAfterFloor
 	}
-	for i := 1; i < g.consecBusy && d < g.cfg.RetryAfterCap; i++ {
+	for i := 1; i < g.consecBusy && d < retryAfterCap; i++ {
 		d *= 2
 	}
-	if d > g.cfg.RetryAfterCap {
-		d = g.cfg.RetryAfterCap
-	}
+	d = min(d, retryAfterCap)
 	g.retryUntil = g.now().Add(equalJitter(d))
 	g.publishWindow()
 	g.cond.Broadcast()
@@ -227,7 +209,7 @@ func (g *ionGate) onError() {
 func (g *ionGate) saturated() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.consecBusy >= g.cfg.DegradeAfter && g.now().Before(g.retryUntil)
+	return g.consecBusy >= degradeAfter && g.now().Before(g.retryUntil)
 }
 
 // equalJitter spreads d over [d/2, d): half deterministic, half uniform —

@@ -24,12 +24,12 @@ func testGate(cfg ThrottleConfig) *ionGate {
 }
 
 func TestGateAIMDShrinkAndGrow(t *testing.T) {
-	g := testGate(ThrottleConfig{MinWindow: 1, MaxWindow: 8, InitialWindow: 8, RetryAfterCap: time.Millisecond})
+	g := testGate(ThrottleConfig{MinWindow: 1, MaxWindow: 8})
 
 	// Multiplicative decrease: 8 → 4 → 2 → 1, floored at MinWindow.
 	for _, want := range []int{4, 2, 1, 1} {
 		if !g.acquire() {
-			t.Fatal("gate should admit below DegradeAfter")
+			t.Fatal("gate should admit below degradeAfter")
 		}
 		g.onBusy(0)
 		if got := g.admitted(); got != want {
@@ -67,7 +67,7 @@ func TestGateAIMDShrinkAndGrow(t *testing.T) {
 }
 
 func TestGateBlocksAtWindowAndReleases(t *testing.T) {
-	g := testGate(ThrottleConfig{MinWindow: 1, MaxWindow: 4, InitialWindow: 1})
+	g := testGate(ThrottleConfig{MinWindow: 1, MaxWindow: 1})
 	if !g.acquire() {
 		t.Fatal("first acquire should pass")
 	}
@@ -91,20 +91,17 @@ func TestGateBlocksAtWindowAndReleases(t *testing.T) {
 }
 
 func TestGateDegradesAndProbesBack(t *testing.T) {
-	g := testGate(ThrottleConfig{
-		MinWindow: 1, MaxWindow: 4, InitialWindow: 4,
-		DegradeAfter: 2, RetryAfterFloor: 10 * time.Millisecond, RetryAfterCap: 20 * time.Millisecond,
-	})
+	g := testGate(ThrottleConfig{MinWindow: 1, MaxWindow: 4})
 
-	// Two consecutive sheds mark the node saturated.
-	for i := 0; i < 2; i++ {
+	// degradeAfter consecutive sheds mark the node saturated.
+	for i := 0; i < degradeAfter; i++ {
 		if !g.acquire() {
 			t.Fatalf("acquire %d should pass before saturation", i)
 		}
 		g.onBusy(10 * time.Millisecond)
 	}
 	if !g.saturated() {
-		t.Fatal("gate should be saturated after DegradeAfter sheds")
+		t.Fatal("gate should be saturated after degradeAfter sheds")
 	}
 	if g.acquire() {
 		t.Fatal("saturated gate must degrade, not admit")
@@ -171,10 +168,7 @@ func TestSaturatedIONDegradesToDirectWithoutByteLoss(t *testing.T) {
 		Direct:    store,
 		ChunkSize: 64,
 		RPC:       rpc.Options{CallTimeout: time.Second, BreakerThreshold: 2, BreakerCooldown: time.Minute},
-		Throttle: ThrottleConfig{
-			Enabled: true, MaxWindow: 4, DegradeAfter: 2,
-			RetryAfterFloor: time.Millisecond, RetryAfterCap: 2 * time.Millisecond,
-		},
+		Throttle:  ThrottleConfig{Enabled: true, MaxWindow: 4},
 		Telemetry: reg,
 	})
 	if err != nil {
@@ -234,7 +228,7 @@ func TestSaturatedIONDegradesToDirectWithoutByteLoss(t *testing.T) {
 func TestGateLocalErrorKeepsBusyStreak(t *testing.T) {
 	store, addrs, _ := testStack(t, 1)
 	c, err := NewClient(Config{AppID: "app", Direct: store, ChunkSize: 64,
-		Throttle: ThrottleConfig{Enabled: true, MaxWindow: 8, DegradeAfter: 4}})
+		Throttle: ThrottleConfig{Enabled: true, MaxWindow: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +236,7 @@ func TestGateLocalErrorKeepsBusyStreak(t *testing.T) {
 	c.SetIONs(addrs)
 	g := c.gateFor(addrs[0])
 	g.mu.Lock()
-	g.consecBusy, g.window = g.cfg.DegradeAfter-1, 2
+	g.consecBusy, g.window = degradeAfter-1, 2
 	g.mu.Unlock()
 
 	if _, err := c.Write("/"+strings.Repeat("p", 1<<16), 0, []byte("x")); err == nil {
@@ -250,9 +244,9 @@ func TestGateLocalErrorKeepsBusyStreak(t *testing.T) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.consecBusy != g.cfg.DegradeAfter-1 || g.window != 2 || g.inflight != 0 {
+	if g.consecBusy != degradeAfter-1 || g.window != 2 || g.inflight != 0 {
 		t.Fatalf("gate after a local error: shed streak %d, window %v, in flight %d; want %d, 2, 0",
-			g.consecBusy, g.window, g.inflight, g.cfg.DegradeAfter-1)
+			g.consecBusy, g.window, g.inflight, degradeAfter-1)
 	}
 }
 
@@ -282,12 +276,9 @@ func TestThrottleDisabledIsZeroOverheadPath(t *testing.T) {
 // the AIMD window only ever grew on successes, so a gate halved during a
 // burst stayed small across an idle gap indefinitely — the next burst
 // started at the floor on saturation evidence that was minutes stale.
-// An idle gap of at least IdleRecovery now restores the initial window.
+// An idle gap of at least idleRecovery now restores the initial window.
 func TestGateIdleRecovery(t *testing.T) {
-	g := testGate(ThrottleConfig{
-		MinWindow: 1, MaxWindow: 8, InitialWindow: 8,
-		RetryAfterCap: time.Millisecond, IdleRecovery: 10 * time.Second,
-	})
+	g := testGate(ThrottleConfig{MinWindow: 1, MaxWindow: 8})
 	now := time.Unix(2000, 0)
 	g.mu.Lock()
 	g.now = func() time.Time { return now }
@@ -298,7 +289,7 @@ func TestGateIdleRecovery(t *testing.T) {
 	// in its pacing loop forever).
 	for i := 0; i < 3; i++ {
 		if !g.acquire() {
-			t.Fatal("gate should admit below DegradeAfter")
+			t.Fatal("gate should admit below degradeAfter")
 		}
 		g.onBusy(0)
 		now = now.Add(time.Second)
@@ -317,13 +308,13 @@ func TestGateIdleRecovery(t *testing.T) {
 		t.Fatalf("window after short gap = %d, want still 1", got)
 	}
 
-	// An idle gap past IdleRecovery restores the initial posture —
+	// An idle gap past idleRecovery restores the initial posture —
 	// window, busy streak, and pacing gate all reset.
 	g.mu.Lock()
 	g.consecBusy = 5
 	g.retryUntil = now.Add(time.Hour) // stale pacing gate must not block
 	g.mu.Unlock()
-	now = now.Add(11 * time.Second)
+	now = now.Add(idleRecovery + time.Second)
 	if !g.acquire() {
 		t.Fatal("acquire blocked after idle recovery")
 	}

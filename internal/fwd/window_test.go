@@ -158,7 +158,7 @@ func TestHedgeWinsOverPrimaryDecodingIntoWindow(t *testing.T) {
 		AppID: "app", Direct: store, ChunkSize: size,
 		Dedup:     true,
 		RPC:       rpc.Options{CallTimeout: 10 * time.Second},
-		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1, MaxTokens: 8},
+		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1},
 		Latency:   sk,
 		Telemetry: reg,
 	})

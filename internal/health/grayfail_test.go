@@ -157,13 +157,12 @@ func TestSlowMinLatencyFloor(t *testing.T) {
 	}
 	sk := latency.NewSketch(0)
 	p, err := New(Config{
-		Addrs:          addrs,
-		Interval:       time.Second,
-		Timeout:        100 * time.Millisecond,
-		SlowFactor:     4,
-		SlowWindow:     1,
-		SlowMinLatency: time.Millisecond, // the default, stated explicitly
-		Latency:        sk,
+		Addrs:      addrs,
+		Interval:   time.Second,
+		Timeout:    100 * time.Millisecond,
+		SlowFactor: 4,
+		SlowWindow: 1,
+		Latency:    sk,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -114,10 +114,6 @@ type Config struct {
 	// (hysteresis), so a node flickering around the threshold does not
 	// flap in and out of quarantine.
 	SlowRecovery int
-	// SlowMinLatency floors the scorer: medians below it never count as
-	// slow, however fast the peers are, so microsecond-level jitter on
-	// an idle stack cannot degrade anything. ≤0 selects 1ms.
-	SlowMinLatency time.Duration
 	// Latency is the sketch the scorer reads and probe RTTs feed. Leave
 	// nil to let the prober own a private sketch; pass a shared one so
 	// forwarding clients can feed client-observed call latencies into
@@ -153,6 +149,11 @@ func (c Config) slowActive() bool {
 // scorer will judge it (or count it as a peer): scoring a node on one
 // or two pings would make the first sweep after a restart decisive.
 const slowMinSamples = 4
+
+// slowMinLatency floors the scorer: medians below it never count as slow,
+// however fast the peers are, so microsecond-level jitter on an idle stack
+// cannot degrade anything.
+const slowMinLatency = time.Millisecond
 
 // The three debounced planes, in the order one sweep's events are
 // delivered.
@@ -271,9 +272,6 @@ func New(cfg Config) (*Prober, error) {
 		}
 		if cfg.SlowRecovery <= 0 {
 			cfg.SlowRecovery = 5
-		}
-		if cfg.SlowMinLatency <= 0 {
-			cfg.SlowMinLatency = time.Millisecond
 		}
 		if cfg.Latency == nil {
 			cfg.Latency = latency.NewSketch(0)
@@ -593,7 +591,7 @@ func (p *Prober) observe(addr string, st *nodeState, plane int, signal bool, fir
 // queueing the events it fires. Caller holds p.mu.
 //
 // A node is slow on a sweep when its median sketch latency exceeds the
-// median of its peers' medians × SlowFactor (and the SlowMinLatency
+// median of its peers' medians × SlowFactor (and the slowMinLatency
 // floor). Judging against peers rather than an absolute bound makes
 // the scorer self-calibrating: a cluster that is uniformly slow — cold
 // caches, shared-disk contention — degrades nobody, while one node 50×
@@ -630,7 +628,7 @@ func (p *Prober) scoreSlowLocked(fired *[numPlanes][]Event) {
 		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 		peerMed := peers[len(peers)/2]
 		med := meds[addr]
-		slow := med >= p.cfg.SlowMinLatency &&
+		slow := med >= slowMinLatency &&
 			float64(med) > float64(peerMed)*p.cfg.SlowFactor
 		p.observe(addr, p.state[addr], slowness, slow, fired)
 	}

@@ -223,7 +223,7 @@ func TestDedupBusyShedNotCached(t *testing.T) {
 		release: make(chan struct{}),
 	}
 	d := New(Config{
-		ID: "ion0", Dispatchers: 1, QueueCap: 1, QueueLowWater: 1,
+		ID: "ion0", Dispatchers: 1, QueueCap: 1,
 		RetryAfterHint: time.Millisecond, DedupWindow: 8,
 	}, backend)
 	addr, err := d.Start("")

@@ -65,11 +65,8 @@ type Config struct {
 	// QueueCap bounds the AGIOS queue: at QueueCap pending requests the
 	// daemon sheds new data requests with a busy response (retry-after
 	// hint attached) instead of enqueueing, until dispatch drains the
-	// queue to QueueLowWater. ≤0 keeps the historical unbounded queue.
+	// queue to QueueCap/2. ≤0 keeps the historical unbounded queue.
 	QueueCap int
-	// QueueLowWater is the resume-admission threshold for a bounded
-	// queue; ≤0 selects QueueCap/2.
-	QueueLowWater int
 	// RetryAfterHint is attached to queue-full busy responses so clients
 	// can pace their retries; ≤0 selects 2ms.
 	RetryAfterHint time.Duration
@@ -210,7 +207,7 @@ func (d *Daemon) build() {
 	d.queue = agios.NewQueue(d.cfg.Scheduler)
 	d.queue.SetSlots(d.cfg.Dispatchers)
 	if d.cfg.QueueCap > 0 {
-		d.queue.SetCapacity(d.cfg.QueueCap, d.cfg.QueueLowWater)
+		d.queue.SetCapacity(d.cfg.QueueCap, 0)
 	}
 	d.queue.Instrument(d.reg, d.label)
 	d.server = rpc.NewServer(d.handle).

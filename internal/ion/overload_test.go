@@ -39,7 +39,6 @@ func TestQueueCapShedsWithRetryAfter(t *testing.T) {
 		ID:             "ion0",
 		Dispatchers:    1,
 		QueueCap:       2,
-		QueueLowWater:  1,
 		RetryAfterHint: 5 * time.Millisecond,
 	}, backend)
 	addr, err := d.Start("")

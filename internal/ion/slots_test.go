@@ -338,7 +338,7 @@ func TestSlotHolderServesOnlyItsOwnRequest(t *testing.T) {
 // returns; Restart serves again.
 func TestSlotCloseDrainsParkedSubmitters(t *testing.T) {
 	b := newProbe(true)
-	d, cli := startOn(t, Config{ID: "l", Dispatchers: 1, QueueCap: 3, QueueLowWater: 1}, b, 8)
+	d, cli := startOn(t, Config{ID: "l", Dispatchers: 1, QueueCap: 3}, b, 8)
 	var wg sync.WaitGroup
 	holdSlots(t, d, b, cli, 1, &wg)
 	var answered sync.WaitGroup

@@ -59,7 +59,8 @@ type Config struct {
 	// retries, circuit breaker) applied to every forwarding client this
 	// stack creates. The zero value keeps the legacy block-forever
 	// transport behaviour. BreakerCooldown only applies with
-	// BreakerThreshold set.
+	// BreakerThreshold set. Its WireChecksum is rejected: checksums are
+	// a whole-stack switch, WireChecksum below.
 	RPC rpc.Options
 
 	// HealthInterval, when >0, runs a heartbeat prober over the daemons
@@ -102,11 +103,9 @@ type Config struct {
 
 	// QueueCap bounds each daemon's AGIOS queue (requests); >0 enables
 	// bounded admission — past the cap, requests are answered with a busy
-	// response instead of queued. 0 keeps the legacy unbounded queue.
+	// response instead of queued, until the queue drains to half the cap.
+	// 0 keeps the legacy unbounded queue.
 	QueueCap int
-	// QueueLowWater is the drain level at which a saturated queue resumes
-	// admitting; 0 selects half of QueueCap. Requires QueueCap.
-	QueueLowWater int
 	// MaxInflight bounds concurrently-handled requests per daemon (shed
 	// above it); 0 = unlimited.
 	MaxInflight int
@@ -244,7 +243,6 @@ func (c *Config) Validate() error {
 		{"SlowRecovery", c.SlowRecovery},
 		{"QuarantineFloor", c.QuarantineFloor},
 		{"QueueCap", c.QueueCap},
-		{"QueueLowWater", c.QueueLowWater},
 		{"MaxInflight", c.MaxInflight},
 		{"RetryAfterHint", c.RetryAfterHint},
 		{"Throttle.MinWindow", c.Throttle.MinWindow},
@@ -261,6 +259,9 @@ func (c *Config) Validate() error {
 		if v := reflect.ValueOf(k.val); v.CanInt() && v.Int() < 0 || v.CanFloat() && v.Float() < 0 {
 			return fmt.Errorf("livestack: %s must not be negative, got %v", k.name, k.val)
 		}
+	}
+	if c.RPC.WireChecksum {
+		return fmt.Errorf("livestack: RPC.WireChecksum would checksum only the clients' requests: set WireChecksum, which turns trailers on for daemons, clients and the prober alike")
 	}
 	if c.Hedge.Pct < 0 || c.Hedge.Pct >= 1 {
 		return fmt.Errorf("livestack: Hedge.Pct must be a quantile in [0,1), got %g", c.Hedge.Pct)
@@ -284,8 +285,6 @@ func (c *Config) Validate() error {
 			"without an interval no probe runs, so the ping deadline never applies"},
 		{c.HealthFailThreshold > 0 || c.HealthRiseThreshold > 0, "HealthFailThreshold/HealthRiseThreshold", probing, "HealthInterval",
 			"without an interval no probe runs, so nothing is debounced"},
-		{c.QueueLowWater > 0, "QueueLowWater", c.QueueCap > 0, "QueueCap",
-			"an unbounded queue never saturates, so it never resumes either"},
 		{c.RetryAfterHint > 0, "RetryAfterHint", bounded, "QueueCap or MaxInflight",
 			"without bounded admission no busy response carries the hint"},
 		{c.Throttle.MinWindow > 0 || c.Throttle.MaxWindow > 0, "Throttle.MinWindow/MaxWindow", c.Throttle.Enabled, "Throttle.Enabled",

@@ -2,13 +2,17 @@ package livestack
 
 import (
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/elastic"
 	"repro/internal/fwd"
+	"repro/internal/health"
 	"repro/internal/ion"
+	"repro/internal/pfs"
+	"repro/internal/policy"
 	"repro/internal/qos"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
@@ -139,7 +143,7 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{"slow recovery without factor", func(c *Config) { c.SlowRecovery = 5 }, "SlowWindow/SlowRecovery requires SlowFactor"},
 		{"overload threshold without a signal", func(c *Config) { c.HealthInterval = time.Second; c.OverloadThreshold = 2 }, "OverloadThreshold/OverloadRecovery requires OverloadQueueDepth or OverloadShedDelta"},
 		{"overload recovery without a signal", func(c *Config) { c.HealthInterval = time.Second; c.OverloadRecovery = 2 }, "OverloadThreshold/OverloadRecovery requires OverloadQueueDepth or OverloadShedDelta"},
-		{"low water without queue cap", func(c *Config) { c.QueueLowWater = 4 }, "QueueLowWater requires QueueCap"},
+		{"rpc checksum instead of the stack's", func(c *Config) { c.RPC.WireChecksum = true }, "RPC.WireChecksum would checksum only the clients' requests: set WireChecksum"},
 		{"provisioner hook without scaler", func(c *Config) {
 			c.WrapProvisioner = func(p elastic.Provisioner) elastic.Provisioner { return p }
 		}, "WrapProvisioner requires Elastic"},
@@ -233,5 +237,32 @@ func TestQoSSchedulerDefaultHasOneOwner(t *testing.T) {
 			t.Errorf("Scheduler() = %q, want %q (Scheduler=%q, QoS empty=%v)", got, tc.want, tc.cfg.Scheduler, tc.cfg.QoS.Empty())
 		}
 		st.Close()
+	}
+}
+
+// TestKnobCounts pins how many fields the configuration structs of the
+// stack's layers have, 107 in all, the way TestArgvDefaults pins gkfwd's
+// flags: a value only tests set is a constant (DESIGN.md §4, "Every knob
+// has a caller"), so a new field is a new knob that needs a production
+// caller — a command, a bench/ workload, an example, an experiment or the
+// livestack wiring.
+func TestKnobCounts(t *testing.T) {
+	total := 0
+	for _, k := range []struct {
+		cfg  any
+		want int
+	}{
+		{rpc.Options{}, 5}, {rpc.ServerLimits{}, 2}, {fwd.ThrottleConfig{}, 3}, {fwd.HedgeConfig{}, 4},
+		{ion.Config{}, 11}, {health.Config{}, 17}, {elastic.Config{}, 23}, {pfs.Config{}, 6},
+		{policy.MCKP{}, 0}, {Config{}, 36},
+	} {
+		total += k.want
+		if typ := reflect.TypeOf(k.cfg); typ.NumField() != k.want {
+			t.Errorf("%s has %d fields, want %d: a field needs a production caller (a command, a bench/ workload, an example, an experiment or the livestack wiring); a value only tests set is a constant (DESIGN.md §4)",
+				typ, typ.NumField(), k.want)
+		}
+	}
+	if total != 107 {
+		t.Errorf("the pinned structs total %d fields, want 107", total)
 	}
 }

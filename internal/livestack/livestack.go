@@ -427,7 +427,6 @@ func (s *Stack) addNode() (*node, error) {
 		Telemetry:      s.Telemetry,
 		Tracer:         s.Tracer,
 		QueueCap:       s.cfg.QueueCap,
-		QueueLowWater:  s.cfg.QueueLowWater,
 		MaxInflight:    s.cfg.MaxInflight,
 		RetryAfterHint: s.cfg.RetryAfterHint,
 		WireChecksum:   s.cfg.WireChecksum,
@@ -583,7 +582,7 @@ func (s *Stack) RestartION(i int) error {
 // arbiter assigns it I/O nodes (via JobStarted).
 func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 	rpcOpts := s.cfg.RPC
-	rpcOpts.WireChecksum = rpcOpts.WireChecksum || s.cfg.WireChecksum
+	rpcOpts.WireChecksum = s.cfg.WireChecksum
 	direct := pfs.FileSystem(s.Store)
 	if s.cfg.WrapDirect != nil {
 		direct = s.cfg.WrapDirect(direct)

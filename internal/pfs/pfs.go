@@ -80,8 +80,6 @@ type Config struct {
 	// LockLatency is charged per write to a file that another writer
 	// touched since this writer's last access (shared-file contention).
 	LockLatency time.Duration
-	// MetaLatency is charged per metadata operation (create/stat/remove).
-	MetaLatency time.Duration
 	// Discard keeps metadata and accounting but drops payload bytes; use
 	// for large-volume benchmarks.
 	Discard bool
@@ -439,9 +437,6 @@ func (s *Store) Metrics() Metrics {
 }
 
 func (s *Store) meta() {
-	if s.cfg.MetaLatency > 0 {
-		time.Sleep(s.cfg.MetaLatency)
-	}
 	s.statsMu.Lock()
 	s.metrics.MetaOps++
 	s.statsMu.Unlock()

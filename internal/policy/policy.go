@@ -380,33 +380,21 @@ func (Oracle) Allocate(apps []Application, _ int) (Allocation, error) {
 
 // --- MCKP ---------------------------------------------------------------
 
-// Solver is the signature shared by the exact and heuristic MCKP solvers.
-type Solver func(mckp.Problem) (mckp.Solution, error)
-
 // MCKP is the paper's arbitration policy: one knapsack class per
 // application, one item per candidate I/O-node count (weight = count,
-// value = bandwidth), capacity = available pool. Solving the MCKP yields
-// the allocation that maximizes the aggregate bandwidth.
-type MCKP struct {
-	// Solve picks the solver; nil means the exact DP (the paper's
-	// choice).
-	Solve Solver
-	// Fallback supplies allocations for applications without curve data
-	// (first execution). nil means the STATIC default, as in §3.1.
-	Fallback Policy
-}
+// value = bandwidth), capacity = available pool. Solving the MCKP with the
+// exact DP (the paper's choice) yields the allocation that maximizes the
+// aggregate bandwidth. Applications without curve data (first execution)
+// get the STATIC default, as in §3.1.
+type MCKP struct{}
 
 // Name implements Policy.
 func (MCKP) Name() string { return "MCKP" }
 
 // Allocate implements Policy.
-func (p MCKP) Allocate(apps []Application, available int) (Allocation, error) {
+func (MCKP) Allocate(apps []Application, available int) (Allocation, error) {
 	if len(apps) == 0 {
 		return nil, ErrNoApplications
-	}
-	solve := p.Solve
-	if solve == nil {
-		solve = mckp.SolveDP
 	}
 
 	// Split off uncharacterized applications: they get the machine
@@ -421,19 +409,15 @@ func (p MCKP) Allocate(apps []Application, available int) (Allocation, error) {
 	}
 	alloc := make(Allocation, len(apps))
 	if len(unknown) > 0 {
-		fb := p.Fallback
-		if fb == nil {
-			fb = Static{}
-		}
 		// Uncharacterized applications have no curve to read options
 		// from; synthesize the standard option set (powers of two
-		// dividing the node count) so the fallback policy can choose.
+		// dividing the node count) so STATIC can choose.
 		withOpts := make([]Application, len(unknown))
 		for i, a := range unknown {
 			withOpts[i] = a
 			withOpts[i].Curve = syntheticOptions(a.Nodes, available)
 		}
-		fbAlloc, err := fb.Allocate(withOpts, available)
+		fbAlloc, err := Static{}.Allocate(withOpts, available)
 		if err != nil {
 			return nil, fmt.Errorf("policy: MCKP fallback: %w", err)
 		}
@@ -463,7 +447,7 @@ func (p MCKP) Allocate(apps []Application, available int) (Allocation, error) {
 		}
 		prob.Classes = append(prob.Classes, cls)
 	}
-	sol, err := solve(prob)
+	sol, err := mckp.SolveDP(prob)
 	if err != nil {
 		return nil, fmt.Errorf("policy: MCKP: %w", err)
 	}

@@ -220,20 +220,23 @@ func TestMCKPRespectsPool(t *testing.T) {
 // receives the STATIC default (§3.1) and the rest are optimized.
 func TestMCKPFallbackForUncharacterizedApps(t *testing.T) {
 	apps := fiveTwoApps(t)
-	newApp := Application{ID: "NEW", Nodes: 16, Processes: 128}
-	// Give the new app the options a 16-node job would have, but no curve.
-	apps = append(apps, newApp)
-	alloc := mustAllocate(t, MCKP{Fallback: One{}}, apps, 13)
-	if alloc["NEW"] != 1 {
-		t.Fatalf("uncharacterized app should get the fallback allocation, got %d", alloc["NEW"])
+	known := mustAllocate(t, MCKP{}, apps, 5)
+	// A 16-node job with no curve, alone among the uncharacterized: its
+	// STATIC share of 13 I/O nodes is 8, the largest power of two dividing
+	// 16 within 13.
+	alloc := mustAllocate(t, MCKP{}, append(apps, Application{ID: "NEW", Nodes: 16, Processes: 128}), 13)
+	if alloc["NEW"] != 8 {
+		t.Fatalf("uncharacterized app should get the STATIC allocation 8, got %d", alloc["NEW"])
 	}
 	if alloc.Total() > 13 {
 		t.Fatalf("total %d exceeds pool", alloc.Total())
 	}
-	// The characterized apps must still get the Table 4 optimum for the
-	// remaining 12 nodes.
-	if alloc["IOR-MPI"] != 8 {
-		t.Fatalf("known apps not optimized after fallback: %v", alloc)
+	// The characterized apps must still get the MCKP optimum for the
+	// remaining 5 nodes.
+	for id, n := range known {
+		if alloc[id] != n {
+			t.Fatalf("known apps not optimized after fallback: %v, want %v for them", alloc, known)
+		}
 	}
 }
 

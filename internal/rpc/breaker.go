@@ -47,13 +47,9 @@ type Options struct {
 	// the dial that may precede it). ≤0 means no deadline.
 	CallTimeout time.Duration
 	// MaxRetries is the number of additional attempts after the first for
-	// transport-level failures. 0 disables retries.
+	// transport-level failures, each after a jittered backoff that doubles
+	// from retryBackoff up to retryBackoffMax. 0 disables retries.
 	MaxRetries int
-	// RetryBackoff is the base delay before the first retry; it doubles
-	// per retry with equal jitter. ≤0 selects 2ms when retries are on.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the backoff growth. ≤0 selects 100ms.
-	RetryBackoffMax time.Duration
 	// BreakerThreshold is the number of consecutive transport failures
 	// that opens the circuit. 0 disables the breaker.
 	BreakerThreshold int
@@ -68,16 +64,15 @@ type Options struct {
 	WireChecksum bool
 }
 
+// The transport-retry backoff: the first retry waits about retryBackoff,
+// each later one twice the one before, never more than retryBackoffMax.
+const (
+	retryBackoff    = 2 * time.Millisecond
+	retryBackoffMax = 100 * time.Millisecond
+)
+
 // withDefaults fills the derived defaults for enabled mechanisms.
 func (o Options) withDefaults() Options {
-	if o.MaxRetries > 0 {
-		if o.RetryBackoff <= 0 {
-			o.RetryBackoff = 2 * time.Millisecond
-		}
-		if o.RetryBackoffMax <= 0 {
-			o.RetryBackoffMax = 100 * time.Millisecond
-		}
-	}
 	if o.BreakerThreshold > 0 && o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = time.Second
 	}
@@ -85,19 +80,14 @@ func (o Options) withDefaults() Options {
 }
 
 // backoffDelay returns the sleep before retry attempt i (0-based):
-// exponential growth from RetryBackoff, capped at RetryBackoffMax, with
+// exponential growth from retryBackoff, capped at retryBackoffMax, with
 // equal jitter (half fixed, half uniformly random).
-func backoffDelay(o Options, attempt int) time.Duration {
-	d := o.RetryBackoff
-	for i := 0; i < attempt && d < o.RetryBackoffMax; i++ {
+func backoffDelay(attempt int) time.Duration {
+	d := retryBackoff
+	for i := 0; i < attempt && d < retryBackoffMax; i++ {
 		d *= 2
 	}
-	if d > o.RetryBackoffMax {
-		d = o.RetryBackoffMax
-	}
-	if d <= 0 {
-		return 0
-	}
+	d = min(d, retryBackoffMax)
 	half := int64(d) / 2
 	return time.Duration(half + rand.Int63n(half+1))
 }

@@ -98,7 +98,7 @@ func TestCallClassTableBusyStaleRetryBreaker(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			reg := telemetry.New()
 			c := Dial(row.addr, 2).WithOptions(Options{
-				CallTimeout: 2 * time.Second, MaxRetries: maxRetries, RetryBackoff: time.Millisecond,
+				CallTimeout: 2 * time.Second, MaxRetries: maxRetries,
 				BreakerThreshold: 100, BreakerCooldown: time.Minute,
 			}).Instrument(reg, nil)
 			defer c.Close()

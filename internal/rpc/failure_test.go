@@ -113,7 +113,7 @@ func TestRetriesWithBackoffRecoverFromTransientFailures(t *testing.T) {
 	ln, _ := flakyListener(t, 2)
 	reg := telemetry.New()
 	cli := Dial(ln.Addr().String(), 1).
-		WithOptions(Options{MaxRetries: 4, RetryBackoff: time.Millisecond, RetryBackoffMax: 4 * time.Millisecond}).
+		WithOptions(Options{MaxRetries: 4}).
 		Instrument(reg, nil)
 	defer cli.Close()
 
@@ -136,7 +136,7 @@ func TestRetriesExhaustedSurfaceUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close() // nothing is listening anymore
-	cli := Dial(addr, 1).WithOptions(Options{MaxRetries: 2, RetryBackoff: time.Millisecond})
+	cli := Dial(addr, 1).WithOptions(Options{MaxRetries: 2})
 	defer cli.Close()
 	if _, err := cli.Call(&Message{Op: OpPing}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("exhausted retries should wrap ErrUnavailable, got %v", err)
@@ -332,7 +332,7 @@ func TestValidationErrorKeepsPoolAndBreakerUntouched(t *testing.T) {
 	defer srv.Close()
 	reg := telemetry.New()
 	cli := Dial(addr, 1).
-		WithOptions(Options{MaxRetries: 3, RetryBackoff: time.Millisecond, BreakerThreshold: 1, BreakerCooldown: time.Minute}).
+		WithOptions(Options{MaxRetries: 3, BreakerThreshold: 1, BreakerCooldown: time.Minute}).
 		Instrument(reg, nil)
 	defer cli.Close()
 

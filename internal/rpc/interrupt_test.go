@@ -24,7 +24,7 @@ import (
 // breaker that a single transport failure would open, retries that would
 // show in rpc_retries_total, and a deadline whose expiry would count.
 var interruptOpts = Options{
-	CallTimeout: 5 * time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond,
+	CallTimeout: 5 * time.Second, MaxRetries: 2,
 	BreakerThreshold: 1, BreakerCooldown: time.Minute,
 }
 

@@ -1,10 +1,10 @@
 // Overload protection for the rpc layer. Two halves compose:
 //
-//   - server-side admission limits (ServerLimits): a cap on concurrent
-//     connections and a cap on in-flight requests. Above the in-flight cap
-//     the server answers with a typed *busy* response — a shed — carrying a
-//     retry-after hint, instead of queueing unbounded work behind the
-//     handler;
+//   - a server-side admission limit (ServerLimits): a cap on in-flight
+//     requests. Above it the server answers with a typed *busy* response —
+//     a shed — carrying a retry-after hint, instead of queueing unbounded
+//     work behind the handler. The response comes from the message pool,
+//     so a shed costs the overloaded server no allocation;
 //   - client-side classification: a busy response is an *Error of
 //     ClassBusy carrying the hint. It is deliberately neither a transport
 //     failure (the exchange completed; the server is provably alive, so it
@@ -13,8 +13,8 @@
 //     later is the right reaction, which the fwd layer's adaptive throttle
 //     does).
 //
-// Both caps are opt-in: the zero ServerLimits preserves the historical
-// accept-everything behavior exactly.
+// The cap is opt-in: the zero ServerLimits preserves the historical
+// handle-everything behavior exactly.
 package rpc
 
 import (
@@ -26,12 +26,8 @@ import (
 var ErrBusy = errors.New("rpc: server busy")
 
 // ServerLimits bounds a server's concurrent work. The zero value keeps the
-// historical behavior: every connection accepted, every request handled.
+// historical behavior: every request handled.
 type ServerLimits struct {
-	// MaxConns caps concurrently served connections; a connection arriving
-	// above the cap is closed at accept (counted, never handled). ≤0 means
-	// unlimited.
-	MaxConns int
 	// MaxInflight caps requests concurrently inside the handler; a request
 	// arriving above the cap is answered with a busy response instead of
 	// being dispatched. ≤0 means unlimited.
@@ -49,9 +45,13 @@ func (l ServerLimits) withDefaults() ServerLimits {
 	return l
 }
 
-// busyResponse builds the shed response for req: same op and trace (so the
+// busyResponse builds the shed response for req in a pooled envelope, which
+// the server releases once it is written: same op and trace (so the
 // client's matching and tracing still line up), busy flag set, hint
 // attached.
 func busyResponse(req *Message, retryAfter time.Duration) *Message {
-	return &Message{Op: req.Op, Path: req.Path, Trace: req.Trace, Busy: true, RetryAfter: retryAfter}
+	resp := GetMessage()
+	resp.Op, resp.Path, resp.Trace = req.Op, req.Path, req.Trace
+	resp.Busy, resp.RetryAfter = true, retryAfter
+	return resp
 }

@@ -40,8 +40,7 @@ type Server struct {
 	// Telemetry handles are nil on an uninstrumented server; every method
 	// on them is then a no-op (see internal/telemetry).
 	tel struct {
-		shed, connLimitCloses *telemetry.Counter
-		checksumErrors        *telemetry.Counter
+		shed, checksumErrors  *telemetry.Counter
 		connsGauge, inflGauge *telemetry.Gauge
 	}
 }
@@ -67,14 +66,13 @@ func (s *Server) WithChecksum(on bool) *Server {
 }
 
 // Instrument attaches overload metrics to the server: requests shed at the
-// in-flight cap, connections closed at the connection cap, and live
+// in-flight cap, frames dropped on a checksum mismatch, and live
 // connection/in-flight gauges. label is an optional Prometheus label set
 // (e.g. `{node="ion00"}`) so per-daemon servers stay distinguishable in
 // one registry. Call before Listen; reg may be nil. Returns s for
 // chaining.
 func (s *Server) Instrument(reg *telemetry.Registry, label string) *Server {
 	s.tel.shed = reg.Counter("rpc_server_shed_total" + label)
-	s.tel.connLimitCloses = reg.Counter("rpc_server_conn_limit_closes_total" + label)
 	s.tel.checksumErrors = reg.Counter("rpc_checksum_errors_total" + label)
 	s.tel.connsGauge = reg.Gauge("rpc_server_conns" + label)
 	s.tel.inflGauge = reg.Gauge("rpc_server_inflight" + label)
@@ -126,17 +124,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			s.mu.Unlock()
 			conn.Close()
 			return
-		}
-		if s.limits.MaxConns > 0 && len(s.conns) >= s.limits.MaxConns {
-			// Connection cap: a hard resource guard, closed before any
-			// bytes flow. Unlike a shed (which needs an accepted request
-			// to answer), this is indistinguishable from a transport
-			// failure to the peer — so it defaults off and request-level
-			// shedding (MaxInflight, queue caps) is the polite first line.
-			s.mu.Unlock()
-			s.tel.connLimitCloses.Inc()
-			conn.Close()
-			continue
 		}
 		s.conns[conn] = struct{}{}
 		s.tel.connsGauge.Set(int64(len(s.conns)))
@@ -567,7 +554,7 @@ func (c *Client) call(req *Message, it *Interrupt) (*Message, error) {
 			return nil, e
 		}
 		c.tel.retries.Inc()
-		time.Sleep(backoffDelay(c.opts, i-1))
+		time.Sleep(backoffDelay(i - 1))
 		fresh = false
 	}
 }

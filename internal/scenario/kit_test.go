@@ -22,8 +22,6 @@ import (
 var fastFail = rpc.Options{
 	CallTimeout:      500 * time.Millisecond,
 	MaxRetries:       1,
-	RetryBackoff:     time.Millisecond,
-	RetryBackoffMax:  5 * time.Millisecond,
 	BreakerThreshold: 2,
 	BreakerCooldown:  30 * time.Second,
 }
@@ -62,8 +60,7 @@ var stacks = map[string]func(dir string) livestack.Config{
 		return probed(livestack.Config{
 			IONs: 12, Scheduler: "FIFO", ChunkSize: 4 << 10,
 			WireChecksum: true, DedupWindow: 256,
-			RPC: rpc.Options{CallTimeout: 250 * time.Millisecond, MaxRetries: 3, RetryBackoff: time.Millisecond,
-				RetryBackoffMax: 10 * time.Millisecond, BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
+			RPC:      rpc.Options{CallTimeout: 250 * time.Millisecond, MaxRetries: 3, BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
 			QueueCap: 64, RetryAfterHint: 2 * time.Millisecond, Throttle: fwd.ThrottleConfig{Enabled: true},
 		})
 	},
@@ -72,7 +69,7 @@ var stacks = map[string]func(dir string) livestack.Config{
 	},
 	"chaos-hang": func(string) livestack.Config {
 		return livestack.Config{IONs: 1, Scheduler: "FIFO", ChunkSize: 4096, RPC: rpc.Options{
-			CallTimeout: 100 * time.Millisecond, MaxRetries: 1, RetryBackoff: time.Millisecond,
+			CallTimeout: 100 * time.Millisecond, MaxRetries: 1,
 			BreakerThreshold: 2, BreakerCooldown: 200 * time.Millisecond}}
 	},
 	"rejoin": func(string) livestack.Config {
@@ -86,10 +83,9 @@ var stacks = map[string]func(dir string) livestack.Config{
 			IONs: 12, Scheduler: "FIFO", ChunkSize: 4096, Dispatchers: 1,
 			// Hair-trigger breaker: a single shed misclassified as a
 			// transport failure would open it and fail the scenario.
-			RPC:      rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 1, RetryBackoff: time.Millisecond, BreakerThreshold: 2, BreakerCooldown: 30 * time.Second},
-			QueueCap: 2, QueueLowWater: 1, MaxInflight: 24, RetryAfterHint: time.Millisecond,
-			Throttle: fwd.ThrottleConfig{Enabled: true, MinWindow: 1, MaxWindow: 8, DegradeAfter: 3,
-				RetryAfterFloor: time.Millisecond, RetryAfterCap: 4 * time.Millisecond},
+			RPC:      rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 1, BreakerThreshold: 2, BreakerCooldown: 30 * time.Second},
+			QueueCap: 2, MaxInflight: 24, RetryAfterHint: time.Millisecond,
+			Throttle:       fwd.ThrottleConfig{Enabled: true, MinWindow: 1, MaxWindow: 8},
 			HealthInterval: 10 * time.Millisecond, HealthTimeout: 250 * time.Millisecond,
 			OverloadShedDelta: 1, OverloadThreshold: 1, OverloadRecovery: 5,
 		}
@@ -105,9 +101,8 @@ var stacks = map[string]func(dir string) livestack.Config{
 			// the writer parallelism — otherwise demand queues invisibly on
 			// the client side and the prober's depth samples (the scaler's
 			// whole signal) read near zero however hard the burst pushes.
-			PoolSize: 24,
-			RPC: rpc.Options{CallTimeout: 10 * time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond,
-				RetryBackoffMax: 5 * time.Millisecond, BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
+			PoolSize:       24,
+			RPC:            rpc.Options{CallTimeout: 10 * time.Second, MaxRetries: 2, BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
 			HealthInterval: 10 * time.Millisecond, HealthTimeout: 250 * time.Millisecond,
 			HealthFailThreshold: 2, HealthRiseThreshold: 2,
 			Elastic: &elastic.Config{
@@ -134,13 +129,12 @@ var stacks = map[string]func(dir string) livestack.Config{
 			// Generous deadlines: the gray node must stay *alive* — if the
 			// per-call deadline turned slowness into failure, this would be
 			// the fail-stop chaos scenario again.
-			RPC: rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 2, RetryBackoff: time.Millisecond,
-				RetryBackoffMax: 10 * time.Millisecond, BreakerThreshold: 50, BreakerCooldown: 100 * time.Millisecond},
+			RPC:            rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 2, BreakerThreshold: 50, BreakerCooldown: 100 * time.Millisecond},
 			HealthInterval: 20 * time.Millisecond, HealthTimeout: time.Second,
 			HealthFailThreshold: 3, HealthRiseThreshold: 2,
 			DedupWindow: 256,
 			SlowFactor:  8, SlowWindow: 3, SlowRecovery: 3, QuarantineFloor: 4,
-			Hedge: fwd.HedgeConfig{Enabled: true, Pct: 0.9, Budget: 0.5, MaxTokens: 16},
+			Hedge: fwd.HedgeConfig{Enabled: true, Pct: 0.9, Budget: 0.5},
 		}
 	},
 	"all-defences":       allDefences(false),

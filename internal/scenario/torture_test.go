@@ -86,8 +86,7 @@ func allDefences(floor bool) func(string) livestack.Config {
 		}
 		cfg := probed(livestack.Config{
 			IONs: 4, ChunkSize: 4096, Dispatchers: 1,
-			RPC: rpc.Options{CallTimeout: 500 * time.Millisecond, MaxRetries: 3, RetryBackoff: time.Millisecond,
-				RetryBackoffMax: 10 * time.Millisecond, BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
+			RPC:      rpc.Options{CallTimeout: 500 * time.Millisecond, MaxRetries: 3, BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
 			QueueCap: 2, MaxInflight: 8, RetryAfterHint: 2 * time.Millisecond, Throttle: fwd.ThrottleConfig{Enabled: true},
 			OverloadShedDelta: 4,
 			WireChecksum:      true, DedupWindow: 1024,
@@ -95,7 +94,7 @@ func allDefences(floor bool) func(string) livestack.Config {
 			Elastic:    el,
 			JournalDir: dir,
 			SlowFactor: 8, SlowWindow: 3, SlowRecovery: 3, QuarantineFloor: 2,
-			Hedge: fwd.HedgeConfig{Enabled: true, Pct: 0.9, Budget: 0.5, MaxTokens: 16},
+			Hedge: fwd.HedgeConfig{Enabled: true, Pct: 0.9, Budget: 0.5},
 		})
 		if floor { // and a quarantine outlasts the next fault, so the floor is reached
 			el.Max, cfg.QuarantineFloor, cfg.SlowRecovery = el.Min, el.Min-1, 25

@@ -109,9 +109,9 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	// seriesPerBase counts distinct labeled series per metric family
-	// (base name), across all metric kinds, enforcing maxSeries.
+	// (base name), across all metric kinds, enforcing
+	// DefaultMaxSeriesPerBase.
 	seriesPerBase map[string]int
-	maxSeries     int
 }
 
 // DefaultMaxSeriesPerBase bounds how many distinct label sets one metric
@@ -129,20 +129,7 @@ func New() *Registry {
 		gauges:        make(map[string]*Gauge),
 		histograms:    make(map[string]*Histogram),
 		seriesPerBase: make(map[string]int),
-		maxSeries:     DefaultMaxSeriesPerBase,
 	}
-}
-
-// SetMaxSeriesPerBase adjusts the per-family label-cardinality cap; n ≤ 0
-// removes it. Only series created afterwards are affected — existing
-// series are never renamed. No-op on a nil registry.
-func (r *Registry) SetMaxSeriesPerBase(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.maxSeries = n
 }
 
 // admit applies the cardinality cap to a new labeled series name,
@@ -155,7 +142,7 @@ func (r *Registry) admit(name string) string {
 	if base == name {
 		return name
 	}
-	if r.maxSeries > 0 && r.seriesPerBase[base] >= r.maxSeries {
+	if r.seriesPerBase[base] >= DefaultMaxSeriesPerBase {
 		return base + `{overflow="true"}`
 	}
 	r.seriesPerBase[base]++
