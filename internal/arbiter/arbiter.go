@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -63,6 +63,9 @@ type Arbiter struct {
 	quarFloor int
 	running   map[string]policy.Application
 	assign    map[string][]string // app → addresses
+	// apps and used are rearbitrate's scratch, reused across solves.
+	apps []policy.Application
+	used map[string]struct{}
 	// SolveTime records the duration of the last policy invocation (the
 	// paper reports 399 µs for its live case).
 	lastSolve time.Duration
@@ -118,6 +121,7 @@ func New(pol policy.Policy, ionAddrs []string, bus *mapping.Bus) (*Arbiter, erro
 		quarFloor: 1,
 		running:   map[string]policy.Application{},
 		assign:    map[string][]string{},
+		used:      map[string]struct{}{},
 	}, nil
 }
 
@@ -217,7 +221,9 @@ func (a *Arbiter) JobStarted(app policy.Application) ([]string, error) {
 	// Intent first: if the crash lands between this append and the solve,
 	// recovery sees the job and solves for it; if the solve below fails,
 	// the compensating record undoes the intent.
-	a.record(journal.Record{Kind: journal.KindJobStarted, App: appRecord(app)})
+	if a.jn != nil { // appRecord copies the curve: build it only to journal it
+		a.record(journal.Record{Kind: journal.KindJobStarted, App: appRecord(app)})
+	}
 	if err := a.rearbitrate(); err != nil {
 		delete(a.running, app.ID)
 		a.record(journal.Record{Kind: journal.KindJobFinished, Job: app.ID})
@@ -372,13 +378,11 @@ func (a *Arbiter) updatePoolGauges() {
 	}
 }
 
-// without returns addrs with every occurrence of addr removed (the slice
-// is only copied when something is actually removed).
+// without removes every occurrence of addr from addrs in place. The
+// arbiter owns its address slices: the bus, Current and the journal each
+// take a copy, so no reader outside a.mu sees the edit.
 func without(addrs []string, addr string) []string {
-	if !slices.Contains(addrs, addr) {
-		return addrs
-	}
-	return slices.DeleteFunc(slices.Clone(addrs), func(x string) bool { return x == addr })
+	return slices.DeleteFunc(addrs, func(x string) bool { return x == addr })
 }
 
 // effects is the arbiter's half of the state × event table (DESIGN §12):
@@ -556,14 +560,15 @@ func (a *Arbiter) Pool() []string {
 // rearbitrate recomputes counts with the policy and maps them to concrete
 // addresses. Caller holds the lock.
 func (a *Arbiter) rearbitrate() error {
-	apps := make([]policy.Application, 0, len(a.running))
+	apps := a.apps[:0]
 	for _, app := range a.running {
 		if a.weightOf != nil && app.Weight == 0 {
 			app.Weight = a.weightOf(app.ID)
 		}
 		apps = append(apps, app)
 	}
-	sort.Slice(apps, func(i, j int) bool { return apps[i].ID < apps[j].ID })
+	slices.SortFunc(apps, func(x, y policy.Application) int { return strings.Compare(x.ID, y.ID) })
+	a.apps = apps
 
 	avail, quar := a.allocatable()
 	if len(avail) == 0 {
@@ -588,13 +593,20 @@ func (a *Arbiter) rearbitrate() error {
 	// draining ones is what migrates traffic off a node headed for
 	// decommission; dropping quarantined ones is what re-steers apps
 	// away from a fail-slow node. The app re-grows in phase 2, which
-	// hands out healthy capacity first.
+	// hands out healthy capacity first. Each app's addresses are a
+	// capacity-capped window of one backing slice.
+	total := 0
+	for _, app := range apps {
+		total += alloc[app.ID]
+	}
+	slots, off := make([]string, total), 0
 	next := make(map[string][]string, len(alloc))
-	used := make(map[string]struct{})
+	clear(a.used)
 	for _, app := range apps {
 		want := alloc[app.ID]
 		cur := a.assign[app.ID]
-		keep := make([]string, 0, len(cur))
+		keep := slots[off : off : off+want]
+		off += want
 		for _, addr := range cur {
 			if len(keep) == want {
 				break
@@ -605,15 +617,15 @@ func (a *Arbiter) rearbitrate() error {
 		}
 		next[app.ID] = keep
 		for _, addr := range keep {
-			used[addr] = struct{}{}
+			a.used[addr] = struct{}{}
 		}
 	}
 	// Phase 2: grow from the free available pool in hand-out order —
 	// healthy nodes first, deprioritized ones last (see allocatable).
 	// Draining and quarantined nodes are not in the available pool at all.
-	free := make([]string, 0, len(avail))
+	free := avail[:0] // filtered in place: allocatable built avail for this solve
 	for _, addr := range avail {
-		if _, kept := used[addr]; !kept {
+		if _, kept := a.used[addr]; !kept {
 			free = append(free, addr)
 		}
 	}

@@ -363,23 +363,29 @@ func (c *Client) SetIONs(addrs []string) {
 }
 
 // setIONsLocked installs an allocation and publishes the new route view.
-// Callers hold c.mu.
+// An unchanged allocation keeps the current view's targets, so only the
+// epoch moves. Callers hold c.mu.
 func (c *Client) setIONsLocked(addrs []string) {
-	c.addrs = append([]string(nil), addrs...)
-	v := &routeView{targets: make([]*target, len(addrs)), epoch: c.ver}
-	for i, a := range addrs {
-		t := c.targets[a]
-		if t == nil {
-			t = &target{addr: a, conn: rpc.Dial(a, c.cfg.PoolSize).
-				WithOptions(c.cfg.RPC).
-				Instrument(c.reg, c.cfg.Tracer)}
-			if c.cfg.Throttle.Enabled {
-				t.gate = newIonGate(c.cfg.Throttle,
-					c.reg.Gauge(fmt.Sprintf("fwd_throttle_window_x1000{app=%q,ion=%q}", c.cfg.AppID, a)))
+	v := &routeView{epoch: c.ver}
+	if old := c.view.Load(); old != nil && slices.Equal(c.addrs, addrs) {
+		v.targets = old.targets
+	} else {
+		c.addrs = append([]string(nil), addrs...)
+		v.targets = make([]*target, len(addrs))
+		for i, a := range addrs {
+			t := c.targets[a]
+			if t == nil {
+				t = &target{addr: a, conn: rpc.Dial(a, c.cfg.PoolSize).
+					WithOptions(c.cfg.RPC).
+					Instrument(c.reg, c.cfg.Tracer)}
+				if c.cfg.Throttle.Enabled {
+					t.gate = newIonGate(c.cfg.Throttle,
+						c.reg.Gauge(fmt.Sprintf("fwd_throttle_window_x1000{app=%q,ion=%q}", c.cfg.AppID, a)))
+				}
+				c.targets[a] = t
 			}
-			c.targets[a] = t
+			v.targets[i] = t
 		}
-		v.targets[i] = t
 	}
 	c.view.Store(v)
 	c.stats.remaps.Add(1)

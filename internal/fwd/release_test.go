@@ -3,7 +3,11 @@ package fwd
 // ReleaseConn tests: the conn-pool pruning hook the elastic stack calls
 // when an I/O node is decommissioned for good.
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/mapping"
+)
 
 func TestReleaseConnPrunesOnlyFormerNodes(t *testing.T) {
 	store, addrs, _ := testStack(t, 3)
@@ -125,9 +129,9 @@ func TestCloseRetainsNoTarget(t *testing.T) {
 			t.Fatalf("non-throttling client built a gate for %s", tg.addr)
 		}
 	}
-	if n := testing.AllocsPerRun(20, func() { c.SetIONs(addrs[:1]) }); n > 3 {
-		// the addrs copy, the view and its one-entry targets slice
-		t.Fatalf("remap of a known address allocates %v objects, want ≤ 3", n)
+	if n := testing.AllocsPerRun(20, func() { c.SetIONs(addrs[:1]) }); n > 1 {
+		// the view: an unchanged allocation keeps its addrs and targets
+		t.Fatalf("remap of a known address allocates %v objects, want ≤ 1", n)
 	}
 	c.Close()
 	c.mu.Lock()
@@ -135,6 +139,34 @@ func TestCloseRetainsNoTarget(t *testing.T) {
 	c.mu.Unlock()
 	if left != 0 || alloc != 0 || c.view.Load() != nil {
 		t.Fatalf("after Close: %d targets, %d allocated addrs, view=%v; want none", left, alloc, c.view.Load())
+	}
+}
+
+// A map that leaves this app's allocation unchanged still counts as a remap
+// and moves the view's epoch, but builds no route: one new view, the same
+// targets slice.
+func TestApplyMapUnchangedAllocationPin(t *testing.T) {
+	store, addrs, _ := testStack(t, 2)
+	c := newTestClient(t, store, 64)
+	ions := map[string][]string{"app": addrs, "other": {"127.0.0.1:1"}}
+	ver := uint64(1)
+	c.ApplyMap(mapping.Map{Version: ver, IONs: ions})
+	before := c.view.Load()
+	remaps := c.Stats().RemapsApplied
+	n := testing.AllocsPerRun(50, func() {
+		ver++
+		c.ApplyMap(mapping.Map{Version: ver, IONs: ions})
+	})
+	if n > 1 {
+		t.Fatalf("ApplyMap of an unchanged allocation allocates %v objects, want ≤ 1", n)
+	}
+	after := c.view.Load()
+	if after.epoch != ver || &after.targets[0] != &before.targets[0] {
+		t.Fatalf("view after unchanged remap: epoch %d (want %d), targets rebuilt %v",
+			after.epoch, ver, &after.targets[0] != &before.targets[0])
+	}
+	if got := c.Stats().RemapsApplied - remaps; got != 51 {
+		t.Fatalf("%d remaps counted for 51 maps", got)
 	}
 }
 

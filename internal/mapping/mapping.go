@@ -56,8 +56,10 @@ func (m Map) Apps() []string {
 
 // Bus is an in-process mapping distributor: the arbiter publishes, clients
 // subscribe. Subscribers receive the current map immediately and every
-// subsequent publication. Slow subscribers are skipped (they will catch up
-// on the next publication), never blocked on.
+// subsequent publication. A published Map is one read-only snapshot that
+// every subscriber and Publish's caller share; only Current hands out a
+// private copy. A slow subscriber is never blocked on: when its buffer is
+// full its oldest queued map is dropped, so it always ends on the newest.
 type Bus struct {
 	mu      sync.Mutex
 	current Map
@@ -79,22 +81,40 @@ func (b *Bus) Current() Map {
 }
 
 // Publish installs entries as the new map, bumping the version, and
-// notifies subscribers. The entries are copied.
+// notifies subscribers. The entries are copied once, into one map over one
+// address backing; the result is the shared read-only snapshot every
+// subscriber receives.
 func (b *Bus) Publish(ions map[string][]string) Map {
+	n := 0
+	for _, addrs := range ions {
+		n += len(addrs)
+	}
+	flat := make([]string, 0, n)
+	next := Map{IONs: make(map[string][]string, len(ions))}
+	for app, addrs := range ions {
+		if len(addrs) == 0 {
+			next.IONs[app] = nil
+			continue
+		}
+		flat = append(flat, addrs...)
+		next.IONs[app] = flat[len(flat)-len(addrs) : len(flat) : len(flat)]
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	next := Map{Version: b.current.Version + 1, Fence: b.fence, IONs: make(map[string][]string, len(ions))}
-	for app, addrs := range ions {
-		next.IONs[app] = append([]string(nil), addrs...)
-	}
+	next.Version, next.Fence = b.current.Version+1, b.fence
 	b.current = next
 	for _, ch := range b.subs {
 		select {
-		case ch <- next.Clone():
-		default: // subscriber lagging; it will see a later version
+		case ch <- next:
+		default: // lagging: drop its oldest map, then there is room (b.mu holds off other senders)
+			select {
+			case <-ch:
+			default:
+			}
+			ch <- next
 		}
 	}
-	return next.Clone()
+	return next
 }
 
 // Version returns the version the latest published map carries (the
@@ -136,7 +156,7 @@ func (b *Bus) Subscribe() (<-chan Map, func()) {
 	id := b.nextID
 	b.nextID++
 	ch := make(chan Map, 4)
-	ch <- b.current.Clone()
+	ch <- b.current
 	b.subs[id] = ch
 	cancel := func() {
 		b.mu.Lock()

@@ -2,9 +2,12 @@ package mapping
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/testkit"
 )
 
 func TestBusPublishSubscribe(t *testing.T) {
@@ -64,6 +67,63 @@ func TestBusSlowSubscriberNotBlocking(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Publish blocked on a slow subscriber")
+	}
+}
+
+// A subscriber whose buffer is full loses its oldest queued map, never the
+// newest: however far it lags, the last map it drains is the latest.
+func TestBusLaggingSubscriberEndsOnNewest(t *testing.T) {
+	b := NewBus()
+	ch, cancel := b.Subscribe() // never drained while publishing
+	for i := 1; i <= 10; i++ {
+		b.Publish(map[string][]string{"app": {fmt.Sprint("ion-", i)}})
+	}
+	cancel() // closes ch; what is queued stays readable
+	var last Map
+	n := 0
+	for m := range ch {
+		if m.Version <= last.Version && n > 0 {
+			t.Fatalf("versions out of order: v%d after v%d", m.Version, last.Version)
+		}
+		last = m
+		n++
+	}
+	if last.Version != 10 || last.For("app")[0] != "ion-10" {
+		t.Fatalf("lagging subscriber ended on v%d %v, want v10 [ion-10]", last.Version, last.For("app"))
+	}
+	if n != cap(ch) {
+		t.Fatalf("drained %d maps, want a full buffer of %d", n, cap(ch))
+	}
+}
+
+// Publish copies the assignment once and hands every subscriber the same
+// snapshot: what it allocates does not depend on how many listen.
+func TestBusPublishAllocationPin(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	assign := map[string][]string{"a": {"x:1", "x:2"}, "b": {"x:3"}, "c": nil}
+	publishAllocs := func(subscribers int) float64 {
+		b := NewBus()
+		var chans []<-chan Map
+		for i := 0; i < subscribers; i++ {
+			ch, cancel := b.Subscribe()
+			defer cancel()
+			chans = append(chans, ch)
+		}
+		return testing.AllocsPerRun(100, func() {
+			b.Publish(assign)
+			for _, ch := range chans {
+				<-ch
+			}
+		})
+	}
+	one, eight := publishAllocs(1), publishAllocs(8)
+	if one != eight {
+		t.Fatalf("Publish allocates %v objects with 1 subscriber, %v with 8", one, eight)
+	}
+	if one > 3 { // the map, its table, one address backing
+		t.Fatalf("Publish allocates %v objects, want ≤ 3", one)
 	}
 }
 

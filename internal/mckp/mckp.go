@@ -67,8 +67,13 @@ var (
 	ErrInfeasible = errors.New("mckp: no feasible assignment fits the capacity")
 )
 
+// maxClassItems bounds a class's size: SolveDP records a chosen item's
+// index as an int16.
+const maxClassItems = math.MaxInt16
+
 // Validate checks structural well-formedness: at least one class, no empty
-// classes, non-negative weights, and a non-negative capacity.
+// or oversized (> maxClassItems) classes, non-negative weights, and a
+// non-negative capacity.
 func (p Problem) Validate() error {
 	if len(p.Classes) == 0 {
 		return ErrNoClasses
@@ -79,6 +84,10 @@ func (p Problem) Validate() error {
 	for i, c := range p.Classes {
 		if len(c.Items) == 0 {
 			return fmt.Errorf("%w: class %d (%q)", ErrEmptyClass, i, c.Label)
+		}
+		if len(c.Items) > maxClassItems {
+			return fmt.Errorf("mckp: class %d (%q) has %d items, more than the %d a solver can index",
+				i, c.Label, len(c.Items), maxClassItems)
 		}
 		for j, it := range c.Items {
 			if it.Weight < 0 {
@@ -139,50 +148,43 @@ func SolveDP(p Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
-	if _, minTotal := p.minWeights(); minTotal > p.Capacity {
-		return Solution{}, ErrInfeasible
-	}
-
-	const unset = -1
-	k := len(p.Classes)
 	// Capacity beyond the sum of per-class maximum weights is never
 	// usable; clamping keeps the DP pseudo-polynomial in the *useful*
 	// capacity (an ORACLE-sized pool costs no more than a saturated one).
-	W := p.Capacity
-	maxTotal := 0
+	minTotal, maxTotal := 0, 0
 	for _, c := range p.Classes {
-		classMax := 0
-		for _, it := range c.Items {
-			if it.Weight > classMax {
-				classMax = it.Weight
-			}
+		lo, hi := c.Items[0].Weight, c.Items[0].Weight
+		for _, it := range c.Items[1:] {
+			lo, hi = min(lo, it.Weight), max(hi, it.Weight)
 		}
-		maxTotal += classMax
+		minTotal += lo
+		maxTotal += hi
 	}
-	if maxTotal < W {
-		W = maxTotal
+	if minTotal > p.Capacity {
+		return Solution{}, ErrInfeasible
 	}
+	const unset = -1
+	k := len(p.Classes)
+	W := min(p.Capacity, maxTotal)
 
 	// dp[w] holds the best value achievable using the classes processed
 	// so far with total weight exactly ≤ w tracked as "best at w".
-	// choice[i][w] records the item picked for class i at state weight w.
-	dp := make([]float64, W+1)
-	reach := make([]bool, W+1)
+	// Row i of the flat choice table holds the item class i picked to reach
+	// state weight w; the state before it is w less that item's weight.
+	cols := W + 1
+	choice := make([]int16, k*cols)
+	vals := make([]float64, 2*cols)
+	dp, next := vals[:cols], vals[cols:]
+	flags := make([]bool, 2*cols)
+	reach, nextReach := flags[:cols], flags[cols:]
 	reach[0] = true
-	choice := make([][]int16, k)
-	from := make([][]int32, k)
-
-	next := make([]float64, W+1)
-	nextReach := make([]bool, W+1)
 
 	for i, c := range p.Classes {
-		choice[i] = make([]int16, W+1)
-		from[i] = make([]int32, W+1)
-		for w := range next {
-			next[w] = 0
-			nextReach[w] = false
-			choice[i][w] = unset
-			from[i][w] = unset
+		row := choice[i*cols : (i+1)*cols]
+		clear(next)
+		clear(nextReach)
+		for w := range row {
+			row[w] = unset
 		}
 		for w := 0; w <= W; w++ {
 			if !reach[w] {
@@ -198,8 +200,7 @@ func SolveDP(p Problem) (Solution, error) {
 				if !nextReach[nw] || nv > next[nw] {
 					nextReach[nw] = true
 					next[nw] = nv
-					choice[i][nw] = int16(j)
-					from[i][nw] = int32(w)
+					row[nw] = int16(j)
 				}
 			}
 		}
@@ -222,15 +223,13 @@ func SolveDP(p Problem) (Solution, error) {
 	sol := Solution{Choice: make([]int, k), Value: dp[bestW], Weight: 0}
 	w := bestW
 	for i := k - 1; i >= 0; i-- {
-		j := choice[i][w]
+		j := choice[i*cols+w]
 		if j == unset {
 			return Solution{}, fmt.Errorf("mckp: internal reconstruction failure at class %d weight %d", i, w)
 		}
 		sol.Choice[i] = int(j)
-		w = int(from[i][w])
-	}
-	for i, j := range sol.Choice {
 		sol.Weight += p.Classes[i].Items[j].Weight
+		w -= p.Classes[i].Items[j].Weight
 	}
 	if err := p.verify(sol); err != nil {
 		return Solution{}, err

@@ -3,6 +3,7 @@ package mckp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -68,6 +69,42 @@ func TestValidateErrors(t *testing.T) {
 	p = Problem{Capacity: 1, Classes: []Class{{Label: "x", Items: []Item{{Weight: 0, Value: math.NaN()}}}}}
 	if err := p.Validate(); err == nil {
 		t.Error("NaN value should fail validation")
+	}
+}
+
+// TestValidateClassSizeBound: SolveDP stores item indices as int16, so a
+// class larger than maxClassItems is refused up front instead of wrapping
+// into a wrong choice; at the bound the last item is still reachable.
+func TestValidateClassSizeBound(t *testing.T) {
+	for _, tc := range []struct {
+		items   int
+		wantErr bool
+	}{
+		{1, false},
+		{maxClassItems, false},
+		{maxClassItems + 1, true},
+		{math.MaxUint16 + 3, true}, // would wrap to a small positive index
+	} {
+		items := make([]Item, tc.items)
+		items[len(items)-1] = Item{Weight: 1, Value: 1} // the only item worth taking
+		p := Problem{Capacity: 1, Classes: []Class{{Label: "big", Items: items}}}
+		err := p.Validate()
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%d items: Validate() = %v, want error %v", tc.items, err, tc.wantErr)
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "big") || !strings.Contains(err.Error(), "items") {
+				t.Fatalf("%d items: unclear error %q", tc.items, err)
+			}
+			if _, err := SolveDP(p); err == nil {
+				t.Fatalf("%d items: SolveDP accepted an oversized class", tc.items)
+			}
+			continue
+		}
+		sol, err := SolveDP(p)
+		if err != nil || sol.Choice[0] != tc.items-1 || sol.Value != 1 {
+			t.Fatalf("%d items: SolveDP = %+v, %v; want the last item", tc.items, sol, err)
+		}
 	}
 }
 

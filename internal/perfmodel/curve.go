@@ -44,6 +44,10 @@ func (c Curve) Points() []Point { return append([]Point(nil), c.points...) }
 // Len returns the number of points.
 func (c Curve) Len() int { return len(c.points) }
 
+// Point returns the i-th point in ION order, 0 ≤ i < Len(), without
+// copying the curve.
+func (c Curve) Point(i int) Point { return c.points[i] }
+
 // At returns the bandwidth at exactly k I/O nodes and whether the curve has
 // a point there.
 func (c Curve) At(k int) (units.Bandwidth, bool) {

@@ -14,7 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/mckp"
 	"repro/internal/perfmodel"
@@ -132,16 +133,6 @@ func clampDown(opts []int, want int) (int, error) {
 		}
 	}
 	return best, nil
-}
-
-// sortedByID returns indices of apps in deterministic ID order.
-func sortedByID(apps []Application) []int {
-	idx := make([]int, len(apps))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return apps[idx[a]].ID < apps[idx[b]].ID })
-	return idx
 }
 
 // trimToFit downgrades allocations until the pool size is respected:
@@ -399,7 +390,7 @@ func (MCKP) Allocate(apps []Application, available int) (Allocation, error) {
 
 	// Split off uncharacterized applications: they get the machine
 	// default so their first run is not penalized (§3.1).
-	var known, unknown []Application
+	known, unknown := make([]Application, 0, len(apps)), []Application(nil)
 	for _, a := range apps {
 		if a.Curve.Len() == 0 {
 			unknown = append(unknown, a)
@@ -433,19 +424,26 @@ func (MCKP) Allocate(apps []Application, available int) (Allocation, error) {
 		return alloc, nil
 	}
 
-	prob := mckp.Problem{Capacity: available}
-	order := sortedByID(known)
-	for _, i := range order {
-		a := known[i]
-		cls := mckp.Class{Label: a.ID}
-		w := a.utilityWeight()
-		for _, pt := range a.Curve.Restrict(available).Points() {
-			cls.Items = append(cls.Items, mckp.Item{Weight: pt.IONs, Value: pt.Bandwidth.MBps() * w})
+	// One class per application in ID order, every class's items cut from
+	// one backing slice.
+	slices.SortFunc(known, func(x, y Application) int { return strings.Compare(x.ID, y.ID) })
+	points := 0
+	for _, a := range known {
+		points += a.Curve.Len()
+	}
+	items := make([]mckp.Item, 0, points)
+	prob := mckp.Problem{Capacity: available, Classes: make([]mckp.Class, 0, len(known))}
+	for _, a := range known {
+		start, w := len(items), a.utilityWeight()
+		for i := 0; i < a.Curve.Len(); i++ {
+			if pt := a.Curve.Point(i); pt.IONs <= available {
+				items = append(items, mckp.Item{Weight: pt.IONs, Value: pt.Bandwidth.MBps() * w})
+			}
 		}
-		if len(cls.Items) == 0 {
+		if len(items) == start {
 			return nil, fmt.Errorf("policy: MCKP: %s has no option within %d I/O nodes", a.ID, available)
 		}
-		prob.Classes = append(prob.Classes, cls)
+		prob.Classes = append(prob.Classes, mckp.Class{Label: a.ID, Items: items[start:len(items):len(items)]})
 	}
 	sol, err := mckp.SolveDP(prob)
 	if err != nil {

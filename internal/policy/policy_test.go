@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/perfmodel"
+	"repro/internal/testkit"
 	"repro/internal/units"
 )
 
@@ -375,5 +376,19 @@ func TestExplain(t *testing.T) {
 	// Errors for missing allocations.
 	if _, err := Explain(apps, Allocation{}); err == nil {
 		t.Fatal("missing allocation should fail")
+	}
+}
+
+// TestMCKPAllocateAllocationPin: the MCKP policy builds its problem from
+// one items backing and one class slice, and the solver's tables are flat,
+// so the §5.2 six-application solve allocates a fixed handful of objects.
+func TestMCKPAllocateAllocationPin(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	apps := fiveTwoApps(t)
+	got := testing.AllocsPerRun(100, func() { mustAllocate(t, MCKP{}, apps, 12) })
+	if got > 9 {
+		t.Fatalf("MCKP.Allocate allocates %v objects, want ≤ 9", got)
 	}
 }
