@@ -28,7 +28,7 @@ suite-census:
 
 # Fails when any tracked Go source is not gofmt-clean.
 fmt-check:
-	@unformatted="$$(gofmt -l cmd internal examples bench_test.go doc.go)"; \
+	@unformatted="$$(gofmt -l cmd internal examples bench_test.go exports_test.go doc.go)"; \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt: these files need formatting:" >&2; \
 		echo "$$unformatted" >&2; \

@@ -213,35 +213,6 @@ func BenchmarkMCKPSolverPaperScale(b *testing.B) {
 	}
 }
 
-// BenchmarkMCKPSolverAblation compares the exact DP against the greedy
-// heuristic and branch-and-bound on the live case (DESIGN.md ablation).
-func BenchmarkMCKPSolverAblation(b *testing.B) {
-	specs := perfmodel.SectionFiveTwoApps()
-	prob := mckp.Problem{Capacity: 12}
-	for _, s := range specs {
-		c := mckp.Class{Label: s.Label}
-		for _, pt := range s.Curve.Points() {
-			c.Items = append(c.Items, mckp.Item{Weight: pt.IONs, Value: pt.Bandwidth.MBps()})
-		}
-		prob.Classes = append(prob.Classes, c)
-	}
-	for name, solve := range map[string]func(mckp.Problem) (mckp.Solution, error){
-		"dp": mckp.SolveDP, "greedy": mckp.SolveGreedy, "branchbound": mckp.SolveBranchBound,
-	} {
-		b.Run(name, func(b *testing.B) {
-			var sol mckp.Solution
-			var err error
-			for i := 0; i < b.N; i++ {
-				sol, err = solve(prob)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(sol.Value, "aggregate-MBps")
-		})
-	}
-}
-
 // --- Forwarding stack micro-benchmarks ------------------------------------
 
 func BenchmarkPFSWrite1MiB(b *testing.B) {
@@ -329,36 +300,6 @@ func BenchmarkAblationDynamic(b *testing.B) {
 	}
 	b.ReportMetric(r.Advantage, "dynamic-over-fixed")
 	b.ReportMetric(r.RecruitedMBps/r.NoForwardingMBps, "recruit-over-direct")
-}
-
-// BenchmarkMCKPReduction measures the dominance-preprocessing speedup on
-// the paper-scale instance (512 jobs × 256 I/O nodes).
-func BenchmarkMCKPReduction(b *testing.B) {
-	prob := mckp.Problem{Capacity: 256}
-	for i := 0; i < 512; i++ {
-		c := mckp.Class{Label: fmt.Sprintf("job%03d", i)}
-		for j, w := range []int{0, 1, 2, 4, 8} {
-			c.Items = append(c.Items, mckp.Item{Weight: w, Value: float64((i*31+j*7)%5000) + 1})
-		}
-		prob.Classes = append(prob.Classes, c)
-	}
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mckp.SolveDP(prob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reduced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r, red := mckp.Reduce(prob)
-			sol, err := mckp.SolveDP(r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = red.MapChoice(sol)
-		}
-	})
 }
 
 // BenchmarkQueueRobustness runs the §5.3 comparison over a population of

@@ -35,20 +35,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	var apps []policy.Application
-	if *appsFlag == "" {
-		for _, s := range perfmodel.SectionFiveTwoApps() {
-			apps = append(apps, policy.FromAppSpec(s.Label, s))
-		}
-	} else {
-		for _, label := range strings.Split(*appsFlag, ",") {
-			spec, err := perfmodel.AppByLabel(strings.TrimSpace(label))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "arbiter:", err)
-				os.Exit(1)
-			}
-			apps = append(apps, policy.FromAppSpec(spec.Label, spec))
-		}
+	apps, err := parseApps(*appsFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "arbiter:", err)
+		os.Exit(1)
 	}
 
 	alloc, err := pol.Allocate(apps, *ions)
@@ -98,22 +88,54 @@ func main() {
 	}
 
 	if *mapFile != "" {
-		m := mapping.Map{Version: 1, IONs: map[string][]string{}}
-		next := 0
-		for _, id := range ids {
-			var addrs []string
-			for i := 0; i < alloc[id]; i++ {
-				addrs = append(addrs, fmt.Sprintf("ion%02d", next))
-				next++
-			}
-			m.IONs[id] = addrs
-		}
-		if err := mapping.WriteFile(*mapFile, m); err != nil {
+		if err := mapping.WriteFile(*mapFile, mappingFor(alloc, ids)); err != nil {
 			fmt.Fprintln(os.Stderr, "arbiter:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("mapping written to %s\n", *mapFile)
 	}
+}
+
+// mappingFor names the allocated I/O nodes ion00, ion01, … handing them out
+// in the order of ids, so no two applications share one.
+func mappingFor(alloc policy.Allocation, ids []string) mapping.Map {
+	m := mapping.Map{Version: 1, IONs: map[string][]string{}}
+	next := 0
+	for _, id := range ids {
+		var addrs []string
+		for i := 0; i < alloc[id]; i++ {
+			addrs = append(addrs, fmt.Sprintf("ion%02d", next))
+			next++
+		}
+		m.IONs[id] = addrs
+	}
+	return m
+}
+
+// parseApps resolves the -apps list ("" selects the §5.2 six). A label may
+// appear once: the allocation is keyed by application ID, so a second copy
+// would share the first one's I/O nodes and count its bandwidth twice.
+func parseApps(list string) ([]policy.Application, error) {
+	var apps []policy.Application
+	if list == "" {
+		for _, s := range perfmodel.SectionFiveTwoApps() {
+			apps = append(apps, policy.FromAppSpec(s.Label, s))
+		}
+		return apps, nil
+	}
+	seen := map[string]bool{}
+	for _, label := range strings.Split(list, ",") {
+		spec, err := perfmodel.AppByLabel(strings.TrimSpace(label))
+		if err != nil {
+			return nil, err
+		}
+		if seen[spec.Label] {
+			return nil, fmt.Errorf("-apps lists %s more than once", spec.Label)
+		}
+		seen[spec.Label] = true
+		apps = append(apps, policy.FromAppSpec(spec.Label, spec))
+	}
+	return apps, nil
 }
 
 func policyByName(name string) (policy.Policy, error) {

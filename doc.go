@@ -5,8 +5,8 @@
 // The repository contains the complete system stack the paper builds and
 // evaluates:
 //
-//   - internal/mckp — the Multiple-Choice Knapsack solvers behind the
-//     paper's arbitration policy;
+//   - internal/mckp — the Multiple-Choice Knapsack DP behind the paper's
+//     arbitration policy;
 //   - internal/policy — ZERO, ONE, STATIC, SIZE, PROCESS, ORACLE, MCKP;
 //   - internal/pattern, internal/perfmodel — the access-pattern space and
 //     the calibrated performance model standing in for the MareNostrum 4

@@ -525,7 +525,7 @@ type Queue struct {
 	free   int // dispatch slots nobody holds; > 0 only while the scheduler is empty
 
 	capacity  int  // 0 = unbounded (the historical default)
-	lowWater  int  // resume-admission threshold (< capacity)
+	lowWater  int  // resume-admission threshold: capacity/2
 	saturated bool // above high watermark, not yet drained to lowWater
 
 	// Telemetry handles (nil when uninstrumented; all no-ops then).
@@ -554,11 +554,10 @@ func (q *Queue) SetSlots(n int) {
 	q.mu.Unlock()
 }
 
-// SetCapacity bounds the queue at capacity pending requests with a
-// resume-admission threshold of lowWater (≤0 selects capacity/2; values ≥
-// capacity are clamped to capacity-1). capacity ≤ 0 removes the bound.
-// Call before the queue is shared, or between workloads.
-func (q *Queue) SetCapacity(capacity, lowWater int) {
+// SetCapacity bounds the queue at capacity pending requests, resuming
+// admission once depth drains to capacity/2. capacity ≤ 0 removes the
+// bound. Call before the queue is shared, or between workloads.
+func (q *Queue) SetCapacity(capacity int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if capacity <= 0 {
@@ -566,13 +565,7 @@ func (q *Queue) SetCapacity(capacity, lowWater int) {
 		q.telSaturated.Set(0)
 		return
 	}
-	if lowWater <= 0 {
-		lowWater = capacity / 2
-	}
-	if lowWater >= capacity {
-		lowWater = capacity - 1
-	}
-	q.capacity, q.lowWater = capacity, lowWater
+	q.capacity, q.lowWater = capacity, capacity/2
 }
 
 // Capacity reports the admission bound (0 = unbounded).

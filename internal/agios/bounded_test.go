@@ -18,7 +18,7 @@ func TestBoundedQueueWatermarkHysteresis(t *testing.T) {
 	q := NewQueue(NewFIFO())
 	reg := telemetry.New()
 	q.Instrument(reg, "")
-	q.SetCapacity(4, 2)
+	q.SetCapacity(4)
 	if q.Capacity() != 4 {
 		t.Fatalf("Capacity = %d, want 4", q.Capacity())
 	}
@@ -62,9 +62,10 @@ func TestBoundedQueueWatermarkHysteresis(t *testing.T) {
 	}
 }
 
-func TestSetCapacityClampsAndClears(t *testing.T) {
+// TestSetCapacityClears: removing the bound lifts saturation immediately.
+func TestSetCapacityClears(t *testing.T) {
 	q := NewQueue(NewFIFO())
-	q.SetCapacity(3, 7) // lowWater ≥ capacity clamps to capacity-1
+	q.SetCapacity(3)
 	for i := int64(0); i < 3; i++ {
 		if err := q.Push(req("/c", i*10, 10)); err != nil {
 			t.Fatal(err)
@@ -73,21 +74,45 @@ func TestSetCapacityClampsAndClears(t *testing.T) {
 	if err := q.Push(req("/c", 100, 10)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
-	// Clamped lowWater = 2: one pop resumes admission.
-	q.PopWait()
-	if err := q.Push(req("/c", 110, 10)); err != nil {
-		t.Fatalf("clamped low watermark should admit after one pop: %v", err)
-	}
 
-	// Removing the bound lifts saturation immediately.
-	q.SetCapacity(0, 0)
+	q.SetCapacity(0)
+	if q.Saturated() {
+		t.Fatal("unbounded queue cannot be saturated")
+	}
 	for i := int64(0); i < 64; i++ {
 		if err := q.Push(req("/c", 200+i*10, 10)); err != nil {
 			t.Fatalf("unbounded queue rejected push %d: %v", i, err)
 		}
 	}
-	if q.Saturated() {
-		t.Fatal("unbounded queue cannot be saturated")
+}
+
+// TestSetCapacityLowWaterIsHalf: admission resumes once the depth drains
+// to capacity/2, rounded down, for odd capacities and for capacity 1.
+func TestSetCapacityLowWaterIsHalf(t *testing.T) {
+	for _, capacity := range []int{1, 5} {
+		q := NewQueue(NewFIFO())
+		q.SetCapacity(capacity)
+		for i := 0; i < capacity; i++ {
+			if err := q.Push(req("/h", int64(i)*100, 10)); err != nil {
+				t.Fatalf("capacity %d: push %d: %v", capacity, i, err)
+			}
+		}
+		if err := q.Push(req("/h", 10_000, 10)); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("capacity %d: want ErrQueueFull, got %v", capacity, err)
+		}
+		for depth := capacity - 1; depth > capacity/2; depth-- {
+			q.PopWait()
+			if !q.Saturated() {
+				t.Fatalf("capacity %d: desaturated at depth %d, above the low water %d", capacity, depth, capacity/2)
+			}
+		}
+		q.PopWait()
+		if q.Saturated() {
+			t.Fatalf("capacity %d: still saturated at the low water %d", capacity, capacity/2)
+		}
+		if err := q.Push(req("/h", 20_000, 10)); err != nil {
+			t.Fatalf("capacity %d: push at the low water: %v", capacity, err)
+		}
 	}
 }
 

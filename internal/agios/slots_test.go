@@ -175,7 +175,7 @@ func TestSlotGoesToThePicksSubmitter(t *testing.T) {
 
 func TestSubmitAdmissionMatchesPush(t *testing.T) {
 	q := NewQueue(NewFIFO())
-	q.SetCapacity(1, 0)
+	q.SetCapacity(1)
 	held, _ := q.Submit(req("/f", 0, 1))
 	if _, err := q.Submit(req("/f", 1, 1)); err != nil {
 		t.Fatalf("first queued submit: %v", err)

@@ -116,14 +116,3 @@ func DefaultBTIO() BTIO {
 		Verify:      true,
 	}
 }
-
-// BTIOClassD is BT-D: 512 processes, 126.5 GB, 12 MiB POSIX requests.
-func BTIOClassD() BTIO {
-	return BTIO{
-		Label: "BT-D", Ranks: 512,
-		DumpBytes:   int64(126.5e9) / 40 / DefaultScale,
-		Dumps:       40,
-		RequestSize: 12 * units.MiB / DefaultScale * 8,
-		Verify:      true,
-	}
-}

@@ -421,10 +421,10 @@ func (c *Client) ApplyMap(m mapping.Map) {
 	c.setIONsLocked(m.For(c.cfg.AppID))
 }
 
-// Watch consumes mapping updates from ch (a mapping.Bus subscription or a
-// mapping.Watcher) in a background goroutine until cancel is called or the
-// channel closes. This is GekkoFWD's client-side remapping thread. The
-// returned cancel is idempotent and safe to call concurrently.
+// Watch consumes mapping updates from ch (a mapping.Bus subscription) in a
+// background goroutine until cancel is called or the channel closes. This is
+// GekkoFWD's client-side remapping thread. The returned cancel is idempotent
+// and safe to call concurrently.
 func (c *Client) Watch(ch <-chan mapping.Map) (cancel func()) {
 	stop := make(chan struct{})
 	done := make(chan struct{})

@@ -207,7 +207,7 @@ func (d *Daemon) build() {
 	d.queue = agios.NewQueue(d.cfg.Scheduler)
 	d.queue.SetSlots(d.cfg.Dispatchers)
 	if d.cfg.QueueCap > 0 {
-		d.queue.SetCapacity(d.cfg.QueueCap, 0)
+		d.queue.SetCapacity(d.cfg.QueueCap)
 	}
 	d.queue.Instrument(d.reg, d.label)
 	d.server = rpc.NewServer(d.handle).

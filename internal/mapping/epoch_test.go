@@ -5,91 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
-
-// drain pulls updates until the channel idles, returning the last map
-// seen and how many arrived.
-func drainUpdates(t *testing.T, w *Watcher, wait time.Duration) (Map, int) {
-	t.Helper()
-	var last Map
-	n := 0
-	for {
-		select {
-		case m := <-w.Updates():
-			last = m
-			n++
-		case <-time.After(wait):
-			return last, n
-		}
-	}
-}
-
-// TestWatcherDeliversVersionZeroOnce is the regression test for the old
-// `w.last != 0` special-case: a version-0 mapping file (a solver that
-// never set the field) used to be re-delivered on every poll forever.
-// It must be delivered exactly once until the file actually changes.
-func TestWatcherDeliversVersionZeroOnce(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mapping.json")
-	if err := WriteFile(path, Map{Version: 0, IONs: map[string][]string{"app": {"ion-0"}}}); err != nil {
-		t.Fatal(err)
-	}
-	w := NewWatcher(path, 5*time.Millisecond)
-	defer w.Stop()
-
-	m, n := drainUpdates(t, w, 100*time.Millisecond)
-	if n != 1 {
-		t.Fatalf("version-0 map delivered %d times, want exactly 1", n)
-	}
-	if got := m.For("app"); len(got) != 1 || got[0] != "ion-0" {
-		t.Fatalf("wrong map delivered: %v", got)
-	}
-}
-
-// TestWatcherRedeliversOnFenceAdvance pins the epoch-aware half of the
-// staleness check: after an arbiter recovery whose journal lost its tail,
-// the recovery publish can carry a version the watcher already saw — the
-// raised fence is what marks it as new, and it must be delivered.
-func TestWatcherRedeliversOnFenceAdvance(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mapping.json")
-	if err := WriteFile(path, Map{Version: 3, IONs: map[string][]string{"app": {"ion-0"}}}); err != nil {
-		t.Fatal(err)
-	}
-	w := NewWatcher(path, 5*time.Millisecond)
-	defer w.Stop()
-	if _, n := drainUpdates(t, w, 60*time.Millisecond); n != 1 {
-		t.Fatalf("initial map delivered %d times, want 1", n)
-	}
-
-	// Same version, raised fence: the post-recovery republish.
-	if err := WriteFile(path, Map{Version: 3, Fence: 3, IONs: map[string][]string{"app": {"ion-7"}}}); err != nil {
-		t.Fatal(err)
-	}
-	m, n := drainUpdates(t, w, 100*time.Millisecond)
-	if n != 1 {
-		t.Fatalf("fence-advanced map delivered %d times, want exactly 1", n)
-	}
-	if got := m.For("app"); len(got) != 1 || got[0] != "ion-7" {
-		t.Fatalf("stale pre-recovery map retained: %v", got)
-	}
-	if m.Fence != 3 {
-		t.Fatalf("fence lost in delivery: %d", m.Fence)
-	}
-}
-
-// TestWatcherStillDedupesUnchangedVersions keeps the original contract:
-// an unchanged file is not re-delivered.
-func TestWatcherStillDedupesUnchangedVersions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mapping.json")
-	if err := WriteFile(path, Map{Version: 7, Fence: 2, IONs: map[string][]string{}}); err != nil {
-		t.Fatal(err)
-	}
-	w := NewWatcher(path, 5*time.Millisecond)
-	defer w.Stop()
-	if _, n := drainUpdates(t, w, 100*time.Millisecond); n != 1 {
-		t.Fatalf("unchanged map delivered %d times, want 1", n)
-	}
-}
 
 func TestBusResumeAndRevoke(t *testing.T) {
 	b := NewBus()
@@ -123,10 +39,7 @@ func TestBusResumeAndRevoke(t *testing.T) {
 	if err := WriteFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readFile(t, path)
 	if got.Fence != 10 || got.Version != 11 {
 		t.Fatalf("file round trip lost epoch state: v%d fence %d", got.Version, got.Fence)
 	}

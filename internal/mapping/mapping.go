@@ -1,20 +1,19 @@
 // Package mapping distributes I/O-node allocation decisions from the policy
 // solver to the forwarding clients. The solver publishes a versioned map of
-// application → I/O-node addresses; clients either subscribe in-process
-// (Bus) or poll a mapping file the way GekkoFWD clients re-read their
-// mapping every 10 seconds (FileStore + Watcher). An application mapped to
-// an empty address list accesses the PFS directly.
+// application → I/O-node addresses on a Bus, and clients subscribe to it.
+// WriteFile also writes one decision as the JSON mapping file GekkoFWD's
+// solver hands its clients (GekkoFWD clients re-read it every 10 seconds;
+// jobs.SimConfig.RemapDelay models that delay). An application mapped to an
+// empty address list accesses the PFS directly.
 package mapping
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Map is one allocation decision: which I/O nodes every application must
@@ -169,35 +168,7 @@ func (b *Bus) Subscribe() (<-chan Map, func()) {
 	return ch, cancel
 }
 
-// FileSink mirrors every map published on bus into the file at path, the
-// way the paper's policy solver hands decisions to GekkoFWD clients via a
-// mapping file. It returns a stop function that flushes nothing further.
-// Write errors are delivered to errs if non-nil (the production solver
-// would log them).
-func FileSink(bus *Bus, path string, errs chan<- error) (stop func()) {
-	ch, cancel := bus.Subscribe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for m := range ch {
-			if err := WriteFile(path, m); err != nil && errs != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		}
-	}()
-	return func() {
-		cancel()
-		<-done
-	}
-}
-
 // --- File-based distribution ----------------------------------------------
-
-// ErrNoMapping indicates the mapping file does not exist yet.
-var ErrNoMapping = errors.New("mapping: no mapping published")
 
 // WriteFile atomically publishes m to path (write-temp + rename), the
 // format GekkoFWD's solver uses to hand decisions to clients.
@@ -225,114 +196,4 @@ func WriteFile(path string, m Map) error {
 		return fmt.Errorf("mapping: rename: %w", err)
 	}
 	return nil
-}
-
-// ReadFile loads the mapping at path.
-func ReadFile(path string) (Map, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return Map{}, ErrNoMapping
-		}
-		return Map{}, fmt.Errorf("mapping: read: %w", err)
-	}
-	var m Map
-	if err := json.Unmarshal(data, &m); err != nil {
-		return Map{}, fmt.Errorf("mapping: decode: %w", err)
-	}
-	if m.IONs == nil {
-		m.IONs = map[string][]string{}
-	}
-	return m, nil
-}
-
-// Watcher polls a mapping file and delivers new versions, reproducing the
-// GekkoFWD client thread that checks for mapping updates periodically
-// (every 10 s by default in the paper; configurable here for tests).
-type Watcher struct {
-	path     string
-	interval time.Duration
-
-	mu        sync.Mutex
-	seen      bool
-	last      uint64
-	lastFence uint64
-	updates   chan Map
-	stop      chan struct{}
-	done      chan struct{}
-}
-
-// NewWatcher starts polling path every interval (≤0 selects the paper's
-// 10 s default).
-func NewWatcher(path string, interval time.Duration) *Watcher {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	w := &Watcher{
-		path:     path,
-		interval: interval,
-		updates:  make(chan Map, 4),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go w.loop()
-	return w
-}
-
-// Updates delivers each newly observed map version.
-func (w *Watcher) Updates() <-chan Map { return w.updates }
-
-// Stop terminates polling and closes Updates.
-func (w *Watcher) Stop() {
-	select {
-	case <-w.stop:
-	default:
-		close(w.stop)
-	}
-	<-w.done
-}
-
-func (w *Watcher) loop() {
-	defer close(w.done)
-	defer close(w.updates)
-	ticker := time.NewTicker(w.interval)
-	defer ticker.Stop()
-	w.poll()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-ticker.C:
-			w.poll()
-		}
-	}
-}
-
-func (w *Watcher) poll() {
-	m, err := ReadFile(w.path)
-	if err != nil {
-		return
-	}
-	// Epoch-aware staleness: the first observation always delivers, and
-	// after that a map is new if either its version or its fence moved
-	// forward. The fence clause matters after an arbiter recovery whose
-	// journal lost its tail — the recovery publish can legitimately carry
-	// a version the watcher has already seen, distinguished only by the
-	// raised fence. (The old `w.last != 0` special-case also re-delivered
-	// a version-0 map on every poll forever.)
-	w.mu.Lock()
-	stale := w.seen && m.Version <= w.last && m.Fence <= w.lastFence
-	if !stale {
-		w.seen = true
-		w.last = m.Version
-		w.lastFence = m.Fence
-	}
-	w.mu.Unlock()
-	if stale {
-		return
-	}
-	select {
-	case w.updates <- m:
-	case <-w.stop:
-	}
 }

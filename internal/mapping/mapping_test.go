@@ -1,9 +1,11 @@
 package mapping
 
 import (
-	"errors"
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,6 +136,107 @@ func TestBusCancelIdempotent(t *testing.T) {
 	cancel()
 }
 
+// A cancelled subscriber is forgotten: later publications neither reach
+// its closed channel nor panic sending to it.
+func TestBusPublishAfterCancel(t *testing.T) {
+	b := NewBus()
+	ch, cancel := b.Subscribe()
+	<-ch
+	cancel()
+	b.Publish(map[string][]string{"app": {"x"}})
+	if m, ok := <-ch; ok {
+		t.Fatalf("cancelled subscriber received v%d", m.Version)
+	}
+}
+
+// A subscriber that joins late starts on the latest map, not on version 0.
+func TestBusLateSubscriberStartsOnCurrent(t *testing.T) {
+	b := NewBus()
+	for i := 0; i < 3; i++ {
+		b.Publish(map[string][]string{"app": {fmt.Sprint("ion-", i)}})
+	}
+	ch, cancel := b.Subscribe()
+	defer cancel()
+	m := <-ch
+	if m.Version != 3 || m.For("app")[0] != "ion-2" {
+		t.Fatalf("late subscriber started on v%d %v, want v3 [ion-2]", m.Version, m.For("app"))
+	}
+	select {
+	case extra := <-ch:
+		t.Fatalf("late subscriber replayed v%d", extra.Version)
+	default:
+	}
+}
+
+// After a recovery, the recovery publish reaches subscribers carrying the
+// raised fence, even when its assignment is unchanged.
+func TestBusSubscribersSeeFence(t *testing.T) {
+	b := NewBus()
+	assign := map[string][]string{"app": {"ion-0"}}
+	b.Publish(assign)
+	ch, cancel := b.Subscribe()
+	defer cancel()
+	<-ch
+	b.Resume(7)
+	b.Revoke(8)
+	b.Publish(assign)
+	m := <-ch
+	if m.Version != 8 || m.Fence != 8 || m.For("app")[0] != "ion-0" {
+		t.Fatalf("recovery publish delivered v%d fence %d %v, want v8 fence 8 [ion-0]", m.Version, m.Fence, m.For("app"))
+	}
+}
+
+// Publish copies what it is given: the caller may reuse its map and slices.
+func TestBusPublishCopiesEntries(t *testing.T) {
+	b := NewBus()
+	addrs := []string{"ion-0", "ion-1"}
+	assign := map[string][]string{"app": addrs, "direct": {}}
+	m := b.Publish(assign)
+	addrs[0] = "mutated"
+	assign["late"] = []string{"ion-9"}
+	if got := m.For("app"); got[0] != "ion-0" || len(got) != 2 {
+		t.Fatalf("published snapshot aliases the caller's slice: %v", got)
+	}
+	if _, ok := m.IONs["late"]; ok {
+		t.Fatal("published snapshot aliases the caller's map")
+	}
+	if got, ok := m.IONs["direct"]; !ok || got != nil {
+		t.Fatalf("empty list should publish as direct access (nil), got %v present=%v", got, ok)
+	}
+}
+
+// Every subscriber receives the very snapshot Publish returned, not a copy.
+func TestBusSubscribersShareSnapshot(t *testing.T) {
+	b := NewBus()
+	var chans []<-chan Map
+	for i := 0; i < 3; i++ {
+		ch, cancel := b.Subscribe()
+		defer cancel()
+		<-ch
+		chans = append(chans, ch)
+	}
+	m := b.Publish(map[string][]string{"app": {"ion-0", "ion-1"}})
+	for i, ch := range chans {
+		got := <-ch
+		if got.Version != m.Version || &got.For("app")[0] != &m.For("app")[0] {
+			t.Fatalf("subscriber %d received a different v%d map than the published v%d", i, got.Version, m.Version)
+		}
+	}
+}
+
+func TestMapCloneIsDeep(t *testing.T) {
+	m := Map{Version: 4, Fence: 2, IONs: map[string][]string{"app": {"x", "y"}}}
+	c := m.Clone()
+	c.IONs["app"][0] = "mutated"
+	c.IONs["other"] = nil
+	if m.IONs["app"][0] != "x" || len(m.IONs) != 1 {
+		t.Fatalf("Clone shares state with the original: %+v", m)
+	}
+	if c.Version != 4 || c.Fence != 2 {
+		t.Fatalf("Clone lost epoch state: v%d fence %d", c.Version, c.Fence)
+	}
+}
+
 func TestMapApps(t *testing.T) {
 	m := Map{IONs: map[string][]string{"b": nil, "a": {"x"}, "c": {"y"}}}
 	apps := m.Apps()
@@ -148,113 +251,59 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readFile(t, path)
 	if got.Version != 7 || len(got.For("app")) != 1 {
 		t.Fatalf("round trip: %+v", got)
 	}
 }
 
-func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.json")); !errors.Is(err, ErrNoMapping) {
-		t.Fatalf("want ErrNoMapping, got %v", err)
-	}
-}
-
-func TestWatcherDeliversVersions(t *testing.T) {
+// A later decision replaces the earlier one, and the write-temp + rename
+// leaves nothing but the mapping file behind.
+func TestWriteFileReplacesAndCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "map.json")
-	if err := WriteFile(path, Map{Version: 1, IONs: map[string][]string{"a": {"x"}}}); err != nil {
+	for v := uint64(1); v <= 3; v++ {
+		if err := WriteFile(path, Map{Version: v, IONs: map[string][]string{"app": {fmt.Sprint("ion-", v)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := readFile(t, path); got.Version != 3 || got.For("app")[0] != "ion-3" {
+		t.Fatalf("file holds v%d %v, want v3 [ion-3]", got.Version, got.For("app"))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWatcher(path, 5*time.Millisecond)
-	defer w.Stop()
-
-	select {
-	case m := <-w.Updates():
-		if m.Version != 1 {
-			t.Fatalf("first update: %+v", m)
+	if len(entries) != 1 || entries[0].Name() != "map.json" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("watcher never delivered the initial map")
+		t.Fatalf("directory holds %v, want only map.json", names)
 	}
+}
 
-	if err := WriteFile(path, Map{Version: 2, IONs: map[string][]string{"a": nil}}); err != nil {
+func TestWriteFileReportsMissingDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "no", "such", "dir", "map.json")
+	err := WriteFile(path, Map{IONs: map[string][]string{}})
+	if err == nil || !strings.HasPrefix(err.Error(), "mapping:") {
+		t.Fatalf("want a mapping: error for a missing directory, got %v", err)
+	}
+	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+		t.Fatalf("failed write left %s behind: %v", path, statErr)
+	}
+}
+
+// readFile decodes the mapping file at path the way a client would.
+func readFile(t *testing.T, path string) Map {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case m := <-w.Updates():
-		if m.Version != 2 {
-			t.Fatalf("second update: %+v", m)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("watcher never delivered the update")
+	var m Map
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestWatcherIgnoresStaleVersions(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "map.json")
-	WriteFile(path, Map{Version: 5, IONs: map[string][]string{}})
-	w := NewWatcher(path, 2*time.Millisecond)
-	defer w.Stop()
-	<-w.Updates()
-	// Rewrite with the same version: no new delivery expected.
-	WriteFile(path, Map{Version: 5, IONs: map[string][]string{"x": {"y"}}})
-	select {
-	case m := <-w.Updates():
-		t.Fatalf("stale version redelivered: %+v", m)
-	case <-time.After(30 * time.Millisecond):
-	}
-}
-
-func TestWatcherStopCloses(t *testing.T) {
-	w := NewWatcher(filepath.Join(t.TempDir(), "absent.json"), time.Millisecond)
-	w.Stop()
-	if _, ok := <-w.Updates(); ok {
-		t.Fatal("updates channel should be closed after Stop")
-	}
-	w.Stop() // idempotent
-}
-
-func TestFileSinkMirrorsBus(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sink.json")
-	bus := NewBus()
-	stop := FileSink(bus, path, nil)
-	defer stop()
-	bus.Publish(map[string][]string{"a": {"x:1"}})
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		m, err := ReadFile(path)
-		if err == nil && m.Version >= 1 {
-			if len(m.For("a")) != 1 {
-				t.Fatalf("sunk map: %+v", m)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sink never wrote the file")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestFileSinkReportsWriteErrors(t *testing.T) {
-	bus := NewBus()
-	errs := make(chan error, 4)
-	// Unwritable destination: directory does not exist.
-	stop := FileSink(bus, filepath.Join(t.TempDir(), "no", "such", "dir", "m.json"), errs)
-	defer stop()
-	bus.Publish(map[string][]string{})
-	select {
-	case err := <-errs:
-		if err == nil {
-			t.Fatal("nil error delivered")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("write error never reported")
-	}
+	return m
 }

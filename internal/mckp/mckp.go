@@ -7,24 +7,15 @@
 // application, an item is "run with w I/O nodes" (weight w), and the item's
 // value is the bandwidth the application achieves with that many I/O nodes.
 //
-// The package provides four interchangeable solvers:
-//
-//   - SolveDP: the exact pseudo-polynomial dynamic program the paper uses,
-//     O(W·ΣNᵢ) time, O(W·k) space.
-//   - SolveBranchBound: exact depth-first search with a fractional upper
-//     bound; competitive when the capacity is large but classes are few.
-//   - SolveGreedy: the classic incremental-efficiency heuristic (start at
-//     each class's lightest item, repeatedly apply the best marginal
-//     upgrade). Not exact; used as an ablation baseline.
-//   - SolveExhaustive: brute force over all combinations, for
-//     cross-validation on small instances.
+// SolveDP is the solver: the exact pseudo-polynomial dynamic program the
+// paper uses, O(W·ΣNᵢ) time, O(W·k) space. SolveExhaustive, brute force over
+// all combinations, is its cross-validation oracle on small instances.
 package mckp
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Item is one choice within a class.
@@ -101,22 +92,6 @@ func (p Problem) Validate() error {
 		}
 	}
 	return nil
-}
-
-// minWeights returns the per-class minimum item weight and their sum.
-func (p Problem) minWeights() (mins []int, total int) {
-	mins = make([]int, len(p.Classes))
-	for i, c := range p.Classes {
-		m := c.Items[0].Weight
-		for _, it := range c.Items[1:] {
-			if it.Weight < m {
-				m = it.Weight
-			}
-		}
-		mins[i] = m
-		total += m
-	}
-	return mins, total
 }
 
 // verify re-checks a candidate solution (defence in depth for the solvers).
@@ -238,7 +213,7 @@ func SolveDP(p Problem) (Solution, error) {
 }
 
 // SolveExhaustive enumerates every combination. It is exponential and
-// intended only for cross-validating other solvers on small instances.
+// intended only for cross-validating SolveDP on small instances.
 func SolveExhaustive(p Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
@@ -273,156 +248,4 @@ func SolveExhaustive(p Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	return best, nil
-}
-
-// SolveGreedy starts every class at its lightest (tie: most valuable) item
-// and repeatedly applies the single upgrade with the best positive marginal
-// efficiency Δvalue/Δweight that still fits. It is fast and typically close
-// to optimal, but not exact — kept as the ablation baseline for the DP.
-func SolveGreedy(p Problem) (Solution, error) {
-	if err := p.Validate(); err != nil {
-		return Solution{}, err
-	}
-	mins, minTotal := p.minWeights()
-	if minTotal > p.Capacity {
-		return Solution{}, ErrInfeasible
-	}
-
-	sol := Solution{Choice: make([]int, len(p.Classes))}
-	for i, c := range p.Classes {
-		bestJ := -1
-		for j, it := range c.Items {
-			if it.Weight != mins[i] {
-				continue
-			}
-			if bestJ == -1 || it.Value > c.Items[bestJ].Value {
-				bestJ = j
-			}
-		}
-		sol.Choice[i] = bestJ
-		sol.Weight += c.Items[bestJ].Weight
-		sol.Value += c.Items[bestJ].Value
-	}
-
-	for {
-		bestClass, bestItem := -1, -1
-		bestEff := 0.0
-		for i, c := range p.Classes {
-			cur := c.Items[sol.Choice[i]]
-			for j, it := range c.Items {
-				dw := it.Weight - cur.Weight
-				dv := it.Value - cur.Value
-				if dv <= 0 || sol.Weight+dw > p.Capacity {
-					continue
-				}
-				var eff float64
-				if dw <= 0 {
-					// Strictly better at no extra weight: take immediately.
-					eff = math.Inf(1)
-				} else {
-					eff = dv / float64(dw)
-				}
-				if eff > bestEff {
-					bestEff, bestClass, bestItem = eff, i, j
-				}
-			}
-		}
-		if bestClass < 0 {
-			break
-		}
-		cur := p.Classes[bestClass].Items[sol.Choice[bestClass]]
-		it := p.Classes[bestClass].Items[bestItem]
-		sol.Weight += it.Weight - cur.Weight
-		sol.Value += it.Value - cur.Value
-		sol.Choice[bestClass] = bestItem
-	}
-	if err := p.verify(sol); err != nil {
-		return Solution{}, err
-	}
-	return sol, nil
-}
-
-// SolveBranchBound solves the problem exactly with depth-first search over
-// classes ordered by decreasing value spread, pruned by an optimistic bound
-// (each remaining class contributes its maximum value regardless of
-// weight, as long as its minimum weight still fits).
-func SolveBranchBound(p Problem) (Solution, error) {
-	if err := p.Validate(); err != nil {
-		return Solution{}, err
-	}
-	mins, minTotal := p.minWeights()
-	if minTotal > p.Capacity {
-		return Solution{}, ErrInfeasible
-	}
-
-	k := len(p.Classes)
-	// Process classes in decreasing max-min value spread so impactful
-	// decisions come first and the bound tightens quickly.
-	order := make([]int, k)
-	for i := range order {
-		order[i] = i
-	}
-	spread := make([]float64, k)
-	maxVal := make([]float64, k)
-	for i, c := range p.Classes {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, it := range c.Items {
-			lo = math.Min(lo, it.Value)
-			hi = math.Max(hi, it.Value)
-		}
-		spread[i] = hi - lo
-		maxVal[i] = hi
-	}
-	sort.Slice(order, func(a, b int) bool { return spread[order[a]] > spread[order[b]] })
-
-	// Suffix sums over the processing order for bounding.
-	sufMaxVal := make([]float64, k+1)
-	sufMinW := make([]int, k+1)
-	for i := k - 1; i >= 0; i-- {
-		sufMaxVal[i] = sufMaxVal[i+1] + maxVal[order[i]]
-		sufMinW[i] = sufMinW[i+1] + mins[order[i]]
-	}
-
-	best := Solution{Choice: make([]int, k), Value: math.Inf(-1)}
-	cur := make([]int, k)
-	var rec func(pos, weight int, value float64)
-	rec = func(pos, weight int, value float64) {
-		if weight+sufMinW[pos] > p.Capacity {
-			return // cannot even fit the lightest remaining items
-		}
-		if value+sufMaxVal[pos] <= best.Value {
-			return // optimistic bound cannot beat the incumbent
-		}
-		if pos == k {
-			best.Value = value
-			best.Weight = weight
-			copy(best.Choice, cur)
-			return
-		}
-		ci := order[pos]
-		// Try items in decreasing value so good incumbents appear early.
-		idx := byValueDesc(p.Classes[ci].Items)
-		for _, j := range idx {
-			it := p.Classes[ci].Items[j]
-			cur[ci] = j
-			rec(pos+1, weight+it.Weight, value+it.Value)
-		}
-	}
-	rec(0, 0, 0)
-	if math.IsInf(best.Value, -1) {
-		return Solution{}, ErrInfeasible
-	}
-	if err := p.verify(best); err != nil {
-		return Solution{}, err
-	}
-	return best, nil
-}
-
-func byValueDesc(items []Item) []int {
-	idx := make([]int, len(items))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return items[idx[a]].Value > items[idx[b]].Value })
-	return idx
 }

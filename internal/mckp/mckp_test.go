@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/perfmodel"
 )
 
 func simpleProblem() Problem {
@@ -37,16 +39,12 @@ func TestAllSolversAgreeSimple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, solve := range map[string]func(Problem) (Solution, error){
-		"dp": SolveDP, "bb": SolveBranchBound,
-	} {
-		got, err := solve(p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.Abs(got.Value-want.Value) > 1e-9 {
-			t.Errorf("%s value %v != exhaustive %v", name, got.Value, want.Value)
-		}
+	got, err := SolveDP(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got.Value-want.Value) > 1e-9 {
+		t.Errorf("dp value %v != exhaustive %v", got.Value, want.Value)
 	}
 }
 
@@ -117,7 +115,7 @@ func TestInfeasible(t *testing.T) {
 		},
 	}
 	for name, solve := range map[string]func(Problem) (Solution, error){
-		"dp": SolveDP, "bb": SolveBranchBound, "greedy": SolveGreedy, "exh": SolveExhaustive,
+		"dp": SolveDP, "exh": SolveExhaustive,
 	} {
 		if _, err := solve(p); err != ErrInfeasible {
 			t.Errorf("%s: want ErrInfeasible, got %v", name, err)
@@ -175,73 +173,36 @@ func randomProblem(rng *rand.Rand, maxClasses, maxItems, maxWeight int) Problem 
 }
 
 // TestDPMatchesExhaustiveRandom cross-validates the DP against brute force
-// on 300 random small instances.
+// on random instances: many small ones, and fewer wide ones (up to six
+// classes of five items, 15,625 combinations).
 func TestDPMatchesExhaustiveRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 300; trial++ {
-		p := randomProblem(rng, 5, 4, 6)
-		want, errE := SolveExhaustive(p)
-		got, errD := SolveDP(p)
-		if (errE == nil) != (errD == nil) {
-			t.Fatalf("trial %d: error mismatch exh=%v dp=%v (%+v)", trial, errE, errD, p)
-		}
-		if errE != nil {
-			continue
-		}
-		if math.Abs(want.Value-got.Value) > 1e-9 {
-			t.Fatalf("trial %d: dp value %v != exhaustive %v (%+v)", trial, got.Value, want.Value, p)
-		}
-	}
-}
-
-// TestBranchBoundMatchesDPRandom cross-validates branch-and-bound against
-// the DP on larger random instances.
-func TestBranchBoundMatchesDPRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		p := randomProblem(rng, 8, 5, 8)
-		want, errD := SolveDP(p)
-		got, errB := SolveBranchBound(p)
-		if (errD == nil) != (errB == nil) {
-			t.Fatalf("trial %d: error mismatch dp=%v bb=%v", trial, errD, errB)
-		}
-		if errD != nil {
-			continue
-		}
-		if math.Abs(want.Value-got.Value) > 1e-9 {
-			t.Fatalf("trial %d: bb value %v != dp %v (%+v)", trial, got.Value, want.Value, p)
-		}
-	}
-}
-
-// TestGreedyNeverBeatsDPAndIsFeasible: the heuristic must stay within the
-// optimum and produce feasible solutions.
-func TestGreedyNeverBeatsDPAndIsFeasible(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	worst := 1.0
-	for trial := 0; trial < 200; trial++ {
-		p := randomProblem(rng, 8, 5, 8)
-		opt, errD := SolveDP(p)
-		grd, errG := SolveGreedy(p)
-		if (errD == nil) != (errG == nil) {
-			t.Fatalf("trial %d: error mismatch dp=%v greedy=%v", trial, errD, errG)
-		}
-		if errD != nil {
-			continue
-		}
-		if grd.Value > opt.Value+1e-9 {
-			t.Fatalf("trial %d: greedy %v beats optimal %v", trial, grd.Value, opt.Value)
-		}
-		if grd.Weight > p.Capacity {
-			t.Fatalf("trial %d: greedy overweight", trial)
-		}
-		if opt.Value > 0 {
-			if r := grd.Value / opt.Value; r < worst {
-				worst = r
+	for _, tc := range []struct {
+		name                            string
+		seed                            int64
+		trials                          int
+		maxClasses, maxItems, maxWeight int
+	}{
+		{"small", 1, 300, 5, 4, 6},
+		{"wide", 2, 40, 6, 5, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			for trial := 0; trial < tc.trials; trial++ {
+				p := randomProblem(rng, tc.maxClasses, tc.maxItems, tc.maxWeight)
+				want, errE := SolveExhaustive(p)
+				got, errD := SolveDP(p)
+				if (errE == nil) != (errD == nil) {
+					t.Fatalf("trial %d: error mismatch exh=%v dp=%v (%+v)", trial, errE, errD, p)
+				}
+				if errE != nil {
+					continue
+				}
+				if math.Abs(want.Value-got.Value) > 1e-9 {
+					t.Fatalf("trial %d: dp value %v != exhaustive %v (%+v)", trial, got.Value, want.Value, p)
+				}
 			}
-		}
+		})
 	}
-	t.Logf("worst greedy/optimal ratio over 200 instances: %.3f", worst)
 }
 
 // TestDPMonotoneInCapacity: the optimum value never decreases as the
@@ -294,6 +255,30 @@ func TestDPChoosesOnePerClass(t *testing.T) {
 	}
 }
 
+// TestDPMatchesExhaustiveOnPaperCurves: on the §5.2 six applications'
+// measured curves the DP finds the brute-force optimum at every pool size
+// from none to all of the I/O nodes any of them can use.
+func TestDPMatchesExhaustiveOnPaperCurves(t *testing.T) {
+	var p Problem
+	for _, a := range perfmodel.SectionFiveTwoApps() {
+		c := Class{Label: a.Label}
+		for _, pt := range a.Curve.Points() {
+			c.Items = append(c.Items, Item{Weight: pt.IONs, Value: pt.Bandwidth.MBps()})
+		}
+		p.Classes = append(p.Classes, c)
+	}
+	for p.Capacity = 0; p.Capacity <= 48; p.Capacity++ {
+		want, errE := SolveExhaustive(p)
+		got, errD := SolveDP(p)
+		if errE != nil || errD != nil {
+			t.Fatalf("%d IONs: exh=%v dp=%v", p.Capacity, errE, errD)
+		}
+		if math.Abs(want.Value-got.Value) > 1e-9 {
+			t.Fatalf("%d IONs: dp %v MB/s != exhaustive %v MB/s", p.Capacity, got.Value, want.Value)
+		}
+	}
+}
+
 // TestPaperScaleInstance: the §5.3 sizing example — 512 concurrent jobs and
 // 256 I/O nodes — must solve exactly and quickly (the paper reports 2.7 s;
 // the DP here is far faster, see BenchmarkSolveDPPaperScale).
@@ -322,23 +307,6 @@ func TestPaperScaleInstance(t *testing.T) {
 	}
 	if sol.Value <= baseline {
 		t.Fatalf("DP value %v not above zero-alloc baseline %v", sol.Value, baseline)
-	}
-}
-
-func TestGreedyUpgradePathSimple(t *testing.T) {
-	// Greedy should find the optimum here: one dominant upgrade chain.
-	p := Problem{
-		Capacity: 8,
-		Classes: []Class{
-			{Label: "ior", Items: []Item{{Weight: 0, Value: 82.4}, {Weight: 1, Value: 268.4}, {Weight: 8, Value: 5089.9}}},
-		},
-	}
-	sol, err := SolveGreedy(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Choice[0] != 2 {
-		t.Fatalf("greedy should reach the 8-node item, got %v", sol.Choice)
 	}
 }
 

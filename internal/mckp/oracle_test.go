@@ -17,7 +17,7 @@ func solveDPReference(p Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
-	if _, minTotal := p.minWeights(); minTotal > p.Capacity {
+	if p.minWeights() > p.Capacity {
 		return Solution{}, ErrInfeasible
 	}
 
@@ -106,6 +106,18 @@ func solveDPReference(p Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	return sol, nil
+}
+
+// minWeights returns the sum of the per-class minimum item weights.
+func (p Problem) minWeights() (total int) {
+	for _, c := range p.Classes {
+		m := c.Items[0].Weight
+		for _, it := range c.Items[1:] {
+			m = min(m, it.Weight)
+		}
+		total += m
+	}
+	return total
 }
 
 // sameAsReference fails unless SolveDP and the reference agree exactly on

@@ -28,16 +28,6 @@ type AppSpec struct {
 // TotalBytes returns the application's total transferred volume.
 func (a AppSpec) TotalBytes() int64 { return a.WriteBytes + a.ReadBytes }
 
-// Runtime returns the application's I/O makespan when it achieves the
-// bandwidth its curve reports for k I/O nodes (volume / bandwidth).
-func (a AppSpec) Runtime(k int) (secs float64, ok bool) {
-	bw, ok := a.Curve.At(k)
-	if !ok || bw <= 0 {
-		return 0, false
-	}
-	return float64(a.TotalBytes()) / float64(bw), true
-}
-
 func gb(x float64) int64 { return int64(x * float64(units.GB)) }
 
 func curveMBps(v0, v1, v2, v4, v8 float64) Curve {

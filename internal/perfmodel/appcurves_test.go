@@ -125,25 +125,6 @@ func TestSectionFiveTwoApps(t *testing.T) {
 	}
 }
 
-func TestRuntime(t *testing.T) {
-	a, err := AppByLabel("IOR-MPI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs, ok := a.Runtime(8)
-	if !ok {
-		t.Fatal("runtime at 8 IONs should exist")
-	}
-	// 32 GB at 5089.9 MB/s ≈ 6.29 s.
-	want := 32.0e9 / 5089.9e6
-	if math.Abs(secs-want) > 0.01 {
-		t.Fatalf("runtime = %v, want %v", secs, want)
-	}
-	if _, ok := a.Runtime(3); ok {
-		t.Fatal("runtime at non-option ION count should be !ok")
-	}
-}
-
 func TestTotalBytes(t *testing.T) {
 	a, _ := AppByLabel("BT-D")
 	if got := a.TotalBytes(); got != gb(253.0) {

@@ -131,9 +131,6 @@ type file struct {
 	size   int64
 	// lastWriter detects writer interleaving for the lock penalty.
 	lastWriter string
-	// stripeSize overrides the store default when positive (the Lustre
-	// `lfs setstripe` analog); fixed at creation like real layouts.
-	stripeSize int64
 }
 
 // Store is the in-memory PFS. It is safe for concurrent use.
@@ -197,28 +194,6 @@ func (s *Store) Create(path string) error {
 	s.files[path] = &file{}
 	s.mu.Unlock()
 	return nil
-}
-
-// SetStripe creates (or truncates) path with a per-file stripe size — the
-// `lfs setstripe` analog. Like Lustre, the layout is fixed at creation;
-// stripe ≤ 0 selects the store default.
-func (s *Store) SetStripe(path string, stripe int64) error {
-	s.meta()
-	s.mu.Lock()
-	s.files[path] = &file{stripeSize: stripe}
-	s.mu.Unlock()
-	return nil
-}
-
-// stripeFor returns the effective stripe size for a file.
-func (s *Store) stripeFor(path string) int64 {
-	s.mu.RLock()
-	f, ok := s.files[path]
-	s.mu.RUnlock()
-	if ok && f.stripeSize > 0 {
-		return f.stripeSize
-	}
-	return s.cfg.StripeSize
 }
 
 func (s *Store) lookup(path string) (*file, error) {
@@ -448,7 +423,7 @@ func (s *Store) meta() {
 // Like Lustre, each file's stripes start at a different OST (derived from
 // the path) so small files spread across the targets.
 func (s *Store) serviceExtents(path string, off, n int64) {
-	stripe := s.stripeFor(path)
+	stripe := s.cfg.StripeSize
 	base := startOST(path, len(s.osts))
 	for n > 0 {
 		idx := off / stripe

@@ -636,28 +636,3 @@ func TestDefaults(t *testing.T) {
 		t.Fatalf("defaults: %+v", cfg)
 	}
 }
-
-func TestSetStripeOverride(t *testing.T) {
-	s := NewStore(Config{StripeSize: 1024, OSTs: 2})
-	if err := s.SetStripe("/wide", 8); err != nil {
-		t.Fatal(err)
-	}
-	// 32 bytes at stripe 8 = 4 stripes → both OSTs busy; the default
-	// 1024-stripe file would land on one.
-	if _, err := s.Write("/wide", 0, make([]byte, 32)); err != nil {
-		t.Fatal(err)
-	}
-	m := s.Metrics()
-	if m.PerOSTBytes[0] == 0 || m.PerOSTBytes[1] == 0 {
-		t.Fatalf("per-file stripe not honored: %v", m.PerOSTBytes)
-	}
-	// Default files still use the store stripe.
-	s2 := NewStore(Config{StripeSize: 1024, OSTs: 2})
-	if _, err := s2.Write("/narrow", 0, make([]byte, 32)); err != nil {
-		t.Fatal(err)
-	}
-	m2 := s2.Metrics()
-	if m2.PerOSTBytes[0] != 0 && m2.PerOSTBytes[1] != 0 {
-		t.Fatalf("32-byte write within one default stripe hit both OSTs: %v", m2.PerOSTBytes)
-	}
-}

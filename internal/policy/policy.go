@@ -36,15 +36,15 @@ type Application struct {
 	// (paper §3.1).
 	Curve perfmodel.Curve
 	// WriteBytes and ReadBytes are the job's transfer volumes, used by
-	// the Equation-2 aggregate and by the dynamic-queue simulation.
+	// the dynamic-queue simulation.
 	WriteBytes int64
 	ReadBytes  int64
 	// Weight scales the job's utility in the MCKP objective (internal/qos
 	// class weight): a guaranteed tenant with weight w counts each MB/s of
 	// its curve w times, so it wins contended I/O-node allocations. ≤0
 	// means 1 — the unweighted pre-QoS objective. Only the MCKP policy
-	// consults it; bandwidth aggregates (SumBandwidth, Equation2) always
-	// use real bandwidth, never utility.
+	// consults it; the bandwidth aggregate (SumBandwidth) always uses real
+	// bandwidth, never utility.
 	Weight float64
 }
 
@@ -486,32 +486,6 @@ func SumBandwidth(apps []Application, alloc Allocation) (units.Bandwidth, error)
 			return 0, fmt.Errorf("policy: %s has no curve point at %d I/O nodes", a.ID, n)
 		}
 		total += bw
-	}
-	return total, nil
-}
-
-// Equation2 is the paper's aggregate bandwidth (Equation 2): the sum over
-// applications of (writes+reads)/runtime, where each runtime is the
-// volume divided by the application's bandwidth at its allocation. With
-// per-application volumes it equals SumBandwidth; it exists separately so
-// experiments can weight runtimes the way the paper does.
-func Equation2(apps []Application, alloc Allocation) (units.Bandwidth, error) {
-	var total units.Bandwidth
-	for _, a := range apps {
-		n, ok := alloc[a.ID]
-		if !ok {
-			return 0, fmt.Errorf("policy: allocation missing application %s", a.ID)
-		}
-		bw, ok := a.Curve.At(n)
-		if !ok {
-			return 0, fmt.Errorf("policy: %s has no curve point at %d I/O nodes", a.ID, n)
-		}
-		vol := a.WriteBytes + a.ReadBytes
-		if vol <= 0 || bw <= 0 {
-			continue
-		}
-		runtime := float64(vol) / float64(bw)
-		total += units.Bandwidth(float64(vol) / runtime)
 	}
 	return total, nil
 }

@@ -312,19 +312,51 @@ func TestSumBandwidthErrors(t *testing.T) {
 	}
 }
 
-func TestEquation2MatchesSumForCurveRuntimes(t *testing.T) {
+// TestSumBandwidthIsEquation2: the paper's Equation 2 aggregate, Σ volume /
+// runtime with each runtime the volume over the curve bandwidth at the
+// allocation, is the sum of the per-application curve bandwidths.
+func TestSumBandwidthIsEquation2(t *testing.T) {
 	apps := fiveTwoApps(t)
-	alloc := mustAllocate(t, MCKP{}, apps, 12)
-	sum, err := SumBandwidth(apps, alloc)
+	for _, avail := range []int{0, 6, 12, 36} {
+		alloc := mustAllocate(t, MCKP{}, apps, avail)
+		sum, err := SumBandwidth(apps, alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eq2 := 0.0
+		for _, a := range apps {
+			bw, _ := a.Curve.At(alloc[a.ID])
+			vol := float64(a.WriteBytes + a.ReadBytes)
+			if vol <= 0 || bw <= 0 {
+				t.Fatalf("%s: volume %v, bandwidth %v at %d IONs", a.ID, vol, bw, alloc[a.ID])
+			}
+			runtime := vol / float64(bw)
+			eq2 += vol / runtime
+		}
+		if math.Abs(sum.MBps()-units.Bandwidth(eq2).MBps()) > 1e-6 {
+			t.Fatalf("%d IONs: SumBandwidth %v != Equation 2 %v", avail, sum, units.Bandwidth(eq2))
+		}
+	}
+}
+
+// TestSumBandwidthIgnoresWeight: a QoS weight changes what MCKP optimises,
+// never the bandwidth the aggregate reports for a given allocation.
+func TestSumBandwidthIgnoresWeight(t *testing.T) {
+	apps := fiveTwoApps(t)
+	alloc := mustAllocate(t, Static{}, apps, 12)
+	want, err := SumBandwidth(apps, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq2, err := Equation2(apps, alloc)
+	for i := range apps {
+		apps[i].Weight = float64(i + 2)
+	}
+	got, err := SumBandwidth(apps, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sum.MBps()-eq2.MBps()) > 1e-6 {
-		t.Fatalf("Equation2 (%v) should equal SumBandwidth (%v) with curve runtimes", eq2, sum)
+	if got != want {
+		t.Fatalf("weights moved the aggregate: %v → %v", want, got)
 	}
 }
 

@@ -128,50 +128,3 @@ func quantileSorted(s []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
 }
-
-// Histogram counts xs into k equal-width bins spanning [min, max].
-// Returns bin edges (k+1) and counts (k). Values equal to max land in the
-// last bin. Returns nil slices for empty input or k < 1.
-func Histogram(xs []float64, k int) (edges []float64, counts []int) {
-	if len(xs) == 0 || k < 1 {
-		return nil, nil
-	}
-	lo, hi := Min(xs), Max(xs)
-	if hi == lo {
-		hi = lo + 1
-	}
-	edges = make([]float64, k+1)
-	width := (hi - lo) / float64(k)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	counts = make([]int, k)
-	for _, v := range xs {
-		idx := int((v - lo) / width)
-		if idx >= k {
-			idx = k - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		counts[idx]++
-	}
-	return edges, counts
-}
-
-// Ratios returns the element-wise ratio a[i]/b[i]. Pairs with b[i] == 0 are
-// skipped. Used for the MCKP-over-STATIC improvement distribution (Fig. 3).
-func Ratios(a, b []float64) []float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		if b[i] == 0 {
-			continue
-		}
-		out = append(out, a[i]/b[i])
-	}
-	return out
-}

@@ -118,55 +118,6 @@ func TestQuantileWithinRangeProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	edges, counts := Histogram(xs, 5)
-	if len(edges) != 6 || len(counts) != 5 {
-		t.Fatalf("shape: %d edges %d counts", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram loses mass: %d != %d", total, len(xs))
-	}
-	// max value must land in the last bin
-	if counts[4] == 0 {
-		t.Fatal("last bin empty; max value misplaced")
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	edges, counts := Histogram(nil, 3)
-	if edges != nil || counts != nil {
-		t.Fatal("empty input should give nil")
-	}
-	_, counts = Histogram([]float64{5, 5, 5}, 2)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("constant sample histogram loses mass: %d", total)
-	}
-}
-
-func TestRatios(t *testing.T) {
-	a := []float64{2, 4, 6}
-	b := []float64{1, 0, 3}
-	got := Ratios(a, b)
-	want := []float64{2, 2}
-	if len(got) != len(want) {
-		t.Fatalf("len: %v", got)
-	}
-	for i := range want {
-		if !almostEq(got[i], want[i]) {
-			t.Fatalf("ratios: got %v want %v", got, want)
-		}
-	}
-}
-
 // TestSummarizeStddevLargeMagnitude: the naive sumsq/n − mean² variance
 // catastrophically cancels when the spread is tiny relative to the
 // magnitude (bandwidths in B/s sit near 10⁹ with sub-B/s spread); the
