@@ -47,14 +47,15 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The allocation and pool-residency gates of the forwarding path and of one
-# arbitration decision (solve, publish, client remaps). Every one of them
+# The allocation and pool-residency gates of the forwarding path, of one
+# recorded request trace, and of one arbitration decision (solve, publish,
+# client remaps). Every one of them
 # skips under the race detector (sync.Pool drops a share of Puts there), so
 # test-race runs none: this is where they run.
 budgets:
 	$(GO) test -count=1 -run 'Alloc|Budget|Pin|Pooled|CostsNothing' \
 		./internal/rpc ./internal/fwd ./internal/ion ./internal/agios ./internal/livestack \
-		./internal/mapping ./internal/mckp ./internal/policy ./internal/arbiter
+		./internal/mapping ./internal/mckp ./internal/policy ./internal/arbiter ./internal/telemetry
 
 # Static analysis beyond go vet. staticcheck is not vendored; CI installs a
 # pinned version (see .github/workflows/ci.yml). Locally the target runs it

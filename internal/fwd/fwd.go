@@ -504,31 +504,29 @@ func (c *Client) Stats() Stats {
 }
 
 // trace opens a per-operation trace; the zero opTrace (tracing disabled)
-// makes every method a no-op so the hot path pays only a nil check.
+// makes done a no-op and stamps ID 0 on the wire, so the hot path pays
+// only a nil check.
 func (c *Client) trace(op, path string) opTrace {
 	tr := c.cfg.Tracer.Start(c.cfg.AppID, op, path)
-	if tr == nil {
-		return opTrace{}
-	}
-	return opTrace{t: tr, start: time.Now()}
+	return opTrace{t: tr, id: tr.TraceID()}
 }
 
-// opTrace pairs a telemetry trace with the operation start time so the
-// "fwd" hop — covering chunking and RPC fan-out — is stamped at completion.
+// opTrace is an operation's trace and its wire ID. The ID is copied out
+// because the tracer recycles the record once done finishes it: whatever
+// still names the op after that — a losing hedge backup's request — carries
+// this ID, which no longer matches any live trace, never the record's next.
 type opTrace struct {
-	t     *telemetry.Trace
-	start time.Time
+	t  *telemetry.Trace
+	id uint64
 }
 
-// id returns the wire trace ID (0 when tracing is off).
-func (t opTrace) id() uint64 { return t.t.TraceID() }
-
-// done records the fwd hop and finishes the trace.
+// done records the fwd hop — covering chunking and RPC fan-out, from the
+// trace's own Begin — and finishes the trace.
 func (t opTrace) done(bytes int64, note string) {
 	if t.t == nil {
 		return
 	}
-	t.t.Hop("fwd", t.start, bytes, note)
+	t.t.Hop("fwd", t.t.Begin, bytes, note)
 	t.t.Finish()
 }
 
@@ -815,7 +813,7 @@ func (c *Client) meta(op rpc.Op, path string) (fi pfs.FileInfo, err error) {
 		fi, err = c.directMeta(op, path)
 	} else {
 		c.stats.forwarded.Inc()
-		resp, rerr := c.callION(t, &rpc.Message{Op: op, Path: path, Trace: tr.id(), Priority: c.wirePrio}, nil)
+		resp, rerr := c.callION(t, &rpc.Message{Op: op, Path: path, Trace: tr.id, Priority: c.wirePrio}, nil)
 		out := c.classify(rerr)
 		note = hopNotes[out]
 		if out.direct() {
@@ -1067,7 +1065,7 @@ const maxEpochRemaps = 3
 // applies the fallback rule to its outcome.
 func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span, tr opTrace, depth int) (int, error) {
 	payload := p[s.off-off:][:s.n]
-	req := &rpc.Message{Op: rpc.OpWrite, Path: path, Offset: s.off, Data: payload, Trace: tr.id(), Priority: c.wirePrio}
+	req := &rpc.Message{Op: rpc.OpWrite, Path: path, Offset: s.off, Data: payload, Trace: tr.id, Priority: c.wirePrio}
 	if c.cfg.EpochFencing {
 		req.Epoch = v.epoch
 	}
@@ -1186,7 +1184,7 @@ func (c *Client) readSpans(v *routeView, path string, off int64, p []byte, tr op
 func (c *Client) readSpan(v *routeView, path string, off int64, p []byte, s span, tr opTrace) (int, error) {
 	dst := p[s.off-off:][:s.n]
 	c.stats.forwarded.Inc()
-	req := &rpc.Message{Op: rpc.OpRead, Path: path, Offset: s.off, Size: s.n, Dst: dst, Trace: tr.id(), Priority: c.wirePrio}
+	req := &rpc.Message{Op: rpc.OpRead, Path: path, Offset: s.off, Size: s.n, Dst: dst, Trace: tr.id, Priority: c.wirePrio}
 	resp, err := c.hedged(v.targets[s.target], req)
 	if c.classify(err).direct() {
 		resp.Release()

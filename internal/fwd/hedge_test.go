@@ -660,3 +660,130 @@ func TestHedgeOutcomeTable(t *testing.T) {
 		})
 	}
 }
+
+// TestHedgeLosingBackupHopSkipsNextTrace: the tracer recycles a finished
+// op's trace record for the next op, and a losing hedge backup still in
+// flight when its op finished reports its rpc hop under the finished op's
+// ID. That hop must land nowhere — above all not in the next op's trace,
+// which is open on the recycled record when the backup's answer arrives.
+func TestHedgeLosingBackupHopSkipsNextTrace(t *testing.T) {
+	const seedDelay = 50 * time.Millisecond
+	// Attempts in arrival order: 0 the write's primary, 1 its hedged
+	// duplicate, 2 the next op (a stat); each waits for its release.
+	arrived := make(chan int, 3)
+	var release [3]chan struct{}
+	for i := range release {
+		release[i] = make(chan struct{})
+	}
+	var attempts atomic.Int32
+	srv := rpc.NewServer(func(req *rpc.Message) *rpc.Message {
+		resp := &rpc.Message{Op: req.Op, Path: req.Path, Trace: req.Trace, Size: int64(len(req.Data))}
+		i := int(attempts.Add(1)) - 1
+		if i >= len(release) {
+			resp.Err = "unexpected attempt"
+			return resp
+		}
+		arrived <- i
+		<-release[i]
+		return resp
+	})
+	addr, err := srv.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { // runs first: nothing stays parked after a failure
+		for _, ch := range release {
+			select {
+			case <-ch:
+			default:
+				close(ch)
+			}
+		}
+	})
+	sk := latency.NewSketch(0)
+	tracer := telemetry.NewTracer(0)
+	c, err := NewClient(Config{
+		AppID: "app", Direct: pfs.NewStore(pfs.Config{}), ChunkSize: 1024,
+		Dedup:     true,
+		RPC:       rpc.Options{CallTimeout: 10 * time.Second},
+		Throttle:  ThrottleConfig{Enabled: true},
+		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, MinDelay: seedDelay, Budget: 1},
+		Latency:   sk,
+		Telemetry: telemetry.New(),
+		Tracer:    tracer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	c.SetIONs([]string{addr})
+	seedLatency(sk, addr, seedDelay)
+	gate := c.gateFor(addr)
+	waitInflight := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(200 * time.Microsecond) {
+			gate.mu.Lock()
+			n := gate.inflight
+			gate.mu.Unlock()
+			if n == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("throttle gate holds %d slots, want %d", n, want)
+			}
+		}
+	}
+	waitArrival := func(want int) {
+		t.Helper()
+		select {
+		case got := <-arrived:
+			if got != want {
+				t.Fatalf("attempt %d arrived, want %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("attempt %d never arrived", want)
+		}
+	}
+
+	written := make(chan error, 1)
+	go func() {
+		_, err := c.Write("/t", 0, bytes.Repeat([]byte{7}, 256))
+		written <- err
+	}()
+	waitArrival(0)
+	waitArrival(1) // the hedge deadline passed: the backup is parked too
+	close(release[0])
+	if err := <-written; err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	// The write finished with its backup still out; the next op's trace
+	// opens on the recycled record and stays open at the node.
+	statted := make(chan error, 1)
+	go func() {
+		_, err := c.Stat("/t")
+		statted <- err
+	}()
+	waitArrival(2)
+	close(release[1])
+	waitInflight(1) // the backup's answer is in and its rpc hop reported
+	close(release[2])
+	if err := <-statted; err != nil {
+		t.Fatalf("stat: %v", err)
+	}
+
+	recent := tracer.Recent()
+	if len(recent) != 2 {
+		t.Fatalf("%d traces retained, want the write's and the stat's", len(recent))
+	}
+	for i, want := range []string{"write", "stat"} {
+		tr := recent[i]
+		var layers []string
+		for _, h := range tr.Hops {
+			layers = append(layers, h.Layer)
+		}
+		if tr.Op != want || len(layers) != 2 || layers[0] != "fwd" || layers[1] != "rpc" {
+			t.Fatalf("%s trace %d: op %q, hops %v; want fwd then one rpc hop", want, tr.ID, tr.Op, layers)
+		}
+	}
+}

@@ -386,12 +386,13 @@ func (d *Daemon) Activity() (depth int, ops int64) {
 // daemon's trace hop: one "ion" hop per forwarded request covering the
 // whole server-side residence (queue wait and PFS dispatch included).
 func (d *Daemon) handle(m *rpc.Message) *rpc.Message {
+	if d.tracer == nil || m.Trace == 0 {
+		return d.handleOp(m)
+	}
 	start := time.Now()
 	resp := d.handleOp(m)
-	if d.tracer != nil && m.Trace != 0 {
-		bytes := int64(len(m.Data)) + int64(len(resp.Data))
-		d.tracer.AddHop(m.Trace, "ion", start, bytes, d.cfg.ID)
-	}
+	bytes := int64(len(m.Data)) + int64(len(resp.Data))
+	d.tracer.AddHop(m.Trace, "ion", start, bytes, d.cfg.ID)
 	return resp
 }
 
@@ -626,19 +627,21 @@ func (d *Daemon) pushFailed(resp *rpc.Message, err error) *rpc.Message {
 	return resp
 }
 
-// hopEach records one layer hop on a dispatched request — or on each of
-// its children when it is an aggregate, since the children carry the
-// client-visible trace IDs.
-func (d *Daemon) hopEach(req *agios.Request, layer string, start time.Time, note string) {
+// hopEach records one layer hop, already timed, on a dispatched request —
+// or on each of its children when it is an aggregate, since the children
+// carry the client-visible trace IDs.
+func (d *Daemon) hopEach(req *agios.Request, layer string, start time.Time, took time.Duration, note string) {
 	if d.tracer == nil {
 		return
 	}
+	h := telemetry.Hop{Layer: layer, Start: start, Duration: took, Bytes: req.Size, Note: note}
 	if len(req.Children) == 0 {
-		d.tracer.AddHop(req.Trace, layer, start, req.Size, note)
+		d.tracer.RecordHop(req.Trace, h)
 		return
 	}
 	for _, c := range req.Children {
-		d.tracer.AddHop(c.Trace, layer, start, c.Size, note)
+		h.Bytes = c.Size
+		d.tracer.RecordHop(c.Trace, h)
 	}
 }
 
@@ -677,14 +680,15 @@ func (d *Daemon) execute(req *agios.Request) error {
 		if n > 0 {
 			note = fmt.Sprintf("%s merged=%d", note, n)
 		}
-		d.hopEach(req, "agios", req.Arrival, note)
+		d.hopEach(req, "agios", req.Arrival, time.Since(req.Arrival), note)
 	}
 	start := time.Now()
 	switch req.Op {
 	case agios.OpWrite:
 		_, err := d.backend.WriteAs(d.cfg.ID, req.Path, req.Offset, req.Data)
-		d.tel.dispatchLatency.ObserveDuration(time.Since(start))
-		d.hopEach(req, "pfs", start, "write")
+		took := time.Since(start)
+		d.tel.dispatchLatency.ObserveDuration(took)
+		d.hopEach(req, "pfs", start, took, "write")
 		return err
 	case agios.OpRead:
 		// The RPC handler attached a pooled destination buffer with
@@ -692,8 +696,9 @@ func (d *Daemon) execute(req *agios.Request) error {
 		buf := req.Data[:req.Size]
 		n, err := d.backend.Read(req.Path, req.Offset, buf)
 		req.Data = buf[:n]
-		d.tel.dispatchLatency.ObserveDuration(time.Since(start))
-		d.hopEach(req, "pfs", start, "read")
+		took := time.Since(start)
+		d.tel.dispatchLatency.ObserveDuration(took)
+		d.hopEach(req, "pfs", start, took, "read")
 		return err
 	default:
 		return fmt.Errorf("ion: unknown scheduled op %v", req.Op)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/telemetry"
 	"repro/internal/testkit"
 	"repro/internal/units"
 )
@@ -35,7 +36,7 @@ func BenchmarkHotPathWrite(b *testing.B) {
 }
 
 func benchmarkHotPathWrite(b *testing.B, size int64) {
-	write := hotPathWriter(b, size)
+	write := hotPathWriter(b, Config{IONs: 1, Scheduler: "FIFO"}, size)
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -44,10 +45,10 @@ func benchmarkHotPathWrite(b *testing.B, size int64) {
 	}
 }
 
-// hotPathWriter starts a one-node stack with one forwarding client and
-// returns a func that forwards one write of size bytes.
-func hotPathWriter(tb testing.TB, size int64) (write func()) {
-	st, err := Start(Config{IONs: 1, Scheduler: "FIFO"})
+// hotPathWriter starts a one-node stack from cfg with one forwarding client
+// and returns a func that forwards one write of size bytes.
+func hotPathWriter(tb testing.TB, cfg Config, size int64) (write func()) {
+	st, err := Start(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -76,18 +77,31 @@ func hotPathWriter(tb testing.TB, size int64) (write func()) {
 // TestHotPathWriteAllocs gates the end-to-end allocation count of one
 // forwarded write, process-wide: client encode, server decode, the AGIOS
 // queue and the dispatch together allocate nothing, at one chunk and at
-// 4 KiB alike.
+// 4 KiB alike — and so does recording the write's trace (fwd, rpc, ion,
+// agios and pfs hops) when the stack has a tracer.
 func TestHotPathWriteAllocs(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("sync.Pool drops a share of Puts under the race detector")
 	}
-	for _, size := range []int64{512 * units.KiB, 4 * units.KiB} {
-		write := hotPathWriter(t, size)
+	for _, row := range []struct {
+		size   int64
+		traced bool
+	}{
+		{512 * units.KiB, false},
+		{4 * units.KiB, false},
+		{512 * units.KiB, true},
+		{4 * units.KiB, true},
+	} {
+		cfg := Config{IONs: 1, Scheduler: "FIFO"}
+		if row.traced {
+			cfg.Tracer = telemetry.NewTracer(0)
+		}
+		write := hotPathWriter(t, cfg, row.size)
 		for i := 0; i < 16; i++ {
 			write() // prime the pools
 		}
 		if got := testing.AllocsPerRun(500, write); got > 0 {
-			t.Errorf("forwarded %d-byte write: %.0f allocs/op end to end, budget 0", size, got)
+			t.Errorf("forwarded %d-byte write (traced %v): %.0f allocs/op end to end, budget 0", row.size, row.traced, got)
 		}
 	}
 }

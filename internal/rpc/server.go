@@ -481,8 +481,9 @@ func (c *Client) Call(req *Message) (*Message, error) {
 func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error) {
 	start := time.Now()
 	resp, err := c.call(req, it)
+	took := time.Since(start)
 	c.tel.calls.Inc()
-	c.tel.latency.ObserveDuration(time.Since(start))
+	c.tel.latency.ObserveDuration(took)
 	if err != nil {
 		c.tel.callErrors.Inc()
 	}
@@ -491,7 +492,7 @@ func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error
 		if resp != nil {
 			bytes += int64(len(resp.Data))
 		}
-		c.tracer.AddHop(req.Trace, "rpc", start, bytes, c.addr)
+		c.tracer.RecordHop(req.Trace, telemetry.Hop{Layer: "rpc", Start: start, Duration: took, Bytes: bytes, Note: c.addr})
 	}
 	return resp, err
 }

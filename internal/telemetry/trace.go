@@ -3,7 +3,6 @@ package telemetry
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,6 +25,12 @@ type Hop struct {
 // across the rpc wire, so server-side layers append hops to the same
 // record the client started (within one process; a distributed deployment
 // would join on the ID instead).
+//
+// Records are recycled: Finish hands the record back to its tracer, and a
+// later Start reuses it, hop storage included, for a new ID. The holder of
+// a *Trace must not touch it after Finish. Hops that arrive by ID after
+// Finish — a server hop or a losing hedge backup's rpc hop — are checked
+// against the record's current ID and dropped.
 type Trace struct {
 	ID    uint64
 	App   string
@@ -36,15 +41,17 @@ type Trace struct {
 	tc *Tracer
 
 	mu   sync.Mutex
-	end  time.Time
+	live bool // between Start and Finish; only then does the record take hops
 	hops []Hop
 	// hopStore inlines storage for the first hops so a typical
 	// single-chunk trace (fwd, rpc, ion, agios, pfs) records without any
-	// slice regrowth: on the forwarding hot path the stack already
-	// allocates large transfer buffers, and every extra small allocation
-	// there risks a GC-assist park worth far more than the alloc itself.
-	hopStore [8]Hop
+	// slice growth. A longer trace grows hops once; the record keeps the
+	// larger array across reuse.
+	hopStore [inlineHops]Hop
 }
+
+// inlineHops is the hop capacity a record and a ring entry start with.
+const inlineHops = 8
 
 // TraceID returns the wire identifier (0 on a nil trace, meaning
 // "untraced").
@@ -61,29 +68,40 @@ func (t *Trace) Hop(layer string, start time.Time, bytes int64, note string) {
 	if t == nil {
 		return
 	}
+	t.add(t.ID, Hop{Layer: layer, Start: start, Duration: time.Since(start), Bytes: bytes, Note: note})
+}
+
+// add appends h if the record still belongs to trace id: open, and not
+// recycled for a newer trace since the caller found it.
+func (t *Trace) add(id uint64, h Hop) {
 	t.mu.Lock()
-	t.hops = append(t.hops, Hop{
-		Layer: layer, Start: start, Duration: time.Since(start),
-		Bytes: bytes, Note: note,
-	})
+	if t.live && t.ID == id {
+		t.hops = append(t.hops, h)
+	}
 	t.mu.Unlock()
 }
 
-// Finish closes the trace and retires it to the tracer's ring buffer.
-// No-op on a nil trace.
+// Finish closes the trace, retires its hops to the tracer's ring buffer
+// and recycles the record. No-op on a nil trace. The holder calls it
+// exactly once: the record may back a newer trace afterwards, and a second
+// Finish would close that one.
 func (t *Trace) Finish() {
 	if t == nil {
 		return
 	}
+	end := time.Now()
 	t.mu.Lock()
-	t.end = time.Now()
+	live := t.live
+	t.live = false
 	t.mu.Unlock()
-	t.tc.finish(t)
+	if live {
+		t.tc.retire(t, end)
+	}
 }
 
-// TraceSnapshot is an immutable copy of a finished (or in-flight) trace,
-// with hops sorted by start time — the order the request actually moved
-// through the stack, regardless of which layer reported first.
+// TraceSnapshot is an immutable copy of a finished trace, with hops sorted
+// by start time — the order the request actually moved through the stack,
+// regardless of which layer reported first.
 type TraceSnapshot struct {
 	ID    uint64        `json:"id"`
 	App   string        `json:"app,omitempty"`
@@ -95,39 +113,36 @@ type TraceSnapshot struct {
 	Total time.Duration `json:"total_ns"`
 }
 
-func (t *Trace) snapshot() TraceSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := TraceSnapshot{
-		ID: t.ID, App: t.App, Op: t.Op, Path: t.Path,
-		Begin: t.Begin, End: t.end,
-		Hops: append([]Hop(nil), t.hops...),
-	}
-	if !s.End.IsZero() {
-		s.Total = s.End.Sub(s.Begin)
-	}
-	// This runs at every Finish on a handful of hops: the generic stable
-	// sort is an in-place insertion sort at this size and, unlike
-	// sort.SliceStable, allocates no closure and no reflection-built
-	// swapper.
-	slices.SortStableFunc(s.Hops, func(a, b Hop) int { return a.Start.Compare(b.Start) })
-	return s
+// openTrace is one in-flight index entry. The ID is kept beside the
+// record so a lookup never reads a record another goroutine may be
+// recycling.
+type openTrace struct {
+	id uint64
+	t  *Trace
 }
 
 // Tracer mints request traces and retains the most recent finished ones in
-// a fixed-size ring buffer. Finished traces are stored as compact
-// snapshots, not live *Trace objects: the live structs carry a mutex and
-// inline hop storage sized for recording, and keeping hundreds of them
-// reachable measurably inflates GC mark work on allocation-heavy
-// forwarding paths. A nil *Tracer is a valid no-op (Start returns a nil
-// *Trace whose methods no-op and whose TraceID is 0).
+// a fixed-size ring buffer. A traced request allocates nothing in steady
+// state:
+//   - Start takes a record from a free list that Finish refills, so the
+//     tracer holds no more records than the most traces ever in flight;
+//   - hops find their trace by ID in the in-flight index, and append under
+//     the record's own lock;
+//   - the ring's entries own their hop storage, preallocated for 8 hops
+//     each: Finish copies a trace's hops into the entry it overwrites and
+//     sorts them there, and only Recent copies them out.
+//
+// In-flight traces are never evicted; only finished ones rotate through the
+// ring. A nil *Tracer is a valid no-op (Start returns a nil *Trace whose
+// methods no-op and whose TraceID is 0).
 type Tracer struct {
-	next atomic.Uint64
-
-	mu     sync.Mutex
-	active map[uint64]*Trace
-	ring   []TraceSnapshot
-	pos    int
+	mu       sync.Mutex
+	next     uint64      // the last ID minted
+	open     []openTrace // in-flight traces, in no order
+	free     []*Trace    // finished records, ready for reuse
+	ring     []TraceSnapshot
+	pos      int // the entry the next finished trace overwrites
+	retained int // entries holding a trace, up to len(ring)
 }
 
 // DefaultTraceCapacity is the ring size used when NewTracer is given ≤0.
@@ -138,7 +153,12 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{active: make(map[uint64]*Trace), ring: make([]TraceSnapshot, 0, capacity)}
+	tc := &Tracer{ring: make([]TraceSnapshot, capacity)}
+	hops := make([]Hop, capacity*inlineHops)
+	for i := range tc.ring {
+		tc.ring[i].Hops = hops[i*inlineHops : i*inlineHops : (i+1)*inlineHops]
+	}
+	return tc
 }
 
 // Start opens a trace for one request. Returns nil on a nil tracer.
@@ -146,47 +166,94 @@ func (tc *Tracer) Start(app, op, path string) *Trace {
 	if tc == nil {
 		return nil
 	}
-	t := &Trace{
-		ID: tc.next.Add(1), App: app, Op: op, Path: path,
-		Begin: time.Now(), tc: tc,
-	}
-	t.hops = t.hopStore[:0]
 	tc.mu.Lock()
-	tc.active[t.ID] = t
+	var t *Trace
+	if n := len(tc.free); n > 0 {
+		t, tc.free[n-1] = tc.free[n-1], nil
+		tc.free = tc.free[:n-1]
+	} else {
+		t = &Trace{tc: tc}
+		t.hops = t.hopStore[:0]
+	}
+	tc.next++
+	id := tc.next
+	tc.open = append(tc.open, openTrace{id, t})
 	tc.mu.Unlock()
+	begin := time.Now()
+	// Under t.mu: an AddHop that found this record under its previous ID
+	// may be about to check it.
+	t.mu.Lock()
+	t.ID, t.App, t.Op, t.Path, t.Begin = id, app, op, path, begin
+	t.hops = t.hops[:0]
+	t.live = true
+	t.mu.Unlock()
 	return t
 }
 
-// AddHop appends a hop to the active trace with the given ID. Unknown or
-// zero IDs (untraced requests, or traces already finished) are dropped
-// silently — a server receiving a foreign trace ID must not fail the
-// request over observability. No-op on a nil tracer.
+// AddHop appends a hop that started at start and just finished now to the
+// active trace with the given ID. Unknown or zero IDs (untraced requests,
+// or traces already finished) are dropped silently — a server receiving a
+// foreign trace ID must not fail the request over observability. No-op on
+// a nil tracer.
 func (tc *Tracer) AddHop(id uint64, layer string, start time.Time, bytes int64, note string) {
 	if tc == nil || id == 0 {
 		return
 	}
-	tc.mu.Lock()
-	t := tc.active[id]
-	tc.mu.Unlock()
-	t.Hop(layer, start, bytes, note)
+	tc.RecordHop(id, Hop{Layer: layer, Start: start, Duration: time.Since(start), Bytes: bytes, Note: note})
 }
 
-// finish retires t from the active set into the ring as a snapshot,
-// dropping the last reference to the live trace.
-func (tc *Tracer) finish(t *Trace) {
-	s := t.snapshot()
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	delete(tc.active, t.ID)
-	if len(tc.ring) < cap(tc.ring) {
-		tc.ring = append(tc.ring, s)
+// RecordHop is AddHop for a hop the caller already timed, so a layer that
+// measures a duration for its own histogram spends one clock read on both.
+func (tc *Tracer) RecordHop(id uint64, h Hop) {
+	if tc == nil || id == 0 {
 		return
 	}
-	tc.ring[tc.pos] = s
-	tc.pos = (tc.pos + 1) % cap(tc.ring)
+	var t *Trace
+	tc.mu.Lock()
+	for _, o := range tc.open {
+		if o.id == id {
+			t = o.t
+			break
+		}
+	}
+	tc.mu.Unlock()
+	if t != nil {
+		t.add(id, h)
+	}
 }
 
-// Recent returns snapshots of the retained finished traces, oldest first.
+// retire takes the closed trace t out of the in-flight index, copies it
+// into the ring entry it overwrites and returns the record to the free
+// list. No hop can land on t any more (it is closed), so its hops are read
+// without t.mu.
+func (tc *Tracer) retire(t *Trace, end time.Time) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for i, o := range tc.open {
+		if o.t == t {
+			last := len(tc.open) - 1
+			tc.open[i] = tc.open[last]
+			tc.open[last] = openTrace{}
+			tc.open = tc.open[:last]
+			break
+		}
+	}
+	s := &tc.ring[tc.pos]
+	*s = TraceSnapshot{
+		ID: t.ID, App: t.App, Op: t.Op, Path: t.Path,
+		Begin: t.Begin, End: end, Total: end.Sub(t.Begin),
+		Hops: append(s.Hops[:0], t.hops...),
+	}
+	// The generic stable sort is an in-place insertion sort at this size
+	// and, unlike sort.SliceStable, allocates no closure and no
+	// reflection-built swapper.
+	slices.SortStableFunc(s.Hops, func(a, b Hop) int { return a.Start.Compare(b.Start) })
+	tc.pos = (tc.pos + 1) % len(tc.ring)
+	tc.retained = min(tc.retained+1, len(tc.ring))
+	tc.free = append(tc.free, t)
+}
+
+// Recent returns copies of the retained finished traces, oldest first.
 // Empty on a nil tracer.
 func (tc *Tracer) Recent() []TraceSnapshot {
 	if tc == nil {
@@ -194,9 +261,12 @@ func (tc *Tracer) Recent() []TraceSnapshot {
 	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	out := make([]TraceSnapshot, 0, len(tc.ring))
-	out = append(out, tc.ring[tc.pos:]...)
-	out = append(out, tc.ring[:tc.pos]...)
+	out := make([]TraceSnapshot, tc.retained)
+	oldest := tc.pos - tc.retained + len(tc.ring)
+	for i := range out {
+		out[i] = tc.ring[(oldest+i)%len(tc.ring)]
+		out[i].Hops = append([]Hop(nil), out[i].Hops...)
+	}
 	return out
 }
 
@@ -207,5 +277,5 @@ func (tc *Tracer) Active() int {
 	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	return len(tc.active)
+	return len(tc.open)
 }
