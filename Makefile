@@ -86,7 +86,7 @@ storm:
 chaos:
 	$(GO) test -race -count=2 -timeout 180s \
 		-run 'Chaos|Fault|Fail|Breaker|Deadline|Retr|Hang|Delay|Mark|Probe|Refuse|Reset|Drop' \
-		./internal/scenario ./internal/livestack ./internal/faultnet ./internal/faultfs \
+		./internal/scenario ./internal/livestack ./internal/faultnet \
 		./internal/rpc ./internal/health ./internal/arbiter ./internal/fwd
 
 # Data-integrity campaign, run twice under the race detector: a seeded

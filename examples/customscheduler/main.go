@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 	"time"
 
@@ -63,6 +65,12 @@ func (d *DeadlineSJF) Pop() (*agios.Request, bool) {
 func (d *DeadlineSJF) Len() int { return len(d.q) }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	store := pfs.NewStore(pfs.Config{})
 	daemon := ion.New(ion.Config{
 		ID:          "custom0",
@@ -71,10 +79,10 @@ func main() {
 	}, store)
 	addr, err := daemon.Start("")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer daemon.Close()
-	fmt.Printf("I/O node %s running the %s scheduler\n", addr, daemon.SchedulerName())
+	fmt.Fprintf(w, "I/O node %s running the %s scheduler\n", addr, daemon.SchedulerName())
 
 	// Mixed load: large writes from one client, latency-sensitive small
 	// writes from another. SJF lets the small ones jump the queue; the
@@ -101,10 +109,11 @@ func main() {
 	wg.Wait()
 	close(results)
 	for line := range results {
-		fmt.Println(" ", line)
+		fmt.Fprintln(w, " ", line)
 	}
 
 	s := daemon.Stats()
-	fmt.Printf("daemon handled %d writes, %s ingress\n", s.Writes, units.FormatBytes(s.BytesIn))
-	fmt.Println("swap in agios.NewFIFO()/NewSJF()/NewAIOLI()/NewTWINS() to compare policies")
+	fmt.Fprintf(w, "daemon handled %d writes, %s ingress\n", s.Writes, units.FormatBytes(s.BytesIn))
+	fmt.Fprintln(w, "swap in agios.NewFIFO()/NewSJF()/NewAIOLI()/NewTWINS() to compare policies")
+	return nil
 }

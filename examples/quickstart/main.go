@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/livestack"
@@ -17,35 +19,41 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A mini cluster: one PFS, four I/O-node daemons over TCP, and an
 	// arbiter running the paper's MCKP policy.
 	stack, err := livestack.Start(livestack.Config{IONs: 4})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer stack.Close()
-	fmt.Printf("stack up: %d I/O nodes at %v\n", len(stack.Addrs), stack.Addrs)
+	fmt.Fprintf(w, "stack up: %d I/O nodes at %v\n", len(stack.Addrs), stack.Addrs)
 
 	// A forwarding client for our application. Until the arbiter assigns
 	// I/O nodes, it talks to the PFS directly.
 	client, err := stack.NewClient("demo")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Register the job: the arbiter solves the MCKP instance and
 	// publishes a mapping, which the client picks up asynchronously.
 	spec, err := perfmodel.AppByLabel("IOR-MPI")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	assigned, err := stack.Arbiter.JobStarted(policy.FromAppSpec("demo", spec))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("arbiter assigned %d I/O nodes in %v\n", len(assigned), stack.Arbiter.LastSolveTime())
+	fmt.Fprintf(w, "arbiter assigned %d I/O nodes in %v\n", len(assigned), stack.Arbiter.LastSolveTime())
 	if err := livestack.WaitForAllocation(client, len(assigned), 2*time.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Do some I/O through the forwarding layer.
@@ -55,39 +63,43 @@ func main() {
 	}
 	start := time.Now()
 	if _, err := client.Write("/demo/data", 0, payload); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s through forwarding in %v\n",
+	fmt.Fprintf(w, "wrote %s through forwarding in %v\n",
 		units.FormatBytes(int64(len(payload))), time.Since(start).Round(time.Millisecond))
 
 	// A second job arrives: the arbiter re-arbitrates and our allocation
 	// shrinks — mid-run, without touching the application.
-	spec2, _ := perfmodel.AppByLabel("HACC")
+	spec2, err := perfmodel.AppByLabel("HACC")
+	if err != nil {
+		return err
+	}
 	if _, err := stack.Arbiter.JobStarted(policy.FromAppSpec("neighbour", spec2)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for len(client.IONs()) == len(assigned) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	fmt.Printf("after the neighbour arrived our allocation is %d I/O nodes\n", len(client.IONs()))
+	fmt.Fprintf(w, "after the neighbour arrived our allocation is %d I/O nodes\n", len(client.IONs()))
 
 	// Keep writing and read everything back: the remap was transparent.
 	if _, err := client.Write("/demo/data", int64(len(payload)), payload); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	buf := make([]byte, 2*len(payload))
 	if _, err := client.Read("/demo/data", 0, buf); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := range payload {
 		if buf[i] != payload[i] || buf[len(payload)+i] != payload[i] {
-			log.Fatalf("data corrupted at %d", i)
+			return fmt.Errorf("data corrupted at %d", i)
 		}
 	}
-	fmt.Println("read back verified: dynamic remap was transparent")
+	fmt.Fprintln(w, "read back verified: dynamic remap was transparent")
 
 	st := client.Stats()
-	fmt.Printf("client stats: %d forwarded ops, %d direct ops, %d remaps\n",
+	fmt.Fprintf(w, "client stats: %d forwarded ops, %d direct ops, %d remaps\n",
 		st.ForwardedOps, st.DirectOps, st.RemapsApplied)
+	return nil
 }

@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
@@ -30,6 +32,12 @@ func app(id string, mbps1, mbps2, mbps4, mbps8 float64) policy.Application {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// One I/O-hungry application and three that barely profit from
 	// forwarding — but direct PFS access is not available, so under plain
 	// MCKP everyone must occupy at least one dedicated node.
@@ -47,35 +55,36 @@ func main() {
 			users[id] = true
 		}
 		var total float64
-		fmt.Printf("%s:\n", name)
+		fmt.Fprintf(w, "%s:\n", name)
 		for _, a := range apps {
 			if users[a.ID] {
 				bw1, _ := a.Curve.At(1)
 				est := float64(bw1) / float64(len(apps))
 				total += est
-				fmt.Printf("  %-8s shared node      (est %7.1f MB/s)\n", a.ID, est/1e6)
+				fmt.Fprintf(w, "  %-8s shared node      (est %7.1f MB/s)\n", a.ID, est/1e6)
 				continue
 			}
 			bw, _ := a.Curve.At(alloc[a.ID])
 			total += float64(bw)
-			fmt.Printf("  %-8s %d dedicated IONs (%9.1f MB/s)\n", a.ID, alloc[a.ID], bw.MBps())
+			fmt.Fprintf(w, "  %-8s %d dedicated IONs (%9.1f MB/s)\n", a.ID, alloc[a.ID], bw.MBps())
 		}
-		fmt.Printf("  aggregate: %.1f MB/s\n\n", total/1e6)
+		fmt.Fprintf(w, "  aggregate: %.1f MB/s\n\n", total/1e6)
 	}
 
 	plain, err := (policy.MCKP{}).Allocate(apps, pool)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	evaluate("plain MCKP (everyone needs a dedicated node)", plain, nil)
 
 	withShared := policy.WithShared{}
 	alloc, shared, err := withShared.AllocateShared(apps, pool)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	evaluate(fmt.Sprintf("%s (one node reserved for sharing)", withShared.Name()), alloc, shared)
 
-	fmt.Println("the meek applications cost almost nothing on the shared node,")
-	fmt.Println("freeing the dedicated pool for the application that can use it.")
+	fmt.Fprintln(w, "the meek applications cost almost nothing on the shared node,")
+	fmt.Fprintln(w, "freeing the dedicated pool for the application that can use it.")
+	return nil
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/apps"
 	"repro/internal/darshan"
@@ -20,6 +22,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// First execution of an unknown application: trace it.
 	store := pfs.NewStore(pfs.Config{})
 	tracer := darshan.NewTracer(store)
@@ -29,24 +37,24 @@ func main() {
 		ReadBack: false,
 	}
 	if _, err := kernel.Run(tracer, "/run1"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rep := tracer.Report()
-	fmt.Printf("trace: %d files, %d writes (%s), %d consecutive, median request %s\n",
+	fmt.Fprintf(w, "trace: %d files, %d writes (%s), %d consecutive, median request %s\n",
 		rep.Files, rep.WriteOps, units.FormatBytes(rep.BytesWritten),
 		rep.ConsecWrites, units.FormatBytes(rep.MedianReqSize))
 
 	// Extract the base access pattern (the scheduler knows the geometry).
 	const nodes, procs = 8, 32
 	pat := rep.ExtractPattern(nodes, procs)
-	fmt.Printf("extracted pattern: %s\n", pat)
+	fmt.Fprintf(w, "extracted pattern: %s\n", pat)
 
 	// Estimate the full curve from the pattern — the paper's alternative
 	// to exploratory runs at every forwarding configuration.
 	curve := darshan.EstimateCurve(pat, perfmodel.Default(), 8, true)
-	fmt.Println("estimated bandwidth curve:")
+	fmt.Fprintln(w, "estimated bandwidth curve:")
 	for _, pt := range curve.Points() {
-		fmt.Printf("  %d I/O nodes: %s\n", pt.IONs, pt.Bandwidth)
+		fmt.Fprintf(w, "  %d I/O nodes: %s\n", pt.IONs, pt.Bandwidth)
 	}
 
 	// The curve becomes the application's MCKP class next time it runs
@@ -54,18 +62,19 @@ func main() {
 	known := policy.Application{ID: "mystery-app", Nodes: nodes, Processes: procs, Curve: curve}
 	neighbour, err := perfmodel.AppByLabel("IOR-MPI")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	appsList := []policy.Application{known, policy.FromAppSpec("IOR-MPI", neighbour)}
 	alloc, err := (policy.MCKP{}).Allocate(appsList, 12)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("MCKP decision with 12 I/O nodes: mystery-app=%d, IOR-MPI=%d\n",
+	fmt.Fprintf(w, "MCKP decision with 12 I/O nodes: mystery-app=%d, IOR-MPI=%d\n",
 		alloc["mystery-app"], alloc["IOR-MPI"])
 	total, err := policy.SumBandwidth(appsList, alloc)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("predicted aggregate: %s\n", total)
+	fmt.Fprintf(w, "predicted aggregate: %s\n", total)
+	return nil
 }

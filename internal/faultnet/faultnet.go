@@ -7,8 +7,8 @@
 // The injector is the chaos half of the failure-tolerance story: the rpc
 // layer's deadlines, retries and circuit breaker (internal/rpc), the
 // health prober (internal/health) and the arbiter's Fail/Rise transitions
-// are all exercised against these faults in livestack's chaos tests. Unlike
-// faultfs — which injects *storage* faults behind a healthy daemon —
+// are all exercised against these faults in the chaos scenarios. Unlike
+// scenario.Backend — which slows *storage* behind a healthy daemon —
 // faultnet makes the daemon itself unreachable, which is what an I/O-node
 // crash looks like from a compute node.
 //

@@ -178,8 +178,8 @@ type Config struct {
 	// network faults (faultnet.WrapListener) on a chosen I/O node.
 	WrapListener func(ionIndex int, ln net.Listener) net.Listener
 	// WrapBackend, when non-nil, interposes on each daemon's storage
-	// backend — the hook chaos tests use to slow one I/O node down
-	// (faultfs) and force it into overload.
+	// backend — the hook the scenario kit uses to slow one I/O node down
+	// (scenario.Backend) and force it into overload.
 	WrapBackend func(ionIndex int, b ion.Backend) ion.Backend
 	// WrapDirect, when non-nil, interposes on the file system clients use
 	// for direct-to-PFS forwarding (no allocation, or failover). Without
