@@ -24,10 +24,12 @@ import (
 const decisionBudget = 32
 
 // churnRig is the control plane of the arbiter_churn workload without the
-// data plane: a 12-node MCKP arbiter and 8 forwarding clients following
-// its bus, one per job slot. decide toggles a seeded slot (JobStarted or
-// JobFinished) and returns once every client has applied the published
-// map.
+// data plane: a 12-node MCKP arbiter and 8 forwarding clients, one per job
+// slot, following its bus the way a livestack.Stack's clients do — one
+// subscription and one goroutine applying every map to every client in
+// order, each client started on the bus's current map. decide toggles a
+// seeded slot (JobStarted or JobFinished) and returns once every client
+// has applied the published map.
 func churnRig(t *testing.T) (decide func()) {
 	t.Helper()
 	bus := mapping.NewBus()
@@ -44,15 +46,25 @@ func churnRig(t *testing.T) (decide func()) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, cancelSub := bus.Subscribe()
-		stop := c.Watch(ch)
-		t.Cleanup(func() {
-			stop()
-			cancelSub()
-			c.Close()
-		})
+		t.Cleanup(func() { c.Close() })
+		c.ApplyMap(bus.Current())
 		clients[i] = c
 	}
+	ch, cancel := bus.Subscribe()
+	<-ch // the clients started on Current above
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for m := range ch {
+			for _, c := range clients {
+				c.ApplyMap(m)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
 	specs := perfmodel.EvaluationApps()
 	rng := rand.New(rand.NewPCG(1, 2))
 	var running [slots]bool

@@ -16,8 +16,9 @@
 //     CoalesceLimit), so a large sequential write costs one RPC per
 //     responsible node, not one per chunk;
 //   - the allocation can change at any time without disrupting the
-//     application: a background watcher applies mapping updates, and
-//     in-flight requests complete on the old routes;
+//     application: ApplyMap installs a mapping update (a livestack.Stack's
+//     one delivery loop calls it for every client), and in-flight requests
+//     complete on the old routes;
 //   - an empty allocation means direct PFS access;
 //   - when an I/O node cannot take a request, the PFS does, and the bytes
 //     are counted once. That is the one fallback rule (DESIGN.md §8 has
@@ -410,8 +411,11 @@ func (c *Client) ApplyMap(m mapping.Map) {
 	// A map is fresh if its version advances — or, same-version, if its
 	// fence does (an arbiter recovery republishes the surviving allocation
 	// under a raised revocation floor without necessarily re-solving).
-	// Version 0 always applies, exactly as before epochs existed.
-	if m.Version != 0 && m.Version <= c.ver && m.Fence <= c.fence {
+	// Version 0 (a bus's map before its first publication) applies every
+	// time until the client has installed a versioned map, and is stale
+	// after: a follower that reads the bus's current v0 just as the first
+	// publication reaches it must not roll back to the empty map.
+	if (m.Version != 0 || c.ver != 0) && m.Version <= c.ver && m.Fence <= c.fence {
 		return
 	}
 	c.ver = m.Version
@@ -419,34 +423,6 @@ func (c *Client) ApplyMap(m mapping.Map) {
 		c.fence = m.Fence
 	}
 	c.setIONsLocked(m.For(c.cfg.AppID))
-}
-
-// Watch consumes mapping updates from ch (a mapping.Bus subscription) in a
-// background goroutine until cancel is called or the channel closes. This is
-// GekkoFWD's client-side remapping thread. The returned cancel is idempotent
-// and safe to call concurrently.
-func (c *Client) Watch(ch <-chan mapping.Map) (cancel func()) {
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			case m, ok := <-ch:
-				if !ok {
-					return
-				}
-				c.ApplyMap(m)
-			}
-		}
-	}()
-	return func() {
-		once.Do(func() { close(stop) })
-		<-done
-	}
 }
 
 // ReleaseConn closes and forgets the target (pooled connection and

@@ -268,6 +268,13 @@ func TestDynamicRemapMidStream(t *testing.T) {
 func TestApplyMapVersioning(t *testing.T) {
 	store, addrs, _ := testStack(t, 2)
 	c := newTestClient(t, store, 512)
+	// Version 0 applies every time while nothing versioned has been.
+	v0 := mapping.Map{IONs: map[string][]string{"app": addrs[:1]}}
+	c.ApplyMap(v0)
+	c.ApplyMap(v0)
+	if got := c.Stats().RemapsApplied; got != 2 || len(c.IONs()) != 1 {
+		t.Fatalf("v0 twice: %d remaps on %v, want 2 on one node", got, c.IONs())
+	}
 	c.ApplyMap(mapping.Map{Version: 2, IONs: map[string][]string{"app": addrs}})
 	if len(c.IONs()) != 2 {
 		t.Fatal("map not applied")
@@ -277,6 +284,11 @@ func TestApplyMapVersioning(t *testing.T) {
 	if len(c.IONs()) != 2 {
 		t.Fatal("stale map applied")
 	}
+	// So must version 0, once a versioned map is installed.
+	c.ApplyMap(v0)
+	if len(c.IONs()) != 2 {
+		t.Fatal("v0 applied over a versioned map")
+	}
 	// Newer map wins.
 	c.ApplyMap(mapping.Map{Version: 3, IONs: map[string][]string{"app": addrs[:1]}})
 	if len(c.IONs()) != 1 {
@@ -284,30 +296,62 @@ func TestApplyMapVersioning(t *testing.T) {
 	}
 }
 
-func TestWatchAppliesBusUpdates(t *testing.T) {
+// follow delivers every map published on bus to clients, in order, on one
+// goroutine — the loop a livestack.Stack runs — after starting each client
+// on the bus's current map. The loop stops at test cleanup.
+func follow(t *testing.T, bus *mapping.Bus, clients ...*Client) {
+	t.Helper()
+	ch, cancel := bus.Subscribe()
+	<-ch // each client starts on Current below instead
+	for _, c := range clients {
+		c.ApplyMap(bus.Current())
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for m := range ch {
+			for _, c := range clients {
+				c.ApplyMap(m)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+}
+
+// TestFollowerLoopAppliesBusUpdates: two applications' clients on one
+// follower loop each install their own allocation from every publication,
+// and each counts every map once.
+func TestFollowerLoopAppliesBusUpdates(t *testing.T) {
 	store, addrs, _ := testStack(t, 2)
 	c := newTestClient(t, store, 512)
+	other, err := NewClient(Config{AppID: "other", Direct: store, ChunkSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { other.Close() })
 	bus := mapping.NewBus()
-	ch, cancelSub := bus.Subscribe()
-	defer cancelSub()
-	cancel := c.Watch(ch)
-	defer cancel()
+	follow(t, bus, c, other)
 
-	bus.Publish(map[string][]string{"app": addrs})
-	deadline := time.After(2 * time.Second)
-	for len(c.IONs()) != 2 {
-		select {
-		case <-deadline:
-			t.Fatal("watch never applied the update")
-		case <-time.After(time.Millisecond):
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for !ok() {
+			if time.Now().After(deadline) {
+				t.Fatalf("the loop never applied %s", what)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
-	bus.Publish(map[string][]string{"app": nil})
-	for len(c.IONs()) != 0 {
-		select {
-		case <-deadline:
-			t.Fatal("watch never applied the second update")
-		case <-time.After(time.Millisecond):
+	bus.Publish(map[string][]string{"app": addrs, "other": addrs[1:]})
+	waitFor("the first update", func() bool { return len(c.IONs()) == 2 && len(other.IONs()) == 1 })
+	bus.Publish(map[string][]string{"app": nil, "other": addrs})
+	waitFor("the second update", func() bool { return len(c.IONs()) == 0 && len(other.IONs()) == 2 })
+	for _, cl := range []*Client{c, other} {
+		if got := cl.Stats().RemapsApplied; got != 3 {
+			t.Errorf("%s applied %d maps, want 3 (v0 and two publications)", cl.cfg.AppID, got)
 		}
 	}
 }

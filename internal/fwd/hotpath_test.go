@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/agios"
 	"repro/internal/ion"
@@ -195,23 +196,57 @@ func TestApplyMapOutOfOrderConcurrent(t *testing.T) {
 	}
 }
 
-// TestWatchCancelConcurrent: the cancel func returned by Watch must be
-// safe to call from several goroutines (the old select-default guard let
-// two callers race into close(stop) and panic).
-func TestWatchCancelConcurrent(t *testing.T) {
+// TestApplyMapCurrentRacesFollowerLoop: a version that reaches a client
+// twice — from its follower loop and from a registration-time ApplyMap of
+// the bus's current map — is applied once, and neither source rolls the
+// client back. 200 publications race 200 applies of Current; the client
+// never moves to an older map, ends on the final one, and counts one remap
+// per version plus one per apply of the unpublished v0.
+func TestApplyMapCurrentRacesFollowerLoop(t *testing.T) {
 	c := newTestClient(t, pfs.NewStore(pfs.Config{}), 0)
-	ch := make(chan mapping.Map)
-	cancel := c.Watch(ch)
+	bus := mapping.NewBus()
+	follow(t, bus, c)
+	const publications = 200
+	addr := func(v uint64) string { return fmt.Sprintf("127.0.0.1:%d", 10000+v) }
+	version := func() uint64 { // the version the client's allocation came from
+		if got := c.IONs(); len(got) == 1 {
+			var port uint64
+			fmt.Sscanf(got[0], "127.0.0.1:%d", &port)
+			return port - 10000
+		}
+		return 0
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cancel()
-		}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := uint64(1); v <= publications; v++ {
+			bus.Publish(map[string][]string{"app": {addr(v)}})
+		}
+	}()
+	zeros := 0
+	for i := 0; i < publications; i++ {
+		m := bus.Current()
+		if m.Version == 0 {
+			zeros++
+		}
+		before := version()
+		c.ApplyMap(m)
+		if after := version(); after < before {
+			t.Fatalf("applying v%d moved the client from v%d back to v%d", m.Version, before, after)
+		}
 	}
 	wg.Wait()
-	cancel() // and again, after the watcher is long gone
+	deadline := time.Now().Add(2 * time.Second)
+	for version() != publications {
+		if time.Now().After(deadline) {
+			t.Fatalf("client on v%d, the bus published v%d", version(), publications)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got, most := c.Stats().RemapsApplied, int64(1+zeros+publications); got > most {
+		t.Fatalf("%d remaps, at most %d expected: a version was applied twice", got, most)
+	}
 }
 
 // TestRPCInstrumentedOnPrivateRegistry: with no Config.Telemetry the

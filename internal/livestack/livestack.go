@@ -20,7 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agios"
@@ -75,13 +77,18 @@ type Stack struct {
 	// test readers. Static stacks never mutate them after Start. Daemons
 	// and Addrs are position-aligned and append-only, and addNode is their
 	// only writer; everything that starts from an address goes through
-	// nodes instead.
-	mu          sync.Mutex
-	clients     []*fwd.Client
-	cancels     []func()
-	nextION     int              // daemon index source (addNode)
-	nodes       map[string]*node // address → the daemon the stack started there
-	fenceCancel func()           // stops the fence fan-out subscriber (journaling only)
+	// nodes instead. NewClient registers clients under it too.
+	mu      sync.Mutex
+	nextION int              // daemon index source (addNode)
+	nodes   map[string]*node // address → the daemon the stack started there
+
+	// clients are the clients NewClient made, in creation order. The
+	// slice is replaced, never appended to in place (under mu), so the
+	// delivery loop walks it without a lock.
+	clients atomic.Pointer[[]*fwd.Client]
+
+	// stopDelivery ends the stack's one map-delivery loop (startDelivery).
+	stopDelivery func()
 }
 
 // node is everything the stack keeps per I/O-node daemon it started.
@@ -124,6 +131,7 @@ func Start(cfg Config) (*Stack, error) {
 		cfg:       cfg,
 		nodes:     map[string]*node{},
 	}
+	st.clients.Store(new([]*fwd.Client))
 	if cfg.SlowFactor > 0 || cfg.Hedge.Enabled {
 		st.latSketch = latency.NewSketch(0)
 	}
@@ -153,6 +161,7 @@ func Start(cfg Config) (*Stack, error) {
 		st.Close()
 		return nil, err
 	}
+	st.startDelivery()
 	return st, nil
 }
 
@@ -174,14 +183,11 @@ func (s *Stack) openJournal() (*journal.Journal, error) {
 	return journal.Open(s.cfg.JournalDir, journal.Options{Telemetry: s.Telemetry})
 }
 
-// startControlPlane starts what runs around an arbiter — the fence
-// fan-out (journaling only), the prober feeding it, the scaler feeding on
-// the prober — over addrs. Used at Start and again by
-// RecoverControlPlane: the old ones died with the control plane.
+// startControlPlane starts what runs around an arbiter — the prober
+// feeding it, the scaler feeding on the prober — over addrs. Used at Start
+// and again by RecoverControlPlane: the old ones died with the control
+// plane.
 func (s *Stack) startControlPlane(arb *arbiter.Arbiter, addrs []string) error {
-	if s.Journal != nil {
-		s.startFenceFanout()
-	}
 	if s.cfg.HealthInterval > 0 {
 		if err := s.startHealth(arb, addrs); err != nil {
 			return err
@@ -263,14 +269,20 @@ func (s *Stack) startScaler(arb *arbiter.Arbiter, addrs []string) error {
 	return nil
 }
 
-// startFenceFanout subscribes a background goroutine to the mapping bus
-// that pushes the revocation floor of every published map to every
-// daemon. The critical fence (recovery) is delivered synchronously via
-// arbiter.RecoverConfig.PreFence before the recovery map goes out; this
-// subscriber is the steady-state redundancy that keeps late joiners and
-// warm-restarted daemons converging on the floor.
-func (s *Stack) startFenceFanout() {
-	ch, cancelSub := s.Bus.Subscribe()
+// startDelivery subscribes the stack to its mapping bus, once, and starts
+// the one goroutine that delivers every published map: it raises every
+// daemon's revocation floor to the map's fence first, then applies the map
+// to every client, in creation order. The subscription's initial map is
+// taken here and dropped: a client applies the bus's current map itself
+// when it registers (NewClient), and ApplyMap applies version 0 every time
+// until a versioned map arrives, so delivering it too would count it
+// twice. The critical fence (recovery) is
+// pushed synchronously by arbiter.RecoverConfig.PreFence before the
+// recovery map goes out; the loop's fence is the steady-state redundancy
+// that keeps late joiners and warm-restarted daemons on the floor.
+func (s *Stack) startDelivery() {
+	ch, cancel := s.Bus.Subscribe()
+	<-ch
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -278,13 +290,20 @@ func (s *Stack) startFenceFanout() {
 			if m.Fence > 0 {
 				s.fenceAll(m.Fence)
 			}
+			for _, c := range s.followers() {
+				c.ApplyMap(m)
+			}
 		}
 	}()
-	s.fenceCancel = func() {
-		cancelSub()
+	s.stopDelivery = func() {
+		cancel()
 		<-done
 	}
 }
+
+// followers returns the clients NewClient made, in creation order; the
+// caller must not modify the slice.
+func (s *Stack) followers() []*fwd.Client { return *s.clients.Load() }
 
 // fenceAll raises the revocation floor of every daemon the stack started.
 func (s *Stack) fenceAll(fence uint64) {
@@ -302,12 +321,14 @@ func (s *Stack) daemons() []*ion.Daemon {
 }
 
 // CrashControlPlane simulates a SIGKILL of the control plane while the
-// data plane keeps running: the scaler, prober, and fence fan-out stop,
-// the journal is closed mid-stream (whatever was fsynced is all that
-// survives), and the arbiter reference is dropped. Daemons keep serving
-// and clients keep writing on their last mapping — exactly the blackout
-// the paper's single-node arbiter exposes. Requires JournalDir;
-// coordinate with goroutines that use Stack.Arbiter directly.
+// data plane keeps running: the scaler and prober stop, the journal is
+// closed mid-stream (whatever was fsynced is all that survives), and the
+// arbiter reference is dropped. Daemons keep serving and clients keep
+// writing on their last mapping — exactly the blackout the paper's
+// single-node arbiter exposes. The stack's map-delivery loop keeps running
+// (it is the clients' side of the bus, and nothing publishes while the
+// control plane is down). Requires JournalDir; coordinate with goroutines
+// that use Stack.Arbiter directly.
 func (s *Stack) CrashControlPlane() error {
 	if s.cfg.JournalDir == "" {
 		return errors.New("livestack: CrashControlPlane requires JournalDir (nothing would survive)")
@@ -324,7 +345,7 @@ func (s *Stack) CrashControlPlane() error {
 
 // stopControlPlane stops what startControlPlane started: the scaler first
 // (no spawns or drains while things go away), then the prober (so what
-// follows is not misread as an outage), then the fence fan-out.
+// follows is not misread as an outage).
 func (s *Stack) stopControlPlane() {
 	if s.Scaler != nil {
 		s.Scaler.Stop()
@@ -332,20 +353,14 @@ func (s *Stack) stopControlPlane() {
 	if s.Health != nil {
 		s.Health.Stop()
 	}
-	s.mu.Lock()
-	cancel := s.fenceCancel
-	s.fenceCancel = nil
-	s.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 }
 
 // RecoverControlPlane warm-restarts a crashed control plane from the
 // journal: replay, re-probe every journaled pool member, fence every
-// pre-crash epoch on the live daemons before the recovery publish, roll
-// back half-provisioned I/O nodes the journal never admitted, and
-// restart the prober, scaler, and fence fan-out. The returned error is
+// pre-crash epoch on the live daemons (synchronously, by PreFence) before
+// the recovery publish, which the stack's map-delivery loop then carries
+// to the clients; roll back half-provisioned I/O nodes the journal never
+// admitted, and restart the prober and scaler. The returned error is
 // advisory when an arbiter came up (degraded recovery, e.g. a failed
 // re-solve published the pruned pre-crash mapping) and fatal when nil
 // Stack.Arbiter proves no recovery happened.
@@ -496,11 +511,10 @@ func (s *Stack) DecommissionION(addr string) error {
 		return nil
 	}
 	n.gone, n.last = true, nil
-	clients := append([]*fwd.Client(nil), s.clients...)
 	s.mu.Unlock()
 
 	err := n.d.Close()
-	for _, c := range clients {
+	for _, c := range s.followers() {
 		c.ReleaseConn(addr)
 	}
 	return err
@@ -577,9 +591,12 @@ func (s *Stack) RestartION(i int) error {
 	return err
 }
 
-// NewClient creates a forwarding client for an application, subscribed to
-// the stack's mapping bus. The client starts in direct mode until the
-// arbiter assigns it I/O nodes (via JobStarted).
+// NewClient creates a forwarding client for an application. The client
+// follows the stack's one delivery loop and routes on the current map on
+// return: it is registered first and then given the bus's current map, so
+// a publication racing the call reaches it one way or the other (ApplyMap
+// drops the older of the two). An application the arbiter has not
+// assigned I/O nodes (via JobStarted) goes direct.
 func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 	rpcOpts := s.cfg.RPC
 	rpcOpts.WireChecksum = s.cfg.WireChecksum
@@ -605,22 +622,18 @@ func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	ch, cancelSub := s.Bus.Subscribe()
-	cancelWatch := c.Watch(ch)
 	s.mu.Lock()
-	s.clients = append(s.clients, c)
-	s.cancels = append(s.cancels, func() {
-		cancelWatch()
-		cancelSub()
-	})
+	clients := append(slices.Clip(s.followers()), c)
+	s.clients.Store(&clients)
 	s.mu.Unlock()
+	c.ApplyMap(s.Bus.Current())
 	return c, nil
 }
 
 // WaitForAllocation blocks until the client observes a mapping of exactly
 // ions I/O nodes — any non-empty mapping when ions is 0 — or the timeout
-// elapses (mapping propagation is asynchronous, like GekkoFWD's periodic
-// check).
+// elapses (a publication reaches the clients through the stack's delivery
+// loop, asynchronously, like GekkoFWD's periodic check).
 func WaitForAllocation(c *fwd.Client, ions int, timeout time.Duration) error {
 	if ions == 0 {
 		return waitForMapping(c, timeout, "an allocation", func(n int) bool { return n > 0 })
@@ -655,17 +668,14 @@ func waitForMapping(c *fwd.Client, timeout time.Duration, want string, ok func(i
 	}
 }
 
-// Close stops the control plane, then the watchers, clients, and daemons.
+// Close stops the control plane, then the delivery loop, clients, and
+// daemons.
 func (s *Stack) Close() {
 	s.stopControlPlane()
-	s.mu.Lock()
-	cancels := append([]func(){}, s.cancels...)
-	clients := append([]*fwd.Client(nil), s.clients...)
-	s.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
+	if s.stopDelivery != nil {
+		s.stopDelivery()
 	}
-	for _, c := range clients {
+	for _, c := range s.followers() {
 		c.Close()
 	}
 	for _, d := range s.daemons() {
