@@ -157,7 +157,8 @@ grayfail:
 		./internal/arbiter ./internal/fwd ./internal/rpc ./internal/faultnet \
 		./internal/elastic ./cmd/gkfwd
 
-# Wire-protocol fuzzers (frame decoder and encode/decode round-trip).
+# Fuzzers: the wire protocol (frame decoder and encode/decode round-trip),
+# journal replay, and the arbiter against its map-based reference.
 # FUZZTIME bounds each fuzzer; CI runs a short smoke, leave it running
 # longer locally to dig.
 FUZZTIME ?= 15s
@@ -165,6 +166,7 @@ fuzz:
 	$(GO) test -run - -fuzz FuzzReadMessage -fuzztime $(FUZZTIME) ./internal/rpc
 	$(GO) test -run - -fuzz FuzzMessageRoundTrip -fuzztime $(FUZZTIME) ./internal/rpc
 	$(GO) test -run - -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run - -fuzz FuzzArbiterMatchesReference -fuzztime $(FUZZTIME) ./internal/arbiter
 
 # The parallel campaign engine's scaling record (serial baseline vs worker
 # pool); results are byte-identical at every worker count.

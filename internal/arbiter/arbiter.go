@@ -44,28 +44,32 @@ var (
 
 // Arbiter owns a pool of I/O-node addresses and a mapping bus.
 type Arbiter struct {
-	pol  policy.Policy
-	bus  *mapping.Bus
-	pool []string
+	pol policy.Policy
+	bus *mapping.Bus
 
 	// weightOf, when set, supplies each application's QoS utility weight
 	// at solve time (see WithWeights); nil means unweighted arbitration.
 	weightOf func(id string) float64
 
 	mu sync.Mutex
-	// nodes holds every pool member's condition (the zero State is a
-	// healthy node); its keys are the pool, whose stable order pool keeps.
-	nodes map[string]nodestate.State
+	// nodes is the pool in stable order (the zero State is a healthy node).
+	nodes []member
 	// quarFloor bounds the quarantine: degraded nodes are excluded from
 	// allocation only while at least quarFloor allocatable nodes remain,
 	// so correlated slowness deprioritizes the tail instead of emptying
 	// the pool. Always ≥ 1; WithQuarantine raises it.
 	quarFloor int
-	running   map[string]policy.Application
-	assign    map[string][]string // app → addresses
-	// apps and used are rearbitrate's scratch, reused across solves.
-	apps []policy.Application
-	used map[string]struct{}
+	// running is sorted by ID and holds jobs as registered: QoS weights
+	// are stamped into rearbitrate's apps scratch, never into it.
+	running []policy.Application
+	// assign (app → addresses) is rebuilt in place by each solve, in
+	// windows of spareSlots while slots backs the current ones; the two
+	// then swap. The bus, Current and the journal copy it under a.mu.
+	assign            map[string][]string
+	slots, spareSlots []string
+	apps              []policy.Application // rearbitrate's scratch, as are wins and free
+	wins              [][]string
+	free              []string
 	// SolveTime records the duration of the last policy invocation (the
 	// paper reports 399 µs for its live case).
 	lastSolve time.Duration
@@ -97,6 +101,25 @@ type Arbiter struct {
 	}
 }
 
+// member is one pool node: its address, its condition, and the class
+// allocatable last gave it.
+type member struct {
+	addr  string
+	st    nodestate.State
+	class class
+}
+
+// class is a member's place in the hand-out order (see allocatable).
+type class uint8
+
+const (
+	hidden        class = iota // down or draining: never handed out
+	quarantined                // degraded, excluded while the floor allows
+	kept                       // deprioritized or healthy, and kept by an app this solve
+	deprioritized              // overloaded, or degraded past the floor: handed out last
+	healthy                    // handed out first
+)
+
 // New creates an arbiter over the given policy, I/O-node addresses, and
 // mapping bus.
 func New(pol policy.Policy, ionAddrs []string, bus *mapping.Bus) (*Arbiter, error) {
@@ -106,23 +129,20 @@ func New(pol policy.Policy, ionAddrs []string, bus *mapping.Bus) (*Arbiter, erro
 	if bus == nil {
 		return nil, errors.New("arbiter: mapping bus is required")
 	}
-	nodes := make(map[string]nodestate.State, len(ionAddrs))
-	for _, a := range ionAddrs {
-		if _, dup := nodes[a]; dup {
-			return nil, fmt.Errorf("arbiter: duplicate I/O node %s", a)
-		}
-		nodes[a] = 0
-	}
-	return &Arbiter{
+	a := &Arbiter{
 		pol:       pol,
 		bus:       bus,
-		pool:      append([]string(nil), ionAddrs...),
-		nodes:     nodes,
+		nodes:     make([]member, 0, len(ionAddrs)),
 		quarFloor: 1,
-		running:   map[string]policy.Application{},
 		assign:    map[string][]string{},
-		used:      map[string]struct{}{},
-	}, nil
+	}
+	for _, addr := range ionAddrs {
+		if a.find(addr) >= 0 {
+			return nil, fmt.Errorf("arbiter: duplicate I/O node %s", addr)
+		}
+		a.nodes = append(a.nodes, member{addr: addr})
+	}
+	return a, nil
 }
 
 // PolicyName reports the active policy.
@@ -153,7 +173,7 @@ func (a *Arbiter) Instrument(reg *telemetry.Registry) *Arbiter {
 	a.tel.ionsLive = reg.Gauge("arbiter_ions_live")
 	a.tel.ionsOverload = reg.Gauge("arbiter_ions_overloaded")
 	a.tel.ionsDraining = reg.Gauge("arbiter_ions_draining")
-	a.tel.ionsLive.Set(int64(len(a.pool)))
+	a.tel.ionsLive.Set(int64(len(a.nodes)))
 	a.tel.solveLatency = reg.Histogram("arbiter_solve_latency_seconds", telemetry.LatencyBuckets())
 	return a
 }
@@ -210,14 +230,15 @@ func (a *Arbiter) LastSolveTime() time.Duration {
 func (a *Arbiter) JobStarted(app policy.Application) ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, dup := a.running[app.ID]; dup {
+	i, dup := a.job(app.ID)
+	if dup {
 		return nil, fmt.Errorf("arbiter: job %s already running", app.ID)
 	}
-	if a.visible() == 0 {
+	if visible, down, draining, _ := a.tally(); visible == 0 {
 		return nil, fmt.Errorf("%w: cannot start %s (pool %d, down %d, draining %d)",
-			ErrNoLiveIONs, app.ID, len(a.pool), len(a.nodesIn(nodestate.Down)), len(a.nodesIn(nodestate.Draining)))
+			ErrNoLiveIONs, app.ID, len(a.nodes), down, draining)
 	}
-	a.running[app.ID] = app
+	a.running = slices.Insert(a.running, i, app)
 	// Intent first: if the crash lands between this append and the solve,
 	// recovery sees the job and solves for it; if the solve below fails,
 	// the compensating record undoes the intent.
@@ -225,7 +246,7 @@ func (a *Arbiter) JobStarted(app policy.Application) ([]string, error) {
 		a.record(journal.Record{Kind: journal.KindJobStarted, App: appRecord(app)})
 	}
 	if err := a.rearbitrate(); err != nil {
-		delete(a.running, app.ID)
+		a.running = slices.Delete(a.running, i, i+1)
 		a.record(journal.Record{Kind: journal.KindJobFinished, Job: app.ID})
 		a.tel.jobsRunning.Set(int64(len(a.running)))
 		return nil, err
@@ -242,15 +263,16 @@ func (a *Arbiter) JobStarted(app policy.Application) ([]string, error) {
 func (a *Arbiter) JobFinished(id string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, ok := a.running[id]; !ok {
+	i, ok := a.job(id)
+	if !ok {
 		return fmt.Errorf("%w: %s is not running", ErrUnknownJob, id)
 	}
-	delete(a.running, id)
+	a.running = slices.Delete(a.running, i, i+1)
 	delete(a.assign, id)
 	a.record(journal.Record{Kind: journal.KindJobFinished, Job: id})
 	a.tel.jobsRunning.Set(int64(len(a.running)))
 	if len(a.running) == 0 {
-		a.assign = map[string][]string{}
+		clear(a.assign)
 		a.publish()
 		return nil
 	}
@@ -276,52 +298,78 @@ func (a *Arbiter) Current() map[string][]string {
 	return out
 }
 
-// visible counts the pool members that are neither down nor draining.
-// Caller holds the lock.
-func (a *Arbiter) visible() int {
-	n := 0
-	for _, st := range a.nodes {
-		if !st.Hidden() {
-			n++
+// tally counts, in one pass, the pool members that are visible (neither
+// down nor draining), down, draining and overloaded. Caller holds the lock.
+func (a *Arbiter) tally() (visible, down, draining, overloaded int) {
+	for _, m := range a.nodes {
+		if !m.st.Hidden() {
+			visible++
+		}
+		if m.st.Has(nodestate.Down) {
+			down++
+		}
+		if m.st.Has(nodestate.Draining) {
+			draining++
+		}
+		if m.st.Has(nodestate.Overloaded) {
+			overloaded++
 		}
 	}
-	return n
+	return visible, down, draining, overloaded
 }
 
-// allocatable splits the visible pool into the addresses arbitration may
-// hand out and the quarantined ones it may not. The quarantine is the
-// degraded nodes, taken in stable pool order, excluded only while the
-// remaining allocatable capacity stays at or above the floor. avail is
-// in hand-out order: healthy nodes in stable pool order, then the
-// deprioritized ones — overloaded nodes, and degraded ones the floor held
-// back — so they absorb load only when the healthy pool cannot cover the
-// allocation (capacity is deprioritized, never destroyed). Caller holds
-// the lock.
-func (a *Arbiter) allocatable() (avail, quar []string) {
-	room := a.visible() - a.quarFloor // how many nodes the floor lets the quarantine take
-	avail = make([]string, 0, len(a.pool))
-	var last []string
-	for _, addr := range a.pool {
-		switch st := a.nodes[addr]; {
-		case st.Hidden():
-		case st.Has(nodestate.Degraded) && len(quar) < room:
-			quar = append(quar, addr)
-		case st.Has(nodestate.Degraded | nodestate.Overloaded):
-			last = append(last, addr)
+// find returns the pool index of addr, or -1. Caller holds the lock.
+func (a *Arbiter) find(addr string) int {
+	return slices.IndexFunc(a.nodes, func(m member) bool { return m.addr == addr })
+}
+
+// job returns where id is, or would be inserted, in the ID-sorted running
+// list, and whether it is there. Caller holds the lock.
+func (a *Arbiter) job(id string) (int, bool) {
+	return slices.BinarySearchFunc(a.running, id, func(app policy.Application, id string) int {
+		return strings.Compare(app.ID, id)
+	})
+}
+
+// allocatable gives every member its class — whether arbitration may
+// hand it out, and in which turn — and returns how many it may. The
+// quarantine is the degraded nodes, taken in stable pool order, excluded
+// only while the remaining allocatable capacity stays at or above the
+// floor. The hand-out order is healthy nodes in stable pool order, then
+// the deprioritized ones — overloaded nodes, and degraded ones the floor
+// held back — so they absorb load only when the healthy pool cannot cover
+// the allocation (capacity is deprioritized, never destroyed). Caller
+// holds the lock.
+func (a *Arbiter) allocatable() (avail int) {
+	visible, _, _, _ := a.tally()
+	room := visible - a.quarFloor // how many nodes the floor lets the quarantine take
+	for i := range a.nodes {
+		m := &a.nodes[i]
+		switch {
+		case m.st.Hidden():
+			m.class = hidden
+		case m.st.Has(nodestate.Degraded) && room > 0:
+			m.class = quarantined
+			room--
+		case m.st.Has(nodestate.Degraded | nodestate.Overloaded):
+			m.class = deprioritized
 		default:
-			avail = append(avail, addr)
+			m.class = healthy
+		}
+		if m.class >= deprioritized {
+			avail++
 		}
 	}
-	return append(avail, last...), quar
+	return avail
 }
 
-// nodesIn lists the pool members in any condition of mask, in stable pool
-// order. Caller holds the lock.
-func (a *Arbiter) nodesIn(mask nodestate.State) []string {
+// addrsWhere lists the pool members pick selects, in stable pool order.
+// Caller holds the lock.
+func (a *Arbiter) addrsWhere(pick func(member) bool) []string {
 	var out []string
-	for _, addr := range a.pool {
-		if a.nodes[addr].Has(mask) {
-			out = append(out, addr)
+	for _, m := range a.nodes {
+		if pick(m) {
+			out = append(out, m.addr)
 		}
 	}
 	return out
@@ -334,7 +382,7 @@ func (a *Arbiter) nodesIn(mask nodestate.State) []string {
 func (a *Arbiter) NodesIn(mask nodestate.State) []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.nodesIn(mask)
+	return a.addrsWhere(func(m member) bool { return m.st.Has(mask) })
 }
 
 // StateOf reports the condition of the pool member at addr; ok is false
@@ -342,8 +390,10 @@ func (a *Arbiter) NodesIn(mask nodestate.State) []string {
 func (a *Arbiter) StateOf(addr string) (st nodestate.State, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st, ok = a.nodes[addr]
-	return st, ok
+	if i := a.find(addr); i >= 0 {
+		return a.nodes[i].st, true
+	}
+	return 0, false
 }
 
 // Quarantined returns the addresses currently excluded from allocation
@@ -353,27 +403,30 @@ func (a *Arbiter) StateOf(addr string) (st nodestate.State, ok bool) {
 func (a *Arbiter) Quarantined() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	_, quar := a.allocatable()
-	return quar
+	a.allocatable()
+	return a.addrsWhere(func(m member) bool { return m.class == quarantined })
 }
 
 // updatePoolGauges refreshes the live/down/overloaded/draining gauges.
 // Caller holds the lock.
 func (a *Arbiter) updatePoolGauges() {
-	down := len(a.nodesIn(nodestate.Down))
+	_, down, draining, overloaded := a.tally()
 	a.tel.ionsDown.Set(int64(down))
-	a.tel.ionsLive.Set(int64(len(a.pool) - down))
-	a.tel.ionsOverload.Set(int64(len(a.nodesIn(nodestate.Overloaded))))
-	a.tel.ionsDraining.Set(int64(len(a.nodesIn(nodestate.Draining))))
+	a.tel.ionsLive.Set(int64(len(a.nodes) - down))
+	a.tel.ionsOverload.Set(int64(overloaded))
+	a.tel.ionsDraining.Set(int64(draining))
 	if a.tel.ionsQuarantined != nil {
-		avail, quar := a.allocatable()
-		held := 0 // degraded, yet allocatable: the floor held them back
-		for _, addr := range avail {
-			if a.nodes[addr].Has(nodestate.Degraded) {
+		a.allocatable()
+		quar, held := 0, 0 // held: degraded, yet allocatable — the floor held them back
+		for _, m := range a.nodes {
+			switch {
+			case m.class == quarantined:
+				quar++
+			case m.class >= deprioritized && m.st.Has(nodestate.Degraded):
 				held++
 			}
 		}
-		a.tel.ionsQuarantined.Set(int64(len(quar)))
+		a.tel.ionsQuarantined.Set(int64(quar))
 		a.tel.quarFloorHeld.Set(int64(held))
 	}
 }
@@ -442,7 +495,7 @@ func (a *Arbiter) Transition(addr string, ev nodestate.Event) error {
 	if len(a.running) > 0 && !(fx.held && prev.Hidden()) {
 		if err := a.rearbitrate(); err != nil {
 			if fx.rollback {
-				a.nodes[addr] = prev
+				a.nodes[a.find(addr)].st = prev
 				a.record(journal.NodeEvent(addr, nodestate.DrainAbort))
 				a.updatePoolGauges()
 				return fmt.Errorf("arbiter: %s of %s refused, mapping unchanged: %w", ev, addr, err)
@@ -465,10 +518,11 @@ func (a *Arbiter) Transition(addr string, ev nodestate.Event) error {
 // Recover, which applies several events and then solves once. Caller
 // holds the lock.
 func (a *Arbiter) apply(addr string, ev nodestate.Event) (prev nodestate.State, changed bool, err error) {
-	prev, ok := a.nodes[addr]
-	if !ok {
+	i := a.find(addr)
+	if i < 0 {
 		return 0, false, fmt.Errorf("%w: %s", ErrUnknownION, addr)
 	}
+	prev = a.nodes[i].st
 	next, changed, err := prev.Apply(ev)
 	if err != nil {
 		return prev, false, fmt.Errorf("%w: %s of %s refused", ErrIONDown, ev, addr)
@@ -476,7 +530,7 @@ func (a *Arbiter) apply(addr string, ev nodestate.Event) (prev nodestate.State, 
 	if !changed {
 		return prev, false, nil
 	}
-	a.nodes[addr] = next
+	a.nodes[i].st = next
 	// Intent first, like JobStarted: a crash before the solve must leave
 	// the event in the journal for recovery to act on.
 	a.record(journal.NodeEvent(addr, ev))
@@ -506,11 +560,10 @@ func (a *Arbiter) AddION(addr string) error {
 	if addr == "" {
 		return errors.New("arbiter: empty I/O node address")
 	}
-	if _, dup := a.nodes[addr]; dup {
+	if a.find(addr) >= 0 {
 		return fmt.Errorf("arbiter: duplicate I/O node %s", addr)
 	}
-	a.pool = append(a.pool, addr)
-	a.nodes[addr] = 0
+	a.nodes = append(a.nodes, member{addr: addr})
 	a.record(journal.Record{Kind: journal.KindAddION, Addr: addr})
 	a.tel.ionsAdded.Inc()
 	a.updatePoolGauges()
@@ -533,7 +586,8 @@ func (a *Arbiter) AddION(addr string) error {
 func (a *Arbiter) RemoveION(addr string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, ok := a.nodes[addr]; !ok {
+	i := a.find(addr)
+	if i < 0 {
 		return fmt.Errorf("%w: %s", ErrUnknownION, addr)
 	}
 	for app, addrs := range a.assign {
@@ -541,8 +595,7 @@ func (a *Arbiter) RemoveION(addr string) error {
 			return fmt.Errorf("%w: %s still routes %s", ErrIONAssigned, addr, app)
 		}
 	}
-	a.pool = without(a.pool, addr)
-	delete(a.nodes, addr)
+	a.nodes = slices.Delete(a.nodes, i, i+1)
 	a.record(journal.Record{Kind: journal.KindRemoveION, Addr: addr})
 	a.tel.ionsRemoved.Inc()
 	a.updatePoolGauges()
@@ -554,30 +607,29 @@ func (a *Arbiter) RemoveION(addr string) error {
 func (a *Arbiter) Pool() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]string(nil), a.pool...)
+	return a.addrsWhere(func(member) bool { return true })
 }
 
 // rearbitrate recomputes counts with the policy and maps them to concrete
 // addresses. Caller holds the lock.
 func (a *Arbiter) rearbitrate() error {
-	apps := a.apps[:0]
-	for _, app := range a.running {
-		if a.weightOf != nil && app.Weight == 0 {
-			app.Weight = a.weightOf(app.ID)
+	apps := append(a.apps[:0], a.running...)
+	for i := range apps {
+		if a.weightOf != nil && apps[i].Weight == 0 {
+			apps[i].Weight = a.weightOf(apps[i].ID)
 		}
-		apps = append(apps, app)
 	}
-	slices.SortFunc(apps, func(x, y policy.Application) int { return strings.Compare(x.ID, y.ID) })
 	a.apps = apps
 
-	avail, quar := a.allocatable()
-	if len(avail) == 0 {
+	avail := a.allocatable()
+	if avail == 0 {
 		a.tel.solveErrors.Inc()
+		_, down, draining, _ := a.tally()
 		return fmt.Errorf("%w: %d of %d marked down, %d draining",
-			ErrNoLiveIONs, len(a.nodesIn(nodestate.Down)), len(a.pool), len(a.nodesIn(nodestate.Draining)))
+			ErrNoLiveIONs, down, len(a.nodes), draining)
 	}
 	start := time.Now()
-	alloc, err := a.pol.Allocate(apps, len(avail))
+	alloc, err := a.pol.Allocate(apps, avail)
 	a.tel.solves.Inc()
 	a.tel.solveLatency.ObserveDuration(time.Since(start))
 	if err != nil {
@@ -593,53 +645,54 @@ func (a *Arbiter) rearbitrate() error {
 	// draining ones is what migrates traffic off a node headed for
 	// decommission; dropping quarantined ones is what re-steers apps
 	// away from a fail-slow node. The app re-grows in phase 2, which
-	// hands out healthy capacity first. Each app's addresses are a
-	// capacity-capped window of one backing slice.
-	total := 0
-	for _, app := range apps {
-		total += alloc[app.ID]
+	// hands out healthy capacity first. Each app's addresses are a window
+	// of the spare backing whose capacity is the app's count.
+	if total := alloc.Total(); cap(a.spareSlots) < total {
+		a.spareSlots = make([]string, total)
 	}
-	slots, off := make([]string, total), 0
-	next := make(map[string][]string, len(alloc))
-	clear(a.used)
+	wins, off := a.wins[:0], 0
 	for _, app := range apps {
 		want := alloc[app.ID]
-		cur := a.assign[app.ID]
-		keep := slots[off : off : off+want]
+		keep := a.spareSlots[off : off : off+want]
 		off += want
-		for _, addr := range cur {
+		for _, addr := range a.assign[app.ID] {
 			if len(keep) == want {
 				break
 			}
-			if st := a.nodes[addr]; !st.Hidden() && !st.Has(nodestate.Overloaded) && !slices.Contains(quar, addr) {
+			if i := a.find(addr); i >= 0 && a.nodes[i].class >= deprioritized && !a.nodes[i].st.Has(nodestate.Overloaded) {
+				a.nodes[i].class = kept
 				keep = append(keep, addr)
 			}
 		}
-		next[app.ID] = keep
-		for _, addr := range keep {
-			a.used[addr] = struct{}{}
-		}
+		wins = append(wins, keep)
 	}
+	a.wins = wins
 	// Phase 2: grow from the free available pool in hand-out order —
 	// healthy nodes first, deprioritized ones last (see allocatable).
 	// Draining and quarantined nodes are not in the available pool at all.
-	free := avail[:0] // filtered in place: allocatable built avail for this solve
-	for _, addr := range avail {
-		if _, kept := a.used[addr]; !kept {
-			free = append(free, addr)
+	free := a.free[:0]
+	for _, c := range [...]class{healthy, deprioritized} {
+		for _, m := range a.nodes {
+			if m.class == c {
+				free = append(free, m.addr)
+			}
 		}
 	}
-	for _, app := range apps {
-		want := alloc[app.ID]
-		for len(next[app.ID]) < want {
+	a.free = free
+	for i, app := range apps {
+		for len(wins[i]) < cap(wins[i]) {
 			if len(free) == 0 {
 				return fmt.Errorf("arbiter: pool exhausted assigning %s (policy overcommitted)", app.ID)
 			}
-			next[app.ID] = append(next[app.ID], free[0])
+			wins[i] = append(wins[i], free[0])
 			free = free[1:]
 		}
 	}
-	a.assign = next
+	clear(a.assign)
+	for i, app := range apps {
+		a.assign[app.ID] = wins[i]
+	}
+	a.slots, a.spareSlots = a.spareSlots, a.slots
 	a.publish()
 	return nil
 }

@@ -19,9 +19,10 @@ import (
 
 // decisionBudget is what one arbitration decision may allocate end to
 // end on a 12-node MCKP arbiter with 8 subscribed clients: the policy's
-// solve, the address assignment, the one published snapshot every
-// subscriber shares, and each client's new route view.
-const decisionBudget = 32
+// Allocation and Choice, the one published snapshot every subscriber
+// shares, and each client's new route view. The arbiter's own assignment
+// is built in reused buffers (15 measured).
+const decisionBudget = 18
 
 // churnRig is the control plane of the arbiter_churn workload without the
 // data plane: a 12-node MCKP arbiter and 8 forwarding clients, one per job
@@ -170,5 +171,41 @@ func TestDecisionAllocationPin(t *testing.T) {
 	got := testing.AllocsPerRun(400, decide)
 	if got > decisionBudget {
 		t.Fatalf("one decision allocates %.1f objects, budget %d", got, decisionBudget)
+	}
+}
+
+// TestBareDecisionAllocationPin pins the arbiter's own share of a
+// decision: one JobStarted and one JobFinished beside three running jobs
+// on a 12-node MCKP arbiter that nobody subscribes to. Each decision
+// allocates 6 objects — the map Bus.Publish copies the assignment into
+// (header and one group) and its flat address backing, the policy's
+// Allocation map (header and one group) and the solver's Choice — and
+// JobStarted adds the copy of the new job's 8 addresses it returns: 13.
+// Node records, the job list, the assignment buffers and the DP tables
+// are all reused.
+func TestBareDecisionAllocationPin(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	arb, err := New(policy.MCKP{}, addrs(12), mapping.NewBus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, label := range []string{"POSIX-L", "HACC", "BT-C"} {
+		if _, err := arb.JobStarted(app(t, label, fmt.Sprint("j", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job := app(t, "IOR-MPI", "j3")
+	got := testing.AllocsPerRun(200, func() {
+		if ions, err := arb.JobStarted(job); err != nil || len(ions) != 8 {
+			t.Fatalf("JobStarted(%s) = %v, %v; want 8 nodes", job.ID, ions, err)
+		}
+		if err := arb.JobFinished(job.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 13 {
+		t.Fatalf("one JobStarted and one JobFinished allocate %.1f objects, want ≤ 13", got)
 	}
 }

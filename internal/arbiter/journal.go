@@ -3,8 +3,9 @@ package arbiter
 import (
 	"errors"
 	"fmt"
-	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/journal"
 	"repro/internal/mapping"
@@ -54,18 +55,16 @@ func (a *Arbiter) record(r journal.Record) {
 // survives round trips. Healthy nodes are left out of Nodes, exactly as
 // the journal's own fold leaves them out. Caller holds a.mu.
 func (a *Arbiter) stateLocked() journal.State {
-	st := journal.State{Epoch: a.epoch}
-	st.Pool = append([]string(nil), a.pool...)
-	sort.Strings(st.Pool)
-	st.Nodes = maps.Clone(a.nodes)
-	maps.DeleteFunc(st.Nodes, func(_ string, ns nodestate.State) bool { return ns == 0 })
-	ids := make([]string, 0, len(a.running))
-	for id := range a.running {
-		ids = append(ids, id)
+	st := journal.State{Epoch: a.epoch, Pool: make([]string, 0, len(a.nodes)), Nodes: map[string]nodestate.State{}}
+	for _, m := range a.nodes {
+		st.Pool = append(st.Pool, m.addr)
+		if m.st != 0 {
+			st.Nodes[m.addr] = m.st
+		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		st.Running = append(st.Running, *appRecord(a.running[id]))
+	sort.Strings(st.Pool)
+	for _, app := range a.running {
+		st.Running = append(st.Running, *appRecord(app))
 	}
 	if len(a.assign) > 0 {
 		st.Assign = make(map[string][]string, len(a.assign))
@@ -110,12 +109,7 @@ func appFromRecord(ja journal.App) policy.Application {
 func (a *Arbiter) Running() []policy.Application {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]policy.Application, 0, len(a.running))
-	for _, app := range a.running {
-		out = append(out, app)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append(make([]policy.Application, 0, len(a.running)), a.running...)
 }
 
 // RecoverConfig parameterizes a warm restart from a journal.
@@ -184,16 +178,16 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	a.jn = cfg.Journal
 	a.epoch = st.Epoch
 	for addr, ns := range st.Nodes {
-		if _, member := a.nodes[addr]; member {
-			a.nodes[addr] = ns
+		if i := a.find(addr); i >= 0 {
+			a.nodes[i].st = ns
 		}
 	}
 	for _, ja := range st.Running {
-		app := appFromRecord(ja)
-		a.running[app.ID] = app
+		a.running = append(a.running, appFromRecord(ja))
 	}
+	slices.SortFunc(a.running, func(x, y policy.Application) int { return strings.Compare(x.ID, y.ID) })
 	for job, addrs := range st.Assign {
-		if _, ok := a.running[job]; ok {
+		if _, ok := a.job(job); ok {
 			a.assign[job] = append([]string(nil), addrs...)
 		}
 	}
@@ -205,9 +199,9 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	// the blackout take a Fail, which prunes them from every allocation,
 	// so "no job maps to a dead node" holds on the first recovery publish.
 	if cfg.Probe != nil {
-		for _, addr := range a.pool {
-			if !a.nodes[addr].Has(nodestate.Down) && !cfg.Probe(addr) {
-				a.apply(addr, nodestate.Fail)
+		for _, m := range a.nodes {
+			if !m.st.Has(nodestate.Down) && !cfg.Probe(m.addr) {
+				a.apply(m.addr, nodestate.Fail)
 			}
 		}
 	}
@@ -216,8 +210,8 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	// gone. Returning them to the allocatable pool is always safe; the
 	// scaler re-decides with live information. (A no-op, as ever, on a
 	// node that is not draining.)
-	for _, addr := range a.pool {
-		a.apply(addr, nodestate.DrainAbort)
+	for _, m := range a.nodes {
+		a.apply(m.addr, nodestate.DrainAbort)
 	}
 	a.updatePoolGauges()
 	a.tel.jobsRunning.Set(int64(len(a.running)))

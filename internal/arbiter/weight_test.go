@@ -3,6 +3,7 @@ package arbiter
 import (
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/mapping"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
@@ -88,5 +89,69 @@ func TestWithWeightsExplicitWeightWins(t *testing.T) {
 	}
 	if cur := arb.Current(); len(cur["gold"]) != 1 {
 		t.Fatalf("explicit Weight should survive the weight source: %v", cur)
+	}
+}
+
+// TestJournalCarriesUnstampedWeight: on a journaled arbiter with a weight
+// source, the journal keeps each job as its caller registered it — the
+// JobStarted record and the next compaction snapshot carry weight 0, not
+// the stamped class weight — and Recover stamps the weights again when it
+// solves, so the weighted tenant keeps the contended node.
+func TestJournalCarriesUnstampedWeight(t *testing.T) {
+	dir := t.TempDir()
+	jn, err := journal.Open(dir, journal.Options{SnapshotEvery: 4, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := func(id string) float64 {
+		if id == "gold" {
+			return 4
+		}
+		return 1
+	}
+	arb, err := New(policy.MCKP{}, addrs(1), mapping.NewBus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arb.WithWeights(weights).WithJournal(jn)
+	if _, err := arb.JobStarted(oneIONApp("scav", 10)); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, _, err := journal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0].Kind != journal.KindJobStarted || recs[0].App.Weight != 0 {
+		t.Fatalf("first record after the baseline should be scav's JobStarted at weight 0: %+v", recs)
+	}
+	// The fourth append (gold's publish) makes the compaction due.
+	if _, err := arb.JobStarted(oneIONApp("gold", 8)); err != nil {
+		t.Fatal(err)
+	}
+	st, recs, _, err := journal.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 || len(st.Running) != 2 {
+		t.Fatalf("want a snapshot of both jobs and no record after it: %d records, %+v", len(recs), st.Running)
+	}
+	for _, ja := range st.Running {
+		if ja.Weight != 0 {
+			t.Fatalf("snapshot carries %s at weight %v, want the caller's 0", ja.ID, ja.Weight)
+		}
+	}
+	jn.Close()
+
+	rec, _, err := recoverFrom(t, dir, RecoverConfig{Weights: weights})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur := rec.Current(); len(cur["gold"]) != 1 {
+		t.Fatalf("recovery should re-stamp gold's weight and keep it on the node: %v", cur)
+	}
+	for _, app := range rec.Running() {
+		if app.Weight != 0 {
+			t.Fatalf("recovered %s carries weight %v, want the caller's 0", app.ID, app.Weight)
+		}
 	}
 }

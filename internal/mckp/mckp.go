@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Item is one choice within a class.
@@ -116,6 +118,16 @@ func (p Problem) verify(s Solution) error {
 	return nil
 }
 
+// tables is SolveDP's working memory, pooled across solves and the
+// goroutines solving in parallel.
+type tables struct {
+	choice []int16
+	vals   []float64
+	flags  []bool
+}
+
+var tablePool = sync.Pool{New: func() any { return new(tables) }}
+
 // SolveDP solves the problem exactly with the pseudo-polynomial dynamic
 // program described in §3.1 of the paper: states are (class prefix, weight),
 // and each class contributes one chosen item. Complexity O(W·ΣNᵢ).
@@ -146,13 +158,18 @@ func SolveDP(p Problem) (Solution, error) {
 	// so far with total weight exactly ≤ w tracked as "best at w".
 	// Row i of the flat choice table holds the item class i picked to reach
 	// state weight w; the state before it is w less that item's weight.
+	// The tables come from tablePool: only the returned Choice is new.
 	cols := W + 1
-	choice := make([]int16, k*cols)
-	vals := make([]float64, 2*cols)
+	t := tablePool.Get().(*tables)
+	defer tablePool.Put(t)
+	choice := slices.Grow(t.choice[:0], k*cols)[:k*cols]
+	vals := slices.Grow(t.vals[:0], 2*cols)[:2*cols]
 	dp, next := vals[:cols], vals[cols:]
-	flags := make([]bool, 2*cols)
+	flags := slices.Grow(t.flags[:0], 2*cols)[:2*cols]
 	reach, nextReach := flags[:cols], flags[cols:]
-	reach[0] = true
+	t.choice, t.vals, t.flags = choice, vals, flags
+	clear(reach)
+	reach[0], dp[0] = true, 0
 
 	for i, c := range p.Classes {
 		row := choice[i*cols : (i+1)*cols]

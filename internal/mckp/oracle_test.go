@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/perfmodel"
@@ -191,8 +192,9 @@ func TestSolveDPMatchesReferenceSurvey(t *testing.T) {
 	}
 }
 
-// TestSolveDPAllocationsFlatInClasses: the solver's allocations do not
-// grow with the class count — the tables are flat, not one row per class.
+// TestSolveDPAllocationsFlatInClasses: in steady state a solve allocates
+// only the Choice it returns, at 2 classes and at 64 — the tables are
+// flat and come from the pool.
 func TestSolveDPAllocationsFlatInClasses(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation counts are pinned without the race detector")
@@ -208,7 +210,39 @@ func TestSolveDPAllocationsFlatInClasses(t *testing.T) {
 			}
 		})
 	}
-	if two, sixtyFour := solve(2), solve(64); sixtyFour > two {
-		t.Fatalf("SolveDP allocates %v objects for 2 classes but %v for 64", two, sixtyFour)
+	if two, sixtyFour := solve(2), solve(64); two > 1 || sixtyFour > 1 {
+		t.Fatalf("SolveDP allocates %v objects for 2 classes and %v for 64, want ≤ 1 (the returned Choice)", two, sixtyFour)
 	}
+}
+
+// TestSolveDPPooledScratchConcurrent: 8 goroutines solving at once, each
+// through the problems from its own starting point, still match the
+// reference exactly. The problems vary in class count and capacity, so
+// the tables a solve takes from the pool were last sized for another
+// problem. Run it under -race.
+func TestSolveDPPooledScratchConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	probs := make([]Problem, 300)
+	want := make([]string, len(probs))
+	for i := range probs {
+		probs[i] = randomProblem(rng, 1+i%16, 6, 1+i%13)
+		sol, err := solveDPReference(probs[i])
+		want[i] = fmt.Sprint(sol.Choice, math.Float64bits(sol.Value), sol.Weight, err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range probs {
+				i := (g*len(probs)/8 + j) % len(probs)
+				sol, err := SolveDP(probs[i])
+				if got := fmt.Sprint(sol.Choice, math.Float64bits(sol.Value), sol.Weight, err); got != want[i] {
+					t.Errorf("goroutine %d, problem %d: got %s, reference %s", g, i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/mckp"
 	"repro/internal/perfmodel"
@@ -382,6 +383,16 @@ type MCKP struct{}
 // Name implements Policy.
 func (MCKP) Name() string { return "MCKP" }
 
+// problem is MCKP.Allocate's working memory, pooled across solves and
+// the goroutines solving in parallel.
+type problem struct {
+	known   []Application
+	items   []mckp.Item
+	classes []mckp.Class
+}
+
+var problemPool = sync.Pool{New: func() any { return new(problem) }}
+
 // Allocate implements Policy.
 func (MCKP) Allocate(apps []Application, available int) (Allocation, error) {
 	if len(apps) == 0 {
@@ -390,7 +401,9 @@ func (MCKP) Allocate(apps []Application, available int) (Allocation, error) {
 
 	// Split off uncharacterized applications: they get the machine
 	// default so their first run is not penalized (§3.1).
-	known, unknown := make([]Application, 0, len(apps)), []Application(nil)
+	scratch := problemPool.Get().(*problem)
+	defer problemPool.Put(scratch)
+	known, unknown := scratch.known[:0], []Application(nil)
 	for _, a := range apps {
 		if a.Curve.Len() == 0 {
 			unknown = append(unknown, a)
@@ -420,19 +433,21 @@ func (MCKP) Allocate(apps []Application, available int) (Allocation, error) {
 			available = 0
 		}
 	}
+	scratch.known = known
 	if len(known) == 0 {
 		return alloc, nil
 	}
 
 	// One class per application in ID order, every class's items cut from
-	// one backing slice.
+	// one presized backing slice.
 	slices.SortFunc(known, func(x, y Application) int { return strings.Compare(x.ID, y.ID) })
 	points := 0
 	for _, a := range known {
 		points += a.Curve.Len()
 	}
-	items := make([]mckp.Item, 0, points)
-	prob := mckp.Problem{Capacity: available, Classes: make([]mckp.Class, 0, len(known))}
+	items := slices.Grow(scratch.items[:0], points)
+	prob := mckp.Problem{Capacity: available, Classes: slices.Grow(scratch.classes[:0], len(known))}
+	scratch.items, scratch.classes = items, prob.Classes
 	for _, a := range known {
 		start, w := len(items), a.utilityWeight()
 		for i := 0; i < a.Curve.Len(); i++ {
