@@ -137,10 +137,9 @@ func New(pol policy.Policy, ionAddrs []string, bus *mapping.Bus) (*Arbiter, erro
 		assign:    map[string][]string{},
 	}
 	for _, addr := range ionAddrs {
-		if a.find(addr) >= 0 {
-			return nil, fmt.Errorf("arbiter: duplicate I/O node %s", addr)
+		if err := a.addMember(addr); err != nil {
+			return nil, err
 		}
-		a.nodes = append(a.nodes, member{addr: addr})
 	}
 	return a, nil
 }
@@ -230,15 +229,14 @@ func (a *Arbiter) LastSolveTime() time.Duration {
 func (a *Arbiter) JobStarted(app policy.Application) ([]string, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	i, dup := a.job(app.ID)
-	if dup {
+	if _, dup := a.job(app.ID); dup {
 		return nil, fmt.Errorf("arbiter: job %s already running", app.ID)
 	}
 	if visible, down, draining, _ := a.tally(); visible == 0 {
 		return nil, fmt.Errorf("%w: cannot start %s (pool %d, down %d, draining %d)",
 			ErrNoLiveIONs, app.ID, len(a.nodes), down, draining)
 	}
-	a.running = slices.Insert(a.running, i, app)
+	a.addJob(app)
 	// Intent first: if the crash lands between this append and the solve,
 	// recovery sees the job and solves for it; if the solve below fails,
 	// the compensating record undoes the intent.
@@ -246,7 +244,7 @@ func (a *Arbiter) JobStarted(app policy.Application) ([]string, error) {
 		a.record(journal.Record{Kind: journal.KindJobStarted, App: appRecord(app)})
 	}
 	if err := a.rearbitrate(); err != nil {
-		a.running = slices.Delete(a.running, i, i+1)
+		a.dropJob(app.ID)
 		a.record(journal.Record{Kind: journal.KindJobFinished, Job: app.ID})
 		a.tel.jobsRunning.Set(int64(len(a.running)))
 		return nil, err
@@ -263,12 +261,9 @@ func (a *Arbiter) JobStarted(app policy.Application) ([]string, error) {
 func (a *Arbiter) JobFinished(id string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	i, ok := a.job(id)
-	if !ok {
+	if !a.dropJob(id) {
 		return fmt.Errorf("%w: %s is not running", ErrUnknownJob, id)
 	}
-	a.running = slices.Delete(a.running, i, i+1)
-	delete(a.assign, id)
 	a.record(journal.Record{Kind: journal.KindJobFinished, Job: id})
 	a.tel.jobsRunning.Set(int64(len(a.running)))
 	if len(a.running) == 0 {
@@ -329,6 +324,37 @@ func (a *Arbiter) job(id string) (int, bool) {
 	return slices.BinarySearchFunc(a.running, id, func(app policy.Application, id string) int {
 		return strings.Compare(app.ID, id)
 	})
+}
+
+// addJob puts app in its place in the running list, replacing a job of
+// the same ID. Caller holds the lock.
+func (a *Arbiter) addJob(app policy.Application) {
+	if i, dup := a.job(app.ID); dup {
+		a.running[i] = app
+	} else {
+		a.running = slices.Insert(a.running, i, app)
+	}
+}
+
+// dropJob removes id from the running list and the assignment, and
+// reports whether it was running. Caller holds the lock.
+func (a *Arbiter) dropJob(id string) bool {
+	i, ok := a.job(id)
+	if ok {
+		a.running = slices.Delete(a.running, i, i+1)
+		delete(a.assign, id)
+	}
+	return ok
+}
+
+// addMember appends a healthy node to the pool; a duplicate is refused.
+// Caller holds the lock.
+func (a *Arbiter) addMember(addr string) error {
+	if a.find(addr) >= 0 {
+		return fmt.Errorf("arbiter: duplicate I/O node %s", addr)
+	}
+	a.nodes = append(a.nodes, member{addr: addr})
+	return nil
 }
 
 // allocatable gives every member its class — whether arbitration may
@@ -515,8 +541,8 @@ func (a *Arbiter) Transition(addr string, ev nodestate.Event) error {
 
 // apply is Transition without the solve — guard, next state, journal
 // record, counter, gauges, and a Fail's assignment prune — shared with
-// Recover, which applies several events and then solves once. Caller
-// holds the lock.
+// Recover, which replays and reconciles events and then solves once.
+// Caller holds the lock.
 func (a *Arbiter) apply(addr string, ev nodestate.Event) (prev nodestate.State, changed bool, err error) {
 	i := a.find(addr)
 	if i < 0 {
@@ -560,10 +586,9 @@ func (a *Arbiter) AddION(addr string) error {
 	if addr == "" {
 		return errors.New("arbiter: empty I/O node address")
 	}
-	if a.find(addr) >= 0 {
-		return fmt.Errorf("arbiter: duplicate I/O node %s", addr)
+	if err := a.addMember(addr); err != nil {
+		return err
 	}
-	a.nodes = append(a.nodes, member{addr: addr})
 	a.record(journal.Record{Kind: journal.KindAddION, Addr: addr})
 	a.tel.ionsAdded.Inc()
 	a.updatePoolGauges()

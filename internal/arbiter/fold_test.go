@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/journal"
@@ -13,41 +13,17 @@ import (
 	"repro/internal/policy"
 )
 
-// canonical puts a journal state in comparable form: sorted running set,
-// empty collections as nil.
-func canonical(st journal.State) journal.State {
-	sort.Slice(st.Running, func(i, k int) bool { return st.Running[i].ID < st.Running[k].ID })
-	if len(st.Pool) == 0 {
-		st.Pool = nil
-	}
-	if len(st.Nodes) == 0 {
-		st.Nodes = nil
-	}
-	if len(st.Running) == 0 {
-		st.Running = nil
-	}
-	if len(st.Assign) == 0 {
-		st.Assign = nil
-	}
-	for job, addrs := range st.Assign {
-		if len(addrs) == 0 {
-			st.Assign[job] = nil
-		}
-	}
-	return st
-}
-
-// TestJournalFoldEquivalenceProperty: the journal's fold and the live
-// arbiter are two consumers of one transition function, so after any
-// sequence of operations replaying the journal must give exactly the
-// state the arbiter is in — node conditions, pool, running set, and the
-// assignment and epoch with them. Seeded random sequences over every
-// mutating entry point, with the policy failing now and then so the
-// failure paths (a refused drain's rollback record, the pruned publish of
-// a failed Fail solve, the compensating JobFinished) are folded too. Odd
-// seeds compact every few dozen records, so their replay is a
-// mid-sequence snapshot plus a tail; even seeds fold every record from
-// the baseline.
+// TestJournalFoldEquivalenceProperty: replay drives the mutators the
+// live entry points use, so after any sequence of operations the arbiter
+// restored from the journal — before any reconciliation — must be the
+// arbiter that wrote it: node conditions, running set in ID order, the
+// assignment and epoch, and the pool, sorted. Seeded random sequences
+// over every mutating entry point, with the policy failing now and then
+// so the failure paths (a refused drain's rollback record, the pruned
+// publish of a failed Fail solve, the compensating JobFinished) are
+// replayed too. Odd seeds compact every few dozen records, so their
+// replay is a mid-sequence snapshot plus a tail; even seeds replay every
+// record from the baseline.
 func TestJournalFoldEquivalenceProperty(t *testing.T) {
 	seeds, ops := 200, 300
 	if testing.Short() {
@@ -97,17 +73,26 @@ func TestJournalFoldEquivalenceProperty(t *testing.T) {
 				arb.JobFinished(fmt.Sprintf("job%d", rng.Intn(5)))
 			}
 		}
-		arb.mu.Lock()
-		live := canonical(arb.stateLocked())
-		arb.mu.Unlock()
 		jn.Close()
 
-		replayed, _, _, err := journal.Replay(dir)
+		snap, tail, _, err := journal.Replay(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := canonical(*replayed); !reflect.DeepEqual(got, live) {
-			t.Fatalf("seed %d (snapshot every %d): replay diverged from the live arbiter\n replayed %+v\n live     %+v",
+		rec, err := restore(policy.MCKP{}, mapping.NewBus(), snap, tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := arb.Pool()
+		slices.Sort(want)
+		if got := rec.Pool(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: restored pool %v, want the live pool sorted %v", seed, got, want)
+		}
+		arb.mu.Lock()
+		live := arb.stateLocked()
+		arb.mu.Unlock()
+		if got := rec.stateLocked(); !reflect.DeepEqual(got, live) {
+			t.Fatalf("seed %d (snapshot every %d): restored arbiter diverged from the live one\n restored %+v\n live     %+v",
 				seed, opts.SnapshotEvery, got, live)
 		}
 	}

@@ -50,10 +50,10 @@ func (a *Arbiter) record(r journal.Record) {
 }
 
 // stateLocked captures the arbiter's full control-plane state as a
-// journal snapshot. The pool is sorted (journal.State's convention); the
-// arbiter re-sorts its pool on recovery anyway, so the stable pool order
-// survives round trips. Healthy nodes are left out of Nodes, exactly as
-// the journal's own fold leaves them out. Caller holds a.mu.
+// journal snapshot — what restore loads back. The pool is sorted
+// (journal.State's convention; restore sorts the pool it rebuilds, so
+// the order survives round trips) and healthy nodes are left out of
+// Nodes. Caller holds a.mu.
 func (a *Arbiter) stateLocked() journal.State {
 	st := journal.State{Epoch: a.epoch, Pool: make([]string, 0, len(a.nodes)), Nodes: map[string]nodestate.State{}}
 	for _, m := range a.nodes {
@@ -160,8 +160,8 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	if cfg.Journal == nil {
 		return nil, errors.New("arbiter: recovery requires a journal")
 	}
-	st, _ := cfg.Journal.RecoveredState()
-	a, err := New(cfg.Policy, st.Pool, cfg.Bus)
+	snap, tail := cfg.Journal.Replayed()
+	a, err := restore(cfg.Policy, cfg.Bus, snap, tail)
 	if err != nil {
 		return nil, err
 	}
@@ -176,21 +176,6 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.jn = cfg.Journal
-	a.epoch = st.Epoch
-	for addr, ns := range st.Nodes {
-		if i := a.find(addr); i >= 0 {
-			a.nodes[i].st = ns
-		}
-	}
-	for _, ja := range st.Running {
-		a.running = append(a.running, appFromRecord(ja))
-	}
-	slices.SortFunc(a.running, func(x, y policy.Application) int { return strings.Compare(x.ID, y.ID) })
-	for job, addrs := range st.Assign {
-		if _, ok := a.job(job); ok {
-			a.assign[job] = append([]string(nil), addrs...)
-		}
-	}
 
 	// Reconcile membership against reality with the transitions a live
 	// arbiter would run — apply is Transition without the solve, which
@@ -221,7 +206,7 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 	// and fencing one above revokes every pre-crash mapping. Daemons are
 	// fenced before the recovery map goes out: between those two steps
 	// stale clients degrade to the direct PFS path, which is byte-safe.
-	cfg.Bus.Resume(st.Epoch)
+	cfg.Bus.Resume(a.epoch)
 	fence := cfg.Bus.Version() + 1
 	if cfg.PreFence != nil {
 		cfg.PreFence(fence)
@@ -239,4 +224,62 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 		a.publish()
 	}
 	return a, advisory
+}
+
+// restore rebuilds the arbiter a journal describes: the snapshot's
+// state, then one replay of every record after it. No journal or
+// telemetry is attached yet, so the replay journals and counts nothing;
+// what it leaves is the pre-crash arbiter, pool sorted, before any
+// reconciliation.
+func restore(pol policy.Policy, bus *mapping.Bus, snap *journal.State, tail []journal.Record) (*Arbiter, error) {
+	a, err := New(pol, snap.Pool, bus)
+	if err != nil {
+		return nil, err
+	}
+	for addr, st := range snap.Nodes {
+		if i := a.find(addr); i >= 0 {
+			a.nodes[i].st = st
+		}
+	}
+	for _, ja := range snap.Running {
+		a.addJob(appFromRecord(ja))
+	}
+	// The snapshot's assignment and epoch are what its last publish set.
+	a.replay(journal.Record{Kind: journal.KindPublish, Epoch: snap.Epoch, Assign: snap.Assign})
+	for _, r := range tail {
+		a.replay(r)
+	}
+	slices.SortFunc(a.nodes, func(x, y member) int { return strings.Compare(x.addr, y.addr) })
+	return a, nil
+}
+
+// replay folds one journal record into the arbiter through the mutators
+// the live entry points use. Records that do not apply — an event on a
+// node outside the pool, a duplicate AddION, a kind this version does not
+// know — change nothing. Caller holds the lock, or owns a.
+func (a *Arbiter) replay(r journal.Record) {
+	switch r.Kind {
+	case journal.KindJobStarted:
+		if r.App != nil {
+			a.addJob(appFromRecord(*r.App))
+		}
+	case journal.KindJobFinished:
+		a.dropJob(r.Job)
+	case journal.KindPublish:
+		a.epoch = r.Epoch
+		clear(a.assign)
+		for job, addrs := range r.Assign {
+			a.assign[job] = append([]string(nil), addrs...)
+		}
+	case journal.KindAddION:
+		a.addMember(r.Addr)
+	case journal.KindRemoveION:
+		if i := a.find(r.Addr); i >= 0 {
+			a.nodes = slices.Delete(a.nodes, i, i+1)
+		}
+	default:
+		if ev, ok := r.Kind.Event(); ok {
+			a.apply(r.Addr, ev)
+		}
+	}
 }

@@ -3,11 +3,14 @@
 // pool membership, health marks, drains, running jobs, and published
 // allocation epochs — survive a crash of the process that owns it.
 //
-// The data plane never reads the journal. Its only consumer is
-// arbiter.Recover, which replays the records into a State, reconciles
-// that state against live reality, and republishes under a raised fence
-// epoch so clients still holding the pre-crash mapping cannot land bytes
-// on an I/O node that was reassigned during the blackout.
+// The journal owns the format, not the meaning: it frames, numbers,
+// stores, compacts and reads back records, and never interprets them.
+// The data plane never reads it. Its only consumer is arbiter.Recover,
+// which loads the newest snapshot, replays the records after it through
+// the live arbiter's own mutators, reconciles that state against live
+// reality, and republishes under a raised fence epoch so clients still
+// holding the pre-crash mapping cannot land bytes on an I/O node that
+// was reassigned during the blackout.
 //
 // On-disk layout (all files live in one directory):
 //
@@ -22,16 +25,15 @@
 // LSN order and stops a segment at the first frame that is torn,
 // truncated, oversized, bit-flipped, or out of order — everything before
 // the bad frame is kept, which is exactly the contract a crashed append
-// needs. Appends after recovery go to a fresh segment, so a torn tail is
-// superseded rather than overwritten.
+// needs. Appends after recovery, and after a failed write or fsync, go
+// to a fresh segment, so a torn tail is superseded rather than
+// overwritten; an LSN that reached a write is never handed out again.
 //
 // What is on disk: a node-condition change is one (kind, addr) record —
 // the eight mark/drain kinds below, one per nodestate.Event, numbered as
-// they always were — and State.Apply folds it through nodestate.Apply,
-// the same function the live arbiter uses, so replay cannot drift from
-// the arbiter. A snapshot carries the per-node conditions as one "nodes"
-// object (address → nodestate.State bits, healthy nodes omitted).
-// Snapshots written before that — four sorted arrays "down",
+// they always were. A snapshot carries the per-node conditions as one
+// "nodes" object (address → nodestate.State bits, healthy nodes
+// omitted). Snapshots written before that — four sorted arrays "down",
 // "overloaded", "draining", "degraded" — are still read, never written.
 package journal
 
@@ -41,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -122,6 +123,13 @@ func NodeEvent(addr string, ev nodestate.Event) Record {
 	return Record{Kind: nodeKinds[ev], Addr: addr}
 }
 
+// Event is the inverse of NodeEvent: the node event a record of kind k
+// carries, or false when k is not a node-event kind.
+func (k Kind) Event() (nodestate.Event, bool) {
+	i := slices.Index(nodeKinds[:], k)
+	return nodestate.Event(i), i >= 0
+}
+
 // CurvePoint is one sampled point of an application's performance curve,
 // flattened for the journal (perfmodel keeps its points behind an opaque
 // type; the arbiter converts on the way in and out).
@@ -158,9 +166,9 @@ type Record struct {
 	State  *State              `json:"state,omitempty"`
 }
 
-// State is the reconstructed control-plane state: the fold of a snapshot
-// plus every record after it. Pool is a sorted slice so the JSON is
-// stable and diffable; Nodes holds only the nodes that are not healthy.
+// State is the control-plane state a snapshot carries. Pool is a sorted
+// slice so the JSON is stable and diffable; Nodes holds only the nodes
+// that are not healthy.
 type State struct {
 	Pool    []string                   `json:"pool,omitempty"`
 	Nodes   map[string]nodestate.State `json:"nodes,omitempty"`
@@ -190,112 +198,13 @@ func (s *State) UnmarshalJSON(b []byte) error {
 		nodestate.Degraded: in.Degraded, nodestate.Overloaded: in.Overloaded,
 	} {
 		for _, addr := range addrs {
-			s.setNode(addr, s.Nodes[addr]|bit)
+			if s.Nodes == nil {
+				s.Nodes = map[string]nodestate.State{}
+			}
+			s.Nodes[addr] |= bit
 		}
 	}
 	return nil
-}
-
-// setNode stores addr's condition bits; a healthy node is not stored.
-func (s *State) setNode(addr string, st nodestate.State) {
-	if st == 0 {
-		delete(s.Nodes, addr)
-		return
-	}
-	if s.Nodes == nil {
-		s.Nodes = map[string]nodestate.State{}
-	}
-	s.Nodes[addr] = st
-}
-
-// Clone returns a deep copy.
-func (s *State) Clone() *State {
-	if s == nil {
-		return nil
-	}
-	c := &State{
-		Pool:    append([]string(nil), s.Pool...),
-		Nodes:   maps.Clone(s.Nodes),
-		Running: make([]App, len(s.Running)),
-		Epoch:   s.Epoch,
-	}
-	for i, a := range s.Running {
-		a.Curve = append([]CurvePoint(nil), a.Curve...)
-		c.Running[i] = a
-	}
-	if s.Assign != nil {
-		c.Assign = make(map[string][]string, len(s.Assign))
-		for k, v := range s.Assign {
-			c.Assign[k] = append([]string(nil), v...)
-		}
-	}
-	return c
-}
-
-// dropAddr removes addr from set in place.
-func dropAddr(set []string, addr string) []string {
-	return slices.DeleteFunc(set, func(a string) bool { return a == addr })
-}
-
-// Apply folds one record into the state. Node-condition records go
-// through nodestate.Apply — the function the live arbiter itself uses —
-// so replaying a journal reproduces the arbiter's pre-crash view;
-// reconciliation against live reality is the caller's job, not Apply's.
-func (s *State) Apply(r Record) {
-	switch r.Kind {
-	case KindSnapshot:
-		if r.State != nil {
-			*s = *r.State.Clone()
-		}
-	case KindJobStarted:
-		if r.App == nil {
-			return
-		}
-		for i := range s.Running {
-			if s.Running[i].ID == r.App.ID {
-				s.Running[i] = *r.App
-				return
-			}
-		}
-		s.Running = append(s.Running, *r.App)
-	case KindJobFinished:
-		for i := range s.Running {
-			if s.Running[i].ID == r.Job {
-				s.Running = append(s.Running[:i], s.Running[i+1:]...)
-				break
-			}
-		}
-		delete(s.Assign, r.Job)
-	case KindPublish:
-		s.Epoch = r.Epoch
-		s.Assign = make(map[string][]string, len(r.Assign))
-		for k, v := range r.Assign {
-			s.Assign[k] = append([]string(nil), v...)
-		}
-	case KindAddION:
-		if !slices.Contains(s.Pool, r.Addr) {
-			s.Pool = append(s.Pool, r.Addr)
-			sort.Strings(s.Pool)
-		}
-	case KindRemoveION:
-		s.Pool = dropAddr(s.Pool, r.Addr)
-		delete(s.Nodes, r.Addr)
-	default:
-		i := slices.Index(nodeKinds[:], r.Kind)
-		if i < 0 {
-			return // not a node event: a kind this version does not know
-		}
-		ev := nodestate.Event(i)
-		// A refused event (DrainStart on a down node) is never journaled;
-		// should one turn up, the state it returns is the state unchanged.
-		next, _, _ := s.Nodes[r.Addr].Apply(ev)
-		s.setNode(r.Addr, next)
-		if ev == nodestate.Fail {
-			for job, addrs := range s.Assign {
-				s.Assign[job] = dropAddr(addrs, r.Addr)
-			}
-		}
-	}
 }
 
 // Options tunes a journal. The zero value is usable.
@@ -311,6 +220,11 @@ type Options struct {
 	NoSync bool
 	// Telemetry, when non-nil, registers the journal_* counter family.
 	Telemetry *telemetry.Registry
+
+	// open opens every file the journal writes or fsyncs: segments and
+	// snapshot temp files with createFlags, the directory with
+	// os.O_RDONLY. nil is the operating system's; a test injects faults.
+	open func(path string, flag int) (file, error)
 }
 
 const (
@@ -324,35 +238,41 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// file is what the journal writes and fsyncs through (Options.open).
+type file interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+const createFlags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+
 // Journal is an open write-ahead log. Not safe for concurrent use; the
 // arbiter serialises appends under its own mutex.
 type Journal struct {
 	dir  string
 	opts Options
 
-	seg       *os.File // active segment
-	segPath   string
+	seg       file   // active segment
 	segCount  int    // records in the active segment
 	nextLSN   uint64 // LSN the next Append assigns
 	sinceSnap int    // appends since the last snapshot
 
-	recovered *State   // state replayed at Open (never nil)
-	replayed  []Record // records after the snapshot, in LSN order
+	snap *State   // newest valid snapshot at Open (never nil)
+	tail []Record // records after it, in LSN order
 
 	tel struct {
 		appends     *telemetry.Counter
 		appendErrs  *telemetry.Counter
 		fsyncs      *telemetry.Counter
 		compactions *telemetry.Counter
-		replays     *telemetry.Counter
 	}
 }
 
-// Open replays whatever the directory holds (creating it if missing) and
+// Open reads whatever the directory holds (creating it if missing) and
 // prepares a fresh segment for appends. Corrupt or torn tails are
 // tolerated: replay keeps everything up to the last valid record and new
-// appends supersede the rest. The replayed state is available via
-// RecoveredState.
+// appends supersede the rest. What was read is available via Replayed.
 func Open(dir string, opts Options) (*Journal, error) {
 	if dir == "" {
 		return nil, errors.New("journal: empty directory")
@@ -366,23 +286,22 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if opts.SegmentRecords <= 0 {
 		opts.SegmentRecords = defaultSegmentRecords
 	}
-	j := &Journal{dir: dir, opts: opts}
-	if reg := opts.Telemetry; reg != nil {
-		j.tel.appends = reg.Counter("journal_appends_total")
-		j.tel.appendErrs = reg.Counter("journal_append_errors_total")
-		j.tel.fsyncs = reg.Counter("journal_fsyncs_total")
-		j.tel.compactions = reg.Counter("journal_snapshot_compactions_total")
-		j.tel.replays = reg.Counter("journal_replay_records_total")
+	if opts.open == nil {
+		opts.open = func(path string, flag int) (file, error) { return os.OpenFile(path, flag, 0o644) }
 	}
+	j := &Journal{dir: dir, opts: opts}
+	reg := opts.Telemetry // counters from a nil registry are nil no-ops
+	j.tel.appends = reg.Counter("journal_appends_total")
+	j.tel.appendErrs = reg.Counter("journal_append_errors_total")
+	j.tel.fsyncs = reg.Counter("journal_fsyncs_total")
+	j.tel.compactions = reg.Counter("journal_snapshot_compactions_total")
 
-	st, recs, last, err := replayDir(dir)
+	snap, tail, last, err := replayDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	j.recovered, j.replayed = st, recs
-	if j.tel.replays != nil {
-		j.tel.replays.Add(int64(len(recs)))
-	}
+	j.snap, j.tail = snap, tail
+	reg.Counter("journal_replay_records_total").Add(int64(len(tail)))
 	j.nextLSN = last + 1
 	if err := j.rotate(); err != nil {
 		return nil, err
@@ -390,11 +309,12 @@ func Open(dir string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// RecoveredState returns the state replayed at Open (a deep copy) and
-// the post-snapshot records it was folded from. An empty directory
-// yields an empty state and no records.
-func (j *Journal) RecoveredState() (*State, []Record) {
-	return j.recovered.Clone(), append([]Record(nil), j.replayed...)
+// Replayed returns what Open read: the newest valid snapshot's state
+// (empty when there is none) and the records after it, in LSN order.
+// The journal does not fold them; arbiter.Recover does. Read-only: the
+// journal hands out what it holds, not a copy.
+func (j *Journal) Replayed() (*State, []Record) {
+	return j.snap, j.tail
 }
 
 // rotate closes the active segment (if any) and opens a fresh one named
@@ -405,11 +325,26 @@ func (j *Journal) rotate() error {
 		j.seg = nil
 	}
 	path := filepath.Join(j.dir, fmt.Sprintf("seg-%016d.wal", j.nextLSN))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := j.opts.open(path, createFlags)
 	if err != nil {
 		return fmt.Errorf("journal: open segment: %w", err)
 	}
-	j.seg, j.segPath, j.segCount = f, path, 0
+	j.seg, j.segCount = f, 0
+	return nil
+}
+
+// put writes frame to f and, unless NoSync, fsyncs it.
+func (j *Journal) put(f file, frame []byte) error {
+	if _, err := f.Write(frame); err != nil {
+		return err
+	}
+	if j.opts.NoSync {
+		return nil
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	j.tel.fsyncs.Inc()
 	return nil
 }
 
@@ -422,41 +357,29 @@ func (j *Journal) Append(r Record) (uint64, error) {
 	r.LSN = j.nextLSN
 	frame, err := encodeRecord(r)
 	if err != nil {
-		j.countErr()
+		j.tel.appendErrs.Inc()
 		return 0, err
 	}
-	if _, err := j.seg.Write(frame); err != nil {
-		j.countErr()
-		return 0, fmt.Errorf("journal: append: %w", err)
-	}
-	if !j.opts.NoSync {
-		if err := j.seg.Sync(); err != nil {
-			j.countErr()
-			return 0, fmt.Errorf("journal: fsync: %w", err)
-		}
-		if j.tel.fsyncs != nil {
-			j.tel.fsyncs.Inc()
-		}
-	}
-	if j.tel.appends != nil {
-		j.tel.appends.Inc()
-	}
+	// A frame that reaches the segment spends its LSN, even if the write
+	// or fsync fails: replay stops a segment at a repeated LSN, so reusing
+	// it would hide every record after it.
 	j.nextLSN++
+	if err := j.put(j.seg, frame); err != nil {
+		j.tel.appendErrs.Inc()
+		// The segment may now end in a torn or unsynced frame: later
+		// records go to a fresh one.
+		return 0, errors.Join(fmt.Errorf("journal: append: %w", err), j.rotate())
+	}
+	j.tel.appends.Inc()
 	j.segCount++
 	j.sinceSnap++
 	if j.segCount >= j.opts.SegmentRecords {
 		if err := j.rotate(); err != nil {
-			j.countErr()
+			j.tel.appendErrs.Inc()
 			return r.LSN, err
 		}
 	}
 	return r.LSN, nil
-}
-
-func (j *Journal) countErr() {
-	if j.tel.appendErrs != nil {
-		j.tel.appendErrs.Inc()
-	}
 }
 
 // SnapshotDue reports whether enough records accumulated since the last
@@ -468,7 +391,9 @@ func (j *Journal) SnapshotDue() bool {
 // Snapshot writes a full-state compaction point and deletes every
 // segment and snapshot it supersedes. The snapshot covers all records
 // with LSN < nextLSN; appends continue in a fresh segment so the
-// snapshot file is never the append target.
+// snapshot file is never the append target. Nothing is replaced before
+// the snapshot is durable: a failed write, fsync or close returns before
+// the rename, and a failed directory fsync before the deletions.
 func (j *Journal) Snapshot(st State) error {
 	if j.seg == nil {
 		return errors.New("journal: closed")
@@ -481,19 +406,23 @@ func (j *Journal) Snapshot(st State) error {
 	}
 	path := filepath.Join(j.dir, fmt.Sprintf("snap-%016d.snap", lsn))
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, frame, 0o644); err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	if !j.opts.NoSync {
-		if f, err := os.OpenFile(tmp, os.O_RDWR, 0); err == nil {
-			f.Sync()
-			f.Close()
-			if j.tel.fsyncs != nil {
-				j.tel.fsyncs.Inc()
-			}
+	f, err := j.opts.open(tmp, createFlags)
+	if err == nil {
+		err = j.put(f, frame)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp, path)
+		}
+		if err != nil {
+			os.Remove(tmp)
 		}
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil && !j.opts.NoSync {
+		err = j.syncDir()
+	}
+	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	// Everything below the snapshot LSN is superseded: old snapshots and
@@ -504,27 +433,25 @@ func (j *Journal) Snapshot(st State) error {
 	}
 	names, _ := os.ReadDir(j.dir)
 	for _, de := range names {
-		name := de.Name()
-		full := filepath.Join(j.dir, name)
-		if full == j.segPath || full == path {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".wal"):
-			if first, ok := fileLSN(name, "seg-", ".wal"); ok && first < lsn {
-				os.Remove(full)
-			}
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			if slsn, ok := fileLSN(name, "snap-", ".snap"); ok && slsn < lsn {
-				os.Remove(full)
-			}
+		seg, isSeg := fileLSN(de.Name(), "seg-", ".wal")
+		snap, isSnap := fileLSN(de.Name(), "snap-", ".snap")
+		if isSeg && seg < lsn || isSnap && snap < lsn {
+			os.Remove(filepath.Join(j.dir, de.Name()))
 		}
 	}
 	j.sinceSnap = 0
-	if j.tel.compactions != nil {
-		j.tel.compactions.Inc()
-	}
+	j.tel.compactions.Inc()
 	return nil
+}
+
+// syncDir fsyncs the journal directory, making a rename durable.
+func (j *Journal) syncDir() error {
+	d, err := j.opts.open(j.dir, os.O_RDONLY)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Close closes the active segment. Records already appended stay durable;
@@ -587,14 +514,16 @@ func decodeRecords(buf []byte, minLSN uint64) []Record {
 	return out
 }
 
+// fileLSN parses the LSN out of a file named prefix + LSN + suffix.
 func fileLSN(name, prefix, suffix string) (uint64, bool) {
-	s := strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix)
+	s, okPrefix := strings.CutPrefix(name, prefix)
+	s, okSuffix := strings.CutSuffix(s, suffix)
 	n, err := strconv.ParseUint(s, 10, 64)
-	return n, err == nil
+	return n, okPrefix && okSuffix && err == nil
 }
 
-// replayDir loads the newest valid snapshot, folds every later record
-// into it, and reports the highest LSN seen.
+// replayDir loads the newest valid snapshot and every later record, in
+// LSN order, and reports the highest LSN seen. It folds nothing.
 func replayDir(dir string) (*State, []Record, uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -602,12 +531,10 @@ func replayDir(dir string) (*State, []Record, uint64, error) {
 	}
 	var segs, snaps []string
 	for _, de := range entries {
-		name := de.Name()
-		switch {
-		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".wal"):
-			segs = append(segs, name)
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			snaps = append(snaps, name)
+		if _, ok := fileLSN(de.Name(), "seg-", ".wal"); ok {
+			segs = append(segs, de.Name())
+		} else if _, ok := fileLSN(de.Name(), "snap-", ".snap"); ok {
+			snaps = append(snaps, de.Name())
 		}
 	}
 	sort.Strings(segs) // zero-padded LSN names sort chronologically
@@ -624,13 +551,12 @@ func replayDir(dir string) (*State, []Record, uint64, error) {
 		}
 		recs := decodeRecords(buf, 0)
 		if len(recs) == 1 && recs[0].Kind == KindSnapshot && recs[0].State != nil {
-			st = recs[0].State.Clone()
-			base = recs[0].LSN
+			st, base = recs[0].State, recs[0].LSN
 			break
 		}
 	}
 
-	var applied []Record
+	var tail []Record
 	last := base
 	for _, name := range segs {
 		buf, err := os.ReadFile(filepath.Join(dir, name))
@@ -644,18 +570,18 @@ func replayDir(dir string) (*State, []Record, uint64, error) {
 			if r.Kind == KindSnapshot {
 				continue // snapshots never live in segments; ignore defensively
 			}
-			st.Apply(r)
-			applied = append(applied, r)
+			tail = append(tail, r)
 			last = r.LSN
 		}
 	}
-	return st, applied, last, nil
+	return st, tail, last, nil
 }
 
-// Replay reads a journal directory without opening it for writing:
-// the reconstructed state, the post-snapshot records, and the highest
-// LSN. Safe to call on a directory another process has open, and the
-// tool tests and the drain-ledger oracle use it exactly that way.
+// Replay reads a journal directory without opening it for writing: the
+// newest valid snapshot's state (empty when there is none), the records
+// after it, and the highest LSN. Safe to call on a directory another
+// process has open, and the tool tests and the drain-ledger oracle use
+// it exactly that way.
 func Replay(dir string) (*State, []Record, uint64, error) {
 	return replayDir(dir)
 }

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/nodestate"
@@ -25,27 +24,37 @@ func mustAppend(t *testing.T, j *Journal, r Record) uint64 {
 	return lsn
 }
 
-// workload appends a representative event sequence and returns the state
-// an exact replay must reproduce.
-func workload(t *testing.T, j *Journal) *State {
+// workload appends a representative event sequence and returns the
+// records, LSNs assigned, that an exact replay must give back.
+func workload(t *testing.T, j *Journal) []Record {
 	t.Helper()
-	for _, a := range []string{"ion-0", "ion-1", "ion-2"} {
-		mustAppend(t, j, Record{Kind: KindAddION, Addr: a})
+	var recs []Record
+	add := func(r Record) {
+		r.LSN = mustAppend(t, j, r)
+		recs = append(recs, r)
 	}
-	mustAppend(t, j, Record{Kind: KindJobStarted, App: &App{
+	for _, a := range []string{"ion-0", "ion-1", "ion-2"} {
+		add(Record{Kind: KindAddION, Addr: a})
+	}
+	add(Record{Kind: KindJobStarted, App: &App{
 		ID: "app1", Nodes: 4, Processes: 16, WriteBytes: 1 << 20,
 		Curve: []CurvePoint{{IONs: 1, MBps: 100}, {IONs: 2, MBps: 180}},
 	}})
-	mustAppend(t, j, Record{Kind: KindPublish, Epoch: 1, Assign: map[string][]string{
+	add(Record{Kind: KindPublish, Epoch: 1, Assign: map[string][]string{
 		"app1": {"ion-0", "ion-1"},
 	}})
-	mustAppend(t, j, Record{Kind: KindMarkDown, Addr: "ion-2"})
-	mustAppend(t, j, Record{Kind: KindJobStarted, App: &App{ID: "app2", Weight: 2}})
-	mustAppend(t, j, Record{Kind: KindPublish, Epoch: 2, Assign: map[string][]string{
+	add(NodeEvent("ion-2", nodestate.Fail))
+	add(Record{Kind: KindJobStarted, App: &App{ID: "app2", Weight: 2}})
+	add(Record{Kind: KindPublish, Epoch: 2, Assign: map[string][]string{
 		"app1": {"ion-0"}, "app2": {"ion-1"},
 	}})
-	mustAppend(t, j, Record{Kind: KindDrainStart, Addr: "ion-0"})
-	return &State{
+	add(NodeEvent("ion-0", nodestate.DrainStart))
+	return recs
+}
+
+// workloadState is a snapshot of the control plane workload() describes.
+func workloadState() State {
+	return State{
 		Pool:  []string{"ion-0", "ion-1", "ion-2"},
 		Nodes: map[string]nodestate.State{"ion-2": nodestate.Down, "ion-0": nodestate.Draining},
 		Running: []App{
@@ -58,39 +67,10 @@ func workload(t *testing.T, j *Journal) *State {
 	}
 }
 
-// normalize collapses empty-but-non-nil slices/maps to nil so that
-// comparisons test content, not allocation history.
-func normalize(s *State) {
-	fix := func(v []string) []string {
-		if len(v) == 0 {
-			return nil
-		}
-		return v
-	}
-	s.Pool = fix(s.Pool)
-	if len(s.Nodes) == 0 {
-		s.Nodes = nil
-	}
-	if len(s.Assign) == 0 {
-		s.Assign = nil
-	}
-	if len(s.Running) == 0 {
-		s.Running = nil
-	}
-	for i := range s.Running {
-		if len(s.Running[i].Curve) == 0 {
-			s.Running[i].Curve = nil
-		}
-	}
-	sort.Slice(s.Running, func(i, k int) bool { return s.Running[i].ID < s.Running[k].ID })
-}
-
-func stateEqual(t *testing.T, got, want *State) {
+func recordsEqual(t *testing.T, got, want []Record) {
 	t.Helper()
-	normalize(got)
-	normalize(want)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("state mismatch:\n got  %#v\n want %#v", got, want)
+		t.Fatalf("records mismatch:\n got  %+v\n want %+v", got, want)
 	}
 }
 
@@ -108,11 +88,11 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	got, recs := j2.RecoveredState()
-	if len(recs) != 9 {
-		t.Fatalf("replayed %d records, want 9", len(recs))
+	snap, recs := j2.Replayed()
+	if !reflect.DeepEqual(*snap, State{}) {
+		t.Fatalf("no snapshot was written, yet replay starts from %+v", snap)
 	}
-	stateEqual(t, got, want)
+	recordsEqual(t, recs, want)
 }
 
 func TestJournalSegmentRotationAndReplay(t *testing.T) {
@@ -133,8 +113,8 @@ func TestJournalSegmentRotationAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	got, _ := j2.RecoveredState()
-	stateEqual(t, got, want)
+	_, recs := j2.Replayed()
+	recordsEqual(t, recs, want)
 }
 
 func TestJournalSnapshotCompacts(t *testing.T) {
@@ -144,13 +124,15 @@ func TestJournalSnapshotCompacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := workload(t, j)
-	if err := j.Snapshot(*want.Clone()); err != nil {
+	workload(t, j)
+	if err := j.Snapshot(workloadState()); err != nil {
 		t.Fatal(err)
 	}
-	// Post-snapshot records must layer on top of the snapshot.
-	mustAppend(t, j, Record{Kind: KindDrainAbort, Addr: "ion-0"})
-	mustAppend(t, j, Record{Kind: KindMarkUp, Addr: "ion-2"})
+	// Post-snapshot records must come back after the snapshot.
+	want := []Record{NodeEvent("ion-0", nodestate.DrainAbort), NodeEvent("ion-2", nodestate.Rise)}
+	for i := range want {
+		want[i].LSN = mustAppend(t, j, want[i])
+	}
 	j.Close()
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
@@ -170,27 +152,11 @@ func TestJournalSnapshotCompacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	got, recs := j2.RecoveredState()
-	if len(recs) != 2 {
-		t.Fatalf("replayed %d post-snapshot records, want 2", len(recs))
+	snap, recs := j2.Replayed()
+	if !reflect.DeepEqual(*snap, workloadState()) {
+		t.Fatalf("snapshot mismatch:\n got  %+v\n want %+v", *snap, workloadState())
 	}
-	// Drain aborted and ion-2 back up:
-	stateEqual(t, got, workload2Expected())
-}
-
-// workload2Expected is the workload() end state after DrainAbort(ion-0)
-// and MarkUp(ion-2).
-func workload2Expected() *State {
-	return &State{
-		Pool: []string{"ion-0", "ion-1", "ion-2"},
-		Running: []App{
-			{ID: "app1", Nodes: 4, Processes: 16, WriteBytes: 1 << 20,
-				Curve: []CurvePoint{{IONs: 1, MBps: 100}, {IONs: 2, MBps: 180}}},
-			{ID: "app2", Weight: 2},
-		},
-		Assign: map[string][]string{"app1": {"ion-0"}, "app2": {"ion-1"}},
-		Epoch:  2,
-	}
+	recordsEqual(t, recs, want)
 }
 
 // TestJournalTornTail truncates the active segment mid-record — the shape
@@ -203,9 +169,9 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workload(t, j)
-	seg := j.segPath
+	want := workload(t, j)
 	j.Close()
+	seg := filepath.Join(dir, "seg-0000000000000001.wal") // the only segment
 
 	buf, err := os.ReadFile(seg)
 	if err != nil {
@@ -220,20 +186,18 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, recs := j2.RecoveredState()
-	if len(recs) != 8 {
-		t.Fatalf("replayed %d records after torn tail, want 8", len(recs))
-	}
+	_, recs := j2.Replayed()
+	want = want[:len(want)-1]
+	recordsEqual(t, recs, want)
 	// Appends after recovery must land in a new segment and be replayable.
-	mustAppend(t, j2, Record{Kind: KindDrainStart, Addr: "ion-1"})
+	next := NodeEvent("ion-1", nodestate.DrainStart)
+	next.LSN = mustAppend(t, j2, next)
 	j2.Close()
-	st, _, _, err := Replay(dir)
+	_, recs, _, err = Replay(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Nodes["ion-1"].Has(nodestate.Draining) {
-		t.Fatalf("post-recovery append lost: nodes = %v", st.Nodes)
-	}
+	recordsEqual(t, recs, append(want, next))
 }
 
 // TestJournalBitFlip flips one byte inside a mid-file record: replay must
@@ -244,9 +208,9 @@ func TestJournalBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workload(t, j)
-	seg := j.segPath
+	want := workload(t, j)
 	j.Close()
+	seg := filepath.Join(dir, "seg-0000000000000001.wal") // the only segment
 
 	buf, err := os.ReadFile(seg)
 	if err != nil {
@@ -256,16 +220,17 @@ func TestJournalBitFlip(t *testing.T) {
 	if err := os.WriteFile(seg, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, recs, _, err := Replay(dir)
+	_, recs, _, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) >= 9 {
+	if len(recs) >= len(want) {
 		t.Fatalf("bit flip not detected: %d records survived", len(recs))
 	}
-	if len(st.Pool) == 0 {
+	if len(recs) == 0 {
 		t.Fatal("prefix before the flip lost")
 	}
+	recordsEqual(t, recs, want[:len(recs)])
 }
 
 // TestJournalCorruptSnapshotFallsBack corrupts the newest snapshot and
@@ -276,8 +241,8 @@ func TestJournalCorruptSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := workload(t, j)
-	if err := j.Snapshot(*want.Clone()); err != nil {
+	workload(t, j)
+	if err := j.Snapshot(workloadState()); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -297,9 +262,167 @@ func TestJournalCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	st, _ := j2.RecoveredState()
-	if len(st.Pool) != 0 {
-		t.Fatalf("corrupt snapshot should yield empty state, got pool %v", st.Pool)
+	st, recs := j2.Replayed()
+	if len(st.Pool) != 0 || len(recs) != 0 {
+		t.Fatalf("corrupt snapshot should yield an empty state and no records, got pool %v and %d records", st.Pool, len(recs))
+	}
+}
+
+// faultyFS is the journal's file seam with faults armed: the next
+// failWrites Writes tear (half the bytes land, then an error), the next
+// failSyncs Syncs of a file fail, and so do the next failDirSyncs Syncs
+// of the directory.
+type faultyFS struct{ failWrites, failSyncs, failDirSyncs int }
+
+func (fs *faultyFS) open(path string, flag int) (file, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return faultyFile{f, fs, flag == os.O_RDONLY}, nil
+}
+
+type faultyFile struct {
+	file
+	fs  *faultyFS
+	dir bool
+}
+
+func (f faultyFile) Write(p []byte) (int, error) {
+	if f.fs.failWrites > 0 {
+		f.fs.failWrites--
+		n, _ := f.file.Write(p[:len(p)/2])
+		return n, errors.New("injected short write")
+	}
+	return f.file.Write(p)
+}
+
+func (f faultyFile) Sync() error {
+	fails := &f.fs.failSyncs
+	if f.dir {
+		fails = &f.fs.failDirSyncs
+	}
+	if *fails > 0 {
+		*fails--
+		return errors.New("injected fsync failure")
+	}
+	return f.file.Sync()
+}
+
+// TestJournalFailedAppendHidesNothing: an append whose write tears or
+// whose fsync fails returns an error, and every record acknowledged
+// after it still replays — the failed append spent its LSN, and later
+// records went to a fresh segment rather than after a torn frame.
+func TestJournalFailedAppendHidesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		arm  func(*faultyFS)
+	}{
+		{"fsync", func(fs *faultyFS) { fs.failSyncs = 1 }},
+		{"torn write", func(fs *faultyFS) { fs.failWrites = 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs := &faultyFS{}
+			j, err := Open(dir, Options{open: fs.open})
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := []Record{{Kind: KindAddION, Addr: "a"}}
+			acked[0].LSN = mustAppend(t, j, acked[0])
+			tc.arm(fs)
+			if _, err := j.Append(Record{Kind: KindAddION, Addr: "lost"}); err == nil {
+				t.Fatal("append through an injected fault reported success")
+			}
+			for _, addr := range []string{"c", "d"} {
+				r := Record{Kind: KindAddION, Addr: addr}
+				r.LSN = mustAppend(t, j, r)
+				acked = append(acked, r)
+			}
+			j.Close()
+			if acked[1].LSN != acked[0].LSN+2 {
+				t.Fatalf("the failed append's LSN was handed out again: %d after %d", acked[1].LSN, acked[0].LSN)
+			}
+			_, recs, _, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The failed frame itself may or may not have landed whole.
+			recs = slices.DeleteFunc(recs, func(r Record) bool { return r.Addr == "lost" })
+			recordsEqual(t, recs, acked)
+		})
+	}
+}
+
+// TestJournalSnapshotFailedSyncReplacesNothing: a snapshot whose fsync
+// fails returns the error before it replaces anything. When the temp
+// file's fsync fails there is no snapshot file, every segment is still in
+// place, and replay gives what it gave before. When the directory's fsync
+// fails the snapshot is renamed into place but nothing is deleted.
+func TestJournalSnapshotFailedSyncReplacesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		arm     func(*faultyFS)
+		renamed bool
+	}{
+		{"file fsync", func(fs *faultyFS) { fs.failSyncs = 1 }, false},
+		{"directory fsync", func(fs *faultyFS) { fs.failDirSyncs = 1 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs := &faultyFS{}
+			j, err := Open(dir, Options{SegmentRecords: 3, open: fs.open})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			workload(t, j)
+			files := func() []string {
+				names, err := filepath.Glob(filepath.Join(dir, "*"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return names
+			}
+			filesBefore := files()
+			snapBefore, recsBefore, _, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			tc.arm(fs)
+			if err := j.Snapshot(workloadState()); err == nil {
+				t.Fatal("snapshot through a failing fsync reported success")
+			}
+			after := files()
+			for _, name := range filesBefore {
+				if !slices.Contains(after, name) {
+					t.Fatalf("failed snapshot deleted %s", name)
+				}
+			}
+			if tc.renamed {
+				return
+			}
+			if !slices.Equal(after, filesBefore) {
+				t.Fatalf("failed snapshot changed the directory:\n before %v\n after  %v", filesBefore, after)
+			}
+			snap, recs, _, err := Replay(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(snap, snapBefore) {
+				t.Fatalf("failed snapshot changed the replayed snapshot: %+v, was %+v", snap, snapBefore)
+			}
+			recordsEqual(t, recs, recsBefore)
+
+			// The journal carries on: the next snapshot compacts as usual.
+			if err := j.Snapshot(workloadState()); err != nil {
+				t.Fatal(err)
+			}
+			if snap, recs, _, _ := Replay(dir); !reflect.DeepEqual(*snap, workloadState()) || len(recs) != 0 {
+				t.Fatalf("snapshot after the failure: %+v and %d records", snap, len(recs))
+			}
+		})
 	}
 }
 
@@ -382,110 +505,81 @@ func TestReplayConcurrentWithOpenJournal(t *testing.T) {
 	}
 	defer j.Close()
 	mustAppend(t, j, Record{Kind: KindAddION, Addr: "live"})
-	st, _, _, err := Replay(dir)
+	_, recs, _, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Contains(st.Pool, "live") {
-		t.Fatalf("concurrent replay missed the appended record: %v", st.Pool)
+	if len(recs) != 1 || recs[0].Addr != "live" {
+		t.Fatalf("concurrent replay missed the appended record: %+v", recs)
 	}
 }
 
-func TestStateCloneIsDeep(t *testing.T) {
-	s := &State{
-		Pool:    []string{"a"},
-		Nodes:   map[string]nodestate.State{"a": nodestate.Overloaded},
-		Assign:  map[string][]string{"j": {"a"}},
-		Running: []App{{ID: "j", Curve: []CurvePoint{{IONs: 1, MBps: 5}}}},
-	}
-	c := s.Clone()
-	c.Pool[0] = "mutated"
-	c.Nodes["a"] = nodestate.Down
-	c.Assign["j"][0] = "mutated"
-	c.Running[0].Curve[0].MBps = 99
-	if s.Pool[0] != "a" || s.Nodes["a"] != nodestate.Overloaded || s.Assign["j"][0] != "a" || s.Running[0].Curve[0].MBps != 5 {
-		t.Fatal("Clone shares memory with the original")
-	}
-}
-
-// frame wraps a literal JSON payload in the journal's record framing.
-func frame(payload string) []byte {
-	out := make([]byte, headerLen, headerLen+len(payload))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum([]byte(payload), castagnoli))
-	return append(out, payload...)
-}
-
-// TestReplayParentFormatJournal replays a journal exactly as the commit
-// before internal/nodestate wrote it — a snapshot with one sorted address
-// array per condition, followed by one record of each of the eight
-// mark/drain kinds (payloads copied byte for byte from that commit's
-// output) — and pins three things: the legacy snapshot still decodes to
-// the identical state, the eight kinds keep their on-disk numbers and
-// (kind, addr) shape (today's encoder produces the very same record
-// bytes), and a snapshot written today uses "nodes", never the arrays.
+// TestReplayParentFormatJournal reads a journal exactly as the commit
+// before internal/nodestate wrote it (testdata/parent-format: a snapshot
+// with one sorted address array per condition, followed by one record of
+// each of the eight mark/drain kinds) and pins the format: the legacy
+// snapshot decodes into the current State, the eight kinds keep their
+// on-disk numbers and (kind, addr) shape — today's encoder produces the
+// very same record bytes — and a snapshot written today uses "nodes",
+// never the arrays. What the arbiter recovers from these bytes is
+// TestRecoverParentFormatJournal's.
 func TestReplayParentFormatJournal(t *testing.T) {
-	const snapshot = `{"lsn":1,"kind":1,"state":{"pool":["ion-0","ion-1","ion-2","ion-3","ion-4"],"down":["ion-1","ion-4"],"overloaded":["ion-2","ion-4"],"draining":["ion-3"],"degraded":["ion-1","ion-2"],"running":[{"id":"app1","nodes":4,"procs":16,"curve":[{"ions":1,"mbps":100}]}],"assign":{"app1":["ion-0","ion-2"]},"epoch":7}}`
-	tail := []struct {
-		payload string
-		rec     Record
-	}{
-		{`{"lsn":2,"kind":6,"addr":"ion-1"}`, NodeEvent("ion-1", nodestate.Rise)},
-		{`{"lsn":3,"kind":5,"addr":"ion-3"}`, NodeEvent("ion-3", nodestate.Fail)},
-		{`{"lsn":4,"kind":8,"addr":"ion-2"}`, NodeEvent("ion-2", nodestate.Cool)},
-		{`{"lsn":5,"kind":13,"addr":"ion-0"}`, NodeEvent("ion-0", nodestate.Slow)},
-		{`{"lsn":6,"kind":9,"addr":"ion-2"}`, NodeEvent("ion-2", nodestate.DrainStart)},
-		{`{"lsn":7,"kind":7,"addr":"ion-0"}`, NodeEvent("ion-0", nodestate.Hot)},
-		{`{"lsn":8,"kind":14,"addr":"ion-1"}`, NodeEvent("ion-1", nodestate.Restore)},
-		{`{"lsn":9,"kind":10,"addr":"ion-2"}`, NodeEvent("ion-2", nodestate.DrainAbort)},
+	tail := []Record{
+		NodeEvent("ion-1", nodestate.Rise),
+		NodeEvent("ion-3", nodestate.Fail),
+		NodeEvent("ion-2", nodestate.Cool),
+		NodeEvent("ion-0", nodestate.Slow),
+		NodeEvent("ion-2", nodestate.DrainStart),
+		NodeEvent("ion-0", nodestate.Hot),
+		NodeEvent("ion-1", nodestate.Restore),
+		NodeEvent("ion-2", nodestate.DrainAbort),
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000001.snap"), frame(snapshot), 0o644); err != nil {
+	for i := range tail {
+		tail[i].LSN = uint64(i + 2)
+	}
+	const dir = "testdata/parent-format"
+	seg, err := os.ReadFile(filepath.Join(dir, "seg-0000000000000002.wal"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var seg []byte
-	for i, tr := range tail {
-		seg = append(seg, frame(tr.payload)...)
-		rec := tr.rec
-		rec.LSN = uint64(i + 2)
-		now, err := encodeRecord(rec)
+	var now []byte
+	for _, r := range tail {
+		frame, err := encodeRecord(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(now, frame(tr.payload)) {
-			t.Errorf("record bytes changed on disk:\n parent %s\n now    %s", tr.payload, now[headerLen:])
-		}
+		now = append(now, frame...)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000002.wal"), seg, 0o644); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(now, seg) {
+		t.Errorf("record bytes changed on disk:\n parent %q\n now    %q", seg, now)
 	}
 
-	got, recs, last, err := Replay(dir)
+	snap, recs, last, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(tail) || last != 9 {
-		t.Fatalf("replayed %d records up to LSN %d, want %d up to 9", len(recs), last, len(tail))
+	if last != 9 {
+		t.Fatalf("replayed up to LSN %d, want 9", last)
 	}
-	// What the parent commit's own Replay printed for these files: down
-	// [ion-3 ion-4], overloaded [ion-0 ion-4], draining [], degraded
-	// [ion-0 ion-2].
-	want := &State{
+	recordsEqual(t, recs, tail)
+	want := State{
 		Pool: []string{"ion-0", "ion-1", "ion-2", "ion-3", "ion-4"},
 		Nodes: map[string]nodestate.State{
-			"ion-0": nodestate.Degraded | nodestate.Overloaded,
-			"ion-2": nodestate.Degraded,
-			"ion-3": nodestate.Down,
+			"ion-1": nodestate.Down | nodestate.Degraded,
+			"ion-2": nodestate.Overloaded | nodestate.Degraded,
+			"ion-3": nodestate.Draining,
 			"ion-4": nodestate.Down | nodestate.Overloaded,
 		},
 		Running: []App{{ID: "app1", Nodes: 4, Processes: 16, Curve: []CurvePoint{{IONs: 1, MBps: 100}}}},
 		Assign:  map[string][]string{"app1": {"ion-0", "ion-2"}},
 		Epoch:   7,
 	}
-	stateEqual(t, got, want)
+	if !reflect.DeepEqual(*snap, want) {
+		t.Fatalf("legacy snapshot decoded to\n %+v\nwant\n %+v", *snap, want)
+	}
 
 	// Written back, the state uses the current layout only.
-	out, err := json.Marshal(got)
+	out, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,19 +588,22 @@ func TestReplayParentFormatJournal(t *testing.T) {
 			t.Errorf("snapshot still writes legacy array %s: %s", legacy, out)
 		}
 	}
-	if !bytes.Contains(out, []byte(`"nodes":{"ion-0":12,"ion-2":4,"ion-3":1,"ion-4":9}`)) {
+	if !bytes.Contains(out, []byte(`"nodes":{"ion-1":5,"ion-2":12,"ion-3":2,"ion-4":9}`)) {
 		t.Errorf("snapshot nodes object missing or renumbered: %s", out)
 	}
 	var back State
 	if err := json.Unmarshal(out, &back); err != nil {
 		t.Fatal(err)
 	}
-	stateEqual(t, &back, want)
+	if !reflect.DeepEqual(back, want) {
+		t.Fatalf("current layout decoded to\n %+v\nwant\n %+v", back, want)
+	}
 }
 
 // TestNodeEventKinds pins the kind ↔ event pairing: each event is
-// journaled under its own kind and folds back as that event — and a kind
-// that is no node event folds as nothing.
+// journaled under its own kind, and Kind.Event maps that kind, and only
+// it, back to the event. How a replayed event folds is the arbiter's
+// (TestReplayNodeEventKinds).
 func TestNodeEventKinds(t *testing.T) {
 	want := map[Kind]nodestate.Event{
 		KindMarkDown: nodestate.Fail, KindMarkUp: nodestate.Rise,
@@ -517,28 +614,14 @@ func TestNodeEventKinds(t *testing.T) {
 	if len(want) != int(nodestate.NumEvents) {
 		t.Fatalf("pairing covers %d events, want %d", len(want), nodestate.NumEvents)
 	}
-	// Three starting states, so every event's fold shows as a change in
-	// at least one of them.
-	const all = nodestate.Draining | nodestate.Degraded | nodestate.Overloaded
 	for k := Kind(0); k < 32; k++ {
-		ev, isNode := want[k]
-		if isNode && NodeEvent("x", ev).Kind != k {
-			t.Errorf("NodeEvent(%v).Kind = %v, want %v", ev, NodeEvent("x", ev).Kind, k)
+		wantEv, isNode := want[k]
+		ev, ok := k.Event()
+		if ok != isNode || (ok && ev != wantEv) {
+			t.Errorf("%v.Event() = %v, %v; want %v, %v", k, ev, ok, wantEv, isNode)
 		}
-		for _, base := range []nodestate.State{0, all, nodestate.Down} {
-			st := State{}
-			st.setNode("x", base)
-			st.Apply(Record{Kind: k, Addr: "x"})
-			wantNext := base
-			switch {
-			case isNode:
-				wantNext, _, _ = base.Apply(ev)
-			case k == KindRemoveION:
-				wantNext = 0
-			}
-			if got := st.Nodes["x"]; got != wantNext {
-				t.Errorf("folding a %v record into %v: node is %v, want %v", k, base, got, wantNext)
-			}
+		if isNode && NodeEvent("x", wantEv).Kind != k {
+			t.Errorf("NodeEvent(%v).Kind = %v, want %v", wantEv, NodeEvent("x", wantEv).Kind, k)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package nodestate is the one model of an I/O node's condition that the
 // control plane shares: the health prober debounces probes into its
 // events, the arbiter folds those events into per-node state and reacts,
-// and the journal replays them through the same function — so "what
+// and its journal replay runs them through the same function — so "what
 // happens to a node in state S on event E" is decided here, once. The
 // package imports nothing from the repository.
 package nodestate
