@@ -54,7 +54,7 @@ test-race:
 # test-race runs none: this is where they run.
 budgets:
 	$(GO) test -count=1 -run 'Alloc|Budget|Pin|Pooled|CostsNothing' \
-		./internal/rpc ./internal/fwd ./internal/ion ./internal/agios ./internal/livestack \
+		./internal/rpc ./internal/fwd ./internal/ion ./internal/agios ./internal/livestack ./internal/pfs \
 		./internal/mapping ./internal/mckp ./internal/policy ./internal/arbiter ./internal/telemetry
 
 # Static analysis beyond go vet. staticcheck is not vendored; CI installs a

@@ -557,6 +557,13 @@ func (a *Arbiter) apply(addr string, ev nodestate.Event) (prev nodestate.State, 
 		return prev, false, nil
 	}
 	a.nodes[i].st = next
+	// Prune before recording: a compaction snapshot that falls due on
+	// this record must not list the node as assigned.
+	if effects[ev].prune {
+		for app, addrs := range a.assign {
+			a.assign[app] = without(addrs, addr)
+		}
+	}
 	// Intent first, like JobStarted: a crash before the solve must leave
 	// the event in the journal for recovery to act on.
 	a.record(journal.NodeEvent(addr, ev))
@@ -567,11 +574,6 @@ func (a *Arbiter) apply(addr string, ev nodestate.Event) (prev nodestate.State, 
 		a.tel.marks[nodestate.DrainAbort].Inc() // the node died mid-drain
 	}
 	a.updatePoolGauges()
-	if effects[ev].prune {
-		for app, addrs := range a.assign {
-			a.assign[app] = without(addrs, addr)
-		}
-	}
 	return prev, true, nil
 }
 

@@ -1,6 +1,7 @@
 package arbiter
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"sort"
@@ -320,5 +321,84 @@ func TestHistorySurvivesRecover(t *testing.T) {
 	}
 	if after := rec.Current()["j1"]; len(after) != want {
 		t.Fatalf("recovered solve diverged: %d nodes, want %d (curve lost?)", len(after), want)
+	}
+}
+
+// crashingPolicy is MCKP until crash is set; then its next solve kills the
+// control plane mid-solve — the journal closes under the arbiter, so
+// nothing after it is journaled — and fails.
+type crashingPolicy struct {
+	jn    *journal.Journal
+	crash bool
+}
+
+func (p *crashingPolicy) Name() string { return "CRASHING" }
+
+func (p *crashingPolicy) Allocate(apps []policy.Application, avail int) (policy.Allocation, error) {
+	if p.crash {
+		p.jn.Close()
+		return nil, errors.New("crashed mid-solve")
+	}
+	return policy.MCKP{}.Allocate(apps, avail)
+}
+
+// TestRecoverSnapshotDueOnFail: a compaction snapshot that falls due on a
+// Fail record is taken with the failed node already pruned from every
+// allocation. The crash lands in the solve right after it, so the snapshot
+// is all recovery has, and recovery's own solve fails too: it publishes
+// the snapshot's assignment as is, which must route nothing to the failed
+// node.
+func TestRecoverSnapshotDueOnFail(t *testing.T) {
+	start := func(dir string, every int) (*Arbiter, *crashingPolicy) {
+		jn, err := journal.Open(dir, journal.Options{SnapshotEvery: every, NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := &crashingPolicy{jn: jn}
+		arb, err := New(pol, addrs(4), mapping.NewBus())
+		if err != nil {
+			t.Fatal(err)
+		}
+		arb.WithJournal(jn)
+		if _, err := arb.JobStarted(app(t, "IOR-MPI", "ior1")); err != nil {
+			t.Fatal(err)
+		}
+		return arb, pol
+	}
+	replayed := func(dir string) (*journal.State, []journal.Record) {
+		jn, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jn.Close()
+		return jn.Replayed()
+	}
+	// A dry run counts the appends before the Fail, so that the Fail is
+	// the append the snapshot falls due on.
+	dry := t.TempDir()
+	arb, pol := start(dry, 1<<30)
+	pol.jn.Close()
+	_, before := replayed(dry)
+
+	dir := t.TempDir()
+	arb, pol = start(dir, len(before)+1)
+	victim := arb.Current()["ior1"][0]
+	pol.crash = true
+	if err := arb.Transition(victim, nodestate.Fail); err == nil {
+		t.Fatal("the solve that crashed reported success")
+	}
+	if snap, tail := replayed(dir); len(tail) != 0 || !snap.Nodes[victim].Has(nodestate.Down) {
+		t.Fatalf("the snapshot did not fall due on the Fail: %d records after it, %s is %v", len(tail), victim, snap.Nodes[victim])
+	}
+
+	rec, bus, err := recoverFrom(t, dir, RecoverConfig{Policy: &scriptedPolicy{fail: true}})
+	if err == nil {
+		t.Fatal("recovery under a failing solve reported success")
+	}
+	if got := bus.Current().For("ior1"); len(got) == 0 || slices.Contains(got, victim) {
+		t.Fatalf("recovery published %v for ior1: it must keep the job and route nothing to the failed %s", got, victim)
+	}
+	if slices.Contains(rec.Current()["ior1"], victim) {
+		t.Fatalf("recovered assignment still holds the failed %s", victim)
 	}
 }

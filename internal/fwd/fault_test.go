@@ -13,7 +13,9 @@ import (
 	"repro/internal/pfs"
 )
 
-// failingFS fails every n-th Write, WriteAs or Read with errInjected.
+// failingFS fails every n-th Write, WriteAs, Read or ReadLease with
+// errInjected. ReadLease must be its own: the one promoted from the store
+// would let the daemon's reads bypass the injector.
 type failingFS struct {
 	*pfs.Store
 	n   int64
@@ -36,6 +38,12 @@ func (f *failingFS) WriteAs(w, path string, off int64, p []byte) (int, error) {
 }
 func (f *failingFS) Read(path string, off int64, p []byte) (int, error) {
 	return f.do(func() (int, error) { return f.Store.Read(path, off, p) })
+}
+func (f *failingFS) ReadLease(path string, off int64, n int) (*pfs.Lease, error) {
+	if f.ops.Add(1)%f.n == 0 {
+		return nil, errInjected
+	}
+	return f.Store.ReadLease(path, off, n)
 }
 
 // TestBackendFaultsSurfaceThroughStack injects failures at the PFS behind

@@ -28,10 +28,52 @@ import (
 // Backend is the storage interface a daemon dispatches to: the PFS
 // contract plus writer attribution, so the shared-file contention model
 // can tell I/O-node streams apart. *pfs.Store implements it; test doubles
-// (e.g. fault injectors) may wrap one.
+// (e.g. fault injectors) may wrap one; see lendFrom for reads.
 type Backend interface {
 	pfs.FileSystem
 	WriteAs(writer, path string, off int64, p []byte) (int, error)
+}
+
+// lent is a read's bytes as its reply carries them: segments, and the
+// lease that owns them until the transport releases it after the write.
+type lent struct {
+	segs  [][]byte
+	lease rpc.Lease
+}
+
+// lendFrom returns the daemon's one read path over b. *pfs.Store lends its
+// blocks; a backend without ReadLease (a tracing or fault-injecting
+// wrapper) is read into a pooled rpc buffer, which its lease returns.
+func lendFrom(b Backend) func(path string, off int64, n int) (lent, error) {
+	if s, ok := b.(interface {
+		ReadLease(path string, off int64, n int) (*pfs.Lease, error)
+	}); ok {
+		return func(path string, off int64, n int) (lent, error) {
+			l, err := s.ReadLease(path, off, n)
+			if l == nil {
+				return lent{}, err
+			}
+			return lent{l.Segs, l}, err
+		}
+	}
+	return func(path string, off int64, n int) (lent, error) {
+		c := copies.Get().(*copyLease)
+		buf := rpc.GetBuffer(n)
+		k, err := b.Read(path, off, buf)
+		c.seg[0] = buf[:k]
+		return lent{c.seg[:], c}, err
+	}
+}
+
+// copyLease is a read copied into a pooled rpc buffer.
+type copyLease struct{ seg [1][]byte }
+
+var copies = sync.Pool{New: func() any { return new(copyLease) }}
+
+func (c *copyLease) Release() {
+	rpc.PutBuffer(c.seg[0])
+	c.seg[0] = nil
+	copies.Put(c)
 }
 
 // Stats counts the daemon's activity.
@@ -105,6 +147,7 @@ type Config struct {
 type Daemon struct {
 	cfg       Config
 	backend   Backend
+	readLease func(path string, off int64, n int) (lent, error) // see lendFrom
 	label     string
 	schedName string // cfg.Scheduler.Name(), for trace notes
 
@@ -161,6 +204,7 @@ func New(cfg Config, backend Backend) *Daemon {
 	d := &Daemon{
 		cfg:       cfg,
 		backend:   backend,
+		readLease: lendFrom(backend),
 		tracer:    cfg.Tracer,
 		schedName: cfg.Scheduler.Name(),
 	}
@@ -391,7 +435,7 @@ func (d *Daemon) handle(m *rpc.Message) *rpc.Message {
 	}
 	start := time.Now()
 	resp := d.handleOp(m)
-	bytes := int64(len(m.Data)) + int64(len(resp.Data))
+	bytes := int64(len(m.Data) + resp.PayloadLen())
 	d.tracer.AddHop(m.Trace, "ion", start, bytes, d.cfg.ID)
 	return resp
 }
@@ -504,32 +548,25 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 			Trace:    m.Trace,
 			Priority: m.Priority,
 		}
-		if m.Size > 0 {
-			// Pre-attach a pooled frame buffer as the read destination:
-			// execute fills it in place, and the response frame hands it
-			// back to the rpc pool once written, so a read reply costs no
-			// allocation and no extra copy.
-			req.Data = rpc.GetBuffer(int(m.Size))[:0]
-		}
 		pick, err := d.queue.Submit(req)
 		if err != nil {
-			rpc.PutBuffer(req.Data)
 			putRequest(req)
 			return d.pushFailed(resp, err)
 		}
 		d.tel.reads.Inc()
 		d.tel.requestBytes.Observe(float64(m.Size))
-		err = d.dispatch(req, pick)
-		// execute stored the bytes read in req.Data (reusing the pooled
-		// capacity attached above). The transport releases the buffer
-		// after the response frame goes out.
-		resp.SetPooledData(req.Data)
-		resp.Size = int64(len(req.Data))
-		d.tel.bytesOut.Add(int64(len(req.Data)))
+		l, err := d.dispatch(req, pick)
+		putRequest(req)
+		if l.lease != nil {
+			// The reply goes out from the bytes the backend lent; the
+			// transport releases the lease once the frame is written.
+			resp.Lend(l.segs, l.lease)
+			resp.Size = int64(resp.PayloadLen())
+			d.tel.bytesOut.Add(resp.Size)
+		}
 		if err != nil {
 			resp.Err = err.Error()
 		}
-		putRequest(req)
 
 	case rpc.OpCreate:
 		d.tel.meta.Inc()
@@ -602,7 +639,7 @@ func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (applied bool) {
 		d.tel.bytesIn.Add(int64(len(m.Data)))
 	})
 	d.tel.requestBytes.Observe(float64(len(m.Data)))
-	err = d.dispatch(req, pick)
+	_, err = d.dispatch(req, pick)
 	putRequest(req)
 	if err != nil {
 		resp.Err = err.Error()
@@ -652,22 +689,23 @@ func (d *Daemon) hopEach(req *agios.Request, layer string, start time.Time, took
 // until the scheduler picks req. Then it either holds a slot and executes
 // the pick (req, or an aggregate headed by req), or req already ran inside
 // an aggregate another submitter executed.
-func (d *Daemon) dispatch(req, pick *agios.Request) error {
+func (d *Daemon) dispatch(req, pick *agios.Request) (lent, error) {
 	if pick == nil {
 		var err error
 		if pick, err = d.queue.Wait(req); pick == nil {
-			return err
+			return lent{}, err
 		}
 		d.tel.handoffs.Inc()
 	}
-	err := d.execute(pick)
+	l, err := d.execute(pick)
 	d.queue.Finish(pick, err)
-	return err
+	return l, err
 }
 
 // execute runs one scheduled request (possibly an aggregate) against the
-// PFS and returns the backend's outcome. A read's bytes land in req.Data.
-func (d *Daemon) execute(req *agios.Request) error {
+// PFS and returns the backend's outcome, and for a read the lease on the
+// bytes read (reads are never aggregated, so it is the submitter's own).
+func (d *Daemon) execute(req *agios.Request) (lent, error) {
 	n := len(req.Children)
 	d.reg.Update(func() {
 		d.tel.dispatches.Inc()
@@ -689,18 +727,14 @@ func (d *Daemon) execute(req *agios.Request) error {
 		took := time.Since(start)
 		d.tel.dispatchLatency.ObserveDuration(took)
 		d.hopEach(req, "pfs", start, took, "write")
-		return err
+		return lent{}, err
 	case agios.OpRead:
-		// The RPC handler attached a pooled destination buffer with
-		// capacity for the whole read.
-		buf := req.Data[:req.Size]
-		n, err := d.backend.Read(req.Path, req.Offset, buf)
-		req.Data = buf[:n]
+		l, err := d.readLease(req.Path, req.Offset, int(req.Size))
 		took := time.Since(start)
 		d.tel.dispatchLatency.ObserveDuration(took)
 		d.hopEach(req, "pfs", start, took, "read")
-		return err
+		return l, err
 	default:
-		return fmt.Errorf("ion: unknown scheduled op %v", req.Op)
+		return lent{}, fmt.Errorf("ion: unknown scheduled op %v", req.Op)
 	}
 }

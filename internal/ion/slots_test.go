@@ -16,6 +16,7 @@ import (
 	"repro/internal/agios"
 	"repro/internal/pfs"
 	"repro/internal/rpc"
+	"repro/internal/testkit"
 )
 
 // probeBackend records what reaches the PFS: every WriteAs in entry order,
@@ -77,18 +78,6 @@ func newProbe(gated bool) *probeBackend {
 	return b
 }
 
-// eventually polls cond; the deadline only bounds a broken run.
-func eventually(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
 // holdSlots issues one gated write per dispatch slot on /hold and returns
 // once all of them sit inside the backend, so that whatever is submitted
 // next has to queue. A holder may only fail once the daemon is closing
@@ -104,7 +93,7 @@ func holdSlots(t *testing.T, d *Daemon, b *probeBackend, cli *rpc.Client, slots 
 			}
 		}()
 	}
-	eventually(t, "the holders to reach the backend", func() bool {
+	testkit.Eventually(t, "the holders to reach the backend", func() bool {
 		calls, _, _ := b.snapshot()
 		return len(calls) == slots
 	})
@@ -125,7 +114,7 @@ func TestSlotWidthBoundsBackendCalls(t *testing.T) {
 			}
 		}()
 	}
-	eventually(t, "2 writes in the backend and 6 queued", func() bool {
+	testkit.Eventually(t, "2 writes in the backend and 6 queued", func() bool {
 		calls, _, _ := b.snapshot()
 		return len(calls) == 2 && d.QueueDepth() == 6
 	})
@@ -180,7 +169,7 @@ func TestSlotHandoffFollowsScheduler(t *testing.T) {
 					}
 				}()
 				// One at a time, so arrival order is the submission order.
-				eventually(t, "the submission to queue", func() bool { return d.QueueDepth() == i+1 })
+				testkit.Eventually(t, "the submission to queue", func() bool { return d.QueueDepth() == i+1 })
 			}
 			close(b.gate)
 			wg.Wait()
@@ -229,7 +218,7 @@ func TestSlotAggregateAnswersEverySubmitter(t *testing.T) {
 			}
 		}()
 	}
-	eventually(t, "all contiguous writes to queue", func() bool { return d.QueueDepth() == n })
+	testkit.Eventually(t, "all contiguous writes to queue", func() bool { return d.QueueDepth() == n })
 	close(b.gate)
 	wg.Wait()
 	calls, _, _ := b.snapshot()
@@ -354,7 +343,7 @@ func TestSlotCloseDrainsParkedSubmitters(t *testing.T) {
 			}
 		}()
 	}
-	eventually(t, "three writers to park", func() bool { return d.QueueDepth() == 3 })
+	testkit.Eventually(t, "three writers to park", func() bool { return d.QueueDepth() == 3 })
 
 	// The queue is at its cap: a read is shed with a busy response and
 	// takes no slot (its pooled destination buffer goes back through the

@@ -16,6 +16,7 @@ import (
 	"repro/internal/fwd"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
+	"repro/internal/testkit"
 )
 
 // follower is a client and what it must have counted: the version the
@@ -28,25 +29,13 @@ type follower struct {
 	joinLo, joinHi uint64
 }
 
-// eventually fails t unless ok holds within 5 s.
-func eventually(t *testing.T, what string, ok func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !ok() {
-		if time.Now().After(deadline) {
-			t.Fatalf("the clients never applied %s", what)
-		}
-		runtime.Gosched()
-	}
-}
-
 // waitApplied waits until every follower has applied the bus's current
 // version.
 func waitApplied(t *testing.T, st *Stack, fs []follower) {
 	t.Helper()
 	v := st.Bus.Version()
 	for _, f := range fs {
-		eventually(t, fmt.Sprintf("v%d (%s joined at v%d)", v, f.app, f.joinHi), func() bool {
+		testkit.Eventually(t, fmt.Sprintf("the clients to apply v%d (%s joined at v%d)", v, f.app, f.joinHi), func() bool {
 			return f.c.Stats().RemapsApplied >= int64(1+v-f.joinHi)
 		})
 	}
@@ -267,7 +256,7 @@ func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 	if _, err := st.Arbiter.JobStarted(appFor(t, "IOR-MPI", "f1")); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "the fenced map", func() bool { return len(c.IONs()) > 0 })
+	testkit.Eventually(t, "the clients to apply the fenced map", func() bool { return len(c.IONs()) > 0 })
 	for _, d := range st.daemons() {
 		if got := d.Fence(); got < fence {
 			t.Fatalf("a client routes on the fence-%d map while a daemon's fence is %d", fence, got)
@@ -282,7 +271,7 @@ func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := st.Bus.Current()
-	eventually(t, "the recovery map", func() bool { return slices.Equal(c.IONs(), final.For("f1")) })
+	testkit.Eventually(t, "the clients to apply the recovery map", func() bool { return slices.Equal(c.IONs(), final.For("f1")) })
 	for _, d := range st.daemons() {
 		if got := d.Fence(); got < final.Fence {
 			t.Fatalf("after recovery a daemon's fence is %d, the bus's %d", got, final.Fence)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fwd"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/testkit"
@@ -48,6 +49,18 @@ func benchmarkHotPathWrite(b *testing.B, size int64) {
 // hotPathWriter starts a one-node stack from cfg with one forwarding client
 // and returns a func that forwards one write of size bytes.
 func hotPathWriter(tb testing.TB, cfg Config, size int64) (write func()) {
+	client := hotPathClient(tb, cfg)
+	payload := make([]byte, size)
+	return func() {
+		if _, err := client.Write("/bench/hot", 0, payload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// hotPathClient starts a one-node stack from cfg and returns a forwarding
+// client routed to its node, with /bench/hot created.
+func hotPathClient(tb testing.TB, cfg Config) *fwd.Client {
 	st, err := Start(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -66,10 +79,39 @@ func hotPathWriter(tb testing.TB, cfg Config, size int64) (write func()) {
 	if err := client.Create("/bench/hot"); err != nil {
 		tb.Fatal(err)
 	}
-	payload := make([]byte, size)
-	return func() {
-		if _, err := client.Write("/bench/hot", 0, payload); err != nil {
-			tb.Fatal(err)
+	return client
+}
+
+// TestHotPathReadAllocs gates one forwarded read the same way: the
+// request, the daemon's reply lent from the store's blocks and decoded
+// straight into the caller's buffer, and the lease's return allocate
+// nothing — from 4 KiB to one default-sized span, traced or not.
+func TestHotPathReadAllocs(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("sync.Pool drops a share of Puts under the race detector")
+	}
+	for _, size := range []int64{4 * units.KiB, 512 * units.KiB, 2 * units.MiB} {
+		for _, traced := range []bool{false, true} {
+			cfg := Config{IONs: 1, Scheduler: "FIFO"}
+			if traced {
+				cfg.Tracer = telemetry.NewTracer(0)
+			}
+			client := hotPathClient(t, cfg)
+			buf := make([]byte, size)
+			if _, err := client.Write("/bench/hot", 0, buf); err != nil {
+				t.Fatal(err)
+			}
+			read := func() {
+				if n, err := client.Read("/bench/hot", 0, buf); err != nil || int64(n) != size {
+					t.Fatalf("read %d of %d bytes: %v", n, size, err)
+				}
+			}
+			for i := 0; i < 16; i++ {
+				read() // prime the pools
+			}
+			if got := testing.AllocsPerRun(200, read); got > 0 {
+				t.Errorf("forwarded %d-byte read (traced %v): %.0f allocs/op end to end, budget 0", size, traced, got)
+			}
 		}
 	}
 }

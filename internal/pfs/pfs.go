@@ -7,8 +7,16 @@
 // mode). A file's payload lives in fixed-size blocks allocated on first
 // touch, so extending a file — the sequential-append pattern every IOR-like
 // kernel produces — never copies what is already stored, and regions never
-// written (holes) cost nothing and read as zeros. The store models the
-// performance characteristics that matter to the arbitration problem:
+// written (holes) cost nothing and read as zeros.
+//
+// ReadLease lends the bytes it reads: the lease's segments alias the stored
+// blocks (holes alias one shared zero block), and Read is a lease plus one
+// copy. A lent block is replaced, not modified: a write into a block a
+// reply is still being sent from goes into a fresh one, which copies the
+// old block first when the write covers only part of it.
+//
+// The store models the performance characteristics that matter to the
+// arbitration problem:
 //
 //   - striping: writes and reads are split at stripe boundaries and each
 //     stripe extent is serviced by its OST;
@@ -29,6 +37,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -123,11 +132,24 @@ type ost struct {
 // a stripe-aligned stream touches one block per extent.
 const blockSize = 1 << 20
 
+// block is one unit of a file's payload. lent counts the leases holding
+// it, raised under the file lock and lowered by Lease.Release without it.
+// The bytes are their own allocation of exactly blockSize: with the
+// counter inline every block spilled a page past 1 MiB, and a 64 MiB fill
+// took 1.45× as long (2-vCPU VM).
+type block struct {
+	lent atomic.Int32
+	b    *[blockSize]byte
+}
+
+// zeros is what holes, and all of Discard mode, are lent as.
+var zeros [blockSize]byte
+
 type file struct {
 	mu sync.Mutex
-	// blocks holds the payload, blockSize bytes per entry; a nil entry is
-	// a hole that reads as zeros. Always empty in Discard mode.
-	blocks []*[blockSize]byte
+	// blocks holds the payload, one block per entry; a nil entry is a
+	// hole that reads as zeros. Always empty in Discard mode.
+	blocks []*block
 	size   int64
 	// lastWriter detects writer interleaving for the lock penalty.
 	lastWriter string
@@ -143,6 +165,8 @@ type Store struct {
 
 	statsMu sync.Mutex
 	metrics Metrics
+
+	leases atomic.Int64 // ReadLease calls not yet released
 
 	// Registry mirrors of the store counters (nil when uninstrumented;
 	// all methods no-op then). These feed the stack-wide /metrics view;
@@ -226,35 +250,43 @@ func (s *Store) lookupOrCreate(path string) *file {
 }
 
 // writeAt stores p at off, allocating the blocks it touches for the first
-// time. The caller holds f.mu.
+// time, and in place of any lent one. The caller holds f.mu.
 func (f *file) writeAt(off int64, p []byte) {
 	if last := int((off + int64(len(p)) - 1) / blockSize); last >= len(f.blocks) {
-		f.blocks = append(f.blocks, make([]*[blockSize]byte, last+1-len(f.blocks))...)
+		f.blocks = append(f.blocks, make([]*block, last+1-len(f.blocks))...)
 	}
 	for len(p) > 0 {
-		i := off / blockSize
-		if f.blocks[i] == nil {
-			f.blocks[i] = new([blockSize]byte)
+		i, within := off/blockSize, int(off%blockSize)
+		b := f.blocks[i]
+		if b == nil || b.lent.Load() > 0 {
+			fresh := &block{b: new([blockSize]byte)}
+			if b != nil && (within > 0 || len(p) < blockSize) {
+				*fresh.b = *b.b
+			}
+			b, f.blocks[i] = fresh, fresh
 		}
-		n := copy(f.blocks[i][off%blockSize:], p)
+		n := copy(b.b[within:], p)
 		p = p[n:]
 		off += int64(n)
 	}
 }
 
-// readAt fills p from off; the caller holds f.mu and has clipped p to the
-// file size. Holes, and blocks past the last one written, read as zeros.
-func (f *file) readAt(off int64, p []byte) {
-	for len(p) > 0 {
+// lend appends n bytes from off to l, one segment per block. The caller
+// holds f.mu and has clipped n to the file size.
+func (f *file) lend(l *Lease, off int64, n int) {
+	for n > 0 {
 		i, within := off/blockSize, off%blockSize
-		n := min(len(p), int(blockSize-within))
+		k := min(n, int(blockSize-within))
+		seg := zeros[within : within+int64(k)]
 		if i < int64(len(f.blocks)) && f.blocks[i] != nil {
-			copy(p[:n], f.blocks[i][within:])
-		} else {
-			clear(p[:n])
+			b := f.blocks[i]
+			b.lent.Add(1)
+			l.held = append(l.held, b)
+			seg = b.b[within : within+int64(k)]
 		}
-		p = p[n:]
-		off += int64(n)
+		l.Segs = append(l.Segs, seg)
+		n -= k
+		off += int64(k)
 	}
 }
 
@@ -309,44 +341,84 @@ func (s *Store) WriteAs(writer, path string, off int64, p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Read implements FileSystem.
+// Read implements FileSystem: a lease, copied out and released.
 func (s *Store) Read(path string, off int64, p []byte) (int, error) {
-	f, err := s.lookup(path)
-	if err != nil {
+	l, err := s.ReadLease(path, off, len(p))
+	if l == nil {
 		return 0, err
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("pfs: negative offset %d", off)
-	}
-	f.mu.Lock()
-	size := f.size
 	n := 0
-	if off < size {
-		n = int(size - off)
-		if n > len(p) {
-			n = len(p)
-		}
-		if !s.cfg.Discard {
-			f.readAt(off, p[:n])
-		}
+	for _, seg := range l.Segs {
+		n += copy(p[n:], seg)
+	}
+	l.Release()
+	return n, err
+}
+
+// Lease is the bytes one ReadLease read, lent from the store's blocks.
+// Leases are pooled: touch neither it nor its segments after Release.
+type Lease struct {
+	// Segs are the bytes read, in order, read-only and unchanged until
+	// Release whatever is written to the file meanwhile.
+	Segs  [][]byte
+	held  []*block
+	store *Store
+}
+
+var leases = sync.Pool{New: func() any { return new(Lease) }}
+
+// Release hands the blocks back to the store; call it exactly once.
+func (l *Lease) Release() {
+	for _, b := range l.held {
+		b.lent.Add(-1)
+	}
+	l.store.leases.Add(-1)
+	clear(l.Segs)
+	clear(l.held)
+	l.Segs, l.held, l.store = l.Segs[:0], l.held[:0], nil
+	leases.Put(l)
+}
+
+// ReadLease reads up to n bytes from off and lends them. A read that
+// reaches the end of the file is short, with ErrShortRead; a missing file
+// or a negative offset returns no lease.
+func (s *Store) ReadLease(path string, off int64, n int) (*Lease, error) {
+	f, err := s.lookup(path)
+	if err != nil {
+		return nil, err
+	}
+	if off < 0 {
+		return nil, fmt.Errorf("pfs: negative offset %d", off)
+	}
+	l := leases.Get().(*Lease)
+	l.store = s
+	s.leases.Add(1)
+	f.mu.Lock()
+	k := 0
+	if off < f.size {
+		k = int(min(int64(n), f.size-off))
+		f.lend(l, off, k)
 	}
 	f.mu.Unlock()
 
-	if n > 0 {
-		s.serviceExtents(path, off, int64(n))
+	if k > 0 {
+		s.serviceExtents(path, off, int64(k))
 	}
 	s.statsMu.Lock()
-	s.metrics.BytesRead += int64(n)
+	s.metrics.BytesRead += int64(k)
 	s.metrics.ReadOps++
 	s.statsMu.Unlock()
 	s.tel.readOps.Inc()
-	s.tel.bytesRead.Add(int64(n))
-	s.tel.readBytesHist.Observe(float64(n))
-	if n < len(p) {
-		return n, ErrShortRead
+	s.tel.bytesRead.Add(int64(k))
+	s.tel.readBytesHist.Observe(float64(k))
+	if k < n {
+		return l, ErrShortRead
 	}
-	return n, nil
+	return l, nil
 }
+
+// Leases returns the number of leases not yet released.
+func (s *Store) Leases() int64 { return s.leases.Load() }
 
 // Stat implements FileSystem.
 func (s *Store) Stat(path string) (FileInfo, error) {

@@ -92,11 +92,13 @@ func FuzzReadMessage(f *testing.F) {
 
 // FuzzMessageRoundTrip drives the encoder from arbitrary field values (with
 // and without the checksum trailer) and asserts a lossless round trip for
-// every message the validator accepts.
+// every message the validator accepts. A non-zero split lends the payload
+// in segments of that many bytes instead of sending it as Data.
 func FuzzMessageRoundTrip(f *testing.F) {
-	f.Add(uint8(OpWrite), "/data/f", int64(4096), int64(0), []byte("chunk"), "", uint64(1), false, uint32(0), "fwd-3", uint64(9), false, uint8(0), uint64(0), true)
-	f.Add(uint8(OpRead), "", int64(-1), int64(1<<40), []byte{}, "boom", uint64(0), true, uint32(250), "", uint64(0), true, uint8(3), uint64(17), false)
-	f.Fuzz(func(t *testing.T, op uint8, path string, offset, size int64, data []byte, errStr string, trace uint64, busy bool, retryUS uint32, clientID string, seq uint64, replayed bool, prio uint8, epoch uint64, sum bool) {
+	f.Add(uint8(OpWrite), "/data/f", int64(4096), int64(0), []byte("chunk"), "", uint64(1), false, uint32(0), "fwd-3", uint64(9), false, uint8(0), uint64(0), true, uint16(0))
+	f.Add(uint8(OpRead), "", int64(-1), int64(1<<40), []byte{}, "boom", uint64(0), true, uint32(250), "", uint64(0), true, uint8(3), uint64(17), false, uint16(0))
+	f.Add(uint8(OpRead), "/r", int64(0), int64(9000), bytes.Repeat([]byte("lent"), 2500), "", uint64(5), false, uint32(0), "", uint64(0), false, uint8(0), uint64(0), true, uint16(3000))
+	f.Fuzz(func(t *testing.T, op uint8, path string, offset, size int64, data []byte, errStr string, trace uint64, busy bool, retryUS uint32, clientID string, seq uint64, replayed bool, prio uint8, epoch uint64, sum bool, split uint16) {
 		m := &Message{
 			Op: Op(op), Path: path, Offset: offset, Size: size, Data: data,
 			Err: errStr, Trace: trace, Busy: busy,
@@ -104,12 +106,23 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			ClientID:   clientID, Seq: seq, Replayed: replayed, Priority: prio,
 			Epoch: epoch,
 		}
+		sent := m
+		if split > 0 {
+			var segs [][]byte
+			for rest := data; len(rest) > 0; rest = rest[min(len(rest), int(split)):] {
+				segs = append(segs, rest[:min(len(rest), int(split))])
+			}
+			lent := *m
+			lent.Data = nil
+			lent.Lend(segs, nil)
+			sent = &lent
+		}
 		var buf bytes.Buffer
 		var err error
 		if sum {
-			err = WriteMessageChecksum(&buf, m)
+			err = WriteMessageChecksum(&buf, sent)
 		} else {
-			err = WriteMessage(&buf, m)
+			err = WriteMessage(&buf, sent)
 		}
 		if err != nil {
 			if len(path) >= maxPath || len(errStr) >= maxErr || len(clientID) >= maxPath || len(data) > maxData {

@@ -96,18 +96,41 @@ func TestWriteFrameMatchesReferenceEncoder(t *testing.T) {
 		}
 		for mi, m := range msgs(data) {
 			for _, sum := range []bool{false, true} {
-				var got bytes.Buffer
-				if err := writeFrame(&got, m, sum); err != nil {
-					t.Fatalf("size %d msg %d sum %v: %v", sz, mi, sum, err)
-				}
 				want := referenceEncode(m, sum)
-				if !bytes.Equal(got.Bytes(), want) {
-					t.Fatalf("size %d msg %d sum %v: frame bytes diverge from reference encoder (%d vs %d bytes)",
-						sz, mi, sum, got.Len(), len(want))
+				// The payload as Data, then lent in segments: empty ones,
+				// and cuts below and above vectoredMin.
+				for ci, cuts := range [][]int{nil, {}, {0, 0}, {1, sz / 2, sz / 2}, {vectoredMin - 1}, {vectoredMin + 1, sz - 1}} {
+					sent := m
+					if cuts != nil {
+						lent := *m
+						lent.Data = nil
+						lent.Lend(segment(data, cuts...), nil)
+						sent = &lent
+					}
+					var got bytes.Buffer
+					if err := writeFrame(&got, sent, sum); err != nil {
+						t.Fatalf("size %d msg %d sum %v cuts %d: %v", sz, mi, sum, ci, err)
+					}
+					if !bytes.Equal(got.Bytes(), want) {
+						t.Fatalf("size %d msg %d sum %v cuts %d: frame bytes diverge from reference encoder (%d vs %d bytes)",
+							sz, mi, sum, ci, got.Len(), len(want))
+					}
 				}
 			}
 		}
 	}
+}
+
+// segment cuts data at each of cuts (clamped to its length, so repeated
+// or out-of-range cuts make empty segments).
+func segment(data []byte, cuts ...int) [][]byte {
+	segs, from := [][]byte{}, 0
+	for _, c := range cuts {
+		c = max(from, min(c, len(data)))
+		segs = append(segs, data[from:c])
+		from = c
+	}
+	return append(segs, data[from:])
 }
 
 // TestReleaseIdempotentAndSafe pins the release-seam contract: Release on
@@ -235,7 +258,7 @@ func classFor(n int) int {
 
 // TestSpanSizedCallsAllocateNothingFrameSized is the allocation budget of
 // the wire path at span sizes: a write request with its ack, and a read
-// request with a GetBuffer/SetPooledData reply, cost under 4 KiB of
+// request with a pooled GetBuffer reply, cost under 4 KiB of
 // allocation per call from one chunk up to the default coalesce limit,
 // with and without checksums; a frame that misses the pools costs its
 // whole size on that side of the wire.
@@ -247,7 +270,7 @@ func TestSpanSizedCallsAllocateNothingFrameSized(t *testing.T) {
 		srv := NewServer(func(req *Message) *Message {
 			if req.Op == OpRead {
 				resp := &Message{Op: OpRead, Path: req.Path}
-				resp.SetPooledData(GetBuffer(int(req.Size)))
+				resp.setPooledData(GetBuffer(int(req.Size)))
 				return resp
 			}
 			req.Size = int64(len(req.Data))

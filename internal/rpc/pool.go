@@ -14,9 +14,9 @@ import (
 // the round trip. The pools below make the steady-state path
 // allocation-free (TestWirePathBudgets holds it there):
 //
-//   - bodies: the payload buffers the frame decoder lands a payload in and
-//     handlers borrow for response payloads (GetBuffer), in the size
-//     classes below. Only the payload lives in one — header and trailers
+//   - bodies: the payload buffers the frame decoder lands a payload in
+//     (GetBuffer), in the size classes below. Only the payload lives in
+//     one — header and trailers
 //     are parsed out of the connection's read buffer (see wire in
 //     proto.go) — so a class is exactly a payload size;
 //   - messages: the *Message envelopes the decoder returns and handlers
@@ -25,11 +25,16 @@ import (
 //     the net.Buffers vector).
 //
 // Ownership rule (the "release seam"): a *Message produced by the decoder
-// or by GetMessage owns its envelope and its pooled payload buffer.
-// Whoever consumes the message — copies Data out, or finishes writing the
-// response it fed — calls Release exactly once; a message that is never
-// released is simply garbage-collected, so correctness never depends on
-// releasing. Never touch Data (or the Message) after Release.
+// or by GetMessage owns its envelope and its pooled payload buffer, and a
+// message a handler lent a payload to (Lend) owns that lease. Whoever
+// consumes the message — copies Data out, or finishes writing the response
+// it fed — calls Release exactly once; the server does for every response,
+// written or cut off mid-write. A message that is never released is simply
+// garbage-collected, so correctness never depends on releasing — but a
+// lease's owner keeps the lent bytes frozen until then (the I/O node's
+// store copies a block before writing into one a reply still holds), so a
+// leaked lease costs a block copy on every later write to its blocks.
+// Never touch the payload (or the Message) after Release.
 
 // Body size classes, plain powers of two because payloads are: a metadata /
 // small-request class, a mid class, one chunk, the largest span the
@@ -53,11 +58,10 @@ var bodyClasses = [...]int{4 << 10, 64 << 10, 512 << 10, 2 << 20, 4 << 20}
 var bodyPools [len(bodyClasses)]sync.Pool
 
 // GetBuffer returns a length-n byte slice, pooled, from the smallest class
-// that fits, or freshly allocated when n exceeds the top class. Attach it
-// to a message with SetPooledData (the decoder does, for a payload; a
-// handler does, for a response's — the transport returns it to the pool
-// once the frame is written) or return it manually with PutBuffer. The
-// contents are not zeroed.
+// that fits, or freshly allocated when n exceeds the top class. The
+// decoder lands a payload in one, which its message's Release returns;
+// anyone else returns it with PutBuffer (an I/O node's copied read reply
+// does, from its lease's Release). The contents are not zeroed.
 func GetBuffer(n int) []byte {
 	for i, size := range bodyClasses {
 		if n <= size {
@@ -72,9 +76,8 @@ func GetBuffer(n int) []byte {
 
 // PutBuffer returns a buffer to the class it was drawn from. Anything else
 // — an over-the-top-class payload, a foreign or resliced buffer — is left
-// to the GC rather than filed under a class it does not match. Only call
-// it on a buffer that was never attached to a message; after SetPooledData
-// the message's Release owns it.
+// to the GC rather than filed under a class it does not match. Never call
+// it on a buffer a decoded message's Release owns.
 func PutBuffer(b []byte) {
 	for i, size := range bodyClasses {
 		if cap(b) == size {
@@ -97,31 +100,47 @@ func GetMessage() *Message {
 	return m
 }
 
-// SetPooledData sets b as m's payload and marks it for release: after the
-// frame carrying m is written, the transport returns the buffer to the
-// pool. b should come from GetBuffer; any other buffer is accepted and is
-// simply garbage-collected after the write.
-func (m *Message) SetPooledData(b []byte) {
+// setPooledData sets b, drawn from GetBuffer, as m's payload and marks it
+// for release: Release returns it to its pool.
+func (m *Message) setPooledData(b []byte) {
 	m.Data = b
 	m.body = b[:cap(b)]
 }
 
-// Release returns the message's pooled resources (its payload buffer, and
-// the envelope itself when it came from the decoder or GetMessage) and
-// must be called at most once, after which neither the message nor its
-// Data may be touched. Safe on nil and on messages that own nothing (then
-// a no-op), so callers can release unconditionally. Releasing is optional:
-// an unreleased message is garbage-collected like any other value.
+// Lease owns payload bytes lent to a message, such as an I/O node's stored
+// blocks lent to a read reply. Release hands them back to their owner.
+type Lease interface {
+	Release()
+}
+
+// Lend adds segs, in order, to m's payload after Data (which a reply that
+// lends its payload leaves empty), owned by l: the frame carrying m is
+// written straight from them, and m's Release releases l. The segments
+// must stay unchanged until then.
+func (m *Message) Lend(segs [][]byte, l Lease) {
+	m.segs, m.lease = segs, l
+}
+
+// Release returns the message's pooled resources (its payload buffer or
+// lease, and the envelope itself when it came from the decoder or
+// GetMessage) and must be called at most once, after which neither the
+// message nor its payload may be touched. Safe on nil and on messages that
+// own nothing (then a no-op), so callers can release unconditionally. An
+// unreleased message is garbage-collected like any other value, its lease
+// never returned to its owner.
 func (m *Message) Release() {
 	if m == nil {
 		return
 	}
-	body, pooled := m.body, m.envelope
-	if body == nil && !pooled {
+	body, lease, pooled := m.body, m.lease, m.envelope
+	if body == nil && lease == nil && !pooled {
 		return
 	}
-	m.body, m.envelope = nil, false
+	m.body, m.segs, m.lease, m.envelope = nil, nil, nil, false
 	PutBuffer(body)
+	if lease != nil {
+		lease.Release()
+	}
 	if pooled {
 		*m = Message{}
 		messagePool.Put(m)
@@ -129,12 +148,12 @@ func (m *Message) Release() {
 }
 
 // frameScratch is the reusable encode state for one writeFrame call: the
-// header/trailer bytes (or the whole frame, for small payloads) plus the
-// 3-segment write vector. vec is always rebuilt from arr[:0] so the
-// backing array survives net.Buffers' consume-by-reslice.
+// header/trailer bytes (or the whole frame, for small payloads) and the
+// write vector — arr keeps the backing array, vec is the copy net.Buffers
+// consumes.
 type frameScratch struct {
 	buf []byte
-	arr [3][]byte
+	arr [][]byte
 	vec net.Buffers
 }
 
@@ -144,7 +163,7 @@ type frameScratch struct {
 const maxScratch = 256 << 10
 
 var scratchPool = sync.Pool{New: func() any {
-	return &frameScratch{buf: make([]byte, 512)}
+	return &frameScratch{buf: make([]byte, 512), arr: make([][]byte, 0, 8)}
 }}
 
 func getScratch(n int) *frameScratch {
@@ -156,11 +175,12 @@ func getScratch(n int) *frameScratch {
 	return s
 }
 
+// putScratch recycles s, dropping every reference it holds to a payload.
 func putScratch(s *frameScratch) {
 	if cap(s.buf) > maxScratch {
 		return
 	}
-	s.arr = [3][]byte{}
-	s.vec = nil
+	clear(s.arr)
+	s.arr, s.vec = s.arr[:0], nil
 	scratchPool.Put(s)
 }

@@ -156,10 +156,23 @@ type Message struct {
 
 	// body is the pooled payload buffer Data aliases, at its full capacity
 	// (nil when the payload is caller-owned), and envelope marks a Message
-	// drawn from the message pool. Both are returned by Release; see
-	// pool.go for the ownership rules.
+	// drawn from the message pool. segs, set by Lend, follow Data in the
+	// payload and are owned by lease. Release returns body, lease and
+	// envelope; see pool.go for the ownership rules.
 	body     []byte
 	envelope bool
+	segs     [][]byte
+	lease    Lease
+}
+
+// PayloadLen returns the length of m's payload: Data and the segments
+// Lend attached.
+func (m *Message) PayloadLen() int {
+	n := len(m.Data)
+	for _, seg := range m.segs {
+		n += len(seg)
+	}
+	return n
 }
 
 // Flag bits for the frame's flags byte.
@@ -218,8 +231,8 @@ func validateMessage(m *Message) error {
 	if len(m.ClientID) >= maxPath {
 		return fmt.Errorf("rpc: client id too long (%d bytes)", len(m.ClientID))
 	}
-	if len(m.Data) > maxData {
-		return fmt.Errorf("%w: %d-byte payload", ErrFrameTooLarge, len(m.Data))
+	if n := m.PayloadLen(); n > maxData {
+		return fmt.Errorf("%w: %d-byte payload", ErrFrameTooLarge, n)
 	}
 	return nil
 }
@@ -250,7 +263,8 @@ func writeFrame(w io.Writer, m *Message, sum bool) error {
 		return err
 	}
 	hasDedup := m.ClientID != "" || m.Seq != 0
-	n := 1 + 1 + 4 + 8 + 2 + len(m.Path) + 8 + 8 + 4 + len(m.Data) + 2 + len(m.Err)
+	dataLen := m.PayloadLen()
+	n := 1 + 1 + 4 + 8 + 2 + len(m.Path) + 8 + 8 + 4 + dataLen + 2 + len(m.Err)
 	if hasDedup {
 		n += 2 + len(m.ClientID) + 8
 	}
@@ -265,10 +279,10 @@ func writeFrame(w io.Writer, m *Message, sum bool) error {
 	}
 	// The scratch holds everything but the payload; small payloads are
 	// copied in so the frame goes out as one Write.
-	vectored := len(m.Data) >= vectoredMin
+	vectored := dataLen >= vectoredMin
 	need := 4 + n
 	if vectored {
-		need -= len(m.Data)
+		need -= dataLen
 	}
 	s := getScratch(need)
 	defer putScratch(s)
@@ -309,10 +323,13 @@ func writeFrame(w io.Writer, m *Message, sum bool) error {
 	p += 8
 	binary.BigEndian.PutUint64(buf[p:], uint64(m.Size))
 	p += 8
-	binary.BigEndian.PutUint32(buf[p:], uint32(len(m.Data)))
+	binary.BigEndian.PutUint32(buf[p:], uint32(dataLen))
 	p += 4
 	if !vectored {
 		p += copy(buf[p:], m.Data)
+		for _, seg := range m.segs {
+			p += copy(buf[p:], seg)
+		}
 	}
 	tail := p // trailer segment start: everything after the payload
 	binary.BigEndian.PutUint16(buf[p:], uint16(len(m.Err)))
@@ -339,6 +356,9 @@ func writeFrame(w io.Writer, m *Message, sum bool) error {
 		crc := crc32.Update(0, castagnoli, buf[4:tail])
 		if vectored {
 			crc = crc32.Update(crc, castagnoli, m.Data)
+			for _, seg := range m.segs {
+				crc = crc32.Update(crc, castagnoli, seg)
+			}
 		}
 		crc = crc32.Update(crc, castagnoli, buf[tail:p])
 		binary.BigEndian.PutUint32(buf[p:], crc)
@@ -348,7 +368,15 @@ func writeFrame(w io.Writer, m *Message, sum bool) error {
 		_, err := w.Write(buf[:p])
 		return err
 	}
-	s.vec = append(net.Buffers(s.arr[:0]), buf[:tail], m.Data, buf[tail:p])
+	// Header, payload and trailer in one vectored write (one writev on
+	// TCP). vec is a copy of arr, whose backing array survives
+	// net.Buffers' consume-by-reslice.
+	s.arr = append(s.arr[:0], buf[:tail])
+	if len(m.Data) > 0 {
+		s.arr = append(s.arr, m.Data)
+	}
+	s.arr = append(append(s.arr, m.segs...), buf[tail:p])
+	s.vec = s.arr
 	_, err := s.vec.WriteTo(w)
 	return err
 }
@@ -542,7 +570,7 @@ func (w *wire) readFrame(dst []byte) (*Message, error) {
 		if dataLen <= len(dst) {
 			m.Data = dst[:dataLen]
 		} else {
-			m.SetPooledData(GetBuffer(dataLen))
+			m.setPooledData(GetBuffer(dataLen))
 		}
 		w.release()
 		if _, err := io.ReadFull(w.br, m.Data); err != nil {

@@ -108,6 +108,14 @@ func (b *Backend) WriteAs(writer, path string, off int64, p []byte) (int, error)
 	return b.Backend.WriteAs(writer, path, off, p)
 }
 
+// ReadLease forwards to the store underneath, so reads through an
+// instrumented node leave from the store's blocks as they do on a bare
+// stack: with the method hidden behind the embedded interface, the daemon
+// would copy every read instead.
+func (b *Backend) ReadLease(path string, off int64, n int) (*pfs.Lease, error) {
+	return b.Backend.(*pfs.Store).ReadLease(path, off, n)
+}
+
 // Applied returns the most times this node applied one byte of
 // [off, off+n) of path.
 func (b *Backend) Applied(path string, off int64, n int) int {
@@ -135,8 +143,9 @@ type Rig struct {
 
 // Start wires the kit's instruments into cfg's WrapBackend, WrapListener
 // and WrapDirect hooks (replacing any set there) and starts the stack. Its
-// cleanups close the stack, then run the goroutine oracle: the process
-// must come back to the goroutines it ran before Start.
+// cleanups close the stack, then run the lease oracle — the store lends no
+// block any more — and the goroutine oracle: the process must come back to
+// the goroutines it ran before Start.
 func Start(t testing.TB, cfg livestack.Config) *Rig {
 	t.Helper()
 	r := &Rig{t: t, dedup: cfg.DedupWindow > 0, nets: map[string]*faultnet.Injector{}}
@@ -169,6 +178,11 @@ func Start(t testing.TB, cfg livestack.Config) *Rig {
 	}
 	base := runtime.NumGoroutine()
 	t.Cleanup(func() {
+		// Every read reply released its lease, even one a reset, an
+		// Interrupt or a daemon Close cut off mid-write.
+		if r.Stack != nil && r.Store.Leases() != 0 {
+			t.Errorf("lease oracle: %d read leases still held after Close", r.Store.Leases())
+		}
 		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
 			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<20)
