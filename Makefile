@@ -167,6 +167,7 @@ fuzz:
 	$(GO) test -run - -fuzz FuzzMessageRoundTrip -fuzztime $(FUZZTIME) ./internal/rpc
 	$(GO) test -run - -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run - -fuzz FuzzArbiterMatchesReference -fuzztime $(FUZZTIME) ./internal/arbiter
+	$(GO) test -run - -fuzz FuzzStagedStoreMatchesWriteAs -fuzztime $(FUZZTIME) ./internal/pfs
 
 # The parallel campaign engine's scaling record (serial baseline vs worker
 # pool); results are byte-identical at every worker count.

@@ -50,8 +50,9 @@ type Request struct {
 	Offset int64
 	Size   int64
 	Op     OpType
-	// Data is the write payload (nil for reads).
+	// Data is the write payload (nil for reads), followed by Segs.
 	Data []byte
+	Segs [][]byte
 	// Arrival is stamped by the queue when the request is pushed.
 	Arrival time.Time
 	// Seq is a monotonically increasing tie-breaker set by the queue.
@@ -381,6 +382,9 @@ func mergeHead(reqs []*Request, maxBytes int64) (*Request, int) {
 		merged.Data = make([]byte, 0, total)
 		for _, r := range reqs[:taken] {
 			merged.Data = append(merged.Data, r.Data...)
+			for _, seg := range r.Segs {
+				merged.Data = append(merged.Data, seg...)
+			}
 		}
 	}
 	return merged, taken

@@ -13,9 +13,10 @@ import (
 	"repro/internal/pfs"
 )
 
-// failingFS fails every n-th Write, WriteAs, Read or ReadLease with
-// errInjected. ReadLease must be its own: the one promoted from the store
-// would let the daemon's reads bypass the injector.
+// failingFS fails every n-th Write, WriteAs, Install, Read or ReadLease
+// with errInjected. Install and ReadLease must be its own: the ones
+// promoted from the store would let the daemon's staged writes and its
+// reads bypass the injector.
 type failingFS struct {
 	*pfs.Store
 	n   int64
@@ -35,6 +36,9 @@ func (f *failingFS) Write(path string, off int64, p []byte) (int, error) {
 }
 func (f *failingFS) WriteAs(w, path string, off int64, p []byte) (int, error) {
 	return f.do(func() (int, error) { return f.Store.WriteAs(w, path, off, p) })
+}
+func (f *failingFS) Install(w string, st *pfs.Stage) (int, error) {
+	return f.do(func() (int, error) { return f.Store.Install(w, st) })
 }
 func (f *failingFS) Read(path string, off int64, p []byte) (int, error) {
 	return f.do(func() (int, error) { return f.Store.Read(path, off, p) })

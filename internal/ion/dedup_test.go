@@ -14,7 +14,8 @@ import (
 )
 
 // countingBackend counts backend write applications, so exactly-once tests
-// can observe double-apply directly at the storage boundary.
+// can observe double-apply directly at the storage boundary: WriteAs and
+// the staged Install both count (the store's own Install would not).
 type countingBackend struct {
 	*pfs.Store
 	applies atomic.Int64
@@ -23,6 +24,11 @@ type countingBackend struct {
 func (b *countingBackend) WriteAs(writer, path string, off int64, p []byte) (int, error) {
 	b.applies.Add(1)
 	return b.Store.WriteAs(writer, path, off, p)
+}
+
+func (b *countingBackend) Install(writer string, st *pfs.Stage) (int, error) {
+	b.applies.Add(1)
+	return b.Store.Install(writer, st)
 }
 
 // sendStamped writes one stamped OpWrite frame on a raw conn — no rpc.Client,

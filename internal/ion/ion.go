@@ -28,7 +28,8 @@ import (
 // Backend is the storage interface a daemon dispatches to: the PFS
 // contract plus writer attribution, so the shared-file contention model
 // can tell I/O-node streams apart. *pfs.Store implements it; test doubles
-// (e.g. fault injectors) may wrap one; see lendFrom for reads.
+// (e.g. fault injectors) may wrap one; see lendFrom for reads and stager
+// for writes.
 type Backend interface {
 	pfs.FileSystem
 	WriteAs(writer, path string, off int64, p []byte) (int, error)
@@ -63,6 +64,28 @@ func lendFrom(b Backend) func(path string, off int64, n int) (lent, error) {
 		c.seg[0] = buf[:k]
 		return lent{c.seg[:], c}, err
 	}
+}
+
+// stager is the daemon's one write path, chosen in New as lendFrom is:
+// *pfs.Store has the decoder land a write's payload in the blocks Stage
+// hands out, and the dispatch installs them; a backend without it gets the
+// copy adapter — a pooled rpc buffer, then WriteAs. A fenced, replayed or
+// shed write's stage goes back uninstalled with the request.
+type stager interface {
+	Stage(path string, off int64, n int) (*pfs.Stage, error)
+	Install(writer string, st *pfs.Stage) (int, error)
+}
+
+// stage is the daemon's rpc.Sink. It declines, leaving the payload to a
+// pooled buffer and WriteAs, under the copy adapter and for a range out of
+// bounds.
+func (d *Daemon) stage(m *rpc.Message, n int) ([][]byte, rpc.Lease) {
+	if d.stager != nil && m.Op == rpc.OpWrite {
+		if st, err := d.stager.Stage(m.Path, m.Offset, n); err == nil {
+			return st.Segs, st
+		}
+	}
+	return nil, nil
 }
 
 // copyLease is a read copied into a pooled rpc buffer.
@@ -148,6 +171,7 @@ type Daemon struct {
 	cfg       Config
 	backend   Backend
 	readLease func(path string, off int64, n int) (lent, error) // see lendFrom
+	stager    stager                                            // nil: the copy adapter
 	label     string
 	schedName string // cfg.Scheduler.Name(), for trace notes
 
@@ -235,6 +259,7 @@ func New(cfg Config, backend Backend) *Daemon {
 	if cfg.DedupWindow > 0 {
 		d.dedup = newDedupTable(cfg.DedupWindow)
 	}
+	d.stager, _ = backend.(stager)
 	d.build()
 	return d
 }
@@ -255,6 +280,7 @@ func (d *Daemon) build() {
 	}
 	d.queue.Instrument(d.reg, d.label)
 	d.server = rpc.NewServer(d.handle).
+		WithSink(d.stage).
 		WithLimits(rpc.ServerLimits{
 			MaxInflight: d.cfg.MaxInflight,
 			RetryAfter:  d.cfg.RetryAfterHint,
@@ -435,7 +461,7 @@ func (d *Daemon) handle(m *rpc.Message) *rpc.Message {
 	}
 	start := time.Now()
 	resp := d.handleOp(m)
-	bytes := int64(len(m.Data) + resp.PayloadLen())
+	bytes := int64(m.PayloadLen() + resp.PayloadLen())
 	d.tracer.AddHop(m.Trace, "ion", start, bytes, d.cfg.ID)
 	return resp
 }
@@ -555,7 +581,7 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 		}
 		d.tel.reads.Inc()
 		d.tel.requestBytes.Observe(float64(m.Size))
-		l, err := d.dispatch(req, pick)
+		l, err := d.dispatch(req, pick, nil)
 		putRequest(req)
 		if l.lease != nil {
 			// The reply goes out from the bytes the backend lent; the
@@ -615,13 +641,17 @@ func (d *Daemon) rejectStale(m, resp *rpc.Message) *rpc.Message {
 // sheds and closed-queue rejects), which must stay replayable-by-execution
 // in the dedup window; true once it ran, whatever the outcome.
 func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (applied bool) {
+	n := m.PayloadLen()
+	segs, l := m.Lent()
+	st, _ := l.(*pfs.Stage)
 	req := requests.Get().(*agios.Request)
 	*req = agios.Request{
 		Path:     m.Path,
 		Offset:   m.Offset,
-		Size:     int64(len(m.Data)),
+		Size:     int64(n),
 		Op:       agios.OpWrite,
 		Data:     m.Data,
+		Segs:     segs,
 		Trace:    m.Trace,
 		Priority: m.Priority,
 	}
@@ -636,15 +666,15 @@ func (d *Daemon) applyWrite(m *rpc.Message, resp *rpc.Message) (applied bool) {
 	// not appear in the daemon's intake).
 	d.reg.Update(func() {
 		d.tel.writes.Inc()
-		d.tel.bytesIn.Add(int64(len(m.Data)))
+		d.tel.bytesIn.Add(int64(n))
 	})
-	d.tel.requestBytes.Observe(float64(len(m.Data)))
-	_, err = d.dispatch(req, pick)
+	d.tel.requestBytes.Observe(float64(n))
+	_, err = d.dispatch(req, pick, st)
 	putRequest(req)
 	if err != nil {
 		resp.Err = err.Error()
 	} else {
-		resp.Size = int64(len(m.Data))
+		resp.Size = int64(n)
 	}
 	return true
 }
@@ -688,8 +718,8 @@ func (d *Daemon) hopEach(req *agios.Request, layer string, start time.Time, took
 // runs right here; nil when every slot was busy, and the goroutine parks
 // until the scheduler picks req. Then it either holds a slot and executes
 // the pick (req, or an aggregate headed by req), or req already ran inside
-// an aggregate another submitter executed.
-func (d *Daemon) dispatch(req, pick *agios.Request) (lent, error) {
+// an aggregate another submitter executed. st is req's stage, if it has one.
+func (d *Daemon) dispatch(req, pick *agios.Request, st *pfs.Stage) (lent, error) {
 	if pick == nil {
 		var err error
 		if pick, err = d.queue.Wait(req); pick == nil {
@@ -697,15 +727,17 @@ func (d *Daemon) dispatch(req, pick *agios.Request) (lent, error) {
 		}
 		d.tel.handoffs.Inc()
 	}
-	l, err := d.execute(pick)
+	l, err := d.execute(pick, st)
 	d.queue.Finish(pick, err)
 	return l, err
 }
 
 // execute runs one scheduled request (possibly an aggregate) against the
 // PFS and returns the backend's outcome, and for a read the lease on the
-// bytes read (reads are never aggregated, so it is the submitter's own).
-func (d *Daemon) execute(req *agios.Request) (lent, error) {
+// bytes read (reads are never aggregated, so it is the submitter's own). A
+// write installs st, the submitter's stage, unless it runs in an aggregate,
+// which reaches the backend as one WriteAs of its merged payload.
+func (d *Daemon) execute(req *agios.Request, st *pfs.Stage) (lent, error) {
 	n := len(req.Children)
 	d.reg.Update(func() {
 		d.tel.dispatches.Inc()
@@ -723,7 +755,12 @@ func (d *Daemon) execute(req *agios.Request) (lent, error) {
 	start := time.Now()
 	switch req.Op {
 	case agios.OpWrite:
-		_, err := d.backend.WriteAs(d.cfg.ID, req.Path, req.Offset, req.Data)
+		var err error
+		if st != nil && len(req.Children) == 0 {
+			_, err = d.stager.Install(d.cfg.ID, st)
+		} else {
+			_, err = d.backend.WriteAs(d.cfg.ID, req.Path, req.Offset, req.Data)
+		}
 		took := time.Since(start)
 		d.tel.dispatchLatency.ObserveDuration(took)
 		d.hopEach(req, "pfs", start, took, "write")

@@ -3,6 +3,7 @@ package ion
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/agios"
 	"repro/internal/pfs"
 	"repro/internal/rpc"
+	"repro/internal/testkit"
 )
 
 func startDaemon(t *testing.T, cfg Config, store *pfs.Store) (*Daemon, *rpc.Client) {
@@ -128,6 +130,44 @@ func TestReadSizeOutOfRangeRejected(t *testing.T) {
 	if string(resp.Data) != "still here" {
 		t.Fatalf("read back %q", resp.Data)
 	}
+}
+
+// TestWriteOffsetOutOfRangeRejected: a write's offset comes off the wire
+// too, and the store sizes a file's block table from the write's end — an
+// offset near 2^62 used to take the process down with an out-of-memory
+// fatal error no recover catches. Each frame must get the store's
+// out-of-range error instead, stage nothing, and the daemon keep serving.
+func TestWriteOffsetOutOfRangeRejected(t *testing.T) {
+	store := pfs.NewStore(pfs.Config{})
+	d, cli := startDaemon(t, Config{ID: "ion0"}, store)
+	for _, off := range []int64{1 << 62, math.MaxInt64 - 3, -1} {
+		conn, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rpc.WriteMessage(conn, &rpc.Message{Op: rpc.OpWrite, Path: "/f", Offset: off, Data: []byte("boom")}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := rpc.ReadMessage(conn)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("offset %d: no response: %v", off, err)
+		}
+		if !strings.Contains(resp.Err, "out of range") || resp.Size != 0 {
+			t.Fatalf("offset %d: want an out-of-range error, got Err=%q with size %d", off, resp.Err, resp.Size)
+		}
+	}
+	if m := store.Metrics(); m.WriteOps != 0 || len(store.List()) != 0 {
+		t.Fatalf("rejected writes reached the store: %+v, files %v", m, store.List())
+	}
+	if _, err := cli.Call(&rpc.Message{Op: rpc.OpWrite, Path: "/f", Data: []byte("still here")}); err != nil {
+		t.Fatalf("daemon stopped serving after the rejected frames: %v", err)
+	}
+	resp, err := cli.Call(&rpc.Message{Op: rpc.OpRead, Path: "/f", Size: 10})
+	if err != nil || string(resp.Data) != "still here" {
+		t.Fatalf("read back %q: %v", resp.Data, err)
+	}
+	testkit.Eventually(t, "every stage and lease released", func() bool { return store.Leases() == 0 })
 }
 
 func TestMetadataOps(t *testing.T) {

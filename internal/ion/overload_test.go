@@ -15,8 +15,9 @@ import (
 	"repro/internal/rpc"
 )
 
-// blockingBackend parks every WriteAs until released, so tests can hold
-// the dispatcher busy and fill the queue deterministically.
+// blockingBackend parks every WriteAs and staged Install until released,
+// so tests can hold the dispatcher busy and fill the queue
+// deterministically.
 type blockingBackend struct {
 	*pfs.Store
 	entered chan struct{}
@@ -27,6 +28,12 @@ func (b *blockingBackend) WriteAs(writer, path string, off int64, p []byte) (int
 	b.entered <- struct{}{}
 	<-b.release
 	return b.Store.WriteAs(writer, path, off, p)
+}
+
+func (b *blockingBackend) Install(writer string, st *pfs.Stage) (int, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Store.Install(writer, st)
 }
 
 func TestQueueCapShedsWithRetryAfter(t *testing.T) {

@@ -19,9 +19,10 @@ import (
 	"repro/internal/testkit"
 )
 
-// probeBackend records what reaches the PFS: every WriteAs in entry order,
-// how many ran at once, and how long the slowest took. A non-nil gate
-// blocks writes until it is closed; service is a fixed per-write cost.
+// probeBackend records what reaches the PFS: every WriteAs and staged
+// Install in entry order, how many ran at once, and how long the slowest
+// took. A non-nil gate blocks writes until it is closed; service is a
+// fixed per-write cost.
 type probeBackend struct {
 	*pfs.Store
 	gate    chan struct{}
@@ -41,9 +42,18 @@ type probeCall struct {
 }
 
 func (b *probeBackend) WriteAs(writer, path string, off int64, p []byte) (int, error) {
+	return b.probe(path, off, len(p), func() (int, error) { return b.Store.WriteAs(writer, path, off, p) })
+}
+
+func (b *probeBackend) Install(writer string, st *pfs.Stage) (int, error) {
+	return b.probe(st.Path, st.Offset, st.Len(), func() (int, error) { return b.Store.Install(writer, st) })
+}
+
+// probe records one write of n bytes at off to path around apply.
+func (b *probeBackend) probe(path string, off int64, n int, apply func() (int, error)) (int, error) {
 	start := time.Now()
 	b.mu.Lock()
-	b.calls = append(b.calls, probeCall{path, off, len(p)})
+	b.calls = append(b.calls, probeCall{path, off, n})
 	if b.running++; b.running > b.widest {
 		b.widest = b.running
 	}
@@ -54,7 +64,7 @@ func (b *probeBackend) WriteAs(writer, path string, off int64, p []byte) (int, e
 	if b.service > 0 {
 		time.Sleep(b.service)
 	}
-	n, err := b.Store.WriteAs(writer, path, off, p)
+	n, err := apply()
 	b.mu.Lock()
 	b.running--
 	if d := time.Since(start); d > b.slowest {

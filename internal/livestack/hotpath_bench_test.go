@@ -117,10 +117,11 @@ func TestHotPathReadAllocs(t *testing.T) {
 }
 
 // TestHotPathWriteAllocs gates the end-to-end allocation count of one
-// forwarded write, process-wide: client encode, server decode, the AGIOS
-// queue and the dispatch together allocate nothing, at one chunk and at
-// 4 KiB alike — and so does recording the write's trace (fwd, rpc, ion,
-// agios and pfs hops) when the stack has a tracer.
+// forwarded write, process-wide: client encode, server decode into the
+// store's fresh blocks, the AGIOS queue and the install together allocate
+// nothing, at one default span, one chunk and 4 KiB alike — and so does
+// recording the write's trace (fwd, rpc, ion, agios and pfs hops) when the
+// stack has a tracer.
 func TestHotPathWriteAllocs(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("sync.Pool drops a share of Puts under the race detector")
@@ -129,8 +130,10 @@ func TestHotPathWriteAllocs(t *testing.T) {
 		size   int64
 		traced bool
 	}{
+		{2 * units.MiB, false},
 		{512 * units.KiB, false},
 		{4 * units.KiB, false},
+		{2 * units.MiB, true},
 		{512 * units.KiB, true},
 		{4 * units.KiB, true},
 	} {

@@ -15,6 +15,11 @@
 // reply is still being sent from goes into a fresh one, which copies the
 // old block first when the write covers only part of it.
 //
+// Stage and Install take a write without copying it: the caller fills the
+// fresh blocks Stage hands out, and Install swaps every one the range
+// wholly covers into the file (recycling the block it replaces unless a
+// lease holds it) and copies only a partial head or tail, as Write would.
+//
 // The store models the performance characteristics that matter to the
 // arbitration problem:
 //
@@ -74,6 +79,17 @@ var (
 	ErrShortRead = errors.New("pfs: read past end of file")
 )
 
+// MaxFileSize bounds a file, whose block table a write's end offset sizes.
+const MaxFileSize = 1 << 40
+
+// checkRange refuses a write of n bytes at off that leaves [0, MaxFileSize].
+func checkRange(off int64, n int) error {
+	if off < 0 || off > MaxFileSize-int64(n) {
+		return fmt.Errorf("pfs: write of %d bytes at offset %d out of range [0, %d]", n, off, int64(MaxFileSize))
+	}
+	return nil
+}
+
 // Config parameterizes the store.
 type Config struct {
 	// StripeSize is the striping unit; ≤0 selects 1 MiB (the paper's
@@ -128,9 +144,11 @@ type ost struct {
 	seeks   int64
 }
 
-// blockSize is the unit file payload is stored in: the default stripe, so
-// a stripe-aligned stream touches one block per extent.
-const blockSize = 1 << 20
+// blockSize is the unit file payload is stored in: the forwarding layer's
+// default chunk (fwd.DefaultChunkSize, pinned by a test), so every
+// chunk-aligned span a daemon stages covers whole blocks and installs
+// without a copy.
+const blockSize = 512 << 10
 
 // block is one unit of a file's payload. lent counts the leases holding
 // it, raised under the file lock and lowered by Lease.Release without it.
@@ -144,6 +162,10 @@ type block struct {
 
 // zeros is what holes, and all of Discard mode, are lent as.
 var zeros [blockSize]byte
+
+// free holds blocks no file and no lease holds any more, for Stage to hand
+// out again. Their bytes are not zeroed.
+var free = sync.Pool{New: func() any { return &block{b: new([blockSize]byte)} }}
 
 type file struct {
 	mu sync.Mutex
@@ -166,7 +188,7 @@ type Store struct {
 	statsMu sync.Mutex
 	metrics Metrics
 
-	leases atomic.Int64 // ReadLease calls not yet released
+	leases atomic.Int64 // ReadLease and Stage calls not yet released
 
 	// Registry mirrors of the store counters (nil when uninstrumented;
 	// all methods no-op then). These feed the stack-wide /metrics view;
@@ -250,11 +272,9 @@ func (s *Store) lookupOrCreate(path string) *file {
 }
 
 // writeAt stores p at off, allocating the blocks it touches for the first
-// time, and in place of any lent one. The caller holds f.mu.
+// time, and in place of any lent one. The caller holds f.mu and has grown
+// the block table to cover p.
 func (f *file) writeAt(off int64, p []byte) {
-	if last := int((off + int64(len(p)) - 1) / blockSize); last >= len(f.blocks) {
-		f.blocks = append(f.blocks, make([]*block, last+1-len(f.blocks))...)
-	}
 	for len(p) > 0 {
 		i, within := off/blockSize, int(off%blockSize)
 		b := f.blocks[i]
@@ -300,10 +320,23 @@ func (s *Store) Write(path string, off int64, p []byte) (int, error) {
 // daemons so the shared-file lock model sees which stream a write belongs
 // to.
 func (s *Store) WriteAs(writer, path string, off int64, p []byte) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("pfs: negative offset %d", off)
+	return s.write(writer, path, off, len(p), p, nil)
+}
+
+// Install writes what st staged to its range, as WriteAs would write the
+// same bytes (the same metrics, OST service and lock model): each block the
+// range wholly covers is swapped in, and a partial head or tail is copied.
+// The stage keeps the blocks the file did not take until its Release.
+func (s *Store) Install(writer string, st *Stage) (int, error) {
+	return s.write(writer, st.Path, st.Offset, st.n, nil, st)
+}
+
+// write is WriteAs of the n bytes in p, or in st when st is not nil.
+func (s *Store) write(writer, path string, off int64, n int, p []byte, st *Stage) (int, error) {
+	if err := checkRange(off, n); err != nil {
+		return 0, err
 	}
-	if len(p) == 0 {
+	if n == 0 {
 		return 0, nil
 	}
 	f := s.lookupOrCreate(path)
@@ -320,25 +353,106 @@ func (s *Store) WriteAs(writer, path string, off int64, p []byte) (int, error) {
 	}
 	f.lastWriter = writer
 
-	end := off + int64(len(p))
+	end := off + int64(n)
 	if !s.cfg.Discard {
-		f.writeAt(off, p)
+		if last := int((end - 1) / blockSize); last >= len(f.blocks) {
+			f.blocks = append(f.blocks, make([]*block, last+1-len(f.blocks))...)
+		}
+		if st == nil {
+			f.writeAt(off, p)
+		} else {
+			s.install(f, st)
+		}
 	}
 	if end > f.size {
 		f.size = end
 	}
 	f.mu.Unlock()
 
-	s.serviceExtents(path, off, int64(len(p)))
+	s.serviceExtents(path, off, int64(n))
 
 	s.statsMu.Lock()
-	s.metrics.BytesWritten += int64(len(p))
+	s.metrics.BytesWritten += int64(n)
 	s.metrics.WriteOps++
 	s.statsMu.Unlock()
 	s.tel.writeOps.Inc()
-	s.tel.bytesWritten.Add(int64(len(p)))
-	s.tel.writeBytesHist.Observe(float64(len(p)))
-	return len(p), nil
+	s.tel.bytesWritten.Add(int64(n))
+	s.tel.writeBytesHist.Observe(float64(n))
+	return n, nil
+}
+
+// install puts st's blocks in f: a whole one replaces the file's, which is
+// recycled unless a lease holds it, and a partial one is copied. The caller
+// holds f.mu and has grown the table.
+func (s *Store) install(f *file, st *Stage) {
+	off := st.Offset
+	for i, seg := range st.Segs {
+		if len(seg) < blockSize {
+			f.writeAt(off, seg)
+		} else {
+			old := f.blocks[off/blockSize]
+			f.blocks[off/blockSize], st.blocks[i] = st.blocks[i], nil
+			if old != nil && old.lent.Load() == 0 {
+				free.Put(old)
+			}
+		}
+		off += int64(len(seg))
+	}
+}
+
+// Stage is fresh blocks a write's payload is put in before Install writes
+// it. Stages are pooled: touch neither it nor its segments after Release.
+type Stage struct {
+	// Path and Offset are where the write goes; Segs are for its bytes, in
+	// order, one segment per block the range touches.
+	Path   string
+	Offset int64
+	Segs   [][]byte
+	n      int
+	blocks []*block // nil where Install gave the file the block
+	store  *Store
+}
+
+var stages = sync.Pool{New: func() any { return new(Stage) }}
+
+// Stage hands out fresh blocks for a write of n bytes at off to path, or
+// an error when the range is out of bounds (see MaxFileSize).
+func (s *Store) Stage(path string, off int64, n int) (*Stage, error) {
+	if err := checkRange(off, n); err != nil {
+		return nil, err
+	}
+	st := stages.Get().(*Stage)
+	st.Path, st.Offset, st.n, st.store = path, off, n, s
+	s.leases.Add(1)
+	for n > 0 {
+		// A partial head or tail is copied out at Install, so it fills its
+		// block from the start: small writes reuse the same cache lines.
+		k := min(n, blockSize-int(off%blockSize))
+		b := free.Get().(*block)
+		st.blocks = append(st.blocks, b)
+		st.Segs = append(st.Segs, b.b[:k])
+		n -= k
+		off += int64(k)
+	}
+	return st, nil
+}
+
+// Len returns the number of bytes staged.
+func (st *Stage) Len() int { return st.n }
+
+// Release hands back the blocks the file did not take; call it exactly
+// once, installed or not.
+func (st *Stage) Release() {
+	for _, b := range st.blocks {
+		if b != nil {
+			free.Put(b)
+		}
+	}
+	st.store.leases.Add(-1)
+	clear(st.Segs)
+	clear(st.blocks)
+	st.Segs, st.blocks, st.store = st.Segs[:0], st.blocks[:0], nil
+	stages.Put(st)
 }
 
 // Read implements FileSystem: a lease, copied out and released.
@@ -417,7 +531,7 @@ func (s *Store) ReadLease(path string, off int64, n int) (*Lease, error) {
 	return l, nil
 }
 
-// Leases returns the number of leases not yet released.
+// Leases returns the number of read leases and stages not yet released.
 func (s *Store) Leases() int64 { return s.leases.Load() }
 
 // Stat implements FileSystem.

@@ -234,7 +234,7 @@ func TestDecoderMatchesReference(t *testing.T) {
 						d.pos = 0
 						var got *Message
 						if conn {
-							got, err = streamWire(d).readFrame(nil)
+							got, err = streamWire(d).readFrame(nil, nil)
 						} else {
 							got, err = ReadMessage(d)
 						}
@@ -323,7 +323,7 @@ func TestPipelinedFramesBothDecode(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	w := newWire(conn)
 	for _, p := range []string{"/first", "/second"} {
-		resp, err := w.readFrame(nil)
+		resp, err := w.readFrame(nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}

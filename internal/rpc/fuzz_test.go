@@ -54,6 +54,15 @@ func FuzzReadMessage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadMessage(bytes.NewReader(data))
+		// The same stream through a sink: the same outcome, and the sink's
+		// lease released once, whether the decode failed or not.
+		s := &cutSink{k: 1 + len(data)%4096}
+		sm, serr := readMessage(bytes.NewReader(data), s.sink)
+		if (err == nil) != (serr == nil) || (err != nil && err.Error() != serr.Error()) || (err == nil && !sameMessage(flat(sm), m)) {
+			t.Fatalf("sink decode: %v, plain decode: %v", serr, err)
+		}
+		sm.Release()
+		s.releasedOnce(t, "fuzzed")
 		if err != nil {
 			switch {
 			case err == io.EOF:
@@ -93,7 +102,8 @@ func FuzzReadMessage(f *testing.F) {
 // FuzzMessageRoundTrip drives the encoder from arbitrary field values (with
 // and without the checksum trailer) and asserts a lossless round trip for
 // every message the validator accepts. A non-zero split lends the payload
-// in segments of that many bytes instead of sending it as Data.
+// in segments of that many bytes instead of sending it as Data, and lands
+// it in a sink's segments of that size on the way back.
 func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add(uint8(OpWrite), "/data/f", int64(4096), int64(0), []byte("chunk"), "", uint64(1), false, uint32(0), "fwd-3", uint64(9), false, uint8(0), uint64(0), true, uint16(0))
 	f.Add(uint8(OpRead), "", int64(-1), int64(1<<40), []byte{}, "boom", uint64(0), true, uint32(250), "", uint64(0), true, uint8(3), uint64(17), false, uint16(0))
@@ -130,10 +140,18 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			}
 			t.Fatalf("write rejected a valid message: %v", err)
 		}
+		raw := bytes.Clone(buf.Bytes())
 		got, err := ReadMessage(&buf)
 		if err != nil {
 			t.Fatalf("read back: %v", err)
 		}
+		s := &cutSink{k: int(split)}
+		sunk, err := readMessage(bytes.NewReader(raw), s.sink)
+		if err != nil || !sameMessage(flat(sunk), got) {
+			t.Fatalf("sink decode (split %d) differs from the plain one: %v", split, err)
+		}
+		sunk.Release()
+		s.releasedOnce(t, "round trip")
 		if got.Op != m.Op || got.Path != m.Path || got.Offset != m.Offset ||
 			got.Size != m.Size || got.Err != m.Err || got.Trace != m.Trace ||
 			got.Busy != m.Busy || got.RetryAfter != m.RetryAfter ||

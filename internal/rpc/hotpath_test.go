@@ -270,7 +270,8 @@ func TestSpanSizedCallsAllocateNothingFrameSized(t *testing.T) {
 		srv := NewServer(func(req *Message) *Message {
 			if req.Op == OpRead {
 				resp := &Message{Op: OpRead, Path: req.Path}
-				resp.setPooledData(GetBuffer(int(req.Size)))
+				resp.Data = GetBuffer(int(req.Size))
+				resp.body = resp.Data[:cap(resp.Data)]
 				return resp
 			}
 			req.Size = int64(len(req.Data))

@@ -26,15 +26,17 @@ import (
 //
 // Ownership rule (the "release seam"): a *Message produced by the decoder
 // or by GetMessage owns its envelope and its pooled payload buffer, and a
-// message a handler lent a payload to (Lend) owns that lease. Whoever
-// consumes the message — copies Data out, or finishes writing the response
-// it fed — calls Release exactly once; the server does for every response,
-// written or cut off mid-write. A message that is never released is simply
-// garbage-collected, so correctness never depends on releasing — but a
-// lease's owner keeps the lent bytes frozen until then (the I/O node's
-// store copies a block before writing into one a reply still holds), so a
-// leaked lease costs a block copy on every later write to its blocks.
-// Never touch the payload (or the Message) after Release.
+// message a handler lent a payload to (Lend), or a request whose payload
+// landed in a server's Sink, owns that lease. Whoever consumes the message
+// — copies the payload out, or finishes writing the response it fed —
+// calls Release exactly once; the server does for every request and every
+// response, written or cut off mid-write, and once for a lease the two
+// share. A message that is never released is simply garbage-collected, so
+// correctness never depends on releasing — but a lease's owner keeps the
+// lent bytes frozen until then (the I/O node's store replaces, rather than
+// reuses, a block a reply still holds, and a write's stage keeps its
+// blocks), so a leaked lease costs fresh blocks. Never touch the payload
+// (or the Message) after Release.
 
 // Body size classes, plain powers of two because payloads are: a metadata /
 // small-request class, a mid class, one chunk, the largest span the
@@ -100,18 +102,16 @@ func GetMessage() *Message {
 	return m
 }
 
-// setPooledData sets b, drawn from GetBuffer, as m's payload and marks it
-// for release: Release returns it to its pool.
-func (m *Message) setPooledData(b []byte) {
-	m.Data = b
-	m.body = b[:cap(b)]
-}
-
 // Lease owns payload bytes lent to a message, such as an I/O node's stored
 // blocks lent to a read reply. Release hands them back to their owner.
+// Implementations are pointers: the server compares leases with ==.
 type Lease interface {
 	Release()
 }
+
+// Lent returns the segments of m's payload after Data — lent by Lend, or
+// by the Sink a request's payload landed in — and the lease owning them.
+func (m *Message) Lent() ([][]byte, Lease) { return m.segs, m.lease }
 
 // Lend adds segs, in order, to m's payload after Data (which a reply that
 // lends its payload leaves empty), owned by l: the frame carrying m is

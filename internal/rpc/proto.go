@@ -149,16 +149,18 @@ type Message struct {
 
 	// Dst, on a request handed to a Client, is where the reply's payload
 	// belongs: when it fits, the transport decodes it straight into Dst and
-	// the reply's Data aliases it. Never encoded. Its bytes mean something
+	// the reply's Data aliases it (Dst is the one segment of the landing
+	// rule; see Sink). Never encoded. Its bytes mean something
 	// only under a reply the call returned: a failed exchange (broken conn,
 	// checksum mismatch, Interrupt) may leave some there to be overwritten.
 	Dst []byte
 
 	// body is the pooled payload buffer Data aliases, at its full capacity
 	// (nil when the payload is caller-owned), and envelope marks a Message
-	// drawn from the message pool. segs, set by Lend, follow Data in the
-	// payload and are owned by lease. Release returns body, lease and
-	// envelope; see pool.go for the ownership rules.
+	// drawn from the message pool. segs, set by Lend or by a Sink the
+	// payload landed in, follow Data in the payload and are owned by lease.
+	// Release returns body, lease and envelope; see pool.go for the
+	// ownership rules.
 	body     []byte
 	envelope bool
 	segs     [][]byte
@@ -166,7 +168,7 @@ type Message struct {
 }
 
 // PayloadLen returns the length of m's payload: Data and the segments
-// Lend attached.
+// Lend attached or a Sink lent.
 func (m *Message) PayloadLen() int {
 	n := len(m.Data)
 	for _, seg := range m.segs {
@@ -381,6 +383,13 @@ func writeFrame(w io.Writer, m *Message, sum bool) error {
 	return err
 }
 
+// Sink lends the decoder the memory a request's payload lands in: n bytes
+// of segments, in order, and the lease that owns them, which the message's
+// Release releases — also when the decode fails after the sink returned. m
+// has its header (Op, Path, Offset, Size) decoded, not yet its trailers. A
+// nil lease declines, and the payload lands in a pooled buffer.
+type Sink func(m *Message, n int) (segs [][]byte, l Lease)
+
 // readBufSize is a connection's read buffer: a small frame — a metadata op,
 // a 4 KiB request with every trailer — arrives in one read. A larger
 // payload goes around it (bufio reads straight into the destination once
@@ -402,6 +411,7 @@ type wire struct {
 	// lim is nil on a conn. ReadMessage's reader must not be read past the
 	// frame: it admits the length prefix, then exactly the body.
 	lim *io.LimitedReader
+	one [1][]byte // the segment a payload not lent by a sink lands in
 }
 
 func newWire(conn net.Conn) *wire {
@@ -485,12 +495,11 @@ const (
 
 // readFrame streams the next frame off the wire (contract: ReadMessage):
 // header and trailers are parsed out of the read buffer, the payload lands
-// where it is going — dst when it fits (Message.Dst), else a pooled buffer
-// of its size — and the CRC is fed segment by segment, as writeFrame
-// produced it. Every length is checked against what the frame has left
-// before it sizes anything, and the message is handed out only once the CRC
-// (when there is one) verified.
-func (w *wire) readFrame(dst []byte) (*Message, error) {
+// where it is going (see land) and the CRC is fed segment by segment, as
+// writeFrame produced it. Every length is checked against what the frame
+// has left before it sizes anything, and the message is handed out only
+// once the CRC (when there is one) verified.
+func (w *wire) readFrame(dst []byte, sink Sink) (*Message, error) {
 	b, err := w.take(4)
 	if err != nil {
 		if len(b) > 0 { // else the stream ended cleanly, between frames
@@ -567,19 +576,17 @@ func (w *wire) readFrame(dst []byte) (*Message, error) {
 		return fail(dataLen+2, nil)
 	}
 	if dataLen > 0 {
-		if dataLen <= len(dst) {
-			m.Data = dst[:dataLen]
-		} else {
-			m.setPooledData(GetBuffer(dataLen))
-		}
 		w.release()
-		if _, err := io.ReadFull(w.br, m.Data); err != nil {
-			return fail(0, err)
+		for _, seg := range w.land(m, dataLen, dst, sink) {
+			if _, err := io.ReadFull(w.br, seg); err != nil {
+				return fail(0, err)
+			}
+			if crcLen > 0 {
+				crc = crc32.Update(crc, castagnoli, seg)
+			}
 		}
+		w.one[0] = nil
 		rem -= dataLen
-		if crcLen > 0 {
-			crc = crc32.Update(crc, castagnoli, m.Data)
-		}
 	}
 
 	// After the payload: the error text and the flag-gated trailers. A
@@ -624,6 +631,26 @@ func (w *wire) readFrame(dst []byte) (*Message, error) {
 	return m, nil
 }
 
+// land returns the segments m's n-byte payload lands in, under one rule:
+// the sink's, when it lends them; else dst as one segment, when it holds
+// the payload; else a pooled buffer of its size.
+func (w *wire) land(m *Message, n int, dst []byte, sink Sink) [][]byte {
+	if sink != nil {
+		if segs, l := sink(m, n); l != nil {
+			m.segs, m.lease = segs, l
+			return segs
+		}
+	}
+	if n <= len(dst) {
+		m.Data = dst[:n]
+	} else {
+		m.Data = GetBuffer(n)
+		m.body = m.Data[:cap(m.Data)] // Release returns it
+	}
+	w.one[0] = m.Data
+	return w.one[:]
+}
+
 // frameReaders are the wire records ReadMessage decodes through.
 var frameReaders = sync.Pool{New: func() any {
 	lim := new(io.LimitedReader)
@@ -649,7 +676,7 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	*w.lim = io.LimitedReader{R: r, N: 4}
 	w.br.Reset(w.lim)
 	w.held = 0
-	m, err := w.readFrame(nil)
+	m, err := w.readFrame(nil, nil)
 	w.lim.R = nil
 	frameReaders.Put(w)
 	return m, err

@@ -28,6 +28,7 @@ type Server struct {
 	handler  Handler
 	limits   ServerLimits
 	checksum bool
+	sink     Sink
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -62,6 +63,14 @@ func (s *Server) WithLimits(l ServerLimits) *Server {
 // regardless of this setting. Call before Listen. Returns s for chaining.
 func (s *Server) WithChecksum(on bool) *Server {
 	s.checksum = on
+	return s
+}
+
+// WithSink makes the server land every request payload it decodes in the
+// segments sink lends (see Sink); a nil sink lands them in pooled buffers.
+// Call before Listen. Returns s for chaining.
+func (s *Server) WithSink(sink Sink) *Server {
+	s.sink = sink
 	return s
 }
 
@@ -144,7 +153,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	w := newWire(conn)
 	for {
-		req, err := w.readFrame(nil)
+		req, err := w.readFrame(nil, s.sink)
 		if err != nil {
 			// A checksum mismatch means the frame reached us but its bytes
 			// are untrustworthy — including the opcode and offset, so no
@@ -167,10 +176,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		// The exchange is over: recycle both frames (the handler contract
 		// forbids it retaining either past this point). Handlers may return
 		// the request itself or a shallow copy of it — either way the
-		// shared frame buffer must go back to the pool exactly once.
+		// shared frame buffer, or the shared lease, must go back exactly
+		// once: with the request.
 		if resp != req {
 			if len(req.body) > 0 && len(resp.body) > 0 && &resp.body[0] == &req.body[0] {
-				resp.body = nil // one buffer, released once: with the request
+				resp.body = nil
+			}
+			if resp.lease != nil && resp.lease == req.lease {
+				resp.lease = nil
 			}
 			resp.Release()
 		}
@@ -456,7 +469,7 @@ func exchange(w *wire, req *Message, checksum bool) (*Message, error) {
 		return nil, err
 	}
 	w.path, w.id = req.Path, req.ClientID
-	return w.readFrame(req.Dst)
+	return w.readFrame(req.Dst, nil)
 }
 
 // Call sends req and waits for the response. Safe for concurrent use.

@@ -116,6 +116,18 @@ func (b *Backend) ReadLease(path string, off int64, n int) (*pfs.Lease, error) {
 	return b.Backend.(*pfs.Store).ReadLease(path, off, n)
 }
 
+// Stage and Install forward to the store, the install through apply as
+// WriteAs is: hidden, they would make the daemon copy every write, and the
+// apply-count oracle would never see a staged one.
+func (b *Backend) Stage(path string, off int64, n int) (*pfs.Stage, error) {
+	return b.Backend.(*pfs.Store).Stage(path, off, n)
+}
+
+func (b *Backend) Install(writer string, st *pfs.Stage) (int, error) {
+	b.apply(st.Path, st.Offset, st.Len())
+	return b.Backend.(*pfs.Store).Install(writer, st)
+}
+
 // Applied returns the most times this node applied one byte of
 // [off, off+n) of path.
 func (b *Backend) Applied(path string, off int64, n int) int {
@@ -144,8 +156,8 @@ type Rig struct {
 // Start wires the kit's instruments into cfg's WrapBackend, WrapListener
 // and WrapDirect hooks (replacing any set there) and starts the stack. Its
 // cleanups close the stack, then run the lease oracle — the store lends no
-// block any more — and the goroutine oracle: the process must come back to
-// the goroutines it ran before Start.
+// block and holds no stage any more — and the goroutine oracle: the
+// process must come back to the goroutines it ran before Start.
 func Start(t testing.TB, cfg livestack.Config) *Rig {
 	t.Helper()
 	r := &Rig{t: t, dedup: cfg.DedupWindow > 0, nets: map[string]*faultnet.Injector{}}
@@ -179,9 +191,10 @@ func Start(t testing.TB, cfg livestack.Config) *Rig {
 	base := runtime.NumGoroutine()
 	t.Cleanup(func() {
 		// Every read reply released its lease, even one a reset, an
-		// Interrupt or a daemon Close cut off mid-write.
+		// Interrupt or a daemon Close cut off mid-write, and every staged
+		// write its stage, installed or fenced, replayed, shed or cut off.
 		if r.Stack != nil && r.Store.Leases() != 0 {
-			t.Errorf("lease oracle: %d read leases still held after Close", r.Store.Leases())
+			t.Errorf("lease oracle: %d read leases or write stages still held after Close", r.Store.Leases())
 		}
 		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
 			if time.Now().After(deadline) {
