@@ -77,11 +77,8 @@ func run(w io.Writer) error {
 	if _, err := stack.Arbiter.JobStarted(policy.FromAppSpec("neighbour", spec2)); err != nil {
 		return err
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(client.IONs()) == len(assigned) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	fmt.Fprintf(w, "after the neighbour arrived our allocation is %d I/O nodes\n", len(client.IONs()))
+	now, _ := client.AwaitIONs(2*time.Second, func(ions []string) bool { return len(ions) != len(assigned) })
+	fmt.Fprintf(w, "after the neighbour arrived our allocation is %d I/O nodes\n", len(now))
 
 	// Keep writing and read everything back: the remap was transparent.
 	if _, err := client.Write("/demo/data", int64(len(payload)), payload); err != nil {

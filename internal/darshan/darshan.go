@@ -226,9 +226,9 @@ func (r Report) PerFile() []*FileCounters { return r.perFile }
 func (r Report) ExtractPattern(nodes, processes int) pattern.Pattern {
 	p := pattern.Pattern{
 		Nodes:       nodes,
-		ProcsPerNod: maxInt(1, processes/maxInt(1, nodes)),
+		ProcsPerNod: max(1, processes/max(1, nodes)),
 		Operation:   pattern.Write,
-		RequestSize: maxInt64(1, r.MedianReqSize),
+		RequestSize: max(1, r.MedianReqSize),
 	}
 	writtenFiles := 0
 	for _, fc := range r.perFile {
@@ -259,18 +259,4 @@ func EstimateCurve(p pattern.Pattern, m *perfmodel.Model, maxIONs int, allowZero
 		m = perfmodel.Default()
 	}
 	return m.CurveFor(p, maxIONs, allowZero)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -56,8 +56,8 @@ func ExpFigure1Live(scale int, volume int64) (Figure1LiveResult, error) {
 	sort.Strings(res.Labels)
 	for _, label := range res.Labels {
 		p := pats[label]
-		p.Nodes = maxI(1, p.Nodes/scale)
-		p.ProcsPerNod = maxI(1, p.ProcsPerNod/scale)
+		p.Nodes = max(1, p.Nodes/scale)
+		p.ProcsPerNod = max(1, p.ProcsPerNod/scale)
 		res.Geometry[label] = fmt.Sprintf("%dn×%dp", p.Nodes, p.ProcsPerNod)
 		series := map[int]float64{}
 		for _, k := range pattern.IONOptions(p.Nodes, 8, true) {
@@ -104,11 +104,4 @@ func (r Figure1LiveResult) Table() Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -198,16 +198,16 @@ type Client struct {
 	clientID string
 	seq      atomic.Uint64
 
-	// view is the lock-free routing snapshot the data path reads; mu
-	// guards the slow-path state it is built from (the allocation, the
-	// per-node targets, and the mapping version).
+	// view is the lock-free routing snapshot the data path reads, and so
+	// the allocation; mu serialises installs and guards the state they are
+	// built from (the per-node targets and the mapping version).
 	view atomic.Pointer[routeView]
 
 	mu      sync.Mutex
-	addrs   []string           // current allocation (empty = direct)
 	targets map[string]*target // address → per-node record, kept across remaps
 	ver     uint64
-	fence   uint64 // highest revocation floor seen in a mapping update
+	fence   uint64        // highest revocation floor seen in a mapping update
+	changed chan struct{} // the view-changed signal (see awaitView)
 
 	// Counters live on reg (app-labeled); coupled counters are updated in
 	// one reg.Update group and Stats() reads under reg.View, so snapshots
@@ -271,7 +271,7 @@ func (q *qosState) degradeOrPace(n int64) (degrade bool) {
 
 var _ pfs.FileSystem = (*Client)(nil)
 
-// NewClient returns a client in direct mode; call SetIONs or Watch to
+// NewClient returns a client in direct mode; call SetIONs or ApplyMap to
 // attach it to a forwarding allocation.
 func NewClient(cfg Config) (*Client, error) {
 	if cfg.AppID == "" {
@@ -368,10 +368,10 @@ func (c *Client) SetIONs(addrs []string) {
 // epoch moves. Callers hold c.mu.
 func (c *Client) setIONsLocked(addrs []string) {
 	v := &routeView{epoch: c.ver}
-	if old := c.view.Load(); old != nil && slices.Equal(c.addrs, addrs) {
+	same := func(t *target, addr string) bool { return t.addr == addr }
+	if old := c.view.Load(); old != nil && slices.EqualFunc(old.targets, addrs, same) {
 		v.targets = old.targets
 	} else {
-		c.addrs = append([]string(nil), addrs...)
 		v.targets = make([]*target, len(addrs))
 		for i, a := range addrs {
 			t := c.targets[a]
@@ -388,23 +388,76 @@ func (c *Client) setIONsLocked(addrs []string) {
 			v.targets[i] = t
 		}
 	}
-	c.view.Store(v)
+	c.publishLocked(v)
 	c.stats.remaps.Add(1)
 }
 
+// publishLocked installs v (nil on Close) and wakes every parked wait; with
+// none parked it costs one nil check. Callers hold c.mu.
+func (c *Client) publishLocked(v *routeView) {
+	c.view.Store(v)
+	if c.changed != nil {
+		close(c.changed)
+		c.changed = nil
+	}
+}
+
+// awaitView returns the first route view ok accepts — the current one or a
+// later install's — and true; nil and false on timeout or Close. The first
+// waiter makes the view-changed signal; the next publishLocked closes and
+// clears it. ok runs without c.mu and may see a nil view.
+func (c *Client) awaitView(timeout time.Duration, ok func(*routeView) bool) (*routeView, bool) {
+	expired := time.NewTimer(timeout)
+	defer expired.Stop()
+	for {
+		c.mu.Lock()
+		if c.changed == nil {
+			c.changed = make(chan struct{})
+		}
+		v, changed := c.view.Load(), c.changed
+		c.mu.Unlock()
+		if c.closed.Load() { // Close sets closed before it takes c.mu to wake us
+			return nil, false
+		}
+		if ok(v) {
+			return v, true
+		}
+		select {
+		case <-changed:
+		case <-expired.C:
+			return nil, false
+		}
+	}
+}
+
+// AwaitIONs waits up to timeout for an allocation ok accepts — the current
+// one or one a later ApplyMap or SetIONs installs — and returns it and
+// true. On timeout or Close it returns the last allocation it saw and
+// false. ok runs without the client's lock held.
+func (c *Client) AwaitIONs(timeout time.Duration, ok func(ions []string) bool) (ions []string, held bool) {
+	_, held = c.awaitView(timeout, func(*routeView) bool {
+		ions = c.IONs() // if newer than awaitView's view, its install woke the wait
+		return ok(ions)
+	})
+	return ions, held
+}
+
 // IONs returns the current allocation.
-func (c *Client) IONs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.addrs...)
+func (c *Client) IONs() (ions []string) {
+	if v := c.loadView(); v != nil {
+		ions = make([]string, len(v.targets))
+		for i, t := range v.targets {
+			ions[i] = t.addr
+		}
+	}
+	return ions
 }
 
 // ApplyMap installs the allocation a mapping update assigns to this
 // application. Stale versions are ignored. The version check and the
 // install happen under one critical section, so two updates delivered
 // out of order can never leave the older allocation installed with the
-// newer version recorded (the TOCTOU race the previous
-// check-release-reacquire sequence allowed).
+// newer version recorded.
 func (c *Client) ApplyMap(m mapping.Map) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -437,7 +490,7 @@ func (c *Client) ApplyMap(m mapping.Map) {
 func (c *Client) ReleaseConn(addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t := c.targets[addr]; t != nil && !slices.Contains(c.addrs, addr) {
+	if t := c.targets[addr]; t != nil && !slices.Contains(c.IONs(), addr) {
 		t.conn.Close()
 		delete(c.targets, addr)
 	}
@@ -450,12 +503,11 @@ func (c *Client) Close() error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.view.Store(nil)
+	c.publishLocked(nil)
 	for _, t := range c.targets {
 		t.conn.Close()
 	}
 	clear(c.targets)
-	c.addrs = nil
 	return nil
 }
 
@@ -1085,28 +1137,15 @@ func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span
 	return c.cfg.Direct.Write(path, s.off, payload)
 }
 
-// awaitEpochAbove polls for a routing snapshot with epoch > stale, backing
-// off exponentially within the EpochWait budget. nil means the budget ran
-// out (or the client closed, or the fresh map put the app in direct mode).
+// awaitEpochAbove waits up to EpochWait for the first install of a view
+// with epoch > stale. nil means the wait ran out, the client closed, or
+// the fresh view sends the app direct — each a reason to write direct.
 func (c *Client) awaitEpochAbove(stale uint64) *routeView {
-	deadline := time.Now().Add(c.cfg.EpochWait)
-	wait := time.Millisecond
-	for {
-		v := c.loadView()
-		if v != nil && v.epoch > stale {
-			return v
-		}
-		if c.closed.Load() || !time.Now().Before(deadline) {
-			return nil
-		}
-		if rem := time.Until(deadline); wait > rem {
-			wait = rem
-		}
-		time.Sleep(wait)
-		if wait < 64*time.Millisecond {
-			wait *= 2
-		}
+	v, ok := c.awaitView(c.cfg.EpochWait, func(v *routeView) bool { return v != nil && v.epoch > stale })
+	if !ok || len(v.targets) == 0 {
+		return nil
 	}
+	return v
 }
 
 // Read implements pfs.FileSystem. Span RPCs are issued concurrently, like

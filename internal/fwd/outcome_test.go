@@ -174,6 +174,7 @@ type outcomeWant struct {
 	stale        int64 // rpc_stale_retries_total: re-sends of a request that died on a dead pooled conn
 	note         string
 	noTrace      bool // the op was refused before a trace was opened
+	waitsOut     bool // the op may wait out EpochWait (no fresher view comes)
 }
 
 // outcomeOracle derives a cell from the rule alone. L is the payload size
@@ -250,8 +251,18 @@ func outcomeOracle(op int, route string, L int) outcomeWant {
 			refused(rpc.ErrStaleEpoch)
 		} else {
 			toDirect("")
+			w.wire, w.epochRetries, w.waitsOut = 1, 1, true
+		}
+	case "fenced, fresher view is direct":
+		// The fresh map gives the app no I/O node: the write goes to the
+		// PFS as soon as the map is installed.
+		if op != opWrite {
+			refused(rpc.ErrStaleEpoch)
+		} else {
+			toDirect("")
 			w.wire, w.epochRetries = 1, 1
 		}
+		w.stats.RemapsApplied = 2
 	case "fenced maxEpochRemaps deep":
 		if op != opWrite {
 			refused(rpc.ErrStaleEpoch)
@@ -289,6 +300,7 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 		"no allocation", "forwarded ok", "application error",
 		"shed past busyRetries", "saturated gate", "unreachable", "released conn",
 		"fenced, fresher view arrives", "fenced, EpochWait expires", "fenced maxEpochRemaps deep",
+		"fenced, fresher view is direct",
 		"QoS scavenger, empty bucket", "closed client",
 		"transport retries exhausted", "stale pooled conn",
 	}
@@ -339,6 +351,12 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 					cfg.EpochFencing = true
 					fake.mode.Store("stale")
 					fake.onStale = remap
+				case "fenced, fresher view is direct":
+					// An EpochWait far above the row's runtime: waiting it
+					// out fails the timing check below.
+					cfg.EpochFencing, cfg.EpochWait = true, 30*time.Second
+					fake.mode.Store("stale")
+					fake.onStale = func() { c.ApplyMap(mapping.Map{Version: version.Add(1)}) }
 				case "QoS scavenger, empty bucket":
 					cfg.QoS = &qos.Class{Name: "scav", Tier: qos.TierScavenger, Rate: 1, Burst: 1}
 				case "transport retries exhausted":
@@ -374,6 +392,7 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				var n int
 				var got error
 				buf := make([]byte, len(content))
+				began := time.Now()
 				switch op {
 				case opCreate:
 					got = c.Create("/t")
@@ -392,7 +411,11 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 					got = c.Fsync("/t")
 				}
 
+				took := time.Since(began)
 				want := outcomeOracle(op, route, len(content))
+				if c.cfg.EpochWait > 0 && took >= c.cfg.EpochWait && !want.waitsOut {
+					t.Errorf("the op took %v, waiting out EpochWait (%v) although a fresher view came", took, c.cfg.EpochWait)
+				}
 				if want.is == nil && got != nil {
 					t.Errorf("err = %v, want success", got)
 				}

@@ -256,7 +256,9 @@ func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 	if _, err := st.Arbiter.JobStarted(appFor(t, "IOR-MPI", "f1")); err != nil {
 		t.Fatal(err)
 	}
-	testkit.Eventually(t, "the clients to apply the fenced map", func() bool { return len(c.IONs()) > 0 })
+	if err := WaitForAllocation(c, 0, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range st.daemons() {
 		if got := d.Fence(); got < fence {
 			t.Fatalf("a client routes on the fence-%d map while a daemon's fence is %d", fence, got)
@@ -271,7 +273,9 @@ func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := st.Bus.Current()
-	testkit.Eventually(t, "the clients to apply the recovery map", func() bool { return slices.Equal(c.IONs(), final.For("f1")) })
+	if have, ok := c.AwaitIONs(2*time.Second, func(ions []string) bool { return slices.Equal(ions, final.For("f1")) }); !ok {
+		t.Fatalf("the client holds %v, not the recovery map's %v", have, final.For("f1"))
+	}
 	for _, d := range st.daemons() {
 		if got := d.Fence(); got < final.Fence {
 			t.Fatalf("after recovery a daemon's fence is %d, the bus's %d", got, final.Fence)

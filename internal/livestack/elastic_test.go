@@ -65,10 +65,9 @@ func TestElasticRequiresHealthProber(t *testing.T) {
 	}
 }
 
-// TestWaitForAllocationDeadlineAndDiagnostics is the regression test for
-// the polling-wait bugfix: the wait must respect its deadline (backoff
-// never sleeps past it) and the timeout error must carry the mapping the
-// client last observed.
+// TestWaitForAllocationDeadlineAndDiagnostics: a wait that no install
+// satisfies returns at its deadline, and the timeout error carries the
+// mapping the client last observed.
 func TestWaitForAllocationDeadlineAndDiagnostics(t *testing.T) {
 	st := startStack(t, 2)
 	c, err := st.NewClient("lonely")
@@ -86,7 +85,7 @@ func TestWaitForAllocationDeadlineAndDiagnostics(t *testing.T) {
 		t.Errorf("timeout error does not carry the last observed mapping: %v", err)
 	}
 	if elapsed > time.Second {
-		t.Errorf("40ms wait took %v — backoff slept past the deadline", elapsed)
+		t.Errorf("40ms wait took %v — it overran its deadline", elapsed)
 	}
 
 	// The success path is still prompt once a mapping lands.

@@ -633,39 +633,19 @@ func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 // WaitForAllocation blocks until the client observes a mapping of exactly
 // ions I/O nodes — any non-empty mapping when ions is 0 — or the timeout
 // elapses (a publication reaches the clients through the stack's delivery
-// loop, asynchronously, like GekkoFWD's periodic check).
+// loop, asynchronously, like GekkoFWD's periodic check). The wait wakes on
+// each install; on timeout the error carries the mapping the client last
+// observed.
 func WaitForAllocation(c *fwd.Client, ions int, timeout time.Duration) error {
-	if ions == 0 {
-		return waitForMapping(c, timeout, "an allocation", func(n int) bool { return n > 0 })
+	want, ok := "an allocation", func(have []string) bool { return len(have) > 0 }
+	if ions != 0 {
+		want, ok = fmt.Sprintf("%d I/O nodes", ions), func(have []string) bool { return len(have) == ions }
 	}
-	return waitForMapping(c, timeout, fmt.Sprintf("%d I/O nodes", ions), func(n int) bool { return n == ions })
-}
-
-// waitForMapping polls the client's mapping until ok accepts its size.
-// Polling backs off geometrically but never sleeps past the deadline, so
-// short timeouts stay sharp and long ones don't spin; on timeout the error
-// carries the mapping the client last observed.
-func waitForMapping(c *fwd.Client, timeout time.Duration, want string, ok func(ions int) bool) error {
-	deadline := time.Now().Add(timeout)
-	step := time.Millisecond
-	for {
-		have := c.IONs()
-		if ok(len(have)) {
-			return nil
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return fmt.Errorf("livestack: client never observed %s within %v (last mapping: %d nodes %v)",
-				want, timeout, len(have), have)
-		}
-		if step > remaining {
-			step = remaining
-		}
-		time.Sleep(step)
-		if step < 16*time.Millisecond {
-			step *= 2
-		}
+	if have, held := c.AwaitIONs(timeout, ok); !held {
+		return fmt.Errorf("livestack: client never observed %s within %v (last mapping: %d nodes %v)",
+			want, timeout, len(have), have)
 	}
+	return nil
 }
 
 // Close stops the control plane, then the delivery loop, clients, and

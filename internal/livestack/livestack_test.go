@@ -1,12 +1,13 @@
 package livestack
 
 import (
-	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/arbiter"
+	"repro/internal/fwd"
 	"repro/internal/nodestate"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
@@ -84,8 +85,8 @@ func TestEndToEndKernelThroughArbitration(t *testing.T) {
 	if err := st.Arbiter.JobFinished("ior1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := waitForMapping(client, 2*time.Second, "its release", func(n int) bool { return n == 0 }); err != nil {
-		t.Fatal(err)
+	if have, ok := client.AwaitIONs(2*time.Second, func(ions []string) bool { return len(ions) == 0 }); !ok {
+		t.Fatalf("client never observed its release (last mapping: %v)", have)
 	}
 }
 
@@ -120,12 +121,8 @@ func TestDynamicRearbitrationLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// HACC shrinks (MCKP gives IOR-MPI the lion's share).
-	deadline := time.Now().Add(2 * time.Second)
-	for len(hacc.IONs()) >= 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("HACC never shrank: %v", hacc.IONs())
-		}
-		time.Sleep(time.Millisecond)
+	if have, ok := hacc.AwaitIONs(2*time.Second, func(ions []string) bool { return len(ions) < 8 }); !ok {
+		t.Fatalf("HACC never shrank: %v", have)
 	}
 	if _, err := kernel.Run(hacc, "/phase2"); err != nil {
 		t.Fatalf("kernel disrupted by remap: %v", err)
@@ -139,20 +136,30 @@ func TestNoSharingAcrossClientsLive(t *testing.T) {
 	st := startStack(t, 4)
 	a, _ := st.NewClient("a")
 	bclient, _ := st.NewClient("b")
-	if _, err := st.Arbiter.JobStarted(appFor(t, "HACC", "a")); err != nil {
+	if _, err := st.Arbiter.JobStarted(appFor(t, "BT-D", "a")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Arbiter.JobStarted(appFor(t, "POSIX-L", "b")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
-	seen := map[string]bool{}
-	for _, addr := range a.IONs() {
-		seen[addr] = true
-	}
-	for _, addr := range bclient.IONs() {
-		if seen[addr] {
-			t.Fatalf("ION %s shared between applications", addr)
+	// Each client waits for the final map's non-empty allocation, so the
+	// check can neither pass on two empty ones nor compare a stale one.
+	final := st.Bus.Current()
+	seen := map[string]string{}
+	for app, c := range map[string]*fwd.Client{"a": a, "b": bclient} {
+		want := final.For(app)
+		if len(want) == 0 {
+			t.Fatalf("app %s got no I/O nodes: %v", app, final.IONs)
+		}
+		have, ok := c.AwaitIONs(2*time.Second, func(ions []string) bool { return slices.Equal(ions, want) })
+		if !ok {
+			t.Fatalf("app %s's client holds %v, want %v", app, have, want)
+		}
+		for _, addr := range have {
+			if other, dup := seen[addr]; dup {
+				t.Fatalf("ION %s shared between applications %s and %s", addr, other, app)
+			}
+			seen[addr] = app
 		}
 	}
 }
@@ -171,6 +178,4 @@ func TestClientErrsAfterStackClose(t *testing.T) {
 	if _, err := client.Write("/f", 0, []byte("x")); err == nil {
 		t.Fatal("write through closed stack should fail")
 	}
-	var errCheck error = errors.New("placeholder")
-	_ = errCheck
 }

@@ -37,8 +37,9 @@ func TestChaosKillDaemonMidWorkload(t *testing.T) {
 	// Bounded recovery: the prober marks the node down, the arbiter
 	// re-arbitrates, and the new mapping reaches the client.
 	c := app.Clients[0]
-	Await(t, 5*time.Second, func() bool { return len(c.IONs()) > 0 && !slices.Contains(c.IONs(), dead) },
-		"client never saw a mapping without the dead ION (has %v)", lazy(func() any { return c.IONs() }))
+	if have, ok := c.AwaitIONs(5*time.Second, func(ions []string) bool { return len(ions) > 0 && !slices.Contains(ions, dead) }); !ok {
+		t.Fatalf("client never saw a mapping without the dead ION (has %v)", have)
+	}
 	if m := r.Bus.Current().For("ior1"); slices.Contains(m, dead) || len(m) == 0 {
 		t.Fatalf("published mapping still includes the dead ION: %v", m)
 	}

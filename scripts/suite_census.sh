@@ -10,6 +10,11 @@
 # grows, lower it only together with a CHANGES.md line that says which
 # tests went and what covers them now.
 #
+# The floor file's "test-sleeps" line is the other way round: a ceiling
+# on the time.Sleep( calls in the cmd/ and internal/ test files. The
+# census fails when the count rises above it; lower it when sleeps go,
+# never raise it.
+#
 #   scripts/suite_census.sh            # print the census, gate on floors
 #   scripts/suite_census.sh > floors   # re-record (then review the diff)
 set -eu
@@ -40,4 +45,17 @@ for suite in chaos storm torture qos elastic blackout grayfail; do
         fi
     fi
 done
+
+sleeps="$(grep -r --include='*_test.go' -o 'time\.Sleep(' cmd internal | wc -l | tr -d ' ')"
+echo "test-sleeps $sleeps"
+if [ -f "$floors" ]; then
+    ceiling="$(awk '$1 == "test-sleeps" { print $2 }' "$floors")"
+    if [ -z "$ceiling" ]; then
+        echo "suite_census: no test-sleeps ceiling recorded in $floors" >&2
+        fail=1
+    elif [ "$sleeps" -gt "$ceiling" ]; then
+        echo "suite_census: test files call time.Sleep $sleeps times, ceiling is $ceiling — wait on an event instead" >&2
+        fail=1
+    fi
+fi
 exit $fail
