@@ -152,7 +152,7 @@ blackout:
 # with SCENARIO_SEED=<n> make grayfail.
 grayfail:
 	$(GO) test -race -count=2 -timeout 300s \
-		-run 'GrayFailure|Sketch|Degrad|Quarantine|Hedge|Interrupt|Slow|LoadAges|Stale|IdleRecovery' \
+		-run 'GrayFailure|Sketch|Degrad|Quarantine|Hedge|Interrupt|Slow|Stale|IdleRecovery' \
 		./internal/scenario ./internal/livestack ./internal/latency ./internal/health \
 		./internal/arbiter ./internal/fwd ./internal/rpc ./internal/faultnet \
 		./internal/elastic ./cmd/gkfwd

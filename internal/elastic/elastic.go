@@ -60,19 +60,19 @@ type Pool interface {
 // Health is the liveness surface the scaler reads and grows (implemented
 // by *health.Prober). Add's second argument seeds the node's debounced
 // state (nodestate.Down: not trusted until it rises). Load reports the
-// last sampled queue depth per node that is currently up; LoadAges
-// reports how old each of those samples is (nodes never sampled are
-// absent), so the scaler can refuse to act on evidence from before a
-// probe blackout.
+// last sampled queue depth per node that is currently up and whose sample
+// is fresh: a node never sampled, or whose sample went stale (a probe
+// path that stopped carrying load reports), is absent, so the scaler
+// never acts on evidence from before a probe blackout.
 type Health interface {
 	Add(addr string, initial nodestate.State) error
 	Remove(addr string)
 	StateOf(addr string) (nodestate.State, bool)
 	Load() map[string]int64
-	LoadAges() map[string]time.Duration
 }
 
-// Config parameterizes a Scaler.
+// Config parameterizes a Scaler. Its windows count ticks: the caller sets
+// the cadence (livestack ticks once per probe sweep).
 type Config struct {
 	// Min and Max bound the target pool size (members plus in-flight
 	// provisions, minus drains). Min ≥ 1 and Max ≥ Min are required.
@@ -100,13 +100,6 @@ type Config struct {
 	// MaxStep clamps how many nodes one decision may add or drain; ≤0
 	// selects 1.
 	MaxStep int
-	// Interval is the Start loop's tick period; ≤0 selects 1s. A node's
-	// load sample older than three Intervals is ignored: a prober that
-	// stopped sampling (a health blackout, a gray-slow probe path) leaves
-	// depths frozen at their last value, and scaling on frozen evidence
-	// drains busy nodes that merely *look* idle. Stale-skipped nodes count
-	// as absent from the demand signal, exactly like down ones.
-	Interval time.Duration
 
 	// DrainDeadline bounds how long a drain may wait for quiescence
 	// before the node is decommissioned anyway (in-flight work is
@@ -200,9 +193,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MaxStep <= 0 {
 		cfg.MaxStep = 1
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
 	if cfg.DrainDeadline <= 0 {
 		cfg.DrainDeadline = 30 * time.Second
 	}
@@ -251,8 +241,8 @@ type node struct {
 	quiet    int       // draining: consecutive quiesced ticks
 }
 
-// Scaler drives the pool lifecycle. All decisions happen inside Tick;
-// Start merely runs Tick on a ticker.
+// Scaler drives the pool lifecycle. All decisions happen inside Tick; it
+// runs no goroutine of its own.
 type Scaler struct {
 	cfg    Config
 	pool   Pool
@@ -269,11 +259,6 @@ type Scaler struct {
 	provNotBefor time.Time // backoff gate
 	breakerUntil time.Time
 	rng          *rand.Rand
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stopCh    chan struct{}
-	done      chan struct{}
 
 	tel struct {
 		scaleUps, scaleDowns        *telemetry.Counter
@@ -307,8 +292,6 @@ func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []strin
 		health: health,
 		nodes:  make(map[string]*node, len(initial)),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
 	}
 	for _, addr := range initial {
 		s.nodes[addr] = &node{phase: member}
@@ -333,37 +316,10 @@ func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []strin
 	return s, nil
 }
 
-// Start runs Tick every Interval until Stop. Safe to call once.
-func (s *Scaler) Start() {
-	s.startOnce.Do(func() {
-		go func() {
-			defer close(s.done)
-			ticker := time.NewTicker(s.cfg.Interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-s.stopCh:
-					return
-				case <-ticker.C:
-					s.Tick()
-				}
-			}
-		}()
-	})
-}
-
-// Stop ends the tick loop. In-progress drains and provisions are left
-// where they are — the stack owner decides whether to finish or discard
-// them on shutdown. Safe to call even if Start never ran.
-func (s *Scaler) Stop() {
-	s.stopOnce.Do(func() { close(s.stopCh) })
-	s.startOnce.Do(func() { close(s.done) }) // never started: nothing to wait for
-	<-s.done
-}
-
 // Tick advances every lifecycle and takes at most one scaling decision.
-// Exported so tests (and callers that want scaling under their own
-// timing) can drive the scaler deterministically.
+// The caller owns the cadence: livestack's control-plane loop ticks once
+// per probe sweep, after the sweep's events reached the arbiter, so the
+// sustain and quiesce windows count sweeps.
 func (s *Scaler) Tick() {
 	now := s.cfg.Now()
 	s.mu.Lock()
@@ -389,6 +345,21 @@ func (s *Scaler) Members() []string {
 	return out
 }
 
+// inPhase returns the addresses of the nodes in phase ph, ascending: nodes
+// that move in the same tick reach the pool and the provisioner in one
+// order, so one seed journals and publishes one sequence of pools. Caller
+// holds the lock.
+func (s *Scaler) inPhase(ph phase) []string {
+	var out []string
+	for addr, n := range s.nodes {
+		if n.phase == ph {
+			out = append(out, addr)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // census counts the nodes in each phase. Caller holds the lock.
 func (s *Scaler) census() (c [numPhases]int) {
 	for _, n := range s.nodes {
@@ -407,10 +378,8 @@ func (s *Scaler) isUp(addr string) bool {
 // health rise and rolls back the ones that did not make the deadline.
 // Caller holds the lock.
 func (s *Scaler) advanceProvisioning(now time.Time) {
-	for addr, n := range s.nodes {
-		if n.phase != provisioning {
-			continue
-		}
+	for _, addr := range s.inPhase(provisioning) {
+		n := s.nodes[addr]
 		if s.isUp(addr) {
 			// First rise achieved: the node is trusted, hand it to the
 			// arbiter. AddION's only failure modes are a duplicate (we
@@ -440,10 +409,8 @@ func (s *Scaler) advanceProvisioning(now time.Time) {
 // and abandons drains whose node died underneath them. Caller holds the
 // lock.
 func (s *Scaler) advanceDraining(now time.Time) {
-	for addr, n := range s.nodes {
-		if n.phase != draining {
-			continue
-		}
+	for _, addr := range s.inPhase(draining) {
+		n := s.nodes[addr]
 		if !s.isUp(addr) {
 			// Died mid-drain. The prober's Fail already ended the
 			// arbiter-side drain (DrainAbort below is a no-op then, and a
@@ -494,15 +461,12 @@ func (s *Scaler) completeDrain(addr string) {
 // decide reads the demand signal and takes at most one scaling decision.
 // Caller holds the lock.
 func (s *Scaler) decide(now time.Time) {
+	// Load omits stale samples, so a node that is up but absent from it
+	// sits out both the demand average and the scale-down victim ranking,
+	// exactly like a down one.
 	depths := s.health.Load()
-	// Drop samples from before a probe blackout: a frozen depth is not
-	// evidence of anything but the prober's own trouble. Filtering the
-	// map up front keeps stale nodes out of both the demand average and
-	// the scale-down victim ranking.
-	ages := s.health.LoadAges()
-	for addr := range depths {
-		if age, ok := ages[addr]; !ok || age > 3*s.cfg.Interval {
-			delete(depths, addr)
+	for addr := range s.nodes {
+		if _, ok := depths[addr]; !ok && s.isUp(addr) {
 			s.tel.staleSkipped.Inc()
 		}
 	}

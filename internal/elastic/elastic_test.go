@@ -8,6 +8,7 @@ package elastic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -65,15 +66,15 @@ func (p *fakePool) RemoveION(addr string) error {
 type fakeHealth struct {
 	up      map[string]bool
 	depth   map[string]int64
-	age     map[string]time.Duration // sample age override; absent = fresh
-	added   map[string]bool          // posture recorded at Add: the seeded up value
+	stale   map[string]bool // sample too old: Load omits the node
+	added   map[string]bool // posture recorded at Add: the seeded up value
 	removed []string
 }
 
 func newFakeHealth() *fakeHealth {
 	return &fakeHealth{
 		up: map[string]bool{}, depth: map[string]int64{},
-		age: map[string]time.Duration{}, added: map[string]bool{},
+		stale: map[string]bool{}, added: map[string]bool{},
 	}
 }
 func (h *fakeHealth) Add(addr string, initial nodestate.State) error {
@@ -100,17 +101,8 @@ func (h *fakeHealth) StateOf(addr string) (nodestate.State, bool) {
 func (h *fakeHealth) Load() map[string]int64 {
 	out := map[string]int64{}
 	for addr, up := range h.up {
-		if up {
+		if up && !h.stale[addr] {
 			out[addr] = h.depth[addr]
-		}
-	}
-	return out
-}
-func (h *fakeHealth) LoadAges() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for addr, up := range h.up {
-		if up {
-			out[addr] = h.age[addr] // zero (fresh) unless a test sets it
 		}
 	}
 	return out
@@ -274,6 +266,30 @@ func TestScaleUpNeedsSustainedSignalAndFirstRise(t *testing.T) {
 	}
 	if got := r.reg.Gauge("elastic_pool_size").Value(); got != 3 {
 		t.Fatalf("elastic_pool_size = %d, want 3", got)
+	}
+}
+
+// TestProvisionsRiseInAddressOrder: provisions that rise in the same tick
+// reach the arbiter in ascending address order, every time — the scaler
+// walks its node table in a fixed order, so one seed journals and
+// publishes one sequence of pools.
+func TestProvisionsRiseInAddressOrder(t *testing.T) {
+	for rep := 0; rep < 20; rep++ {
+		r := newRig(t, func(c *Config) { c.MaxStep = 4 })
+		r.setDepth(20)
+		for i := 0; i < 3; i++ { // UpSustain: four provisions at once
+			r.tick()
+		}
+		if len(r.prov.provisioned) != 4 {
+			t.Fatalf("provisioned = %v, want four", r.prov.provisioned)
+		}
+		for _, addr := range r.prov.provisioned {
+			r.health.up[addr] = true
+		}
+		r.tick()
+		if want := []string{"ion10:1", "ion11:1", "ion12:1", "ion13:1"}; !slices.Equal(r.pool.adds, want) {
+			t.Fatalf("repetition %d: arbiter adds = %v, want %v", rep, r.pool.adds, want)
+		}
 	}
 }
 
@@ -684,17 +700,18 @@ func TestCompleteDrainAbortsIfStillAssigned(t *testing.T) {
 }
 
 func TestStaleSamplesSkipped(t *testing.T) {
-	// A node whose load sample predates the staleness bound (3× Interval
-	// by default) is dropped from both the demand average and the victim
-	// ranking: a frozen depth is evidence of prober trouble, not load.
+	// A node whose load sample went stale is absent from Load, so it sits
+	// out both the demand average and the victim ranking: a frozen depth
+	// is evidence of prober trouble, not load. Up but absent, it is
+	// counted as skipped on every tick.
 	r := newRig(t, func(c *Config) { c.Min = 1 })
 	// ion1's huge-but-stale depth would otherwise mask the idle trend
 	// (avg 50 sits inside the hysteresis band); filtered out, the average
 	// is 0 and the only drain candidate is the fresh idle ion0.
 	r.health.depth["ion0:1"] = 0
 	r.health.depth["ion1:1"] = 100
-	r.health.age["ion1:1"] = 10 * time.Second // > the 3s default bound
-	for i := 0; i < 4; i++ {                  // DownSustain
+	r.health.stale["ion1:1"] = true
+	for i := 0; i < 4; i++ { // DownSustain
 		r.tick()
 	}
 	if !r.pool.draining["ion0:1"] {
@@ -703,8 +720,8 @@ func TestStaleSamplesSkipped(t *testing.T) {
 	if r.pool.draining["ion1:1"] {
 		t.Fatal("stale-sampled node picked as drain victim")
 	}
-	if got := r.counter("elastic_stale_samples_skipped_total"); got < 4 {
-		t.Fatalf("stale skip counter = %d, want ≥ 4", got)
+	if got := r.counter("elastic_stale_samples_skipped_total"); got != 4 {
+		t.Fatalf("stale skip counter = %d, want 4 (one per tick)", got)
 	}
 }
 
@@ -713,8 +730,8 @@ func TestAllSamplesStaleFreezesScaling(t *testing.T) {
 	// scaler must hold position exactly as if all members were down.
 	r := newRig(t, func(c *Config) { c.Min = 1 })
 	r.setDepth(0) // would otherwise drain after DownSustain
-	r.health.age["ion0:1"] = time.Hour
-	r.health.age["ion1:1"] = time.Hour
+	r.health.stale["ion0:1"] = true
+	r.health.stale["ion1:1"] = true
 	for i := 0; i < 10; i++ {
 		r.tick()
 	}
@@ -722,17 +739,4 @@ func TestAllSamplesStaleFreezesScaling(t *testing.T) {
 		t.Fatalf("scaled on all-stale evidence: draining=%v provisioned=%v",
 			r.pool.draining, r.prov.provisioned)
 	}
-}
-
-func TestStartStopLoop(t *testing.T) {
-	r := newRig(t, func(c *Config) { c.Interval = time.Millisecond; c.Now = nil })
-	r.s.Start()
-	time.Sleep(20 * time.Millisecond)
-	r.s.Stop()
-	r.s.Stop() // idempotent
-}
-
-func TestStopWithoutStart(t *testing.T) {
-	r := newRig(t, nil)
-	r.s.Stop()
 }

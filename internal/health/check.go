@@ -13,11 +13,11 @@ import (
 // (shed) response proves the node alive, exactly as in the prober's
 // sweep; only transport failures count as dead. The probe dials a
 // dedicated connection with no retries and no breaker so it sees raw
-// reachability, and closes it before returning. timeout ≤0 selects
-// 500ms.
+// reachability, and closes it before returning. timeout ≤0 selects the
+// prober's default deadline, 500ms.
 func Check(addr string, timeout time.Duration) bool {
 	if timeout <= 0 {
-		timeout = 500 * time.Millisecond
+		timeout = defaultTimeout
 	}
 	cli := rpc.Dial(addr, 1).WithOptions(rpc.Options{CallTimeout: timeout})
 	defer cli.Close()

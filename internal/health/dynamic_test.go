@@ -19,15 +19,13 @@ func TestAddStartsPessimisticAndRises(t *testing.T) {
 	srvB, addrB := pingServer(t)
 	defer srvB.Close()
 
-	col := &collector{}
+	var evs []Event
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:         []string{addrA},
-		Interval:      time.Second, // driven manually via ProbeOnce
 		Timeout:       100 * time.Millisecond,
 		FailThreshold: 2,
 		RiseThreshold: 2,
-		OnEvent:       col.add,
 		Telemetry:     reg,
 	})
 	if err != nil {
@@ -45,17 +43,16 @@ func TestAddStartsPessimisticAndRises(t *testing.T) {
 		t.Fatalf("health_ions_up = %d, want 1 (new node not yet risen)", got)
 	}
 
-	p.ProbeOnce() // rise 1 of 2
+	evs = append(evs, p.ProbeOnce()...) // rise 1 of 2
 	if isUp(p, addrB) {
 		t.Fatal("node rose before RiseThreshold")
 	}
-	p.ProbeOnce() // rise 2 of 2
+	evs = append(evs, p.ProbeOnce()...) // rise 2 of 2
 	if !isUp(p, addrB) {
 		t.Fatal("node did not rise after RiseThreshold successful pings")
 	}
-	trs := col.all()
-	if len(trs) != 1 || trs[0] != (Event{addrB, nodestate.Rise}) {
-		t.Fatalf("events = %v, want one Rise for %s", trs, addrB)
+	if len(evs) != 1 || evs[0] != (Event{addrB, nodestate.Rise}) {
+		t.Fatalf("events = %v, want one Rise for %s", evs, addrB)
 	}
 	if got := reg.Gauge("health_ions_up").Value(); got != 2 {
 		t.Fatalf("health_ions_up = %d, want 2", got)
@@ -74,7 +71,6 @@ func TestRemoveStopsProbingAndSettlesGauges(t *testing.T) {
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:     []string{addrA, addrB},
-		Interval:  time.Second,
 		Timeout:   100 * time.Millisecond,
 		Telemetry: reg,
 	})
@@ -117,9 +113,8 @@ func TestLoadReportsSampledQueueDepth(t *testing.T) {
 	defer srv.Close()
 
 	p, err := New(Config{
-		Addrs:    []string{addr},
-		Interval: time.Second,
-		Timeout:  100 * time.Millisecond,
+		Addrs:   []string{addr},
+		Timeout: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

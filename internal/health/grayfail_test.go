@@ -6,7 +6,6 @@ package health
 // whole latency plane is strictly opt-in.
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -33,17 +32,15 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 		addrs = append(addrs, addr)
 	}
 	sk := latency.NewSketch(0)
-	col := &collector{}
+	var evs []Event
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:        addrs,
-		Interval:     time.Second, // driven manually
 		Timeout:      100 * time.Millisecond,
 		SlowFactor:   4,
 		SlowWindow:   2,
 		SlowRecovery: 3,
 		Latency:      sk,
-		OnEvent:      col.add,
 		Telemetry:    reg,
 	})
 	if err != nil {
@@ -57,19 +54,19 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	seedSketch(sk, addrs[1], 10*time.Millisecond, 60)
 	seedSketch(sk, addrs[2], 200*time.Millisecond, 60)
 
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if in(p, addrs[2], nodestate.Degraded) {
 		t.Fatal("one slow sweep must not mark degraded (SlowWindow=2)")
 	}
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if !in(p, addrs[2], nodestate.Degraded) {
 		t.Fatal("two slow sweeps should mark degraded")
 	}
 	if in(p, addrs[0], nodestate.Degraded) || in(p, addrs[1], nodestate.Degraded) {
 		t.Fatal("healthy peers misread as degraded")
 	}
-	if dgs := col.all(); len(dgs) != 1 || dgs[0] != (Event{addrs[2], nodestate.Slow}) {
-		t.Fatalf("unexpected degradation events: %+v", dgs)
+	if len(evs) != 1 || evs[0] != (Event{addrs[2], nodestate.Slow}) {
+		t.Fatalf("unexpected degradation events: %+v", evs)
 	}
 	if got := reg.Counter("health_degraded_transitions_total").Value(); got != 1 {
 		t.Fatalf("health_degraded_transitions_total = %d, want 1", got)
@@ -90,17 +87,17 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	// peers. Recovery needs SlowRecovery=3 clean sweeps (hysteresis).
 	sk.Forget(addrs[2])
 	seedSketch(sk, addrs[2], 10*time.Millisecond, 60)
-	p.ProbeOnce()
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
+	evs = append(evs, p.ProbeOnce()...)
 	if !in(p, addrs[2], nodestate.Degraded) {
 		t.Fatal("two clean sweeps must not restore (SlowRecovery=3)")
 	}
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if in(p, addrs[2], nodestate.Degraded) {
 		t.Fatal("three clean sweeps should restore")
 	}
-	if dgs := col.all(); len(dgs) != 2 || dgs[1] != (Event{addrs[2], nodestate.Restore}) {
-		t.Fatalf("Restore event missing: %+v", dgs)
+	if len(evs) != 2 || evs[1] != (Event{addrs[2], nodestate.Restore}) {
+		t.Fatalf("Restore event missing: %+v", evs)
 	}
 	if got := reg.Counter("health_degraded_recovered_total").Value(); got != 1 {
 		t.Fatalf("health_degraded_recovered_total = %d, want 1", got)
@@ -124,7 +121,6 @@ func TestDegradedNeedsPeerQuorum(t *testing.T) {
 	sk := latency.NewSketch(0)
 	p, err := New(Config{
 		Addrs:      addrs,
-		Interval:   time.Second,
 		Timeout:    100 * time.Millisecond,
 		SlowFactor: 2,
 		SlowWindow: 1,
@@ -158,7 +154,6 @@ func TestSlowMinLatencyFloor(t *testing.T) {
 	sk := latency.NewSketch(0)
 	p, err := New(Config{
 		Addrs:      addrs,
-		Interval:   time.Second,
 		Timeout:    100 * time.Millisecond,
 		SlowFactor: 4,
 		SlowWindow: 1,
@@ -194,14 +189,12 @@ func TestSlowScorerInactiveWithoutFactor(t *testing.T) {
 	seedSketch(sk, addrs[2], time.Minute, 60) // absurdly slow — must be ignored
 	seedSketch(sk, addrs[0], time.Millisecond, 60)
 	seedSketch(sk, addrs[1], time.Millisecond, 60)
-	col := &collector{}
+	var evs []Event
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:     addrs,
-		Interval:  time.Second,
 		Timeout:   100 * time.Millisecond,
 		Latency:   sk, // sketch without factor: plane stays off
-		OnEvent:   col.add,
 		Telemetry: reg,
 	})
 	if err != nil {
@@ -209,9 +202,9 @@ func TestSlowScorerInactiveWithoutFactor(t *testing.T) {
 	}
 	defer p.Stop()
 	for i := 0; i < 4; i++ {
-		p.ProbeOnce()
+		evs = append(evs, p.ProbeOnce()...)
 	}
-	if in(p, addrs[2], nodestate.Degraded) || len(col.all()) != 0 {
+	if in(p, addrs[2], nodestate.Degraded) || len(evs) != 0 {
 		t.Fatal("scorer ran without a SlowFactor")
 	}
 	snap := reg.Snapshot()
@@ -225,61 +218,44 @@ func TestSlowScorerInactiveWithoutFactor(t *testing.T) {
 	}
 }
 
-// TestLoadAges pins the satellite fix: Load snapshots now carry an age,
-// so a consumer (the elastic scaler) can tell a fresh sample from a
-// stale one instead of reading a wedged node's last depth — or a
-// never-sampled node's zero — as current truth.
-func TestLoadAges(t *testing.T) {
+// TestLoadOmitsStaleSample: a load sample stays evidence for
+// sampleStaleness (3) sweeps. Sweeps that carry no sample — busy pings
+// prove the node alive but report no depth — age it: after busy sweeps
+// 1–3 Load still reports it, the 4th omits the node, and the next loaded
+// sweep brings it back. A node never sampled is omitted too: its zero was
+// never measured.
+func TestLoadOmitsStaleSample(t *testing.T) {
 	ls := &loadServer{}
 	_, addr := ls.start(t)
-	now := time.Unix(1000, 0)
-	var clockMu sync.Mutex
-	clock := func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		now = now.Add(d)
-		clockMu.Unlock()
-	}
-	p, err := New(Config{
-		Addrs:    []string{addr},
-		Interval: time.Second,
-		Timeout:  100 * time.Millisecond,
-		Now:      clock,
-	})
+	p, err := New(Config{Addrs: []string{addr}, Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Stop()
 
-	// Before any sweep the node has no sample: Load reports the zero
-	// value but LoadAges omits it — absence is the staleness signal.
-	if ages := p.LoadAges(); len(ages) != 0 {
-		t.Fatalf("LoadAges before any sweep = %v, want empty", ages)
+	if load := p.Load(); len(load) != 0 {
+		t.Fatalf("Load before any sweep = %v, want empty", load)
 	}
 	ls.depth.Store(7)
 	p.ProbeOnce()
-	if ages := p.LoadAges(); len(ages) != 1 || ages[addr] != 0 {
-		t.Fatalf("LoadAges right after a sweep = %v, want {%s: 0}", ages, addr)
+	if load := p.Load(); len(load) != 1 || load[addr] != 7 {
+		t.Fatalf("Load right after a loaded sweep = %v, want {%s: 7}", load, addr)
 	}
-	advance(42 * time.Second)
-	if ages := p.LoadAges(); ages[addr] != 42*time.Second {
-		t.Fatalf("LoadAges after 42s = %v", ages)
-	}
-	// A busy sweep proves liveness but carries no load sample: the age
-	// keeps growing instead of resetting on a sample-free sweep.
 	ls.shedding.Store(true)
-	p.ProbeOnce()
-	advance(8 * time.Second)
-	if ages := p.LoadAges(); ages[addr] != 50*time.Second {
-		t.Fatalf("LoadAges after busy sweep = %v, want 50s", ages)
+	for busy := 1; busy <= sampleStaleness+1; busy++ {
+		p.ProbeOnce()
+		_, kept := p.Load()[addr]
+		if want := busy <= sampleStaleness; kept != want {
+			t.Fatalf("after busy sweep %d the sample is kept = %v, want %v", busy, kept, want)
+		}
+	}
+	if !isUp(p, addr) {
+		t.Fatal("busy sweeps marked the node down: staleness is not liveness")
 	}
 	ls.shedding.Store(false)
+	ls.depth.Store(9)
 	p.ProbeOnce()
-	if ages := p.LoadAges(); ages[addr] != 0 {
-		t.Fatalf("LoadAges after fresh loaded sweep = %v, want 0", ages)
+	if got, ok := p.Load()[addr]; !ok || got != 9 {
+		t.Fatalf("Load after a fresh loaded sweep = %d (present %v), want 9", got, ok)
 	}
 }

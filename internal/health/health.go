@@ -1,14 +1,17 @@
 // Package health is the monitoring plane of the forwarding stack: a
 // heartbeat prober that pings every I/O-node daemon over the existing rpc
 // protocol (OpPing), debounces what it sees into nodestate events, and
-// feeds the control plane that one stream (Config.OnEvent).
+// hands the control plane that one stream: each sweep (ProbeOnce) returns
+// the events it fired.
 //
 // The paper's premise is that forwarding is on-demand and optional — an
 // application with an empty allocation accesses the PFS directly — so an
 // I/O node that stops answering must be *detected* and *removed from the
 // arbitration pool*, not waited on. The prober is the detector half of
-// that loop: the arbiter (Transition) is the reactor, and livestack wires
-// the two together through the OnEvent callback.
+// that loop: the arbiter (Transition) is the reactor. The prober runs no
+// goroutine of its own: livestack's one control-plane loop calls
+// ProbeOnce every probe interval, applies the returned events to the
+// arbiter, and then steps the autoscaler, which reads Load.
 //
 // Detection is threshold-debounced in both directions: FailThreshold
 // consecutive failed pings mark a node down (one lost packet is not an
@@ -32,6 +35,7 @@ package health
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -57,15 +61,11 @@ type Event struct {
 type Config struct {
 	// Addrs are the I/O-node addresses to probe. Required.
 	Addrs []string
-	// Interval between probe sweeps; ≤0 selects 1s.
-	Interval time.Duration
-	// Timeout is the per-ping deadline; ≤0 selects Interval/2, floored at
-	// 100ms — pings are answered inline by the daemon, but on a saturated
-	// host scheduling delay alone can cost tens of milliseconds, and a
-	// busy-but-alive node must not be mistaken for a dead one. Probes use
-	// a dedicated rpc client with no retries and no breaker, so the
-	// prober sees raw reachability. Timeout may exceed Interval: sweeps
-	// run sequentially and a slow sweep simply delays the next tick.
+	// Timeout is the per-ping deadline; ≤0 selects 500ms, Check's
+	// default too (livestack derives its own from the probe interval).
+	// Probes use a dedicated rpc client with no retries and no breaker,
+	// so the prober sees raw reachability. A sweep lasts at most one
+	// Timeout: its pings run in parallel.
 	Timeout time.Duration
 	// FailThreshold consecutive failed pings mark a node down; ≤0
 	// selects 3.
@@ -73,13 +73,6 @@ type Config struct {
 	// RiseThreshold consecutive successful pings mark a down node back
 	// up; ≤0 selects 1.
 	RiseThreshold int
-	// OnEvent, when non-nil, is invoked synchronously from the probe
-	// goroutine (outside the prober's lock) for every debounced change —
-	// typically arbiter.Transition(e.Addr, e.Kind). One sweep's events
-	// arrive in a fixed order — liveness first, then overload, then
-	// slowness, ascending address within each — so the same probes always
-	// produce the same sequence of arbitrations.
-	OnEvent func(Event)
 
 	// OverloadQueueDepth marks a sweep as overloaded when the daemon's
 	// reported queue depth is at least this value; ≤0 disables the
@@ -125,12 +118,6 @@ type Config struct {
 	// arrives; the trailer keeps the probe path exercised end to end).
 	WireChecksum bool
 
-	// Now supplies the clock for load-sample ages; nil selects
-	// time.Now. Injected for deterministic tests, mirroring the elastic
-	// scaler's seam. (Probe RTTs always use the real monotonic clock —
-	// they measure the wire, not the schedule.)
-	Now func() time.Time
-
 	// Telemetry receives probe metrics; nil disables them.
 	Telemetry *telemetry.Registry
 }
@@ -144,6 +131,17 @@ func (c Config) overloadActive() bool {
 func (c Config) slowActive() bool {
 	return c.SlowFactor > 0
 }
+
+// defaultTimeout is the ping deadline of a prober or a Check whose caller
+// set none.
+const defaultTimeout = 500 * time.Millisecond
+
+// sampleStaleness is how many sweeps a load sample stays evidence: Load
+// omits a node whose last sample is older. A node that stops producing
+// samples (its pings time out or come back busy) leaves its depth frozen
+// at the last value, and scaling on frozen evidence drains busy nodes
+// that merely *look* idle.
+const sampleStaleness = 3
 
 // slowMinSamples is how many sketch samples a node needs before the
 // scorer will judge it (or count it as a peer): scoring a node on one
@@ -205,10 +203,10 @@ type nodeState struct {
 	state   nodestate.State // probed bits only
 	streaks [numPlanes]streak
 
-	lastRejects int64     // cumulative reject counter from the last sweep
-	sawRejects  bool      // lastRejects holds a real sample (not the zero value)
-	lastDepth   int64     // queue depth from the last loaded sweep
-	sampleAt    time.Time // when lastDepth was sampled; zero = never
+	lastRejects int64  // cumulative reject counter from the last sweep
+	sawRejects  bool   // lastRejects holds a real sample (not the zero value)
+	lastDepth   int64  // queue depth from the last loaded sweep
+	sampledIn   uint64 // the sweep that sampled lastDepth; 0 = never
 
 	queueDepth, shedDelta *telemetry.Gauge // the node's health_ion_* series
 }
@@ -220,13 +218,9 @@ type Prober struct {
 	cfg    Config
 	planes [numPlanes]plane
 
-	mu    sync.Mutex
-	state map[string]*nodeState
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	mu     sync.Mutex
+	state  map[string]*nodeState
+	sweeps uint64 // sweeps judged so far; the clock sample ages count in
 
 	tel struct {
 		probes, failures *telemetry.Counter
@@ -239,20 +233,14 @@ type Prober struct {
 	}
 }
 
-// New builds a prober; every node starts optimistically up. Call Start to
-// begin probing, or drive sweeps explicitly with ProbeOnce.
+// New builds a prober; every node starts optimistically up. Nothing is
+// probed until the caller sweeps with ProbeOnce.
 func New(cfg Config) (*Prober, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("health: at least one address is required")
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
-	}
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = cfg.Interval / 2
-		if cfg.Timeout < 100*time.Millisecond {
-			cfg.Timeout = 100 * time.Millisecond
-		}
+		cfg.Timeout = defaultTimeout
 	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
@@ -277,9 +265,6 @@ func New(cfg Config) (*Prober, error) {
 			cfg.Latency = latency.NewSketch(0)
 		}
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	p := &Prober{
 		cfg: cfg,
 		planes: [numPlanes]plane{
@@ -288,8 +273,6 @@ func New(cfg Config) (*Prober, error) {
 			slowness: {nodestate.Degraded, nodestate.Slow, nodestate.Restore, cfg.SlowWindow, cfg.SlowRecovery},
 		},
 		state: make(map[string]*nodeState, len(cfg.Addrs)),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
 	}
 	reg := cfg.Telemetry
 	p.tel.probes = reg.Counter("health_probes_total")
@@ -387,66 +370,26 @@ func (p *Prober) StateOf(addr string) (st nodestate.State, ok bool) {
 }
 
 // Load reports the last sampled queue depth of every probed node that is
-// currently up — the autoscaler's demand signal. Nodes that are down (or
-// have not yet produced a loaded sweep, which report 0) are the liveness
-// plane's problem, not the capacity planner's.
+// currently up — the autoscaler's demand signal. A node whose sample is
+// more than sampleStaleness sweeps old, or that was never sampled, is
+// omitted: a frozen depth or a zero that was never measured is not
+// evidence of load. Nodes that are down are the liveness plane's problem,
+// not the capacity planner's.
 func (p *Prober) Load() map[string]int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[string]int64, len(p.state))
 	for addr, st := range p.state {
-		if !st.state.Has(nodestate.Down) {
+		if !st.state.Has(nodestate.Down) && st.sampledIn > 0 && p.sweeps-st.sampledIn <= sampleStaleness {
 			out[addr] = st.lastDepth
 		}
 	}
 	return out
 }
 
-// LoadAges reports, for every node that is up, how long ago its Load
-// sample was taken. Nodes that have never produced a loaded sweep are
-// omitted — their Load entry is the zero value, not a measurement, and
-// the autoscaler must not read an idle node into it. Ages use the
-// injected clock, so a frozen test clock reports frozen ages.
-func (p *Prober) LoadAges() map[string]time.Duration {
-	now := p.cfg.Now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]time.Duration, len(p.state))
-	for addr, st := range p.state {
-		if !st.state.Has(nodestate.Down) && !st.sampleAt.IsZero() {
-			out[addr] = now.Sub(st.sampleAt)
-		}
-	}
-	return out
-}
-
-// Start launches the periodic probe loop. Safe to call once; Stop ends it.
-func (p *Prober) Start() {
-	p.startOnce.Do(func() {
-		go func() {
-			defer close(p.done)
-			ticker := time.NewTicker(p.cfg.Interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-p.stop:
-					return
-				case <-ticker.C:
-					p.ProbeOnce()
-				}
-			}
-		}()
-	})
-}
-
-// Stop ends probing and releases the probe connections. Safe to call even
-// if Start never ran.
+// Stop releases the probe connections. The caller must have ended its
+// sweeps first.
 func (p *Prober) Stop() {
-	p.stopOnce.Do(func() {
-		close(p.stop)
-	})
-	p.startOnce.Do(func() { close(p.done) }) // never started: nothing to wait for
-	<-p.done
 	p.mu.Lock()
 	clients := make([]*rpc.Client, 0, len(p.state))
 	for _, st := range p.state {
@@ -458,11 +401,12 @@ func (p *Prober) Stop() {
 	}
 }
 
-// ProbeOnce performs one synchronous sweep over every address, applying
-// thresholds and firing OnEvent for each change. Exported so tests (and
-// callers that want probe timing under their own control) can drive the
-// prober deterministically.
-func (p *Prober) ProbeOnce() {
+// ProbeOnce performs one synchronous sweep over every address, applies
+// the thresholds, and returns the debounced changes in a fixed order —
+// liveness first, then overload, then slowness, ascending address within
+// each — so the same probes always produce the same sequence of
+// arbitrations.
+func (p *Prober) ProbeOnce() []Event {
 	// probeResult is one ping's outcome. A busy (shed) ping proves the
 	// node alive — only transport errors count as probe failures — but it
 	// carries no load sample, so depth/rejects are valid only when loaded
@@ -516,6 +460,7 @@ func (p *Prober) ProbeOnce() {
 	var fired [numPlanes][]Event
 	detecting := p.cfg.overloadActive()
 	p.mu.Lock()
+	p.sweeps++
 	for i, addr := range addrs {
 		r := results[i]
 		st := p.state[addr]
@@ -534,7 +479,7 @@ func (p *Prober) ProbeOnce() {
 		var shedDelta int64
 		if r.loaded {
 			st.lastDepth = r.depth
-			st.sampleAt = p.cfg.Now()
+			st.sampledIn = p.sweeps
 			st.queueDepth.Set(r.depth)
 			if st.sawRejects && r.rejects >= st.lastRejects {
 				shedDelta = r.rejects - st.lastRejects
@@ -556,16 +501,7 @@ func (p *Prober) ProbeOnce() {
 		p.scoreSlowLocked(&fired)
 	}
 	p.mu.Unlock()
-
-	// The callback runs outside the prober lock so it may query the
-	// prober (and take arbitrary downstream locks) freely.
-	if p.cfg.OnEvent != nil {
-		for _, events := range fired {
-			for _, e := range events {
-				p.cfg.OnEvent(e)
-			}
-		}
-	}
+	return slices.Concat(fired[:]...)
 }
 
 // observe feeds one sweep's signal for one plane of one node through the

@@ -1,7 +1,6 @@
 package health
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -22,24 +21,6 @@ func pingServer(t *testing.T) (*rpc.Server, string) {
 	return srv, addr
 }
 
-// collector records events thread-safely.
-type collector struct {
-	mu  sync.Mutex
-	evs []Event
-}
-
-func (c *collector) add(e Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.evs = append(c.evs, e)
-}
-
-func (c *collector) all() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.evs...)
-}
-
 // in reports whether the prober has addr in any condition of mask.
 func in(p *Prober, addr string, mask nodestate.State) bool {
 	st, _ := p.StateOf(addr)
@@ -57,15 +38,13 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	srvB, addrB := pingServer(t)
 	defer srvB.Close()
 
-	col := &collector{}
+	var evs []Event
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:         []string{addrA, addrB},
-		Interval:      time.Second, // driven manually via ProbeOnce
 		Timeout:       100 * time.Millisecond,
 		FailThreshold: 2,
 		RiseThreshold: 2,
-		OnEvent:       col.add,
 		Telemetry:     reg,
 	})
 	if err != nil {
@@ -73,26 +52,25 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	}
 	defer p.Stop()
 
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if !isUp(p, addrA) || !isUp(p, addrB) {
 		t.Fatal("both nodes should be up")
 	}
-	if len(col.all()) != 0 {
-		t.Fatalf("no transitions expected yet: %v", col.all())
+	if len(evs) != 0 {
+		t.Fatalf("no transitions expected yet: %v", evs)
 	}
 
 	srvA.Close()
-	p.ProbeOnce() // failure 1 of 2: debounced, still up
+	evs = append(evs, p.ProbeOnce()...) // failure 1 of 2: debounced, still up
 	if !isUp(p, addrA) {
 		t.Fatal("one failed ping must not mark a node down (FailThreshold=2)")
 	}
-	p.ProbeOnce() // failure 2 of 2: down
+	evs = append(evs, p.ProbeOnce()...) // failure 2 of 2: down
 	if isUp(p, addrA) {
 		t.Fatal("node should be down after FailThreshold failures")
 	}
-	trs := col.all()
-	if len(trs) != 1 || trs[0] != (Event{addrA, nodestate.Fail}) {
-		t.Fatalf("want one Fail for %s, got %v", addrA, trs)
+	if len(evs) != 1 || evs[0] != (Event{addrA, nodestate.Fail}) {
+		t.Fatalf("want one Fail for %s, got %v", addrA, evs)
 	}
 	if got := reg.Counter("health_transitions_down_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_down_total = %d, want 1", got)
@@ -112,17 +90,16 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 		t.Fatalf("rebind %s: %v", addrA, err2)
 	}
 	defer srvA2.Close()
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if isUp(p, addrA) {
 		t.Fatal("one good ping must not mark a node up (RiseThreshold=2)")
 	}
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if !isUp(p, addrA) {
 		t.Fatal("node should be back up after RiseThreshold successes")
 	}
-	trs = col.all()
-	if len(trs) != 2 || trs[1] != (Event{addrA, nodestate.Rise}) {
-		t.Fatalf("want a final Rise, got %v", trs)
+	if len(evs) != 2 || evs[1] != (Event{addrA, nodestate.Rise}) {
+		t.Fatalf("want a final Rise, got %v", evs)
 	}
 	if got := reg.Counter("health_transitions_up_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_up_total = %d, want 1", got)
@@ -132,57 +109,11 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	}
 }
 
-func TestStartStopLoop(t *testing.T) {
-	srv, addr := pingServer(t)
-	defer srv.Close()
-	reg := telemetry.New()
-	p, err := New(Config{
-		Addrs:     []string{addr},
-		Interval:  2 * time.Millisecond,
-		Timeout:   50 * time.Millisecond,
-		Telemetry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	probes := reg.Counter("health_probes_total")
-	deadline := time.Now().Add(2 * time.Second)
-	for probes.Value() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("probe loop never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p.Stop()
-	// Stop is idempotent and Stop-after-Stop must not hang.
-	p.Stop()
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty address set should fail")
 	}
 	if _, err := New(Config{Addrs: []string{"a:1", "a:1"}}); err == nil {
 		t.Fatal("duplicate addresses should fail")
-	}
-}
-
-func TestStopWithoutStart(t *testing.T) {
-	srv, addr := pingServer(t)
-	defer srv.Close()
-	p, err := New(Config{Addrs: []string{addr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		p.Stop()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Stop without Start hung")
 	}
 }

@@ -44,16 +44,14 @@ func (l *loadServer) start(t *testing.T) (*rpc.Server, string) {
 func TestOverloadDetectionByQueueDepth(t *testing.T) {
 	ls := &loadServer{}
 	_, addr := ls.start(t)
-	col := &collector{}
+	var evs []Event
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:              []string{addr},
-		Interval:           time.Second, // driven manually
 		Timeout:            100 * time.Millisecond,
 		OverloadQueueDepth: 10,
 		OverloadThreshold:  2,
 		OverloadRecovery:   2,
-		OnEvent:            col.add,
 		Telemetry:          reg,
 	})
 	if err != nil {
@@ -63,9 +61,9 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 
 	// Healthy depth: no overload state accrues.
 	ls.depth.Store(3)
-	p.ProbeOnce()
-	p.ProbeOnce()
-	if in(p, addr, nodestate.Overloaded) || len(col.all()) != 0 {
+	evs = append(evs, p.ProbeOnce()...)
+	evs = append(evs, p.ProbeOnce()...)
+	if in(p, addr, nodestate.Overloaded) || len(evs) != 0 {
 		t.Fatal("healthy node misread as overloaded")
 	}
 	if got := reg.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", addr)).Value(); got != 3 {
@@ -74,16 +72,16 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 
 	// One hot sweep is not enough (debounce), two are.
 	ls.depth.Store(25)
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if in(p, addr, nodestate.Overloaded) {
 		t.Fatal("one hot sweep must not mark overload")
 	}
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if !in(p, addr, nodestate.Overloaded) {
 		t.Fatal("two hot sweeps should mark overload")
 	}
-	if ovs := col.all(); len(ovs) != 1 || ovs[0] != (Event{addr, nodestate.Hot}) {
-		t.Fatalf("unexpected overload events: %+v", ovs)
+	if len(evs) != 1 || evs[0] != (Event{addr, nodestate.Hot}) {
+		t.Fatalf("unexpected overload events: %+v", evs)
 	}
 	if got := reg.Counter("health_transitions_overloaded_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_overloaded_total = %d, want 1", got)
@@ -98,16 +96,16 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 
 	// Recovery debounces the same way.
 	ls.depth.Store(2)
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if !in(p, addr, nodestate.Overloaded) {
 		t.Fatal("one cool sweep must not clear overload")
 	}
-	p.ProbeOnce()
+	evs = append(evs, p.ProbeOnce()...)
 	if in(p, addr, nodestate.Overloaded) {
 		t.Fatal("two cool sweeps should clear overload")
 	}
-	if ovs := col.all(); len(ovs) != 2 || ovs[1] != (Event{addr, nodestate.Cool}) {
-		t.Fatalf("Cool event missing: %+v", ovs)
+	if len(evs) != 2 || evs[1] != (Event{addr, nodestate.Cool}) {
+		t.Fatalf("Cool event missing: %+v", evs)
 	}
 	if got := reg.Counter("health_transitions_recovered_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_recovered_total = %d, want 1", got)
@@ -122,7 +120,6 @@ func TestOverloadDetectionByShedDelta(t *testing.T) {
 	_, addr := ls.start(t)
 	p, err := New(Config{
 		Addrs:             []string{addr},
-		Interval:          time.Second,
 		Timeout:           100 * time.Millisecond,
 		OverloadShedDelta: 5,
 		OverloadThreshold: 1,
@@ -169,7 +166,6 @@ func TestBusyPingIsAliveAndOverloaded(t *testing.T) {
 	reg := telemetry.New()
 	p, err := New(Config{
 		Addrs:              []string{addr},
-		Interval:           time.Second,
 		Timeout:            100 * time.Millisecond,
 		FailThreshold:      2,
 		OverloadQueueDepth: 100, // depth signal armed but never reached
@@ -213,9 +209,8 @@ func TestOverloadInactiveWithoutThresholds(t *testing.T) {
 	ls := &loadServer{}
 	_, addr := ls.start(t)
 	p, err := New(Config{
-		Addrs:    []string{addr},
-		Interval: time.Second,
-		Timeout:  100 * time.Millisecond,
+		Addrs:   []string{addr},
+		Timeout: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -96,8 +96,8 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// TestProbeSweepDeliversEventsInFixedOrder: the order events reach
-// OnEvent reaches the mapping (the arbiter re-solves per event), so one
+// TestProbeSweepDeliversEventsInFixedOrder: the order of the events a
+// sweep returns reaches the mapping (the arbiter re-solves per event), so one
 // sweep in which several nodes change must always deliver the same
 // sequence — liveness plane first, then overload, ascending address
 // within each. Fifty identical sweeps with four simultaneous failures and
@@ -123,22 +123,19 @@ func TestProbeSweepDeliversEventsInFixedOrder(t *testing.T) {
 		want = append(want, Event{a, nodestate.Hot})
 	}
 	for sweep := 0; sweep < 50; sweep++ {
-		col := &collector{}
 		p, err := New(Config{
 			Addrs:              append(append([]string(nil), hot...), dead...),
-			Interval:           time.Second, // driven manually
 			Timeout:            time.Second,
 			FailThreshold:      1,
 			OverloadQueueDepth: 10,
 			OverloadThreshold:  1,
-			OnEvent:            col.add,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.ProbeOnce()
+		got := p.ProbeOnce()
 		p.Stop()
-		if got := col.all(); !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("sweep %d delivered\n  %v\nwant\n  %v", sweep, got, want)
 		}
 	}
@@ -161,10 +158,9 @@ func TestProbeSeededConditionsFireClearingEdges(t *testing.T) {
 	for _, a := range addrs {
 		seedSketch(sk, a, 10*time.Millisecond, 60)
 	}
-	col := &collector{}
+	var evs []Event
 	p, err := New(Config{
 		Addrs:              addrs[3:], // one plain member; the rest are seeded below
-		Interval:           time.Second,
 		Timeout:            time.Second,
 		RiseThreshold:      2,
 		OverloadQueueDepth: 10,
@@ -172,7 +168,6 @@ func TestProbeSeededConditionsFireClearingEdges(t *testing.T) {
 		SlowFactor:         4,
 		SlowRecovery:       4,
 		Latency:            sk,
-		OnEvent:            col.add,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,12 +193,12 @@ func TestProbeSeededConditionsFireClearingEdges(t *testing.T) {
 	}
 	var want []Event
 	for sweep := 1; sweep <= 6; sweep++ {
-		p.ProbeOnce()
+		evs = append(evs, p.ProbeOnce()...)
 		if e, ok := wantAt[sweep]; ok {
 			want = append(want, e)
 		}
-		if got := col.all(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("after sweep %d events = %v, want %v", sweep, got, want)
+		if !reflect.DeepEqual(evs, want) {
+			t.Fatalf("after sweep %d events = %v, want %v", sweep, evs, want)
 		}
 	}
 	for _, a := range addrs {

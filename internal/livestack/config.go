@@ -63,12 +63,15 @@ type Config struct {
 	// a whole-stack switch, WireChecksum below.
 	RPC rpc.Options
 
-	// HealthInterval, when >0, runs a heartbeat prober over the daemons
-	// and feeds its events into the arbiter (Transition), closing the
-	// detect→re-arbitrate loop.
+	// HealthInterval, when >0, runs the stack's control-plane loop: every
+	// interval one heartbeat sweep over the daemons, its events fed into
+	// the arbiter (Transition), closing the detect→re-arbitrate loop, and
+	// then one scaler tick (with Elastic), so it is the scaler's cadence
+	// too.
 	HealthInterval time.Duration
-	// HealthTimeout is the per-ping deadline; 0 lets the prober derive
-	// it from the interval. Requires HealthInterval.
+	// HealthTimeout is the per-ping deadline of the prober and of
+	// RecoverControlPlane's re-probe; 0 derives it from the interval
+	// (half of it, floored at 100ms). Requires HealthInterval.
 	HealthTimeout time.Duration
 	// HealthFailThreshold / HealthRiseThreshold debounce transitions;
 	// 0 selects the prober defaults. Require HealthInterval.
@@ -164,7 +167,8 @@ type Config struct {
 	// the static pool becomes the floor state of a pool that breathes
 	// with demand — SpawnION provisions new daemons, graceful drains
 	// decommission idle ones. Requires HealthInterval (the scaler feeds
-	// on the prober's load samples) and Min ≤ IONs ≤ Max. The scaler's
+	// on the prober's load samples and ticks once per sweep, so its
+	// windows count sweeps) and Min ≤ IONs ≤ Max. The scaler's
 	// Quiesced and Telemetry seams are filled in by the stack when unset.
 	// nil keeps today's static pool byte for byte.
 	Elastic *elastic.Config

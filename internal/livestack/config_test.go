@@ -241,7 +241,7 @@ func TestQoSSchedulerDefaultHasOneOwner(t *testing.T) {
 }
 
 // TestKnobCounts pins how many fields the configuration structs of the
-// stack's layers have, 107 in all, the way TestArgvDefaults pins gkfwd's
+// stack's layers have, 103 in all, the way TestArgvDefaults pins gkfwd's
 // flags: a value only tests set is a constant (DESIGN.md §4, "Every knob
 // has a caller"), so a new field is a new knob that needs a production
 // caller — a command, a bench/ workload, an example, an experiment or the
@@ -253,7 +253,7 @@ func TestKnobCounts(t *testing.T) {
 		want int
 	}{
 		{rpc.Options{}, 5}, {rpc.ServerLimits{}, 2}, {fwd.ThrottleConfig{}, 3}, {fwd.HedgeConfig{}, 4},
-		{ion.Config{}, 11}, {health.Config{}, 17}, {elastic.Config{}, 23}, {pfs.Config{}, 6},
+		{ion.Config{}, 11}, {health.Config{}, 14}, {elastic.Config{}, 22}, {pfs.Config{}, 6},
 		{policy.MCKP{}, 0}, {Config{}, 36},
 	} {
 		total += k.want
@@ -262,7 +262,7 @@ func TestKnobCounts(t *testing.T) {
 				typ, typ.NumField(), k.want)
 		}
 	}
-	if total != 107 {
-		t.Errorf("the pinned structs total %d fields, want 107", total)
+	if total != 103 {
+		t.Errorf("the pinned structs total %d fields, want 103", total)
 	}
 }

@@ -53,6 +53,7 @@ type Stack struct {
 	Health *health.Prober
 
 	// Scaler is the pool autoscaler (nil unless Config.Elastic was set).
+	// It steps once per probe sweep.
 	Scaler *elastic.Scaler
 
 	// Journal is the control-plane write-ahead log (nil unless
@@ -89,6 +90,9 @@ type Stack struct {
 
 	// stopDelivery ends the stack's one map-delivery loop (startDelivery).
 	stopDelivery func()
+	// stopLoop ends the stack's one control-plane loop (startControlPlane);
+	// nil while none runs.
+	stopLoop func()
 }
 
 // node is everything the stack keeps per I/O-node daemon it started.
@@ -121,6 +125,14 @@ func Start(cfg Config) (*Stack, error) {
 	}
 	if cfg.SlowFactor > 0 && cfg.QuarantineFloor == 0 {
 		cfg.QuarantineFloor = 1 // detection on ⇔ quarantine armed
+	}
+	if cfg.HealthInterval > 0 && cfg.HealthTimeout == 0 {
+		// Half a sweep, floored at 100ms: pings are answered inline by the
+		// daemon, but on a saturated host scheduling delay alone can cost
+		// tens of milliseconds, and a busy-but-alive node must not be
+		// mistaken for a dead one. The prober and the recovery re-probe
+		// share it.
+		cfg.HealthTimeout = max(cfg.HealthInterval/2, 100*time.Millisecond)
 	}
 
 	st := &Stack{
@@ -157,7 +169,7 @@ func Start(cfg Config) (*Stack, error) {
 		}
 		st.Arbiter.WithJournal(st.Journal)
 	}
-	if err := st.startControlPlane(st.Arbiter, st.Addrs); err != nil {
+	if err := st.startControlPlane(st.Addrs); err != nil {
 		st.Close()
 		return nil, err
 	}
@@ -183,28 +195,71 @@ func (s *Stack) openJournal() (*journal.Journal, error) {
 	return journal.Open(s.cfg.JournalDir, journal.Options{Telemetry: s.Telemetry})
 }
 
-// startControlPlane starts what runs around an arbiter — the prober
-// feeding it, the scaler feeding on the prober — over addrs. Used at Start
-// and again by RecoverControlPlane: the old ones died with the control
-// plane.
-func (s *Stack) startControlPlane(arb *arbiter.Arbiter, addrs []string) error {
-	if s.cfg.HealthInterval > 0 {
-		if err := s.startHealth(arb, addrs); err != nil {
+// startControlPlane builds what runs around the arbiter over addrs — the
+// prober feeding it, the scaler feeding on the prober — and starts the
+// stack's one control-plane loop, which steps them every HealthInterval.
+// Used at Start and again by RecoverControlPlane: the old ones died with
+// the control plane.
+func (s *Stack) startControlPlane(addrs []string) error {
+	if s.cfg.HealthInterval == 0 {
+		return nil // Validate: no scaler runs without probes
+	}
+	if err := s.buildProber(addrs); err != nil {
+		return err
+	}
+	if s.cfg.Elastic != nil {
+		if err := s.buildScaler(addrs); err != nil {
+			s.Health.Stop()
+			s.Health = nil
 			return err
 		}
 	}
-	if s.cfg.Elastic != nil {
-		return s.startScaler(arb, addrs)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go s.runControlPlane(stop, done)
+	s.stopLoop = func() {
+		close(stop)
+		<-done
 	}
 	return nil
 }
 
-// startHealth builds and starts the heartbeat prober over addrs, feeding
-// its events into arb.
-func (s *Stack) startHealth(arb *arbiter.Arbiter, addrs []string) error {
+// runControlPlane is the control-plane loop: one step every HealthInterval
+// until stop closes.
+func (s *Stack) runControlPlane(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	ticker := time.NewTicker(s.cfg.HealthInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-ticker.C:
+			s.step()
+		}
+	}
+}
+
+// step is one round of the control plane: a probe sweep, its events
+// applied to the arbiter in the order the sweep returns them, then one
+// scaler tick over the state they left — so the scaler's windows count
+// sweeps, and each tick reads the sample its own sweep just took.
+func (s *Stack) step() {
+	for _, e := range s.Health.ProbeOnce() {
+		// Errors are advisory: even when a re-solve fails the arbiter has
+		// recorded the event and published a mapping that excludes down
+		// nodes; hot and slow nodes stay valid to route to (the floor may
+		// hold a quarantine back — hedging carries the tail).
+		s.Arbiter.Transition(e.Addr, e.Kind)
+	}
+	if s.Scaler != nil {
+		s.Scaler.Tick()
+	}
+}
+
+// buildProber builds the heartbeat prober over addrs.
+func (s *Stack) buildProber(addrs []string) error {
 	prober, err := health.New(health.Config{
 		Addrs:              addrs,
-		Interval:           s.cfg.HealthInterval,
 		Timeout:            s.cfg.HealthTimeout,
 		FailThreshold:      s.cfg.HealthFailThreshold,
 		RiseThreshold:      s.cfg.HealthRiseThreshold,
@@ -218,13 +273,6 @@ func (s *Stack) startHealth(arb *arbiter.Arbiter, addrs []string) error {
 		Latency:            s.latSketch,
 		WireChecksum:       s.cfg.WireChecksum,
 		Telemetry:          s.Telemetry,
-		OnEvent: func(e health.Event) {
-			// Errors are advisory: even when a re-solve fails the arbiter
-			// has recorded the event and published a mapping that excludes
-			// down nodes; hot and slow nodes stay valid to route to (the
-			// floor may hold a quarantine back — hedging carries the tail).
-			arb.Transition(e.Addr, e.Kind)
-		},
 	})
 	if err != nil {
 		return err
@@ -234,7 +282,7 @@ func (s *Stack) startHealth(arb *arbiter.Arbiter, addrs []string) error {
 	// arbiter has it in, so the ordinary debounce fires the Rise/Cool/
 	// Restore that clears the mark once the node earns it.
 	for _, addr := range addrs {
-		if st, _ := arb.StateOf(addr); st&^nodestate.Draining != 0 { // Draining is not the prober's to see
+		if st, _ := s.Arbiter.StateOf(addr); st&^nodestate.Draining != 0 { // Draining is not the prober's to see
 			prober.Remove(addr)
 			if err := prober.Add(addr, st); err != nil {
 				prober.Stop()
@@ -243,12 +291,11 @@ func (s *Stack) startHealth(arb *arbiter.Arbiter, addrs []string) error {
 		}
 	}
 	s.Health = prober
-	prober.Start()
 	return nil
 }
 
-// startScaler builds and starts the pool autoscaler over arb and addrs.
-func (s *Stack) startScaler(arb *arbiter.Arbiter, addrs []string) error {
+// buildScaler builds the pool autoscaler over addrs.
+func (s *Stack) buildScaler(addrs []string) error {
 	ecfg := *s.cfg.Elastic
 	if ecfg.Telemetry == nil {
 		ecfg.Telemetry = s.Telemetry
@@ -260,12 +307,11 @@ func (s *Stack) startScaler(arb *arbiter.Arbiter, addrs []string) error {
 	if s.cfg.WrapProvisioner != nil {
 		prov = s.cfg.WrapProvisioner(prov)
 	}
-	sc, err := elastic.New(ecfg, arb, prov, s.Health, addrs)
+	sc, err := elastic.New(ecfg, s.Arbiter, prov, s.Health, addrs)
 	if err != nil {
 		return err
 	}
 	s.Scaler = sc
-	sc.Start()
 	return nil
 }
 
@@ -321,7 +367,7 @@ func (s *Stack) daemons() []*ion.Daemon {
 }
 
 // CrashControlPlane simulates a SIGKILL of the control plane while the
-// data plane keeps running: the scaler and prober stop, the journal is
+// data plane keeps running: the control-plane loop stops, the journal is
 // closed mid-stream (whatever was fsynced is all that survives), and the
 // arbiter reference is dropped. Daemons keep serving and clients keep
 // writing on their last mapping — exactly the blackout the paper's
@@ -333,7 +379,7 @@ func (s *Stack) CrashControlPlane() error {
 	if s.cfg.JournalDir == "" {
 		return errors.New("livestack: CrashControlPlane requires JournalDir (nothing would survive)")
 	}
-	s.stopControlPlane()
+	s.StopControlPlane()
 	s.Scaler, s.Health = nil, nil
 	if s.Journal != nil {
 		s.Journal.Close()
@@ -343,16 +389,18 @@ func (s *Stack) CrashControlPlane() error {
 	return nil
 }
 
-// stopControlPlane stops what startControlPlane started: the scaler first
-// (no spawns or drains while things go away), then the prober (so what
-// follows is not misread as an outage).
-func (s *Stack) stopControlPlane() {
-	if s.Scaler != nil {
-		s.Scaler.Stop()
+// StopControlPlane stops the control-plane loop — no sweep, event or
+// scaler step runs after it returns — and releases the prober's
+// connections, leaving the arbiter, the data plane and the map delivery
+// running: a capacity plane at rest, for an audit to read. Close and
+// CrashControlPlane call it; a second call does nothing.
+func (s *Stack) StopControlPlane() {
+	if s.stopLoop == nil {
+		return
 	}
-	if s.Health != nil {
-		s.Health.Stop()
-	}
+	s.stopLoop()
+	s.stopLoop = nil
+	s.Health.Stop()
 }
 
 // RecoverControlPlane warm-restarts a crashed control plane from the
@@ -360,7 +408,7 @@ func (s *Stack) stopControlPlane() {
 // pre-crash epoch on the live daemons (synchronously, by PreFence) before
 // the recovery publish, which the stack's map-delivery loop then carries
 // to the clients; roll back half-provisioned I/O nodes the journal never
-// admitted, and restart the prober and scaler. The returned error is
+// admitted, and restart the control-plane loop. The returned error is
 // advisory when an arbiter came up (degraded recovery, e.g. a failed
 // re-solve published the pruned pre-crash mapping) and fatal when nil
 // Stack.Arbiter proves no recovery happened.
@@ -413,7 +461,7 @@ func (s *Stack) RecoverControlPlane() error {
 		s.DecommissionION(a)
 	}
 
-	if err := s.startControlPlane(arb, arb.Pool()); err != nil {
+	if err := s.startControlPlane(arb.Pool()); err != nil {
 		return errors.Join(rerr, err)
 	}
 	return rerr
@@ -651,7 +699,7 @@ func WaitForAllocation(c *fwd.Client, ions int, timeout time.Duration) error {
 // Close stops the control plane, then the delivery loop, clients, and
 // daemons.
 func (s *Stack) Close() {
-	s.stopControlPlane()
+	s.StopControlPlane()
 	if s.stopDelivery != nil {
 		s.stopDelivery()
 	}

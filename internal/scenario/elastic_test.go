@@ -100,7 +100,7 @@ func TestElasticPoolBreathesUnderChaos(t *testing.T) {
 	Await(t, 10*time.Second, func() bool { return r.Metric("elastic_draining")+r.Metric("elastic_provisioning") == 0 },
 		"the capacity plane never came to rest:%v", capacity(r))
 
-	r.Check(t, apps...) // stops the scaler: the reads below push real queue depth
+	r.Check(t, apps...) // stops the control plane: the reads below push real queue depth
 	ups, downs := r.Metric("elastic_scale_ups_total"), r.Metric("elastic_scale_downs_total")
 	t.Logf("at rest: ups=%d downs=%d solves=%d", ups, downs, r.Metric("arbiter_solves_total"))
 	r.Expect(t,

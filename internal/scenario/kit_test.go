@@ -106,15 +106,15 @@ var stacks = map[string]func(dir string) livestack.Config{
 			HealthInterval: 10 * time.Millisecond, HealthTimeout: 250 * time.Millisecond,
 			HealthFailThreshold: 2, HealthRiseThreshold: 2,
 			Elastic: &elastic.Config{
-				Min: 2, Max: 12, UpWatermark: 1.0, DownWatermark: 0.2, UpSustain: 2, DownSustain: 5,
+				Min: 2, Max: 12, UpWatermark: 1.0, DownWatermark: 0.2, UpSustain: 4, DownSustain: 10,
 				UpCooldown: 100 * time.Millisecond, DownCooldown: 150 * time.Millisecond,
 				// Each add re-arbitrates, and the remap stall starves the depth
 				// signal for longer than DownSustain — the reversal gate keeps
 				// the breath-out monotonic (see TestFlipQuietDampsReversal).
-				FlipQuiet: 600 * time.Millisecond, MaxStep: 2, Interval: 20 * time.Millisecond,
-				// 6 sweeps × 20ms = 120ms of mandatory quiet per drain: wide
+				FlipQuiet: 600 * time.Millisecond, MaxStep: 2,
+				// 12 sweeps × 10ms = 120ms of mandatory quiet per drain: wide
 				// enough for the scenario to land its kill mid-drain.
-				DrainDeadline: 5 * time.Second, QuiesceSweeps: 6,
+				DrainDeadline: 5 * time.Second, QuiesceSweeps: 12,
 				RiseTimeout: 5 * time.Second, ProvisionBackoff: 25 * time.Millisecond, ProvisionBackoffMax: 100 * time.Millisecond,
 				BreakerThreshold: 5, BreakerCooldown: 250 * time.Millisecond, Seed: 42,
 			},

@@ -221,7 +221,7 @@ type Verdict struct {
 }
 
 // Audit runs the oracle set over apps once their writers are done, with
-// the scaler stopped so it reads a capacity plane at rest:
+// the control plane stopped so it reads a capacity plane at rest:
 //
 //   - conservation: each app's region reads back as the Pattern through
 //     its client and straight from the PFS, both Stat its size, and
@@ -233,9 +233,7 @@ type Verdict struct {
 //   - drain ledger: every drain the arbiter started was aborted, completed
 //     by removing its node, or is still in flight.
 func (r *Rig) Audit(apps ...*App) []Verdict {
-	if r.Scaler != nil {
-		r.Scaler.Stop()
-	}
+	r.StopControlPlane()
 	r.mu.Lock()
 	stores, recovery := slices.Clone(r.stores), errors.Join(r.recovery...)
 	r.mu.Unlock()

@@ -79,7 +79,7 @@ func allDefences(floor bool) func(string) livestack.Config {
 	return func(dir string) livestack.Config {
 		el := &elastic.Config{
 			Min: 4, Max: 6, UpWatermark: 0.5, DownWatermark: 0.1, UpSustain: 2, DownSustain: 3,
-			UpCooldown: 100 * time.Millisecond, DownCooldown: 150 * time.Millisecond, Interval: 20 * time.Millisecond,
+			UpCooldown: 100 * time.Millisecond, DownCooldown: 150 * time.Millisecond,
 			DrainDeadline: 2 * time.Second, QuiesceSweeps: 3, RiseTimeout: 2 * time.Second,
 			ProvisionBackoff: 25 * time.Millisecond, ProvisionBackoffMax: 100 * time.Millisecond,
 			BreakerThreshold: 5, BreakerCooldown: 250 * time.Millisecond, Seed: 42,
