@@ -3,7 +3,6 @@ package arbiter
 import (
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -27,10 +26,10 @@ const decisionBudget = 18
 // churnRig is the control plane of the arbiter_churn workload without the
 // data plane: a 12-node MCKP arbiter and 8 forwarding clients, one per job
 // slot, following its bus the way a livestack.Stack's clients do — one
-// subscription and one goroutine applying every map to every client in
-// order, each client started on the bus's current map. decide toggles a
-// seeded slot (JobStarted or JobFinished) and returns once every client
-// has applied the published map.
+// follower applying every map to every client in order inside Publish,
+// each client started on the bus's current map. decide toggles a seeded
+// slot (JobStarted or JobFinished); when the call returns every client
+// has applied the published map, and decide checks that.
 func churnRig(t *testing.T) (decide func()) {
 	t.Helper()
 	bus := mapping.NewBus()
@@ -51,21 +50,11 @@ func churnRig(t *testing.T) (decide func()) {
 		c.ApplyMap(bus.Current())
 		clients[i] = c
 	}
-	ch, cancel := bus.Subscribe()
-	<-ch // the clients started on Current above
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for m := range ch {
-			for _, c := range clients {
-				c.ApplyMap(m)
-			}
+	t.Cleanup(bus.Follow(func(m mapping.Map) {
+		for _, c := range clients {
+			c.ApplyMap(m)
 		}
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
+	}))
 	specs := perfmodel.EvaluationApps()
 	rng := rand.New(rand.NewPCG(1, 2))
 	var running [slots]bool
@@ -83,9 +72,9 @@ func churnRig(t *testing.T) (decide func()) {
 		}
 		running[s] = !running[s]
 		maps++
-		for _, c := range clients {
-			for c.Stats().RemapsApplied < maps {
-				runtime.Gosched()
+		for i, c := range clients {
+			if got := c.Stats().RemapsApplied; got != maps {
+				t.Fatalf("%s applied %d maps when the decision returned, want %d", ids[i], got, maps)
 			}
 		}
 	}

@@ -17,8 +17,8 @@
 //     responsible node, not one per chunk;
 //   - the allocation can change at any time without disrupting the
 //     application: ApplyMap installs a mapping update (a livestack.Stack's
-//     one delivery loop calls it for every client), and in-flight requests
-//     complete on the old routes;
+//     bus follower calls it for every client inside Publish), and
+//     in-flight requests complete on the old routes;
 //   - an empty allocation means direct PFS access;
 //   - when an I/O node cannot take a request, the PFS does, and the bytes
 //     are counted once. That is the one fallback rule (DESIGN.md §8 has
@@ -356,11 +356,13 @@ var clientInstance atomic.Uint64
 
 // SetIONs installs a new allocation. Connections to previously used I/O
 // nodes are kept pooled so a later remap back is cheap and in-flight
-// requests are never disturbed.
+// requests are never disturbed. A closed client ignores it.
 func (c *Client) SetIONs(addrs []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.setIONsLocked(addrs)
+	if !c.closed.Load() {
+		c.setIONsLocked(addrs)
+	}
 }
 
 // setIONsLocked installs an allocation and publishes the new route view.
@@ -457,7 +459,7 @@ func (c *Client) IONs() (ions []string) {
 // application. Stale versions are ignored. The version check and the
 // install happen under one critical section, so two updates delivered
 // out of order can never leave the older allocation installed with the
-// newer version recorded.
+// newer version recorded. A closed client ignores every map.
 func (c *Client) ApplyMap(m mapping.Map) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -468,7 +470,7 @@ func (c *Client) ApplyMap(m mapping.Map) {
 	// time until the client has installed a versioned map, and is stale
 	// after: a follower that reads the bus's current v0 just as the first
 	// publication reaches it must not roll back to the empty map.
-	if (m.Version != 0 || c.ver != 0) && m.Version <= c.ver && m.Fence <= c.fence {
+	if c.closed.Load() || (m.Version != 0 || c.ver != 0) && m.Version <= c.ver && m.Fence <= c.fence {
 		return
 	}
 	c.ver = m.Version

@@ -296,34 +296,25 @@ func TestApplyMapVersioning(t *testing.T) {
 	}
 }
 
-// follow delivers every map published on bus to clients, in order, on one
-// goroutine — the loop a livestack.Stack runs — after starting each client
-// on the bus's current map. The loop stops at test cleanup.
+// follow makes clients follow bus the way a livestack.Stack's clients do:
+// each starts on the bus's current map, and one follower applies every
+// later publication to them, in order, inside Publish. It unfollows at
+// test cleanup.
 func follow(t *testing.T, bus *mapping.Bus, clients ...*Client) {
 	t.Helper()
-	ch, cancel := bus.Subscribe()
-	<-ch // each client starts on Current below instead
+	t.Cleanup(bus.Follow(func(m mapping.Map) {
+		for _, c := range clients {
+			c.ApplyMap(m)
+		}
+	}))
 	for _, c := range clients {
 		c.ApplyMap(bus.Current())
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for m := range ch {
-			for _, c := range clients {
-				c.ApplyMap(m)
-			}
-		}
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-	})
 }
 
 // TestFollowerLoopAppliesBusUpdates: two applications' clients on one
-// follower loop each install their own allocation from every publication,
-// and each counts every map once.
+// bus follower each install their own allocation from every publication
+// before Publish returns, and each counts every map once.
 func TestFollowerLoopAppliesBusUpdates(t *testing.T) {
 	store, addrs, _ := testStack(t, 2)
 	c := newTestClient(t, store, 512)
@@ -335,18 +326,18 @@ func TestFollowerLoopAppliesBusUpdates(t *testing.T) {
 	bus := mapping.NewBus()
 	follow(t, bus, c, other)
 
-	waitFor := func(what string, cl *Client, n int) {
+	holds := func(what string, cl *Client, n int) {
 		t.Helper()
-		if have, ok := cl.AwaitIONs(2*time.Second, func(ions []string) bool { return len(ions) == n }); !ok {
-			t.Fatalf("the loop never applied %s to %s: it holds %v", what, cl.cfg.AppID, have)
+		if have := cl.IONs(); len(have) != n {
+			t.Fatalf("Publish returned before %s reached %s: it holds %v", what, cl.cfg.AppID, have)
 		}
 	}
 	bus.Publish(map[string][]string{"app": addrs, "other": addrs[1:]})
-	waitFor("the first update", c, 2)
-	waitFor("the first update", other, 1)
+	holds("the first update", c, 2)
+	holds("the first update", other, 1)
 	bus.Publish(map[string][]string{"app": nil, "other": addrs})
-	waitFor("the second update", other, 2)
-	waitFor("the second update", c, 0)
+	holds("the second update", other, 2)
+	holds("the second update", c, 0)
 	for _, cl := range []*Client{c, other} {
 		if got := cl.Stats().RemapsApplied; got != 3 {
 			t.Errorf("%s applied %d maps, want 3 (v0 and two publications)", cl.cfg.AppID, got)

@@ -142,6 +142,26 @@ func TestCloseRetainsNoTarget(t *testing.T) {
 	}
 }
 
+// A closed client ignores every later map and allocation: it dials no
+// target, installs no route view and counts no remap. A stack's bus
+// follower keeps calling ApplyMap on the clients it made after they close.
+func TestClosedClientIgnoresMaps(t *testing.T) {
+	store, addrs, _ := testStack(t, 2)
+	c := newTestClient(t, store, 64)
+	c.ApplyMap(mapping.Map{Version: 1, IONs: map[string][]string{"app": addrs[:1]}})
+	c.Close()
+	remaps := c.Stats().RemapsApplied
+	c.ApplyMap(mapping.Map{Version: 2, IONs: map[string][]string{"app": addrs}})
+	c.SetIONs(addrs)
+	c.mu.Lock()
+	left := len(c.targets)
+	c.mu.Unlock()
+	if ions, got := c.IONs(), c.Stats().RemapsApplied; ions != nil || left != 0 || got != remaps {
+		t.Fatalf("a closed client took a map: routes on %v, holds %d targets, %d remaps (%d at Close)",
+			ions, left, got, remaps)
+	}
+}
+
 // A map that leaves this app's allocation unchanged still counts as a remap
 // and moves the view's epoch, but builds no route: one new view, the same
 // targets slice.

@@ -1,14 +1,16 @@
 package livestack
 
-// Map delivery: a stack subscribes to its bus once and one goroutine
-// applies every published map to every client it made, in creation order,
-// after raising every daemon's fence to the map's.
+// Map delivery: a stack registers one follower on its bus, which inside
+// every Publish raises every daemon's fence to the map's and then applies
+// the map to every client the stack made, in creation order. So when a
+// decision returns, every client already routes on it.
 
 import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +18,6 @@ import (
 	"repro/internal/fwd"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
-	"repro/internal/testkit"
 )
 
 // follower is a client and what it must have counted: the version the
@@ -29,24 +30,11 @@ type follower struct {
 	joinLo, joinHi uint64
 }
 
-// waitApplied waits until every follower has applied the bus's current
-// version.
-func waitApplied(t *testing.T, st *Stack, fs []follower) {
-	t.Helper()
-	v := st.Bus.Version()
-	for _, f := range fs {
-		testkit.Eventually(t, fmt.Sprintf("the clients to apply v%d (%s joined at v%d)", v, f.app, f.joinHi), func() bool {
-			return f.c.Stats().RemapsApplied >= int64(1+v-f.joinHi)
-		})
-	}
-}
-
 // checkFollowers requires every follower to be on the bus's current map
-// and to have counted each publication since it joined once, plus the map
-// it started on.
+// now, without waiting, and to have counted each publication since it
+// joined once, plus the map it started on.
 func checkFollowers(t *testing.T, st *Stack, fs []follower) {
 	t.Helper()
-	waitApplied(t, st, fs)
 	final := st.Bus.Current()
 	for i, f := range fs {
 		if have, want := f.c.IONs(), final.For(f.app); !slices.Equal(have, want) {
@@ -60,30 +48,52 @@ func checkFollowers(t *testing.T, st *Stack, fs []follower) {
 	}
 }
 
-// TestEveryClientAppliesEveryMapOnce: under seeded job churn every client
-// the stack made ends on the bus's final map, having applied each map
-// published after it joined exactly once, plus the one it started on.
-// Eight clients join before the first decision (the subscription's initial
-// v0 must not reach them a second time), a ninth joins mid-churn, four
-// join while decisions are being published (run it under -race), and one
-// is held at registration while a decision that changes its allocation
-// goes out: it must come back routing on that decision. Each client has
-// an application of its own (the remap counter is per application), and
-// the churn toggles the jobs of all fourteen, joined or not.
-func TestEveryClientAppliesEveryMapOnce(t *testing.T) {
-	// With one P the delivery goroutine Start launches cannot run before
-	// the eight clients have registered, so a queued initial map would
-	// reach them — the double count this test exists to catch.
-	prev := runtime.GOMAXPROCS(1)
-	restore := sync.OnceFunc(func() { runtime.GOMAXPROCS(prev) })
-	defer restore()
-	st, err := Start(Config{IONs: 6})
-	if err != nil {
-		t.Fatal(err)
+// churn returns a seeded job churn over slots applications "slot0"… on
+// st's arbiter: toggle(s) starts or finishes slot s's job, decide toggles
+// a random slot, and idle finishes every running job.
+func churn(t *testing.T, st *Stack, slots int) (toggle func(int), decide, idle func()) {
+	specs := perfmodel.EvaluationApps()
+	rng := rand.New(rand.NewPCG(1, 2))
+	running := make([]bool, slots)
+	toggle = func(s int) {
+		t.Helper()
+		var err error
+		if running[s] {
+			err = st.Arbiter.JobFinished(slot(s))
+		} else {
+			_, err = st.Arbiter.JobStarted(policy.FromAppSpec(slot(s), specs[rng.IntN(len(specs))]))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		running[s] = !running[s]
 	}
-	t.Cleanup(st.Close)
+	decide = func() { toggle(rng.IntN(slots)) }
+	idle = func() {
+		for s := range running {
+			if running[s] {
+				toggle(s)
+			}
+		}
+	}
+	return toggle, decide, idle
+}
+
+func slot(i int) string { return fmt.Sprintf("slot%d", i) }
+
+// TestEveryClientAppliesEveryMapOnce: under seeded job churn every client
+// the stack made is on the bus's map when JobStarted or JobFinished
+// returns, having applied each map published after it joined exactly
+// once, plus the one it started on. Eight clients join before the first
+// decision, a ninth joins mid-churn, four join while decisions are being
+// published (run it under -race), and one is held at registration while a
+// decision that changes its allocation goes out: it must come back
+// routing on that decision. Each client has an application of its own
+// (the remap counter is per application), and the churn toggles the jobs
+// of all fourteen, joined or not.
+func TestEveryClientAppliesEveryMapOnce(t *testing.T) {
+	st := startStack(t, 6)
 	const slots = 14
-	slot := func(i int) string { return fmt.Sprintf("slot%d", i) }
 	var fs []follower
 	join := func(app string) {
 		t.Helper()
@@ -97,25 +107,7 @@ func TestEveryClientAppliesEveryMapOnce(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		join(slot(i))
 	}
-	restore()
-
-	specs := perfmodel.EvaluationApps()
-	rng := rand.New(rand.NewPCG(1, 2))
-	var running [slots]bool
-	toggle := func(s int) {
-		t.Helper()
-		var err error
-		if running[s] {
-			err = st.Arbiter.JobFinished(slot(s))
-		} else {
-			_, err = st.Arbiter.JobStarted(policy.FromAppSpec(slot(s), specs[rng.IntN(len(specs))]))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		running[s] = !running[s]
-	}
-	decide := func() { toggle(rng.IntN(slots)) }
+	toggle, decide, idle := churn(t, st, slots)
 
 	for i := 0; i < 20; i++ {
 		decide()
@@ -127,8 +119,7 @@ func TestEveryClientAppliesEveryMapOnce(t *testing.T) {
 		checkFollowers(t, st, fs)
 	}
 
-	// Four clients join while decisions go out; each decision waits for
-	// the clients that joined before it, so the bus never drops a map.
+	// Four clients join while decisions go out.
 	racers := make(chan follower, 4)
 	go func() {
 		defer close(racers)
@@ -147,7 +138,7 @@ func TestEveryClientAppliesEveryMapOnce(t *testing.T) {
 	settled := fs
 	for i := 0; i < 40; i++ {
 		decide()
-		waitApplied(t, st, settled)
+		checkFollowers(t, st, settled)
 	}
 	for f := range racers {
 		fs = append(fs, f)
@@ -158,13 +149,9 @@ func TestEveryClientAppliesEveryMapOnce(t *testing.T) {
 	// the last application's job on an idle pool goes out: NewClient must
 	// register before it reads the bus's current map, or it routes on the
 	// map before that decision.
-	for s := range running {
-		if running[s] {
-			toggle(s)
-			waitApplied(t, st, fs)
-		}
-	}
-	const idle = slots - 1
+	idle()
+	checkFollowers(t, st, fs)
+	const last = slots - 1
 	var held *fwd.Client
 	var wg sync.WaitGroup
 	func() {
@@ -174,34 +161,34 @@ func TestEveryClientAppliesEveryMapOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var err error
-			if held, err = st.NewClient(slot(idle)); err != nil {
+			if held, err = st.NewClient(slot(last)); err != nil {
 				t.Error(err)
 			}
 		}()
 		time.Sleep(20 * time.Millisecond) // let it reach the lock
-		toggle(idle)
-		waitApplied(t, st, fs)
+		toggle(last)
+		checkFollowers(t, st, fs)
 	}()
 	wg.Wait()
 	if held == nil {
 		t.FailNow()
 	}
 	want := st.Bus.Current()
-	if have := held.IONs(); len(have) == 0 || !slices.Equal(have, want.For(slot(idle))) {
+	if have := held.IONs(); len(have) == 0 || !slices.Equal(have, want.For(slot(last))) {
 		t.Fatalf("a client held at registration during v%d returned on %v, v%d assigns %s %v",
-			want.Version, have, want.Version, slot(idle), want.For(slot(idle)))
+			want.Version, have, want.Version, slot(last), want.For(slot(last)))
 	}
-	fs = append(fs, follower{c: held, app: slot(idle), joinLo: want.Version, joinHi: want.Version})
+	fs = append(fs, follower{c: held, app: slot(last), joinLo: want.Version, joinHi: want.Version})
 	for i := 0; i < 20; i++ {
 		decide()
-		waitApplied(t, st, fs)
+		checkFollowers(t, st, fs)
 	}
-	checkFollowers(t, st, fs)
 }
 
-// TestMapDeliveryGoroutinePin: a stack runs one delivery goroutine however
-// many clients follow it — with 64 clients it runs no more goroutines than
-// with 1, and the one loop still carries a decision to all of them.
+// TestMapDeliveryGoroutinePin: a stack runs no delivery goroutine — with
+// 64 clients it runs no more goroutines than with 0 or 1, none of them
+// started by startDelivery — and a decision still reaches all 64 before
+// JobStarted returns.
 func TestMapDeliveryGoroutinePin(t *testing.T) {
 	st := startStack(t, 2)
 	// The fewest goroutines over a few looks, so one that a timer or an
@@ -214,6 +201,7 @@ func TestMapDeliveryGoroutinePin(t *testing.T) {
 		}
 		return n
 	}
+	none := goroutines()
 	var fs []follower
 	one := 0
 	for i := 0; i < 64; i++ {
@@ -227,8 +215,12 @@ func TestMapDeliveryGoroutinePin(t *testing.T) {
 			one = goroutines()
 		}
 	}
-	if many := goroutines(); many > one {
-		t.Fatalf("64 clients run %d goroutines, 1 client ran %d: delivery is not one loop", many, one)
+	if many := goroutines(); many > none || one > none {
+		t.Fatalf("0, 1 and 64 clients run %d, %d and %d goroutines: delivery runs per client", none, one, many)
+	}
+	buf := make([]byte, 1<<20)
+	if n := runtime.Stack(buf, true); strings.Contains(string(buf[:n]), ".(*Stack).startDelivery") {
+		t.Fatalf("a goroutine runs map delivery:\n%s", buf[:n])
 	}
 	if _, err := st.Arbiter.JobStarted(appFor(t, "IOR-MPI", "app63")); err != nil {
 		t.Fatal(err)
@@ -236,9 +228,20 @@ func TestMapDeliveryGoroutinePin(t *testing.T) {
 	checkFollowers(t, st, fs)
 }
 
-// TestFenceReachesEveryDaemonBeforeAnyClient: once a client routes on a
-// fenced map every daemon already holds the fence (the delivery loop fences
-// before it applies), and the loop keeps delivering through a
+// daemonsFenced requires every daemon the stack started to hold at least
+// fence.
+func daemonsFenced(t *testing.T, st *Stack, fence uint64, when string) {
+	t.Helper()
+	for _, d := range st.daemons() {
+		if got := d.Fence(); got < fence {
+			t.Fatalf("%s a daemon's fence is %d, the map's %d", when, got, fence)
+		}
+	}
+}
+
+// TestFenceReachesEveryDaemonBeforeAnyClient: when the decision that
+// publishes a fenced map returns, every daemon already holds the fence and
+// the client routes on the map; the follower keeps delivering through a
 // control-plane crash and recovery.
 func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 	st, err := Start(Config{IONs: 3, JournalDir: t.TempDir()})
@@ -256,14 +259,10 @@ func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 	if _, err := st.Arbiter.JobStarted(appFor(t, "IOR-MPI", "f1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(c, 0, 2*time.Second); err != nil {
+	if err := WaitForAllocation(c, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range st.daemons() {
-		if got := d.Fence(); got < fence {
-			t.Fatalf("a client routes on the fence-%d map while a daemon's fence is %d", fence, got)
-		}
-	}
+	daemonsFenced(t, st, fence, "once a client routes on the fenced map")
 	checkFollowers(t, st, fs)
 
 	if err := st.CrashControlPlane(); err != nil {
@@ -273,14 +272,83 @@ func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := st.Bus.Current()
-	if have, ok := c.AwaitIONs(2*time.Second, func(ions []string) bool { return slices.Equal(ions, final.For("f1")) }); !ok {
+	if have := c.IONs(); !slices.Equal(have, final.For("f1")) {
 		t.Fatalf("the client holds %v, not the recovery map's %v", have, final.For("f1"))
 	}
-	for _, d := range st.daemons() {
-		if got := d.Fence(); got < final.Fence {
-			t.Fatalf("after recovery a daemon's fence is %d, the bus's %d", got, final.Fence)
-		}
+	daemonsFenced(t, st, final.Fence, "after recovery")
+}
+
+// TestFencedDeliveryRacesJoinsAndDecommissions: after a recovery every map
+// carries a fence, so the bus's follower takes the stack lock (fenceAll)
+// inside Publish, under the arbiter's and the bus's locks. Decisions that
+// each raise the fence race NewClient and DecommissionION, which take the
+// stack lock and the clients' locks but never the arbiter's or the bus's
+// while holding them. Everything must finish (run it under -race); when
+// each deciding call returns every daemon holds its fence and every
+// client that joined before it routes on its map.
+func TestFencedDeliveryRacesJoinsAndDecommissions(t *testing.T) {
+	st, err := Start(Config{IONs: 8, JournalDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(st.Close)
+	const slots = 8
+	var fs []follower
+	for i := 0; i < slots; i++ {
+		c, err := st.NewClient(slot(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs = append(fs, follower{c: c, app: slot(i)})
+	}
+	if err := st.CrashControlPlane(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RecoverControlPlane(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Bus.Current().Fence == 0 {
+		t.Fatal("the recovery map carries no fence")
+	}
+	_, decide, _ := churn(t, st, slots)
+
+	var wg sync.WaitGroup
+	joined := make(chan follower, 16)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(joined)
+		for i := 0; i < cap(joined); i++ {
+			app := fmt.Sprintf("late%d", i)
+			lo := st.Bus.Version()
+			c, err := st.NewClient(app)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			joined <- follower{c: c, app: app, joinLo: lo, joinHi: st.Bus.Version()}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, addr := range st.IONAddrs()[4:] {
+			if err := st.DecommissionION(addr); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		fence := st.Bus.Version() + 1
+		st.Bus.Revoke(fence)
+		decide()
+		daemonsFenced(t, st, fence, fmt.Sprintf("when decision %d returned", i))
+		checkFollowers(t, st, fs)
+	}
+	wg.Wait()
+	for f := range joined {
+		fs = append(fs, f)
+	}
+	checkFollowers(t, st, fs)
 }
 
 // TestWaitForAllocationHoldsWhenNewClientReturns: NewClient returns a

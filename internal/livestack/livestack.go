@@ -85,10 +85,10 @@ type Stack struct {
 
 	// clients are the clients NewClient made, in creation order. The
 	// slice is replaced, never appended to in place (under mu), so the
-	// delivery loop walks it without a lock.
+	// bus's follower walks it without a lock.
 	clients atomic.Pointer[[]*fwd.Client]
 
-	// stopDelivery ends the stack's one map-delivery loop (startDelivery).
+	// stopDelivery unregisters the stack's bus follower (startDelivery).
 	stopDelivery func()
 	// stopLoop ends the stack's one control-plane loop (startControlPlane);
 	// nil while none runs.
@@ -315,36 +315,25 @@ func (s *Stack) buildScaler(addrs []string) error {
 	return nil
 }
 
-// startDelivery subscribes the stack to its mapping bus, once, and starts
-// the one goroutine that delivers every published map: it raises every
-// daemon's revocation floor to the map's fence first, then applies the map
-// to every client, in creation order. The subscription's initial map is
-// taken here and dropped: a client applies the bus's current map itself
-// when it registers (NewClient), and ApplyMap applies version 0 every time
-// until a versioned map arrives, so delivering it too would count it
-// twice. The critical fence (recovery) is
-// pushed synchronously by arbiter.RecoverConfig.PreFence before the
-// recovery map goes out; the loop's fence is the steady-state redundancy
-// that keeps late joiners and warm-restarted daemons on the floor.
+// startDelivery registers the stack's one bus follower: inside every
+// Publish it raises every daemon's revocation floor to the map's fence,
+// then applies the map to every client, in creation order. A client
+// applies the map current at its registration itself (NewClient). The
+// recovery fence is pushed first by arbiter.RecoverConfig.PreFence; the
+// follower's keeps late joiners and warm-restarted daemons on the floor.
+// Lock order: the arbiter's → the bus's → {s.mu (fenceAll), a client's,
+// the telemetry registry's}; deadlock-free because nothing calls the
+// arbiter or the bus while holding s.mu or a client's lock, and the
+// follower never calls back into the bus.
 func (s *Stack) startDelivery() {
-	ch, cancel := s.Bus.Subscribe()
-	<-ch
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for m := range ch {
-			if m.Fence > 0 {
-				s.fenceAll(m.Fence)
-			}
-			for _, c := range s.followers() {
-				c.ApplyMap(m)
-			}
+	s.stopDelivery = s.Bus.Follow(func(m mapping.Map) {
+		if m.Fence > 0 {
+			s.fenceAll(m.Fence)
 		}
-	}()
-	s.stopDelivery = func() {
-		cancel()
-		<-done
-	}
+		for _, c := range s.followers() {
+			c.ApplyMap(m)
+		}
+	})
 }
 
 // followers returns the clients NewClient made, in creation order; the
@@ -371,7 +360,7 @@ func (s *Stack) daemons() []*ion.Daemon {
 // closed mid-stream (whatever was fsynced is all that survives), and the
 // arbiter reference is dropped. Daemons keep serving and clients keep
 // writing on their last mapping — exactly the blackout the paper's
-// single-node arbiter exposes. The stack's map-delivery loop keeps running
+// single-node arbiter exposes. The stack's bus follower stays registered
 // (it is the clients' side of the bus, and nothing publishes while the
 // control plane is down). Requires JournalDir; coordinate with goroutines
 // that use Stack.Arbiter directly.
@@ -406,8 +395,8 @@ func (s *Stack) StopControlPlane() {
 // RecoverControlPlane warm-restarts a crashed control plane from the
 // journal: replay, re-probe every journaled pool member, fence every
 // pre-crash epoch on the live daemons (synchronously, by PreFence) before
-// the recovery publish, which the stack's map-delivery loop then carries
-// to the clients; roll back half-provisioned I/O nodes the journal never
+// the recovery publish, which carries the recovery map to the clients
+// before it returns; roll back half-provisioned I/O nodes the journal never
 // admitted, and restart the control-plane loop. The returned error is
 // advisory when an arbiter came up (degraded recovery, e.g. a failed
 // re-solve published the pruned pre-crash mapping) and fatal when nil
@@ -640,10 +629,10 @@ func (s *Stack) RestartION(i int) error {
 }
 
 // NewClient creates a forwarding client for an application. The client
-// follows the stack's one delivery loop and routes on the current map on
-// return: it is registered first and then given the bus's current map, so
-// a publication racing the call reaches it one way or the other (ApplyMap
-// drops the older of the two). An application the arbiter has not
+// follows the stack's bus and routes on the current map on return: it is
+// registered first and then given the bus's current map, so a publication
+// racing the call reaches it one way or the other (ApplyMap drops the
+// older of the two). An application the arbiter has not
 // assigned I/O nodes (via JobStarted) goes direct.
 func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 	rpcOpts := s.cfg.RPC
@@ -680,10 +669,10 @@ func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 
 // WaitForAllocation blocks until the client observes a mapping of exactly
 // ions I/O nodes — any non-empty mapping when ions is 0 — or the timeout
-// elapses (a publication reaches the clients through the stack's delivery
-// loop, asynchronously, like GekkoFWD's periodic check). The wait wakes on
-// each install; on timeout the error carries the mapping the client last
-// observed.
+// elapses. A stack's publication reaches its clients before Publish
+// returns, so the wait is for an allocation still to be decided. The wait
+// wakes on each install; on timeout the error carries the mapping the
+// client last observed.
 func WaitForAllocation(c *fwd.Client, ions int, timeout time.Duration) error {
 	want, ok := "an allocation", func(have []string) bool { return len(have) > 0 }
 	if ions != 0 {
@@ -696,8 +685,8 @@ func WaitForAllocation(c *fwd.Client, ions int, timeout time.Duration) error {
 	return nil
 }
 
-// Close stops the control plane, then the delivery loop, clients, and
-// daemons.
+// Close stops the control plane, unregisters the stack's bus follower,
+// then closes the clients and daemons.
 func (s *Stack) Close() {
 	s.StopControlPlane()
 	if s.stopDelivery != nil {

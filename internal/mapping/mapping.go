@@ -1,6 +1,6 @@
 // Package mapping distributes I/O-node allocation decisions from the policy
 // solver to the forwarding clients. The solver publishes a versioned map of
-// application → I/O-node addresses on a Bus, and clients subscribe to it.
+// application → I/O-node addresses on a Bus, and clients follow it.
 // WriteFile also writes one decision as the JSON mapping file GekkoFWD's
 // solver hands its clients (GekkoFWD clients re-read it every 10 seconds;
 // jobs.SimConfig.RemapDelay models that delay). An application mapped to an
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -54,22 +55,21 @@ func (m Map) Apps() []string {
 }
 
 // Bus is an in-process mapping distributor: the arbiter publishes, clients
-// subscribe. Subscribers receive the current map immediately and every
-// subsequent publication. A published Map is one read-only snapshot that
-// every subscriber and Publish's caller share; only Current hands out a
-// private copy. A slow subscriber is never blocked on: when its buffer is
-// full its oldest queued map is dropped, so it always ends on the newest.
+// follow. Publish calls every follower, in registration order, before it
+// returns; a follower sees every publication made after it registered. A
+// published Map is one read-only snapshot that every follower and
+// Publish's caller share; only Current hands out a private copy. Followers
+// run under the bus's lock, so one must not call back into the Bus.
 type Bus struct {
-	mu      sync.Mutex
-	current Map
-	fence   uint64
-	subs    map[int]chan Map
-	nextID  int
+	mu        sync.Mutex
+	current   Map
+	fence     uint64
+	followers []*func(Map)
 }
 
 // NewBus returns a bus with an empty version-0 map.
 func NewBus() *Bus {
-	return &Bus{current: Map{IONs: map[string][]string{}}, subs: make(map[int]chan Map)}
+	return &Bus{current: Map{IONs: map[string][]string{}}}
 }
 
 // Current returns the latest published map.
@@ -79,10 +79,10 @@ func (b *Bus) Current() Map {
 	return b.current.Clone()
 }
 
-// Publish installs entries as the new map, bumping the version, and
-// notifies subscribers. The entries are copied once, into one map over one
-// address backing; the result is the shared read-only snapshot every
-// subscriber receives.
+// Publish installs entries as the new map, bumping the version, and calls
+// every follower with it. The entries are copied once, into one map over
+// one address backing; the result is the shared read-only snapshot every
+// follower receives.
 func (b *Bus) Publish(ions map[string][]string) Map {
 	n := 0
 	for _, addrs := range ions {
@@ -102,16 +102,8 @@ func (b *Bus) Publish(ions map[string][]string) Map {
 	defer b.mu.Unlock()
 	next.Version, next.Fence = b.current.Version+1, b.fence
 	b.current = next
-	for _, ch := range b.subs {
-		select {
-		case ch <- next:
-		default: // lagging: drop its oldest map, then there is room (b.mu holds off other senders)
-			select {
-			case <-ch:
-			default:
-			}
-			ch <- next
-		}
+	for _, f := range b.followers {
+		(*f)(next)
 	}
 	return next
 }
@@ -147,25 +139,47 @@ func (b *Bus) Revoke(fence uint64) {
 	}
 }
 
-// Subscribe returns a channel carrying map updates (buffered with the
-// current map already queued) and a cancel function.
-func (b *Bus) Subscribe() (<-chan Map, func()) {
+// Follow registers fn to be called with every map published after it
+// returns, and returns the function that unregisters it; once that
+// returns, fn is never called again.
+func (b *Bus) Follow(fn func(Map)) (unfollow func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	id := b.nextID
-	b.nextID++
-	ch := make(chan Map, 4)
-	ch <- b.current
-	b.subs[id] = ch
-	cancel := func() {
+	return b.followLocked(fn)
+}
+
+// followLocked is Follow with b.mu held.
+func (b *Bus) followLocked(fn func(Map)) func() {
+	f := &fn
+	b.followers = append(b.followers, f)
+	return func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if sub, ok := b.subs[id]; ok {
-			delete(b.subs, id)
-			close(sub)
-		}
+		b.followers = slices.DeleteFunc(b.followers, func(g *func(Map)) bool { return g == f })
 	}
-	return ch, cancel
+}
+
+// Subscribe returns a channel carrying map updates (buffered with the
+// current map already queued) and a cancel function that closes it. Its
+// follower never blocks: on a full buffer it drops the oldest queued map,
+// so a lagging subscriber always ends on the newest.
+func (b *Bus) Subscribe() (<-chan Map, func()) {
+	ch := make(chan Map, 4)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ch <- b.current
+	unfollow := b.followLocked(func(m Map) {
+		select {
+		case ch <- m:
+		default: // lagging: drop its oldest map, then there is room (b.mu holds off other senders)
+			select {
+			case <-ch:
+			default:
+			}
+			ch <- m
+		}
+	})
+	return ch, sync.OnceFunc(func() { unfollow(); close(ch) })
 }
 
 // --- File-based distribution ----------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +70,30 @@ func TestBusSlowSubscriberNotBlocking(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Publish blocked on a slow subscriber")
+	}
+}
+
+// Publish calls every follower once per publication, in registration
+// order, before it returns; a follower sees only the publications made
+// after it registered, and none once it unfollows.
+func TestBusFollowersRunInRegistrationOrder(t *testing.T) {
+	b := NewBus()
+	b.Publish(map[string][]string{"app": {"ion-0"}})
+	var calls []string
+	var unfollow []func()
+	for i := 0; i < 3; i++ {
+		unfollow = append(unfollow, b.Follow(func(m Map) {
+			calls = append(calls, fmt.Sprintf("f%d:v%d", i, m.Version))
+		}))
+	}
+	b.Publish(map[string][]string{"app": {"ion-1"}})
+	b.Publish(map[string][]string{"app": {"ion-2"}})
+	unfollow[1]()
+	unfollow[1]()
+	b.Publish(map[string][]string{"app": {"ion-3"}})
+	want := []string{"f0:v2", "f1:v2", "f2:v2", "f0:v3", "f1:v3", "f2:v3", "f0:v4", "f2:v4"}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("followers ran %v, want %v", calls, want)
 	}
 }
 
