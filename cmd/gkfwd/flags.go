@@ -59,8 +59,8 @@ func bindFlags(fs *flag.FlagSet, cfg *livestack.Config, r *runPlan) {
 	fs.Int64Var(&cfg.ChunkSize, "chunk-size", 0, "ChunkSize: forwarding request-splitting unit in bytes (0 = default)")
 	fs.DurationVar(&cfg.RPC.CallTimeout, "call-timeout", 0, "RPC.CallTimeout: per-RPC deadline (0 = block forever, the legacy behaviour)")
 	fs.IntVar(&cfg.RPC.MaxRetries, "rpc-retries", 0, "RPC.MaxRetries: transport-failure retries per RPC")
-	fs.IntVar(&cfg.RPC.BreakerThreshold, "breaker-threshold", 0, "RPC.BreakerThreshold: consecutive transport failures that open a circuit breaker (0 = breaker off)")
-	fs.DurationVar(&cfg.RPC.BreakerCooldown, "breaker-cooldown", 0, "RPC.BreakerCooldown: open-breaker cooldown before a half-open probe (0 = default)")
+	fs.IntVar(&cfg.RPC.BreakerThreshold, "breaker-threshold", 0, "RPC.BreakerThreshold: consecutive transport failures that open the client's per-node gate (0 = never)")
+	fs.DurationVar(&cfg.RPC.BreakerCooldown, "breaker-cooldown", 0, "RPC.BreakerCooldown: how long the client's per-node gate stays open before a half-open probe (0 = default)")
 	fs.DurationVar(&cfg.HealthInterval, "health-interval", 0, "HealthInterval: heartbeat probe interval, also the scaler's cadence; >0 enables health-driven re-arbitration")
 	fs.DurationVar(&cfg.HealthTimeout, "health-timeout", 0, "HealthTimeout: per-ping deadline (0 = derived from the interval)")
 	fs.IntVar(&cfg.QueueCap, "queue-cap", 0, "QueueCap: bound each daemon's request queue; above it requests get a busy response (0 = unbounded)")

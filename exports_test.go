@@ -51,7 +51,6 @@ var exportsWithoutCallers = map[string]string{
 	"perfmodel.Model.Params":      observes,
 	"pfs.Store.List":              observes,
 	"qos.Bucket.Tokens":           observes,
-	"rpc.Client.BreakerState":     observes,
 	"telemetry.ParsePrometheus":   observes,
 	"telemetry.Tracer.Active":     observes,
 }

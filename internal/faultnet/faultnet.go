@@ -5,8 +5,8 @@
 // indefinitely, delayed per I/O call, or cut after a byte budget.
 //
 // The injector is the chaos half of the failure-tolerance story: the rpc
-// layer's deadlines, retries and circuit breaker (internal/rpc), the
-// health prober (internal/health) and the arbiter's Fail/Rise transitions
+// layer's deadlines and retries (internal/rpc), the client's per-node gate
+// (internal/fwd), the health prober (internal/health) and the arbiter's Fail/Rise transitions
 // are all exercised against these faults in the chaos scenarios. Unlike
 // scenario.Backend — which slows *storage* behind a healthy daemon —
 // faultnet makes the daemon itself unreachable, which is what an I/O-node

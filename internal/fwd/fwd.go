@@ -37,12 +37,11 @@
 // claim spans by atomic index, and a read span hands the transport its
 // window of the caller's buffer (rpc.Message.Dst) so the reply's payload is
 // decoded in place. The snapshot is a slice of target records — address,
-// pooled connection, throttle gate — and a target is what every call below
+// pooled connection, gate — and a target is what every call below
 // the span logic (callION, timedCall, the hedge) is handed.
 package fwd
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -92,9 +91,10 @@ type Config struct {
 	// transport default.
 	PoolSize int
 	// RPC configures the failure-tolerance behaviour of every connection
-	// this client dials: per-call deadlines, bounded retries, circuit
-	// breaker. The zero value keeps the transport's legacy behaviour
-	// (block forever, no retries, no breaker).
+	// this client dials (per-call deadlines, bounded retries), and its
+	// BreakerThreshold and BreakerCooldown arm the transport half of every
+	// per-node gate (throttle.go). The zero value keeps the transport's
+	// legacy behaviour (block forever, no retries, no gate ever opens).
 	RPC rpc.Options
 	// Dedup stamps every forwarded write with this client's (clientID,
 	// seq) identity so daemons with a dedup window can recognise
@@ -103,10 +103,10 @@ type Config struct {
 	// Off by default: unstamped frames are wire-identical to the
 	// pre-integrity protocol.
 	Dedup bool
-	// Throttle configures per-I/O-node adaptive admission (AIMD window,
-	// hint-paced busy retries, degrade-to-direct under sustained
-	// saturation). The zero value disables throttling; busy responses are
-	// then still honoured with hint-paced retries before degrading.
+	// Throttle arms the shed half of every per-node gate (AIMD window,
+	// degrade-to-direct under sustained saturation). The zero value
+	// disables throttling; busy responses are then still honoured with
+	// hint-paced retries before degrading.
 	Throttle ThrottleConfig
 	// QoS is the service class this application's traffic belongs to
 	// (see internal/qos): its token bucket gates admission to the
@@ -167,14 +167,14 @@ type Stats struct {
 }
 
 // target is everything the client keeps per I/O node: its address, the
-// pooled connection and the AIMD throttle gate. One is made the first time
-// an address is allocated and reused by every later view that names the
-// address, so breaker state and the throttle window survive a remap away
+// pooled connection and the gate that judges the node. One is made the
+// first time an address is allocated and reused by every later view that
+// names the address, so the gate's streaks and window survive a remap away
 // and back; only ReleaseConn and Close drop one.
 type target struct {
 	addr string
 	conn *rpc.Client
-	gate *ionGate // nil when throttling is disabled
+	gate ionGate
 }
 
 // routeView is an immutable snapshot of the routing state: the allocation,
@@ -205,6 +205,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	targets map[string]*target // address → per-node record, kept across remaps
+	gates   gatePolicy         // what every target's gate shares
 	ver     uint64
 	fence   uint64        // highest revocation floor seen in a mapping update
 	changed chan struct{} // the view-changed signal (see awaitView)
@@ -304,6 +305,7 @@ func NewClient(cfg Config) (*Client, error) {
 	if c.reg == nil {
 		c.reg = telemetry.New()
 	}
+	c.gates = newGatePolicy(cfg, c.reg)
 	label := fmt.Sprintf("{app=%q}", cfg.AppID)
 	c.stats.forwarded = c.reg.Counter("fwd_forwarded_ops_total" + label)
 	c.stats.direct = c.reg.Counter("fwd_direct_ops_total" + label)
@@ -381,10 +383,11 @@ func (c *Client) setIONsLocked(addrs []string) {
 				t = &target{addr: a, conn: rpc.Dial(a, c.cfg.PoolSize).
 					WithOptions(c.cfg.RPC).
 					Instrument(c.reg, c.cfg.Tracer)}
+				var window *telemetry.Gauge
 				if c.cfg.Throttle.Enabled {
-					t.gate = newIonGate(c.cfg.Throttle,
-						c.reg.Gauge(fmt.Sprintf("fwd_throttle_window_x1000{app=%q,ion=%q}", c.cfg.AppID, a)))
+					window = c.reg.Gauge(fmt.Sprintf("fwd_throttle_window_x1000{app=%q,ion=%q}", c.cfg.AppID, a))
 				}
+				t.gate.init(&c.gates, window)
 				c.targets[a] = t
 			}
 			v.targets[i] = t
@@ -459,8 +462,9 @@ func (c *Client) IONs() (ions []string) {
 // application. Stale versions are ignored. The version check and the
 // install happen under one critical section, so two updates delivered
 // out of order can never leave the older allocation installed with the
-// newer version recorded. A closed client ignores every map.
-func (c *Client) ApplyMap(m mapping.Map) {
+// newer version recorded. A closed client ignores every map, and ApplyMap
+// reports open false: a follower may stop delivering to it.
+func (c *Client) ApplyMap(m mapping.Map) (open bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// A map is fresh if its version advances — or, same-version, if its
@@ -470,18 +474,22 @@ func (c *Client) ApplyMap(m mapping.Map) {
 	// time until the client has installed a versioned map, and is stale
 	// after: a follower that reads the bus's current v0 just as the first
 	// publication reaches it must not roll back to the empty map.
-	if c.closed.Load() || (m.Version != 0 || c.ver != 0) && m.Version <= c.ver && m.Fence <= c.fence {
-		return
+	if c.closed.Load() {
+		return false
+	}
+	if (m.Version != 0 || c.ver != 0) && m.Version <= c.ver && m.Fence <= c.fence {
+		return true
 	}
 	c.ver = m.Version
 	if m.Fence > c.fence {
 		c.fence = m.Fence
 	}
 	c.setIONsLocked(m.For(c.cfg.AppID))
+	return true
 }
 
 // ReleaseConn closes and forgets the target (pooled connection and
-// throttle gate) for addr, provided addr is not in the current allocation.
+// gate) for addr, provided addr is not in the current allocation.
 // Remaps deliberately keep targets of former nodes so a map-back is
 // cheap; a decommissioned I/O node never comes back on its address, so
 // the stack calls this when one leaves for good — otherwise an elastic
@@ -684,52 +692,37 @@ func (c *Client) buildSpans(v *routeView, path string, off, n int64, out []span)
 // defaults (DESIGN.md §8; the outcome table pins it).
 const busyRetries = 2
 
-// errSaturated is callION's shed when the node's gate refuses a request: a
-// busy-class error decided on this side of the wire.
-var errSaturated = &rpc.Error{Class: rpc.ClassBusy, Err: errors.New("fwd: I/O node saturated")}
-
-// callION issues one RPC through the overload-protection path: the per-ION
-// AIMD gate (when throttling is enabled) and up to busyRetries re-sends of
-// a shed request, paced by the server's retry-after hint with jitter. What
-// it returns is Call's: a busy-class error is a request the node never
-// accepted — shed past the last re-send, or refused at once by a gate that
-// finds the node saturated — and the caller's fallback rule sends it to the
-// PFS. Any other class passes through, having released the gate slot the
-// way classRules says: grown when the node took the request on, else left
-// alone. A non-nil it lets a hedge that won abandon this call (see
-// hedge.go): the window learns nothing from an answer nobody took.
+// callION issues one RPC through the node's gate (throttle.go) and re-sends
+// a shed request up to busyRetries times, each re-send paced by the gate
+// behind the server's retry-after hint. What it returns is Call's, or the
+// open gate's refusal — errSaturated (a shed) or errCircuitOpen (an
+// unreachable node) — and the caller's fallback rule acts on the class
+// alone. Every call hands the gate the verdict classRules gives its class.
+// A non-nil it lets a hedge that won abandon this call (see hedge.go): an
+// interrupted call carries no verdict, so a probe abandoned that way hands
+// its slot back.
 //
 // The returned response owns pooled transport buffers: the caller must
 // copy what it needs out of resp and call resp.Release (busy responses
 // are consumed and released here).
 func (c *Client) callION(t *target, req *rpc.Message, it *rpc.Interrupt) (*rpc.Message, error) {
-	g := t.gate
+	g := &t.gate
 	for attempt := 0; ; attempt++ {
-		if g != nil && !g.acquire() {
-			return nil, errSaturated
+		probe, err := g.acquire()
+		if err != nil {
+			return nil, err
 		}
 		resp, err := t.conn.CallInterruptible(req, it)
 		class := rpc.ClassOf(err)
 		if class != rpc.ClassBusy {
-			if g != nil && classRules[class].took {
-				g.onSuccess()
-			} else if g != nil {
-				g.onError()
-			}
+			g.release(classRules[class].verdict, probe, 0)
 			return resp, err
 		}
 		resp.Release()
 		c.stats.shed.Inc()
-		hint := err.(*rpc.Error).RetryAfter
-		if g != nil {
-			g.onBusy(hint)
-		}
+		g.release(verdictShed, probe, err.(*rpc.Error).RetryAfter)
 		if attempt == busyRetries {
 			return nil, err
-		}
-		if g == nil {
-			// No gate to pace the retry: sleep the jittered hint here.
-			time.Sleep(equalJitter(cmp.Or(hint, time.Millisecond)))
 		}
 	}
 }
@@ -753,10 +746,11 @@ const (
 	// The response — or the error, mapped by wireError — is the result.
 	served outcome = iota
 	// shed: the node never accepted the request (busy past busyRetries, or
-	// its gate is saturated). The PFS takes it, as a degrade.
+	// sheds hold its gate open). The PFS takes it, as a degrade.
 	shed
-	// unreachable: deadlines and retries ran out, the breaker is open, or
-	// the conn was released under the op. The PFS takes it, as a failover.
+	// unreachable: deadlines and retries ran out, transport failures hold
+	// the node's gate open, or the conn was released under the op. The PFS
+	// takes it, as a failover.
 	unreachable
 	// fenced: a write stamped with a revoked epoch, refused before it
 	// touched the backend. It is sent again over a fresher view, or — none
@@ -772,28 +766,28 @@ var hopNotes = [...]string{served: "forwarded", shed: "degraded", unreachable: "
 func (o outcome) direct() bool { return o == shed || o == unreachable }
 
 // classRules is everything the client makes of the class rpc sorted a call
-// into: the outcome the fallback rule acts on; whether the node took the
-// request on, so its throttle window may grow (callION; a shed has its own
-// path there); and whether the call's duration is a sample of the node's
-// service latency (timedCall) — only an accepted call is: sheds and
-// transport failures have their own planes, overload detection and the
-// breaker. A closed conn is a node released under the op's route view —
-// gone for good, the strongest form of unreachable. An interrupted call is
-// a primary abandoned to its winning hedge; hedged hands over the backup's
-// result instead, so none reaches classify. An error rpc did not produce (a
-// hedged read's PFS error) is of the app class.
+// into: the outcome the fallback rule acts on; the verdict the node's gate
+// takes from it (callION); and whether the call's duration is a sample of
+// the node's service latency (timedCall) — only an accepted call is: sheds
+// and transport failures have their own plane, the gate. A closed conn is a
+// node released under the op's route view — gone for good, the strongest
+// form of unreachable, yet no verdict on the node's health. An interrupted
+// call is a primary abandoned to its winning hedge; hedged hands over the
+// backup's result instead, so none reaches classify. An error rpc did not
+// produce (a hedged read's PFS error) is of the app class.
 var classRules = [...]struct {
-	out          outcome
-	took, sample bool
+	out     outcome
+	verdict verdict
+	sample  bool
 }{
-	rpc.ClassOK:          {served, true, true},
-	rpc.ClassApp:         {served, true, false},
-	rpc.ClassBusy:        {shed, false, false},
-	rpc.ClassFenced:      {fenced, true, false},
-	rpc.ClassLocal:       {served, false, false},
-	rpc.ClassClosed:      {unreachable, false, false},
-	rpc.ClassInterrupted: {served, false, true},
-	rpc.ClassUnavailable: {unreachable, false, false},
+	rpc.ClassOK:          {served, verdictTook, true},
+	rpc.ClassApp:         {served, verdictTook, false},
+	rpc.ClassBusy:        {shed, verdictShed, false},
+	rpc.ClassFenced:      {fenced, verdictTook, false},
+	rpc.ClassLocal:       {served, verdictNone, false},
+	rpc.ClassClosed:      {unreachable, verdictNone, false},
+	rpc.ClassInterrupted: {served, verdictNone, true},
+	rpc.ClassUnavailable: {unreachable, verdictUnreachable, false},
 }
 
 // classify turns what callION (or hedged, once the hedge has chosen)

@@ -65,11 +65,10 @@ func (c *Client) targetFor(addr string) *target {
 	return c.targets[addr]
 }
 
-// gateFor returns the throttle gate for addr (nil when throttling is off
-// or the address is unknown).
+// gateFor returns the gate for addr (nil when the address is unknown).
 func (c *Client) gateFor(addr string) *ionGate {
 	if t := c.targetFor(addr); t != nil {
-		return t.gate
+		return &t.gate
 	}
 	return nil
 }

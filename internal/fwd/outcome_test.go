@@ -172,6 +172,8 @@ type outcomeWant struct {
 	wire         int64 // requests that reached the I/O node
 	retries      int64 // rpc_retries_total: transport re-sends
 	stale        int64 // rpc_stale_retries_total: re-sends of a request that died on a dead pooled conn
+	rejects      int64 // rpc_breaker_rejected_total: calls an open gate refused before the wire
+	closes       int64 // rpc_breaker_close_total: open gates a probe closed
 	note         string
 	noTrace      bool // the op was refused before a trace was opened
 	waitsOut     bool // the op may wait out EpochWait (no fresher view comes)
@@ -227,6 +229,16 @@ func outcomeOracle(op int, route string, L int) outcomeWant {
 	case "unreachable", "released conn":
 		toDirect("failover")
 		w.stats.FailoverOps = 1
+	case "open gate":
+		// BreakerThreshold unreachable calls opened the node's gate: the
+		// request is refused before the wire and the PFS takes it.
+		toDirect("failover")
+		w.stats.FailoverOps = 1
+		w.rejects = 1
+	case "half-open probe closes":
+		// Past the cool-down the request is the gate's one probe.
+		served()
+		w.closes = 1
 	case "transport retries exhausted":
 		// The node ran every attempt's request; no reply came back in time.
 		toDirect("failover")
@@ -303,6 +315,7 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 		"fenced, fresher view is direct",
 		"QoS scavenger, empty bucket", "closed client",
 		"transport retries exhausted", "stale pooled conn",
+		"open gate", "half-open probe closes",
 	}
 	for _, route := range routes {
 		for op, opName := range outcomeOps {
@@ -363,6 +376,8 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 					// Requests arrive at once, replies never: every attempt
 					// runs the handler and then times out.
 					cfg.RPC = rpc.Options{CallTimeout: 50 * time.Millisecond, MaxRetries: transportRetries}
+				case "open gate", "half-open probe closes":
+					cfg.RPC = rpc.Options{BreakerThreshold: 2, BreakerCooldown: time.Minute}
 				}
 				var err error
 				if c, err = NewClient(cfg); err != nil {
@@ -374,10 +389,27 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				}
 				switch route {
 				case "saturated gate":
-					g := c.view.Load().targets[0].gate
+					g := &c.view.Load().targets[0].gate
 					g.mu.Lock()
-					g.consecBusy, g.retryUntil = degradeAfter, time.Now().Add(time.Hour)
+					g.sheds, g.until = degradeAfter, time.Now().Add(time.Hour)
 					g.mu.Unlock()
+				case "open gate", "half-open probe closes":
+					// BreakerThreshold unreachable calls, as the gate sees
+					// them; the cool-down passes on its clock.
+					g := &c.view.Load().targets[0].gate
+					now := time.Now()
+					g.mu.Lock()
+					g.now = func() time.Time { return now }
+					g.mu.Unlock()
+					for i := 0; i < cfg.RPC.BreakerThreshold; i++ {
+						if _, err := g.acquire(); err != nil {
+							t.Fatal(err)
+						}
+						g.release(verdictUnreachable, false, 0)
+					}
+					if route == "half-open probe closes" {
+						now = now.Add(cfg.RPC.BreakerCooldown)
+					}
 				case "released conn":
 					c.targetFor(addr).conn.Close()
 				case "closed client":
@@ -454,6 +486,9 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				retries, stale := counters["rpc_retries_total"], counters["rpc_stale_retries_total"]
 				if retries != want.retries || stale != want.stale {
 					t.Errorf("rpc_retries_total = %d, rpc_stale_retries_total = %d; want %d, %d", retries, stale, want.retries, want.stale)
+				}
+				if rejects, closes := counters["rpc_breaker_rejected_total"], counters["rpc_breaker_close_total"]; rejects != want.rejects || closes != want.closes {
+					t.Errorf("rpc_breaker_rejected_total = %d, rpc_breaker_close_total = %d; want %d, %d", rejects, closes, want.rejects, want.closes)
 				}
 				if sent := fake.wire.Load() + stale; sent > spanBound(cfg.RPC.MaxRetries) {
 					t.Errorf("%d wire requests, above the bound %d", sent, spanBound(cfg.RPC.MaxRetries))

@@ -85,8 +85,8 @@ func TestReleaseConnRaceFailsOverClosedClient(t *testing.T) {
 }
 
 // A remap away from a node and back hands out the very same target: the
-// pooled connection (breaker state with it) and the AIMD window the gate
-// had learned. Only ReleaseConn and Close drop one.
+// pooled connection and the gate with the window it had learned. Only
+// ReleaseConn and Close drop one.
 func TestReleaseConnOnlyDropsTargetRemapKeepsIt(t *testing.T) {
 	store, addrs, _ := testStack(t, 2)
 	c, err := NewClient(Config{AppID: "app", Direct: store, ChunkSize: 64,
@@ -97,7 +97,7 @@ func TestReleaseConnOnlyDropsTargetRemapKeepsIt(t *testing.T) {
 	defer c.Close()
 	c.SetIONs(addrs)
 	before := c.targetFor(addrs[1])
-	conn, gate := before.conn, before.gate
+	conn, gate := before.conn, &before.gate
 	gate.mu.Lock()
 	gate.window = 2.5 // what a run of sheds would have left behind
 	gate.mu.Unlock()
@@ -111,24 +111,19 @@ func TestReleaseConnOnlyDropsTargetRemapKeepsIt(t *testing.T) {
 	gate.mu.Lock()
 	window := gate.window
 	gate.mu.Unlock()
-	if after.addr != addrs[1] || after.conn != conn || after.gate != gate || window != 2.5 {
+	if after.addr != addrs[1] || after.conn != conn || &after.gate != gate || window != 2.5 {
 		t.Fatalf("target changed across the remap: addr=%q conn kept=%v gate kept=%v window=%v",
-			after.addr, after.conn == conn, after.gate == gate, window)
+			after.addr, after.conn == conn, &after.gate == gate, window)
 	}
 }
 
-// A non-throttling client's views carry no gate and a remap builds nothing
-// per node for one; Close retains no target at all.
+// A remap of known nodes builds nothing per node; Close retains no target
+// at all.
 func TestCloseRetainsNoTarget(t *testing.T) {
 	store, addrs, _ := testStack(t, 3)
 	c := newTestClient(t, store, 64)
 	c.SetIONs(addrs)
 	c.SetIONs(addrs[:1]) // two former nodes stay pooled
-	for _, tg := range c.view.Load().targets {
-		if tg.gate != nil {
-			t.Fatalf("non-throttling client built a gate for %s", tg.addr)
-		}
-	}
 	if n := testing.AllocsPerRun(20, func() { c.SetIONs(addrs[:1]) }); n > 1 {
 		// the view: an unchanged allocation keeps its addrs and targets
 		t.Fatalf("remap of a known address allocates %v objects, want ≤ 1", n)

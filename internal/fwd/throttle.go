@@ -1,25 +1,39 @@
-// Adaptive client-side throttling: the compute-node half of the overload
-// protection path. Each I/O node gets an AIMD admission window on the
-// client — additive increase on success, multiplicative decrease on a busy
-// (shed) response — so a bursty application backs off the moment a daemon
-// starts shedding, instead of hammering it with retries. Busy retries are
-// paced by the server's retry-after hint with equal jitter; under
-// *sustained* saturation (degradeAfter consecutive sheds) chunks degrade
-// to the direct PFS path, and a breaker-style probe after the pacing
-// interval lets the window reopen once the daemon drains.
+// The per-I/O-node gate: the one place a call's outcome opens, probes and
+// closes a node. Every target holds one, and callION hands it the verdict
+// classRules gives each call — took, shed, unreachable or none. Two
+// streaks feed one closed → open → half-open cycle:
+//
+//   - sheds (busy answers): with Throttle.Enabled, degradeAfter in a row
+//     open the gate until the paced hint passes; a refused call is shed
+//     (errSaturated) and its chunk degrades to the direct PFS path. The
+//     throttle also keeps an AIMD admission window — additive increase on
+//     success, multiplicative decrease on a shed — so a bursty
+//     application backs off the moment a daemon starts shedding.
+//   - transport failures (unreachable calls, weighted 1+RPC.MaxRetries):
+//     RPC.BreakerThreshold of them open the gate for RPC.BreakerCooldown;
+//     a refused call is unreachable (errCircuitOpen) and fails over.
+//
+// Once an open gate's time passes it admits exactly one probe; the probe's
+// verdict closes or re-opens it, and a probe without one hands the slot
+// back. A shed resets the transport streak (the node answered); a
+// transport failure keeps the shed streak. Whatever is armed, a shed
+// paces every later call to the node behind the server's retry-after
+// hint, grown with the streak and jittered.
 package fwd
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
 
 // ThrottleConfig parameterizes per-ION adaptive admission. The zero value
-// disables throttling entirely: calls pass straight through, preserving
-// the historical client behavior byte for byte.
+// leaves the gate's shed half unarmed: no window, no degrade — busy
+// replies are only paced.
 type ThrottleConfig struct {
 	// Enabled turns the AIMD window on. A gate starts at MaxWindow
 	// (optimistic, shrinking on evidence).
@@ -47,6 +61,17 @@ const (
 	// burst stays pinned small across an idle gap — the saturation
 	// evidence is stale long before the next burst arrives.
 	idleRecovery = 30 * time.Second
+	// defaultCooldown is how long transport failures hold a gate open
+	// when RPC.BreakerCooldown is unset.
+	defaultCooldown = time.Second
+)
+
+// What a call refused by an open gate gets: the shed half's is a shed
+// decided on this side of the wire, the transport half's an unreachable
+// node.
+var (
+	errSaturated   = &rpc.Error{Class: rpc.ClassBusy, Err: errors.New("fwd: I/O node saturated")}
+	errCircuitOpen = &rpc.Error{Class: rpc.ClassUnavailable, Err: rpc.ErrCircuitOpen}
 )
 
 // withDefaults fills the derived defaults when throttling is enabled.
@@ -66,30 +91,72 @@ func (t ThrottleConfig) withDefaults() ThrottleConfig {
 	return t
 }
 
-// ionGate is the per-I/O-node AIMD state. All fields are guarded by mu;
-// acquire blocks callers while the in-flight count fills the window, so
-// the gate is also the client's local queue — backpressure surfaces to
-// the application as write latency, not as lost requests.
-type ionGate struct {
-	cfg ThrottleConfig
-	now func() time.Time // clock seam; time.Now outside tests
+// verdict is what a call tells the gate about its node (classRules'
+// verdict column).
+type verdict uint8
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	window     float64 // fractional AIMD window; int floor admits
-	inflight   int
-	consecBusy int       // consecutive sheds; resets on any success
-	retryUntil time.Time // pacing gate from the last shed's hint
-	lastUse    time.Time // last acquire; zero until the first one
+const (
+	verdictNone        verdict = iota // local, closed, interrupted: nothing about the node
+	verdictTook                       // ok, app, fenced: the node took the request on
+	verdictShed                       // busy: the node answered, and refused
+	verdictUnreachable                // unavailable: transport failures outlasted the retries
+)
 
-	telWindow *telemetry.Gauge // window ×1000, for observability
+// gatePolicy is what every gate of one client shares: what arms each half,
+// and the counters the transport half moves.
+type gatePolicy struct {
+	throttle  ThrottleConfig
+	threshold int           // transport failures that open a gate; 0 = never
+	cooldown  time.Duration // how long they hold it open
+	weight    int           // transport failures one unreachable call counts: 1+RPC.MaxRetries
+
+	opens, probes, closes, rejects *telemetry.Counter
 }
 
-func newIonGate(cfg ThrottleConfig, telWindow *telemetry.Gauge) *ionGate {
-	g := &ionGate{cfg: cfg, now: time.Now, window: float64(cfg.MaxWindow), telWindow: telWindow}
-	g.cond = sync.NewCond(&g.mu)
+func newGatePolicy(cfg Config, reg *telemetry.Registry) gatePolicy {
+	p := gatePolicy{
+		throttle:  cfg.Throttle,
+		threshold: cfg.RPC.BreakerThreshold,
+		cooldown:  cfg.RPC.BreakerCooldown,
+		weight:    1 + max(cfg.RPC.MaxRetries, 0),
+		opens:     reg.Counter("rpc_breaker_open_total"),
+		probes:    reg.Counter("rpc_breaker_half_open_probes_total"),
+		closes:    reg.Counter("rpc_breaker_close_total"),
+		rejects:   reg.Counter("rpc_breaker_rejected_total"),
+	}
+	if p.cooldown <= 0 {
+		p.cooldown = defaultCooldown
+	}
+	return p
+}
+
+// ionGate is the per-I/O-node state. All fields below mu are guarded by
+// it; with the throttle armed, acquire blocks callers while the in-flight
+// count fills the window, so the gate is also the client's local queue —
+// backpressure surfaces to the application as write latency, not as lost
+// requests.
+type ionGate struct {
+	pol       *gatePolicy
+	now       func() time.Time // clock seam; time.Now outside tests
+	telWindow *telemetry.Gauge // window ×1000; nil unless the throttle is armed
+
+	mu       sync.Mutex
+	cond     sync.Cond
+	window   float64 // fractional AIMD window; int floor admits
+	inflight int
+	sheds    int       // consecutive sheds; reset by a call the node took
+	fails    int       // consecutive transport failures; reset by any answer
+	until    time.Time // no call leaves before it: pacing behind a shed, or an open gate's time
+	probing  bool      // an open gate's one probe is out
+	lastUse  time.Time // last acquire; zero until the first one
+}
+
+// init readies a gate in place (a target holds its gate by value).
+func (g *ionGate) init(pol *gatePolicy, window *telemetry.Gauge) {
+	g.pol, g.now, g.telWindow = pol, time.Now, window
+	g.cond.L = &g.mu
+	g.window = float64(pol.throttle.MaxWindow)
 	g.publishWindow()
-	return g
 }
 
 // publishWindow mirrors the fractional window into its gauge (×1000 so
@@ -100,116 +167,135 @@ func (g *ionGate) publishWindow() {
 
 // admitted returns the integer admission width. Caller holds mu.
 func (g *ionGate) admitted() int {
-	w := int(g.window)
-	if w < g.cfg.MinWindow {
-		w = g.cfg.MinWindow
-	}
-	return w
+	return max(int(g.window), g.pol.throttle.MinWindow)
 }
 
-// acquire takes one in-flight slot, blocking while the window is full and
-// pacing behind the last shed's retry-after hint. It returns false — do
-// not send, degrade to the direct path — when the node is saturated
-// (degradeAfter consecutive sheds) and the pacing interval has not yet
-// passed; once it passes, one caller is admitted as the probe that decides
-// whether the window reopens.
-func (g *ionGate) acquire() bool {
+// refusal is the error an open gate refuses calls with — the transport
+// half's first, a failover outranks a degrade — or nil while the gate is
+// closed. Caller holds mu.
+func (g *ionGate) refusal() error {
+	switch {
+	case g.pol.threshold > 0 && g.fails >= g.pol.threshold:
+		return errCircuitOpen
+	case g.pol.throttle.Enabled && g.sheds >= degradeAfter:
+		return errSaturated
+	}
+	return nil
+}
+
+// acquire admits one call or refuses it with the open gate's error. An
+// open gate admits nobody until its time passes, then exactly one probe
+// (probe reports that this call is it). A closed gate paces callers
+// behind the last shed's hint and, with the throttle armed, blocks them
+// while the window is full. Every admitted call must be released.
+func (g *ionGate) acquire() (probe bool, err error) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	now := g.now()
-	if !g.lastUse.IsZero() && now.Sub(g.lastUse) >= idleRecovery &&
-		g.window < float64(g.cfg.MaxWindow) {
+	if g.pol.throttle.Enabled && !g.lastUse.IsZero() && now.Sub(g.lastUse) >= idleRecovery &&
+		g.window < float64(g.pol.throttle.MaxWindow) {
 		// Idle recovery: the multiplicative decrease is evidence of
 		// saturation *at the time of the burst*. After a long idle gap
 		// that evidence is stale — and since the window only grows on
 		// successes, a gate left small would start the next burst pinned
-		// at the floor forever. Reopen to the initial posture and let
-		// fresh evidence speak.
-		g.window = float64(g.cfg.MaxWindow)
-		g.consecBusy = 0
-		g.retryUntil = time.Time{}
+		// at the floor forever. Reopen the shed half to its initial
+		// posture and let fresh evidence speak.
+		g.window = float64(g.pol.throttle.MaxWindow)
+		g.sheds = 0
+		if g.refusal() == nil {
+			g.until = time.Time{}
+		}
 		g.publishWindow()
 	}
 	g.lastUse = now
 	for {
-		if g.consecBusy >= degradeAfter && g.now().Before(g.retryUntil) {
-			g.mu.Unlock()
-			return false
-		}
-		if g.inflight < g.admitted() {
-			if wait := g.retryUntil.Sub(g.now()); wait > 0 {
-				// Pace behind the hint without holding the lock, then
-				// re-evaluate (another caller may have shed meanwhile).
-				g.mu.Unlock()
-				time.Sleep(wait)
-				g.mu.Lock()
-				continue
+		err = g.refusal()
+		if err != nil && (g.probing || now.Before(g.until)) {
+			if err == errCircuitOpen {
+				g.pol.rejects.Inc()
 			}
-			g.inflight++
+			return false, err
+		}
+		if g.pol.throttle.Enabled && g.inflight >= g.admitted() {
+			g.cond.Wait()
+		} else if wait := g.until.Sub(now); err == nil && wait > 0 {
+			// Pace behind the hint without holding the lock, then
+			// re-evaluate (another caller may have shed meanwhile).
 			g.mu.Unlock()
-			return true
+			time.Sleep(wait)
+			g.mu.Lock()
+		} else {
+			break
 		}
-		g.cond.Wait()
+		now = g.now()
 	}
+	g.inflight++
+	if err == errCircuitOpen {
+		g.pol.probes.Inc()
+	}
+	g.probing = err != nil
+	return g.probing, nil
 }
 
-// onSuccess releases the slot and grows the window additively (classic
-// AIMD: +1/window per success, so one full window of successes grows the
-// admission width by one).
-func (g *ionGate) onSuccess() {
-	g.mu.Lock()
-	g.inflight--
-	g.consecBusy = 0
-	if g.window < float64(g.cfg.MaxWindow) {
-		g.window += 1 / g.window
-		if g.window > float64(g.cfg.MaxWindow) {
-			g.window = float64(g.cfg.MaxWindow)
-		}
-	}
-	g.publishWindow()
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// onBusy releases the slot, halves the window, and arms the pacing gate
-// from the server's hint — grown exponentially with consecutive sheds
-// (capped) and jittered so a fleet of clients does not retry in lockstep.
-func (g *ionGate) onBusy(hint time.Duration) {
-	g.mu.Lock()
-	g.inflight--
-	g.consecBusy++
-	g.window /= 2
-	if g.window < float64(g.cfg.MinWindow) {
-		g.window = float64(g.cfg.MinWindow)
-	}
-	d := hint
-	if d <= 0 {
-		d = retryAfterFloor
-	}
-	for i := 1; i < g.consecBusy && d < retryAfterCap; i++ {
-		d *= 2
-	}
-	d = min(d, retryAfterCap)
-	g.retryUntil = g.now().Add(equalJitter(d))
-	g.publishWindow()
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// onError releases the slot without touching the window: transport
-// failures are the circuit breaker's and failover path's concern, not the
-// throttle's.
-func (g *ionGate) onError() {
-	g.mu.Lock()
-	g.inflight--
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// saturated reports whether the gate is currently degrading chunks.
-func (g *ionGate) saturated() bool {
+// release ends an admitted call with its verdict. hint is a shed's
+// retry-after hint.
+func (g *ionGate) release(v verdict, probe bool, hint time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.consecBusy >= degradeAfter && g.now().Before(g.retryUntil)
+	g.inflight--
+	g.cond.Broadcast()
+	if probe {
+		// The probe's verdict decides: a took closes the gate, a shed or
+		// a transport failure re-opens it, and none hands the slot back.
+		g.probing = false
+	}
+	if v == verdictNone {
+		return
+	}
+	if v != verdictUnreachable {
+		// The node answered. A gate open for transport failures closes,
+		// and its cool-down goes with it: a call admitted before it opened
+		// may answer inside it, and the cool-down must not pace the calls
+		// after.
+		if g.refusal() == errCircuitOpen {
+			g.pol.closes.Inc()
+			g.until = time.Time{}
+		}
+		g.fails = 0
+	}
+	armed := g.pol.throttle.Enabled
+	switch v {
+	case verdictTook:
+		g.sheds = 0
+		if armed && g.window < float64(g.pol.throttle.MaxWindow) {
+			// Classic AIMD: +1/window per success, so one full window of
+			// successes grows the admission width by one.
+			g.window = min(g.window+1/g.window, float64(g.pol.throttle.MaxWindow))
+		}
+	case verdictShed:
+		g.sheds++
+		if armed {
+			g.window = max(g.window/2, float64(g.pol.throttle.MinWindow))
+		}
+		// Pace from the server's hint, grown exponentially with the streak
+		// (capped) and jittered so a fleet of clients does not retry in
+		// lockstep.
+		d := max(hint, retryAfterFloor)
+		for i := 1; i < g.sheds && d < retryAfterCap; i++ {
+			d *= 2
+		}
+		g.until = g.now().Add(equalJitter(min(d, retryAfterCap)))
+	case verdictUnreachable:
+		wasOpen := g.refusal() == errCircuitOpen
+		g.fails += g.pol.weight
+		if g.refusal() == errCircuitOpen && (probe || !wasOpen) {
+			g.pol.opens.Inc()
+			g.until = g.now().Add(g.pol.cooldown)
+		}
+	}
+	if armed {
+		g.publishWindow()
+	}
 }
 
 // equalJitter spreads d over [d/2, d): half deterministic, half uniform —

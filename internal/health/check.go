@@ -12,7 +12,7 @@ import (
 // journaled pool members survived a control-plane blackout. A busy
 // (shed) response proves the node alive, exactly as in the prober's
 // sweep; only transport failures count as dead. The probe dials a
-// dedicated connection with no retries and no breaker so it sees raw
+// dedicated connection with no retries and no gate so it sees raw
 // reachability, and closes it before returning. timeout ≤0 selects the
 // prober's default deadline, 500ms.
 func Check(addr string, timeout time.Duration) bool {

@@ -63,8 +63,8 @@ type Config struct {
 	Addrs []string
 	// Timeout is the per-ping deadline; ≤0 selects 500ms, Check's
 	// default too (livestack derives its own from the probe interval).
-	// Probes use a dedicated rpc client with no retries and no breaker,
-	// so the prober sees raw reachability. A sweep lasts at most one
+	// Probes use a dedicated rpc client with no retries and no gate, so
+	// the prober sees raw reachability. A sweep lasts at most one
 	// Timeout: its pings run in parallel.
 	Timeout time.Duration
 	// FailThreshold consecutive failed pings mark a node down; ≤0

@@ -56,8 +56,8 @@ type Config struct {
 	// signals (overload detection, elastic scaling) must see the demand.
 	PoolSize int
 	// RPC is the failure-tolerance configuration (per-call deadlines,
-	// retries, circuit breaker) applied to every forwarding client this
-	// stack creates. The zero value keeps the legacy block-forever
+	// retries, and the threshold and cool-down of each client's per-node
+	// gate) applied to every forwarding client this stack creates. The zero value keeps the legacy block-forever
 	// transport behaviour. BreakerCooldown only applies with
 	// BreakerThreshold set. Its WireChecksum is rejected: checksums are
 	// a whole-stack switch, WireChecksum below.
@@ -284,7 +284,7 @@ func (c *Config) Validate() error {
 		why   string
 	}{
 		{c.RPC.BreakerCooldown > 0, "RPC.BreakerCooldown", c.RPC.BreakerThreshold > 0, "RPC.BreakerThreshold",
-			"without a threshold no breaker ever opens, so the cooldown never applies"},
+			"without a threshold no client gate ever opens for transport failures, so the cooldown never applies"},
 		{c.HealthTimeout > 0, "HealthTimeout", probing, "HealthInterval",
 			"without an interval no probe runs, so the ping deadline never applies"},
 		{c.HealthFailThreshold > 0 || c.HealthRiseThreshold > 0, "HealthFailThreshold/HealthRiseThreshold", probing, "HealthInterval",

@@ -368,3 +368,33 @@ func TestWaitForAllocationHoldsWhenNewClientReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFollowerDropsClosedClients: a closed client leaves the delivery list
+// at the first decision after its Close, so every Publish walks only the
+// clients still open. Sixteen clients, twelve of them closed, then one
+// decision: the follower keeps the four open ones, in creation order, and
+// they are on its map.
+func TestFollowerDropsClosedClients(t *testing.T) {
+	st := startStack(t, 4)
+	var open []*fwd.Client
+	for i := 0; i < 16; i++ {
+		c, err := st.NewClient(slot(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 3 {
+			open = append(open, c)
+		} else {
+			c.Close()
+		}
+	}
+	if _, err := st.Arbiter.JobStarted(appFor(t, "IOR-MPI", slot(3))); err != nil {
+		t.Fatal(err)
+	}
+	if walked := st.followers(); !slices.Equal(walked, open) {
+		t.Fatalf("the follower walks %d clients after the decision, want the %d open ones", len(walked), len(open))
+	}
+	if have, want := open[0].IONs(), st.Bus.Current().For(slot(3)); len(have) == 0 || !slices.Equal(have, want) {
+		t.Fatalf("an open client routes on %v, the decision assigns %v", have, want)
+	}
+}

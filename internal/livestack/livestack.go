@@ -83,9 +83,10 @@ type Stack struct {
 	nextION int              // daemon index source (addNode)
 	nodes   map[string]*node // address → the daemon the stack started there
 
-	// clients are the clients NewClient made, in creation order. The
+	// clients are the open clients NewClient made, in creation order. The
 	// slice is replaced, never appended to in place (under mu), so the
-	// bus's follower walks it without a lock.
+	// bus's follower walks it without a lock; the follower drops the
+	// clients it finds closed.
 	clients atomic.Pointer[[]*fwd.Client]
 
 	// stopDelivery unregisters the stack's bus follower (startDelivery).
@@ -317,27 +318,47 @@ func (s *Stack) buildScaler(addrs []string) error {
 
 // startDelivery registers the stack's one bus follower: inside every
 // Publish it raises every daemon's revocation floor to the map's fence,
-// then applies the map to every client, in creation order. A client
-// applies the map current at its registration itself (NewClient). The
-// recovery fence is pushed first by arbiter.RecoverConfig.PreFence; the
-// follower's keeps late joiners and warm-restarted daemons on the floor.
-// Lock order: the arbiter's → the bus's → {s.mu (fenceAll), a client's,
-// the telemetry registry's}; deadlock-free because nothing calls the
-// arbiter or the bus while holding s.mu or a client's lock, and the
-// follower never calls back into the bus.
+// then applies the map to every client, in creation order, and drops the
+// clients that turned out closed from the list. A client applies the map
+// current at its registration itself (NewClient). The recovery fence is
+// pushed first by arbiter.RecoverConfig.PreFence; the follower's keeps
+// late joiners and warm-restarted daemons on the floor.
+// Lock order: the arbiter's → the bus's → {s.mu (fenceAll, dropClosed), a
+// client's, the telemetry registry's}; deadlock-free because nothing
+// calls the arbiter or the bus while holding s.mu or a client's lock, and
+// the follower never calls back into the bus.
 func (s *Stack) startDelivery() {
 	s.stopDelivery = s.Bus.Follow(func(m mapping.Map) {
 		if m.Fence > 0 {
 			s.fenceAll(m.Fence)
 		}
+		var closed []*fwd.Client
 		for _, c := range s.followers() {
-			c.ApplyMap(m)
+			if !c.ApplyMap(m) {
+				closed = append(closed, c)
+			}
+		}
+		if closed != nil {
+			s.dropClosed(closed)
 		}
 	})
 }
 
-// followers returns the clients NewClient made, in creation order; the
-// caller must not modify the slice.
+// dropClosed takes closed off the client list. It filters the list as it
+// stands under s.mu, not the one the follower walked, so a client that
+// NewClient registered meanwhile stays on it.
+func (s *Stack) dropClosed(closed []*fwd.Client) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	open := slices.DeleteFunc(slices.Clone(s.followers()), func(c *fwd.Client) bool {
+		return slices.Contains(closed, c)
+	})
+	s.clients.Store(&open)
+}
+
+// followers returns the clients NewClient made, in creation order, less
+// those the follower has found closed; the caller must not modify the
+// slice.
 func (s *Stack) followers() []*fwd.Client { return *s.clients.Load() }
 
 // fenceAll raises the revocation floor of every daemon the stack started.
@@ -605,8 +626,7 @@ func (s *Stack) DaemonAt(addr string) *ion.Daemon {
 // configured. The daemon must have been Closed first (a "kill"); once it
 // serves again, the health prober observes it and its Rise re-admits it to
 // arbitration — the full crash→rejoin loop. The address is unchanged, so
-// existing mappings, client pools, and breaker state converge on their
-// own.
+// existing mappings, client pools, and gates converge on their own.
 func (s *Stack) RestartION(i int) error {
 	s.mu.Lock()
 	if i < 0 || i >= len(s.Addrs) {

@@ -22,7 +22,7 @@ const (
 	ClassLocal                    // the request cannot be framed: nothing touched the wire
 	ClassClosed                   // the client was closed before or under the call
 	ClassInterrupted              // the caller's Interrupt fired
-	ClassUnavailable              // transport failures outlasted the retries, or the breaker is open
+	ClassUnavailable              // transport failures outlasted the retries, or a caller's open circuit refused the call
 )
 
 // sentinels is each class's errors.Is identity (none for ok, app, local).

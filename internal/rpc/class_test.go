@@ -9,16 +9,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestCallClassTableBusyStaleRetryBreaker is the class table as a test: one
-// row per way a Call can end, plus the stale pooled conn, each checking the
-// class and its errors.Is identity, what the class fed the breaker, the
-// transport and stale retries it cost, the dials, whether the conn went
-// back to the pool, and the busy counter. The oracle is the table in call's
-// doc: answers are breaker successes and never retried; local, closed and
-// interrupted give no verdict; unavailable is one breaker failure per
-// attempt and 1+MaxRetries attempts; a dead pooled conn costs one more pass
-// that is neither.
-func TestCallClassTableBusyStaleRetryBreaker(t *testing.T) {
+// TestCallClassTableBusyStaleRetry is the class table as a test: one row
+// per way a Call can end, plus the stale pooled conn, each checking the
+// class and its errors.Is identity, the transport and stale retries it
+// cost, the dials, whether the conn went back to the pool, and the busy
+// counter. The oracle is the table in call's doc: answers are never
+// retried; local, closed and interrupted neither; unavailable is
+// 1+MaxRetries attempts; a dead pooled conn costs one more pass that
+// spends no attempt. What each class tells fwd's gate is
+// TestGateClassTable.
+func TestCallClassTableBusyStaleRetry(t *testing.T) {
 	const maxRetries = 2
 	answering := NewServer(func(req *Message) *Message {
 		resp := &Message{Op: req.Op, Path: req.Path}
@@ -63,10 +63,6 @@ func TestCallClassTableBusyStaleRetryBreaker(t *testing.T) {
 		}
 	}
 
-	const (
-		success = 0 // the breaker's failure streak (1 before the call) is reset
-		none    = 1 // untouched
-	)
 	rows := []struct {
 		name  string
 		addr  string
@@ -74,33 +70,30 @@ func TestCallClassTableBusyStaleRetryBreaker(t *testing.T) {
 		prep  func(t *testing.T, c *Client, it *Interrupt)
 		class Class
 		is    error // the one sentinel errors.Is matches; nil = none
-		fails int   // the breaker's failure streak after the call
 		// counters moved by the call, and conns idle in the pool after it
 		dials, retries, stale, busy int64
 		idle                        int
 	}{
-		{name: "ok", addr: live, path: "/ok", class: ClassOK, fails: success, dials: 1, idle: 1},
-		{name: "app", addr: live, path: "/app", class: ClassApp, fails: success, dials: 1, idle: 1},
-		{name: "busy", addr: live, path: "/busy", class: ClassBusy, is: ErrBusy, fails: success, dials: 1, busy: 1, idle: 1},
-		{name: "fenced", addr: live, path: "/fenced", class: ClassFenced, is: ErrStaleEpoch, fails: success, dials: 1, idle: 1},
-		{name: "local", addr: live, path: strings.Repeat("p", maxPath), class: ClassLocal, fails: none},
-		{name: "closed", addr: live, path: "/ok", class: ClassClosed, is: ErrClosed, fails: none,
+		{name: "ok", addr: live, path: "/ok", class: ClassOK, dials: 1, idle: 1},
+		{name: "app", addr: live, path: "/app", class: ClassApp, dials: 1, idle: 1},
+		{name: "busy", addr: live, path: "/busy", class: ClassBusy, is: ErrBusy, dials: 1, busy: 1, idle: 1},
+		{name: "fenced", addr: live, path: "/fenced", class: ClassFenced, is: ErrStaleEpoch, dials: 1, idle: 1},
+		{name: "local", addr: live, path: strings.Repeat("p", maxPath), class: ClassLocal},
+		{name: "closed", addr: live, path: "/ok", class: ClassClosed, is: ErrClosed,
 			prep: func(_ *testing.T, c *Client, _ *Interrupt) { c.Close() }},
-		{name: "interrupted", addr: live, path: "/ok", class: ClassInterrupted, is: ErrInterrupted, fails: none, dials: 1,
+		{name: "interrupted", addr: live, path: "/ok", class: ClassInterrupted, is: ErrInterrupted, dials: 1,
 			prep: func(_ *testing.T, _ *Client, it *Interrupt) { it.Fire() }},
 		{name: "unavailable", addr: deadAddr, path: "/ok", class: ClassUnavailable, is: ErrUnavailable,
-			fails: 1 + (1 + maxRetries), dials: 1 + maxRetries, retries: maxRetries},
-		{name: "stale pooled conn", addr: staleAddr, path: "/ok", prep: restart, class: ClassOK, fails: success,
+			dials: 1 + maxRetries, retries: maxRetries},
+		{name: "stale pooled conn", addr: staleAddr, path: "/ok", prep: restart, class: ClassOK,
 			dials: 1, stale: 1, idle: 1},
 	}
 	sentinelsAll := []error{ErrBusy, ErrStaleEpoch, ErrClosed, ErrInterrupted, ErrUnavailable}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			reg := telemetry.New()
-			c := Dial(row.addr, 2).WithOptions(Options{
-				CallTimeout: 2 * time.Second, MaxRetries: maxRetries,
-				BreakerThreshold: 100, BreakerCooldown: time.Minute,
-			}).Instrument(reg, nil)
+			c := Dial(row.addr, 2).WithOptions(Options{CallTimeout: 2 * time.Second, MaxRetries: maxRetries}).
+				Instrument(reg, nil)
 			defer c.Close()
 			it := new(Interrupt)
 			if row.prep != nil {
@@ -114,9 +107,6 @@ func TestCallClassTableBusyStaleRetryBreaker(t *testing.T) {
 				return v
 			}
 			before := counters()
-			c.brk.mu.Lock()
-			c.brk.fails = 1
-			c.brk.mu.Unlock()
 
 			resp, err := c.CallInterruptible(&Message{Op: OpWrite, Path: row.path, Epoch: 4}, it)
 
@@ -142,12 +132,6 @@ func TestCallClassTableBusyStaleRetryBreaker(t *testing.T) {
 				if row.class == ClassFenced && e.Fence != 9 {
 					t.Errorf("Fence %d, want the server's floor 9", e.Fence)
 				}
-			}
-			c.brk.mu.Lock()
-			fails, state := c.brk.fails, c.brk.state
-			c.brk.mu.Unlock()
-			if fails != row.fails || state != BreakerClosed {
-				t.Errorf("breaker failure streak %d (%v), want %d (closed)", fails, state, row.fails)
 			}
 			after := counters()
 			got := [4]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2], after[3] - before[3]}

@@ -1,8 +1,8 @@
 // Stale-epoch fencing: the response class an I/O node returns when a
 // write arrives stamped with a mapping epoch that a control-plane
 // recovery has revoked. Like a busy shed, a fenced write is NOT a
-// transport failure — the exchange completed, the connection is healthy,
-// and the breaker records a success. It is also not an ordinary
+// transport failure — the exchange completed and the connection is
+// healthy: the node answered. It is also not an ordinary
 // application error: the write was refused before touching the backend,
 // so the forwarding layer's correct move is to wait for a mapping newer
 // than the one it routed under and re-route (remap-and-retry), falling

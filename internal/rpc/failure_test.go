@@ -1,7 +1,7 @@
 package rpc
 
 // Failure-tolerance tests: per-call deadlines, bounded retries with
-// backoff, the per-address circuit breaker, and the pool-hygiene
+// backoff, and the pool-hygiene
 // regressions for putConn (a conn that failed mid-roundTrip must never be
 // pooled as healthy; a request that never touched the wire must never
 // discard a healthy conn). They live alongside churn_test.go, which covers
@@ -143,111 +143,6 @@ func TestRetriesExhaustedSurfaceUnavailable(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensRejectsAndRecovers(t *testing.T) {
-	srv := echoServer()
-	addr, err := srv.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	cli := Dial(addr, 1).
-		WithOptions(Options{BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond}).
-		Instrument(reg, nil)
-	defer cli.Close()
-
-	if _, err := cli.Call(&Message{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-
-	// Two consecutive transport failures open the breaker.
-	for i := 0; i < 2; i++ {
-		if _, err := cli.Call(&Message{Op: OpPing}); !errors.Is(err, ErrUnavailable) {
-			t.Fatalf("call %d: want ErrUnavailable, got %v", i, err)
-		}
-	}
-	if got := reg.Counter("rpc_breaker_open_total").Value(); got != 1 {
-		t.Fatalf("rpc_breaker_open_total = %d, want 1", got)
-	}
-	if cli.BreakerState() != BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", cli.BreakerState())
-	}
-
-	// While open, calls fail fast with ErrCircuitOpen (no dial attempted).
-	dialsBefore := reg.Counter("rpc_dials_total").Value()
-	if _, err := cli.Call(&Message{Op: OpPing}); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open breaker should reject with ErrCircuitOpen, got %v", err)
-	}
-	if !errors.Is(errAfterOpen(cli), ErrUnavailable) {
-		t.Fatal("breaker rejection must also wrap ErrUnavailable for failover classification")
-	}
-	if got := reg.Counter("rpc_dials_total").Value(); got != dialsBefore {
-		t.Fatalf("rejected call still dialed (%d → %d)", dialsBefore, got)
-	}
-	if got := reg.Counter("rpc_breaker_rejected_total").Value(); got < 1 {
-		t.Fatalf("rpc_breaker_rejected_total = %d, want ≥1", got)
-	}
-
-	// Server returns; after the cooldown a half-open probe closes the
-	// breaker and normal service resumes.
-	srv2 := echoServer()
-	if _, err := srv2.Listen(addr); err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	defer srv2.Close()
-	time.Sleep(60 * time.Millisecond)
-	if _, err := cli.Call(&Message{Op: OpPing, Path: "/probe"}); err != nil {
-		t.Fatalf("half-open probe should succeed: %v", err)
-	}
-	if got := reg.Counter("rpc_breaker_half_open_probes_total").Value(); got != 1 {
-		t.Fatalf("rpc_breaker_half_open_probes_total = %d, want 1", got)
-	}
-	if got := reg.Counter("rpc_breaker_close_total").Value(); got != 1 {
-		t.Fatalf("rpc_breaker_close_total = %d, want 1", got)
-	}
-	if cli.BreakerState() != BreakerClosed {
-		t.Fatalf("breaker state = %v, want closed", cli.BreakerState())
-	}
-}
-
-// errAfterOpen re-issues one rejected call to capture the error chain.
-func errAfterOpen(cli *Client) error {
-	_, err := cli.Call(&Message{Op: OpPing})
-	return err
-}
-
-func TestBreakerFailedProbeReopens(t *testing.T) {
-	srv := echoServer()
-	addr, err := srv.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	cli := Dial(addr, 1).
-		WithOptions(Options{BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond}).
-		Instrument(reg, nil)
-	defer cli.Close()
-	if _, err := cli.Call(&Message{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-
-	if _, err := cli.Call(&Message{Op: OpPing}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("want transport failure, got %v", err)
-	}
-	time.Sleep(30 * time.Millisecond)
-	// Server still down: the half-open probe fails and re-opens.
-	if _, err := cli.Call(&Message{Op: OpPing}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("probe against dead server should fail, got %v", err)
-	}
-	if cli.BreakerState() != BreakerOpen {
-		t.Fatalf("breaker state after failed probe = %v, want open", cli.BreakerState())
-	}
-	if got := reg.Counter("rpc_breaker_open_total").Value(); got != 2 {
-		t.Fatalf("rpc_breaker_open_total = %d, want 2 (initial + failed probe)", got)
-	}
-}
-
 // readThenCloseListener reads one full request frame, then closes the conn
 // without responding — the worst mid-roundTrip shape: the request is on
 // the wire, the response will never come.
@@ -320,10 +215,10 @@ func TestMidRoundTripFailureNeverPoolsConn(t *testing.T) {
 	}
 }
 
-// TestValidationErrorKeepsPoolAndBreakerUntouched: a request that cannot
-// be framed is a permanent local error — no dial, no retry, no breaker
-// failure, no conn discarded.
-func TestValidationErrorKeepsPoolAndBreakerUntouched(t *testing.T) {
+// TestValidationErrorKeepsPoolUntouched: a request that cannot be framed
+// is a permanent local error — no dial, no retry, no conn discarded. (What
+// it tells fwd's gate — nothing — is TestGateClassTable's local row.)
+func TestValidationErrorKeepsPoolUntouched(t *testing.T) {
 	srv := echoServer()
 	addr, err := srv.Listen("")
 	if err != nil {
@@ -332,7 +227,7 @@ func TestValidationErrorKeepsPoolAndBreakerUntouched(t *testing.T) {
 	defer srv.Close()
 	reg := telemetry.New()
 	cli := Dial(addr, 1).
-		WithOptions(Options{MaxRetries: 3, BreakerThreshold: 1, BreakerCooldown: time.Minute}).
+		WithOptions(Options{MaxRetries: 3}).
 		Instrument(reg, nil)
 	defer cli.Close()
 
@@ -344,9 +239,6 @@ func TestValidationErrorKeepsPoolAndBreakerUntouched(t *testing.T) {
 	}
 	if got := reg.Counter("rpc_retries_total").Value(); got != 0 {
 		t.Fatalf("validation failure retried %d times, want 0", got)
-	}
-	if cli.BreakerState() != BreakerClosed {
-		t.Fatalf("validation failure tripped the breaker (%v)", cli.BreakerState())
 	}
 	// The client still works.
 	if _, err := cli.Call(&Message{Op: OpPing, Path: "/fine"}); err != nil {

@@ -8,7 +8,7 @@
 //   - client-side classification: a busy response is an *Error of
 //     ClassBusy carrying the hint. It is deliberately neither a transport
 //     failure (the exchange completed; the server is provably alive, so it
-//     must never feed the circuit breaker or burn transport retries) nor an
+//     must never burn transport retries or open a circuit) nor an
 //     application error (the request was never attempted, so replaying it
 //     later is the right reaction, which the fwd layer's adaptive throttle
 //     does).

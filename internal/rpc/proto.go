@@ -118,7 +118,7 @@ type Message struct {
 	// A busy response is NOT a transport failure — the exchange completed
 	// — and NOT an application error: the request was never attempted.
 	// Clients surface it as an *Error of ClassBusy so the forwarding layer
-	// can throttle and retry instead of failing over or tripping breakers.
+	// can throttle and retry instead of failing over or opening a circuit.
 	Busy bool
 	// RetryAfter is the server's hint for when to try again (busy
 	// responses only). Encoded on the wire as whole microseconds.
@@ -222,7 +222,7 @@ var (
 
 // validateMessage checks the frame-size limits before any byte touches the
 // wire, so an unsendable message is a permanent local error — it must not
-// discard a healthy connection, burn retries, or trip the circuit breaker.
+// discard a healthy connection or burn retries.
 func validateMessage(m *Message) error {
 	if len(m.Path) >= maxPath {
 		return fmt.Errorf("rpc: path too long (%d bytes)", len(m.Path))

@@ -159,7 +159,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// are untrustworthy — including the opcode and offset, so no
 			// response can be built. Count it and discard the connection:
 			// the client sees a broken exchange (transport failure) and its
-			// retry/breaker accounting applies.
+			// retry accounting applies.
 			if errors.Is(err, ErrChecksum) {
 				s.tel.checksumErrors.Inc()
 			}
@@ -241,7 +241,6 @@ func (s *Server) Close() error {
 type Client struct {
 	addr string
 	opts Options
-	brk  *breaker // nil when the breaker is disabled
 
 	mu     sync.Mutex
 	idle   []*wire
@@ -256,8 +255,6 @@ type Client struct {
 		dials, dialErrors, calls, callErrors *telemetry.Counter
 		staleRetries, staleEvictions         *telemetry.Counter
 		deadlineExpired, retries             *telemetry.Counter
-		breakerOpens, breakerProbes          *telemetry.Counter
-		breakerCloses, breakerRejects        *telemetry.Counter
 		busyResponses, checksumErrors        *telemetry.Counter
 		latency                              *telemetry.Histogram
 	}
@@ -281,26 +278,11 @@ func Dial(addr string, poolSize int) *Client {
 // Addr returns the target address.
 func (c *Client) Addr() string { return c.addr }
 
-// WithOptions installs failure-tolerance options (deadlines, retries,
-// breaker — see Options). Call before the first Call. Returns c for
-// chaining.
+// WithOptions installs failure-tolerance options (deadlines, retries —
+// see Options). Call before the first Call. Returns c for chaining.
 func (c *Client) WithOptions(o Options) *Client {
-	c.opts = o.withDefaults()
-	if c.opts.BreakerThreshold > 0 {
-		c.brk = newBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown)
-	} else {
-		c.brk = nil
-	}
+	c.opts = o
 	return c
-}
-
-// BreakerState reports the circuit breaker's current state (BreakerClosed
-// when the breaker is disabled).
-func (c *Client) BreakerState() BreakerState {
-	if c.brk == nil {
-		return BreakerClosed
-	}
-	return c.brk.current()
 }
 
 // Instrument attaches a metrics registry and tracer to the client. Call
@@ -317,10 +299,6 @@ func (c *Client) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) *
 	c.tel.staleEvictions = reg.Counter("rpc_stale_evictions_total")
 	c.tel.deadlineExpired = reg.Counter("rpc_deadline_expired_total")
 	c.tel.retries = reg.Counter("rpc_retries_total")
-	c.tel.breakerOpens = reg.Counter("rpc_breaker_open_total")
-	c.tel.breakerProbes = reg.Counter("rpc_breaker_half_open_probes_total")
-	c.tel.breakerCloses = reg.Counter("rpc_breaker_close_total")
-	c.tel.breakerRejects = reg.Counter("rpc_breaker_rejected_total")
 	c.tel.busyResponses = reg.Counter("rpc_busy_responses_total")
 	c.tel.checksumErrors = reg.Counter("rpc_checksum_errors_total")
 	c.tel.latency = reg.Histogram("rpc_call_latency_seconds", telemetry.LatencyBuckets())
@@ -442,7 +420,7 @@ func (c *Client) roundTrip(w *wire, req *Message, it *Interrupt) (*Message, erro
 	}
 	if err != nil {
 		// A corrupted response is a transport failure like any other: the
-		// conn is discarded here and the retry/breaker loop takes over.
+		// conn is discarded here and the retry loop takes over.
 		if errors.Is(err, ErrChecksum) {
 			c.tel.checksumErrors.Inc()
 		}
@@ -478,9 +456,8 @@ func exchange(w *wire, req *Message, checksum bool) (*Message, error) {
 //
 // Transport-level failures (dial errors, broken or timed-out exchanges)
 // are retried up to Options.MaxRetries times with exponential backoff and
-// jitter, feed the circuit breaker, and end as ClassUnavailable.
-// Answers — application errors, busy and fenced responses — surface
-// immediately with the response and count as successes for the breaker.
+// jitter, and end as ClassUnavailable. Answers — application errors, busy
+// and fenced responses — surface immediately with the response.
 func (c *Client) Call(req *Message) (*Message, error) {
 	return c.CallInterruptible(req, nil)
 }
@@ -489,8 +466,7 @@ func (c *Client) Call(req *Message) (*Message, error) {
 // the call returns ClassInterrupted — immediately if it is inside an
 // exchange, before touching the wire if it has not started one yet. An
 // interruption is the caller's own decision, not evidence about the
-// server: it is not retried and does not feed the breaker. A nil it never
-// interrupts.
+// server: it is not retried. A nil it never interrupts.
 func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error) {
 	start := time.Now()
 	resp, err := c.call(req, it)
@@ -513,56 +489,35 @@ func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error
 // call runs the passes of one Call. What each class costs is decided here,
 // once:
 //
-//	ok, app, busy, fenced   an answer: a breaker success, returned with the
-//	                        response (a busy one's replay is the caller's to
-//	                        decide — the fwd throttle, honouring the hint)
-//	local, closed,          no verdict on the server: returned, and a
-//	interrupted             half-open probe handed back
-//	unavailable             a breaker failure, retried up to MaxRetries times
-//	                        with backoff; but when the pass ran on a pooled
-//	                        conn — one that may have gone stale while idle, a
-//	                        server restart — first one more pass on a fresh
-//	                        dial, which spends no attempt and feeds no breaker
+//	ok, app, busy, fenced   an answer, returned with the response (a busy
+//	                        one's replay is the caller's to decide — fwd's
+//	                        gate, honouring the hint)
+//	local, closed,          no verdict on the server: returned
+//	interrupted
+//	unavailable             retried up to MaxRetries times with backoff; but
+//	                        when the pass ran on a pooled conn — one that may
+//	                        have gone stale while idle, a server restart —
+//	                        first one more pass on a fresh dial, which spends
+//	                        no attempt
 //
-// So one Call costs at most (1+MaxRetries) × 2 exchanges.
+// So one Call costs at most (1+MaxRetries) × 2 exchanges, and a call that
+// ends unavailable failed 1+MaxRetries attempts — what fwd's gate counts.
 func (c *Client) call(req *Message, it *Interrupt) (*Message, error) {
-	probe, fresh := false, false
+	fresh := false
 	for i := 0; ; {
-		if !fresh && c.brk != nil {
-			var ok bool
-			if ok, probe = c.brk.allow(time.Now()); !ok {
-				c.tel.breakerRejects.Inc()
-				return nil, &Error{Class: ClassUnavailable, Addr: c.addr, Err: ErrCircuitOpen}
-			}
-			if probe {
-				c.tel.breakerProbes.Inc()
-			}
-		}
 		resp, pooled, e := c.attempt(req, it, fresh)
 		switch {
-		case e == nil || e.Class <= ClassFenced:
-			if c.brk != nil && c.brk.onSuccess() {
-				c.tel.breakerCloses.Inc()
-			}
-			if e == nil {
-				return resp, nil
-			}
+		case e == nil:
+			return resp, nil
+		case e.Class != ClassUnavailable:
 			if e.Class == ClassBusy {
 				c.tel.busyResponses.Inc()
 			}
 			return resp, e
-		case e.Class != ClassUnavailable:
-			if probe {
-				c.brk.abandonProbe()
-			}
-			return nil, e
 		case pooled:
 			c.tel.staleRetries.Inc()
 			fresh = true
 			continue
-		}
-		if c.brk != nil && c.brk.onFailure(time.Now()) {
-			c.tel.breakerOpens.Inc()
 		}
 		if i++; i > c.opts.MaxRetries {
 			return nil, e
