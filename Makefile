@@ -116,14 +116,15 @@ qos:
 # IONs mid-drain and failing provisioning) plus the graceful-drain,
 # dynamic-membership, scaler-hysteresis, provisioning-backoff/breaker,
 # connection-release, and scaler-flag tests across every layer the
-# elastic subsystem touches.
+# elastic subsystem touches, and the Config rule table, whose scaler rows
+# are the stack's elastic config checks.
 # -p 1 keeps the packages sequential: the chaos scenario's demand signal
 # is real queue depth under injected service latency, and sharing the
 # machine with five other race-instrumented packages starves the writers
 # enough to distort it.
 elastic:
 	$(GO) test -race -count=2 -timeout 300s -p 1 \
-		-run 'Elastic|Drain|Scale|Provision|Hysteresis|Forecast|MarkIdempotency|AddION|RemoveION|ReleaseConn|WaitForAllocation|AddStartsPessimistic|RemoveStopsProbing|LoadReportsSampled|Scaler|MarginalAdvisor' \
+		-run 'Elastic|Drain|Scale|Provision|Hysteresis|Forecast|MarkIdempotency|AddION|RemoveION|ReleaseConn|WaitForAllocation|AddStartsPessimistic|RemoveStopsProbing|LoadReportsSampled|Scaler|MarginalAdvisor|ValidateRejectsBadValues' \
 		./internal/scenario ./internal/elastic ./internal/livestack ./internal/arbiter \
 		./internal/health ./internal/fwd ./cmd/gkfwd
 

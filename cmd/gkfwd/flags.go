@@ -58,7 +58,7 @@ func bindFlags(fs *flag.FlagSet, cfg *livestack.Config, r *runPlan) {
 	fs.StringVar(&cfg.Scheduler, "scheduler", "", "Scheduler: FIFO|SJF|AIOLI|TWINS|HBRR|WFQ (default AIOLI; WFQ when QoS is configured)")
 	fs.Int64Var(&cfg.ChunkSize, "chunk-size", 0, "ChunkSize: forwarding request-splitting unit in bytes (0 = default)")
 	fs.DurationVar(&cfg.RPC.CallTimeout, "call-timeout", 0, "RPC.CallTimeout: per-RPC deadline (0 = block forever, the legacy behaviour)")
-	fs.IntVar(&cfg.RPC.MaxRetries, "rpc-retries", 0, "RPC.MaxRetries: transport-failure retries per RPC")
+	fs.IntVar(&cfg.RPC.MaxRetries, "rpc-retries", 0, "RPC.MaxRetries: times the forwarding client re-sends a request that failed in transport, each after a jittered backoff")
 	fs.IntVar(&cfg.RPC.BreakerThreshold, "breaker-threshold", 0, "RPC.BreakerThreshold: consecutive transport failures that open the client's per-node gate (0 = never)")
 	fs.DurationVar(&cfg.RPC.BreakerCooldown, "breaker-cooldown", 0, "RPC.BreakerCooldown: how long the client's per-node gate stays open before a half-open probe (0 = default)")
 	fs.DurationVar(&cfg.HealthInterval, "health-interval", 0, "HealthInterval: heartbeat probe interval, also the scaler's cadence; >0 enables health-driven re-arbitration")

@@ -3,8 +3,9 @@ package faultnet
 // Composition test: a Delay fault in front of a server that can shed.
 // Latency and overload are different signals — a call that crawls through
 // a delayed link but completes must count as a plain success (no shed, no
-// busy response, no retry), while a genuinely shed call through the same
-// slow link must still classify as busy, not as a transport failure.
+// busy response, no deadline expiry), while a genuinely shed call through
+// the same slow link must still classify as busy, not as a transport
+// failure.
 
 import (
 	"errors"
@@ -40,7 +41,7 @@ func TestDelayedCallIsNotShedOrRetried(t *testing.T) {
 	addr := ln.Addr().String()
 
 	cli := rpc.Dial(addr, 2).
-		WithOptions(rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: 3}).
+		WithOptions(rpc.Options{CallTimeout: 2 * time.Second}).
 		Instrument(reg, nil)
 	defer cli.Close()
 
@@ -61,8 +62,8 @@ func TestDelayedCallIsNotShedOrRetried(t *testing.T) {
 	if got := reg.Counter("rpc_busy_responses_total").Value(); got != 0 {
 		t.Fatalf("delayed-but-successful calls produced busy responses: %d", got)
 	}
-	if got := reg.Counter("rpc_retries_total").Value(); got != 0 {
-		t.Fatalf("delayed-but-successful calls were retried %d times", got)
+	if got := reg.Counter("rpc_deadline_expired_total").Value(); got != 0 {
+		t.Fatalf("delayed-but-successful calls expired %d deadlines", got)
 	}
 
 	// Now genuinely saturate the single in-flight slot: the next call is
@@ -88,7 +89,7 @@ func TestDelayedCallIsNotShedOrRetried(t *testing.T) {
 	if got := reg.Counter("rpc_server_shed_total").Value(); got != 1 {
 		t.Fatalf("rpc_server_shed_total = %d, want exactly the one real shed", got)
 	}
-	if got := reg.Counter("rpc_retries_total").Value(); got != 0 {
-		t.Fatalf("busy response was transport-retried %d times, want 0", got)
+	if got := reg.Counter("rpc_busy_responses_total").Value(); got != 1 {
+		t.Fatalf("rpc_busy_responses_total = %d, want exactly the one real shed", got)
 	}
 }

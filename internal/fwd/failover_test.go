@@ -7,17 +7,20 @@ package fwd
 import (
 	"bytes"
 	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/pfs"
 	"repro/internal/rpc"
+	"repro/internal/telemetry"
 )
 
 // failoverOptions makes transport failures fast and deterministic: one
-// retry, a breaker that opens after the first failed call (1 call × 2
-// attempts = 2 consecutive failures), and a cooldown long enough that the
-// breaker stays open for the remainder of the test.
+// re-send, a gate that opens after the first failed call (its 2 attempts
+// are 2 consecutive failures), and a cooldown long enough that the gate
+// stays open for the remainder of the test.
 func failoverOptions() rpc.Options {
 	return rpc.Options{
 		CallTimeout:      500 * time.Millisecond,
@@ -40,6 +43,79 @@ func newFailoverClient(t *testing.T, direct pfs.FileSystem, chunk int64) *Client
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// refusingListener closes the first n connections it accepts and passes
+// the rest on: a node that comes back after a blip.
+type refusingListener struct {
+	net.Listener
+	n atomic.Int64
+}
+
+func (l *refusingListener) Accept() (net.Conn, error) {
+	for {
+		conn, err := l.Listener.Accept()
+		if err != nil || l.n.Add(-1) < 0 {
+			return conn, err
+		}
+		conn.Close()
+	}
+}
+
+// TestRetriesWithBackoffRecoverFromTransientFailures: a node that drops
+// its first MaxRetries connections is recovered by callION's transport
+// re-sends, each after its backoff, so the op is served forwarded instead
+// of failing over; each dropped attempt was one failure at the gate, and
+// the answer resets the streak before it reaches the threshold.
+func TestRetriesWithBackoffRecoverFromTransientFailures(t *testing.T) {
+	const maxRetries = 2
+	fake := &outcomeION{}
+	fake.mode.Store("ok")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := &refusingListener{Listener: ln}
+	flaky.n.Store(maxRetries)
+	srv := rpc.NewServer(fake.handle)
+	addr, err := srv.ListenOn(flaky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	reg := telemetry.New()
+	c, err := NewClient(Config{AppID: "app", Direct: pfs.NewStore(pfs.Config{}), Telemetry: reg,
+		RPC: rpc.Options{CallTimeout: 2 * time.Second, MaxRetries: maxRetries, BreakerThreshold: maxRetries + 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	c.SetIONs([]string{addr})
+
+	began := time.Now()
+	if err := c.Create("/flaky"); err != nil {
+		t.Fatal(err)
+	}
+	// The two backoffs wait at least 1 ms and 2 ms: half of 2 ms, doubled.
+	if took := time.Since(began); took < 3*time.Millisecond {
+		t.Errorf("the op took %v; two re-sends after their backoffs take at least 3ms", took)
+	}
+	if st := c.Stats(); st.ForwardedOps != 1 || st.FailoverOps != 0 || st.DirectOps != 0 {
+		t.Errorf("stats %+v, want the op forwarded once and never failed over", st)
+	}
+	if got := fake.wire.Load(); got != 1 {
+		t.Errorf("%d requests reached the node, want 1", got)
+	}
+	if got := reg.Counter("rpc_retries_total").Value(); got != maxRetries {
+		t.Errorf("rpc_retries_total = %d, want %d", got, maxRetries)
+	}
+	g := c.gateFor(addr)
+	g.mu.Lock()
+	fails := g.fails
+	g.mu.Unlock()
+	if fails != 0 || g.pol.opens.Value() != 0 {
+		t.Errorf("gate: transport streak %d, opens %d; want 0, 0 after the answer", fails, g.pol.opens.Value())
+	}
 }
 
 func TestWriteFailsOverToDirectPFS(t *testing.T) {

@@ -91,10 +91,11 @@ type Config struct {
 	// transport default.
 	PoolSize int
 	// RPC configures the failure-tolerance behaviour of every connection
-	// this client dials (per-call deadlines, bounded retries), and its
-	// BreakerThreshold and BreakerCooldown arm the transport half of every
-	// per-node gate (throttle.go). The zero value keeps the transport's
-	// legacy behaviour (block forever, no retries, no gate ever opens).
+	// this client dials (per-call deadlines); its MaxRetries bounds
+	// callION's transport re-sends, and its BreakerThreshold and
+	// BreakerCooldown arm the transport half of every per-node gate
+	// (throttle.go). The zero value keeps the transport's legacy behaviour
+	// (block forever, no re-sends, no gate ever opens).
 	RPC rpc.Options
 	// Dedup stamps every forwarded write with this client's (clientID,
 	// seq) identity so daemons with a dedup window can recognise
@@ -217,6 +218,7 @@ type Client struct {
 	stats struct {
 		forwarded, direct, failover, bytesOut, bytesIn, remaps *telemetry.Counter
 		shed, degraded, replayed                               *telemetry.Counter
+		retries                                                *telemetry.Counter // rpc_retries_total: transport re-sends (the name predates callION's loop)
 		epochRetries                                           *telemetry.Counter // nil unless EpochFencing
 	}
 
@@ -316,6 +318,7 @@ func NewClient(cfg Config) (*Client, error) {
 	c.stats.shed = c.reg.Counter("fwd_shed_responses_total" + label)
 	c.stats.degraded = c.reg.Counter("fwd_degraded_ops_total" + label)
 	c.stats.replayed = c.reg.Counter("fwd_replayed_writes_total" + label)
+	c.stats.retries = c.reg.Counter("rpc_retries_total")
 	if cfg.Dedup {
 		c.clientID = fmt.Sprintf("%s#%d", cfg.AppID, clientInstance.Add(1))
 	}
@@ -687,43 +690,67 @@ func (c *Client) buildSpans(v *routeView, path string, off, n int64, out []span)
 
 // busyRetries is how many times callION re-sends a shed request, paced by
 // the node's retry-after hint, before the PFS takes it. One forwarded span
-// costs at most (1+maxEpochRemaps) × 2 (hedge) × (1+busyRetries) ×
-// (1+RPC.MaxRetries) × 2 (stale re-dial) wire requests — 48 at the
-// defaults (DESIGN.md §8; the outcome table pins it).
+// costs at most (1+maxEpochRemaps) × 2 (hedge) × (1+busyRetries+
+// RPC.MaxRetries) × 2 (stale re-dial) wire requests — 48 at the defaults
+// (DESIGN.md §8; the outcome table pins it).
 const busyRetries = 2
 
-// callION issues one RPC through the node's gate (throttle.go) and re-sends
-// a shed request up to busyRetries times, each re-send paced by the gate
-// behind the server's retry-after hint. What it returns is Call's, or the
-// open gate's refusal — errSaturated (a shed) or errCircuitOpen (an
-// unreachable node) — and the caller's fallback rule acts on the class
-// alone. Every call hands the gate the verdict classRules gives its class.
-// A non-nil it lets a hedge that won abandon this call (see hedge.go): an
-// interrupted call carries no verdict, so a probe abandoned that way hands
-// its slot back.
+// resends is how many times callION sends a request again after attempts
+// that got verdict v: a shed busyRetries times, an unreachable attempt
+// RPC.MaxRetries times, anything else never.
+func (c *Client) resends(v verdict) int {
+	switch v {
+	case verdictShed:
+		return busyRetries
+	case verdictUnreachable:
+		return c.cfg.RPC.MaxRetries
+	}
+	return 0
+}
+
+// callION is the one re-send loop: it sends one RPC through the node's
+// gate (throttle.go) per attempt and sends it again while resends allows —
+// a shed paced by the gate behind the server's retry-after hint, an
+// unreachable attempt after a backoff only this caller waits. What it
+// returns is Call's, or the open gate's refusal — errSaturated (a shed) or
+// errCircuitOpen (an unreachable node) — and the caller's fallback rule
+// acts on the class alone. Every attempt hands the gate the verdict
+// classRules gives its class, so a gate that opens mid-call stops the loop
+// and a half-open probe is one attempt. A non-nil it lets a hedge that won
+// abandon this call (see hedge.go): an interrupted attempt carries no
+// verdict, so a probe abandoned that way hands its slot back.
 //
 // The returned response owns pooled transport buffers: the caller must
 // copy what it needs out of resp and call resp.Release (busy responses
 // are consumed and released here).
 func (c *Client) callION(t *target, req *rpc.Message, it *rpc.Interrupt) (*rpc.Message, error) {
 	g := &t.gate
-	for attempt := 0; ; attempt++ {
-		probe, err := g.acquire()
+	var sent [verdictUnreachable + 1]int // re-sends so far, per verdict
+	var wait time.Duration               // the backoff before a transport re-send; 0 otherwise
+	for {
+		probe, err := g.acquire(wait)
 		if err != nil {
 			return nil, err
 		}
+		if wait > 0 {
+			c.stats.retries.Inc()
+		}
 		resp, err := t.conn.CallInterruptible(req, it)
-		class := rpc.ClassOf(err)
-		if class != rpc.ClassBusy {
-			g.release(classRules[class].verdict, probe, 0)
+		v, hint := classRules[rpc.ClassOf(err)].verdict, time.Duration(0)
+		if v == verdictShed {
+			resp.Release()
+			resp, hint = nil, err.(*rpc.Error).RetryAfter
+			c.stats.shed.Inc()
+		}
+		g.release(v, probe, hint)
+		if sent[v] >= c.resends(v) {
 			return resp, err
 		}
-		resp.Release()
-		c.stats.shed.Inc()
-		g.release(verdictShed, probe, err.(*rpc.Error).RetryAfter)
-		if attempt == busyRetries {
-			return nil, err
+		wait = 0
+		if v == verdictUnreachable {
+			wait = backoff(retryBackoff, sent[v])
 		}
+		sent[v]++
 	}
 }
 
@@ -1094,10 +1121,11 @@ func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span
 		req.Epoch = v.epoch
 	}
 	if c.cfg.Dedup {
-		// Stamp once per wire request: the transport retry (inside
-		// rpc.Client.Call), the busy retry (inside callION), and a hedge
-		// (inside hedged) all resend this exact identity, so every
-		// re-attempt carries the seq of the attempt it duplicates.
+		// Stamp once per wire request: the stale re-dial (inside
+		// rpc.Client.Call), the busy and transport re-sends (inside
+		// callION), and a hedge (inside hedged) all resend this exact
+		// identity, so every re-attempt carries the seq of the attempt it
+		// duplicates.
 		req.ClientID = c.clientID
 		req.Seq = c.seq.Add(1)
 	}

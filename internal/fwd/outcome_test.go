@@ -28,14 +28,17 @@ import (
 
 // spanBound is DESIGN.md §8's worst case for the wire requests one span or
 // metadata op can cost: each retry layer at its cap, multiplying the ones
-// below it — (1+maxEpochRemaps) × 2 (hedge) × (1+busyRetries) ×
-// (1+MaxRetries) × 2 (stale re-dial).
+// below it — (1+maxEpochRemaps) × 2 (hedge) × (1+busyRetries+MaxRetries)
+// × 2 (stale re-dial). The busy and the transport re-sends are both
+// callION's, one attempt each, so their caps add.
 func spanBound(maxRetries int) int64 {
-	return int64((1 + maxEpochRemaps) * 2 * (1 + busyRetries) * (1 + maxRetries) * 2)
+	return int64((1 + maxEpochRemaps) * 2 * (1 + busyRetries + maxRetries) * 2)
 }
 
-// transportRetries is the "transport retries exhausted" route's MaxRetries.
-const transportRetries = 2
+// transportRetries is the "transport retries exhausted" and "half-open
+// probe fails" routes' MaxRetries, midCallRetries the "gate opens mid-call"
+// route's.
+const transportRetries, midCallRetries = 2, 3
 
 // outcomeION is the table's fake I/O node: every request is counted and
 // answered the way mode says. A "stale" answer runs onStale first, so the
@@ -239,6 +242,18 @@ func outcomeOracle(op int, route string, L int) outcomeWant {
 		// Past the cool-down the request is the gate's one probe.
 		served()
 		w.closes = 1
+	case "half-open probe fails":
+		// The probe is one attempt: its failure re-opens the gate, which
+		// refuses the re-send MaxRetries would allow, and the PFS takes it.
+		toDirect("failover")
+		w.stats.FailoverOps = 1
+		w.wire, w.rejects = 1, 1
+	case "gate opens mid-call":
+		// Each attempt is one transport failure: the second opens the gate
+		// (BreakerThreshold 2), which refuses the third of 1+MaxRetries.
+		toDirect("failover")
+		w.stats.FailoverOps = 1
+		w.wire, w.retries, w.rejects = 2, 1, 1
 	case "transport retries exhausted":
 		// The node ran every attempt's request; no reply came back in time.
 		toDirect("failover")
@@ -302,9 +317,10 @@ func outcomeOracle(op int, route string, L int) outcomeWant {
 
 func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 	// The bound as DESIGN.md §8 states it: at the defaults, and under the
-	// torture scenario's MaxRetries 3.
-	if spanBound(0) != 48 || spanBound(3) != 192 {
-		t.Fatalf("one span may cost %d wire requests at the defaults and %d at MaxRetries 3; DESIGN.md §8 states 48 and 192",
+	// torture scenario's MaxRetries 3 (192 while rpc re-sent under the
+	// busy loop; the pin was lowered when callION became the one loop).
+	if spanBound(0) != 48 || spanBound(3) != 96 {
+		t.Fatalf("one span may cost %d wire requests at the defaults and %d at MaxRetries 3; DESIGN.md §8 states 48 and 96",
 			spanBound(0), spanBound(3))
 	}
 	content := bytes.Repeat([]byte{6}, 512)
@@ -315,7 +331,7 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 		"fenced, fresher view is direct",
 		"QoS scavenger, empty bucket", "closed client",
 		"transport retries exhausted", "stale pooled conn",
-		"open gate", "half-open probe closes",
+		"open gate", "half-open probe closes", "half-open probe fails", "gate opens mid-call",
 	}
 	for _, route := range routes {
 		for op, opName := range outcomeOps {
@@ -327,7 +343,10 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				direct := &countingFS{FileSystem: store}
 				fake := &outcomeION{content: content}
 				fake.mode.Store("ok")
-				if route == "transport retries exhausted" {
+				switch route {
+				case "transport retries exhausted", "half-open probe fails", "gate opens mid-call":
+					// Requests arrive at once, replies never: every attempt
+					// runs the handler and then times out.
 					fake.plan = faultnet.Plan{Kind: faultnet.Slow, Dir: faultnet.Outbound, Delay: time.Hour}
 				}
 				addr := fake.start(t)
@@ -373,11 +392,15 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				case "QoS scavenger, empty bucket":
 					cfg.QoS = &qos.Class{Name: "scav", Tier: qos.TierScavenger, Rate: 1, Burst: 1}
 				case "transport retries exhausted":
-					// Requests arrive at once, replies never: every attempt
-					// runs the handler and then times out.
 					cfg.RPC = rpc.Options{CallTimeout: 50 * time.Millisecond, MaxRetries: transportRetries}
 				case "open gate", "half-open probe closes":
 					cfg.RPC = rpc.Options{BreakerThreshold: 2, BreakerCooldown: time.Minute}
+				case "half-open probe fails":
+					cfg.RPC = rpc.Options{CallTimeout: 50 * time.Millisecond, MaxRetries: transportRetries,
+						BreakerThreshold: 2, BreakerCooldown: time.Minute}
+				case "gate opens mid-call":
+					cfg.RPC = rpc.Options{CallTimeout: 50 * time.Millisecond, MaxRetries: midCallRetries,
+						BreakerThreshold: 2, BreakerCooldown: time.Minute}
 				}
 				var err error
 				if c, err = NewClient(cfg); err != nil {
@@ -393,21 +416,21 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 					g.mu.Lock()
 					g.sheds, g.until = degradeAfter, time.Now().Add(time.Hour)
 					g.mu.Unlock()
-				case "open gate", "half-open probe closes":
-					// BreakerThreshold unreachable calls, as the gate sees
-					// them; the cool-down passes on its clock.
+				case "open gate", "half-open probe closes", "half-open probe fails":
+					// Unreachable calls, as the gate sees them, until it
+					// opens; the cool-down passes on its clock.
 					g := &c.view.Load().targets[0].gate
 					now := time.Now()
 					g.mu.Lock()
 					g.now = func() time.Time { return now }
 					g.mu.Unlock()
-					for i := 0; i < cfg.RPC.BreakerThreshold; i++ {
-						if _, err := g.acquire(); err != nil {
+					for g.pol.opens.Value() == 0 {
+						if _, err := g.acquire(0); err != nil {
 							t.Fatal(err)
 						}
 						g.release(verdictUnreachable, false, 0)
 					}
-					if route == "half-open probe closes" {
+					if route != "open gate" {
 						now = now.Add(cfg.RPC.BreakerCooldown)
 					}
 				case "released conn":

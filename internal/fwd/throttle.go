@@ -1,6 +1,6 @@
 // The per-I/O-node gate: the one place a call's outcome opens, probes and
 // closes a node. Every target holds one, and callION hands it the verdict
-// classRules gives each call — took, shed, unreachable or none. Two
+// classRules gives each attempt — took, shed, unreachable or none. Two
 // streaks feed one closed → open → half-open cycle:
 //
 //   - sheds (busy answers): with Throttle.Enabled, degradeAfter in a row
@@ -9,16 +9,17 @@
 //     throttle also keeps an AIMD admission window — additive increase on
 //     success, multiplicative decrease on a shed — so a bursty
 //     application backs off the moment a daemon starts shedding.
-//   - transport failures (unreachable calls, weighted 1+RPC.MaxRetries):
-//     RPC.BreakerThreshold of them open the gate for RPC.BreakerCooldown;
-//     a refused call is unreachable (errCircuitOpen) and fails over.
+//   - transport failures (one per unreachable attempt): RPC.BreakerThreshold
+//     of them open the gate for RPC.BreakerCooldown; a refused call is
+//     unreachable (errCircuitOpen) and fails over.
 //
 // Once an open gate's time passes it admits exactly one probe; the probe's
 // verdict closes or re-opens it, and a probe without one hands the slot
 // back. A shed resets the transport streak (the node answered); a
 // transport failure keeps the shed streak. Whatever is armed, a shed
 // paces every later call to the node behind the server's retry-after
-// hint, grown with the streak and jittered.
+// hint, grown with the streak and jittered; a transport failure paces
+// only the caller that re-sends, behind its own backoff.
 package fwd
 
 import (
@@ -51,9 +52,10 @@ const (
 	// pacing interval, until a probe succeeds.
 	degradeAfter = 4
 	// retryAfterFloor stands in for a missing or zero server hint, and
-	// retryAfterCap bounds the hint's exponential growth under repeated
-	// sheds.
+	// retryBackoff is the wait before the first transport re-send.
+	// retryAfterCap bounds the exponential growth of both (backoff).
 	retryAfterFloor = time.Millisecond
+	retryBackoff    = 2 * time.Millisecond
 	retryAfterCap   = 100 * time.Millisecond
 	// idleRecovery restores a shrunken window to MaxWindow when the gate
 	// has been idle (no acquire) for at least this long: the AIMD growth
@@ -99,7 +101,7 @@ const (
 	verdictNone        verdict = iota // local, closed, interrupted: nothing about the node
 	verdictTook                       // ok, app, fenced: the node took the request on
 	verdictShed                       // busy: the node answered, and refused
-	verdictUnreachable                // unavailable: transport failures outlasted the retries
+	verdictUnreachable                // unavailable: the attempt failed in transport
 )
 
 // gatePolicy is what every gate of one client shares: what arms each half,
@@ -108,7 +110,6 @@ type gatePolicy struct {
 	throttle  ThrottleConfig
 	threshold int           // transport failures that open a gate; 0 = never
 	cooldown  time.Duration // how long they hold it open
-	weight    int           // transport failures one unreachable call counts: 1+RPC.MaxRetries
 
 	opens, probes, closes, rejects *telemetry.Counter
 }
@@ -118,7 +119,6 @@ func newGatePolicy(cfg Config, reg *telemetry.Registry) gatePolicy {
 		throttle:  cfg.Throttle,
 		threshold: cfg.RPC.BreakerThreshold,
 		cooldown:  cfg.RPC.BreakerCooldown,
-		weight:    1 + max(cfg.RPC.MaxRetries, 0),
 		opens:     reg.Counter("rpc_breaker_open_total"),
 		probes:    reg.Counter("rpc_breaker_half_open_probes_total"),
 		closes:    reg.Counter("rpc_breaker_close_total"),
@@ -187,8 +187,10 @@ func (g *ionGate) refusal() error {
 // open gate admits nobody until its time passes, then exactly one probe
 // (probe reports that this call is it). A closed gate paces callers
 // behind the last shed's hint and, with the throttle armed, blocks them
-// while the window is full. Every admitted call must be released.
-func (g *ionGate) acquire() (probe bool, err error) {
+// while the window is full. A caller re-sending after a transport failure
+// waits its own backoff here too, once the open gate has had its say:
+// nobody else waits for it. Every admitted call must be released.
+func (g *ionGate) acquire(backoff time.Duration) (probe bool, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	now := g.now()
@@ -218,12 +220,14 @@ func (g *ionGate) acquire() (probe bool, err error) {
 		}
 		if g.pol.throttle.Enabled && g.inflight >= g.admitted() {
 			g.cond.Wait()
-		} else if wait := g.until.Sub(now); err == nil && wait > 0 {
-			// Pace behind the hint without holding the lock, then
-			// re-evaluate (another caller may have shed meanwhile).
+		} else if wait := max(g.until.Sub(now), backoff); err == nil && wait > 0 {
+			// Pace behind the hint and the backoff without holding the
+			// lock, then re-evaluate (another caller may have shed, or the
+			// gate opened, meanwhile).
 			g.mu.Unlock()
 			time.Sleep(wait)
 			g.mu.Lock()
+			backoff = 0
 		} else {
 			break
 		}
@@ -277,17 +281,11 @@ func (g *ionGate) release(v verdict, probe bool, hint time.Duration) {
 		if armed {
 			g.window = max(g.window/2, float64(g.pol.throttle.MinWindow))
 		}
-		// Pace from the server's hint, grown exponentially with the streak
-		// (capped) and jittered so a fleet of clients does not retry in
-		// lockstep.
-		d := max(hint, retryAfterFloor)
-		for i := 1; i < g.sheds && d < retryAfterCap; i++ {
-			d *= 2
-		}
-		g.until = g.now().Add(equalJitter(min(d, retryAfterCap)))
+		// Pace from the server's hint, grown with the streak.
+		g.until = g.now().Add(backoff(max(hint, retryAfterFloor), g.sheds-1))
 	case verdictUnreachable:
 		wasOpen := g.refusal() == errCircuitOpen
-		g.fails += g.pol.weight
+		g.fails++
 		if g.refusal() == errCircuitOpen && (probe || !wasOpen) {
 			g.pol.opens.Inc()
 			g.until = g.now().Add(g.pol.cooldown)
@@ -298,15 +296,16 @@ func (g *ionGate) release(v verdict, probe bool, hint time.Duration) {
 	}
 }
 
-// equalJitter spreads d over [d/2, d): half deterministic, half uniform —
-// the same shape the rpc retry backoff uses.
-func equalJitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
+// backoff is the wait before a re-send: d (at least 2ns) doubled once for
+// each of the n re-sends of its streak before this one, capped at
+// retryAfterCap, and spread over [d/2, d) — half fixed, half uniform, so
+// clients that failed together do not re-send in lockstep. It paces a shed
+// for every caller of the node (release) and a transport re-send for its
+// own caller (callION).
+func backoff(d time.Duration, n int) time.Duration {
+	for ; n > 0 && d < retryAfterCap; n-- {
+		d *= 2
 	}
-	half := int64(d) / 2
-	if half <= 0 {
-		return d
-	}
+	half := int64(min(d, retryAfterCap)) / 2
 	return time.Duration(half + rand.Int63n(half))
 }

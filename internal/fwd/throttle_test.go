@@ -48,7 +48,7 @@ func testGate(cfg ThrottleConfig) *ionGate {
 // admit takes one slot that must not be the probe.
 func admit(t *testing.T, g *ionGate) {
 	t.Helper()
-	if probe, err := g.acquire(); err != nil || probe {
+	if probe, err := g.acquire(0); err != nil || probe {
 		t.Fatalf("acquire = probe %v, %v; want a plain admission", probe, err)
 	}
 }
@@ -102,7 +102,7 @@ func TestGateBlocksAtWindowAndReleases(t *testing.T) {
 	admit(t, g)
 	second := make(chan error, 1)
 	go func() {
-		_, err := g.acquire()
+		_, err := g.acquire(0)
 		second <- err
 	}()
 	select {
@@ -135,17 +135,17 @@ func TestGateDegradesAndProbesBack(t *testing.T) {
 	if !saturated(g) {
 		t.Fatal("gate should be saturated after degradeAfter sheds")
 	}
-	if _, err := g.acquire(); err != errSaturated {
+	if _, err := g.acquire(0); err != errSaturated {
 		t.Fatalf("saturated gate: acquire = %v, want errSaturated (degrade)", err)
 	}
 
 	// Once the pacing interval passes, exactly one probe is admitted; its
 	// success reopens the gate.
 	*now = now.Add(time.Second)
-	if probe, err := g.acquire(); !probe || err != nil {
+	if probe, err := g.acquire(0); !probe || err != nil {
 		t.Fatalf("after the pacing interval: acquire = probe %v, %v; want the probe", probe, err)
 	}
-	if _, err := g.acquire(); err != errSaturated {
+	if _, err := g.acquire(0); err != errSaturated {
 		t.Fatalf("a second caller while the probe is out: %v, want errSaturated", err)
 	}
 	g.release(verdictTook, true, 0)
@@ -370,16 +370,18 @@ func TestGateIdleRecovery(t *testing.T) {
 	}
 }
 
-// TestGateClassTable is what each rpc.Class tells the gate, one row per
-// class. Every row starts from the same gate — both halves armed, window
-// 4, one shed short of half the degrade streak, transport failures at the
-// threshold and the cool-down passed, so the call is the half-open probe —
-// and checks the window, both streaks, the probe slot, the transport
-// counters and what the next caller gets. The oracle: the node took the
-// request on → both streaks reset and the window grows; shed → the
-// window halves, the shed streak grows, the transport streak resets;
-// unreachable → 1+MaxRetries more transport failures and the gate
-// re-opens; no verdict → nothing moves and the probe slot is handed back.
+// TestGateClassTable is what each rpc.Class tells the gate, and how often
+// callION sends a request of that class again, one row per class. Every
+// row starts from the same gate — both halves armed, window 4, one shed
+// short of half the degrade streak, transport failures at the threshold
+// and the cool-down passed, so the call is the half-open probe — and
+// checks the window, both streaks, the probe slot, the transport counters
+// and what the next caller gets. The oracle: the node took the request on
+// → both streaks reset and the window grows; shed → the window halves,
+// the shed streak grows, the transport streak resets; unreachable → one
+// more transport failure and the gate re-opens; no verdict → nothing
+// moves and the probe slot is handed back. Only a shed (busyRetries
+// times) and an unreachable attempt (MaxRetries times) are sent again.
 func TestGateClassTable(t *testing.T) {
 	const threshold, maxRetries = 6, 2
 	type want struct {
@@ -388,6 +390,7 @@ func TestGateClassTable(t *testing.T) {
 		opens, closes int64
 		next          error // what the next caller gets: nil = the probe again or a plain admission
 		nextProbe     bool
+		resends       int // callION's re-sends of a request of this class
 	}
 	took := want{window: 4.25, closes: 1}
 	none := want{window: 4, sheds: 2, fails: threshold, nextProbe: true}
@@ -397,29 +400,31 @@ func TestGateClassTable(t *testing.T) {
 	}{
 		{rpc.ClassOK, took},
 		{rpc.ClassApp, took},
-		{rpc.ClassBusy, want{window: 2, sheds: 3, closes: 1}},
+		{rpc.ClassBusy, want{window: 2, sheds: 3, closes: 1, resends: busyRetries}},
 		{rpc.ClassFenced, took},
 		{rpc.ClassLocal, none},
 		{rpc.ClassClosed, none},
 		{rpc.ClassInterrupted, none},
-		{rpc.ClassUnavailable, want{window: 4, sheds: 2, fails: threshold + 1 + maxRetries, opens: 1, next: errCircuitOpen}},
+		{rpc.ClassUnavailable, want{window: 4, sheds: 2, fails: threshold + 1, opens: 1, next: errCircuitOpen, resends: maxRetries}},
 	}
 	if len(rows) != len(classRules) {
 		t.Fatalf("%d rows for %d classes", len(rows), len(classRules))
 	}
 	for _, row := range rows {
-		g, now := clockedGate(ThrottleConfig{Enabled: true, MaxWindow: 8},
-			rpc.Options{MaxRetries: maxRetries, BreakerThreshold: threshold, BreakerCooldown: time.Minute})
+		opts := rpc.Options{MaxRetries: maxRetries, BreakerThreshold: threshold, BreakerCooldown: time.Minute}
+		g, now := clockedGate(ThrottleConfig{Enabled: true, MaxWindow: 8}, opts)
 		g.window, g.sheds, g.fails = 4, 2, threshold
-		probe, err := g.acquire()
+		probe, err := g.acquire(0)
 		if !probe || err != nil {
 			t.Fatalf("class %d: acquire = probe %v, %v; want the half-open probe", row.class, probe, err)
 		}
 		g.release(classRules[row.class].verdict, probe, time.Millisecond)
 		w := row.want
-		got := want{g.window, g.sheds, g.fails, g.pol.opens.Value(), g.pol.closes.Value(), nil, false}
+		c := &Client{cfg: Config{RPC: opts}}
+		got := want{g.window, g.sheds, g.fails, g.pol.opens.Value(), g.pol.closes.Value(), nil, false,
+			c.resends(classRules[row.class].verdict)}
 		*now = now.Add(time.Second) // past any shed's pacing, inside the cool-down
-		got.nextProbe, got.next = g.acquire()
+		got.nextProbe, got.next = g.acquire(0)
 		if got != w || g.probing != w.nextProbe {
 			t.Errorf("class %d: got %+v (probing %v), want %+v", row.class, got, g.probing, w)
 		}
@@ -433,21 +438,21 @@ func TestGateClassTable(t *testing.T) {
 // between them, and failures that never run threshold deep in a row never
 // open it, however many there are in total.
 func TestGateMixedShedAndFailStreaks(t *testing.T) {
-	const threshold = 7 // two unreachable calls (3 each) stay below it, three open it
+	const threshold = 3 // two unreachable attempts in a row stay below it, three open it
 	g, now := clockedGate(ThrottleConfig{Enabled: true, MaxWindow: 8},
-		rpc.Options{MaxRetries: 2, BreakerThreshold: threshold, BreakerCooldown: time.Minute})
+		rpc.Options{BreakerThreshold: threshold, BreakerCooldown: time.Minute})
 	steps := []struct {
 		v            verdict
 		sheds, fails int
 	}{
 		{verdictShed, 1, 0},
-		{verdictUnreachable, 1, 3},
+		{verdictUnreachable, 1, 1},
 		{verdictShed, 2, 0},
-		{verdictUnreachable, 2, 3},
-		{verdictUnreachable, 2, 6},
+		{verdictUnreachable, 2, 1},
+		{verdictUnreachable, 2, 2},
 		{verdictShed, 3, 0},
-		{verdictUnreachable, 3, 3},
-		{verdictUnreachable, 3, 6},
+		{verdictUnreachable, 3, 1},
+		{verdictUnreachable, 3, 2},
 		{verdictShed, degradeAfter, 0},
 	}
 	for i, st := range steps {
@@ -467,7 +472,7 @@ func TestGateMixedShedAndFailStreaks(t *testing.T) {
 	// degrade: its calls fail over.
 	for i := 0; i < 3; i++ {
 		*now = now.Add(time.Second)
-		probe, err := g.acquire()
+		probe, err := g.acquire(0)
 		if !probe || err != nil {
 			t.Fatalf("failure %d: acquire = probe %v, %v; want the shed half's probe", i, probe, err)
 		}
@@ -476,7 +481,7 @@ func TestGateMixedShedAndFailStreaks(t *testing.T) {
 	if g.sheds != degradeAfter || g.pol.opens.Value() != 1 {
 		t.Fatalf("shed streak %d, transport opens %d; want %d, 1", g.sheds, g.pol.opens.Value(), degradeAfter)
 	}
-	if _, err := g.acquire(); err != errCircuitOpen {
+	if _, err := g.acquire(0); err != errCircuitOpen {
 		t.Fatalf("inside the cool-down: %v, want errCircuitOpen", err)
 	}
 }
@@ -525,7 +530,8 @@ func TestGateBreakerOpensRejectsAndRecovers(t *testing.T) {
 	}
 	fake.srv.Close()
 
-	// Two unreachable calls (MaxRetries 0: one failure each) open the gate.
+	// Two unreachable calls (MaxRetries 0: one attempt, one failure each)
+	// open the gate.
 	for i := 0; i < 2; i++ {
 		if _, failover := statVia(t, c); failover != int64(i+1) {
 			t.Fatalf("call %d: %d failovers, want %d", i, failover, i+1)
@@ -590,7 +596,7 @@ func TestGateBreakerHalfOpenAdmitsExactlyOneProbe(t *testing.T) {
 	g, now := clockedGate(ThrottleConfig{}, rpc.Options{BreakerThreshold: 1, BreakerCooldown: time.Minute})
 	admit(t, g)
 	g.release(verdictUnreachable, false, 0)
-	if _, err := g.acquire(); !errors.Is(err, rpc.ErrUnavailable) || !errors.Is(err, rpc.ErrCircuitOpen) {
+	if _, err := g.acquire(0); !errors.Is(err, rpc.ErrUnavailable) || !errors.Is(err, rpc.ErrCircuitOpen) {
 		t.Fatalf("open gate: %v, want ErrUnavailable wrapping ErrCircuitOpen", err)
 	}
 	*now = now.Add(time.Minute)
@@ -602,7 +608,7 @@ func TestGateBreakerHalfOpenAdmitsExactlyOneProbe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			probe, err := g.acquire()
+			probe, err := g.acquire(0)
 			if probe != (err == nil) {
 				t.Errorf("acquire = probe %v, %v", probe, err)
 			}
@@ -699,7 +705,7 @@ func TestGateLateAnswerEndsCoolDown(t *testing.T) {
 	admit(t, g) // fails
 	admit(t, g) // answers late
 	g.release(verdictUnreachable, false, 0)
-	if _, err := g.acquire(); err != errCircuitOpen {
+	if _, err := g.acquire(0); err != errCircuitOpen {
 		t.Fatalf("open gate: %v, want errCircuitOpen", err)
 	}
 	g.release(verdictTook, false, 0)
@@ -712,7 +718,7 @@ func TestGateLateAnswerEndsCoolDown(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if probe, err := g.acquire(); probe || err != nil {
+		if probe, err := g.acquire(0); probe || err != nil {
 			t.Errorf("after the late answer: acquire = probe %v, %v; want a plain admission", probe, err)
 		}
 	}()
@@ -720,5 +726,58 @@ func TestGateLateAnswerEndsCoolDown(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("the call after the late answer waited out the cool-down")
+	}
+}
+
+// TestRetryBackoffPacesOnlyTheRetryingCaller: a transport failure below
+// the threshold leaves the gate unpaced — another caller is admitted while
+// the one re-sending still waits its backoff in acquire — and an open gate
+// refuses a re-send at once, without making it wait the backoff first.
+func TestRetryBackoffPacesOnlyTheRetryingCaller(t *testing.T) {
+	const backoff = 200 * time.Millisecond
+	g, now := clockedGate(ThrottleConfig{}, rpc.Options{BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	g.now = time.Now
+	admit(t, g)
+	g.release(verdictUnreachable, false, 0)
+
+	began := time.Now()
+	resent := make(chan struct{})
+	go func() {
+		defer close(resent)
+		if probe, err := g.acquire(backoff); probe || err != nil {
+			t.Errorf("re-send: acquire = probe %v, %v; want a plain admission", probe, err)
+		}
+		if took := time.Since(began); took < backoff {
+			t.Errorf("the re-send was admitted after %v, before its %v backoff", took, backoff)
+		}
+	}()
+	admit(t, g) // another caller: no wait
+	select {
+	case <-resent:
+		t.Fatal("the other caller waited out the re-sending caller's backoff")
+	default:
+	}
+	<-resent
+	g.release(verdictUnreachable, false, 0) // the re-send fails too: the gate opens
+	g.release(verdictTook, false, 0)        // the other caller's answer closes it
+
+	// Open it again, on a clock that stands still inside the cool-down.
+	g.now = func() time.Time { return *now }
+	admit(t, g)
+	g.release(verdictUnreachable, false, 0)
+	admit(t, g)
+	g.release(verdictUnreachable, false, 0)
+	refused := make(chan error, 1)
+	go func() {
+		_, err := g.acquire(time.Hour)
+		refused <- err
+	}()
+	select {
+	case err := <-refused:
+		if err != errCircuitOpen {
+			t.Fatalf("re-send to an open gate: %v, want errCircuitOpen", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a re-send to an open gate waited its backoff before the refusal")
 	}
 }

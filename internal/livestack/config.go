@@ -55,12 +55,14 @@ type Config struct {
 	// size it to the application's writer parallelism when queue-depth
 	// signals (overload detection, elastic scaling) must see the demand.
 	PoolSize int
-	// RPC is the failure-tolerance configuration (per-call deadlines,
-	// retries, and the threshold and cool-down of each client's per-node
-	// gate) applied to every forwarding client this stack creates. The zero value keeps the legacy block-forever
-	// transport behaviour. BreakerCooldown only applies with
-	// BreakerThreshold set. Its WireChecksum is rejected: checksums are
-	// a whole-stack switch, WireChecksum below.
+	// RPC is the failure-tolerance configuration applied to every
+	// forwarding client this stack creates: the per-call deadline, how many
+	// times a client re-sends a request that failed in transport, and the
+	// threshold and cool-down of each client's per-node gate. The zero
+	// value keeps the legacy block-forever transport behaviour.
+	// BreakerCooldown only applies with BreakerThreshold set. Its
+	// WireChecksum is rejected: checksums are a whole-stack switch,
+	// WireChecksum below.
 	RPC rpc.Options
 
 	// HealthInterval, when >0, runs the stack's control-plane loop: every

@@ -29,10 +29,10 @@ func scaler(mut func(*elastic.Config)) *elastic.Config {
 }
 
 // TestValidateRejectsBadValues is the rule table: one broken rule per row
-// on top of Config{IONs: 4}, and the error must name the field. The rows
-// came from gkfwd's flag validation (which owned most of these rules until
-// Validate did), re-keyed to Config fields, plus a row per tuning field no
-// flag ever exposed.
+// on top of Config{IONs: 4}, and the error must name the field and be what
+// Start returns, before any daemon starts. The rows came from gkfwd's flag
+// validation (which owned most of these rules until Validate did), re-keyed
+// to Config fields, plus a row per tuning field no flag ever exposed.
 func TestValidateRejectsBadValues(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,15 +1,14 @@
 package livestack
 
-// Elastic tests at the stack level: the default-off contract, the
-// scaler's config cross-check, and the allocation waiter. The breathing
+// Elastic tests at the stack level: the default-off contract and the
+// allocation waiter. The scaler's config cross-check is a row of
+// TestValidateRejectsBadValues ("scaler without health"). The breathing
 // acceptance scenario is internal/scenario's TestElasticPoolBreathesUnderChaos.
 
 import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/elastic"
 )
 
 // TestElasticZeroConfigKeepsStaticPool pins the default-off contract:
@@ -49,19 +48,6 @@ func TestElasticZeroConfigKeepsStaticPool(t *testing.T) {
 	}
 	if got := len(st.IONAddrs()); got != 3 {
 		t.Fatalf("static pool size changed: %d IONs, want 3", got)
-	}
-}
-
-// TestElasticRequiresHealthProber pins the config cross-check: the scaler
-// feeds on prober load samples, so Elastic without HealthInterval is a
-// startup error, not a silent no-op.
-func TestElasticRequiresHealthProber(t *testing.T) {
-	_, err := Start(Config{
-		IONs:    2,
-		Elastic: &elastic.Config{Min: 2, Max: 4, UpWatermark: 1, DownWatermark: 0.5, Quiesced: func(string) bool { return true }},
-	})
-	if err == nil || !strings.Contains(err.Error(), "HealthInterval") {
-		t.Fatalf("Elastic without HealthInterval: err = %v, want HealthInterval complaint", err)
 	}
 }
 

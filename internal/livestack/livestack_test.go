@@ -32,15 +32,6 @@ func appFor(t *testing.T, label, id string) policy.Application {
 	return policy.FromAppSpec(id, spec)
 }
 
-func TestStartValidation(t *testing.T) {
-	if _, err := Start(Config{}); err == nil {
-		t.Fatal("zero IONs should fail")
-	}
-	if _, err := Start(Config{IONs: 1, Scheduler: "bogus"}); err == nil {
-		t.Fatal("unknown scheduler should fail")
-	}
-}
-
 // TestEndToEndKernelThroughArbitration is the full §5.3 pipeline in one
 // process: a job registers with the arbiter, the MCKP decision propagates
 // over the mapping bus to the client, an application kernel runs through

@@ -11,15 +11,13 @@ import (
 
 // TestCallClassTableBusyStaleRetry is the class table as a test: one row
 // per way a Call can end, plus the stale pooled conn, each checking the
-// class and its errors.Is identity, the transport and stale retries it
-// cost, the dials, whether the conn went back to the pool, and the busy
-// counter. The oracle is the table in call's doc: answers are never
-// retried; local, closed and interrupted neither; unavailable is
-// 1+MaxRetries attempts; a dead pooled conn costs one more pass that
-// spends no attempt. What each class tells fwd's gate is
-// TestGateClassTable.
+// class and its errors.Is identity, the stale re-dial it cost, the dials,
+// whether the conn went back to the pool, and the busy counter. The oracle
+// is the table in call's doc: every call is one attempt — unavailable
+// included, whatever MaxRetries says — and a dead pooled conn costs one
+// more pass that spends no attempt. Which classes fwd sends again, and
+// what each tells its gate, is fwd.TestGateClassTable.
 func TestCallClassTableBusyStaleRetry(t *testing.T) {
-	const maxRetries = 2
 	answering := NewServer(func(req *Message) *Message {
 		resp := &Message{Op: req.Op, Path: req.Path}
 		switch req.Path {
@@ -71,8 +69,8 @@ func TestCallClassTableBusyStaleRetry(t *testing.T) {
 		class Class
 		is    error // the one sentinel errors.Is matches; nil = none
 		// counters moved by the call, and conns idle in the pool after it
-		dials, retries, stale, busy int64
-		idle                        int
+		dials, stale, busy int64
+		idle               int
 	}{
 		{name: "ok", addr: live, path: "/ok", class: ClassOK, dials: 1, idle: 1},
 		{name: "app", addr: live, path: "/app", class: ClassApp, dials: 1, idle: 1},
@@ -83,8 +81,7 @@ func TestCallClassTableBusyStaleRetry(t *testing.T) {
 			prep: func(_ *testing.T, c *Client, _ *Interrupt) { c.Close() }},
 		{name: "interrupted", addr: live, path: "/ok", class: ClassInterrupted, is: ErrInterrupted, dials: 1,
 			prep: func(_ *testing.T, _ *Client, it *Interrupt) { it.Fire() }},
-		{name: "unavailable", addr: deadAddr, path: "/ok", class: ClassUnavailable, is: ErrUnavailable,
-			dials: 1 + maxRetries, retries: maxRetries},
+		{name: "unavailable", addr: deadAddr, path: "/ok", class: ClassUnavailable, is: ErrUnavailable, dials: 1},
 		{name: "stale pooled conn", addr: staleAddr, path: "/ok", prep: restart, class: ClassOK,
 			dials: 1, stale: 1, idle: 1},
 	}
@@ -92,16 +89,17 @@ func TestCallClassTableBusyStaleRetry(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			reg := telemetry.New()
-			c := Dial(row.addr, 2).WithOptions(Options{CallTimeout: 2 * time.Second, MaxRetries: maxRetries}).
+			// MaxRetries is fwd's to read: the client must not re-send.
+			c := Dial(row.addr, 2).WithOptions(Options{CallTimeout: 2 * time.Second, MaxRetries: 2}).
 				Instrument(reg, nil)
 			defer c.Close()
 			it := new(Interrupt)
 			if row.prep != nil {
 				row.prep(t, c, it)
 			}
-			counters := func() [4]int64 {
-				var v [4]int64
-				for i, name := range []string{"rpc_dials_total", "rpc_retries_total", "rpc_stale_retries_total", "rpc_busy_responses_total"} {
+			counters := func() [3]int64 {
+				var v [3]int64
+				for i, name := range []string{"rpc_dials_total", "rpc_stale_retries_total", "rpc_busy_responses_total"} {
 					v[i] = reg.Counter(name).Value()
 				}
 				return v
@@ -134,9 +132,9 @@ func TestCallClassTableBusyStaleRetry(t *testing.T) {
 				}
 			}
 			after := counters()
-			got := [4]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2], after[3] - before[3]}
-			if want := [4]int64{row.dials, row.retries, row.stale, row.busy}; got != want {
-				t.Errorf("dials/retries/stale retries/busy responses moved %v, want %v", got, want)
+			got := [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+			if want := [3]int64{row.dials, row.stale, row.busy}; got != want {
+				t.Errorf("dials/stale retries/busy responses moved %v, want %v", got, want)
 			}
 			c.mu.Lock()
 			idle, total := len(c.idle), c.total

@@ -45,8 +45,8 @@ func TestEpochTrailerByteIdentity(t *testing.T) {
 
 // TestClientStaleEpochClass drives a fenced response through a live
 // client: the error must surface as a ClassFenced *Error carrying the
-// server's fence floor and burn zero transport retries (what it tells
-// fwd's gate — the node took it — is TestGateClassTable's fenced row).
+// server's fence floor after one exchange (what it tells fwd's gate — the
+// node took it — is TestGateClassTable's fenced row).
 func TestClientStaleEpochClass(t *testing.T) {
 	const fence = uint64(9)
 	calls := 0
@@ -63,7 +63,7 @@ func TestClientStaleEpochClass(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cli := Dial(addr, 2).WithOptions(Options{CallTimeout: 2 * time.Second, MaxRetries: 3})
+	cli := Dial(addr, 2).WithOptions(Options{CallTimeout: 2 * time.Second})
 	defer cli.Close()
 
 	resp, err := cli.Call(&Message{Op: OpWrite, Path: "/f", Data: []byte("late"), Epoch: 4})
@@ -77,7 +77,7 @@ func TestClientStaleEpochClass(t *testing.T) {
 		t.Fatalf("response should carry the fence floor, got %+v", resp)
 	}
 	if calls != 1 {
-		t.Fatalf("fenced write was transport-retried: %d handler calls", calls)
+		t.Fatalf("fenced write was sent again: %d handler calls", calls)
 	}
 
 	// The connection stays healthy: a current-epoch write succeeds.

@@ -1,8 +1,7 @@
 package rpc
 
-// Failure-tolerance tests: per-call deadlines, bounded retries with
-// backoff, and the pool-hygiene
-// regressions for putConn (a conn that failed mid-roundTrip must never be
+// Failure-tolerance tests: per-call deadlines, one attempt per call (the
+// re-sends are fwd's), and the pool-hygiene regressions for putConn (a conn that failed mid-roundTrip must never be
 // pooled as healthy; a request that never touched the wire must never
 // discard a healthy conn). They live alongside churn_test.go, which covers
 // the pre-existing stale-conn semantics these mechanisms must preserve.
@@ -109,37 +108,26 @@ func flakyListener(t *testing.T, refuse int) (net.Listener, *atomic.Int64) {
 	return ln, &seen
 }
 
-func TestRetriesWithBackoffRecoverFromTransientFailures(t *testing.T) {
-	ln, _ := flakyListener(t, 2)
-	reg := telemetry.New()
-	cli := Dial(ln.Addr().String(), 1).
-		WithOptions(Options{MaxRetries: 4}).
-		Instrument(reg, nil)
+// TestTransportFailureIsOneAttempt: a call whose conn the server drops is
+// one attempt that ends in ErrUnavailable — sending it again is fwd's
+// decision — and leaves the client working: the next call is served.
+func TestTransportFailureIsOneAttempt(t *testing.T) {
+	ln, seen := flakyListener(t, 1)
+	cli := Dial(ln.Addr().String(), 1)
 	defer cli.Close()
 
+	if _, err := cli.Call(&Message{Op: OpPing, Path: "/flaky"}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("dropped conn: want ErrUnavailable, got %v", err)
+	}
+	if got := seen.Load(); got != 1 {
+		t.Fatalf("the failed call opened %d conns, want 1", got)
+	}
 	resp, err := cli.Call(&Message{Op: OpPing, Path: "/flaky"})
 	if err != nil {
-		t.Fatalf("retries should have recovered: %v", err)
+		t.Fatalf("the call after the failure: %v", err)
 	}
 	if resp.Path != "/flaky" {
 		t.Fatalf("wrong response: %+v", resp)
-	}
-	if got := reg.Counter("rpc_retries_total").Value(); got < 1 {
-		t.Fatalf("rpc_retries_total = %d, want ≥1", got)
-	}
-}
-
-func TestRetriesExhaustedSurfaceUnavailable(t *testing.T) {
-	srv := echoServer()
-	addr, err := srv.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Close() // nothing is listening anymore
-	cli := Dial(addr, 1).WithOptions(Options{MaxRetries: 2})
-	defer cli.Close()
-	if _, err := cli.Call(&Message{Op: OpPing}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("exhausted retries should wrap ErrUnavailable, got %v", err)
 	}
 }
 
@@ -226,9 +214,7 @@ func TestValidationErrorKeepsPoolUntouched(t *testing.T) {
 	}
 	defer srv.Close()
 	reg := telemetry.New()
-	cli := Dial(addr, 1).
-		WithOptions(Options{MaxRetries: 3}).
-		Instrument(reg, nil)
+	cli := Dial(addr, 1).Instrument(reg, nil)
 	defer cli.Close()
 
 	if _, err := cli.Call(&Message{Op: OpPing, Path: strings.Repeat("p", maxPath)}); err == nil {
@@ -236,9 +222,6 @@ func TestValidationErrorKeepsPoolUntouched(t *testing.T) {
 	}
 	if got := reg.Counter("rpc_dials_total").Value(); got != 0 {
 		t.Fatalf("validation failure dialed %d times, want 0", got)
-	}
-	if got := reg.Counter("rpc_retries_total").Value(); got != 0 {
-		t.Fatalf("validation failure retried %d times, want 0", got)
 	}
 	// The client still works.
 	if _, err := cli.Call(&Message{Op: OpPing, Path: "/fine"}); err != nil {

@@ -205,8 +205,8 @@ func TestServerRejectsCorruptFrame(t *testing.T) {
 }
 
 // TestClientRejectsCorruptResponse: a corrupted checksummed response is a
-// transport failure on the client — counted, conn discarded, wrapped in
-// ErrUnavailable after retries are exhausted.
+// transport failure on the client — counted, conn discarded, and the call
+// ends in ErrUnavailable after that one exchange.
 func TestClientRejectsCorruptResponse(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -241,16 +241,22 @@ func TestClientRejectsCorruptResponse(t *testing.T) {
 	}()
 
 	reg := telemetry.New()
-	cli := Dial(ln.Addr().String(), 1).WithOptions(Options{MaxRetries: 1}).Instrument(reg, nil)
+	cli := Dial(ln.Addr().String(), 1).Instrument(reg, nil)
 	defer cli.Close()
 	_, err = cli.Call(&Message{Op: OpPing, Path: "/p"})
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("want ErrUnavailable, got %v", err)
 	}
-	// First attempt + stale-conn retry is not taken (fresh conn), but the
-	// transport retry is: at least 2 exchanges, each a checksum error.
-	if got := reg.Snapshot().Counters["rpc_checksum_errors_total"]; got < 2 {
-		t.Fatalf("rpc_checksum_errors_total = %d, want >= 2", got)
+	// The conn was a fresh dial, so no stale re-dial: one exchange, one
+	// checksum error, and the conn is gone.
+	if got := reg.Snapshot().Counters["rpc_checksum_errors_total"]; got != 1 {
+		t.Fatalf("rpc_checksum_errors_total = %d, want 1", got)
+	}
+	cli.mu.Lock()
+	idle, total := len(cli.idle), cli.total
+	cli.mu.Unlock()
+	if idle != 0 || total != 0 {
+		t.Fatalf("conn that delivered a corrupt reply kept: idle=%d total=%d", idle, total)
 	}
 }
 

@@ -17,7 +17,8 @@ var ErrInterrupted = errors.New("rpc: call interrupted")
 // overtaken through a channel, so the goroutine that no longer needs the
 // answer expires the deadline of the conn the call is using. The zero
 // value is ready; an Interrupt serves one logical call (which may span
-// several exchanges: transport and busy retries) and stays fired.
+// several exchanges: the stale-conn re-dial, and fwd's transport and busy
+// re-sends) and stays fired.
 type Interrupt struct {
 	mu    sync.Mutex
 	fired bool

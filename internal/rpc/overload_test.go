@@ -58,7 +58,7 @@ func TestRetryAfterSaturatesOnOverflow(t *testing.T) {
 
 // TestServerShedsAboveMaxInflight: with MaxInflight=1 and one request
 // parked in the handler, a second request must be answered busy — carrying
-// the retry-after hint — while the retry machinery stays idle.
+// the retry-after hint — after one exchange, not as a transport failure.
 func TestServerShedsAboveMaxInflight(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
@@ -75,9 +75,7 @@ func TestServerShedsAboveMaxInflight(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cli := Dial(addr, 2).
-		WithOptions(Options{MaxRetries: 3}).
-		Instrument(reg, nil)
+	cli := Dial(addr, 2).Instrument(reg, nil)
 	defer cli.Close()
 
 	var wg sync.WaitGroup
@@ -113,8 +111,8 @@ func TestServerShedsAboveMaxInflight(t *testing.T) {
 	if got := reg.Counter("rpc_busy_responses_total").Value(); got != 1 {
 		t.Fatalf("rpc_busy_responses_total = %d, want 1", got)
 	}
-	if got := reg.Counter("rpc_retries_total").Value(); got != 0 {
-		t.Fatalf("busy response was transport-retried %d times, want 0", got)
+	if got := reg.Counter("rpc_dials_total").Value(); got != 2 {
+		t.Fatalf("rpc_dials_total = %d, want 2: one conn per concurrent call, none re-dialed", got)
 	}
 }
 

@@ -158,8 +158,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			// A checksum mismatch means the frame reached us but its bytes
 			// are untrustworthy — including the opcode and offset, so no
 			// response can be built. Count it and discard the connection:
-			// the client sees a broken exchange (transport failure) and its
-			// retry accounting applies.
+			// the client sees a broken exchange (transport failure), and the
+			// caller's re-send and gate accounting apply.
 			if errors.Is(err, ErrChecksum) {
 				s.tel.checksumErrors.Inc()
 			}
@@ -254,8 +254,8 @@ type Client struct {
 	tel struct {
 		dials, dialErrors, calls, callErrors *telemetry.Counter
 		staleRetries, staleEvictions         *telemetry.Counter
-		deadlineExpired, retries             *telemetry.Counter
-		busyResponses, checksumErrors        *telemetry.Counter
+		deadlineExpired, busyResponses       *telemetry.Counter
+		checksumErrors                       *telemetry.Counter
 		latency                              *telemetry.Histogram
 	}
 	tracer *telemetry.Tracer
@@ -278,8 +278,9 @@ func Dial(addr string, poolSize int) *Client {
 // Addr returns the target address.
 func (c *Client) Addr() string { return c.addr }
 
-// WithOptions installs failure-tolerance options (deadlines, retries —
-// see Options). Call before the first Call. Returns c for chaining.
+// WithOptions installs failure-tolerance options (the deadline, the
+// checksum — see Options). Call before the first Call. Returns c for
+// chaining.
 func (c *Client) WithOptions(o Options) *Client {
 	c.opts = o
 	return c
@@ -298,7 +299,6 @@ func (c *Client) Instrument(reg *telemetry.Registry, tracer *telemetry.Tracer) *
 	c.tel.staleRetries = reg.Counter("rpc_stale_retries_total")
 	c.tel.staleEvictions = reg.Counter("rpc_stale_evictions_total")
 	c.tel.deadlineExpired = reg.Counter("rpc_deadline_expired_total")
-	c.tel.retries = reg.Counter("rpc_retries_total")
 	c.tel.busyResponses = reg.Counter("rpc_busy_responses_total")
 	c.tel.checksumErrors = reg.Counter("rpc_checksum_errors_total")
 	c.tel.latency = reg.Histogram("rpc_call_latency_seconds", telemetry.LatencyBuckets())
@@ -420,7 +420,7 @@ func (c *Client) roundTrip(w *wire, req *Message, it *Interrupt) (*Message, erro
 	}
 	if err != nil {
 		// A corrupted response is a transport failure like any other: the
-		// conn is discarded here and the retry loop takes over.
+		// conn is discarded here and the call ends unavailable.
 		if errors.Is(err, ErrChecksum) {
 			c.tel.checksumErrors.Inc()
 		}
@@ -454,10 +454,11 @@ func exchange(w *wire, req *Message, checksum bool) (*Message, error) {
 // Every error it returns is an *Error, whose Class says how the call ended
 // (see call for what each class costs).
 //
-// Transport-level failures (dial errors, broken or timed-out exchanges)
-// are retried up to Options.MaxRetries times with exponential backoff and
-// jitter, and end as ClassUnavailable. Answers — application errors, busy
-// and fenced responses — surface immediately with the response.
+// A call is one attempt. Transport-level failures (dial errors, broken or
+// timed-out exchanges) end it as ClassUnavailable; whether to send it
+// again is the caller's (fwd's re-send loop reads Options.MaxRetries).
+// Answers — application errors, busy and fenced responses — surface with
+// the response.
 func (c *Client) Call(req *Message) (*Message, error) {
 	return c.CallInterruptible(req, nil)
 }
@@ -466,7 +467,7 @@ func (c *Client) Call(req *Message) (*Message, error) {
 // the call returns ClassInterrupted — immediately if it is inside an
 // exchange, before touching the wire if it has not started one yet. An
 // interruption is the caller's own decision, not evidence about the
-// server: it is not retried. A nil it never interrupts.
+// server. A nil it never interrupts.
 func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error) {
 	start := time.Now()
 	resp, err := c.call(req, it)
@@ -486,46 +487,36 @@ func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error
 	return resp, err
 }
 
-// call runs the passes of one Call. What each class costs is decided here,
-// once:
+// call runs the one attempt of a Call. What each class costs is decided
+// here, once:
 //
-//	ok, app, busy, fenced   an answer, returned with the response (a busy
-//	                        one's replay is the caller's to decide — fwd's
-//	                        gate, honouring the hint)
+//	ok, app, busy, fenced   an answer, returned with the response (whether
+//	                        a shed request goes again is the caller's —
+//	                        fwd's re-send loop, paced by its gate)
 //	local, closed,          no verdict on the server: returned
 //	interrupted
-//	unavailable             retried up to MaxRetries times with backoff; but
-//	                        when the pass ran on a pooled conn — one that may
-//	                        have gone stale while idle, a server restart —
-//	                        first one more pass on a fresh dial, which spends
-//	                        no attempt
+//	unavailable             returned, for the caller to send again or not
+//	                        (fwd: up to MaxRetries times); but when the pass
+//	                        ran on a pooled conn — one that may have gone
+//	                        stale while idle, a server restart — first one
+//	                        more pass on a fresh dial, which spends no
+//	                        attempt
 //
-// So one Call costs at most (1+MaxRetries) × 2 exchanges, and a call that
-// ends unavailable failed 1+MaxRetries attempts — what fwd's gate counts.
+// So one Call costs at most 2 exchanges, and a call that ends unavailable
+// is one failed attempt — what fwd's gate counts.
 func (c *Client) call(req *Message, it *Interrupt) (*Message, error) {
-	fresh := false
-	for i := 0; ; {
-		resp, pooled, e := c.attempt(req, it, fresh)
-		switch {
-		case e == nil:
-			return resp, nil
-		case e.Class != ClassUnavailable:
-			if e.Class == ClassBusy {
-				c.tel.busyResponses.Inc()
-			}
-			return resp, e
-		case pooled:
-			c.tel.staleRetries.Inc()
-			fresh = true
-			continue
-		}
-		if i++; i > c.opts.MaxRetries {
-			return nil, e
-		}
-		c.tel.retries.Inc()
-		time.Sleep(backoffDelay(i - 1))
-		fresh = false
+	resp, pooled, e := c.attempt(req, it, false)
+	if e != nil && e.Class == ClassUnavailable && pooled {
+		c.tel.staleRetries.Inc()
+		resp, _, e = c.attempt(req, it, true)
 	}
+	switch {
+	case e == nil:
+		return resp, nil
+	case e.Class == ClassBusy:
+		c.tel.busyResponses.Inc()
+	}
+	return resp, e
 }
 
 // attempt is one pass of call: take a conn — a fresh dial when fresh — and

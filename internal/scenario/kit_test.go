@@ -17,8 +17,9 @@ import (
 )
 
 // fastFail makes transport failures fast and deterministic: with
-// MaxRetries 1 a failed call is two breaker failures, so threshold 2 opens
-// the breaker on the first one, and a dead node stays failed over.
+// MaxRetries 1 a failed call is two attempts, each one failure at the
+// node's gate, so threshold 2 opens the gate on the first call, and a dead
+// node stays failed over.
 var fastFail = rpc.Options{
 	CallTimeout:      500 * time.Millisecond,
 	MaxRetries:       1,
