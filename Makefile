@@ -114,10 +114,10 @@ qos:
 # Elastic-pool suite, run twice under the race detector: the breathing
 # chaos scenario (pool 2→12→2 under burst load with a nemesis killing
 # IONs mid-drain and failing provisioning) plus the graceful-drain,
-# dynamic-membership, scaler-hysteresis, provisioning-backoff/breaker,
-# connection-release, and scaler-flag tests across every layer the
-# elastic subsystem touches, and the Config rule table, whose scaler rows
-# are the stack's elastic config checks.
+# dynamic-membership, scaler-hysteresis, sweep-counted decision-tick,
+# provisioning-backoff, connection-release, and scaler-flag tests across
+# every layer the elastic subsystem touches, and the Config rule table,
+# whose scaler rows are the stack's elastic config checks.
 # -p 1 keeps the packages sequential: the chaos scenario's demand signal
 # is real queue depth under injected service latency, and sharing the
 # machine with five other race-instrumented packages starves the writers

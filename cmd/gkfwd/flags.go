@@ -84,7 +84,7 @@ func bindFlags(fs *flag.FlagSet, cfg *livestack.Config, r *runPlan) {
 	fs.IntVar(&r.scale.Min, "scale-min", 0, "Elastic.Min: pool floor (0 = -ions)")
 	fs.Float64Var(&r.scale.UpWatermark, "scale-up", 0, "Elastic.UpWatermark: average queue depth at or above which the pool grows (sustained)")
 	fs.Float64Var(&r.scale.DownWatermark, "scale-down", 0, "Elastic.DownWatermark: average queue depth at or below which the pool shrinks (sustained)")
-	fs.DurationVar(&r.scale.UpCooldown, "scale-cooldown", 0, "Elastic.UpCooldown and DownCooldown: minimum gap between same-direction scale events (0 = scaler defaults)")
+	fs.IntVar(&r.scale.UpCooldown, "scale-cooldown", 0, "Elastic.UpCooldown and DownCooldown: minimum gap, in probe sweeps, between same-direction scale events (0 = scaler defaults, 5 up and 30 down)")
 	fs.StringVar(&r.qosConfig, "qos-config", "", "QoS: tenant policy file (class/app statements, see internal/qos)")
 	fs.StringVar(&r.qosInline, "qos", "", "QoS: inline statements (';'-separated) applied after -qos-config")
 }

@@ -95,7 +95,7 @@ func TestArgvRejected(t *testing.T) {
 		{name: "queue and sweep", argv: args("-queue -sweep HACC"), wantErr: "mutually exclusive"},
 		{name: "scale min without max", argv: args("-scale-min 2"), wantErr: "require -scale-max"},
 		{name: "watermarks without max", argv: args("-scale-up 8"), wantErr: "require -scale-max"},
-		{name: "scale cooldown without max", argv: args("-scale-cooldown 1s"), wantErr: "require -scale-max"},
+		{name: "scale cooldown without max", argv: args("-scale-cooldown 10"), wantErr: "require -scale-max"},
 		{name: "negative scale knob without max", argv: args("-scale-down -0.5"), wantErr: "require -scale-max"},
 		{name: "qos inline syntax error", argv: []string{"-qos", "class gold tier=bogus"}, wantErr: "-qos-config/-qos"},
 		{name: "qos unknown class reference", argv: []string{"-qos", "app a missing"}, wantErr: "-qos-config/-qos"},
@@ -234,7 +234,7 @@ func TestArgvScalerDerivesElastic(t *testing.T) {
 	runArgv(t, []argvCase{
 		{
 			name: "floor defaults to -ions",
-			argv: args("-health-interval 100ms -scale-max 12 -scale-up 8 -scale-down 1 -scale-cooldown 30s"),
+			argv: args("-health-interval 100ms -scale-max 12 -scale-up 8 -scale-down 1 -scale-cooldown 300"),
 			check: func(t *testing.T, cfg livestack.Config, _ *runPlan) {
 				el := cfg.Elastic
 				if el == nil {
@@ -243,7 +243,7 @@ func TestArgvScalerDerivesElastic(t *testing.T) {
 				if el.Min != 4 || el.Max != 12 || el.UpWatermark != 8 || el.DownWatermark != 1 {
 					t.Errorf("Elastic = %+v, want Min 4 (the -ions default) Max 12 watermarks 8/1", el)
 				}
-				if el.UpCooldown != 30*time.Second || el.DownCooldown != 30*time.Second {
+				if el.UpCooldown != 300 || el.DownCooldown != 300 {
 					t.Errorf("-scale-cooldown not carried to both directions: %v / %v", el.UpCooldown, el.DownCooldown)
 				}
 				if el.MarginalValue == nil {

@@ -126,11 +126,6 @@ type RecoverConfig struct {
 	// the first solve (it died during the blackout). Nil trusts the
 	// journal (reconciliation happens later through the health prober).
 	Probe func(addr string) bool
-	// PreFence, when set, is called with the new revocation floor BEFORE
-	// the recovery mapping is published: push it to every I/O-node daemon
-	// so no stale-epoch write can slip in between the republish and the
-	// fence taking effect.
-	PreFence func(fence uint64)
 	// Weights is the optional QoS weight source (see WithWeights).
 	Weights func(id string) float64
 	// QuarantineFloor, when > 0, re-arms the gray-failure quarantine on
@@ -149,9 +144,11 @@ type RecoverConfig struct {
 // surviving assignment is republished under the no-shrink invariant —
 // every recovered job keeps its allocated node count, preferentially on
 // the exact nodes it held before the crash. Every epoch the pre-crash
-// arbiter could have published is revoked: PreFence then the bus fence
-// guarantee that a client still routing on a pre-crash mapping can never
-// land a write on a reassigned I/O node.
+// arbiter could have published is revoked: the recovery map carries the
+// new fence, and a bus follower that raises every daemon's floor before
+// any client applies the map (livestack's) guarantees that a client still
+// routing on a pre-crash mapping can never land a write on a reassigned
+// I/O node.
 //
 // A solve failure during the republish is advisory, exactly as for a live
 // Fail: the pruned pre-crash mapping is published (it is safe —
@@ -203,15 +200,11 @@ func Recover(cfg RecoverConfig) (*Arbiter, error) {
 
 	// Epoch handoff. The journal's epoch is ≥ every version a client saw
 	// (publishes are journaled write-ahead), so resuming the bus there
-	// and fencing one above revokes every pre-crash mapping. Daemons are
-	// fenced before the recovery map goes out: between those two steps
-	// stale clients degrade to the direct PFS path, which is byte-safe.
+	// and fencing one above revokes every pre-crash mapping. The recovery
+	// publish below carries the fence to the bus's followers, in order:
+	// the daemons' floor is raised before any client routes on the map.
 	cfg.Bus.Resume(a.epoch)
-	fence := cfg.Bus.Version() + 1
-	if cfg.PreFence != nil {
-		cfg.PreFence(fence)
-	}
-	cfg.Bus.Revoke(fence)
+	cfg.Bus.Revoke(cfg.Bus.Version() + 1)
 
 	var advisory error
 	if len(a.running) > 0 {

@@ -194,10 +194,11 @@ func TestRecoverAbortsDrains(t *testing.T) {
 	}
 }
 
-// TestRecoverFencesPreCrashEpochs pins the epoch handoff: the fence is
-// pushed (PreFence) before the recovery mapping is published, it revokes
-// every version the pre-crash arbiter published, and the recovery map
-// itself carries the fence.
+// TestRecoverFencesPreCrashEpochs pins the epoch handoff as a bus
+// follower sees it: the first map recovery publishes already carries a
+// fence that revokes every version the pre-crash arbiter published, so a
+// follower that fences the daemons (livestack's) does so before any
+// client can route on the recovery map.
 func TestRecoverFencesPreCrashEpochs(t *testing.T) {
 	dir := t.TempDir()
 	arb, jn, bus := journaledArbiter(t, dir, 4)
@@ -216,30 +217,23 @@ func TestRecoverFencesPreCrashEpochs(t *testing.T) {
 	}
 	defer jn2.Close()
 	bus2 := mapping.NewBus()
-	var fencedAt uint64
-	var publishedBeforeFence bool
-	_, err = Recover(RecoverConfig{
-		Journal: jn2, Policy: policy.MCKP{}, Bus: bus2,
-		PreFence: func(fence uint64) {
-			fencedAt = fence
-			publishedBeforeFence = bus2.Version() > preCrash
-		},
-	})
-	if err != nil {
+	var seen []mapping.Map
+	defer bus2.Follow(func(m mapping.Map) { seen = append(seen, m) })()
+	if _, err = Recover(RecoverConfig{Journal: jn2, Policy: policy.MCKP{}, Bus: bus2}); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if fencedAt <= preCrash {
-		t.Fatalf("fence %d does not revoke pre-crash epochs (max %d)", fencedAt, preCrash)
+	if len(seen) != 1 {
+		t.Fatalf("recovery published %d maps to the follower, want 1", len(seen))
 	}
-	if publishedBeforeFence {
-		t.Fatal("recovery mapping published before the daemons were fenced")
+	m := seen[0]
+	if m.Fence <= preCrash {
+		t.Fatalf("the recovery map's fence %d does not revoke pre-crash epochs (max %d)", m.Fence, preCrash)
 	}
-	m := bus2.Current()
-	if m.Fence != fencedAt {
-		t.Fatalf("recovery map fence = %d, want %d", m.Fence, fencedAt)
+	if m.Version < m.Fence {
+		t.Fatalf("recovery map version %d below its own fence %d", m.Version, m.Fence)
 	}
-	if m.Version < fencedAt {
-		t.Fatalf("recovery map version %d below its own fence %d", m.Version, fencedAt)
+	if cur := bus2.Current(); cur.Version != m.Version || cur.Fence != m.Fence {
+		t.Fatalf("bus holds version %d fence %d, the follower saw %d/%d", cur.Version, cur.Fence, m.Version, m.Fence)
 	}
 }
 

@@ -13,9 +13,9 @@
 //	                  │
 //	                  └─(node dies, or still assigned)─→ drain aborted
 //
-// Scale-up provisions through a Provisioner seam with jittered
-// exponential backoff and a circuit breaker, so a dead provisioner
-// degrades the scaler — the pool stops growing — and never the data
+// Scale-up provisions through a Provisioner seam behind a capped
+// exponential backoff, so a dead provisioner degrades the scaler — the
+// pool stops growing, probed once per capped wait — and never the data
 // path. Scale-down uses the arbiter's graceful drain: traffic migrates
 // off first, decommission happens only after the node has been quiet, so
 // no acked write is ever stranded on a vanished daemon.
@@ -23,16 +23,16 @@
 // Anti-flap is structural, not tuned: separate up/down watermarks with a
 // mandatory gap, sustained-signal windows (one hot sweep is a burst, not
 // a trend), per-direction cooldowns, and a max-step clamp per decision.
-// Every transition is clock-injected and deterministic under test.
+// The scaler has no clock: every window, cooldown, deadline and backoff
+// counts Ticks, which the caller makes once per probe sweep, so a run is
+// the same sequence of decisions whatever the sweeps' wall-clock length.
 package elastic
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/nodestate"
 	"repro/internal/telemetry"
@@ -71,8 +71,9 @@ type Health interface {
 	Load() map[string]int64
 }
 
-// Config parameterizes a Scaler. Its windows count ticks: the caller sets
-// the cadence (livestack ticks once per probe sweep).
+// Config parameterizes a Scaler. Every window, cooldown and deadline in
+// it counts ticks: the caller sets the cadence (livestack ticks once per
+// probe sweep), and the defaults are the seconds they were at a 1 s one.
 type Config struct {
 	// Min and Max bound the target pool size (members plus in-flight
 	// provisions, minus drains). Min ≥ 1 and Max ≥ Min are required.
@@ -87,47 +88,28 @@ type Config struct {
 	// UpSustain / DownSustain are the consecutive-tick windows; ≤0
 	// selects 3 and 5 (shrinking should take more convincing).
 	UpSustain, DownSustain int
-	// UpCooldown / DownCooldown gate how soon after a scale event the
-	// same direction may fire again; ≤0 selects 5s and 30s.
-	UpCooldown, DownCooldown time.Duration
-	// FlipQuiet gates how soon after a scale event the OPPOSITE
+	// UpCooldown / DownCooldown are how many ticks after a scale event
+	// the same direction may fire again; ≤0 selects 5 and 30.
+	UpCooldown, DownCooldown int
+	// FlipQuiet is how many ticks after a scale event the OPPOSITE
 	// direction may fire. A scale-up is itself evidence of demand, so a
 	// shrink moments later is a flap by definition — and each add
 	// triggers a re-arbitration whose remap stall briefly collapses the
 	// queue-depth signal, which would otherwise feed the down streak.
 	// ≤0 selects max(UpCooldown, DownCooldown).
-	FlipQuiet time.Duration
+	FlipQuiet int
 	// MaxStep clamps how many nodes one decision may add or drain; ≤0
 	// selects 1.
 	MaxStep int
 
-	// DrainDeadline bounds how long a drain may wait for quiescence
-	// before the node is decommissioned anyway (in-flight work is
-	// client-retried; waiting forever would leak the node); ≤0 selects
-	// 30s.
-	DrainDeadline time.Duration
 	// QuiesceSweeps consecutive quiet ticks complete a drain; ≤0 selects
-	// 2.
+	// 2. A drain that is not done drainDeadline ticks after it started is
+	// forced.
 	QuiesceSweeps int
 	// Quiesced reports whether addr has no queued or in-flight work.
 	// Required when the scaler may shrink (Min < Max); livestack supplies
 	// an activity-delta check over the daemon's counters.
 	Quiesced func(addr string) bool
-
-	// RiseTimeout bounds how long a provisioned node may take to pass its
-	// first health rise before it is rolled back and disposed; ≤0 selects
-	// 10s.
-	RiseTimeout time.Duration
-	// ProvisionBackoff is the base of the jittered exponential backoff
-	// after a provisioning failure, ProvisionBackoffMax its cap; ≤0
-	// select 100ms and 5s.
-	ProvisionBackoff, ProvisionBackoffMax time.Duration
-	// BreakerThreshold consecutive provisioning failures (including
-	// rollbacks) open the provisioning circuit breaker for
-	// BreakerCooldown, after which one half-open attempt probes the
-	// provisioner again; ≤0 select 3 and 30s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// MarginalValue, when non-nil, forecasts the value of growing from k
 	// to k+1 nodes (e.g. the summed marginal bandwidth of the running
@@ -136,15 +118,24 @@ type Config struct {
 	// not worth provisioning.
 	MarginalValue func(k int) float64
 
-	// Seed feeds the backoff jitter; 0 selects 1. Now, when non-nil,
-	// replaces time.Now (the unit tests' clock). Both exist so every
-	// scaler decision is reproducible.
-	Seed int64
-	Now  func() time.Time
-
 	// Telemetry receives scaler metrics; nil disables them.
 	Telemetry *telemetry.Registry
 }
+
+const (
+	// drainDeadline bounds how many ticks a drain may wait for quiescence
+	// before the node is decommissioned anyway: in-flight work fails
+	// over, and waiting forever would leak the node.
+	drainDeadline = 30
+	// riseTimeout bounds how many ticks a provisioned node may take to
+	// pass its first health rise before it is rolled back and disposed.
+	riseTimeout = 10
+	// maxBackoff caps the provisioning backoff: after n consecutive
+	// provisioning failures (rollbacks included) the next attempt waits
+	// min(2^(n-1), maxBackoff) ticks, so a provisioner that stays dead is
+	// probed once per maxBackoff ticks.
+	maxBackoff = 30
+)
 
 // Validate reports the first bounds rule cfg breaks. New applies it;
 // whoever assembles a Config ahead of New (livestack.Config.Validate)
@@ -179,46 +170,19 @@ func (cfg Config) withDefaults() (Config, error) {
 		cfg.DownSustain = 5
 	}
 	if cfg.UpCooldown <= 0 {
-		cfg.UpCooldown = 5 * time.Second
+		cfg.UpCooldown = 5
 	}
 	if cfg.DownCooldown <= 0 {
-		cfg.DownCooldown = 30 * time.Second
+		cfg.DownCooldown = 30
 	}
 	if cfg.FlipQuiet <= 0 {
-		cfg.FlipQuiet = cfg.UpCooldown
-		if cfg.DownCooldown > cfg.FlipQuiet {
-			cfg.FlipQuiet = cfg.DownCooldown
-		}
+		cfg.FlipQuiet = max(cfg.UpCooldown, cfg.DownCooldown)
 	}
 	if cfg.MaxStep <= 0 {
 		cfg.MaxStep = 1
 	}
-	if cfg.DrainDeadline <= 0 {
-		cfg.DrainDeadline = 30 * time.Second
-	}
 	if cfg.QuiesceSweeps <= 0 {
 		cfg.QuiesceSweeps = 2
-	}
-	if cfg.RiseTimeout <= 0 {
-		cfg.RiseTimeout = 10 * time.Second
-	}
-	if cfg.ProvisionBackoff <= 0 {
-		cfg.ProvisionBackoff = 100 * time.Millisecond
-	}
-	if cfg.ProvisionBackoffMax <= 0 {
-		cfg.ProvisionBackoffMax = 5 * time.Second
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 30 * time.Second
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	return cfg, nil
 }
@@ -237,8 +201,8 @@ const (
 // node is the scaler's record of one node.
 type node struct {
 	phase    phase
-	deadline time.Time // provisioning: rise deadline; draining: drain deadline
-	quiet    int       // draining: consecutive quiesced ticks
+	deadline int // provisioning: rise deadline; draining: drain deadline (a tick)
+	quiet    int // draining: consecutive quiesced ticks
 }
 
 // Scaler drives the pool lifecycle. All decisions happen inside Tick; it
@@ -249,16 +213,15 @@ type Scaler struct {
 	prov   Provisioner
 	health Health
 
-	mu           sync.Mutex
-	nodes        map[string]*node // every node the scaler knows, by address
-	upStreak     int
-	downStreak   int
-	upNotBefore  time.Time
-	dnNotBefore  time.Time
-	provFails    int       // consecutive provisioning failures
-	provNotBefor time.Time // backoff gate
-	breakerUntil time.Time
-	rng          *rand.Rand
+	mu            sync.Mutex
+	nodes         map[string]*node // every node the scaler knows, by address
+	tick          int              // Ticks so far; every window counts them
+	upStreak      int
+	downStreak    int
+	upNotBefore   int // first tick a scale-up may fire
+	dnNotBefore   int // first tick a scale-down may fire
+	provFails     int // consecutive provisioning failures
+	provNotBefore int // first tick a provision may be attempted
 
 	tel struct {
 		scaleUps, scaleDowns        *telemetry.Counter
@@ -266,7 +229,7 @@ type Scaler struct {
 		drainsAborted, drainsForced *telemetry.Counter
 		drainsRefused               *telemetry.Counter
 		provsStarted, provFailures  *telemetry.Counter
-		provRollbacks, breakerOpens *telemetry.Counter
+		provRollbacks               *telemetry.Counter
 		forecastVetoes              *telemetry.Counter
 		staleSkipped                *telemetry.Counter
 		poolSize                    *telemetry.Gauge
@@ -291,7 +254,6 @@ func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []strin
 		prov:   prov,
 		health: health,
 		nodes:  make(map[string]*node, len(initial)),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for _, addr := range initial {
 		s.nodes[addr] = &node{phase: member}
@@ -306,7 +268,6 @@ func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []strin
 	s.tel.provsStarted = reg.Counter("elastic_provisions_started_total")
 	s.tel.provFailures = reg.Counter("elastic_provision_failures_total")
 	s.tel.provRollbacks = reg.Counter("elastic_provision_rollbacks_total")
-	s.tel.breakerOpens = reg.Counter("elastic_provision_breaker_opens_total")
 	s.tel.forecastVetoes = reg.Counter("elastic_forecast_vetoes_total")
 	s.tel.staleSkipped = reg.Counter("elastic_stale_samples_skipped_total")
 	s.tel.poolSize = reg.Gauge("elastic_pool_size")
@@ -318,15 +279,15 @@ func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []strin
 
 // Tick advances every lifecycle and takes at most one scaling decision.
 // The caller owns the cadence: livestack's control-plane loop ticks once
-// per probe sweep, after the sweep's events reached the arbiter, so the
-// sustain and quiesce windows count sweeps.
+// per probe sweep, after the sweep's events reached the arbiter, so every
+// window, cooldown and deadline counts sweeps.
 func (s *Scaler) Tick() {
-	now := s.cfg.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceProvisioning(now)
-	s.advanceDraining(now)
-	s.decide(now)
+	s.tick++
+	s.advanceProvisioning()
+	s.advanceDraining()
+	s.decide()
 	s.updateGauges()
 }
 
@@ -377,7 +338,7 @@ func (s *Scaler) isUp(addr string) bool {
 // advanceProvisioning promotes provisioned nodes that passed their first
 // health rise and rolls back the ones that did not make the deadline.
 // Caller holds the lock.
-func (s *Scaler) advanceProvisioning(now time.Time) {
+func (s *Scaler) advanceProvisioning() {
 	for _, addr := range s.inPhase(provisioning) {
 		n := s.nodes[addr]
 		if s.isUp(addr) {
@@ -391,16 +352,16 @@ func (s *Scaler) advanceProvisioning(now time.Time) {
 			s.provFails = 0
 			continue
 		}
-		if now.After(n.deadline) {
+		if s.tick >= n.deadline {
 			// The daemon never rose: roll it back before the arbiter ever
 			// hears of it. A rollback is a provisioning failure as far as
-			// backoff and the breaker are concerned — the provisioner is
-			// handing out duds.
+			// the backoff is concerned — the provisioner is handing out
+			// duds.
 			delete(s.nodes, addr)
 			s.health.Remove(addr)
 			_ = s.prov.Decommission(addr)
 			s.tel.provRollbacks.Inc()
-			s.provisionFailed(now)
+			s.provisionFailed()
 		}
 	}
 }
@@ -408,7 +369,7 @@ func (s *Scaler) advanceProvisioning(now time.Time) {
 // advanceDraining completes quiesced drains, forces ones past deadline,
 // and abandons drains whose node died underneath them. Caller holds the
 // lock.
-func (s *Scaler) advanceDraining(now time.Time) {
+func (s *Scaler) advanceDraining() {
 	for _, addr := range s.inPhase(draining) {
 		n := s.nodes[addr]
 		if !s.isUp(addr) {
@@ -430,11 +391,11 @@ func (s *Scaler) advanceDraining(now time.Time) {
 		}
 		if n.quiet >= s.cfg.QuiesceSweeps {
 			s.completeDrain(addr)
-		} else if now.After(n.deadline) {
+		} else if s.tick >= n.deadline {
 			// Quiescence never came (a wedged op, a chatty client). The
 			// deadline bounds how long capacity stays reserved: complete
-			// anyway — clients retry through the rpc layer and fail over
-			// to the direct PFS path, so forcing is safe, just not free.
+			// anyway — clients re-send and fail over to the direct PFS
+			// path, so forcing is safe, just not free.
 			s.tel.drainsForced.Inc()
 			s.completeDrain(addr)
 		}
@@ -460,7 +421,7 @@ func (s *Scaler) completeDrain(addr string) {
 
 // decide reads the demand signal and takes at most one scaling decision.
 // Caller holds the lock.
-func (s *Scaler) decide(now time.Time) {
+func (s *Scaler) decide() {
 	// Load omits stale samples, so a node that is up but absent from it
 	// sits out both the demand average and the scale-down victim ranking,
 	// exactly like a down one.
@@ -506,7 +467,7 @@ func (s *Scaler) decide(now time.Time) {
 	count := s.census()
 	size := count[member] + count[provisioning]
 
-	if s.upStreak >= s.cfg.UpSustain && size < s.cfg.Max && !now.Before(s.upNotBefore) {
+	if s.upStreak >= s.cfg.UpSustain && size < s.cfg.Max && s.tick >= s.upNotBefore {
 		step := s.cfg.MaxStep
 		if size+step > s.cfg.Max {
 			step = s.cfg.Max - size
@@ -517,17 +478,15 @@ func (s *Scaler) decide(now time.Time) {
 				s.tel.forecastVetoes.Inc()
 				break
 			}
-			if !s.provision(now) {
+			if !s.provision() {
 				break
 			}
 			added++
 		}
 		if added > 0 {
-			s.upNotBefore = now.Add(s.cfg.UpCooldown)
+			s.upNotBefore = s.tick + s.cfg.UpCooldown
 			s.upStreak = 0
-			if flip := now.Add(s.cfg.FlipQuiet); flip.After(s.dnNotBefore) {
-				s.dnNotBefore = flip
-			}
+			s.dnNotBefore = max(s.dnNotBefore, s.tick+s.cfg.FlipQuiet)
 		}
 		return
 	}
@@ -537,7 +496,7 @@ func (s *Scaler) decide(now time.Time) {
 	// cover for a member being drained away — otherwise the drains it
 	// "covered" complete and the settled pool undershoots Min.
 	settled := count[member]
-	if s.downStreak >= s.cfg.DownSustain && settled > s.cfg.Min && !now.Before(s.dnNotBefore) {
+	if s.downStreak >= s.cfg.DownSustain && settled > s.cfg.Min && s.tick >= s.dnNotBefore {
 		step := s.cfg.MaxStep
 		if settled-step < s.cfg.Min {
 			step = settled - s.cfg.Min
@@ -551,16 +510,14 @@ func (s *Scaler) decide(now time.Time) {
 				s.tel.drainsRefused.Inc()
 				break
 			}
-			*s.nodes[addr] = node{phase: draining, deadline: now.Add(s.cfg.DrainDeadline)}
+			*s.nodes[addr] = node{phase: draining, deadline: s.tick + drainDeadline}
 			s.tel.drainsStarted.Inc()
 			drained++
 		}
 		if drained > 0 {
-			s.dnNotBefore = now.Add(s.cfg.DownCooldown)
+			s.dnNotBefore = s.tick + s.cfg.DownCooldown
 			s.downStreak = 0
-			if flip := now.Add(s.cfg.FlipQuiet); flip.After(s.upNotBefore) {
-				s.upNotBefore = flip
-			}
+			s.upNotBefore = max(s.upNotBefore, s.tick+s.cfg.FlipQuiet)
 		}
 	}
 }
@@ -587,17 +544,16 @@ func (s *Scaler) victims(depths map[string]int64, n int) []string {
 	return cand
 }
 
-// provision asks the Provisioner for one node, gated by backoff and the
-// breaker. Returns whether a provision is now in flight. Caller holds
-// the lock.
-func (s *Scaler) provision(now time.Time) bool {
-	if now.Before(s.provNotBefor) || now.Before(s.breakerUntil) {
+// provision asks the Provisioner for one node, gated by the backoff.
+// Returns whether a provision is now in flight. Caller holds the lock.
+func (s *Scaler) provision() bool {
+	if s.tick < s.provNotBefore {
 		return false
 	}
 	addr, err := s.prov.Provision()
 	if err != nil {
 		s.tel.provFailures.Inc()
-		s.provisionFailed(now)
+		s.provisionFailed()
 		return false
 	}
 	// Probe the newcomer pessimistically: it must rise on its own merits
@@ -605,32 +561,24 @@ func (s *Scaler) provision(now time.Time) bool {
 	if err := s.health.Add(addr, nodestate.Down); err != nil {
 		_ = s.prov.Decommission(addr)
 		s.tel.provFailures.Inc()
-		s.provisionFailed(now)
+		s.provisionFailed()
 		return false
 	}
-	s.nodes[addr] = &node{phase: provisioning, deadline: now.Add(s.cfg.RiseTimeout)}
+	s.nodes[addr] = &node{phase: provisioning, deadline: s.tick + riseTimeout}
 	s.tel.provsStarted.Inc()
 	return true
 }
 
-// provisionFailed records one provisioning failure: jittered exponential
-// backoff, and the breaker past the threshold. Caller holds the lock.
-func (s *Scaler) provisionFailed(now time.Time) {
+// provisionFailed records one provisioning failure: the n-th in a row
+// holds the next attempt back min(2^(n-1), maxBackoff) ticks. Caller
+// holds the lock.
+func (s *Scaler) provisionFailed() {
 	s.provFails++
-	backoff := s.cfg.ProvisionBackoffMax
-	if shift := s.provFails - 1; shift < 16 {
-		if b := s.cfg.ProvisionBackoff << shift; b < backoff {
-			backoff = b
-		}
+	wait := maxBackoff
+	if shift := s.provFails - 1; shift < 5 { // 2^5 is past the cap
+		wait = 1 << shift
 	}
-	// Equal jitter: half deterministic, half random, so synchronized
-	// failures (a provisioner outage) do not retry in lockstep.
-	backoff = backoff/2 + time.Duration(s.rng.Int63n(int64(backoff/2)+1))
-	s.provNotBefor = now.Add(backoff)
-	if s.provFails >= s.cfg.BreakerThreshold && !now.Before(s.breakerUntil) {
-		s.breakerUntil = now.Add(s.cfg.BreakerCooldown)
-		s.tel.breakerOpens.Inc()
-	}
+	s.provNotBefore = s.tick + wait
 }
 
 // updateGauges refreshes the pool gauges. Caller holds the lock.

@@ -1,25 +1,21 @@
 package elastic
 
-// Deterministic scaler tests: every case drives Tick by hand with an
-// injected clock and fake pool/provisioner/health seams, so hysteresis
-// windows, cooldowns, backoff, the breaker, and both lifecycles are
-// pinned tick by tick with no real time involved.
+// Deterministic scaler tests: every case drives Tick by hand over fake
+// pool/provisioner/health seams. The scaler counts ticks and reads no
+// clock, so hysteresis windows, cooldowns, deadlines, the provisioning
+// backoff and both lifecycles are pinned tick by tick.
 
 import (
 	"errors"
 	"fmt"
+	"go/build"
 	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/nodestate"
 	"repro/internal/telemetry"
 )
-
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // fakePool records arbiter calls.
 type fakePool struct {
@@ -27,6 +23,7 @@ type fakePool struct {
 	assigned map[string]bool // RemoveION refused while set
 	drainErr error
 	adds     []string
+	starts   []string // DrainStart, in order
 	removes  []string
 	aborts   []string
 }
@@ -45,6 +42,7 @@ func (p *fakePool) Transition(addr string, ev nodestate.Event) error {
 			return p.drainErr
 		}
 		p.draining[addr] = true
+		p.starts = append(p.starts, addr)
 	case nodestate.DrainAbort:
 		delete(p.draining, addr)
 		p.aborts = append(p.aborts, addr)
@@ -132,52 +130,40 @@ func (p *fakeProv) Decommission(addr string) error {
 	return nil
 }
 
-// rig bundles a scaler with its seams, two initial up members, and a
-// 100ms tick the tests advance by hand.
+// rig bundles a scaler with its seams and two initial up members; the
+// tests tick it by hand.
 type rig struct {
 	s      *Scaler
 	pool   *fakePool
 	prov   *fakeProv
 	health *fakeHealth
-	clk    *fakeClock
 	reg    *telemetry.Registry
 }
 
-func (r *rig) tick() {
-	r.clk.advance(100 * time.Millisecond)
-	r.s.Tick()
-}
+func (r *rig) tick() { r.s.Tick() }
 
 func (r *rig) counter(name string) int64 { return r.reg.Counter(name).Value() }
 
 func newRig(t *testing.T, mutate func(*Config)) *rig {
 	t.Helper()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
 	pool := newFakePool()
 	prov := &fakeProv{}
 	health := newFakeHealth()
 	reg := telemetry.New()
 	quiet := map[string]bool{}
 	cfg := Config{
-		Min:                 2,
-		Max:                 6,
-		UpWatermark:         8,
-		DownWatermark:       1,
-		UpSustain:           3,
-		DownSustain:         4,
-		UpCooldown:          time.Second,
-		DownCooldown:        2 * time.Second,
-		MaxStep:             1,
-		DrainDeadline:       3 * time.Second,
-		QuiesceSweeps:       2,
-		RiseTimeout:         time.Second,
-		ProvisionBackoff:    200 * time.Millisecond,
-		ProvisionBackoffMax: time.Second,
-		BreakerThreshold:    3,
-		BreakerCooldown:     5 * time.Second,
-		Quiesced:            func(addr string) bool { return quiet[addr] },
-		Now:                 clk.now,
-		Telemetry:           reg,
+		Min:           2,
+		Max:           6,
+		UpWatermark:   8,
+		DownWatermark: 1,
+		UpSustain:     3,
+		DownSustain:   4,
+		UpCooldown:    10,
+		DownCooldown:  20,
+		MaxStep:       1,
+		QuiesceSweeps: 2,
+		Quiesced:      func(addr string) bool { return quiet[addr] },
+		Telemetry:     reg,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -190,7 +176,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{s: s, pool: pool, prov: prov, health: health, clk: clk, reg: reg}
+	return &rig{s: s, pool: pool, prov: prov, health: health, reg: reg}
 }
 
 // setDepth sets every up member's sampled depth.
@@ -298,14 +284,14 @@ func TestScaleUpCooldownGatesNextGrowth(t *testing.T) {
 	r.setDepth(20)
 	r.tick()
 	r.tick()
-	r.tick() // provision #1 fires; cooldown = 1s starts
+	r.tick() // provision #1 fires at tick 3; the 10-tick cooldown starts
 	if len(r.prov.provisioned) != 1 {
 		t.Fatalf("provisioned = %v, want 1", r.prov.provisioned)
 	}
 	r.health.up[r.prov.provisioned[0]] = true
 	r.setDepth(20)
-	// 5 more hot ticks = 500ms: sustain is long since met, but the
-	// cooldown must hold the second grow until a full second passed.
+	// 5 more hot ticks: sustain is long since met, but the cooldown must
+	// hold the second grow until tick 13.
 	for i := 0; i < 5; i++ {
 		r.tick()
 		r.setDepth(20)
@@ -313,7 +299,7 @@ func TestScaleUpCooldownGatesNextGrowth(t *testing.T) {
 	if len(r.prov.provisioned) != 1 {
 		t.Fatalf("cooldown violated: provisioned %v", r.prov.provisioned)
 	}
-	for i := 0; i < 6; i++ { // past the 1s mark
+	for i := 0; i < 6; i++ { // past tick 13
 		r.tick()
 		r.setDepth(20)
 	}
@@ -324,7 +310,8 @@ func TestScaleUpCooldownGatesNextGrowth(t *testing.T) {
 
 // TestFlipQuietDampsReversal pins the reversal gate: after a scale-up,
 // the opposite direction is quiet for FlipQuiet (default max of the two
-// cooldowns — 2s in the rig), even once DownSustain is long since met.
+// cooldowns — 20 ticks in the rig), even once DownSustain is long since
+// met.
 // A grow is itself evidence of demand, and the remap stall it triggers
 // briefly starves the depth signal, so an immediate shrink is a flap.
 func TestFlipQuietDampsReversal(t *testing.T) {
@@ -347,23 +334,23 @@ func TestFlipQuietDampsReversal(t *testing.T) {
 	t.Run("gated", func(t *testing.T) {
 		r := newRig(t, nil)
 		grow(r)
-		// Sustain (4 ticks) is met at t=0.8s; the flip gate holds until
-		// 2s after the provision decision at t=0.3s.
-		for i := 0; i < 18; i++ { // up to t=2.2s
+		// Sustain (4 ticks) is met at tick 8; the flip gate holds until
+		// 20 ticks after the provision decision at tick 3.
+		for i := 0; i < 18; i++ { // up to tick 22
 			r.tick()
 		}
 		if got := r.counter("elastic_drains_started_total"); got != 0 {
 			t.Fatalf("drain started %d inside the flip-quiet window", got)
 		}
 		r.tick()
-		r.tick() // past t=2.3s: the gate lifts, the held streak fires
+		r.tick() // past tick 23: the gate lifts, the held streak fires
 		if got := r.counter("elastic_drains_started_total"); got != 1 {
 			t.Fatalf("drains started = %d after flip-quiet, want 1", got)
 		}
 	})
 
-	t.Run("near-zero quiet shrinks at sustain", func(t *testing.T) {
-		r := newRig(t, func(c *Config) { c.FlipQuiet = time.Millisecond })
+	t.Run("one-tick quiet shrinks at sustain", func(t *testing.T) {
+		r := newRig(t, func(c *Config) { c.FlipQuiet = 1 })
 		grow(r)
 		for i := 0; i < 4; i++ { // exactly DownSustain
 			r.tick()
@@ -539,7 +526,8 @@ func TestDrainForcedPastDeadline(t *testing.T) {
 	if len(r.pool.draining) != 1 {
 		t.Fatalf("draining = %v, want 1", r.pool.draining)
 	}
-	// DrainDeadline is 3s; 100ms ticks need 30 more to cross it.
+	// drainDeadline is 30 ticks: the drain started at tick 4 is forced at
+	// tick 34.
 	for i := 0; i < 31; i++ {
 		r.tick()
 	}
@@ -571,12 +559,12 @@ func TestProvisionRollbackWhenNodeNeverRises(t *testing.T) {
 	r.setDepth(20)
 	r.tick()
 	r.tick()
-	r.tick() // provision fires; RiseTimeout = 1s
+	r.tick() // provision fires at tick 3; riseTimeout = 10 ticks
 	if len(r.prov.provisioned) != 1 {
 		t.Fatalf("provisioned = %v, want 1", r.prov.provisioned)
 	}
 	dud := r.prov.provisioned[0]
-	// The daemon never rises; 11 ticks = 1.1s crosses the deadline.
+	// The daemon never rises; tick 13 rolls it back.
 	for i := 0; i < 11; i++ {
 		r.tick()
 		r.setDepth(20)
@@ -593,48 +581,6 @@ func TestProvisionRollbackWhenNodeNeverRises(t *testing.T) {
 	}
 	if r.counter("elastic_scale_ups_total") != 0 {
 		t.Fatal("rollback counted as a scale-up")
-	}
-}
-
-func TestProvisionBackoffAndBreaker(t *testing.T) {
-	r := newRig(t, nil)
-	r.prov.failNext = 1 << 30 // the provisioner is dead
-	r.setDepth(20)
-
-	// Walk far enough that, without backoff, dozens of attempts would
-	// fire. BreakerThreshold = 3, so at most 3 failures may land before
-	// the breaker opens for 5s.
-	for i := 0; i < 40; i++ { // 4s
-		r.tick()
-		r.setDepth(20)
-	}
-	fails := r.counter("elastic_provision_failures_total")
-	if fails != 3 {
-		t.Fatalf("elastic_provision_failures_total = %d, want exactly BreakerThreshold (3) before the breaker opens", fails)
-	}
-	if r.counter("elastic_provision_breaker_opens_total") != 1 {
-		t.Fatalf("breaker opens = %d, want 1", r.counter("elastic_provision_breaker_opens_total"))
-	}
-
-	// Past the breaker cooldown (5s), a half-open attempt probes the
-	// provisioner again — and it succeeds now. Tick until it lands; the
-	// cap bounds the wait at 10 virtual seconds.
-	r.prov.failNext = 0
-	for i := 0; i < 100 && len(r.prov.provisioned) == 0; i++ {
-		r.tick()
-		r.setDepth(20)
-	}
-	if len(r.prov.provisioned) != 1 {
-		t.Fatalf("provisioned = %v, want one node after the breaker closed", r.prov.provisioned)
-	}
-	if got := r.counter("elastic_provision_failures_total"); got != 3 {
-		t.Fatalf("failures after recovery = %d, want still 3", got)
-	}
-	// The newcomer rises and promotes: full recovery end to end.
-	r.health.up[r.prov.provisioned[0]] = true
-	r.tick()
-	if r.counter("elastic_scale_ups_total") != 1 {
-		t.Fatalf("elastic_scale_ups_total = %d, want 1", r.counter("elastic_scale_ups_total"))
 	}
 }
 
@@ -738,5 +684,131 @@ func TestAllSamplesStaleFreezesScaling(t *testing.T) {
 	if len(r.pool.draining) != 0 || len(r.prov.provisioned) != 0 {
 		t.Fatalf("scaled on all-stale evidence: draining=%v provisioned=%v",
 			r.pool.draining, r.prov.provisioned)
+	}
+}
+
+// activityQuiesced is a Quiesced seam shaped like livestack's: a node is
+// quiet when its depth is zero at this look and at the one before, so
+// the first look at a node is never quiet.
+func (r *rig) activityQuiesced() func(string) bool {
+	last := map[string]int64{}
+	return func(addr string) bool {
+		prev, seen := last[addr]
+		d := r.health.depth[addr]
+		last[addr] = d
+		return seen && prev == 0 && d == 0
+	}
+}
+
+// TestIdleDrainCompletesGracefully: an idle node's drain completes
+// QuiesceSweeps+1 ticks after its DrainStart — the first look never
+// counts as quiet — well inside drainDeadline, so it is never forced,
+// however long each sweep takes.
+func TestIdleDrainCompletesGracefully(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.Min = 1 })
+	r.s.cfg.Quiesced = r.activityQuiesced()
+	r.setDepth(0)
+	for i := 0; i < 4; i++ { // DownSustain: DrainStart at tick 4
+		r.tick()
+	}
+	if !slices.Equal(r.pool.starts, []string{"ion0:1"}) {
+		t.Fatalf("drain starts = %v, want [ion0:1] at tick 4", r.pool.starts)
+	}
+	for i := 0; i < r.s.cfg.QuiesceSweeps; i++ {
+		r.tick()
+		if len(r.pool.removes) != 0 {
+			t.Fatalf("drain completed %d ticks after DrainStart, want %d", i+1, r.s.cfg.QuiesceSweeps+1)
+		}
+	}
+	r.tick()
+	if !slices.Equal(r.pool.removes, []string{"ion0:1"}) {
+		t.Fatalf("removes = %v, want [ion0:1] %d ticks after DrainStart", r.pool.removes, r.s.cfg.QuiesceSweeps+1)
+	}
+	if got := r.counter("elastic_drains_forced_total"); got != 0 {
+		t.Fatalf("elastic_drains_forced_total = %d, want 0: an idle node drains gracefully", got)
+	}
+	if got := r.counter("elastic_scale_downs_total"); got != 1 {
+		t.Fatalf("elastic_scale_downs_total = %d, want 1", got)
+	}
+}
+
+// TestScalerDecisionTicksAreScripted runs one script — a burst, a provisioner
+// outage inside it, then idleness — and pins the tick of every decision:
+// each promotion one tick after its provision, the up cooldown (10), the
+// provisioning retries 1, 2, 4, 8, 16, 30, 30 ticks apart, the flip gate
+// (20 after the last provision) and the down cooldown (20) between
+// drains, each drain done QuiesceSweeps+1 ticks after it started.
+func TestScalerDecisionTicksAreScripted(t *testing.T) {
+	r := newRig(t, nil)
+	r.s.cfg.Quiesced = r.activityQuiesced()
+	var log []string
+	var provs, adds, starts, removes int
+	var fails int64
+	for tick := 1; tick <= 200; tick++ {
+		switch tick {
+		case 15:
+			r.prov.failNext = 1 << 30 // the provisioner dies
+		case 100:
+			r.prov.failNext = 0 // and comes back
+		}
+		for _, a := range r.prov.provisioned { // a provisioned daemon rises within one sweep
+			if _, known := r.health.up[a]; known {
+				r.health.up[a] = true
+			}
+		}
+		demand := int64(20)
+		if tick > 115 {
+			demand = 0
+		}
+		r.setDepth(demand)
+		r.tick()
+
+		for _, a := range r.prov.provisioned[provs:] {
+			log = append(log, fmt.Sprintf("%d provision %s", tick, a))
+		}
+		if f := r.counter("elastic_provision_failures_total"); f > fails {
+			log = append(log, fmt.Sprintf("%d provision fails", tick))
+			fails = f
+		}
+		for _, a := range r.pool.adds[adds:] {
+			log = append(log, fmt.Sprintf("%d add %s", tick, a))
+		}
+		for _, a := range r.pool.starts[starts:] {
+			log = append(log, fmt.Sprintf("%d drain %s", tick, a))
+		}
+		for _, a := range r.pool.removes[removes:] {
+			log = append(log, fmt.Sprintf("%d remove %s", tick, a))
+		}
+		provs, adds, starts, removes = len(r.prov.provisioned), len(r.pool.adds), len(r.pool.starts), len(r.pool.removes)
+	}
+	want := []string{
+		"3 provision ion10:1", "4 add ion10:1",
+		"13 provision ion11:1", "14 add ion11:1",
+		"23 provision fails", "24 provision fails", "26 provision fails", "30 provision fails",
+		"38 provision fails", "54 provision fails", "84 provision fails",
+		"114 provision ion12:1", "115 add ion12:1",
+		"134 drain ion0:1", "137 remove ion0:1",
+		"154 drain ion10:1", "157 remove ion10:1", // "ion10:1" sorts before "ion1:1"
+		"174 drain ion11:1", "177 remove ion11:1",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("decisions:\n  %s\nwant:\n  %s", strings.Join(log, "\n  "), strings.Join(want, "\n  "))
+	}
+	if got := r.counter("elastic_drains_forced_total"); got != 0 {
+		t.Fatalf("elastic_drains_forced_total = %d, want 0", got)
+	}
+}
+
+// TestScalerReadsNoClock: the scaler's only time unit is the tick, so no
+// non-test file of the package may import a clock or a random source.
+func TestScalerReadsNoClock(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range pkg.Imports {
+		if imp == "time" || strings.HasPrefix(imp, "math/rand") {
+			t.Errorf("%v imports %q: windows, cooldowns, deadlines and the backoff count ticks", pkg.GoFiles, imp)
+		}
 	}
 }

@@ -170,9 +170,9 @@ type Config struct {
 	// with demand — SpawnION provisions new daemons, graceful drains
 	// decommission idle ones. Requires HealthInterval (the scaler feeds
 	// on the prober's load samples and ticks once per sweep, so its
-	// windows count sweeps) and Min ≤ IONs ≤ Max. The scaler's
-	// Quiesced and Telemetry seams are filled in by the stack when unset.
-	// nil keeps today's static pool byte for byte.
+	// windows, cooldowns and backoff count sweeps) and Min ≤ IONs ≤ Max.
+	// The scaler's Quiesced and Telemetry seams are filled in by the
+	// stack when unset. nil keeps today's static pool byte for byte.
 	Elastic *elastic.Config
 	// WrapProvisioner, when non-nil, interposes on the scaler's
 	// provisioner — the hook chaos tests use to inject provisioning

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/fwd"
+	"repro/internal/mapping"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
 )
@@ -242,7 +243,9 @@ func daemonsFenced(t *testing.T, st *Stack, fence uint64, when string) {
 // TestFenceReachesEveryDaemonBeforeAnyClient: when the decision that
 // publishes a fenced map returns, every daemon already holds the fence and
 // the client routes on the map; the follower keeps delivering through a
-// control-plane crash and recovery.
+// control-plane crash and recovery, and the recovery map reaches a
+// follower registered after the stack's only once every daemon holds its
+// fence — the stack's follower fenced them first, inside the publish.
 func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 	st, err := Start(Config{IONs: 3, JournalDir: t.TempDir()})
 	if err != nil {
@@ -268,8 +271,21 @@ func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 	if err := st.CrashControlPlane(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.RecoverControlPlane(); err != nil {
+	var unfenced []string // written inside Publish, read once unfollowed
+	unfollow := st.Bus.Follow(func(m mapping.Map) {
+		for _, d := range st.daemons() {
+			if got := d.Fence(); got < m.Fence {
+				unfenced = append(unfenced, fmt.Sprintf("map %d reached a later follower with a daemon's fence at %d, the map's %d", m.Version, got, m.Fence))
+			}
+		}
+	})
+	err = st.RecoverControlPlane()
+	unfollow()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if unfenced != nil {
+		t.Fatal(strings.Join(unfenced, "\n"))
 	}
 	final := st.Bus.Current()
 	if have := c.IONs(); !slices.Equal(have, final.For("f1")) {

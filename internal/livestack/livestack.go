@@ -320,9 +320,10 @@ func (s *Stack) buildScaler(addrs []string) error {
 // Publish it raises every daemon's revocation floor to the map's fence,
 // then applies the map to every client, in creation order, and drops the
 // clients that turned out closed from the list. A client applies the map
-// current at its registration itself (NewClient). The recovery fence is
-// pushed first by arbiter.RecoverConfig.PreFence; the follower's keeps
-// late joiners and warm-restarted daemons on the floor.
+// current at its registration itself (NewClient). The same fenceAll
+// carries a recovery's fence to every daemon before any client applies
+// the recovery map, and keeps late joiners and warm-restarted daemons on
+// the floor.
 // Lock order: the arbiter's → the bus's → {s.mu (fenceAll, dropClosed), a
 // client's, the telemetry registry's}; deadlock-free because nothing
 // calls the arbiter or the bus while holding s.mu or a client's lock, and
@@ -414,14 +415,14 @@ func (s *Stack) StopControlPlane() {
 }
 
 // RecoverControlPlane warm-restarts a crashed control plane from the
-// journal: replay, re-probe every journaled pool member, fence every
-// pre-crash epoch on the live daemons (synchronously, by PreFence) before
-// the recovery publish, which carries the recovery map to the clients
-// before it returns; roll back half-provisioned I/O nodes the journal never
-// admitted, and restart the control-plane loop. The returned error is
-// advisory when an arbiter came up (degraded recovery, e.g. a failed
-// re-solve published the pruned pre-crash mapping) and fatal when nil
-// Stack.Arbiter proves no recovery happened.
+// journal: replay, re-probe every journaled pool member, and publish the
+// recovery map, whose fence revokes every pre-crash epoch — inside that
+// publish the stack's bus follower fences every live daemon, then carries
+// the map to the clients, before it returns; roll back half-provisioned
+// I/O nodes the journal never admitted, and restart the control-plane
+// loop. The returned error is advisory when an arbiter came up (degraded
+// recovery, e.g. a failed re-solve published the pruned pre-crash
+// mapping) and fatal when nil Stack.Arbiter proves no recovery happened.
 func (s *Stack) RecoverControlPlane() error {
 	if s.cfg.JournalDir == "" {
 		return errors.New("livestack: RecoverControlPlane requires JournalDir")
@@ -437,8 +438,7 @@ func (s *Stack) RecoverControlPlane() error {
 		Probe: func(addr string) bool {
 			return health.Check(addr, s.cfg.HealthTimeout)
 		},
-		PreFence: s.fenceAll,
-		Weights:  s.qosWeights(),
+		Weights: s.qosWeights(),
 		// Journaled degraded marks replay as quarantines again, under the
 		// same floor (Start resolved it: > 0 exactly when detection is on).
 		QuarantineFloor: s.cfg.QuarantineFloor,

@@ -29,8 +29,7 @@ func capacity(r *Rig) lazy {
 			"elastic_scale_ups_total", "elastic_scale_downs_total", "elastic_drains_started_total",
 			"elastic_drains_aborted_total", "elastic_drains_forced_total", "elastic_drains_refused_total",
 			"elastic_provisions_started_total", "elastic_provision_failures_total", "elastic_provision_rollbacks_total",
-			"elastic_provision_breaker_opens_total", "arbiter_ions_added_total", "arbiter_ions_removed_total",
-			"arbiter_solves_total"} {
+			"arbiter_ions_added_total", "arbiter_ions_removed_total", "arbiter_solves_total"} {
 			fmt.Fprintf(&b, "\n  %s = %d", s, r.Metric(s))
 		}
 		fmt.Fprintf(&b, "\n  arbiter pool = %v, draining = %v\n  scaler members = %v\n  health load = %v",

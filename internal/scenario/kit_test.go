@@ -106,18 +106,17 @@ var stacks = map[string]func(dir string) livestack.Config{
 			RPC:            rpc.Options{CallTimeout: 10 * time.Second, MaxRetries: 2, BreakerThreshold: 4, BreakerCooldown: 100 * time.Millisecond},
 			HealthInterval: 10 * time.Millisecond, HealthTimeout: 250 * time.Millisecond,
 			HealthFailThreshold: 2, HealthRiseThreshold: 2,
+			// Every scaler window counts 10 ms probe sweeps.
 			Elastic: &elastic.Config{
 				Min: 2, Max: 12, UpWatermark: 1.0, DownWatermark: 0.2, UpSustain: 4, DownSustain: 10,
-				UpCooldown: 100 * time.Millisecond, DownCooldown: 150 * time.Millisecond,
+				UpCooldown: 10, DownCooldown: 15,
 				// Each add re-arbitrates, and the remap stall starves the depth
 				// signal for longer than DownSustain — the reversal gate keeps
 				// the breath-out monotonic (see TestFlipQuietDampsReversal).
-				FlipQuiet: 600 * time.Millisecond, MaxStep: 2,
+				FlipQuiet: 60, MaxStep: 2,
 				// 12 sweeps × 10ms = 120ms of mandatory quiet per drain: wide
 				// enough for the scenario to land its kill mid-drain.
-				DrainDeadline: 5 * time.Second, QuiesceSweeps: 12,
-				RiseTimeout: 5 * time.Second, ProvisionBackoff: 25 * time.Millisecond, ProvisionBackoffMax: 100 * time.Millisecond,
-				BreakerThreshold: 5, BreakerCooldown: 250 * time.Millisecond, Seed: 42,
+				QuiesceSweeps: 12,
 			},
 		}
 	},

@@ -77,12 +77,9 @@ app scav scav
 // puts live capacity on the floor.
 func allDefences(floor bool) func(string) livestack.Config {
 	return func(dir string) livestack.Config {
-		el := &elastic.Config{
+		el := &elastic.Config{ // in 20 ms probe sweeps (probed)
 			Min: 4, Max: 6, UpWatermark: 0.5, DownWatermark: 0.1, UpSustain: 2, DownSustain: 3,
-			UpCooldown: 100 * time.Millisecond, DownCooldown: 150 * time.Millisecond,
-			DrainDeadline: 2 * time.Second, QuiesceSweeps: 3, RiseTimeout: 2 * time.Second,
-			ProvisionBackoff: 25 * time.Millisecond, ProvisionBackoffMax: 100 * time.Millisecond,
-			BreakerThreshold: 5, BreakerCooldown: 250 * time.Millisecond, Seed: 42,
+			UpCooldown: 5, DownCooldown: 8, QuiesceSweeps: 3,
 		}
 		cfg := probed(livestack.Config{
 			IONs: 4, ChunkSize: 4096, Dispatchers: 1,
