@@ -13,6 +13,7 @@ package arbiter
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -62,14 +63,15 @@ type Arbiter struct {
 	// running is sorted by ID and holds jobs as registered: QoS weights
 	// are stamped into rearbitrate's apps scratch, never into it.
 	running []policy.Application
-	// assign (app → addresses) is rebuilt in place by each solve, in
-	// windows of spareSlots while slots backs the current ones; the two
-	// then swap. The bus, Current and the journal copy it under a.mu.
-	assign            map[string][]string
-	slots, spareSlots []string
-	apps              []policy.Application // rearbitrate's scratch, as are wins and free
-	wins              [][]string
-	free              []string
+	// assign (app → addresses) is the published snapshot: each solve
+	// builds the next one in fresh storage and the bus takes it over, so
+	// it is never written — a mutator that must change it without a
+	// solve (a Fail's prune, a kept mapping without a finished job)
+	// copies it first. Current and the journal copy it under a.mu.
+	assign map[string][]string
+	apps   []policy.Application // rearbitrate's scratch, as are wins and free
+	wins   [][]string
+	free   []string
 	// SolveTime records the duration of the last policy invocation (the
 	// paper reports 399 µs for its live case).
 	lastSolve time.Duration
@@ -267,14 +269,15 @@ func (a *Arbiter) JobFinished(id string) error {
 	a.record(journal.Record{Kind: journal.KindJobFinished, Job: id})
 	a.tel.jobsRunning.Set(int64(len(a.running)))
 	if len(a.running) == 0 {
-		clear(a.assign)
+		a.assign = map[string][]string{}
 		a.publish()
 		return nil
 	}
 	if err := a.rearbitrate(); err != nil {
-		// rearbitrate mutates a.assign only on success, so the pruned
-		// previous assignment is still consistent (the finished job's
+		// rearbitrate replaces a.assign only on success, so the previous
+		// assignment without the finished job is still consistent (its
 		// nodes simply idle until the next successful solve).
+		a.unassign(id)
 		a.tel.keptMappings.Inc()
 		a.publish()
 		return fmt.Errorf("arbiter: job %s finished, previous mapping kept: %w", id, err)
@@ -336,15 +339,26 @@ func (a *Arbiter) addJob(app policy.Application) {
 	}
 }
 
-// dropJob removes id from the running list and the assignment, and
-// reports whether it was running. Caller holds the lock.
+// dropJob removes id from the running list and reports whether it was
+// running. It leaves the published assignment alone: the solve that
+// follows replaces it, and a path that publishes without one calls
+// unassign. Until then id's entry is stale (stateLocked skips it). Caller
+// holds the lock.
 func (a *Arbiter) dropJob(id string) bool {
 	i, ok := a.job(id)
 	if ok {
 		a.running = slices.Delete(a.running, i, i+1)
-		delete(a.assign, id)
 	}
 	return ok
+}
+
+// unassign drops id's entry from the assignment, on a copy: the published
+// map is never written. Caller holds the lock.
+func (a *Arbiter) unassign(id string) {
+	if _, ok := a.assign[id]; ok {
+		a.assign = maps.Clone(a.assign)
+		delete(a.assign, id)
+	}
 }
 
 // addMember appends a healthy node to the pool; a duplicate is refused.
@@ -457,11 +471,13 @@ func (a *Arbiter) updatePoolGauges() {
 	}
 }
 
-// without removes every occurrence of addr from addrs in place. The
-// arbiter owns its address slices: the bus, Current and the journal each
-// take a copy, so no reader outside a.mu sees the edit.
+// without returns addrs minus every occurrence of addr: addrs itself when
+// it has none, else a fresh slice — a published slice is never written.
 func without(addrs []string, addr string) []string {
-	return slices.DeleteFunc(addrs, func(x string) bool { return x == addr })
+	if !slices.Contains(addrs, addr) {
+		return addrs
+	}
+	return slices.DeleteFunc(slices.Clone(addrs), func(x string) bool { return x == addr })
 }
 
 // effects is the arbiter's half of the state × event table (DESIGN §12):
@@ -560,6 +576,7 @@ func (a *Arbiter) apply(addr string, ev nodestate.Event) (prev nodestate.State, 
 	// Prune before recording: a compaction snapshot that falls due on
 	// this record must not list the node as assigned.
 	if effects[ev].prune {
+		a.assign = maps.Clone(a.assign)
 		for app, addrs := range a.assign {
 			a.assign[app] = without(addrs, addr)
 		}
@@ -657,13 +674,14 @@ func (a *Arbiter) rearbitrate() error {
 	}
 	start := time.Now()
 	alloc, err := a.pol.Allocate(apps, avail)
+	took := time.Since(start)
 	a.tel.solves.Inc()
-	a.tel.solveLatency.ObserveDuration(time.Since(start))
+	a.tel.solveLatency.ObserveDuration(took)
 	if err != nil {
 		a.tel.solveErrors.Inc()
 		return fmt.Errorf("arbiter: %s: %w", a.pol.Name(), err)
 	}
-	a.lastSolve = time.Since(start)
+	a.lastSolve = took
 
 	// Phase 1: shrink or keep — retain a stable prefix of each app's
 	// current addresses, skipping any node marked down, overloaded,
@@ -673,14 +691,12 @@ func (a *Arbiter) rearbitrate() error {
 	// decommission; dropping quarantined ones is what re-steers apps
 	// away from a fail-slow node. The app re-grows in phase 2, which
 	// hands out healthy capacity first. Each app's addresses are a window
-	// of the spare backing whose capacity is the app's count.
-	if total := alloc.Total(); cap(a.spareSlots) < total {
-		a.spareSlots = make([]string, total)
-	}
+	// of one fresh backing whose capacity is the app's count.
+	flat := make([]string, alloc.Total())
 	wins, off := a.wins[:0], 0
 	for _, app := range apps {
 		want := alloc[app.ID]
-		keep := a.spareSlots[off : off : off+want]
+		keep := flat[off : off : off+want]
 		off += want
 		for _, addr := range a.assign[app.ID] {
 			if len(keep) == want {
@@ -715,16 +731,17 @@ func (a *Arbiter) rearbitrate() error {
 			free = free[1:]
 		}
 	}
-	clear(a.assign)
+	next := make(map[string][]string, len(apps))
 	for i, app := range apps {
-		a.assign[app.ID] = wins[i]
+		next[app.ID] = wins[i]
 	}
-	a.slots, a.spareSlots = a.spareSlots, a.slots
+	a.assign = next
 	a.publish()
 	return nil
 }
 
-// publish pushes the current assignment to the bus. Caller holds the lock.
+// publish hands the current assignment to the bus, which takes it over as
+// the snapshot its followers share. Caller holds the lock.
 // With a journal attached the publish record is appended (and fsynced)
 // BEFORE the bus sees the map — true write-ahead: the journal's epoch can
 // run ahead of what clients observed, never behind, so a recovery fence

@@ -18,10 +18,11 @@ import (
 
 // decisionBudget is what one arbitration decision may allocate end to
 // end on a 12-node MCKP arbiter with 8 subscribed clients: the policy's
-// Allocation and Choice, the one published snapshot every subscriber
-// shares, and each client's new route view. The arbiter's own assignment
-// is built in reused buffers (15 measured).
-const decisionBudget = 18
+// Allocation and Choice, the one snapshot rearbitrate builds and every
+// subscriber shares, and a new route view for each client whose
+// addresses moved — a client whose route held keeps its view (8.1
+// measured).
+const decisionBudget = 9
 
 // churnRig is the control plane of the arbiter_churn workload without the
 // data plane: a 12-node MCKP arbiter and 8 forwarding clients, one per job
@@ -81,9 +82,10 @@ func churnRig(t *testing.T) (decide func()) {
 }
 
 // TestSharedSnapshotRace: the one snapshot the bus hands every subscriber
-// never aliases the arbiter's own address slices, which a Fail prunes in
-// place. Under -race, 8 subscribers read every address of every delivered
-// map while job churn and direct publishes run beside Fail/Rise events.
+// is the arbiter's own assignment, so nothing may write it once
+// published — a Fail prunes a copy. Under -race, 8 subscribers read every
+// address of every delivered map while job churn and direct publishes run
+// beside Fail/Rise events.
 func TestSharedSnapshotRace(t *testing.T) {
 	bus := mapping.NewBus()
 	pool := addrs(12)
@@ -129,7 +131,7 @@ func TestSharedSnapshotRace(t *testing.T) {
 			}
 		}()
 	}
-	run(func(i int) { // Fail prunes the arbiter's slices in place
+	run(func(i int) { // Fail prunes a copy of the published assignment
 		addr := pool[i%len(pool)]
 		arb.Transition(addr, nodestate.Fail)
 		arb.Transition(addr, nodestate.Rise)
@@ -166,12 +168,12 @@ func TestDecisionAllocationPin(t *testing.T) {
 // TestBareDecisionAllocationPin pins the arbiter's own share of a
 // decision: one JobStarted and one JobFinished beside three running jobs
 // on a 12-node MCKP arbiter that nobody subscribes to. Each decision
-// allocates 6 objects — the map Bus.Publish copies the assignment into
-// (header and one group) and its flat address backing, the policy's
-// Allocation map (header and one group) and the solver's Choice — and
-// JobStarted adds the copy of the new job's 8 addresses it returns: 13.
-// Node records, the job list, the assignment buffers and the DP tables
-// are all reused.
+// allocates 6 objects — the snapshot rearbitrate builds (map header, one
+// group and the flat address backing), which Bus.Publish takes over
+// without a copy, the policy's Allocation map (header and one group) and
+// the solver's Choice — and JobStarted adds the copy of the new job's 8
+// addresses it returns: 13. Node records, the job list, the scratch
+// slices and the DP tables are all reused.
 func TestBareDecisionAllocationPin(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation counts are pinned without the race detector")

@@ -69,7 +69,9 @@ func (a *Arbiter) stateLocked() journal.State {
 	if len(a.assign) > 0 {
 		st.Assign = make(map[string][]string, len(a.assign))
 		for job, addrs := range a.assign {
-			st.Assign[job] = append([]string(nil), addrs...)
+			if _, ok := a.job(job); ok { // not a job dropped by a decision still unpublished
+				st.Assign[job] = append([]string(nil), addrs...)
+			}
 		}
 	}
 	return st
@@ -258,9 +260,10 @@ func (a *Arbiter) replay(r journal.Record) {
 		}
 	case journal.KindJobFinished:
 		a.dropJob(r.Job)
+		a.unassign(r.Job)
 	case journal.KindPublish:
 		a.epoch = r.Epoch
-		clear(a.assign)
+		a.assign = make(map[string][]string, len(r.Assign))
 		for job, addrs := range r.Assign {
 			a.assign[job] = append([]string(nil), addrs...)
 		}

@@ -2,11 +2,14 @@ package fwd
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/agios"
+	"repro/internal/ion"
 	"repro/internal/mapping"
 	"repro/internal/pfs"
 	"repro/internal/rpc"
@@ -165,6 +168,124 @@ func TestWriteStampsViewEpoch(t *testing.T) {
 	c.ApplyMap(mapping.Map{Version: 7, Fence: 7, IONs: map[string][]string{"eapp": nil}})
 	if got := c.IONs(); len(got) != 0 {
 		t.Fatalf("fence-only republish ignored: allocation still %v", got)
+	}
+}
+
+// TestHeldRouteStampsRecoveryEpoch: a recovery publish raises every
+// daemon's fence before the clients apply it. A client whose route held
+// keeps its view, the view's epoch advanced in place, and its next write
+// carries the new epoch, which an EpochFencing daemon accepts; a client
+// whose route moved gets a new view at the same epoch.
+func TestHeldRouteStampsRecoveryEpoch(t *testing.T) {
+	store := pfs.NewStore(pfs.Config{})
+	var addrs []string
+	var daemons []*ion.Daemon
+	for i := 0; i < 3; i++ {
+		d := ion.New(ion.Config{ID: fmt.Sprintf("ion%d", i), Scheduler: agios.NewFIFO(), EpochFencing: true}, store)
+		addr, err := d.Start("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		addrs, daemons = append(addrs, addr), append(daemons, d)
+	}
+	reg := telemetry.New()
+	held := epochClient(t, pfs.NewStore(pfs.Config{}), reg, time.Second)
+	moved, err := NewClient(Config{AppID: "moved", Direct: pfs.NewStore(pfs.Config{}), ChunkSize: 1024, EpochFencing: true, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { moved.Close() })
+	for _, m := range []mapping.Map{
+		{Version: 1, IONs: map[string][]string{"eapp": addrs[:1], "moved": addrs[1:2]}},
+		{Version: 2, Fence: 2, IONs: map[string][]string{"eapp": addrs[:1], "moved": addrs[2:]}},
+	} {
+		if m.Fence > 0 {
+			for _, d := range daemons {
+				d.SetFence(m.Fence)
+			}
+		}
+		heldView, movedView := held.view.Load(), moved.view.Load()
+		held.ApplyMap(m)
+		moved.ApplyMap(m)
+		if m.Version == 1 {
+			continue
+		}
+		if v := held.view.Load(); v != heldView || v.epoch.Load() != 2 {
+			t.Fatalf("held route: same view %v, epoch %d; want the same view at epoch 2", v == heldView, v.epoch.Load())
+		}
+		if v := moved.view.Load(); v == movedView || v.epoch.Load() != 2 || v.targets[0].addr != addrs[2] {
+			t.Fatalf("moved route: new view %v, epoch %d, routed to %s; want a new view at epoch 2 on %s",
+				v != movedView, v.epoch.Load(), v.targets[0].addr, addrs[2])
+		}
+	}
+	for _, c := range []*Client{held, moved} {
+		data := bytes.Repeat([]byte{7}, 512)
+		path := "/" + c.cfg.AppID
+		if k, err := c.Write(path, 0, data); err != nil || k != len(data) {
+			t.Fatalf("%s: write after the recovery publish: %d, %v", c.cfg.AppID, k, err)
+		}
+		if st := c.Stats(); st.DirectOps != 0 || st.ForwardedOps != 1 {
+			t.Fatalf("%s: %d forwarded, %d direct; want the one write forwarded", c.cfg.AppID, st.ForwardedOps, st.DirectOps)
+		}
+		if _, err := store.Read(path, 0, make([]byte, len(data))); err != nil {
+			t.Fatalf("%s: bytes not on the I/O nodes' store: %v", c.cfg.AppID, err)
+		}
+	}
+	for name, n := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "epoch_stale_retries_total") && n != 0 {
+			t.Fatalf("%s = %d: a daemon fenced a write stamped after the recovery publish", name, n)
+		}
+	}
+}
+
+// TestUnchangedRouteEpochRace: under -race, one goroutine applies maps
+// that keep the route while another writes through a fencing daemon. The
+// view is shared and its epoch moves in place, so every write must stamp
+// an epoch at least the version applied before its Write began, and the
+// daemon — fenced at the first version — must fence none of them.
+func TestUnchangedRouteEpochRace(t *testing.T) {
+	ionStore := pfs.NewStore(pfs.Config{})
+	reg := telemetry.New()
+	addrs, fence, lastEpoch := fencedStack(t, 2, ionStore)
+	c := epochClient(t, pfs.NewStore(pfs.Config{}), reg, time.Second)
+	const first = 5
+	ions := map[string][]string{"eapp": addrs}
+	fence.Store(first)
+	c.ApplyMap(mapping.Map{Version: first, Fence: first, IONs: ions})
+	var applied atomic.Uint64
+	applied.Store(first)
+	done := make(chan struct{})
+	applier := make(chan struct{})
+	go func() {
+		defer close(applier)
+		for v := uint64(first + 1); ; v++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			c.ApplyMap(mapping.Map{Version: v, Fence: first, IONs: ions})
+			applied.Store(v)
+		}
+	}()
+	data := []byte("epoch-08") // 8 bytes: no write straddles a chunk
+	for i := 0; i < 500; i++ {
+		before := applied.Load()
+		if _, err := c.Write("/race", int64(i)*int64(len(data)), data); err != nil {
+			t.Fatal(err)
+		}
+		if got := lastEpoch.Load(); got < before {
+			t.Fatalf("write %d stamped epoch %d, below version %d applied before it began", i, got, before)
+		}
+	}
+	close(done)
+	<-applier
+	if n := reg.Counter(`epoch_stale_retries_total{app="eapp"}`).Value(); n != 0 {
+		t.Fatalf("%d writes fenced", n)
+	}
+	if st := c.Stats(); st.DirectOps != 0 || st.ForwardedOps != 500 {
+		t.Fatalf("%d forwarded, %d direct; want all 500 forwarded", st.ForwardedOps, st.DirectOps)
 	}
 }
 

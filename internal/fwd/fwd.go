@@ -178,13 +178,16 @@ type target struct {
 	gate ionGate
 }
 
-// routeView is an immutable snapshot of the routing state: the allocation,
-// one target per allocated I/O node in allocation order. The data path
-// loads it with one atomic read per operation and never touches a lock or
-// a map; SetIONs/ApplyMap publish a fresh snapshot on every remap.
+// routeView is a snapshot of the routing state: the allocation, one
+// target per allocated I/O node in allocation order. The data path loads
+// it with one atomic read per operation and never touches a lock or a
+// map. Its targets never change: SetIONs/ApplyMap publish a fresh view
+// when the allocation moves, and otherwise only advance the current
+// view's epoch in place — sound for fencing, because every epoch the view
+// carries routed exactly these targets.
 type routeView struct {
 	targets []*target
-	epoch   uint64 // mapping version this view was built from (0 = manual SetIONs)
+	epoch   atomic.Uint64 // latest mapping version that routed these targets (0 = manual SetIONs)
 }
 
 // Client is the forwarding client. It implements pfs.FileSystem.
@@ -370,16 +373,14 @@ func (c *Client) SetIONs(addrs []string) {
 	}
 }
 
-// setIONsLocked installs an allocation and publishes the new route view.
-// An unchanged allocation keeps the current view's targets, so only the
-// epoch moves. Callers hold c.mu.
+// setIONsLocked installs an allocation and publishes its route view. An
+// unchanged allocation keeps the current view and only advances its
+// epoch; a changed one gets a new view. Callers hold c.mu.
 func (c *Client) setIONsLocked(addrs []string) {
-	v := &routeView{epoch: c.ver}
 	same := func(t *target, addr string) bool { return t.addr == addr }
-	if old := c.view.Load(); old != nil && slices.EqualFunc(old.targets, addrs, same) {
-		v.targets = old.targets
-	} else {
-		v.targets = make([]*target, len(addrs))
+	v := c.view.Load()
+	if v == nil || !slices.EqualFunc(v.targets, addrs, same) {
+		v = &routeView{targets: make([]*target, len(addrs))}
 		for i, a := range addrs {
 			t := c.targets[a]
 			if t == nil {
@@ -396,12 +397,14 @@ func (c *Client) setIONsLocked(addrs []string) {
 			v.targets[i] = t
 		}
 	}
+	v.epoch.Store(c.ver)
 	c.publishLocked(v)
 	c.stats.remaps.Add(1)
 }
 
-// publishLocked installs v (nil on Close) and wakes every parked wait; with
-// none parked it costs one nil check. Callers hold c.mu.
+// publishLocked installs v (nil on Close), or re-announces the current
+// view whose epoch moved, and wakes every parked wait; with none parked it
+// costs one nil check. Callers hold c.mu.
 func (c *Client) publishLocked(v *routeView) {
 	c.view.Store(v)
 	if c.changed != nil {
@@ -1118,7 +1121,7 @@ func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span
 	payload := p[s.off-off:][:s.n]
 	req := &rpc.Message{Op: rpc.OpWrite, Path: path, Offset: s.off, Data: payload, Trace: tr.id, Priority: c.wirePrio}
 	if c.cfg.EpochFencing {
-		req.Epoch = v.epoch
+		req.Epoch = v.epoch.Load()
 	}
 	if c.cfg.Dedup {
 		// Stamp once per wire request: the stale re-dial (inside
@@ -1165,7 +1168,7 @@ func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span
 // with epoch > stale. nil means the wait ran out, the client closed, or
 // the fresh view sends the app direct — each a reason to write direct.
 func (c *Client) awaitEpochAbove(stale uint64) *routeView {
-	v, ok := c.awaitView(c.cfg.EpochWait, func(v *routeView) bool { return v != nil && v.epoch > stale })
+	v, ok := c.awaitView(c.cfg.EpochWait, func(v *routeView) bool { return v != nil && v.epoch.Load() > stale })
 	if !ok || len(v.targets) == 0 {
 		return nil
 	}

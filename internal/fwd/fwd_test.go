@@ -374,7 +374,7 @@ func TestEpochWaitWakesOnApplyMapAndClose(t *testing.T) {
 		return func(checked func()) result {
 			v, ok := c.awaitView(30*time.Second, func(v *routeView) bool {
 				checked()
-				return v != nil && v.epoch > stale
+				return v != nil && v.epoch.Load() > stale
 			})
 			return result{v, ok, 0}
 		}
@@ -383,7 +383,7 @@ func TestEpochWaitWakesOnApplyMapAndClose(t *testing.T) {
 	epoch := park(awaitEpochAbove(1))
 	c.ApplyMap(mapping.Map{Version: 2, IONs: map[string][]string{"app": {"ion-a:1"}}})
 	r := <-epoch
-	if !r.ok || r.v.epoch != 2 || len(r.v.targets) != 1 || r.took > 10*time.Second {
+	if !r.ok || r.v.epoch.Load() != 2 || len(r.v.targets) != 1 || r.took > 10*time.Second {
 		t.Fatalf("ApplyMap woke the wait with ok=%v view=%+v after %v; want the epoch-2 view at once", r.ok, r.v, r.took)
 	}
 

@@ -124,9 +124,9 @@ func TestCloseRetainsNoTarget(t *testing.T) {
 	c := newTestClient(t, store, 64)
 	c.SetIONs(addrs)
 	c.SetIONs(addrs[:1]) // two former nodes stay pooled
-	if n := testing.AllocsPerRun(20, func() { c.SetIONs(addrs[:1]) }); n > 1 {
-		// the view: an unchanged allocation keeps its addrs and targets
-		t.Fatalf("remap of a known address allocates %v objects, want ≤ 1", n)
+	if n := testing.AllocsPerRun(20, func() { c.SetIONs(addrs[:1]) }); n != 0 {
+		// an unchanged allocation keeps its view, targets and all
+		t.Fatalf("remap of a known address allocates %v objects, want 0", n)
 	}
 	c.Close()
 	c.mu.Lock()
@@ -158,8 +158,8 @@ func TestClosedClientIgnoresMaps(t *testing.T) {
 }
 
 // A map that leaves this app's allocation unchanged still counts as a remap
-// and moves the view's epoch, but builds no route: one new view, the same
-// targets slice.
+// and moves the epoch, but allocates nothing: the current view stays
+// installed with its epoch advanced in place.
 func TestApplyMapUnchangedAllocationPin(t *testing.T) {
 	store, addrs, _ := testStack(t, 2)
 	c := newTestClient(t, store, 64)
@@ -172,13 +172,12 @@ func TestApplyMapUnchangedAllocationPin(t *testing.T) {
 		ver++
 		c.ApplyMap(mapping.Map{Version: ver, IONs: ions})
 	})
-	if n > 1 {
-		t.Fatalf("ApplyMap of an unchanged allocation allocates %v objects, want ≤ 1", n)
+	if n != 0 {
+		t.Fatalf("ApplyMap of an unchanged allocation allocates %v objects, want 0", n)
 	}
-	after := c.view.Load()
-	if after.epoch != ver || &after.targets[0] != &before.targets[0] {
-		t.Fatalf("view after unchanged remap: epoch %d (want %d), targets rebuilt %v",
-			after.epoch, ver, &after.targets[0] != &before.targets[0])
+	if after := c.view.Load(); after != before || after.epoch.Load() != ver {
+		t.Fatalf("view after unchanged remap: same view %v, epoch %d (want %d)",
+			after == before, after.epoch.Load(), ver)
 	}
 	if got := c.Stats().RemapsApplied - remaps; got != 51 {
 		t.Fatalf("%d remaps counted for 51 maps", got)

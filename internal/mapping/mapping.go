@@ -79,28 +79,14 @@ func (b *Bus) Current() Map {
 	return b.current.Clone()
 }
 
-// Publish installs entries as the new map, bumping the version, and calls
-// every follower with it. The entries are copied once, into one map over
-// one address backing; the result is the shared read-only snapshot every
-// follower receives.
+// Publish installs ions as the new map, bumping the version, and calls
+// every follower with it. It takes ions over without copying: the map and
+// its address slices become the shared read-only snapshot every follower
+// receives, and the caller must not write to them afterwards.
 func (b *Bus) Publish(ions map[string][]string) Map {
-	n := 0
-	for _, addrs := range ions {
-		n += len(addrs)
-	}
-	flat := make([]string, 0, n)
-	next := Map{IONs: make(map[string][]string, len(ions))}
-	for app, addrs := range ions {
-		if len(addrs) == 0 {
-			next.IONs[app] = nil
-			continue
-		}
-		flat = append(flat, addrs...)
-		next.IONs[app] = flat[len(flat)-len(addrs) : len(flat) : len(flat)]
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	next.Version, next.Fence = b.current.Version+1, b.fence
+	next := Map{Version: b.current.Version + 1, Fence: b.fence, IONs: ions}
 	b.current = next
 	for _, f := range b.followers {
 		(*f)(next)
