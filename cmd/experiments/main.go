@@ -5,12 +5,13 @@
 //
 //	experiments [-sets N] [-workers N] [table1|figure1|distribution|headlines|
 //	             figure2|figure3|figure5|figure6|table4|figure7|figure8|
-//	             figure9|timing|all]
+//	             figure9|timing|curveerror|all]
 //
 // With no arguments, everything except the slow campaign experiments runs;
-// "all" includes those too. -sets controls the Figure 2/3 campaign size
-// (default 2000; the paper uses 10000). -workers bounds the campaign worker
-// pool (default: all cores); every worker count produces identical tables.
+// "all" includes those too. -sets controls the size of the Figure 2/3
+// campaigns and of the curve-error experiment's (default 2000; the paper
+// uses 10000). -workers bounds the campaign worker pool (default: all
+// cores); every worker count produces identical tables.
 package main
 
 import (
@@ -23,18 +24,18 @@ import (
 )
 
 func main() {
-	sets := flag.Int("sets", 2000, "application sets for the Figure 2/3 campaigns (paper: 10000)")
+	sets := flag.Int("sets", 2000, "application sets for the Figure 2/3 campaigns and the curve-error experiment (paper: 10000)")
 	workers := flag.Int("workers", 0, "campaign worker goroutines (0 = all cores); results are identical for any value")
 	flag.Parse()
 
 	targets := flag.Args()
 	if len(targets) == 0 {
 		targets = []string{"table1", "figure1", "distribution", "figure5",
-			"figure6", "table4", "figure7", "figure8", "figure9", "timing", "ablation", "robustness"}
+			"figure6", "table4", "figure7", "figure8", "figure9", "timing", "ablation", "robustness", "curveerror"}
 	}
 	if len(targets) == 1 && targets[0] == "all" {
 		targets = []string{"table1", "figure1", "distribution", "headlines", "figure2",
-			"figure3", "figure5", "figure6", "table4", "figure7", "figure8", "figure9", "timing", "ablation", "robustness"}
+			"figure3", "figure5", "figure6", "table4", "figure7", "figure8", "figure9", "timing", "ablation", "robustness", "curveerror"}
 	}
 
 	for _, name := range targets {
@@ -139,6 +140,13 @@ func run(name string, sets, workers int, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintln(w, r.Table())
+	case "curveerror":
+		r, err := experiments.ExpCurveError(sets, workers)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, r.Table())
+		fmt.Fprintf(w, "MCKP's lead survives σ ≤ 20 %% and the one-step shift: %v\n\n", r.LeadSurvives)
 	default:
 		return fmt.Errorf("unknown experiment %q", name)
 	}

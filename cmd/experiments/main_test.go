@@ -10,7 +10,7 @@ import (
 func TestRunAllTargets(t *testing.T) {
 	targets := []string{"table1", "figure1", "distribution", "headlines", "figure2",
 		"figure3", "figure5", "figure6", "table4", "figure7", "figure8",
-		"figure9", "timing", "ablation", "robustness"}
+		"figure9", "timing", "ablation", "robustness", "curveerror"}
 	for _, name := range targets {
 		if err := run(name, 25, 0, io.Discard); err != nil {
 			t.Errorf("run(%q): %v", name, err)

@@ -56,7 +56,7 @@ var exportsWithoutCallers = map[string]string{
 }
 
 const (
-	roadmap11 = "the Darshan history store: ROADMAP item 11 decides whether it stays"
+	roadmap11 = "the Darshan history store: kept for ROADMAP item 11's live loop, since MCKP needs trustworthy curves"
 	observes  = "the accessor tests observe or drive the live stack through"
 )
 

@@ -270,16 +270,16 @@ func TestRecoverMidSolveIntent(t *testing.T) {
 	}
 }
 
-// steepCurves is a CurveSource whose curve strongly rewards exactly 4
+// steepCurves is a CurveSource whose curve strongly rewards exactly 2
 // I/O nodes, so an allocation made with it is distinguishable from the
-// no-characterization fallback.
+// no-characterization fallback (STATIC's 4 for this job on 8 nodes).
 type steepCurves struct{}
 
 func (steepCurves) Curve(string) (perfmodel.Curve, bool) {
 	return perfmodel.NewCurve(
 		perfmodel.Point{IONs: 1, Bandwidth: units.BandwidthFromMBps(100)},
-		perfmodel.Point{IONs: 2, Bandwidth: units.BandwidthFromMBps(200)},
-		perfmodel.Point{IONs: 4, Bandwidth: units.BandwidthFromMBps(4000)},
+		perfmodel.Point{IONs: 2, Bandwidth: units.BandwidthFromMBps(4000)},
+		perfmodel.Point{IONs: 4, Bandwidth: units.BandwidthFromMBps(200)},
 	), true
 }
 
@@ -300,6 +300,9 @@ func TestHistorySurvivesRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := len(got)
+	if want != 2 {
+		t.Fatalf("live solve gave %d nodes, want the curve's optimum 2", want)
+	}
 	jn.Close()
 
 	rec, _, rerr := recoverFrom(t, dir, RecoverConfig{}) // no Source on purpose

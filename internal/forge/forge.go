@@ -36,6 +36,9 @@ type Config struct {
 	Seed int64
 	// Model predicts scenario bandwidth; nil means the calibrated default.
 	Model *perfmodel.Model
+	// Policies is the roster every set is evaluated under, by distinct
+	// names; nil selects Policies(), the §3.2 one.
+	Policies []policy.Policy
 	// Workers bounds the number of goroutines evaluating application sets
 	// concurrently; 0 (or negative) selects GOMAXPROCS. Every worker count
 	// produces byte-identical results: set s is always sampled from its own
@@ -107,7 +110,10 @@ func Run(cfg Config) (*Campaign, error) {
 	if cfg.AppsPerSet > len(all) {
 		return nil, fmt.Errorf("forge: set size %d exceeds %d scenarios", cfg.AppsPerSet, len(all))
 	}
-	pols := Policies()
+	pols := cfg.Policies
+	if pols == nil {
+		pols = Policies()
+	}
 	camp := &Campaign{Config: cfg, Results: make([]SetResult, cfg.Sets)}
 	for _, p := range pols {
 		camp.Policies = append(camp.Policies, p.Name())

@@ -212,9 +212,6 @@ type Options struct {
 	// SnapshotEvery is the append count between automatic compaction
 	// points as reported by SnapshotDue. <=0 selects 256.
 	SnapshotEvery int
-	// SegmentRecords caps records per segment before rotation. <=0
-	// selects 1024.
-	SegmentRecords int
 	// NoSync skips the per-append fsync. Only for tests and benchmarks
 	// that do not care about durability.
 	NoSync bool
@@ -228,8 +225,7 @@ type Options struct {
 }
 
 const (
-	defaultSnapshotEvery  = 256
-	defaultSegmentRecords = 1024
+	defaultSnapshotEvery = 256
 	// maxRecord bounds a single record payload. A corrupt length prefix
 	// must not ask replay to allocate gigabytes.
 	maxRecord = 8 << 20
@@ -254,7 +250,6 @@ type Journal struct {
 	opts Options
 
 	seg       file   // active segment
-	segCount  int    // records in the active segment
 	nextLSN   uint64 // LSN the next Append assigns
 	sinceSnap int    // appends since the last snapshot
 
@@ -282,9 +277,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 	}
 	if opts.SnapshotEvery <= 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
-	}
-	if opts.SegmentRecords <= 0 {
-		opts.SegmentRecords = defaultSegmentRecords
 	}
 	if opts.open == nil {
 		opts.open = func(path string, flag int) (file, error) { return os.OpenFile(path, flag, 0o644) }
@@ -329,7 +321,7 @@ func (j *Journal) rotate() error {
 	if err != nil {
 		return fmt.Errorf("journal: open segment: %w", err)
 	}
-	j.seg, j.segCount = f, 0
+	j.seg = f
 	return nil
 }
 
@@ -371,14 +363,7 @@ func (j *Journal) Append(r Record) (uint64, error) {
 		return 0, errors.Join(fmt.Errorf("journal: append: %w", err), j.rotate())
 	}
 	j.tel.appends.Inc()
-	j.segCount++
 	j.sinceSnap++
-	if j.segCount >= j.opts.SegmentRecords {
-		if err := j.rotate(); err != nil {
-			j.tel.appendErrs.Inc()
-			return r.LSN, err
-		}
-	}
 	return r.LSN, nil
 }
 

@@ -97,16 +97,20 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 
 func TestJournalSegmentRotationAndReplay(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{SegmentRecords: 3})
-	if err != nil {
-		t.Fatal(err)
+	// Every Open starts a fresh segment: three sessions leave three.
+	var want []Record
+	for range 3 {
+		j, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, workload(t, j)...)
+		j.Close()
 	}
-	want := workload(t, j) // 9 records -> several segments
-	j.Close()
 
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
 	if len(segs) < 3 {
-		t.Fatalf("expected rotation to produce >=3 segments, got %d", len(segs))
+		t.Fatalf("expected reopening to produce >=3 segments, got %d", len(segs))
 	}
 	j2, err := Open(dir, Options{})
 	if err != nil {
@@ -120,7 +124,13 @@ func TestJournalSegmentRotationAndReplay(t *testing.T) {
 func TestJournalSnapshotCompacts(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.New()
-	j, err := Open(dir, Options{SegmentRecords: 4, Telemetry: reg})
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload(t, j)
+	j.Close()
+	j, err = Open(dir, Options{Telemetry: reg}) // a second segment
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +381,7 @@ func TestJournalSnapshotFailedSyncReplacesNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			fs := &faultyFS{}
-			j, err := Open(dir, Options{SegmentRecords: 3, open: fs.open})
+			j, err := Open(dir, Options{open: fs.open})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -123,7 +123,6 @@ func (p Problem) verify(s Solution) error {
 type tables struct {
 	choice []int16
 	vals   []float64
-	flags  []bool
 }
 
 var tablePool = sync.Pool{New: func() any { return new(tables) }}
@@ -155,7 +154,9 @@ func SolveDP(p Problem) (Solution, error) {
 	W := min(p.Capacity, maxTotal)
 
 	// dp[w] holds the best value achievable using the classes processed
-	// so far with total weight exactly ≤ w tracked as "best at w".
+	// so far with total weight exactly w, or −Inf when no choice of items
+	// weighs w: every item value is finite (Validate), so any reached
+	// state beats an unreached one.
 	// Row i of the flat choice table holds the item class i picked to reach
 	// state weight w; the state before it is w less that item's weight.
 	// The tables come from tablePool: only the returned Choice is new.
@@ -165,49 +166,44 @@ func SolveDP(p Problem) (Solution, error) {
 	choice := slices.Grow(t.choice[:0], k*cols)[:k*cols]
 	vals := slices.Grow(t.vals[:0], 2*cols)[:2*cols]
 	dp, next := vals[:cols], vals[cols:]
-	flags := slices.Grow(t.flags[:0], 2*cols)[:2*cols]
-	reach, nextReach := flags[:cols], flags[cols:]
-	t.choice, t.vals, t.flags = choice, vals, flags
-	clear(reach)
-	reach[0], dp[0] = true, 0
+	t.choice, t.vals = choice, vals
+	unreached := math.Inf(-1)
+	for w := range dp {
+		dp[w] = unreached
+	}
+	dp[0] = 0
 
 	for i, c := range p.Classes {
 		row := choice[i*cols : (i+1)*cols]
-		clear(next)
-		clear(nextReach)
 		for w := range row {
-			row[w] = unset
+			row[w], next[w] = unset, unreached
 		}
-		for w := 0; w <= W; w++ {
-			if !reach[w] {
+		for w, base := range dp {
+			if base == unreached {
 				continue
 			}
-			base := dp[w]
 			for j, it := range c.Items {
 				nw := w + it.Weight
 				if nw > W {
 					continue
 				}
-				nv := base + it.Value
-				if !nextReach[nw] || nv > next[nw] {
-					nextReach[nw] = true
+				if nv := base + it.Value; nv > next[nw] {
 					next[nw] = nv
 					row[nw] = int16(j)
 				}
 			}
 		}
 		dp, next = next, dp
-		reach, nextReach = nextReach, reach
 	}
 
 	// Find the best final state.
-	bestW, found := 0, false
-	for w := 0; w <= W; w++ {
-		if reach[w] && (!found || dp[w] > dp[bestW]) {
-			bestW, found = w, true
+	bestW := 0
+	for w := range dp {
+		if dp[w] > dp[bestW] {
+			bestW = w
 		}
 	}
-	if !found {
+	if dp[bestW] == unreached {
 		return Solution{}, ErrInfeasible
 	}
 
