@@ -44,8 +44,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The tracer's in-flight table is read without a lock, so its tests get
+# ten race passes, not one.
 test-race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Trace|Tracer|LateHop' ./internal/telemetry
 
 # The allocation and pool-residency gates of the forwarding path, of one
 # recorded request trace, and of one arbitration decision (solve, publish,

@@ -564,14 +564,10 @@ type opTrace struct {
 	id uint64
 }
 
-// done records the fwd hop — covering chunking and RPC fan-out, from the
-// trace's own Begin — and finishes the trace.
+// done finishes the trace with the fwd hop, which covers chunking and RPC
+// fan-out from the trace's own Begin; one clock read times both.
 func (t opTrace) done(bytes int64, note string) {
-	if t.t == nil {
-		return
-	}
-	t.t.Hop("fwd", t.t.Begin, bytes, note)
-	t.t.Finish()
+	t.t.Finish("fwd", bytes, note)
 }
 
 // chunkNotes precomputes the common "chunks=N" hop notes so the data path

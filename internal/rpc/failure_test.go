@@ -229,9 +229,10 @@ func TestValidationErrorKeepsPoolUntouched(t *testing.T) {
 	}
 }
 
-// TestDeadlineClearedBeforePooling: a pooled conn that completed an
-// exchange under a deadline must not inherit it — a later exchange that
-// starts after the old absolute deadline would fail instantly otherwise.
+// TestDeadlineClearedBeforePooling: a pooled conn keeps the deadline of
+// the exchange it completed, so the deadline must be re-armed before every
+// exchange — a later exchange that starts after the old absolute deadline
+// would fail instantly otherwise.
 func TestDeadlineClearedBeforePooling(t *testing.T) {
 	srv := echoServer()
 	addr, err := srv.Listen("")
@@ -254,6 +255,6 @@ func TestDeadlineClearedBeforePooling(t *testing.T) {
 		t.Fatalf("pooled conn inherited an expired deadline: %v", err)
 	}
 	if got := reg.Counter("rpc_stale_retries_total").Value(); got != 0 {
-		t.Fatalf("reuse needed the stale-retry path (%d), deadline not cleared", got)
+		t.Fatalf("reuse needed the stale-retry path (%d), deadline not re-armed", got)
 	}
 }

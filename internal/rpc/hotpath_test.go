@@ -362,15 +362,23 @@ func TestHandlerShallowCopyResponse(t *testing.T) {
 // reported here belongs to the transport. TestWirePathBudgets holds it to
 // its allocs/op budget (the end-to-end count in livestack includes
 // scheduler and dispatch costs that are out of the wire path's hands).
-func BenchmarkWirePathWrite512K(b *testing.B) { benchWirePathWrite(b, 512<<10) }
+func BenchmarkWirePathWrite512K(b *testing.B) { benchWirePathWrite(b, 512<<10, Options{}) }
 
 // BenchmarkWirePathWrite4M is the same round trip at the default coalesce
 // limit, the frame the top body class exists for. TestWirePathBudgets
 // holds it to its B/op budget: an unpooled 4 MiB frame shows up as
 // ~4 MB/op here.
-func BenchmarkWirePathWrite4M(b *testing.B) { benchWirePathWrite(b, 4<<20) }
+func BenchmarkWirePathWrite4M(b *testing.B) { benchWirePathWrite(b, 4<<20, Options{}) }
 
-func benchWirePathWrite(b *testing.B, size int) {
+// BenchmarkWirePathWrite4K prices CallTimeout on the small round trip
+// bench's small_* workloads make: bare, and under the deadline each
+// exchange arms once before it touches the wire.
+func BenchmarkWirePathWrite4K(b *testing.B) {
+	b.Run("bare", func(b *testing.B) { benchWirePathWrite(b, 4<<10, Options{}) })
+	b.Run("calltimeout", func(b *testing.B) { benchWirePathWrite(b, 4<<10, Options{CallTimeout: 10 * time.Second}) })
+}
+
+func benchWirePathWrite(b *testing.B, size int, opts Options) {
 	srv := NewServer(func(req *Message) *Message {
 		req.Size = int64(len(req.Data))
 		req.Data = nil // ack only; the pooled frame is released by the server
@@ -381,7 +389,7 @@ func benchWirePathWrite(b *testing.B, size int) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	cli := Dial(addr, 1)
+	cli := Dial(addr, 1).WithOptions(opts)
 	defer cli.Close()
 
 	payload := make([]byte, size)

@@ -169,7 +169,7 @@ func TestInterruptAfterExchangeCompleted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var it Interrupt
-	resp, err := cli.roundTrip(newWire(&fireAfterConn{Conn: w.conn, it: &it, after: frame.Len()}), &Message{Op: OpPing, Path: "/done"}, &it)
+	resp, err := cli.roundTrip(newWire(&fireAfterConn{Conn: w.conn, it: &it, after: frame.Len()}), &Message{Op: OpPing, Path: "/done"}, &it, time.Now())
 	if !errors.Is(err, ErrInterrupted) || resp != nil {
 		t.Fatalf("roundTrip = %v, %v; want nil, ErrInterrupted: Fire ran while the conn was bound, so the outcome is void", resp, err)
 	}

@@ -35,8 +35,10 @@ var (
 // the historical behavior: no deadline, no re-send beyond the stale-conn
 // re-dial, no circuit.
 type Options struct {
-	// CallTimeout bounds one request/response exchange on the wire (and
-	// the dial that may precede it). ≤0 means no deadline.
+	// CallTimeout bounds one request/response exchange on the wire,
+	// counted from the start of the call — the wait for a pooled conn and
+	// the dial that may precede the exchange included (a stale-conn
+	// re-dial's exchange counts from its own start). ≤0 means no deadline.
 	CallTimeout time.Duration
 	// MaxRetries is how many times a call that failed in transport is
 	// sent again, each after a jittered backoff. 0 disables re-sends. The

@@ -386,22 +386,25 @@ func (c *Client) noteTimeout(err error) {
 	}
 }
 
-// roundTrip performs one request/response exchange on conn and returns the
-// connection to the pool (or discards it on failure).
+// roundTrip performs one request/response exchange on conn, under a
+// deadline CallTimeout after since, and returns the connection to the pool
+// (or discards it on failure).
 //
 // Pool-hygiene invariants (see the regression tests in failure_test.go and
 // interrupt_test.go): a conn that failed partway through an exchange —
 // bytes possibly on the wire, a response possibly half-read — is always
 // discarded, never pooled, and so is one whose read buffer still holds
-// bytes after the reply (putConn); a conn that completed an exchange under a
-// deadline has the deadline cleared before pooling, so it cannot fail
-// spuriously on reuse; and a conn whose Interrupt fired while it was bound
-// is discarded even if the exchange completed first, because Fire's
-// expired deadline may be the last one written to it.
-func (c *Client) roundTrip(w *wire, req *Message, it *Interrupt) (*Message, error) {
+// bytes after the reply (putConn); a pooled conn keeps the deadline of its
+// last exchange, so under CallTimeout the deadline is re-armed before every
+// exchange, before it touches the wire (a client without CallTimeout never
+// sets one), and reuse cannot fail on a stale one; and a conn whose
+// Interrupt fired while it was bound is discarded even if the exchange
+// completed first, because Fire's expired deadline may be the last one
+// written to it.
+func (c *Client) roundTrip(w *wire, req *Message, it *Interrupt, since time.Time) (*Message, error) {
 	conn := w.conn
 	if c.opts.CallTimeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(c.opts.CallTimeout)); err != nil {
+		if err := conn.SetDeadline(since.Add(c.opts.CallTimeout)); err != nil {
 			c.putConn(w, true)
 			return nil, err
 		}
@@ -427,13 +430,6 @@ func (c *Client) roundTrip(w *wire, req *Message, it *Interrupt) (*Message, erro
 		c.noteTimeout(err)
 		c.putConn(w, true)
 		return nil, err
-	}
-	if c.opts.CallTimeout > 0 {
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			// The exchange completed; only the conn's future is suspect.
-			c.putConn(w, true)
-			return resp, nil
-		}
 	}
 	c.putConn(w, false)
 	return resp, nil
@@ -470,7 +466,7 @@ func (c *Client) Call(req *Message) (*Message, error) {
 // server. A nil it never interrupts.
 func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error) {
 	start := time.Now()
-	resp, err := c.call(req, it)
+	resp, err := c.call(req, it, start)
 	took := time.Since(start)
 	c.tel.calls.Inc()
 	c.tel.latency.ObserveDuration(took)
@@ -500,15 +496,16 @@ func (c *Client) CallInterruptible(req *Message, it *Interrupt) (*Message, error
 //	                        ran on a pooled conn — one that may have gone
 //	                        stale while idle, a server restart — first one
 //	                        more pass on a fresh dial, which spends no
-//	                        attempt
+//	                        attempt and gets a CallTimeout of its own
 //
 // So one Call costs at most 2 exchanges, and a call that ends unavailable
-// is one failed attempt — what fwd's gate counts.
-func (c *Client) call(req *Message, it *Interrupt) (*Message, error) {
-	resp, pooled, e := c.attempt(req, it, false)
+// is one failed attempt — what fwd's gate counts. The first exchange's
+// deadline counts from start, the call's own clock read.
+func (c *Client) call(req *Message, it *Interrupt, start time.Time) (*Message, error) {
+	resp, pooled, e := c.attempt(req, it, false, start)
 	if e != nil && e.Class == ClassUnavailable && pooled {
 		c.tel.staleRetries.Inc()
-		resp, _, e = c.attempt(req, it, true)
+		resp, _, e = c.attempt(req, it, true, time.Now())
 	}
 	switch {
 	case e == nil:
@@ -522,14 +519,14 @@ func (c *Client) call(req *Message, it *Interrupt) (*Message, error) {
 // attempt is one pass of call: take a conn — a fresh dial when fresh — and
 // exchange on it, then sort what came back into its class. It is the one
 // place a reply is read for its class. pooled reports that the conn came
-// from the idle pool.
-func (c *Client) attempt(req *Message, it *Interrupt, fresh bool) (resp *Message, pooled bool, e *Error) {
+// from the idle pool; the exchange's deadline counts from since.
+func (c *Client) attempt(req *Message, it *Interrupt, fresh bool, since time.Time) (resp *Message, pooled bool, e *Error) {
 	if err := validateMessage(req); err != nil {
 		return nil, false, &Error{Class: ClassLocal, Addr: c.addr, Err: err}
 	}
 	w, pooled, err := c.acquire(fresh)
 	if err == nil {
-		resp, err = c.roundTrip(w, req, it)
+		resp, err = c.roundTrip(w, req, it, since)
 	}
 	switch {
 	case errors.Is(err, ErrClosed):

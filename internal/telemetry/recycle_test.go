@@ -11,7 +11,7 @@ import (
 )
 
 // TestTraceLifecycleAllocationPin: a recorded trace — Start, four server
-// hops by ID, the client's own hop, Finish into the ring — allocates
+// hops by ID, Finish with the client's own hop into the ring — allocates
 // nothing once the tracer has a record to recycle. A trace longer than the
 // inline 8 hops grows its record's and each ring entry's storage once, so
 // after one lap around the ring it allocates nothing either.
@@ -29,8 +29,7 @@ func TestTraceLifecycleAllocationPin(t *testing.T) {
 			for i := 0; i < hops-1; i++ {
 				tc.AddHop(id, layers[i%len(layers)], start, 64, "note")
 			}
-			tr.Hop("fwd", start, 64, "chunks=1")
-			tr.Finish()
+			tr.Finish("fwd", 64, "chunks=1")
 		}
 	}
 	if got := testing.AllocsPerRun(200, lifecycle(5)); got != 0 {
@@ -56,12 +55,12 @@ func TestLateHopSkipsRecycledRecord(t *testing.T) {
 	tc := NewTracer(4)
 	old := tc.Start("app", "write", "/old")
 	oldID := old.TraceID()
-	old.Finish()
+	old.Finish("fwd", 1, "")
 	tr := tc.Start("app", "stat", "/new")
 	if tr != old {
 		t.Fatal("the finished record was not reused by the next Start")
 	}
-	tr.Hop("fwd", time.Now(), 1, "")
+	tr.hop("ion", time.Now(), 1, "")
 	tc.AddHop(oldID, "rpc", time.Now(), 1, "late")
 	tr.add(oldID, Hop{Layer: "rpc", Start: time.Now(), Note: "late"})
 	tr.mu.Lock()
@@ -70,10 +69,10 @@ func TestLateHopSkipsRecycledRecord(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("the newer trace holds %d hops, want 1: a late hop for trace %d landed in it", n, oldID)
 	}
-	tr.Finish()
+	tr.Finish("fwd", 1, "")
 	recent := tc.Recent()
-	if len(recent) != 2 || len(recent[0].Hops) != 0 || len(recent[1].Hops) != 1 || recent[1].Hops[0].Layer != "fwd" {
-		t.Fatalf("ring = %+v, want /old with no hops, then /new with its fwd hop", recent)
+	if len(recent) != 2 || len(recent[0].Hops) != 1 || len(recent[1].Hops) != 2 || recent[1].Hops[1].Layer != "ion" {
+		t.Fatalf("ring = %+v, want /old with its fwd hop, then /new with its fwd and ion hops", recent)
 	}
 }
 
@@ -83,12 +82,12 @@ func TestInFlightTraceOutlivesRing(t *testing.T) {
 	tc := NewTracer(1)
 	long := tc.Start("app", "write", "/long")
 	for i := 0; i < 10; i++ {
-		tc.Start("app", "stat", "/short").Finish()
+		tc.Start("app", "stat", "/short").Finish("fwd", 0, "")
 	}
 	tc.AddHop(long.TraceID(), "ion", time.Now(), 1, "")
-	long.Finish()
+	long.Finish("fwd", 1, "")
 	recent := tc.Recent()
-	if len(recent) != 1 || recent[0].Path != "/long" || len(recent[0].Hops) != 1 {
+	if len(recent) != 1 || recent[0].Path != "/long" || len(recent[0].Hops) != 2 || recent[0].Hops[1].Layer != "ion" {
 		t.Fatalf("ring = %+v, want /long with its ion hop", recent)
 	}
 }
@@ -127,7 +126,8 @@ func TestTracerConcurrentManyInFlight(t *testing.T) {
 	}
 	check := func(s TraceSnapshot) error {
 		n, err := own(s.ID, s.Hops)
-		if err == nil && (n >= len(paths) || s.Path != paths[n]) {
+		n-- // Finish's own hop
+		if err == nil && (n < 0 || n >= len(paths) || s.Path != paths[n]) {
 			err = fmt.Errorf("trace %d (%s) retained %d of its hops", s.ID, s.Path, n)
 		}
 		return err
@@ -188,7 +188,7 @@ func TestTracerConcurrentManyInFlight(t *testing.T) {
 						}
 						id := tr.TraceID()
 						if h%2 == 0 {
-							tr.Hop("fwd", time.Now(), int64(id), "")
+							tr.hop("fwd", time.Now(), int64(id), "")
 						} else {
 							tc.AddHop(id, "ion", time.Now(), int64(id), "")
 						}
@@ -207,7 +207,7 @@ func TestTracerConcurrentManyInFlight(t *testing.T) {
 						errs <- err
 						return
 					}
-					tr.Finish()
+					tr.Finish("fwd", int64(id), "")
 				}
 			}
 		}(w)
@@ -226,5 +226,93 @@ func TestTracerConcurrentManyInFlight(t *testing.T) {
 	}
 	if n := tc.Active(); n != 0 {
 		t.Fatalf("leaked active traces: %d", n)
+	}
+}
+
+// TestTraceSlotCollisions keeps more traces in flight than the in-flight
+// table has slots, so IDs k and k+traceSlots are open together and the
+// later ones wait in the spill list. Every hop by ID lands on its own
+// record, Active counts every open trace, and a hop for a finished ID is
+// dropped once its slot holds a newer trace — here the very record the
+// finished trace left behind.
+func TestTraceSlotCollisions(t *testing.T) {
+	const inFlight = 2*traceSlots + 3
+	tc := NewTracer(4)
+	trs := make([]*Trace, inFlight)
+	for i := range trs {
+		trs[i] = tc.Start("app", "write", fmt.Sprintf("/f%d", i))
+	}
+	if n := tc.Active(); n != inFlight {
+		t.Fatalf("active = %d, want %d", n, inFlight)
+	}
+	if n := tc.spilled.Load(); n != inFlight-traceSlots {
+		t.Fatalf("spilled = %d, want %d: IDs past the first %d share a slot with an open trace", n, inFlight-traceSlots, traceSlots)
+	}
+	// Each hop carries its trace's ID as Bytes.
+	hopAll := func() {
+		for _, tr := range trs {
+			if tr != nil {
+				tc.AddHop(tr.TraceID(), "ion", time.Now(), int64(tr.TraceID()), "")
+			}
+		}
+	}
+	holds := func(tr *Trace, want int) {
+		t.Helper()
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		if len(tr.hops) != want {
+			t.Fatalf("trace %d holds %d hops, want %d", tr.ID, len(tr.hops), want)
+		}
+		for _, h := range tr.hops {
+			if uint64(h.Bytes) != tr.ID {
+				t.Fatalf("trace %d holds a hop of trace %d", tr.ID, h.Bytes)
+			}
+		}
+	}
+	hopAll()
+	hopAll()
+	for _, tr := range trs {
+		holds(tr, 2)
+	}
+
+	// The next ID maps to slot k, so finishing trace k frees that slot
+	// and its record for the next Start. Trace k+traceSlots stays open in
+	// the spill list.
+	k := uint64(inFlight+1) % traceSlots
+	old := trs[k-1]
+	if old.TraceID() != k {
+		t.Fatalf("trace %d has ID %d", k-1, old.TraceID())
+	}
+	old.Finish("fwd", int64(k), "")
+	trs[k-1] = nil
+	newer := tc.Start("app", "write", "/newer")
+	if newer != old || tc.slots[k].Load() != newer || newer.TraceID()%traceSlots != k {
+		t.Fatalf("trace %d did not take slot %d with the record trace %d left", newer.TraceID(), k, k)
+	}
+	tc.AddHop(k, "late", time.Now(), int64(k), "")
+	holds(newer, 0)
+	hopAll()
+	for _, tr := range trs {
+		if tr != nil {
+			holds(tr, 3)
+		}
+	}
+	if n := tc.Active(); n != inFlight {
+		t.Fatalf("active = %d, want %d", n, inFlight)
+	}
+
+	newer.Finish("fwd", int64(newer.TraceID()), "")
+	for _, tr := range trs {
+		if tr != nil {
+			tr.Finish("fwd", int64(tr.TraceID()), "")
+		}
+	}
+	if n, s := tc.Active(), tc.spilled.Load(); n != 0 || s != 0 {
+		t.Fatalf("active = %d, spilled = %d after every trace finished", n, s)
+	}
+	for _, s := range tc.Recent() {
+		if len(s.Hops) != 4 {
+			t.Fatalf("trace %d retained %d hops, want 4", s.ID, len(s.Hops))
+		}
 	}
 }

@@ -47,8 +47,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.TraceID() != 0 {
 		t.Fatal("nil trace must have ID 0")
 	}
-	tr.Hop("fwd", time.Now(), 1, "")
-	tr.Finish()
+	tr.Finish("fwd", 1, "")
 	tc.AddHop(17, "ion", time.Now(), 0, "")
 	if tc.Recent() != nil || tc.Active() != 0 {
 		t.Fatal("nil tracer must be empty")

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -62,36 +63,35 @@ func (t *Trace) TraceID() uint64 {
 	return t.ID
 }
 
-// Hop appends a hop that started at start and just finished now. No-op on
-// a nil trace.
-func (t *Trace) Hop(layer string, start time.Time, bytes int64, note string) {
-	if t == nil {
-		return
-	}
-	t.add(t.ID, Hop{Layer: layer, Start: start, Duration: time.Since(start), Bytes: bytes, Note: note})
-}
-
 // add appends h if the record still belongs to trace id: open, and not
-// recycled for a newer trace since the caller found it.
-func (t *Trace) add(id uint64, h Hop) {
+// recycled for a newer trace since the caller found it. It reports whether
+// the record carries id at all, open or not: false sends the caller on to
+// the tracer's spill list.
+func (t *Trace) add(id uint64, h Hop) bool {
 	t.mu.Lock()
-	if t.live && t.ID == id {
+	mine := t.ID == id
+	if mine && t.live {
 		t.hops = append(t.hops, h)
 	}
 	t.mu.Unlock()
+	return mine
 }
 
-// Finish closes the trace, retires its hops to the tracer's ring buffer
-// and recycles the record. No-op on a nil trace. The holder calls it
-// exactly once: the record may back a newer trace afterwards, and a second
-// Finish would close that one.
-func (t *Trace) Finish() {
+// Finish records the holder's own hop — layer, from Begin to now — closes
+// the trace, retires its hops to the tracer's ring buffer and recycles the
+// record. One clock read times the hop and the trace. No-op on a nil trace.
+// The holder calls it exactly once: the record may back a newer trace
+// afterwards, and a second Finish would close that one.
+func (t *Trace) Finish(layer string, bytes int64, note string) {
 	if t == nil {
 		return
 	}
 	end := time.Now()
 	t.mu.Lock()
 	live := t.live
+	if live {
+		t.hops = append(t.hops, Hop{Layer: layer, Start: t.Begin, Duration: end.Sub(t.Begin), Bytes: bytes, Note: note})
+	}
 	t.live = false
 	t.mu.Unlock()
 	if live {
@@ -113,32 +113,45 @@ type TraceSnapshot struct {
 	Total time.Duration `json:"total_ns"`
 }
 
-// openTrace is one in-flight index entry. The ID is kept beside the
-// record so a lookup never reads a record another goroutine may be
-// recycling.
+// openTrace is one spill-list entry. The ID is kept beside the record so
+// a lookup never reads a record another goroutine may be recycling.
 type openTrace struct {
 	id uint64
 	t  *Trace
 }
+
+// traceSlots is the size of the in-flight table, a power of two: IDs are
+// minted in sequence, so traces collide only when more than this many
+// are in flight at once, and a collision costs only the lock.
+const traceSlots = 256
 
 // Tracer mints request traces and retains the most recent finished ones in
 // a fixed-size ring buffer. A traced request allocates nothing in steady
 // state:
 //   - Start takes a record from a free list that Finish refills, so the
 //     tracer holds no more records than the most traces ever in flight;
-//   - hops find their trace by ID in the in-flight index, and append under
-//     the record's own lock;
+//   - hops find their trace by ID in a table of atomic pointers, slot
+//     ID mod traceSlots, without the tracer lock, and append under the
+//     record's own lock. A trace whose slot was taken at Start goes to a
+//     spill list under the tracer lock, which a hop searches only while
+//     the list is non-empty;
 //   - the ring's entries own their hop storage, preallocated for 8 hops
-//     each: Finish copies a trace's hops into the entry it overwrites and
-//     sorts them there, and only Recent copies them out.
+//     each: Finish copies a trace's hops into the entry it overwrites,
+//     in the order they were reported, and only Recent copies them out,
+//     sorted.
 //
-// In-flight traces are never evicted; only finished ones rotate through the
-// ring. A nil *Tracer is a valid no-op (Start returns a nil *Trace whose
-// methods no-op and whose TraceID is 0).
+// Start and Finish take the tracer lock once each. In-flight traces are
+// never evicted; only finished ones rotate through the ring. A nil *Tracer
+// is a valid no-op (Start returns a nil *Trace whose methods no-op and
+// whose TraceID is 0).
 type Tracer struct {
+	slots   [traceSlots]atomic.Pointer[Trace]
+	spilled atomic.Int32 // len(spill), read by hops without the lock
+
 	mu       sync.Mutex
 	next     uint64      // the last ID minted
-	open     []openTrace // in-flight traces, in no order
+	open     int         // traces between Start and Finish
+	spill    []openTrace // in-flight traces whose slot was taken, in no order
 	free     []*Trace    // finished records, ready for reuse
 	ring     []TraceSnapshot
 	pos      int // the entry the next finished trace overwrites
@@ -177,11 +190,15 @@ func (tc *Tracer) Start(app, op, path string) *Trace {
 	}
 	tc.next++
 	id := tc.next
-	tc.open = append(tc.open, openTrace{id, t})
+	tc.open++
+	if !tc.slots[id%traceSlots].CompareAndSwap(nil, t) {
+		tc.spill = append(tc.spill, openTrace{id, t})
+		tc.spilled.Store(int32(len(tc.spill)))
+	}
 	tc.mu.Unlock()
 	begin := time.Now()
-	// Under t.mu: an AddHop that found this record under its previous ID
-	// may be about to check it.
+	// Under t.mu: a hop that found this record under its previous ID may
+	// be about to check it.
 	t.mu.Lock()
 	t.ID, t.App, t.Op, t.Path, t.Begin = id, app, op, path, begin
 	t.hops = t.hops[:0]
@@ -208,9 +225,15 @@ func (tc *Tracer) RecordHop(id uint64, h Hop) {
 	if tc == nil || id == 0 {
 		return
 	}
+	if t := tc.slots[id%traceSlots].Load(); t != nil && t.add(id, h) {
+		return
+	}
+	if tc.spilled.Load() == 0 {
+		return
+	}
 	var t *Trace
 	tc.mu.Lock()
-	for _, o := range tc.open {
+	for _, o := range tc.spill {
 		if o.id == id {
 			t = o.t
 			break
@@ -222,20 +245,24 @@ func (tc *Tracer) RecordHop(id uint64, h Hop) {
 	}
 }
 
-// retire takes the closed trace t out of the in-flight index, copies it
+// retire takes the closed trace t out of the in-flight table, copies it
 // into the ring entry it overwrites and returns the record to the free
 // list. No hop can land on t any more (it is closed), so its hops are read
 // without t.mu.
 func (tc *Tracer) retire(t *Trace, end time.Time) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	for i, o := range tc.open {
-		if o.t == t {
-			last := len(tc.open) - 1
-			tc.open[i] = tc.open[last]
-			tc.open[last] = openTrace{}
-			tc.open = tc.open[:last]
-			break
+	tc.open--
+	if !tc.slots[t.ID%traceSlots].CompareAndSwap(t, nil) {
+		for i, o := range tc.spill {
+			if o.t == t {
+				last := len(tc.spill) - 1
+				tc.spill[i] = tc.spill[last]
+				tc.spill[last] = openTrace{}
+				tc.spill = tc.spill[:last]
+				tc.spilled.Store(int32(last))
+				break
+			}
 		}
 	}
 	s := &tc.ring[tc.pos]
@@ -244,28 +271,28 @@ func (tc *Tracer) retire(t *Trace, end time.Time) {
 		Begin: t.Begin, End: end, Total: end.Sub(t.Begin),
 		Hops: append(s.Hops[:0], t.hops...),
 	}
-	// The generic stable sort is an in-place insertion sort at this size
-	// and, unlike sort.SliceStable, allocates no closure and no
-	// reflection-built swapper.
-	slices.SortStableFunc(s.Hops, func(a, b Hop) int { return a.Start.Compare(b.Start) })
 	tc.pos = (tc.pos + 1) % len(tc.ring)
 	tc.retained = min(tc.retained+1, len(tc.ring))
 	tc.free = append(tc.free, t)
 }
 
-// Recent returns copies of the retained finished traces, oldest first.
-// Empty on a nil tracer.
+// Recent returns copies of the retained finished traces, oldest first,
+// each with its hops sorted by start — stably, so hops that started
+// together keep the order they were reported in. Empty on a nil tracer.
 func (tc *Tracer) Recent() []TraceSnapshot {
 	if tc == nil {
 		return nil
 	}
 	tc.mu.Lock()
-	defer tc.mu.Unlock()
 	out := make([]TraceSnapshot, tc.retained)
 	oldest := tc.pos - tc.retained + len(tc.ring)
 	for i := range out {
 		out[i] = tc.ring[(oldest+i)%len(tc.ring)]
 		out[i].Hops = append([]Hop(nil), out[i].Hops...)
+	}
+	tc.mu.Unlock()
+	for _, s := range out {
+		slices.SortStableFunc(s.Hops, func(a, b Hop) int { return a.Start.Compare(b.Start) })
 	}
 	return out
 }
@@ -277,5 +304,5 @@ func (tc *Tracer) Active() int {
 	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	return len(tc.open)
+	return tc.open
 }

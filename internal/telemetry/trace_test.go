@@ -23,10 +23,9 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 
 	start := time.Now()
-	tr.Hop("fwd", start, 128, "")
 	tc.AddHop(tr.TraceID(), "ion", start.Add(time.Millisecond), 128, "")
 	tc.AddHop(999999, "ghost", start, 0, "") // unknown ID: dropped
-	tr.Finish()
+	tr.Finish("fwd", 128, "")
 
 	if tc.Active() != 0 {
 		t.Fatalf("active after finish = %d, want 0", tc.Active())
@@ -59,7 +58,7 @@ func TestTraceLifecycle(t *testing.T) {
 func TestTracerRingEviction(t *testing.T) {
 	tc := NewTracer(3)
 	for i := 0; i < 5; i++ {
-		tc.Start("", "op", fmt.Sprintf("/f%d", i)).Finish()
+		tc.Start("", "op", fmt.Sprintf("/f%d", i)).Finish("fwd", 0, "")
 	}
 	recent := tc.Recent()
 	if len(recent) != 3 {
@@ -83,9 +82,8 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				tr := tc.Start("app", "write", "/p")
-				tr.Hop("fwd", time.Now(), 64, "")
 				tc.AddHop(tr.TraceID(), "ion", time.Now(), 64, "")
-				tr.Finish()
+				tr.Finish("fwd", 64, "")
 			}
 		}(w)
 	}
@@ -108,8 +106,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	sink.Registry.Counter("rpc_calls_total").Add(2)
 	sink.Registry.Histogram("rpc_call_latency_seconds", LatencyBuckets()).Observe(0.001)
 	tr := sink.Tracer.Start("a", "write", "/x")
-	tr.Hop("fwd", time.Now(), 10, "")
-	tr.Finish()
+	tr.Finish("fwd", 10, "")
 
 	h := Handler(sink.Registry, sink.Tracer)
 
@@ -152,11 +149,10 @@ func TestTestSinkHelpers(t *testing.T) {
 
 	tr := sink.Tracer.Start("a", "write", "/y")
 	now := time.Now()
-	tr.Hop("fwd", now, 1, "")
-	tr.Hop("rpc", now.Add(time.Microsecond), 1, "")
-	tr.Hop("rpc", now.Add(2*time.Microsecond), 1, "")
-	tr.Hop("pfs", now.Add(3*time.Microsecond), 1, "")
-	tr.Finish()
+	tr.hop("rpc", now.Add(time.Microsecond), 1, "")
+	tr.hop("rpc", now.Add(2*time.Microsecond), 1, "")
+	tr.hop("pfs", now.Add(3*time.Microsecond), 1, "")
+	tr.Finish("fwd", 1, "")
 	got, ok := sink.TraceFor("/y")
 	if !ok {
 		t.Fatal("TraceFor missed the trace")
@@ -167,25 +163,31 @@ func TestTestSinkHelpers(t *testing.T) {
 	}
 }
 
-// TestSnapshotHopOrderMatchesStableSort: the in-place sort in snapshot
-// must give exactly sort.SliceStable's order — by start, reporting order
-// kept among equal starts — for hops reported in any order.
+// hop appends a hop that started at start and just finished now, as a
+// layer holding the record would.
+func (t *Trace) hop(layer string, start time.Time, bytes int64, note string) {
+	t.add(t.ID, Hop{Layer: layer, Start: start, Duration: time.Since(start), Bytes: bytes, Note: note})
+}
+
+// TestSnapshotHopOrderMatchesStableSort: the sort in Recent must give
+// exactly sort.SliceStable's order — by start, reporting order kept among
+// equal starts — for hops reported in any order, Finish's own hop (which
+// starts at Begin and is reported last) included.
 func TestSnapshotHopOrderMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	base := time.Now()
 	for round := 0; round < 200; round++ {
 		tc := NewTracer(1)
 		tr := tc.Start("app", "write", "/f")
 		for i, n := 0, rng.Intn(12); i < n; i++ {
-			// Few distinct starts, so ties are common.
-			start := base.Add(time.Duration(rng.Intn(4)) * time.Millisecond)
-			tr.Hop(fmt.Sprintf("layer%d", i), start, int64(i), "")
+			// Few distinct starts, so ties are common, with Finish's hop too.
+			start := tr.Begin.Add(time.Duration(rng.Intn(4)) * time.Millisecond)
+			tr.hop(fmt.Sprintf("layer%d", i), start, int64(i), "")
 		}
 		tr.mu.Lock()
-		want := append([]Hop(nil), tr.hops...)
+		want := append(append([]Hop(nil), tr.hops...), Hop{Layer: "fwd", Start: tr.Begin})
 		tr.mu.Unlock()
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Start.Before(want[j].Start) })
-		tr.Finish()
+		tr.Finish("fwd", 0, "")
 		got := tc.Recent()[0].Hops
 		if len(got) != len(want) {
 			t.Fatalf("round %d: %d hops, want %d", round, len(got), len(want))
