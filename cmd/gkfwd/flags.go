@@ -78,7 +78,6 @@ func bindFlags(fs *flag.FlagSet, cfg *livestack.Config, r *runPlan) {
 	fs.IntVar(&cfg.QuarantineFloor, "quarantine-floor", 0, "QuarantineFloor: allocatable I/O nodes the fail-slow quarantine may never dig below (0 = 1)")
 	fs.Float64Var(&cfg.Hedge.Pct, "hedge-pct", 0, "Hedge.Pct: per-ION latency quantile in (0,1) used as the hedge deadline; this or -hedge-budget sets Hedge.Enabled")
 	fs.Float64Var(&cfg.Hedge.Budget, "hedge-budget", 0, "Hedge.Budget: fraction of a hedge token each request earns, capping the steady-state hedge rate (0 = default 0.1 when hedging is on)")
-	fs.StringVar(&cfg.JournalDir, "journal-dir", "", "JournalDir: control-plane write-ahead journal directory; enables crash recovery and epoch fencing (empty = off)")
 
 	fs.IntVar(&r.scale.Max, "scale-max", 0, "Elastic.Max: pool ceiling; non-zero sets Elastic, i.e. enables autoscaling (0 = static pool)")
 	fs.IntVar(&r.scale.Min, "scale-min", 0, "Elastic.Min: pool floor (0 = -ions)")

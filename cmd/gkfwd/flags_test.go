@@ -106,6 +106,7 @@ func TestArgvRejected(t *testing.T) {
 		{name: "removed flag -max-conns", argv: args("-max-conns 8"), wantErr: "flag provided but not defined"},
 		{name: "removed flag -coalesce-limit", argv: args("-coalesce-limit 1024"), wantErr: "flag provided but not defined"},
 		{name: "removed flag -journal-snapshot-every", argv: args("-journal-snapshot-every 64"), wantErr: "flag provided but not defined"},
+		{name: "removed flag -journal-dir", argv: args("-journal-dir wal"), wantErr: "flag provided but not defined"},
 
 		{name: "Validate: dead knob", argv: args("-overload-depth 32"), wantErr: "OverloadQueueDepth/OverloadShedDelta requires HealthInterval"},
 		{name: "Validate: negative", argv: args("-call-timeout=-1s"), wantErr: "RPC.CallTimeout must not be negative"},
@@ -118,8 +119,8 @@ func TestArgvRejected(t *testing.T) {
 }
 
 // TestArgvDefaults: no flags is Config{IONs: 4} — every opt-in at its zero
-// value — running IOR-MPI and HACC; the three removed knobs took the flag
-// count from 40 to 37.
+// value — running IOR-MPI and HACC; the three removed knobs and the
+// removed -journal-dir took the flag count from 40 to 36.
 func TestArgvDefaults(t *testing.T) {
 	runArgv(t, []argvCase{
 		{name: "no flags", argv: nil, want: &livestack.Config{IONs: 4},
@@ -160,8 +161,8 @@ func TestArgvDefaults(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	bindFlags(fs, &cfg, &r)
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 37 {
-		t.Errorf("gkfwd registers %d flags, want 37", n)
+	if n != 36 {
+		t.Errorf("gkfwd registers %d flags, want 36", n)
 	}
 }
 
@@ -219,15 +220,6 @@ func TestArgvGrayFailureHedgeRecipe(t *testing.T) {
 			want: &livestack.Config{IONs: 4, DedupWindow: 64, Hedge: fwd.HedgeConfig{Enabled: true, Budget: 0.5}},
 		},
 	})
-}
-
-func TestArgvJournalRecipe(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "wal")
-	runArgv(t, []argvCase{{
-		name: "journal",
-		argv: []string{"-journal-dir", dir, "-health-interval", "50ms"},
-		want: &livestack.Config{IONs: 4, JournalDir: dir, HealthInterval: 50 * time.Millisecond},
-	}})
 }
 
 func TestArgvScalerDerivesElastic(t *testing.T) {

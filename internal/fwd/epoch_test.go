@@ -19,8 +19,8 @@ import (
 // fencedStack starts n fake I/O-node servers that share one fence floor
 // and apply accepted writes to ionStore: a write stamped below the fence
 // is rejected with the stale-epoch wire error, exactly as a real daemon
-// with EpochFencing would. lastEpoch records the stamp of the most recent
-// write request seen by any node.
+// would. lastEpoch records the stamp of the most recent write request
+// seen by any node.
 func fencedStack(t *testing.T, n int, ionStore *pfs.Store) (addrs []string, fence, lastEpoch *atomic.Uint64) {
 	t.Helper()
 	fence = &atomic.Uint64{}
@@ -54,7 +54,7 @@ func epochClient(t *testing.T, direct pfs.FileSystem, reg *telemetry.Registry, w
 	t.Helper()
 	c, err := NewClient(Config{
 		AppID: "eapp", Direct: direct, ChunkSize: 1024,
-		EpochFencing: true, EpochWait: wait, Telemetry: reg,
+		EpochWait: wait, Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,17 +171,42 @@ func TestWriteStampsViewEpoch(t *testing.T) {
 	}
 }
 
+// TestSetIONsOnlyClientStampsNoEpoch: a client that never applied a map
+// routes by SetIONs alone. Its writes stamp epoch 0 — no trailer on the
+// wire — so no fence, however high, refuses them.
+func TestSetIONsOnlyClientStampsNoEpoch(t *testing.T) {
+	ionStore := pfs.NewStore(pfs.Config{})
+	reg := telemetry.New()
+	addrs, fence, lastEpoch := fencedStack(t, 1, ionStore)
+	c := epochClient(t, pfs.NewStore(pfs.Config{}), reg, time.Second)
+	fence.Store(100)
+	c.SetIONs(addrs)
+	lastEpoch.Store(1)
+	if _, err := c.Write("/s", 0, []byte("efgh")); err != nil {
+		t.Fatal(err)
+	}
+	if got := lastEpoch.Load(); got != 0 {
+		t.Fatalf("write through a SetIONs-only client stamped epoch %d, want 0", got)
+	}
+	if st := c.Stats(); st.ForwardedOps != 1 || reg.Counter(`epoch_stale_retries_total{app="eapp"}`).Value() != 0 {
+		t.Fatalf("%+v: want the write forwarded and never fenced", st)
+	}
+	if _, err := ionStore.Read("/s", 0, make([]byte, 4)); err != nil {
+		t.Fatalf("bytes not on the I/O node's store: %v", err)
+	}
+}
+
 // TestHeldRouteStampsRecoveryEpoch: a recovery publish raises every
 // daemon's fence before the clients apply it. A client whose route held
 // keeps its view, the view's epoch advanced in place, and its next write
-// carries the new epoch, which an EpochFencing daemon accepts; a client
+// carries the new epoch, which a fenced daemon accepts; a client
 // whose route moved gets a new view at the same epoch.
 func TestHeldRouteStampsRecoveryEpoch(t *testing.T) {
 	store := pfs.NewStore(pfs.Config{})
 	var addrs []string
 	var daemons []*ion.Daemon
 	for i := 0; i < 3; i++ {
-		d := ion.New(ion.Config{ID: fmt.Sprintf("ion%d", i), Scheduler: agios.NewFIFO(), EpochFencing: true}, store)
+		d := ion.New(ion.Config{ID: fmt.Sprintf("ion%d", i), Scheduler: agios.NewFIFO()}, store)
 		addr, err := d.Start("")
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +216,7 @@ func TestHeldRouteStampsRecoveryEpoch(t *testing.T) {
 	}
 	reg := telemetry.New()
 	held := epochClient(t, pfs.NewStore(pfs.Config{}), reg, time.Second)
-	moved, err := NewClient(Config{AppID: "moved", Direct: pfs.NewStore(pfs.Config{}), ChunkSize: 1024, EpochFencing: true, Telemetry: reg})
+	moved, err := NewClient(Config{AppID: "moved", Direct: pfs.NewStore(pfs.Config{}), ChunkSize: 1024, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,30 +311,5 @@ func TestUnchangedRouteEpochRace(t *testing.T) {
 	}
 	if st := c.Stats(); st.DirectOps != 0 || st.ForwardedOps != 500 {
 		t.Fatalf("%d forwarded, %d direct; want all 500 forwarded", st.ForwardedOps, st.DirectOps)
-	}
-}
-
-// TestEpochOffByDefault pins the opt-in contract on the client side: no
-// EpochFencing means unstamped writes and no epoch_* telemetry series.
-func TestEpochOffByDefault(t *testing.T) {
-	ionStore := pfs.NewStore(pfs.Config{})
-	reg := telemetry.New()
-	addrs, _, lastEpoch := fencedStack(t, 1, ionStore)
-	c, err := NewClient(Config{AppID: "eapp", Direct: pfs.NewStore(pfs.Config{}), ChunkSize: 1024, Telemetry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.ApplyMap(mapping.Map{Version: 3, IONs: map[string][]string{"eapp": addrs}})
-	if _, err := c.Write("/i", 0, []byte("wxyz")); err != nil {
-		t.Fatal(err)
-	}
-	if got := lastEpoch.Load(); got != 0 {
-		t.Fatalf("unfenced client stamped epoch %d", got)
-	}
-	for name := range reg.Snapshot().Counters {
-		if strings.HasPrefix(name, "epoch_") {
-			t.Fatalf("epoch series registered without fencing: %s", name)
-		}
 	}
 }

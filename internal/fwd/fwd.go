@@ -117,19 +117,16 @@ type Config struct {
 	// default) means unclassed: no admission check beyond one nil test,
 	// no priority byte, byte-for-byte pre-QoS behaviour.
 	QoS *qos.Class
-	// EpochFencing stamps every forwarded write with the epoch of the
-	// route view it was built from (the mapping version the arbiter
-	// published). A daemon whose fence floor is above that epoch fences
-	// the write (rpc.ClassFenced) — a remap signal, not a failure: the
-	// client waits for a fresher mapping (up to EpochWait), rebuilds the
-	// span routing against it, and retries; if no fresher view arrives it
+	// EpochWait bounds how long a fenced write waits for a fresher
+	// mapping before degrading to the direct path; ≤0 selects 2s. Every
+	// forwarded write carries the epoch of the route view it was built
+	// from (the last mapping version the client applied; 0, and no
+	// trailer on the wire, before its first ApplyMap). A daemon whose fence
+	// floor is above that epoch fences the write (rpc.ClassFenced) — a
+	// remap signal, not a failure: the client waits for a fresher mapping,
+	// rebuilds the span routing against it and retries; if none arrives it
 	// falls back to the direct PFS path, which is byte-safe because a
-	// fenced write was never applied. Off by default: requests carry no
-	// epoch trailer and are wire-identical to the pre-epoch protocol.
-	EpochFencing bool
-	// EpochWait bounds how long a fenced write waits for a post-recovery
-	// mapping before degrading to the direct path; ≤0 selects 2s. Only
-	// meaningful with EpochFencing.
+	// fenced write was never applied.
 	EpochWait time.Duration
 	// Hedge configures tail-tolerant hedged requests (see hedge.go): a
 	// span RPC that exceeds an adaptive per-I/O-node latency percentile
@@ -222,7 +219,7 @@ type Client struct {
 		forwarded, direct, failover, bytesOut, bytesIn, remaps *telemetry.Counter
 		shed, degraded, replayed                               *telemetry.Counter
 		retries                                                *telemetry.Counter // rpc_retries_total: transport re-sends (the name predates callION's loop)
-		epochRetries                                           *telemetry.Counter // nil unless EpochFencing
+		epochRetries                                           *telemetry.Counter
 	}
 
 	// hedge is the hedged-request state (nil unless cfg.Hedge.Enabled —
@@ -322,15 +319,12 @@ func NewClient(cfg Config) (*Client, error) {
 	c.stats.degraded = c.reg.Counter("fwd_degraded_ops_total" + label)
 	c.stats.replayed = c.reg.Counter("fwd_replayed_writes_total" + label)
 	c.stats.retries = c.reg.Counter("rpc_retries_total")
+	c.stats.epochRetries = c.reg.Counter("epoch_stale_retries_total" + label)
 	if cfg.Dedup {
 		c.clientID = fmt.Sprintf("%s#%d", cfg.AppID, clientInstance.Add(1))
 	}
-	if cfg.EpochFencing {
-		if cfg.EpochWait <= 0 {
-			cfg.EpochWait = 2 * time.Second
-		}
-		c.cfg.EpochWait = cfg.EpochWait
-		c.stats.epochRetries = c.reg.Counter("epoch_stale_retries_total" + label)
+	if cfg.EpochWait <= 0 {
+		c.cfg.EpochWait = 2 * time.Second
 	}
 	if cfg.Hedge.Enabled {
 		c.hedge = &hedgeState{
@@ -819,17 +813,14 @@ var classRules = [...]struct {
 // classify turns what callION (or hedged, once the hedge has chosen)
 // returned into the outcome. It is the only place that decides a fallback,
 // and it counts each fallback once: fwd_degraded_ops_total for a shed,
-// fwd_failover_ops_total for an unreachable node. Without EpochFencing the
-// client stamps no epoch, so a fenced answer is an answer like any other.
+// fwd_failover_ops_total for an unreachable node.
 func (c *Client) classify(err error) outcome {
 	out := classRules[rpc.ClassOf(err)].out
-	switch {
-	case out == shed:
+	switch out {
+	case shed:
 		c.stats.degraded.Inc()
-	case out == unreachable:
+	case unreachable:
 		c.stats.failover.Inc()
-	case out == fenced && !c.cfg.EpochFencing:
-		return served
 	}
 	return out
 }
@@ -1115,10 +1106,7 @@ const maxEpochRemaps = 3
 // applies the fallback rule to its outcome.
 func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span, tr opTrace, depth int) (int, error) {
 	payload := p[s.off-off:][:s.n]
-	req := &rpc.Message{Op: rpc.OpWrite, Path: path, Offset: s.off, Data: payload, Trace: tr.id, Priority: c.wirePrio}
-	if c.cfg.EpochFencing {
-		req.Epoch = v.epoch.Load()
-	}
+	req := &rpc.Message{Op: rpc.OpWrite, Path: path, Offset: s.off, Data: payload, Trace: tr.id, Priority: c.wirePrio, Epoch: v.epoch.Load()}
 	if c.cfg.Dedup {
 		// Stamp once per wire request: the stale re-dial (inside
 		// rpc.Client.Call), the busy and transport re-sends (inside

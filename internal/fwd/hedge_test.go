@@ -244,20 +244,19 @@ func TestHedgeEpochFenceInterplay(t *testing.T) {
 	store := pfs.NewStore(pfs.Config{})
 	inj := faultnet.NewInjector(faultnet.Plan{})
 	d, addr := slowDaemon(t, ion.Config{
-		ID: "ion0", Scheduler: agios.NewFIFO(), DedupWindow: 64, EpochFencing: true,
+		ID: "ion0", Scheduler: agios.NewFIFO(), DedupWindow: 64,
 	}, store, inj)
 
 	sk := latency.NewSketch(0)
 	reg := telemetry.New()
 	c, err := NewClient(Config{
 		AppID: "app", Direct: store, ChunkSize: 256,
-		Dedup:        true,
-		EpochFencing: true,
-		EpochWait:    50 * time.Millisecond,
-		RPC:          rpc.Options{CallTimeout: 5 * time.Second},
-		Hedge:        HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1},
-		Latency:      sk,
-		Telemetry:    reg,
+		Dedup:     true,
+		EpochWait: 50 * time.Millisecond,
+		RPC:       rpc.Options{CallTimeout: 5 * time.Second},
+		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1},
+		Latency:   sk,
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -363,9 +363,9 @@ func TestLargestDefaultSpanIsPooled(t *testing.T) {
 	addr, maxData, bare := spanServer(t)
 	c, err := NewClient(Config{
 		AppID: "app", Direct: pfs.NewStore(pfs.Config{}),
-		Dedup: true, EpochFencing: true,
-		QoS: &qos.Class{Name: "gold", Tier: qos.TierGuaranteed},
-		RPC: rpc.Options{WireChecksum: true},
+		Dedup: true,
+		QoS:   &qos.Class{Name: "gold", Tier: qos.TierGuaranteed},
+		RPC:   rpc.Options{WireChecksum: true},
 	})
 	if err != nil {
 		t.Fatal(err)

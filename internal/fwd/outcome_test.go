@@ -373,20 +373,18 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				case "saturated gate":
 					cfg.Throttle = ThrottleConfig{Enabled: true}
 				case "fenced, fresher view arrives":
-					cfg.EpochFencing = true
 					fake.mode.Store("stale")
 					fake.onStale = func() { fake.mode.Store("ok"); remap() }
 				case "fenced, EpochWait expires":
-					cfg.EpochFencing, cfg.EpochWait = true, 20*time.Millisecond
+					cfg.EpochWait = 20 * time.Millisecond
 					fake.mode.Store("stale")
 				case "fenced maxEpochRemaps deep":
-					cfg.EpochFencing = true
 					fake.mode.Store("stale")
 					fake.onStale = remap
 				case "fenced, fresher view is direct":
 					// An EpochWait far above the row's runtime: waiting it
 					// out fails the timing check below.
-					cfg.EpochFencing, cfg.EpochWait = true, 30*time.Second
+					cfg.EpochWait = 30 * time.Second
 					fake.mode.Store("stale")
 					fake.onStale = func() { c.ApplyMap(mapping.Map{Version: version.Add(1)}) }
 				case "QoS scavenger, empty bucket":

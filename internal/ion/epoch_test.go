@@ -2,7 +2,6 @@ package ion
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/pfs"
@@ -17,7 +16,7 @@ import (
 func TestFenceRejectsRevokedEpoch(t *testing.T) {
 	store := pfs.NewStore(pfs.Config{})
 	reg := telemetry.New()
-	d, cli := startDaemon(t, Config{ID: "ion0", EpochFencing: true, Telemetry: reg}, store)
+	d, cli := startDaemon(t, Config{ID: "ion0", Telemetry: reg}, store)
 
 	// Before any fence: stamped writes of any epoch apply.
 	if _, err := cli.Call(&rpc.Message{Op: rpc.OpWrite, Path: "/f", Offset: 0, Data: []byte("aaaa"), Epoch: 1}); err != nil {
@@ -78,7 +77,7 @@ func TestFenceRejectsRevokedEpoch(t *testing.T) {
 // the rejection.
 func TestFenceRunsBeforeDedup(t *testing.T) {
 	store := pfs.NewStore(pfs.Config{})
-	d, cli := startDaemon(t, Config{ID: "ion0", EpochFencing: true, DedupWindow: 16}, store)
+	d, cli := startDaemon(t, Config{ID: "ion0", DedupWindow: 16}, store)
 	d.SetFence(10)
 
 	stale := &rpc.Message{Op: rpc.OpWrite, Path: "/g", Data: []byte("old!"), ClientID: "c1", Seq: 7, Epoch: 9}
@@ -114,7 +113,7 @@ func TestFenceRunsBeforeDedup(t *testing.T) {
 // applied is still fenced.
 func TestFencedRetryOfAnAppliedWriteReplays(t *testing.T) {
 	store := &countingBackend{Store: pfs.NewStore(pfs.Config{})}
-	d, cli := startOn(t, Config{ID: "ion0", EpochFencing: true, DedupWindow: 16}, store, 2)
+	d, cli := startOn(t, Config{ID: "ion0", DedupWindow: 16}, store, 2)
 	write := func(seq uint64) (*rpc.Message, error) {
 		return cli.Call(&rpc.Message{Op: rpc.OpWrite, Path: "/a", Data: []byte("once"), ClientID: "c1", Seq: seq, Epoch: 4})
 	}
@@ -135,33 +134,12 @@ func TestFencedRetryOfAnAppliedWriteReplays(t *testing.T) {
 	}
 }
 
-// TestFenceDisabledByDefault pins the opt-in contract: without
-// EpochFencing, SetFence is inert, stamped writes always apply, and no
-// epoch_* series is registered.
-func TestFenceDisabledByDefault(t *testing.T) {
-	store := pfs.NewStore(pfs.Config{})
-	reg := telemetry.New()
-	d, cli := startDaemon(t, Config{ID: "ion0", Telemetry: reg}, store)
-	d.SetFence(100)
-	if d.Fence() != 0 {
-		t.Fatalf("SetFence took effect without EpochFencing: %d", d.Fence())
-	}
-	if _, err := cli.Call(&rpc.Message{Op: rpc.OpWrite, Path: "/h", Data: []byte("ok"), Epoch: 1}); err != nil {
-		t.Fatalf("stamped write on unfenced daemon: %v", err)
-	}
-	for name := range reg.Snapshot().Counters {
-		if strings.HasPrefix(name, "epoch_") {
-			t.Fatalf("epoch series registered without fencing: %s", name)
-		}
-	}
-}
-
 // TestFenceSurvivesWarmRestart: like the dedup window, the fence floor
 // must persist across a daemon warm restart — the stale clients it
 // exists to stop are exactly the ones a blackout strands.
 func TestFenceSurvivesWarmRestart(t *testing.T) {
 	store := pfs.NewStore(pfs.Config{})
-	d, cli := startDaemon(t, Config{ID: "ion0", EpochFencing: true}, store)
+	d, cli := startDaemon(t, Config{ID: "ion0"}, store)
 	d.SetFence(8)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -148,13 +148,6 @@ type Config struct {
 	// re-executing. ≤0 disables deduplication (stamped writes re-execute,
 	// the pre-integrity behavior).
 	DedupWindow int
-	// EpochFencing makes the daemon enforce mapping-epoch fences on
-	// writes: once SetFence(f) has been called (by an arbiter recovery
-	// publish), any write stamped with an epoch below f is rejected with
-	// a stale-epoch response before it can touch the dedup window or the
-	// backend. Unstamped writes (epoch 0) are never fenced. Off by
-	// default — the pre-epoch behavior.
-	EpochFencing bool
 	// Telemetry receives the daemon's metrics (per-node labeled series:
 	// ion_writes_total{node="…"}, …). Nil selects a private registry so
 	// Stats() always works; pass the stack-wide registry to aggregate
@@ -249,13 +242,9 @@ func New(cfg Config, backend Backend) *Daemon {
 	d.tel.rejects = d.reg.Counter("ion_queue_rejects_total" + label)
 	d.tel.dedupReplays = d.reg.Counter("ion_dedup_replays_total" + label)
 	d.tel.restarts = d.reg.Counter("ion_restarts_total" + label)
+	d.tel.fenceRejects = d.reg.Counter("epoch_fence_rejections_total" + label)
 	d.tel.dispatchLatency = d.reg.Histogram("ion_dispatch_latency_seconds"+label, telemetry.LatencyBuckets())
 	d.tel.requestBytes = d.reg.Histogram("ion_request_bytes"+label, telemetry.SizeBuckets())
-	if cfg.EpochFencing {
-		// Registered only under fencing so a stack without journaling
-		// exposes no epoch_* series at all.
-		d.tel.fenceRejects = d.reg.Counter("epoch_fence_rejections_total" + label)
-	}
 	if cfg.DedupWindow > 0 {
 		d.dedup = newDedupTable(cfg.DedupWindow)
 	}
@@ -467,15 +456,13 @@ func (d *Daemon) handle(m *rpc.Message) *rpc.Message {
 }
 
 // SetFence raises the daemon's epoch fence: every write stamped with an
-// epoch strictly below minEpoch is rejected from now on. Monotonic — a
-// lower value never lowers an established fence — and a no-op unless the
-// daemon was built with EpochFencing. The arbiter's recovery path calls
-// this on every daemon BEFORE publishing the post-recovery mapping, so
-// no client can land a revoked-epoch write in the gap.
+// epoch strictly below minEpoch is rejected, before it can touch the dedup
+// window or the backend, from now on; unstamped writes (epoch 0) are never
+// fenced. Monotonic — a lower value never lowers an established fence. The
+// stack's delivery follower calls this on every daemon inside a recovery
+// publish, before any client applies the post-recovery mapping, so no
+// client can land a revoked-epoch write in the gap.
 func (d *Daemon) SetFence(minEpoch uint64) {
-	if !d.cfg.EpochFencing {
-		return
-	}
 	for {
 		cur := d.fence.Load()
 		if minEpoch <= cur || d.fence.CompareAndSwap(cur, minEpoch) {
@@ -523,7 +510,7 @@ func (d *Daemon) handleOp(m *rpc.Message) *rpc.Message {
 		// though: rejected, it would tell the client the bytes never landed,
 		// and the client would re-send them under a new stamp for this node
 		// to apply twice.
-		fenced := d.cfg.EpochFencing && m.Epoch != 0 && m.Epoch < d.fence.Load()
+		fenced := m.Epoch != 0 && m.Epoch < d.fence.Load()
 		if d.dedup == nil || m.Seq == 0 {
 			if fenced {
 				return d.rejectStale(m, resp)

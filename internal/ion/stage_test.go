@@ -95,7 +95,7 @@ func TestUninstalledStagesAreReleased(t *testing.T) {
 		entered: make(chan struct{}, 16),
 		release: make(chan struct{}),
 	}
-	d, cli := startOn(t, Config{ID: "ion0", EpochFencing: true, DedupWindow: 8, Dispatchers: 1, QueueCap: 1}, backend, 4)
+	d, cli := startOn(t, Config{ID: "ion0", DedupWindow: 8, Dispatchers: 1, QueueCap: 1}, backend, 4)
 	write := func(m *rpc.Message) (*rpc.Message, error) {
 		m.Op, m.Path, m.Data = rpc.OpWrite, "/u", []byte("payload")
 		return cli.Call(m)

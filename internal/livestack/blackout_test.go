@@ -8,12 +8,16 @@ package livestack
 import (
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fwd"
 	"repro/internal/journal"
 	"repro/internal/nodestate"
+	"repro/internal/pfs"
 	"repro/internal/rpc"
+	"repro/internal/testkit"
 )
 
 // TestBlackoutMidDrainMidScaleRecovery is the recovery × drain × elastic
@@ -184,9 +188,10 @@ func TestBlackoutRecoveredMarksClearWhenNodesHeal(t *testing.T) {
 	}
 }
 
-// TestBlackoutSeriesAbsentWithoutJournal pins the opt-in contract at the
-// stack level: without JournalDir no journal_* or epoch_* series exists
-// anywhere — the journal and the fencing machinery are fully dormant.
+// TestBlackoutSeriesAbsentWithoutJournal pins the journal's opt-in
+// contract at the stack level: without JournalDir no journal_* series
+// exists anywhere and the control plane refuses to crash. Fencing is not
+// the journal's: its epoch_* series are there, at zero on a quiet stack.
 func TestBlackoutSeriesAbsentWithoutJournal(t *testing.T) {
 	st := startStack(t, 2)
 	if st.Journal != nil {
@@ -210,8 +215,16 @@ func TestBlackoutSeriesAbsentWithoutJournal(t *testing.T) {
 	}
 	snap := st.Telemetry.Snapshot()
 	for name := range snap.Counters {
-		if strings.HasPrefix(name, "journal_") || strings.HasPrefix(name, "epoch_") {
+		if strings.HasPrefix(name, "journal_") {
 			t.Errorf("journal-off stack registered %s", name)
+		}
+	}
+	for _, name := range []string{
+		`epoch_fence_rejections_total{node="ion00"}`, `epoch_fence_rejections_total{node="ion01"}`,
+		`epoch_stale_retries_total{app="plain"}`,
+	} {
+		if v, ok := snap.Counters[name]; !ok || v != 0 {
+			t.Errorf("%s = %d (registered=%v), want registered and 0", name, v, ok)
 		}
 	}
 	if err := st.CrashControlPlane(); err == nil {
@@ -220,4 +233,146 @@ func TestBlackoutSeriesAbsentWithoutJournal(t *testing.T) {
 	if err := st.RecoverControlPlane(); err == nil {
 		t.Fatal("RecoverControlPlane without a journal must refuse")
 	}
+}
+
+// fenceRig is a journal-less stack with one app, "plain", allocated and
+// its client attached, counting the writes that take the client's direct
+// PFS path.
+type fenceRig struct {
+	st     *Stack
+	c      *fwd.Client
+	direct atomic.Int64
+}
+
+func newFenceRig(t *testing.T) *fenceRig {
+	t.Helper()
+	r := &fenceRig{}
+	st, err := Start(Config{
+		IONs:       2,
+		WrapDirect: func(fs pfs.FileSystem) pfs.FileSystem { return &countingFS{FileSystem: fs, writes: &r.direct} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	if _, err := st.Arbiter.JobStarted(appFor(t, "IOR-MPI", "plain")); err != nil {
+		t.Fatal(err)
+	}
+	if r.c, err = st.NewClient("plain"); err != nil {
+		t.Fatal(err)
+	}
+	if err := WaitForAllocation(r.c, 0, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	r.st = st
+	return r
+}
+
+// fence raises every daemon's floor to f.
+func (r *fenceRig) fence(f uint64) {
+	for _, d := range r.st.Daemons {
+		d.SetFence(f)
+	}
+}
+
+// sum adds up a per-node counter over the daemons.
+func (r *fenceRig) sum(series string) (n int64) {
+	for name, v := range r.st.Telemetry.Snapshot().Counters {
+		if strings.HasPrefix(name, series+"{") {
+			n += v
+		}
+	}
+	return n
+}
+
+// applied counts the writes the daemons admitted to their backends.
+func (r *fenceRig) applied() int64 { return r.sum("ion_writes_total") }
+
+// rejections counts the writes the daemons fenced.
+func (r *fenceRig) rejections() int64 { return r.sum("epoch_fence_rejections_total") }
+
+// TestFenceWithoutJournal: fencing needs no journal. On a stack without
+// JournalDir a write the published map routed carries the map's version —
+// a fence at that version lets it through, one above it refuses it — and
+// the refused write never reaches the daemon's backend: with no fresher
+// map to chase, it lands once on the direct PFS path.
+func TestFenceWithoutJournal(t *testing.T) {
+	r := newFenceRig(t)
+	version := r.st.Bus.Version()
+	r.fence(version)
+	if _, err := r.c.Write("/fenced", 0, []byte("at the fence")); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.applied(); n != 1 {
+		t.Fatalf("a write stamped at the fence reached the backend %d times, want once", n)
+	}
+
+	r.fence(version + 1)
+	data := []byte("above the stamp")
+	if k, err := r.c.Write("/fenced", 64, data); err != nil || k != len(data) {
+		t.Fatalf("fenced write: %d, %v", k, err)
+	}
+	if n := r.applied(); n != 1 {
+		t.Fatalf("the backend saw %d writes, want 1: the fenced one must be refused before it", n)
+	}
+	if n := r.rejections(); n != 1 {
+		t.Fatalf("epoch_fence_rejections_total = %d, want 1", n)
+	}
+	if n := r.direct.Load(); n != 1 {
+		t.Fatalf("the direct path saw %d writes, want the fenced one once", n)
+	}
+	buf := make([]byte, len(data))
+	if _, err := r.st.Store.Read("/fenced", 64, buf); err != nil || string(buf) != string(data) {
+		t.Fatalf("PFS holds %q (%v), want %q", buf, err, data)
+	}
+	if v := r.st.Bus.Version(); v != version {
+		t.Fatalf("map version moved %d → %d: the write must have found no fresher map", version, v)
+	}
+}
+
+// TestFencedWriteChasesTheRevokingPublish: on a stack without JournalDir,
+// a write in flight when its epoch is revoked waits for the publish that
+// revoked it and lands once through the I/O nodes. The daemons are fenced
+// first, as the stack's follower fences them inside a revoking publish;
+// the write refused there parks until that publish reaches its client,
+// then is routed again under the new epoch.
+func TestFencedWriteChasesTheRevokingPublish(t *testing.T) {
+	r := newFenceRig(t)
+	next := r.st.Bus.Version() + 1
+	r.st.Bus.Revoke(next)
+	r.fence(next)
+	data := []byte("in flight across the fence")
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := r.c.Write("/chase", 0, data)
+		wrote <- err
+	}()
+	testkit.Eventually(t, "the in-flight write fenced", func() bool { return r.rejections() == 1 })
+	if m := r.st.Bus.Publish(r.st.Bus.Current().IONs); m.Version != next || m.Fence != next {
+		t.Fatalf("published version %d fence %d, want both %d", m.Version, m.Fence, next)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if a, d := r.applied(), r.direct.Load(); a != 1 || d != 0 {
+		t.Fatalf("%d backend writes, %d direct; want the write once through an I/O node", a, d)
+	}
+	if n := r.st.Telemetry.Counter(`epoch_stale_retries_total{app="plain"}`).Value(); n != 1 {
+		t.Fatalf("epoch_stale_retries_total = %d, want 1", n)
+	}
+	buf := make([]byte, len(data))
+	if _, err := r.st.Store.Read("/chase", 0, buf); err != nil || string(buf) != string(data) {
+		t.Fatalf("PFS holds %q (%v), want %q", buf, err, data)
+	}
+}
+
+// countingFS counts the writes that take a client's direct PFS path.
+type countingFS struct {
+	pfs.FileSystem
+	writes *atomic.Int64
+}
+
+func (f *countingFS) Write(path string, off int64, p []byte) (int, error) {
+	f.writes.Add(1)
+	return f.FileSystem.Write(path, off, p)
 }

@@ -148,13 +148,10 @@ type Config struct {
 	OverloadThreshold int
 	OverloadRecovery  int
 
-	// JournalDir, when non-empty, makes the control plane crash-safe: the
-	// arbiter appends every transition to a write-ahead journal in this
-	// directory, and epoch fencing turns on end to end — forwarding
-	// clients stamp writes with the mapping epoch, daemons reject writes
-	// from revoked epochs, and CrashControlPlane/RecoverControlPlane
-	// exercise the warm-restart path. Empty (the default) keeps the
-	// pre-journal stack, behavior and wire format byte for byte.
+	// JournalDir, when non-empty, journals the control plane: the arbiter
+	// appends every transition to a write-ahead journal in this directory,
+	// which CrashControlPlane/RecoverControlPlane close and replay. Empty
+	// (the default) journals nothing, and those two refuse to run.
 	JournalDir string
 
 	// QoS, when non-nil, is the stack's tenant policy (internal/qos):

@@ -504,7 +504,6 @@ func (s *Stack) addNode() (*node, error) {
 		RetryAfterHint: s.cfg.RetryAfterHint,
 		WireChecksum:   s.cfg.WireChecksum,
 		DedupWindow:    s.cfg.DedupWindow,
-		EpochFencing:   s.cfg.JournalDir != "",
 	}, backend)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -662,19 +661,18 @@ func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 		direct = s.cfg.WrapDirect(direct)
 	}
 	c, err := fwd.NewClient(fwd.Config{
-		AppID:        appID,
-		Direct:       direct,
-		ChunkSize:    s.cfg.ChunkSize,
-		PoolSize:     s.cfg.PoolSize,
-		RPC:          rpcOpts,
-		Throttle:     s.cfg.Throttle,
-		Hedge:        s.cfg.Hedge,
-		Latency:      s.latSketch,
-		Dedup:        s.cfg.DedupWindow > 0,
-		EpochFencing: s.cfg.JournalDir != "",
-		QoS:          s.cfg.QoS.ClassFor(appID),
-		Telemetry:    s.Telemetry,
-		Tracer:       s.Tracer,
+		AppID:     appID,
+		Direct:    direct,
+		ChunkSize: s.cfg.ChunkSize,
+		PoolSize:  s.cfg.PoolSize,
+		RPC:       rpcOpts,
+		Throttle:  s.cfg.Throttle,
+		Hedge:     s.cfg.Hedge,
+		Latency:   s.latSketch,
+		Dedup:     s.cfg.DedupWindow > 0,
+		QoS:       s.cfg.QoS.ClassFor(appID),
+		Telemetry: s.Telemetry,
+		Tracer:    s.Tracer,
 	})
 	if err != nil {
 		return nil, err

@@ -161,8 +161,7 @@ func TestCounterAuditRoundTrip(t *testing.T) {
 		// whole elastic series family, pulling it into the audit below.
 		HealthInterval: 50 * time.Millisecond,
 		Elastic:        &elastic.Config{Min: 2, Max: 2, UpWatermark: 1, DownWatermark: 0.5},
-		// A journal dir registers the journal_* family and turns on epoch
-		// fencing, whose per-node/per-app series join the audit too.
+		// A journal dir registers the journal_* family.
 		JournalDir: t.TempDir(),
 		// The gray-failure planes register the health_degraded_*,
 		// arbiter_quarantine_*, and fwd_hedge_* families. The slowness

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,6 +149,9 @@ func TestTracerConcurrentManyInFlight(t *testing.T) {
 			if id := closing.Load(); id != 0 {
 				tc.AddHop(id, "late", time.Now(), int64(id), "")
 			}
+			// Spinning without a yield starves the workers of the CPU
+			// they need to finish, under -race above all.
+			runtime.Gosched()
 		}
 	}()
 	errs := make(chan error, workers+1)
@@ -165,6 +169,7 @@ func TestTracerConcurrentManyInFlight(t *testing.T) {
 					return
 				}
 			}
+			runtime.Gosched()
 		}
 	}()
 
