@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/agios"
@@ -55,6 +56,14 @@ func BenchmarkOptimumDistribution(b *testing.B) {
 	}
 }
 
+// benchCampaign is the one benchSets-set §3.2 campaign that Figures 2–3
+// and the headlines read, run once per test binary as the experiments CLI
+// runs it once per invocation.
+var benchCampaign = sync.OnceValues(func() (experiments.Figure2Result, error) {
+	return experiments.ExpFigure2(benchSets, 0)
+})
+
+// BenchmarkFigure2 times the campaign itself.
 func BenchmarkFigure2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.ExpFigure2(benchSets, 0)
@@ -68,19 +77,22 @@ func BenchmarkFigure2(b *testing.B) {
 }
 
 func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExpFigure3(benchSets, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.PeakMedian, "peak-median-ratio")
-		b.ReportMetric(float64(r.PeakPool), "peak-pool-IONs")
-		b.ReportMetric(r.OverallMax, "max-ratio")
+	fig2, err := benchCampaign()
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ResetTimer()
+	var r experiments.Figure3Result
+	for i := 0; i < b.N; i++ {
+		r = experiments.ExpFigure3(fig2)
+	}
+	b.ReportMetric(r.PeakMedian, "peak-median-ratio")
+	b.ReportMetric(float64(r.PeakPool), "peak-pool-IONs")
+	b.ReportMetric(r.OverallMax, "max-ratio")
 }
 
 func BenchmarkPolicyHeadlines(b *testing.B) {
-	fig2, err := experiments.ExpFigure2(benchSets, 0)
+	fig2, err := benchCampaign()
 	if err != nil {
 		b.Fatal(err)
 	}

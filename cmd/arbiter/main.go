@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/forge"
 	"repro/internal/mapping"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
@@ -138,23 +139,13 @@ func parseApps(list string) ([]policy.Application, error) {
 	return apps, nil
 }
 
+// policyByName finds the §3.2 roster policy whose Name matches,
+// ignoring case.
 func policyByName(name string) (policy.Policy, error) {
-	switch strings.ToUpper(name) {
-	case "ZERO":
-		return policy.Zero{}, nil
-	case "ONE":
-		return policy.One{}, nil
-	case "STATIC":
-		return policy.Static{}, nil
-	case "SIZE":
-		return policy.Proportional{}, nil
-	case "PROCESS":
-		return policy.Proportional{ByProcesses: true}, nil
-	case "ORACLE":
-		return policy.Oracle{}, nil
-	case "MCKP":
-		return policy.MCKP{}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
+	for _, p := range forge.Policies() {
+		if strings.EqualFold(p.Name(), name) {
+			return p, nil
+		}
 	}
+	return nil, fmt.Errorf("unknown policy %q", name)
 }

@@ -14,12 +14,12 @@ func TestPolicyByName(t *testing.T) {
 			t.Errorf("policyByName(%q): %v", name, err)
 			continue
 		}
-		if p == nil {
-			t.Errorf("policyByName(%q) returned nil", name)
+		if p.Name() != strings.ToUpper(name) {
+			t.Errorf("policyByName(%q) returned %s", name, p.Name())
 		}
 	}
-	if _, err := policyByName("BOGUS"); err == nil {
-		t.Error("unknown policy should fail")
+	if _, err := policyByName("BOGUS"); err == nil || err.Error() != `unknown policy "BOGUS"` {
+		t.Errorf("unknown policy: %v", err)
 	}
 }
 

@@ -8,8 +8,9 @@
 //	             figure9|timing|curveerror|all]
 //
 // With no arguments, everything except the slow campaign experiments runs;
-// "all" includes those too. -sets controls the size of the Figure 2/3
-// campaigns and of the curve-error experiment's (default 2000; the paper
+// "all" includes those too. figure2, figure3 and headlines read one §3.2
+// campaign, run once per invocation. -sets controls the size of that
+// campaign and of the curve-error experiment's (default 2000; the paper
 // uses 10000). -workers bounds the campaign worker pool (default: all
 // cores); every worker count produces identical tables.
 package main
@@ -38,15 +39,34 @@ func main() {
 			"figure3", "figure5", "figure6", "table4", "figure7", "figure8", "figure9", "timing", "ablation", "robustness", "curveerror"}
 	}
 
+	s := &session{sets: *sets, workers: *workers}
 	for _, name := range targets {
-		if err := run(name, *sets, *workers, os.Stdout); err != nil {
+		if err := s.run(name, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 	}
 }
 
-func run(name string, sets, workers int, w io.Writer) error {
+// session runs experiments for one invocation; the §3.2 campaign behind
+// figure2, figure3 and headlines runs at most once.
+type session struct {
+	sets, workers int
+	fig2          *experiments.Figure2Result
+}
+
+func (s *session) campaign() (experiments.Figure2Result, error) {
+	if s.fig2 == nil {
+		r, err := experiments.ExpFigure2(s.sets, s.workers)
+		if err != nil {
+			return r, err
+		}
+		s.fig2 = &r
+	}
+	return *s.fig2, nil
+}
+
+func (s *session) run(name string, w io.Writer) error {
 	switch name {
 	case "table1":
 		fmt.Fprintln(w, experiments.ExpTable1().Table())
@@ -61,22 +81,23 @@ func run(name string, sets, workers int, w io.Writer) error {
 	case "distribution":
 		fmt.Fprintln(w, experiments.ExpOptimumDistribution().Table())
 	case "headlines":
-		fig2, err := experiments.ExpFigure2(sets, workers)
+		fig2, err := s.campaign()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, experiments.ExpPolicyHeadlines(fig2).Table())
 	case "figure2":
-		r, err := experiments.ExpFigure2(sets, workers)
+		fig2, err := s.campaign()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, r.Table())
+		fmt.Fprintln(w, fig2.Table())
 	case "figure3":
-		r, err := experiments.ExpFigure3(sets, workers)
+		fig2, err := s.campaign()
 		if err != nil {
 			return err
 		}
+		r := experiments.ExpFigure3(fig2)
 		fmt.Fprintln(w, r.Table())
 		fmt.Fprintf(w, "peak median %.2f× at %d IONs; overall max %.2f×; mean %.2f×\n\n",
 			r.PeakMedian, r.PeakPool, r.OverallMax, r.OverallMean)
@@ -141,7 +162,7 @@ func run(name string, sets, workers int, w io.Writer) error {
 		}
 		fmt.Fprintln(w, r.Table())
 	case "curveerror":
-		r, err := experiments.ExpCurveError(sets, workers)
+		r, err := experiments.ExpCurveError(s.sets, s.workers)
 		if err != nil {
 			return err
 		}

@@ -6,21 +6,20 @@
 //
 //	forge -nodes 32 -ppn 48 -layout shared -spatiality strided -req 512KiB
 //	forge -survey          # the full 189-scenario MN4 factorial
-//	forge -campaign -sets 10000 -workers 8     # the §3.2 policy campaign
 //	forge -live -nodes 2 -ppn 8 -volume 4MiB   # replay on a live stack
+//
+// The §3.2 policy campaign behind Figures 2–3 is
+// `experiments figure2 figure3 headlines`.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/forge"
-	"repro/internal/fwd"
 	"repro/internal/livestack"
 	"repro/internal/pattern"
 	"repro/internal/perfmodel"
@@ -35,10 +34,6 @@ func main() {
 	req := flag.String("req", "1MiB", "request size (e.g. 32KiB, 4MiB)")
 	maxIONs := flag.Int("max-ions", 8, "largest I/O-node count to explore")
 	survey := flag.Bool("survey", false, "evaluate the full 189-scenario survey instead")
-	campaign := flag.Bool("campaign", false, "run the §3.2 policy campaign (Figures 2–3) instead")
-	sets := flag.Int("sets", 10000, "application sets for -campaign (paper: 10000)")
-	seed := flag.Int64("seed", 42, "campaign sampling seed")
-	workers := flag.Int("workers", 0, "campaign worker goroutines (0 = all cores); results are identical for any value")
 	live := flag.Bool("live", false, "replay the pattern's profile on a live forwarding stack instead of the model")
 	volume := flag.String("volume", "4MiB", "total volume for -live replay")
 	flag.Parse()
@@ -46,13 +41,6 @@ func main() {
 	m := perfmodel.Default()
 	if *survey {
 		runSurvey(m)
-		return
-	}
-	if *campaign {
-		if err := runCampaign(os.Stdout, *sets, *seed, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "forge:", err)
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -136,74 +124,16 @@ func runLive(p pattern.Pattern, volumeStr string, maxIONs int) error {
 		return err
 	}
 	defer st.Close()
-	fmt.Printf("live replay of %s (%s total) on %d I/O nodes:\n",
-		p, units.FormatBytes(volume), maxIONs)
-	for _, k := range pattern.IONOptions(p.Nodes, maxIONs, true) {
-		prof, err := forge.BuildProfile(p, volume, fmt.Sprintf("/live%d", k))
-		if err != nil {
-			return err
-		}
-		client, err := fwd.NewClient(fwd.Config{AppID: fmt.Sprintf("replay%d", k), Direct: st.Store})
-		if err != nil {
-			return err
-		}
-		client.SetIONs(st.Addrs[:k])
-		rep, err := forge.Replay(client, prof)
-		client.Close()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %d I/O nodes: %s (%d requests in %v)\n",
-			k, rep.Bandwidth, rep.Requests, rep.Elapsed.Round(1e6))
-	}
-	return nil
-}
-
-// runCampaign executes the §3.2 campaign with the parallel engine and
-// prints the Figure 2 medians and Figure 3 ratio bands.
-func runCampaign(w io.Writer, sets int, seed int64, workers int) error {
-	cfg := forge.DefaultConfig()
-	if sets > 0 {
-		cfg.Sets = sets
-	}
-	cfg.Seed = seed
-	cfg.Workers = workers
-	start := time.Now()
-	camp, err := forge.Run(cfg)
+	runs, err := forge.ReplaySweep(st.Store, st.Addrs, p, volume, "/live")
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
-
-	med := camp.MedianSeries()
-	fmt.Fprintf(w, "§3.2 campaign: %d sets × %d apps, seed %d (%v)\n",
-		cfg.Sets, cfg.AppsPerSet, cfg.Seed, elapsed.Round(time.Millisecond))
-	fmt.Fprintf(w, "\nFigure 2 — median aggregate bandwidth (GB/s):\n%-6s", "IONs")
-	for _, p := range camp.Policies {
-		fmt.Fprintf(w, " %9s", p)
+	fmt.Printf("live replay of %s (%s total) on %d I/O nodes:\n",
+		p, units.FormatBytes(volume), maxIONs)
+	for _, r := range runs {
+		fmt.Printf("  %d I/O nodes: %s (%d requests in %v)\n",
+			r.IONs, r.Bandwidth, r.Requests, r.Elapsed.Round(1e6))
 	}
-	fmt.Fprintln(w)
-	for _, pool := range cfg.PoolSizes {
-		fmt.Fprintf(w, "%-6d", pool)
-		for _, p := range camp.Policies {
-			if v, ok := med[p][pool]; ok {
-				fmt.Fprintf(w, " %9.2f", v)
-			} else {
-				fmt.Fprintf(w, " %9s", "-")
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "\nFigure 3 — MCKP over STATIC ratio bands:\n%-6s %8s %8s %8s %8s %8s\n",
-		"IONs", "min", "median", "max", "mean", "sets<1")
-	for _, b := range camp.RatioSeries("MCKP", "STATIC") {
-		fmt.Fprintf(w, "%-6d %8.2f %8.2f %8.2f %8.2f %8d\n",
-			b.Pool, b.Min, b.Median, b.Max, b.Mean, b.SetsBelowParityCount)
-	}
-	h := camp.ComputeHeadlines()
-	fmt.Fprintf(w, "\nheadlines: ONE-vs-ZERO median slowdown %.1f%%; ORACLE-vs-ZERO boost min/median/max %.1f%%/%.1f%%/%.1f%%\n",
-		h.OneVsZeroMedianSlowdownPct, h.OracleVsZeroMinBoostPct,
-		h.OracleVsZeroMedianBoostPct, h.OracleVsZeroMaxBoostPct)
 	return nil
 }
 

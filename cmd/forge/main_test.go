@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/pattern"
@@ -35,33 +33,6 @@ func TestParseSize(t *testing.T) {
 	}
 	if _, err := parseSize("abcMiB"); err == nil {
 		t.Error("garbage size should fail")
-	}
-}
-
-// TestRunCampaignIdenticalAcrossWorkers: the CLI campaign output (tables,
-// bands, headlines — everything below the timing line) is byte-identical
-// for every worker count.
-func TestRunCampaignIdenticalAcrossWorkers(t *testing.T) {
-	render := func(workers int) string {
-		var buf bytes.Buffer
-		if err := runCampaign(&buf, 40, 42, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		// Drop the first line: it reports wall-clock time.
-		_, rest, ok := strings.Cut(buf.String(), "\n")
-		if !ok {
-			t.Fatalf("workers=%d: no output", workers)
-		}
-		return rest
-	}
-	serial := render(1)
-	if !strings.Contains(serial, "Figure 2") || !strings.Contains(serial, "Figure 3") {
-		t.Fatalf("campaign output incomplete:\n%s", serial)
-	}
-	for _, workers := range []int{2, 8} {
-		if got := render(workers); got != serial {
-			t.Errorf("workers=%d output differs from serial:\n%s\nvs\n%s", workers, got, serial)
-		}
 	}
 }
 

@@ -6,7 +6,12 @@
 // Usage:
 //
 //	gkfwd -ions 4 -apps IOR-MPI,HACC -scheduler AIOLI
+//	gkfwd -ions 12 -queue           # the §5.3 FIFO queue, 14 tiny-scale jobs
 //	gkfwd -ions 4 -sweep HACC       # bandwidth vs allocated I/O nodes
+//
+// -apps and -queue both run their jobs through livestack.RunQueue: -apps
+// starts every listed app at once, -queue admits the §5.3 jobs in FIFO
+// order on 96 virtual compute nodes.
 package main
 
 import (
@@ -16,8 +21,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
-	"sync"
 
 	"repro/internal/livestack"
 	"repro/internal/policy"
@@ -55,44 +58,48 @@ func main() {
 
 	switch {
 	case plan.queue:
-		runLiveQueue(st)
+		q, err := livestack.PaperLiveQueue()
+		if err != nil {
+			fail(err)
+		}
+		runJobs(st, "the §5.3 queue", q, 96)
 	case plan.sweep != nil:
 		runSweep(st, *plan.sweep, cfg.IONs)
 	default:
-		runConcurrent(st, plan.apps)
+		q, nodes := appJobs(plan.apps)
+		runJobs(st, "-apps", q, nodes)
 	}
 }
 
-func runConcurrent(st *livestack.Stack, running []app) {
-	var wg sync.WaitGroup
+// appJobs makes one live job per -apps entry, each arbitrated on its full
+// Figure 5 curve (so direct access stays an option), and returns the
+// compute nodes they occupy together: on that many, all start at once.
+func appJobs(running []app) ([]livestack.LiveJob, int) {
+	q := make([]livestack.LiveJob, len(running))
+	nodes := 0
 	for i, a := range running {
 		id := fmt.Sprintf("%s#%d", a.label, i+1)
-		client, err := st.NewClient(id)
-		if err != nil {
-			fail(err)
-		}
-		got, err := st.Arbiter.JobStarted(policy.FromAppSpec(id, a.spec))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("  %-12s assigned %d I/O nodes (solve %v)\n", id, len(got), st.Arbiter.LastSolveTime())
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep, err := a.kernel.Run(client, "/"+id)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "  %-12s FAILED: %v\n", id, err)
-				return
-			}
-			fmt.Printf("  %-12s wrote %s read %s in %v → %s\n",
-				id, units.FormatBytes(rep.WriteBytes), units.FormatBytes(rep.ReadBytes),
-				rep.Elapsed.Round(1e6), rep.Bandwidth)
-			if err := st.Arbiter.JobFinished(id); err != nil {
-				fmt.Fprintf(os.Stderr, "  %-12s finish: %v\n", id, err)
-			}
-		}()
+		q[i] = livestack.LiveJob{ID: id, App: policy.FromAppSpec(id, a.spec), Kernel: a.kernel}
+		nodes += q[i].App.Nodes
 	}
-	wg.Wait()
+	return q, nodes
+}
+
+// runJobs runs q on the stack with livestack.RunQueue and prints each
+// job's span and I/O, then the daemons' and the PFS's statistics.
+func runJobs(st *livestack.Stack, what string, q []livestack.LiveJob, computeNodes int) {
+	fmt.Printf("running %s live: %d jobs on %d virtual compute nodes\n", what, len(q), computeNodes)
+	res, err := livestack.RunQueue(st, q, computeNodes)
+	if err != nil {
+		fail(err)
+	}
+	for _, j := range q { // FIFO: queue order is start order
+		id, rep := j.ID, res.Reports[j.ID]
+		fmt.Printf("  %-12s %2d I/O nodes at start  %10v → %10v  wrote %s read %s → %s\n", id, len(res.IONs[id]),
+			res.Start[id].Round(1e6), res.End[id].Round(1e6),
+			units.FormatBytes(rep.WriteBytes), units.FormatBytes(rep.ReadBytes), rep.Bandwidth)
+	}
+	fmt.Printf("completed in %v\n", res.Elapsed.Round(1e6))
 
 	fmt.Println("\nI/O-node daemon statistics:")
 	for _, d := range st.Daemons {
@@ -126,31 +133,6 @@ func runSweep(st *livestack.Stack, swept app, maxIONs int) {
 		fmt.Printf("  %d I/O nodes: %s (%s in %v)\n",
 			k, rep.Bandwidth, units.FormatBytes(rep.WriteBytes+rep.ReadBytes), rep.Elapsed.Round(1e6))
 	}
-}
-
-// runLiveQueue replays the §5.3 FIFO queue with tiny-scale kernels.
-func runLiveQueue(st *livestack.Stack) {
-	q, err := livestack.PaperLiveQueue()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("running the §5.3 queue live: %d jobs on 96 virtual compute nodes\n", len(q))
-	res, err := livestack.RunQueue(st, q, 96)
-	if err != nil {
-		fail(err)
-	}
-	ids := make([]string, 0, len(res.Reports))
-	for id := range res.Reports {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return res.Start[ids[i]] < res.Start[ids[j]] })
-	for _, id := range ids {
-		rep := res.Reports[id]
-		fmt.Printf("  %-10s %10v → %10v  %12s  %s\n", id,
-			res.Start[id].Round(1e6), res.End[id].Round(1e6),
-			units.FormatBytes(rep.WriteBytes+rep.ReadBytes), rep.Bandwidth)
-	}
-	fmt.Printf("queue completed in %v\n", res.Elapsed.Round(1e6))
 }
 
 func fail(err error) {

@@ -20,3 +20,24 @@ func TestKernelFor(t *testing.T) {
 		t.Errorf("labels should be trimmed: %v", err)
 	}
 }
+
+// TestAppJobs: -apps runs each app on its full curve, direct access
+// included, on exactly the compute nodes the apps occupy together.
+func TestAppJobs(t *testing.T) {
+	running, err := resolveApps([]string{"IOR-MPI", "HACC"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, nodes := appJobs(running)
+	if len(q) != 2 || q[0].ID != "IOR-MPI#1" || q[1].ID != "HACC#2" {
+		t.Fatalf("jobs: %+v", q)
+	}
+	if want := running[0].spec.Nodes + running[1].spec.Nodes; nodes != want {
+		t.Fatalf("compute nodes %d, want %d", nodes, want)
+	}
+	for _, j := range q {
+		if _, ok := j.App.Curve.At(0); !ok {
+			t.Errorf("%s: curve lacks the direct-access option", j.ID)
+		}
+	}
+}

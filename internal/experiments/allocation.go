@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/forge"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
 )
@@ -16,19 +17,6 @@ func fiveTwoApps() []policy.Application {
 		apps = append(apps, policy.FromAppSpec(s.Label, s))
 	}
 	return apps
-}
-
-// fiveTwoPolicies is the §5.2 policy roster.
-func fiveTwoPolicies() []policy.Policy {
-	return []policy.Policy{
-		policy.Zero{},
-		policy.One{},
-		policy.Static{},
-		policy.Proportional{},
-		policy.Proportional{ByProcesses: true},
-		policy.MCKP{},
-		policy.Oracle{},
-	}
 }
 
 // Figure5Result holds the per-application bandwidth curves (Table 3 apps).
@@ -82,7 +70,7 @@ func ExpFigure6() (Figure6Result, error) {
 	apps := fiveTwoApps()
 	pools := []int{4, 8, 12, 16, 20, 24, 28, 32, 36}
 	res := Figure6Result{Pools: pools, GBps: map[string]map[int]float64{}}
-	for _, p := range fiveTwoPolicies() {
+	for _, p := range forge.Policies() {
 		res.Policies = append(res.Policies, p.Name())
 		series := map[int]float64{}
 		for _, pool := range pools {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/jobs"
@@ -189,14 +188,4 @@ func (r PolicyHeadlinesResult) Table() Table {
 			{"ORACLE vs ZERO max boost %", f2(r.OracleVsZeroMaxBoostPct), "121.68"},
 		},
 	}
-}
-
-// sortedKeys is a small helper for deterministic map iteration in tests.
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

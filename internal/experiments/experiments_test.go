@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -72,8 +73,12 @@ func TestExpOptimumDistribution(t *testing.T) {
 	}
 }
 
+// smallCampaign is the one 150-set §3.2 campaign that the Figure 2,
+// Figure 3 and headline tests read, as the experiments CLI reads one.
+var smallCampaign = sync.OnceValues(func() (Figure2Result, error) { return ExpFigure2(150, 4) })
+
 func TestExpFigure2Small(t *testing.T) {
-	r, err := ExpFigure2(150, 4)
+	r, err := smallCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +95,11 @@ func TestExpFigure2Small(t *testing.T) {
 }
 
 func TestExpFigure3Small(t *testing.T) {
-	r, err := ExpFigure3(150, 4)
+	fig2, err := smallCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := ExpFigure3(fig2)
 	if len(r.Bands) == 0 {
 		t.Fatal("no bands")
 	}
@@ -270,12 +276,12 @@ func TestExpSolverTiming(t *testing.T) {
 }
 
 func TestExpPolicyHeadlines(t *testing.T) {
-	fig2, err := ExpFigure2(100, 0)
+	fig2, err := smallCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := ExpPolicyHeadlines(fig2)
-	if h.Sets != 100 {
+	if h.Sets != 150 {
 		t.Fatalf("sets: %d", h.Sets)
 	}
 	if h.OneVsZeroMedianSlowdownPct <= 0 {
@@ -285,11 +291,4 @@ func TestExpPolicyHeadlines(t *testing.T) {
 		t.Error("ORACLE should never lose to ZERO")
 	}
 	h.Table()
-}
-
-func TestSortedKeys(t *testing.T) {
-	got := sortedKeys(map[string]float64{"b": 1, "a": 2})
-	if len(got) != 2 || got[0] != "a" {
-		t.Fatalf("sortedKeys: %v", got)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/forge"
-	"repro/internal/fwd"
 	"repro/internal/livestack"
 	"repro/internal/pattern"
 	"repro/internal/units"
@@ -59,26 +58,13 @@ func ExpFigure1Live(scale int, volume int64) (Figure1LiveResult, error) {
 		p.Nodes = max(1, p.Nodes/scale)
 		p.ProcsPerNod = max(1, p.ProcsPerNod/scale)
 		res.Geometry[label] = fmt.Sprintf("%dn×%dp", p.Nodes, p.ProcsPerNod)
+		runs, err := forge.ReplaySweep(st.Store, st.Addrs, p, volume, "/f1live/"+label)
+		if err != nil {
+			return res, fmt.Errorf("experiments: figure1live %s: %w", label, err)
+		}
 		series := map[int]float64{}
-		for _, k := range pattern.IONOptions(p.Nodes, 8, true) {
-			prof, err := forge.BuildProfile(p, volume, fmt.Sprintf("/f1live/%s/%d", label, k))
-			if err != nil {
-				return res, err
-			}
-			client, err := fwd.NewClient(fwd.Config{
-				AppID:  fmt.Sprintf("f1-%s-%d", label, k),
-				Direct: st.Store,
-			})
-			if err != nil {
-				return res, err
-			}
-			client.SetIONs(st.Addrs[:k])
-			rep, err := forge.Replay(client, prof)
-			client.Close()
-			if err != nil {
-				return res, fmt.Errorf("experiments: figure1live %s k=%d: %w", label, k, err)
-			}
-			series[k] = rep.Bandwidth.MBps()
+		for _, r := range runs {
+			series[r.IONs] = r.Bandwidth.MBps()
 		}
 		res.MBps[label] = series
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/forge"
@@ -88,8 +87,7 @@ func (r Figure1Result) Table() Table {
 		Header: []string{"Pattern", "Geometry", "0", "1", "2", "4", "8", "Best"},
 	}
 	for _, label := range r.Labels {
-		p := r.Patterns[label]
-		row := []string{label, fmt.Sprintf("%dn×%dp %s %s", p.Nodes, p.ProcsPerNod, p.Layout, p.Spatiality)}
+		row := []string{label, r.Patterns[label].String()}
 		for _, k := range []int{0, 1, 2, 4, 8} {
 			row = append(row, f1(r.MBps[label][k]))
 		}
@@ -189,9 +187,6 @@ func (r Figure2Result) Table() Table {
 // Figure3Result holds the MCKP÷STATIC improvement bands.
 type Figure3Result struct {
 	Bands []forge.RatioBand
-	// Headlines carries the §3.2 ZERO/ONE/ORACLE statistics computed on
-	// the same campaign.
-	Headlines forge.Headlines
 	// PeakMedian and PeakPool locate the largest median improvement.
 	PeakMedian float64
 	PeakPool   int
@@ -201,23 +196,10 @@ type Figure3Result struct {
 	OverallMean float64
 }
 
-// ExpFigure3 derives the Figure 3 bands from a campaign (rerun here so the
-// experiment is self-contained). sets ≤ 0 selects the paper's 10,000.
-// workers bounds the campaign's worker pool (≤ 0 selects GOMAXPROCS).
-func ExpFigure3(sets, workers int) (Figure3Result, error) {
-	cfg := forge.DefaultConfig()
-	if sets > 0 {
-		cfg.Sets = sets
-	}
-	cfg.Workers = workers
-	camp, err := forge.Run(cfg)
-	if err != nil {
-		return Figure3Result{}, err
-	}
-	res := Figure3Result{
-		Bands:     camp.RatioSeries("MCKP", "STATIC"),
-		Headlines: camp.ComputeHeadlines(),
-	}
+// ExpFigure3 derives the Figure 3 bands from the Figure 2 campaign result
+// (avoids rerunning the campaign).
+func ExpFigure3(fig2 Figure2Result) Figure3Result {
+	res := Figure3Result{Bands: fig2.Campaign.RatioSeries("MCKP", "STATIC")}
 	var sum float64
 	var n int
 	for _, b := range res.Bands {
@@ -233,7 +215,7 @@ func ExpFigure3(sets, workers int) (Figure3Result, error) {
 	if n > 0 {
 		res.OverallMean = sum / float64(n)
 	}
-	return res, nil
+	return res
 }
 
 // Table renders the result.

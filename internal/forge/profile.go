@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fwd"
 	"repro/internal/pattern"
 	"repro/internal/pfs"
 	"repro/internal/units"
@@ -131,4 +132,38 @@ func Replay(fs pfs.FileSystem, profile []ProfileRequest) (ReplayReport, error) {
 	}
 	rep.Bandwidth = units.Over(rep.Bytes, rep.Elapsed)
 	return rep, nil
+}
+
+// IONReplay is one point of a live sweep: the profile replayed on IONs
+// I/O nodes.
+type IONReplay struct {
+	IONs int
+	ReplayReport
+}
+
+// ReplaySweep replays p's profile of volume bytes at each I/O-node count
+// pattern.IONOptions offers up to len(addrs) — FORGE's deployment
+// exploration on a live stack. Each run lays its profile out under
+// dir/<k> and issues it through a fresh forwarding client routed over the
+// first k of addrs; k = 0 writes straight to direct.
+func ReplaySweep(direct pfs.FileSystem, addrs []string, p pattern.Pattern, volume int64, dir string) ([]IONReplay, error) {
+	var out []IONReplay
+	for _, k := range pattern.IONOptions(p.Nodes, len(addrs), true) {
+		prof, err := BuildProfile(p, volume, fmt.Sprintf("%s/%d", dir, k))
+		if err != nil {
+			return nil, err
+		}
+		client, err := fwd.NewClient(fwd.Config{AppID: fmt.Sprintf("replay%s/%d", dir, k), Direct: direct})
+		if err != nil {
+			return nil, err
+		}
+		client.SetIONs(addrs[:k])
+		rep, err := Replay(client, prof)
+		client.Close()
+		if err != nil {
+			return nil, fmt.Errorf("forge: replay on %d I/O nodes: %w", k, err)
+		}
+		out = append(out, IONReplay{IONs: k, ReplayReport: rep})
+	}
+	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/jobs"
+	"repro/internal/mckp"
 	"repro/internal/policy"
 )
 
@@ -24,6 +25,8 @@ type LiveJob struct {
 // LiveQueueResult is the outcome of RunQueue.
 type LiveQueueResult struct {
 	Reports map[string]apps.Report
+	// IONs records the addresses JobStarted assigned each job.
+	IONs map[string][]string
 	// Start/End record each job's span relative to the queue start.
 	Start, End map[string]time.Duration
 	Elapsed    time.Duration
@@ -33,8 +36,12 @@ type LiveQueueResult struct {
 // starts when enough virtual compute nodes are free, registers with the
 // arbiter (triggering a re-arbitration exactly as in §5.3), runs its
 // kernel through a mapping-subscribed forwarding client, and releases its
-// resources on completion. It is the live counterpart of
-// jobs.SimulateQueue, at whatever scale the kernels are configured for.
+// resources on completion. A job the I/O-node pool cannot serve beside
+// the running ones (mckp.ErrInfeasible) is held at the head of the queue
+// until a running job finishes, then retried; it fails only when nothing
+// is running. On the first error no further job starts, and RunQueue
+// returns once the started ones have finished. It is the live counterpart
+// of jobs.SimulateQueue, at whatever scale the kernels are configured for.
 func RunQueue(st *Stack, queue []LiveJob, computeNodes int) (*LiveQueueResult, error) {
 	if len(queue) == 0 {
 		return nil, errors.New("livestack: empty queue")
@@ -51,11 +58,13 @@ func RunQueue(st *Stack, queue []LiveJob, computeNodes int) (*LiveQueueResult, e
 		free   = computeNodes
 		result = &LiveQueueResult{
 			Reports: map[string]apps.Report{},
+			IONs:    map[string][]string{},
 			Start:   map[string]time.Duration{},
 			End:     map[string]time.Duration{},
 		}
-		firstErr error
-		wg       sync.WaitGroup
+		started, finished int // jobs registered with / released from the arbiter
+		firstErr          error
+		wg                sync.WaitGroup
 	)
 	t0 := time.Now()
 
@@ -70,28 +79,49 @@ func RunQueue(st *Stack, queue []LiveJob, computeNodes int) (*LiveQueueResult, e
 			break
 		}
 		free -= job.App.Nodes
-		result.Start[job.ID] = time.Since(t0)
 		mu.Unlock()
 
 		client, err := st.NewClient(job.ID)
+		var addrs []string
+		for err == nil {
+			mu.Lock()
+			seen := finished
+			mu.Unlock()
+			if addrs, err = st.Arbiter.JobStarted(job.App); !errors.Is(err, mckp.ErrInfeasible) {
+				break
+			}
+			// Held: the pool cannot serve the job beside the running ones.
+			// Retry once one of them finishes; with none running, fail.
+			mu.Lock()
+			if started > seen {
+				for finished == seen && firstErr == nil {
+					cond.Wait()
+				}
+				err = firstErr
+			}
+			mu.Unlock()
+		}
+		mu.Lock()
 		if err != nil {
-			return nil, err
+			if client != nil {
+				client.Close()
+			}
+			if firstErr == nil {
+				firstErr = fmt.Errorf("livestack: start %s: %w", job.ID, err)
+			}
+			mu.Unlock()
+			break
 		}
-		if _, err := st.Arbiter.JobStarted(job.App); err != nil {
-			return nil, fmt.Errorf("livestack: start %s: %w", job.ID, err)
-		}
-		// Concurrent starts/finishes re-arbitrate continuously, so the
-		// exact count may already have changed; the job only needs to
-		// observe *a* forwarding allocation before issuing I/O (the
-		// queue's curves have no direct-access option).
-		if err := WaitForAllocation(client, 0, 5*time.Second); err != nil {
-			return nil, fmt.Errorf("livestack: %s: %w", job.ID, err)
-		}
+		started++
+		result.IONs[job.ID] = addrs
+		result.Start[job.ID] = time.Since(t0)
+		mu.Unlock()
 
 		wg.Add(1)
-		go func(job LiveJob) {
+		go func() {
 			defer wg.Done()
 			rep, err := job.Kernel.Run(client, "/"+job.ID)
+			client.Close()
 			finErr := st.Arbiter.JobFinished(job.ID)
 			mu.Lock()
 			defer mu.Unlock()
@@ -103,14 +133,13 @@ func RunQueue(st *Stack, queue []LiveJob, computeNodes int) (*LiveQueueResult, e
 			}
 			result.Reports[job.ID] = rep
 			result.End[job.ID] = time.Since(t0)
+			finished++
 			free += job.App.Nodes
 			cond.Broadcast()
-		}(job)
+		}()
 	}
 
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
 	if firstErr != nil {
 		return nil, firstErr
 	}
