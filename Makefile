@@ -127,7 +127,7 @@ qos:
 # enough to distort it.
 elastic:
 	$(GO) test -race -count=2 -timeout 300s -p 1 \
-		-run 'Elastic|Drain|Scale|Provision|Hysteresis|Forecast|MarkIdempotency|AddION|RemoveION|ReleaseConn|WaitForAllocation|AddStartsPessimistic|RemoveStopsProbing|LoadReportsSampled|Scaler|MarginalAdvisor|ValidateRejectsBadValues' \
+		-run 'Elastic|Drain|Scale|Provision|Hysteresis|Forecast|MarkIdempotency|AddION|RemoveION|ReleaseConn|AddStartsPessimistic|RemoveStopsProbing|LoadReportsSampled|Scaler|MarginalAdvisor|ValidateRejectsBadValues' \
 		./internal/scenario ./internal/elastic ./internal/livestack ./internal/arbiter \
 		./internal/health ./internal/fwd ./cmd/gkfwd
 

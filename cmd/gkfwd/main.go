@@ -127,6 +127,7 @@ func runSweep(st *livestack.Stack, swept app, maxIONs int) {
 		}
 		client.SetIONs(st.Addrs[:k])
 		rep, err := kernel.Run(client, fmt.Sprintf("/sweep%d", k))
+		client.Close()
 		if err != nil {
 			fail(err)
 		}

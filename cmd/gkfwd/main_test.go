@@ -1,6 +1,14 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/livestack"
+	"repro/internal/pfs"
+	"repro/internal/rpc"
+)
 
 func TestKernelFor(t *testing.T) {
 	for _, label := range []string{"BT-C", "HACC", "IOR-MPI", "POSIX-S", "POSIX-L", "MAD", "SIM", "S3D"} {
@@ -38,6 +46,38 @@ func TestAppJobs(t *testing.T) {
 	for _, j := range q {
 		if _, ok := j.App.Curve.At(0); !ok {
 			t.Errorf("%s: curve lacks the direct-access option", j.ID)
+		}
+	}
+}
+
+// recordingKernel is a kernel that only records the file system each run
+// was given.
+type recordingKernel struct{ given []pfs.FileSystem }
+
+func (k *recordingKernel) Name() string { return "recorder" }
+
+func (k *recordingKernel) Run(fs pfs.FileSystem, dir string) (apps.Report, error) {
+	k.given = append(k.given, fs)
+	return apps.Report{}, nil
+}
+
+// TestSweepClosesEveryClient: -sweep makes one client per I/O-node count
+// and closes each once its kernel returned, so none stays on the stack's
+// follower list with its pooled connections until exit.
+func TestSweepClosesEveryClient(t *testing.T) {
+	st, err := livestack.Start(livestack.Config{IONs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	k := &recordingKernel{}
+	runSweep(st, app{label: "recorder", kernel: k}, 4)
+	if len(k.given) != 4 { // k = 0, 1, 2, 4
+		t.Fatalf("the kernel ran %d times, want 4", len(k.given))
+	}
+	for i, fs := range k.given {
+		if err := fs.Create("/after-sweep"); !errors.Is(err, rpc.ErrClosed) {
+			t.Errorf("client %d answers %v after the sweep, want rpc.ErrClosed", i, err)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func ExpAblationDynamic() (AblationDynamicResult, error) {
 		return AblationDynamicResult{}, fmt.Errorf("experiments: no-forwarding: %w", err)
 	}
 	recruitCfg := noFwdCfg
-	recruitCfg.Recruit = jobs.RecruitIdleOptions{Enabled: true}
+	recruitCfg.RecruitIdle = true
 	recruited, err := jobs.SimulateQueue(recruitCfg)
 	if err != nil {
 		return AblationDynamicResult{}, fmt.Errorf("experiments: recruit: %w", err)

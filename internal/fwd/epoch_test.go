@@ -19,9 +19,11 @@ import (
 // fencedStack starts n fake I/O-node servers that share one fence floor
 // and apply accepted writes to ionStore: a write stamped below the fence
 // is rejected with the stale-epoch wire error, exactly as a real daemon
-// would. lastEpoch records the stamp of the most recent write request
+// would. onFence, when set, runs before each rejection is answered — where
+// a stack's Publish, having raised the fence, applies the map to the
+// client. lastEpoch records the stamp of the most recent write request
 // seen by any node.
-func fencedStack(t *testing.T, n int, ionStore *pfs.Store) (addrs []string, fence, lastEpoch *atomic.Uint64) {
+func fencedStack(t *testing.T, n int, ionStore *pfs.Store, onFence func()) (addrs []string, fence, lastEpoch *atomic.Uint64) {
 	t.Helper()
 	fence = &atomic.Uint64{}
 	lastEpoch = &atomic.Uint64{}
@@ -30,6 +32,9 @@ func fencedStack(t *testing.T, n int, ionStore *pfs.Store) (addrs []string, fenc
 			if req.Op == rpc.OpWrite {
 				lastEpoch.Store(req.Epoch)
 				if f := fence.Load(); req.Epoch != 0 && req.Epoch < f {
+					if onFence != nil {
+						onFence()
+					}
 					return &rpc.Message{Op: req.Op, Err: rpc.StaleEpochErrText(req.Epoch, f), Epoch: f}
 				}
 				k, err := ionStore.Write(req.Path, req.Offset, req.Data)
@@ -50,12 +55,9 @@ func fencedStack(t *testing.T, n int, ionStore *pfs.Store) (addrs []string, fenc
 	return addrs, fence, lastEpoch
 }
 
-func epochClient(t *testing.T, direct pfs.FileSystem, reg *telemetry.Registry, wait time.Duration) *Client {
+func epochClient(t *testing.T, direct pfs.FileSystem, reg *telemetry.Registry) *Client {
 	t.Helper()
-	c, err := NewClient(Config{
-		AppID: "eapp", Direct: direct, ChunkSize: 1024,
-		EpochWait: wait, Telemetry: reg,
-	})
+	c, err := NewClient(Config{AppID: "eapp", Direct: direct, ChunkSize: 1024, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,24 +66,22 @@ func epochClient(t *testing.T, direct pfs.FileSystem, reg *telemetry.Registry, w
 }
 
 // TestWriteRemapsOnStaleEpoch pins the remap-and-retry class: a fenced
-// write is not an error — the client waits for the post-recovery mapping,
-// rebuilds its routing, and the bytes land through the forwarding path,
-// counted exactly once.
+// write is not an error — the revoking map is installed before the
+// rejection comes back, the client rebuilds its routing over it, and the
+// bytes land through the forwarding path, counted exactly once.
 func TestWriteRemapsOnStaleEpoch(t *testing.T) {
 	ionStore := pfs.NewStore(pfs.Config{})
 	directStore := pfs.NewStore(pfs.Config{})
 	reg := telemetry.New()
-	addrs, fence, _ := fencedStack(t, 2, ionStore)
-	c := epochClient(t, directStore, reg, 5*time.Second)
+	var c *Client
+	var addrs []string
+	addrs, fence, _ := fencedStack(t, 2, ionStore, func() {
+		c.ApplyMap(mapping.Map{Version: 2, Fence: 2, IONs: map[string][]string{"eapp": addrs}})
+	})
+	c = epochClient(t, directStore, reg)
 
 	c.ApplyMap(mapping.Map{Version: 1, IONs: map[string][]string{"eapp": addrs}})
 	fence.Store(2) // the arbiter died and recovered: epoch 1 is revoked
-
-	// The post-recovery publish arrives while the write is waiting.
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		c.ApplyMap(mapping.Map{Version: 2, Fence: 2, IONs: map[string][]string{"eapp": addrs}})
-	}()
 
 	data := bytes.Repeat([]byte{5}, 4096) // 4 chunks: exercises span rebuild
 	k, err := c.Write("/f", 0, data)
@@ -102,29 +102,35 @@ func TestWriteRemapsOnStaleEpoch(t *testing.T) {
 		t.Fatal("remapped write leaked onto the direct path")
 	}
 	st := c.Stats()
-	if st.BytesOut != int64(len(data)) {
-		t.Fatalf("BytesOut = %d, want %d (bytes must count once across the retry)", st.BytesOut, len(data))
+	if st.BytesOut != int64(len(data)) || st.DirectOps != 0 {
+		t.Fatalf("BytesOut = %d, DirectOps = %d; want %d and 0 (bytes count once across the retry, none go direct)",
+			st.BytesOut, st.DirectOps, len(data))
 	}
 	if v := reg.Counter(`epoch_stale_retries_total{app="eapp"}`).Value(); v == 0 {
 		t.Fatal("epoch_stale_retries_total not incremented")
 	}
 }
 
-// TestStaleEpochFallsBackDirect: when no fresher mapping arrives inside
-// the EpochWait budget, the fenced bytes degrade to the direct PFS path —
-// byte-safe, because the fenced write never reached the backend.
-func TestStaleEpochFallsBackDirect(t *testing.T) {
+// TestRefusedStaleEpochWriteGoesDirectAtOnce: a write fenced while
+// its client holds no view above the rejected epoch lands once on the
+// direct PFS path — byte-safe, because the fenced write never reached the
+// backend — and does so at once: nothing is waited for.
+func TestRefusedStaleEpochWriteGoesDirectAtOnce(t *testing.T) {
 	ionStore := pfs.NewStore(pfs.Config{})
 	directStore := pfs.NewStore(pfs.Config{})
 	reg := telemetry.New()
-	addrs, fence, _ := fencedStack(t, 2, ionStore)
-	c := epochClient(t, directStore, reg, 30*time.Millisecond)
+	addrs, fence, _ := fencedStack(t, 2, ionStore, nil)
+	c := epochClient(t, directStore, reg)
 
 	c.ApplyMap(mapping.Map{Version: 1, IONs: map[string][]string{"eapp": addrs}})
 	fence.Store(2)
 
 	data := bytes.Repeat([]byte{9}, 2048)
+	began := time.Now()
 	k, err := c.Write("/g", 0, data)
+	if took := time.Since(began); took > 500*time.Millisecond {
+		t.Errorf("the fenced write took %v: it waited for a map", took)
+	}
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -144,6 +150,9 @@ func TestStaleEpochFallsBackDirect(t *testing.T) {
 	if st := c.Stats(); st.BytesOut != int64(len(data)) {
 		t.Fatalf("BytesOut = %d, want %d", st.BytesOut, len(data))
 	}
+	if v := reg.Counter(`epoch_stale_retries_total{app="eapp"}`).Value(); v == 0 {
+		t.Fatal("epoch_stale_retries_total not incremented")
+	}
 }
 
 // TestWriteStampsViewEpoch: forwarded writes carry the mapping version of
@@ -153,8 +162,8 @@ func TestStaleEpochFallsBackDirect(t *testing.T) {
 func TestWriteStampsViewEpoch(t *testing.T) {
 	ionStore := pfs.NewStore(pfs.Config{})
 	reg := telemetry.New()
-	addrs, _, lastEpoch := fencedStack(t, 1, ionStore)
-	c := epochClient(t, pfs.NewStore(pfs.Config{}), reg, time.Second)
+	addrs, _, lastEpoch := fencedStack(t, 1, ionStore, nil)
+	c := epochClient(t, pfs.NewStore(pfs.Config{}), reg)
 
 	c.ApplyMap(mapping.Map{Version: 7, IONs: map[string][]string{"eapp": addrs}})
 	if _, err := c.Write("/h", 0, []byte("abcd")); err != nil {
@@ -177,8 +186,8 @@ func TestWriteStampsViewEpoch(t *testing.T) {
 func TestSetIONsOnlyClientStampsNoEpoch(t *testing.T) {
 	ionStore := pfs.NewStore(pfs.Config{})
 	reg := telemetry.New()
-	addrs, fence, lastEpoch := fencedStack(t, 1, ionStore)
-	c := epochClient(t, pfs.NewStore(pfs.Config{}), reg, time.Second)
+	addrs, fence, lastEpoch := fencedStack(t, 1, ionStore, nil)
+	c := epochClient(t, pfs.NewStore(pfs.Config{}), reg)
 	fence.Store(100)
 	c.SetIONs(addrs)
 	lastEpoch.Store(1)
@@ -215,7 +224,7 @@ func TestHeldRouteStampsRecoveryEpoch(t *testing.T) {
 		addrs, daemons = append(addrs, addr), append(daemons, d)
 	}
 	reg := telemetry.New()
-	held := epochClient(t, pfs.NewStore(pfs.Config{}), reg, time.Second)
+	held := epochClient(t, pfs.NewStore(pfs.Config{}), reg)
 	moved, err := NewClient(Config{AppID: "moved", Direct: pfs.NewStore(pfs.Config{}), ChunkSize: 1024, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +281,8 @@ func TestHeldRouteStampsRecoveryEpoch(t *testing.T) {
 func TestUnchangedRouteEpochRace(t *testing.T) {
 	ionStore := pfs.NewStore(pfs.Config{})
 	reg := telemetry.New()
-	addrs, fence, lastEpoch := fencedStack(t, 2, ionStore)
-	c := epochClient(t, pfs.NewStore(pfs.Config{}), reg, time.Second)
+	addrs, fence, lastEpoch := fencedStack(t, 2, ionStore, nil)
+	c := epochClient(t, pfs.NewStore(pfs.Config{}), reg)
 	const first = 5
 	ions := map[string][]string{"eapp": addrs}
 	fence.Store(first)

@@ -117,17 +117,6 @@ type Config struct {
 	// default) means unclassed: no admission check beyond one nil test,
 	// no priority byte, byte-for-byte pre-QoS behaviour.
 	QoS *qos.Class
-	// EpochWait bounds how long a fenced write waits for a fresher
-	// mapping before degrading to the direct path; ≤0 selects 2s. Every
-	// forwarded write carries the epoch of the route view it was built
-	// from (the last mapping version the client applied; 0, and no
-	// trailer on the wire, before its first ApplyMap). A daemon whose fence
-	// floor is above that epoch fences the write (rpc.ClassFenced) — a
-	// remap signal, not a failure: the client waits for a fresher mapping,
-	// rebuilds the span routing against it and retries; if none arrives it
-	// falls back to the direct PFS path, which is byte-safe because a
-	// fenced write was never applied.
-	EpochWait time.Duration
 	// Hedge configures tail-tolerant hedged requests (see hedge.go): a
 	// span RPC that exceeds an adaptive per-I/O-node latency percentile
 	// launches one budget-capped backup attempt — writes as a same-stamp
@@ -181,7 +170,10 @@ type target struct {
 // map. Its targets never change: SetIONs/ApplyMap publish a fresh view
 // when the allocation moves, and otherwise only advance the current
 // view's epoch in place — sound for fencing, because every epoch the view
-// carries routed exactly these targets.
+// carries routed exactly these targets. Every forwarded write carries the
+// epoch of the view it was built from (0, and no trailer on the wire,
+// before the first ApplyMap); a daemon whose fence is above it fences the
+// write (rpc.ClassFenced).
 type routeView struct {
 	targets []*target
 	epoch   atomic.Uint64 // latest mapping version that routed these targets (0 = manual SetIONs)
@@ -208,8 +200,7 @@ type Client struct {
 	targets map[string]*target // address → per-node record, kept across remaps
 	gates   gatePolicy         // what every target's gate shares
 	ver     uint64
-	fence   uint64        // highest revocation floor seen in a mapping update
-	changed chan struct{} // the view-changed signal (see awaitView)
+	fence   uint64 // highest revocation floor seen in a mapping update
 
 	// Counters live on reg (app-labeled); coupled counters are updated in
 	// one reg.Update group and Stats() reads under reg.View, so snapshots
@@ -323,9 +314,6 @@ func NewClient(cfg Config) (*Client, error) {
 	if cfg.Dedup {
 		c.clientID = fmt.Sprintf("%s#%d", cfg.AppID, clientInstance.Add(1))
 	}
-	if cfg.EpochWait <= 0 {
-		c.cfg.EpochWait = 2 * time.Second
-	}
 	if cfg.Hedge.Enabled {
 		c.hedge = &hedgeState{
 			cfg:      cfg.Hedge,
@@ -392,59 +380,8 @@ func (c *Client) setIONsLocked(addrs []string) {
 		}
 	}
 	v.epoch.Store(c.ver)
-	c.publishLocked(v)
-	c.stats.remaps.Add(1)
-}
-
-// publishLocked installs v (nil on Close), or re-announces the current
-// view whose epoch moved, and wakes every parked wait; with none parked it
-// costs one nil check. Callers hold c.mu.
-func (c *Client) publishLocked(v *routeView) {
 	c.view.Store(v)
-	if c.changed != nil {
-		close(c.changed)
-		c.changed = nil
-	}
-}
-
-// awaitView returns the first route view ok accepts — the current one or a
-// later install's — and true; nil and false on timeout or Close. The first
-// waiter makes the view-changed signal; the next publishLocked closes and
-// clears it. ok runs without c.mu and may see a nil view.
-func (c *Client) awaitView(timeout time.Duration, ok func(*routeView) bool) (*routeView, bool) {
-	expired := time.NewTimer(timeout)
-	defer expired.Stop()
-	for {
-		c.mu.Lock()
-		if c.changed == nil {
-			c.changed = make(chan struct{})
-		}
-		v, changed := c.view.Load(), c.changed
-		c.mu.Unlock()
-		if c.closed.Load() { // Close sets closed before it takes c.mu to wake us
-			return nil, false
-		}
-		if ok(v) {
-			return v, true
-		}
-		select {
-		case <-changed:
-		case <-expired.C:
-			return nil, false
-		}
-	}
-}
-
-// AwaitIONs waits up to timeout for an allocation ok accepts — the current
-// one or one a later ApplyMap or SetIONs installs — and returns it and
-// true. On timeout or Close it returns the last allocation it saw and
-// false. ok runs without the client's lock held.
-func (c *Client) AwaitIONs(timeout time.Duration, ok func(ions []string) bool) (ions []string, held bool) {
-	_, held = c.awaitView(timeout, func(*routeView) bool {
-		ions = c.IONs() // if newer than awaitView's view, its install woke the wait
-		return ok(ions)
-	})
-	return ions, held
+	c.stats.remaps.Add(1)
 }
 
 // IONs returns the current allocation.
@@ -513,7 +450,7 @@ func (c *Client) Close() error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.publishLocked(nil)
+	c.view.Store(nil)
 	for _, t := range c.targets {
 		t.conn.Close()
 	}
@@ -773,9 +710,10 @@ const (
 	// takes it, as a failover.
 	unreachable
 	// fenced: a write stamped with a revoked epoch, refused before it
-	// touched the backend. It is sent again over a fresher view, or — none
-	// in reach — taken by the PFS. Only writes are fenced; for every other
-	// op the rejection is the answer, as with served.
+	// touched the backend. It is sent again over the fresher view the
+	// client holds, or — none held — taken by the PFS. Only writes are
+	// fenced; for every other op the rejection is the answer, as with
+	// served.
 	fenced
 )
 
@@ -1132,31 +1070,19 @@ func (c *Client) sendSpan(v *routeView, path string, off int64, p []byte, s span
 	resp.Release()
 	if out == fenced {
 		// Not a failure — a remap signal: the arbiter recovered and revoked
-		// every mapping this span could have been built from. Wait (bounded
-		// by EpochWait) for a view above the rejected epoch and route these
-		// bytes again over it.
+		// every mapping this span could have been built from. A stack
+		// applies the recovery map to every client inside the Publish that
+		// raised the fence, so the view held now is the fresher one, if
+		// any is: route these bytes again over it.
 		c.stats.epochRetries.Inc()
-		if depth < maxEpochRemaps {
-			if fresh := c.awaitEpochAbove(req.Epoch); fresh != nil {
-				return c.writeSpans(fresh, path, s.off, payload, tr, depth+1)
-			}
+		if fresh := c.loadView(); fresh != nil && fresh.epoch.Load() > req.Epoch && depth < maxEpochRemaps {
+			return c.writeSpans(fresh, path, s.off, payload, tr, depth+1)
 		}
 	}
-	// Shed, unreachable, or fenced with no fresher view in reach: the I/O
-	// node never applied this request, so the bytes — counted already —
-	// land exactly once through the PFS.
+	// Shed, unreachable, or fenced with no fresher view held: the I/O node
+	// never applied this request, so the bytes — counted already — land
+	// exactly once through the PFS.
 	return c.cfg.Direct.Write(path, s.off, payload)
-}
-
-// awaitEpochAbove waits up to EpochWait for the first install of a view
-// with epoch > stale. nil means the wait ran out, the client closed, or
-// the fresh view sends the app direct — each a reason to write direct.
-func (c *Client) awaitEpochAbove(stale uint64) *routeView {
-	v, ok := c.awaitView(c.cfg.EpochWait, func(v *routeView) bool { return v != nil && v.epoch.Load() > stale })
-	if !ok || len(v.targets) == 0 {
-		return nil
-	}
-	return v
 }
 
 // Read implements pfs.FileSystem. Span RPCs are issued concurrently, like

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/agios"
 	"repro/internal/ion"
@@ -341,59 +340,6 @@ func TestFollowerLoopAppliesBusUpdates(t *testing.T) {
 		if got := cl.Stats().RemapsApplied; got != 3 {
 			t.Errorf("%s applied %d maps, want 3 (v0 and two publications)", cl.cfg.AppID, got)
 		}
-	}
-}
-
-// TestEpochWaitWakesOnApplyMapAndClose: a wait parked on the view-changed
-// signal with a 30 s timeout returns the view the next ApplyMap installs,
-// and returns no view when the client closes — each long before its
-// timeout. Each ok reports its first check, so the install and the Close
-// land while the wait is parked.
-func TestEpochWaitWakesOnApplyMapAndClose(t *testing.T) {
-	c := newTestClient(t, pfs.NewStore(pfs.Config{}), 512)
-	c.ApplyMap(mapping.Map{Version: 1})
-	type result struct {
-		v    *routeView
-		ok   bool
-		took time.Duration
-	}
-	park := func(wait func(checked func()) result) <-chan result {
-		done, parked := make(chan result, 1), make(chan struct{})
-		var once sync.Once
-		go func() {
-			began := time.Now()
-			r := wait(func() { once.Do(func() { close(parked) }) })
-			r.took = time.Since(began)
-			done <- r
-		}()
-		<-parked // the current view was refused: the wait is parked
-		return done
-	}
-
-	awaitEpochAbove := func(stale uint64) func(checked func()) result {
-		return func(checked func()) result {
-			v, ok := c.awaitView(30*time.Second, func(v *routeView) bool {
-				checked()
-				return v != nil && v.epoch.Load() > stale
-			})
-			return result{v, ok, 0}
-		}
-	}
-
-	epoch := park(awaitEpochAbove(1))
-	c.ApplyMap(mapping.Map{Version: 2, IONs: map[string][]string{"app": {"ion-a:1"}}})
-	r := <-epoch
-	if !r.ok || r.v.epoch.Load() != 2 || len(r.v.targets) != 1 || r.took > 10*time.Second {
-		t.Fatalf("ApplyMap woke the wait with ok=%v view=%+v after %v; want the epoch-2 view at once", r.ok, r.v, r.took)
-	}
-
-	closed := park(awaitEpochAbove(2))
-	c.Close()
-	if r := <-closed; r.ok || r.v != nil || r.took > 10*time.Second {
-		t.Fatalf("Close woke the wait with ok=%v view=%+v after %v; want no view, at once", r.ok, r.v, r.took)
-	}
-	if ions, ok := c.AwaitIONs(30*time.Second, func([]string) bool { return true }); ok || ions != nil {
-		t.Fatalf("a wait on a closed client returned %v, %v; want nil, false", ions, ok)
 	}
 }
 

@@ -252,7 +252,6 @@ func TestHedgeEpochFenceInterplay(t *testing.T) {
 	c, err := NewClient(Config{
 		AppID: "app", Direct: store, ChunkSize: 256,
 		Dedup:     true,
-		EpochWait: 50 * time.Millisecond,
 		RPC:       rpc.Options{CallTimeout: 5 * time.Second},
 		Hedge:     HedgeConfig{Enabled: true, Pct: 0.5, Budget: 1},
 		Latency:   sk,

@@ -179,7 +179,6 @@ type outcomeWant struct {
 	closes       int64 // rpc_breaker_close_total: open gates a probe closed
 	note         string
 	noTrace      bool // the op was refused before a trace was opened
-	waitsOut     bool // the op may wait out EpochWait (no fresher view comes)
 }
 
 // outcomeOracle derives a cell from the rule alone. L is the payload size
@@ -264,8 +263,10 @@ func outcomeOracle(op int, route string, L int) outcomeWant {
 		// again on a fresh dial and reaches the node once.
 		served()
 		w.stale = 1
-	case "fenced, fresher view arrives":
-		// Only writes are remapped; any other op gets the rejection back.
+	case "fenced, fresher view held":
+		// The node installs the fresher map before it answers, as a
+		// stack's Publish does. Only writes are remapped; any other op
+		// gets the rejection back.
 		if op != opWrite {
 			refused(rpc.ErrStaleEpoch)
 		} else {
@@ -273,16 +274,17 @@ func outcomeOracle(op int, route string, L int) outcomeWant {
 			w.wire, w.epochRetries = 2, 1
 		}
 		w.stats.RemapsApplied = 2
-	case "fenced, EpochWait expires":
+	case "fenced, no fresher view held":
+		// Nothing waits for a map: the PFS takes the write at once.
 		if op != opWrite {
 			refused(rpc.ErrStaleEpoch)
 		} else {
 			toDirect("")
-			w.wire, w.epochRetries, w.waitsOut = 1, 1, true
+			w.wire, w.epochRetries = 1, 1
 		}
 	case "fenced, fresher view is direct":
 		// The fresh map gives the app no I/O node: the write goes to the
-		// PFS as soon as the map is installed.
+		// PFS.
 		if op != opWrite {
 			refused(rpc.ErrStaleEpoch)
 		} else {
@@ -327,7 +329,7 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 	routes := []string{
 		"no allocation", "forwarded ok", "application error",
 		"shed past busyRetries", "saturated gate", "unreachable", "released conn",
-		"fenced, fresher view arrives", "fenced, EpochWait expires", "fenced maxEpochRemaps deep",
+		"fenced, fresher view held", "fenced, no fresher view held", "fenced maxEpochRemaps deep",
 		"fenced, fresher view is direct",
 		"QoS scavenger, empty bucket", "closed client",
 		"transport retries exhausted", "stale pooled conn",
@@ -372,19 +374,15 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 					fake.mode.Store("busy")
 				case "saturated gate":
 					cfg.Throttle = ThrottleConfig{Enabled: true}
-				case "fenced, fresher view arrives":
+				case "fenced, fresher view held":
 					fake.mode.Store("stale")
 					fake.onStale = func() { fake.mode.Store("ok"); remap() }
-				case "fenced, EpochWait expires":
-					cfg.EpochWait = 20 * time.Millisecond
+				case "fenced, no fresher view held":
 					fake.mode.Store("stale")
 				case "fenced maxEpochRemaps deep":
 					fake.mode.Store("stale")
 					fake.onStale = remap
 				case "fenced, fresher view is direct":
-					// An EpochWait far above the row's runtime: waiting it
-					// out fails the timing check below.
-					cfg.EpochWait = 30 * time.Second
 					fake.mode.Store("stale")
 					fake.onStale = func() { c.ApplyMap(mapping.Map{Version: version.Add(1)}) }
 				case "QoS scavenger, empty bucket":
@@ -445,7 +443,6 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 				var n int
 				var got error
 				buf := make([]byte, len(content))
-				began := time.Now()
 				switch op {
 				case opCreate:
 					got = c.Create("/t")
@@ -464,11 +461,7 @@ func TestOpOutcomeTableFailoverDegradedShedStale(t *testing.T) {
 					got = c.Fsync("/t")
 				}
 
-				took := time.Since(began)
 				want := outcomeOracle(op, route, len(content))
-				if c.cfg.EpochWait > 0 && took >= c.cfg.EpochWait && !want.waitsOut {
-					t.Errorf("the op took %v, waiting out EpochWait (%v) although a fresher view came", took, c.cfg.EpochWait)
-				}
 				if want.is == nil && got != nil {
 					t.Errorf("err = %v, want success", got)
 				}

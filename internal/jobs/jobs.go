@@ -52,9 +52,11 @@ type SimConfig struct {
 	// live experiment disallows direct PFS access to mimic platforms
 	// with that restriction.
 	AllowDirect bool
-	// Recruit enables the future-work extension of arbitrating idle
-	// compute nodes as temporary I/O nodes.
-	Recruit RecruitIdleOptions
+	// RecruitIdle enables the paper's future-work extension: when the
+	// machine has no (or few) dedicated forwarding nodes, idle compute
+	// nodes are recruited as temporary I/O nodes, so each arbitration's
+	// pool is IONs plus the free compute nodes.
+	RecruitIdle bool
 	// RemapDelay is the seconds until a running job observes a changed
 	// allocation — GekkoFWD clients poll the mapping every 10 s, so a
 	// reallocation takes effect only at the next poll. Zero means

@@ -7,34 +7,18 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// RecruitIdleOptions enables the paper's future-work extension: when the
-// machine has no (or few) dedicated forwarding nodes, idle compute nodes
-// are recruited as temporary I/O nodes. At each arbitration the effective
-// pool becomes IONs + min(free compute nodes, Cap); recruited nodes are
-// returned to the compute pool implicitly when the next arbitration sees a
-// smaller free set (the simulator arbitrates exactly when job membership
-// changes, so a recruited node is never both computing and forwarding).
-type RecruitIdleOptions struct {
-	// Enabled turns recruiting on.
-	Enabled bool
-	// Cap bounds how many idle compute nodes may be recruited at once;
-	// ≤0 means no bound.
-	Cap int
-}
-
-// effectivePool computes the arbitration pool under recruiting. Free
-// compute nodes counted here are idle by definition: admit() ran first, so
-// nothing in the queue fits in them.
+// effectivePool computes the arbitration pool. Under RecruitIdle it is
+// IONs plus every free compute node; the free nodes counted here are idle
+// by definition: admit() ran first, so nothing in the queue fits in them.
+// Recruited nodes return to the compute pool implicitly when the next
+// arbitration sees a smaller free set (the simulator arbitrates exactly
+// when job membership changes, so a recruited node is never both
+// computing and forwarding).
 func (s *sim) effectivePool() int {
-	pool := s.cfg.IONs
-	if !s.cfg.Recruit.Enabled {
-		return pool
+	if !s.cfg.RecruitIdle {
+		return s.cfg.IONs
 	}
-	extra := s.free
-	if s.cfg.Recruit.Cap > 0 && extra > s.cfg.Recruit.Cap {
-		extra = s.cfg.Recruit.Cap
-	}
-	return pool + extra
+	return s.cfg.IONs + s.free
 }
 
 // RandomQueue generates a reproducible random job queue from the Table 3

@@ -96,87 +96,22 @@ func TestRecruitIdleImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(recruit RecruitIdleOptions) float64 {
+	run := func(recruit bool) float64 {
 		res, err := SimulateQueue(SimConfig{
 			Jobs: queue, ComputeNodes: 96, IONs: 0, // no forwarding deployed
 			Policy: policy.MCKP{}, AllowDirect: true,
-			Recruit: recruit,
+			RecruitIdle: recruit,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return float64(res.Aggregate)
 	}
-	base := run(RecruitIdleOptions{})
-	recruited := run(RecruitIdleOptions{Enabled: true})
+	base := run(false)
+	recruited := run(true)
 	if recruited <= base {
 		t.Fatalf("recruiting should improve a machine without forwarding: %.0f vs %.0f", recruited, base)
 	}
 	t.Logf("no forwarding: %.2f GB/s; with idle-node recruiting: %.2f GB/s (%.2fx)",
 		base/1e9, recruited/1e9, recruited/base)
-}
-
-func TestRecruitIdleCap(t *testing.T) {
-	queue, err := PaperQueue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(cap int) float64 {
-		res, err := SimulateQueue(SimConfig{
-			Jobs: queue, ComputeNodes: 96, IONs: 0,
-			Policy: policy.MCKP{}, AllowDirect: true,
-			Recruit: RecruitIdleOptions{Enabled: true, Cap: cap},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return float64(res.Aggregate)
-	}
-	unlimited := run(0)
-	capped := run(1)
-	if capped > unlimited*1.0001 {
-		t.Fatalf("capping recruitment cannot improve the aggregate: %.0f vs %.0f", capped, unlimited)
-	}
-}
-
-// TestInfeasibleWithoutSharing documents the §3.1 motivation for the
-// shared-node option: a 2-ION machine without direct access cannot host
-// more concurrent jobs than I/O nodes under dedicated-only policies.
-func TestInfeasibleWithoutSharing(t *testing.T) {
-	queue, err := PaperQueue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = SimulateQueue(SimConfig{
-		Jobs: queue, ComputeNodes: 96, IONs: 2,
-		Policy: policy.MCKP{}, AllowDirect: false,
-	})
-	if err == nil {
-		t.Fatal("6 concurrent jobs on 2 dedicated IONs without direct access should be infeasible")
-	}
-}
-
-// TestSharedNodeMakesTightMachineFeasible: the §3.1 sharing extension lets
-// the 14-job queue run on a 2-ION machine without direct access, which is
-// infeasible for dedicated-only policies (TestInfeasibleWithoutSharing).
-func TestSharedNodeMakesTightMachineFeasible(t *testing.T) {
-	queue, err := PaperQueue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SimulateQueue(SimConfig{
-		Jobs: queue, ComputeNodes: 96, IONs: 2,
-		Policy: policy.WithShared{}, AllowDirect: false,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerJob) != 14 {
-		t.Fatalf("completed %d of 14 jobs", len(res.PerJob))
-	}
-	if res.Aggregate <= 0 {
-		t.Fatal("no aggregate bandwidth")
-	}
-	t.Logf("2-ION machine with sharing: %.2f GB/s aggregate, makespan %.0f s",
-		res.Aggregate.GBps(), res.Makespan)
 }

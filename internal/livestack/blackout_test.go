@@ -6,8 +6,11 @@ package livestack
 // internal/scenario's TestBlackoutWritesSurviveControlPlaneCrash.
 
 import (
+	"bytes"
+	"net"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,7 +20,6 @@ import (
 	"repro/internal/nodestate"
 	"repro/internal/pfs"
 	"repro/internal/rpc"
-	"repro/internal/testkit"
 )
 
 // TestBlackoutMidDrainMidScaleRecovery is the recovery × drain × elastic
@@ -204,9 +206,7 @@ func TestBlackoutSeriesAbsentWithoutJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(c, 0, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, c, 0)
 	if err := c.Create("/plain"); err != nil {
 		t.Fatal(err)
 	}
@@ -237,19 +237,52 @@ func TestBlackoutSeriesAbsentWithoutJournal(t *testing.T) {
 
 // fenceRig is a journal-less stack with one app, "plain", allocated and
 // its client attached, counting the writes that take the client's direct
-// PFS path.
+// PFS path. A function set with beforeReply runs once, on the daemon's
+// side, before the next reply any daemon sends.
 type fenceRig struct {
 	st     *Stack
 	c      *fwd.Client
 	direct atomic.Int64
+	hook   atomic.Pointer[func()]
+}
+
+// beforeReply arms f to run before the next reply a daemon writes.
+func (r *fenceRig) beforeReply(f func()) { r.hook.Store(&f) }
+
+// hookListener hands out conns that run the rig's armed hook before a
+// reply leaves.
+type hookListener struct {
+	net.Listener
+	r *fenceRig
+}
+
+func (l hookListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return hookConn{c, l.r}, nil
+}
+
+type hookConn struct {
+	net.Conn
+	r *fenceRig
+}
+
+func (c hookConn) Write(p []byte) (int, error) {
+	if f := c.r.hook.Swap(nil); f != nil {
+		(*f)()
+	}
+	return c.Conn.Write(p)
 }
 
 func newFenceRig(t *testing.T) *fenceRig {
 	t.Helper()
 	r := &fenceRig{}
 	st, err := Start(Config{
-		IONs:       2,
-		WrapDirect: func(fs pfs.FileSystem) pfs.FileSystem { return &countingFS{FileSystem: fs, writes: &r.direct} },
+		IONs:         2,
+		WrapDirect:   func(fs pfs.FileSystem) pfs.FileSystem { return &countingFS{FileSystem: fs, writes: &r.direct} },
+		WrapListener: func(_ int, ln net.Listener) net.Listener { return hookListener{ln, r} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +294,7 @@ func newFenceRig(t *testing.T) *fenceRig {
 	if r.c, err = st.NewClient("plain"); err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(r.c, 0, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, r.c, 0)
 	r.st = st
 	return r
 }
@@ -331,28 +362,26 @@ func TestFenceWithoutJournal(t *testing.T) {
 }
 
 // TestFencedWriteChasesTheRevokingPublish: on a stack without JournalDir,
-// a write in flight when its epoch is revoked waits for the publish that
-// revoked it and lands once through the I/O nodes. The daemons are fenced
-// first, as the stack's follower fences them inside a revoking publish;
-// the write refused there parks until that publish reaches its client,
-// then is routed again under the new epoch.
+// a write in flight when its epoch is revoked lands once through the I/O
+// nodes. The daemons are fenced first, as the stack's follower fences them
+// inside a revoking publish; the daemon that refuses the write runs that
+// publish before its reply leaves, so the map reaches the client before
+// the rejection does, and the write is routed again under the new epoch.
 func TestFencedWriteChasesTheRevokingPublish(t *testing.T) {
 	r := newFenceRig(t)
 	next := r.st.Bus.Version() + 1
 	r.st.Bus.Revoke(next)
 	r.fence(next)
+	r.beforeReply(func() { r.st.Bus.Publish(r.st.Bus.Current().IONs) })
 	data := []byte("in flight across the fence")
-	wrote := make(chan error, 1)
-	go func() {
-		_, err := r.c.Write("/chase", 0, data)
-		wrote <- err
-	}()
-	testkit.Eventually(t, "the in-flight write fenced", func() bool { return r.rejections() == 1 })
-	if m := r.st.Bus.Publish(r.st.Bus.Current().IONs); m.Version != next || m.Fence != next {
+	if _, err := r.c.Write("/chase", 0, data); err != nil {
+		t.Fatal(err)
+	}
+	if m := r.st.Bus.Current(); m.Version != next || m.Fence != next {
 		t.Fatalf("published version %d fence %d, want both %d", m.Version, m.Fence, next)
 	}
-	if err := <-wrote; err != nil {
-		t.Fatal(err)
+	if n := r.rejections(); n != 1 {
+		t.Fatalf("epoch_fence_rejections_total = %d, want the in-flight write fenced once", n)
 	}
 	if a, d := r.applied(), r.direct.Load(); a != 1 || d != 0 {
 		t.Fatalf("%d backend writes, %d direct; want the write once through an I/O node", a, d)
@@ -363,6 +392,77 @@ func TestFencedWriteChasesTheRevokingPublish(t *testing.T) {
 	buf := make([]byte, len(data))
 	if _, err := r.st.Store.Read("/chase", 0, buf); err != nil || string(buf) != string(data) {
 		t.Fatalf("PFS holds %q (%v), want %q", buf, err, data)
+	}
+}
+
+// TestFencedWritesRacingRevokingPublishesLandOnce: writers keep writing
+// while revoking publishes follow one another. A write fenced in flight
+// either finds the fresher view already on its client and is routed
+// again, or the PFS takes it at once; either way every write lands
+// exactly once — through a daemon's backend or the direct path, never
+// both — and its bytes read back.
+func TestFencedWritesRacingRevokingPublishesLandOnce(t *testing.T) {
+	r := newFenceRig(t)
+	const writers, size, most = 4, 64, 1 << 12
+	pattern := func(off int64, buf []byte) {
+		for i := range buf {
+			buf[i] = byte(off>>6) ^ byte(i)
+		}
+	}
+	region := func(w, i int) int64 { return int64(w*most+i) * size }
+	stop := make(chan struct{})
+	wrote := make([]int, writers)
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, size)
+			for i := 0; i < most; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pattern(region(w, i), buf)
+				if _, err := r.c.Write("/race", region(w, i), buf); err != nil {
+					t.Errorf("writer %d, write %d: %v", w, i, err)
+					return
+				}
+				wrote[w]++
+			}
+		}()
+	}
+	publishes := 0
+	for ; r.rejections() < 20 && publishes < 5000; publishes++ {
+		r.st.Bus.Revoke(r.st.Bus.Version() + 1)
+		r.st.Bus.Publish(r.st.Bus.Current().IONs)
+	}
+	close(stop)
+	wg.Wait()
+	total := 0
+	for _, n := range wrote {
+		total += n
+	}
+	fenced, direct := r.rejections(), r.direct.Load()
+	t.Logf("%d writes, %d revoking publishes, %d fenced, %d of them on the direct path", total, publishes, fenced, direct)
+	if fenced == 0 {
+		t.Fatalf("no write was fenced in %d revoking publishes", publishes)
+	}
+	if applied := r.applied(); applied+direct != int64(total) {
+		t.Fatalf("%d backend writes + %d direct for %d writes: each must land exactly once", applied, direct, total)
+	}
+	if n := r.st.Telemetry.Counter(`epoch_stale_retries_total{app="plain"}`).Value(); n != fenced {
+		t.Fatalf("epoch_stale_retries_total = %d, want one per fenced write (%d)", n, fenced)
+	}
+	got, want := make([]byte, size), make([]byte, size)
+	for w, n := range wrote {
+		for i := range n {
+			pattern(region(w, i), want)
+			if _, err := r.st.Store.Read("/race", region(w, i), got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("writer %d, write %d: PFS holds %x (%v), want %x", w, i, got, err, want)
+			}
+		}
 	}
 }
 

@@ -221,56 +221,22 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("livestack: Scheduler: %w", err)
 	}
 
-	el := c.Elastic
-	if el == nil {
-		el = &elastic.Config{}
-	}
-	for _, k := range []struct {
-		name string
-		val  any
-	}{
-		{"PFS.OSTRate", c.PFS.OSTRate},
-		{"Dispatchers", c.Dispatchers},
-		{"ChunkSize", c.ChunkSize},
-		{"PoolSize", c.PoolSize},
-		{"RPC.CallTimeout", c.RPC.CallTimeout},
-		{"RPC.MaxRetries", c.RPC.MaxRetries},
-		{"RPC.BreakerThreshold", c.RPC.BreakerThreshold},
-		{"RPC.BreakerCooldown", c.RPC.BreakerCooldown},
-		{"HealthInterval", c.HealthInterval},
-		{"HealthTimeout", c.HealthTimeout},
-		{"HealthFailThreshold", c.HealthFailThreshold},
-		{"HealthRiseThreshold", c.HealthRiseThreshold},
-		{"SlowFactor", c.SlowFactor},
-		{"SlowWindow", c.SlowWindow},
-		{"SlowRecovery", c.SlowRecovery},
-		{"QuarantineFloor", c.QuarantineFloor},
-		{"QueueCap", c.QueueCap},
-		{"MaxInflight", c.MaxInflight},
-		{"RetryAfterHint", c.RetryAfterHint},
-		{"Throttle.MinWindow", c.Throttle.MinWindow},
-		{"Throttle.MaxWindow", c.Throttle.MaxWindow},
-		{"DedupWindow", c.DedupWindow},
-		{"OverloadQueueDepth", c.OverloadQueueDepth},
-		{"OverloadShedDelta", c.OverloadShedDelta},
-		{"OverloadThreshold", c.OverloadThreshold},
-		{"OverloadRecovery", c.OverloadRecovery},
-		{"Elastic.DownWatermark", el.DownWatermark},
-		{"Elastic.UpCooldown", el.UpCooldown},
-		{"Elastic.DownCooldown", el.DownCooldown},
-	} {
-		if v := reflect.ValueOf(k.val); v.CanInt() && v.Int() < 0 || v.CanFloat() && v.Float() < 0 {
-			return fmt.Errorf("livestack: %s must not be negative, got %v", k.name, k.val)
+	if c.Elastic != nil {
+		if err := c.Elastic.Validate(); err != nil {
+			return fmt.Errorf("livestack: Elastic: %w", err)
 		}
-	}
-	if c.RPC.WireChecksum {
-		return fmt.Errorf("livestack: RPC.WireChecksum would checksum only the clients' requests: set WireChecksum, which turns trailers on for daemons, clients and the prober alike")
 	}
 	if c.Hedge.Pct < 0 || c.Hedge.Pct >= 1 {
 		return fmt.Errorf("livestack: Hedge.Pct must be a quantile in [0,1), got %g", c.Hedge.Pct)
 	}
 	if c.Hedge.Budget < 0 || c.Hedge.Budget > 1 {
 		return fmt.Errorf("livestack: Hedge.Budget must be a per-request token fraction in [0,1], got %g", c.Hedge.Budget)
+	}
+	if name, val := firstNegative("", reflect.ValueOf(*c)); name != "" {
+		return fmt.Errorf("livestack: %s must not be negative, got %v", name, val)
+	}
+	if c.RPC.WireChecksum {
+		return fmt.Errorf("livestack: RPC.WireChecksum would checksum only the clients' requests: set WireChecksum, which turns trailers on for daemons, clients and the prober alike")
 	}
 
 	probing := c.HealthInterval > 0
@@ -326,9 +292,6 @@ func (c *Config) Validate() error {
 	}
 	poolMin := c.IONs // the smallest pool this run can have
 	if c.Elastic != nil {
-		if err := c.Elastic.Validate(); err != nil {
-			return fmt.Errorf("livestack: Elastic: %w", err)
-		}
 		if c.IONs < c.Elastic.Min || c.IONs > c.Elastic.Max {
 			return fmt.Errorf("livestack: IONs (%d) must start inside Elastic.Min..Max (%d..%d): the scaler only grows on demand and never shrinks a pool the operator sized",
 				c.IONs, c.Elastic.Min, c.Elastic.Max)
@@ -340,4 +303,28 @@ func (c *Config) Validate() error {
 			c.QuarantineFloor, poolMin)
 	}
 	return nil
+}
+
+// firstNegative walks the exported numeric fields of the struct v, the
+// nested option structs and a set *elastic.Config included, and returns
+// the dotted path and value of the first negative one ("" when none is).
+func firstNegative(prefix string, v reflect.Value) (string, any) {
+	for i := range v.NumField() {
+		f, sf := v.Field(i), v.Type().Field(i)
+		if !sf.IsExported() {
+			continue
+		}
+		if el, ok := f.Interface().(*elastic.Config); ok && el != nil {
+			f = f.Elem()
+		}
+		switch {
+		case f.Kind() == reflect.Struct:
+			if name, val := firstNegative(prefix+sf.Name+".", f); name != "" {
+				return name, val
+			}
+		case f.CanInt() && f.Int() < 0, f.CanFloat() && f.Float() < 0:
+			return prefix + sf.Name, f.Interface()
+		}
+	}
+	return "", nil
 }

@@ -63,6 +63,14 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{"negative quarantine floor", func(c *Config) { c.QuarantineFloor = -1 }, "QuarantineFloor"},
 		{"negative health fail threshold", func(c *Config) { c.HealthFailThreshold = -1 }, "HealthFailThreshold"},
 		{"negative overload recovery", func(c *Config) { c.OverloadRecovery = -1 }, "OverloadRecovery"},
+		{"negative stripe size", func(c *Config) { c.PFS.StripeSize = -1 }, "PFS.StripeSize must not be negative"},
+		{"negative osts", func(c *Config) { c.PFS.OSTs = -2 }, "PFS.OSTs must not be negative"},
+		{"negative seek latency", func(c *Config) { c.PFS.SeekLatency = -time.Millisecond }, "PFS.SeekLatency must not be negative"},
+		{"negative lock latency", func(c *Config) { c.PFS.LockLatency = -time.Millisecond }, "PFS.LockLatency must not be negative"},
+		{"negative hedge min delay", func(c *Config) {
+			c.DedupWindow = 16
+			c.Hedge = fwd.HedgeConfig{Enabled: true, MinDelay: -time.Millisecond}
+		}, "Hedge.MinDelay must not be negative"},
 
 		{"min above max", func(c *Config) { c.Throttle = fwd.ThrottleConfig{Enabled: true, MinWindow: 8, MaxWindow: 4} }, "Throttle.MinWindow (8) must not exceed"},
 		{"throttle knobs without throttle", func(c *Config) { c.Throttle.MaxWindow = 16 }, "requires Throttle.Enabled"},
@@ -93,6 +101,26 @@ func TestValidateRejectsBadValues(t *testing.T) {
 			c.HealthInterval = time.Second
 			c.Elastic = scaler(func(el *elastic.Config) { el.UpCooldown = -1 })
 		}, "Elastic.UpCooldown must not be negative"},
+		{"negative scale up sustain", func(c *Config) {
+			c.HealthInterval = time.Second
+			c.Elastic = scaler(func(el *elastic.Config) { el.UpSustain = -1 })
+		}, "Elastic.UpSustain must not be negative"},
+		{"negative scale down sustain", func(c *Config) {
+			c.HealthInterval = time.Second
+			c.Elastic = scaler(func(el *elastic.Config) { el.DownSustain = -1 })
+		}, "Elastic.DownSustain must not be negative"},
+		{"negative scale flip quiet", func(c *Config) {
+			c.HealthInterval = time.Second
+			c.Elastic = scaler(func(el *elastic.Config) { el.FlipQuiet = -1 })
+		}, "Elastic.FlipQuiet must not be negative"},
+		{"negative scale max step", func(c *Config) {
+			c.HealthInterval = time.Second
+			c.Elastic = scaler(func(el *elastic.Config) { el.MaxStep = -1 })
+		}, "Elastic.MaxStep must not be negative"},
+		{"negative scale quiesce sweeps", func(c *Config) {
+			c.HealthInterval = time.Second
+			c.Elastic = scaler(func(el *elastic.Config) { el.QuiesceSweeps = -1 })
+		}, "Elastic.QuiesceSweeps must not be negative"},
 		{"scaler without health", func(c *Config) { c.Elastic = scaler(nil) }, "Elastic requires HealthInterval"},
 		{"scaler without watermarks", func(c *Config) {
 			c.HealthInterval = time.Second

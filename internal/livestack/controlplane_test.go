@@ -130,9 +130,7 @@ func TestScalerStepsOncePerSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(c, 0, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, c, 0)
 	if err := c.Create("/hot"); err != nil {
 		t.Fatal(err)
 	}

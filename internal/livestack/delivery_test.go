@@ -262,9 +262,7 @@ func TestFenceReachesEveryDaemonBeforeAnyClient(t *testing.T) {
 	if _, err := st.Arbiter.JobStarted(appFor(t, "IOR-MPI", "f1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(c, 0, 0); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, c, 0)
 	daemonsFenced(t, st, fence, "once a client routes on the fenced map")
 	checkFollowers(t, st, fs)
 
@@ -365,24 +363,6 @@ func TestFencedDeliveryRacesJoinsAndDecommissions(t *testing.T) {
 		fs = append(fs, f)
 	}
 	checkFollowers(t, st, fs)
-}
-
-// TestWaitForAllocationHoldsWhenNewClientReturns: NewClient returns a
-// client already routing on the current map, so a zero-timeout wait for
-// the allocation the arbiter made before the client existed succeeds.
-func TestWaitForAllocationHoldsWhenNewClientReturns(t *testing.T) {
-	st := startStack(t, 4)
-	got, err := st.Arbiter.JobStarted(appFor(t, "IOR-MPI", "w1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := st.NewClient("w1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WaitForAllocation(c, len(got), 0); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestFollowerDropsClosedClients: a closed client leaves the delivery list

@@ -2,7 +2,6 @@ package livestack
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/darshan"
@@ -41,9 +40,7 @@ func TestFirstRunCharacterizationPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(client, len(assigned), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, client, len(assigned))
 
 	// Trace the first execution through the forwarding client.
 	tracer := darshan.NewTracer(client)

@@ -2,7 +2,6 @@ package livestack
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/fwd"
 	"repro/internal/policy"
@@ -73,9 +72,7 @@ func hotPathClient(tb testing.TB, cfg Config) *fwd.Client {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := WaitForAllocation(client, 0, 2*time.Second); err != nil {
-		tb.Fatal(err)
-	}
+	allocated(tb, client, 0)
 	if err := client.Create("/bench/hot"); err != nil {
 		tb.Fatal(err)
 	}

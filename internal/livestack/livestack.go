@@ -685,24 +685,6 @@ func (s *Stack) NewClient(appID string) (*fwd.Client, error) {
 	return c, nil
 }
 
-// WaitForAllocation blocks until the client observes a mapping of exactly
-// ions I/O nodes — any non-empty mapping when ions is 0 — or the timeout
-// elapses. A stack's publication reaches its clients before Publish
-// returns, so the wait is for an allocation still to be decided. The wait
-// wakes on each install; on timeout the error carries the mapping the
-// client last observed.
-func WaitForAllocation(c *fwd.Client, ions int, timeout time.Duration) error {
-	want, ok := "an allocation", func(have []string) bool { return len(have) > 0 }
-	if ions != 0 {
-		want, ok = fmt.Sprintf("%d I/O nodes", ions), func(have []string) bool { return len(have) == ions }
-	}
-	if have, held := c.AwaitIONs(timeout, ok); !held {
-		return fmt.Errorf("livestack: client never observed %s within %v (last mapping: %d nodes %v)",
-			want, timeout, len(have), have)
-	}
-	return nil
-}
-
 // Close stops the control plane, unregisters the stack's bus follower,
 // then closes the clients and daemons.
 func (s *Stack) Close() {

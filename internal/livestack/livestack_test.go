@@ -3,7 +3,6 @@ package livestack
 import (
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/arbiter"
@@ -21,6 +20,16 @@ func startStack(t *testing.T, ions int) *Stack {
 	}
 	t.Cleanup(st.Close)
 	return st
+}
+
+// allocated fails tb unless c already routes on n I/O nodes, or on any
+// when n is 0: a stack applies every decision to every client before the
+// call that made it returns, and NewClient returns on the current map.
+func allocated(tb testing.TB, c *fwd.Client, n int) {
+	tb.Helper()
+	if have := c.IONs(); len(have) == 0 || n != 0 && len(have) != n {
+		tb.Fatalf("client holds %d I/O nodes %v, want %d (0: any)", len(have), have, n)
+	}
 }
 
 func appFor(t *testing.T, label, id string) policy.Application {
@@ -49,9 +58,7 @@ func TestEndToEndKernelThroughArbitration(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("IOR-MPI with a 4-ION pool should get all 4, got %d", len(got))
 	}
-	if err := WaitForAllocation(client, 4, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, client, 4)
 
 	kernel := apps.IOR{Label: "IOR-T", Ranks: 8, BlockSize: 64 << 10, TransferSize: 16 << 10, ReadBack: true}
 	rep, err := kernel.Run(client, "/jobs/ior1")
@@ -76,8 +83,8 @@ func TestEndToEndKernelThroughArbitration(t *testing.T) {
 	if err := st.Arbiter.JobFinished("ior1"); err != nil {
 		t.Fatal(err)
 	}
-	if have, ok := client.AwaitIONs(2*time.Second, func(ions []string) bool { return len(ions) == 0 }); !ok {
-		t.Fatalf("client never observed its release (last mapping: %v)", have)
+	if have := client.IONs(); len(have) != 0 {
+		t.Fatalf("JobFinished returned with the client still on %v", have)
 	}
 }
 
@@ -99,9 +106,7 @@ func TestDynamicRearbitrationLive(t *testing.T) {
 	if _, err := st.Arbiter.JobStarted(appFor(t, "HACC", "hacc1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(hacc, 8, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, hacc, 8)
 
 	// Start writing, remap mid-stream, keep writing.
 	kernel := apps.HACC{Ranks: 4, Particles: 200, HeaderBytes: 128}
@@ -112,8 +117,8 @@ func TestDynamicRearbitrationLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// HACC shrinks (MCKP gives IOR-MPI the lion's share).
-	if have, ok := hacc.AwaitIONs(2*time.Second, func(ions []string) bool { return len(ions) < 8 }); !ok {
-		t.Fatalf("HACC never shrank: %v", have)
+	if have := hacc.IONs(); len(have) >= 8 {
+		t.Fatalf("JobStarted returned with HACC still on %v", have)
 	}
 	if _, err := kernel.Run(hacc, "/phase2"); err != nil {
 		t.Fatalf("kernel disrupted by remap: %v", err)
@@ -133,7 +138,7 @@ func TestNoSharingAcrossClientsLive(t *testing.T) {
 	if _, err := st.Arbiter.JobStarted(appFor(t, "POSIX-L", "b")); err != nil {
 		t.Fatal(err)
 	}
-	// Each client waits for the final map's non-empty allocation, so the
+	// Each client holds the final map's non-empty allocation, so the
 	// check can neither pass on two empty ones nor compare a stale one.
 	final := st.Bus.Current()
 	seen := map[string]string{}
@@ -142,8 +147,8 @@ func TestNoSharingAcrossClientsLive(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("app %s got no I/O nodes: %v", app, final.IONs)
 		}
-		have, ok := c.AwaitIONs(2*time.Second, func(ions []string) bool { return slices.Equal(ions, want) })
-		if !ok {
+		have := c.IONs()
+		if !slices.Equal(have, want) {
 			t.Fatalf("app %s's client holds %v, want %v", app, have, want)
 		}
 		for _, addr := range have {

@@ -42,9 +42,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(client, len(assigned), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, client, len(assigned))
 
 	const path = "/telapp/data"
 	if err := client.Create(path); err != nil {
@@ -183,9 +181,7 @@ func TestCounterAuditRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(client, 0, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, client, 0)
 	if err := client.Create("/audit"); err != nil {
 		t.Fatal(err)
 	}
@@ -368,9 +364,7 @@ func TestGrayFailureSeriesAbsentWhenUnconfigured(t *testing.T) {
 	if _, err := st.Arbiter.JobStarted(policy.Application{ID: "plain", Nodes: 2, Processes: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WaitForAllocation(client, 0, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	allocated(t, client, 0)
 	if err := client.Create("/plain"); err != nil {
 		t.Fatal(err)
 	}
@@ -411,9 +405,7 @@ func benchmarkForward(b *testing.B, cfg Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := WaitForAllocation(client, 0, 2*time.Second); err != nil {
-		b.Fatal(err)
-	}
+	allocated(b, client, 0)
 	if err := client.Create("/bench/file"); err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/fwd"
-	"repro/internal/livestack"
 	"repro/internal/perfmodel"
 	"repro/internal/policy"
 )
@@ -31,9 +30,9 @@ type App struct {
 // Path is the app's file.
 func (a *App) Path() string { return "/" + a.ID }
 
-// Open starts each app in turn: its client(s), its JobStarted, a wait
-// until the allocation reaches every client (none when the arbiter gave
-// it none: it writes to the PFS directly), and its file.
+// Open starts each app in turn: its client(s), its JobStarted — which
+// returns with the allocation on every client (none when the arbiter gave
+// it none: it writes to the PFS directly) — and its file.
 func (r *Rig) Open(apps ...*App) {
 	r.t.Helper()
 	for _, a := range apps {
@@ -47,11 +46,6 @@ func (r *Rig) Open(apps ...*App) {
 		spec, err := perfmodel.AppByLabel(a.Label)
 		if err == nil {
 			a.Alloc, err = r.Arbiter.JobStarted(policy.FromAppSpec(a.ID, spec))
-		}
-		for _, c := range a.Clients {
-			if err == nil && len(a.Alloc) > 0 {
-				err = livestack.WaitForAllocation(c, 0, 2*time.Second)
-			}
 		}
 		if err == nil {
 			err = a.Clients[0].Create(a.Path())
