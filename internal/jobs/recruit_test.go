@@ -115,3 +115,45 @@ func TestRecruitIdleImproves(t *testing.T) {
 	t.Logf("no forwarding: %.2f GB/s; with idle-node recruiting: %.2f GB/s (%.2fx)",
 		base/1e9, recruited/1e9, recruited/base)
 }
+
+// TestInfeasibleWithoutSharing documents the §3.1 motivation for the
+// shared-node option: a 2-ION machine without direct access cannot host
+// more concurrent jobs than I/O nodes under dedicated-only policies.
+func TestInfeasibleWithoutSharing(t *testing.T) {
+	queue, err := PaperQueue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = SimulateQueue(SimConfig{
+		Jobs: queue, ComputeNodes: 96, IONs: 2,
+		Policy: policy.MCKP{}, AllowDirect: false,
+	})
+	if err == nil {
+		t.Fatal("6 concurrent jobs on 2 dedicated IONs without direct access should be infeasible")
+	}
+}
+
+// TestSharedNodeMakesTightMachineFeasible: the §3.1 sharing extension lets
+// the 14-job queue run on a 2-ION machine without direct access, which is
+// infeasible for dedicated-only policies (TestInfeasibleWithoutSharing).
+func TestSharedNodeMakesTightMachineFeasible(t *testing.T) {
+	queue, err := PaperQueue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SimulateQueue(SimConfig{
+		Jobs: queue, ComputeNodes: 96, IONs: 2,
+		Policy: policy.WithShared{}, AllowDirect: false,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerJob) != 14 {
+		t.Fatalf("completed %d of 14 jobs", len(res.PerJob))
+	}
+	if res.Aggregate <= 0 {
+		t.Fatal("no aggregate bandwidth")
+	}
+	t.Logf("2-ION machine with sharing: %.2f GB/s aggregate, makespan %.0f s",
+		res.Aggregate.GBps(), res.Makespan)
+}

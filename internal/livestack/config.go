@@ -213,6 +213,10 @@ func (c *Config) schedulerName() string {
 // between values. Rules internal to another package stay there (elastic's
 // bounds and hysteresis band, fwd's hedge-needs-dedup for direct
 // fwd.NewClient users); Validate calls that owner where one is exported.
+// When c breaks several rules, the error names the first in this order:
+// IONs and Scheduler, the owners' rules (elastic's, the Hedge ranges), a
+// negative value, the knob ⇒ switch table, then the relations between
+// values.
 func (c *Config) Validate() error {
 	if c.IONs < 1 {
 		return fmt.Errorf("livestack: IONs must be at least 1, got %d", c.IONs)

@@ -101,6 +101,9 @@ func TestValidateRejectsBadValues(t *testing.T) {
 			c.HealthInterval = time.Second
 			c.Elastic = scaler(func(el *elastic.Config) { el.UpCooldown = -1 })
 		}, "Elastic.UpCooldown must not be negative"},
+		{"elastic rule named before its missing switch", func(c *Config) {
+			c.Elastic = scaler(func(el *elastic.Config) { el.Min = -1 })
+		}, "Elastic: elastic: Min"},
 		{"negative scale up sustain", func(c *Config) {
 			c.HealthInterval = time.Second
 			c.Elastic = scaler(func(el *elastic.Config) { el.UpSustain = -1 })
