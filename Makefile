@@ -111,7 +111,7 @@ torture:
 qos:
 	$(GO) test -race -count=2 -timeout 300s \
 		-run 'QoS|Bucket|WFQ|Inversion|Starvation|Weight|Priority|ParseConfig|ParseBytes|ClassValidation|WriteFrameMatchesReferenceEncoder|ReadMessageRejects' \
-		./internal/scenario ./internal/qos ./internal/livestack ./internal/agios ./internal/fwd \
+		./internal/scenario ./internal/qos ./internal/units ./internal/livestack ./internal/agios ./internal/fwd \
 		./internal/rpc ./internal/policy ./internal/arbiter ./cmd/gkfwd
 
 # Elastic-pool suite, run twice under the race detector: the breathing
@@ -127,7 +127,7 @@ qos:
 # enough to distort it.
 elastic:
 	$(GO) test -race -count=2 -timeout 300s -p 1 \
-		-run 'Elastic|Drain|Scale|Provision|Hysteresis|Forecast|MarkIdempotency|AddION|RemoveION|ReleaseConn|AddStartsPessimistic|RemoveStopsProbing|LoadReportsSampled|Scaler|MarginalAdvisor|ValidateRejectsBadValues' \
+		-run 'Elastic|Drain|Scale|Provision|Hysteresis|Forecast|MarkIdempotency|AddION|RemoveION|ReleaseConn|PoolMemberAdded|PoolMemberRemoved|LoadReportsSampled|Scaler|MarginalAdvisor|ValidateRejectsBadValues' \
 		./internal/scenario ./internal/elastic ./internal/livestack ./internal/arbiter \
 		./internal/health ./internal/fwd ./cmd/gkfwd
 

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/forge"
@@ -86,7 +85,7 @@ func buildPattern(nodes, ppn int, layout, spatiality, req string) (pattern.Patte
 	default:
 		return p, fmt.Errorf("unknown spatiality %q", spatiality)
 	}
-	size, err := parseSize(req)
+	size, err := units.ParseBytes(req)
 	if err != nil {
 		return p, err
 	}
@@ -94,28 +93,11 @@ func buildPattern(nodes, ppn int, layout, spatiality, req string) (pattern.Patte
 	return p, p.Validate()
 }
 
-func parseSize(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	mult := int64(1)
-	for suffix, m := range map[string]int64{"KiB": units.KiB, "MiB": units.MiB, "GiB": units.GiB, "KB": units.KB, "MB": units.MB} {
-		if strings.HasSuffix(s, suffix) {
-			mult = m
-			s = strings.TrimSuffix(s, suffix)
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %w", s, err)
-	}
-	return int64(v * float64(mult)), nil
-}
-
 // runLive replays the pattern's profile through a live forwarding stack at
 // each feasible I/O-node count (FORGE's actual deployment-exploration mode,
 // at laptop scale).
 func runLive(p pattern.Pattern, volumeStr string, maxIONs int) error {
-	volume, err := parseSize(volumeStr)
+	volume, err := units.ParseBytes(volumeStr)
 	if err != nil {
 		return err
 	}

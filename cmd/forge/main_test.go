@@ -7,35 +7,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestParseSize(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-	}{
-		{"32KiB", 32 * units.KiB},
-		{"1MiB", units.MiB},
-		{"4 MiB", 4 * units.MiB},
-		{"2GiB", 2 * units.GiB},
-		{"100MB", 100 * units.MB},
-		{"512KB", 512 * units.KB},
-		{"0.5MiB", units.MiB / 2},
-		{"4096", 4096},
-	}
-	for _, c := range cases {
-		got, err := parseSize(c.in)
-		if err != nil {
-			t.Errorf("parseSize(%q): %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("parseSize(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-	if _, err := parseSize("abcMiB"); err == nil {
-		t.Error("garbage size should fail")
-	}
-}
-
 func TestBuildPattern(t *testing.T) {
 	p, err := buildPattern(32, 48, "shared", "strided", "512KiB")
 	if err != nil {

@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"repro/internal/livestack"
+	"repro/internal/pattern"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -112,15 +113,15 @@ func runJobs(st *livestack.Stack, what string, q []livestack.LiveJob, computeNod
 		units.FormatBytes(m.BytesWritten), units.FormatBytes(m.BytesRead), m.Seeks, m.LockWaits, m.PerOSTBytes)
 }
 
-// runSweep measures one kernel's live bandwidth at every ION count — the
-// live analogue of a Figure 5 column.
+// runSweep measures one kernel's live bandwidth at every I/O-node count
+// Figure 5 has for it — direct access, then each power of two up to
+// maxIONs that divides the app's compute nodes (pattern.IONOptions, as
+// the model and forge.ReplaySweep count them): the live analogue of a
+// Figure 5 column.
 func runSweep(st *livestack.Stack, swept app, maxIONs int) {
 	label, kernel := swept.label, swept.kernel
 	fmt.Printf("live bandwidth sweep for %s:\n", label)
-	for k := 0; k <= maxIONs; k++ {
-		if k != 0 && k != 1 && k%2 != 0 {
-			continue
-		}
+	for _, k := range pattern.IONOptions(swept.spec.Nodes, maxIONs, true) {
 		client, err := st.NewClient(fmt.Sprintf("%s-k%d", label, k))
 		if err != nil {
 			fail(err)

@@ -2,9 +2,11 @@ package main
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/fwd"
 	"repro/internal/livestack"
 	"repro/internal/pfs"
 	"repro/internal/rpc"
@@ -51,13 +53,17 @@ func TestAppJobs(t *testing.T) {
 }
 
 // recordingKernel is a kernel that only records the file system each run
-// was given.
-type recordingKernel struct{ given []pfs.FileSystem }
+// was given and how many I/O nodes it forwarded to.
+type recordingKernel struct {
+	given []pfs.FileSystem
+	ions  []int
+}
 
 func (k *recordingKernel) Name() string { return "recorder" }
 
 func (k *recordingKernel) Run(fs pfs.FileSystem, dir string) (apps.Report, error) {
 	k.given = append(k.given, fs)
+	k.ions = append(k.ions, len(fs.(*fwd.Client).IONs()))
 	return apps.Report{}, nil
 }
 
@@ -79,5 +85,28 @@ func TestSweepClosesEveryClient(t *testing.T) {
 		if err := fs.Create("/after-sweep"); !errors.Is(err, rpc.ErrClosed) {
 			t.Errorf("client %d answers %v after the sweep, want rpc.ErrClosed", i, err)
 		}
+	}
+}
+
+// TestSweepVisitsFigure5Counts: -sweep runs the kernel at the I/O-node
+// counts Figure 5 has for the app — direct access and each power of two
+// that divides its compute nodes — never at a count the model has no
+// point for. HACC runs on 8 nodes, so a 12-node pool sweeps 0, 1, 2, 4, 8.
+func TestSweepVisitsFigure5Counts(t *testing.T) {
+	cfg, plan, err := parseFlags([]string{"-ions", "12", "-sweep", "HACC"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := livestack.Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	k := &recordingKernel{}
+	swept := *plan.sweep
+	swept.kernel = k
+	runSweep(st, swept, cfg.IONs)
+	if want := []int{0, 1, 2, 4, 8}; !slices.Equal(k.ions, want) {
+		t.Fatalf("the sweep visited %v I/O nodes, want %v", k.ions, want)
 	}
 }

@@ -139,7 +139,7 @@ func New(pol policy.Policy, ionAddrs []string, bus *mapping.Bus) (*Arbiter, erro
 		assign:    map[string][]string{},
 	}
 	for _, addr := range ionAddrs {
-		if err := a.addMember(addr); err != nil {
+		if err := a.addMember(addr, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -361,13 +361,13 @@ func (a *Arbiter) unassign(id string) {
 	}
 }
 
-// addMember appends a healthy node to the pool; a duplicate is refused.
-// Caller holds the lock.
-func (a *Arbiter) addMember(addr string) error {
+// addMember appends a node in condition st to the pool; a duplicate is
+// refused. Caller holds the lock.
+func (a *Arbiter) addMember(addr string, st nodestate.State) error {
 	if a.find(addr) >= 0 {
 		return fmt.Errorf("arbiter: duplicate I/O node %s", addr)
 	}
-	a.nodes = append(a.nodes, member{addr: addr})
+	a.nodes = append(a.nodes, member{addr: addr, st: st})
 	return nil
 }
 
@@ -594,30 +594,23 @@ func (a *Arbiter) apply(addr string, ev nodestate.Event) (prev nodestate.State, 
 	return prev, true, nil
 }
 
-// AddION grows the pool with a freshly provisioned node and re-arbitrates
-// so running jobs can spread onto it. Duplicates are refused. If the
-// follow-up solve fails the node stays in the pool and the previous
-// mapping stays published (still valid — the new node idles until the
-// next successful solve), so the error is advisory.
+// AddION grows the pool with a freshly provisioned node, down: it is a
+// member from here on — journaled, probed — but allocatable only once
+// its first Rise arrives through Transition, which re-arbitrates so
+// running jobs can spread onto it. A down node changes no solve input,
+// so AddION itself solves nothing. Duplicates are refused.
 func (a *Arbiter) AddION(addr string) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if addr == "" {
 		return errors.New("arbiter: empty I/O node address")
 	}
-	if err := a.addMember(addr); err != nil {
+	if err := a.addMember(addr, nodestate.Down); err != nil {
 		return err
 	}
 	a.record(journal.Record{Kind: journal.KindAddION, Addr: addr})
 	a.tel.ionsAdded.Inc()
 	a.updatePoolGauges()
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		a.tel.keptMappings.Inc()
-		return fmt.Errorf("arbiter: %s added, previous mapping kept: %w", addr, err)
-	}
 	return nil
 }
 

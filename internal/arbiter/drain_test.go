@@ -8,6 +8,7 @@ package arbiter
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/mapping"
@@ -100,6 +101,9 @@ func TestDrainRefusedWhenInfeasible(t *testing.T) {
 	}
 }
 
+// TestAddIONGrowsPoolAndSpreads: AddION makes a node a member, down —
+// journaled and counted, but handed out to nobody and solved for by
+// nobody — and its first Rise is what spreads the running job onto it.
 func TestAddIONGrowsPoolAndSpreads(t *testing.T) {
 	reg := telemetry.New()
 	arb, err := New(policy.MCKP{}, addrs(1), mapping.NewBus())
@@ -114,7 +118,9 @@ func TestAddIONGrowsPoolAndSpreads(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("initial allocation %v, want 1 node", got)
 	}
-	for _, addr := range []string{"new0:1", "new1:1", "new2:1"} {
+	added := []string{"new0:1", "new1:1", "new2:1"}
+	solves := reg.Counter("arbiter_solves_total").Value()
+	for _, addr := range added {
 		if err := arb.AddION(addr); err != nil {
 			t.Fatalf("AddION(%s): %v", addr, err)
 		}
@@ -122,8 +128,33 @@ func TestAddIONGrowsPoolAndSpreads(t *testing.T) {
 	if got := len(arb.Pool()); got != 4 {
 		t.Fatalf("pool = %d, want 4", got)
 	}
+	if got := arb.NodesIn(nodestate.Down); !slices.Equal(got, added) {
+		t.Fatalf("down = %v, want the added nodes %v", got, added)
+	}
+	for name, want := range map[string]int64{"arbiter_ions_live": 1, "arbiter_ions_down": 3} {
+		if got := reg.Gauge(name).Value(); got != want {
+			t.Fatalf("%s = %d after AddION, want %d", name, got, want)
+		}
+	}
+	if got := reg.Counter("arbiter_ions_added_total").Value(); got != 3 {
+		t.Fatalf("arbiter_ions_added_total = %d, want 3", got)
+	}
+	if got := reg.Counter("arbiter_solves_total").Value(); got != solves {
+		t.Fatalf("AddION solved %d times: a down node changes no solve input", got-solves)
+	}
+	if got := len(arb.Current()["ior1"]); got != 1 {
+		t.Fatalf("job spread onto nodes that have not risen: %d nodes", got)
+	}
+	for _, addr := range added {
+		if err := arb.Transition(addr, nodestate.Rise); err != nil {
+			t.Fatalf("Rise(%s): %v", addr, err)
+		}
+	}
 	if got := reg.Gauge("arbiter_ions_live").Value(); got != 4 {
 		t.Fatalf("arbiter_ions_live = %d, want 4", got)
+	}
+	if got := reg.Counter("arbiter_marked_up_total").Value(); got != 3 {
+		t.Fatalf("arbiter_marked_up_total = %d, want 3: each first rise counts", got)
 	}
 	if got := len(arb.Current()["ior1"]); got <= 1 {
 		t.Fatalf("job did not spread onto added capacity: %d nodes", got)

@@ -268,7 +268,7 @@ func (a *Arbiter) replay(r journal.Record) {
 			a.assign[job] = append([]string(nil), addrs...)
 		}
 	case journal.KindAddION:
-		a.addMember(r.Addr)
+		a.addMember(r.Addr, nodestate.Down)
 	case journal.KindRemoveION:
 		if i := a.find(r.Addr); i >= 0 {
 			a.nodes = slices.Delete(a.nodes, i, i+1)

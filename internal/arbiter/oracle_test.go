@@ -165,13 +165,7 @@ func (a *refArbiter) addION(addr string) error {
 		return fmt.Errorf("arbiter: duplicate I/O node %s", addr)
 	}
 	a.pool = append(a.pool, addr)
-	a.nodes[addr] = 0
-	if len(a.running) == 0 {
-		return nil
-	}
-	if err := a.rearbitrate(); err != nil {
-		return fmt.Errorf("arbiter: %s added, previous mapping kept: %w", addr, err)
-	}
+	a.nodes[addr] = nodestate.Down // allocatable from its first Rise on
 	return nil
 }
 

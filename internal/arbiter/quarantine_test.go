@@ -149,8 +149,9 @@ func TestQuarantineFloorHoldsCapacity(t *testing.T) {
 
 // TestQuarantineMarkForgottenOnRemoveION: RemoveION forgets the node's
 // conditions with its membership, so an address that is removed and
-// added back starts healthy. (How the degraded mark interleaves with
-// down and draining is in the state × event table, transition_test.go.)
+// added back carries only the Down every added node starts in. (How the
+// degraded mark interleaves with down and draining is in the state ×
+// event table, transition_test.go.)
 func TestQuarantineMarkForgottenOnRemoveION(t *testing.T) {
 	arb, err := New(policy.MCKP{}, addrs(4), mapping.NewBus())
 	if err != nil {
@@ -170,8 +171,8 @@ func TestQuarantineMarkForgottenOnRemoveION(t *testing.T) {
 	if err := arb.AddION(node); err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := arb.StateOf(node); !ok || st != 0 {
-		t.Fatalf("degraded mark survived RemoveION + AddION: %v (member %v)", st, ok)
+	if st, ok := arb.StateOf(node); !ok || st != nodestate.Down {
+		t.Fatalf("re-added node is %v (member %v), want only down: the degraded mark survived RemoveION + AddION", st, ok)
 	}
 }
 

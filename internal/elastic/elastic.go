@@ -5,9 +5,9 @@
 // forecast) whether the pool should grow or shrink, and then walks every
 // node through an explicit lifecycle engineered for failure first:
 //
-//	Provision ─→ provisioning ─(first health rise)─→ member
+//	Provision ─→ provisioning (a pool member, down) ─(first Rise)─→ member
 //	                  │
-//	                  └─(rise deadline passes)─→ rolled back, disposed
+//	                  └─(rise deadline passes)─→ removed, disposed
 //
 //	member ─(DrainStart)─→ draining ─(quiesced N sweeps, or deadline)─→ gone
 //	                  │
@@ -39,8 +39,8 @@ import (
 )
 
 // Provisioner spawns and destroys I/O-node daemons. Provision returns
-// the address of a freshly started daemon (not yet trusted — the scaler
-// health-checks it before the arbiter may route to it). Decommission
+// the address of a freshly started daemon (not yet trusted — it joins the
+// pool down, and only its first health rise makes it allocatable). Decommission
 // releases a daemon the scaler is done with; it must be safe to call for
 // a daemon that is already dead.
 type Provisioner interface {
@@ -48,26 +48,24 @@ type Provisioner interface {
 	Decommission(addr string) error
 }
 
-// Pool is the arbiter surface the scaler drives (implemented by
-// *arbiter.Arbiter): membership, and the two drain events through
-// Transition.
+// Pool is the arbiter surface the scaler drives and reads (implemented by
+// *arbiter.Arbiter): membership — AddION admits a node down — the two
+// drain events through Transition, and each member's condition, which the
+// health prober's events keep current.
 type Pool interface {
 	AddION(addr string) error
 	RemoveION(addr string) error
 	Transition(addr string, ev nodestate.Event) error
+	StateOf(addr string) (nodestate.State, bool)
 }
 
-// Health is the liveness surface the scaler reads and grows (implemented
-// by *health.Prober). Add's second argument seeds the node's debounced
-// state (nodestate.Down: not trusted until it rises). Load reports the
-// last sampled queue depth per node that is currently up and whose sample
-// is fresh: a node never sampled, or whose sample went stale (a probe
-// path that stopped carrying load reports), is absent, so the scaler
-// never acts on evidence from before a probe blackout.
+// Health is the demand signal the scaler reads (implemented by
+// *health.Prober): the last sampled queue depth per pool member that is
+// up and whose sample is fresh. A node never sampled, or whose sample
+// went stale (a probe path that stopped carrying load reports), is
+// absent, so the scaler never acts on evidence from before a probe
+// blackout.
 type Health interface {
-	Add(addr string, initial nodestate.State) error
-	Remove(addr string)
-	StateOf(addr string) (nodestate.State, bool)
 	Load() map[string]int64
 }
 
@@ -192,7 +190,7 @@ func (cfg Config) withDefaults() (Config, error) {
 type phase uint8
 
 const (
-	provisioning phase = iota // between Provision and the first health rise
+	provisioning phase = iota // in the arbiter pool, down since Provision, not yet risen
 	member                    // in the arbiter pool, settled
 	draining                  // in the arbiter pool, leaving
 	numPhases
@@ -239,7 +237,7 @@ type Scaler struct {
 
 // New builds a scaler over an arbiter pool, a provisioner, and a health
 // plane. initial seeds the member set (the statically started pool);
-// pool, prov, and health must already know these addresses.
+// pool and prov must already know these addresses.
 func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []string) (*Scaler, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -329,36 +327,33 @@ func (s *Scaler) census() (c [numPhases]int) {
 	return c
 }
 
-// isUp reports whether the health plane knows addr and sees it answering.
+// isUp reports whether addr is a pool member that is not down.
 func (s *Scaler) isUp(addr string) bool {
-	st, ok := s.health.StateOf(addr)
+	st, ok := s.pool.StateOf(addr)
 	return ok && !st.Has(nodestate.Down)
 }
 
-// advanceProvisioning promotes provisioned nodes that passed their first
-// health rise and rolls back the ones that did not make the deadline.
-// Caller holds the lock.
+// advanceProvisioning promotes provisioned nodes whose first health rise
+// reached the pool and rolls back the ones that did not make the
+// deadline. Caller holds the lock.
 func (s *Scaler) advanceProvisioning() {
 	for _, addr := range s.inPhase(provisioning) {
 		n := s.nodes[addr]
 		if s.isUp(addr) {
-			// First rise achieved: the node is trusted, hand it to the
-			// arbiter. AddION's only failure modes are a duplicate (we
-			// never add twice) and an advisory solve failure that still
-			// keeps the node pooled, so the promotion stands either way.
-			_ = s.pool.AddION(addr)
+			// First rise achieved: the Rise already made the node
+			// allocatable and re-arbitrated; the scaler only settles it.
 			*n = node{phase: member}
 			s.tel.scaleUps.Inc()
 			s.provFails = 0
 			continue
 		}
 		if s.tick >= n.deadline {
-			// The daemon never rose: roll it back before the arbiter ever
-			// hears of it. A rollback is a provisioning failure as far as
-			// the backoff is concerned — the provisioner is handing out
-			// duds.
+			// The daemon never rose: take it out of the pool — down, it
+			// was never assigned — and dispose of it. A rollback is a
+			// provisioning failure as far as the backoff is concerned —
+			// the provisioner is handing out duds.
 			delete(s.nodes, addr)
-			s.health.Remove(addr)
+			_ = s.pool.RemoveION(addr)
 			_ = s.prov.Decommission(addr)
 			s.tel.provRollbacks.Inc()
 			s.provisionFailed()
@@ -373,13 +368,11 @@ func (s *Scaler) advanceDraining() {
 	for _, addr := range s.inPhase(draining) {
 		n := s.nodes[addr]
 		if !s.isUp(addr) {
-			// Died mid-drain. The prober's Fail already ended the
-			// arbiter-side drain (DrainAbort below is a no-op then, and a
-			// consistency repair if the arbiter callback has not fired
-			// yet). The node stays a member, down — warm restart may
-			// revive it; decommissioning a corpse we still count would
-			// strand its comeback.
-			_ = s.pool.Transition(addr, nodestate.DrainAbort)
+			// Died mid-drain. The Fail that marked it down in the pool
+			// also ended the arbiter-side drain (a Fail clears Draining).
+			// The node stays a member, down — warm restart may revive it;
+			// decommissioning a corpse we still count would strand its
+			// comeback.
 			*n = node{phase: member}
 			s.tel.drainsAborted.Inc()
 			continue
@@ -413,7 +406,6 @@ func (s *Scaler) completeDrain(addr string) {
 		s.tel.drainsAborted.Inc()
 		return
 	}
-	s.health.Remove(addr)
 	_ = s.prov.Decommission(addr)
 	delete(s.nodes, addr)
 	s.tel.scaleDowns.Inc()
@@ -556,9 +548,10 @@ func (s *Scaler) provision() bool {
 		s.provisionFailed()
 		return false
 	}
-	// Probe the newcomer pessimistically: it must rise on its own merits
+	// The newcomer joins the pool down, journaled at once: the prober
+	// watches it from the next sweep, and it must rise on its own merits
 	// before the arbiter may route to it.
-	if err := s.health.Add(addr, nodestate.Down); err != nil {
+	if err := s.pool.AddION(addr); err != nil {
 		_ = s.prov.Decommission(addr)
 		s.tel.provFailures.Inc()
 		s.provisionFailed()

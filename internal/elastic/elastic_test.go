@@ -17,21 +17,26 @@ import (
 	"repro/internal/telemetry"
 )
 
-// fakePool records arbiter calls.
+// fakePool is the arbiter: its members and their conditions, moved by
+// nodestate's own transition function, and a record of the scaler's
+// calls. rise and fail stand in for the prober's events.
 type fakePool struct {
-	draining map[string]bool
+	st       map[string]nodestate.State
 	assigned map[string]bool // RemoveION refused while set
 	drainErr error
 	adds     []string
 	starts   []string // DrainStart, in order
 	removes  []string
-	aborts   []string
 }
 
 func newFakePool() *fakePool {
-	return &fakePool{draining: map[string]bool{}, assigned: map[string]bool{}}
+	return &fakePool{st: map[string]nodestate.State{}, assigned: map[string]bool{}}
 }
 func (p *fakePool) AddION(addr string) error {
+	if _, dup := p.st[addr]; dup {
+		return errors.New("duplicate")
+	}
+	p.st[addr] = nodestate.Down
 	p.adds = append(p.adds, addr)
 	return nil
 }
@@ -41,65 +46,55 @@ func (p *fakePool) Transition(addr string, ev nodestate.Event) error {
 		if p.drainErr != nil {
 			return p.drainErr
 		}
-		p.draining[addr] = true
 		p.starts = append(p.starts, addr)
 	case nodestate.DrainAbort:
-		delete(p.draining, addr)
-		p.aborts = append(p.aborts, addr)
 	default:
 		return fmt.Errorf("the scaler sent %v: only the drain events are its to send", ev)
 	}
-	return nil
+	return p.apply(addr, ev)
 }
 func (p *fakePool) RemoveION(addr string) error {
 	if p.assigned[addr] {
 		return errors.New("still assigned")
 	}
-	delete(p.draining, addr)
+	delete(p.st, addr)
 	p.removes = append(p.removes, addr)
 	return nil
 }
+func (p *fakePool) StateOf(addr string) (nodestate.State, bool) {
+	st, ok := p.st[addr]
+	return st, ok
+}
+func (p *fakePool) apply(addr string, ev nodestate.Event) (err error) {
+	p.st[addr], _, err = p.st[addr].Apply(ev)
+	return err
+}
+func (p *fakePool) rise(addr string) { p.apply(addr, nodestate.Rise) }
+func (p *fakePool) fail(addr string) { p.apply(addr, nodestate.Fail) }
 
-// fakeHealth is a hand-set liveness/load plane.
+// draining is the set of members in a drain.
+func (p *fakePool) draining() map[string]bool {
+	out := map[string]bool{}
+	for addr, st := range p.st {
+		if st.Has(nodestate.Draining) {
+			out[addr] = true
+		}
+	}
+	return out
+}
+
+// fakeHealth is a hand-set load plane over the fake pool: Load reports
+// the depth of every member the pool has up, less the stale ones.
 type fakeHealth struct {
-	up      map[string]bool
-	depth   map[string]int64
-	stale   map[string]bool // sample too old: Load omits the node
-	added   map[string]bool // posture recorded at Add: the seeded up value
-	removed []string
+	pool  *fakePool
+	depth map[string]int64
+	stale map[string]bool // sample too old: Load omits the node
 }
 
-func newFakeHealth() *fakeHealth {
-	return &fakeHealth{
-		up: map[string]bool{}, depth: map[string]int64{},
-		stale: map[string]bool{}, added: map[string]bool{},
-	}
-}
-func (h *fakeHealth) Add(addr string, initial nodestate.State) error {
-	if _, dup := h.up[addr]; dup {
-		return errors.New("duplicate")
-	}
-	up := !initial.Has(nodestate.Down)
-	h.up[addr] = up
-	h.added[addr] = up
-	return nil
-}
-func (h *fakeHealth) Remove(addr string) {
-	delete(h.up, addr)
-	delete(h.depth, addr)
-	h.removed = append(h.removed, addr)
-}
-func (h *fakeHealth) StateOf(addr string) (nodestate.State, bool) {
-	up, ok := h.up[addr]
-	if ok && !up {
-		return nodestate.Down, true
-	}
-	return 0, ok
-}
 func (h *fakeHealth) Load() map[string]int64 {
 	out := map[string]int64{}
-	for addr, up := range h.up {
-		if up && !h.stale[addr] {
+	for addr, st := range h.pool.st {
+		if !st.Has(nodestate.Down) && !h.stale[addr] {
 			out[addr] = h.depth[addr]
 		}
 	}
@@ -148,7 +143,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	t.Helper()
 	pool := newFakePool()
 	prov := &fakeProv{}
-	health := newFakeHealth()
+	health := &fakeHealth{pool: pool, depth: map[string]int64{}, stale: map[string]bool{}}
 	reg := telemetry.New()
 	quiet := map[string]bool{}
 	cfg := Config{
@@ -170,7 +165,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	}
 	initial := []string{"ion0:1", "ion1:1"}
 	for _, a := range initial {
-		health.up[a] = true
+		pool.st[a] = 0
 	}
 	s, err := New(cfg, pool, prov, health, initial)
 	if err != nil {
@@ -181,8 +176,8 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 
 // setDepth sets every up member's sampled depth.
 func (r *rig) setDepth(d int64) {
-	for addr, up := range r.health.up {
-		if up {
+	for addr, st := range r.pool.st {
+		if !st.Has(nodestate.Down) {
 			r.health.depth[addr] = d
 		}
 	}
@@ -203,7 +198,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mutate(&cfg)
-			if _, err := New(cfg, newFakePool(), &fakeProv{}, newFakeHealth(), nil); err == nil {
+			if _, err := New(cfg, newFakePool(), &fakeProv{}, &fakeHealth{}, nil); err == nil {
 				t.Fatal("want config error")
 			}
 		})
@@ -212,7 +207,7 @@ func TestConfigValidation(t *testing.T) {
 	cfg := base
 	cfg.Max = cfg.Min
 	cfg.Quiesced = nil
-	if _, err := New(cfg, newFakePool(), &fakeProv{}, newFakeHealth(), nil); err != nil {
+	if _, err := New(cfg, newFakePool(), &fakeProv{}, &fakeHealth{}, nil); err != nil {
 		t.Fatalf("fixed-size config rejected: %v", err)
 	}
 }
@@ -231,21 +226,22 @@ func TestScaleUpNeedsSustainedSignalAndFirstRise(t *testing.T) {
 		t.Fatalf("provisioned = %v, want one node", r.prov.provisioned)
 	}
 	newAddr := r.prov.provisioned[0]
-	if up, ok := r.health.added[newAddr]; !ok || up {
-		t.Fatalf("new node must be health-added pessimistically down, got added=%v up=%v", ok, up)
+	if !slices.Equal(r.pool.adds, []string{newAddr}) {
+		t.Fatalf("arbiter adds = %v, want [%s] in the tick that provisioned it", r.pool.adds, newAddr)
 	}
-	if len(r.pool.adds) != 0 {
-		t.Fatal("node handed to the arbiter before its first health rise")
+	if st, ok := r.pool.StateOf(newAddr); !ok || st != nodestate.Down {
+		t.Fatalf("new node is %v in the pool (member %v), want a down member", st, ok)
 	}
+	r.tick()
 	if r.counter("elastic_scale_ups_total") != 0 {
 		t.Fatal("scale-up counted before the node rose")
 	}
 
-	// The daemon rises; the next tick promotes it.
-	r.health.up[newAddr] = true
+	// The daemon rises; the next tick settles it.
+	r.pool.rise(newAddr)
 	r.tick()
-	if len(r.pool.adds) != 1 || r.pool.adds[0] != newAddr {
-		t.Fatalf("arbiter adds = %v, want [%s]", r.pool.adds, newAddr)
+	if len(r.pool.adds) != 1 {
+		t.Fatalf("arbiter adds = %v, want [%s]: a rise adds nothing", r.pool.adds, newAddr)
 	}
 	if r.counter("elastic_scale_ups_total") != 1 {
 		t.Fatalf("elastic_scale_ups_total = %d, want 1", r.counter("elastic_scale_ups_total"))
@@ -255,26 +251,27 @@ func TestScaleUpNeedsSustainedSignalAndFirstRise(t *testing.T) {
 	}
 }
 
-// TestProvisionsRiseInAddressOrder: provisions that rise in the same tick
-// reach the arbiter in ascending address order, every time — the scaler
-// walks its node table in a fixed order, so one seed journals and
-// publishes one sequence of pools.
-func TestProvisionsRiseInAddressOrder(t *testing.T) {
+// TestProvisionRollbacksInAddressOrder: provisions that miss their rise
+// deadline in the same tick leave the pool and reach the provisioner in
+// ascending address order, every time — the scaler walks its node table
+// in a fixed order, so one seed journals one sequence of pools.
+func TestProvisionRollbacksInAddressOrder(t *testing.T) {
+	want := []string{"ion10:1", "ion11:1", "ion12:1", "ion13:1"}
 	for rep := 0; rep < 20; rep++ {
 		r := newRig(t, func(c *Config) { c.MaxStep = 4 })
 		r.setDepth(20)
 		for i := 0; i < 3; i++ { // UpSustain: four provisions at once
 			r.tick()
 		}
-		if len(r.prov.provisioned) != 4 {
-			t.Fatalf("provisioned = %v, want four", r.prov.provisioned)
-		}
-		for _, addr := range r.prov.provisioned {
-			r.health.up[addr] = true
-		}
-		r.tick()
-		if want := []string{"ion10:1", "ion11:1", "ion12:1", "ion13:1"}; !slices.Equal(r.pool.adds, want) {
+		if !slices.Equal(r.pool.adds, want) {
 			t.Fatalf("repetition %d: arbiter adds = %v, want %v", rep, r.pool.adds, want)
+		}
+		for i := 0; i < riseTimeout; i++ { // none rises
+			r.tick()
+		}
+		if !slices.Equal(r.pool.removes, want) || !slices.Equal(r.prov.decommissioned, want) {
+			t.Fatalf("repetition %d: removes = %v, decommissioned = %v, want both %v",
+				rep, r.pool.removes, r.prov.decommissioned, want)
 		}
 	}
 }
@@ -288,7 +285,7 @@ func TestScaleUpCooldownGatesNextGrowth(t *testing.T) {
 	if len(r.prov.provisioned) != 1 {
 		t.Fatalf("provisioned = %v, want 1", r.prov.provisioned)
 	}
-	r.health.up[r.prov.provisioned[0]] = true
+	r.pool.rise(r.prov.provisioned[0])
 	r.setDepth(20)
 	// 5 more hot ticks: sustain is long since met, but the cooldown must
 	// hold the second grow until tick 13.
@@ -323,7 +320,7 @@ func TestFlipQuietDampsReversal(t *testing.T) {
 		if len(r.prov.provisioned) != 1 {
 			t.Fatalf("provisioned = %v, want 1", r.prov.provisioned)
 		}
-		r.health.up[r.prov.provisioned[0]] = true
+		r.pool.rise(r.prov.provisioned[0])
 		r.tick() // promote: pool 3, shrinkable above Min
 		if r.counter("elastic_scale_ups_total") != 1 {
 			t.Fatalf("ups = %d, want 1", r.counter("elastic_scale_ups_total"))
@@ -367,9 +364,9 @@ func TestHysteresisBandHoldsSteady(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r.tick()
 	}
-	if len(r.prov.provisioned) != 0 || len(r.pool.draining) != 0 || len(r.pool.removes) != 0 {
+	if len(r.prov.provisioned) != 0 || len(r.pool.draining()) != 0 || len(r.pool.removes) != 0 {
 		t.Fatalf("band breached: prov=%v draining=%v removes=%v",
-			r.prov.provisioned, r.pool.draining, r.pool.removes)
+			r.prov.provisioned, r.pool.draining(), r.pool.removes)
 	}
 }
 
@@ -397,12 +394,12 @@ func TestScaleDownDrainsQuiescesAndDecommissions(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r.tick()
 	}
-	if len(r.pool.draining) != 0 {
-		t.Fatalf("drained before DownSustain: %v", r.pool.draining)
+	if len(r.pool.draining()) != 0 {
+		t.Fatalf("drained before DownSustain: %v", r.pool.draining())
 	}
 	r.tick() // streak 4 = DownSustain → drain the least-loaded node
-	if !r.pool.draining["ion0:1"] {
-		t.Fatalf("victim = %v, want the least-depth node ion0:1", r.pool.draining)
+	if !r.pool.draining()["ion0:1"] {
+		t.Fatalf("victim = %v, want the least-depth node ion0:1", r.pool.draining())
 	}
 	if r.counter("elastic_drains_started_total") != 1 {
 		t.Fatal("drain not counted")
@@ -423,9 +420,6 @@ func TestScaleDownDrainsQuiescesAndDecommissions(t *testing.T) {
 	if len(r.prov.decommissioned) != 1 || r.prov.decommissioned[0] != "ion0:1" {
 		t.Fatalf("decommissioned = %v, want [ion0:1]", r.prov.decommissioned)
 	}
-	if len(r.health.removed) != 1 || r.health.removed[0] != "ion0:1" {
-		t.Fatalf("health removed = %v, want [ion0:1]", r.health.removed)
-	}
 	if r.counter("elastic_scale_downs_total") != 1 {
 		t.Fatal("scale-down not counted")
 	}
@@ -440,8 +434,8 @@ func TestMinFloorBlocksScaleDown(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.tick()
 	}
-	if len(r.pool.draining) != 0 {
-		t.Fatalf("pool shrank below Min: %v", r.pool.draining)
+	if len(r.pool.draining()) != 0 {
+		t.Fatalf("pool shrank below Min: %v", r.pool.draining())
 	}
 }
 
@@ -485,16 +479,17 @@ func TestDrainAbortsWhenNodeDies(t *testing.T) {
 		r.tick()
 	}
 	victim := ""
-	for addr := range r.pool.draining {
+	for addr := range r.pool.draining() {
 		victim = addr
 	}
 	if victim == "" {
 		t.Fatal("no drain started")
 	}
-	// The nemesis kills the draining node: the drain must abort, the
-	// node must NOT be decommissioned (warm restart may revive it), and
-	// it must stay a member.
-	r.health.up[victim] = false
+	// The nemesis kills the draining node — the prober's Fail ends the
+	// drain in the pool — and the scaler must follow: the node must NOT
+	// be decommissioned (warm restart may revive it), and it must stay a
+	// member.
+	r.pool.fail(victim)
 	r.tick()
 	if r.counter("elastic_drains_aborted_total") != 1 {
 		t.Fatal("aborted drain not counted")
@@ -511,8 +506,8 @@ func TestDrainAbortsWhenNodeDies(t *testing.T) {
 	if !found {
 		t.Fatalf("aborted-drain node dropped from members: %v", r.s.Members())
 	}
-	if len(r.pool.aborts) == 0 {
-		t.Fatal("arbiter AbortDrain never called")
+	if st := r.pool.st[victim]; st != nodestate.Down {
+		t.Fatalf("dead drained node is %v in the pool, want down", st)
 	}
 }
 
@@ -523,8 +518,8 @@ func TestDrainForcedPastDeadline(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.tick()
 	}
-	if len(r.pool.draining) != 1 {
-		t.Fatalf("draining = %v, want 1", r.pool.draining)
+	if len(r.pool.draining()) != 1 {
+		t.Fatalf("draining = %v, want 1", r.pool.draining())
 	}
 	// drainDeadline is 30 ticks: the drain started at tick 4 is forced at
 	// tick 34.
@@ -564,8 +559,12 @@ func TestProvisionRollbackWhenNodeNeverRises(t *testing.T) {
 		t.Fatalf("provisioned = %v, want 1", r.prov.provisioned)
 	}
 	dud := r.prov.provisioned[0]
-	// The daemon never rises; tick 13 rolls it back.
+	// The daemon never rises; tick 13 rolls it back. Until then it is a
+	// pool member the whole time, and down — never allocatable.
 	for i := 0; i < 11; i++ {
+		if st, ok := r.pool.StateOf(dud); i < 10 && (!ok || st != nodestate.Down) {
+			t.Fatalf("after tick %d: dud is %v (member %v), want a down member", 3+i, st, ok)
+		}
 		r.tick()
 		r.setDepth(20)
 	}
@@ -576,8 +575,8 @@ func TestProvisionRollbackWhenNodeNeverRises(t *testing.T) {
 	if len(r.prov.decommissioned) != 1 || r.prov.decommissioned[0] != dud {
 		t.Fatalf("decommissioned = %v, want [%s]", r.prov.decommissioned, dud)
 	}
-	if len(r.pool.adds) != 0 {
-		t.Fatalf("dud reached the arbiter: %v", r.pool.adds)
+	if r.pool.adds[0] != dud || !slices.Equal(r.pool.removes, []string{dud}) {
+		t.Fatalf("adds = %v, removes = %v, want the dud in and out of the pool once", r.pool.adds, r.pool.removes)
 	}
 	if r.counter("elastic_scale_ups_total") != 0 {
 		t.Fatal("rollback counted as a scale-up")
@@ -608,14 +607,14 @@ func TestForecastVetoBlocksWorthlessGrowth(t *testing.T) {
 
 func TestAllMembersDownFreezesScaling(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.Min = 1 })
-	r.health.up["ion0:1"] = false
-	r.health.up["ion1:1"] = false
+	r.pool.fail("ion0:1")
+	r.pool.fail("ion1:1")
 	for i := 0; i < 20; i++ {
 		r.tick()
 	}
-	if len(r.prov.provisioned) != 0 || len(r.pool.draining) != 0 {
+	if len(r.prov.provisioned) != 0 || len(r.pool.draining()) != 0 {
 		t.Fatalf("outage treated as demand signal: prov=%v draining=%v",
-			r.prov.provisioned, r.pool.draining)
+			r.prov.provisioned, r.pool.draining())
 	}
 }
 
@@ -628,7 +627,7 @@ func TestCompleteDrainAbortsIfStillAssigned(t *testing.T) {
 		r.tick()
 	}
 	victim := ""
-	for addr := range r.pool.draining {
+	for addr := range r.pool.draining() {
 		victim = addr
 	}
 	if victim == "" {
@@ -660,10 +659,10 @@ func TestStaleSamplesSkipped(t *testing.T) {
 	for i := 0; i < 4; i++ { // DownSustain
 		r.tick()
 	}
-	if !r.pool.draining["ion0:1"] {
-		t.Fatalf("fresh idle node not drained; draining=%v", r.pool.draining)
+	if !r.pool.draining()["ion0:1"] {
+		t.Fatalf("fresh idle node not drained; draining=%v", r.pool.draining())
 	}
-	if r.pool.draining["ion1:1"] {
+	if r.pool.draining()["ion1:1"] {
 		t.Fatal("stale-sampled node picked as drain victim")
 	}
 	if got := r.counter("elastic_stale_samples_skipped_total"); got != 4 {
@@ -681,9 +680,9 @@ func TestAllSamplesStaleFreezesScaling(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.tick()
 	}
-	if len(r.pool.draining) != 0 || len(r.prov.provisioned) != 0 {
+	if len(r.pool.draining()) != 0 || len(r.prov.provisioned) != 0 {
 		t.Fatalf("scaled on all-stale evidence: draining=%v provisioned=%v",
-			r.pool.draining, r.prov.provisioned)
+			r.pool.draining(), r.prov.provisioned)
 	}
 }
 
@@ -734,7 +733,8 @@ func TestIdleDrainCompletesGracefully(t *testing.T) {
 
 // TestScalerDecisionTicksAreScripted runs one script — a burst, a provisioner
 // outage inside it, then idleness — and pins the tick of every decision:
-// each promotion one tick after its provision, the up cooldown (10), the
+// each node added to the pool in the tick that provisions it and settled
+// (a scale-up) the tick after it rose, the up cooldown (10), the
 // provisioning retries 1, 2, 4, 8, 16, 30, 30 ticks apart, the flip gate
 // (20 after the last provision) and the down cooldown (20) between
 // drains, each drain done QuiesceSweeps+1 ticks after it started.
@@ -743,7 +743,7 @@ func TestScalerDecisionTicksAreScripted(t *testing.T) {
 	r.s.cfg.Quiesced = r.activityQuiesced()
 	var log []string
 	var provs, adds, starts, removes int
-	var fails int64
+	var fails, ups int64
 	for tick := 1; tick <= 200; tick++ {
 		switch tick {
 		case 15:
@@ -752,8 +752,8 @@ func TestScalerDecisionTicksAreScripted(t *testing.T) {
 			r.prov.failNext = 0 // and comes back
 		}
 		for _, a := range r.prov.provisioned { // a provisioned daemon rises within one sweep
-			if _, known := r.health.up[a]; known {
-				r.health.up[a] = true
+			if _, known := r.pool.st[a]; known {
+				r.pool.rise(a)
 			}
 		}
 		demand := int64(20)
@@ -773,6 +773,10 @@ func TestScalerDecisionTicksAreScripted(t *testing.T) {
 		for _, a := range r.pool.adds[adds:] {
 			log = append(log, fmt.Sprintf("%d add %s", tick, a))
 		}
+		if u := r.counter("elastic_scale_ups_total"); u > ups {
+			log = append(log, fmt.Sprintf("%d scale-up", tick))
+			ups = u
+		}
 		for _, a := range r.pool.starts[starts:] {
 			log = append(log, fmt.Sprintf("%d drain %s", tick, a))
 		}
@@ -782,11 +786,11 @@ func TestScalerDecisionTicksAreScripted(t *testing.T) {
 		provs, adds, starts, removes = len(r.prov.provisioned), len(r.pool.adds), len(r.pool.starts), len(r.pool.removes)
 	}
 	want := []string{
-		"3 provision ion10:1", "4 add ion10:1",
-		"13 provision ion11:1", "14 add ion11:1",
+		"3 provision ion10:1", "3 add ion10:1", "4 scale-up",
+		"13 provision ion11:1", "13 add ion11:1", "14 scale-up",
 		"23 provision fails", "24 provision fails", "26 provision fails", "30 provision fails",
 		"38 provision fails", "54 provision fails", "84 provision fails",
-		"114 provision ion12:1", "115 add ion12:1",
+		"114 provision ion12:1", "114 add ion12:1", "115 scale-up",
 		"134 drain ion0:1", "137 remove ion0:1",
 		"154 drain ion10:1", "157 remove ion10:1", // "ion10:1" sorts before "ion1:1"
 		"174 drain ion11:1", "177 remove ion11:1",

@@ -1,77 +1,72 @@
 package health
 
-// Dynamic-membership tests: the Add/Remove hooks the autoscaler drives,
-// the pessimistic start posture of freshly provisioned nodes, and the
-// Load() demand signal.
+// Dynamic-membership tests: the prober follows the pool it is given — a
+// member added down rises through the ordinary edge, a member removed is
+// forgotten — and the Load() demand signal.
 
 import (
 	"testing"
 	"time"
 
+	"repro/internal/latency"
 	"repro/internal/nodestate"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
 
-func TestAddStartsPessimisticAndRises(t *testing.T) {
+// TestPoolMemberAddedDownRises: a node that joins the pool down (a fresh
+// provision) is probed from the next sweep on and must earn its Rise —
+// RiseThreshold successful pings — like any down node.
+func TestPoolMemberAddedDownRises(t *testing.T) {
 	srvA, addrA := pingServer(t)
 	defer srvA.Close()
 	srvB, addrB := pingServer(t)
 	defer srvB.Close()
 
 	var evs []Event
-	reg := telemetry.New()
+	pool := members(addrA)
 	p, err := New(Config{
-		Addrs:         []string{addrA},
+		Pool:          pool,
 		Timeout:       100 * time.Millisecond,
 		FailThreshold: 2,
 		RiseThreshold: 2,
-		Telemetry:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Stop()
 
-	if err := p.Add(addrB, nodestate.Down); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if isUp(p, addrB) {
-		t.Fatal("pessimistically added node reported up before any ping")
-	}
-	if got := reg.Gauge("health_ions_up").Value(); got != 1 {
-		t.Fatalf("health_ions_up = %d, want 1 (new node not yet risen)", got)
-	}
-
-	evs = append(evs, p.ProbeOnce()...) // rise 1 of 2
-	if isUp(p, addrB) {
+	evs = append(evs, sweep(p, pool)...)
+	pool[addrB] = nodestate.Down
+	evs = append(evs, sweep(p, pool)...) // rise 1 of 2
+	if isUp(pool, addrB) {
 		t.Fatal("node rose before RiseThreshold")
 	}
-	evs = append(evs, p.ProbeOnce()...) // rise 2 of 2
-	if !isUp(p, addrB) {
+	evs = append(evs, sweep(p, pool)...) // rise 2 of 2
+	if !isUp(pool, addrB) {
 		t.Fatal("node did not rise after RiseThreshold successful pings")
 	}
 	if len(evs) != 1 || evs[0] != (Event{addrB, nodestate.Rise}) {
 		t.Fatalf("events = %v, want one Rise for %s", evs, addrB)
 	}
-	if got := reg.Gauge("health_ions_up").Value(); got != 2 {
-		t.Fatalf("health_ions_up = %d, want 2", got)
-	}
-
-	if err := p.Add(addrB, nodestate.Down); err == nil {
-		t.Fatal("duplicate Add must fail")
-	}
 }
 
-func TestRemoveStopsProbingAndSettlesGauges(t *testing.T) {
+// TestPoolMemberRemovedIsForgotten: once a node leaves the pool the next
+// sweep stops probing it and drops what the prober kept for it — its
+// load sample and its latency samples — so a dead removed node fires
+// nothing and a reused address starts clean.
+func TestPoolMemberRemovedIsForgotten(t *testing.T) {
 	srvA, addrA := pingServer(t)
 	defer srvA.Close()
 	srvB, addrB := pingServer(t)
 
 	reg := telemetry.New()
+	sk := latency.NewSketch(0)
+	pool := members(addrA, addrB)
 	p, err := New(Config{
-		Addrs:     []string{addrA, addrB},
+		Pool:      pool,
 		Timeout:   100 * time.Millisecond,
+		Latency:   sk,
 		Telemetry: reg,
 	})
 	if err != nil {
@@ -79,25 +74,28 @@ func TestRemoveStopsProbingAndSettlesGauges(t *testing.T) {
 	}
 	defer p.Stop()
 
-	p.Remove(addrB)
+	sweep(p, pool)
+	if _, ok := p.Load()[addrB]; !ok {
+		t.Fatal("member missing from Load() after a loaded sweep")
+	}
+	delete(pool, addrB)
 	srvB.Close() // a dead removed node must not produce transitions
-	if isUp(p, addrB) {
-		t.Fatal("removed node still reported up")
+	if _, ok := p.Load()[addrB]; ok {
+		t.Fatal("removed node still present in Load()")
 	}
-	if got := reg.Gauge("health_ions_up").Value(); got != 1 {
-		t.Fatalf("health_ions_up = %d, want 1", got)
-	}
+	sk.Observe(addrB, time.Second) // a client's late sample
 	for i := 0; i < 5; i++ {
-		p.ProbeOnce()
+		sweep(p, pool)
 	}
 	if got := reg.Counter("health_transitions_down_total").Value(); got != 0 {
 		t.Fatalf("removed node produced %d down transitions", got)
 	}
-	if _, ok := p.Load()[addrB]; ok {
-		t.Fatal("removed node still present in Load()")
+	if got := reg.Counter("health_probes_total").Value(); got != 2+5 {
+		t.Fatalf("health_probes_total = %d, want 7: the removed node is probed no more", got)
 	}
-	p.Remove(addrB) // unknown: no-op
-	p.Remove("nobody:1")
+	if n := sk.Samples(addrB); n != 0 {
+		t.Fatalf("removed node keeps %d latency samples", n)
+	}
 }
 
 func TestLoadReportsSampledQueueDepth(t *testing.T) {
@@ -112,8 +110,9 @@ func TestLoadReportsSampledQueueDepth(t *testing.T) {
 	}
 	defer srv.Close()
 
+	pool := members(addr)
 	p, err := New(Config{
-		Addrs:   []string{addr},
+		Pool:    pool,
 		Timeout: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -124,8 +123,12 @@ func TestLoadReportsSampledQueueDepth(t *testing.T) {
 	if got := p.Load()[addr]; got != 0 {
 		t.Fatalf("depth before any sweep = %d, want 0", got)
 	}
-	p.ProbeOnce()
+	sweep(p, pool)
 	if got := p.Load()[addr]; got != 7 {
 		t.Fatalf("depth = %d, want 7", got)
+	}
+	pool[addr] = nodestate.Down // down in the pool: not the planner's evidence
+	if _, ok := p.Load()[addr]; ok {
+		t.Fatal("Load() reports a node the pool has down")
 	}
 }

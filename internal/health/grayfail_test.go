@@ -34,8 +34,9 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	sk := latency.NewSketch(0)
 	var evs []Event
 	reg := telemetry.New()
+	pool := members(addrs...)
 	p, err := New(Config{
-		Addrs:        addrs,
+		Pool:         pool,
 		Timeout:      100 * time.Millisecond,
 		SlowFactor:   4,
 		SlowWindow:   2,
@@ -54,15 +55,15 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	seedSketch(sk, addrs[1], 10*time.Millisecond, 60)
 	seedSketch(sk, addrs[2], 200*time.Millisecond, 60)
 
-	evs = append(evs, p.ProbeOnce()...)
-	if in(p, addrs[2], nodestate.Degraded) {
+	evs = append(evs, sweep(p, pool)...)
+	if in(pool, addrs[2], nodestate.Degraded) {
 		t.Fatal("one slow sweep must not mark degraded (SlowWindow=2)")
 	}
-	evs = append(evs, p.ProbeOnce()...)
-	if !in(p, addrs[2], nodestate.Degraded) {
+	evs = append(evs, sweep(p, pool)...)
+	if !in(pool, addrs[2], nodestate.Degraded) {
 		t.Fatal("two slow sweeps should mark degraded")
 	}
-	if in(p, addrs[0], nodestate.Degraded) || in(p, addrs[1], nodestate.Degraded) {
+	if in(pool, addrs[0], nodestate.Degraded) || in(pool, addrs[1], nodestate.Degraded) {
 		t.Fatal("healthy peers misread as degraded")
 	}
 	if len(evs) != 1 || evs[0] != (Event{addrs[2], nodestate.Slow}) {
@@ -71,15 +72,12 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	if got := reg.Counter("health_degraded_transitions_total").Value(); got != 1 {
 		t.Fatalf("health_degraded_transitions_total = %d, want 1", got)
 	}
-	if got := reg.Gauge("health_degraded_ions").Value(); got != 1 {
-		t.Fatalf("health_degraded_ions = %d, want 1", got)
-	}
 	// Degraded is not down and not overloaded: the other planes are
 	// untouched — the node answers pings and reports an empty queue.
-	if !isUp(p, addrs[2]) {
+	if !isUp(pool, addrs[2]) {
 		t.Fatal("degraded node must remain up")
 	}
-	if in(p, addrs[2], nodestate.Overloaded) {
+	if in(pool, addrs[2], nodestate.Overloaded) {
 		t.Fatal("degraded node misread as overloaded")
 	}
 
@@ -87,13 +85,13 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	// peers. Recovery needs SlowRecovery=3 clean sweeps (hysteresis).
 	sk.Forget(addrs[2])
 	seedSketch(sk, addrs[2], 10*time.Millisecond, 60)
-	evs = append(evs, p.ProbeOnce()...)
-	evs = append(evs, p.ProbeOnce()...)
-	if !in(p, addrs[2], nodestate.Degraded) {
+	evs = append(evs, sweep(p, pool)...)
+	evs = append(evs, sweep(p, pool)...)
+	if !in(pool, addrs[2], nodestate.Degraded) {
 		t.Fatal("two clean sweeps must not restore (SlowRecovery=3)")
 	}
-	evs = append(evs, p.ProbeOnce()...)
-	if in(p, addrs[2], nodestate.Degraded) {
+	evs = append(evs, sweep(p, pool)...)
+	if in(pool, addrs[2], nodestate.Degraded) {
 		t.Fatal("three clean sweeps should restore")
 	}
 	if len(evs) != 2 || evs[1] != (Event{addrs[2], nodestate.Restore}) {
@@ -101,9 +99,6 @@ func TestDegradedDetectionAndRecovery(t *testing.T) {
 	}
 	if got := reg.Counter("health_degraded_recovered_total").Value(); got != 1 {
 		t.Fatalf("health_degraded_recovered_total = %d, want 1", got)
-	}
-	if got := reg.Gauge("health_degraded_ions").Value(); got != 0 {
-		t.Fatalf("health_degraded_ions = %d, want 0 after restore", got)
 	}
 }
 
@@ -119,8 +114,9 @@ func TestDegradedNeedsPeerQuorum(t *testing.T) {
 		addrs = append(addrs, addr)
 	}
 	sk := latency.NewSketch(0)
+	pool := members(addrs...)
 	p, err := New(Config{
-		Addrs:      addrs,
+		Pool:       pool,
 		Timeout:    100 * time.Millisecond,
 		SlowFactor: 2,
 		SlowWindow: 1,
@@ -133,9 +129,9 @@ func TestDegradedNeedsPeerQuorum(t *testing.T) {
 	seedSketch(sk, addrs[0], 5*time.Millisecond, 60)
 	seedSketch(sk, addrs[1], 500*time.Millisecond, 60)
 	for i := 0; i < 4; i++ {
-		p.ProbeOnce()
+		sweep(p, pool)
 	}
-	if in(p, addrs[0], nodestate.Degraded) || in(p, addrs[1], nodestate.Degraded) {
+	if in(pool, addrs[0], nodestate.Degraded) || in(pool, addrs[1], nodestate.Degraded) {
 		t.Fatal("scorer judged without a peer quorum")
 	}
 }
@@ -152,8 +148,9 @@ func TestSlowMinLatencyFloor(t *testing.T) {
 		addrs = append(addrs, addr)
 	}
 	sk := latency.NewSketch(0)
+	pool := members(addrs...)
 	p, err := New(Config{
-		Addrs:      addrs,
+		Pool:       pool,
 		Timeout:    100 * time.Millisecond,
 		SlowFactor: 4,
 		SlowWindow: 1,
@@ -167,9 +164,9 @@ func TestSlowMinLatencyFloor(t *testing.T) {
 	seedSketch(sk, addrs[1], 2*time.Microsecond, 60)
 	seedSketch(sk, addrs[2], 50*time.Microsecond, 60)
 	for i := 0; i < 3; i++ {
-		p.ProbeOnce()
+		sweep(p, pool)
 	}
-	if in(p, addrs[2], nodestate.Degraded) {
+	if in(pool, addrs[2], nodestate.Degraded) {
 		t.Fatal("sub-floor median must never degrade")
 	}
 }
@@ -191,8 +188,9 @@ func TestSlowScorerInactiveWithoutFactor(t *testing.T) {
 	seedSketch(sk, addrs[1], time.Millisecond, 60)
 	var evs []Event
 	reg := telemetry.New()
+	pool := members(addrs...)
 	p, err := New(Config{
-		Addrs:     addrs,
+		Pool:      pool,
 		Timeout:   100 * time.Millisecond,
 		Latency:   sk, // sketch without factor: plane stays off
 		Telemetry: reg,
@@ -202,9 +200,9 @@ func TestSlowScorerInactiveWithoutFactor(t *testing.T) {
 	}
 	defer p.Stop()
 	for i := 0; i < 4; i++ {
-		evs = append(evs, p.ProbeOnce()...)
+		evs = append(evs, sweep(p, pool)...)
 	}
-	if in(p, addrs[2], nodestate.Degraded) || len(evs) != 0 {
+	if in(pool, addrs[2], nodestate.Degraded) || len(evs) != 0 {
 		t.Fatal("scorer ran without a SlowFactor")
 	}
 	snap := reg.Snapshot()
@@ -212,9 +210,6 @@ func TestSlowScorerInactiveWithoutFactor(t *testing.T) {
 		if name == "health_degraded_transitions_total" || name == "health_degraded_recovered_total" {
 			t.Fatalf("series %s registered without a SlowFactor", name)
 		}
-	}
-	if _, ok := snap.Gauges["health_degraded_ions"]; ok {
-		t.Fatal("health_degraded_ions registered without a SlowFactor")
 	}
 }
 
@@ -227,7 +222,8 @@ func TestSlowScorerInactiveWithoutFactor(t *testing.T) {
 func TestLoadOmitsStaleSample(t *testing.T) {
 	ls := &loadServer{}
 	_, addr := ls.start(t)
-	p, err := New(Config{Addrs: []string{addr}, Timeout: 100 * time.Millisecond})
+	pool := members(addr)
+	p, err := New(Config{Pool: pool, Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,24 +233,24 @@ func TestLoadOmitsStaleSample(t *testing.T) {
 		t.Fatalf("Load before any sweep = %v, want empty", load)
 	}
 	ls.depth.Store(7)
-	p.ProbeOnce()
+	sweep(p, pool)
 	if load := p.Load(); len(load) != 1 || load[addr] != 7 {
 		t.Fatalf("Load right after a loaded sweep = %v, want {%s: 7}", load, addr)
 	}
 	ls.shedding.Store(true)
 	for busy := 1; busy <= sampleStaleness+1; busy++ {
-		p.ProbeOnce()
+		sweep(p, pool)
 		_, kept := p.Load()[addr]
 		if want := busy <= sampleStaleness; kept != want {
 			t.Fatalf("after busy sweep %d the sample is kept = %v, want %v", busy, kept, want)
 		}
 	}
-	if !isUp(p, addr) {
+	if !isUp(pool, addr) {
 		t.Fatal("busy sweeps marked the node down: staleness is not liveness")
 	}
 	ls.shedding.Store(false)
 	ls.depth.Store(9)
-	p.ProbeOnce()
+	sweep(p, pool)
 	if got, ok := p.Load()[addr]; !ok || got != 9 {
 		t.Fatalf("Load after a fresh loaded sweep = %d (present %v), want 9", got, ok)
 	}

@@ -13,6 +13,13 @@
 // ProbeOnce every probe interval, applies the returned events to the
 // arbiter, and then steps the autoscaler, which reads Load.
 //
+// The prober keeps no table of its own: the arbiter's pool is the one
+// record of which I/O nodes exist and what condition each is in. Every
+// sweep reads the pool's members and their conditions once (Config.Pool),
+// pings the members, and debounces each plane against the condition the
+// pool records — so a member added down rises through the ordinary edge,
+// and a mark anyone set converges to what the probes see.
+//
 // Detection is threshold-debounced in both directions: FailThreshold
 // consecutive failed pings mark a node down (one lost packet is not an
 // outage), RiseThreshold consecutive successful pings mark it back up
@@ -57,10 +64,17 @@ type Event struct {
 	Kind nodestate.Event
 }
 
+// Pool is the table of I/O nodes the prober watches (implemented by
+// *arbiter.Arbiter): the members, and the condition each is recorded in.
+type Pool interface {
+	Pool() []string
+	StateOf(addr string) (nodestate.State, bool)
+}
+
 // Config parameterizes a prober.
 type Config struct {
-	// Addrs are the I/O-node addresses to probe. Required.
-	Addrs []string
+	// Pool is what the prober probes and judges against. Required.
+	Pool Pool
 	// Timeout is the per-ping deadline; ≤0 selects 500ms, Check's
 	// default too (livestack derives its own from the probe interval).
 	// Probes use a dedicated rpc client with no retries and no gate, so
@@ -196,11 +210,12 @@ func (k *streak) observe(on, signal bool, set, clear int) (flipped bool) {
 	return true
 }
 
-// nodeState tracks one address: its probe connection, its debounced
-// conditions, one debouncer per plane, and the last load sample.
+// nodeState is what the prober keeps per pool member: its probe
+// connection, one debouncer per plane, and the last load sample. It is
+// made the first time a sweep finds the address in the pool and dropped
+// at the first sweep that does not.
 type nodeState struct {
 	cli     *rpc.Client
-	state   nodestate.State // probed bits only
 	streaks [numPlanes]streak
 
 	lastRejects int64  // cumulative reject counter from the last sweep
@@ -211,33 +226,37 @@ type nodeState struct {
 	queueDepth, shedDelta *telemetry.Gauge // the node's health_ion_* series
 }
 
-// Prober pings a dynamic set of I/O nodes and reports transitions. The
-// set starts as Config.Addrs and breathes through Add/Remove (the
-// autoscaler's hooks).
+// target is one member as a sweep judges it: the condition the pool
+// recorded when the sweep began, moved by the sweep's own events.
+type target struct {
+	addr string
+	st   nodestate.State
+	ns   *nodeState
+}
+
+// Prober pings the members of a pool and reports the transitions it
+// debounces against the conditions the pool records.
 type Prober struct {
 	cfg    Config
 	planes [numPlanes]plane
 
 	mu     sync.Mutex
-	state  map[string]*nodeState
+	nodes  map[string]*nodeState
 	sweeps uint64 // sweeps judged so far; the clock sample ages count in
 
 	tel struct {
 		probes, failures *telemetry.Counter
-		// edges[kind] counts the events fired; the Slow/Restore pair and
-		// nodesDegraded are registered only when slowActive.
-		edges           [nodestate.NumEvents]*telemetry.Counter
-		nodesUp         *telemetry.Gauge
-		nodesOverloaded *telemetry.Gauge
-		nodesDegraded   *telemetry.Gauge
+		// edges[kind] counts the events fired; the Slow/Restore pair is
+		// registered only when slowActive.
+		edges [nodestate.NumEvents]*telemetry.Counter
 	}
 }
 
-// New builds a prober; every node starts optimistically up. Nothing is
-// probed until the caller sweeps with ProbeOnce.
+// New builds a prober over cfg.Pool. Nothing is probed until the caller
+// sweeps with ProbeOnce.
 func New(cfg Config) (*Prober, error) {
-	if len(cfg.Addrs) == 0 {
-		return nil, errors.New("health: at least one address is required")
+	if cfg.Pool == nil {
+		return nil, errors.New("health: a pool is required")
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = defaultTimeout
@@ -272,7 +291,7 @@ func New(cfg Config) (*Prober, error) {
 			overload: {nodestate.Overloaded, nodestate.Hot, nodestate.Cool, cfg.OverloadThreshold, cfg.OverloadRecovery},
 			slowness: {nodestate.Degraded, nodestate.Slow, nodestate.Restore, cfg.SlowWindow, cfg.SlowRecovery},
 		},
-		state: make(map[string]*nodeState, len(cfg.Addrs)),
+		nodes: map[string]*nodeState{},
 	}
 	reg := cfg.Telemetry
 	p.tel.probes = reg.Counter("health_probes_total")
@@ -281,107 +300,33 @@ func New(cfg Config) (*Prober, error) {
 	p.tel.edges[nodestate.Rise] = reg.Counter("health_transitions_up_total")
 	p.tel.edges[nodestate.Hot] = reg.Counter("health_transitions_overloaded_total")
 	p.tel.edges[nodestate.Cool] = reg.Counter("health_transitions_recovered_total")
-	p.tel.nodesUp = reg.Gauge("health_ions_up")
-	p.tel.nodesOverloaded = reg.Gauge("health_ions_overloaded")
 	if cfg.slowActive() {
 		// Lazily registered: a stack without a slowness factor must not
 		// expose any health_degraded_* series (the absence test pins it).
 		p.tel.edges[nodestate.Slow] = reg.Counter("health_degraded_transitions_total")
 		p.tel.edges[nodestate.Restore] = reg.Counter("health_degraded_recovered_total")
-		p.tel.nodesDegraded = reg.Gauge("health_degraded_ions")
-	}
-	for _, addr := range cfg.Addrs {
-		// The initial pool is trusted immediately, New's historical
-		// behaviour; nodes added later choose their own posture.
-		if err := p.Add(addr, 0); err != nil {
-			return nil, err
-		}
 	}
 	return p, nil
 }
 
-// Add starts probing addr. initial seeds the debounced conditions
-// (Draining, which no probe can see, is dropped): the zero State trusts
-// the node immediately, the posture New gives the initial pool;
-// nodestate.Down makes it start down, so RiseThreshold successful pings
-// must land before its Rise fires — what a freshly provisioned node
-// deserves, and the signal the autoscaler's rollback deadline watches. A
-// control plane restarted from its journal seeds each member with the
-// arbiter's recorded conditions: the prober reports edges only, so a node
-// seeded healthy would never fire the Rise/Cool/Restore that clears its
-// mark. Duplicate addresses are refused.
-func (p *Prober) Add(addr string, initial nodestate.State) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, dup := p.state[addr]; dup {
-		return errors.New("health: duplicate address " + addr)
-	}
-	st := &nodeState{state: initial &^ nodestate.Draining}
-	st.cli = rpc.Dial(addr, 1).
-		WithOptions(rpc.Options{CallTimeout: p.cfg.Timeout, WireChecksum: p.cfg.WireChecksum}).
-		Instrument(p.cfg.Telemetry, nil)
-	st.queueDepth = p.cfg.Telemetry.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", addr))
-	st.shedDelta = p.cfg.Telemetry.Gauge(fmt.Sprintf("health_ion_shed_delta{ion=%q}", addr))
-	p.state[addr] = st
-	p.gauge(st.state, +1)
-	return nil
-}
-
-// gauge adds (d = +1) or withdraws (d = -1) one node in state st from the
-// three node gauges. Caller holds p.mu.
-func (p *Prober) gauge(st nodestate.State, d int64) {
-	if !st.Has(nodestate.Down) {
-		p.tel.nodesUp.Add(d)
-	}
-	if st.Has(nodestate.Overloaded) {
-		p.tel.nodesOverloaded.Add(d)
-	}
-	if st.Has(nodestate.Degraded) {
-		p.tel.nodesDegraded.Add(d)
-	}
-}
-
-// Remove stops probing addr and releases its probe connection. A sweep in
-// flight may still ping the address once; its result is discarded.
-// Removing an unknown address is a no-op.
-func (p *Prober) Remove(addr string) {
-	p.mu.Lock()
-	st := p.state[addr]
-	delete(p.state, addr)
-	if st != nil {
-		p.gauge(st.state, -1)
-	}
-	p.mu.Unlock()
-	p.cfg.Latency.Forget(addr) // stale samples must not haunt a reused address
-	if st != nil {
-		st.cli.Close()
-	}
-}
-
-// StateOf reports addr's debounced conditions (the Down, Overloaded and
-// Degraded bits); ok is false for an address that is not being probed.
-func (p *Prober) StateOf(addr string) (st nodestate.State, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ns := p.state[addr]; ns != nil {
-		return ns.state, true
-	}
-	return 0, false
-}
-
-// Load reports the last sampled queue depth of every probed node that is
-// currently up — the autoscaler's demand signal. A node whose sample is
-// more than sampleStaleness sweeps old, or that was never sampled, is
-// omitted: a frozen depth or a zero that was never measured is not
-// evidence of load. Nodes that are down are the liveness plane's problem,
-// not the capacity planner's.
+// Load reports the last sampled queue depth of every pool member that is
+// up — the autoscaler's demand signal. A node whose sample is more than
+// sampleStaleness sweeps old, or that was never sampled, is omitted: a
+// frozen depth or a zero that was never measured is not evidence of load.
+// Nodes the pool has down are the liveness plane's problem, not the
+// capacity planner's.
 func (p *Prober) Load() map[string]int64 {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]int64, len(p.state))
-	for addr, st := range p.state {
-		if !st.state.Has(nodestate.Down) && st.sampledIn > 0 && p.sweeps-st.sampledIn <= sampleStaleness {
-			out[addr] = st.lastDepth
+	out := make(map[string]int64, len(p.nodes))
+	for addr, ns := range p.nodes {
+		if ns.sampledIn > 0 && p.sweeps-ns.sampledIn <= sampleStaleness {
+			out[addr] = ns.lastDepth
+		}
+	}
+	p.mu.Unlock()
+	for addr := range out {
+		if st, ok := p.cfg.Pool.StateOf(addr); !ok || st.Has(nodestate.Down) {
+			delete(out, addr)
 		}
 	}
 	return out
@@ -391,21 +336,59 @@ func (p *Prober) Load() map[string]int64 {
 // sweeps first.
 func (p *Prober) Stop() {
 	p.mu.Lock()
-	clients := make([]*rpc.Client, 0, len(p.state))
-	for _, st := range p.state {
-		clients = append(clients, st.cli)
-	}
-	p.mu.Unlock()
-	for _, c := range clients {
-		c.Close()
+	defer p.mu.Unlock()
+	for _, ns := range p.nodes {
+		ns.cli.Close()
 	}
 }
 
-// ProbeOnce performs one synchronous sweep over every address, applies
-// the thresholds, and returns the debounced changes in a fixed order —
-// liveness first, then overload, then slowness, ascending address within
-// each — so the same probes always produce the same sequence of
-// arbitrations.
+// track reads the pool — its members, ascending, and the condition each
+// is recorded in — makes a record for every member seen the first time
+// and drops the record of every address no longer in it, releasing its
+// probe connection and its latency samples (a reused address must not
+// inherit them).
+func (p *Prober) track() []target {
+	addrs := p.cfg.Pool.Pool()
+	sort.Strings(addrs)
+	targets := make([]target, 0, len(addrs))
+	for _, addr := range addrs {
+		if st, ok := p.cfg.Pool.StateOf(addr); ok { // not removed since Pool returned
+			targets = append(targets, target{addr: addr, st: st})
+		}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range targets {
+		t := &targets[i]
+		if t.ns = p.nodes[t.addr]; t.ns == nil {
+			t.ns = &nodeState{
+				cli: rpc.Dial(t.addr, 1).
+					WithOptions(rpc.Options{CallTimeout: p.cfg.Timeout, WireChecksum: p.cfg.WireChecksum}).
+					Instrument(p.cfg.Telemetry, nil),
+				queueDepth: p.cfg.Telemetry.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", t.addr)),
+				shedDelta:  p.cfg.Telemetry.Gauge(fmt.Sprintf("health_ion_shed_delta{ion=%q}", t.addr)),
+			}
+			p.nodes[t.addr] = t.ns
+		}
+	}
+	for addr, ns := range p.nodes {
+		if !slices.ContainsFunc(targets, func(t target) bool { return t.addr == addr }) {
+			delete(p.nodes, addr)
+			ns.cli.Close()
+			p.cfg.Latency.Forget(addr)
+		}
+	}
+	return targets
+}
+
+// ProbeOnce performs one synchronous sweep over the pool's members,
+// applies the thresholds against the conditions the pool records, and
+// returns the debounced changes in a fixed order — liveness first, then
+// overload, then slowness, ascending address within each — so the same
+// probes always produce the same sequence of arbitrations. Within a sweep
+// each member is judged against the condition it had when the sweep read
+// the pool, moved by the sweep's own events: a node the liveness plane
+// just failed is not also scored slow.
 func (p *Prober) ProbeOnce() []Event {
 	// probeResult is one ping's outcome. A busy (shed) ping proves the
 	// node alive — only transport errors count as probe failures — but it
@@ -418,30 +401,15 @@ func (p *Prober) ProbeOnce() []Event {
 		depth   int64
 		rejects int64
 	}
-	// Snapshot the member set first: Add/Remove may run concurrently (the
-	// autoscaler breathes the pool), and pings must not hold the lock.
-	// Ascending address order, kept through judging: event order reaches
-	// the arbiter's mapping, so it must not depend on map iteration.
-	p.mu.Lock()
-	addrs := make([]string, 0, len(p.state))
-	for addr := range p.state {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	clients := make([]*rpc.Client, len(addrs))
-	for i, addr := range addrs {
-		clients[i] = p.state[addr].cli
-	}
-	p.mu.Unlock()
-
-	results := make([]probeResult, len(addrs))
+	targets := p.track()
+	results := make([]probeResult, len(targets))
 	var wg sync.WaitGroup
-	for i := range addrs {
+	for i := range targets {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			resp, err := clients[i].Call(&rpc.Message{Op: rpc.OpPing})
+			resp, err := targets[i].ns.cli.Call(&rpc.Message{Op: rpc.OpPing})
 			rtt := time.Since(start)
 			switch {
 			case err == nil:
@@ -449,7 +417,7 @@ func (p *Prober) ProbeOnce() []Event {
 				// Only clean pings feed the latency sketch: a busy
 				// response is shed before queueing and a failed one
 				// measures the timeout, not the node.
-				p.cfg.Latency.Observe(addrs[i], rtt)
+				p.cfg.Latency.Observe(targets[i].addr, rtt)
 			case errors.Is(err, rpc.ErrBusy):
 				results[i] = probeResult{ok: true, busy: true}
 			}
@@ -460,33 +428,30 @@ func (p *Prober) ProbeOnce() []Event {
 	var fired [numPlanes][]Event
 	detecting := p.cfg.overloadActive()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.sweeps++
-	for i, addr := range addrs {
-		r := results[i]
-		st := p.state[addr]
-		if st == nil {
-			continue // removed while the sweep was in flight
-		}
+	for i := range targets {
+		r, t, ns := results[i], &targets[i], targets[i].ns
 		p.tel.probes.Inc()
 		if !r.ok {
 			p.tel.failures.Inc()
 		}
-		p.observe(addr, st, liveness, !r.ok, &fired)
+		p.observe(t, liveness, !r.ok, &fired)
 
 		// Load bookkeeping and overload debouncing: export the sampled
 		// depth and per-sweep shed delta unconditionally, move the
 		// condition only while a signal is configured.
 		var shedDelta int64
 		if r.loaded {
-			st.lastDepth = r.depth
-			st.sampledIn = p.sweeps
-			st.queueDepth.Set(r.depth)
-			if st.sawRejects && r.rejects >= st.lastRejects {
-				shedDelta = r.rejects - st.lastRejects
+			ns.lastDepth = r.depth
+			ns.sampledIn = p.sweeps
+			ns.queueDepth.Set(r.depth)
+			if ns.sawRejects && r.rejects >= ns.lastRejects {
+				shedDelta = r.rejects - ns.lastRejects
 			}
-			st.lastRejects = r.rejects
-			st.sawRejects = true
-			st.shedDelta.Set(shedDelta)
+			ns.lastRejects = r.rejects
+			ns.sawRejects = true
+			ns.shedDelta.Set(shedDelta)
 		}
 		// Dead-looking sweeps feed the liveness thresholds, not the
 		// overload ones; the overload condition holds as it is.
@@ -494,37 +459,34 @@ func (p *Prober) ProbeOnce() []Event {
 			hot := r.busy ||
 				(r.loaded && p.cfg.OverloadQueueDepth > 0 && r.depth >= int64(p.cfg.OverloadQueueDepth)) ||
 				(r.loaded && p.cfg.OverloadShedDelta > 0 && shedDelta >= int64(p.cfg.OverloadShedDelta))
-			p.observe(addr, st, overload, hot, &fired)
+			p.observe(t, overload, hot, &fired)
 		}
 	}
 	if p.cfg.slowActive() {
-		p.scoreSlowLocked(&fired)
+		p.scoreSlow(targets, &fired)
 	}
-	p.mu.Unlock()
 	return slices.Concat(fired[:]...)
 }
 
-// observe feeds one sweep's signal for one plane of one node through the
-// node's debouncer; on a flip it moves the condition bit, counts the edge,
-// settles the gauges, and queues the event. Caller holds p.mu.
-func (p *Prober) observe(addr string, st *nodeState, plane int, signal bool, fired *[numPlanes][]Event) {
+// observe feeds one sweep's signal for one plane of one member through
+// its debouncer; on a flip it moves the sweep's view of the condition,
+// counts the edge, and queues the event. Caller holds p.mu.
+func (p *Prober) observe(t *target, plane int, signal bool, fired *[numPlanes][]Event) {
 	pl := p.planes[plane]
-	if !st.streaks[plane].observe(st.state.Has(pl.bit), signal, pl.setAt, pl.clearedAt) {
+	if !t.ns.streaks[plane].observe(t.st.Has(pl.bit), signal, pl.setAt, pl.clearedAt) {
 		return
 	}
 	kind := pl.clear
 	if signal {
 		kind = pl.set
 	}
-	p.gauge(st.state, -1)
-	st.state, _, _ = st.state.Apply(kind) // never refused: the prober sends no DrainStart
-	p.gauge(st.state, +1)
+	t.st, _, _ = t.st.Apply(kind) // never refused: the prober sends no DrainStart
 	p.tel.edges[kind].Inc()
-	fired[plane] = append(fired[plane], Event{Addr: addr, Kind: kind})
+	fired[plane] = append(fired[plane], Event{Addr: t.addr, Kind: kind})
 }
 
-// scoreSlowLocked runs one sweep of the peer-relative fail-slow scorer,
-// queueing the events it fires. Caller holds p.mu.
+// scoreSlow runs one sweep of the peer-relative fail-slow scorer over the
+// sweep's targets, queueing the events it fires. Caller holds p.mu.
 //
 // A node is slow on a sweep when its median sketch latency exceeds the
 // median of its peers' medians × SlowFactor (and the slowMinLatency
@@ -533,39 +495,34 @@ func (p *Prober) observe(addr string, st *nodeState, plane int, signal bool, fir
 // caches, shared-disk contention — degrades nobody, while one node 50×
 // off its peers stands out within a window regardless of the absolute
 // numbers.
-func (p *Prober) scoreSlowLocked(fired *[numPlanes][]Event) {
+func (p *Prober) scoreSlow(targets []target, fired *[numPlanes][]Event) {
 	// Median latency of every up node with enough samples to judge. Down
 	// or unsampled nodes are absent and hold their degraded condition as
 	// it is; the liveness plane owns them until they answer again.
-	meds := make(map[string]time.Duration, len(p.state))
-	addrs := make([]string, 0, len(p.state))
-	for addr, st := range p.state {
-		if st.state.Has(nodestate.Down) || p.cfg.Latency.Samples(addr) < slowMinSamples {
+	var judged []*target
+	var meds []time.Duration
+	for i := range targets {
+		t := &targets[i]
+		if t.st.Has(nodestate.Down) || p.cfg.Latency.Samples(t.addr) < slowMinSamples {
 			continue
 		}
-		if m, ok := p.cfg.Latency.Median(addr); ok {
-			meds[addr] = m
-			addrs = append(addrs, addr)
+		if m, ok := p.cfg.Latency.Median(t.addr); ok {
+			judged = append(judged, t)
+			meds = append(meds, m)
 		}
 	}
-	sort.Strings(addrs)
-	for _, addr := range addrs {
+	peers := make([]time.Duration, 0, len(meds))
+	for i, t := range judged {
 		// Median of the peers' medians, the node under judgment
 		// excluded so a very slow node cannot raise its own bar.
-		peers := make([]time.Duration, 0, len(meds)-1)
-		for a, m := range meds {
-			if a != addr {
-				peers = append(peers, m)
-			}
-		}
+		peers = append(append(peers[:0], meds[:i]...), meds[i+1:]...)
 		if len(peers) < 2 {
 			continue // peer-relative scoring needs a quorum of peers
 		}
-		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+		slices.Sort(peers)
 		peerMed := peers[len(peers)/2]
-		med := meds[addr]
-		slow := med >= slowMinLatency &&
-			float64(med) > float64(peerMed)*p.cfg.SlowFactor
-		p.observe(addr, p.state[addr], slowness, slow, fired)
+		slow := meds[i] >= slowMinLatency &&
+			float64(meds[i]) > float64(peerMed)*p.cfg.SlowFactor
+		p.observe(t, slowness, slow, fired)
 	}
 }

@@ -21,15 +21,49 @@ func pingServer(t *testing.T) (*rpc.Server, string) {
 	return srv, addr
 }
 
-// in reports whether the prober has addr in any condition of mask.
-func in(p *Prober, addr string, mask nodestate.State) bool {
-	st, _ := p.StateOf(addr)
-	return st.Has(mask)
+// fakePool stands in for the arbiter: the members and the condition each
+// is recorded in, moved only by the events sweep applies.
+type fakePool map[string]nodestate.State
+
+func members(addrs ...string) fakePool {
+	pool := fakePool{}
+	for _, a := range addrs {
+		pool[a] = 0
+	}
+	return pool
 }
 
-// isUp reports whether addr is probed and not down.
-func isUp(p *Prober, addr string) bool {
-	st, ok := p.StateOf(addr)
+func (f fakePool) Pool() []string {
+	out := make([]string, 0, len(f))
+	for a := range f {
+		out = append(out, a)
+	}
+	return out
+}
+
+func (f fakePool) StateOf(addr string) (nodestate.State, bool) {
+	st, ok := f[addr]
+	return st, ok
+}
+
+// sweep runs one sweep and applies its events to pool, as the control
+// plane applies them to the arbiter.
+func sweep(p *Prober, pool fakePool) []Event {
+	evs := p.ProbeOnce()
+	for _, e := range evs {
+		pool[e.Addr], _, _ = pool[e.Addr].Apply(e.Kind)
+	}
+	return evs
+}
+
+// in reports whether the pool has addr in any condition of mask.
+func in(pool fakePool, addr string, mask nodestate.State) bool {
+	return pool[addr].Has(mask)
+}
+
+// isUp reports whether addr is a member and not down.
+func isUp(pool fakePool, addr string) bool {
+	st, ok := pool[addr]
 	return ok && !st.Has(nodestate.Down)
 }
 
@@ -40,8 +74,9 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 
 	var evs []Event
 	reg := telemetry.New()
+	pool := members(addrA, addrB)
 	p, err := New(Config{
-		Addrs:         []string{addrA, addrB},
+		Pool:          pool,
 		Timeout:       100 * time.Millisecond,
 		FailThreshold: 2,
 		RiseThreshold: 2,
@@ -52,8 +87,8 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	}
 	defer p.Stop()
 
-	evs = append(evs, p.ProbeOnce()...)
-	if !isUp(p, addrA) || !isUp(p, addrB) {
+	evs = append(evs, sweep(p, pool)...)
+	if !isUp(pool, addrA) || !isUp(pool, addrB) {
 		t.Fatal("both nodes should be up")
 	}
 	if len(evs) != 0 {
@@ -61,12 +96,12 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	}
 
 	srvA.Close()
-	evs = append(evs, p.ProbeOnce()...) // failure 1 of 2: debounced, still up
-	if !isUp(p, addrA) {
+	evs = append(evs, sweep(p, pool)...) // failure 1 of 2: debounced, still up
+	if !isUp(pool, addrA) {
 		t.Fatal("one failed ping must not mark a node down (FailThreshold=2)")
 	}
-	evs = append(evs, p.ProbeOnce()...) // failure 2 of 2: down
-	if isUp(p, addrA) {
+	evs = append(evs, sweep(p, pool)...) // failure 2 of 2: down
+	if isUp(pool, addrA) {
 		t.Fatal("node should be down after FailThreshold failures")
 	}
 	if len(evs) != 1 || evs[0] != (Event{addrA, nodestate.Fail}) {
@@ -75,10 +110,7 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	if got := reg.Counter("health_transitions_down_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_down_total = %d, want 1", got)
 	}
-	if got := reg.Gauge("health_ions_up").Value(); got != 1 {
-		t.Fatalf("health_ions_up = %d, want 1", got)
-	}
-	if in(p, addrB, nodestate.Down) {
+	if in(pool, addrB, nodestate.Down) {
 		t.Fatal("healthy node B reported down")
 	}
 
@@ -90,12 +122,12 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 		t.Fatalf("rebind %s: %v", addrA, err2)
 	}
 	defer srvA2.Close()
-	evs = append(evs, p.ProbeOnce()...)
-	if isUp(p, addrA) {
+	evs = append(evs, sweep(p, pool)...)
+	if isUp(pool, addrA) {
 		t.Fatal("one good ping must not mark a node up (RiseThreshold=2)")
 	}
-	evs = append(evs, p.ProbeOnce()...)
-	if !isUp(p, addrA) {
+	evs = append(evs, sweep(p, pool)...)
+	if !isUp(pool, addrA) {
 		t.Fatal("node should be back up after RiseThreshold successes")
 	}
 	if len(evs) != 2 || evs[1] != (Event{addrA, nodestate.Rise}) {
@@ -104,16 +136,10 @@ func TestProbeDetectsDownAndRecovery(t *testing.T) {
 	if got := reg.Counter("health_transitions_up_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_up_total = %d, want 1", got)
 	}
-	if got := reg.Gauge("health_ions_up").Value(); got != 2 {
-		t.Fatalf("health_ions_up = %d, want 2", got)
-	}
 }
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("empty address set should fail")
-	}
-	if _, err := New(Config{Addrs: []string{"a:1", "a:1"}}); err == nil {
-		t.Fatal("duplicate addresses should fail")
+		t.Fatal("a prober without a pool should fail")
 	}
 }

@@ -46,8 +46,9 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 	_, addr := ls.start(t)
 	var evs []Event
 	reg := telemetry.New()
+	pool := members(addr)
 	p, err := New(Config{
-		Addrs:              []string{addr},
+		Pool:               pool,
 		Timeout:            100 * time.Millisecond,
 		OverloadQueueDepth: 10,
 		OverloadThreshold:  2,
@@ -61,9 +62,9 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 
 	// Healthy depth: no overload state accrues.
 	ls.depth.Store(3)
-	evs = append(evs, p.ProbeOnce()...)
-	evs = append(evs, p.ProbeOnce()...)
-	if in(p, addr, nodestate.Overloaded) || len(evs) != 0 {
+	evs = append(evs, sweep(p, pool)...)
+	evs = append(evs, sweep(p, pool)...)
+	if in(pool, addr, nodestate.Overloaded) || len(evs) != 0 {
 		t.Fatal("healthy node misread as overloaded")
 	}
 	if got := reg.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", addr)).Value(); got != 3 {
@@ -72,12 +73,12 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 
 	// One hot sweep is not enough (debounce), two are.
 	ls.depth.Store(25)
-	evs = append(evs, p.ProbeOnce()...)
-	if in(p, addr, nodestate.Overloaded) {
+	evs = append(evs, sweep(p, pool)...)
+	if in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("one hot sweep must not mark overload")
 	}
-	evs = append(evs, p.ProbeOnce()...)
-	if !in(p, addr, nodestate.Overloaded) {
+	evs = append(evs, sweep(p, pool)...)
+	if !in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("two hot sweeps should mark overload")
 	}
 	if len(evs) != 1 || evs[0] != (Event{addr, nodestate.Hot}) {
@@ -86,22 +87,19 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 	if got := reg.Counter("health_transitions_overloaded_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_overloaded_total = %d, want 1", got)
 	}
-	if got := reg.Gauge("health_ions_overloaded").Value(); got != 1 {
-		t.Fatalf("health_ions_overloaded = %d, want 1", got)
-	}
 	// Overload is not down: liveness is untouched.
-	if !isUp(p, addr) {
+	if !isUp(pool, addr) {
 		t.Fatal("overloaded node must remain up")
 	}
 
 	// Recovery debounces the same way.
 	ls.depth.Store(2)
-	evs = append(evs, p.ProbeOnce()...)
-	if !in(p, addr, nodestate.Overloaded) {
+	evs = append(evs, sweep(p, pool)...)
+	if !in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("one cool sweep must not clear overload")
 	}
-	evs = append(evs, p.ProbeOnce()...)
-	if in(p, addr, nodestate.Overloaded) {
+	evs = append(evs, sweep(p, pool)...)
+	if in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("two cool sweeps should clear overload")
 	}
 	if len(evs) != 2 || evs[1] != (Event{addr, nodestate.Cool}) {
@@ -110,16 +108,14 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 	if got := reg.Counter("health_transitions_recovered_total").Value(); got != 1 {
 		t.Fatalf("health_transitions_recovered_total = %d, want 1", got)
 	}
-	if got := reg.Gauge("health_ions_overloaded").Value(); got != 0 {
-		t.Fatalf("health_ions_overloaded = %d, want 0 after recovery", got)
-	}
 }
 
 func TestOverloadDetectionByShedDelta(t *testing.T) {
 	ls := &loadServer{}
 	_, addr := ls.start(t)
+	pool := members(addr)
 	p, err := New(Config{
-		Addrs:             []string{addr},
+		Pool:              pool,
 		Timeout:           100 * time.Millisecond,
 		OverloadShedDelta: 5,
 		OverloadThreshold: 1,
@@ -133,25 +129,25 @@ func TestOverloadDetectionByShedDelta(t *testing.T) {
 	// First sweep establishes the baseline; a large cumulative count with
 	// no delta yet must not trigger (the counter is cumulative, not a rate).
 	ls.rejects.Store(1000)
-	p.ProbeOnce()
-	if in(p, addr, nodestate.Overloaded) {
+	sweep(p, pool)
+	if in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("baseline sweep has no delta; must not mark overload")
 	}
 	// +3 rejects: below the delta threshold.
 	ls.rejects.Store(1003)
-	p.ProbeOnce()
-	if in(p, addr, nodestate.Overloaded) {
+	sweep(p, pool)
+	if in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("delta 3 < 5 must not mark overload")
 	}
 	// +7 rejects: above it.
 	ls.rejects.Store(1010)
-	p.ProbeOnce()
-	if !in(p, addr, nodestate.Overloaded) {
+	sweep(p, pool)
+	if !in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("delta 7 ≥ 5 should mark overload")
 	}
 	// Flat counter: recovery.
-	p.ProbeOnce()
-	if in(p, addr, nodestate.Overloaded) {
+	sweep(p, pool)
+	if in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("flat reject counter should clear overload")
 	}
 }
@@ -164,8 +160,9 @@ func TestBusyPingIsAliveAndOverloaded(t *testing.T) {
 	ls := &loadServer{}
 	_, addr := ls.start(t)
 	reg := telemetry.New()
+	pool := members(addr)
 	p, err := New(Config{
-		Addrs:              []string{addr},
+		Pool:               pool,
 		Timeout:            100 * time.Millisecond,
 		FailThreshold:      2,
 		OverloadQueueDepth: 100, // depth signal armed but never reached
@@ -180,24 +177,24 @@ func TestBusyPingIsAliveAndOverloaded(t *testing.T) {
 
 	ls.shedding.Store(true)
 	for i := 0; i < 4; i++ { // well past FailThreshold
-		p.ProbeOnce()
+		sweep(p, pool)
 	}
-	if !isUp(p, addr) {
+	if !isUp(pool, addr) {
 		t.Fatal("busy pings misclassified the node as down")
 	}
 	if got := reg.Counter("health_probe_failures_total").Value(); got != 0 {
 		t.Fatalf("busy pings counted as probe failures: %d", got)
 	}
-	if !in(p, addr, nodestate.Overloaded) {
+	if !in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("shed pings should mark the node overloaded")
 	}
 
 	ls.shedding.Store(false)
-	p.ProbeOnce()
-	if in(p, addr, nodestate.Overloaded) {
+	sweep(p, pool)
+	if in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("normal pings should clear busy-driven overload")
 	}
-	if !isUp(p, addr) {
+	if !isUp(pool, addr) {
 		t.Fatal("node should remain up throughout")
 	}
 }
@@ -208,8 +205,9 @@ func TestBusyPingIsAliveAndOverloaded(t *testing.T) {
 func TestOverloadInactiveWithoutThresholds(t *testing.T) {
 	ls := &loadServer{}
 	_, addr := ls.start(t)
+	pool := members(addr)
 	p, err := New(Config{
-		Addrs:   []string{addr},
+		Pool:    pool,
 		Timeout: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -219,12 +217,12 @@ func TestOverloadInactiveWithoutThresholds(t *testing.T) {
 
 	ls.shedding.Store(true)
 	for i := 0; i < 5; i++ {
-		p.ProbeOnce()
+		sweep(p, pool)
 	}
-	if !isUp(p, addr) {
+	if !isUp(pool, addr) {
 		t.Fatal("busy ping misread as down even with detection off")
 	}
-	if in(p, addr, nodestate.Overloaded) {
+	if in(pool, addr, nodestate.Overloaded) {
 		t.Fatal("overload state tracked despite no signal being configured")
 	}
 }

@@ -122,9 +122,10 @@ func TestProbeSweepDeliversEventsInFixedOrder(t *testing.T) {
 	for _, a := range hot {
 		want = append(want, Event{a, nodestate.Hot})
 	}
-	for sweep := 0; sweep < 50; sweep++ {
+	for rep := 0; rep < 50; rep++ {
+		pool := members(append(append([]string(nil), hot...), dead...)...)
 		p, err := New(Config{
-			Addrs:              append(append([]string(nil), hot...), dead...),
+			Pool:               pool,
 			Timeout:            time.Second,
 			FailThreshold:      1,
 			OverloadQueueDepth: 10,
@@ -133,20 +134,22 @@ func TestProbeSweepDeliversEventsInFixedOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := p.ProbeOnce()
+		got := sweep(p, pool)
 		p.Stop()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("sweep %d delivered\n  %v\nwant\n  %v", sweep, got, want)
+			t.Fatalf("sweep %d delivered\n  %v\nwant\n  %v", rep, got, want)
 		}
 	}
 }
 
-// TestProbeSeededConditionsFireClearingEdges: a prober started over nodes
-// that already carry conditions (a control plane restarted from its
-// journal) must clear them through the ordinary debounced edges once the
-// nodes prove healthy — and must not fire anything for the edges it was
-// seeded past. Draining is not the prober's bit and is dropped.
-func TestProbeSeededConditionsFireClearingEdges(t *testing.T) {
+// TestProbeClearsMarksItDidNotSet: the prober judges against the
+// conditions the pool records, whoever recorded them. Marks that were
+// there before the prober's first sweep (a control plane restarted from
+// its journal) clear through the ordinary debounced edges once the nodes
+// prove healthy, with nothing fired for the edges they are already past;
+// a mark set on a healthy node between sweeps clears the same way. The
+// prober never touches Draining.
+func TestProbeClearsMarksItDidNotSet(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 4; i++ {
 		ls := &loadServer{}
@@ -159,8 +162,14 @@ func TestProbeSeededConditionsFireClearingEdges(t *testing.T) {
 		seedSketch(sk, a, 10*time.Millisecond, 60)
 	}
 	var evs []Event
+	pool := fakePool{
+		addrs[0]: nodestate.Down | nodestate.Draining,
+		addrs[1]: nodestate.Overloaded,
+		addrs[2]: nodestate.Degraded,
+		addrs[3]: 0,
+	}
 	p, err := New(Config{
-		Addrs:              addrs[3:], // one plain member; the rest are seeded below
+		Pool:               pool,
 		Timeout:            time.Second,
 		RiseThreshold:      2,
 		OverloadQueueDepth: 10,
@@ -173,36 +182,27 @@ func TestProbeSeededConditionsFireClearingEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	seeds := []nodestate.State{
-		nodestate.Down | nodestate.Draining,
-		nodestate.Overloaded,
-		nodestate.Degraded,
-	}
-	for i, seed := range seeds {
-		if err := p.Add(addrs[i], seed); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := p.StateOf(addrs[i]); got != seed&^nodestate.Draining {
-			t.Fatalf("seeded %v, StateOf = %v", seed, got)
-		}
-	}
 	wantAt := map[int]Event{ // sweep (1-based) → the edge that must fire on it
 		2: {addrs[0], nodestate.Rise},
 		3: {addrs[1], nodestate.Cool},
 		4: {addrs[2], nodestate.Restore},
+		8: {addrs[3], nodestate.Rise},
 	}
 	var want []Event
-	for sweep := 1; sweep <= 6; sweep++ {
-		evs = append(evs, p.ProbeOnce()...)
-		if e, ok := wantAt[sweep]; ok {
+	for n := 1; n <= 9; n++ {
+		if n == 7 {
+			pool[addrs[3]] = nodestate.Down // a Fail from outside the prober
+		}
+		evs = append(evs, sweep(p, pool)...)
+		if e, ok := wantAt[n]; ok {
 			want = append(want, e)
 		}
 		if !reflect.DeepEqual(evs, want) {
-			t.Fatalf("after sweep %d events = %v, want %v", sweep, evs, want)
+			t.Fatalf("after sweep %d events = %v, want %v", n, evs, want)
 		}
 	}
 	for _, a := range addrs {
-		if st, _ := p.StateOf(a); st != 0 {
+		if st := pool[a]; st != 0 {
 			t.Errorf("%s still %v after healing", a, st)
 		}
 	}

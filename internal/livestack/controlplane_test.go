@@ -237,3 +237,41 @@ func TestProbeDeadlineResolvedOnce(t *testing.T) {
 		t.Errorf("recovery re-probing one wedged member took %v: its ping waited longer than the 100ms deadline", took)
 	}
 }
+
+// TestProberClearsForeignMarks: the prober judges against the conditions
+// the arbiter records, whoever recorded them. A Fail and a Hot sent to
+// healthy nodes from outside the prober are cleared by the Rise and the
+// Cool the next sweeps earn, debounced as usual (sweeps driven by hand).
+func TestProberClearsForeignMarks(t *testing.T) {
+	st, err := Start(Config{
+		IONs: 3, HealthInterval: time.Hour, HealthTimeout: time.Second,
+		HealthRiseThreshold: 2,
+		OverloadQueueDepth:  1 << 20, // detection armed; an idle node never trips it
+		OverloadRecovery:    2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.step()
+	failed, hot := st.Addrs[0], st.Addrs[1]
+	if err := st.Arbiter.Transition(failed, nodestate.Fail); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Arbiter.Transition(hot, nodestate.Hot); err != nil {
+		t.Fatal(err)
+	}
+	st.step()
+	if !nodeIn(st.Arbiter, failed, nodestate.Down) || !nodeIn(st.Arbiter, hot, nodestate.Overloaded) {
+		t.Fatal("one clean sweep cleared a mark: the thresholds are 2")
+	}
+	st.step()
+	if marked := st.Arbiter.NodesIn(nodestate.Down | nodestate.Overloaded); len(marked) != 0 {
+		t.Fatalf("marks on %v outlived two clean sweeps", marked)
+	}
+	for _, name := range []string{"health_transitions_up_total", "health_transitions_recovered_total"} {
+		if got := st.Telemetry.Counter(name).Value(); got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
+	}
+}

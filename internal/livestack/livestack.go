@@ -49,7 +49,9 @@ type Stack struct {
 	Addrs   []string
 
 	// Health is the heartbeat prober (nil unless Config.HealthInterval
-	// was set). Its events drive Arbiter.Transition.
+	// was set). It probes the arbiter's pool, judging against the
+	// conditions the arbiter records, and its events drive
+	// Arbiter.Transition.
 	Health *health.Prober
 
 	// Scaler is the pool autoscaler (nil unless Config.Elastic was set).
@@ -196,16 +198,16 @@ func (s *Stack) openJournal() (*journal.Journal, error) {
 	return journal.Open(s.cfg.JournalDir, journal.Options{Telemetry: s.Telemetry})
 }
 
-// startControlPlane builds what runs around the arbiter over addrs — the
-// prober feeding it, the scaler feeding on the prober — and starts the
-// stack's one control-plane loop, which steps them every HealthInterval.
-// Used at Start and again by RecoverControlPlane: the old ones died with
-// the control plane.
+// startControlPlane builds what runs around the arbiter — the prober
+// feeding it, the scaler feeding on the prober, its members seeded with
+// addrs — and starts the stack's one control-plane loop, which steps them
+// every HealthInterval. Used at Start and again by RecoverControlPlane:
+// the old ones died with the control plane.
 func (s *Stack) startControlPlane(addrs []string) error {
 	if s.cfg.HealthInterval == 0 {
 		return nil // Validate: no scaler runs without probes
 	}
-	if err := s.buildProber(addrs); err != nil {
+	if err := s.buildProber(); err != nil {
 		return err
 	}
 	if s.cfg.Elastic != nil {
@@ -257,10 +259,10 @@ func (s *Stack) step() {
 	}
 }
 
-// buildProber builds the heartbeat prober over addrs.
-func (s *Stack) buildProber(addrs []string) error {
+// buildProber builds the heartbeat prober over the arbiter's pool.
+func (s *Stack) buildProber() error {
 	prober, err := health.New(health.Config{
-		Addrs:              addrs,
+		Pool:               s.Arbiter,
 		Timeout:            s.cfg.HealthTimeout,
 		FailThreshold:      s.cfg.HealthFailThreshold,
 		RiseThreshold:      s.cfg.HealthRiseThreshold,
@@ -277,19 +279,6 @@ func (s *Stack) buildProber(addrs []string) error {
 	})
 	if err != nil {
 		return err
-	}
-	// A recovered arbiter already holds journaled conditions, and the
-	// prober only reports edges: start each marked member in the state the
-	// arbiter has it in, so the ordinary debounce fires the Rise/Cool/
-	// Restore that clears the mark once the node earns it.
-	for _, addr := range addrs {
-		if st, _ := s.Arbiter.StateOf(addr); st&^nodestate.Draining != 0 { // Draining is not the prober's to see
-			prober.Remove(addr)
-			if err := prober.Add(addr, st); err != nil {
-				prober.Stop()
-				return err
-			}
-		}
 	}
 	s.Health = prober
 	return nil
@@ -418,9 +407,11 @@ func (s *Stack) StopControlPlane() {
 // journal: replay, re-probe every journaled pool member, and publish the
 // recovery map, whose fence revokes every pre-crash epoch — inside that
 // publish the stack's bus follower fences every live daemon, then carries
-// the map to the clients, before it returns; roll back half-provisioned
-// I/O nodes the journal never admitted, and restart the control-plane
-// loop. The returned error is advisory when an arbiter came up (degraded
+// the map to the clients, before it returns; then restart the
+// control-plane loop, whose prober clears every journaled mark its nodes
+// earn. A node the scaler provisioned is in the journal from the tick
+// that spawned it (AddION, down), so none is left outside the recovered
+// pool. The returned error is advisory when an arbiter came up (degraded
 // recovery, e.g. a failed re-solve published the pruned pre-crash
 // mapping) and fatal when nil Stack.Arbiter proves no recovery happened.
 func (s *Stack) RecoverControlPlane() error {
@@ -450,27 +441,6 @@ func (s *Stack) RecoverControlPlane() error {
 	}
 	s.Journal = jn
 	s.Arbiter = arb
-
-	// Roll back half-provisioned nodes: a daemon the scaler spawned whose
-	// AddION never reached the journal is running but unknown to the
-	// recovered pool — nothing will ever route to it or drain it, so
-	// decommission it and let the scaler re-provision from live demand.
-	inPool := make(map[string]bool)
-	for _, a := range arb.Pool() {
-		inPool[a] = true
-	}
-	s.mu.Lock()
-	var orphans []string
-	for _, a := range s.Addrs {
-		if !inPool[a] && !s.nodes[a].gone {
-			orphans = append(orphans, a)
-		}
-	}
-	s.mu.Unlock()
-	for _, a := range orphans {
-		s.DecommissionION(a)
-	}
-
 	if err := s.startControlPlane(arb.Pool()); err != nil {
 		return errors.Join(rerr, err)
 	}
@@ -542,8 +512,8 @@ func (s *Stack) wrapListener(i int) func(net.Listener) net.Listener {
 
 // SpawnION provisions one new I/O-node daemon on an ephemeral port and
 // registers it in the stack's daemon table (NOT the arbiter pool — the
-// scaler does that only after the node's first health rise). Returns the
-// new daemon's address.
+// scaler adds it there, down, in the same tick). Returns the new daemon's
+// address.
 func (s *Stack) SpawnION() (string, error) {
 	n, err := s.addNode()
 	if err != nil {

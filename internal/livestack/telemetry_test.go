@@ -226,10 +226,8 @@ func TestCounterAuditRoundTrip(t *testing.T) {
 	if v, ok := snap.Gauges["elastic_pool_size"]; !ok || v != 2 {
 		t.Errorf("elastic_pool_size = %d (registered=%v), want 2", v, ok)
 	}
-	for _, gauge := range []string{"health_degraded_ions", "arbiter_quarantine_ions"} {
-		if v, ok := snap.Gauges[gauge]; !ok || v != 0 {
-			t.Errorf("%s = %d (registered=%v), want registered and 0 on a healthy stack", gauge, v, ok)
-		}
+	if v, ok := snap.Gauges["arbiter_quarantine_ions"]; !ok || v != 0 {
+		t.Errorf("arbiter_quarantine_ions = %d (registered=%v), want registered and 0 on a healthy stack", v, ok)
 	}
 	for counter, wantNonZero := range map[string]bool{
 		`rpc_checksum_errors_total{node="ion00"}`:    false, // clean wire: present, zero

@@ -430,9 +430,9 @@ func (r *Registry) parseStatement(stmt string) error {
 			case "tier":
 				c.Tier, err = ParseTier(val)
 			case "rate":
-				c.Rate, err = ParseBytes(val)
+				c.Rate, err = units.ParseBytes(val)
 			case "burst":
-				c.Burst, err = ParseBytes(val)
+				c.Burst, err = units.ParseBytes(val)
 			case "slo":
 				c.SLO, err = time.ParseDuration(val)
 			case "weight":
@@ -464,32 +464,4 @@ func unprefix(err error) error {
 		return fmt.Errorf("%s", s)
 	}
 	return err
-}
-
-// ParseBytes parses a byte quantity with an optional binary (KiB/MiB/GiB)
-// or decimal (KB/MB/GB) suffix; a bare number is bytes.
-func ParseBytes(s string) (int64, error) {
-	mult := int64(1)
-	num := s
-	for _, suf := range []struct {
-		name string
-		mult int64
-	}{
-		{"KiB", units.KiB}, {"MiB", units.MiB}, {"GiB", units.GiB},
-		{"KB", units.KB}, {"MB", units.MB}, {"GB", units.GB}, {"B", 1},
-	} {
-		if strings.HasSuffix(s, suf.name) {
-			mult = suf.mult
-			num = strings.TrimSuffix(s, suf.name)
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(num), 64)
-	if err != nil {
-		return 0, fmt.Errorf("qos: bad byte quantity %q", s)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("qos: byte quantity %q is negative", s)
-	}
-	return int64(v * float64(mult)), nil
 }

@@ -11,38 +11,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestParseBytes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-	}{
-		{"0", 0},
-		{"4096", 4096},
-		{"4KiB", 4 * units.KiB},
-		{"64MiB", 64 * units.MiB},
-		{"2GiB", 2 * units.GiB},
-		{"1KB", units.KB},
-		{"10MB", 10 * units.MB},
-		{"3GB", 3 * units.GB},
-		{"512B", 512},
-		{"1.5MiB", units.MiB + units.MiB/2},
-	}
-	for _, c := range cases {
-		got, err := ParseBytes(c.in)
-		if err != nil {
-			t.Fatalf("ParseBytes(%q): %v", c.in, err)
-		}
-		if got != c.want {
-			t.Fatalf("ParseBytes(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-	for _, bad := range []string{"", "x", "-1", "-4KiB", "MiB", "12QiB"} {
-		if _, err := ParseBytes(bad); err == nil {
-			t.Fatalf("ParseBytes(%q) accepted, want error", bad)
-		}
-	}
-}
-
 func TestParseConfig(t *testing.T) {
 	src := `
 # tenant policy

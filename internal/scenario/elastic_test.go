@@ -111,10 +111,12 @@ func TestElasticPoolBreathesUnderChaos(t *testing.T) {
 		// The chaos was real and was counted.
 		AtLeast("elastic_provision_failures_total", flaky.Failed()),
 		AtLeast("elastic_drains_aborted_total", 1),
-		// The scaler's books agree with the arbiter's.
+		// The scaler's books agree with the arbiter's: every provision
+		// joined the pool, and rose or was rolled back out of it.
 		Exactly("elastic_drains_started_total", downs+r.Metric("elastic_drains_aborted_total")),
-		Exactly("arbiter_ions_added_total", ups),
-		Exactly("arbiter_ions_removed_total", downs),
+		Exactly("elastic_provisions_started_total", ups+r.Metric("elastic_provision_rollbacks_total")),
+		Exactly("arbiter_ions_added_total", r.Metric("elastic_provisions_started_total")),
+		Exactly("arbiter_ions_removed_total", downs+r.Metric("elastic_provision_rollbacks_total")),
 		Exactly("arbiter_ions_draining", 0))
 	if flaky.Failed() < 2 || len(r.Arbiter.Pool()) != minPool {
 		t.Fatalf("%d provisioning failures injected (want 2), %d nodes at rest (want %d)", flaky.Failed(), len(r.Arbiter.Pool()), minPool)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/faultnet"
+	"repro/internal/nodestate"
 )
 
 func TestGrayFailureDetectQuarantineHedgeRecover(t *testing.T) {
@@ -56,8 +57,8 @@ func TestGrayFailureDetectQuarantineHedgeRecover(t *testing.T) {
 	faultStart, stripe := time.Now(), make([]byte, 8*app.Size)
 	for slices.Contains(c.IONs(), victim) || len(c.IONs()) == 0 {
 		if time.Since(faultStart) > sloBudget {
-			t.Fatalf("SLO breach: client still mapped to the gray ION after %v (degraded_ions=%d quarantined=%d)",
-				sloBudget, r.Metric("health_degraded_ions"), r.Metric("arbiter_quarantine_marked_total"))
+			t.Fatalf("SLO breach: client still mapped to the gray ION after %v (degraded=%v quarantined=%d)",
+				sloBudget, r.Arbiter.NodesIn(nodestate.Degraded), r.Metric("arbiter_quarantine_marked_total"))
 		}
 		put()
 		if segs%4 == 0 {
@@ -72,9 +73,11 @@ func TestGrayFailureDetectQuarantineHedgeRecover(t *testing.T) {
 	}
 	r.Expect(t,
 		AtLeast("health_degraded_transitions_total", 1),
-		Exactly("health_degraded_ions", 1),
 		AtLeast("arbiter_quarantine_marked_total", 1),
 		Exactly("arbiter_quarantine_ions", 1))
+	if degraded := r.Arbiter.NodesIn(nodestate.Degraded); !slices.Equal(degraded, []string{victim}) {
+		t.Fatalf("degraded nodes = %v, want only the gray ION %s", degraded, victim)
+	}
 
 	// Bounded p99 once re-steered: the tail no longer pays the gray latency.
 	post := make([]time.Duration, 200)
@@ -91,7 +94,9 @@ func TestGrayFailureDetectQuarantineHedgeRecover(t *testing.T) {
 	// Recovery: with the fault lifted, clean sweeps plus hysteresis return
 	// the node to the allocatable pool.
 	r.net(victim).Set(faultnet.Plan{})
-	Await(t, 30*time.Second, func() bool { return r.Metric("arbiter_quarantine_ions")+r.Metric("health_degraded_ions") == 0 },
+	Await(t, 30*time.Second, func() bool {
+		return r.Metric("arbiter_quarantine_ions") == 0 && len(r.Arbiter.NodesIn(nodestate.Degraded)) == 0
+	},
 		"the gray ION was never restored (restored=%v)", lazy(func() any { return r.Metric("arbiter_quarantine_restored_total") }))
 	r.Expect(t, AtLeast("health_degraded_recovered_total", 1), AtLeast("arbiter_quarantine_restored_total", 1))
 	r.Check(t, app)

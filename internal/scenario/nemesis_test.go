@@ -157,14 +157,27 @@ func (r *Rig) revive(addr string, rep *Report) error {
 	return err
 }
 
+// fenceHold is how long each allocated I/O node holds every request and
+// reply across a recovery (see blackout): longer than a write takes on a
+// healthy link, well inside the probes' deadline.
+const fenceHold = 40 * time.Millisecond
+
 // blackout crashes the control plane — with BlackoutKill, an allocated I/O
-// node dies while it is down — and recovers it from the journal. Then it
-// states the no-shrink oracle, for Check to report: the crash dropped the
-// whole control plane and the recovery was not degraded; every job
+// node dies while it is down — and recovers it from the journal. From the
+// crash until the recovery returns every live allocated node holds each
+// request fenceHold before reading it, so writes clients sent on the
+// pre-crash map are still unread when the recovery publish raises the
+// fence: the recovery meets fenced writes, not an idle data plane. Then
+// it states the no-shrink oracle, for Check to report: the crash dropped
+// the whole control plane and the recovery was not degraded; every job
 // survives, and none shrinks unless capacity was lost in the dark; the
 // fence revokes every pre-crash epoch; the node that died is marked down
 // and routes nothing. That node is warm-restarted afterwards.
 func (r *Rig) blackout(f Fault, rng *rand.Rand, rep *Report) error {
+	// The crash stops the control-plane loop first: an event applied in
+	// the step in flight may still re-solve, so the oracle reads what the
+	// crash left, once nothing else can move it.
+	r.StopControlPlane()
 	before, version := r.Arbiter.Current(), r.Bus.Version()
 	down := len(r.Arbiter.NodesIn(nodestate.Down))
 	if err := r.CrashControlPlane(); err != nil {
@@ -174,24 +187,35 @@ func (r *Rig) blackout(f Fault, rng *rand.Rand, rep *Report) error {
 	if r.Arbiter != nil || r.Journal != nil || r.Health != nil || r.Scaler != nil {
 		broken = append(broken, fmt.Errorf("control plane still referenced after the crash"))
 	}
-	var jobs []string
+	var jobs []string // the jobs with an allocation
 	for job, alloc := range before {
-		if f == BlackoutKill && len(alloc) > 0 {
+		if len(alloc) > 0 {
 			jobs = append(jobs, job)
 		}
 	}
 	sort.Strings(jobs)
 	corpse := ""
-	if len(jobs) > 0 {
+	if f == BlackoutKill && len(jobs) > 0 {
 		alloc := before[jobs[rng.Intn(len(jobs))]]
 		corpse = alloc[rng.Intn(len(alloc))]
 		r.DaemonAt(corpse).Close()
 		rep.Killed = append(rep.Killed, corpse)
 	}
+	var held, names []string // every live allocated node, in daemon order
+	for _, a := range r.IONAddrs() {
+		if a != corpse && slices.ContainsFunc(jobs, func(job string) bool { return slices.Contains(before[job], a) }) {
+			held, names = append(held, a), append(names, r.name(a))
+			r.net(a).Set(faultnet.Plan{Kind: faultnet.Delay, Delay: fenceHold})
+		}
+	}
 	dark := time.Duration(100+rng.Intn(150)) * time.Millisecond
-	rep.Events = append(rep.Events, fmt.Sprintf("%s %s dark %v", f, r.name(corpse), dark))
+	rep.Events = append(rep.Events, fmt.Sprintf("%s %s dark %v held %v", f, r.name(corpse), dark, names))
 	time.Sleep(dark)
-	if err := r.RecoverControlPlane(); r.Arbiter == nil {
+	err := r.RecoverControlPlane()
+	for _, a := range held {
+		r.net(a).Set(faultnet.Plan{}) // what it held now meets the fence
+	}
+	if r.Arbiter == nil {
 		return fmt.Errorf("recover: %w", err)
 	} else if err != nil {
 		broken = append(broken, fmt.Errorf("degraded recovery: %w", err))

@@ -273,7 +273,9 @@ func (r *Rig) Audit(apps ...*App) []Verdict {
 	var ledger error
 	reg := r.Telemetry
 	started := reg.Counter("arbiter_drains_started_total").Value()
-	ended := reg.Counter("arbiter_drains_aborted_total").Value() + reg.Counter("arbiter_ions_removed_total").Value()
+	// A provision rolled back leaves the pool by RemoveION without a drain.
+	ended := reg.Counter("arbiter_drains_aborted_total").Value() + reg.Counter("arbiter_ions_removed_total").Value() -
+		reg.Snapshot().Counters["elastic_provision_rollbacks_total"]
 	if open := reg.Gauge("arbiter_ions_draining").Value(); started != ended+open {
 		ledger = fmt.Errorf("%d drains started, %d ended, %d in flight", started, ended, open)
 	}

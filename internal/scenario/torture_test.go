@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,12 @@ func allDefencesRun(t *testing.T, name string, seed int64, n Nemesis) string {
 		"arbiter_marked_overloaded_total", "arbiter_quarantine_marked_total", "arbiter_quarantine_floor_held", "elastic_scale_ups_total",
 		"elastic_provision_failures_total", "journal_replay_records_total"} {
 		seen = append(seen, fmt.Sprintf("%s=%d", strings.TrimSuffix(m, "_total"), r.Metric(m)))
+	}
+	// Fencing is a defence this row proves only if a recovery met
+	// writes still stamped with a revoked epoch (blackout holds a link).
+	recovers := slices.ContainsFunc(n.Script, func(f Fault) bool { return f >= Blackout })
+	if fenced := r.Metric("epoch_fence_rejections_total"); (fenced > 0) != recovers {
+		t.Errorf("epoch_fence_rejections_total = %d with recoveries in the schedule: %v", fenced, recovers)
 	}
 	t.Logf("restarts=%d flipped=%d %s\nschedule: %v", rep.Restarts, rep.Flipped, strings.Join(seen, " "), rep.Events)
 	return fmt.Sprintf("%v %x", verdicts, digest.Sum(nil))

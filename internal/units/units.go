@@ -9,6 +9,8 @@ package units
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -26,6 +28,35 @@ const (
 	MB int64 = 1_000_000
 	GB int64 = 1_000_000_000
 )
+
+// ParseBytes parses a byte quantity with an optional binary (KiB/MiB/GiB)
+// or decimal (KB/MB/GB) suffix or a plain B; a bare number is bytes.
+// Space around the number is allowed; a negative quantity is refused.
+func ParseBytes(s string) (int64, error) {
+	mult := int64(1)
+	num := strings.TrimSpace(s)
+	for _, suf := range []struct {
+		name string
+		mult int64
+	}{
+		{"KiB", KiB}, {"MiB", MiB}, {"GiB", GiB},
+		{"KB", KB}, {"MB", MB}, {"GB", GB}, {"B", 1},
+	} {
+		if n, ok := strings.CutSuffix(num, suf.name); ok {
+			mult, num = suf.mult, n
+			break
+		}
+	}
+	v, err := strconv.ParseFloat(strings.TrimSpace(num), 64)
+	b := v * float64(mult)
+	switch {
+	case err != nil || b != b || b >= 1<<63: // NaN, or more than an int64 holds
+		return 0, fmt.Errorf("bad byte quantity %q", s)
+	case b < 0:
+		return 0, fmt.Errorf("byte quantity %q is negative", s)
+	}
+	return int64(b), nil
+}
 
 // Bandwidth is a transfer rate in bytes per second.
 type Bandwidth float64

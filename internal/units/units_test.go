@@ -144,3 +144,40 @@ func TestFormatBytesMonotoneUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestParseBytes(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int64
+	}{
+		{"0", 0},
+		{"4096", 4096},
+		{"4KiB", 4 * KiB},
+		{"32KiB", 32 * KiB},
+		{"64MiB", 64 * MiB},
+		{"4 MiB", 4 * MiB},
+		{" 1MiB ", MiB},
+		{"0.5MiB", MiB / 2},
+		{"2GiB", 2 * GiB},
+		{"1KB", KB},
+		{"512KB", 512 * KB},
+		{"10MB", 10 * MB},
+		{"3GB", 3 * GB},
+		{"512B", 512},
+		{"1.5MiB", MiB + MiB/2},
+	}
+	for _, c := range cases {
+		got, err := ParseBytes(c.in)
+		if err != nil {
+			t.Fatalf("ParseBytes(%q): %v", c.in, err)
+		}
+		if got != c.want {
+			t.Fatalf("ParseBytes(%q) = %d, want %d", c.in, got, c.want)
+		}
+	}
+	for _, bad := range []string{"", "x", "-1", "-4KiB", "-4MiB", "MiB", "abcMiB", "12QiB", "NaN", "InfGiB"} {
+		if _, err := ParseBytes(bad); err == nil {
+			t.Fatalf("ParseBytes(%q) accepted, want error", bad)
+		}
+	}
+}
