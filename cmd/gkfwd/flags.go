@@ -139,14 +139,40 @@ func parseFlags(args []string) (livestack.Config, *runPlan, error) {
 		}
 		el.DownCooldown = el.UpCooldown
 		// The forecast seam: a scale-up whose predicted aggregate bandwidth
-		// gain is zero is vetoed — capacity the running apps' curves say
+		// gain is zero is vetoed — capacity the running jobs' curves say
 		// nobody can use is not worth provisioning.
-		el.MarginalValue = marginalValueFor(r.apps)
+		curves, err := r.curves()
+		if err != nil {
+			return cfg, nil, err
+		}
+		el.MarginalValue = marginalValueFor(curves)
 		cfg.Elastic = &el
 	} else if el.Min != 0 || el.UpWatermark != 0 || el.DownWatermark != 0 || el.UpCooldown != 0 {
 		return cfg, nil, errors.New("-scale-min/-scale-up/-scale-down/-scale-cooldown require -scale-max: without a ceiling no scaler runs")
 	}
 	return cfg, &r, nil
+}
+
+// curves returns the bandwidth curves of the jobs the plan runs: the §5.3
+// queue's under -queue, the swept kernel's under -sweep, the -apps list's
+// otherwise.
+func (r *runPlan) curves() ([]perfmodel.Curve, error) {
+	var out []perfmodel.Curve
+	if r.queue {
+		q, err := livestack.PaperLiveQueue()
+		for _, j := range q {
+			out = append(out, j.App.Curve)
+		}
+		return out, err
+	}
+	running := r.apps
+	if r.sweep != nil {
+		running = []app{*r.sweep}
+	}
+	for _, a := range running {
+		out = append(out, a.spec.Curve)
+	}
+	return out, nil
 }
 
 // resolveApps looks every label up in the kernel registry and the

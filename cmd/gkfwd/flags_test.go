@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fwd"
 	"repro/internal/livestack"
+	"repro/internal/perfmodel"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -302,7 +303,11 @@ func TestMarginalAdvisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mv := marginalValueFor(running)
+	curves, err := (&runPlan{apps: running}).curves()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := marginalValueFor(curves)
 	if v := mv(2); v <= 0 {
 		t.Fatalf("marginal value at k=2 = %g, want > 0 (both curves still climb)", v)
 	}
@@ -311,5 +316,62 @@ func TestMarginalAdvisor(t *testing.T) {
 	}
 	if mv := marginalValueFor(nil); mv(2) != 0 {
 		t.Fatal("no apps must forecast zero, not panic")
+	}
+}
+
+// TestMarginalAdvisorFollowsTheJobsThatRun: the scaler's forecast is built
+// from the curves of the jobs gkfwd runs — the §5.3 queue's under -queue,
+// the swept kernel's under -sweep — not from the -apps default, which
+// neither runs.
+func TestMarginalAdvisorFollowsTheJobsThatRun(t *testing.T) {
+	queue, err := livestack.PaperLiveQueue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queueCurves []perfmodel.Curve
+	for _, j := range queue {
+		queueCurves = append(queueCurves, j.App.Curve)
+	}
+	var specs []perfmodel.AppSpec
+	for _, label := range []string{"IOR-MPI", "HACC", "BT-C"} {
+		spec, err := perfmodel.AppByLabel(label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	byDefault := marginalValueFor([]perfmodel.Curve{specs[0].Curve, specs[1].Curve})
+	for i, tc := range []struct {
+		run    string
+		curves []perfmodel.Curve
+	}{
+		{"-apps IOR-MPI,HACC", []perfmodel.Curve{specs[0].Curve, specs[1].Curve}},
+		{"-queue", queueCurves},
+		{"-sweep BT-C", []perfmodel.Curve{specs[2].Curve}},
+	} {
+		cfg, _, err := parseFlags(args("-health-interval 100ms -scale-max 12 -scale-up 8 -scale-down 1 " + tc.run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, differs := marginalValueFor(tc.curves), false
+		for k := 0; k <= 16; k++ {
+			if got := cfg.Elastic.MarginalValue(k); got != want(k) {
+				t.Errorf("%s: forecast at k=%d = %g, want %g from the curves of the jobs it runs", tc.run, k, got, want(k))
+			}
+			differs = differs || want(k) != byDefault(k)
+		}
+		if i > 0 && !differs {
+			t.Errorf("%s: its jobs forecast what -apps IOR-MPI,HACC does; the row cannot tell them apart", tc.run)
+		}
+	}
+	// A queue job holds no node until the pool can give it one, so below
+	// fourteen nodes each more node lets one more job run.
+	if mv := marginalValueFor(queueCurves); mv(4) <= 0 || mv(13) <= 0 {
+		t.Errorf("-queue forecast at k=4 = %g, at k=13 = %g, want both > 0", mv(4), mv(13))
+	}
+	// BT-C runs fastest on direct access (Table 4: 195.7 MB/s, 77.6 on one
+	// I/O node): its forecast vetoes the first node.
+	if mv := marginalValueFor([]perfmodel.Curve{specs[2].Curve}); mv(0) >= 0 {
+		t.Errorf("-sweep BT-C forecast at k=0 = %g, want < 0", mv(0))
 	}
 }

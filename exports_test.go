@@ -43,7 +43,6 @@ var exportsWithoutCallers = map[string]string{
 
 	"arbiter.Arbiter.NodesIn":     observes,
 	"arbiter.Arbiter.Quarantined": observes,
-	"elastic.Scaler.Members":      observes,
 	"ion.Daemon.QueueSaturated":   observes,
 	"livestack.Stack.DaemonAt":    observes,
 	"livestack.Stack.IONAddrs":    observes,

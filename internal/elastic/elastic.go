@@ -26,6 +26,10 @@
 // The scaler has no clock: every window, cooldown, deadline and backoff
 // counts Ticks, which the caller makes once per probe sweep, so a run is
 // the same sequence of decisions whatever the sweeps' wall-clock length.
+//
+// The pool is the scaler's only table of nodes: a member is leaving when
+// the pool shows it Draining, provisioning while the scaler holds its rise
+// deadline, and settled otherwise.
 package elastic
 
 import (
@@ -50,9 +54,11 @@ type Provisioner interface {
 
 // Pool is the arbiter surface the scaler drives and reads (implemented by
 // *arbiter.Arbiter): membership — AddION admits a node down — the two
-// drain events through Transition, and each member's condition, which the
-// health prober's events keep current.
+// drain events through Transition, and the members and each one's
+// condition, which the health prober's events keep current. It is the
+// scaler's only record of which nodes exist.
 type Pool interface {
+	Pool() []string
 	AddION(addr string) error
 	RemoveION(addr string) error
 	Transition(addr string, ev nodestate.Event) error
@@ -185,26 +191,11 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// phase is where a node stands in the lifecycle drawn in the package
-// comment. A node the scaler knows is in exactly one.
-type phase uint8
-
-const (
-	provisioning phase = iota // in the arbiter pool, down since Provision, not yet risen
-	member                    // in the arbiter pool, settled
-	draining                  // in the arbiter pool, leaving
-	numPhases
-)
-
-// node is the scaler's record of one node.
-type node struct {
-	phase    phase
-	deadline int // provisioning: rise deadline; draining: drain deadline (a tick)
-	quiet    int // draining: consecutive quiesced ticks
-}
-
 // Scaler drives the pool lifecycle. All decisions happen inside Tick; it
-// runs no goroutine of its own.
+// runs no goroutine of its own. Which nodes exist and what condition each
+// is in is the pool's: every Tick reads it afresh, so the scaler counts
+// whatever the pool holds, whoever put it there. The scaler keeps only the
+// timers of what it started itself.
 type Scaler struct {
 	cfg    Config
 	pool   Pool
@@ -212,8 +203,9 @@ type Scaler struct {
 	health Health
 
 	mu            sync.Mutex
-	nodes         map[string]*node // every node the scaler knows, by address
-	tick          int              // Ticks so far; every window counts them
+	rising        map[string]int    // nodes it provisioned that have not risen: address → rise deadline (a tick)
+	drains        map[string]*drain // drains it started, by address
+	tick          int               // Ticks so far; every window counts them
 	upStreak      int
 	downStreak    int
 	upNotBefore   int // first tick a scale-up may fire
@@ -230,15 +222,20 @@ type Scaler struct {
 		provRollbacks               *telemetry.Counter
 		forecastVetoes              *telemetry.Counter
 		staleSkipped                *telemetry.Counter
-		poolSize                    *telemetry.Gauge
-		provisioning, draining      *telemetry.Gauge
+		poolSize, provisioning      *telemetry.Gauge
 	}
 }
 
+// drain is the scaler's timer on one drain it started.
+type drain struct {
+	deadline int // the tick the drain is forced
+	quiet    int // consecutive quiesced ticks
+}
+
 // New builds a scaler over an arbiter pool, a provisioner, and a health
-// plane. initial seeds the member set (the statically started pool);
-// pool and prov must already know these addresses.
-func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []string) (*Scaler, error) {
+// plane. Every member the pool holds is the scaler's to count from its
+// first Tick on.
+func New(cfg Config, pool Pool, prov Provisioner, health Health) (*Scaler, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -251,10 +248,8 @@ func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []strin
 		pool:   pool,
 		prov:   prov,
 		health: health,
-		nodes:  make(map[string]*node, len(initial)),
-	}
-	for _, addr := range initial {
-		s.nodes[addr] = &node{phase: member}
+		rising: map[string]int{},
+		drains: map[string]*drain{},
 	}
 	reg := cfg.Telemetry
 	s.tel.scaleUps = reg.Counter("elastic_scale_ups_total")
@@ -270,8 +265,7 @@ func New(cfg Config, pool Pool, prov Provisioner, health Health, initial []strin
 	s.tel.staleSkipped = reg.Counter("elastic_stale_samples_skipped_total")
 	s.tel.poolSize = reg.Gauge("elastic_pool_size")
 	s.tel.provisioning = reg.Gauge("elastic_provisioning")
-	s.tel.draining = reg.Gauge("elastic_draining")
-	s.tel.poolSize.Set(int64(len(initial)))
+	s.updateGauges(s.readPool())
 	return s, nil
 }
 
@@ -283,76 +277,60 @@ func (s *Scaler) Tick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tick++
-	s.advanceProvisioning()
-	s.advanceDraining()
-	s.decide()
-	s.updateGauges()
+	pool := s.readPool()
+	s.advanceProvisioning(pool)
+	s.advanceDraining(pool)
+	s.decide(pool)
+	s.updateGauges(pool)
 }
 
-// Members returns the current member addresses (including draining
-// ones), sorted.
-func (s *Scaler) Members() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.nodes))
-	for addr, n := range s.nodes {
-		if n.phase != provisioning {
-			out = append(out, addr)
+// readPool reads the pool's members, ascending, and their conditions. The
+// tick's own removals and drain aborts edit the copy, so each step counts
+// the pool the steps before it left. Caller holds the lock.
+func (s *Scaler) readPool() map[string]nodestate.State {
+	addrs := s.pool.Pool()
+	sort.Strings(addrs)
+	out := make(map[string]nodestate.State, len(addrs))
+	for _, addr := range addrs {
+		if st, ok := s.pool.StateOf(addr); ok { // not removed since Pool returned
+			out[addr] = st
 		}
+	}
+	return out
+}
+
+// ascending returns m's addresses in ascending order: nodes that move in
+// the same tick reach the pool and the provisioner in one order, so one
+// seed journals and publishes one sequence of pools.
+func ascending[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for addr := range m {
+		out = append(out, addr)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// inPhase returns the addresses of the nodes in phase ph, ascending: nodes
-// that move in the same tick reach the pool and the provisioner in one
-// order, so one seed journals and publishes one sequence of pools. Caller
-// holds the lock.
-func (s *Scaler) inPhase(ph phase) []string {
-	var out []string
-	for addr, n := range s.nodes {
-		if n.phase == ph {
-			out = append(out, addr)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// census counts the nodes in each phase. Caller holds the lock.
-func (s *Scaler) census() (c [numPhases]int) {
-	for _, n := range s.nodes {
-		c[n.phase]++
-	}
-	return c
-}
-
-// isUp reports whether addr is a pool member that is not down.
-func (s *Scaler) isUp(addr string) bool {
-	st, ok := s.pool.StateOf(addr)
-	return ok && !st.Has(nodestate.Down)
-}
-
-// advanceProvisioning promotes provisioned nodes whose first health rise
+// advanceProvisioning settles provisioned nodes whose first health rise
 // reached the pool and rolls back the ones that did not make the
 // deadline. Caller holds the lock.
-func (s *Scaler) advanceProvisioning() {
-	for _, addr := range s.inPhase(provisioning) {
-		n := s.nodes[addr]
-		if s.isUp(addr) {
+func (s *Scaler) advanceProvisioning(pool map[string]nodestate.State) {
+	for _, addr := range ascending(s.rising) {
+		if st, in := pool[addr]; in && !st.Has(nodestate.Down) {
 			// First rise achieved: the Rise already made the node
 			// allocatable and re-arbitrated; the scaler only settles it.
-			*n = node{phase: member}
+			delete(s.rising, addr)
 			s.tel.scaleUps.Inc()
 			s.provFails = 0
 			continue
 		}
-		if s.tick >= n.deadline {
+		if s.tick >= s.rising[addr] {
 			// The daemon never rose: take it out of the pool — down, it
 			// was never assigned — and dispose of it. A rollback is a
 			// provisioning failure as far as the backoff is concerned —
 			// the provisioner is handing out duds.
-			delete(s.nodes, addr)
+			delete(s.rising, addr)
+			delete(pool, addr)
 			_ = s.pool.RemoveION(addr)
 			_ = s.prov.Decommission(addr)
 			s.tel.provRollbacks.Inc()
@@ -362,87 +340,87 @@ func (s *Scaler) advanceProvisioning() {
 }
 
 // advanceDraining completes quiesced drains, forces ones past deadline,
-// and abandons drains whose node died underneath them. Caller holds the
+// and abandons drains the pool has ended underneath them. Caller holds the
 // lock.
-func (s *Scaler) advanceDraining() {
-	for _, addr := range s.inPhase(draining) {
-		n := s.nodes[addr]
-		if !s.isUp(addr) {
-			// Died mid-drain. The Fail that marked it down in the pool
-			// also ended the arbiter-side drain (a Fail clears Draining).
-			// The node stays a member, down — warm restart may revive it;
-			// decommissioning a corpse we still count would strand its
-			// comeback.
-			*n = node{phase: member}
+func (s *Scaler) advanceDraining(pool map[string]nodestate.State) {
+	for _, addr := range ascending(s.drains) {
+		d := s.drains[addr]
+		if !pool[addr].Has(nodestate.Draining) {
+			// The pool no longer shows the drain: the node died mid-drain
+			// (a Fail clears Draining), a DrainAbort came from elsewhere,
+			// or the node left the pool. A dead node stays a member,
+			// down — warm restart may revive it; decommissioning a corpse
+			// the pool still counts would strand its comeback.
+			delete(s.drains, addr)
 			s.tel.drainsAborted.Inc()
 			continue
 		}
 		if s.cfg.Quiesced(addr) {
-			n.quiet++
+			d.quiet++
 		} else {
-			n.quiet = 0
+			d.quiet = 0
 		}
-		if n.quiet >= s.cfg.QuiesceSweeps {
-			s.completeDrain(addr)
-		} else if s.tick >= n.deadline {
+		if d.quiet >= s.cfg.QuiesceSweeps {
+			s.completeDrain(addr, pool)
+		} else if s.tick >= d.deadline {
 			// Quiescence never came (a wedged op, a chatty client). The
 			// deadline bounds how long capacity stays reserved: complete
 			// anyway — clients re-send and fail over to the direct PFS
 			// path, so forcing is safe, just not free.
 			s.tel.drainsForced.Inc()
-			s.completeDrain(addr)
+			s.completeDrain(addr, pool)
 		}
 	}
 }
 
 // completeDrain removes addr everywhere and decommissions the daemon.
 // Caller holds the lock.
-func (s *Scaler) completeDrain(addr string) {
+func (s *Scaler) completeDrain(addr string, pool map[string]nodestate.State) {
+	delete(s.drains, addr)
 	if err := s.pool.RemoveION(addr); err != nil {
 		// Still assigned — a solve raced the drain. Never yank a routed
 		// node: put it back and let a later decision try again.
 		_ = s.pool.Transition(addr, nodestate.DrainAbort)
-		*s.nodes[addr] = node{phase: member}
+		pool[addr] &^= nodestate.Draining
 		s.tel.drainsAborted.Inc()
 		return
 	}
 	_ = s.prov.Decommission(addr)
-	delete(s.nodes, addr)
+	delete(pool, addr)
 	s.tel.scaleDowns.Inc()
 }
 
 // decide reads the demand signal and takes at most one scaling decision.
 // Caller holds the lock.
-func (s *Scaler) decide() {
+func (s *Scaler) decide(pool map[string]nodestate.State) {
 	// Load omits stale samples, so a node that is up but absent from it
 	// sits out both the demand average and the scale-down victim ranking,
 	// exactly like a down one.
 	depths := s.health.Load()
-	for addr := range s.nodes {
-		if _, ok := depths[addr]; !ok && s.isUp(addr) {
+	settled := 0
+	var up []string // settled members with a fresh sample
+	var sum int64
+	for addr, st := range pool {
+		d, sampled := depths[addr] // present only for up nodes
+		if !sampled && !st.Has(nodestate.Down) {
 			s.tel.staleSkipped.Inc()
 		}
-	}
-	live := 0
-	var sum int64
-	for addr, n := range s.nodes {
-		if n.phase != member {
+		if _, rising := s.rising[addr]; rising || st.Has(nodestate.Draining) {
 			continue
 		}
-		d, ok := depths[addr] // present only for up nodes
-		if !ok {
-			continue
+		settled++
+		if sampled {
+			up = append(up, addr)
+			sum += d
 		}
-		live++
-		sum += d
 	}
-	if live == 0 {
+	if len(up) == 0 {
 		// All members down is an outage, not a demand signal; scaling on
 		// it would thrash a pool that needs repair, not resize.
 		s.upStreak, s.downStreak = 0, 0
 		return
 	}
-	avg := float64(sum) / float64(live)
+	avg := float64(sum) / float64(len(up))
 	switch {
 	case avg >= s.cfg.UpWatermark:
 		s.upStreak++
@@ -456,8 +434,7 @@ func (s *Scaler) decide() {
 
 	// Size counts where the pool is heading: draining nodes are leaving,
 	// provisioning ones arriving.
-	count := s.census()
-	size := count[member] + count[provisioning]
+	size := settled + len(s.rising)
 
 	if s.upStreak >= s.cfg.UpSustain && size < s.cfg.Max && s.tick >= s.upNotBefore {
 		step := s.cfg.MaxStep
@@ -487,14 +464,13 @@ func (s *Scaler) decide() {
 	// provision may still fail its rise and roll back, so it can never
 	// cover for a member being drained away — otherwise the drains it
 	// "covered" complete and the settled pool undershoots Min.
-	settled := count[member]
 	if s.downStreak >= s.cfg.DownSustain && settled > s.cfg.Min && s.tick >= s.dnNotBefore {
 		step := s.cfg.MaxStep
 		if settled-step < s.cfg.Min {
 			step = settled - s.cfg.Min
 		}
 		drained := 0
-		for _, addr := range s.victims(depths, step) {
+		for _, addr := range victims(up, depths, step) {
 			if err := s.pool.Transition(addr, nodestate.DrainStart); err != nil {
 				// The arbiter refused (infeasible move, node just died,
 				// …): respect it and stop — conditions that block one
@@ -502,7 +478,7 @@ func (s *Scaler) decide() {
 				s.tel.drainsRefused.Inc()
 				break
 			}
-			*s.nodes[addr] = node{phase: draining, deadline: s.tick + drainDeadline}
+			s.drains[addr] = &drain{deadline: s.tick + drainDeadline}
 			s.tel.drainsStarted.Inc()
 			drained++
 		}
@@ -514,16 +490,10 @@ func (s *Scaler) decide() {
 	}
 }
 
-// victims picks up to n scale-down candidates: up members, not already
-// draining, least queue depth first (address as tiebreak, so the choice
-// is deterministic). Caller holds the lock.
-func (s *Scaler) victims(depths map[string]int64, n int) []string {
-	cand := make([]string, 0, len(s.nodes))
-	for addr, nd := range s.nodes {
-		if _, up := depths[addr]; up && nd.phase == member {
-			cand = append(cand, addr)
-		}
-	}
+// victims picks up to n scale-down candidates from cand, the settled
+// members that are up: least queue depth first (address as tiebreak, so
+// the choice is deterministic).
+func victims(cand []string, depths map[string]int64, n int) []string {
 	sort.Slice(cand, func(i, j int) bool {
 		if depths[cand[i]] != depths[cand[j]] {
 			return depths[cand[i]] < depths[cand[j]]
@@ -557,7 +527,7 @@ func (s *Scaler) provision() bool {
 		s.provisionFailed()
 		return false
 	}
-	s.nodes[addr] = &node{phase: provisioning, deadline: s.tick + riseTimeout}
+	s.rising[addr] = s.tick + riseTimeout
 	s.tel.provsStarted.Inc()
 	return true
 }
@@ -574,10 +544,16 @@ func (s *Scaler) provisionFailed() {
 	s.provNotBefore = s.tick + wait
 }
 
-// updateGauges refreshes the pool gauges. Caller holds the lock.
-func (s *Scaler) updateGauges() {
-	count := s.census()
-	s.tel.poolSize.Set(int64(count[member] + count[draining]))
-	s.tel.provisioning.Set(int64(count[provisioning]))
-	s.tel.draining.Set(int64(count[draining]))
+// updateGauges refreshes the pool gauges from the pool the tick left:
+// its members less the scaler's own that have not risen, and those.
+// Caller holds the lock.
+func (s *Scaler) updateGauges(pool map[string]nodestate.State) {
+	size := 0
+	for addr := range pool {
+		if _, rising := s.rising[addr]; !rising {
+			size++
+		}
+	}
+	s.tel.poolSize.Set(int64(size))
+	s.tel.provisioning.Set(int64(len(s.rising)))
 }

@@ -61,6 +61,13 @@ func (p *fakePool) RemoveION(addr string) error {
 	p.removes = append(p.removes, addr)
 	return nil
 }
+func (p *fakePool) Pool() []string {
+	out := make([]string, 0, len(p.st))
+	for addr := range p.st {
+		out = append(out, addr)
+	}
+	return out
+}
 func (p *fakePool) StateOf(addr string) (nodestate.State, bool) {
 	st, ok := p.st[addr]
 	return st, ok
@@ -163,11 +170,10 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	initial := []string{"ion0:1", "ion1:1"}
-	for _, a := range initial {
+	for _, a := range []string{"ion0:1", "ion1:1"} {
 		pool.st[a] = 0
 	}
-	s, err := New(cfg, pool, prov, health, initial)
+	s, err := New(cfg, pool, prov, health)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +204,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mutate(&cfg)
-			if _, err := New(cfg, newFakePool(), &fakeProv{}, &fakeHealth{}, nil); err == nil {
+			if _, err := New(cfg, newFakePool(), &fakeProv{}, &fakeHealth{}); err == nil {
 				t.Fatal("want config error")
 			}
 		})
@@ -207,7 +213,7 @@ func TestConfigValidation(t *testing.T) {
 	cfg := base
 	cfg.Max = cfg.Min
 	cfg.Quiesced = nil
-	if _, err := New(cfg, newFakePool(), &fakeProv{}, &fakeHealth{}, nil); err != nil {
+	if _, err := New(cfg, newFakePool(), &fakeProv{}, &fakeHealth{}); err != nil {
 		t.Fatalf("fixed-size config rejected: %v", err)
 	}
 }
@@ -253,8 +259,8 @@ func TestScaleUpNeedsSustainedSignalAndFirstRise(t *testing.T) {
 
 // TestProvisionRollbacksInAddressOrder: provisions that miss their rise
 // deadline in the same tick leave the pool and reach the provisioner in
-// ascending address order, every time — the scaler walks its node table
-// in a fixed order, so one seed journals one sequence of pools.
+// ascending address order, every time — the scaler walks its rise
+// deadlines in a fixed order, so one seed journals one sequence of pools.
 func TestProvisionRollbacksInAddressOrder(t *testing.T) {
 	want := []string{"ion10:1", "ion11:1", "ion12:1", "ion13:1"}
 	for rep := 0; rep < 20; rep++ {
@@ -467,8 +473,59 @@ func TestInFlightProvisionNeverCoversADrain(t *testing.T) {
 	if got := r.counter("elastic_provision_rollbacks_total"); got != 1 {
 		t.Fatalf("rollbacks = %d, want 1 (the pending rise must time out)", got)
 	}
-	if got := len(r.s.Members()); got != 2 {
+	if got := len(r.pool.Pool()); got != 2 {
 		t.Fatalf("members = %d, want 2: the pool left its floor", got)
+	}
+}
+
+// TestScalerCountsForeignRemoval: a member that leaves the pool by any
+// hand but the scaler's no longer counts toward the floor — the scaler
+// reads the pool each tick, so an idle pool never drains below Min.
+func TestScalerCountsForeignRemoval(t *testing.T) {
+	r := newRig(t, nil) // Min = 2
+	r.s.cfg.Quiesced = func(string) bool { return true }
+	r.pool.st["ion2:1"] = 0
+	if err := r.pool.RemoveION("ion0:1"); err != nil { // an operator retires a node
+		t.Fatal(err)
+	}
+	r.setDepth(0)
+	for tick := 1; tick <= 40; tick++ {
+		r.tick()
+		if got := r.pool.Pool(); len(got) < 2 {
+			t.Fatalf("tick %d: pool %v is below Min 2", tick, got)
+		}
+	}
+	if got := r.counter("elastic_drains_started_total"); got != 0 {
+		t.Fatalf("drains started = %d, want 0: two settled members sit at the floor", got)
+	}
+}
+
+// TestScalerCountsForeignAdd: a member that joins the pool by any hand
+// but the scaler's counts toward the ceiling — a sustained burst never
+// grows the pool past Max.
+func TestScalerCountsForeignAdd(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.Max = 3 })
+	if err := r.pool.AddION("ion9:1"); err != nil { // an operator adds a node
+		t.Fatal(err)
+	}
+	r.pool.rise("ion9:1")
+	for tick := 1; tick <= 40; tick++ {
+		for _, a := range r.prov.provisioned { // a provisioned daemon rises within one sweep
+			if _, known := r.pool.st[a]; known {
+				r.pool.rise(a)
+			}
+		}
+		r.setDepth(20)
+		r.tick()
+		if got := r.pool.Pool(); len(got) > 3 {
+			t.Fatalf("tick %d: pool %v is above Max 3", tick, got)
+		}
+	}
+	if len(r.prov.provisioned) != 0 {
+		t.Fatalf("provisioned %v into a pool already at Max", r.prov.provisioned)
+	}
+	if got := r.reg.Gauge("elastic_pool_size").Value(); got != 3 {
+		t.Fatalf("elastic_pool_size = %d, want 3", got)
 	}
 }
 
@@ -497,17 +554,41 @@ func TestDrainAbortsWhenNodeDies(t *testing.T) {
 	if len(r.prov.decommissioned) != 0 {
 		t.Fatalf("dead draining node was decommissioned: %v", r.prov.decommissioned)
 	}
-	found := false
-	for _, m := range r.s.Members() {
-		if m == victim {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("aborted-drain node dropped from members: %v", r.s.Members())
+	if !slices.Contains(r.pool.Pool(), victim) {
+		t.Fatalf("aborted-drain node dropped from members: %v", r.pool.Pool())
 	}
 	if st := r.pool.st[victim]; st != nodestate.Down {
 		t.Fatalf("dead drained node is %v in the pool, want down", st)
+	}
+}
+
+// TestDrainEndedByThePoolIsAborted: a drain the pool no longer shows —
+// aborted by another hand, or its node taken out of the pool — ends as an
+// aborted drain, never decommissioned, so the ledger started = downs +
+// aborted still balances.
+func TestDrainEndedByThePoolIsAborted(t *testing.T) {
+	for name, end := range map[string]func(p *fakePool, addr string){
+		"foreign DrainAbort": func(p *fakePool, addr string) { p.apply(addr, nodestate.DrainAbort) },
+		"foreign RemoveION":  func(p *fakePool, addr string) { delete(p.st, addr) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, func(c *Config) { c.Min = 1 })
+			r.setDepth(0)
+			for i := 0; i < 4; i++ { // DownSustain: DrainStart at tick 4
+				r.tick()
+			}
+			if !slices.Equal(r.pool.starts, []string{"ion0:1"}) {
+				t.Fatalf("drain starts = %v, want [ion0:1]", r.pool.starts)
+			}
+			end(r.pool, "ion0:1")
+			r.tick()
+			if got := r.counter("elastic_drains_aborted_total"); got != 1 {
+				t.Fatalf("elastic_drains_aborted_total = %d, want 1", got)
+			}
+			if len(r.pool.removes) != 0 || len(r.prov.decommissioned) != 0 {
+				t.Fatalf("removes = %v, decommissioned = %v, want none", r.pool.removes, r.prov.decommissioned)
+			}
+		})
 	}
 }
 

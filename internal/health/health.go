@@ -41,7 +41,6 @@ package health
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -222,8 +221,6 @@ type nodeState struct {
 	sawRejects  bool   // lastRejects holds a real sample (not the zero value)
 	lastDepth   int64  // queue depth from the last loaded sweep
 	sampledIn   uint64 // the sweep that sampled lastDepth; 0 = never
-
-	queueDepth, shedDelta *telemetry.Gauge // the node's health_ion_* series
 }
 
 // target is one member as a sweep judges it: the condition the pool
@@ -365,8 +362,6 @@ func (p *Prober) track() []target {
 				cli: rpc.Dial(t.addr, 1).
 					WithOptions(rpc.Options{CallTimeout: p.cfg.Timeout, WireChecksum: p.cfg.WireChecksum}).
 					Instrument(p.cfg.Telemetry, nil),
-				queueDepth: p.cfg.Telemetry.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", t.addr)),
-				shedDelta:  p.cfg.Telemetry.Gauge(fmt.Sprintf("health_ion_shed_delta{ion=%q}", t.addr)),
 			}
 			p.nodes[t.addr] = t.ns
 		}
@@ -438,20 +433,18 @@ func (p *Prober) ProbeOnce() []Event {
 		}
 		p.observe(t, liveness, !r.ok, &fired)
 
-		// Load bookkeeping and overload debouncing: export the sampled
+		// Load bookkeeping and overload debouncing: keep the sampled
 		// depth and per-sweep shed delta unconditionally, move the
 		// condition only while a signal is configured.
 		var shedDelta int64
 		if r.loaded {
 			ns.lastDepth = r.depth
 			ns.sampledIn = p.sweeps
-			ns.queueDepth.Set(r.depth)
 			if ns.sawRejects && r.rejects >= ns.lastRejects {
 				shedDelta = r.rejects - ns.lastRejects
 			}
 			ns.lastRejects = r.rejects
 			ns.sawRejects = true
-			ns.shedDelta.Set(shedDelta)
 		}
 		// Dead-looking sweeps feed the liveness thresholds, not the
 		// overload ones; the overload condition holds as it is.

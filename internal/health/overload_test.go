@@ -7,7 +7,6 @@ package health
 // "down".
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -67,8 +66,8 @@ func TestOverloadDetectionByQueueDepth(t *testing.T) {
 	if in(pool, addr, nodestate.Overloaded) || len(evs) != 0 {
 		t.Fatal("healthy node misread as overloaded")
 	}
-	if got := reg.Gauge(fmt.Sprintf("health_ion_queue_depth{ion=%q}", addr)).Value(); got != 3 {
-		t.Fatalf("queue-depth gauge = %d, want 3", got)
+	if got := p.Load()[addr]; got != 3 {
+		t.Fatalf("Load()[%s] = %d, want the sampled depth 3", addr, got)
 	}
 
 	// One hot sweep is not enough (debounce), two are.

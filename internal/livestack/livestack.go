@@ -172,7 +172,7 @@ func Start(cfg Config) (*Stack, error) {
 		}
 		st.Arbiter.WithJournal(st.Journal)
 	}
-	if err := st.startControlPlane(st.Addrs); err != nil {
+	if err := st.startControlPlane(); err != nil {
 		st.Close()
 		return nil, err
 	}
@@ -199,11 +199,11 @@ func (s *Stack) openJournal() (*journal.Journal, error) {
 }
 
 // startControlPlane builds what runs around the arbiter — the prober
-// feeding it, the scaler feeding on the prober, its members seeded with
-// addrs — and starts the stack's one control-plane loop, which steps them
-// every HealthInterval. Used at Start and again by RecoverControlPlane:
-// the old ones died with the control plane.
-func (s *Stack) startControlPlane(addrs []string) error {
+// feeding it, the scaler feeding on the prober, both reading the
+// arbiter's pool — and starts the stack's one control-plane loop, which
+// steps them every HealthInterval. Used at Start and again by
+// RecoverControlPlane: the old ones died with the control plane.
+func (s *Stack) startControlPlane() error {
 	if s.cfg.HealthInterval == 0 {
 		return nil // Validate: no scaler runs without probes
 	}
@@ -211,7 +211,7 @@ func (s *Stack) startControlPlane(addrs []string) error {
 		return err
 	}
 	if s.cfg.Elastic != nil {
-		if err := s.buildScaler(addrs); err != nil {
+		if err := s.buildScaler(); err != nil {
 			s.Health.Stop()
 			s.Health = nil
 			return err
@@ -284,8 +284,8 @@ func (s *Stack) buildProber() error {
 	return nil
 }
 
-// buildScaler builds the pool autoscaler over addrs.
-func (s *Stack) buildScaler(addrs []string) error {
+// buildScaler builds the pool autoscaler over the arbiter's pool.
+func (s *Stack) buildScaler() error {
 	ecfg := *s.cfg.Elastic
 	if ecfg.Telemetry == nil {
 		ecfg.Telemetry = s.Telemetry
@@ -297,7 +297,7 @@ func (s *Stack) buildScaler(addrs []string) error {
 	if s.cfg.WrapProvisioner != nil {
 		prov = s.cfg.WrapProvisioner(prov)
 	}
-	sc, err := elastic.New(ecfg, s.Arbiter, prov, s.Health, addrs)
+	sc, err := elastic.New(ecfg, s.Arbiter, prov, s.Health)
 	if err != nil {
 		return err
 	}
@@ -411,9 +411,10 @@ func (s *Stack) StopControlPlane() {
 // control-plane loop, whose prober clears every journaled mark its nodes
 // earn. A node the scaler provisioned is in the journal from the tick
 // that spawned it (AddION, down), so none is left outside the recovered
-// pool. The returned error is advisory when an arbiter came up (degraded
-// recovery, e.g. a failed re-solve published the pruned pre-crash
-// mapping) and fatal when nil Stack.Arbiter proves no recovery happened.
+// pool; one that had not risen is a down member to the new scaler. The
+// returned error is advisory when an arbiter came up (degraded recovery,
+// e.g. a failed re-solve published the pruned pre-crash mapping) and
+// fatal when nil Stack.Arbiter proves no recovery happened.
 func (s *Stack) RecoverControlPlane() error {
 	if s.cfg.JournalDir == "" {
 		return errors.New("livestack: RecoverControlPlane requires JournalDir")
@@ -441,7 +442,7 @@ func (s *Stack) RecoverControlPlane() error {
 	}
 	s.Journal = jn
 	s.Arbiter = arb
-	if err := s.startControlPlane(arb.Pool()); err != nil {
+	if err := s.startControlPlane(); err != nil {
 		return errors.Join(rerr, err)
 	}
 	return rerr
